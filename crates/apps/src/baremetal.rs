@@ -14,14 +14,14 @@
 //! round trip — the configuration Fig 3a measures.
 
 use crate::metrics::LatencySummary;
-use crate::scenario::{host_endpoint, host_ip, host_mac, switch_endpoint};
-use crate::workload::{FlowPick, SinkNode, TrafficGenNode, WorkloadSpec};
+use crate::scenario::{host_ip, host_mac, Built, Testbed};
+use crate::workload::{EchoNode, FlowPick, RttProbeNode, SinkNode, WorkloadSpec};
 use extmem_core::lookup::{install_remote_action, ActionEntry, LookupStats, LookupTableProgram};
-use extmem_core::{Fib, RdmaChannel};
+use extmem_core::L2Program;
 use extmem_rnic::{RnicConfig, RnicNode};
-use extmem_sim::{LinkSpec, SimBuilder};
+use extmem_sim::LinkSpec;
 use extmem_switch::{SwitchConfig, SwitchNode};
-use extmem_types::{ByteSize, FiveTuple, PortId, Rate, TimeDelta};
+use extmem_types::{ByteSize, FiveTuple, Rate, TimeDelta};
 
 /// Gateway scenario parameters.
 #[derive(Clone, Debug)]
@@ -92,23 +92,10 @@ pub struct GatewayResult {
 
 /// Build and run the gateway scenario.
 pub fn run_gateway(cfg: GatewayConfig) -> GatewayResult {
-    // Ports: 0 = client, 1 = physical server (PIP target), 2 = table server.
-    let client_port = PortId(0);
-    let pip_port = PortId(1);
-    let table_port = PortId(2);
-
     // The physical server's identity; every VIP translates to it (one
     // backend keeps verification simple without changing the data path).
     let pip_ip = host_ip(1);
     let pip_mac = host_mac(1);
-
-    let mut nic = RnicNode::new("tablesrv", RnicConfig::at(host_endpoint(2)));
-    let channel = RdmaChannel::setup(
-        switch_endpoint(),
-        table_port,
-        &mut nic,
-        ByteSize::from_bytes(cfg.table_entries * cfg.entry_size),
-    );
 
     // VIP flows: client (host 0) → VIPs 10.1.0.x.
     let flows: Vec<FiveTuple> = (0..cfg.n_vips)
@@ -123,38 +110,16 @@ pub fn run_gateway(cfg: GatewayConfig) -> GatewayResult {
         })
         .collect();
 
-    // Control plane: install a Translate action per VIP flow.
-    for f in &flows {
-        install_remote_action(
-            &mut nic,
-            &channel,
-            cfg.entry_size,
-            f,
-            ActionEntry::translate(pip_ip, pip_mac),
-        );
-    }
-
-    let mut fib = Fib::new(8);
-    fib.install(host_mac(0), client_port);
-    fib.install(pip_mac, pip_port);
-    // VIP frames are addressed to a virtual gateway MAC that the FIB does
-    // not know; the Translate action rewrites it to the PIP MAC.
-    let mut prog = LookupTableProgram::new(fib, channel, cfg.entry_size, cfg.cache);
-    if cfg.recirculate {
-        prog = prog.with_recirculation();
-    }
-
-    let mut b = SimBuilder::new(cfg.seed);
-    let switch = b.add_node(Box::new(SwitchNode::new(
-        "tor",
-        SwitchConfig::default(),
-        Box::new(prog),
-    )));
-    let gen = b.add_node(Box::new(TrafficGenNode::new(
-        "client",
+    // Ports: 0 = client, 1 = physical server (PIP target), 2 = table server.
+    let link = LinkSpec::testbed_40g();
+    let mut tb = Testbed::new(cfg.seed);
+    tb.gen(
         WorkloadSpec {
             src_mac: host_mac(0),
-            dst_mac: extmem_wire::MacAddr::local(200), // virtual gateway MAC
+            // VIP frames are addressed to a virtual gateway MAC that the
+            // FIB does not know; the Translate action rewrites it to the
+            // PIP MAC.
+            dst_mac: extmem_wire::MacAddr::local(200),
             flows: flows.clone().into(),
             pick: cfg.pick.clone(),
             frame_len: cfg.frame_len,
@@ -164,21 +129,41 @@ pub fn run_gateway(cfg: GatewayConfig) -> GatewayResult {
             arrival: crate::workload::Arrival::Paced,
             flow_id_base: 0,
         },
-    )));
-    let server = b.add_node(Box::new(SinkNode::new("pip-server")));
-    let link = LinkSpec::testbed_40g();
-    b.connect(switch, client_port, gen, PortId(0), link);
-    b.connect(switch, pip_port, server, PortId(0), link);
-    let table = b.add_node(Box::new(nic));
-    let table_link = b.connect(switch, table_port, table, PortId(0), link);
-
-    let mut sim = b.build();
-    sim.schedule_timer(gen, TimeDelta::ZERO, TrafficGenNode::KICK_TOKEN);
+        link,
+    );
+    tb.sink(link);
+    let (table, channel) = tb.server(
+        RnicConfig::default(),
+        ByteSize::from_bytes(cfg.table_entries * cfg.entry_size),
+        link,
+    );
+    // Control plane: install a Translate action per VIP flow.
+    for f in &flows {
+        install_remote_action(
+            tb.nic_mut(table),
+            &channel,
+            cfg.entry_size,
+            f,
+            ActionEntry::translate(pip_ip, pip_mac),
+        );
+    }
+    let mut prog = LookupTableProgram::new(tb.fib(), channel, cfg.entry_size, cfg.cache);
+    if cfg.recirculate {
+        prog = prog.with_recirculation();
+    }
+    let Built {
+        mut sim,
+        switch,
+        hosts,
+        servers,
+        links,
+    } = tb.build(SwitchConfig::default(), Box::new(prog));
     sim.run_to_quiescence();
 
+    let table_link = links[2];
     let to_server_bytes = sim.link_stats(table_link, 0).delivered_bytes;
     let from_server_bytes = sim.link_stats(table_link, 1).delivered_bytes;
-    let sink = sim.node::<SinkNode>(server);
+    let sink = sim.node::<SinkNode>(hosts[1]);
     // Count untranslated arrivals: a translated frame has dst IP = PIP.
     // SinkNode doesn't keep raw frames, so verify via flow bookkeeping:
     // the generator's flows all have distinct VIP dst; parse_data_packet
@@ -195,7 +180,7 @@ pub fn run_gateway(cfg: GatewayConfig) -> GatewayResult {
         latency: sink.latency.summarize().expect("gateway delivered no packets"),
         lookup: prog.stats(),
         cache_hit_rate: prog.cache_hit_rate(),
-        server_cpu_packets: sim.node::<RnicNode>(table).stats().cpu_packets,
+        server_cpu_packets: sim.node::<RnicNode>(servers[0]).stats().cpu_packets,
         to_server_bytes,
         from_server_bytes,
     }
@@ -266,6 +251,90 @@ mod tests {
     }
 }
 
+/// The one flow every E2 run sends: host 0 → host 1.
+fn e2_flow() -> FiveTuple {
+    FiveTuple::new(host_ip(0), host_ip(1), 40_000, 80, 17)
+}
+
+const E2_DSCP: u8 = 46;
+
+/// Attach E2's table server — 4096 direct-hash slots of 2048 B holding a
+/// DSCP-rewrite action for each of `flows` — and return the lookup program
+/// over it.
+fn dscp_table(
+    tb: &mut Testbed,
+    flows: &[FiveTuple],
+    cache: Option<usize>,
+    link: LinkSpec,
+) -> LookupTableProgram {
+    let (table, channel) = tb.server(
+        RnicConfig::default(),
+        ByteSize::from_bytes(4096 * 2048),
+        link,
+    );
+    for f in flows {
+        install_remote_action(
+            tb.nic_mut(table),
+            &channel,
+            2048,
+            f,
+            ActionEntry::set_dscp(E2_DSCP),
+        );
+    }
+    LookupTableProgram::new(tb.fib(), channel, 2048, cache)
+}
+
+/// A generator sending [`e2_flow`] on port 0 and a DSCP-checking sink on
+/// port 1.
+fn e2_hosts(seed: u64, frame_len: usize, count: u64, offered: Rate, dscp: Option<u8>) -> Testbed {
+    let link = LinkSpec::testbed_40g();
+    let mut tb = Testbed::new(seed);
+    tb.gen(
+        WorkloadSpec::simple(
+            host_mac(0),
+            host_mac(1),
+            e2_flow(),
+            frame_len,
+            offered,
+            count,
+        ),
+        link,
+    );
+    let mut sink = SinkNode::new("server");
+    sink.expect_dscp = dscp;
+    tb.host(sink, link);
+    tb
+}
+
+/// An `NPtcp`-style prober on port 0 and an echo server on port 1.
+fn e2_rtt_hosts(seed: u64, frame_len: usize, count: u64) -> Testbed {
+    let link = LinkSpec::testbed_40g();
+    let mut tb = Testbed::new(seed);
+    tb.host(
+        RttProbeNode::new(
+            "nptcp",
+            host_mac(0),
+            host_mac(1),
+            e2_flow(),
+            frame_len,
+            count,
+        ),
+        link,
+    );
+    tb.host(EchoNode::new("echo"), link);
+    tb
+}
+
+/// Start the prober (`hosts[0]`), run to quiescence and summarize its RTTs.
+fn run_rtt_probe(t: &mut Built, count: u64) -> LatencySummary {
+    t.sim.schedule_timer(t.hosts[0], TimeDelta::ZERO, 0);
+    t.sim.run_to_quiescence();
+    let prober = t.sim.node::<RttProbeNode>(t.hosts[0]);
+    assert_eq!(prober.rtt.len() as u64, count, "probe round trips lost");
+    assert_eq!(prober.corrupt, 0);
+    prober.rtt.summarize().expect("no round trips recorded")
+}
+
 /// Experiment E2 (Fig 3a) runner: every packet fetches a DSCP-rewrite
 /// action from the remote table (no cache), mirroring the paper's "custom
 /// action that modifies the value of the DSCP field". Returns the one-way
@@ -278,50 +347,15 @@ pub fn run_dscp_lookup(
     cache: Option<usize>,
     seed: u64,
 ) -> (LatencySummary, LookupStats) {
-    const DSCP: u8 = 46;
-    let table_port = PortId(2);
-    let mut nic = RnicNode::new("tablesrv", RnicConfig::at(host_endpoint(2)));
-    let channel = RdmaChannel::setup(
-        switch_endpoint(),
-        table_port,
-        &mut nic,
-        ByteSize::from_bytes(4096 * 2048),
-    );
-    let flow = FiveTuple::new(host_ip(0), host_ip(1), 40_000, 80, 17);
-    install_remote_action(&mut nic, &channel, 2048, &flow, ActionEntry::set_dscp(DSCP));
+    let mut tb = e2_hosts(seed, frame_len, count, offered, Some(E2_DSCP));
+    let prog = dscp_table(&mut tb, &[e2_flow()], cache, LinkSpec::testbed_40g());
+    let mut t = tb.build(SwitchConfig::default(), Box::new(prog));
+    t.sim.run_to_quiescence();
 
-    let mut fib = Fib::new(8);
-    fib.install(host_mac(0), PortId(0));
-    fib.install(host_mac(1), PortId(1));
-    let prog = LookupTableProgram::new(fib, channel, 2048, cache);
-
-    let mut b = SimBuilder::new(seed);
-    let switch = b.add_node(Box::new(SwitchNode::new(
-        "tor",
-        SwitchConfig::default(),
-        Box::new(prog),
-    )));
-    let gen = b.add_node(Box::new(TrafficGenNode::new(
-        "client",
-        WorkloadSpec::simple(host_mac(0), host_mac(1), flow, frame_len, offered, count),
-    )));
-    let mut sink = SinkNode::new("server");
-    sink.expect_dscp = Some(DSCP);
-    let server = b.add_node(Box::new(sink));
-    let link = LinkSpec::testbed_40g();
-    b.connect(switch, PortId(0), gen, PortId(0), link);
-    b.connect(switch, PortId(1), server, PortId(0), link);
-    let table = b.add_node(Box::new(nic));
-    b.connect(switch, table_port, table, PortId(0), link);
-
-    let mut sim = b.build();
-    sim.schedule_timer(gen, TimeDelta::ZERO, TrafficGenNode::KICK_TOKEN);
-    sim.run_to_quiescence();
-
-    let sink = sim.node::<SinkNode>(server);
+    let sink = t.sim.node::<SinkNode>(t.hosts[1]);
     assert_eq!(sink.received, count, "lookup path lost packets");
     assert_eq!(sink.dscp_mismatch, 0, "action not applied");
-    let sw: &SwitchNode = sim.node::<SwitchNode>(switch);
+    let sw: &SwitchNode = t.sim.node::<SwitchNode>(t.switch);
     let prog = sw.program::<LookupTableProgram>();
     (sink.latency.summarize().expect("no packets delivered"), prog.stats())
 }
@@ -329,32 +363,15 @@ pub fn run_dscp_lookup(
 /// Experiment E2 baseline: "a simple P4 implementation of L2 switch
 /// without doing anything special".
 pub fn run_l2_baseline(frame_len: usize, count: u64, offered: Rate, seed: u64) -> LatencySummary {
-    let mut fib = Fib::new(8);
-    fib.install(host_mac(0), PortId(0));
-    fib.install(host_mac(1), PortId(1));
-    let prog = extmem_core::L2Program { fib, forwarded: 0 };
+    let tb = e2_hosts(seed, frame_len, count, offered, None);
+    let prog = L2Program {
+        fib: tb.fib(),
+        forwarded: 0,
+    };
+    let mut t = tb.build(SwitchConfig::default(), Box::new(prog));
+    t.sim.run_to_quiescence();
 
-    let flow = FiveTuple::new(host_ip(0), host_ip(1), 40_000, 80, 17);
-    let mut b = SimBuilder::new(seed);
-    let switch = b.add_node(Box::new(SwitchNode::new(
-        "tor",
-        SwitchConfig::default(),
-        Box::new(prog),
-    )));
-    let gen = b.add_node(Box::new(TrafficGenNode::new(
-        "client",
-        WorkloadSpec::simple(host_mac(0), host_mac(1), flow, frame_len, offered, count),
-    )));
-    let server = b.add_node(Box::new(SinkNode::new("server")));
-    let link = LinkSpec::testbed_40g();
-    b.connect(switch, PortId(0), gen, PortId(0), link);
-    b.connect(switch, PortId(1), server, PortId(0), link);
-
-    let mut sim = b.build();
-    sim.schedule_timer(gen, TimeDelta::ZERO, TrafficGenNode::KICK_TOKEN);
-    sim.run_to_quiescence();
-
-    let sink = sim.node::<SinkNode>(server);
+    let sink = t.sim.node::<SinkNode>(t.hosts[1]);
     assert_eq!(sink.received, count, "baseline lost packets");
     sink.latency.summarize().expect("no packets delivered")
 }
@@ -369,98 +386,24 @@ pub fn run_dscp_lookup_rtt(
     cache: Option<usize>,
     seed: u64,
 ) -> (LatencySummary, LookupStats) {
-    use crate::workload::{EchoNode, RttProbeNode};
-    const DSCP: u8 = 46;
-    let table_port = PortId(2);
-    let mut nic = RnicNode::new("tablesrv", RnicConfig::at(host_endpoint(2)));
-    let channel = RdmaChannel::setup(
-        switch_endpoint(),
-        table_port,
-        &mut nic,
-        ByteSize::from_bytes(4096 * 2048),
-    );
-    let flow = FiveTuple::new(host_ip(0), host_ip(1), 40_000, 80, 17);
-    install_remote_action(&mut nic, &channel, 2048, &flow, ActionEntry::set_dscp(DSCP));
-    install_remote_action(
-        &mut nic,
-        &channel,
-        2048,
-        &flow.reversed(),
-        ActionEntry::set_dscp(DSCP),
-    );
-
-    let mut fib = Fib::new(8);
-    fib.install(host_mac(0), PortId(0));
-    fib.install(host_mac(1), PortId(1));
-    let prog = LookupTableProgram::new(fib, channel, 2048, cache);
-
-    let mut b = SimBuilder::new(seed);
-    let switch = b.add_node(Box::new(SwitchNode::new(
-        "tor",
-        SwitchConfig::default(),
-        Box::new(prog),
-    )));
-    let prober = b.add_node(Box::new(RttProbeNode::new(
-        "nptcp",
-        host_mac(0),
-        host_mac(1),
-        flow,
-        frame_len,
-        count,
-    )));
-    let echo = b.add_node(Box::new(EchoNode::new("echo")));
-    let link = LinkSpec::testbed_40g();
-    b.connect(switch, PortId(0), prober, PortId(0), link);
-    b.connect(switch, PortId(1), echo, PortId(0), link);
-    let table = b.add_node(Box::new(nic));
-    b.connect(switch, table_port, table, PortId(0), link);
-
-    let mut sim = b.build();
-    sim.schedule_timer(prober, TimeDelta::ZERO, 0);
-    sim.run_to_quiescence();
-
-    let prober = sim.node::<RttProbeNode>(prober);
-    assert_eq!(prober.rtt.len() as u64, count, "probe round trips lost");
-    assert_eq!(prober.corrupt, 0);
-    let sw: &SwitchNode = sim.node::<SwitchNode>(switch);
-    (
-        prober.rtt.summarize().expect("no round trips recorded"),
-        sw.program::<LookupTableProgram>().stats(),
-    )
+    let mut tb = e2_rtt_hosts(seed, frame_len, count);
+    let flows = [e2_flow(), e2_flow().reversed()];
+    let prog = dscp_table(&mut tb, &flows, cache, LinkSpec::testbed_40g());
+    let mut t = tb.build(SwitchConfig::default(), Box::new(prog));
+    let rtt = run_rtt_probe(&mut t, count);
+    let sw: &SwitchNode = t.sim.node::<SwitchNode>(t.switch);
+    (rtt, sw.program::<LookupTableProgram>().stats())
 }
 
 /// RTT baseline over the plain L2 switch.
 pub fn run_l2_baseline_rtt(frame_len: usize, count: u64, seed: u64) -> LatencySummary {
-    use crate::workload::{EchoNode, RttProbeNode};
-    let mut fib = Fib::new(8);
-    fib.install(host_mac(0), PortId(0));
-    fib.install(host_mac(1), PortId(1));
-    let prog = extmem_core::L2Program { fib, forwarded: 0 };
-    let flow = FiveTuple::new(host_ip(0), host_ip(1), 40_000, 80, 17);
-    let mut b = SimBuilder::new(seed);
-    let switch = b.add_node(Box::new(SwitchNode::new(
-        "tor",
-        SwitchConfig::default(),
-        Box::new(prog),
-    )));
-    let prober = b.add_node(Box::new(RttProbeNode::new(
-        "nptcp",
-        host_mac(0),
-        host_mac(1),
-        flow,
-        frame_len,
-        count,
-    )));
-    let echo = b.add_node(Box::new(EchoNode::new("echo")));
-    let link = LinkSpec::testbed_40g();
-    b.connect(switch, PortId(0), prober, PortId(0), link);
-    b.connect(switch, PortId(1), echo, PortId(0), link);
-    let mut sim = b.build();
-    sim.schedule_timer(prober, TimeDelta::ZERO, 0);
-    sim.run_to_quiescence();
-    let prober = sim.node::<RttProbeNode>(prober);
-    assert_eq!(prober.rtt.len() as u64, count);
-    prober.rtt.summarize().expect("no round trips recorded")
+    let tb = e2_rtt_hosts(seed, frame_len, count);
+    let prog = L2Program {
+        fib: tb.fib(),
+        forwarded: 0,
+    };
+    let mut t = tb.build(SwitchConfig::default(), Box::new(prog));
+    run_rtt_probe(&mut t, count)
 }
 
 #[cfg(test)]
@@ -483,48 +426,22 @@ mod e2_tests {
     fn recirculation_budget_prevents_livelock_under_loss() {
         // A lossy table-server link with recirculation: lost action READs
         // must end in bounded packet drops, not infinite recirculation.
-        use extmem_core::lookup::LookupTableProgram;
-        use extmem_rnic::{RnicConfig, RnicNode};
-        let mut nic = RnicNode::new("tablesrv", RnicConfig::at(host_endpoint(2)));
-        let channel = RdmaChannel::setup(
-            switch_endpoint(),
-            PortId(2),
-            &mut nic,
-            ByteSize::from_bytes(4096 * 2048),
-        );
-        let flow = FiveTuple::new(host_ip(0), host_ip(1), 40_000, 80, 17);
-        install_remote_action(&mut nic, &channel, 2048, &flow, ActionEntry::set_dscp(46));
-        let mut fib = Fib::new(8);
-        fib.install(host_mac(0), PortId(0));
-        fib.install(host_mac(1), PortId(1));
-        let prog = LookupTableProgram::new(fib, channel, 2048, Some(8)).with_recirculation();
-
-        let mut b = SimBuilder::new(17);
-        let switch = b.add_node(Box::new(SwitchNode::new(
-            "tor",
-            SwitchConfig::default(),
-            Box::new(prog),
-        )));
-        let gen = b.add_node(Box::new(TrafficGenNode::new(
-            "client",
-            WorkloadSpec::simple(host_mac(0), host_mac(1), flow, 256, Rate::from_gbps(1), 200),
-        )));
-        let server = b.add_node(Box::new(SinkNode::new("server")));
-        let link = LinkSpec::testbed_40g();
-        b.connect(switch, PortId(0), gen, PortId(0), link);
-        b.connect(switch, PortId(1), server, PortId(0), link);
-        let table = b.add_node(Box::new(nic));
+        let mut tb = e2_hosts(17, 256, 200, Rate::from_gbps(1), None);
         let mut lossy = LinkSpec::testbed_40g();
         lossy.faults = extmem_sim::FaultSpec::drop(0.3);
-        b.connect(switch, PortId(2), table, PortId(0), lossy);
-        let mut sim = b.build();
-        sim.schedule_timer(gen, TimeDelta::ZERO, TrafficGenNode::KICK_TOKEN);
+        let prog = dscp_table(&mut tb, &[e2_flow()], Some(8), lossy).with_recirculation();
+        let Built {
+            mut sim,
+            switch,
+            hosts,
+            ..
+        } = tb.build(SwitchConfig::default(), Box::new(prog));
         // Must terminate (the budget bounds recirculation) within the
         // workload horizon.
         sim.run_to_quiescence();
         let sw: &SwitchNode = sim.node::<SwitchNode>(switch);
         let stats = sw.program::<LookupTableProgram>().stats();
-        let delivered = sim.node::<SinkNode>(server).received;
+        let delivered = sim.node::<SinkNode>(hosts[1]).received;
         assert!(
             delivered + stats.recirc_budget_drops + stats.slow_path >= 190,
             "packets unaccounted: delivered={delivered} {stats:?}"

@@ -271,54 +271,63 @@ impl Node for FeedbackEcho {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::{host_ip, host_mac};
-    use extmem_core::{Fib, L2Program};
-    use extmem_sim::{LinkSpec, SimBuilder};
+    use crate::scenario::{host_ip, host_mac, Built, Testbed};
+    use extmem_core::L2Program;
+    use extmem_sim::LinkSpec;
     use extmem_switch::{SwitchConfig, SwitchNode};
     use extmem_types::{ByteSize, TimeDelta};
+
+    /// A DCTCP source (host 0) sending `count` 1000 B frames to a
+    /// feedback echo (host 1) behind `bottleneck`, over an L2 switch
+    /// configured by `switch`; the source is started.
+    fn dctcp_testbed(
+        seed: u64,
+        switch: SwitchConfig,
+        dctcp: DctcpConfig,
+        count: u64,
+        bottleneck: LinkSpec,
+    ) -> Built {
+        let flow = FiveTuple::new(host_ip(0), host_ip(1), 40_000, 9_000, 17);
+        let mut tb = Testbed::new(seed);
+        tb.host(
+            DctcpSource::new("dctcp", dctcp, host_mac(0), host_mac(1), flow, 1000, count),
+            LinkSpec::testbed_40g(),
+        );
+        tb.host(FeedbackEcho::new("rx"), bottleneck);
+        let prog = L2Program {
+            fib: tb.fib(),
+            forwarded: 0,
+        };
+        let mut t = tb.build(switch, Box::new(prog));
+        t.sim
+            .schedule_timer(t.hosts[0], TimeDelta::ZERO, TOKEN_SEND);
+        t
+    }
 
     /// DCTCP source at 40G into a 10G bottleneck with ECN marking:
     /// the rate must converge near the bottleneck with zero drops.
     #[test]
     fn dctcp_converges_to_the_bottleneck_rate() {
-        let mut fib = Fib::new(8);
-        fib.install(host_mac(0), PortId(0));
-        fib.install(host_mac(1), PortId(1));
-        let mut b = SimBuilder::new(13);
-        let switch = b.add_node(Box::new(SwitchNode::new(
-            "tor",
+        let Built {
+            mut sim,
+            switch,
+            hosts,
+            ..
+        } = dctcp_testbed(
+            13,
             SwitchConfig {
                 buffer: ByteSize::from_mb(12),
                 ecn_threshold: Some(ByteSize::from_bytes(30_000)),
                 ..Default::default()
             },
-            Box::new(L2Program { fib, forwarded: 0 }),
-        )));
-        let flow = FiveTuple::new(host_ip(0), host_ip(1), 40_000, 9_000, 17);
-        let src = b.add_node(Box::new(DctcpSource::new(
-            "dctcp",
             DctcpConfig::default(),
-            host_mac(0),
-            host_mac(1),
-            flow,
-            1000,
             60_000,
-        )));
-        let dst = b.add_node(Box::new(FeedbackEcho::new("rx")));
-        b.connect(switch, PortId(0), src, PortId(0), LinkSpec::testbed_40g());
-        b.connect(
-            switch,
-            PortId(1),
-            dst,
-            PortId(0),
             LinkSpec::new(Rate::from_gbps(10), TimeDelta::from_nanos(300)),
         );
-        let mut sim = b.build();
-        sim.schedule_timer(src, TimeDelta::ZERO, TOKEN_SEND);
         sim.run_until(Time::from_millis(40));
 
-        let s = sim.node::<DctcpSource>(src);
-        let rx = sim.node::<FeedbackEcho>(dst);
+        let s = sim.node::<DctcpSource>(hosts[0]);
+        let rx = sim.node::<FeedbackEcho>(hosts[1]);
         assert!(rx.marked > 0, "ECN never marked");
         assert!(s.total_feedback > 1000, "feedback loop broken");
         // Average rate over the last quarter of the trace ≈ bottleneck.
@@ -337,46 +346,23 @@ mod tests {
     /// Heavy marking can never push the rate below the configured floor.
     #[test]
     fn dctcp_respects_the_rate_floor() {
-        let mut fib = Fib::new(8);
-        fib.install(host_mac(0), PortId(0));
-        fib.install(host_mac(1), PortId(1));
-        let mut b = SimBuilder::new(15);
-        let switch = b.add_node(Box::new(SwitchNode::new(
-            "tor",
+        let floor = Rate::from_gbps(2);
+        let mut t = dctcp_testbed(
+            15,
             SwitchConfig {
                 // Mark everything: the queue threshold is zero.
                 ecn_threshold: Some(ByteSize::ZERO),
                 ..Default::default()
             },
-            Box::new(L2Program { fib, forwarded: 0 }),
-        )));
-        let flow = FiveTuple::new(host_ip(0), host_ip(1), 40_000, 9_000, 17);
-        let floor = Rate::from_gbps(2);
-        let src = b.add_node(Box::new(DctcpSource::new(
-            "dctcp",
             DctcpConfig {
                 min: floor,
                 ..Default::default()
             },
-            host_mac(0),
-            host_mac(1),
-            flow,
-            1000,
             20_000,
-        )));
-        let dst = b.add_node(Box::new(FeedbackEcho::new("rx")));
-        b.connect(switch, PortId(0), src, PortId(0), LinkSpec::testbed_40g());
-        b.connect(
-            switch,
-            PortId(1),
-            dst,
-            PortId(0),
             LinkSpec::new(Rate::from_gbps(5), TimeDelta::from_nanos(300)),
         );
-        let mut sim = b.build();
-        sim.schedule_timer(src, TimeDelta::ZERO, TOKEN_SEND);
-        sim.run_until(Time::from_millis(30));
-        let s = sim.node::<DctcpSource>(src);
+        t.sim.run_until(Time::from_millis(30));
+        let s = t.sim.node::<DctcpSource>(t.hosts[0]);
         assert!(s.total_marks > 0);
         for &(_, r) in &s.rate_trace {
             assert!(r >= floor, "rate {r} fell below the floor");
@@ -386,38 +372,21 @@ mod tests {
     /// Without congestion the sender climbs to its ceiling and stays there.
     #[test]
     fn dctcp_uncongested_runs_at_line_rate() {
-        let mut fib = Fib::new(8);
-        fib.install(host_mac(0), PortId(0));
-        fib.install(host_mac(1), PortId(1));
-        let mut b = SimBuilder::new(14);
-        let switch = b.add_node(Box::new(SwitchNode::new(
-            "tor",
+        let mut t = dctcp_testbed(
+            14,
             SwitchConfig {
                 ecn_threshold: Some(ByteSize::from_bytes(30_000)),
                 ..Default::default()
             },
-            Box::new(L2Program { fib, forwarded: 0 }),
-        )));
-        let flow = FiveTuple::new(host_ip(0), host_ip(1), 40_000, 9_000, 17);
-        let src = b.add_node(Box::new(DctcpSource::new(
-            "dctcp",
             DctcpConfig {
                 initial: Rate::from_gbps(20),
                 ..Default::default()
             },
-            host_mac(0),
-            host_mac(1),
-            flow,
-            1000,
             10_000,
-        )));
-        let dst = b.add_node(Box::new(FeedbackEcho::new("rx")));
-        b.connect(switch, PortId(0), src, PortId(0), LinkSpec::testbed_40g());
-        b.connect(switch, PortId(1), dst, PortId(0), LinkSpec::testbed_40g());
-        let mut sim = b.build();
-        sim.schedule_timer(src, TimeDelta::ZERO, TOKEN_SEND);
-        sim.run_to_quiescence();
-        let s = sim.node::<DctcpSource>(src);
+            LinkSpec::testbed_40g(),
+        );
+        t.sim.run_to_quiescence();
+        let s = t.sim.node::<DctcpSource>(t.hosts[0]);
         assert_eq!(s.total_marks, 0, "uncongested path must not mark");
         let last = s.rate_trace.last().expect("windows elapsed").1;
         assert!(last.gbps_f64() > 20.0, "rate should climb: {last}");

@@ -14,12 +14,12 @@
 //! enough striped servers delivers every packet ("a 'lossless' last-hop ToR
 //! switch, without the caveats of PFC").
 
-use crate::scenario::{host_endpoint, host_mac, switch_endpoint};
-use crate::workload::{SinkNode, TrafficGenNode, WorkloadSpec};
+use crate::scenario::{host_ip, host_mac, Built, Testbed};
+use crate::workload::{Arrival, FlowPick, SinkNode, WorkloadSpec};
 use extmem_core::packet_buffer::{Mode, PacketBufferProgram, PacketBufferStats};
-use extmem_core::{Fib, L2Program, RdmaChannel};
-use extmem_rnic::{RnicConfig, RnicNode};
-use extmem_sim::{LinkSpec, SimBuilder};
+use extmem_core::L2Program;
+use extmem_rnic::RnicConfig;
+use extmem_sim::LinkSpec;
 use extmem_switch::{PipelineProgram, SwitchConfig, SwitchNode};
 use extmem_types::{ByteSize, FiveTuple, PortId, Rate, Time, TimeDelta};
 
@@ -140,12 +140,6 @@ pub struct IncastResult {
     /// Trace digest of the run (same seed ⇒ same digest, any scheduler
     /// backend).
     pub trace_digest: u64,
-    /// Scheduler counters for the run.
-    pub sched: extmem_sim::SchedStats,
-    /// Wall-clock seconds spent *running* the simulation — topology
-    /// construction excluded, so perf baselines measure the event loop and
-    /// not allocator noise from setup.
-    pub run_wall_seconds: f64,
 }
 
 /// Build and run the incast; returns the measurements.
@@ -155,107 +149,70 @@ pub fn run_incast(cfg: IncastConfig) -> IncastResult {
     assert!(frames_per_sender > 0, "burst smaller than one frame");
 
     // Port map: 0 = receiver, 1..=senders = senders, then memory servers.
-    let receiver_port = PortId(0);
-    let mut fib = Fib::new(cfg.senders + 2);
-    fib.install(host_mac(0), receiver_port);
+    let link = LinkSpec::new(cfg.link_rate, TimeDelta::from_nanos(300));
+    let mut tb = Testbed::new(cfg.seed);
+    let receiver_port = tb.sink(link);
     for s in 0..cfg.senders {
-        fib.install(host_mac(1 + s), PortId(1 + s as u16));
-    }
-
-    // Memory servers + channels (before the program that owns them).
-    let mut nics: Vec<RnicNode> = Vec::new();
-    let mut channels: Vec<RdmaChannel> = Vec::new();
-    if let Some(r) = &cfg.remote {
-        for i in 0..r.servers {
-            let idx = 1 + cfg.senders + i;
-            let mut nic = RnicNode::new(format!("memsrv{i}"), RnicConfig::at(host_endpoint(idx)));
-            let port = PortId(idx as u16);
-            channels.push(RdmaChannel::setup(
-                switch_endpoint(),
-                port,
-                &mut nic,
-                r.region_per_server,
-            ));
-            nics.push(nic);
-        }
+        let flow = FiveTuple::new(host_ip(1 + s), host_ip(0), 40_000 + s as u16, 9_000, 17);
+        let spec = WorkloadSpec {
+            src_mac: host_mac(1 + s),
+            dst_mac: host_mac(0),
+            flows: vec![flow].into(),
+            pick: FlowPick::RoundRobin,
+            frame_len: cfg.frame_len,
+            offered: None, // full line-rate burst
+            count: frames_per_sender,
+            seed: cfg.seed ^ (s as u64 + 1),
+            arrival: Arrival::Paced,
+            flow_id_base: s as u32,
+        };
+        tb.gen(spec, link);
     }
 
     let program: Box<dyn PipelineProgram> = match &cfg.remote {
-        Some(r) => Box::new(PacketBufferProgram::new(
-            fib,
-            channels,
-            receiver_port,
-            r.entry_size,
-            Mode::Auto {
-                start_store_qbytes: r.start_store_qbytes,
-                resume_load_qbytes: r.resume_load_qbytes,
-            },
-            r.max_outstanding_reads,
-            TimeDelta::from_micros(100),
-        )),
-        None => Box::new(L2Program { fib, forwarded: 0 }),
+        Some(r) => {
+            let channels = (0..r.servers)
+                .map(|_| {
+                    tb.server(RnicConfig::default(), r.region_per_server, link)
+                        .1
+                })
+                .collect();
+            Box::new(PacketBufferProgram::new(
+                tb.fib(),
+                channels,
+                receiver_port,
+                r.entry_size,
+                Mode::Auto {
+                    start_store_qbytes: r.start_store_qbytes,
+                    resume_load_qbytes: r.resume_load_qbytes,
+                },
+                r.max_outstanding_reads,
+                TimeDelta::from_micros(100),
+            ))
+        }
+        None => Box::new(L2Program {
+            fib: tb.fib(),
+            forwarded: 0,
+        }),
     };
 
-    let n_ports = 1 + cfg.senders + nics.len();
-    let mut b = SimBuilder::new(cfg.seed);
-    let link = LinkSpec::new(cfg.link_rate, TimeDelta::from_nanos(300));
-    let switch = b.add_node(Box::new(SwitchNode::new(
-        "tor",
+    let n_ports = tb.port_count();
+    let Built {
+        mut sim,
+        switch,
+        hosts,
+        ..
+    } = tb.build(
         SwitchConfig {
             ports: n_ports as u16,
             buffer: cfg.switch_buffer,
             ..Default::default()
         },
         program,
-    )));
-    let receiver = b.add_node(Box::new(SinkNode::new("receiver")));
-    b.connect(switch, receiver_port, receiver, PortId(0), link);
-
-    let mut senders = Vec::new();
-    for s in 0..cfg.senders {
-        let flow = FiveTuple::new(
-            crate::scenario::host_ip(1 + s),
-            crate::scenario::host_ip(0),
-            40_000 + s as u16,
-            9_000,
-            17,
-        );
-        let spec = WorkloadSpec {
-            src_mac: host_mac(1 + s),
-            dst_mac: host_mac(0),
-            flows: vec![flow].into(),
-            pick: crate::workload::FlowPick::RoundRobin,
-            frame_len: cfg.frame_len,
-            offered: None, // full line-rate burst
-            count: frames_per_sender,
-            seed: cfg.seed ^ (s as u64 + 1),
-            arrival: crate::workload::Arrival::Paced,
-            flow_id_base: s as u32,
-        };
-        let id = b.add_node(Box::new(TrafficGenNode::new(format!("sender{s}"), spec)));
-        b.connect(switch, PortId(1 + s as u16), id, PortId(0), link);
-        senders.push(id);
-    }
-    for (i, nic) in nics.into_iter().enumerate() {
-        let id = b.add_node(Box::new(nic));
-        b.connect(
-            switch,
-            PortId((1 + cfg.senders + i) as u16),
-            id,
-            PortId(0),
-            link,
-        );
-    }
-
-    let mut sim = b.build();
-    for &s in &senders {
-        sim.schedule_timer(s, TimeDelta::ZERO, TrafficGenNode::KICK_TOKEN);
-    }
-    let run_start = std::time::Instant::now();
+    );
     sim.run_to_quiescence();
-    let run_wall_seconds = run_start.elapsed().as_secs_f64();
 
-    let sink = sim.node::<SinkNode>(receiver);
+    let sink = sim.node::<SinkNode>(hosts[0]);
     let sw: &SwitchNode = sim.node::<SwitchNode>(switch);
     let sent = cfg.senders as u64 * frames_per_sender;
     let delivered = sink.received;
@@ -280,8 +237,6 @@ pub fn run_incast(cfg: IncastConfig) -> IncastResult {
         events: sim.events_processed(),
         hop_packets: sim.packets_delivered(),
         trace_digest: sim.trace_digest(),
-        sched: sim.sched_stats(),
-        run_wall_seconds,
     }
 }
 

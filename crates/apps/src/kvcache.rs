@@ -15,11 +15,10 @@
 //! fallback.
 
 use crate::metrics::{LatencyRecorder, LatencySummary};
-use crate::scenario::{host_endpoint, host_ip, host_mac, switch_endpoint};
+use crate::scenario::{host_ip, host_mac, Built, Testbed};
 use extmem_core::lookup::{install_remote_action, ActionEntry, LookupStats, LookupTableProgram};
-use extmem_core::{Fib, RdmaChannel};
 use extmem_rnic::{RnicConfig, RnicNode};
-use extmem_sim::{LinkSpec, Node, NodeCtx, SimBuilder, TxQueue};
+use extmem_sim::{LinkSpec, Node, NodeCtx, TxQueue};
 use extmem_types::{ByteSize, FiveTuple, PortId, Time, TimeDelta};
 use extmem_wire::payload::build_data_packet;
 use extmem_wire::{MacAddr, Packet};
@@ -184,56 +183,45 @@ pub struct KvResult {
 pub fn run_kv(keys: u32, skew: f64, count: u64, cache: Option<usize>, seed: u64) -> KvResult {
     let entry_size = 2048u64;
     let entries = (keys as u64 * 8).next_power_of_two().max(4096);
-    let mut nic = RnicNode::new("kvsrv", RnicConfig::at(host_endpoint(1)));
-    let channel = RdmaChannel::setup(
-        switch_endpoint(),
-        PortId(1),
-        &mut nic,
+    let link = LinkSpec::testbed_40g();
+    let mut tb = Testbed::new(seed);
+    tb.host(
+        KvClientNode::new("client", keys, skew, count, seed ^ 0x6b76),
+        link,
+    );
+    let (kv, channel) = tb.server(
+        RnicConfig::default(),
         ByteSize::from_bytes(entries * entry_size),
+        link,
     );
     for key in 0..keys {
         install_remote_action(
-            &mut nic,
+            tb.nic_mut(kv),
             &channel,
             entry_size,
             &key_flow(key),
             ActionEntry::kv_respond(value_of(key)),
         );
     }
-    let mut fib = Fib::new(8);
-    fib.install(host_mac(0), PortId(0));
-    let prog = LookupTableProgram::new(fib, channel, entry_size, cache);
-
-    let mut b = SimBuilder::new(seed);
-    let switch = b.add_node(Box::new(extmem_switch::SwitchNode::new(
-        "tor",
-        extmem_switch::SwitchConfig::default(),
-        Box::new(prog),
-    )));
-    let client = b.add_node(Box::new(KvClientNode::new(
-        "client",
-        keys,
-        skew,
-        count,
-        seed ^ 0x6b76,
-    )));
-    let link = LinkSpec::testbed_40g();
-    b.connect(switch, PortId(0), client, PortId(0), link);
-    let server = b.add_node(Box::new(nic));
-    b.connect(switch, PortId(1), server, PortId(0), link);
-
-    let mut sim = b.build();
-    sim.schedule_timer(client, TimeDelta::ZERO, 0);
+    let prog = LookupTableProgram::new(tb.fib(), channel, entry_size, cache);
+    let Built {
+        mut sim,
+        switch,
+        hosts,
+        servers,
+        ..
+    } = tb.build(extmem_switch::SwitchConfig::default(), Box::new(prog));
+    sim.schedule_timer(hosts[0], TimeDelta::ZERO, 0);
     sim.run_to_quiescence();
 
-    let client = sim.node::<KvClientNode>(client);
+    let client = sim.node::<KvClientNode>(hosts[0]);
     let sw: &extmem_switch::SwitchNode = sim.node(switch);
     KvResult {
         correct: client.correct,
         wrong: client.wrong,
         latency: client.latency.summarize().expect("no GET completed"),
         lookup: sw.program::<LookupTableProgram>().stats(),
-        server_cpu_packets: sim.node::<RnicNode>(server).stats().cpu_packets,
+        server_cpu_packets: sim.node::<RnicNode>(servers[0]).stats().cpu_packets,
     }
 }
 

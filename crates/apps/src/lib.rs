@@ -9,9 +9,9 @@
 //!   probes), with uniform, round-robin and Zipf flow selection,
 //! * [`metrics`] — latency recorders, percentile math, throughput
 //!   accounting,
-//! * [`scenario`] — canonical topologies: a ToR with N host-facing ports
-//!   and a memory server, with the conventions for MACs and IPs used
-//!   throughout the workspace,
+//! * [`scenario`] — the paper's testbed as a builder ([`scenario::Testbed`]:
+//!   a ToR, hosts and memory servers, wired in a fixed order), with the
+//!   conventions for MACs and IPs used throughout the workspace,
 //! * [`incast`] — §2.1 / Fig 1a: the 8-into-1 incast that motivates the
 //!   remote packet buffer (experiment E4),
 //! * [`baremetal`] — §2.2 / Fig 1b: VIP→PIP translation for bare-metal

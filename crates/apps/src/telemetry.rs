@@ -9,16 +9,16 @@
 //! throughput degradation").
 
 use crate::metrics::throughput;
-use crate::scenario::{host_endpoint, host_ip, host_mac, switch_endpoint};
-use crate::workload::{FlowPick, SinkNode, TrafficGenNode, WorkloadSpec};
+use crate::scenario::{host_ip, host_mac, Built, Testbed};
+use crate::workload::{FlowPick, SinkNode, WorkloadSpec};
 use extmem_core::faa::{FaaConfig, FaaEngine, FaaStats};
 use extmem_core::sketch::{SketchGeometry, SketchKind, SketchProgram};
 use extmem_core::state_store::{read_remote_counters, StateStoreProgram};
-use extmem_core::{Fib, RdmaChannel};
+use extmem_core::RdmaChannel;
 use extmem_rnic::{RnicConfig, RnicNode};
-use extmem_sim::{LinkSpec, SimBuilder};
+use extmem_sim::LinkSpec;
 use extmem_switch::{SwitchConfig, SwitchNode};
-use extmem_types::{ByteSize, FiveTuple, LinkId, PortId, Rate, Time, TimeDelta};
+use extmem_types::{ByteSize, FiveTuple, Rate, Time, TimeDelta};
 
 /// Counting-scenario parameters.
 #[derive(Clone, Debug)]
@@ -86,59 +86,55 @@ pub struct CountingResult {
     pub server_cpu_packets: u64,
 }
 
+/// Sender (port 0) → receiver (port 1) with a telemetry server of
+/// `region_bytes` on port 2: the shape both telemetry scenarios share.
+/// Returns the testbed and the server's channel.
+fn telemetry_rig(seed: u64, spec: WorkloadSpec, region_bytes: u64) -> (Testbed, RdmaChannel) {
+    let link = LinkSpec::testbed_40g();
+    let mut tb = Testbed::new(seed);
+    tb.gen(spec, link);
+    tb.sink(link);
+    let (_, channel) = tb.server(
+        RnicConfig::default(),
+        ByteSize::from_bytes(region_bytes),
+        link,
+    );
+    (tb, channel)
+}
+
+/// The `n` flows between the two hosts.
+fn telemetry_flows(n: usize) -> Vec<FiveTuple> {
+    (0..n)
+        .map(|i| FiveTuple::new(host_ip(0), host_ip(1), 30_000 + i as u16, 9_000, 17))
+        .collect()
+}
+
 /// Build and run the counting scenario.
 pub fn run_counting(cfg: CountingConfig) -> CountingResult {
-    // Ports: 0 = sender, 1 = receiver, 2 = telemetry server.
-    let mut nic = RnicNode::new("telemetry", RnicConfig::at(host_endpoint(2)));
-    let channel = RdmaChannel::setup(
-        switch_endpoint(),
-        PortId(2),
-        &mut nic,
-        ByteSize::from_bytes(cfg.counters * 8),
-    );
+    let spec = WorkloadSpec {
+        src_mac: host_mac(0),
+        dst_mac: host_mac(1),
+        flows: telemetry_flows(cfg.n_flows).into(),
+        pick: cfg.pick.clone(),
+        frame_len: cfg.frame_len,
+        offered: Some(cfg.offered),
+        count: cfg.count,
+        seed: cfg.seed ^ 0x77,
+        arrival: crate::workload::Arrival::Paced,
+        flow_id_base: 0,
+    };
+    let (tb, channel) = telemetry_rig(cfg.seed, spec, cfg.counters * 8);
     let rkey = channel.rkey;
     let base_va = channel.base_va;
-
-    let mut fib = Fib::new(8);
-    fib.install(host_mac(0), PortId(0));
-    fib.install(host_mac(1), PortId(1));
     let engine = FaaEngine::new(channel, cfg.faa);
-    let prog = StateStoreProgram::new(fib, engine, TimeDelta::from_micros(50));
-
-    let flows: Vec<FiveTuple> = (0..cfg.n_flows)
-        .map(|i| FiveTuple::new(host_ip(0), host_ip(1), 30_000 + i as u16, 9_000, 17))
-        .collect();
-
-    let mut b = SimBuilder::new(cfg.seed);
-    let switch = b.add_node(Box::new(SwitchNode::new(
-        "tor",
-        SwitchConfig::default(),
-        Box::new(prog),
-    )));
-    let sender = b.add_node(Box::new(TrafficGenNode::new(
-        "sender",
-        WorkloadSpec {
-            src_mac: host_mac(0),
-            dst_mac: host_mac(1),
-            flows: flows.into(),
-            pick: cfg.pick.clone(),
-            frame_len: cfg.frame_len,
-            offered: Some(cfg.offered),
-            count: cfg.count,
-            seed: cfg.seed ^ 0x77,
-            arrival: crate::workload::Arrival::Paced,
-            flow_id_base: 0,
-        },
-    )));
-    let receiver = b.add_node(Box::new(SinkNode::new("receiver")));
-    let link = LinkSpec::testbed_40g();
-    b.connect(switch, PortId(0), sender, PortId(0), link);
-    b.connect(switch, PortId(1), receiver, PortId(0), link);
-    let server = b.add_node(Box::new(nic));
-    let server_link: LinkId = b.connect(switch, PortId(2), server, PortId(0), link);
-
-    let mut sim = b.build();
-    sim.schedule_timer(sender, TimeDelta::ZERO, TrafficGenNode::KICK_TOKEN);
+    let prog = StateStoreProgram::new(tb.fib(), engine, TimeDelta::from_micros(50));
+    let Built {
+        mut sim,
+        switch,
+        hosts,
+        servers,
+        links,
+    } = tb.build(SwitchConfig::default(), Box::new(prog));
     // Run the workload plus settle time (the flush tick re-arms forever, so
     // quiescence never arrives by design).
     let workload_time = TimeDelta::from_secs_f64(
@@ -147,10 +143,10 @@ pub fn run_counting(cfg: CountingConfig) -> CountingResult {
     let deadline = Time::ZERO + workload_time + cfg.settle;
     sim.run_until(deadline);
 
-    let sink = sim.node::<SinkNode>(receiver);
+    let sink = sim.node::<SinkNode>(hosts[1]);
     let sw: &SwitchNode = sim.node::<SwitchNode>(switch);
     let prog = sw.program::<StateStoreProgram>();
-    let nic = sim.node::<RnicNode>(server);
+    let nic = sim.node::<RnicNode>(servers[0]);
     let remote = read_remote_counters(nic, rkey, base_va, cfg.counters);
 
     let truth_total: u64 = prog.oracle.values().sum();
@@ -164,8 +160,8 @@ pub fn run_counting(cfg: CountingConfig) -> CountingResult {
     // the window in which the workload offered packets (the settle tail
     // only drains the merged residue of at most one op per flow, which is
     // negligible but keeps the counters exact).
-    let to_server = sim.link_stats(server_link, 0);
-    let from_server = sim.link_stats(server_link, 1);
+    let to_server = sim.link_stats(links[2], 0);
+    let from_server = sim.link_stats(links[2], 1);
     let active = workload_time;
     let elapsed = sink
         .last_rx
@@ -210,62 +206,36 @@ pub fn run_sketch(
     hh_threshold: i64,
     seed: u64,
 ) -> SketchResult {
-    let mut nic = RnicNode::new("telemetry", RnicConfig::at(host_endpoint(2)));
-    let channel = RdmaChannel::setup(
-        switch_endpoint(),
-        PortId(2),
-        &mut nic,
-        ByteSize::from_bytes(geometry.region_bytes()),
-    );
+    let flows = telemetry_flows(n_flows);
+    let spec = WorkloadSpec {
+        src_mac: host_mac(0),
+        dst_mac: host_mac(1),
+        flows: flows.clone().into(),
+        pick: FlowPick::Zipf(1.2),
+        frame_len: 128,
+        offered: Some(Rate::from_gbps(5)),
+        count,
+        seed: seed ^ 0x5e,
+        arrival: crate::workload::Arrival::Paced,
+        flow_id_base: 0,
+    };
+    let (tb, channel) = telemetry_rig(seed, spec, geometry.region_bytes());
     let rkey = channel.rkey;
     let base_va = channel.base_va;
-
-    let mut fib = Fib::new(8);
-    fib.install(host_mac(0), PortId(0));
-    fib.install(host_mac(1), PortId(1));
     let engine = FaaEngine::new(channel, FaaConfig::default());
-    let prog = SketchProgram::new(fib, engine, kind, geometry, TimeDelta::from_micros(50));
-
-    let flows: Vec<FiveTuple> = (0..n_flows)
-        .map(|i| FiveTuple::new(host_ip(0), host_ip(1), 30_000 + i as u16, 9_000, 17))
-        .collect();
-
-    let mut b = SimBuilder::new(seed);
-    let switch = b.add_node(Box::new(SwitchNode::new(
-        "tor",
-        SwitchConfig::default(),
-        Box::new(prog),
-    )));
-    let sender = b.add_node(Box::new(TrafficGenNode::new(
-        "sender",
-        WorkloadSpec {
-            src_mac: host_mac(0),
-            dst_mac: host_mac(1),
-            flows: flows.clone().into(),
-            pick: FlowPick::Zipf(1.2),
-            frame_len: 128,
-            offered: Some(Rate::from_gbps(5)),
-            count,
-            seed: seed ^ 0x5e,
-            arrival: crate::workload::Arrival::Paced,
-            flow_id_base: 0,
-        },
-    )));
-    let receiver = b.add_node(Box::new(SinkNode::new("receiver")));
-    let link = LinkSpec::testbed_40g();
-    b.connect(switch, PortId(0), sender, PortId(0), link);
-    b.connect(switch, PortId(1), receiver, PortId(0), link);
-    let server = b.add_node(Box::new(nic));
-    b.connect(switch, PortId(2), server, PortId(0), link);
-
-    let mut sim = b.build();
-    sim.schedule_timer(sender, TimeDelta::ZERO, TrafficGenNode::KICK_TOKEN);
+    let prog = SketchProgram::new(tb.fib(), engine, kind, geometry, TimeDelta::from_micros(50));
+    let Built {
+        mut sim,
+        switch,
+        servers,
+        ..
+    } = tb.build(SwitchConfig::default(), Box::new(prog));
     let workload = TimeDelta::from_secs_f64(count as f64 * 128.0 * 8.0 / 5e9);
     sim.run_until(Time::ZERO + workload + TimeDelta::from_millis(20));
 
     let sw: &SwitchNode = sim.node::<SwitchNode>(switch);
     let prog = sw.program::<SketchProgram>();
-    let nic = sim.node::<RnicNode>(server);
+    let nic = sim.node::<RnicNode>(servers[0]);
     let counters = read_remote_counters(nic, rkey, base_va, geometry.rows as u64 * geometry.cols);
 
     let estimates: Vec<(u64, i64)> = flows

@@ -11,16 +11,16 @@
 //! counters equal to ground truth on every live replica) holds at every
 //! point.
 
-use extmem_apps::scenario::{host_endpoint, host_ip, host_mac, switch_endpoint};
-use extmem_apps::workload::{SinkNode, TrafficGenNode, WorkloadSpec};
+use extmem_apps::scenario::{host_ip, host_mac, Built, Testbed};
+use extmem_apps::workload::{SinkNode, WorkloadSpec};
 use extmem_bench::table::print_table;
 use extmem_core::faa::{FaaConfig, FaaEngine};
 use extmem_core::state_store::{read_remote_counters, StateStoreProgram};
-use extmem_core::{Fib, PoolConfig, PoolStats, RdmaChannel};
+use extmem_core::{PoolConfig, PoolStats};
 use extmem_rnic::{RnicConfig, RnicNode};
-use extmem_sim::{LinkSpec, SimBuilder};
+use extmem_sim::LinkSpec;
 use extmem_switch::{SwitchConfig, SwitchNode};
-use extmem_types::{ByteSize, FiveTuple, PortId, Rate, Time, TimeDelta};
+use extmem_types::{ByteSize, FiveTuple, Rate, Time, TimeDelta};
 
 /// What failure to inject into the two-server pool.
 #[derive(Clone, Copy)]
@@ -46,14 +46,23 @@ struct Out {
 fn probe(fault: Fault, count: u64) -> Out {
     let counters = 256u64;
     let region = ByteSize::from_bytes(counters * 8);
-    let mut nic_a = RnicNode::new("memsrv-a", RnicConfig::at(host_endpoint(2)));
-    let mut nic_b = RnicNode::new("memsrv-b", RnicConfig::at(host_endpoint(3)));
-    let ch_a = RdmaChannel::setup(switch_endpoint(), PortId(2), &mut nic_a, region);
-    let ch_b = RdmaChannel::setup(switch_endpoint(), PortId(3), &mut nic_b, region);
+    let link = LinkSpec::testbed_40g();
+    let mut tb = Testbed::new(191);
+    tb.gen(
+        WorkloadSpec::simple(
+            host_mac(0),
+            host_mac(1),
+            FiveTuple::new(host_ip(0), host_ip(1), 5000, 9000, 17),
+            256,
+            Rate::from_gbps(2),
+            count,
+        ),
+        link,
+    );
+    tb.sink(link);
+    let (_, ch_a) = tb.server(RnicConfig::default(), region, link);
+    let (_, ch_b) = tb.server(RnicConfig::default(), region, link);
     let (rkey, base_va) = (ch_a.rkey, ch_a.base_va);
-    let mut fib = Fib::new(8);
-    fib.install(host_mac(0), PortId(0));
-    fib.install(host_mac(1), PortId(1));
     let engine = FaaEngine::replicated(
         vec![ch_a, ch_b],
         FaaConfig {
@@ -68,34 +77,15 @@ fn probe(fault: Fault, count: u64) -> Out {
             ..Default::default()
         },
     );
-    let prog = StateStoreProgram::new(fib, engine, TimeDelta::from_micros(30));
-    let mut b = SimBuilder::new(191);
-    let switch = b.add_node(Box::new(SwitchNode::new(
-        "tor",
-        SwitchConfig::default(),
-        Box::new(prog),
-    )));
-    let gen = b.add_node(Box::new(TrafficGenNode::new(
-        "gen",
-        WorkloadSpec::simple(
-            host_mac(0),
-            host_mac(1),
-            FiveTuple::new(host_ip(0), host_ip(1), 5000, 9000, 17),
-            256,
-            Rate::from_gbps(2),
-            count,
-        ),
-    )));
-    let sink = b.add_node(Box::new(SinkNode::new("sink")));
-    let link = LinkSpec::testbed_40g();
-    b.connect(switch, PortId(0), gen, PortId(0), link);
-    b.connect(switch, PortId(1), sink, PortId(0), link);
-    let server_a = b.add_node(Box::new(nic_a));
-    let server_b = b.add_node(Box::new(nic_b));
-    b.connect(switch, PortId(2), server_a, PortId(0), link);
-    b.connect(switch, PortId(3), server_b, PortId(0), link);
-    let mut sim = b.build();
-    sim.schedule_timer(gen, TimeDelta::ZERO, TrafficGenNode::KICK_TOKEN);
+    let prog = StateStoreProgram::new(tb.fib(), engine, TimeDelta::from_micros(30));
+    let Built {
+        mut sim,
+        switch,
+        hosts,
+        servers,
+        ..
+    } = tb.build(SwitchConfig::default(), Box::new(prog));
+    let (server_a, server_b) = (servers[0], servers[1]);
     // ~1us of traffic per update: the crash lands a quarter into the run,
     // the restart (rejoin case) at the halfway mark.
     let crash_at = TimeDelta::from_micros(count / 4);
@@ -125,7 +115,7 @@ fn probe(fault: Fault, count: u64) -> Out {
         Fault::PrimaryCrash => (&dump_b, false),
     };
     let live_sum: u64 = live.iter().sum();
-    let sink = sim.node::<SinkNode>(sink);
+    let sink = sim.node::<SinkNode>(hosts[1]);
     Out {
         pool: stats.pool,
         ops_issued: stats.channel.ops_issued,

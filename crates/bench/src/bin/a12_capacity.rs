@@ -21,19 +21,17 @@
 //! the generator holds O(1) state for the 2^20+ distinct five-tuples it
 //! streams — the scale this sweep exists to exercise.
 
-use extmem_apps::scenario::{host_endpoint, host_ip, host_mac, switch_endpoint};
-use extmem_apps::workload::{
-    Arrival, FlowPick, FlowSet, SinkNode, TrafficGenNode, WorkloadSpec,
-};
+use extmem_apps::scenario::{host_ip, host_mac, Built, Testbed};
+use extmem_apps::workload::{Arrival, FlowPick, FlowSet, SinkNode, WorkloadSpec};
 use extmem_bench::table::print_table;
 use extmem_core::faa::{FaaConfig, FaaEngine};
 use extmem_core::shard::ShardedStateStoreProgram;
 use extmem_core::state_store::read_remote_counters;
-use extmem_core::{Fib, PoolConfig, RdmaChannel};
+use extmem_core::PoolConfig;
 use extmem_rnic::{RnicConfig, RnicNode};
-use extmem_sim::{LinkSpec, SimBuilder};
+use extmem_sim::LinkSpec;
 use extmem_switch::{SwitchConfig, SwitchNode};
-use extmem_types::{ByteSize, PortId, Rate, Time, TimeDelta};
+use extmem_types::{ByteSize, Rate, Time, TimeDelta};
 
 /// Counter slots per shard (64-bit words; 512 KiB of server DRAM each).
 const COUNTERS_PER_SHARD: u64 = 65_536;
@@ -62,24 +60,38 @@ struct Out {
 /// workload pushed through it, settled state audited replica by replica.
 fn probe(k: u32) -> Out {
     let region = ByteSize::from_bytes(COUNTERS_PER_SHARD * 8);
-    let mut nics: Vec<Option<RnicNode>> = Vec::new();
+    let link = LinkSpec::testbed_40g();
+    let mut tb = Testbed::new(1200 + k as u64);
+    tb.gen(
+        WorkloadSpec {
+            src_mac: host_mac(0),
+            dst_mac: host_mac(1),
+            flows: FlowSet::synth(FLOWS, 0x0ac0_0000, host_ip(1), 9_000),
+            pick: FlowPick::Zipf(ZIPF_S),
+            frame_len: 256,
+            offered: Some(Rate::from_gbps(10)),
+            arrival: Arrival::Paced,
+            count: COUNT,
+            seed: 77,
+            flow_id_base: 0,
+        },
+        link,
+    );
+    // The coarse sink keeps aggregate counters and the latency recorder
+    // but no per-flow map — O(1) memory against a 2^20-flow stream.
+    tb.host(SinkNode::coarse("sink"), link);
     let mut keys = Vec::new(); // [shard][replica] -> (rkey, base_va)
     let mut shards = Vec::new();
     for shard in 0..k {
-        let mut channels = Vec::new();
-        let mut shard_keys = Vec::new();
-        for r in 0..REPLICAS {
-            let port = 2 + shard as usize * REPLICAS + r;
-            let mut nic = RnicNode::new(
-                format!("mems{shard}r{r}"),
-                RnicConfig::at(host_endpoint(port)),
-            );
-            let ch = RdmaChannel::setup(switch_endpoint(), PortId(port as u16), &mut nic, region);
-            shard_keys.push((ch.rkey, ch.base_va));
-            channels.push(ch);
-            nics.push(Some(nic));
-        }
-        keys.push(shard_keys);
+        let channels: Vec<_> = (0..REPLICAS)
+            .map(|_| tb.server(RnicConfig::default(), region, link).1)
+            .collect();
+        keys.push(
+            channels
+                .iter()
+                .map(|ch| (ch.rkey, ch.base_va))
+                .collect::<Vec<_>>(),
+        );
         let engine = FaaEngine::replicated(
             channels,
             FaaConfig {
@@ -95,46 +107,14 @@ fn probe(k: u32) -> Out {
         );
         shards.push((shard, engine, true));
     }
-    let mut fib = Fib::new(8);
-    fib.install(host_mac(0), PortId(0));
-    fib.install(host_mac(1), PortId(1));
-    let prog = ShardedStateStoreProgram::new(fib, shards, 64, TimeDelta::from_micros(20));
-
-    let mut b = SimBuilder::new(1200 + k as u64);
-    let switch = b.add_node(Box::new(SwitchNode::new(
-        "tor",
-        SwitchConfig::default(),
-        Box::new(prog),
-    )));
-    let gen = b.add_node(Box::new(TrafficGenNode::new(
-        "gen",
-        WorkloadSpec {
-            src_mac: host_mac(0),
-            dst_mac: host_mac(1),
-            flows: FlowSet::synth(FLOWS, 0x0ac0_0000, host_ip(1), 9_000),
-            pick: FlowPick::Zipf(ZIPF_S),
-            frame_len: 256,
-            offered: Some(Rate::from_gbps(10)),
-            arrival: Arrival::Paced,
-            count: COUNT,
-            seed: 77,
-            flow_id_base: 0,
-        },
-    )));
-    // The coarse sink keeps aggregate counters and the latency recorder
-    // but no per-flow map — O(1) memory against a 2^20-flow stream.
-    let sink = b.add_node(Box::new(SinkNode::coarse("sink")));
-    let link = LinkSpec::testbed_40g();
-    b.connect(switch, PortId(0), gen, PortId(0), link);
-    b.connect(switch, PortId(1), sink, PortId(0), link);
-    let mut servers = Vec::new();
-    for (i, nic) in nics.iter_mut().enumerate() {
-        let id = b.add_node(Box::new(nic.take().expect("server NIC built once")));
-        b.connect(switch, PortId((2 + i) as u16), id, PortId(0), link);
-        servers.push(id);
-    }
-    let mut sim = b.build();
-    sim.schedule_timer(gen, TimeDelta::ZERO, TrafficGenNode::KICK_TOKEN);
+    let prog = ShardedStateStoreProgram::new(tb.fib(), shards, 64, TimeDelta::from_micros(20));
+    let Built {
+        mut sim,
+        switch,
+        hosts,
+        servers,
+        ..
+    } = tb.build(SwitchConfig::default(), Box::new(prog));
     // ~215ms of paced traffic, then drain adaptively: at one shard the
     // pending backlog (up to 64K merged slots) plus the mirror delta
     // replay takes tens of ms to flush through the FaA window, and the
@@ -184,7 +164,7 @@ fn probe(k: u32) -> Out {
             }
         }
     }
-    let sink = sim.node::<SinkNode>(sink);
+    let sink = sim.node::<SinkNode>(hosts[1]);
     if sink.received != COUNT {
         eprintln!("k={k}: sink received {} of {COUNT}", sink.received);
         exact = false;

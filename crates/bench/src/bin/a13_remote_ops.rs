@@ -24,17 +24,17 @@
 //!   the filter plus its relocation machinery can come off the miss path
 //!   entirely.
 
-use extmem_apps::scenario::{host_endpoint, host_ip, host_mac, switch_endpoint};
-use extmem_apps::workload::{Arrival, FlowPick, SinkNode, TrafficGenNode, WorkloadSpec};
+use extmem_apps::scenario::{host_ip, host_mac, Built, Testbed};
+use extmem_apps::workload::{Arrival, FlowPick, SinkNode, WorkloadSpec};
 use extmem_apps::LatencySummary;
 use extmem_bench::table::{f2, print_table};
 use extmem_core::lookup::{install_cuckoo_image, ActionEntry, LookupTableProgram, LookupStats};
 use extmem_core::lpm::{install_remote_route, slots_per_level, LpmStats, RemoteLpmProgram};
-use extmem_core::{CuckooConfig, CuckooDirectory, Fib, RdmaChannel};
+use extmem_core::{CuckooConfig, CuckooDirectory};
 use extmem_rnic::{RnicConfig, RnicNode, RnicStats};
-use extmem_sim::{LinkSpec, SimBuilder};
+use extmem_sim::LinkSpec;
 use extmem_switch::{SwitchConfig, SwitchNode};
-use extmem_types::{ByteSize, FiveTuple, PortId, Rate, TimeDelta};
+use extmem_types::{ByteSize, FiveTuple, Rate};
 
 const COUNT: u64 = 2_000;
 
@@ -42,51 +42,49 @@ const COUNT: u64 = 2_000;
 /// packet a full remote walk. Returns the program stats, the sink's
 /// latency summary, and the table server's NIC stats.
 fn run_lpm(levels: &[u8], remote_ops: bool) -> (LpmStats, LatencySummary, RnicStats) {
-    let mut nic = RnicNode::new("routesrv", RnicConfig::at(host_endpoint(2)));
-    let region = ByteSize::from_mb(1);
-    let channel = RdmaChannel::setup(switch_endpoint(), PortId(2), &mut nic, region);
-    let spl = slots_per_level(region.bytes(), levels);
     let dst_ip = 0x0a010203u32;
-    let mut action = ActionEntry::set_dscp(32);
-    action.port_override = Some(PortId(1));
-    install_remote_route(&mut nic, &channel, levels, spl, dst_ip, levels[0], action);
-
-    let mut fib = Fib::new(8);
-    fib.install(host_mac(0), PortId(0));
-    fib.install(host_mac(1), PortId(1));
-    let prog = RemoteLpmProgram::new(fib, channel, levels.to_vec(), None)
-        .with_remote_ops(remote_ops);
-
-    let mut b = SimBuilder::new(71);
-    let switch = b.add_node(Box::new(SwitchNode::new(
-        "tor",
-        SwitchConfig::default(),
-        Box::new(prog),
-    )));
     let flow = FiveTuple::new(host_ip(0), dst_ip, 5000, 9000, 17);
-    let gen = b.add_node(Box::new(TrafficGenNode::new(
-        "gen",
+    let link = LinkSpec::testbed_40g();
+    let mut tb = Testbed::new(71);
+    tb.gen(
         WorkloadSpec::simple(host_mac(0), host_mac(1), flow, 256, Rate::from_gbps(2), COUNT),
-    )));
+        link,
+    );
     let mut sink = SinkNode::new("sink");
     sink.expect_dscp = Some(32);
-    let sink = b.add_node(Box::new(sink));
-    let link = LinkSpec::testbed_40g();
-    b.connect(switch, PortId(0), gen, PortId(0), link);
-    b.connect(switch, PortId(1), sink, PortId(0), link);
-    let srv = b.add_node(Box::new(nic));
-    b.connect(switch, PortId(2), srv, PortId(0), link);
-    let mut sim = b.build();
-    sim.schedule_timer(gen, TimeDelta::ZERO, TrafficGenNode::KICK_TOKEN);
+    let sink_port = tb.host(sink, link);
+    let region = ByteSize::from_mb(1);
+    let (srv, channel) = tb.server(RnicConfig::default(), region, link);
+    let spl = slots_per_level(region.bytes(), levels);
+    let mut action = ActionEntry::set_dscp(32);
+    action.port_override = Some(sink_port);
+    install_remote_route(
+        tb.nic_mut(srv),
+        &channel,
+        levels,
+        spl,
+        dst_ip,
+        levels[0],
+        action,
+    );
+    let prog = RemoteLpmProgram::new(tb.fib(), channel, levels.to_vec(), None)
+        .with_remote_ops(remote_ops);
+    let Built {
+        mut sim,
+        switch,
+        hosts,
+        servers,
+        ..
+    } = tb.build(SwitchConfig::default(), Box::new(prog));
     sim.run_to_quiescence();
 
-    let sink = sim.node::<SinkNode>(sink);
+    let sink = sim.node::<SinkNode>(hosts[1]);
     assert_eq!(sink.received, COUNT, "packets lost");
     assert_eq!(sink.dscp_mismatch, 0, "wrong rung won");
     let lat = sink.latency.summarize().expect("traffic flowed");
     let sw: &SwitchNode = sim.node(switch);
     let stats = sw.program::<RemoteLpmProgram>().stats();
-    (stats, lat, sim.node::<RnicNode>(srv).stats())
+    (stats, lat, sim.node::<RnicNode>(servers[0]).stats())
 }
 
 /// One cuckoo leg: 160 resident flows (62% load), round-robin traffic, no
@@ -110,25 +108,6 @@ fn run_cuckoo(filter_cells: usize, remote_ops: bool) -> (LookupStats, LatencySum
         let plan = dir.plan_insert(*f, ActionEntry::set_dscp(DSCP)).expect("fits");
         fp_moves += plan.fp_moves;
     }
-    let mut nic = RnicNode::new("tablesrv", RnicConfig::at(host_endpoint(2)));
-    let channel = RdmaChannel::setup(
-        switch_endpoint(),
-        PortId(2),
-        &mut nic,
-        ByteSize::from_bytes(dir.region_bytes()),
-    );
-    install_cuckoo_image(&mut nic, &channel, &dir);
-    let mut fib = Fib::new(8);
-    fib.install(host_mac(0), PortId(0));
-    fib.install(host_mac(1), PortId(1));
-    let prog = LookupTableProgram::cuckoo(fib, channel, dir, None).with_remote_ops(remote_ops);
-
-    let mut b = SimBuilder::new(71);
-    let switch = b.add_node(Box::new(SwitchNode::new(
-        "tor",
-        SwitchConfig::default(),
-        Box::new(prog),
-    )));
     let spec = WorkloadSpec {
         src_mac: host_mac(0),
         dst_mac: host_mac(1),
@@ -141,18 +120,26 @@ fn run_cuckoo(filter_cells: usize, remote_ops: bool) -> (LookupStats, LatencySum
         seed: 9,
         flow_id_base: 0,
     };
-    let gen = b.add_node(Box::new(TrafficGenNode::new("client", spec)));
-    let sink = b.add_node(Box::new(SinkNode::new("server")));
     let link = LinkSpec::testbed_40g();
-    b.connect(switch, PortId(0), gen, PortId(0), link);
-    b.connect(switch, PortId(1), sink, PortId(0), link);
-    let table = b.add_node(Box::new(nic));
-    b.connect(switch, PortId(2), table, PortId(0), link);
-    let mut sim = b.build();
-    sim.schedule_timer(gen, TimeDelta::ZERO, TrafficGenNode::KICK_TOKEN);
+    let mut tb = Testbed::new(71);
+    tb.gen(spec, link);
+    tb.sink(link);
+    let (table, channel) = tb.server(
+        RnicConfig::default(),
+        ByteSize::from_bytes(dir.region_bytes()),
+        link,
+    );
+    install_cuckoo_image(tb.nic_mut(table), &channel, &dir);
+    let prog = LookupTableProgram::cuckoo(tb.fib(), channel, dir, None).with_remote_ops(remote_ops);
+    let Built {
+        mut sim,
+        switch,
+        hosts,
+        ..
+    } = tb.build(SwitchConfig::default(), Box::new(prog));
     sim.run_to_quiescence();
 
-    let sink = sim.node::<SinkNode>(sink);
+    let sink = sim.node::<SinkNode>(hosts[1]);
     assert_eq!(sink.received, COUNT, "packets lost");
     let lat = sink.latency.summarize().expect("traffic flowed");
     let sw: &SwitchNode = sim.node(switch);

@@ -10,15 +10,14 @@
 //! a small local queue budget; we vary the store threshold and report how
 //! much traffic detours, delivery, ordering and latency.
 
-use extmem_apps::scenario::{host_endpoint, host_ip, host_mac, switch_endpoint};
-use extmem_apps::workload::{SinkNode, TrafficGenNode, WorkloadSpec};
+use extmem_apps::scenario::{host_ip, host_mac, Built, Testbed};
+use extmem_apps::workload::{SinkNode, WorkloadSpec};
 use extmem_bench::table::{f2, print_table};
 use extmem_core::packet_buffer::{Mode, PacketBufferProgram};
-use extmem_core::{Fib, RdmaChannel};
-use extmem_rnic::{RnicConfig, RnicNode};
-use extmem_sim::{LinkSpec, SimBuilder};
+use extmem_rnic::RnicConfig;
+use extmem_sim::LinkSpec;
 use extmem_switch::{SwitchConfig, SwitchNode};
-use extmem_types::{ByteSize, FiveTuple, PortId, Rate, TimeDelta};
+use extmem_types::{ByteSize, FiveTuple, Rate, TimeDelta};
 
 struct ProbeOut {
     direct: u64,
@@ -33,37 +32,9 @@ struct ProbeOut {
 
 fn probe(start_store: u64, resume_load: u64) -> ProbeOut {
     let count = 2_000u64;
-    let mut nic = RnicNode::new("memsrv", RnicConfig::at(host_endpoint(2)));
-    let channel = RdmaChannel::setup(switch_endpoint(), PortId(2), &mut nic, ByteSize::from_mb(8));
-    let mut fib = Fib::new(8);
-    fib.install(host_mac(0), PortId(0));
-    fib.install(host_mac(1), PortId(1));
-    let prog = PacketBufferProgram::new(
-        fib,
-        vec![channel],
-        PortId(1),
-        2048,
-        Mode::Auto {
-            start_store_qbytes: start_store,
-            resume_load_qbytes: resume_load,
-        },
-        8,
-        TimeDelta::from_micros(100),
-    );
-
     let flow = FiveTuple::new(host_ip(0), host_ip(1), 40_000, 9_000, 17);
-    let mut b = SimBuilder::new(71);
-    let switch = b.add_node(Box::new(SwitchNode::new(
-        "tor",
-        // Small local budget so thresholds matter.
-        SwitchConfig {
-            buffer: ByteSize::from_bytes(256 * 1024),
-            ..Default::default()
-        },
-        Box::new(prog),
-    )));
-    let gen = b.add_node(Box::new(TrafficGenNode::new(
-        "gen",
+    let mut tb = Testbed::new(71);
+    tb.gen(
         WorkloadSpec::simple(
             host_mac(0),
             host_mac(1),
@@ -72,24 +43,45 @@ fn probe(start_store: u64, resume_load: u64) -> ProbeOut {
             Rate::from_gbps(30),
             count,
         ),
-    )));
-    let sink = b.add_node(Box::new(SinkNode::new("sink")));
-    b.connect(switch, PortId(0), gen, PortId(0), LinkSpec::testbed_40g());
-    b.connect(
-        switch,
-        PortId(1),
-        sink,
-        PortId(0),
-        LinkSpec::new(Rate::from_gbps(10), TimeDelta::from_nanos(300)),
+        LinkSpec::testbed_40g(),
     );
-    let srv = b.add_node(Box::new(nic));
-    b.connect(switch, PortId(2), srv, PortId(0), LinkSpec::testbed_40g());
-
-    let mut sim = b.build();
-    sim.schedule_timer(gen, TimeDelta::ZERO, TrafficGenNode::KICK_TOKEN);
+    let drain = tb.sink(LinkSpec::new(
+        Rate::from_gbps(10),
+        TimeDelta::from_nanos(300),
+    ));
+    let (_, channel) = tb.server(
+        RnicConfig::default(),
+        ByteSize::from_mb(8),
+        LinkSpec::testbed_40g(),
+    );
+    let prog = PacketBufferProgram::new(
+        tb.fib(),
+        vec![channel],
+        drain,
+        2048,
+        Mode::Auto {
+            start_store_qbytes: start_store,
+            resume_load_qbytes: resume_load,
+        },
+        8,
+        TimeDelta::from_micros(100),
+    );
+    let Built {
+        mut sim,
+        switch,
+        hosts,
+        ..
+    } = tb.build(
+        // Small local budget so thresholds matter.
+        SwitchConfig {
+            buffer: ByteSize::from_bytes(256 * 1024),
+            ..Default::default()
+        },
+        Box::new(prog),
+    );
     sim.run_to_quiescence();
 
-    let sink = sim.node::<SinkNode>(sink);
+    let sink = sim.node::<SinkNode>(hosts[1]);
     let sw: &SwitchNode = sim.node::<SwitchNode>(switch);
     let s = sw.program::<PacketBufferProgram>().stats();
     let lat = sink.latency.summarize().expect("sink received no packets");

@@ -7,15 +7,14 @@
 //! the packet-buffer detour while bulk traffic hammers the same server
 //! port, with and without strict priority for the RDMA packets.
 
-use extmem_apps::scenario::{host_endpoint, host_ip, host_mac, switch_endpoint};
-use extmem_apps::workload::{SinkNode, TrafficGenNode, WorkloadSpec};
+use extmem_apps::scenario::{host_ip, host_mac, Built, Testbed};
+use extmem_apps::workload::{SinkNode, WorkloadSpec};
 use extmem_bench::table::print_table;
 use extmem_core::packet_buffer::{Mode, PacketBufferProgram};
-use extmem_core::{Fib, RdmaChannel};
 use extmem_rnic::{RnicConfig, RnicNode};
-use extmem_sim::{LinkSpec, SimBuilder};
+use extmem_sim::LinkSpec;
 use extmem_switch::{SwitchConfig, SwitchNode};
-use extmem_types::{ByteSize, FiveTuple, PortId, Rate, TimeDelta};
+use extmem_types::{ByteSize, FiveTuple, Rate, TimeDelta};
 
 struct Out {
     detoured: u64,
@@ -32,38 +31,9 @@ struct Out {
 /// (shared with bulk), 3 = bulk sender.
 fn probe(high_priority: bool) -> Out {
     let count = 1_500u64;
-    let mut nic = RnicNode::new("memsrv", RnicConfig::at(host_endpoint(2)));
-    let channel = RdmaChannel::setup(switch_endpoint(), PortId(2), &mut nic, ByteSize::from_mb(8));
-    let mut fib = Fib::new(8);
-    fib.install(host_mac(0), PortId(0));
-    fib.install(host_mac(1), PortId(1));
-    fib.install(host_mac(2), PortId(2)); // bulk data to the server's host side
-    fib.install(host_mac(3), PortId(3));
-    let mut prog = PacketBufferProgram::new(
-        fib,
-        vec![channel],
-        PortId(1),
-        2048,
-        Mode::Auto {
-            start_store_qbytes: 8_000,
-            resume_load_qbytes: 4_000,
-        },
-        8,
-        TimeDelta::from_micros(100),
-    );
-    if high_priority {
-        prog = prog.with_high_priority_rdma();
-    }
-
-    let mut b = SimBuilder::new(91);
-    let switch = b.add_node(Box::new(SwitchNode::new(
-        "tor",
-        SwitchConfig::default(), // 12MB: contention delays, it does not drop
-        Box::new(prog),
-    )));
+    let mut tb = Testbed::new(91);
     // Burst: 20G of 1000B frames toward the 10G victim port.
-    let burst = b.add_node(Box::new(TrafficGenNode::new(
-        "burst",
+    tb.gen(
         WorkloadSpec::simple(
             host_mac(0),
             host_mac(1),
@@ -72,13 +42,22 @@ fn probe(high_priority: bool) -> Out {
             Rate::from_gbps(20),
             count,
         ),
-    )));
+        LinkSpec::testbed_40g(),
+    );
+    let victim_port = tb.sink(LinkSpec::new(
+        Rate::from_gbps(10),
+        TimeDelta::from_nanos(300),
+    ));
+    let (_, channel) = tb.server(
+        RnicConfig::default(),
+        ByteSize::from_mb(8),
+        LinkSpec::testbed_40g(),
+    );
     // Bulk: 39G of 1500B frames toward the memory server's host side —
     // together with the ~20G of detour WRITEs this oversubscribes the 40G
     // server link, building a standing queue the RDMA packets either wait
     // behind (best effort) or jump (strict priority).
-    let bulk = b.add_node(Box::new(TrafficGenNode::new(
-        "bulk",
+    tb.gen(
         WorkloadSpec {
             flow_id_base: 1000,
             ..WorkloadSpec::simple(
@@ -90,41 +69,45 @@ fn probe(high_priority: bool) -> Out {
                 4_000,
             )
         },
-    )));
-    let victim = b.add_node(Box::new(SinkNode::new("victim")));
-    b.connect(switch, PortId(0), burst, PortId(0), LinkSpec::testbed_40g());
-    b.connect(
-        switch,
-        PortId(1),
-        victim,
-        PortId(0),
-        LinkSpec::new(Rate::from_gbps(10), TimeDelta::from_nanos(300)),
-    );
-    let server = b.add_node(Box::new(nic));
-    b.connect(
-        switch,
-        PortId(2),
-        server,
-        PortId(0),
         LinkSpec::testbed_40g(),
     );
-    b.connect(switch, PortId(3), bulk, PortId(0), LinkSpec::testbed_40g());
-
-    let mut sim = b.build();
-    sim.schedule_timer(burst, TimeDelta::ZERO, TrafficGenNode::KICK_TOKEN);
-    sim.schedule_timer(bulk, TimeDelta::ZERO, TrafficGenNode::KICK_TOKEN);
+    let mut fib = tb.fib();
+    fib.install(host_mac(2), channel.server_port); // bulk data to the server's host side
+    let mut prog = PacketBufferProgram::new(
+        fib,
+        vec![channel],
+        victim_port,
+        2048,
+        Mode::Auto {
+            start_store_qbytes: 8_000,
+            resume_load_qbytes: 4_000,
+        },
+        8,
+        TimeDelta::from_micros(100),
+    );
+    if high_priority {
+        prog = prog.with_high_priority_rdma();
+    }
+    // Default 12MB buffer: contention delays, it does not drop.
+    let Built {
+        mut sim,
+        switch,
+        hosts,
+        servers,
+        ..
+    } = tb.build(SwitchConfig::default(), Box::new(prog));
     sim.run_to_quiescence();
 
     let sw: &SwitchNode = sim.node::<SwitchNode>(switch);
     let s = sw.program::<PacketBufferProgram>().stats();
-    let victim = sim.node::<SinkNode>(victim);
+    let victim = sim.node::<SinkNode>(hosts[1]);
     let lat = victim.latency.summarize().expect("victim received no packets");
     Out {
         detoured: s.stored,
         lost_entries: s.lost_entries,
         delivered: victim.received,
         sent: count,
-        bulk_delivered_to_host: sim.node::<RnicNode>(server).stats().cpu_packets,
+        bulk_delivered_to_host: sim.node::<RnicNode>(servers[0]).stats().cpu_packets,
         reorders: victim.total_reorders(),
         burst_completion_us: victim.last_rx.picos() as f64 / 1e6,
         burst_p99_us: lat.p99.as_micros_f64(),

@@ -9,39 +9,25 @@
 //! records per WRITE amortizes it. This harness measures the capture
 //! bandwidth on the switch↔server link across batch sizes at ~line rate.
 
-use extmem_apps::scenario::{host_endpoint, host_ip, host_mac, switch_endpoint};
-use extmem_apps::workload::{SinkNode, TrafficGenNode, WorkloadSpec};
+use extmem_apps::scenario::{host_ip, host_mac, Built, Testbed};
+use extmem_apps::workload::WorkloadSpec;
 use extmem_bench::table::{f2, print_table};
 use extmem_core::trace_store::{read_remote_trace, TraceStoreProgram};
-use extmem_core::{Fib, RdmaChannel};
 use extmem_rnic::{RnicConfig, RnicNode};
-use extmem_sim::{LinkSpec, SimBuilder};
+use extmem_sim::LinkSpec;
 use extmem_switch::{SwitchConfig, SwitchNode};
-use extmem_types::{ByteSize, FiveTuple, PortId, Rate, Time, TimeDelta};
+use extmem_types::{ByteSize, FiveTuple, Rate, Time, TimeDelta};
 
 fn probe(batch: usize) -> (u64, u64, f64, f64) {
     let count = 20_000u64;
     let frame = 256usize;
     let offered = Rate::from_gbps(30);
-    let mut nic = RnicNode::new("tracesrv", RnicConfig::at(host_endpoint(2)));
-    let channel = RdmaChannel::setup(switch_endpoint(), PortId(2), &mut nic, ByteSize::from_mb(4));
-    let (rkey, base) = (channel.rkey, channel.base_va);
-    let mut fib = Fib::new(8);
-    fib.install(host_mac(0), PortId(0));
-    fib.install(host_mac(1), PortId(1));
-    let prog = TraceStoreProgram::new(fib, channel, batch, TimeDelta::from_micros(20));
-
     let flows: Vec<FiveTuple> = (0..8)
         .map(|i| FiveTuple::new(host_ip(0), host_ip(1), 20_000 + i, 9_000, 17))
         .collect();
-    let mut b = SimBuilder::new(41);
-    let switch = b.add_node(Box::new(SwitchNode::new(
-        "tor",
-        SwitchConfig::default(),
-        Box::new(prog),
-    )));
-    let gen = b.add_node(Box::new(TrafficGenNode::new(
-        "gen",
+    let link = LinkSpec::testbed_40g();
+    let mut tb = Testbed::new(41);
+    tb.gen(
         WorkloadSpec {
             src_mac: host_mac(0),
             dst_mac: host_mac(1),
@@ -54,16 +40,19 @@ fn probe(batch: usize) -> (u64, u64, f64, f64) {
             seed: 42,
             flow_id_base: 0,
         },
-    )));
-    let sink = b.add_node(Box::new(SinkNode::new("sink")));
-    let link = LinkSpec::testbed_40g();
-    b.connect(switch, PortId(0), gen, PortId(0), link);
-    b.connect(switch, PortId(1), sink, PortId(0), link);
-    let srv = b.add_node(Box::new(nic));
-    let srv_link = b.connect(switch, PortId(2), srv, PortId(0), link);
-
-    let mut sim = b.build();
-    sim.schedule_timer(gen, TimeDelta::ZERO, TrafficGenNode::KICK_TOKEN);
+        link,
+    );
+    tb.sink(link);
+    let (_, channel) = tb.server(RnicConfig::default(), ByteSize::from_mb(4), link);
+    let (rkey, base) = (channel.rkey, channel.base_va);
+    let prog = TraceStoreProgram::new(tb.fib(), channel, batch, TimeDelta::from_micros(20));
+    let Built {
+        mut sim,
+        switch,
+        servers,
+        links,
+        ..
+    } = tb.build(SwitchConfig::default(), Box::new(prog));
     let workload =
         TimeDelta::from_secs_f64(count as f64 * frame as f64 * 8.0 / offered.bps() as f64);
     sim.run_until(Time::ZERO + workload + TimeDelta::from_millis(2));
@@ -71,11 +60,11 @@ fn probe(batch: usize) -> (u64, u64, f64, f64) {
     let sw: &SwitchNode = sim.node::<SwitchNode>(switch);
     let prog = sw.program::<TraceStoreProgram>();
     let stats = prog.stats();
-    let to_server = sim.link_stats(srv_link, 0).delivered_bytes;
+    let to_server = sim.link_stats(links[2], 0).delivered_bytes;
     let bw = extmem_apps::metrics::throughput(to_server, workload);
     // How much of the trace actually landed? Per-packet WRITEs can exceed
     // the NIC's message rate; lost WRITEs leave zeroed records.
-    let nic = sim.node::<RnicNode>(srv);
+    let nic = sim.node::<RnicNode>(servers[0]);
     assert_eq!(nic.stats().cpu_packets, 0);
     let trace = read_remote_trace(nic, rkey, base, prog.ring_records(), prog.captured());
     let landed = trace

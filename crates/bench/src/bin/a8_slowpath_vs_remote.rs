@@ -9,15 +9,14 @@
 //! round trip, bounded punt queue) vs WRITE+READ to server DRAM (~2 µs,
 //! no CPU). The skew sweep varies how often misses happen.
 
-use extmem_apps::scenario::{host_ip, host_mac};
-use extmem_apps::workload::{FlowPick, SinkNode, TrafficGenNode, WorkloadSpec};
+use extmem_apps::scenario::{host_ip, host_mac, Built, Testbed};
+use extmem_apps::workload::{FlowPick, SinkNode, WorkloadSpec};
 use extmem_bench::table::{f2, print_table};
 use extmem_core::lookup::ActionEntry;
 use extmem_core::slow_path::CpuSlowPathProgram;
-use extmem_core::Fib;
-use extmem_sim::{LinkSpec, SimBuilder};
+use extmem_sim::LinkSpec;
 use extmem_switch::{SwitchConfig, SwitchNode};
-use extmem_types::{FiveTuple, PortId, Rate, Time, TimeDelta};
+use extmem_types::{FiveTuple, Rate, Time, TimeDelta};
 use extmem_wire::MacAddr;
 
 const N_FLOWS: usize = 256;
@@ -41,23 +40,9 @@ fn flows() -> Vec<FiveTuple> {
 /// Run the CPU-slow-path baseline; returns (median us, p99 us, delivered,
 /// punts, punt drops).
 fn run_slowpath(skew: f64, cpu_us: u64, seed: u64) -> (f64, f64, u64, u64, u64) {
-    let mut fib = Fib::new(8);
-    fib.install(host_mac(0), PortId(0));
-    fib.install(host_mac(1), PortId(1));
-    let mut prog = CpuSlowPathProgram::new(fib, Some(CACHE), TimeDelta::from_micros(cpu_us), 1024);
-    for f in flows() {
-        let mut act = ActionEntry::set_dscp(46);
-        act.port_override = Some(PortId(1));
-        prog.install(f, act);
-    }
-    let mut b = SimBuilder::new(seed);
-    let switch = b.add_node(Box::new(SwitchNode::new(
-        "tor",
-        SwitchConfig::default(),
-        Box::new(prog),
-    )));
-    let gen = b.add_node(Box::new(TrafficGenNode::new(
-        "client",
+    let link = LinkSpec::testbed_40g();
+    let mut tb = Testbed::new(seed);
+    tb.gen(
         WorkloadSpec {
             src_mac: host_mac(0),
             dst_mac: MacAddr::local(200),
@@ -70,17 +55,26 @@ fn run_slowpath(skew: f64, cpu_us: u64, seed: u64) -> (f64, f64, u64, u64, u64) 
             seed: seed ^ 0x51,
             flow_id_base: 0,
         },
-    )));
+        link,
+    );
     let mut sink = SinkNode::new("server");
     sink.expect_dscp = Some(46);
-    let server = b.add_node(Box::new(sink));
-    let link = LinkSpec::testbed_40g();
-    b.connect(switch, PortId(0), gen, PortId(0), link);
-    b.connect(switch, PortId(1), server, PortId(0), link);
-    let mut sim = b.build();
-    sim.schedule_timer(gen, TimeDelta::ZERO, TrafficGenNode::KICK_TOKEN);
+    let server_port = tb.host(sink, link);
+    let mut prog =
+        CpuSlowPathProgram::new(tb.fib(), Some(CACHE), TimeDelta::from_micros(cpu_us), 1024);
+    for f in flows() {
+        let mut act = ActionEntry::set_dscp(46);
+        act.port_override = Some(server_port);
+        prog.install(f, act);
+    }
+    let Built {
+        mut sim,
+        switch,
+        hosts,
+        ..
+    } = tb.build(SwitchConfig::default(), Box::new(prog));
     sim.run_until(Time::from_millis(50));
-    let sink = sim.node::<SinkNode>(server);
+    let sink = sim.node::<SinkNode>(hosts[1]);
     assert_eq!(sink.dscp_mismatch, 0);
     let lat = sink.latency.summarize().expect("sink received no packets");
     let sw: &SwitchNode = sim.node(switch);

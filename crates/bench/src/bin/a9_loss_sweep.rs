@@ -10,16 +10,16 @@
 //! rate, for both a WRITE/READ-heavy primitive (packet buffer) and an
 //! atomics-heavy one (state store).
 
-use extmem_apps::scenario::{host_endpoint, host_ip, host_mac, switch_endpoint};
-use extmem_apps::workload::{SinkNode, TrafficGenNode, WorkloadSpec};
+use extmem_apps::scenario::{host_ip, host_mac, Built, Testbed};
+use extmem_apps::workload::{SinkNode, WorkloadSpec};
 use extmem_bench::table::print_table;
 use extmem_core::channel::ChannelStats;
 use extmem_core::faa::{FaaConfig, FaaEngine};
 use extmem_core::packet_buffer::{Mode, PacketBufferProgram};
 use extmem_core::state_store::{read_remote_counters, StateStoreProgram};
-use extmem_core::{Fib, RdmaChannel, ReliableConfig};
+use extmem_core::{RdmaChannel, ReliableConfig};
 use extmem_rnic::{RnicConfig, RnicNode};
-use extmem_sim::{FaultSpec, LinkSpec, SimBuilder};
+use extmem_sim::{FaultSpec, LinkSpec};
 use extmem_switch::{SwitchConfig, SwitchNode};
 use extmem_types::{ByteSize, FiveTuple, PortId, Rate, Time, TimeDelta};
 
@@ -30,16 +30,50 @@ struct Out {
     exact: bool,
 }
 
+/// One paced flow into a sink behind `sink_link`, plus a memory server of
+/// `region` bytes whose link drops `loss` of its packets.
+fn lossy_rig(
+    seed: u64,
+    frame_len: usize,
+    offered: Rate,
+    count: u64,
+    sink_link: LinkSpec,
+    region: ByteSize,
+    loss: f64,
+) -> (Testbed, RdmaChannel) {
+    let mut tb = Testbed::new(seed);
+    tb.gen(
+        WorkloadSpec::simple(
+            host_mac(0),
+            host_mac(1),
+            FiveTuple::new(host_ip(0), host_ip(1), 5000, 9000, 17),
+            frame_len,
+            offered,
+            count,
+        ),
+        LinkSpec::testbed_40g(),
+    );
+    tb.sink(sink_link);
+    let mut lossy = LinkSpec::testbed_40g();
+    lossy.faults = FaultSpec::drop(loss);
+    let (_, channel) = tb.server(RnicConfig::default(), region, lossy);
+    (tb, channel)
+}
+
 /// The packet-buffer detour: 30G in, 10G drain, every frame takes the
 /// WRITE + chained-READ round trip through the lossy server link.
 fn probe_packet_buffer(loss: f64, count: u64) -> Out {
-    let mut nic = RnicNode::new("memsrv", RnicConfig::at(host_endpoint(2)));
-    let channel = RdmaChannel::setup(switch_endpoint(), PortId(2), &mut nic, ByteSize::from_mb(8));
-    let mut fib = Fib::new(8);
-    fib.install(host_mac(0), PortId(0));
-    fib.install(host_mac(1), PortId(1));
+    let (tb, channel) = lossy_rig(
+        171,
+        800,
+        Rate::from_gbps(30),
+        count,
+        LinkSpec::new(Rate::from_gbps(10), TimeDelta::from_nanos(300)),
+        ByteSize::from_mb(8),
+        loss,
+    );
     let prog = PacketBufferProgram::new(
-        fib,
+        tb.fib(),
         vec![channel],
         PortId(1),
         2048,
@@ -54,44 +88,18 @@ fn probe_packet_buffer(loss: f64, count: u64) -> Out {
         rto: TimeDelta::from_micros(50),
         ..Default::default()
     });
-    let mut b = SimBuilder::new(171);
-    let switch = b.add_node(Box::new(SwitchNode::new(
-        "tor",
-        SwitchConfig::default(),
-        Box::new(prog),
-    )));
-    let gen = b.add_node(Box::new(TrafficGenNode::new(
-        "gen",
-        WorkloadSpec::simple(
-            host_mac(0),
-            host_mac(1),
-            FiveTuple::new(host_ip(0), host_ip(1), 5000, 9000, 17),
-            800,
-            Rate::from_gbps(30),
-            count,
-        ),
-    )));
-    let sink = b.add_node(Box::new(SinkNode::new("sink")));
-    b.connect(switch, PortId(0), gen, PortId(0), LinkSpec::testbed_40g());
-    b.connect(
+    let Built {
+        mut sim,
         switch,
-        PortId(1),
-        sink,
-        PortId(0),
-        LinkSpec::new(Rate::from_gbps(10), TimeDelta::from_nanos(300)),
-    );
-    let server = b.add_node(Box::new(nic));
-    let mut lossy = LinkSpec::testbed_40g();
-    lossy.faults = FaultSpec::drop(loss);
-    b.connect(switch, PortId(2), server, PortId(0), lossy);
-    let mut sim = b.build();
-    sim.schedule_timer(gen, TimeDelta::ZERO, TrafficGenNode::KICK_TOKEN);
+        hosts,
+        ..
+    } = tb.build(SwitchConfig::default(), Box::new(prog));
     let drain = TimeDelta::from_secs_f64(count as f64 * 800.0 * 8.0 / 10e9);
     sim.run_until(Time::ZERO + drain + TimeDelta::from_millis(40));
 
     let sw: &SwitchNode = sim.node(switch);
     let s = sw.program::<PacketBufferProgram>().stats();
-    let sink = sim.node::<SinkNode>(sink);
+    let sink = sim.node::<SinkNode>(hosts[1]);
     Out {
         channel: s.channel,
         delivered: sink.received,
@@ -107,17 +115,16 @@ fn probe_packet_buffer(loss: f64, count: u64) -> Out {
 /// exactness is `remote counters == ground truth`.
 fn probe_state_store(loss: f64, count: u64) -> Out {
     let counters = 256u64;
-    let mut nic = RnicNode::new("memsrv", RnicConfig::at(host_endpoint(2)));
-    let channel = RdmaChannel::setup(
-        switch_endpoint(),
-        PortId(2),
-        &mut nic,
+    let (tb, channel) = lossy_rig(
+        173,
+        256,
+        Rate::from_gbps(2),
+        count,
+        LinkSpec::testbed_40g(),
         ByteSize::from_bytes(counters * 8),
+        loss,
     );
     let (rkey, base) = (channel.rkey, channel.base_va);
-    let mut fib = Fib::new(8);
-    fib.install(host_mac(0), PortId(0));
-    fib.install(host_mac(1), PortId(1));
     let engine = FaaEngine::new(
         channel,
         FaaConfig {
@@ -126,43 +133,23 @@ fn probe_state_store(loss: f64, count: u64) -> Out {
             ..Default::default()
         },
     );
-    let prog = StateStoreProgram::new(fib, engine, TimeDelta::from_micros(30));
-    let mut b = SimBuilder::new(173);
-    let switch = b.add_node(Box::new(SwitchNode::new(
-        "tor",
-        SwitchConfig::default(),
-        Box::new(prog),
-    )));
-    let gen = b.add_node(Box::new(TrafficGenNode::new(
-        "gen",
-        WorkloadSpec::simple(
-            host_mac(0),
-            host_mac(1),
-            FiveTuple::new(host_ip(0), host_ip(1), 5000, 9000, 17),
-            256,
-            Rate::from_gbps(2),
-            count,
-        ),
-    )));
-    let sink = b.add_node(Box::new(SinkNode::new("sink")));
-    let link = LinkSpec::testbed_40g();
-    b.connect(switch, PortId(0), gen, PortId(0), link);
-    b.connect(switch, PortId(1), sink, PortId(0), link);
-    let server = b.add_node(Box::new(nic));
-    let mut lossy = LinkSpec::testbed_40g();
-    lossy.faults = FaultSpec::drop(loss);
-    b.connect(switch, PortId(2), server, PortId(0), lossy);
-    let mut sim = b.build();
-    sim.schedule_timer(gen, TimeDelta::ZERO, TrafficGenNode::KICK_TOKEN);
+    let prog = StateStoreProgram::new(tb.fib(), engine, TimeDelta::from_micros(30));
+    let Built {
+        mut sim,
+        switch,
+        hosts,
+        servers,
+        ..
+    } = tb.build(SwitchConfig::default(), Box::new(prog));
     sim.run_until(Time::from_millis(50));
 
     let sw: &SwitchNode = sim.node(switch);
     let prog = sw.program::<StateStoreProgram>();
     let s = prog.faa_stats();
-    let nic = sim.node::<RnicNode>(server);
+    let nic = sim.node::<RnicNode>(servers[0]);
     let remote: u64 = read_remote_counters(nic, rkey, base, counters).iter().sum();
     let truth: u64 = prog.oracle.values().sum();
-    let sink = sim.node::<SinkNode>(sink);
+    let sink = sim.node::<SinkNode>(hosts[1]);
     Out {
         channel: s.channel,
         delivered: sink.received,

@@ -11,15 +11,15 @@
 //! * the **native** server-to-server RDMA WRITE / READ baseline, which the
 //!   paper found "only 4.4% faster".
 
-use extmem_apps::scenario::{host_endpoint, host_ip, host_mac, switch_endpoint};
-use extmem_apps::workload::{SinkNode, TrafficGenNode, WorkloadSpec};
+use extmem_apps::scenario::{host_endpoint, host_ip, host_mac, Built, Testbed};
+use extmem_apps::workload::{SinkNode, WorkloadSpec};
 use extmem_core::packet_buffer::{Mode, PacketBufferProgram, TOKEN_START_LOADING};
-use extmem_core::{Fib, RdmaChannel, ReliableConfig};
+use extmem_core::ReliableConfig;
 use extmem_rnic::requester::{setup_channel, ReadLooper, WriteBlaster};
 use extmem_rnic::{RnicConfig, RnicNode};
 use extmem_sim::{LinkSpec, SimBuilder};
 use extmem_switch::switch::program_token;
-use extmem_switch::{SwitchConfig, SwitchNode};
+use extmem_switch::SwitchConfig;
 use extmem_types::{ByteSize, FiveTuple, PortId, QpNum, Rate, Time, TimeDelta};
 
 /// Ring entry size for E1: header (6) plus a full 1500 B frame, rounded to
@@ -42,6 +42,50 @@ pub struct StoreProbe {
     pub lost: u64,
 }
 
+/// The E1 rig: a generator offering `count` 1500 B frames at `offered`, a
+/// sink, and one memory server behind a manual-mode packet buffer draining
+/// to the sink.
+pub fn rig(seed: u64, offered: Rate, count: u64) -> (Testbed, PacketBufferProgram) {
+    let flow = FiveTuple::new(host_ip(0), host_ip(1), 40_000, 9_000, 17);
+    let link = LinkSpec::testbed_40g();
+    let mut tb = Testbed::new(seed);
+    tb.gen(
+        WorkloadSpec::simple(host_mac(0), host_mac(1), flow, 1500, offered, count),
+        link,
+    );
+    let drain = tb.sink(link);
+    let region = ByteSize::from_bytes((count + 8) * E1_ENTRY);
+    let (_, channel) = tb.server(RnicConfig::default(), region, link);
+    let prog = PacketBufferProgram::new(
+        tb.fib(),
+        vec![channel],
+        drain,
+        E1_ENTRY,
+        Mode::Manual,
+        8,
+        TimeDelta::from_millis(10),
+    );
+    (tb, prog)
+}
+
+/// Run a 25 Gbps [`rig`] until every frame is in the ring, then start
+/// loading and drain it to the sink.
+pub fn store_then_drain(t: &mut Built, count: u64) {
+    let store_time = TimeDelta::from_secs_f64(count as f64 * 1500.0 * 8.0 / 25e9 + 1e-3);
+    t.sim.run_until(Time::ZERO + store_time);
+    t.sim.schedule_timer(
+        t.switch,
+        TimeDelta::ZERO,
+        program_token(TOKEN_START_LOADING),
+    );
+    t.sim.run_to_quiescence();
+    assert_eq!(
+        t.sim.node::<SinkNode>(t.hosts[1]).received,
+        count,
+        "forward path lost frames"
+    );
+}
+
 /// Drive the store path at `offered` payload rate and report losses.
 ///
 /// The paper's prototype had no switch-side retransmission, and the number
@@ -50,51 +94,14 @@ pub struct StoreProbe {
 /// best-effort mode — reliable mode would retransmit the over-ceiling
 /// drops and report every rate as lossless.
 pub fn probe_store(offered: Rate, count: u64) -> StoreProbe {
-    let mut nic = RnicNode::new("memsrv", RnicConfig::at(host_endpoint(2)));
-    let region = ByteSize::from_bytes((count + 8) * E1_ENTRY);
-    let channel = RdmaChannel::setup(switch_endpoint(), PortId(2), &mut nic, region);
-
-    let mut fib = Fib::new(8);
-    fib.install(host_mac(0), PortId(0));
-    fib.install(host_mac(1), PortId(1));
-    let prog = PacketBufferProgram::new(
-        fib,
-        vec![channel],
-        PortId(1),
-        E1_ENTRY,
-        Mode::Manual,
-        8,
-        TimeDelta::from_millis(10),
-    )
-    .with_reliability(ReliableConfig {
+    let (tb, prog) = rig(21, offered, count);
+    let prog = prog.with_reliability(ReliableConfig {
         reliable: false,
         ..Default::default()
     });
-
-    let flow = FiveTuple::new(host_ip(0), host_ip(1), 40_000, 9_000, 17);
-    let mut b = SimBuilder::new(21);
-    let switch = b.add_node(Box::new(SwitchNode::new(
-        "tor",
-        SwitchConfig::default(),
-        Box::new(prog),
-    )));
-    let gen = b.add_node(Box::new(TrafficGenNode::new(
-        "gen",
-        WorkloadSpec::simple(host_mac(0), host_mac(1), flow, 1500, offered, count),
-    )));
-    let sink = b.add_node(Box::new(SinkNode::new("sink")));
-    let link = LinkSpec::testbed_40g();
-    b.connect(switch, PortId(0), gen, PortId(0), link);
-    b.connect(switch, PortId(1), sink, PortId(0), link);
-    let srv = b.add_node(Box::new(nic));
-    b.connect(switch, PortId(2), srv, PortId(0), link);
-
-    let mut sim = b.build();
-    sim.schedule_timer(gen, TimeDelta::ZERO, TrafficGenNode::KICK_TOKEN);
-    sim.run_to_quiescence();
-
-    let nic = sim.node::<RnicNode>(srv);
-    let accepted = nic.stats().writes;
+    let mut t = tb.build(SwitchConfig::default(), Box::new(prog));
+    t.sim.run_to_quiescence();
+    let accepted = t.sim.node::<RnicNode>(t.servers[0]).stats().writes;
     StoreProbe {
         offered,
         accepted,
@@ -105,59 +112,10 @@ pub fn probe_store(offered: Rate, count: u64) -> StoreProbe {
 /// Pre-load `count` frames into the ring at a safe rate, then drain and
 /// measure the forwarding goodput at the destination.
 pub fn measure_forward_rate(count: u64) -> Rate {
-    let mut nic = RnicNode::new("memsrv", RnicConfig::at(host_endpoint(2)));
-    let region = ByteSize::from_bytes((count + 8) * E1_ENTRY);
-    let channel = RdmaChannel::setup(switch_endpoint(), PortId(2), &mut nic, region);
-
-    let mut fib = Fib::new(8);
-    fib.install(host_mac(0), PortId(0));
-    fib.install(host_mac(1), PortId(1));
-    let prog = PacketBufferProgram::new(
-        fib,
-        vec![channel],
-        PortId(1),
-        E1_ENTRY,
-        Mode::Manual,
-        8,
-        TimeDelta::from_millis(10),
-    );
-
-    let flow = FiveTuple::new(host_ip(0), host_ip(1), 40_000, 9_000, 17);
-    let mut b = SimBuilder::new(22);
-    let switch = b.add_node(Box::new(SwitchNode::new(
-        "tor",
-        SwitchConfig::default(),
-        Box::new(prog),
-    )));
-    let gen = b.add_node(Box::new(TrafficGenNode::new(
-        "gen",
-        WorkloadSpec::simple(
-            host_mac(0),
-            host_mac(1),
-            flow,
-            1500,
-            Rate::from_gbps(25),
-            count,
-        ),
-    )));
-    let sink = b.add_node(Box::new(SinkNode::new("sink")));
-    let link = LinkSpec::testbed_40g();
-    b.connect(switch, PortId(0), gen, PortId(0), link);
-    b.connect(switch, PortId(1), sink, PortId(0), link);
-    let srv = b.add_node(Box::new(nic));
-    b.connect(switch, PortId(2), srv, PortId(0), link);
-
-    let mut sim = b.build();
-    sim.schedule_timer(gen, TimeDelta::ZERO, TrafficGenNode::KICK_TOKEN);
-    // Store phase: run until every frame is in the ring.
-    let store_time = TimeDelta::from_secs_f64(count as f64 * 1500.0 * 8.0 / 25e9 + 1e-3);
-    sim.run_until(Time::ZERO + store_time);
-    // Drain phase.
-    sim.schedule_timer(switch, TimeDelta::ZERO, program_token(TOKEN_START_LOADING));
-    sim.run_to_quiescence();
-
-    let sink = sim.node::<SinkNode>(sink);
-    assert_eq!(sink.received, count, "forward path lost frames");
+    let (tb, prog) = rig(22, Rate::from_gbps(25), count);
+    let mut t = tb.build(SwitchConfig::default(), Box::new(prog));
+    store_then_drain(&mut t, count);
+    let sink = t.sim.node::<SinkNode>(t.hosts[1]);
     let elapsed = sink
         .last_rx
         .saturating_since(sink.first_rx.expect("frames delivered"));

@@ -14,8 +14,11 @@
 //! | `a2_atomics_ablation` | outstanding-window × batching ablation |
 //! | `a3_threshold_ablation` | detour-threshold ablation |
 //!
-//! The library half hosts the E1 rig (store/forward/native sweeps) and a
-//! tiny fixed-width table printer shared by all binaries.
+//! The library half hosts the E1 rig (store/forward/native sweeps), the
+//! fixed scenario library the equivalence and pin suites replay
+//! ([`simperf`]), and a tiny fixed-width table printer shared by all
+//! binaries. Host-time performance is measured by the repo benchmark
+//! (`BENCHMARK.json`, `crates/benchmark`), not here.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

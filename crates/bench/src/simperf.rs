@@ -1,6 +1,10 @@
-//! Simulator performance harness (the perf-regression gate).
+//! The fixed scenario library.
 //!
-//! Eight fixed scenarios exercise the hot paths end to end:
+//! Deterministic end-to-end scenarios, each run to completion under its own
+//! correctness assertions and reported as `{name, events, packets, digest}`.
+//! `sched_equivalence` replays them on every scheduler backend and
+//! `wire_pin` pins their digests. Host-time performance is not measured
+//! here; `BENCHMARK.json` / `crates/benchmark` is where that lives.
 //!
 //! * `e1_write_read_loop` — the §5 packet-buffer store/drain loop: every
 //!   frame is encapsulated into an RDMA WRITE, ring-buffered on the memory
@@ -10,8 +14,7 @@
 //!   congestion),
 //! * `lookup_miss_storm` — the one-RTT cuckoo lookup with caching
 //!   disabled: every packet pays exactly one filter-steered bucket READ
-//!   (the direct-hash ablation survives as `lookup_miss_storm_direct`,
-//!   digest-pinned but not part of the baseline),
+//!   (the direct-hash ablation survives as `lookup_miss_storm_direct`),
 //! * `remote_ops` — the same miss storm with the `RemoteOps` knob on:
 //!   every miss is one hash-probe-and-fetch op through the responder's op
 //!   engine (both candidate buckets scanned server-side, no switch-side
@@ -19,7 +22,7 @@
 //!   punts and every request priced through the ext-op service model,
 //! * `insert_churn` — live cuckoo inserts/deletes (scripted sliding
 //!   window) under Zipf traffic: the relocation machinery's READ-verify +
-//!   WRITE displacements priced on the same wire as the lookups, with the
+//!   WRITE displacements on the same wire as the lookups, with the
 //!   no-transient-miss invariant asserted (zero punts, reads-per-miss
 //!   exactly 1.0),
 //! * `faa_storm` — the §4 state-store primitive overdriven past the NIC's
@@ -27,326 +30,147 @@
 //!   (merge/flush/ACK machinery) alongside line forwarding,
 //! * `loss_sweep` — the packet-buffer detour over a lossy memory-server
 //!   link at 0.1% and 1% drop: the reliability layer's timeout/retransmit/
-//!   dedup machinery priced on the hot path, with exact recovery asserted,
+//!   dedup machinery, with exact recovery asserted,
 //! * `server_failover` — a replicated state store (primary + mirror)
 //!   through a primary crash, failover, restart, and reseeded rejoin under
-//!   live FaA load: the pool layer's health detection, mirror fan-out,
-//!   delta replay, and reseed traffic priced end to end, with both
-//!   replicas asserted bit-for-bit exact.
-//!
-//! Each scenario runs a fixed deterministic workload to quiescence; the
-//! simulated work is therefore constant across runs and machines, and the
-//! wall-clock time it takes is the measurement. [`run_scenario`] reports
-//! events/sec and (per-hop) packets/sec; `scripts/perf_check.sh` compares a
-//! fresh run against the committed `BENCH_simperf.json` baseline and fails
-//! on regression.
+//!   live FaA load, with both replicas asserted bit-for-bit exact,
+//! * `fabric_fanout`, `fabric_shard` — the multi-switch scenarios (ring of
+//!   pods; sharded leaf–spine), built on `SimBuilder` / `FabricSpec`.
 
+use crate::e1;
 use extmem_apps::incast::{run_incast, IncastConfig, RemoteBufferSpec};
-use extmem_apps::scenario::{host_endpoint, host_ip, host_mac, switch_endpoint};
+use extmem_apps::scenario::{host_endpoint, host_ip, host_mac, Built, Testbed};
 use extmem_apps::workload::{Arrival, FlowPick, FlowSet, SinkNode, TrafficGenNode, WorkloadSpec};
 use extmem_core::faa::{FaaConfig, FaaEngine};
-use extmem_core::shard::ShardedStateStoreProgram;
 use extmem_core::lookup::{
     install_cuckoo_image, install_remote_action, ActionEntry, ChurnScript, ControlOp,
     LookupTableProgram,
 };
-use extmem_core::packet_buffer::{Mode, PacketBufferProgram, TOKEN_START_LOADING};
+use extmem_core::packet_buffer::{Mode, PacketBufferProgram};
+use extmem_core::shard::ShardedStateStoreProgram;
 use extmem_core::state_store::{read_remote_counters, StateStoreProgram};
-use extmem_core::{CuckooConfig, CuckooDirectory, Fib, L2Program, PoolConfig, RdmaChannel, ReliableConfig};
+use extmem_core::{
+    CuckooConfig, CuckooDirectory, Fib, L2Program, PoolConfig, RdmaChannel, ReliableConfig,
+};
 use extmem_rnic::{RnicConfig, RnicNode};
 use extmem_sim::{
-    current_sched_threads, with_sched_backend, FaultSpec, LinkSpec, SchedBackend, SchedStats,
-    FabricSpec, SimBuilder, Simulator,
+    with_sched_backend, FabricSpec, FaultSpec, LinkSpec, SchedBackend, SimBuilder, Simulator,
 };
 use extmem_switch::switch::program_token;
 use extmem_switch::{SwitchConfig, SwitchNode};
 use extmem_types::{ByteSize, FiveTuple, PortId, Rate, Time, TimeDelta};
-use std::time::Instant;
 
-/// One scenario's measurement.
-#[derive(Clone, Debug)]
-pub struct PerfResult {
-    /// Scenario name (stable; keys the JSON baseline).
+/// What one scenario run did.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ScenarioResult {
+    /// Scenario name.
     pub name: &'static str,
     /// Simulator events processed.
     pub events: u64,
     /// Per-hop packet deliveries summed over every link.
     pub packets: u64,
-    /// Simulated time covered.
-    pub sim_seconds: f64,
-    /// Wall-clock time the run took.
-    pub wall_seconds: f64,
     /// Trace digest of the run — a determinism fingerprint, identical for
     /// any scheduler backend and any machine (multi-sim scenarios fold the
     /// per-run digests).
     pub digest: u64,
-    /// Scheduler counters (peak queue depth, wheel cascades, dead-timer
-    /// dispatches, event-slab hit rate).
-    pub sched: SchedStats,
-    /// Frame-pool hits during the run (`extmem_wire::pool` delta).
-    pub pool_hits: u64,
-    /// Frame-pool misses during the run.
-    pub pool_misses: u64,
-    /// Scheduler worker threads the scenario ran with (1 for the
-    /// sequential backends). Keys the per-thread baseline rows.
-    pub threads: usize,
 }
 
-impl PerfResult {
-    /// Events processed per wall-clock second.
-    pub fn events_per_sec(&self) -> f64 {
-        self.events as f64 / self.wall_seconds
-    }
-
-    /// Per-hop packet deliveries per wall-clock second.
-    pub fn packets_per_sec(&self) -> f64 {
-        self.packets as f64 / self.wall_seconds
-    }
-
-    /// One JSON object, single line (parsed by `scripts/perf_check.sh`).
-    /// With `with_sched`, a `sched` sub-object carries the scheduler and
-    /// pool counters (`simperf --sched-stats`).
-    pub fn to_json(&self, with_sched: bool) -> String {
-        let mut out = format!(
-            "{{\"events\": {}, \"packets\": {}, \"sim_seconds\": {:.6}, \"wall_seconds\": {:.6}, \"events_per_sec\": {:.1}, \"packets_per_sec\": {:.1}, \"digest\": \"{:016x}\", \"threads\": {}",
-            self.events,
-            self.packets,
-            self.sim_seconds,
-            self.wall_seconds,
-            self.events_per_sec(),
-            self.packets_per_sec(),
-            self.digest,
-            self.threads
-        );
-        if with_sched {
-            let s = &self.sched;
-            let slab_rate = hit_rate(s.slab_hits, s.slab_misses);
-            let pool_rate = hit_rate(self.pool_hits, self.pool_misses);
-            out.push_str(&format!(
-                ", \"sched\": {{\"peak_depth\": {}, \"cascades\": {}, \"dead_dispatches\": {}, \"lane_parks\": {}, \"slab_hit_rate\": {:.4}, \"pool_hit_rate\": {:.4}, \"slots_released\": {}}}",
-                s.peak_depth,
-                s.cascades,
-                s.dead_dispatches,
-                s.lane_parks,
-                slab_rate,
-                pool_rate,
-                s.slots_released
-            ));
+impl ScenarioResult {
+    fn of(name: &'static str, sim: &Simulator) -> ScenarioResult {
+        ScenarioResult {
+            name,
+            events: sim.events_processed(),
+            packets: sim.packets_delivered(),
+            digest: sim.trace_digest(),
         }
-        out.push('}');
-        out
-    }
-}
-
-fn hit_rate(hits: u64, misses: u64) -> f64 {
-    if hits + misses == 0 {
-        return 0.0;
-    }
-    hits as f64 / (hits + misses) as f64
-}
-
-/// Process-global frame-pool counters, sampled around a run.
-fn pool_counts() -> (u64, u64) {
-    (
-        extmem_wire::pool::hit_count(),
-        extmem_wire::pool::miss_count(),
-    )
-}
-
-/// Render all results as the `BENCH_simperf.json` document (schema 3:
-/// schema 2 plus a `host` block — logical cores, so per-thread rows can be
-/// judged against the machine that produced them — and a per-scenario
-/// `threads` count; `scripts/perf_check.sh` reads schemas 1 through 3).
-pub fn to_json_doc(results: &[PerfResult], with_sched: bool) -> String {
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let mut out = format!(
-        "{{\n  \"schema\": 3,\n  \"host\": {{\"logical_cores\": {cores}}},\n  \"scenarios\": {{\n"
-    );
-    for (i, r) in results.iter().enumerate() {
-        let comma = if i + 1 == results.len() { "" } else { "," };
-        out.push_str(&format!(
-            "    \"{}\": {}{}\n",
-            r.name,
-            r.to_json(with_sched),
-            comma
-        ));
-    }
-    out.push_str("  }\n}\n");
-    out
-}
-
-fn time_run(
-    name: &'static str,
-    sim: &mut Simulator,
-    drive: impl FnOnce(&mut Simulator),
-) -> PerfResult {
-    let (h0, m0) = pool_counts();
-    let start = Instant::now();
-    drive(sim);
-    let wall = start.elapsed().as_secs_f64();
-    let (h1, m1) = pool_counts();
-    PerfResult {
-        name,
-        events: sim.events_processed(),
-        packets: sim.packets_delivered(),
-        sim_seconds: sim.now().saturating_since(Time::ZERO).as_secs_f64(),
-        wall_seconds: wall,
-        digest: sim.trace_digest(),
-        sched: sim.sched_stats(),
-        pool_hits: h1 - h0,
-        pool_misses: m1 - m0,
-        threads: current_sched_threads(),
     }
 }
 
 /// E1 write/read loop: store `count` 1500 B frames into the remote ring
 /// (Manual mode), then drain them through the READ chain.
-pub fn e1_write_read_loop(count: u64) -> PerfResult {
-    const ENTRY: u64 = 1516;
-    let mut nic = RnicNode::new("memsrv", RnicConfig::at(host_endpoint(2)));
-    let region = ByteSize::from_bytes((count + 8) * ENTRY);
-    let channel = RdmaChannel::setup(switch_endpoint(), PortId(2), &mut nic, region);
-
-    let mut fib = Fib::new(8);
-    fib.install(host_mac(0), PortId(0));
-    fib.install(host_mac(1), PortId(1));
-    let prog = PacketBufferProgram::new(
-        fib,
-        vec![channel],
-        PortId(1),
-        ENTRY,
-        Mode::Manual,
-        8,
-        TimeDelta::from_millis(10),
-    );
-
-    let flow = FiveTuple::new(host_ip(0), host_ip(1), 40_000, 9_000, 17);
-    let mut b = SimBuilder::new(21);
-    let switch = b.add_node(Box::new(SwitchNode::new(
-        "tor",
-        SwitchConfig::default(),
-        Box::new(prog),
-    )));
-    let gen = b.add_node(Box::new(TrafficGenNode::new(
-        "gen",
-        WorkloadSpec::simple(
-            host_mac(0),
-            host_mac(1),
-            flow,
-            1500,
-            Rate::from_gbps(25),
-            count,
-        ),
-    )));
-    let sink = b.add_node(Box::new(SinkNode::new("sink")));
-    let link = LinkSpec::testbed_40g();
-    b.connect(switch, PortId(0), gen, PortId(0), link);
-    b.connect(switch, PortId(1), sink, PortId(0), link);
-    let srv = b.add_node(Box::new(nic));
-    b.connect(switch, PortId(2), srv, PortId(0), link);
-
-    let mut sim = b.build();
-    sim.schedule_timer(gen, TimeDelta::ZERO, TrafficGenNode::KICK_TOKEN);
-    let store_time = TimeDelta::from_secs_f64(count as f64 * 1500.0 * 8.0 / 25e9 + 1e-3);
-    let r = time_run("e1_write_read_loop", &mut sim, |sim| {
-        sim.run_until(Time::ZERO + store_time);
-        sim.schedule_timer(switch, TimeDelta::ZERO, program_token(TOKEN_START_LOADING));
-        sim.run_to_quiescence();
-    });
-    assert_eq!(
-        sim.node::<SinkNode>(sink).received,
-        count,
-        "forward path lost frames"
-    );
-    r
+pub fn e1_write_read_loop(count: u64) -> ScenarioResult {
+    let (tb, prog) = e1::rig(21, Rate::from_gbps(25), count);
+    let mut t = tb.build(SwitchConfig::default(), Box::new(prog));
+    e1::store_then_drain(&mut t, count);
+    ScenarioResult::of("e1_write_read_loop", &t.sim)
 }
 
 /// The CI-scale incast with the default 9-server remote buffer.
-pub fn incast_scenario() -> PerfResult {
-    let (h0, m0) = pool_counts();
+pub fn incast_scenario() -> ScenarioResult {
     let res = run_incast(IncastConfig::small(Some(RemoteBufferSpec::default())));
-    let (h1, m1) = pool_counts();
     assert_eq!(res.delivered, res.sent, "remote buffer must stay lossless");
-    PerfResult {
+    ScenarioResult {
         name: "incast",
         events: res.events,
         packets: res.hop_packets,
-        sim_seconds: res.completion.as_secs_f64(),
-        // Run-only wall time (topology construction excluded), measured
-        // inside `run_incast` around the event loop itself.
-        wall_seconds: res.run_wall_seconds,
         digest: res.trace_digest,
-        sched: res.sched,
-        pool_hits: h1 - h0,
-        pool_misses: m1 - m0,
-        threads: current_sched_threads(),
     }
+}
+
+/// Client → switch → server with a table server on port 2: the shape every
+/// lookup scenario here shares. Returns the testbed with the table server's
+/// handle and channel.
+fn lookup_rig(seed: u64, spec: WorkloadSpec, region_bytes: u64) -> (Testbed, usize, RdmaChannel) {
+    let link = LinkSpec::testbed_40g();
+    let mut tb = Testbed::new(seed);
+    tb.gen(spec, link);
+    tb.sink(link);
+    let (table, channel) = tb.server(
+        RnicConfig::default(),
+        ByteSize::from_bytes(region_bytes),
+        link,
+    );
+    (tb, table, channel)
+}
+
+/// The lookup scenarios' traffic: 256 B frames over `flows`, paced at 5 Gbps.
+fn lookup_spec(flows: Vec<FiveTuple>, pick: FlowPick, count: u64, seed: u64) -> WorkloadSpec {
+    WorkloadSpec {
+        src_mac: host_mac(0),
+        dst_mac: host_mac(1),
+        flows: flows.into(),
+        pick,
+        frame_len: 256,
+        offered: Some(Rate::from_gbps(5)),
+        arrival: Arrival::Paced,
+        count,
+        seed,
+        flow_id_base: 0,
+    }
+}
+
+/// The cacheless cuckoo miss storm over 256 installed flows, verb or
+/// remote-op miss path, run to quiescence.
+fn cuckoo_storm(count: u64, remote_ops: bool) -> Built {
+    let flows: Vec<FiveTuple> = (0..256)
+        .map(|i| FiveTuple::new(host_ip(0), host_ip(1), 40_000 + i, 80, 17))
+        .collect();
+    let mut dir = CuckooDirectory::new(CuckooConfig::for_capacity(flows.len() as u64));
+    for f in &flows {
+        dir.install(*f, ActionEntry::set_dscp(46))
+            .expect("pre-population fits");
+    }
+    let spec = lookup_spec(flows, FlowPick::RoundRobin, count, 9);
+    let (mut tb, table, channel) = lookup_rig(31, spec, dir.region_bytes());
+    install_cuckoo_image(tb.nic_mut(table), &channel, &dir);
+    let prog = LookupTableProgram::cuckoo(tb.fib(), channel, dir, None).with_remote_ops(remote_ops);
+    let mut t = tb.build(SwitchConfig::default(), Box::new(prog));
+    t.sim.run_to_quiescence();
+    assert_eq!(
+        t.sim.node::<SinkNode>(t.hosts[1]).received,
+        count,
+        "forward path lost frames"
+    );
+    t
 }
 
 /// Lookup-miss storm, one-RTT cuckoo mode: 256 installed flows, caching
 /// disabled, every packet pays exactly one bucket READ (the filter steers
 /// each probe to the bucket its key lives in). The run asserts the tentpole
 /// metric — reads-per-miss == 1.0 with zero slow-path punts.
-pub fn lookup_miss_storm(count: u64) -> PerfResult {
-    const DSCP: u8 = 46;
-    const FLOWS: u16 = 256;
-    let table_port = PortId(2);
-    let mut dir = CuckooDirectory::new(CuckooConfig::for_capacity(FLOWS as u64));
-    let flows: Vec<FiveTuple> = (0..FLOWS)
-        .map(|i| FiveTuple::new(host_ip(0), host_ip(1), 40_000 + i, 80, 17))
-        .collect();
-    for f in &flows {
-        dir.install(*f, ActionEntry::set_dscp(DSCP))
-            .expect("pre-population fits");
-    }
-    let mut nic = RnicNode::new("tablesrv", RnicConfig::at(host_endpoint(2)));
-    let channel = RdmaChannel::setup(
-        switch_endpoint(),
-        table_port,
-        &mut nic,
-        ByteSize::from_bytes(dir.region_bytes()),
-    );
-    install_cuckoo_image(&mut nic, &channel, &dir);
-
-    let mut fib = Fib::new(8);
-    fib.install(host_mac(0), PortId(0));
-    fib.install(host_mac(1), PortId(1));
-    let prog = LookupTableProgram::cuckoo(fib, channel, dir, None);
-
-    let mut b = SimBuilder::new(31);
-    let switch = b.add_node(Box::new(SwitchNode::new(
-        "tor",
-        SwitchConfig::default(),
-        Box::new(prog),
-    )));
-    let spec = WorkloadSpec {
-        src_mac: host_mac(0),
-        dst_mac: host_mac(1),
-        flows: flows.into(),
-        pick: FlowPick::RoundRobin,
-        frame_len: 256,
-        offered: Some(Rate::from_gbps(5)),
-        arrival: Arrival::Paced,
-        count,
-        seed: 9,
-        flow_id_base: 0,
-    };
-    let gen = b.add_node(Box::new(TrafficGenNode::new("client", spec)));
-    let server = b.add_node(Box::new(SinkNode::new("server")));
-    let link = LinkSpec::testbed_40g();
-    b.connect(switch, PortId(0), gen, PortId(0), link);
-    b.connect(switch, PortId(1), server, PortId(0), link);
-    let table = b.add_node(Box::new(nic));
-    b.connect(switch, table_port, table, PortId(0), link);
-
-    let mut sim = b.build();
-    sim.schedule_timer(gen, TimeDelta::ZERO, TrafficGenNode::KICK_TOKEN);
-    let r = time_run("lookup_miss_storm", &mut sim, |sim| {
-        sim.run_to_quiescence();
-    });
-    let sw: &SwitchNode = sim.node::<SwitchNode>(switch);
+pub fn lookup_miss_storm(count: u64) -> ScenarioResult {
+    let t = cuckoo_storm(count, false);
+    let sw: &SwitchNode = t.sim.node::<SwitchNode>(t.switch);
     let stats = sw.program::<LookupTableProgram>().stats();
     assert_eq!(
         stats.remote_lookups, count,
@@ -359,138 +183,50 @@ pub fn lookup_miss_storm(count: u64) -> PerfResult {
         1.0,
         "the one-RTT property: exactly one READ per miss: {stats:?}"
     );
-    assert_eq!(
-        sim.node::<SinkNode>(server).received,
-        count,
-        "forward path lost frames"
-    );
-    r
+    ScenarioResult::of("lookup_miss_storm", &t.sim)
 }
 
 /// The direct-hash ablation baseline: the pre-cuckoo lookup wire behavior
-/// (one flow hashed straight to its slot, no filter, no relocation). Kept
-/// out of [`run_all`] — its digest pins the old wire format and the
-/// backend-equivalence suite replays it.
-pub fn lookup_miss_storm_direct(count: u64) -> PerfResult {
-    const DSCP: u8 = 46;
-    let table_port = PortId(2);
-    let mut nic = RnicNode::new("tablesrv", RnicConfig::at(host_endpoint(2)));
-    let channel = RdmaChannel::setup(
-        switch_endpoint(),
-        table_port,
-        &mut nic,
-        ByteSize::from_bytes(4096 * 2048),
-    );
+/// (one flow hashed straight to its slot, no filter, no relocation). Its
+/// digest pins the old wire format and the backend-equivalence suite
+/// replays it.
+pub fn lookup_miss_storm_direct(count: u64) -> ScenarioResult {
     let flow = FiveTuple::new(host_ip(0), host_ip(1), 40_000, 80, 17);
-    install_remote_action(&mut nic, &channel, 2048, &flow, ActionEntry::set_dscp(DSCP));
-
-    let mut fib = Fib::new(8);
-    fib.install(host_mac(0), PortId(0));
-    fib.install(host_mac(1), PortId(1));
-    let prog = LookupTableProgram::new(fib, channel, 2048, None);
-
-    let mut b = SimBuilder::new(31);
-    let switch = b.add_node(Box::new(SwitchNode::new(
-        "tor",
-        SwitchConfig::default(),
-        Box::new(prog),
-    )));
-    let gen = b.add_node(Box::new(TrafficGenNode::new(
-        "client",
-        WorkloadSpec::simple(
-            host_mac(0),
-            host_mac(1),
-            flow,
-            256,
-            Rate::from_gbps(5),
-            count,
-        ),
-    )));
-    let server = b.add_node(Box::new(SinkNode::new("server")));
-    let link = LinkSpec::testbed_40g();
-    b.connect(switch, PortId(0), gen, PortId(0), link);
-    b.connect(switch, PortId(1), server, PortId(0), link);
-    let table = b.add_node(Box::new(nic));
-    b.connect(switch, table_port, table, PortId(0), link);
-
-    let mut sim = b.build();
-    sim.schedule_timer(gen, TimeDelta::ZERO, TrafficGenNode::KICK_TOKEN);
-    let r = time_run("lookup_miss_storm_direct", &mut sim, |sim| {
-        sim.run_to_quiescence();
-    });
-    let sw: &SwitchNode = sim.node::<SwitchNode>(switch);
+    let spec = WorkloadSpec::simple(
+        host_mac(0),
+        host_mac(1),
+        flow,
+        256,
+        Rate::from_gbps(5),
+        count,
+    );
+    let (mut tb, table, channel) = lookup_rig(31, spec, 4096 * 2048);
+    install_remote_action(
+        tb.nic_mut(table),
+        &channel,
+        2048,
+        &flow,
+        ActionEntry::set_dscp(46),
+    );
+    let prog = LookupTableProgram::new(tb.fib(), channel, 2048, None);
+    let mut t = tb.build(SwitchConfig::default(), Box::new(prog));
+    t.sim.run_to_quiescence();
+    let sw: &SwitchNode = t.sim.node::<SwitchNode>(t.switch);
     assert_eq!(
         sw.program::<LookupTableProgram>().stats().remote_lookups,
         count,
         "every packet must take the remote path"
     );
-    r
+    ScenarioResult::of("lookup_miss_storm_direct", &t.sim)
 }
 
 /// The remote-op ISA leg of the miss storm: identical traffic and table to
 /// [`lookup_miss_storm`], but with the `RemoteOps` knob on — every miss
 /// issues one hash-probe-and-fetch op that the responder's op engine
-/// resolves against both candidate buckets in a single exchange. Joins the
-/// committed baseline so the op engine's modeled service cost is
-/// perf-gated alongside the verb path it replaces.
-pub fn remote_ops(count: u64) -> PerfResult {
-    const DSCP: u8 = 46;
-    const FLOWS: u16 = 256;
-    let table_port = PortId(2);
-    let mut dir = CuckooDirectory::new(CuckooConfig::for_capacity(FLOWS as u64));
-    let flows: Vec<FiveTuple> = (0..FLOWS)
-        .map(|i| FiveTuple::new(host_ip(0), host_ip(1), 40_000 + i, 80, 17))
-        .collect();
-    for f in &flows {
-        dir.install(*f, ActionEntry::set_dscp(DSCP))
-            .expect("pre-population fits");
-    }
-    let mut nic = RnicNode::new("tablesrv", RnicConfig::at(host_endpoint(2)));
-    let channel = RdmaChannel::setup(
-        switch_endpoint(),
-        table_port,
-        &mut nic,
-        ByteSize::from_bytes(dir.region_bytes()),
-    );
-    install_cuckoo_image(&mut nic, &channel, &dir);
-
-    let mut fib = Fib::new(8);
-    fib.install(host_mac(0), PortId(0));
-    fib.install(host_mac(1), PortId(1));
-    let prog = LookupTableProgram::cuckoo(fib, channel, dir, None).with_remote_ops(true);
-
-    let mut b = SimBuilder::new(31);
-    let switch = b.add_node(Box::new(SwitchNode::new(
-        "tor",
-        SwitchConfig::default(),
-        Box::new(prog),
-    )));
-    let spec = WorkloadSpec {
-        src_mac: host_mac(0),
-        dst_mac: host_mac(1),
-        flows: flows.into(),
-        pick: FlowPick::RoundRobin,
-        frame_len: 256,
-        offered: Some(Rate::from_gbps(5)),
-        arrival: Arrival::Paced,
-        count,
-        seed: 9,
-        flow_id_base: 0,
-    };
-    let gen = b.add_node(Box::new(TrafficGenNode::new("client", spec)));
-    let server = b.add_node(Box::new(SinkNode::new("server")));
-    let link = LinkSpec::testbed_40g();
-    b.connect(switch, PortId(0), gen, PortId(0), link);
-    b.connect(switch, PortId(1), server, PortId(0), link);
-    let table = b.add_node(Box::new(nic));
-    b.connect(switch, table_port, table, PortId(0), link);
-
-    let mut sim = b.build();
-    sim.schedule_timer(gen, TimeDelta::ZERO, TrafficGenNode::KICK_TOKEN);
-    let r = time_run("remote_ops", &mut sim, |sim| {
-        sim.run_to_quiescence();
-    });
-    let sw: &SwitchNode = sim.node::<SwitchNode>(switch);
+/// resolves against both candidate buckets in a single exchange.
+pub fn remote_ops(count: u64) -> ScenarioResult {
+    let t = cuckoo_storm(count, true);
+    let sw: &SwitchNode = t.sim.node::<SwitchNode>(t.switch);
     let stats = sw.program::<LookupTableProgram>().stats();
     assert_eq!(
         stats.remote_lookups, count,
@@ -507,18 +243,13 @@ pub fn remote_ops(count: u64) -> PerfResult {
         Some(1.0),
         "one response per miss: {stats:?}"
     );
-    let nic_stats = sim.node::<RnicNode>(table).stats();
+    let nic_stats = t.sim.node::<RnicNode>(t.servers[0]).stats();
     assert_eq!(
         nic_stats.ext_ops, count,
         "every miss must run in the op engine"
     );
     assert_eq!(nic_stats.cpu_packets, 0, "ops must bypass the server CPU");
-    assert_eq!(
-        sim.node::<SinkNode>(server).received,
-        count,
-        "forward path lost frames"
-    );
-    r
+    ScenarioResult::of("remote_ops", &t.sim)
 }
 
 /// Insert churn: live table churn under Zipf traffic. 140 resident flows
@@ -528,12 +259,11 @@ pub fn remote_ops(count: u64) -> PerfResult {
 /// The run asserts the no-transient-miss invariant end to end: zero punts,
 /// reads-per-miss exactly 1.0 throughout the storm, and the remote region
 /// bit-for-bit equal to the directory image afterwards.
-pub fn insert_churn(count: u64) -> PerfResult {
+pub fn insert_churn(count: u64) -> ScenarioResult {
     const DSCP: u8 = 46;
     const TRAFFIC_KEYS: u16 = 140;
     const CHURN_KEYS: u16 = 96;
     const WINDOW: usize = 8;
-    let table_port = PortId(2);
     // 64 buckets = 256 slots: ~58% peak load, enough pressure that inserts
     // regularly land in full primary buckets and relocate residents.
     let cfg = CuckooConfig {
@@ -568,62 +298,24 @@ pub fn insert_churn(count: u64) -> PerfResult {
         period: TimeDelta::from_micros(2),
     };
 
-    let mut nic = RnicNode::new("tablesrv", RnicConfig::at(host_endpoint(2)));
-    let channel = RdmaChannel::setup(
-        switch_endpoint(),
-        table_port,
-        &mut nic,
-        ByteSize::from_bytes(dir.region_bytes()),
-    );
+    let spec = lookup_spec(flows, FlowPick::Zipf(1.1), count, 13);
+    let (mut tb, table, channel) = lookup_rig(37, spec, dir.region_bytes());
     let (rkey, base_va) = (channel.rkey, channel.base_va);
-    install_cuckoo_image(&mut nic, &channel, &dir);
-
-    let mut fib = Fib::new(8);
-    fib.install(host_mac(0), PortId(0));
-    fib.install(host_mac(1), PortId(1));
-    let prog = LookupTableProgram::cuckoo(fib, channel, dir, None).with_churn(script);
-
-    let mut b = SimBuilder::new(37);
-    let switch = b.add_node(Box::new(SwitchNode::new(
-        "tor",
-        SwitchConfig::default(),
-        Box::new(prog),
-    )));
-    let spec = WorkloadSpec {
-        src_mac: host_mac(0),
-        dst_mac: host_mac(1),
-        flows: flows.into(),
-        pick: FlowPick::Zipf(1.1),
-        frame_len: 256,
-        offered: Some(Rate::from_gbps(5)),
-        arrival: Arrival::Paced,
-        count,
-        seed: 13,
-        flow_id_base: 0,
-    };
-    let gen = b.add_node(Box::new(TrafficGenNode::new("client", spec)));
-    let server = b.add_node(Box::new(SinkNode::new("server")));
-    let link = LinkSpec::testbed_40g();
-    b.connect(switch, PortId(0), gen, PortId(0), link);
-    b.connect(switch, PortId(1), server, PortId(0), link);
-    let table = b.add_node(Box::new(nic));
-    b.connect(switch, table_port, table, PortId(0), link);
-
-    let mut sim = b.build();
-    sim.schedule_timer(gen, TimeDelta::ZERO, TrafficGenNode::KICK_TOKEN);
-    sim.schedule_timer(
-        switch,
+    install_cuckoo_image(tb.nic_mut(table), &channel, &dir);
+    let prog = LookupTableProgram::cuckoo(tb.fib(), channel, dir, None).with_churn(script);
+    let mut t = tb.build(SwitchConfig::default(), Box::new(prog));
+    t.sim.schedule_timer(
+        t.switch,
         TimeDelta::from_micros(5),
         program_token(extmem_core::lookup::TOKEN_CHURN),
     );
-    let r = time_run("insert_churn", &mut sim, |sim| {
-        sim.run_to_quiescence();
-    });
-    let sw: &SwitchNode = sim.node::<SwitchNode>(switch);
+    t.sim.run_to_quiescence();
+
+    let sw: &SwitchNode = t.sim.node::<SwitchNode>(t.switch);
     let prog = sw.program::<LookupTableProgram>();
     let stats = prog.stats();
     assert_eq!(
-        sim.node::<SinkNode>(server).received,
+        t.sim.node::<SinkNode>(t.hosts[1]).received,
         count,
         "forward path lost frames"
     );
@@ -642,37 +334,22 @@ pub fn insert_churn(count: u64) -> PerfResult {
     assert!(prog.relocation_idle(), "relocation work leaked: {stats:?}");
     let dir = prog.directory().expect("cuckoo mode");
     let image = dir.encode_region();
-    let remote = sim
-        .node::<RnicNode>(table)
+    let remote = t
+        .sim
+        .node::<RnicNode>(t.servers[0])
         .region(rkey)
         .read(base_va, image.len() as u64)
         .expect("region in bounds");
     assert_eq!(remote, &image[..], "remote region diverged from directory");
-    r
+    ScenarioResult::of("insert_churn", &t.sim)
 }
 
 /// Fetch-and-Add storm: 16 UDP flows at 10 G into the state-store primitive
 /// (§4). The offered ~4.9 M updates/s exceed the NIC's 1.7 M atomics/s, so
 /// the outstanding-atomics cap forces local accumulation and the engine's
 /// merge/flush machinery runs hot alongside forwarding.
-pub fn faa_storm(count: u64) -> PerfResult {
-    let server_port = PortId(2);
-    let mut nic = RnicNode::new("memsrv", RnicConfig::at(host_endpoint(2)));
+pub fn faa_storm(count: u64) -> ScenarioResult {
     let counters = 4096u64;
-    let channel = RdmaChannel::setup(
-        switch_endpoint(),
-        server_port,
-        &mut nic,
-        ByteSize::from_bytes(counters * 8),
-    );
-    let (rkey, base_va) = (channel.rkey, channel.base_va);
-
-    let mut fib = Fib::new(8);
-    fib.install(host_mac(0), PortId(0));
-    fib.install(host_mac(1), PortId(1));
-    let engine = FaaEngine::new(channel, FaaConfig::default());
-    let prog = StateStoreProgram::new(fib, engine, TimeDelta::from_micros(20));
-
     let flows: Vec<FiveTuple> = (0..16)
         .map(|i| FiveTuple::new(host_ip(0), host_ip(1), 40_000 + i, 9_000, 17))
         .collect();
@@ -688,32 +365,26 @@ pub fn faa_storm(count: u64) -> PerfResult {
         seed: 5,
         flow_id_base: 0,
     };
-
-    let mut b = SimBuilder::new(41);
-    let switch = b.add_node(Box::new(SwitchNode::new(
-        "tor",
-        SwitchConfig::default(),
-        Box::new(prog),
-    )));
-    let gen = b.add_node(Box::new(TrafficGenNode::new("gen", spec)));
-    let sink = b.add_node(Box::new(SinkNode::new("sink")));
     let link = LinkSpec::testbed_40g();
-    b.connect(switch, PortId(0), gen, PortId(0), link);
-    b.connect(switch, PortId(1), sink, PortId(0), link);
-    let srv = b.add_node(Box::new(nic));
-    b.connect(switch, server_port, srv, PortId(0), link);
-
-    let mut sim = b.build();
-    sim.schedule_timer(gen, TimeDelta::ZERO, TrafficGenNode::KICK_TOKEN);
+    let mut tb = Testbed::new(41);
+    tb.gen(spec, link);
+    tb.sink(link);
+    let (_, channel) = tb.server(
+        RnicConfig::default(),
+        ByteSize::from_bytes(counters * 8),
+        link,
+    );
+    let (rkey, base_va) = (channel.rkey, channel.base_va);
+    let engine = FaaEngine::new(channel, FaaConfig::default());
+    let prog = StateStoreProgram::new(tb.fib(), engine, TimeDelta::from_micros(20));
+    let mut t = tb.build(SwitchConfig::default(), Box::new(prog));
     // The flush tick re-arms forever, so drive to a fixed deadline: the
     // send time at the offered rate plus a generous settle window.
     let send_time = TimeDelta::from_secs_f64(count as f64 * 256.0 * 8.0 / 10e9);
-    let deadline = Time::ZERO + send_time + TimeDelta::from_millis(5);
-    let r = time_run("faa_storm", &mut sim, |sim| {
-        sim.run_until(deadline);
-    });
+    t.sim
+        .run_until(Time::ZERO + send_time + TimeDelta::from_millis(5));
 
-    let sw: &SwitchNode = sim.node::<SwitchNode>(switch);
+    let sw: &SwitchNode = t.sim.node::<SwitchNode>(t.switch);
     let prog = sw.program::<StateStoreProgram>();
     assert_eq!(
         prog.forwarded, count,
@@ -726,7 +397,7 @@ pub fn faa_storm(count: u64) -> PerfResult {
         stats.merged > 0,
         "storm must overrun the atomic rate and accumulate: {stats:?}"
     );
-    let nic = sim.node::<RnicNode>(srv);
+    let nic = t.sim.node::<RnicNode>(t.servers[0]);
     assert_eq!(
         nic.stats().atomic_overflow_drops,
         0,
@@ -736,40 +407,46 @@ pub fn faa_storm(count: u64) -> PerfResult {
         .iter()
         .sum();
     assert_eq!(remote, count, "settled counters must be exact");
-    r
+    ScenarioResult::of("faa_storm", &t.sim)
 }
 
 /// Loss sweep: the packet-buffer detour over a lossy memory-server link at
 /// 0.1% and 1% drop, reliable mode. Every drop costs a timeout + go-back-N
-/// retransmission, so this prices the reliability layer's bookkeeping
-/// (outstanding-op tracking, PSN serial arithmetic, dedup) on the hot path.
+/// retransmission (outstanding-op tracking, PSN serial arithmetic, dedup).
 /// Each loss point must still recover *exactly* — no lost ring entries, no
-/// failover — or the measurement is meaningless and the run asserts.
-pub fn loss_sweep(count: u64) -> PerfResult {
+/// failover — or the run asserts.
+pub fn loss_sweep(count: u64) -> ScenarioResult {
     const ENTRY: u64 = 816;
-    let (h0, m0) = pool_counts();
-    // Run-only wall time, accumulated across the loss points: each
-    // iteration builds a fresh topology, and construction must not count
-    // against the event-loop measurement.
-    let mut wall = 0f64;
-    let (mut events, mut packets, mut sim_seconds) = (0u64, 0u64, 0f64);
-    let mut digest = 0u64;
-    let mut sched = SchedStats::default();
+    let (mut events, mut packets, mut digest) = (0u64, 0u64, 0u64);
     for (i, &loss) in [0.001f64, 0.01].iter().enumerate() {
-        let mut nic = RnicNode::new("memsrv", RnicConfig::at(host_endpoint(2)));
-        let channel = RdmaChannel::setup(
-            switch_endpoint(),
-            PortId(2),
-            &mut nic,
-            ByteSize::from_bytes((count + 8) * ENTRY),
+        let mut tb = Testbed::new(61 + i as u64);
+        tb.gen(
+            WorkloadSpec::simple(
+                host_mac(0),
+                host_mac(1),
+                FiveTuple::new(host_ip(0), host_ip(1), 5000, 9000, 17),
+                800,
+                Rate::from_gbps(30),
+                count,
+            ),
+            LinkSpec::testbed_40g(),
         );
-        let mut fib = Fib::new(8);
-        fib.install(host_mac(0), PortId(0));
-        fib.install(host_mac(1), PortId(1));
+        // A 10 G drain port keeps the detour engaged for the whole run.
+        let drain = tb.sink(LinkSpec::new(
+            Rate::from_gbps(10),
+            TimeDelta::from_nanos(300),
+        ));
+        let mut lossy = LinkSpec::testbed_40g();
+        lossy.faults = FaultSpec::drop(loss);
+        let (_, channel) = tb.server(
+            RnicConfig::default(),
+            ByteSize::from_bytes((count + 8) * ENTRY),
+            lossy,
+        );
         let prog = PacketBufferProgram::new(
-            fib,
+            tb.fib(),
             vec![channel],
-            PortId(1),
+            drain,
             ENTRY,
             Mode::Auto {
                 start_store_qbytes: 4096,
@@ -782,45 +459,12 @@ pub fn loss_sweep(count: u64) -> PerfResult {
             rto: TimeDelta::from_micros(50),
             ..Default::default()
         });
-        let mut b = SimBuilder::new(61 + i as u64);
-        let switch = b.add_node(Box::new(SwitchNode::new(
-            "tor",
-            SwitchConfig::default(),
-            Box::new(prog),
-        )));
-        let gen = b.add_node(Box::new(TrafficGenNode::new(
-            "gen",
-            WorkloadSpec::simple(
-                host_mac(0),
-                host_mac(1),
-                FiveTuple::new(host_ip(0), host_ip(1), 5000, 9000, 17),
-                800,
-                Rate::from_gbps(30),
-                count,
-            ),
-        )));
-        let sink = b.add_node(Box::new(SinkNode::new("sink")));
-        b.connect(switch, PortId(0), gen, PortId(0), LinkSpec::testbed_40g());
-        // A 10 G drain port keeps the detour engaged for the whole run.
-        b.connect(
-            switch,
-            PortId(1),
-            sink,
-            PortId(0),
-            LinkSpec::new(Rate::from_gbps(10), TimeDelta::from_nanos(300)),
-        );
-        let server = b.add_node(Box::new(nic));
-        let mut lossy = LinkSpec::testbed_40g();
-        lossy.faults = FaultSpec::drop(loss);
-        b.connect(switch, PortId(2), server, PortId(0), lossy);
-        let mut sim = b.build();
-        sim.schedule_timer(gen, TimeDelta::ZERO, TrafficGenNode::KICK_TOKEN);
+        let mut t = tb.build(SwitchConfig::default(), Box::new(prog));
         let drain_time = TimeDelta::from_secs_f64(count as f64 * 800.0 * 8.0 / 10e9);
-        let run_start = Instant::now();
-        sim.run_until(Time::ZERO + drain_time + TimeDelta::from_millis(10));
-        wall += run_start.elapsed().as_secs_f64();
+        t.sim
+            .run_until(Time::ZERO + drain_time + TimeDelta::from_millis(10));
 
-        let sw: &SwitchNode = sim.node::<SwitchNode>(switch);
+        let sw: &SwitchNode = t.sim.node::<SwitchNode>(t.switch);
         let s = sw.program::<PacketBufferProgram>().stats();
         assert!(s.stored > 0, "loss={loss}: the detour was never exercised");
         assert!(
@@ -831,51 +475,47 @@ pub fn loss_sweep(count: u64) -> PerfResult {
         assert_eq!(s.lost_entries, 0, "loss={loss}: lost ring entries: {s:?}");
         assert_eq!(s.loaded, s.stored, "loss={loss}: ring did not drain: {s:?}");
         assert_eq!(
-            sim.node::<SinkNode>(sink).received,
+            t.sim.node::<SinkNode>(t.hosts[1]).received,
             count,
             "loss={loss}: recovery must be exact"
         );
-        events += sim.events_processed();
-        packets += sim.packets_delivered();
-        sim_seconds += sim.now().saturating_since(Time::ZERO).as_secs_f64();
-        digest = digest.rotate_left(17) ^ sim.trace_digest();
-        sched.merge(&sim.sched_stats());
+        events += t.sim.events_processed();
+        packets += t.sim.packets_delivered();
+        digest = digest.rotate_left(17) ^ t.sim.trace_digest();
     }
-    let (h1, m1) = pool_counts();
-    PerfResult {
+    ScenarioResult {
         name: "loss_sweep",
         events,
         packets,
-        sim_seconds,
-        wall_seconds: wall,
         digest,
-        sched,
-        pool_hits: h1 - h0,
-        pool_misses: m1 - m0,
-        threads: current_sched_threads(),
     }
 }
 
 /// Server failover: a replicated state store (primary + mirror) driven
 /// through a primary crash, failover, restart, and reseeded rejoin while
-/// the FaA workload keeps flowing. This prices the replication layer's
-/// bookkeeping — health detection, per-mirror delta accumulation,
-/// anti-entropy replay, probe/reseed traffic — on the hot path. The run
-/// asserts exact settled counters on *both* replicas, so the measurement
-/// is only taken over a correct execution.
-pub fn server_failover(count: u64) -> PerfResult {
+/// the FaA workload keeps flowing: health detection, per-mirror delta
+/// accumulation, anti-entropy replay, probe/reseed traffic. The run
+/// asserts exact settled counters on *both* replicas.
+pub fn server_failover(count: u64) -> ScenarioResult {
     let counters = 512u64;
     let region = ByteSize::from_bytes(counters * 8);
-    let (h0, m0) = pool_counts();
-    let mut nic_a = RnicNode::new("memsrv-a", RnicConfig::at(host_endpoint(2)));
-    let mut nic_b = RnicNode::new("memsrv-b", RnicConfig::at(host_endpoint(3)));
-    let ch_a = RdmaChannel::setup(switch_endpoint(), PortId(2), &mut nic_a, region);
-    let ch_b = RdmaChannel::setup(switch_endpoint(), PortId(3), &mut nic_b, region);
-    let rkey = ch_a.rkey;
-    let base_va = ch_a.base_va;
-    let mut fib = Fib::new(8);
-    fib.install(host_mac(0), PortId(0));
-    fib.install(host_mac(1), PortId(1));
+    let link = LinkSpec::testbed_40g();
+    let mut tb = Testbed::new(71);
+    tb.gen(
+        WorkloadSpec::simple(
+            host_mac(0),
+            host_mac(1),
+            FiveTuple::new(host_ip(0), host_ip(1), 5000, 9000, 17),
+            256,
+            Rate::from_gbps(2),
+            count,
+        ),
+        link,
+    );
+    tb.sink(link);
+    let (_, ch_a) = tb.server(RnicConfig::default(), region, link);
+    let (_, ch_b) = tb.server(RnicConfig::default(), region, link);
+    let (rkey, base_va) = (ch_a.rkey, ch_a.base_va);
     let engine = FaaEngine::replicated(
         vec![ch_a, ch_b],
         FaaConfig {
@@ -890,45 +530,18 @@ pub fn server_failover(count: u64) -> PerfResult {
             ..Default::default()
         },
     );
-    let prog = StateStoreProgram::new(fib, engine, TimeDelta::from_micros(30));
-    let mut b = SimBuilder::new(71);
-    let switch = b.add_node(Box::new(SwitchNode::new(
-        "tor",
-        SwitchConfig::default(),
-        Box::new(prog),
-    )));
-    let gen = b.add_node(Box::new(TrafficGenNode::new(
-        "gen",
-        WorkloadSpec::simple(
-            host_mac(0),
-            host_mac(1),
-            FiveTuple::new(host_ip(0), host_ip(1), 5000, 9000, 17),
-            256,
-            Rate::from_gbps(2),
-            count,
-        ),
-    )));
-    let sink = b.add_node(Box::new(SinkNode::new("sink")));
-    let link = LinkSpec::testbed_40g();
-    b.connect(switch, PortId(0), gen, PortId(0), link);
-    b.connect(switch, PortId(1), sink, PortId(0), link);
-    let server_a = b.add_node(Box::new(nic_a));
-    let server_b = b.add_node(Box::new(nic_b));
-    b.connect(switch, PortId(2), server_a, PortId(0), link);
-    b.connect(switch, PortId(3), server_b, PortId(0), link);
-    let mut sim = b.build();
-    sim.schedule_timer(gen, TimeDelta::ZERO, TrafficGenNode::KICK_TOKEN);
+    let prog = StateStoreProgram::new(tb.fib(), engine, TimeDelta::from_micros(30));
+    let mut t = tb.build(SwitchConfig::default(), Box::new(prog));
     // ~1us of traffic per update: crash the primary a quarter in, bring it
     // back at the halfway mark so reseed + delta replay overlap live load.
-    sim.schedule_crash(server_a, TimeDelta::from_micros(count / 4));
-    sim.schedule_restart(server_a, TimeDelta::from_micros(count / 2));
-    // Run-only wall time: setup above (channels, region zeroing, node
-    // construction) is excluded from the measurement.
-    let start = Instant::now();
-    sim.run_until(Time::from_micros(count) + TimeDelta::from_millis(10));
-    let wall = start.elapsed().as_secs_f64();
+    t.sim
+        .schedule_crash(t.servers[0], TimeDelta::from_micros(count / 4));
+    t.sim
+        .schedule_restart(t.servers[0], TimeDelta::from_micros(count / 2));
+    t.sim
+        .run_until(Time::from_micros(count) + TimeDelta::from_millis(10));
 
-    let sw: &SwitchNode = sim.node::<SwitchNode>(switch);
+    let sw: &SwitchNode = t.sim.node::<SwitchNode>(t.switch);
     let prog = sw.program::<StateStoreProgram>();
     let stats = prog.faa_stats();
     assert!(prog.is_quiescent(), "stuck window: {stats:?}");
@@ -937,24 +550,19 @@ pub fn server_failover(count: u64) -> PerfResult {
     assert!(stats.pool.rejoins >= 1, "no rejoin: {stats:?}");
     let truth: u64 = prog.oracle.values().sum();
     assert_eq!(truth, count);
-    let dump_a = read_remote_counters(sim.node::<RnicNode>(server_a), rkey, base_va, counters);
-    let dump_b = read_remote_counters(sim.node::<RnicNode>(server_b), rkey, base_va, counters);
+    let dump = |s: usize| {
+        read_remote_counters(
+            t.sim.node::<RnicNode>(t.servers[s]),
+            rkey,
+            base_va,
+            counters,
+        )
+    };
+    let (dump_a, dump_b) = (dump(0), dump(1));
     let total_b: u64 = dump_b.iter().sum();
     assert_eq!(total_b, truth, "survivor lost counts");
     assert_eq!(dump_a, dump_b, "rejoined replica diverges");
-    let (h1, m1) = pool_counts();
-    PerfResult {
-        name: "server_failover",
-        events: sim.events_processed(),
-        packets: sim.packets_delivered(),
-        sim_seconds: sim.now().saturating_since(Time::ZERO).as_secs_f64(),
-        wall_seconds: wall,
-        digest: sim.trace_digest(),
-        sched: sim.sched_stats(),
-        pool_hits: h1 - h0,
-        pool_misses: m1 - m0,
-        threads: current_sched_threads(),
-    }
+    ScenarioResult::of("server_failover", &t.sim)
 }
 
 /// Pods in the [`fabric_fanout`] scenario.
@@ -980,15 +588,8 @@ pub const FANOUT_PODS: usize = 8;
 /// Correctness gates on every run: per-pod settled counters must equal the
 /// pod's oracle exactly (reliable FaA), every sink must see both its local
 /// and its ring flow in full, and no pod may degrade.
-pub fn fabric_fanout(count: u64, threads: usize) -> PerfResult {
+pub fn fabric_fanout(count: u64, threads: usize) -> ScenarioResult {
     const PODS: usize = FANOUT_PODS;
-    let name: &'static str = match threads {
-        1 => "fabric_fanout_t1",
-        2 => "fabric_fanout_t2",
-        4 => "fabric_fanout_t4",
-        8 => "fabric_fanout_t8",
-        _ => "fabric_fanout",
-    };
     with_sched_backend(SchedBackend::Parallel(threads), || {
         let counters = 256u64;
         let region = ByteSize::from_bytes(counters * 8);
@@ -1099,10 +700,7 @@ pub fn fabric_fanout(count: u64, threads: usize) -> PerfResult {
         // fixed deadline like `faa_storm`.
         let send_time = TimeDelta::from_secs_f64(count as f64 * 256.0 * 8.0 / 5e9);
         let deadline = Time::ZERO + send_time + TimeDelta::from_millis(5);
-        let mut r = time_run(name, &mut sim, |sim| {
-            sim.run_until(deadline);
-        });
-        r.name = name;
+        sim.run_until(deadline);
         for p in 0..PODS {
             let sw: &SwitchNode = sim.node::<SwitchNode>(switches[p]);
             let prog = sw.program::<StateStoreProgram>();
@@ -1140,7 +738,7 @@ pub fn fabric_fanout(count: u64, threads: usize) -> PerfResult {
                 "lookahead safety margin collapsed: {par:?}"
             );
         }
-        r
+        ScenarioResult::of("fabric_fanout", &sim)
     })
 }
 
@@ -1191,13 +789,7 @@ fn shard_host(l: usize, i: usize) -> usize {
 /// fraction in band. The digest is bit-identical across Wheel, Heap and
 /// Parallel(1/2/4) — `sched_equivalence` holds the line, mid-run
 /// mutation included.
-pub fn fabric_shard(count: u64, threads: usize) -> PerfResult {
-    let name: &'static str = match threads {
-        1 => "fabric_shard_t1",
-        2 => "fabric_shard_t2",
-        4 => "fabric_shard_t4",
-        _ => "fabric_shard",
-    };
+pub fn fabric_shard(count: u64, threads: usize) -> ScenarioResult {
     with_sched_backend(SchedBackend::Parallel(threads), || {
         const L: usize = SHARD_LEAVES;
         let region = ByteSize::from_bytes(SHARD_COUNTERS * 8);
@@ -1336,24 +928,20 @@ pub fn fabric_shard(count: u64, threads: usize) -> PerfResult {
         let send_time = TimeDelta::from_secs_f64(count as f64 * 256.0 * 8.0 / 5e9);
         let half = Time::ZERO + TimeDelta::from_picos(send_time.picos() / 2);
         let deadline = Time::ZERO + send_time + TimeDelta::from_millis(5);
-        let leaves = fabric.leaves.clone();
-        let mut r = time_run(name, &mut sim, |sim| {
-            sim.run_until(half);
-            for (l, &leaf) in leaves.iter().enumerate() {
-                let sw = sim.node_mut::<SwitchNode>(leaf);
-                let moved = sw
-                    .program_mut::<ShardedStateStoreProgram>()
-                    .activate_shard(SPARE_SHARD, 1 << 16);
-                // Ideal movement onto the third shard is 1/3 of the key
-                // space; vnode placement noise allows a band.
-                assert!(
-                    (0.15..=0.55).contains(&moved),
-                    "leaf {l}: rebalance moved {moved}, far from 1/3"
-                );
-            }
-            sim.run_until(deadline);
-        });
-        r.name = name;
+        sim.run_until(half);
+        for (l, &leaf) in fabric.leaves.iter().enumerate() {
+            let sw = sim.node_mut::<SwitchNode>(leaf);
+            let moved = sw
+                .program_mut::<ShardedStateStoreProgram>()
+                .activate_shard(SPARE_SHARD, 1 << 16);
+            // Ideal movement onto the third shard is 1/3 of the key
+            // space; vnode placement noise allows a band.
+            assert!(
+                (0.15..=0.55).contains(&moved),
+                "leaf {l}: rebalance moved {moved}, far from 1/3"
+            );
+        }
+        sim.run_until(deadline);
 
         for (l, leaf_keys) in keys.iter().enumerate() {
             let sw: &SwitchNode = sim.node::<SwitchNode>(fabric.leaves[l]);
@@ -1419,42 +1007,8 @@ pub fn fabric_shard(count: u64, threads: usize) -> PerfResult {
                 "spine traffic must cross partitions: {par:?}"
             );
         }
-        r
+        ScenarioResult::of("fabric_shard", &sim)
     })
-}
-
-/// Repetitions per scenario in [`run_all`]; the fastest is reported, which
-/// filters out scheduler noise from a shared machine.
-pub const REPS: u32 = 3;
-
-fn best_of(reps: u32, run: impl Fn() -> PerfResult) -> PerfResult {
-    (0..reps)
-        .map(|_| run())
-        .min_by(|a, b| a.wall_seconds.total_cmp(&b.wall_seconds))
-        .expect("at least one rep")
-}
-
-/// Run all scenarios at the standard scale, best-of-[`REPS`] each. The
-/// fan-out scenario runs at 1, 2 and 4 worker threads so the baseline
-/// carries the parallel backend's scaling curve next to the host's core
-/// count (schema 3's `host.logical_cores`).
-pub fn run_all() -> Vec<PerfResult> {
-    vec![
-        best_of(REPS, || e1_write_read_loop(8_000)),
-        best_of(REPS, incast_scenario),
-        best_of(REPS, || lookup_miss_storm(8_000)),
-        best_of(REPS, || remote_ops(8_000)),
-        best_of(REPS, || insert_churn(8_000)),
-        best_of(REPS, || faa_storm(40_000)),
-        best_of(REPS, || loss_sweep(6_000)),
-        best_of(REPS, || server_failover(8_000)),
-        best_of(REPS, || fabric_fanout(2_000, 1)),
-        best_of(REPS, || fabric_fanout(2_000, 2)),
-        best_of(REPS, || fabric_fanout(2_000, 4)),
-        best_of(REPS, || fabric_shard(2_000, 1)),
-        best_of(REPS, || fabric_shard(2_000, 2)),
-        best_of(REPS, || fabric_shard(2_000, 4)),
-    ]
 }
 
 #[cfg(test)]
@@ -1463,8 +1017,9 @@ mod tests {
 
     #[test]
     fn scenarios_run_and_report() {
-        // Smoke at reduced scale: sane counters and well-formed JSON.
-        let results = vec![
+        // Smoke at reduced scale: every scenario's own assertions hold and
+        // the result fingerprints the run.
+        let results = [
             e1_write_read_loop(500),
             lookup_miss_storm(300),
             lookup_miss_storm_direct(300),
@@ -1477,38 +1032,17 @@ mod tests {
         ];
         for r in &results {
             assert!(r.events > 0 && r.packets > 0, "{r:?}");
-            assert!(r.sim_seconds > 0.0 && r.wall_seconds > 0.0, "{r:?}");
-        }
-        for r in &results {
             assert_ne!(r.digest, 0, "digest must fingerprint the run: {r:?}");
         }
-        let doc = to_json_doc(&results, true);
-        assert!(doc.contains("\"e1_write_read_loop\""));
-        assert!(doc.contains("\"fabric_fanout_t1\""));
-        assert!(doc.contains("\"events_per_sec\""));
-        assert!(doc.contains("\"schema\": 3"));
-        assert!(doc.contains("\"host\""));
-        assert!(doc.contains("\"logical_cores\""));
-        assert!(doc.contains("\"threads\": 1"));
-        assert!(doc.contains("\"digest\""));
-        assert!(doc.contains("\"pool_hit_rate\""));
-        assert!(
-            !to_json_doc(&results, false).contains("\"sched\""),
-            "sched block must be opt-in"
-        );
     }
 
     #[test]
     fn fabric_fanout_digest_invariant_across_threads() {
-        // The tentpole determinism claim, on the scenario built to stress
-        // it: same events, same per-hop deliveries, bit-identical trace
-        // digest at 1, 2, 4 and 8 workers.
+        // Same events, same per-hop deliveries, bit-identical trace digest
+        // at 1, 2, 4 and 8 workers, on the scenario built to stress it.
         let base = fabric_fanout(150, 1);
         for threads in [2, 4, 8] {
-            let r = fabric_fanout(150, threads);
-            assert_eq!(r.digest, base.digest, "t{threads} digest diverged");
-            assert_eq!(r.events, base.events, "t{threads} event count diverged");
-            assert_eq!(r.packets, base.packets, "t{threads} packet count diverged");
+            assert_eq!(fabric_fanout(150, threads), base, "t{threads} diverged");
         }
     }
 
@@ -1519,10 +1053,7 @@ mod tests {
         // pause/mutate/resume is backend-invariant.
         let base = fabric_shard(300, 1);
         for threads in [2, 4] {
-            let r = fabric_shard(300, threads);
-            assert_eq!(r.digest, base.digest, "t{threads} digest diverged");
-            assert_eq!(r.events, base.events, "t{threads} event count diverged");
-            assert_eq!(r.packets, base.packets, "t{threads} packet count diverged");
+            assert_eq!(fabric_shard(300, threads), base, "t{threads} diverged");
         }
     }
 }

@@ -9,7 +9,11 @@
 //! format, op sizing, or event ordering shows up as a digest mismatch here
 //! before it can silently redefine the ablation.
 
-use extmem_bench::simperf::lookup_miss_storm_direct;
+use extmem_bench::simperf::{
+    e1_write_read_loop, faa_storm, fabric_fanout, fabric_shard, incast_scenario, insert_churn,
+    lookup_miss_storm, lookup_miss_storm_direct, loss_sweep, remote_ops, server_failover,
+    ScenarioResult,
+};
 
 /// Digest of `lookup_miss_storm_direct(500)` at the current wire format.
 /// If an intentional protocol change moves it, re-run and update — but an
@@ -31,8 +35,6 @@ fn direct_hash_ablation_wire_format_is_pinned() {
         r.digest, DIRECT_HASH_DIGEST
     );
 }
-
-use extmem_bench::simperf::{lookup_miss_storm, remote_ops};
 
 /// Digest of `lookup_miss_storm(500)` — the verb-mode cuckoo baseline that
 /// the remote-op ISA A/Bs against. With the `RemoteOps` knob off, the miss
@@ -63,4 +65,72 @@ fn remote_ops_wire_format_is_pinned() {
         "remote-op trace drifted: got {:016x}, pinned {:016x}",
         r.digest, REMOTE_OPS_DIGEST
     );
+}
+
+/// Every library scenario at the `sched_equivalence` scales: digest, events
+/// and per-hop packets. Topology construction (node, port and link order,
+/// RNG stream assignment) is part of what these pin — a scenario rebuilt on
+/// different plumbing must land on the same row.
+#[test]
+fn scenario_library_is_pinned() {
+    let pin = |name, digest, events, packets| ScenarioResult {
+        name,
+        events,
+        packets,
+        digest,
+    };
+    let table: [(fn() -> ScenarioResult, ScenarioResult); 11] = [
+        (
+            || e1_write_read_loop(400),
+            pin("e1_write_read_loop", 0x7cc9042bbfe52929, 7201, 2400),
+        ),
+        (
+            incast_scenario,
+            pin("incast", 0x803cd19e148b374f, 45029, 15892),
+        ),
+        (
+            || lookup_miss_storm(250),
+            pin("lookup_miss_storm", 0xbac1b6659fefc1e3, 3001, 1000),
+        ),
+        (
+            || lookup_miss_storm_direct(250),
+            pin("lookup_miss_storm_direct", 0x18f7849b82430d78, 3751, 1250),
+        ),
+        (
+            || remote_ops(250),
+            pin("remote_ops", 0x07b9249dd1f67d13, 3001, 1000),
+        ),
+        (
+            || insert_churn(600),
+            pin("insert_churn", 0xab415829b8e93444, 8606, 2804),
+        ),
+        (
+            || faa_storm(1_500),
+            pin("faa_storm", 0xd2894a8c94c564a5, 12508, 4080),
+        ),
+        (
+            || loss_sweep(2_000),
+            pin("loss_sweep", 0xb8d9423f05feb2ce, 77132, 25658),
+        ),
+        (
+            || server_failover(1_200),
+            pin("server_failover", 0xa2717890cf578759, 14581, 4728),
+        ),
+        (
+            || fabric_fanout(150, 2),
+            pin("fabric_fanout", 0xa9fb706ce4cacd5f, 25408, 7792),
+        ),
+        (
+            || fabric_shard(300, 2),
+            pin("fabric_shard", 0xb34f4a593b697b46, 56004, 20456),
+        ),
+    ];
+    for (run, pinned) in table {
+        let got = run();
+        assert_eq!(
+            got, pinned,
+            "{} drifted: got digest {:016x}",
+            pinned.name, got.digest
+        );
+    }
 }

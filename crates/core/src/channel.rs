@@ -71,22 +71,7 @@ impl RdmaChannel {
         nic: &mut RnicNode,
         region_size: ByteSize,
     ) -> RdmaChannel {
-        Self::setup_with(switch_endpoint, server_port, nic, region_size, false)
-    }
-
-    /// [`RdmaChannel::setup`] over a best-effort (relaxed-PSN) QP: the
-    /// responder accepts any PSN, so lost RDMA packets degrade to lost data
-    /// instead of NAKs. The shipping primitives no longer use this — they
-    /// run [`ReliableChannel`] over a strict QP and retransmit — but it
-    /// remains the substrate for best-effort experiments (§7 discusses the
-    /// trade-off).
-    pub fn setup_relaxed(
-        switch_endpoint: RoceEndpoint,
-        server_port: PortId,
-        nic: &mut RnicNode,
-        region_size: ByteSize,
-    ) -> RdmaChannel {
-        Self::setup_with(switch_endpoint, server_port, nic, region_size, true)
+        Self::setup_at_psn(switch_endpoint, server_port, nic, region_size, 0)
     }
 
     /// [`RdmaChannel::setup`] starting the PSN sequence at `start_psn`
@@ -100,29 +85,11 @@ impl RdmaChannel {
         start_psn: u32,
     ) -> RdmaChannel {
         let (rkey, base_va) = nic.register_region(region_size);
-        let qpn = nic.create_qp_with(switch_endpoint, SWITCH_QPN, start_psn, false);
+        let qpn = nic.create_qp(switch_endpoint, SWITCH_QPN, start_psn);
         let mut qp = RequesterQp::new(switch_endpoint, nic.endpoint(), qpn, nic.mtu());
         qp.npsn = start_psn;
         RdmaChannel {
             qp,
-            rkey,
-            base_va,
-            region_len: region_size.bytes(),
-            server_port,
-        }
-    }
-
-    fn setup_with(
-        switch_endpoint: RoceEndpoint,
-        server_port: PortId,
-        nic: &mut RnicNode,
-        region_size: ByteSize,
-        relaxed: bool,
-    ) -> RdmaChannel {
-        let (rkey, base_va) = nic.register_region(region_size);
-        let qpn = nic.create_qp_with(switch_endpoint, SWITCH_QPN, 0, relaxed);
-        RdmaChannel {
-            qp: RequesterQp::new(switch_endpoint, nic.endpoint(), qpn, nic.mtu()),
             rkey,
             base_va,
             region_len: region_size.bytes(),

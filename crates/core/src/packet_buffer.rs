@@ -367,11 +367,6 @@ impl PacketBufferProgram {
         self.widx - self.rdone
     }
 
-    /// Total ring capacity in entries.
-    pub fn ring_capacity(&self) -> u64 {
-        self.ring_entries
-    }
-
     /// The protected egress port.
     pub fn protected_port(&self) -> PortId {
         self.protected_port

@@ -502,11 +502,6 @@ impl ReplicatedPool {
         self.servers[0].channel.region_len()
     }
 
-    /// The primary's underlying channel (tests/diagnostics).
-    pub fn primary_channel(&self) -> &ReliableChannel {
-        &self.servers[self.primary].channel
-    }
-
     /// The reliability config in force (shared by every replica).
     pub fn config(&self) -> crate::channel::ReliableConfig {
         self.servers[0].channel.config()

@@ -292,14 +292,6 @@ impl ShardedStateStoreProgram {
         self.counters_per_shard * self.shards.iter().filter(|s| s.active).count() as u64
     }
 
-    /// Where a flow's update goes: `(shard, slot)`.
-    pub fn route_of(&self, flow: &FiveTuple) -> (u32, u64) {
-        (
-            self.ring.shard_for_flow(flow),
-            flow_index(flow, self.counters_per_shard),
-        )
-    }
-
     /// Per-shard stats snapshot.
     pub fn shard_stats(&self) -> Vec<ShardStats> {
         self.shards

@@ -65,11 +65,6 @@ impl StateStoreProgram {
         self.engine.stats()
     }
 
-    /// Replication-layer counters (all zero for single-server engines).
-    pub fn pool_stats(&self) -> crate::pool::PoolStats {
-        self.engine.pool().stats()
-    }
-
     /// The engine's replication pool (health/failover inspection).
     pub fn pool(&self) -> &crate::pool::ReplicatedPool {
         self.engine.pool()

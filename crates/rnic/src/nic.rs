@@ -217,24 +217,10 @@ impl RnicNode {
     /// Control plane: create a responder QP for a peer. Returns the QPN the
     /// peer must put in its request BTHs.
     pub fn create_qp(&mut self, peer: RoceEndpoint, peer_qpn: QpNum, start_psn: u32) -> QpNum {
-        self.create_qp_with(peer, peer_qpn, start_psn, false)
-    }
-
-    /// [`RnicNode::create_qp`] with control over PSN strictness. Pass
-    /// `relaxed = true` for best-effort channels (see
-    /// [`crate::qp::QueuePair::relaxed_psn`]).
-    pub fn create_qp_with(
-        &mut self,
-        peer: RoceEndpoint,
-        peer_qpn: QpNum,
-        start_psn: u32,
-        relaxed: bool,
-    ) -> QpNum {
         let qpn = QpNum(self.next_qpn);
         self.next_qpn += 1;
-        let qp = QueuePair::new(qpn, peer, peer_qpn, start_psn);
         self.qps
-            .insert(qpn, if relaxed { qp.relaxed() } else { qp });
+            .insert(qpn, QueuePair::new(qpn, peer, peer_qpn, start_psn));
         qpn
     }
 

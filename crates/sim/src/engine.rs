@@ -18,6 +18,7 @@ use crate::partition::{
 };
 use crate::trace::{TraceEvent, TraceSink};
 use extmem_types::{LinkId, NodeId, PortId, Rate, Time, TimeDelta};
+use extmem_wire::bytes::ThreadCounts;
 use extmem_wire::Packet;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -422,6 +423,9 @@ struct Partition {
     /// while a node runs its own callback).
     nodes: Vec<Option<Box<dyn Node>>>,
     core: EngineCore,
+    /// The wire counters of the worker thread that last ran this
+    /// partition, left here for the driving thread to absorb.
+    worker_counts: ThreadCounts,
 }
 
 impl Partition {
@@ -705,6 +709,7 @@ impl SimBuilder {
                 let mut queue = EventQueue::new();
                 queue.ensure_lanes(topo.links.len() * 4);
                 Partition {
+                    worker_counts: ThreadCounts::default(),
                     nodes: (0..n).map(|_| None).collect(),
                     core: EngineCore {
                         now: Time::ZERO,
@@ -857,11 +862,6 @@ impl Simulator {
         }
     }
 
-    /// Whether `node` is currently crashed.
-    pub fn node_crashed(&self, node: NodeId) -> bool {
-        self.parts[self.owner(node)].core.crashed[node.raw() as usize]
-    }
-
     /// Deliveries and timers discarded while `node` was crashed.
     pub fn crash_drops(&self, node: NodeId) -> u64 {
         self.parts[self.owner(node)].core.crash_drops[node.raw() as usize]
@@ -946,9 +946,17 @@ impl Simulator {
         std::thread::scope(|s| {
             for part in &mut self.parts {
                 let shared = &*shared;
-                s.spawn(move || part.run_loop(deadline, quiesce, shared));
+                s.spawn(move || {
+                    part.run_loop(deadline, quiesce, shared);
+                    part.worker_counts = ThreadCounts::current();
+                });
             }
         });
+        // The wire counters are per thread: fold each worker's into the
+        // driving thread so a delta taken around this run covers all of it.
+        for p in &mut self.parts {
+            std::mem::take(&mut p.worker_counts).absorb();
+        }
         if quiesce {
             // Partitions stop at the time of their own last event; the
             // simulation's quiescence instant is the latest of those.

@@ -239,13 +239,6 @@ pub(crate) fn current_backend() -> SchedBackend {
     BACKEND.with(|c| c.get())
 }
 
-/// Worker threads the ambient backend would give a simulation built now —
-/// 1 for the sequential backends, `n` for [`SchedBackend::Parallel`]. The
-/// perf harness records this per scenario in its JSON baseline.
-pub fn current_sched_threads() -> usize {
-    current_backend().threads()
-}
-
 /// The 24-byte key the cores actually sort: fire time, schedule sequence,
 /// and the slab slot holding the [`EventKind`].
 #[derive(Debug, Clone, Copy)]

@@ -70,11 +70,6 @@ impl FabricSpec {
         PortId(l as u16)
     }
 
-    /// Total ports on each leaf.
-    pub fn leaf_ports(&self) -> usize {
-        self.hosts_per_leaf + self.spines
-    }
-
     /// Materialize the fabric into `b`. The factories supply each node's
     /// behavior: `leaf(l)`, `spine(s)`, and `host(l, i)` for host `i` of
     /// pod `l`.

@@ -38,7 +38,7 @@ pub mod trace;
 
 pub use engine::{SimBuilder, Simulator};
 pub use fabric::{Fabric, FabricSpec};
-pub use event::{current_sched_threads, with_sched_backend, SchedBackend, SchedStats, TimerHandle};
+pub use event::{with_sched_backend, SchedBackend, SchedStats, TimerHandle};
 pub use partition::ParStats;
 pub use link::{FaultSpec, LinkSpec, LinkStats};
 pub use node::{Node, NodeCtx};

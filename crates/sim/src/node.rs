@@ -63,11 +63,6 @@ impl NodeCtx<'_> {
         self.core.now
     }
 
-    /// This node's id.
-    pub fn node_id(&self) -> NodeId {
-        self.node
-    }
-
     /// Begin serializing `packet` out of `port`.
     ///
     /// # Panics

@@ -75,11 +75,6 @@ impl TraceSink {
         }
     }
 
-    /// Whether full event recording is on.
-    pub fn is_recording(&self) -> bool {
-        self.record
-    }
-
     /// Fold one delivery on direction `dir` into its rolling digest. This
     /// is the hot path (it runs on every delivered packet): it stays
     /// allocation-free — the previous digest and the fields are serialized

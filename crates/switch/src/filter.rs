@@ -64,11 +64,6 @@ impl ChoiceFilter {
         }
     }
 
-    /// Number of counter cells.
-    pub fn cell_count(&self) -> usize {
-        self.counts.len()
-    }
-
     /// Number of hash functions.
     pub fn hashes(&self) -> u32 {
         self.hashes

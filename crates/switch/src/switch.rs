@@ -166,11 +166,6 @@ impl SwitchCtx<'_, '_, '_> {
         self.tm.queue_packets(port)
     }
 
-    /// Total buffered bytes across all queues.
-    pub fn buffer_used(&self) -> u64 {
-        self.tm.total_bytes()
-    }
-
     /// Send `pkt` through the recirculation path: it re-enters the pipeline
     /// as if received on [`RECIRC_PORT`] after the configured recirculation
     /// latency.

@@ -12,39 +12,84 @@
 //! * copy-on-write mutation via [`Payload::make_mut`] (the fault injector's
 //!   byte flip affects only the in-flight copy, never the sender's view).
 //!
-//! Two global counters — [`alloc_count`] and [`cow_count`] — let tests pin
-//! the zero-copy property: forwarding a packet across N hops must not move
-//! either counter.
+//! Two per-thread counters — [`alloc_count`] and [`cow_count`] — let tests
+//! pin the zero-copy property: forwarding a packet across N hops must not
+//! move either counter. A thread's counters see only that thread's work, so
+//! a delta taken around a run is that run's by construction; the parallel
+//! scheduler folds each worker's counts into the driving thread at join
+//! ([`ThreadCounts::absorb`]).
 
+use core::cell::Cell;
 use core::fmt;
 use std::ops::{Deref, Range};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static COW_COPIES: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    static COUNTS: Cell<ThreadCounts> = const {
+        Cell::new(ThreadCounts {
+            allocs: 0,
+            cows: 0,
+            digests: 0,
+        })
+    };
+}
 
-/// Total backing-buffer allocations since process start. A hop that copies
-/// payload bytes shows up as a delta here; the zero-copy tests assert the
-/// delta stays at the per-packet construction cost.
+/// Update the calling thread's counters.
+pub(crate) fn count(update: impl FnOnce(&mut ThreadCounts)) {
+    COUNTS.with(|c| {
+        let mut counts = c.get();
+        update(&mut counts);
+        c.set(counts);
+    });
+}
+
+/// Backing-buffer allocations made on this thread (plus absorbed worker
+/// counts) so far. A hop that copies payload bytes shows up as a delta
+/// here; the zero-copy tests assert the delta stays at the per-packet
+/// construction cost.
 pub fn alloc_count() -> u64 {
-    ALLOCS.load(Ordering::Relaxed)
+    ThreadCounts::current().allocs
 }
 
-/// Total copy-on-write copies since process start (mutations of a shared or
-/// windowed buffer).
+/// Copy-on-write copies (mutations of a shared or windowed buffer) made on
+/// this thread (plus absorbed worker counts) so far.
 pub fn cow_count() -> u64 {
-    COW_COPIES.load(Ordering::Relaxed)
+    ThreadCounts::current().cows
 }
 
-/// A scoped measurement window over the process-global wire counters
-/// (buffer allocations, CoW copies, digest computations).
-///
-/// The counters are shared by every thread in the process, so concurrent
-/// counter-sensitive tests would corrupt each other's deltas. A span takes
-/// a process-wide lock for its lifetime: tests simply hold a span instead
-/// of hand-rolling a shared mutex, and read deltas relative to the values
-/// captured at creation.
+/// The calling thread's wire counters as a value: what a worker thread
+/// hands back when it is joined.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ThreadCounts {
+    /// [`alloc_count`].
+    pub allocs: u64,
+    /// [`cow_count`].
+    pub cows: u64,
+    /// [`crate::packet::digest_compute_count`].
+    pub digests: u64,
+}
+
+impl ThreadCounts {
+    /// The calling thread's counters now.
+    pub fn current() -> ThreadCounts {
+        COUNTS.with(Cell::get)
+    }
+
+    /// Add counts taken on another thread to the calling thread's
+    /// counters, so work done by joined workers stays visible to whoever
+    /// drove them.
+    pub fn absorb(self) {
+        count(|c| {
+            c.allocs += self.allocs;
+            c.cows += self.cows;
+            c.digests += self.digests;
+        });
+    }
+}
+
+/// A measurement window over the calling thread's wire counters (buffer
+/// allocations, CoW copies, digest computations): a snapshot at creation,
+/// deltas read relative to it.
 ///
 /// ```
 /// use extmem_wire::bytes::CounterSpan;
@@ -56,40 +101,30 @@ pub fn cow_count() -> u64 {
 /// assert_eq!(span.cows(), 0);
 /// ```
 pub struct CounterSpan {
-    _lock: std::sync::MutexGuard<'static, ()>,
-    allocs0: u64,
-    cows0: u64,
-    digests0: u64,
+    start: ThreadCounts,
 }
 
 impl CounterSpan {
-    /// Open a measurement window, blocking until no other span is live.
+    /// Open a measurement window on the calling thread.
     pub fn begin() -> CounterSpan {
-        static SPAN_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        // A panicking holder poisons the mutex but leaves the counters
-        // merely larger; the next span re-baselines, so poison is harmless.
-        let lock = SPAN_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         CounterSpan {
-            _lock: lock,
-            allocs0: alloc_count(),
-            cows0: cow_count(),
-            digests0: crate::packet::digest_compute_count(),
+            start: ThreadCounts::current(),
         }
     }
 
     /// Backing-buffer allocations since the span opened.
     pub fn allocs(&self) -> u64 {
-        alloc_count() - self.allocs0
+        alloc_count() - self.start.allocs
     }
 
     /// Copy-on-write copies since the span opened.
     pub fn cows(&self) -> u64 {
-        cow_count() - self.cows0
+        cow_count() - self.start.cows
     }
 
     /// Cold digest computations since the span opened.
     pub fn digests(&self) -> u64 {
-        crate::packet::digest_compute_count() - self.digests0
+        ThreadCounts::current().digests - self.start.digests
     }
 }
 
@@ -124,7 +159,7 @@ impl Payload {
         if bytes.is_empty() {
             return Payload::empty();
         }
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count(|c| c.allocs += 1);
         let len = bytes.len();
         Payload {
             buf: Arc::new(bytes),
@@ -187,7 +222,7 @@ impl Payload {
     pub fn make_mut(&mut self) -> &mut [u8] {
         let whole = self.off == 0 && self.len == self.buf.len();
         if !(whole && Arc::strong_count(&self.buf) == 1) {
-            COW_COPIES.fetch_add(1, Ordering::Relaxed);
+            count(|c| c.cows += 1);
             *self = Payload::copy_from_slice(self.as_slice());
         }
         // The replacement above guarantees unique ownership; an empty

@@ -3,16 +3,13 @@
 use crate::bytes::Payload;
 use core::cell::Cell;
 use core::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 
-static DIGEST_COMPUTES: AtomicU64 = AtomicU64::new(0);
-
-/// Total cold (uncached) content-digest computations since process start.
-/// Forwarding one packet across N hops must cost exactly one computation —
-/// the digest-cache tests pin the delta, mirroring the alloc/CoW counters
-/// in [`crate::bytes`].
+/// Cold (uncached) content-digest computations made on this thread (plus
+/// absorbed worker counts) so far. Forwarding one packet across N hops
+/// must cost exactly one computation — the digest-cache tests pin the
+/// delta, mirroring the alloc/CoW counters in [`crate::bytes`].
 pub fn digest_compute_count() -> u64 {
-    DIGEST_COMPUTES.load(Ordering::Relaxed)
+    crate::bytes::ThreadCounts::current().digests
 }
 
 /// An owned, contiguous packet as it appears on the wire, starting at the
@@ -128,7 +125,7 @@ impl Packet {
         if let Some(d) = self.digest.get() {
             return d;
         }
-        DIGEST_COMPUTES.fetch_add(1, Ordering::Relaxed);
+        crate::bytes::count(|c| c.digests += 1);
         let d = digest64(self.as_slice());
         self.digest.set(Some(d));
         d

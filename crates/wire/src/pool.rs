@@ -11,8 +11,8 @@
 //! Recycling is strictly best-effort. A payload still shared with another
 //! clone simply isn't recovered, and the free list is bounded in both entry
 //! count and per-buffer capacity so a burst of jumbo frames cannot pin
-//! memory forever. The [`hit_count`]/[`miss_count`] counters feed the
-//! scheduler-stats report of the perf harness (`simperf --sched-stats`).
+//! memory forever. The [`hit_count`]/[`miss_count`] counters report how
+//! often the loop closes (`wire.frame_pool_hit_rate` in the benchmark).
 
 use crate::bytes::Payload;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -87,13 +87,16 @@ pub fn miss_count() -> u64 {
 mod tests {
     use super::*;
 
-    // The pool is process-global, so tests serialize on the counter span
-    // lock used by the other wire counters.
-    use crate::bytes::CounterSpan;
+    /// The pool is process-global, so the tests that read its counters
+    /// take turns.
+    fn serial() -> std::sync::MutexGuard<'static, ()> {
+        static TURN: Mutex<()> = Mutex::new(());
+        TURN.lock().unwrap_or_else(|e| e.into_inner())
+    }
 
     #[test]
     fn take_give_roundtrip_reuses_capacity() {
-        let _span = CounterSpan::begin();
+        let _turn = serial();
         let mut b = take();
         b.extend_from_slice(&[1, 2, 3, 4]);
         let cap = b.capacity();
@@ -107,7 +110,7 @@ mod tests {
 
     #[test]
     fn recycle_recovers_sole_owner_only() {
-        let _span = CounterSpan::begin();
+        let _turn = serial();
         // Shared payload: not recovered.
         let p = Payload::from_vec(vec![9; 64]);
         let clone = p.clone();
@@ -126,7 +129,7 @@ mod tests {
 
     #[test]
     fn oversized_and_empty_buffers_are_not_pooled() {
-        let _span = CounterSpan::begin();
+        let _turn = serial();
         // Drain the free list so the next take is a deterministic miss.
         free_list().clear();
         give(Vec::new());

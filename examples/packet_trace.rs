@@ -8,38 +8,21 @@
 //!
 //! Run with: `cargo run --release --example packet_trace`
 
-use extmem_apps::scenario::{host_endpoint, host_ip, host_mac, switch_endpoint};
-use extmem_apps::workload::{FlowPick, SinkNode, TrafficGenNode, WorkloadSpec};
+use extmem_apps::scenario::{host_ip, host_mac, Built, Testbed};
+use extmem_apps::workload::{FlowPick, WorkloadSpec};
 use extmem_core::trace_store::{analysis, read_remote_trace, TraceStoreProgram};
-use extmem_core::{Fib, RdmaChannel};
 use extmem_rnic::{RnicConfig, RnicNode};
-use extmem_sim::{LinkSpec, SimBuilder};
+use extmem_sim::LinkSpec;
 use extmem_switch::{SwitchConfig, SwitchNode};
-use extmem_types::{ByteSize, FiveTuple, PortId, Rate, Time, TimeDelta};
+use extmem_types::{ByteSize, FiveTuple, Rate, Time, TimeDelta};
 
 fn main() {
-    // Control plane: a 1 MB trace ring on the telemetry server.
-    let mut nic = RnicNode::new("tracesrv", RnicConfig::at(host_endpoint(2)));
-    let channel = RdmaChannel::setup(switch_endpoint(), PortId(2), &mut nic, ByteSize::from_mb(1));
-    let (rkey, base) = (channel.rkey, channel.base_va);
-
-    let mut fib = Fib::new(8);
-    fib.install(host_mac(0), PortId(0));
-    fib.install(host_mac(1), PortId(1));
-    // Batch 8 records per WRITE (see ablation A7 for why batching matters).
-    let program = TraceStoreProgram::new(fib, channel, 8, TimeDelta::from_micros(20));
-
     let flows: Vec<FiveTuple> = (0..12)
         .map(|i| FiveTuple::new(host_ip(0), host_ip(1), 6000 + i, 9000, 17))
         .collect();
-    let mut b = SimBuilder::new(2);
-    let switch = b.add_node(Box::new(SwitchNode::new(
-        "tor",
-        SwitchConfig::default(),
-        Box::new(program),
-    )));
-    let sender = b.add_node(Box::new(TrafficGenNode::new(
-        "sender",
+    let link = LinkSpec::testbed_40g();
+    let mut tb = Testbed::new(2);
+    tb.gen(
         WorkloadSpec {
             src_mac: host_mac(0),
             dst_mac: host_mac(1),
@@ -52,21 +35,25 @@ fn main() {
             seed: 11,
             flow_id_base: 0,
         },
-    )));
-    let receiver = b.add_node(Box::new(SinkNode::new("receiver")));
-    let link = LinkSpec::testbed_40g();
-    b.connect(switch, PortId(0), sender, PortId(0), link);
-    b.connect(switch, PortId(1), receiver, PortId(0), link);
-    let server = b.add_node(Box::new(nic));
-    b.connect(switch, PortId(2), server, PortId(0), link);
-
-    let mut sim = b.build();
-    sim.schedule_timer(sender, TimeDelta::ZERO, TrafficGenNode::KICK_TOKEN);
+        link,
+    );
+    tb.sink(link);
+    // Control plane: a 1 MB trace ring on the telemetry server.
+    let (_, channel) = tb.server(RnicConfig::default(), ByteSize::from_mb(1), link);
+    let (rkey, base) = (channel.rkey, channel.base_va);
+    // Batch 8 records per WRITE (see ablation A7 for why batching matters).
+    let program = TraceStoreProgram::new(tb.fib(), channel, 8, TimeDelta::from_micros(20));
+    let Built {
+        mut sim,
+        switch,
+        servers,
+        ..
+    } = tb.build(SwitchConfig::default(), Box::new(program));
     sim.run_until(Time::from_millis(5));
 
     let sw: &SwitchNode = sim.node::<SwitchNode>(switch);
     let prog = sw.program::<TraceStoreProgram>();
-    let nic = sim.node::<RnicNode>(server);
+    let nic = sim.node::<RnicNode>(servers[0]);
     println!(
         "captured {} events in {} RDMA WRITEs; server CPU packets: {}",
         prog.captured(),

@@ -8,58 +8,25 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use extmem_apps::scenario::{host_endpoint, host_ip, host_mac, switch_endpoint};
-use extmem_apps::workload::{FlowPick, SinkNode, TrafficGenNode, WorkloadSpec};
+use extmem_apps::scenario::{host_ip, host_mac, Built, Testbed};
+use extmem_apps::workload::{FlowPick, SinkNode, WorkloadSpec};
 use extmem_core::faa::{FaaConfig, FaaEngine};
 use extmem_core::state_store::{read_remote_counters, StateStoreProgram};
-use extmem_core::{Fib, RdmaChannel};
 use extmem_rnic::{RnicConfig, RnicNode};
-use extmem_sim::{LinkSpec, SimBuilder};
+use extmem_sim::LinkSpec;
 use extmem_switch::{SwitchConfig, SwitchNode};
-use extmem_types::{ByteSize, FiveTuple, PortId, Rate, Time, TimeDelta};
+use extmem_types::{ByteSize, FiveTuple, Rate, Time, TimeDelta};
 
 fn main() {
     // ---------------------------------------------------------------
-    // 1. Control plane (the only CPU involvement in the whole design):
-    //    register memory on the server and set up the RDMA channel.
+    // 1. Topology: sender (port 0) -- switch -- receiver (port 1).
     // ---------------------------------------------------------------
-    let counters = 1024u64;
-    let mut nic = RnicNode::new("memory-server", RnicConfig::at(host_endpoint(2)));
-    let channel = RdmaChannel::setup(
-        switch_endpoint(),
-        PortId(2), // the switch port the server hangs off
-        &mut nic,
-        ByteSize::from_bytes(counters * 8),
-    );
-    let (rkey, base_va) = (channel.rkey, channel.base_va);
-    println!(
-        "channel: qpn={} rkey={} base=0x{:x}",
-        channel.qp.peer_qpn, rkey, base_va
-    );
-
-    // ---------------------------------------------------------------
-    // 2. The data-plane program: L2 forwarding + remote per-flow counting.
-    // ---------------------------------------------------------------
-    let mut fib = Fib::new(8);
-    fib.install(host_mac(0), PortId(0));
-    fib.install(host_mac(1), PortId(1));
-    let engine = FaaEngine::new(channel, FaaConfig::default());
-    let program = StateStoreProgram::new(fib, engine, TimeDelta::from_micros(50));
-
-    // ---------------------------------------------------------------
-    // 3. Topology: sender -- switch -- receiver, memory server on port 2.
-    // ---------------------------------------------------------------
-    let mut b = SimBuilder::new(1);
-    let switch = b.add_node(Box::new(SwitchNode::new(
-        "tor",
-        SwitchConfig::default(),
-        Box::new(program),
-    )));
+    let link = LinkSpec::testbed_40g();
+    let mut tb = Testbed::new(1);
     let flows: Vec<FiveTuple> = (0..4)
         .map(|i| FiveTuple::new(host_ip(0), host_ip(1), 5000 + i, 9000, 17))
         .collect();
-    let sender = b.add_node(Box::new(TrafficGenNode::new(
-        "sender",
+    tb.gen(
         WorkloadSpec {
             src_mac: host_mac(0),
             dst_mac: host_mac(1),
@@ -72,26 +39,51 @@ fn main() {
             seed: 7,
             flow_id_base: 0,
         },
-    )));
-    let receiver = b.add_node(Box::new(SinkNode::new("receiver")));
-    let link = LinkSpec::testbed_40g();
-    b.connect(switch, PortId(0), sender, PortId(0), link);
-    b.connect(switch, PortId(1), receiver, PortId(0), link);
-    let server = b.add_node(Box::new(nic));
-    b.connect(switch, PortId(2), server, PortId(0), link);
+        link,
+    );
+    tb.sink(link);
 
     // ---------------------------------------------------------------
-    // 4. Run. After the workload, give the switch a moment to flush its
-    //    outstanding Fetch-and-Adds.
+    // 2. Control plane (the only CPU involvement in the whole design):
+    //    a memory server on port 2; register memory on it and set up the
+    //    RDMA channel.
     // ---------------------------------------------------------------
-    let mut sim = b.build();
-    sim.schedule_timer(sender, TimeDelta::ZERO, TrafficGenNode::KICK_TOKEN);
+    let counters = 1024u64;
+    let (_, channel) = tb.server(
+        RnicConfig::default(),
+        ByteSize::from_bytes(counters * 8),
+        link,
+    );
+    let (rkey, base_va) = (channel.rkey, channel.base_va);
+    println!(
+        "channel: qpn={} rkey={} base=0x{:x}",
+        channel.qp.peer_qpn, rkey, base_va
+    );
+
+    // ---------------------------------------------------------------
+    // 3. The data-plane program: L2 forwarding + remote per-flow counting.
+    // ---------------------------------------------------------------
+    let engine = FaaEngine::new(channel, FaaConfig::default());
+    let program = StateStoreProgram::new(tb.fib(), engine, TimeDelta::from_micros(50));
+
+    // ---------------------------------------------------------------
+    // 4. Build (wires the links, starts the sender) and run. After the
+    //    workload, give the switch a moment to flush its outstanding
+    //    Fetch-and-Adds.
+    // ---------------------------------------------------------------
+    let Built {
+        mut sim,
+        switch,
+        hosts,
+        servers,
+        ..
+    } = tb.build(SwitchConfig::default(), Box::new(program));
     sim.run_until(Time::from_millis(5));
 
     // ---------------------------------------------------------------
     // 5. Inspect: end-to-end delivery, and counters in server DRAM.
     // ---------------------------------------------------------------
-    let sink = sim.node::<SinkNode>(receiver);
+    let sink = sim.node::<SinkNode>(hosts[1]);
     println!(
         "forwarded {} packets end-to-end, median latency {}",
         sink.received,
@@ -100,7 +92,7 @@ fn main() {
 
     let sw: &SwitchNode = sim.node::<SwitchNode>(switch);
     let prog = sw.program::<StateStoreProgram>();
-    let nic = sim.node::<RnicNode>(server);
+    let nic = sim.node::<RnicNode>(servers[0]);
     let remote = read_remote_counters(nic, rkey, base_va, counters);
 
     println!("\nper-flow counters (read from the server's DRAM):");

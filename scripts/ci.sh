@@ -1,9 +1,7 @@
 #!/usr/bin/env bash
-# The full local CI gate: release build, tests, lints, perf smoke.
-#
-# The perf comparison is advisory here (it prints, but a shared/loaded
-# machine must not fail CI); run scripts/perf_check.sh directly for the
-# enforcing version.
+# The full local CI gate: release build, tests, lints, release re-runs of
+# the timing-sensitive suites. Host-time performance is not gated here; it
+# is measured by the repo benchmark (BENCHMARK.json, crates/benchmark).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -11,7 +9,23 @@ echo "== cargo build --release =="
 cargo build --release
 
 echo "== cargo test =="
-cargo test -q
+# --no-fail-fast: one red suite must not hide the ones after it. Quiet goes
+# to the test harness (`-- -q`), not to cargo: cargo's own -q would drop
+# the "Running <suite>" lines the per-suite summary is keyed on.
+test_log="$(mktemp)"
+trap 'rm -f "$test_log"' EXIT
+test_rc=0
+cargo test --no-fail-fast -- -q 2>&1 | tee "$test_log" || test_rc=$?
+echo "-- per-suite summary --"
+awk '
+    $1 == "Running"   { suite = ($2 == "unittests" ? $3 " " $4 : $2 " " $3) }
+    $1 == "Doc-tests" { suite = "doc-tests " $2 }
+    /^test result:/   { printf "%-6s %s: %d passed, %d failed\n", ($3 == "ok." ? "ok" : "FAILED"), suite, $4, $6 }
+' "$test_log"
+if [ "$test_rc" -ne 0 ]; then
+    echo "FAIL: cargo test (FAILED suites above)" >&2
+    exit "$test_rc"
+fi
 
 echo "== cargo clippy (deny warnings) =="
 cargo clippy --all-targets -- -D warnings
@@ -42,39 +56,12 @@ cargo test -q --release --test fault_matrix crash_
 echo "== scheduler equivalence proptests (release) =="
 # The timing-wheel vs binary-heap oracle properties plus the parallel
 # engine's lookahead-safety and digest-equivalence properties, under the
-# optimized profile the perf numbers are measured with (overflow/ordering
-# bugs can be profile-dependent).
+# optimized profile (overflow/ordering bugs can be profile-dependent).
 cargo test -q --release --test structure_proptests
 
-echo "== backend equivalence at 1/2/4 workers (release) =="
-# The full-scenario equivalence suite at three parallel worker counts.
-# Each run already asserts wheel == heap == parallel(N) internally; the
-# digest lines it prints are additionally compared *across* the three
-# runs, so a thread-count-dependent trace can't slip through even if it
-# were self-consistent within one run.
-digest_log="$(mktemp)"
-trap 'rm -f "$digest_log"' EXIT
-for n in 1 2 4; do
-    EXTMEM_SCHED_THREADS=$n cargo test -q --release --test sched_equivalence -- --nocapture \
-        | grep '^sched_equivalence ' | sort > "$digest_log.$n"
-done
-if ! diff -q "$digest_log.1" "$digest_log.2" >/dev/null \
-    || ! diff -q "$digest_log.1" "$digest_log.4" >/dev/null; then
-    echo "FAIL: scenario digests differ across EXTMEM_SCHED_THREADS=1,2,4" >&2
-    diff "$digest_log.1" "$digest_log.2" >&2 || true
-    diff "$digest_log.1" "$digest_log.4" >&2 || true
-    exit 1
-fi
-rm -f "$digest_log.1" "$digest_log.2" "$digest_log.4"
-echo "digests identical across 1, 2 and 4 workers"
-
-echo "== perf smoke (advisory) =="
-perf_rc=0
-scripts/perf_check.sh || perf_rc=$?
-case "$perf_rc" in
-    0) echo "perf: within tolerance of BENCH_simperf.json" ;;
-    3) echo "perf: SKIPPED - gate could not run (missing jq or baseline); no comparison was made" ;;
-    *) echo "perf: WARNING - below baseline tolerance (not failing CI; investigate or re-baseline)" ;;
-esac
+echo "== backend equivalence and scenario pins (release) =="
+# Every library scenario on wheel, heap and parallel(1/2/4), each asserted
+# equal in-process, plus the pinned digests.
+cargo test -q --release --test sched_equivalence --test wire_pin
 
 echo "== ci.sh: all gates passed =="

@@ -14,25 +14,84 @@
 //!   cuckoo mode, demonstrated end to end by steering the packets to
 //!   different egress ports.
 
-use extmem_apps::scenario::{host_endpoint, host_ip, host_mac, switch_endpoint};
-use extmem_apps::workload::{Arrival, FlowPick, SinkNode, TrafficGenNode, WorkloadSpec};
+use extmem_apps::scenario::{host_ip, host_mac, Built, Testbed};
+use extmem_apps::workload::{Arrival, FlowPick, SinkNode, WorkloadSpec};
 use extmem_core::cuckoo::{CuckooConfig, CuckooDirectory};
 use extmem_core::lookup::{
     install_cuckoo_image, install_remote_action, ActionEntry, ChurnScript, ControlOp,
-    LookupTableProgram, TOKEN_CHURN,
+    LookupTableProgram, TOKEN_CHURN, TOKEN_CONTROL,
 };
-use extmem_core::{Fib, RdmaChannel};
+use extmem_core::RdmaChannel;
 use extmem_rnic::{RnicConfig, RnicNode};
-use extmem_sim::{LinkSpec, SimBuilder};
+use extmem_sim::LinkSpec;
 use extmem_switch::switch::program_token;
 use extmem_switch::{SwitchConfig, SwitchNode};
-use extmem_types::{ByteSize, FiveTuple, PortId, Rate, TimeDelta};
+use extmem_types::{ByteSize, FiveTuple, PortId, Rate, Time, TimeDelta};
 
-fn lookup_fib() -> Fib {
-    let mut fib = Fib::new(8);
-    fib.install(host_mac(0), PortId(0));
-    fib.install(host_mac(1), PortId(1));
-    fib
+/// Paced 256 B traffic over `flows` from host 0 to host 1.
+fn traffic(
+    flows: Vec<FiveTuple>,
+    pick: FlowPick,
+    gbps: u64,
+    count: u64,
+    seed: u64,
+) -> WorkloadSpec {
+    WorkloadSpec {
+        src_mac: host_mac(0),
+        dst_mac: host_mac(1),
+        flows: flows.into(),
+        pick,
+        frame_len: 256,
+        offered: Some(Rate::from_gbps(gbps)),
+        arrival: Arrival::Paced,
+        count,
+        seed,
+        flow_id_base: 0,
+    }
+}
+
+/// A sink that checks every delivered frame carries `dscp`.
+fn dscp_sink(dscp: u8) -> SinkNode {
+    let mut sink = SinkNode::new("server");
+    sink.expect_dscp = Some(dscp);
+    sink
+}
+
+/// Client on port 0, DSCP-checking server on port 1, table server of
+/// `region_bytes` on port 2.
+fn lookup_rig(
+    seed: u64,
+    spec: WorkloadSpec,
+    dscp: u8,
+    region_bytes: u64,
+) -> (Testbed, usize, RdmaChannel) {
+    let link = LinkSpec::testbed_40g();
+    let mut tb = Testbed::new(seed);
+    tb.gen(spec, link);
+    tb.host(dscp_sink(dscp), link);
+    let (table, channel) = tb.server(
+        RnicConfig::default(),
+        ByteSize::from_bytes(region_bytes),
+        link,
+    );
+    (tb, table, channel)
+}
+
+/// The table server's bytes must equal the program's directory image.
+fn assert_region_matches_directory(t: &Built, rkey: extmem_types::Rkey, base_va: u64) {
+    let sw: &SwitchNode = t.sim.node(t.switch);
+    let image = sw
+        .program::<LookupTableProgram>()
+        .directory()
+        .unwrap()
+        .encode_region();
+    let remote = t
+        .sim
+        .node::<RnicNode>(t.servers[0])
+        .region(rkey)
+        .read(base_va, image.len() as u64)
+        .unwrap();
+    assert_eq!(remote, &image[..], "remote region diverged from directory");
 }
 
 /// Live churn under traffic: every lookup issued while relocations are in
@@ -78,52 +137,23 @@ fn relocation_storm(remote_ops: bool) {
         period: TimeDelta::from_micros(1),
     };
 
-    let mut nic = RnicNode::new("tablesrv", RnicConfig::at(host_endpoint(2)));
-    let channel = RdmaChannel::setup(
-        switch_endpoint(),
-        PortId(2),
-        &mut nic,
-        ByteSize::from_bytes(dir.region_bytes()),
-    );
+    let spec = traffic(flows, FlowPick::Zipf(1.1), 5, COUNT, 17);
+    let (mut tb, table, channel) = lookup_rig(83, spec, DSCP, dir.region_bytes());
     let (rkey, base_va) = (channel.rkey, channel.base_va);
-    install_cuckoo_image(&mut nic, &channel, &dir);
-    let prog = LookupTableProgram::cuckoo(lookup_fib(), channel, dir, None)
+    install_cuckoo_image(tb.nic_mut(table), &channel, &dir);
+    let prog = LookupTableProgram::cuckoo(tb.fib(), channel, dir, None)
         .with_remote_ops(remote_ops)
         .with_churn(script);
+    let mut t = tb.build(SwitchConfig::default(), Box::new(prog));
+    t.sim.schedule_timer(
+        t.switch,
+        TimeDelta::from_micros(2),
+        program_token(TOKEN_CHURN),
+    );
+    t.sim.run_to_quiescence();
 
-    let mut b = SimBuilder::new(83);
-    let switch = b.add_node(Box::new(SwitchNode::new(
-        "tor",
-        SwitchConfig::default(),
-        Box::new(prog),
-    )));
-    let spec = WorkloadSpec {
-        src_mac: host_mac(0),
-        dst_mac: host_mac(1),
-        flows: flows.into(),
-        pick: FlowPick::Zipf(1.1),
-        frame_len: 256,
-        offered: Some(Rate::from_gbps(5)),
-        arrival: Arrival::Paced,
-        count: COUNT,
-        seed: 17,
-        flow_id_base: 0,
-    };
-    let gen = b.add_node(Box::new(TrafficGenNode::new("client", spec)));
-    let mut sink = SinkNode::new("server");
-    sink.expect_dscp = Some(DSCP);
-    let server = b.add_node(Box::new(sink));
-    let link = LinkSpec::testbed_40g();
-    b.connect(switch, PortId(0), gen, PortId(0), link);
-    b.connect(switch, PortId(1), server, PortId(0), link);
-    let table = b.add_node(Box::new(nic));
-    b.connect(switch, PortId(2), table, PortId(0), link);
-
-    let mut sim = b.build();
-    sim.schedule_timer(gen, TimeDelta::ZERO, TrafficGenNode::KICK_TOKEN);
-    sim.schedule_timer(switch, TimeDelta::from_micros(2), program_token(TOKEN_CHURN));
-    sim.run_to_quiescence();
-
+    let sim = &t.sim;
+    let (switch, server, table) = (t.switch, t.hosts[1], t.servers[0]);
     let sink = sim.node::<SinkNode>(server);
     let sw: &SwitchNode = sim.node(switch);
     let prog = sw.program::<LookupTableProgram>();
@@ -145,17 +175,10 @@ fn relocation_storm(remote_ops: bool) {
 
     // The remote bytes and the data plane's filter both converge to the
     // control-plane directory exactly.
-    let dir = prog.directory().unwrap();
-    let image = dir.encode_region();
-    let remote = sim
-        .node::<RnicNode>(table)
-        .region(rkey)
-        .read(base_va, image.len() as u64)
-        .unwrap();
-    assert_eq!(remote, &image[..], "remote region diverged from directory");
+    assert_region_matches_directory(&t, rkey, base_va);
     assert_eq!(
         prog.live_filter().unwrap().raw_counts(),
-        dir.filter().raw_counts(),
+        prog.directory().unwrap().filter().raw_counts(),
         "live filter diverged from planned filter"
     );
     let nic = sim.node::<RnicNode>(table).stats();
@@ -179,6 +202,66 @@ fn no_transient_miss_under_relocation_storm() {
 #[test]
 fn no_transient_miss_under_relocation_storm_remote_ops() {
     relocation_storm(true);
+}
+
+fn table_prog(t: &mut Built) -> &mut LookupTableProgram {
+    t.sim
+        .node_mut::<SwitchNode>(t.switch)
+        .program_mut::<LookupTableProgram>()
+}
+
+/// The table's direct control-plane entry: `queue_insert` then
+/// `queue_remove` from the driver while resident keys carry traffic. After
+/// each op settles the remote bytes equal the directory image, and no
+/// lookup is punted at any point.
+#[test]
+fn queued_insert_then_remove_under_traffic() {
+    const COUNT: u64 = 400;
+    const DSCP: u8 = 46;
+    let flows: Vec<FiveTuple> = (0..32)
+        .map(|i| FiveTuple::new(host_ip(0), host_ip(1), 40_000 + i, 80, 17))
+        .collect();
+    let mut dir = CuckooDirectory::new(CuckooConfig::for_capacity(64));
+    for f in &flows {
+        dir.install(*f, ActionEntry::set_dscp(DSCP)).unwrap();
+    }
+    // ~400us of traffic at 2 Gbps.
+    let spec = traffic(flows, FlowPick::RoundRobin, 2, COUNT, 5);
+    let (mut tb, table, channel) = lookup_rig(101, spec, DSCP, dir.region_bytes());
+    let (rkey, base_va) = (channel.rkey, channel.base_va);
+    install_cuckoo_image(tb.nic_mut(table), &channel, &dir);
+    let prog = LookupTableProgram::cuckoo(tb.fib(), channel, dir, None);
+    let mut t = tb.build(SwitchConfig::default(), Box::new(prog));
+
+    let key = FiveTuple::new(host_ip(0), host_ip(1), 50_000, 80, 17);
+    t.sim.run_until(Time::from_micros(50));
+    table_prog(&mut t).queue_insert(key, ActionEntry::set_dscp(12));
+    t.sim
+        .schedule_timer(t.switch, TimeDelta::ZERO, program_token(TOKEN_CONTROL));
+    t.sim.run_until(Time::from_micros(150));
+    let prog = table_prog(&mut t);
+    assert!(prog.relocation_idle(), "insert still in flight");
+    assert_eq!(
+        prog.directory().unwrap().lookup(&key),
+        Some(ActionEntry::set_dscp(12))
+    );
+    assert_region_matches_directory(&t, rkey, base_va);
+
+    table_prog(&mut t).queue_remove(key);
+    t.sim
+        .schedule_timer(t.switch, TimeDelta::ZERO, program_token(TOKEN_CONTROL));
+    t.sim.run_to_quiescence();
+    let prog = table_prog(&mut t);
+    assert!(prog.relocation_idle(), "remove still in flight");
+    assert_eq!(prog.directory().unwrap().lookup(&key), None);
+    let s = prog.stats();
+    assert_eq!((s.inserts_applied, s.removes_applied), (1, 1), "{s:?}");
+    assert_eq!(s.slow_path, 0, "control op punted a lookup: {s:?}");
+    assert_eq!(s.reads_per_miss(), 1.0, "{s:?}");
+    assert_region_matches_directory(&t, rkey, base_va);
+    let sink = t.sim.node::<SinkNode>(t.hosts[1]);
+    assert_eq!(sink.received, COUNT, "packets lost: {s:?}");
+    assert_eq!(sink.dscp_mismatch, 0);
 }
 
 /// A pair of distinct flows that alias under the direct-hash slot
@@ -205,48 +288,25 @@ fn collision_cell_direct_hash_aliases_the_pair() {
     const ENTRIES: u64 = 64;
     const DSCP: u8 = 46;
     let (fa, fb) = colliding_pair(ENTRIES);
-    let mut nic = RnicNode::new("tablesrv", RnicConfig::at(host_endpoint(2)));
-    let channel = RdmaChannel::setup(
-        switch_endpoint(),
-        PortId(2),
-        &mut nic,
-        ByteSize::from_bytes(ENTRIES * 2048),
-    );
+    let spec = traffic(vec![fa, fb], FlowPick::RoundRobin, 2, 2, 1);
+    let (mut tb, table, channel) = lookup_rig(89, spec, DSCP, ENTRIES * 2048);
     // Only `fa` is installed; `fb` hashes to the same slot.
-    install_remote_action(&mut nic, &channel, 2048, &fa, ActionEntry::set_dscp(DSCP));
-    let prog = LookupTableProgram::new(lookup_fib(), channel, 2048, None);
-
-    let mut b = SimBuilder::new(89);
-    let switch = b.add_node(Box::new(SwitchNode::new(
-        "tor",
-        SwitchConfig::default(),
-        Box::new(prog),
-    )));
-    let spec = WorkloadSpec {
-        src_mac: host_mac(0),
-        dst_mac: host_mac(1),
-        flows: vec![fa, fb].into(),
-        pick: FlowPick::RoundRobin,
-        frame_len: 256,
-        offered: Some(Rate::from_gbps(2)),
-        arrival: Arrival::Paced,
-        count: 2,
-        seed: 1,
-        flow_id_base: 0,
-    };
-    let gen = b.add_node(Box::new(TrafficGenNode::new("client", spec)));
-    let mut sink = SinkNode::new("server");
-    sink.expect_dscp = Some(DSCP);
-    let server = b.add_node(Box::new(sink));
-    let link = LinkSpec::testbed_40g();
-    b.connect(switch, PortId(0), gen, PortId(0), link);
-    b.connect(switch, PortId(1), server, PortId(0), link);
-    let table = b.add_node(Box::new(nic));
-    b.connect(switch, PortId(2), table, PortId(0), link);
-
-    let mut sim = b.build();
-    sim.schedule_timer(gen, TimeDelta::ZERO, TrafficGenNode::KICK_TOKEN);
+    install_remote_action(
+        tb.nic_mut(table),
+        &channel,
+        2048,
+        &fa,
+        ActionEntry::set_dscp(DSCP),
+    );
+    let prog = LookupTableProgram::new(tb.fib(), channel, 2048, None);
+    let Built {
+        mut sim,
+        switch,
+        hosts,
+        ..
+    } = tb.build(SwitchConfig::default(), Box::new(prog));
     sim.run_to_quiescence();
+    let server = hosts[1];
 
     let sink = sim.node::<SinkNode>(server);
     let sw: &SwitchNode = sim.node(switch);
@@ -275,51 +335,23 @@ fn collision_cell_cuckoo_resolves_the_pair() {
         },
     )
     .unwrap();
-    let mut nic = RnicNode::new("tablesrv", RnicConfig::at(host_endpoint(2)));
-    let channel = RdmaChannel::setup(
-        switch_endpoint(),
-        PortId(2),
-        &mut nic,
-        ByteSize::from_bytes(dir.region_bytes()),
+    // Ports: client 0, server A 1, table server 2, server B 3.
+    let spec = traffic(vec![fa, fb], FlowPick::RoundRobin, 2, 2, 1);
+    let (mut tb, table, channel) = lookup_rig(97, spec, DSCP_A, dir.region_bytes());
+    assert_eq!(
+        tb.host(dscp_sink(DSCP_B), LinkSpec::testbed_40g()),
+        PortId(3)
     );
-    install_cuckoo_image(&mut nic, &channel, &dir);
-    let prog = LookupTableProgram::cuckoo(lookup_fib(), channel, dir, None);
-
-    let mut b = SimBuilder::new(97);
-    let switch = b.add_node(Box::new(SwitchNode::new(
-        "tor",
-        SwitchConfig::default(),
-        Box::new(prog),
-    )));
-    let spec = WorkloadSpec {
-        src_mac: host_mac(0),
-        dst_mac: host_mac(1),
-        flows: vec![fa, fb].into(),
-        pick: FlowPick::RoundRobin,
-        frame_len: 256,
-        offered: Some(Rate::from_gbps(2)),
-        arrival: Arrival::Paced,
-        count: 2,
-        seed: 1,
-        flow_id_base: 0,
-    };
-    let gen = b.add_node(Box::new(TrafficGenNode::new("client", spec)));
-    let mut sink_a = SinkNode::new("server-a");
-    sink_a.expect_dscp = Some(DSCP_A);
-    let server_a = b.add_node(Box::new(sink_a));
-    let mut sink_b = SinkNode::new("server-b");
-    sink_b.expect_dscp = Some(DSCP_B);
-    let server_b = b.add_node(Box::new(sink_b));
-    let link = LinkSpec::testbed_40g();
-    b.connect(switch, PortId(0), gen, PortId(0), link);
-    b.connect(switch, PortId(1), server_a, PortId(0), link);
-    b.connect(switch, PortId(3), server_b, PortId(0), link);
-    let table = b.add_node(Box::new(nic));
-    b.connect(switch, PortId(2), table, PortId(0), link);
-
-    let mut sim = b.build();
-    sim.schedule_timer(gen, TimeDelta::ZERO, TrafficGenNode::KICK_TOKEN);
+    install_cuckoo_image(tb.nic_mut(table), &channel, &dir);
+    let prog = LookupTableProgram::cuckoo(tb.fib(), channel, dir, None);
+    let Built {
+        mut sim,
+        switch,
+        hosts,
+        ..
+    } = tb.build(SwitchConfig::default(), Box::new(prog));
     sim.run_to_quiescence();
+    let (server_a, server_b) = (hosts[1], hosts[2]);
 
     let sw: &SwitchNode = sim.node(switch);
     let s = sw.program::<LookupTableProgram>().stats();

@@ -2,36 +2,22 @@
 //! reproducible. Same topology + same seed ⇒ byte-identical packet traces.
 
 use extmem_apps::incast::{run_incast, IncastConfig, RemoteBufferSpec};
-use extmem_apps::scenario::{host_endpoint, host_ip, host_mac, switch_endpoint};
-use extmem_apps::workload::{FlowPick, SinkNode, TrafficGenNode, WorkloadSpec};
+use extmem_apps::scenario::{host_endpoint, host_ip, host_mac, Testbed};
+use extmem_apps::workload::{FlowPick, WorkloadSpec};
 use extmem_core::faa::{FaaConfig, FaaEngine};
 use extmem_core::state_store::StateStoreProgram;
-use extmem_core::{Fib, RdmaChannel};
 use extmem_rnic::{RnicConfig, RnicNode};
 use extmem_sim::{LinkSpec, SimBuilder, Simulator};
 use extmem_types::{ByteSize, FiveTuple, PortId, Rate, Time, TimeDelta};
 
 /// A full state-store scenario, returning the simulator for digesting.
 fn statestore_sim(seed: u64) -> Simulator {
-    let mut nic = RnicNode::new("memsrv", RnicConfig::at(host_endpoint(2)));
-    let channel = RdmaChannel::setup(switch_endpoint(), PortId(2), &mut nic, ByteSize::from_kb(8));
-    let mut fib = Fib::new(8);
-    fib.install(host_mac(0), PortId(0));
-    fib.install(host_mac(1), PortId(1));
-    let engine = FaaEngine::new(channel, FaaConfig::default());
-    let prog = StateStoreProgram::new(fib, engine, TimeDelta::from_micros(50));
-
-    let mut b = SimBuilder::new(seed);
-    let switch = b.add_node(Box::new(extmem_switch::SwitchNode::new(
-        "tor",
-        extmem_switch::SwitchConfig::default(),
-        Box::new(prog),
-    )));
     let flows: Vec<FiveTuple> = (0..8)
         .map(|i| FiveTuple::new(host_ip(0), host_ip(1), 7000 + i, 9000, 17))
         .collect();
-    let sender = b.add_node(Box::new(TrafficGenNode::new(
-        "gen",
+    let link = LinkSpec::testbed_40g();
+    let mut tb = Testbed::new(seed);
+    tb.gen(
         WorkloadSpec {
             src_mac: host_mac(0),
             dst_mac: host_mac(1),
@@ -44,16 +30,14 @@ fn statestore_sim(seed: u64) -> Simulator {
             seed: seed ^ 0xfeed,
             flow_id_base: 0,
         },
-    )));
-    let sink = b.add_node(Box::new(SinkNode::new("sink")));
-    let link = LinkSpec::testbed_40g();
-    b.connect(switch, PortId(0), sender, PortId(0), link);
-    b.connect(switch, PortId(1), sink, PortId(0), link);
-    let srv = b.add_node(Box::new(nic));
-    b.connect(switch, PortId(2), srv, PortId(0), link);
-    let mut sim = b.build();
-    sim.schedule_timer(sender, TimeDelta::ZERO, TrafficGenNode::KICK_TOKEN);
-    sim
+        link,
+    );
+    tb.sink(link);
+    let (_, channel) = tb.server(RnicConfig::default(), ByteSize::from_kb(8), link);
+    let engine = FaaEngine::new(channel, FaaConfig::default());
+    let prog = StateStoreProgram::new(tb.fib(), engine, TimeDelta::from_micros(50));
+    tb.build(extmem_switch::SwitchConfig::default(), Box::new(prog))
+        .sim
 }
 
 #[test]

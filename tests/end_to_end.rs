@@ -146,23 +146,47 @@ fn counting_exactness_across_issuing_configs() {
 #[test]
 fn remote_buffer_plus_ecn_tames_persistent_congestion() {
     use extmem_apps::cc::{DctcpConfig, DctcpSource, FeedbackEcho};
-    use extmem_apps::scenario::{host_endpoint, host_ip, host_mac, switch_endpoint};
+    use extmem_apps::scenario::{host_ip, host_mac, Built, Testbed};
     use extmem_core::packet_buffer::{Mode, PacketBufferProgram};
-    use extmem_core::{Fib, RdmaChannel};
     use extmem_rnic::{RnicConfig, RnicNode};
-    use extmem_sim::{LinkSpec, SimBuilder};
+    use extmem_sim::LinkSpec;
     use extmem_switch::{SwitchConfig, SwitchNode};
-    use extmem_types::{ByteSize, FiveTuple, PortId, Time, TimeDelta};
+    use extmem_types::{ByteSize, FiveTuple, Time, TimeDelta};
 
-    let mut nic = RnicNode::new("memsrv", RnicConfig::at(host_endpoint(2)));
-    let channel = RdmaChannel::setup(switch_endpoint(), PortId(2), &mut nic, ByteSize::from_mb(8));
-    let mut fib = Fib::new(8);
-    fib.install(host_mac(0), PortId(0));
-    fib.install(host_mac(1), PortId(1));
+    let flow = FiveTuple::new(host_ip(0), host_ip(1), 40_000, 9_000, 17);
+    let mut tb = Testbed::new(23);
+    tb.host(
+        DctcpSource::new(
+            "dctcp",
+            // A persistent 2.5x overload of the 10G bottleneck. (Staying
+            // under the ~30G NIC write ceiling for 1000B frames keeps the
+            // detour itself lossless; E1/E4 cover what happens beyond it.)
+            DctcpConfig {
+                initial: Rate::from_gbps(25),
+                max: Rate::from_gbps(25),
+                ..Default::default()
+            },
+            host_mac(0),
+            host_mac(1),
+            flow,
+            1000,
+            60_000,
+        ),
+        LinkSpec::testbed_40g(),
+    );
+    let bottleneck = tb.host(
+        FeedbackEcho::new("rx"),
+        LinkSpec::new(Rate::from_gbps(10), TimeDelta::from_nanos(300)),
+    );
+    let (_, channel) = tb.server(
+        RnicConfig::default(),
+        ByteSize::from_mb(8),
+        LinkSpec::testbed_40g(),
+    );
     let prog = PacketBufferProgram::new(
-        fib,
+        tb.fib(),
         vec![channel],
-        PortId(1),
+        bottleneck,
         2048,
         Mode::Auto {
             start_store_qbytes: 8_192,
@@ -171,50 +195,20 @@ fn remote_buffer_plus_ecn_tames_persistent_congestion() {
         8,
         TimeDelta::from_micros(100),
     );
-    let mut b = SimBuilder::new(23);
-    let switch = b.add_node(Box::new(SwitchNode::new(
-        "tor",
+    let Built {
+        mut sim,
+        switch,
+        hosts,
+        servers,
+        ..
+    } = tb.build(
         SwitchConfig {
             ecn_threshold: Some(ByteSize::from_bytes(4_096)),
             ..Default::default()
         },
         Box::new(prog),
-    )));
-    let flow = FiveTuple::new(host_ip(0), host_ip(1), 40_000, 9_000, 17);
-    let src = b.add_node(Box::new(DctcpSource::new(
-        "dctcp",
-        // A persistent 2.5x overload of the 10G bottleneck. (Staying under
-        // the ~30G NIC write ceiling for 1000B frames keeps the detour
-        // itself lossless; E1/E4 cover what happens beyond it.)
-        DctcpConfig {
-            initial: Rate::from_gbps(25),
-            max: Rate::from_gbps(25),
-            ..Default::default()
-        },
-        host_mac(0),
-        host_mac(1),
-        flow,
-        1000,
-        60_000,
-    )));
-    let dst = b.add_node(Box::new(FeedbackEcho::new("rx")));
-    b.connect(switch, PortId(0), src, PortId(0), LinkSpec::testbed_40g());
-    b.connect(
-        switch,
-        PortId(1),
-        dst,
-        PortId(0),
-        LinkSpec::new(Rate::from_gbps(10), TimeDelta::from_nanos(300)),
     );
-    let server = b.add_node(Box::new(nic));
-    b.connect(
-        switch,
-        PortId(2),
-        server,
-        PortId(0),
-        LinkSpec::testbed_40g(),
-    );
-    let mut sim = b.build();
+    let (src, dst, server) = (hosts[0], hosts[1], servers[0]);
     sim.schedule_timer(src, TimeDelta::ZERO, 1);
     sim.run_until(Time::from_millis(40));
 

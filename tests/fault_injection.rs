@@ -7,77 +7,103 @@
 //! * reliable state store (§7 extension): exact counts despite loss,
 //! * corruption: bad ICRC frames die at the NIC, never reach memory.
 
-use extmem_apps::scenario::{host_endpoint, host_ip, host_mac, switch_endpoint};
-use extmem_apps::workload::{SinkNode, TrafficGenNode, WorkloadSpec};
+use extmem_apps::scenario::{host_ip, host_mac, Built, Testbed};
+use extmem_apps::workload::{SinkNode, WorkloadSpec};
 use extmem_core::faa::{FaaConfig, FaaEngine};
 use extmem_core::packet_buffer::{Mode, PacketBufferProgram};
 use extmem_core::state_store::{read_remote_counters, StateStoreProgram};
-use extmem_core::{Fib, RdmaChannel};
+use extmem_core::RdmaChannel;
 use extmem_rnic::{RnicConfig, RnicNode};
-use extmem_sim::{FaultSpec, LinkSpec, SimBuilder, Simulator};
-use extmem_types::{ByteSize, FiveTuple, NodeId, PortId, Rate, Time, TimeDelta};
+use extmem_sim::{FaultSpec, LinkSpec};
+use extmem_switch::{SwitchConfig, SwitchNode};
+use extmem_types::{ByteSize, FiveTuple, PortId, Rate, Rkey, Time, TimeDelta};
 
-struct LossyRig {
-    sim: Simulator,
-    sink: NodeId,
-    switch: NodeId,
-    server: NodeId,
-}
-
-fn lossy_counting_rig(faa: FaaConfig, faults: FaultSpec, seed: u64) -> (LossyRig, u64, u64) {
-    let counters = 256u64;
-    let mut nic = RnicNode::new("memsrv", RnicConfig::at(host_endpoint(2)));
-    let channel = RdmaChannel::setup(
-        switch_endpoint(),
-        PortId(2),
-        &mut nic,
-        ByteSize::from_bytes(counters * 8),
-    );
-    let rkey = channel.rkey.raw() as u64;
-    let base = channel.base_va;
-    let mut fib = Fib::new(8);
-    fib.install(host_mac(0), PortId(0));
-    fib.install(host_mac(1), PortId(1));
-    let engine = FaaEngine::new(channel, faa);
-    let prog = StateStoreProgram::new(fib, engine, TimeDelta::from_micros(30));
-
-    let mut b = SimBuilder::new(seed);
-    let switch = b.add_node(Box::new(extmem_switch::SwitchNode::new(
-        "tor",
-        extmem_switch::SwitchConfig::default(),
-        Box::new(prog),
-    )));
-    let gen = b.add_node(Box::new(TrafficGenNode::new(
-        "gen",
+/// One paced flow (host 0 → host 1) into a sink behind `sink_link`, and a
+/// memory server of `region` bytes that goes dark for `outage` and whose
+/// link carries `faults`.
+fn faulty_rig(
+    seed: u64,
+    (frame_len, gbps, count): (usize, u64, u64),
+    sink_link: LinkSpec,
+    region: ByteSize,
+    outage: Option<(Time, Time)>,
+    faults: FaultSpec,
+) -> (Testbed, RdmaChannel) {
+    let mut tb = Testbed::new(seed);
+    tb.gen(
         WorkloadSpec::simple(
             host_mac(0),
             host_mac(1),
             FiveTuple::new(host_ip(0), host_ip(1), 5000, 9000, 17),
-            256,
-            Rate::from_gbps(10),
-            600,
+            frame_len,
+            Rate::from_gbps(gbps),
+            count,
         ),
-    )));
-    let sink = b.add_node(Box::new(SinkNode::new("sink")));
-    let link = LinkSpec::testbed_40g();
-    b.connect(switch, PortId(0), gen, PortId(0), link);
-    b.connect(switch, PortId(1), sink, PortId(0), link);
-    let server = b.add_node(Box::new(nic));
-    let mut lossy = LinkSpec::testbed_40g();
-    lossy.faults = faults;
-    b.connect(switch, PortId(2), server, PortId(0), lossy);
-    let mut sim = b.build();
-    sim.schedule_timer(gen, TimeDelta::ZERO, TrafficGenNode::KICK_TOKEN);
+        LinkSpec::testbed_40g(),
+    );
+    tb.sink(sink_link);
+    let mut server_link = LinkSpec::testbed_40g();
+    server_link.faults = faults;
+    let config = RnicConfig {
+        outage,
+        ..Default::default()
+    };
+    let (_, channel) = tb.server(config, region, server_link);
+    (tb, channel)
+}
+
+/// 600 × 256 B at 10 G through a 256-counter state store over a faulty
+/// server link. Returns the built testbed and the region's `(rkey, base)`.
+fn lossy_counting_rig(faa: FaaConfig, faults: FaultSpec, seed: u64) -> (Built, Rkey, u64) {
+    let (tb, channel) = faulty_rig(
+        seed,
+        (256, 10, 600),
+        LinkSpec::testbed_40g(),
+        ByteSize::from_bytes(256 * 8),
+        None,
+        faults,
+    );
+    let (rkey, base) = (channel.rkey, channel.base_va);
+    let engine = FaaEngine::new(channel, faa);
+    let prog = StateStoreProgram::new(tb.fib(), engine, TimeDelta::from_micros(30));
     (
-        LossyRig {
-            sim,
-            sink,
-            switch,
-            server,
-        },
+        tb.build(SwitchConfig::default(), Box::new(prog)),
         rkey,
         base,
     )
+}
+
+/// `count` × 800 B at 30 G into a 10 G drain through the packet-buffer
+/// detour, with the memory server going dark for `outage` and its link
+/// carrying `faults`.
+fn detour_rig(seed: u64, count: u64, outage: Option<(Time, Time)>, faults: FaultSpec) -> Built {
+    let (tb, channel) = faulty_rig(
+        seed,
+        (800, 30, count),
+        LinkSpec::new(Rate::from_gbps(10), TimeDelta::from_nanos(300)),
+        ByteSize::from_mb(2),
+        outage,
+        faults,
+    );
+    let prog = PacketBufferProgram::new(
+        tb.fib(),
+        vec![channel],
+        PortId(1),
+        2048,
+        Mode::Auto {
+            start_store_qbytes: 4096,
+            resume_load_qbytes: 2048,
+        },
+        8,
+        TimeDelta::from_micros(50),
+    );
+    tb.build(SwitchConfig::default(), Box::new(prog))
+}
+
+/// Sum of the server's first `counters` remote counters.
+fn remote_total(t: &Built, rkey: Rkey, base: u64, counters: u64) -> u64 {
+    let nic = t.sim.node::<RnicNode>(t.servers[0]);
+    read_remote_counters(nic, rkey, base, counters).iter().sum()
 }
 
 #[test]
@@ -96,19 +122,16 @@ fn reliable_statestore_is_exact_under_drops() {
         404,
     );
     rig.sim.run_until(Time::from_millis(30));
-    let sw: &extmem_switch::SwitchNode = rig.sim.node(rig.switch);
+    let sw: &SwitchNode = rig.sim.node(rig.switch);
     let prog = sw.program::<StateStoreProgram>();
     let s = prog.faa_stats();
     assert!(s.retransmits > 0, "expected recovery activity: {s:?}");
     assert!(prog.is_quiescent(), "must settle: {s:?}");
-    let nic = rig.sim.node::<RnicNode>(rig.server);
-    let remote: u64 = read_remote_counters(nic, extmem_types::Rkey(rkey as u32), base, 256)
-        .iter()
-        .sum();
+    let remote = remote_total(&rig, rkey, base, 256);
     let truth: u64 = prog.oracle.values().sum();
     assert_eq!(remote, truth, "reliable mode must be exact");
     // Forwarding untouched by the telemetry channel loss.
-    assert_eq!(rig.sim.node::<SinkNode>(rig.sink).received, 600);
+    assert_eq!(rig.sim.node::<SinkNode>(rig.hosts[1]).received, 600);
 }
 
 #[test]
@@ -123,12 +146,9 @@ fn best_effort_statestore_undercounts_under_drops() {
         405,
     );
     rig.sim.run_until(Time::from_millis(30));
-    let sw: &extmem_switch::SwitchNode = rig.sim.node(rig.switch);
+    let sw: &SwitchNode = rig.sim.node(rig.switch);
     let prog = sw.program::<StateStoreProgram>();
-    let nic = rig.sim.node::<RnicNode>(rig.server);
-    let remote: u64 = read_remote_counters(nic, extmem_types::Rkey(rkey as u32), base, 256)
-        .iter()
-        .sum();
+    let remote = remote_total(&rig, rkey, base, 256);
     let truth: u64 = prog.oracle.values().sum();
     assert!(
         remote < truth,
@@ -155,7 +175,7 @@ fn best_effort_statestore_never_wedges_under_heavy_loss() {
         407,
     );
     rig.sim.run_until(Time::from_millis(40));
-    let sw: &extmem_switch::SwitchNode = rig.sim.node(rig.switch);
+    let sw: &SwitchNode = rig.sim.node(rig.switch);
     let prog = sw.program::<StateStoreProgram>();
     let s = prog.faa_stats();
     assert!(
@@ -165,7 +185,7 @@ fn best_effort_statestore_never_wedges_under_heavy_loss() {
     );
     assert!(s.lost_updates > 0, "20% loss must lose something: {s:?}");
     // Forwarding untouched.
-    assert_eq!(rig.sim.node::<SinkNode>(rig.sink).received, 600);
+    assert_eq!(rig.sim.node::<SinkNode>(rig.hosts[1]).received, 600);
 }
 
 #[test]
@@ -184,7 +204,7 @@ fn corruption_dies_at_the_nic() {
         406,
     );
     rig.sim.run_until(Time::from_millis(30));
-    let nic = rig.sim.node::<RnicNode>(rig.server);
+    let nic = rig.sim.node::<RnicNode>(rig.servers[0]);
     assert!(
         nic.stats().malformed_drops > 0,
         "corruption should hit the ICRC"
@@ -195,11 +215,9 @@ fn corruption_dies_at_the_nic() {
         "corrupt frames must not punt to the CPU"
     );
     // Reliability recovers the corrupted requests too.
-    let sw: &extmem_switch::SwitchNode = rig.sim.node(rig.switch);
+    let sw: &SwitchNode = rig.sim.node(rig.switch);
     let prog = sw.program::<StateStoreProgram>();
-    let remote: u64 = read_remote_counters(nic, extmem_types::Rkey(rkey as u32), base, 256)
-        .iter()
-        .sum();
+    let remote = remote_total(&rig, rkey, base, 256);
     let truth: u64 = prog.oracle.values().sum();
     assert_eq!(remote, truth, "reliable mode must absorb corruption");
 }
@@ -207,63 +225,20 @@ fn corruption_dies_at_the_nic() {
 #[test]
 fn packet_buffer_never_duplicates_or_reorders_under_loss() {
     for seed in [1u64, 77, 901] {
-        let mut nic = RnicNode::new("memsrv", RnicConfig::at(host_endpoint(2)));
-        let channel =
-            RdmaChannel::setup(switch_endpoint(), PortId(2), &mut nic, ByteSize::from_mb(2));
-        let mut fib = Fib::new(8);
-        fib.install(host_mac(0), PortId(0));
-        fib.install(host_mac(1), PortId(1));
-        let prog = PacketBufferProgram::new(
-            fib,
-            vec![channel],
-            PortId(1),
-            2048,
-            Mode::Auto {
-                start_store_qbytes: 4096,
-                resume_load_qbytes: 2048,
-            },
-            8,
-            TimeDelta::from_micros(50),
-        );
-        let mut b = SimBuilder::new(seed);
-        let switch = b.add_node(Box::new(extmem_switch::SwitchNode::new(
-            "tor",
-            extmem_switch::SwitchConfig::default(),
-            Box::new(prog),
-        )));
-        let gen = b.add_node(Box::new(TrafficGenNode::new(
-            "gen",
-            WorkloadSpec::simple(
-                host_mac(0),
-                host_mac(1),
-                FiveTuple::new(host_ip(0), host_ip(1), 5000, 9000, 17),
-                800,
-                Rate::from_gbps(30),
-                400,
-            ),
-        )));
-        let sink = b.add_node(Box::new(SinkNode::new("sink")));
-        b.connect(switch, PortId(0), gen, PortId(0), LinkSpec::testbed_40g());
-        b.connect(
-            switch,
-            PortId(1),
-            sink,
-            PortId(0),
-            LinkSpec::new(Rate::from_gbps(10), TimeDelta::from_nanos(300)),
-        );
-        let server = b.add_node(Box::new(nic));
-        let mut lossy = LinkSpec::testbed_40g();
-        lossy.faults = FaultSpec {
+        let faults = FaultSpec {
             drop_prob: 0.04,
             corrupt_prob: 0.02,
             ..FaultSpec::NONE
         };
-        b.connect(switch, PortId(2), server, PortId(0), lossy);
-        let mut sim = b.build();
-        sim.schedule_timer(gen, TimeDelta::ZERO, TrafficGenNode::KICK_TOKEN);
+        let Built {
+            mut sim,
+            switch,
+            hosts,
+            ..
+        } = detour_rig(seed, 400, None, faults);
         sim.run_until(Time::from_millis(50));
 
-        let sink = sim.node::<SinkNode>(sink);
+        let sink = sim.node::<SinkNode>(hosts[1]);
         assert_eq!(
             sink.corrupt, 0,
             "seed {seed}: corrupted payload leaked through"
@@ -274,7 +249,7 @@ fn packet_buffer_never_duplicates_or_reorders_under_loss() {
             "seed {seed}: channel collapsed ({})",
             sink.received
         );
-        let sw: &extmem_switch::SwitchNode = sim.node(switch);
+        let sw: &SwitchNode = sim.node(switch);
         let s = sw.program::<PacketBufferProgram>().stats();
         assert_eq!(
             s.lost_entries, 0,
@@ -290,24 +265,16 @@ fn server_outage_and_recovery_with_reliable_statestore() {
     // for 2ms mid-run. Reliable mode keeps retransmitting; once the server
     // recovers, every count lands and the store is exact again.
     let counters = 128u64;
-    let mut nic = RnicNode::new(
-        "memsrv",
-        RnicConfig {
-            outage: Some((Time::from_millis(1), Time::from_millis(3))),
-            ..RnicConfig::at(host_endpoint(2))
-        },
-    );
-    let channel = RdmaChannel::setup(
-        switch_endpoint(),
-        PortId(2),
-        &mut nic,
+    let (tb, channel) = faulty_rig(
+        777,
+        (256, 2, 2_000), // spans the outage: 2000 * 256B @ 2G = ~2ms of traffic
+        LinkSpec::testbed_40g(),
         ByteSize::from_bytes(counters * 8),
+        Some((Time::from_millis(1), Time::from_millis(3))),
+        FaultSpec::NONE,
     );
     let rkey = channel.rkey;
     let base = channel.base_va;
-    let mut fib = Fib::new(8);
-    fib.install(host_mac(0), PortId(0));
-    fib.install(host_mac(1), PortId(1));
     let engine = FaaEngine::new(
         channel,
         FaaConfig {
@@ -316,38 +283,20 @@ fn server_outage_and_recovery_with_reliable_statestore() {
             ..Default::default()
         },
     );
-    let prog = StateStoreProgram::new(fib, engine, TimeDelta::from_micros(50));
-
-    let mut b = SimBuilder::new(777);
-    let switch = b.add_node(Box::new(extmem_switch::SwitchNode::new(
-        "tor",
-        extmem_switch::SwitchConfig::default(),
-        Box::new(prog),
-    )));
-    let gen = b.add_node(Box::new(TrafficGenNode::new(
-        "gen",
-        WorkloadSpec::simple(
-            host_mac(0),
-            host_mac(1),
-            FiveTuple::new(host_ip(0), host_ip(1), 5000, 9000, 17),
-            256,
-            Rate::from_gbps(2),
-            2_000, // spans the outage: 2000 * 256B @ 2G = ~2ms of traffic
-        ),
-    )));
-    let sink = b.add_node(Box::new(SinkNode::new("sink")));
-    let link = LinkSpec::testbed_40g();
-    b.connect(switch, PortId(0), gen, PortId(0), link);
-    b.connect(switch, PortId(1), sink, PortId(0), link);
-    let server = b.add_node(Box::new(nic));
-    b.connect(switch, PortId(2), server, PortId(0), link);
-    let mut sim = b.build();
-    sim.schedule_timer(gen, TimeDelta::ZERO, TrafficGenNode::KICK_TOKEN);
+    let prog = StateStoreProgram::new(tb.fib(), engine, TimeDelta::from_micros(50));
+    let Built {
+        mut sim,
+        switch,
+        hosts,
+        servers,
+        ..
+    } = tb.build(SwitchConfig::default(), Box::new(prog));
+    let (sink, server) = (hosts[1], servers[0]);
 
     // During the outage, the remote store is frozen while truth advances.
     sim.run_until(Time::from_micros(2_500));
     {
-        let sw: &extmem_switch::SwitchNode = sim.node(switch);
+        let sw: &SwitchNode = sim.node(switch);
         let prog = sw.program::<StateStoreProgram>();
         let nic = sim.node::<RnicNode>(server);
         assert!(nic.stats().outage_drops > 0, "outage never bit");
@@ -358,7 +307,7 @@ fn server_outage_and_recovery_with_reliable_statestore() {
 
     // After recovery + retransmissions, exactness is restored.
     sim.run_until(Time::from_millis(30));
-    let sw: &extmem_switch::SwitchNode = sim.node(switch);
+    let sw: &SwitchNode = sim.node(switch);
     let prog = sw.program::<StateStoreProgram>();
     let s = prog.faa_stats();
     assert!(s.retransmits > 0, "recovery must retransmit: {s:?}");
@@ -379,71 +328,24 @@ fn server_outage_packet_buffer_recovers_exactly() {
     // A short outage (well inside the retry budget) is invisible to the
     // payload stream: the reliable channel retransmits what was in flight
     // and every detoured packet is eventually released in order.
-    let mut nic = RnicNode::new(
-        "memsrv",
-        RnicConfig {
-            outage: Some((Time::from_micros(200), Time::from_micros(600))),
-            ..RnicConfig::at(host_endpoint(2))
-        },
-    );
-    let channel = RdmaChannel::setup(switch_endpoint(), PortId(2), &mut nic, ByteSize::from_mb(2));
-    let mut fib = Fib::new(8);
-    fib.install(host_mac(0), PortId(0));
-    fib.install(host_mac(1), PortId(1));
-    let prog = PacketBufferProgram::new(
-        fib,
-        vec![channel],
-        PortId(1),
-        2048,
-        Mode::Auto {
-            start_store_qbytes: 4096,
-            resume_load_qbytes: 2048,
-        },
-        8,
-        TimeDelta::from_micros(50),
-    );
-    let mut b = SimBuilder::new(778);
-    let switch = b.add_node(Box::new(extmem_switch::SwitchNode::new(
-        "tor",
-        extmem_switch::SwitchConfig::default(),
-        Box::new(prog),
-    )));
-    let gen = b.add_node(Box::new(TrafficGenNode::new(
-        "gen",
-        WorkloadSpec::simple(
-            host_mac(0),
-            host_mac(1),
-            FiveTuple::new(host_ip(0), host_ip(1), 5000, 9000, 17),
-            800,
-            Rate::from_gbps(30),
-            600,
-        ),
-    )));
-    let sink = b.add_node(Box::new(SinkNode::new("sink")));
-    b.connect(switch, PortId(0), gen, PortId(0), LinkSpec::testbed_40g());
-    b.connect(
+    let Built {
+        mut sim,
         switch,
-        PortId(1),
-        sink,
-        PortId(0),
-        LinkSpec::new(Rate::from_gbps(10), TimeDelta::from_nanos(300)),
+        hosts,
+        servers,
+        ..
+    } = detour_rig(
+        778,
+        600,
+        Some((Time::from_micros(200), Time::from_micros(600))),
+        FaultSpec::NONE,
     );
-    let server = b.add_node(Box::new(nic));
-    b.connect(
-        switch,
-        PortId(2),
-        server,
-        PortId(0),
-        LinkSpec::testbed_40g(),
-    );
-    let mut sim = b.build();
-    sim.schedule_timer(gen, TimeDelta::ZERO, TrafficGenNode::KICK_TOKEN);
     sim.run_until(Time::from_millis(60));
 
-    let sink = sim.node::<SinkNode>(sink);
-    let sw: &extmem_switch::SwitchNode = sim.node(switch);
+    let sink = sim.node::<SinkNode>(hosts[1]);
+    let sw: &SwitchNode = sim.node(switch);
     let s = sw.program::<PacketBufferProgram>().stats();
-    let nic = sim.node::<RnicNode>(server);
+    let nic = sim.node::<RnicNode>(servers[0]);
     assert!(nic.stats().outage_drops > 0, "outage never bit");
     assert!(s.channel.retransmits > 0, "recovery must retransmit: {s:?}");
     assert!(!s.channel.failed_over, "short outage must not fail over: {s:?}");

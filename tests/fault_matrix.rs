@@ -13,8 +13,8 @@
 //! * a source guard that the old copy-pasted `npsn = roce.bth.psn` resync
 //!   hack never reappears in `crates/core`.
 
-use extmem_apps::scenario::{host_endpoint, host_ip, host_mac, switch_endpoint};
-use extmem_apps::workload::{Arrival, FlowPick, FlowSet, SinkNode, TrafficGenNode, WorkloadSpec};
+use extmem_apps::scenario::{host_ip, host_mac, Built, Testbed};
+use extmem_apps::workload::{Arrival, FlowPick, FlowSet, SinkNode, WorkloadSpec};
 use extmem_core::cuckoo::{CuckooConfig, CuckooDirectory};
 use extmem_core::faa::{FaaConfig, FaaEngine};
 use extmem_core::lookup::{
@@ -25,11 +25,11 @@ use extmem_core::lpm::{install_remote_route, slots_per_level, RemoteLpmProgram};
 use extmem_core::packet_buffer::{Mode, PacketBufferProgram};
 use extmem_core::shard::ShardedStateStoreProgram;
 use extmem_core::state_store::{read_remote_counters, StateStoreProgram};
-use extmem_core::{Fib, RdmaChannel, ReliableConfig};
+use extmem_core::ReliableConfig;
 use extmem_rnic::{RnicConfig, RnicNode};
-use extmem_sim::{FaultSpec, LinkSpec, SimBuilder};
+use extmem_sim::{FaultSpec, LinkSpec};
 use extmem_switch::{SwitchConfig, SwitchNode};
-use extmem_types::{ByteSize, FiveTuple, PortId, Rate, Time, TimeDelta};
+use extmem_types::{ByteSize, FiveTuple, Rate, Time, TimeDelta};
 
 /// One cell of the fault matrix.
 #[derive(Clone, Copy, Debug)]
@@ -86,6 +86,45 @@ fn cell_outage(cell: &Cell, from_us: u64, to_us: u64) -> Option<(Time, Time)> {
         .then(|| (Time::from_micros(from_us), Time::from_micros(to_us)))
 }
 
+/// The flow most cells send: host 0 → host 1, UDP 5000 → 9000, paced.
+fn probe_spec(frame_len: usize, gbps: u64, count: u64) -> WorkloadSpec {
+    WorkloadSpec::simple(
+        host_mac(0),
+        host_mac(1),
+        FiveTuple::new(host_ip(0), host_ip(1), 5000, 9000, 17),
+        frame_len,
+        Rate::from_gbps(gbps),
+        count,
+    )
+}
+
+/// The testbed's 40 G link carrying `faults`.
+fn faulty(faults: FaultSpec) -> LinkSpec {
+    let mut link = LinkSpec::testbed_40g();
+    link.faults = faults;
+    link
+}
+
+/// The 10 G drain port that keeps a packet-buffer detour engaged.
+fn drain_10g() -> LinkSpec {
+    LinkSpec::new(Rate::from_gbps(10), TimeDelta::from_nanos(300))
+}
+
+/// A memory-server NIC that goes dark for `outage`.
+fn dark(outage: Option<(Time, Time)>) -> RnicConfig {
+    RnicConfig {
+        outage,
+        ..Default::default()
+    }
+}
+
+/// A sink that checks every delivered frame carries `dscp`.
+fn dscp_sink(dscp: u8) -> SinkNode {
+    let mut sink = SinkNode::new("sink");
+    sink.expect_dscp = Some(dscp);
+    sink
+}
+
 /// A cell is faulty if any injection is enabled; the clean cell must ride
 /// the fast path with zero reliability activity.
 fn is_clean(cell: &Cell) -> bool {
@@ -99,26 +138,18 @@ fn is_clean(cell: &Cell) -> bool {
 fn run_state_store_cell(cell: &Cell, seed: u64) {
     const COUNT: u64 = 600;
     let counters = 256u64;
-    let mut nic = RnicNode::new(
-        "memsrv",
-        RnicConfig {
-            // Traffic spans ~600us; the outage bites mid-run and is far
-            // shorter than the ~3ms retry budget at rto=40us.
-            outage: cell_outage(cell, 200, 500),
-            ..RnicConfig::at(host_endpoint(2))
-        },
-    );
-    let channel = RdmaChannel::setup(
-        switch_endpoint(),
-        PortId(2),
-        &mut nic,
+    let mut tb = Testbed::new(seed);
+    tb.gen(probe_spec(256, 2, COUNT), LinkSpec::testbed_40g());
+    tb.sink(LinkSpec::testbed_40g());
+    let (_, channel) = tb.server(
+        // Traffic spans ~600us; the outage bites mid-run and is far
+        // shorter than the ~3ms retry budget at rto=40us.
+        dark(cell_outage(cell, 200, 500)),
         ByteSize::from_bytes(counters * 8),
+        faulty(cell_faults(cell)),
     );
     let rkey = channel.rkey;
     let base = channel.base_va;
-    let mut fib = Fib::new(8);
-    fib.install(host_mac(0), PortId(0));
-    fib.install(host_mac(1), PortId(1));
     let engine = FaaEngine::new(
         channel,
         FaaConfig {
@@ -127,35 +158,14 @@ fn run_state_store_cell(cell: &Cell, seed: u64) {
             ..Default::default()
         },
     );
-    let prog = StateStoreProgram::new(fib, engine, TimeDelta::from_micros(30));
-
-    let mut b = SimBuilder::new(seed);
-    let switch = b.add_node(Box::new(SwitchNode::new(
-        "tor",
-        SwitchConfig::default(),
-        Box::new(prog),
-    )));
-    let gen = b.add_node(Box::new(TrafficGenNode::new(
-        "gen",
-        WorkloadSpec::simple(
-            host_mac(0),
-            host_mac(1),
-            FiveTuple::new(host_ip(0), host_ip(1), 5000, 9000, 17),
-            256,
-            Rate::from_gbps(2),
-            COUNT,
-        ),
-    )));
-    let sink = b.add_node(Box::new(SinkNode::new("sink")));
-    let link = LinkSpec::testbed_40g();
-    b.connect(switch, PortId(0), gen, PortId(0), link);
-    b.connect(switch, PortId(1), sink, PortId(0), link);
-    let server = b.add_node(Box::new(nic));
-    let mut lossy = LinkSpec::testbed_40g();
-    lossy.faults = cell_faults(cell);
-    b.connect(switch, PortId(2), server, PortId(0), lossy);
-    let mut sim = b.build();
-    sim.schedule_timer(gen, TimeDelta::ZERO, TrafficGenNode::KICK_TOKEN);
+    let prog = StateStoreProgram::new(tb.fib(), engine, TimeDelta::from_micros(30));
+    let Built {
+        mut sim,
+        switch,
+        hosts,
+        servers,
+        ..
+    } = tb.build(SwitchConfig::default(), Box::new(prog));
     sim.run_until(Time::from_millis(50));
 
     let sw: &SwitchNode = sim.node(switch);
@@ -167,7 +177,7 @@ fn run_state_store_cell(cell: &Cell, seed: u64) {
         prog.in_transit()
     );
     assert!(!s.channel.failed_over, "{cell:?}: must not fail over: {s:?}");
-    let nic = sim.node::<RnicNode>(server);
+    let nic = sim.node::<RnicNode>(servers[0]);
     if cell.outage {
         assert!(nic.stats().outage_drops > 0, "{cell:?}: outage never bit");
     }
@@ -177,7 +187,7 @@ fn run_state_store_cell(cell: &Cell, seed: u64) {
     if is_clean(cell) {
         assert_eq!(s.retransmits, 0, "clean cell must not retransmit: {s:?}");
     }
-    assert_eq!(sim.node::<SinkNode>(sink).received, COUNT);
+    assert_eq!(sim.node::<SinkNode>(hosts[1]).received, COUNT);
 }
 
 #[test]
@@ -198,23 +208,20 @@ fn smoke_state_store_worst_cell() {
 
 fn run_packet_buffer_cell(cell: &Cell, seed: u64) {
     const COUNT: u64 = 400;
-    let mut nic = RnicNode::new(
-        "memsrv",
-        RnicConfig {
-            // Detour activity spans ~0-250us (85us of 30G arrivals draining
-            // through a 10G sink); the outage lands inside it.
-            outage: cell_outage(cell, 50, 150),
-            ..RnicConfig::at(host_endpoint(2))
-        },
+    let mut tb = Testbed::new(seed);
+    tb.gen(probe_spec(800, 30, COUNT), LinkSpec::testbed_40g());
+    let drain = tb.sink(drain_10g());
+    let (_, channel) = tb.server(
+        // Detour activity spans ~0-250us (85us of 30G arrivals draining
+        // through a 10G sink); the outage lands inside it.
+        dark(cell_outage(cell, 50, 150)),
+        ByteSize::from_mb(2),
+        faulty(cell_faults(cell)),
     );
-    let channel = RdmaChannel::setup(switch_endpoint(), PortId(2), &mut nic, ByteSize::from_mb(2));
-    let mut fib = Fib::new(8);
-    fib.install(host_mac(0), PortId(0));
-    fib.install(host_mac(1), PortId(1));
     let prog = PacketBufferProgram::new(
-        fib,
+        tb.fib(),
         vec![channel],
-        PortId(1),
+        drain,
         2048,
         Mode::Auto {
             start_store_qbytes: 4096,
@@ -223,47 +230,22 @@ fn run_packet_buffer_cell(cell: &Cell, seed: u64) {
         8,
         TimeDelta::from_micros(50),
     );
-    let mut b = SimBuilder::new(seed);
-    let switch = b.add_node(Box::new(SwitchNode::new(
-        "tor",
-        SwitchConfig::default(),
-        Box::new(prog),
-    )));
-    let gen = b.add_node(Box::new(TrafficGenNode::new(
-        "gen",
-        WorkloadSpec::simple(
-            host_mac(0),
-            host_mac(1),
-            FiveTuple::new(host_ip(0), host_ip(1), 5000, 9000, 17),
-            800,
-            Rate::from_gbps(30),
-            COUNT,
-        ),
-    )));
-    let sink = b.add_node(Box::new(SinkNode::new("sink")));
-    b.connect(switch, PortId(0), gen, PortId(0), LinkSpec::testbed_40g());
-    b.connect(
+    let Built {
+        mut sim,
         switch,
-        PortId(1),
-        sink,
-        PortId(0),
-        LinkSpec::new(Rate::from_gbps(10), TimeDelta::from_nanos(300)),
-    );
-    let server = b.add_node(Box::new(nic));
-    let mut lossy = LinkSpec::testbed_40g();
-    lossy.faults = cell_faults(cell);
-    b.connect(switch, PortId(2), server, PortId(0), lossy);
-    let mut sim = b.build();
-    sim.schedule_timer(gen, TimeDelta::ZERO, TrafficGenNode::KICK_TOKEN);
+        hosts,
+        servers,
+        ..
+    } = tb.build(SwitchConfig::default(), Box::new(prog));
     sim.run_until(Time::from_millis(60));
 
-    let sink = sim.node::<SinkNode>(sink);
+    let sink = sim.node::<SinkNode>(hosts[1]);
     let sw: &SwitchNode = sim.node(switch);
     let s = sw.program::<PacketBufferProgram>().stats();
     assert!(s.stored > 0, "{cell:?}: the detour was never exercised");
     assert!(!s.channel.failed_over, "{cell:?}: must not fail over: {s:?}");
     if cell.outage {
-        let nic = sim.node::<RnicNode>(server);
+        let nic = sim.node::<RnicNode>(servers[0]);
         assert!(nic.stats().outage_drops > 0, "{cell:?}: outage never bit");
     }
     assert_eq!(s.lost_entries, 0, "{cell:?}: entries lost: {s:?}");
@@ -295,57 +277,43 @@ fn smoke_packet_buffer_worst_cell() {
 fn run_lookup_cell(cell: &Cell, seed: u64) {
     const COUNT: u64 = 300;
     const DSCP: u8 = 46;
-    let mut nic = RnicNode::new(
-        "tablesrv",
-        RnicConfig {
-            // ~300us of traffic; outage inside it, shorter than the ~3ms
-            // retry budget at rto=40us.
-            outage: cell_outage(cell, 100, 350),
-            ..RnicConfig::at(host_endpoint(2))
-        },
-    );
-    let channel = RdmaChannel::setup(
-        switch_endpoint(),
-        PortId(2),
-        &mut nic,
-        ByteSize::from_bytes(4096 * 2048),
-    );
     let flow = FiveTuple::new(host_ip(0), host_ip(1), 40_000, 80, 17);
-    install_remote_action(&mut nic, &channel, 2048, &flow, ActionEntry::set_dscp(DSCP));
-    let mut fib = Fib::new(8);
-    fib.install(host_mac(0), PortId(0));
-    fib.install(host_mac(1), PortId(1));
-    // No cache: every packet must do a full remote bounce.
-    let prog = LookupTableProgram::new(fib, channel, 2048, None).with_reliability(ReliableConfig {
-        rto: TimeDelta::from_micros(40),
-        ..Default::default()
-    });
-
-    let mut b = SimBuilder::new(seed);
-    let switch = b.add_node(Box::new(SwitchNode::new(
-        "tor",
-        SwitchConfig::default(),
-        Box::new(prog),
-    )));
-    let gen = b.add_node(Box::new(TrafficGenNode::new(
-        "client",
+    let mut tb = Testbed::new(seed);
+    tb.gen(
         WorkloadSpec::simple(host_mac(0), host_mac(1), flow, 256, Rate::from_gbps(2), COUNT),
-    )));
-    let mut sink = SinkNode::new("server");
-    sink.expect_dscp = Some(DSCP);
-    let server = b.add_node(Box::new(sink));
-    let link = LinkSpec::testbed_40g();
-    b.connect(switch, PortId(0), gen, PortId(0), link);
-    b.connect(switch, PortId(1), server, PortId(0), link);
-    let table = b.add_node(Box::new(nic));
-    let mut lossy = LinkSpec::testbed_40g();
-    lossy.faults = cell_faults(cell);
-    b.connect(switch, PortId(2), table, PortId(0), lossy);
-    let mut sim = b.build();
-    sim.schedule_timer(gen, TimeDelta::ZERO, TrafficGenNode::KICK_TOKEN);
+        LinkSpec::testbed_40g(),
+    );
+    tb.host(dscp_sink(DSCP), LinkSpec::testbed_40g());
+    let (table, channel) = tb.server(
+        // ~300us of traffic; outage inside it, shorter than the ~3ms
+        // retry budget at rto=40us.
+        dark(cell_outage(cell, 100, 350)),
+        ByteSize::from_bytes(4096 * 2048),
+        faulty(cell_faults(cell)),
+    );
+    install_remote_action(
+        tb.nic_mut(table),
+        &channel,
+        2048,
+        &flow,
+        ActionEntry::set_dscp(DSCP),
+    );
+    // No cache: every packet must do a full remote bounce.
+    let prog =
+        LookupTableProgram::new(tb.fib(), channel, 2048, None).with_reliability(ReliableConfig {
+            rto: TimeDelta::from_micros(40),
+            ..Default::default()
+        });
+    let Built {
+        mut sim,
+        switch,
+        hosts,
+        servers,
+        ..
+    } = tb.build(SwitchConfig::default(), Box::new(prog));
     sim.run_until(Time::from_millis(50));
 
-    let sink = sim.node::<SinkNode>(server);
+    let sink = sim.node::<SinkNode>(hosts[1]);
     let sw: &SwitchNode = sim.node(switch);
     let prog = sw.program::<LookupTableProgram>();
     let s = prog.stats();
@@ -356,7 +324,7 @@ fn run_lookup_cell(cell: &Cell, seed: u64) {
     assert_eq!(s.actions_applied, COUNT, "{cell:?}: {s:?}");
     assert_eq!(s.slow_path, 0, "{cell:?}: {s:?}");
     if cell.outage {
-        let nic = sim.node::<RnicNode>(table);
+        let nic = sim.node::<RnicNode>(servers[0]);
         assert!(nic.stats().outage_drops > 0, "{cell:?}: outage never bit");
     }
     if is_clean(cell) {
@@ -383,64 +351,47 @@ fn smoke_lookup_worst_cell() {
 fn run_lpm_cell(cell: &Cell, seed: u64, remote_ops: bool) {
     const COUNT: u64 = 250;
     let levels = vec![32u8, 24, 16];
-    let mut nic = RnicNode::new(
-        "routesrv",
-        RnicConfig {
-            outage: cell_outage(cell, 80, 300),
-            ..RnicConfig::at(host_endpoint(2))
-        },
-    );
-    let region = ByteSize::from_mb(1);
-    let channel = RdmaChannel::setup(switch_endpoint(), PortId(2), &mut nic, region);
-    let spl = slots_per_level(region.bytes(), &levels);
     let dst_ip = 0x0a010203u32;
+    let flow = FiveTuple::new(host_ip(0), dst_ip, 5000, 9000, 17);
+    let mut tb = Testbed::new(seed);
+    tb.gen(
+        WorkloadSpec::simple(host_mac(0), host_mac(1), flow, 256, Rate::from_gbps(2), COUNT),
+        LinkSpec::testbed_40g(),
+    );
+    let sink_port = tb.host(dscp_sink(32), LinkSpec::testbed_40g());
+    let region = ByteSize::from_mb(1);
+    let (srv, channel) = tb.server(
+        dark(cell_outage(cell, 80, 300)),
+        region,
+        faulty(cell_faults(cell)),
+    );
+    let spl = slots_per_level(region.bytes(), &levels);
     let route = |dscp: u8| {
         let mut a = ActionEntry::set_dscp(dscp);
-        a.port_override = Some(PortId(1));
+        a.port_override = Some(sink_port);
         a
     };
     // A /16 shadow route plus the /32 winner: resolution must pick /32.
-    install_remote_route(&mut nic, &channel, &levels, spl, 0x0a010000, 16, route(10));
-    install_remote_route(&mut nic, &channel, &levels, spl, dst_ip, 32, route(32));
-
-    let mut fib = Fib::new(8);
-    fib.install(host_mac(0), PortId(0));
-    fib.install(host_mac(1), PortId(1));
+    install_remote_route(tb.nic_mut(srv), &channel, &levels, spl, 0x0a010000, 16, route(10));
+    install_remote_route(tb.nic_mut(srv), &channel, &levels, spl, dst_ip, 32, route(32));
     // No cache: every packet costs a full 3-rung remote lookup (one
     // gather/walk op per packet when remote ops are on).
-    let prog = RemoteLpmProgram::new(fib, channel, levels, None)
+    let prog = RemoteLpmProgram::new(tb.fib(), channel, levels, None)
         .with_remote_ops(remote_ops)
         .with_reliability(ReliableConfig {
             rto: TimeDelta::from_micros(40),
             ..Default::default()
         });
-
-    let mut b = SimBuilder::new(seed);
-    let switch = b.add_node(Box::new(SwitchNode::new(
-        "tor",
-        SwitchConfig::default(),
-        Box::new(prog),
-    )));
-    let flow = FiveTuple::new(host_ip(0), dst_ip, 5000, 9000, 17);
-    let gen = b.add_node(Box::new(TrafficGenNode::new(
-        "gen",
-        WorkloadSpec::simple(host_mac(0), host_mac(1), flow, 256, Rate::from_gbps(2), COUNT),
-    )));
-    let mut sink = SinkNode::new("sink");
-    sink.expect_dscp = Some(32);
-    let sink = b.add_node(Box::new(sink));
-    let link = LinkSpec::testbed_40g();
-    b.connect(switch, PortId(0), gen, PortId(0), link);
-    b.connect(switch, PortId(1), sink, PortId(0), link);
-    let srv = b.add_node(Box::new(nic));
-    let mut lossy = LinkSpec::testbed_40g();
-    lossy.faults = cell_faults(cell);
-    b.connect(switch, PortId(2), srv, PortId(0), lossy);
-    let mut sim = b.build();
-    sim.schedule_timer(gen, TimeDelta::ZERO, TrafficGenNode::KICK_TOKEN);
+    let Built {
+        mut sim,
+        switch,
+        hosts,
+        servers,
+        ..
+    } = tb.build(SwitchConfig::default(), Box::new(prog));
     sim.run_until(Time::from_millis(50));
 
-    let sink = sim.node::<SinkNode>(sink);
+    let sink = sim.node::<SinkNode>(hosts[1]);
     let sw: &SwitchNode = sim.node(switch);
     let prog = sw.program::<RemoteLpmProgram>();
     let s = prog.stats();
@@ -459,7 +410,7 @@ fn run_lpm_cell(cell: &Cell, seed: u64, remote_ops: bool) {
     assert_eq!(s.responses, per_miss * COUNT, "{cell:?}: {s:?}");
     assert_eq!(s.rtts_per_miss(), Some(per_miss as f64), "{cell:?}: {s:?}");
     if cell.outage {
-        let nic = sim.node::<RnicNode>(srv);
+        let nic = sim.node::<RnicNode>(servers[0]);
         assert!(nic.stats().outage_drops > 0, "{cell:?}: outage never bit");
     }
     if is_clean(cell) {
@@ -535,37 +486,6 @@ fn run_cuckoo_probe_cell(cell: &Cell, seed: u64) {
         period: TimeDelta::from_micros(3),
     };
 
-    let mut nic = RnicNode::new(
-        "tablesrv",
-        RnicConfig {
-            outage: cell_outage(cell, 100, 350),
-            ..RnicConfig::at(host_endpoint(2))
-        },
-    );
-    let region = ByteSize::from_bytes(dir.region_bytes());
-    let channel = RdmaChannel::setup(switch_endpoint(), PortId(2), &mut nic, region);
-    let rkey = channel.rkey;
-    let base = channel.base_va;
-    install_cuckoo_image(&mut nic, &channel, &dir);
-    let mut fib = Fib::new(8);
-    fib.install(host_mac(0), PortId(0));
-    fib.install(host_mac(1), PortId(1));
-    // No cache: every packet costs one hash-probe-and-fetch op; every
-    // relocation step costs one conditional WRITE.
-    let prog = LookupTableProgram::cuckoo(fib, channel, dir, None)
-        .with_remote_ops(true)
-        .with_reliability(ReliableConfig {
-            rto: TimeDelta::from_micros(40),
-            ..Default::default()
-        })
-        .with_churn(script);
-
-    let mut b = SimBuilder::new(seed);
-    let switch = b.add_node(Box::new(SwitchNode::new(
-        "tor",
-        SwitchConfig::default(),
-        Box::new(prog),
-    )));
     let spec = WorkloadSpec {
         src_mac: host_mac(0),
         dst_mac: host_mac(1),
@@ -578,19 +498,33 @@ fn run_cuckoo_probe_cell(cell: &Cell, seed: u64) {
         seed: 23,
         flow_id_base: 0,
     };
-    let gen = b.add_node(Box::new(TrafficGenNode::new("client", spec)));
-    let mut sink = SinkNode::new("server");
-    sink.expect_dscp = Some(DSCP);
-    let server = b.add_node(Box::new(sink));
-    let link = LinkSpec::testbed_40g();
-    b.connect(switch, PortId(0), gen, PortId(0), link);
-    b.connect(switch, PortId(1), server, PortId(0), link);
-    let table = b.add_node(Box::new(nic));
-    let mut lossy = LinkSpec::testbed_40g();
-    lossy.faults = cell_faults(cell);
-    b.connect(switch, PortId(2), table, PortId(0), lossy);
-    let mut sim = b.build();
-    sim.schedule_timer(gen, TimeDelta::ZERO, TrafficGenNode::KICK_TOKEN);
+    let mut tb = Testbed::new(seed);
+    tb.gen(spec, LinkSpec::testbed_40g());
+    tb.host(dscp_sink(DSCP), LinkSpec::testbed_40g());
+    let (table, channel) = tb.server(
+        dark(cell_outage(cell, 100, 350)),
+        ByteSize::from_bytes(dir.region_bytes()),
+        faulty(cell_faults(cell)),
+    );
+    let rkey = channel.rkey;
+    let base = channel.base_va;
+    install_cuckoo_image(tb.nic_mut(table), &channel, &dir);
+    // No cache: every packet costs one hash-probe-and-fetch op; every
+    // relocation step costs one conditional WRITE.
+    let prog = LookupTableProgram::cuckoo(tb.fib(), channel, dir, None)
+        .with_remote_ops(true)
+        .with_reliability(ReliableConfig {
+            rto: TimeDelta::from_micros(40),
+            ..Default::default()
+        })
+        .with_churn(script);
+    let Built {
+        mut sim,
+        switch,
+        hosts,
+        servers,
+        ..
+    } = tb.build(SwitchConfig::default(), Box::new(prog));
     sim.schedule_timer(
         switch,
         TimeDelta::from_micros(2),
@@ -598,7 +532,7 @@ fn run_cuckoo_probe_cell(cell: &Cell, seed: u64) {
     );
     sim.run_until(Time::from_millis(50));
 
-    let sink = sim.node::<SinkNode>(server);
+    let sink = sim.node::<SinkNode>(hosts[1]);
     let sw: &SwitchNode = sim.node(switch);
     let prog = sw.program::<LookupTableProgram>();
     let s = prog.stats();
@@ -618,13 +552,13 @@ fn run_cuckoo_probe_cell(cell: &Cell, seed: u64) {
     // every conditional WRITE landed exactly once despite drops.
     let image = prog.directory().unwrap().encode_region();
     let remote = sim
-        .node::<RnicNode>(table)
+        .node::<RnicNode>(servers[0])
         .region(rkey)
         .read(base, image.len() as u64)
         .unwrap();
     assert_eq!(remote, &image[..], "{cell:?}: table diverges from directory: {s:?}");
     if cell.outage {
-        let nic = sim.node::<RnicNode>(table);
+        let nic = sim.node::<RnicNode>(servers[0]);
         assert!(nic.stats().outage_drops > 0, "{cell:?}: outage never bit");
     }
     if is_clean(cell) {
@@ -664,24 +598,16 @@ fn state_store_failover_accumulates_locally() {
     // The server never comes back within the run: the channel must fail
     // over and the store keep exact *local* truth (remote + pending).
     let counters = 128u64;
-    let mut nic = RnicNode::new(
-        "memsrv",
-        RnicConfig {
-            outage: Some((Time::from_micros(150), Time::from_millis(40))),
-            ..RnicConfig::at(host_endpoint(2))
-        },
-    );
-    let channel = RdmaChannel::setup(
-        switch_endpoint(),
-        PortId(2),
-        &mut nic,
+    let mut tb = Testbed::new(4242);
+    tb.gen(probe_spec(256, 2, 600), LinkSpec::testbed_40g());
+    tb.sink(LinkSpec::testbed_40g());
+    let (_, channel) = tb.server(
+        dark(Some((Time::from_micros(150), Time::from_millis(40)))),
         ByteSize::from_bytes(counters * 8),
+        LinkSpec::testbed_40g(),
     );
     let rkey = channel.rkey;
     let base = channel.base_va;
-    let mut fib = Fib::new(8);
-    fib.install(host_mac(0), PortId(0));
-    fib.install(host_mac(1), PortId(1));
     let engine = FaaEngine::new(
         channel,
         FaaConfig {
@@ -690,32 +616,14 @@ fn state_store_failover_accumulates_locally() {
             ..Default::default()
         },
     );
-    let prog = StateStoreProgram::new(fib, engine, TimeDelta::from_micros(30));
-    let mut b = SimBuilder::new(4242);
-    let switch = b.add_node(Box::new(SwitchNode::new(
-        "tor",
-        SwitchConfig::default(),
-        Box::new(prog),
-    )));
-    let gen = b.add_node(Box::new(TrafficGenNode::new(
-        "gen",
-        WorkloadSpec::simple(
-            host_mac(0),
-            host_mac(1),
-            FiveTuple::new(host_ip(0), host_ip(1), 5000, 9000, 17),
-            256,
-            Rate::from_gbps(2),
-            600,
-        ),
-    )));
-    let sink = b.add_node(Box::new(SinkNode::new("sink")));
-    let link = LinkSpec::testbed_40g();
-    b.connect(switch, PortId(0), gen, PortId(0), link);
-    b.connect(switch, PortId(1), sink, PortId(0), link);
-    let server = b.add_node(Box::new(nic));
-    b.connect(switch, PortId(2), server, PortId(0), link);
-    let mut sim = b.build();
-    sim.schedule_timer(gen, TimeDelta::ZERO, TrafficGenNode::KICK_TOKEN);
+    let prog = StateStoreProgram::new(tb.fib(), engine, TimeDelta::from_micros(30));
+    let Built {
+        mut sim,
+        switch,
+        hosts,
+        servers,
+        ..
+    } = tb.build(SwitchConfig::default(), Box::new(prog));
     sim.run_until(Time::from_millis(30));
 
     let sw: &SwitchNode = sim.node(switch);
@@ -733,7 +641,7 @@ fn state_store_failover_accumulates_locally() {
     // Conservation holds locally: what landed remotely plus what degraded
     // mode accumulated is exactly the ground truth. Nothing double-counted
     // (a failed op's value moves back to pending exactly once).
-    let nic = sim.node::<RnicNode>(server);
+    let nic = sim.node::<RnicNode>(servers[0]);
     let remote: u64 = read_remote_counters(nic, rkey, base, counters).iter().sum();
     let truth: u64 = prog.oracle.values().sum();
     assert_eq!(
@@ -743,7 +651,7 @@ fn state_store_failover_accumulates_locally() {
     );
     assert!(prog.pending_sum() > 0, "failover must strand updates locally");
     // Forwarding is never disturbed.
-    assert_eq!(sim.node::<SinkNode>(sink).received, 600);
+    assert_eq!(sim.node::<SinkNode>(hosts[1]).received, 600);
 }
 
 #[test]
@@ -752,23 +660,20 @@ fn packet_buffer_failover_stops_detouring_and_drains() {
     // lived only in remote memory), but the ring drains, accounting stays
     // exact, and post-failover traffic flows untouched — no deadlock.
     const COUNT: u64 = 2000;
-    let mut nic = RnicNode::new(
-        "memsrv",
-        RnicConfig {
-            // Dark from 30us on: the ~210us retry budget expires inside the
-            // ~430us burst, so post-failover arrivals must flow directly.
-            outage: Some((Time::from_micros(30), Time::from_millis(50))),
-            ..RnicConfig::at(host_endpoint(2))
-        },
+    let mut tb = Testbed::new(4243);
+    tb.gen(probe_spec(800, 30, COUNT), LinkSpec::testbed_40g());
+    let drain = tb.sink(drain_10g());
+    let (_, channel) = tb.server(
+        // Dark from 30us on: the ~210us retry budget expires inside the
+        // ~430us burst, so post-failover arrivals must flow directly.
+        dark(Some((Time::from_micros(30), Time::from_millis(50)))),
+        ByteSize::from_mb(2),
+        LinkSpec::testbed_40g(),
     );
-    let channel = RdmaChannel::setup(switch_endpoint(), PortId(2), &mut nic, ByteSize::from_mb(2));
-    let mut fib = Fib::new(8);
-    fib.install(host_mac(0), PortId(0));
-    fib.install(host_mac(1), PortId(1));
     let prog = PacketBufferProgram::new(
-        fib,
+        tb.fib(),
         vec![channel],
-        PortId(1),
+        drain,
         2048,
         Mode::Auto {
             start_store_qbytes: 4096,
@@ -778,39 +683,15 @@ fn packet_buffer_failover_stops_detouring_and_drains() {
         TimeDelta::from_micros(30),
     )
     .with_reliability(fast_failover());
-    let mut b = SimBuilder::new(4243);
-    let switch = b.add_node(Box::new(SwitchNode::new(
-        "tor",
-        SwitchConfig::default(),
-        Box::new(prog),
-    )));
-    let gen = b.add_node(Box::new(TrafficGenNode::new(
-        "gen",
-        WorkloadSpec::simple(
-            host_mac(0),
-            host_mac(1),
-            FiveTuple::new(host_ip(0), host_ip(1), 5000, 9000, 17),
-            800,
-            Rate::from_gbps(30),
-            COUNT,
-        ),
-    )));
-    let sink = b.add_node(Box::new(SinkNode::new("sink")));
-    b.connect(switch, PortId(0), gen, PortId(0), LinkSpec::testbed_40g());
-    b.connect(
+    let Built {
+        mut sim,
         switch,
-        PortId(1),
-        sink,
-        PortId(0),
-        LinkSpec::new(Rate::from_gbps(10), TimeDelta::from_nanos(300)),
-    );
-    let server = b.add_node(Box::new(nic));
-    b.connect(switch, PortId(2), server, PortId(0), LinkSpec::testbed_40g());
-    let mut sim = b.build();
-    sim.schedule_timer(gen, TimeDelta::ZERO, TrafficGenNode::KICK_TOKEN);
+        hosts,
+        ..
+    } = tb.build(SwitchConfig::default(), Box::new(prog));
     sim.run_until(Time::from_millis(60));
 
-    let sink = sim.node::<SinkNode>(sink);
+    let sink = sim.node::<SinkNode>(hosts[1]);
     let sw: &SwitchNode = sim.node(switch);
     let prog = sw.program::<PacketBufferProgram>();
     let s = prog.stats();
@@ -839,48 +720,38 @@ fn packet_buffer_failover_stops_detouring_and_drains() {
 #[test]
 fn lookup_failover_punts_to_slow_path() {
     const COUNT: u64 = 300;
-    let mut nic = RnicNode::new(
-        "tablesrv",
-        RnicConfig {
-            // Dark from 30us on: the ~210us retry budget expires mid-burst
-            // (~300us of traffic), so post-failover arrivals exist.
-            outage: Some((Time::from_micros(30), Time::from_millis(40))),
-            ..RnicConfig::at(host_endpoint(2))
-        },
-    );
-    let channel = RdmaChannel::setup(
-        switch_endpoint(),
-        PortId(2),
-        &mut nic,
-        ByteSize::from_bytes(4096 * 2048),
-    );
     let flow = FiveTuple::new(host_ip(0), host_ip(1), 40_000, 80, 17);
-    install_remote_action(&mut nic, &channel, 2048, &flow, ActionEntry::set_dscp(46));
-    let mut fib = Fib::new(8);
-    fib.install(host_mac(0), PortId(0));
-    fib.install(host_mac(1), PortId(1));
-    let prog = LookupTableProgram::new(fib, channel, 2048, None).with_reliability(fast_failover());
-    let mut b = SimBuilder::new(4244);
-    let switch = b.add_node(Box::new(SwitchNode::new(
-        "tor",
-        SwitchConfig::default(),
-        Box::new(prog),
-    )));
-    let gen = b.add_node(Box::new(TrafficGenNode::new(
-        "client",
+    let mut tb = Testbed::new(4244);
+    tb.gen(
         WorkloadSpec::simple(host_mac(0), host_mac(1), flow, 256, Rate::from_gbps(2), COUNT),
-    )));
-    let sink = b.add_node(Box::new(SinkNode::new("server")));
-    let link = LinkSpec::testbed_40g();
-    b.connect(switch, PortId(0), gen, PortId(0), link);
-    b.connect(switch, PortId(1), sink, PortId(0), link);
-    let table = b.add_node(Box::new(nic));
-    b.connect(switch, PortId(2), table, PortId(0), link);
-    let mut sim = b.build();
-    sim.schedule_timer(gen, TimeDelta::ZERO, TrafficGenNode::KICK_TOKEN);
+        LinkSpec::testbed_40g(),
+    );
+    tb.sink(LinkSpec::testbed_40g());
+    let (table, channel) = tb.server(
+        // Dark from 30us on: the ~210us retry budget expires mid-burst
+        // (~300us of traffic), so post-failover arrivals exist.
+        dark(Some((Time::from_micros(30), Time::from_millis(40)))),
+        ByteSize::from_bytes(4096 * 2048),
+        LinkSpec::testbed_40g(),
+    );
+    install_remote_action(
+        tb.nic_mut(table),
+        &channel,
+        2048,
+        &flow,
+        ActionEntry::set_dscp(46),
+    );
+    let prog =
+        LookupTableProgram::new(tb.fib(), channel, 2048, None).with_reliability(fast_failover());
+    let Built {
+        mut sim,
+        switch,
+        hosts,
+        ..
+    } = tb.build(SwitchConfig::default(), Box::new(prog));
     sim.run_until(Time::from_millis(30));
 
-    let sink = sim.node::<SinkNode>(sink);
+    let sink = sim.node::<SinkNode>(hosts[1]);
     let sw: &SwitchNode = sim.node(switch);
     let prog = sw.program::<LookupTableProgram>();
     let s = prog.stats();
@@ -914,48 +785,37 @@ fn lookup_failover_punts_to_slow_path() {
 fn lpm_failover_forwards_fib_only() {
     const COUNT: u64 = 300;
     let levels = vec![32u8, 24, 16];
-    let mut nic = RnicNode::new(
-        "routesrv",
-        RnicConfig {
-            // Dark from 30us on: failover (~240us) lands inside the
-            // ~300us burst.
-            outage: Some((Time::from_micros(30), Time::from_millis(40))),
-            ..RnicConfig::at(host_endpoint(2))
-        },
-    );
-    let region = ByteSize::from_mb(1);
-    let channel = RdmaChannel::setup(switch_endpoint(), PortId(2), &mut nic, region);
-    let spl = slots_per_level(region.bytes(), &levels);
     let dst_ip = 0x0a010203u32;
-    let mut a = ActionEntry::set_dscp(32);
-    a.port_override = Some(PortId(1));
-    install_remote_route(&mut nic, &channel, &levels, spl, dst_ip, 32, a);
-    let mut fib = Fib::new(8);
-    fib.install(host_mac(0), PortId(0));
-    fib.install(host_mac(1), PortId(1));
-    let prog = RemoteLpmProgram::new(fib, channel, levels, None).with_reliability(fast_failover());
-    let mut b = SimBuilder::new(4245);
-    let switch = b.add_node(Box::new(SwitchNode::new(
-        "tor",
-        SwitchConfig::default(),
-        Box::new(prog),
-    )));
     let flow = FiveTuple::new(host_ip(0), dst_ip, 5000, 9000, 17);
-    let gen = b.add_node(Box::new(TrafficGenNode::new(
-        "gen",
+    let mut tb = Testbed::new(4245);
+    tb.gen(
         WorkloadSpec::simple(host_mac(0), host_mac(1), flow, 256, Rate::from_gbps(2), COUNT),
-    )));
-    let sink = b.add_node(Box::new(SinkNode::new("sink")));
-    let link = LinkSpec::testbed_40g();
-    b.connect(switch, PortId(0), gen, PortId(0), link);
-    b.connect(switch, PortId(1), sink, PortId(0), link);
-    let srv = b.add_node(Box::new(nic));
-    b.connect(switch, PortId(2), srv, PortId(0), link);
-    let mut sim = b.build();
-    sim.schedule_timer(gen, TimeDelta::ZERO, TrafficGenNode::KICK_TOKEN);
+        LinkSpec::testbed_40g(),
+    );
+    let sink_port = tb.sink(LinkSpec::testbed_40g());
+    let region = ByteSize::from_mb(1);
+    let (srv, channel) = tb.server(
+        // Dark from 30us on: failover (~240us) lands inside the
+        // ~300us burst.
+        dark(Some((Time::from_micros(30), Time::from_millis(40)))),
+        region,
+        LinkSpec::testbed_40g(),
+    );
+    let spl = slots_per_level(region.bytes(), &levels);
+    let mut a = ActionEntry::set_dscp(32);
+    a.port_override = Some(sink_port);
+    install_remote_route(tb.nic_mut(srv), &channel, &levels, spl, dst_ip, 32, a);
+    let prog =
+        RemoteLpmProgram::new(tb.fib(), channel, levels, None).with_reliability(fast_failover());
+    let Built {
+        mut sim,
+        switch,
+        hosts,
+        ..
+    } = tb.build(SwitchConfig::default(), Box::new(prog));
     sim.run_until(Time::from_millis(30));
 
-    let sink = sim.node::<SinkNode>(sink);
+    let sink = sim.node::<SinkNode>(hosts[1]);
     let sw: &SwitchNode = sim.node(switch);
     let prog = sw.program::<RemoteLpmProgram>();
     let s = prog.stats();
@@ -991,21 +851,19 @@ fn packet_buffer_exact_across_psn_wrap_with_loss() {
     // wraps mid-run while 5% loss keeps retransmissions in flight around
     // the boundary (wrap mid-retransmit).
     for seed in [11u64, 12, 13] {
-        let mut nic = RnicNode::new("memsrv", RnicConfig::at(host_endpoint(2)));
-        let channel = RdmaChannel::setup_at_psn(
-            switch_endpoint(),
-            PortId(2),
-            &mut nic,
+        let mut tb = Testbed::new(seed);
+        tb.gen(probe_spec(800, 30, 400), LinkSpec::testbed_40g());
+        let drain = tb.sink(drain_10g());
+        let (_, channel) = tb.server_at_psn(
+            RnicConfig::default(),
             ByteSize::from_mb(2),
+            faulty(FaultSpec::drop(0.05)),
             0x00ff_fe80,
         );
-        let mut fib = Fib::new(8);
-        fib.install(host_mac(0), PortId(0));
-        fib.install(host_mac(1), PortId(1));
         let prog = PacketBufferProgram::new(
-            fib,
+            tb.fib(),
             vec![channel],
-            PortId(1),
+            drain,
             2048,
             Mode::Auto {
                 start_store_qbytes: 4096,
@@ -1014,41 +872,15 @@ fn packet_buffer_exact_across_psn_wrap_with_loss() {
             8,
             TimeDelta::from_micros(50),
         );
-        let mut b = SimBuilder::new(seed);
-        let switch = b.add_node(Box::new(SwitchNode::new(
-            "tor",
-            SwitchConfig::default(),
-            Box::new(prog),
-        )));
-        let gen = b.add_node(Box::new(TrafficGenNode::new(
-            "gen",
-            WorkloadSpec::simple(
-                host_mac(0),
-                host_mac(1),
-                FiveTuple::new(host_ip(0), host_ip(1), 5000, 9000, 17),
-                800,
-                Rate::from_gbps(30),
-                400,
-            ),
-        )));
-        let sink = b.add_node(Box::new(SinkNode::new("sink")));
-        b.connect(switch, PortId(0), gen, PortId(0), LinkSpec::testbed_40g());
-        b.connect(
+        let Built {
+            mut sim,
             switch,
-            PortId(1),
-            sink,
-            PortId(0),
-            LinkSpec::new(Rate::from_gbps(10), TimeDelta::from_nanos(300)),
-        );
-        let server = b.add_node(Box::new(nic));
-        let mut lossy = LinkSpec::testbed_40g();
-        lossy.faults = FaultSpec::drop(0.05);
-        b.connect(switch, PortId(2), server, PortId(0), lossy);
-        let mut sim = b.build();
-        sim.schedule_timer(gen, TimeDelta::ZERO, TrafficGenNode::KICK_TOKEN);
+            hosts,
+            ..
+        } = tb.build(SwitchConfig::default(), Box::new(prog));
         sim.run_until(Time::from_millis(60));
 
-        let sink = sim.node::<SinkNode>(sink);
+        let sink = sim.node::<SinkNode>(hosts[1]);
         let sw: &SwitchNode = sim.node(switch);
         let s = sw.program::<PacketBufferProgram>().stats();
         assert!(s.channel.retransmits > 0, "seed {seed}: loss never bit: {s:?}");
@@ -1065,19 +897,17 @@ fn state_store_exact_across_psn_wrap_with_loss() {
     // FAA traffic starting 16 PSNs short of the wrap under 5% loss: the
     // retransmission window itself straddles the boundary.
     let counters = 128u64;
-    let mut nic = RnicNode::new("memsrv", RnicConfig::at(host_endpoint(2)));
-    let channel = RdmaChannel::setup_at_psn(
-        switch_endpoint(),
-        PortId(2),
-        &mut nic,
+    let mut tb = Testbed::new(321);
+    tb.gen(probe_spec(256, 2, 600), LinkSpec::testbed_40g());
+    tb.sink(LinkSpec::testbed_40g());
+    let (_, channel) = tb.server_at_psn(
+        RnicConfig::default(),
         ByteSize::from_bytes(counters * 8),
+        faulty(FaultSpec::drop(0.05)),
         0x00ff_fff0,
     );
     let rkey = channel.rkey;
     let base = channel.base_va;
-    let mut fib = Fib::new(8);
-    fib.install(host_mac(0), PortId(0));
-    fib.install(host_mac(1), PortId(1));
     let engine = FaaEngine::new(
         channel,
         FaaConfig {
@@ -1086,34 +916,13 @@ fn state_store_exact_across_psn_wrap_with_loss() {
             ..Default::default()
         },
     );
-    let prog = StateStoreProgram::new(fib, engine, TimeDelta::from_micros(30));
-    let mut b = SimBuilder::new(321);
-    let switch = b.add_node(Box::new(SwitchNode::new(
-        "tor",
-        SwitchConfig::default(),
-        Box::new(prog),
-    )));
-    let gen = b.add_node(Box::new(TrafficGenNode::new(
-        "gen",
-        WorkloadSpec::simple(
-            host_mac(0),
-            host_mac(1),
-            FiveTuple::new(host_ip(0), host_ip(1), 5000, 9000, 17),
-            256,
-            Rate::from_gbps(2),
-            600,
-        ),
-    )));
-    let sink = b.add_node(Box::new(SinkNode::new("sink")));
-    let link = LinkSpec::testbed_40g();
-    b.connect(switch, PortId(0), gen, PortId(0), link);
-    b.connect(switch, PortId(1), sink, PortId(0), link);
-    let server = b.add_node(Box::new(nic));
-    let mut lossy = LinkSpec::testbed_40g();
-    lossy.faults = FaultSpec::drop(0.05);
-    b.connect(switch, PortId(2), server, PortId(0), lossy);
-    let mut sim = b.build();
-    sim.schedule_timer(gen, TimeDelta::ZERO, TrafficGenNode::KICK_TOKEN);
+    let prog = StateStoreProgram::new(tb.fib(), engine, TimeDelta::from_micros(30));
+    let Built {
+        mut sim,
+        switch,
+        servers,
+        ..
+    } = tb.build(SwitchConfig::default(), Box::new(prog));
     sim.run_until(Time::from_millis(50));
 
     let sw: &SwitchNode = sim.node(switch);
@@ -1121,7 +930,7 @@ fn state_store_exact_across_psn_wrap_with_loss() {
     let s = prog.faa_stats();
     assert!(s.retransmits > 0, "loss never bit: {s:?}");
     assert!(prog.is_quiescent(), "stuck across the wrap: {s:?}");
-    let nic = sim.node::<RnicNode>(server);
+    let nic = sim.node::<RnicNode>(servers[0]);
     let remote: u64 = read_remote_counters(nic, rkey, base, counters).iter().sum();
     let truth: u64 = prog.oracle.values().sum();
     assert_eq!(remote, truth, "wrap must not corrupt the count");
@@ -1155,15 +964,14 @@ fn run_state_store_crash_cell(crash_primary: bool, rejoin: bool, seed: u64) {
     const COUNT: u64 = 600;
     let counters = 256u64;
     let region = ByteSize::from_bytes(counters * 8);
-    let mut nic_a = RnicNode::new("memsrv-a", RnicConfig::at(host_endpoint(2)));
-    let mut nic_b = RnicNode::new("memsrv-b", RnicConfig::at(host_endpoint(3)));
-    let ch_a = RdmaChannel::setup(switch_endpoint(), PortId(2), &mut nic_a, region);
-    let ch_b = RdmaChannel::setup(switch_endpoint(), PortId(3), &mut nic_b, region);
+    let link = LinkSpec::testbed_40g();
+    let mut tb = Testbed::new(seed);
+    tb.gen(probe_spec(256, 2, COUNT), link);
+    tb.sink(link);
+    let (_, ch_a) = tb.server(RnicConfig::default(), region, link);
+    let (_, ch_b) = tb.server(RnicConfig::default(), region, link);
     let rkey = ch_a.rkey;
     let base = ch_a.base_va;
-    let mut fib = Fib::new(8);
-    fib.install(host_mac(0), PortId(0));
-    fib.install(host_mac(1), PortId(1));
     let engine = FaaEngine::replicated(
         vec![ch_a, ch_b],
         FaaConfig {
@@ -1178,35 +986,15 @@ fn run_state_store_crash_cell(crash_primary: bool, rejoin: bool, seed: u64) {
             ..crash_pool_config()
         },
     );
-    let prog = StateStoreProgram::new(fib, engine, TimeDelta::from_micros(30));
-
-    let mut b = SimBuilder::new(seed);
-    let switch = b.add_node(Box::new(SwitchNode::new(
-        "tor",
-        SwitchConfig::default(),
-        Box::new(prog),
-    )));
-    let gen = b.add_node(Box::new(TrafficGenNode::new(
-        "gen",
-        WorkloadSpec::simple(
-            host_mac(0),
-            host_mac(1),
-            FiveTuple::new(host_ip(0), host_ip(1), 5000, 9000, 17),
-            256,
-            Rate::from_gbps(2),
-            COUNT,
-        ),
-    )));
-    let sink = b.add_node(Box::new(SinkNode::new("sink")));
-    let link = LinkSpec::testbed_40g();
-    b.connect(switch, PortId(0), gen, PortId(0), link);
-    b.connect(switch, PortId(1), sink, PortId(0), link);
-    let server_a = b.add_node(Box::new(nic_a));
-    let server_b = b.add_node(Box::new(nic_b));
-    b.connect(switch, PortId(2), server_a, PortId(0), link);
-    b.connect(switch, PortId(3), server_b, PortId(0), link);
-    let mut sim = b.build();
-    sim.schedule_timer(gen, TimeDelta::ZERO, TrafficGenNode::KICK_TOKEN);
+    let prog = StateStoreProgram::new(tb.fib(), engine, TimeDelta::from_micros(30));
+    let Built {
+        mut sim,
+        switch,
+        hosts,
+        servers,
+        ..
+    } = tb.build(SwitchConfig::default(), Box::new(prog));
+    let (server_a, server_b) = (servers[0], servers[1]);
     let victim = if crash_primary { server_a } else { server_b };
     let survivor = if crash_primary { server_b } else { server_a };
     // Mid-workload (traffic spans ~600us).
@@ -1254,7 +1042,7 @@ fn run_state_store_crash_cell(crash_primary: bool, rejoin: bool, seed: u64) {
         assert_eq!(s.pool.unavailable, 1, "{cell:?}: {s:?}");
         assert_eq!(s.pool.rejoins, 0, "{cell:?}: {s:?}");
     }
-    assert_eq!(sim.node::<SinkNode>(sink).received, COUNT);
+    assert_eq!(sim.node::<SinkNode>(hosts[1]).received, COUNT);
 }
 
 #[test]
@@ -1292,18 +1080,16 @@ fn crash_state_store_rejoin_under_parallel_backend() {
 /// restarts and is promoted back only once the ring has drained.
 fn run_packet_buffer_crash_cell(crash_primary: bool, rejoin: bool, seed: u64) {
     const COUNT: u64 = 400;
-    let mut nic_a = RnicNode::new("memsrv-a", RnicConfig::at(host_endpoint(2)));
-    let mut nic_b = RnicNode::new("memsrv-b", RnicConfig::at(host_endpoint(3)));
     let region = ByteSize::from_mb(2);
-    let ch_a = RdmaChannel::setup(switch_endpoint(), PortId(2), &mut nic_a, region);
-    let ch_b = RdmaChannel::setup(switch_endpoint(), PortId(3), &mut nic_b, region);
-    let mut fib = Fib::new(8);
-    fib.install(host_mac(0), PortId(0));
-    fib.install(host_mac(1), PortId(1));
+    let mut tb = Testbed::new(seed);
+    tb.gen(probe_spec(800, 30, COUNT), LinkSpec::testbed_40g());
+    let drain = tb.sink(drain_10g());
+    let (_, ch_a) = tb.server(RnicConfig::default(), region, LinkSpec::testbed_40g());
+    let (_, ch_b) = tb.server(RnicConfig::default(), region, LinkSpec::testbed_40g());
     let prog = PacketBufferProgram::replicated(
-        fib,
+        tb.fib(),
         vec![vec![ch_a, ch_b]],
-        PortId(1),
+        drain,
         2048,
         Mode::Auto {
             start_store_qbytes: 4096,
@@ -1313,38 +1099,14 @@ fn run_packet_buffer_crash_cell(crash_primary: bool, rejoin: bool, seed: u64) {
         TimeDelta::from_micros(30),
         crash_pool_config(),
     );
-    let mut b = SimBuilder::new(seed);
-    let switch = b.add_node(Box::new(SwitchNode::new(
-        "tor",
-        SwitchConfig::default(),
-        Box::new(prog),
-    )));
-    let gen = b.add_node(Box::new(TrafficGenNode::new(
-        "gen",
-        WorkloadSpec::simple(
-            host_mac(0),
-            host_mac(1),
-            FiveTuple::new(host_ip(0), host_ip(1), 5000, 9000, 17),
-            800,
-            Rate::from_gbps(30),
-            COUNT,
-        ),
-    )));
-    let sink = b.add_node(Box::new(SinkNode::new("sink")));
-    b.connect(switch, PortId(0), gen, PortId(0), LinkSpec::testbed_40g());
-    b.connect(
+    let Built {
+        mut sim,
         switch,
-        PortId(1),
-        sink,
-        PortId(0),
-        LinkSpec::new(Rate::from_gbps(10), TimeDelta::from_nanos(300)),
-    );
-    let server_a = b.add_node(Box::new(nic_a));
-    let server_b = b.add_node(Box::new(nic_b));
-    b.connect(switch, PortId(2), server_a, PortId(0), LinkSpec::testbed_40g());
-    b.connect(switch, PortId(3), server_b, PortId(0), LinkSpec::testbed_40g());
-    let mut sim = b.build();
-    sim.schedule_timer(gen, TimeDelta::ZERO, TrafficGenNode::KICK_TOKEN);
+        hosts,
+        servers,
+        ..
+    } = tb.build(SwitchConfig::default(), Box::new(prog));
+    let (server_a, server_b) = (servers[0], servers[1]);
     let victim = if crash_primary { server_a } else { server_b };
     sim.schedule_crash(victim, TimeDelta::from_micros(50));
     if rejoin {
@@ -1354,7 +1116,7 @@ fn run_packet_buffer_crash_cell(crash_primary: bool, rejoin: bool, seed: u64) {
 
     let cell = (crash_primary, rejoin);
     assert!(sim.crash_drops(victim) > 0, "{cell:?}: crash never bit");
-    let sink = sim.node::<SinkNode>(sink);
+    let sink = sim.node::<SinkNode>(hosts[1]);
     let sw: &SwitchNode = sim.node(switch);
     let prog = sw.program::<PacketBufferProgram>();
     let s = prog.stats();
@@ -1458,33 +1220,6 @@ fn run_crash_lookup_cell(remote_ops: bool) {
         period: TimeDelta::from_micros(3),
     };
 
-    let region = ByteSize::from_bytes(dir.region_bytes());
-    let mut nic_a = RnicNode::new("tablesrv-a", RnicConfig::at(host_endpoint(2)));
-    let mut nic_b = RnicNode::new("tablesrv-b", RnicConfig::at(host_endpoint(3)));
-    let ch_a = RdmaChannel::setup(switch_endpoint(), PortId(2), &mut nic_a, region);
-    let ch_b = RdmaChannel::setup(switch_endpoint(), PortId(3), &mut nic_b, region);
-    let rkey = ch_a.rkey;
-    let base = ch_a.base_va;
-    install_cuckoo_image(&mut nic_a, &ch_a, &dir);
-    install_cuckoo_image(&mut nic_b, &ch_b, &dir);
-    let mut fib = Fib::new(8);
-    fib.install(host_mac(0), PortId(0));
-    fib.install(host_mac(1), PortId(1));
-    let prog =
-        LookupTableProgram::cuckoo_replicated(fib, vec![ch_a, ch_b], dir, None, crash_pool_config())
-            .with_remote_ops(remote_ops)
-            .with_reliability(ReliableConfig {
-                rto: TimeDelta::from_micros(30),
-                ..Default::default()
-            })
-            .with_churn(script);
-
-    let mut b = SimBuilder::new(9815);
-    let switch = b.add_node(Box::new(SwitchNode::new(
-        "tor",
-        SwitchConfig::default(),
-        Box::new(prog),
-    )));
     let spec = WorkloadSpec {
         src_mac: host_mac(0),
         dst_mac: host_mac(1),
@@ -1497,19 +1232,38 @@ fn run_crash_lookup_cell(remote_ops: bool) {
         seed: 23,
         flow_id_base: 0,
     };
-    let gen = b.add_node(Box::new(TrafficGenNode::new("client", spec)));
-    let mut sink = SinkNode::new("server");
-    sink.expect_dscp = Some(DSCP);
-    let server = b.add_node(Box::new(sink));
     let link = LinkSpec::testbed_40g();
-    b.connect(switch, PortId(0), gen, PortId(0), link);
-    b.connect(switch, PortId(1), server, PortId(0), link);
-    let server_a = b.add_node(Box::new(nic_a));
-    let server_b = b.add_node(Box::new(nic_b));
-    b.connect(switch, PortId(2), server_a, PortId(0), link);
-    b.connect(switch, PortId(3), server_b, PortId(0), link);
-    let mut sim = b.build();
-    sim.schedule_timer(gen, TimeDelta::ZERO, TrafficGenNode::KICK_TOKEN);
+    let region = ByteSize::from_bytes(dir.region_bytes());
+    let mut tb = Testbed::new(9815);
+    tb.gen(spec, link);
+    tb.host(dscp_sink(DSCP), link);
+    let (a, ch_a) = tb.server(RnicConfig::default(), region, link);
+    let (b, ch_b) = tb.server(RnicConfig::default(), region, link);
+    let rkey = ch_a.rkey;
+    let base = ch_a.base_va;
+    install_cuckoo_image(tb.nic_mut(a), &ch_a, &dir);
+    install_cuckoo_image(tb.nic_mut(b), &ch_b, &dir);
+    let prog = LookupTableProgram::cuckoo_replicated(
+        tb.fib(),
+        vec![ch_a, ch_b],
+        dir,
+        None,
+        crash_pool_config(),
+    )
+    .with_remote_ops(remote_ops)
+    .with_reliability(ReliableConfig {
+        rto: TimeDelta::from_micros(30),
+        ..Default::default()
+    })
+    .with_churn(script);
+    let Built {
+        mut sim,
+        switch,
+        hosts,
+        servers,
+        ..
+    } = tb.build(SwitchConfig::default(), Box::new(prog));
+    let (server_a, server_b) = (servers[0], servers[1]);
     sim.schedule_timer(
         switch,
         TimeDelta::from_micros(2),
@@ -1534,7 +1288,7 @@ fn run_crash_lookup_cell(remote_ops: bool) {
     assert_eq!(pool.health(1), Health::Healthy, "{s:?}");
     // In-flight lookups and relocation ops ride the failover (reissued on
     // the survivor), so the no-transient-miss invariant holds even here.
-    let sink = sim.node::<SinkNode>(server);
+    let sink = sim.node::<SinkNode>(hosts[1]);
     assert_eq!(sink.received, COUNT, "packets lost: {s:?}");
     assert_eq!(sink.dscp_mismatch, 0, "a punt kept its old DSCP: {s:?}");
     assert_eq!(s.slow_path, 0, "crash punted a lookup: {s:?}");
@@ -1576,25 +1330,38 @@ fn crash_fabric_shard_primary_mid_run_rejoins_exact() {
     const REPLICAS: usize = 2;
     const COUNTERS: u64 = 256;
     let region = ByteSize::from_bytes(COUNTERS * 8);
+    let link = LinkSpec::testbed_40g();
+    let mut tb = Testbed::new(9820);
+    // A synthesized multi-flow population so both shards own keys.
+    tb.gen(
+        WorkloadSpec {
+            src_mac: host_mac(0),
+            dst_mac: host_mac(1),
+            flows: FlowSet::synth(512, 0x0a90_0000, host_ip(1), 9_000),
+            pick: FlowPick::Zipf(1.1),
+            frame_len: 256,
+            offered: Some(Rate::from_gbps(2)),
+            arrival: Arrival::Paced,
+            count: COUNT,
+            seed: 31,
+            flow_id_base: 0,
+        },
+        link,
+    );
+    tb.sink(link);
     // Servers sit on switch ports 2..6: shard s replica r at 2 + s*2 + r.
-    let mut nics: Vec<Option<RnicNode>> = Vec::new();
     let mut keys = Vec::new(); // [shard][replica] -> (rkey, base_va)
     let mut shards = Vec::new();
     for shard in 0..SHARDS {
-        let mut channels = Vec::new();
-        let mut shard_keys = Vec::new();
-        for r in 0..REPLICAS {
-            let port = 2 + shard as usize * REPLICAS + r;
-            let mut nic = RnicNode::new(
-                format!("mems{shard}r{r}"),
-                RnicConfig::at(host_endpoint(port)),
-            );
-            let ch = RdmaChannel::setup(switch_endpoint(), PortId(port as u16), &mut nic, region);
-            shard_keys.push((ch.rkey, ch.base_va));
-            channels.push(ch);
-            nics.push(Some(nic));
-        }
-        keys.push(shard_keys);
+        let channels: Vec<_> = (0..REPLICAS)
+            .map(|_| tb.server(RnicConfig::default(), region, link).1)
+            .collect();
+        keys.push(
+            channels
+                .iter()
+                .map(|ch| (ch.rkey, ch.base_va))
+                .collect::<Vec<_>>(),
+        );
         let engine = FaaEngine::replicated(
             channels,
             FaaConfig {
@@ -1609,45 +1376,14 @@ fn crash_fabric_shard_primary_mid_run_rejoins_exact() {
         );
         shards.push((shard, engine, true));
     }
-    let mut fib = Fib::new(8);
-    fib.install(host_mac(0), PortId(0));
-    fib.install(host_mac(1), PortId(1));
-    let prog = ShardedStateStoreProgram::new(fib, shards, 64, TimeDelta::from_micros(30));
-
-    let mut b = SimBuilder::new(9820);
-    let switch = b.add_node(Box::new(SwitchNode::new(
-        "tor",
-        SwitchConfig::default(),
-        Box::new(prog),
-    )));
-    // A synthesized multi-flow population so both shards own keys.
-    let gen = b.add_node(Box::new(TrafficGenNode::new(
-        "gen",
-        WorkloadSpec {
-            src_mac: host_mac(0),
-            dst_mac: host_mac(1),
-            flows: FlowSet::synth(512, 0x0a90_0000, host_ip(1), 9_000),
-            pick: FlowPick::Zipf(1.1),
-            frame_len: 256,
-            offered: Some(Rate::from_gbps(2)),
-            arrival: Arrival::Paced,
-            count: COUNT,
-            seed: 31,
-            flow_id_base: 0,
-        },
-    )));
-    let sink = b.add_node(Box::new(SinkNode::new("sink")));
-    let link = LinkSpec::testbed_40g();
-    b.connect(switch, PortId(0), gen, PortId(0), link);
-    b.connect(switch, PortId(1), sink, PortId(0), link);
-    let mut servers = Vec::new();
-    for (i, nic) in nics.iter_mut().enumerate() {
-        let id = b.add_node(Box::new(nic.take().expect("server NIC built once")));
-        b.connect(switch, PortId((2 + i) as u16), id, PortId(0), link);
-        servers.push(id);
-    }
-    let mut sim = b.build();
-    sim.schedule_timer(gen, TimeDelta::ZERO, TrafficGenNode::KICK_TOKEN);
+    let prog = ShardedStateStoreProgram::new(tb.fib(), shards, 64, TimeDelta::from_micros(30));
+    let Built {
+        mut sim,
+        switch,
+        hosts,
+        servers,
+        ..
+    } = tb.build(SwitchConfig::default(), Box::new(prog));
     // Shard 0's primary dies mid-workload (traffic spans ~600us) and comes
     // back with wiped DRAM half-way through.
     let victim = servers[0];
@@ -1700,7 +1436,7 @@ fn crash_fabric_shard_primary_mid_run_rejoins_exact() {
             );
         }
     }
-    assert_eq!(sim.node::<SinkNode>(sink).received, COUNT);
+    assert_eq!(sim.node::<SinkNode>(hosts[1]).received, COUNT);
 }
 
 // ---------------------------------------------------------------------------
@@ -1715,18 +1451,22 @@ fn duplicate_storm_state_store_settles_exactly() {
     // counters exact — a re-executed FaA would double-count.
     const COUNT: u64 = 600;
     let counters = 256u64;
-    let mut nic = RnicNode::new("memsrv", RnicConfig::at(host_endpoint(2)));
-    let channel = RdmaChannel::setup(
-        switch_endpoint(),
-        PortId(2),
-        &mut nic,
+    let mut tb = Testbed::new(9900);
+    tb.gen(probe_spec(256, 2, COUNT), LinkSpec::testbed_40g());
+    tb.sink(LinkSpec::testbed_40g());
+    let (_, channel) = tb.server(
+        RnicConfig::default(),
         ByteSize::from_bytes(counters * 8),
+        faulty(FaultSpec {
+            drop_prob: 0.0,
+            corrupt_prob: 0.0,
+            duplicate_prob: 0.2,
+            reorder_prob: 0.03,
+            reorder_delay: TimeDelta::from_micros(3),
+        }),
     );
     let rkey = channel.rkey;
     let base = channel.base_va;
-    let mut fib = Fib::new(8);
-    fib.install(host_mac(0), PortId(0));
-    fib.install(host_mac(1), PortId(1));
     let engine = FaaEngine::new(
         channel,
         FaaConfig {
@@ -1735,55 +1475,29 @@ fn duplicate_storm_state_store_settles_exactly() {
             ..Default::default()
         },
     );
-    let prog = StateStoreProgram::new(fib, engine, TimeDelta::from_micros(30));
-    let mut b = SimBuilder::new(9900);
-    let switch = b.add_node(Box::new(SwitchNode::new(
-        "tor",
-        SwitchConfig::default(),
-        Box::new(prog),
-    )));
-    let gen = b.add_node(Box::new(TrafficGenNode::new(
-        "gen",
-        WorkloadSpec::simple(
-            host_mac(0),
-            host_mac(1),
-            FiveTuple::new(host_ip(0), host_ip(1), 5000, 9000, 17),
-            256,
-            Rate::from_gbps(2),
-            COUNT,
-        ),
-    )));
-    let sink = b.add_node(Box::new(SinkNode::new("sink")));
-    let link = LinkSpec::testbed_40g();
-    b.connect(switch, PortId(0), gen, PortId(0), link);
-    b.connect(switch, PortId(1), sink, PortId(0), link);
-    let server = b.add_node(Box::new(nic));
-    let mut dupy = LinkSpec::testbed_40g();
-    dupy.faults = FaultSpec {
-        drop_prob: 0.0,
-        corrupt_prob: 0.0,
-        duplicate_prob: 0.2,
-        reorder_prob: 0.03,
-        reorder_delay: TimeDelta::from_micros(3),
-    };
-    let srv_link = b.connect(switch, PortId(2), server, PortId(0), dupy);
-    let mut sim = b.build();
-    sim.schedule_timer(gen, TimeDelta::ZERO, TrafficGenNode::KICK_TOKEN);
+    let prog = StateStoreProgram::new(tb.fib(), engine, TimeDelta::from_micros(30));
+    let Built {
+        mut sim,
+        switch,
+        hosts,
+        servers,
+        links,
+    } = tb.build(SwitchConfig::default(), Box::new(prog));
     sim.run_until(Time::from_millis(50));
 
-    let dups = sim.link_stats(srv_link, 0).duplicated_packets
-        + sim.link_stats(srv_link, 1).duplicated_packets;
+    let dups = sim.link_stats(links[2], 0).duplicated_packets
+        + sim.link_stats(links[2], 1).duplicated_packets;
     assert!(dups > 0, "duplicate injection never bit");
     let sw: &SwitchNode = sim.node(switch);
     let prog = sw.program::<StateStoreProgram>();
     let s = prog.faa_stats();
     assert!(prog.is_quiescent(), "stuck window: {s:?}");
     assert!(!s.channel.failed_over, "{s:?}");
-    let nic = sim.node::<RnicNode>(server);
+    let nic = sim.node::<RnicNode>(servers[0]);
     let remote: u64 = read_remote_counters(nic, rkey, base, counters).iter().sum();
     let truth: u64 = prog.oracle.values().sum();
     assert_eq!(remote, truth, "duplicates double-counted");
-    assert_eq!(sim.node::<SinkNode>(sink).received, COUNT);
+    assert_eq!(sim.node::<SinkNode>(hosts[1]).received, COUNT);
 }
 
 // ---------------------------------------------------------------------------

@@ -13,9 +13,10 @@
 //! 3. **Determinism under load** — the high-load incast scenario produces
 //!    identical statistics *and* event counts across same-seed runs.
 //!
-//! The alloc/CoW counters in `extmem_wire::bytes` are process-global, so
-//! each counter-sensitive test holds a [`CounterSpan`], which serializes
-//! the tests and scopes their deltas in one move.
+//! The alloc/CoW/digest counters in `extmem_wire` are per thread (workers
+//! of the parallel backend fold theirs into the driving thread), so a
+//! [`CounterSpan`] delta around a run is that run's alone, whatever the
+//! other tests in this binary are doing.
 
 use extmem_apps::incast::{run_incast, IncastConfig, RemoteBufferSpec};
 use extmem_sim::{FaultSpec, LinkSpec, Node, NodeCtx, SimBuilder};
@@ -103,8 +104,7 @@ impl Node for Capture {
 /// Build a sender → N forwarding hops → capture chain and run `packets`
 /// pre-built 1500 B packets through it. Returns (kept sender copies,
 /// received packets, alloc delta, cow delta, digest delta) measured across
-/// the run only — the internal [`CounterSpan`] both scopes the deltas and
-/// serializes counter-sensitive tests.
+/// the run only.
 fn run_chain(
     hops: usize,
     packets: Vec<Packet>,
@@ -147,7 +147,6 @@ fn run_chain(
     let span = CounterSpan::begin();
     sim.run_to_quiescence();
     let (allocs, cows, digests) = (span.allocs(), span.cows(), span.digests());
-    drop(span);
     let got = std::mem::take(&mut sim.node_mut::<Capture>(cap).got);
     let kept = std::mem::take(&mut sim.node_mut::<Sender>(sender).kept);
     assert_eq!(got.len() as u64, n, "all packets delivered");
@@ -298,9 +297,6 @@ fn multi_hop_forwarding_digests_each_packet_once() {
 
 #[test]
 fn high_load_incast_is_deterministic_event_for_event() {
-    // The runs inflate the process-global counters; holding a (otherwise
-    // unread) span keeps them out of the other tests' measurement windows.
-    let _span = CounterSpan::begin();
     // Two same-seed runs of the 8-sender line-rate incast (with the
     // remote-buffer detour engaged) must agree on every statistic,
     // including the total event and per-hop packet counts — the strongest
@@ -327,4 +323,26 @@ fn high_load_incast_is_deterministic_event_for_event() {
         r1.events
     );
     assert_eq!(r1.delivered, r1.sent, "detour keeps the incast lossless");
+}
+
+#[test]
+fn parallel_workers_report_their_payload_counts() {
+    // The counters are per thread and the parallel backend runs every
+    // partition on a worker: the driving thread must still see the whole
+    // run's counts, equal to the sequential backend's.
+    use extmem_sim::{with_sched_backend, SchedBackend};
+    let counts = |backend| {
+        with_sched_backend(backend, || {
+            let span = CounterSpan::begin();
+            let r = run_incast(IncastConfig::small(Some(RemoteBufferSpec::default())));
+            assert_eq!(r.delivered, r.sent);
+            (span.allocs(), span.cows(), span.digests())
+        })
+    };
+    let wheel = counts(SchedBackend::Wheel);
+    assert!(
+        wheel.0 > 1_000,
+        "the incast builds thousands of frames: {wheel:?}"
+    );
+    assert_eq!(counts(SchedBackend::Parallel(2)), wheel);
 }

@@ -13,8 +13,8 @@
 //!   every plan step-by-step against a byte region plus live filter never
 //!   makes a resident key transiently unfindable.
 
-use extmem_apps::scenario::{host_endpoint, host_ip, host_mac, switch_endpoint};
-use extmem_apps::workload::{FlowPick, SinkNode, TrafficGenNode, WorkloadSpec};
+use extmem_apps::scenario::{host_ip, host_mac, Built, Testbed};
+use extmem_apps::workload::{FlowPick, SinkNode, WorkloadSpec};
 use extmem_core::cuckoo::{
     decode_slot, encode_slot, probe_with, slot_va, CuckooConfig, CuckooDirectory, Step,
     BUCKET_BYTES, SLOTS_PER_BUCKET, SLOT_BYTES,
@@ -23,11 +23,10 @@ use extmem_core::faa::{FaaConfig, FaaEngine};
 use extmem_core::lookup::ActionEntry;
 use extmem_core::packet_buffer::{Mode, PacketBufferProgram};
 use extmem_core::state_store::{read_remote_counters, StateStoreProgram};
-use extmem_core::{Fib, RdmaChannel};
 use extmem_switch::ChoiceFilter;
 use std::collections::HashMap;
 use extmem_rnic::{RnicConfig, RnicNode};
-use extmem_sim::{LinkSpec, SimBuilder};
+use extmem_sim::LinkSpec;
 use extmem_switch::{SwitchConfig, SwitchNode, TrafficManager};
 use extmem_types::{ByteSize, FiveTuple, PortId, Rate, Time, TimeDelta};
 use extmem_wire::Packet;
@@ -47,37 +46,9 @@ proptest! {
         window in 1u64..16,
         seed in 0u64..1000,
     ) {
-        let mut nic = RnicNode::new("memsrv", RnicConfig::at(host_endpoint(2)));
-        let channel = RdmaChannel::setup(
-            switch_endpoint(),
-            PortId(2),
-            &mut nic,
-            ByteSize::from_mb(4),
-        );
-        let mut fib = Fib::new(8);
-        fib.install(host_mac(0), PortId(0));
-        fib.install(host_mac(1), PortId(1));
-        let prog = PacketBufferProgram::new(
-            fib,
-            vec![channel],
-            PortId(1),
-            2048,
-            Mode::Auto {
-                start_store_qbytes: start_kb * 1024,
-                resume_load_qbytes: start_kb * 512,
-            },
-            window,
-            TimeDelta::from_micros(200),
-        );
         let flow = FiveTuple::new(host_ip(0), host_ip(1), 40_000, 9_000, 17);
-        let mut b = SimBuilder::new(seed);
-        let switch = b.add_node(Box::new(SwitchNode::new(
-            "tor",
-            SwitchConfig::default(),
-            Box::new(prog),
-        )));
-        let gen = b.add_node(Box::new(TrafficGenNode::new(
-            "gen",
+        let mut tb = Testbed::new(seed);
+        tb.gen(
             WorkloadSpec::simple(
                 host_mac(0),
                 host_mac(1),
@@ -86,30 +57,41 @@ proptest! {
                 Rate::from_gbps(offered_gbps),
                 count as u64,
             ),
-        )));
-        let sink = b.add_node(Box::new(SinkNode::new("sink")));
-        b.connect(switch, PortId(0), gen, PortId(0), LinkSpec::testbed_40g());
-        b.connect(
-            switch,
-            PortId(1),
-            sink,
-            PortId(0),
-            LinkSpec::new(Rate::from_gbps(sink_gbps), TimeDelta::from_nanos(300)),
+            LinkSpec::testbed_40g(),
         );
-        let srv = b.add_node(Box::new(nic));
-        b.connect(switch, PortId(2), srv, PortId(0), LinkSpec::testbed_40g());
-        let mut sim = b.build();
-        sim.schedule_timer(gen, TimeDelta::ZERO, TrafficGenNode::KICK_TOKEN);
+        let drain = tb.sink(LinkSpec::new(
+            Rate::from_gbps(sink_gbps),
+            TimeDelta::from_nanos(300),
+        ));
+        let (_, channel) = tb.server(
+            RnicConfig::default(),
+            ByteSize::from_mb(4),
+            LinkSpec::testbed_40g(),
+        );
+        let prog = PacketBufferProgram::new(
+            tb.fib(),
+            vec![channel],
+            drain,
+            2048,
+            Mode::Auto {
+                start_store_qbytes: start_kb * 1024,
+                resume_load_qbytes: start_kb * 512,
+            },
+            window,
+            TimeDelta::from_micros(200),
+        );
+        let Built { mut sim, switch, hosts, servers, .. } =
+            tb.build(SwitchConfig::default(), Box::new(prog));
         sim.run_until(Time::from_millis(200));
 
-        let sink = sim.node::<SinkNode>(sink);
+        let sink = sim.node::<SinkNode>(hosts[1]);
         let sw: &SwitchNode = sim.node::<SwitchNode>(switch);
         let stats = sw.program::<PacketBufferProgram>().stats();
         // Offered rates below the NIC store ceiling (~34G for 1500B, lower
         // fraction of demand detours at smaller frames) may still overrun
         // the NIC at extreme combinations; only require completeness when
         // nothing was dropped anywhere.
-        let nic_stats = sim.node::<RnicNode>(srv).stats();
+        let nic_stats = sim.node::<RnicNode>(servers[0]).stats();
         if nic_stats.rx_overflow_drops == 0 && sw.tm().total_drops() == 0 {
             prop_assert_eq!(
                 sink.received,
@@ -136,35 +118,12 @@ proptest! {
         seed in 0u64..1000,
     ) {
         let counters = 512u64;
-        let mut nic = RnicNode::new("memsrv", RnicConfig::at(host_endpoint(2)));
-        let channel = RdmaChannel::setup(
-            switch_endpoint(),
-            PortId(2),
-            &mut nic,
-            ByteSize::from_bytes(counters * 8),
-        );
-        let rkey = channel.rkey;
-        let base = channel.base_va;
-        let mut fib = Fib::new(8);
-        fib.install(host_mac(0), PortId(0));
-        fib.install(host_mac(1), PortId(1));
-        let engine = FaaEngine::new(
-            channel,
-            FaaConfig { max_outstanding: window, min_batch: batch, ..Default::default() },
-        );
-        let prog = StateStoreProgram::new(fib, engine, TimeDelta::from_micros(30));
-
         let flows: Vec<FiveTuple> = (0..n_flows)
             .map(|i| FiveTuple::new(host_ip(0), host_ip(1), 6000 + i as u16, 9000, 17))
             .collect();
-        let mut b = SimBuilder::new(seed);
-        let switch = b.add_node(Box::new(SwitchNode::new(
-            "tor",
-            SwitchConfig::default(),
-            Box::new(prog),
-        )));
-        let gen = b.add_node(Box::new(TrafficGenNode::new(
-            "gen",
+        let link = LinkSpec::testbed_40g();
+        let mut tb = Testbed::new(seed);
+        tb.gen(
             WorkloadSpec {
                 src_mac: host_mac(0),
                 dst_mac: host_mac(1),
@@ -177,15 +136,20 @@ proptest! {
                 seed: seed ^ 0xaa,
                 flow_id_base: 0,
             },
-        )));
-        let sink = b.add_node(Box::new(SinkNode::new("sink")));
-        let link = LinkSpec::testbed_40g();
-        b.connect(switch, PortId(0), gen, PortId(0), link);
-        b.connect(switch, PortId(1), sink, PortId(0), link);
-        let srv = b.add_node(Box::new(nic));
-        b.connect(switch, PortId(2), srv, PortId(0), link);
-        let mut sim = b.build();
-        sim.schedule_timer(gen, TimeDelta::ZERO, TrafficGenNode::KICK_TOKEN);
+            link,
+        );
+        tb.sink(link);
+        let (_, channel) = tb.server(RnicConfig::default(), ByteSize::from_bytes(counters * 8), link);
+        let rkey = channel.rkey;
+        let base = channel.base_va;
+        let engine = FaaEngine::new(
+            channel,
+            FaaConfig { max_outstanding: window, min_batch: batch, ..Default::default() },
+        );
+        let prog = StateStoreProgram::new(tb.fib(), engine, TimeDelta::from_micros(30));
+        let Built { mut sim, switch, servers, .. } =
+            tb.build(SwitchConfig::default(), Box::new(prog));
+        let srv = servers[0];
 
         // Mid-run checkpoint: the conservation bounds hold at an arbitrary
         // instant. `remote + pending <= truth` (executed plus never-sent

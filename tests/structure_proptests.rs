@@ -172,14 +172,13 @@ proptest! {
 /// with the obvious longest-prefix scan (hash collisions avoided by sizing
 /// the rungs generously and skipping colliding route sets).
 mod lpm_model {
-    use extmem_core::channel::RdmaChannel;
+    use extmem_apps::scenario::Testbed;
     use extmem_core::lookup::{ActionEntry, ActionKind, ACTION_LEN};
     use extmem_core::lpm::{install_remote_route, mask, slots_per_level};
-    use extmem_rnic::{RnicConfig, RnicNode};
+    use extmem_rnic::RnicConfig;
+    use extmem_sim::LinkSpec;
     use extmem_switch::hash::hash_to_index;
-    use extmem_types::{ByteSize, PortId};
-    use extmem_wire::roce::RoceEndpoint;
-    use extmem_wire::MacAddr;
+    use extmem_types::ByteSize;
     use proptest::prelude::*;
 
     const LEVELS: [u8; 3] = [32, 24, 16];
@@ -201,11 +200,11 @@ mod lpm_model {
             ),
             probes in proptest::collection::vec(any::<u32>(), 1..24),
         ) {
-            let server = RoceEndpoint { mac: MacAddr::local(9), ip: 9 };
-            let switch = RoceEndpoint { mac: MacAddr::local(1), ip: 1 };
-            let mut nic = RnicNode::new("srv", RnicConfig::at(server));
+            // Control plane only: the testbed is never built or run.
+            let mut tb = Testbed::new(0);
             let region = ByteSize::from_mb(2);
-            let channel = RdmaChannel::setup(switch, PortId(2), &mut nic, region);
+            let (srv, channel) = tb.server(RnicConfig::default(), region, LinkSpec::testbed_40g());
+            let nic = tb.nic_mut(srv);
             let spl = slots_per_level(region.bytes(), &LEVELS);
 
             // Skip route sets with intra-rung slot collisions between
@@ -225,7 +224,7 @@ mod lpm_model {
                 deduped.push((m, l, d));
             }
             for &(m, l, d) in &deduped {
-                install_remote_route(&mut nic, &channel, &LEVELS, spl, m, l, ActionEntry::set_dscp(d));
+                install_remote_route(nic, &channel, &LEVELS, spl, m, l, ActionEntry::set_dscp(d));
             }
 
             for &addr in &probes {
