@@ -140,6 +140,8 @@ pub struct IncastResult {
     /// Trace digest of the run (same seed ⇒ same digest, any scheduler
     /// backend).
     pub trace_digest: u64,
+    /// Scheduler counters for the run.
+    pub sched: extmem_sim::SchedStats,
 }
 
 /// Build and run the incast; returns the measurements.
@@ -196,15 +198,14 @@ pub fn run_incast(cfg: IncastConfig) -> IncastResult {
         }),
     };
 
-    let n_ports = tb.port_count();
     let Built {
         mut sim,
         switch,
         hosts,
+        links,
         ..
     } = tb.build(
         SwitchConfig {
-            ports: n_ports as u16,
             buffer: cfg.switch_buffer,
             ..Default::default()
         },
@@ -217,7 +218,7 @@ pub fn run_incast(cfg: IncastConfig) -> IncastResult {
     let sent = cfg.senders as u64 * frames_per_sender;
     let delivered = sink.received;
     let mut peak_buffer = 0;
-    for p in 0..n_ports as u16 {
+    for p in 0..links.len() as u16 {
         peak_buffer = std::cmp::max(peak_buffer, sw.tm().stats(PortId(p)).max_bytes);
     }
     let pb = if cfg.remote.is_some() {
@@ -237,6 +238,7 @@ pub fn run_incast(cfg: IncastConfig) -> IncastResult {
         events: sim.events_processed(),
         hop_packets: sim.packets_delivered(),
         trace_digest: sim.trace_digest(),
+        sched: sim.sched_stats(),
     }
 }
 

@@ -128,11 +128,6 @@ impl Testbed {
         port
     }
 
-    /// Number of switch ports taken so far (for `SwitchConfig::ports`).
-    pub fn port_count(&self) -> usize {
-        self.ports.len()
-    }
-
     /// Attach `node` as the next host; returns its switch port.
     pub fn host(&mut self, node: impl Node, link: LinkSpec) -> PortId {
         let port = self.attach(Box::new(node), link);
@@ -211,8 +206,13 @@ impl Testbed {
     }
 
     /// Add the switch running `program`, wire everything and kick the
-    /// generators.
+    /// generators. `config.ports` is raised to the number of ports taken if
+    /// it is smaller.
     pub fn build(self, config: SwitchConfig, program: Box<dyn PipelineProgram>) -> Built {
+        let config = SwitchConfig {
+            ports: config.ports.max(self.next_port().raw()),
+            ..config
+        };
         let mut b = SimBuilder::new(self.seed);
         let switch = b.add_node(Box::new(SwitchNode::new("tor", config, program)));
         let mut links = Vec::with_capacity(self.ports.len());
@@ -257,7 +257,6 @@ mod tests {
         assert_eq!(tb.nic_mut(a).endpoint(), host_endpoint(2));
         assert_eq!(tb.nic_mut(b).endpoint(), host_endpoint(3));
         assert_eq!(ch_b.qp.peer, host_endpoint(3));
-        assert_eq!(tb.port_count(), 4);
 
         // Hosts are in the FIB at their ports; servers are not.
         let mut fib = tb.fib();
