@@ -315,10 +315,14 @@ enum OpKind {
         payload: Payload,
         ack_req: bool,
     },
+    /// `chunks` collects the response packets of a READ longer than the
+    /// MTU, by PSN offset (empty — unallocated — for the usual one-packet
+    /// READ); `done` holds the whole response once it is complete.
     Read {
         va: u64,
         len: u32,
-        got: Vec<Option<Payload>>,
+        chunks: Vec<Option<Payload>>,
+        done: Option<Payload>,
     },
     Atomic {
         va: u64,
@@ -327,7 +331,7 @@ enum OpKind {
     /// A remote op (§"remote-op ISA"): the full op description is kept so a
     /// retransmission — or a reissue against a failover replica under a
     /// different rkey — rebuilds the request verbatim. `done` buffers the
-    /// response until completion, mirroring a READ's `got`.
+    /// response until completion, like a READ's.
     Remote {
         op: RemoteOp,
         done: Option<(u8, u16, Payload)>,
@@ -357,6 +361,33 @@ struct QueuedOp {
 impl Outstanding {
     fn last_psn(&self) -> u32 {
         psn_add(self.first_psn, self.span - 1)
+    }
+
+    /// The op is finished: its completion event, with the request bytes it
+    /// held for retransmission going back to the frame pool.
+    fn retire(self) -> ChannelEvent {
+        let cookie = self.cookie;
+        match self.kind {
+            OpKind::Write { payload, .. } => {
+                extmem_wire::pool::recycle(payload);
+                ChannelEvent::WriteDone { cookie }
+            }
+            OpKind::Atomic { .. } => ChannelEvent::AtomicDone { cookie },
+            OpKind::Read { done, .. } => ChannelEvent::ReadDone {
+                cookie,
+                data: done.expect("completed READ has its response"),
+            },
+            OpKind::Remote { op, done } => {
+                op.recycle();
+                let (flags, index, data) = done.expect("completed remote op has its response");
+                ChannelEvent::RemoteDone {
+                    cookie,
+                    flags,
+                    index,
+                    data,
+                }
+            }
+        }
     }
 }
 
@@ -536,9 +567,12 @@ impl ReliableChannel {
         }
     }
 
-    fn transmit(&self, ctx: &mut SwitchCtx<'_, '_, '_>, req: &RocePacket) {
+    fn transmit(&self, ctx: &mut SwitchCtx<'_, '_, '_>, req: RocePacket) {
         let mut buf = extmem_wire::pool::take();
         req.build_into(&mut buf).expect("RDMA request encodes");
+        // A request payload assembled just for this packet (remote-op
+        // operands) is free again; one shared with the outstanding op stays.
+        extmem_wire::pool::recycle(req.payload);
         let pkt = Packet::from_vec(buf);
         if self.config.high_priority {
             ctx.enqueue_high(self.inner.server_port, pkt);
@@ -585,7 +619,8 @@ impl ReliableChannel {
             OpKind::Read {
                 va,
                 len,
-                got: Vec::new(),
+                chunks: Vec::new(),
+                done: None,
             },
         )
     }
@@ -664,7 +699,12 @@ impl ReliableChannel {
                     OpKind::Read {
                         va,
                         len,
-                        got: vec![None; span as usize],
+                        chunks: if span > 1 {
+                            vec![None; span as usize]
+                        } else {
+                            Vec::new()
+                        },
+                        done: None,
                     },
                 )
             }
@@ -686,7 +726,7 @@ impl ReliableChannel {
             sent_at: ctx.now(),
             kind,
         });
-        self.transmit(ctx, &req);
+        self.transmit(ctx, req);
     }
 
     /// Launch queued ops into whatever room the window now has.
@@ -777,41 +817,10 @@ impl ReliableChannel {
                 continue;
             }
             let op = self.outstanding.remove(i).unwrap();
-            events.push(match op.kind {
-                OpKind::Write { .. } => ChannelEvent::WriteDone { cookie: op.cookie },
-                _ => ChannelEvent::AtomicDone { cookie: op.cookie },
-            });
+            events.push(op.retire());
         }
         let op = self.outstanding.remove(i).unwrap();
-        events.push(match op.kind {
-            OpKind::Write { .. } => ChannelEvent::WriteDone { cookie: op.cookie },
-            OpKind::Atomic { .. } => ChannelEvent::AtomicDone { cookie: op.cookie },
-            OpKind::Remote { done, .. } => {
-                let (flags, index, data) = done.expect("completed remote op has its response");
-                ChannelEvent::RemoteDone {
-                    cookie: op.cookie,
-                    flags,
-                    index,
-                    data,
-                }
-            }
-            OpKind::Read { mut got, .. } => {
-                let data = if got.len() == 1 {
-                    // Single-packet response: hand back the shared buffer.
-                    got.pop().unwrap().expect("complete READ has all chunks")
-                } else {
-                    let mut buf = Vec::new();
-                    for chunk in got {
-                        buf.extend_from_slice(&chunk.expect("complete READ has all chunks"));
-                    }
-                    Payload::from_vec(buf)
-                };
-                ChannelEvent::ReadDone {
-                    cookie: op.cookie,
-                    data,
-                }
-            }
-        });
+        events.push(op.retire());
     }
 
     fn on_read_resp(&mut self, roce: &RocePacket, events: &mut Vec<ChannelEvent>) {
@@ -829,15 +838,24 @@ impl ReliableChannel {
         };
         self.progress();
         let op = &mut self.outstanding[pos];
-        let chunk = psn.wrapping_sub(op.first_psn) & 0x00ff_ffff;
-        let complete = {
-            let OpKind::Read { got, .. } = &mut op.kind else {
-                unreachable!()
-            };
-            got[chunk as usize] = Some(roce.payload.clone());
-            got.iter().all(|c| c.is_some())
+        let OpKind::Read { chunks, done, .. } = &mut op.kind else {
+            unreachable!()
         };
-        if complete {
+        if op.span == 1 {
+            // Single-packet response: hand back the shared buffer.
+            *done = Some(roce.payload.clone());
+        } else {
+            let at = psn.wrapping_sub(op.first_psn) & 0x00ff_ffff;
+            chunks[at as usize] = Some(roce.payload.clone());
+            if chunks.iter().all(|c| c.is_some()) {
+                let mut buf = extmem_wire::pool::take();
+                for chunk in chunks.drain(..) {
+                    buf.extend_from_slice(&chunk.expect("complete READ has all chunks"));
+                }
+                *done = Some(Payload::from_vec(buf));
+            }
+        }
+        if done.is_some() {
             self.complete_at(pos, events);
         }
     }
@@ -906,13 +924,9 @@ impl ReliableChannel {
             }
             match op.kind {
                 OpKind::Read { .. } | OpKind::Remote { .. } => idx += 1,
-                OpKind::Write { .. } => {
+                OpKind::Write { .. } | OpKind::Atomic { .. } => {
                     let op = self.outstanding.remove(idx).unwrap();
-                    events.push(ChannelEvent::WriteDone { cookie: op.cookie });
-                }
-                OpKind::Atomic { .. } => {
-                    let op = self.outstanding.remove(idx).unwrap();
-                    events.push(ChannelEvent::AtomicDone { cookie: op.cookie });
+                    events.push(op.retire());
                 }
             }
         }
@@ -941,13 +955,9 @@ impl ReliableChannel {
                 }
                 match op.kind {
                     OpKind::Read { .. } | OpKind::Remote { .. } => idx += 1,
-                    OpKind::Write { .. } => {
+                    OpKind::Write { .. } | OpKind::Atomic { .. } => {
                         let op = self.outstanding.remove(idx).unwrap();
-                        events.push(ChannelEvent::WriteDone { cookie: op.cookie });
-                    }
-                    OpKind::Atomic { .. } => {
-                        let op = self.outstanding.remove(idx).unwrap();
-                        events.push(ChannelEvent::AtomicDone { cookie: op.cookie });
+                        events.push(op.retire());
                     }
                 }
             }
@@ -1009,7 +1019,7 @@ impl ReliableChannel {
                     self.inner.qp.remote_op_at(op.first_psn, self.inner.rkey, rop)
                 }
             };
-            self.transmit(ctx, &req);
+            self.transmit(ctx, req);
             self.stats.retransmits += 1;
             self.outstanding[i].sent_at = now;
         }
@@ -1151,6 +1161,147 @@ mod tests {
             nic.region(ch.rkey).read(ch.base_va, 8).unwrap(),
             &[0u8; 8][..]
         );
+    }
+
+    /// Owns one channel; when poked, issues READs answered by one, two and
+    /// three response packets and plays the responder itself, delivering
+    /// the chunks out of order and more than once.
+    struct Reassembler {
+        channel: ReliableChannel,
+        events: Vec<ChannelEvent>,
+    }
+
+    const MTU: usize = 256;
+
+    /// The bytes a READ of `span` response packets returns (the last chunk
+    /// is five bytes short of a full MTU).
+    fn read_image(span: usize) -> Vec<u8> {
+        (0..span * MTU - 5).map(|i| (i * 31 + span) as u8).collect()
+    }
+
+    impl Reassembler {
+        /// Deliver response packet `chunk` of the READ whose first PSN is
+        /// `first_psn` and which spans `span` packets.
+        fn deliver(
+            &mut self,
+            ctx: &mut SwitchCtx<'_, '_, '_>,
+            first_psn: u32,
+            span: usize,
+            chunk: usize,
+        ) {
+            use extmem_wire::aeth::Aeth;
+            use extmem_wire::bth::Bth;
+            let image = read_image(span);
+            let opcode = match (span, chunk) {
+                (1, _) => Opcode::ReadRespOnly,
+                (_, 0) => Opcode::ReadRespFirst,
+                (s, c) if c == s - 1 => Opcode::ReadRespLast,
+                _ => Opcode::ReadRespMiddle,
+            };
+            let ext = match opcode {
+                Opcode::ReadRespMiddle => RoceExt::None,
+                _ => RoceExt::Aeth(Aeth::ack(0)),
+            };
+            let qp = &self.channel.inner().qp;
+            let resp = RocePacket::new(
+                qp.peer,
+                qp.local,
+                qp.udp_src_port,
+                Bth::new(opcode, SWITCH_QPN, first_psn + chunk as u32),
+                ext,
+                image[chunk * MTU..image.len().min((chunk + 1) * MTU)].to_vec(),
+            );
+            assert!(self.channel.on_roce(ctx, &resp, &mut self.events));
+        }
+    }
+
+    impl extmem_switch::PipelineProgram for Reassembler {
+        fn ingress(&mut self, _: &mut SwitchCtx<'_, '_, '_>, _: PortId, _: Packet) {}
+
+        fn on_timer(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, _token: u64) {
+            // PSN 0 | 1..=2 | 3..=5.
+            for span in 1..=3usize {
+                let len = read_image(span).len() as u32;
+                assert!(self.channel.read(ctx, 0x1000, len, span as u64));
+            }
+            // The three-packet READ first: last chunk, first chunk twice,
+            // then the middle one completes it.
+            for chunk in [2, 0, 0, 1] {
+                assert!(self.events.is_empty(), "completed with a chunk missing");
+                self.deliver(ctx, 3, 3, chunk);
+            }
+            assert_eq!(self.events.len(), 1);
+            // The two-packet READ back to front, its tail duplicated.
+            for chunk in [1, 1, 0] {
+                assert_eq!(self.events.len(), 1, "completed with a chunk missing");
+                self.deliver(ctx, 1, 2, chunk);
+            }
+            self.deliver(ctx, 0, 1, 0);
+            assert_eq!(self.events.len(), 3);
+            // Replays of finished READs are dropped, not double-applied.
+            let dups = self.channel.stats().duplicate_drops;
+            self.deliver(ctx, 3, 3, 1);
+            self.deliver(ctx, 1, 2, 0);
+            self.deliver(ctx, 0, 1, 0);
+            assert_eq!(self.channel.stats().duplicate_drops, dups + 3);
+        }
+    }
+
+    #[test]
+    fn read_reassembly_survives_reordered_and_duplicated_chunks() {
+        use extmem_rnic::requester::RequesterQp;
+        use extmem_sim::SimBuilder;
+        use extmem_switch::switch::program_token;
+        use extmem_switch::{SwitchConfig, SwitchNode};
+        use extmem_types::{QpNum, Time};
+
+        let local = RoceEndpoint {
+            mac: MacAddr::local(1),
+            ip: 0x0a000001,
+        };
+        let peer = RoceEndpoint {
+            mac: MacAddr::local(9),
+            ip: 0x0a000009,
+        };
+        let channel = RdmaChannel {
+            qp: RequesterQp::new(local, peer, QpNum(0x100), MTU),
+            rkey: Rkey(7),
+            base_va: 0x1000,
+            region_len: 1 << 16,
+            server_port: PortId(0),
+        };
+        let program = Reassembler {
+            channel: ReliableChannel::new(channel, ReliableConfig::default()),
+            events: Vec::new(),
+        };
+        let mut b = SimBuilder::new(1);
+        let sw = b.add_node(Box::new(SwitchNode::new(
+            "tor",
+            SwitchConfig::default(),
+            Box::new(program),
+        )));
+        let mut sim = b.build();
+        sim.schedule_timer(sw, TimeDelta::ZERO, program_token(1));
+        // Well inside the RTO: no retransmission interferes.
+        sim.run_until(Time::from_micros(10));
+
+        let program = sim.node::<SwitchNode>(sw).program::<Reassembler>();
+        assert_eq!(program.channel.outstanding_len(), 0);
+        let done: Vec<(u64, Vec<u8>)> = program
+            .events
+            .iter()
+            .map(|ev| match ev {
+                ChannelEvent::ReadDone { cookie, data } => (*cookie, data.to_vec()),
+                other => panic!("unexpected {other:?}"),
+            })
+            .collect();
+        // Completion order follows delivery; the bytes are each READ's
+        // chunks in PSN order, once, whatever order they arrived in.
+        let want: Vec<(u64, Vec<u8>)> = [3usize, 2, 1]
+            .iter()
+            .map(|&span| (span as u64, read_image(span)))
+            .collect();
+        assert_eq!(done, want);
     }
 
     #[test]

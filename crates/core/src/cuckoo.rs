@@ -595,7 +595,6 @@ impl CuckooDirectory {
         let flipping: BTreeSet<u32> = self
             .filter
             .cells_of(key)
-            .into_iter()
             .filter(|&c| self.filter.count(c) == 0)
             .collect();
         if flipping.is_empty() {
@@ -613,8 +612,7 @@ impl CuckooDirectory {
                 let positive = self
                     .filter
                     .cells_of(cand)
-                    .iter()
-                    .all(|cc| self.filter.count(*cc) > 0 || flipping.contains(cc));
+                    .all(|cc| self.filter.count(cc) > 0 || flipping.contains(&cc));
                 if positive {
                     out.insert(*cand);
                 }

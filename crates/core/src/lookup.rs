@@ -788,7 +788,7 @@ impl LookupTableProgram {
                     bucket_bytes: BUCKET_BYTES as u16,
                     slot_bytes: SLOT_BYTES as u16,
                     key_off: 0,
-                    key: Payload::copy_from_slice(&slot_key(&flow)),
+                    key: extmem_wire::pool::copy_from_slice(&slot_key(&flow)),
                 },
                 cookie,
             );
@@ -940,8 +940,8 @@ impl LookupTableProgram {
                         RemoteOp::CondWrite {
                             cmp_va: slot_va(base, from),
                             write_va: slot_va(base, to),
-                            compare: Payload::copy_from_slice(&expected),
-                            write: Payload::copy_from_slice(&expected),
+                            compare: extmem_wire::pool::copy_from_slice(&expected),
+                            write: extmem_wire::pool::copy_from_slice(&expected),
                         },
                         cookie,
                     );

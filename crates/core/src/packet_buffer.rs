@@ -430,7 +430,7 @@ impl PacketBufferProgram {
             return;
         }
         let idx = self.widx;
-        let mut payload = Vec::with_capacity(ENTRY_HDR + pkt.len());
+        let mut payload = extmem_wire::pool::take();
         payload.extend_from_slice(&(idx as u32).to_be_bytes());
         payload.extend_from_slice(&(pkt.len() as u16).to_be_bytes());
         payload.extend_from_slice(pkt.as_slice());
@@ -441,6 +441,8 @@ impl PacketBufferProgram {
             self.enqueue_protected(ctx, pkt);
             return;
         }
+        // The entry holds its own copy; the arrival frame's buffer is free.
+        extmem_wire::pool::recycle(pkt.into_payload());
         self.widx += 1;
         self.stats.stored += 1;
         self.stats.max_ring_occupancy = self.stats.max_ring_occupancy.max(self.ring_occupancy());

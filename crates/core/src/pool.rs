@@ -356,11 +356,15 @@ pub struct ReplicatedPool {
     servers: Vec<PoolServer>,
     primary: usize,
     config: PoolConfig,
-    /// Caller ops in flight on the primary (replicated pools only), FIFO
-    /// per cookie — the lookup primitive issues a WRITE+READ pair under one
-    /// cookie, and the channel completes in issue order, so completions pop
-    /// from the front.
-    ops: HashMap<u64, VecDeque<PoolOp>>,
+    /// Caller ops in flight on the primary (replicated pools only), with
+    /// their cookies, in issue order. A cookie may repeat — the lookup
+    /// primitive issues a WRITE+READ pair under one — and the channel
+    /// completes in issue order, so a completion retires the oldest entry
+    /// under its cookie, which sits at or near the front.
+    ops: VecDeque<(u64, PoolOp)>,
+    /// Channel-event scratch for [`Self::on_roce`] / [`Self::on_timer`],
+    /// reused across calls.
+    raw: Vec<ChannelEvent>,
     /// Pool-internal ops in flight anywhere.
     internal: HashMap<u64, InternalOp>,
     next_internal: u64,
@@ -432,7 +436,8 @@ impl ReplicatedPool {
                 .collect(),
             primary: 0,
             config,
-            ops: HashMap::new(),
+            ops: VecDeque::new(),
+            raw: Vec::new(),
             internal: HashMap::new(),
             next_internal: 0,
             orphans: Vec::new(),
@@ -608,22 +613,15 @@ impl ReplicatedPool {
             return false;
         }
         debug_assert!(cookie & INTERNAL_BIT == 0, "caller cookies use bits 0..63");
-        for j in self.live_mirrors() {
-            let ic = self.alloc_internal(InternalOp::MirrorWrite);
-            // Mirror copies always request an explicit ACK: with no caller
-            // traffic behind them on that channel, an implicit completion
-            // might never come and the retransmission timer would wrongly
-            // fail the mirror.
-            self.servers[j]
-                .channel
-                .write(ctx, va, payload.clone(), true, ic);
-            self.stats.mirror_writes += 1;
-        }
-        self.ops.entry(cookie).or_default().push_back(PoolOp::Write {
-            va,
-            payload: payload.clone(),
-            ack_req,
-        });
+        self.mirror_write(ctx, va, &payload);
+        self.ops.push_back((
+            cookie,
+            PoolOp::Write {
+                va,
+                payload: payload.clone(),
+                ack_req,
+            },
+        ));
         self.servers[self.primary]
             .channel
             .write(ctx, va, payload, ack_req, cookie)
@@ -638,10 +636,7 @@ impl ReplicatedPool {
             return false;
         }
         debug_assert!(cookie & INTERNAL_BIT == 0, "caller cookies use bits 0..63");
-        self.ops
-            .entry(cookie)
-            .or_default()
-            .push_back(PoolOp::Read { va, len });
+        self.ops.push_back((cookie, PoolOp::Read { va, len }));
         self.servers[self.primary].channel.read(ctx, va, len, cookie)
     }
 
@@ -662,10 +657,7 @@ impl ReplicatedPool {
         }
         debug_assert!(cookie & INTERNAL_BIT == 0, "caller cookies use bits 0..63");
         self.touched.insert(va);
-        self.ops
-            .entry(cookie)
-            .or_default()
-            .push_back(PoolOp::Atomic { va, add });
+        self.ops.push_back((cookie, PoolOp::Atomic { va, add }));
         self.servers[self.primary].channel.fetch_add(ctx, va, add, cookie)
     }
 
@@ -688,24 +680,31 @@ impl ReplicatedPool {
             return false;
         }
         debug_assert!(cookie & INTERNAL_BIT == 0, "caller cookies use bits 0..63");
-        self.ops
-            .entry(cookie)
-            .or_default()
-            .push_back(PoolOp::Remote(op.clone()));
+        self.ops.push_back((cookie, PoolOp::Remote(op.clone())));
         self.servers[self.primary].channel.remote_op(ctx, op, cookie)
     }
 
-    /// Mirror indexes currently eligible for WRITE fanout.
-    fn live_mirrors(&self) -> Vec<usize> {
-        (0..self.servers.len())
-            .filter(|&j| {
-                j != self.primary
-                    && matches!(
-                        self.servers[j].health.state(),
-                        Health::Healthy | Health::Suspect
-                    )
-            })
-            .collect()
+    /// Copy a WRITE of `payload` at `va` to every mirror currently
+    /// eligible for fanout (live and not the primary), each under its own
+    /// internal cookie. Mirror copies always request an explicit ACK: with
+    /// no caller traffic behind them on that channel, an implicit
+    /// completion might never come and the retransmission timer would
+    /// wrongly fail the mirror.
+    fn mirror_write(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, va: u64, payload: &Payload) {
+        for j in 0..self.servers.len() {
+            let live = matches!(
+                self.servers[j].health.state(),
+                Health::Healthy | Health::Suspect
+            );
+            if j == self.primary || !live {
+                continue;
+            }
+            let ic = self.alloc_internal(InternalOp::MirrorWrite);
+            self.servers[j]
+                .channel
+                .write(ctx, va, payload.clone(), true, ic);
+            self.stats.mirror_writes += 1;
+        }
     }
 
     /// Feed a RoCE packet from `in_port`. Returns `true` if some server's
@@ -730,9 +729,10 @@ impl ReplicatedPool {
         else {
             return false;
         };
-        let mut raw = Vec::new();
+        let mut raw = std::mem::take(&mut self.raw);
         let consumed = self.servers[i].channel.on_roce(ctx, roce, &mut raw);
-        self.after_channel_activity(ctx, i, raw, events);
+        self.after_channel_activity(ctx, i, &mut raw, events);
+        self.raw = raw;
         consumed
     }
 
@@ -760,7 +760,7 @@ impl ReplicatedPool {
             return false;
         }
         let i = (token - self.timer_base) as usize;
-        let mut raw = Vec::new();
+        let mut raw = std::mem::take(&mut self.raw);
         if self.servers[i].health.state() == Health::Down && !self.servers[i].channel.is_failed() {
             // An unanswered op (typically a probe) on a written-off server
             // timed out. Abort instead of retransmitting: a stale
@@ -771,7 +771,8 @@ impl ReplicatedPool {
         } else {
             self.servers[i].channel.on_timer_fired(ctx, &mut raw);
         }
-        self.after_channel_activity(ctx, i, raw, events);
+        self.after_channel_activity(ctx, i, &mut raw, events);
+        self.raw = raw;
         true
     }
 
@@ -782,7 +783,7 @@ impl ReplicatedPool {
         &mut self,
         ctx: &mut SwitchCtx<'_, '_, '_>,
         i: usize,
-        mut raw: Vec<ChannelEvent>,
+        raw: &mut Vec<ChannelEvent>,
         out: &mut Vec<ChannelEvent>,
     ) {
         let st = self.servers[i].channel.stats();
@@ -809,7 +810,7 @@ impl ReplicatedPool {
             // Gated on *fresh* timeouts so a channel recovered for probing
             // (detector still Down until the probe completes) is not
             // re-aborted by unrelated activity.
-            self.servers[i].channel.abort(ctx, &mut raw);
+            self.servers[i].channel.abort(ctx, raw);
         }
         self.absorb(ctx, i, raw, out);
         self.ensure_probe_timer(ctx);
@@ -819,10 +820,10 @@ impl ReplicatedPool {
         &mut self,
         ctx: &mut SwitchCtx<'_, '_, '_>,
         i: usize,
-        raw: Vec<ChannelEvent>,
+        raw: &mut Vec<ChannelEvent>,
         out: &mut Vec<ChannelEvent>,
     ) {
-        for ev in raw {
+        for ev in raw.drain(..) {
             match ev {
                 ChannelEvent::WriteDone { cookie } if cookie & INTERNAL_BIT != 0 => {
                     self.internal_done(ctx, cookie, None);
@@ -876,13 +877,7 @@ impl ReplicatedPool {
                             // propagate the decided image to the mirrors
                             // as plain WRITEs (re-running the *condition*
                             // there could decide differently).
-                            for j in self.live_mirrors() {
-                                let ic = self.alloc_internal(InternalOp::MirrorWrite);
-                                self.servers[j]
-                                    .channel
-                                    .write(ctx, write_va, write.clone(), true, ic);
-                                self.stats.mirror_writes += 1;
-                            }
+                            self.mirror_write(ctx, write_va, &write);
                         }
                     }
                     out.push(ChannelEvent::RemoteDone {
@@ -909,12 +904,8 @@ impl ReplicatedPool {
     /// Pop the oldest in-flight caller op under `cookie` (completions and
     /// failure drains both arrive in issue order).
     fn pop_caller_op(&mut self, cookie: u64) -> Option<PoolOp> {
-        let deque = self.ops.get_mut(&cookie)?;
-        let op = deque.pop_front();
-        if deque.is_empty() {
-            self.ops.remove(&cookie);
-        }
-        op
+        let at = self.ops.iter().position(|(c, _)| *c == cookie)?;
+        self.ops.remove(at).map(|(_, op)| op)
     }
 
     fn internal_done(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, cookie: u64, data: Option<Payload>) {
@@ -1043,7 +1034,7 @@ impl ReplicatedPool {
                         .remote_op(ctx, op.clone(), cookie);
                 }
             }
-            self.ops.entry(cookie).or_default().push_back(op);
+            self.ops.push_back((cookie, op));
             self.stats.reissued_ops += 1;
         }
     }
@@ -1090,9 +1081,9 @@ impl ReplicatedPool {
             // Caller atomics currently in flight on the primary will be
             // captured by the snapshot READs behind them (FIFO channel), so
             // their deltas must not be applied to the rejoiner again.
-            for (&cookie, ops) in &self.ops {
-                if ops.iter().any(|op| matches!(op, PoolOp::Atomic { .. })) {
-                    self.delta_skip.insert((server, cookie));
+            for (cookie, op) in &self.ops {
+                if matches!(op, PoolOp::Atomic { .. }) {
+                    self.delta_skip.insert((server, *cookie));
                 }
             }
             self.servers[server].delta.clear();

@@ -361,6 +361,9 @@ impl RnicNode {
             resp.build_into(&mut buf)
                 .expect("response packet must encode");
             self.tx.send(ctx, Packet::from_vec(buf));
+            // The encoded frame holds its own copy of the bytes read out
+            // of the region; that buffer goes back too.
+            extmem_wire::pool::recycle(resp.payload);
         }
         self.maybe_start_service(ctx);
     }

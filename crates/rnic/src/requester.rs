@@ -77,6 +77,21 @@ pub enum RemoteOp {
     },
 }
 
+impl RemoteOp {
+    /// The op is finished with: its operand buffers go back to the frame
+    /// pool (a buffer some clone still reads is left alone).
+    pub fn recycle(self) {
+        match self {
+            RemoteOp::HashProbe { key, .. } => extmem_wire::pool::recycle(key),
+            RemoteOp::CondWrite { compare, write, .. } => {
+                extmem_wire::pool::recycle(compare);
+                extmem_wire::pool::recycle(write);
+            }
+            RemoteOp::Indirect { .. } | RemoteOp::Gather { .. } => {}
+        }
+    }
+}
+
 /// Requester-side queue pair state: where requests go and which PSN is next.
 #[derive(Debug, Clone)]
 pub struct RequesterQp {
@@ -278,7 +293,7 @@ impl RequesterQp {
                 compare,
                 write,
             } => {
-                let mut payload = Vec::with_capacity(compare.len() + write.len());
+                let mut payload = extmem_wire::pool::take();
                 payload.extend_from_slice(compare);
                 payload.extend_from_slice(write);
                 (
@@ -293,7 +308,7 @@ impl RequesterQp {
                 )
             }
             RemoteOp::Gather { word_len, vas } => {
-                let mut payload = Vec::with_capacity(vas.len() * 8);
+                let mut payload = extmem_wire::pool::take();
                 for va in vas {
                     payload.extend_from_slice(&va.to_be_bytes());
                 }
@@ -411,6 +426,7 @@ impl WriteBlaster {
         let mut buf = extmem_wire::pool::take();
         req.build_into(&mut buf).expect("write encodes");
         self.tx.send(ctx, Packet::from_vec(buf));
+        extmem_wire::pool::recycle(req.payload);
         self.sent += 1;
         if self.remaining > 0 {
             ctx.schedule(self.interval, TOKEN_SEND);

@@ -12,7 +12,7 @@ use extmem_wire::atomic::AtomicAckEth;
 use extmem_wire::bth::{psn_add, psn_before, Bth, Opcode};
 use extmem_wire::extop::{ExtOpAckEth, IndirectMode, EXTOP_FLAG_HIT, EXTOP_FLAG_SECONDARY};
 use extmem_wire::roce::{RoceEndpoint, RoceExt, RocePacket};
-use extmem_wire::Payload;
+use extmem_wire::{pool, Payload};
 
 /// Upper bound on dependent reads a single gather/walk op may perform. Keeps
 /// the modeled NIC op engine line-rate: a request can occupy the execution
@@ -59,11 +59,57 @@ pub enum Outcome {
     OutOfSequenceDropped,
 }
 
+/// The response packets of one request, in order. Every request but a
+/// READ longer than the MTU is answered by at most one packet, which is
+/// held inline; reads as a slice either way.
+#[derive(Debug)]
+pub enum Responses {
+    /// Nothing to send (an unacknowledged WRITE, a dropped request).
+    None,
+    /// The single response.
+    One(RocePacket),
+    /// A multi-packet READ response.
+    Many(Vec<RocePacket>),
+}
+
+impl std::ops::Deref for Responses {
+    type Target = [RocePacket];
+    fn deref(&self) -> &[RocePacket] {
+        match self {
+            Responses::None => &[],
+            Responses::One(p) => std::slice::from_ref(p),
+            Responses::Many(v) => v,
+        }
+    }
+}
+
+impl IntoIterator for Responses {
+    type Item = RocePacket;
+    type IntoIter =
+        std::iter::Chain<std::option::IntoIter<RocePacket>, std::vec::IntoIter<RocePacket>>;
+    fn into_iter(self) -> Self::IntoIter {
+        let (one, many) = match self {
+            Responses::None => (None, Vec::new()),
+            Responses::One(p) => (Some(p), Vec::new()),
+            Responses::Many(v) => (None, v),
+        };
+        one.into_iter().chain(many)
+    }
+}
+
+impl<'a> IntoIterator for &'a Responses {
+    type Item = &'a RocePacket;
+    type IntoIter = std::slice::Iter<'a, RocePacket>;
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
 /// The result of processing one request packet.
 #[derive(Debug)]
 pub struct ResponderResult {
     /// Packets to transmit back to the requester, in order.
-    pub responses: Vec<RocePacket>,
+    pub responses: Responses,
     /// What happened, for the NIC's statistics.
     pub outcome: Outcome,
 }
@@ -103,7 +149,7 @@ pub fn process_request(
             // Strict RC: NAK once, then drop until the requester resyncs.
             if qp.nak_outstanding {
                 return ResponderResult {
-                    responses: vec![],
+                    responses: Responses::None,
                     outcome: Outcome::OutOfSequenceDropped,
                 };
             }
@@ -205,7 +251,7 @@ pub fn process_request(
                     qp.msn = (qp.msn + 1) & 0xff_ffff;
                     qp.last_atomic = Some((psn, original));
                     ResponderResult {
-                        responses: vec![atomic_ack(local, qp, psn, original)],
+                        responses: Responses::One(atomic_ack(local, qp, psn, original)),
                         outcome: Outcome::AtomicExecuted,
                     }
                 }
@@ -237,14 +283,12 @@ fn duplicate(
         }
         // Duplicate atomics replay the saved original value when possible.
         Opcode::FetchAdd => {
-            let responses = match qp.last_atomic {
-                Some((psn, original)) if psn == req.bth.psn => {
-                    vec![atomic_ack(local, qp, psn, original)]
-                }
-                _ => vec![plain_ack(local, qp, req.bth.psn)],
+            let response = match qp.last_atomic {
+                Some((psn, original)) if psn == req.bth.psn => atomic_ack(local, qp, psn, original),
+                _ => plain_ack(local, qp, req.bth.psn),
             };
             ResponderResult {
-                responses,
+                responses: Responses::One(response),
                 outcome: Outcome::Duplicate,
             }
         }
@@ -259,12 +303,12 @@ fn duplicate(
         // write may have changed the compared bytes); replay the saved
         // response when it is still in the replay buffer.
         Opcode::CondWrite => {
-            let responses = match qp
+            let response = match qp
                 .cond_replay
                 .iter()
                 .find(|(psn, _, _)| *psn == req.bth.psn)
             {
-                Some((psn, flags, observed)) => vec![ext_op_resp(
+                Some((psn, flags, observed)) => ext_op_resp(
                     local,
                     qp,
                     *psn,
@@ -272,17 +316,17 @@ fn duplicate(
                     *flags,
                     0,
                     observed.clone(),
-                )],
-                None => vec![plain_ack(local, qp, req.bth.psn)],
+                ),
+                None => plain_ack(local, qp, req.bth.psn),
             };
             ResponderResult {
-                responses,
+                responses: Responses::One(response),
                 outcome: Outcome::Duplicate,
             }
         }
         // Duplicate writes: acknowledge, do not re-execute.
         _ => ResponderResult {
-            responses: vec![plain_ack(local, qp, req.bth.psn)],
+            responses: Responses::One(plain_ack(local, qp, req.bth.psn)),
             outcome: Outcome::Duplicate,
         },
     }
@@ -335,9 +379,9 @@ fn serve_ext_op(
             }
             let bytes = out.data.len() as u64;
             ResponderResult {
-                responses: vec![ext_op_resp(
+                responses: Responses::One(ext_op_resp(
                     local, qp, psn, op, out.flags, out.index, out.data,
-                )],
+                )),
                 outcome: Outcome::ExtOpExecuted {
                     op,
                     steps: out.steps,
@@ -374,7 +418,7 @@ fn execute_ext_op(mrs: &mut MrTable, req: &RocePacket, mtu: usize) -> Result<Ext
                     }
                     let ptr_bytes = region.read(h.va, 8)?;
                     let ptr = u64::from_be_bytes(ptr_bytes.try_into().unwrap());
-                    let data = Payload::copy_from_slice(region.read(ptr, h.max_len as u64)?);
+                    let data = pool::copy_from_slice(region.read(ptr, h.max_len as u64)?);
                     Ok(ExtOpOutput {
                         flags: EXTOP_FLAG_HIT,
                         index: 0,
@@ -393,8 +437,7 @@ fn execute_ext_op(mrs: &mut MrTable, req: &RocePacket, mtu: usize) -> Result<Ext
                     if body > h.max_len as usize || hdr_len + body > mtu {
                         return Err(ExtOpError::Invalid);
                     }
-                    let data =
-                        Payload::copy_from_slice(region.read(h.va, (hdr_len + body) as u64)?);
+                    let data = pool::copy_from_slice(region.read(h.va, (hdr_len + body) as u64)?);
                     Ok(ExtOpOutput {
                         flags: EXTOP_FLAG_HIT,
                         index: 0,
@@ -440,7 +483,7 @@ fn execute_ext_op(mrs: &mut MrTable, req: &RocePacket, mtu: usize) -> Result<Ext
                             flags,
                             index: slot as u16,
                             steps,
-                            data: Payload::copy_from_slice(data),
+                            data: pool::copy_from_slice(data),
                         });
                     }
                 }
@@ -459,7 +502,7 @@ fn execute_ext_op(mrs: &mut MrTable, req: &RocePacket, mtu: usize) -> Result<Ext
             }
             let observed = {
                 let region = mrs.get(h.rkey)?;
-                Payload::copy_from_slice(region.read(h.cmp_va, cmp_len as u64)?)
+                pool::copy_from_slice(region.read(h.cmp_va, cmp_len as u64)?)
             };
             let mut steps = 1;
             let mut flags = 0;
@@ -488,7 +531,7 @@ fn execute_ext_op(mrs: &mut MrTable, req: &RocePacket, mtu: usize) -> Result<Ext
                 return Err(ExtOpError::Invalid);
             }
             let region = mrs.get(h.rkey)?;
-            let mut data = Vec::with_capacity(count * word_len);
+            let mut data = pool::take();
             for i in 0..count {
                 let va = u64::from_be_bytes(req.payload[i * 8..i * 8 + 8].try_into().unwrap());
                 data.extend_from_slice(region.read(va, word_len as u64)?);
@@ -544,13 +587,13 @@ fn serve_read(
         return invalid(local, qp);
     };
     assert!(mtu > 0, "RoCE MTU must be positive");
-    // One copy out of the MR into a shared buffer; the per-MTU response
-    // chunks below are zero-copy windows into it.
+    // One copy out of the MR into a shared (pooled) buffer; the per-MTU
+    // response chunks below are zero-copy windows into it.
     let data = match mrs
         .get(reth.rkey)
         .and_then(|r| r.read(reth.va, reth.dma_len as u64))
     {
-        Ok(d) => Payload::copy_from_slice(d),
+        Ok(d) => pool::copy_from_slice(d),
         Err(e) if is_duplicate => {
             // A bad duplicate must not perturb the live sequence state.
             let _ = e;
@@ -559,8 +602,7 @@ fn serve_read(
         Err(e) => return access_nak(local, qp, e),
     };
     let n_packets = data.len().div_ceil(mtu).max(1) as u32;
-    let mut responses = Vec::with_capacity(n_packets as usize);
-    for i in 0..n_packets {
+    let chunk = |i: u32| {
         let opcode = if n_packets == 1 {
             Opcode::ReadRespOnly
         } else if i == 0 {
@@ -578,15 +620,20 @@ fn serve_read(
         let bth = Bth::new(opcode, qp.peer_qpn, psn_add(req.bth.psn, i));
         let start = i as usize * mtu;
         let end = (start + mtu).min(data.len());
-        responses.push(RocePacket::new(
+        RocePacket::new(
             local,
             qp.peer,
             qp.udp_src_port,
             bth,
             ext,
             data.slice(start..end),
-        ));
-    }
+        )
+    };
+    let responses = if n_packets == 1 {
+        Responses::One(chunk(0))
+    } else {
+        Responses::Many((0..n_packets).map(chunk).collect())
+    };
     if !is_duplicate {
         qp.epsn = psn_add(qp.epsn, n_packets);
         qp.msn = (qp.msn + 1) & 0xff_ffff;
@@ -608,9 +655,9 @@ fn write_ack(
     psn: u32,
 ) -> ResponderResult {
     let responses = if ack_req {
-        vec![plain_ack(local, qp, psn)]
+        Responses::One(plain_ack(local, qp, psn))
     } else {
-        vec![]
+        Responses::None
     };
     ResponderResult {
         responses,
@@ -625,7 +672,7 @@ fn plain_ack(local: RoceEndpoint, qp: &QueuePair, psn: u32) -> RocePacket {
         qp.udp_src_port,
         Bth::new(Opcode::Acknowledge, qp.peer_qpn, psn),
         RoceExt::Aeth(Aeth::ack(qp.msn)),
-        vec![],
+        Payload::empty(),
     )
 }
 
@@ -641,7 +688,7 @@ fn atomic_ack(local: RoceEndpoint, qp: &QueuePair, psn: u32, original: u64) -> R
                 original_value: original,
             },
         ),
-        vec![],
+        Payload::empty(),
     )
 }
 
@@ -652,10 +699,10 @@ fn nak(local: RoceEndpoint, qp: &QueuePair, code: NakCode) -> ResponderResult {
         qp.udp_src_port,
         Bth::new(Opcode::Acknowledge, qp.peer_qpn, qp.epsn),
         RoceExt::Aeth(Aeth::nak(code, qp.msn)),
-        vec![],
+        Payload::empty(),
     );
     ResponderResult {
-        responses: vec![pkt],
+        responses: Responses::One(pkt),
         outcome: Outcome::Nak(code),
     }
 }

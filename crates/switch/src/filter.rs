@@ -70,11 +70,11 @@ impl ChoiceFilter {
     }
 
     /// The cell indices `key` maps to, one per hash function (duplicates
-    /// possible and handled consistently by insert/remove).
-    pub fn cells_of(&self, key: &FiveTuple) -> Vec<u32> {
-        (0..self.hashes)
-            .map(|i| salted_flow_index(key, FILTER_SALT_BASE + i, self.counts.len() as u64) as u32)
-            .collect()
+    /// possible and handled consistently by insert/remove). The iterator
+    /// borrows nothing, so callers may update cells while walking it.
+    pub fn cells_of(&self, key: &FiveTuple) -> impl Iterator<Item = u32> {
+        let (key, cells) = (*key, self.counts.len() as u64);
+        (0..self.hashes).map(move |i| salted_flow_index(&key, FILTER_SALT_BASE + i, cells) as u32)
     }
 
     /// Increment every cell of `key`.
@@ -106,7 +106,7 @@ impl ChoiceFilter {
 
     /// Whether every cell of `key` is non-zero (the data-plane query).
     pub fn contains(&self, key: &FiveTuple) -> bool {
-        self.cells_of(key).iter().all(|&c| self.counts[c as usize] > 0)
+        self.cells_of(key).all(|c| self.counts[c as usize] > 0)
     }
 
     /// Current value of one cell.

@@ -229,6 +229,10 @@ pub struct SwitchNode {
     program: Option<Box<dyn PipelineProgram>>,
     pending_ingress: VecDeque<(PortId, Packet)>,
     pending_recirc: VecDeque<Packet>,
+    /// Scratch behind [`SwitchCtx`]'s staged recirculations and dequeue
+    /// notifications: empty between callbacks, capacity kept.
+    staged_recirc: Vec<Packet>,
+    dequeue_notify: VecDeque<PortId>,
     stats: SwitchStats,
 }
 
@@ -250,6 +254,8 @@ impl SwitchNode {
             program: Some(program),
             pending_ingress: VecDeque::new(),
             pending_recirc: VecDeque::new(),
+            staged_recirc: Vec::new(),
+            dequeue_notify: VecDeque::new(),
             stats: SwitchStats::default(),
         }
     }
@@ -290,15 +296,13 @@ impl SwitchNode {
         f: impl FnOnce(&mut dyn PipelineProgram, &mut SwitchCtx<'_, '_, '_>),
     ) {
         let mut program = self.program.take().expect("program re-entered");
-        let mut staged = Vec::new();
-        let mut notify = VecDeque::new();
         {
             let mut sctx = SwitchCtx {
                 tm: &mut self.tm,
                 node: ctx,
                 stats: &mut self.stats,
-                staged_recirc: &mut staged,
-                dequeue_notify: &mut notify,
+                staged_recirc: &mut self.staged_recirc,
+                dequeue_notify: &mut self.dequeue_notify,
             };
             f(program.as_mut(), &mut sctx);
             // Deliver dequeue notifications generated by this callback (and
@@ -307,7 +311,7 @@ impl SwitchNode {
                 program.on_dequeue(&mut sctx, port);
             }
         }
-        for pkt in staged {
+        for pkt in self.staged_recirc.drain(..) {
             self.pending_recirc.push_back(pkt);
             ctx.schedule(self.config.recirc_latency, TOKEN_RECIRC);
         }
@@ -357,15 +361,13 @@ impl Node for SwitchNode {
 
     fn on_tx_done(&mut self, ctx: &mut NodeCtx<'_>, port: PortId) {
         // The wire is free: pull the next packet (if any) and tell the
-        // program about the dequeue so it can observe drain.
+        // program about the dequeue so it can observe drain. A queue that
+        // just ran dry notifies too: programs that track drain (the packet
+        // buffer primitive) need to see that edge.
         if let Some(pkt) = self.tm.dequeue(port) {
             ctx.start_tx(port, pkt);
-            self.with_program(ctx, |p, sctx| p.on_dequeue(sctx, port));
-        } else {
-            // Queue just ran dry; programs that track drain (the packet
-            // buffer primitive) still need to see this edge.
-            self.with_program(ctx, |p, sctx| p.on_dequeue(sctx, port));
         }
+        self.with_program(ctx, |p, sctx| p.on_dequeue(sctx, port));
     }
 
     fn name(&self) -> &str {

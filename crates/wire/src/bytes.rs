@@ -12,6 +12,12 @@
 //! * copy-on-write mutation via [`Payload::make_mut`] (the fault injector's
 //!   byte flip affects only the in-flight copy, never the sender's view).
 //!
+//! A payload's life ends in [`crate::pool`]: its last owner recycles it,
+//! [`Payload::recover_vec`] yields the byte buffer only if no clone or
+//! window is left to read it, and the next build reuses the bytes. The
+//! `Arc` block is not part of that cycle — each payload constructed from
+//! bytes allocates its own, which is exactly what [`alloc_count`] counts.
+//!
 //! Two per-thread counters — [`alloc_count`] and [`cow_count`] — let tests
 //! pin the zero-copy property: forwarding a packet across N hops must not
 //! move either counter. A thread's counters see only that thread's work, so

@@ -4,15 +4,29 @@
 //! nodes) each build thousands of frames per simulated millisecond, and the
 //! buffer of a consumed frame is usually free again a few events later. The
 //! pool closes that loop: [`take`] hands back a previously-recycled `Vec`
-//! (cleared, capacity retained) instead of a fresh allocation, and
-//! [`recycle`] recovers the backing buffer of a [`Payload`] whose last owner
-//! is done with it — without copying, via [`Payload::recover_vec`].
+//! (cleared, capacity retained) instead of a fresh allocation,
+//! [`copy_from_slice`] is [`take`] plus the copy for payloads that start
+//! life as a slice of someone else's memory (a READ out of a region, a
+//! probe key), and [`recycle`] recovers the backing buffer of a [`Payload`]
+//! whose last owner is done with it — without copying, via
+//! [`Payload::recover_vec`].
+//!
+//! The loop only stays closed if *every* consumer gives back what it took.
+//! The free list is LIFO and size-blind, which is harmless while it is
+//! balanced (buffers only ever grow, so they converge on the largest frame
+//! in use) — but one path that drops pooled buffers instead of recycling
+//! them drains it, and every build behind it then misses, or regrows a
+//! small buffer that happened to be on top.
 //!
 //! Recycling is strictly best-effort. A payload still shared with another
-//! clone simply isn't recovered, and the free list is bounded in both entry
-//! count and per-buffer capacity so a burst of jumbo frames cannot pin
-//! memory forever. The [`hit_count`]/[`miss_count`] counters report how
-//! often the loop closes (`wire.frame_pool_hit_rate` in the benchmark).
+//! clone simply isn't recovered — that is the whole safety argument: a
+//! buffer re-enters the pool only when `Arc::try_unwrap` proves nobody
+//! else can read it — and the free list is bounded in both entry count and
+//! per-buffer capacity so a burst of jumbo frames cannot pin memory
+//! forever. The [`hit_count`]/[`miss_count`] counters report how often the
+//! loop closes (`wire.frame_pool_hit_rate` in the benchmark). The pool
+//! recycles bytes, not `Arc` blocks: a payload built from a pooled buffer
+//! still allocates its 40-byte control block (see [`crate::bytes`]).
 
 use crate::bytes::Payload;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -51,6 +65,15 @@ pub fn take() -> Vec<u8> {
             Vec::new()
         }
     }
+}
+
+/// Copy `bytes` into a pooled buffer: [`Payload::copy_from_slice`] with the
+/// byte allocation served by the pool, for payloads whose last owner
+/// [`recycle`]s them.
+pub fn copy_from_slice(bytes: &[u8]) -> Payload {
+    let mut buf = take();
+    buf.extend_from_slice(bytes);
+    Payload::from_vec(buf)
 }
 
 /// Return a buffer to the pool. Zero-capacity and oversized buffers are
@@ -125,6 +148,34 @@ mod tests {
         let b = take();
         assert_eq!(hit_count(), hits0 + 1);
         assert!(b.capacity() >= 128, "full backing buffer recovered");
+    }
+
+    #[test]
+    fn recycled_buffer_never_aliases_a_live_payload() {
+        let _turn = serial();
+        let mut b = take();
+        b.extend_from_slice(&[0xaa; 64]);
+        let built = Payload::from_vec(b);
+        let live = built.clone();
+        // Still shared: the buffer must stay out of the pool ...
+        recycle(built);
+        // ... so whatever the next builds are handed, it is not the
+        // storage `live` reads.
+        let mut later: Vec<Vec<u8>> = (0..4).map(|_| take()).collect();
+        for buf in &mut later {
+            buf.extend_from_slice(&[0x55; 64]);
+            assert_ne!(buf.as_ptr(), live.as_slice().as_ptr());
+        }
+        assert_eq!(live, [0xaa; 64], "a live payload's bytes were overwritten");
+        later.into_iter().for_each(give);
+        // A window is as good an owner as the whole payload.
+        let window = live.slice(8..16);
+        drop(live);
+        let keep = window.clone();
+        recycle(window);
+        let mut next = take();
+        next.extend_from_slice(&[0x33; 64]);
+        assert_eq!(keep, [0xaa; 8]);
     }
 
     #[test]

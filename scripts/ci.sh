@@ -53,6 +53,11 @@ echo "== crash/failover cells (release) =="
 # shards counting.
 cargo test -q --release --test fault_matrix crash_
 
+echo "== allocation budget (release) =="
+# Steady-state heap allocations per frame for the four primitives, under
+# the profile the repo benchmark measures (`allocs_per_pkt`).
+cargo test -q --release --test alloc_budget
+
 echo "== scheduler equivalence proptests (release) =="
 # The timing-wheel vs binary-heap oracle properties plus the parallel
 # engine's lookahead-safety and digest-equivalence properties, under the

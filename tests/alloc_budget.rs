@@ -1,0 +1,278 @@
+//! Steady-state heap allocations per offered frame, by primitive.
+//!
+//! The paper's discipline is that external memory adds no per-packet CPU
+//! work; the simulator's counterpart is that a frame in steady state costs
+//! the heap only what it must. What it must, today, is one 40-byte `Arc`
+//! block per payload constructed from bytes (a frame put on the wire, or
+//! the bytes a READ copies out of a region): the byte buffers themselves
+//! cycle through `extmem_wire::pool`, and every per-frame container on the
+//! request and response paths reuses its owner's state. Each test drives
+//! one single-ToR scenario from `Testbed`, lets a warm-up window fill the
+//! pool, the event slab and the sink's sample vector, then counts
+//! allocator calls over the middle half of the run and compares them with
+//! the number of payloads that scenario constructs per frame.
+//!
+//! The counter is per thread, so tests running side by side (and the test
+//! harness itself) do not see each other's calls; every scenario here runs
+//! on the sequential scheduler backend, i.e. on its test's own thread.
+
+use extmem_apps::scenario::{host_ip, host_mac, Built, Testbed};
+use extmem_apps::workload::{Arrival, FlowPick, SinkNode, TrafficGenNode, WorkloadSpec};
+use extmem_core::faa::{FaaConfig, FaaEngine};
+use extmem_core::lookup::{install_cuckoo_image, ActionEntry, LookupTableProgram};
+use extmem_core::packet_buffer::{Mode, PacketBufferProgram};
+use extmem_core::state_store::StateStoreProgram;
+use extmem_core::{CuckooConfig, CuckooDirectory, PoolConfig};
+use extmem_rnic::RnicConfig;
+use extmem_sim::LinkSpec;
+use extmem_switch::{SwitchConfig, SwitchNode};
+use extmem_types::{ByteSize, FiveTuple, PortId, Rate, Time, TimeDelta};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+thread_local! {
+    /// Allocator calls (`alloc`, `alloc_zeroed`, `realloc`) made on this
+    /// thread. No destructor, so it stays usable during thread teardown.
+    static CALLS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct CountingAlloc;
+
+fn count() {
+    let _ = CALLS.try_with(|c| c.set(c.get() + 1));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counter update touches no memory
+// the allocator manages, does not allocate and cannot unwind.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: `layout` is the caller's, passed through untouched.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: as for `alloc`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from this allocator, i.e. from `System`, for
+        // this `layout` (the caller's obligation, forwarded).
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
+        // SAFETY: as for `dealloc`; `new_size` is the caller's.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
+
+const FRAMES: u64 = 20_000;
+/// Headroom over the per-frame payload count: amortised growth of the
+/// sink's sample vector, the event slab and the pool itself.
+const SLACK: f64 = 0.25;
+
+/// Run `t` until its generator (host 0) has sent a quarter of `FRAMES`,
+/// count allocator calls until it has sent three quarters, then finish the
+/// run and check every frame arrived at the sink (host 1). Returns calls
+/// per frame offered in the window.
+fn steady_state_allocs_per_frame(t: &mut Built, deadline: Time) -> f64 {
+    fn run_until_sent(t: &mut Built, target: u64, deadline: Time) -> (u64, u64) {
+        loop {
+            let sent = t.sim.node::<TrafficGenNode>(t.hosts[0]).sent;
+            if sent >= target {
+                return (CALLS.with(Cell::get), sent);
+            }
+            assert!(t.sim.now() < deadline, "generator stalled at {sent} frames");
+            let until = t.sim.now() + TimeDelta::from_micros(5);
+            t.sim.run_until(until);
+        }
+    }
+    let (calls0, sent0) = run_until_sent(t, FRAMES / 4, deadline);
+    let (calls1, sent1) = run_until_sent(t, 3 * FRAMES / 4, deadline);
+    t.sim.run_until(deadline);
+    assert_eq!(
+        t.sim.node::<SinkNode>(t.hosts[1]).received,
+        FRAMES,
+        "every offered frame must reach the sink"
+    );
+    (calls1 - calls0) as f64 / (sent1 - sent0) as f64
+}
+
+fn check(what: &str, per_frame: f64, payloads_per_frame: f64) {
+    println!("alloc_budget {what}: {per_frame:.4} allocs/frame");
+    assert!(
+        per_frame <= payloads_per_frame + SLACK,
+        "{what}: {per_frame:.3} heap allocations per frame in steady state, \
+         budget {payloads_per_frame} (one per payload constructed) + {SLACK}"
+    );
+}
+
+/// 256 B frames over 512 installed flows, cache off: every frame pays one
+/// remote miss, by bucket READ or by hash-probe op.
+fn cuckoo_lookup(remote_ops: bool) -> f64 {
+    const DSCP: u8 = 46;
+    let flows: Vec<FiveTuple> = (0..512u16)
+        .map(|i| FiveTuple::new(host_ip(0), host_ip(1), 20_000 + i, 80, 17))
+        .collect();
+    let mut dir = CuckooDirectory::new(CuckooConfig::for_capacity(flows.len() as u64));
+    for f in &flows {
+        dir.install(*f, ActionEntry::set_dscp(DSCP)).unwrap();
+    }
+    let link = LinkSpec::testbed_40g();
+    let mut tb = Testbed::new(11);
+    tb.gen(
+        WorkloadSpec {
+            src_mac: host_mac(0),
+            dst_mac: host_mac(1),
+            flows: flows.into(),
+            pick: FlowPick::Zipf(1.05),
+            frame_len: 256,
+            offered: Some(Rate::from_gbps(8)),
+            arrival: Arrival::Poisson,
+            count: FRAMES,
+            seed: 5,
+            flow_id_base: 0,
+        },
+        link,
+    );
+    let mut sink = SinkNode::new("server");
+    sink.expect_dscp = Some(DSCP);
+    tb.host(sink, link);
+    let (table, channel) = tb.server(
+        RnicConfig::default(),
+        ByteSize::from_bytes(dir.region_bytes()),
+        link,
+    );
+    install_cuckoo_image(tb.nic_mut(table), &channel, &dir);
+    let prog = LookupTableProgram::cuckoo(tb.fib(), channel, dir, None).with_remote_ops(remote_ops);
+    let mut t = tb.build(SwitchConfig::default(), Box::new(prog));
+    let per_frame = steady_state_allocs_per_frame(&mut t, Time::from_millis(20));
+    let sw: &SwitchNode = t.sim.node(t.switch);
+    let stats = sw.program::<LookupTableProgram>().stats();
+    assert_eq!(stats.remote_lookups, FRAMES, "cache off: every frame misses");
+    assert_eq!(stats.slow_path, 0);
+    per_frame
+}
+
+#[test]
+fn lookup_by_verbs_allocates_once_per_payload() {
+    // Data frame, READ request, the bucket copied out of the region, READ
+    // response. (Ten calls per frame before the containers on this path
+    // were made to reuse their owner's state.)
+    check("lookup by verbs", cuckoo_lookup(false), 4.0);
+}
+
+#[test]
+fn lookup_by_remote_ops_allocates_once_per_payload() {
+    // Data frame, probe key, hash-probe request, the matched bucket copied
+    // out of the region, op response. (Eleven before.)
+    check("lookup by remote ops", cuckoo_lookup(true), 5.0);
+}
+
+/// 800 B frames at 12 G into a 10 G port behind the packet buffer: once the
+/// protected queue passes 16 KB every frame is stored to the remote ring by
+/// WRITE and fetched back by READ.
+#[test]
+fn packet_buffer_store_and_fetch_allocates_once_per_payload() {
+    const ENTRY: u64 = 816;
+    let flow = FiveTuple::new(host_ip(0), host_ip(1), 7000, 9000, 17);
+    let link = LinkSpec::testbed_40g();
+    let mut tb = Testbed::new(12);
+    tb.gen(
+        WorkloadSpec::simple(host_mac(0), host_mac(1), flow, 800, Rate::from_gbps(12), FRAMES),
+        link,
+    );
+    tb.sink(LinkSpec::new(Rate::from_gbps(10), TimeDelta::from_nanos(300)));
+    let (_, channel) = tb.server(
+        RnicConfig::default(),
+        ByteSize::from_bytes(8192 * ENTRY),
+        link,
+    );
+    let prog = PacketBufferProgram::new(
+        tb.fib(),
+        vec![channel],
+        PortId(1),
+        ENTRY,
+        Mode::Auto {
+            start_store_qbytes: 16 << 10,
+            resume_load_qbytes: 8 << 10,
+        },
+        8,
+        TimeDelta::from_micros(50),
+    );
+    let mut t = tb.build(SwitchConfig::default(), Box::new(prog));
+    let per_frame = steady_state_allocs_per_frame(&mut t, Time::from_millis(40));
+    let sw: &SwitchNode = t.sim.node(t.switch);
+    let stats = sw.program::<PacketBufferProgram>().stats();
+    assert!(
+        stats.stored > FRAMES * 9 / 10 && stats.loaded == stats.stored,
+        "the run must exercise the detour: {stats:?}"
+    );
+    // Data frame, ring entry, WRITE request, its ACK, READ request, the
+    // entry copied out of the region, READ response. (Fifteen calls per
+    // frame before, with every detoured frame's buffer leaving the pool.)
+    check("packet buffer", per_frame, 7.0);
+}
+
+/// 256 B frames, one Fetch-and-Add per frame on a two-replica pool (the
+/// primary executes it, the mirror catches up by delta replay).
+#[test]
+fn replicated_fetch_and_add_allocates_once_per_payload() {
+    let counters = 256u64;
+    let region = ByteSize::from_bytes(counters * 8);
+    // Eight counters: one flush replays at most eight deltas, inside the
+    // mirror NIC's window of outstanding atomics (past it requests drop
+    // and the channel goes back N — a storm, not a steady state).
+    let flows: Vec<FiveTuple> = (0..8u16)
+        .map(|i| FiveTuple::new(host_ip(0), host_ip(1), 30_000 + i, 80, 17))
+        .collect();
+    let link = LinkSpec::testbed_40g();
+    let mut tb = Testbed::new(13);
+    tb.gen(
+        WorkloadSpec {
+            src_mac: host_mac(0),
+            dst_mac: host_mac(1),
+            flows: flows.into(),
+            pick: FlowPick::RoundRobin,
+            frame_len: 256,
+            offered: Some(Rate::from_gbps(2)),
+            arrival: Arrival::Paced,
+            count: FRAMES,
+            seed: 6,
+            flow_id_base: 0,
+        },
+        link,
+    );
+    tb.sink(link);
+    let (_, primary) = tb.server(RnicConfig::default(), region, link);
+    let (_, mirror) = tb.server(RnicConfig::default(), region, link);
+    let engine = FaaEngine::replicated(
+        vec![primary, mirror],
+        FaaConfig {
+            reliable: true,
+            ..Default::default()
+        },
+        PoolConfig::default(),
+    );
+    let prog = StateStoreProgram::new(tb.fib(), engine, TimeDelta::from_micros(20));
+    let mut t = tb.build(SwitchConfig::default(), Box::new(prog));
+    let per_frame = steady_state_allocs_per_frame(&mut t, Time::from_millis(40));
+    let sw: &SwitchNode = t.sim.node(t.switch);
+    let prog = sw.program::<StateStoreProgram>();
+    assert!(prog.is_quiescent() && !prog.is_degraded());
+    let s = prog.faa_stats();
+    assert_eq!((s.lost_updates, s.retransmits), (0, 0), "{s:?}");
+    assert!(s.pool.delta_replayed > 0, "the mirror must be fed: {s:?}");
+    // Data frame, FaA request to the primary, its atomic ACK; the mirror's
+    // share (replayed FaA and ACK per flush, not per frame) rides in the
+    // fourth.
+    check("replicated fetch-and-add", per_frame, 4.0);
+}

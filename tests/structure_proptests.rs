@@ -696,6 +696,49 @@ mod choice_filter {
                 filter.fp_estimate()
             );
         }
+
+        /// `cells_of` walks its cells instead of collecting them. The
+        /// oracle is the collecting body it replaced, applied to a plain
+        /// counter array: insert, remove and contains must agree with it
+        /// on every counter and every query, duplicates included.
+        #[test]
+        fn iterator_cells_agree_with_the_collected_cells(
+            cells in 1usize..512,
+            hashes in 1u32..5,
+            ops in proptest::collection::vec((any::<bool>(), any::<u32>(), any::<u16>()), 1..200),
+        ) {
+            let collected_cells = |key: &FiveTuple| -> Vec<u32> {
+                (0..hashes)
+                    .map(|i| salted_flow_index(key, 0x50 + i, cells as u64) as u32)
+                    .collect()
+            };
+            let mut filter = ChoiceFilter::new(cells, hashes);
+            let mut model = vec![0u16; cells];
+            for (insert, ip, port) in ops {
+                let key = FiveTuple::new(ip, 0x0a00_0002, port, 80, 17);
+                let want = collected_cells(&key);
+                prop_assert_eq!(filter.cells_of(&key).collect::<Vec<_>>(), want.clone());
+                // Only remove what was inserted, as the directory does;
+                // the clamp at zero is covered by the filter's own tests.
+                let present = want.iter().all(|&c| model[c as usize] > 0);
+                if insert {
+                    filter.insert(&key);
+                    for &c in &want {
+                        model[c as usize] += 1;
+                    }
+                } else if present {
+                    filter.remove(&key);
+                    for &c in &want {
+                        model[c as usize] = model[c as usize].saturating_sub(1);
+                    }
+                }
+                prop_assert_eq!(filter.raw_counts(), &model[..]);
+                prop_assert_eq!(
+                    filter.contains(&key),
+                    want.iter().all(|&c| model[c as usize] > 0)
+                );
+            }
+        }
     }
 }
 
@@ -1227,6 +1270,115 @@ mod remote_op_oracle {
                 .unwrap()
                 .to_vec()
         }
+    }
+
+    /// Every kind of response the responder emits — READ (one packet and
+    /// three), WRITE with and without an ACK, Fetch-and-Add, each remote op,
+    /// a sequence-error NAK, an access NAK, and the duplicate of each —
+    /// encoded to wire bytes and folded into one digest. The digest was
+    /// taken before the responses moved from a `Vec` per request to an
+    /// inline slot and the copies out of the region moved to pooled
+    /// buffers; neither may change a byte on the wire.
+    #[test]
+    fn response_encodings_are_pinned() {
+        const PINNED: u64 = 0x6cea_7d41_e188_b0ba;
+        let image: Vec<u8> = (0..REGION).map(|i| (i * 7 + 3) as u8).collect();
+        // A small MTU so a 300-byte READ is answered in three packets.
+        const MTU: usize = 128;
+        let mut rig = Rig::new(&image);
+        rig.req.mtu = MTU;
+        let (rkey, base) = (rig.rkey, rig.base);
+        // A length-prefixed entry for the indirect READ: 20 bytes follow
+        // the 2-byte header.
+        rig.write(base + 1200, &20u16.to_be_bytes());
+        let probe_key = image[256 + 16 + 2..256 + 16 + 6].to_vec();
+        let requests = [
+            rig.req.write_only(rkey, base + 64, vec![0xa5; 100], true),
+            rig.req.write_only(rkey, base + 200, vec![0x5a; 24], false),
+            rig.req.read(rkey, base + 32, 100),
+            rig.req.read(rkey, base, 300),
+            rig.req.fetch_add(rkey, base + 512, 41),
+            rig.req.remote_op(
+                rkey,
+                &RemoteOp::Gather {
+                    word_len: 8,
+                    vas: vec![base + 8, base + 1024, base + 40],
+                },
+            ),
+            rig.req.remote_op(
+                rkey,
+                &RemoteOp::HashProbe {
+                    base_va: base + 256,
+                    b1: 3,
+                    b2: 0,
+                    bucket_bytes: 32,
+                    slot_bytes: 16,
+                    key_off: 2,
+                    key: Payload::copy_from_slice(&probe_key),
+                },
+            ),
+            rig.req.remote_op(
+                rkey,
+                &RemoteOp::CondWrite {
+                    cmp_va: base + 700,
+                    write_va: base + 900,
+                    compare: Payload::copy_from_slice(&image[700..704]),
+                    write: Payload::copy_from_slice(&[9; 12]),
+                },
+            ),
+            rig.req.remote_op(
+                rkey,
+                &RemoteOp::Indirect {
+                    va: base + 1200,
+                    mode: IndirectMode::LengthPrefixed,
+                    len_off: 0,
+                    hdr_len: 2,
+                    max_len: 64,
+                },
+            ),
+            // The same op over bytes that are no entry header: the length
+            // they spell exceeds `max_len`, an invalid-request NAK.
+            rig.req.remote_op(
+                rkey,
+                &RemoteOp::Indirect {
+                    va: base + 1300,
+                    mode: IndirectMode::LengthPrefixed,
+                    len_off: 0,
+                    hdr_len: 2,
+                    max_len: 64,
+                },
+            ),
+            // Past the end of the region: an access NAK.
+            rig.req.read(rkey, base + REGION - 4, 64),
+        ];
+        let mut wire = Vec::new();
+        let mut serve = |rig: &mut Rig, req: &extmem_wire::RocePacket| {
+            let r = process_request(rig.server, &mut rig.qp, &mut rig.mrs, req, MTU);
+            wire.extend_from_slice(format!("{:?}", r.outcome).as_bytes());
+            for p in &r.responses {
+                let frame = p.build().expect("responses encode");
+                wire.extend_from_slice(&(frame.len() as u32).to_be_bytes());
+                wire.extend_from_slice(frame.as_slice());
+            }
+        };
+        for req in &requests {
+            serve(&mut rig, req);
+        }
+        // Every request again, as a retransmitted duplicate.
+        for req in &requests {
+            serve(&mut rig, req);
+        }
+        // A gap in the sequence: NAK once, then silence.
+        let _skipped = rig.req.read(rkey, base, 8);
+        let late = rig.req.read(rkey, base, 8);
+        serve(&mut rig, &late);
+        serve(&mut rig, &late);
+        assert_eq!(
+            extmem_wire::packet::fnv1a(&wire),
+            PINNED,
+            "{:#018x}: a response changed on the wire",
+            extmem_wire::packet::fnv1a(&wire)
+        );
     }
 
     proptest! {
