@@ -576,10 +576,10 @@ pub const FANOUT_PODS: usize = 8;
 /// `p+1`'s sink, so every ring link carries live load in one direction
 /// while FaA updates and ACKs keep each pod's local links busy.
 ///
-/// The shape is deliberate: nodes are added pod by pod, so the engine's
-/// contiguous partitioner puts whole pods on workers (at 4 threads, two
-/// pods each; at 8, one each) and only the 300 ns ring links cross
-/// partitions — exactly the positive-lookahead regime the conservative
+/// The shape is deliberate: every host hangs off its pod's switch by a
+/// single link, so the engine's partitioner puts whole pods on workers (at
+/// 4 threads, two pods each; at 8, one each) and only the 300 ns ring
+/// links cross partitions — exactly the positive-lookahead regime the conservative
 /// sync needs. `threads` selects [`SchedBackend::Parallel`]; the trace
 /// digest is bit-identical for every thread count (the equivalence suite
 /// and the `fabric_fanout_digest_invariant_across_threads` test hold this
@@ -728,7 +728,19 @@ pub fn fabric_fanout(count: u64, threads: usize) -> ScenarioResult {
             threads.clamp(1, PODS * 5),
             "builder must honor the requested thread count"
         );
-        if par.partitions > 1 {
+        // While there are pods enough to go round, every pod keeps its
+        // hosts and only ring links are cut; with more than one partition
+        // at least one always is, and its traffic crosses.
+        for p in (0..PODS).filter(|_| par.partitions <= PODS) {
+            let pod = sim.partition_of(switches[p]);
+            for host in [gens[2 * p], gens[2 * p + 1], sinks[p], servers[p]] {
+                assert_eq!(sim.partition_of(host), pod, "pod {p} split from a host");
+            }
+        }
+        let ring_cut = (0..PODS)
+            .any(|p| sim.partition_of(switches[p]) != sim.partition_of(switches[(p + 1) % PODS]));
+        assert_eq!(ring_cut, par.partitions > 1, "{par:?}");
+        if ring_cut {
             assert!(
                 par.cross_messages > 0,
                 "ring traffic must cross partitions: {par:?}"
@@ -1001,7 +1013,25 @@ pub fn fabric_shard(count: u64, threads: usize) -> ScenarioResult {
             threads.clamp(1, L * (1 + SHARD_HOSTS_PER_LEAF) + SHARD_SPINES),
             "builder must honor the requested thread count"
         );
-        if par.partitions > 1 {
+        // Pods stay whole, so the cut runs through leaf–spine links only,
+        // and every frame takes one.
+        for (l, &leaf) in fabric.leaves.iter().enumerate() {
+            for &h in &fabric.hosts[l] {
+                assert_eq!(
+                    sim.partition_of(h),
+                    sim.partition_of(leaf),
+                    "leaf {l} split from a host"
+                );
+            }
+        }
+        let spine_cut = fabric.leaves.iter().any(|&leaf| {
+            fabric
+                .spines
+                .iter()
+                .any(|&s| sim.partition_of(s) != sim.partition_of(leaf))
+        });
+        assert_eq!(spine_cut, par.partitions > 1, "{par:?}");
+        if spine_cut {
             assert!(
                 par.cross_messages > 0,
                 "spine traffic must cross partitions: {par:?}"

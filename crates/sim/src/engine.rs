@@ -4,26 +4,28 @@
 //! [`SchedBackend::Heap`](crate::SchedBackend) this is the classic
 //! single-threaded discrete-event loop. Under
 //! [`SchedBackend::Parallel`](crate::SchedBackend) the node graph is split
-//! into contiguous partitions that advance concurrently under conservative
-//! (link-latency lookahead) synchronization — see `crate::partition` for the
-//! synchronization protocol and `crate::trace` for why the determinism
-//! digest is bit-identical across all three backends.
+//! along its links into partitions that advance concurrently under
+//! conservative (link-latency lookahead) synchronization — see
+//! `crate::partition` for the synchronization protocol and `crate::trace`
+//! for why the determinism digest is bit-identical across all three
+//! backends.
 
 use crate::event::{tie, EventKind, EventQueue, SchedStats, Scheduled, TimerHandle, NO_LANE};
 use crate::link::{Endpoint, LinkSpec, LinkStats};
 use crate::node::{Node, NodeCtx};
 use crate::partition::{
-    part_of, stream_seed, ChannelMeta, CrossMsg, Inbox, LinkInfo, Outbox, PanicFuse, ParStats,
+    assign, stream_seed, ChannelMeta, CrossMsg, Inbox, LinkInfo, Outbox, PanicFuse, ParStats,
     PortSlotStatic, SyncShared, Topo, STREAM_FAULTS, STREAM_NODE,
 };
 use crate::trace::{TraceEvent, TraceSink};
 use extmem_types::{LinkId, NodeId, PortId, Rate, Time, TimeDelta};
 use extmem_wire::bytes::ThreadCounts;
+use extmem_wire::pool::{self, FreeList};
 use extmem_wire::Packet;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
-use std::sync::atomic::Ordering::SeqCst;
+use std::sync::atomic::Ordering::{Acquire, SeqCst};
 use std::sync::mpsc::{self, TrySendError};
 use std::sync::Arc;
 
@@ -39,10 +41,23 @@ fn lane_of(link: usize, end: usize, kind: u32) -> u32 {
     (link as u32) * 4 + (end as u32) * 2 + kind
 }
 
-/// Events dispatched per worker-loop iteration before bounds are
-/// re-published. Large enough to amortize the atomics, small enough that
-/// neighbors' dispatch bounds stay fresh.
-const BATCH: u64 = 256;
+/// Events dispatched per worker-loop round before the dispatch bound is
+/// re-read and the promises re-published. A promise is only as fresh as the
+/// queue head it was computed from, and a lookahead window (one link
+/// propagation, 300 ns on the testbed links) holds a few dozen events per
+/// partition: at hundreds of events per round every promise describes the
+/// *start* of the sender's window, so the partitions advance in lock-step,
+/// each idle until the slower one finishes the window. At tens, a promise
+/// trails the sender by a fraction of a window and the faster partition
+/// runs up to one full lookahead ahead; in single digits the atomics cost
+/// more than the slack they buy.
+const BATCH: u64 = 32;
+
+/// Idle rounds a worker busy-waits before it starts yielding its core. The
+/// usual wait is for a neighbour to finish a round, microseconds away; a
+/// longer one (the neighbour lost its core, or the run is winding down)
+/// should not burn a core another worker could use.
+const SPIN_ROUNDS: u32 = 64;
 
 /// Bounded SPSC capacity per cross-partition channel.
 const CHANNEL_CAP: usize = 1024;
@@ -68,6 +83,7 @@ struct ParAccum {
     cross_messages: u64,
     min_margin: u64,
     iterations: u64,
+    idle_iterations: u64,
     channel_stalls: u64,
 }
 
@@ -77,6 +93,7 @@ impl Default for ParAccum {
             cross_messages: 0,
             min_margin: u64::MAX,
             iterations: 0,
+            idle_iterations: 0,
             channel_stalls: 0,
         }
     }
@@ -350,8 +367,7 @@ impl EngineCore {
                         // termination scan that saw the channel balanced can
                         // then never pair with a second scan that still sees
                         // this partition finished.
-                        sync.finished[self.part as usize].store(false, SeqCst);
-                        sync.progress[self.part as usize].fetch_add(1, SeqCst);
+                        sync.note_progress(self.part as usize);
                     }
                 }
                 drained += 1;
@@ -373,8 +389,12 @@ impl EngineCore {
 
     /// Publish this partition's null-message bounds: the earliest thing it
     /// may still send to neighbor `q` is `min(own queue head, own dispatch
-    /// bound) + lookahead(me → q)`. Runs *before* each dispatch batch, which
-    /// (with the pre-batch peek) keeps the published bound monotone.
+    /// bound) + lookahead(me → q)`. Runs *before* each dispatch batch, after
+    /// the drain that followed reading `safe`: everything that can still
+    /// make this partition transmit is then either in its queue (at or
+    /// after the head) or not yet sent by a neighbour (at or after `safe`).
+    /// Both only move forward, and `fetch_max` keeps the published value
+    /// monotone even when a fresher `safe` is paired with an older head.
     fn publish_bounds(&mut self, safe: u64) {
         let peek = self.queue.peek_time().map_or(u64::MAX, |t| t.picos());
         let eot = peek.min(safe);
@@ -417,7 +437,10 @@ impl EngineCore {
 }
 
 /// One partition: the nodes it owns plus its engine core. The whole
-/// simulation is one `Partition` on the single-threaded backends.
+/// simulation is one `Partition` on the single-threaded backends. Aligned
+/// so that two workers' partitions, adjacent in the simulator's vector,
+/// share no cache line.
+#[repr(align(128))]
 struct Partition {
     /// Full-size table; `Some` only for owned nodes (and `None` transiently
     /// while a node runs its own callback).
@@ -426,6 +449,11 @@ struct Partition {
     /// The wire counters of the worker thread that last ran this
     /// partition, left here for the driving thread to absorb.
     worker_counts: ThreadCounts,
+    /// This partition's share of the driving thread's frame-buffer pool
+    /// for the length of a run segment (empty between segments). Workers
+    /// are re-spawned every segment; a pool that died with its thread
+    /// would start each one cold.
+    frame_pool: FreeList,
 }
 
 impl Partition {
@@ -514,46 +542,57 @@ impl Partition {
         n
     }
 
-    /// One partition's worker loop: read the dispatch bound, absorb cross
-    /// deliveries, publish null-message bounds, dispatch a batch strictly
-    /// below the bound, and participate in termination detection.
+    /// One round of the conservative protocol: read the dispatch bound,
+    /// absorb cross deliveries, publish null-message bounds, dispatch a
+    /// batch strictly below the bound. Returns `(dispatched, absorbed)`.
+    fn sync_round(&mut self, deadline: Time, shared: &SyncShared) -> (u64, u64) {
+        // Order matters: the bound is read *before* the drain, so any
+        // message not yet absorbed was sent after our neighbor promised
+        // `safe` — its timestamp is `>= safe` and cannot be missed by
+        // the batch below.
+        let safe = shared.safe_bound(self.core.part as usize);
+        let drained = self.core.drain_inboxes();
+        // Publish before dispatching: the pre-batch queue head is a
+        // valid (monotone) earliest-output estimate for the whole
+        // batch, and neighbors see fresh bounds while we work.
+        self.core.publish_bounds(safe);
+        let dd = Time::from_picos(safe.saturating_sub(1).min(deadline.picos()));
+        (self.dispatch_batch(dd, BATCH, safe), drained)
+    }
+
+    /// One partition's worker loop: [`Partition::sync_round`] until the run
+    /// is over, taking part in termination detection whenever a round finds
+    /// nothing to do.
     fn run_loop(&mut self, deadline: Time, quiesce: bool, shared: &SyncShared) {
         let me = self.core.part as usize;
         let _fuse = PanicFuse(shared);
-        loop {
-            if shared.done.load(SeqCst) {
-                break;
-            }
+        let mut idle_rounds = 0;
+        while !shared.done.load(Acquire) {
             self.core.par.iterations += 1;
-            // Order matters: the bound is read *before* the drain, so any
-            // message not yet absorbed was sent after our neighbor promised
-            // `safe` — its timestamp is `>= safe` and cannot be missed by
-            // the batch below.
-            let safe = shared.safe_bound(me);
-            let drained = self.core.drain_inboxes();
-            // Publish before dispatching: the pre-batch queue head is a
-            // valid (monotone) earliest-output estimate for the whole
-            // batch, and neighbors see fresh bounds while we work.
-            self.core.publish_bounds(safe);
-            let dd = Time::from_picos(safe.saturating_sub(1).min(deadline.picos()));
-            let n = self.dispatch_batch(dd, BATCH, safe);
+            let (n, drained) = self.sync_round(deadline, shared);
             if n > 0 || drained > 0 {
                 if n > 0 {
-                    shared.finished[me].store(false, SeqCst);
-                    shared.progress[me].fetch_add(1, SeqCst);
+                    shared.note_progress(me);
                 }
+                idle_rounds = 0;
                 continue;
             }
+            self.core.par.idle_iterations += 1;
             let idle = if quiesce {
                 self.core.queue.is_empty()
             } else {
                 self.core.queue.peek_time().is_none_or(|t| t > deadline)
             };
-            shared.finished[me].store(idle, SeqCst);
+            shared.set_finished(me, idle);
             if idle && me == 0 && shared.try_terminate() {
                 break;
             }
-            std::thread::yield_now();
+            if idle_rounds < SPIN_ROUNDS {
+                idle_rounds += 1;
+                std::hint::spin_loop();
+            } else {
+                std::thread::yield_now();
+            }
         }
     }
 }
@@ -637,7 +676,7 @@ impl SimBuilder {
         let n = self.nodes.len();
         let threads = crate::event::current_backend().threads();
         let k = if n == 0 { 1 } else { threads.min(n) };
-        let node_part: Vec<u32> = (0..n).map(|i| part_of(i, n, k)).collect();
+        let node_part = assign(n, &self.links, k);
 
         // Flatten the builder's port map into the dense per-node tables the
         // event loop indexes directly.
@@ -662,7 +701,9 @@ impl SimBuilder {
 
         // Lookahead matrix: min propagation over links crossing each
         // ordered partition pair. Zero-propagation links must not cross —
-        // with no lookahead the conservative bound never advances past them.
+        // with no lookahead the conservative bound never advances past them
+        // — and `assign` only cuts one when fewer than `k` groups of nodes
+        // are free of them.
         let mut lookahead = vec![u64::MAX; k * k];
         if k > 1 {
             for (lid, l) in topo.links.iter().enumerate() {
@@ -693,14 +734,19 @@ impl SimBuilder {
             .collect();
         for (p, q) in pairs {
             let (tx, rx) = mpsc::sync_channel(CHANNEL_CAP);
-            let sent = Arc::new(std::sync::atomic::AtomicU64::new(0));
-            let recv = Arc::new(std::sync::atomic::AtomicU64::new(0));
-            sync.channels.push(ChannelMeta {
-                sent: sent.clone(),
-                recv: recv.clone(),
+            let meta = ChannelMeta {
+                sent: Arc::default(),
+                recv: Arc::default(),
+            };
+            outboxes[p][q] = Some(Outbox {
+                tx,
+                sent: meta.sent.clone(),
             });
-            outboxes[p][q] = Some(Outbox { tx, sent });
-            inboxes[q].push(Inbox { rx, recv });
+            inboxes[q].push(Inbox {
+                rx,
+                recv: meta.recv.clone(),
+            });
+            sync.channels.push(meta);
         }
         let sync = (k > 1).then(|| Arc::new(sync));
 
@@ -710,6 +756,7 @@ impl SimBuilder {
                 queue.ensure_lanes(topo.links.len() * 4);
                 Partition {
                     worker_counts: ThreadCounts::default(),
+                    frame_pool: FreeList::default(),
                     nodes: (0..n).map(|_| None).collect(),
                     core: EngineCore {
                         now: Time::ZERO,
@@ -802,6 +849,14 @@ impl Simulator {
         self.topo.node_part[node.raw() as usize] as usize
     }
 
+    /// The partition (`0..par_stats().partitions`) that owns `node`: always
+    /// 0 on the single-threaded backends. Read-only, for tests and reports
+    /// that need to know which links a parallel run cuts; nothing simulated
+    /// depends on it.
+    pub fn partition_of(&self, node: NodeId) -> usize {
+        self.owner(node)
+    }
+
     /// Schedule a timer for `node` as if it had called [`NodeCtx::schedule`].
     /// Used by scenario drivers to kick off generators.
     pub fn schedule_timer(&mut self, node: NodeId, delay: TimeDelta, token: u64) {
@@ -890,6 +945,8 @@ impl Simulator {
                 s.min_dispatch_margin_picos.min(p.core.par.min_margin);
             s.iterations += p.core.par.iterations;
             s.channel_stalls += p.core.par.channel_stalls;
+            s.max_partition_events = s.max_partition_events.max(p.core.events_processed);
+            s.idle_iterations += p.core.par.idle_iterations;
         }
         s
     }
@@ -943,19 +1000,27 @@ impl Simulator {
             .map(|p| p.core.queue.peek_time().map_or(u64::MAX, |t| t.picos()))
             .collect();
         shared.begin(&peeks);
+        let k = self.parts.len();
+        for (pid, p) in self.parts.iter_mut().enumerate() {
+            p.frame_pool.take_share(k - pid);
+        }
         std::thread::scope(|s| {
             for part in &mut self.parts {
                 let shared = &*shared;
                 s.spawn(move || {
+                    pool::swap(&mut part.frame_pool);
                     part.run_loop(deadline, quiesce, shared);
+                    pool::swap(&mut part.frame_pool);
                     part.worker_counts = ThreadCounts::current();
                 });
             }
         });
         // The wire counters are per thread: fold each worker's into the
         // driving thread so a delta taken around this run covers all of it.
+        // The frame buffers come home the same way.
         for p in &mut self.parts {
             std::mem::take(&mut p.worker_counts).absorb();
+            p.frame_pool.give_back();
         }
         if quiesce {
             // Partitions stop at the time of their own last event; the
@@ -1110,6 +1175,33 @@ mod tests {
 
         fn name(&self) -> &str {
             &self.name
+        }
+    }
+
+    /// Test node: forwards between its ports 0 and 1, queueing per port.
+    struct Relay {
+        qs: [crate::queue::TxQueue; 2],
+    }
+
+    impl Relay {
+        fn new() -> Self {
+            Relay {
+                qs: [PortId(0), PortId(1)].map(crate::queue::TxQueue::new),
+            }
+        }
+    }
+
+    impl Node for Relay {
+        fn on_packet(&mut self, ctx: &mut NodeCtx<'_>, port: PortId, packet: Packet) {
+            self.qs[1 - port.raw() as usize].send(ctx, packet);
+        }
+
+        fn on_tx_done(&mut self, ctx: &mut NodeCtx<'_>, port: PortId) {
+            self.qs[port.raw() as usize].on_tx_done(ctx);
+        }
+
+        fn name(&self) -> &str {
+            "relay"
         }
     }
 
@@ -1445,9 +1537,12 @@ mod tests {
     fn parallel_crash_restart_matches_wheel() {
         let run = |backend| {
             with_sched_backend(backend, || {
-                let (mut sim, _, echo) = two_node_sim(13);
-                // Crash the echo (partition 1 under Parallel(2)) mid-run,
-                // restart it, and let the survivors drain.
+                let (mut sim, blaster, echo) = two_node_sim(13);
+                // Crash the echo mid-run, restart it, and let the
+                // survivors drain. Under Parallel(2) it is not in the
+                // blaster's partition: two nodes, two partitions.
+                let split = sim.partition_of(blaster) != sim.partition_of(echo);
+                assert_eq!(split, sim.par_stats().partitions == 2);
                 sim.schedule_crash(echo, TimeDelta::from_nanos(800));
                 sim.schedule_restart(echo, TimeDelta::from_nanos(2000));
                 sim.run_to_quiescence();
@@ -1497,33 +1592,106 @@ mod tests {
         });
     }
 
+    /// `pairs` blaster→echo pairs, blasters registered first. Returns the
+    /// fingerprint and how many pairs the backend's partitioning split.
+    fn blaster_echo_pairs(backend: SchedBackend, pairs: u64) -> ((u64, u64, Vec<u64>), usize) {
+        with_sched_backend(backend, || {
+            let mut b = SimBuilder::new(31);
+            let blasters: Vec<NodeId> = (0..pairs)
+                .map(|i| b.add_node(blaster(20 + i, 512)))
+                .collect();
+            let echoes: Vec<NodeId> = (0..pairs)
+                .map(|i| b.add_node(Box::new(Echo::new(&format!("e{i}")))))
+                .collect();
+            for (bl, e) in blasters.iter().zip(&echoes) {
+                b.connect(*bl, PortId(0), *e, PortId(0), LinkSpec::testbed_40g());
+            }
+            let mut sim = b.build();
+            for bl in &blasters {
+                sim.schedule_timer(*bl, TimeDelta::ZERO, 0);
+            }
+            sim.run_to_quiescence();
+            let rx: Vec<u64> = echoes.iter().map(|e| sim.node::<Echo>(*e).rx).collect();
+            let split = blasters
+                .iter()
+                .zip(&echoes)
+                .filter(|(bl, e)| sim.partition_of(**bl) != sim.partition_of(**e))
+                .count();
+            ((sim.trace_digest(), sim.events_processed(), rx), split)
+        })
+    }
+
     #[test]
     fn four_partitions_all_cross_pairs_match_wheel() {
-        // 4 blaster-echo pairs laid out so that under Parallel(4) every
-        // pair spans two partitions: blasters are nodes 0..4, echoes 4..8.
-        let run = |backend| {
-            with_sched_backend(backend, || {
-                let mut b = SimBuilder::new(31);
-                let blasters: Vec<NodeId> =
-                    (0..4).map(|i| b.add_node(blaster(20 + i, 512))).collect();
-                let echoes: Vec<NodeId> = (0..4)
-                    .map(|i| b.add_node(Box::new(Echo::new(&format!("e{i}")))))
-                    .collect();
-                for (bl, e) in blasters.iter().zip(&echoes) {
-                    b.connect(*bl, PortId(0), *e, PortId(0), LinkSpec::testbed_40g());
-                }
-                let mut sim = b.build();
-                for bl in &blasters {
-                    sim.schedule_timer(*bl, TimeDelta::ZERO, 0);
-                }
-                sim.run_to_quiescence();
-                let rx: Vec<u64> = echoes.iter().map(|e| sim.node::<Echo>(*e).rx).collect();
-                (sim.trace_digest(), sim.events_processed(), rx)
-            })
-        };
-        let wheel = run(SchedBackend::Wheel);
-        assert_eq!(wheel, run(SchedBackend::Parallel(4)));
-        assert_eq!(wheel.2, vec![20, 21, 22, 23]);
+        // Three pairs cannot fill four partitions whole, so the
+        // partitioner falls back to single nodes and every pair ends up
+        // spanning two partitions.
+        let (wheel, _) = blaster_echo_pairs(SchedBackend::Wheel, 3);
+        let (par, split) = blaster_echo_pairs(SchedBackend::Parallel(4), 3);
+        assert_eq!(split, 3, "premise: every pair crosses a boundary");
+        assert_eq!(wheel, par);
+        assert_eq!(wheel.2, vec![20, 21, 22]);
+    }
+
+    #[test]
+    fn pairs_stay_whole_when_partitions_allow() {
+        // Four pairs, four partitions: each single-link node stays with
+        // its only neighbour and nothing crosses.
+        let (wheel, _) = blaster_echo_pairs(SchedBackend::Wheel, 4);
+        let (par, split) = blaster_echo_pairs(SchedBackend::Parallel(4), 4);
+        assert_eq!(split, 0);
+        assert_eq!(wheel, par);
+    }
+
+    #[test]
+    fn promises_follow_the_queue_head_within_a_window() {
+        // Partition 0 (a blaster with 100 frames, one TxDone every 300 ns)
+        // driven round by round against a scripted peer: partition 1 never
+        // runs, the test publishes its promises.
+        with_sched_backend(SchedBackend::Parallel(2), || {
+            let mut b = SimBuilder::new(3);
+            let bl = b.add_node(blaster(100, 1500));
+            let echo = b.add_node(Box::new(Echo::new("echo")));
+            b.connect(bl, PortId(0), echo, PortId(0), LinkSpec::testbed_40g());
+            let mut sim = b.build();
+            assert_eq!((sim.partition_of(bl), sim.partition_of(echo)), (0, 1));
+            sim.schedule_timer(bl, TimeDelta::ZERO, 0);
+            let shared = sim.sync.clone().expect("two partitions");
+            shared.begin(&[0, u64::MAX]);
+            let promise = || shared.safe_bound(1);
+            let la = TimeDelta::from_nanos(300).picos();
+            let end = Time::from_picos(u64::MAX);
+
+            // The peer promises silence until 12 us: a window of 40 events
+            // (the kick, then a TxDone every 300 ns up to 11.7 us), more
+            // than one round.
+            shared.publish(1, 0, Time::from_micros(12).picos());
+            let mut promises = vec![promise()];
+            while sim.parts[0].sync_round(end, &shared).0 > 0 {
+                promises.push(promise());
+            }
+            // Two dispatching rounds. The first published from the head it
+            // started at (t = 0), the second — mid-window — from the head
+            // the first one left behind: the TxDone at 32 x 300 ns.
+            let at = |ns| Time::from_nanos(ns).picos();
+            assert_eq!(promises, [la, la, at(300 * BATCH) + la]);
+            assert_eq!(sim.parts[0].core.events_processed, 40);
+            // Stopped strictly below the peer's promise: the TxDone at
+            // 12 us itself stays queued, the last one dispatched was 300 ns
+            // earlier.
+            let tx_time = TimeDelta::from_nanos(300).picos();
+            assert_eq!(sim.parts[0].core.par.min_margin, tx_time);
+            assert_eq!(promise(), Time::from_micros(12).picos() + la);
+
+            // A lower promise from the peer cannot reopen the past, and a
+            // later one admits exactly the events below it.
+            shared.publish(1, 0, Time::from_micros(3).picos());
+            assert_eq!(sim.parts[0].sync_round(end, &shared).0, 0);
+            shared.publish(1, 0, Time::from_micros(12).picos() + 1);
+            assert_eq!(sim.parts[0].sync_round(end, &shared).0, 1);
+            assert_eq!(sim.parts[0].core.par.min_margin, 1);
+            assert_eq!(promise(), at(12_000) + la, "only ever raised");
+        });
     }
 
     #[test]
@@ -1537,5 +1705,36 @@ mod tests {
             b.connect(x, PortId(0), y, PortId(0), spec);
             let _ = b.build();
         });
+    }
+
+    #[test]
+    fn zero_propagation_link_is_kept_inside_a_partition_when_possible() {
+        // blaster --- x -0- y --- echo: splitting the four nodes down the
+        // middle by index would cut the zero-propagation link; cutting
+        // either outer link is legal, and the run must match the wheel.
+        let run = |backend| {
+            with_sched_backend(backend, || {
+                let mut b = SimBuilder::new(19);
+                let bl = b.add_node(blaster(50, 700));
+                let x = b.add_node(Box::new(Relay::new()));
+                let y = b.add_node(Box::new(Relay::new()));
+                let echo = b.add_node(Box::new(Echo::new("echo")));
+                let zero = LinkSpec::new(Rate::from_gbps(40), TimeDelta::ZERO);
+                b.connect(bl, PortId(0), x, PortId(0), LinkSpec::testbed_40g());
+                b.connect(x, PortId(1), y, PortId(0), zero);
+                b.connect(y, PortId(1), echo, PortId(0), LinkSpec::testbed_40g());
+                let mut sim = b.build();
+                assert_eq!(sim.partition_of(x), sim.partition_of(y));
+                sim.schedule_timer(bl, TimeDelta::ZERO, 0);
+                sim.run_to_quiescence();
+                let par = sim.par_stats();
+                assert!(par.partitions == 1 || par.cross_messages > 0);
+                assert!(par.min_dispatch_margin_picos >= 1);
+                (sim.trace_digest(), sim.node::<Blaster>(bl).rx)
+            })
+        };
+        let wheel = run(SchedBackend::Wheel);
+        assert_eq!(wheel, run(SchedBackend::Parallel(2)));
+        assert_eq!(wheel.1, 50);
     }
 }

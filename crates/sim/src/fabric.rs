@@ -10,9 +10,10 @@
 //! provisioned independently.
 //!
 //! Node-addition order is pod-major (each leaf followed by its hosts,
-//! spines last), which is what the parallel scheduler's contiguous
-//! node-range partitioning wants: a pod's heavy intra-pod traffic stays
-//! within one partition, only leaf↔spine links cross.
+//! spines last). The parallel scheduler does not rely on it: it partitions
+//! by link structure, keeps every single-link host with its leaf, and so
+//! deals out whole pods and single spines — a pod's heavy intra-pod traffic
+//! stays within one partition, only leaf↔spine links cross.
 //!
 //! Port conventions (stable, relied on by scenarios):
 //! * leaf `l` port `i`, `i < hosts_per_leaf` ↔ host `(l, i)` port 0

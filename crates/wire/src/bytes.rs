@@ -23,12 +23,14 @@
 //! move either counter. A thread's counters see only that thread's work, so
 //! a delta taken around a run is that run's by construction; the parallel
 //! scheduler folds each worker's counts into the driving thread at join
-//! ([`ThreadCounts::absorb`]).
+//! ([`ThreadCounts::absorb`]). Nothing on the packet path is shared between
+//! threads: the counters and the frame pool are thread-local, and an empty
+//! payload holds no buffer at all rather than a reference to a common one.
 
 use core::cell::Cell;
 use core::fmt;
 use std::ops::{Deref, Range};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 thread_local! {
     static COUNTS: Cell<ThreadCounts> = const {
@@ -36,6 +38,8 @@ thread_local! {
             allocs: 0,
             cows: 0,
             digests: 0,
+            pool_hits: 0,
+            pool_misses: 0,
         })
     };
 }
@@ -73,6 +77,10 @@ pub struct ThreadCounts {
     pub cows: u64,
     /// [`crate::packet::digest_compute_count`].
     pub digests: u64,
+    /// [`crate::pool::hit_count`].
+    pub pool_hits: u64,
+    /// [`crate::pool::miss_count`].
+    pub pool_misses: u64,
 }
 
 impl ThreadCounts {
@@ -89,6 +97,8 @@ impl ThreadCounts {
             c.allocs += self.allocs;
             c.cows += self.cows;
             c.digests += self.digests;
+            c.pool_hits += self.pool_hits;
+            c.pool_misses += self.pool_misses;
         });
     }
 }
@@ -134,27 +144,24 @@ impl CounterSpan {
     }
 }
 
-fn empty_buf() -> Arc<Vec<u8>> {
-    static EMPTY: OnceLock<Arc<Vec<u8>>> = OnceLock::new();
-    EMPTY.get_or_init(|| Arc::new(Vec::new())).clone()
-}
-
 /// A shared, immutable-by-default byte buffer: `Arc<Vec<u8>>` plus a
 /// window. Clones and subslices share the allocation; mutation goes through
 /// [`Payload::make_mut`], which copies only when the buffer is shared or
 /// windowed.
 #[derive(Clone)]
 pub struct Payload {
-    buf: Arc<Vec<u8>>,
+    /// `None` exactly when the payload is empty: an empty payload owns
+    /// nothing, so making or dropping one touches no shared refcount.
+    buf: Option<Arc<Vec<u8>>>,
     off: usize,
     len: usize,
 }
 
 impl Payload {
-    /// An empty payload (no allocation; all empties share one buffer).
+    /// An empty payload (no allocation, no buffer).
     pub fn empty() -> Payload {
         Payload {
-            buf: empty_buf(),
+            buf: None,
             off: 0,
             len: 0,
         }
@@ -168,7 +175,7 @@ impl Payload {
         count(|c| c.allocs += 1);
         let len = bytes.len();
         Payload {
-            buf: Arc::new(bytes),
+            buf: Some(Arc::new(bytes)),
             off: 0,
             len,
         }
@@ -196,7 +203,10 @@ impl Payload {
 
     /// Immutable view of the visible bytes.
     pub fn as_slice(&self) -> &[u8] {
-        &self.buf[self.off..self.off + self.len]
+        match &self.buf {
+            Some(buf) => &buf[self.off..self.off + self.len],
+            None => &[],
+        }
     }
 
     /// A zero-copy subview of `range` (relative to this view). Shares the
@@ -226,20 +236,16 @@ impl Payload {
     /// window is copied out first (counted by [`cow_count`]). Other clones
     /// keep seeing the original bytes.
     pub fn make_mut(&mut self) -> &mut [u8] {
-        let whole = self.off == 0 && self.len == self.buf.len();
-        if !(whole && Arc::strong_count(&self.buf) == 1) {
+        let Some(buf) = &self.buf else {
+            return &mut [];
+        };
+        let whole = self.off == 0 && self.len == buf.len();
+        if !(whole && Arc::strong_count(buf) == 1) {
             count(|c| c.cows += 1);
             *self = Payload::copy_from_slice(self.as_slice());
         }
-        // The replacement above guarantees unique ownership; an empty
-        // payload stays backed by the shared empty buffer, whose 0-length
-        // slice is safe to hand out mutably only via this unique path —
-        // so special-case it.
-        if self.len == 0 {
-            return &mut [];
-        }
-        let buf = Arc::get_mut(&mut self.buf).expect("uniquely owned after CoW");
-        &mut buf[..]
+        let buf = self.buf.as_mut().expect("non-empty after CoW");
+        &mut Arc::get_mut(buf).expect("uniquely owned after CoW")[..]
     }
 
     /// Copy the visible bytes out.
@@ -250,18 +256,19 @@ impl Payload {
     /// Consume into a `Vec`, without copying when this is the sole owner of
     /// a full-range buffer.
     pub fn into_vec(self) -> Vec<u8> {
-        if self.off == 0 && self.len == self.buf.len() {
-            match Arc::try_unwrap(self.buf) {
-                Ok(v) => return v,
-                Err(arc) => return arc[..].to_vec(),
+        match self.buf {
+            Some(buf) if self.off == 0 && self.len == buf.len() => {
+                Arc::try_unwrap(buf).unwrap_or_else(|shared| shared[..].to_vec())
             }
+            Some(buf) => buf[self.off..self.off + self.len].to_vec(),
+            None => Vec::new(),
         }
-        self.to_vec()
     }
 
-    /// How many payloads (clones or slices) share this allocation.
+    /// How many payloads (clones or slices) share this allocation; 1 for an
+    /// empty payload, which has none to share.
     pub fn ref_count(&self) -> usize {
-        Arc::strong_count(&self.buf)
+        self.buf.as_ref().map_or(1, Arc::strong_count)
     }
 
     /// Recover the backing buffer without copying, if this payload is the
@@ -270,9 +277,7 @@ impl Payload {
     /// capacity (see [`crate::pool`]), not its contents. Returns `None`
     /// (and drops the reference) when the buffer is still shared.
     pub fn recover_vec(self) -> Option<Vec<u8>> {
-        // The shared empty buffer always has another owner (the static),
-        // so empties are never recovered.
-        Arc::try_unwrap(self.buf).ok()
+        Arc::try_unwrap(self.buf?).ok()
     }
 }
 

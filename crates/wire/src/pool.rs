@@ -1,4 +1,4 @@
-//! A process-global recycling pool for frame buffers.
+//! A per-thread recycling pool for frame buffers.
 //!
 //! Encode loops (the RNIC responder, the switch channels, the E1 traffic
 //! nodes) each build thousands of frames per simulated millisecond, and the
@@ -27,13 +27,20 @@
 //! loop closes (`wire.frame_pool_hit_rate` in the benchmark). The pool
 //! recycles bytes, not `Arc` blocks: a payload built from a pooled buffer
 //! still allocates its 40-byte control block (see [`crate::bytes`]).
+//!
+//! The free list and its counters belong to the calling thread, so the
+//! packet path takes no lock and writes no cache line another thread reads.
+//! A buffer is recycled into the pool of whichever thread consumed its last
+//! reference, which need not be the thread that took it: while two threads
+//! trade frames at unequal rates one list fills to its bound (and drops
+//! the excess) as the other runs dry (and allocates). The parallel
+//! scheduler's workers are short-lived and never own a pool for long
+//! enough to matter: each borrows a share of its driver's buffers as a
+//! [`FreeList`] for one slice of the run, and its counters are folded into
+//! the driver's by [`crate::bytes::ThreadCounts::absorb`].
 
-use crate::bytes::Payload;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
-
-static HITS: AtomicU64 = AtomicU64::new(0);
-static MISSES: AtomicU64 = AtomicU64::new(0);
+use crate::bytes::{count, Payload, ThreadCounts};
+use std::cell::RefCell;
 
 /// Upper bound on free-list entries; beyond it, returned buffers are
 /// dropped (quiescent simulations should not pin a whole run's frames).
@@ -43,25 +50,65 @@ const MAX_POOLED: usize = 1024;
 /// must not turn into a permanently-retained one.
 const MAX_POOLED_CAPACITY: usize = 64 * 1024;
 
-static FREE: Mutex<Vec<Vec<u8>>> = Mutex::new(Vec::new());
+/// Free buffers as a value that can change threads: how the parallel
+/// scheduler's short-lived workers share the pool of the thread driving
+/// them. Before a run segment the driver moves a share of its free buffers
+/// into one list per worker ([`FreeList::take_share`]); each worker
+/// [`swap`]s its list in, runs, and swaps it back out; after the join the
+/// driver collects them again ([`FreeList::give_back`]). Between segments
+/// there is one pool, the driver's, exactly as on a sequential run — so
+/// what a warm-up filled the next simulation starts with, and a flow that
+/// takes in one worker and recycles in another cannot run one worker dry
+/// for longer than a segment. The list keeps its own capacity throughout,
+/// so none of this allocates once it has happened a few times.
+#[derive(Default)]
+pub struct FreeList(Vec<Vec<u8>>);
 
-fn free_list() -> std::sync::MutexGuard<'static, Vec<Vec<u8>>> {
-    // A panic while holding the lock leaves only recyclable buffers
-    // behind; the pool stays usable.
-    FREE.lock().unwrap_or_else(|e| e.into_inner())
+impl FreeList {
+    /// Move one `n`-th of the calling thread's free buffers into this list
+    /// (`n = k, k - 1, ... 1` deals all of them into `k` near-equal lists).
+    pub fn take_share(&mut self, n: usize) {
+        FREE.with(|free| {
+            let free = &mut free.borrow_mut().0;
+            let keep = free.len() - free.len() / n;
+            self.0.extend(free.drain(keep..));
+        });
+    }
+
+    /// Move this list's buffers into the calling thread's pool, dropping
+    /// what does not fit under its bound.
+    pub fn give_back(&mut self) {
+        FREE.with(|free| {
+            let free = &mut free.borrow_mut().0;
+            let room = MAX_POOLED.saturating_sub(free.len());
+            self.0.truncate(room);
+            free.append(&mut self.0);
+        });
+    }
+}
+
+thread_local! {
+    static FREE: RefCell<FreeList> = const { RefCell::new(FreeList(Vec::new())) };
+}
+
+/// Exchange the calling thread's free list with `other`. Called in pairs
+/// around a stretch of work: the first call lends `other` to the thread,
+/// the second takes it back with whatever the work recycled.
+pub fn swap(other: &mut FreeList) {
+    FREE.with(|free| std::mem::swap(&mut *free.borrow_mut(), other));
 }
 
 /// Take a buffer from the pool (cleared, capacity retained), or a fresh
 /// empty `Vec` when the pool is dry.
 pub fn take() -> Vec<u8> {
-    match free_list().pop() {
+    match FREE.with(|free| free.borrow_mut().0.pop()) {
         Some(mut buf) => {
-            HITS.fetch_add(1, Ordering::Relaxed);
+            count(|c| c.pool_hits += 1);
             buf.clear();
             buf
         }
         None => {
-            MISSES.fetch_add(1, Ordering::Relaxed);
+            count(|c| c.pool_misses += 1);
             Vec::new()
         }
     }
@@ -82,10 +129,12 @@ pub fn give(buf: Vec<u8>) {
     if buf.capacity() == 0 || buf.capacity() > MAX_POOLED_CAPACITY {
         return;
     }
-    let mut free = free_list();
-    if free.len() < MAX_POOLED {
-        free.push(buf);
-    }
+    FREE.with(|free| {
+        let free = &mut free.borrow_mut().0;
+        if free.len() < MAX_POOLED {
+            free.push(buf);
+        }
+    });
 }
 
 /// Recover `payload`'s backing buffer into the pool if this was its sole
@@ -96,63 +145,69 @@ pub fn recycle(payload: Payload) {
     }
 }
 
-/// Pool hits (a [`take`] served from the free list) since process start.
+/// Pool hits (a [`take`] served from the free list) on this thread (plus
+/// absorbed worker counts) so far.
 pub fn hit_count() -> u64 {
-    HITS.load(Ordering::Relaxed)
+    ThreadCounts::current().pool_hits
 }
 
-/// Pool misses (a [`take`] that had to allocate) since process start.
+/// Pool misses (a [`take`] that had to allocate) on this thread (plus
+/// absorbed worker counts) so far.
 pub fn miss_count() -> u64 {
-    MISSES.load(Ordering::Relaxed)
+    ThreadCounts::current().pool_misses
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// The pool is process-global, so the tests that read its counters
-    /// take turns.
-    fn serial() -> std::sync::MutexGuard<'static, ()> {
-        static TURN: Mutex<()> = Mutex::new(());
-        TURN.lock().unwrap_or_else(|e| e.into_inner())
+    /// `(hits, misses)` on this thread so far. The counters are the calling
+    /// thread's own, so concurrent tests cannot leak into a delta.
+    fn counts() -> (u64, u64) {
+        (hit_count(), miss_count())
     }
 
     #[test]
     fn take_give_roundtrip_reuses_capacity() {
-        let _turn = serial();
         let mut b = take();
         b.extend_from_slice(&[1, 2, 3, 4]);
         let cap = b.capacity();
         give(b);
-        let hits0 = hit_count();
+        let (hits0, misses0) = counts();
         let b2 = take();
-        assert_eq!(hit_count(), hits0 + 1);
+        assert_eq!(counts(), (hits0 + 1, misses0));
         assert!(b2.is_empty(), "pooled buffers come back cleared");
         assert!(b2.capacity() >= cap, "capacity survives the pool");
     }
 
     #[test]
     fn recycle_recovers_sole_owner_only() {
-        let _turn = serial();
+        // Start from an empty list so the hit below can only be the
+        // recovered buffer.
+        swap(&mut FreeList::default());
         // Shared payload: not recovered.
         let p = Payload::from_vec(vec![9; 64]);
         let clone = p.clone();
         recycle(p);
-        let hits0 = hit_count();
         drop(clone);
         // Sole owner, even when windowed: recovered.
         let p = Payload::from_vec(vec![7; 128]);
         let window = p.slice(10..20);
         drop(p);
         recycle(window);
+        let (hits0, misses0) = counts();
         let b = take();
-        assert_eq!(hit_count(), hits0 + 1);
         assert!(b.capacity() >= 128, "full backing buffer recovered");
+        let _ = take();
+        assert_eq!(
+            counts(),
+            (hits0 + 1, misses0 + 1),
+            "exactly one buffer was pooled"
+        );
     }
 
     #[test]
     fn recycled_buffer_never_aliases_a_live_payload() {
-        let _turn = serial();
         let mut b = take();
         b.extend_from_slice(&[0xaa; 64]);
         let built = Payload::from_vec(b);
@@ -173,20 +228,74 @@ mod tests {
         drop(live);
         let keep = window.clone();
         recycle(window);
+        let (hits0, misses0) = counts();
         let mut next = take();
+        assert_eq!(counts(), (hits0 + 1, misses0), "one of the four given back");
         next.extend_from_slice(&[0x33; 64]);
         assert_eq!(keep, [0xaa; 8]);
     }
 
     #[test]
     fn oversized_and_empty_buffers_are_not_pooled() {
-        let _turn = serial();
-        // Drain the free list so the next take is a deterministic miss.
-        free_list().clear();
+        swap(&mut FreeList::default());
         give(Vec::new());
         give(Vec::with_capacity(MAX_POOLED_CAPACITY + 1));
-        let misses0 = miss_count();
+        let (hits0, misses0) = counts();
         let _ = take();
-        assert_eq!(miss_count(), misses0 + 1, "neither buffer was pooled");
+        assert_eq!(counts(), (hits0, misses0 + 1), "neither buffer was pooled");
+    }
+
+    #[test]
+    fn workers_borrow_the_drivers_buffers_and_bring_them_back() {
+        // What the parallel scheduler does every run segment. Two buffers
+        // in the driver's pool, two workers: each finds one, recycles it
+        // and one more, and the driver ends up with all four.
+        swap(&mut FreeList::default());
+        give(Vec::with_capacity(64));
+        give(Vec::with_capacity(64));
+        let (hits0, misses0) = counts();
+        let mut lists = [FreeList::default(), FreeList::default()];
+        for round in 0..2 {
+            let k = lists.len();
+            for (i, list) in lists.iter_mut().enumerate() {
+                list.take_share(k - i);
+                assert_eq!(list.0.len(), 1 + round, "dealt evenly");
+            }
+            std::thread::scope(|s| {
+                let workers: Vec<_> = lists
+                    .iter_mut()
+                    .map(|list| {
+                        s.spawn(move || {
+                            swap(list);
+                            let (mut a, mut b) = (take(), take());
+                            a.extend_from_slice(&[1; 32]);
+                            b.extend_from_slice(&[2; 32]);
+                            give(a);
+                            give(b);
+                            swap(list);
+                            ThreadCounts::current()
+                        })
+                    })
+                    .collect();
+                for w in workers {
+                    w.join().expect("worker").absorb();
+                }
+            });
+            lists.iter_mut().for_each(FreeList::give_back);
+            assert!(lists.iter().all(|l| l.0.is_empty()));
+        }
+        // Round 0: one hit and one miss per worker; round 1: two hits each.
+        assert_eq!(counts(), (hits0 + 6, misses0 + 2), "folded into the driver");
+        assert_eq!(FREE.with(|f| f.borrow().0.len()), 4);
+    }
+
+    #[test]
+    fn give_back_respects_the_pool_bound() {
+        swap(&mut FreeList::default());
+        let mut list = FreeList((0..MAX_POOLED + 8).map(|_| Vec::with_capacity(8)).collect());
+        give(Vec::with_capacity(8));
+        list.give_back();
+        assert!(list.0.is_empty());
+        assert_eq!(FREE.with(|f| f.borrow().0.len()), MAX_POOLED);
     }
 }

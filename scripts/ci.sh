@@ -64,6 +64,13 @@ echo "== scheduler equivalence proptests (release) =="
 # optimized profile (overflow/ordering bugs can be profile-dependent).
 cargo test -q --release --test structure_proptests
 
+echo "== parallel engine and frame-pool hand-off unit tests (release) =="
+# The engine's own tests (partitioner, promise cadence against a scripted
+# peer, parallel == wheel fingerprints) and the wire crate's per-thread
+# pool and counter tests ran in debug above; races and atomics orderings
+# shake out differently under the profile the benchmark measures.
+cargo test -q --release -p extmem-sim -p extmem-wire
+
 echo "== backend equivalence and scenario pins (release) =="
 # Every library scenario on wheel, heap and parallel(1/2/4), each asserted
 # equal in-process, plus the pinned digests.

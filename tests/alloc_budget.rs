@@ -13,8 +13,11 @@
 //! the number of payloads that scenario constructs per frame.
 //!
 //! The counter is per thread, so tests running side by side (and the test
-//! harness itself) do not see each other's calls; every scenario here runs
-//! on the sequential scheduler backend, i.e. on its test's own thread.
+//! harness itself) do not see each other's calls; a scenario on the
+//! sequential scheduler backend runs on its test's own thread. The one row
+//! on the parallel backend runs on worker threads it cannot name, so it
+//! reads a process-wide counter instead and holds [`GATE`] exclusively
+//! while it does.
 
 use extmem_apps::scenario::{host_ip, host_mac, Built, Testbed};
 use extmem_apps::workload::{Arrival, FlowPick, SinkNode, TrafficGenNode, WorkloadSpec};
@@ -29,6 +32,8 @@ use extmem_switch::{SwitchConfig, SwitchNode};
 use extmem_types::{ByteSize, FiveTuple, PortId, Rate, Time, TimeDelta};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::RwLock;
 
 thread_local! {
     /// Allocator calls (`alloc`, `alloc_zeroed`, `realloc`) made on this
@@ -36,10 +41,26 @@ thread_local! {
     static CALLS: Cell<u64> = const { Cell::new(0) };
 }
 
+/// Allocator calls made on any thread.
+static ALL_CALLS: AtomicU64 = AtomicU64::new(0);
+
+/// Shared by the tests that count their own thread's calls, exclusive for
+/// the one that counts every thread's.
+static GATE: RwLock<()> = RwLock::new(());
+
 struct CountingAlloc;
 
 fn count() {
     let _ = CALLS.try_with(|c| c.set(c.get() + 1));
+    ALL_CALLS.fetch_add(1, Ordering::Relaxed);
+}
+
+fn own_calls() -> u64 {
+    CALLS.with(Cell::get)
+}
+
+fn all_calls() -> u64 {
+    ALL_CALLS.load(Ordering::Relaxed)
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
@@ -79,24 +100,23 @@ const FRAMES: u64 = 20_000;
 /// sink's sample vector, the event slab and the pool itself.
 const SLACK: f64 = 0.25;
 
-/// Run `t` until its generator (host 0) has sent a quarter of `FRAMES`,
-/// count allocator calls until it has sent three quarters, then finish the
-/// run and check every frame arrived at the sink (host 1). Returns calls
-/// per frame offered in the window.
-fn steady_state_allocs_per_frame(t: &mut Built, deadline: Time) -> f64 {
-    fn run_until_sent(t: &mut Built, target: u64, deadline: Time) -> (u64, u64) {
-        loop {
-            let sent = t.sim.node::<TrafficGenNode>(t.hosts[0]).sent;
-            if sent >= target {
-                return (CALLS.with(Cell::get), sent);
-            }
-            assert!(t.sim.now() < deadline, "generator stalled at {sent} frames");
-            let until = t.sim.now() + TimeDelta::from_micros(5);
-            t.sim.run_until(until);
+/// Run `t`, a `slice` at a time, until its generator (host 0) has sent a
+/// quarter of `FRAMES`, count allocator calls (as `calls` reads them) until
+/// it has sent three quarters, then finish the run and check every frame
+/// arrived at the sink (host 1). Returns calls per frame offered in the
+/// window.
+fn allocs_per_frame(t: &mut Built, deadline: Time, slice: TimeDelta, calls: fn() -> u64) -> f64 {
+    let mut run_until_sent = |target: u64| loop {
+        let sent = t.sim.node::<TrafficGenNode>(t.hosts[0]).sent;
+        if sent >= target {
+            return (calls(), sent);
         }
-    }
-    let (calls0, sent0) = run_until_sent(t, FRAMES / 4, deadline);
-    let (calls1, sent1) = run_until_sent(t, 3 * FRAMES / 4, deadline);
+        assert!(t.sim.now() < deadline, "generator stalled at {sent} frames");
+        let until = t.sim.now() + slice;
+        t.sim.run_until(until);
+    };
+    let (calls0, sent0) = run_until_sent(FRAMES / 4);
+    let (calls1, sent1) = run_until_sent(3 * FRAMES / 4);
     t.sim.run_until(deadline);
     assert_eq!(
         t.sim.node::<SinkNode>(t.hosts[1]).received,
@@ -104,6 +124,12 @@ fn steady_state_allocs_per_frame(t: &mut Built, deadline: Time) -> f64 {
         "every offered frame must reach the sink"
     );
     (calls1 - calls0) as f64 / (sent1 - sent0) as f64
+}
+
+/// [`allocs_per_frame`] on the sequential backend: this thread's calls.
+fn steady_state_allocs_per_frame(t: &mut Built, deadline: Time) -> f64 {
+    let _shared = GATE.read().unwrap_or_else(|e| e.into_inner());
+    allocs_per_frame(t, deadline, TimeDelta::from_micros(5), own_calls)
 }
 
 fn check(what: &str, per_frame: f64, payloads_per_frame: f64) {
@@ -223,9 +249,9 @@ fn packet_buffer_store_and_fetch_allocates_once_per_payload() {
 }
 
 /// 256 B frames, one Fetch-and-Add per frame on a two-replica pool (the
-/// primary executes it, the mirror catches up by delta replay).
-#[test]
-fn replicated_fetch_and_add_allocates_once_per_payload() {
+/// primary executes it, the mirror catches up by delta replay). Built on
+/// the ambient scheduler backend.
+fn replicated_fetch_and_add() -> Built {
     let counters = 256u64;
     let region = ByteSize::from_bytes(counters * 8);
     // Eight counters: one flush replays at most eight deltas, inside the
@@ -263,8 +289,10 @@ fn replicated_fetch_and_add_allocates_once_per_payload() {
         PoolConfig::default(),
     );
     let prog = StateStoreProgram::new(tb.fib(), engine, TimeDelta::from_micros(20));
-    let mut t = tb.build(SwitchConfig::default(), Box::new(prog));
-    let per_frame = steady_state_allocs_per_frame(&mut t, Time::from_millis(40));
+    tb.build(SwitchConfig::default(), Box::new(prog))
+}
+
+fn check_replicated_fetch_and_add(what: &str, t: &Built, per_frame: f64) {
     let sw: &SwitchNode = t.sim.node(t.switch);
     let prog = sw.program::<StateStoreProgram>();
     assert!(prog.is_quiescent() && !prog.is_degraded());
@@ -274,5 +302,35 @@ fn replicated_fetch_and_add_allocates_once_per_payload() {
     // Data frame, FaA request to the primary, its atomic ACK; the mirror's
     // share (replayed FaA and ACK per flush, not per frame) rides in the
     // fourth.
-    check("replicated fetch-and-add", per_frame, 4.0);
+    check(what, per_frame, 4.0);
+}
+
+#[test]
+fn replicated_fetch_and_add_allocates_once_per_payload() {
+    let mut t = replicated_fetch_and_add();
+    let per_frame = steady_state_allocs_per_frame(&mut t, Time::from_millis(40));
+    check_replicated_fetch_and_add("replicated fetch-and-add", &t, per_frame);
+}
+
+/// The same scenario on two worker threads, the switch in one partition
+/// and every host in the other, so each frame and each FaA is built on one
+/// thread and recycled on the other. The budget does not move: workers
+/// borrow the driving thread's frame pool for a slice and bring it back,
+/// so no slice starts cold. The slices are 250 us (some 240 frames) rather
+/// than 5 us because starting two threads costs about a dozen calls.
+#[test]
+fn replicated_fetch_and_add_on_two_threads_allocates_once_per_payload() {
+    let _exclusive = GATE.write().unwrap_or_else(|e| e.into_inner());
+    extmem_sim::with_sched_backend(extmem_sim::SchedBackend::Parallel(2), || {
+        let mut t = replicated_fetch_and_add();
+        assert_eq!(t.sim.par_stats().partitions, 2);
+        assert_ne!(t.sim.partition_of(t.switch), t.sim.partition_of(t.hosts[0]));
+        let per_frame = allocs_per_frame(
+            &mut t,
+            Time::from_millis(40),
+            TimeDelta::from_micros(250),
+            all_calls,
+        );
+        check_replicated_fetch_and_add("replicated fetch-and-add, 2 threads", &t, per_frame);
+    });
 }

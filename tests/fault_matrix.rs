@@ -997,6 +997,14 @@ fn run_state_store_crash_cell(crash_primary: bool, rejoin: bool, seed: u64) {
     let (server_a, server_b) = (servers[0], servers[1]);
     let victim = if crash_primary { server_a } else { server_b };
     let survivor = if crash_primary { server_b } else { server_a };
+    // On a parallel backend the switch and the server it is about to lose
+    // must not share a partition: crash and restart admin, failover
+    // probes, reseed WRITEs and go-back-N replay all cross the boundary.
+    assert_eq!(
+        sim.partition_of(switch) != sim.partition_of(victim),
+        sim.par_stats().partitions > 1,
+        "the crash cell's premise"
+    );
     // Mid-workload (traffic spans ~600us).
     sim.schedule_crash(victim, TimeDelta::from_micros(200));
     if rejoin {
@@ -1064,11 +1072,12 @@ fn crash_state_store_rejoin_reconciles_bit_for_bit() {
 fn crash_state_store_rejoin_under_parallel_backend() {
     // The harshest crash cell (primary dies mid-workload, restarts with
     // wiped DRAM, must reconcile bit-for-bit) replayed on the parallel
-    // engine with two partitions. The 5-node topology splits as
-    // {switch, gen, sink | server_a, server_b}, so the crashed node lives
-    // in a *different* partition than the switch driving it: the crash and
-    // restart admin events, failover probes, reseed WRITEs, and delta
-    // replay all cross the partition boundary under lookahead bounds.
+    // engine with two partitions. A star has no pod to keep whole, so the
+    // 5-node topology splits as {switch | gen, sink, server_a, server_b}
+    // and the crashed node lives in a *different* partition than the
+    // switch driving it (the cell checks that): the crash and restart
+    // admin events, failover probes, reseed WRITEs, and delta replay all
+    // cross the partition boundary under lookahead bounds.
     extmem_sim::with_sched_backend(extmem_sim::SchedBackend::Parallel(2), || {
         run_state_store_crash_cell(true, true, 9802);
     });

@@ -16,7 +16,10 @@
 //! The alloc/CoW/digest counters in `extmem_wire` are per thread (workers
 //! of the parallel backend fold theirs into the driving thread), so a
 //! [`CounterSpan`] delta around a run is that run's alone, whatever the
-//! other tests in this binary are doing.
+//! other tests in this binary are doing. The frame pool is per thread the
+//! same way, and the last test here pins its hand-off: workers that live
+//! for one `run_until` slice still find the buffers the previous slice's
+//! workers recycled.
 
 use extmem_apps::incast::{run_incast, IncastConfig, RemoteBufferSpec};
 use extmem_sim::{FaultSpec, LinkSpec, Node, NodeCtx, SimBuilder};
@@ -345,4 +348,183 @@ fn parallel_workers_report_their_payload_counts() {
         "the incast builds thousands of frames: {wheel:?}"
     );
     assert_eq!(counts(SchedBackend::Parallel(2)), wheel);
+}
+
+/// A 4-leaf x 2-spine fabric in the shape of the benchmark's: every leaf
+/// counts each frame it forwards with a Fetch-and-Add on its pod's memory
+/// server, every pod's generator sends across a spine to the next pod's
+/// sink. Driven in 100 us slices, so the parallel backend re-spawns its
+/// workers dozens of times. Returns the trace digest, payload allocations,
+/// frame-pool `(hits, misses)` and the parallel-engine counters.
+fn sliced_fabric_run(
+    backend: extmem_sim::SchedBackend,
+) -> (u64, u64, (u64, u64), extmem_sim::ParStats) {
+    use extmem_apps::scenario::{host_endpoint, host_ip, host_mac};
+    use extmem_apps::workload::{SinkNode, TrafficGenNode, WorkloadSpec};
+    use extmem_core::faa::{FaaConfig, FaaEngine};
+    use extmem_core::state_store::StateStoreProgram;
+    use extmem_core::{Fib, L2Program, RdmaChannel};
+    use extmem_rnic::{RnicConfig, RnicNode};
+    use extmem_sim::FabricSpec;
+    use extmem_switch::{SwitchConfig, SwitchNode};
+    use extmem_types::{ByteSize, FiveTuple, Rate, Time};
+    use extmem_wire::pool;
+
+    const LEAVES: usize = 4;
+    const SPINES: usize = 2;
+    const FRAMES: u64 = 8_000;
+    // Per pod: generator, sink, memory server.
+    let spec = FabricSpec::testbed(LEAVES, SPINES, 3);
+    let host = |l: usize, i: usize| l * 3 + i;
+    extmem_sim::with_sched_backend(backend, || {
+        let mut nics: Vec<Option<RnicNode>> = Vec::new();
+        let mut progs: Vec<Option<StateStoreProgram>> = Vec::new();
+        for l in 0..LEAVES {
+            let mut nic =
+                RnicNode::new(format!("mem{l}"), RnicConfig::at(host_endpoint(host(l, 2))));
+            let leaf = extmem_wire::roce::RoceEndpoint {
+                mac: extmem_wire::MacAddr::local(200 + l as u32),
+                ip: 0x0a00_0100 + l as u32,
+            };
+            let channel = RdmaChannel::setup(
+                leaf,
+                spec.host_port(2),
+                &mut nic,
+                ByteSize::from_bytes(64 * 8),
+            );
+            let next = (l + 1) % LEAVES;
+            let mut fib = Fib::new(8);
+            fib.install(host_mac(host(l, 1)), spec.host_port(1));
+            fib.install(host_mac(host(next, 1)), spec.uplink_port(next % SPINES));
+            let engine = FaaEngine::new(channel, FaaConfig::default());
+            progs.push(Some(StateStoreProgram::new(
+                fib,
+                engine,
+                TimeDelta::from_micros(20),
+            )));
+            nics.push(Some(nic));
+        }
+        let mut b = SimBuilder::new(29);
+        let fabric = spec.build(
+            &mut b,
+            |l| {
+                let prog = progs[l].take().expect("one program per leaf");
+                Box::new(SwitchNode::new(
+                    format!("leaf{l}"),
+                    SwitchConfig::default(),
+                    Box::new(prog),
+                ))
+            },
+            |s| {
+                let mut prog = L2Program::new(8);
+                for l in 0..LEAVES {
+                    prog.fib.install(host_mac(host(l, 1)), spec.spine_port(l));
+                }
+                Box::new(SwitchNode::new(
+                    format!("spine{s}"),
+                    SwitchConfig::default(),
+                    Box::new(prog),
+                ))
+            },
+            |l, i| -> Box<dyn Node> {
+                let next = (l + 1) % LEAVES;
+                match i {
+                    0 => Box::new(TrafficGenNode::new(
+                        format!("gen{l}"),
+                        WorkloadSpec::simple(
+                            host_mac(host(l, 0)),
+                            host_mac(host(next, 1)),
+                            FiveTuple::new(
+                                host_ip(host(l, 0)),
+                                host_ip(host(next, 1)),
+                                7000,
+                                9000,
+                                17,
+                            ),
+                            256,
+                            Rate::from_gbps(5),
+                            FRAMES,
+                        ),
+                    )),
+                    1 => Box::new(SinkNode::coarse(format!("sink{l}"))),
+                    _ => Box::new(nics[l].take().expect("one server per pod")),
+                }
+            },
+        );
+        let mut sim = b.build();
+        for l in 0..LEAVES {
+            sim.schedule_timer(
+                fabric.hosts[l][0],
+                TimeDelta::ZERO,
+                TrafficGenNode::KICK_TOKEN,
+            );
+        }
+        // The cut follows pod boundaries: hosts stay with their leaf.
+        for l in 0..LEAVES {
+            for &h in &fabric.hosts[l] {
+                assert_eq!(sim.partition_of(h), sim.partition_of(fabric.leaves[l]));
+            }
+        }
+
+        let span = CounterSpan::begin();
+        let (hits0, misses0) = (pool::hit_count(), pool::miss_count());
+        // 8000 x 256 B at 5 G is 3.3 ms of sending; 4 ms lets it settle.
+        for slice in 1..=40 {
+            sim.run_until(Time::from_micros(100 * slice));
+        }
+        let pool = (pool::hit_count() - hits0, pool::miss_count() - misses0);
+        for l in 0..LEAVES {
+            assert_eq!(sim.node::<SinkNode>(fabric.hosts[l][1]).received, FRAMES);
+            let leaf: &SwitchNode = sim.node(fabric.leaves[l]);
+            assert!(leaf.program::<StateStoreProgram>().is_quiescent());
+        }
+        let par = sim.par_stats();
+        if par.partitions > 1 {
+            let share = par.max_partition_events as f64 / sim.events_processed() as f64;
+            assert!(
+                (0.45..=0.55).contains(&share),
+                "partitions out of balance: {par:?}"
+            );
+            assert!(
+                par.cross_messages > 0 && par.min_dispatch_margin_picos >= 1,
+                "{par:?}"
+            );
+        }
+        (sim.trace_digest(), span.allocs(), pool, par)
+    })
+}
+
+#[test]
+fn parallel_slices_keep_the_frame_pool_warm() {
+    use extmem_sim::SchedBackend;
+    // The sequential run goes first and leaves its buffers in this thread's
+    // pool, which is where the parallel run's workers borrow theirs from.
+    let (digest, allocs, (hits, misses), _) = sliced_fabric_run(SchedBackend::Wheel);
+    assert!(
+        hits + misses > 50_000,
+        "every frame and every FaA is a take"
+    );
+    let (par_digest, par_allocs, (par_hits, par_misses), par) =
+        sliced_fabric_run(SchedBackend::Parallel(2));
+    assert_eq!(par.partitions, 2);
+    assert_eq!(par_digest, digest);
+    assert_eq!(
+        par_allocs, allocs,
+        "payload constructions are backend-invariant"
+    );
+    assert_eq!(
+        par_hits + par_misses,
+        hits + misses,
+        "and so are pool takes"
+    );
+    // Forty generations of worker threads, one pool: workers that started
+    // each slice cold would miss on every buffer in flight, forty times
+    // over (a few hundred misses here) — the warm parallel run must not
+    // even repeat the sequential run's cold start.
+    let hit_rate = par_hits as f64 / (par_hits + par_misses) as f64;
+    assert!(
+        hit_rate >= 0.99 && par_misses <= misses,
+        "frame-pool hit rate {hit_rate:.4}, {par_misses} misses (sequential, cold: {misses}) \
+         under {par:?}"
+    );
 }

@@ -495,10 +495,17 @@ mod parallel_engine {
         )
     }
 
-    /// Build the topology with all generators first and all sinks last, so
-    /// the contiguous partitioner splits every pair across the worker
-    /// boundary and each gen→sink link is a cross-partition channel.
-    fn run(pairs: &[Pair], seed: u64, threads: usize) -> (u64, u64, u64, extmem_sim::ParStats) {
+    /// Build the topology with all generators first and all sinks last.
+    /// The partitioner keeps a generator with its sink while it can: with
+    /// more worker threads than pairs it cannot, every node is dealt out
+    /// singly and each gen→sink link is a cross-partition channel — the
+    /// premise the caller states with `splits`. Returns digest, events,
+    /// packets, the parallel counters and how many pairs were split.
+    fn run(
+        pairs: &[Pair],
+        seed: u64,
+        threads: usize,
+    ) -> (u64, u64, u64, extmem_sim::ParStats, usize) {
         with_sched_backend(SchedBackend::Parallel(threads), || {
             let mut b = SimBuilder::new(seed);
             let gens: Vec<_> = pairs
@@ -552,13 +559,29 @@ mod parallel_engine {
                     "pair {i} lost frames"
                 );
             }
+            let split = gens
+                .iter()
+                .zip(&sinks)
+                .filter(|(g, s)| sim.partition_of(**g) != sim.partition_of(**s))
+                .count();
             (
                 sim.trace_digest(),
                 sim.events_processed(),
                 sim.packets_delivered(),
                 sim.par_stats(),
+                split,
             )
         })
+    }
+
+    /// How many of `pairs` pairs `threads` workers split: all of them once
+    /// there are more workers than pairs, none before.
+    fn splits(pairs: usize, threads: usize) -> usize {
+        if threads > pairs {
+            pairs
+        } else {
+            0
+        }
     }
 
     proptest! {
@@ -568,37 +591,158 @@ mod parallel_engine {
         /// Lookahead safety: for any topology whose cross links have
         /// positive propagation, no partition ever dispatches an event at
         /// or past its safe bound — the measured dispatch margin stays
-        /// ≥ 1 ps whenever partitions actually exchanged messages.
+        /// ≥ 1 ps. One or two workers more than pairs, so every frame
+        /// crosses a partition boundary.
         #[test]
         fn lookahead_margin_never_collapses(
-            pairs in proptest::collection::vec(pair_strategy(), 2..6),
+            pairs in proptest::collection::vec(pair_strategy(), 2..5),
             seed in 0u64..1_000,
-            threads in 2usize..5,
+            extra in 1usize..3,
         ) {
-            let (_, _, _, par) = run(&pairs, seed, threads);
-            prop_assert!(par.partitions >= 2, "partitioner collapsed: {par:?}");
-            if par.cross_messages > 0 {
-                prop_assert!(
-                    par.min_dispatch_margin_picos >= 1,
-                    "dispatch margin collapsed: {par:?}"
-                );
-            }
+            let threads = pairs.len() + extra;
+            let (_, _, packets, par, split) = run(&pairs, seed, threads);
+            prop_assert_eq!(par.partitions, threads.min(2 * pairs.len()));
+            prop_assert_eq!(split, pairs.len(), "premise: every pair is split");
+            prop_assert_eq!(par.cross_messages, packets, "every delivery crosses");
+            prop_assert!(
+                par.min_dispatch_margin_picos >= 1,
+                "dispatch margin collapsed: {par:?}"
+            );
         }
 
         /// Digest equivalence: the parallel engine's trace is bit-identical
         /// to the sequential wheel for any random topology and any worker
-        /// count, event-for-event.
+        /// count, event-for-event — whether the workers keep the pairs
+        /// whole (no more workers than pairs) or split every one.
         #[test]
         fn parallel_matches_wheel_digest(
             pairs in proptest::collection::vec(pair_strategy(), 2..6),
             seed in 0u64..1_000,
-            threads in 2usize..5,
+            threads in 2usize..7,
         ) {
-            let (wd, we, wp, _) = run(&pairs, seed, 1);
-            let (pd, pe, pp, _) = run(&pairs, seed, threads);
+            let (wd, we, wp, _, _) = run(&pairs, seed, 1);
+            let (pd, pe, pp, par, split) = run(&pairs, seed, threads);
+            prop_assert_eq!(split, splits(pairs.len(), threads), "premise: {:?}", par);
+            prop_assert_eq!(par.cross_messages > 0, split > 0);
             prop_assert_eq!(wd, pd, "trace digests diverged at {} threads", threads);
             prop_assert_eq!(we, pe, "event counts diverged");
             prop_assert_eq!(wp, pp, "delivered packets diverged");
+        }
+    }
+
+    /// A node that does nothing: the partitioner sees links, not behaviour.
+    struct Idle;
+
+    impl extmem_sim::Node for Idle {
+        fn on_packet(
+            &mut self,
+            _: &mut extmem_sim::NodeCtx<'_>,
+            _: PortId,
+            _: extmem_wire::Packet,
+        ) {
+        }
+        fn name(&self) -> &str {
+            "idle"
+        }
+    }
+
+    /// Partition ids of a graph on `n` nodes with `edges` `(a, b, zero
+    /// propagation?)` under `threads` workers.
+    fn partition(n: usize, edges: &[(usize, usize, bool)], threads: usize) -> Vec<usize> {
+        with_sched_backend(SchedBackend::Parallel(threads), || {
+            let mut b = SimBuilder::new(0);
+            let ids: Vec<_> = (0..n).map(|_| b.add_node(Box::new(Idle))).collect();
+            let mut ports = vec![0u16; n];
+            for &(x, y, zero) in edges {
+                let prop = TimeDelta::from_nanos(if zero { 0 } else { 300 });
+                let spec = LinkSpec::new(Rate::from_gbps(40), prop);
+                b.connect(ids[x], PortId(ports[x]), ids[y], PortId(ports[y]), spec);
+                ports[x] += 1;
+                ports[y] += 1;
+            }
+            let sim = b.build();
+            assert_eq!(sim.par_stats().partitions, threads.min(n));
+            ids.iter().map(|&id| sim.partition_of(id)).collect()
+        })
+    }
+
+    /// Connected components of `n` nodes under the edges `keep` selects.
+    fn components(
+        n: usize,
+        edges: &[(usize, usize, bool)],
+        keep: impl Fn(&(usize, usize, bool)) -> bool,
+    ) -> Vec<usize> {
+        let mut comp: Vec<usize> = (0..n).collect();
+        for _ in 0..n {
+            for e in edges.iter().filter(|e| keep(e)) {
+                let low = comp[e.0].min(comp[e.1]);
+                comp[e.0] = low;
+                comp[e.1] = low;
+            }
+        }
+        comp
+    }
+
+    fn distinct(labels: &[usize]) -> usize {
+        let mut seen = labels.to_vec();
+        seen.sort_unstable();
+        seen.dedup();
+        seen.len()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 200, ..ProptestConfig::default() })]
+
+        /// The partitioner's contract on random connected graphs (a random
+        /// spanning tree plus chords, a quarter of the links without
+        /// propagation delay): exactly `min(threads, nodes)` non-empty
+        /// partitions; the same graph always cut the same way; a
+        /// zero-propagation link cut only when no legal cut exists (those
+        /// graphs are refused by the builder and skipped here); and a
+        /// single-link node kept with its neighbour whenever the groups so
+        /// formed are enough to fill every partition.
+        #[test]
+        fn partitioner_contract_on_random_graphs(
+            tree in proptest::collection::vec((any::<prop::sample::Index>(), 0u8..4), 1..12),
+            chords in proptest::collection::vec(
+                (any::<prop::sample::Index>(), any::<prop::sample::Index>(), 0u8..4),
+                0..6,
+            ),
+            threads in 1usize..7,
+        ) {
+            let n = tree.len() + 1;
+            let mut edges: Vec<(usize, usize, bool)> = tree
+                .iter()
+                .enumerate()
+                .map(|(i, (parent, z))| (parent.index(i + 1), i + 1, *z == 0))
+                .collect();
+            for (a, b, z) in &chords {
+                let (a, b) = (a.index(n), b.index(n));
+                if a != b {
+                    edges.push((a, b, *z == 0));
+                }
+            }
+            let k = threads.min(n);
+            let welded = components(n, &edges, |e| e.2);
+            prop_assume!(distinct(&welded) >= k);
+
+            let parts = partition(n, &edges, threads);
+            prop_assert_eq!(&parts, &partition(n, &edges, threads), "not a pure function");
+            let mut used = parts.clone();
+            used.sort_unstable();
+            used.dedup();
+            prop_assert_eq!(used, (0..k).collect::<Vec<_>>(), "{:?}", parts);
+            for &(a, b, zero) in &edges {
+                prop_assert!(!zero || parts[a] == parts[b], "cut {}-{}: {:?}", a, b, parts);
+            }
+
+            let degree = |x: usize| edges.iter().filter(|e| e.0 == x || e.1 == x).count();
+            let stub = |e: &(usize, usize, bool)| e.2 || degree(e.0) == 1 || degree(e.1) == 1;
+            if distinct(&components(n, &edges, stub)) >= k {
+                for e in edges.iter().filter(|e| stub(e)) {
+                    prop_assert_eq!(parts[e.0], parts[e.1], "stub {:?} split: {:?}", e, parts);
+                }
+            }
         }
     }
 }
