@@ -1,11 +1,16 @@
 //! Measurement utilities: latency distributions and throughput accounting.
 
 use extmem_types::{Rate, TimeDelta};
+use std::cell::RefCell;
 
 /// A collected latency distribution (picosecond samples).
 #[derive(Debug, Default, Clone)]
 pub struct LatencyRecorder {
-    samples: Vec<u64>,
+    /// In arrival order until the first [`LatencyRecorder::summarize`],
+    /// which sorts them where they lie: nothing in the API exposes sample
+    /// order, and a million-sample run should not hold a second copy of
+    /// the vector just to take percentiles of it.
+    samples: RefCell<Vec<u64>>,
 }
 
 impl LatencyRecorder {
@@ -16,27 +21,27 @@ impl LatencyRecorder {
 
     /// Record one latency sample.
     pub fn record(&mut self, d: TimeDelta) {
-        self.samples.push(d.picos());
+        self.samples.get_mut().push(d.picos());
     }
 
     /// Number of samples.
     pub fn len(&self) -> usize {
-        self.samples.len()
+        self.samples.borrow().len()
     }
 
     /// Whether no samples were recorded.
     pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
+        self.samples.borrow().is_empty()
     }
 
     /// Summarize into percentiles, or `None` if nothing was recorded (an
     /// experiment where every probe was lost should report that, not
     /// crash the whole run).
     pub fn summarize(&self) -> Option<LatencySummary> {
-        if self.samples.is_empty() {
+        let mut s = self.samples.borrow_mut();
+        if s.is_empty() {
             return None;
         }
-        let mut s = self.samples.clone();
         s.sort_unstable();
         let pct = |p: f64| -> TimeDelta {
             let idx = ((s.len() as f64 - 1.0) * p).round() as usize;
@@ -104,6 +109,26 @@ mod tests {
         assert_eq!(s.median, TimeDelta::from_micros(51));
         assert_eq!(s.p99, TimeDelta::from_micros(99));
         assert_eq!(s.mean, TimeDelta::from_nanos(50_500));
+    }
+
+    #[test]
+    fn summaries_repeat_and_keep_accepting_samples() {
+        // The first summary leaves the samples sorted in place; later
+        // records and summaries must not notice.
+        let mut r = LatencyRecorder::new();
+        for ns in [900u64, 100, 500, 300, 700] {
+            r.record(TimeDelta::from_nanos(ns));
+        }
+        let first = r.summarize().unwrap();
+        assert_eq!(first.median, TimeDelta::from_nanos(500));
+        assert_eq!(r.summarize().unwrap(), first);
+        r.record(TimeDelta::from_nanos(200));
+        r.record(TimeDelta::from_nanos(50));
+        let s = r.summarize().unwrap();
+        assert_eq!((s.count, r.len()), (7, 7));
+        assert_eq!(s.min, TimeDelta::from_nanos(50));
+        assert_eq!(s.median, TimeDelta::from_nanos(300));
+        assert_eq!(s.max, TimeDelta::from_nanos(900));
     }
 
     #[test]

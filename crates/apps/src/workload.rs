@@ -9,12 +9,11 @@
 
 use crate::metrics::LatencyRecorder;
 use extmem_sim::{Node, NodeCtx, TxQueue};
-use extmem_types::{FiveTuple, PortId, Rate, Time, TimeDelta};
+use extmem_types::{FiveTuple, IntMap, PortId, Rate, Time, TimeDelta};
 use extmem_wire::payload::{build_data_packet, parse_data_packet, MIN_DATA_FRAME};
 use extmem_wire::{MacAddr, Packet};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
 
 /// How the generator picks the flow of each packet.
 #[derive(Clone, Debug)]
@@ -434,7 +433,7 @@ pub struct SinkNode {
     /// million-flow populations; aggregate counters and latency still work.
     track_flows: bool,
     /// Per-flow-id reception state (empty in coarse mode).
-    pub flows: HashMap<u32, FlowRx>,
+    pub flows: IntMap<u32, FlowRx>,
     /// One-way latency samples (send timestamp → delivery).
     pub latency: LatencyRecorder,
     /// Total frames received.
@@ -462,7 +461,7 @@ impl SinkNode {
         SinkNode {
             name: name.into(),
             track_flows: true,
-            flows: HashMap::new(),
+            flows: IntMap::default(),
             latency: LatencyRecorder::new(),
             received: 0,
             bytes: 0,
@@ -477,7 +476,7 @@ impl SinkNode {
 
     /// A sink that keeps no per-flow state — O(1) memory at any flow
     /// population. Use for million-flow fabric runs where the per-flow
-    /// `HashMap` would dwarf the workload itself.
+    /// map would dwarf the workload itself.
     pub fn coarse(name: impl Into<String>) -> SinkNode {
         let mut s = SinkNode::new(name);
         s.track_flows = false;

@@ -377,8 +377,7 @@ impl Outstanding {
                 cookie,
                 data: done.expect("completed READ has its response"),
             },
-            OpKind::Remote { op, done } => {
-                op.recycle();
+            OpKind::Remote { done, .. } => {
                 let (flags, index, data) = done.expect("completed remote op has its response");
                 ChannelEvent::RemoteDone {
                     cookie,
@@ -567,17 +566,20 @@ impl ReliableChannel {
         }
     }
 
-    fn transmit(&self, ctx: &mut SwitchCtx<'_, '_, '_>, req: RocePacket) {
-        let mut buf = extmem_wire::pool::take();
-        req.build_into(&mut buf).expect("RDMA request encodes");
-        // A request payload assembled just for this packet (remote-op
-        // operands) is free again; one shared with the outstanding op stays.
-        extmem_wire::pool::recycle(req.payload);
-        let pkt = Packet::from_vec(buf);
+    /// Encode a verb request into a pooled frame. The frame holds its own
+    /// copy of a WRITE's bytes; the payload stays with the outstanding op
+    /// for retransmission and mirror fan-out.
+    fn encode(req: RocePacket) -> Packet {
+        req.headers()
+            .encode(&[&req.payload])
+            .expect("RDMA request encodes")
+    }
+
+    fn send(&self, ctx: &mut SwitchCtx<'_, '_, '_>, frame: Packet) {
         if self.config.high_priority {
-            ctx.enqueue_high(self.inner.server_port, pkt);
+            ctx.enqueue_high(self.inner.server_port, frame);
         } else {
-            ctx.enqueue(self.inner.server_port, pkt);
+            ctx.enqueue(self.inner.server_port, frame);
         }
     }
 
@@ -675,15 +677,15 @@ impl ReliableChannel {
     /// First transmission of an op: assign its PSN(s), record it
     /// outstanding, and put the request on the wire.
     fn launch(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, cookie: u64, kind: OpKind) {
-        let (req, span, kind) = match kind {
+        let first_psn = self.inner.qp.npsn;
+        let rkey = self.inner.rkey;
+        let (frame, span, kind) = match kind {
             OpKind::Write {
                 va,
                 payload,
                 ack_req,
             } => (
-                self.inner
-                    .qp
-                    .write_only(self.inner.rkey, va, payload.clone(), ack_req),
+                Self::encode(self.inner.qp.write_only(rkey, va, payload.clone(), ack_req)),
                 1,
                 OpKind::Write {
                     va,
@@ -694,7 +696,7 @@ impl ReliableChannel {
             OpKind::Read { va, len, .. } => {
                 let span = self.inner.qp.read_span(len);
                 (
-                    self.inner.qp.read(self.inner.rkey, va, len),
+                    Self::encode(self.inner.qp.read(rkey, va, len)),
                     span,
                     OpKind::Read {
                         va,
@@ -709,24 +711,24 @@ impl ReliableChannel {
                 )
             }
             OpKind::Atomic { va, add } => (
-                self.inner.qp.fetch_add(self.inner.rkey, va, add),
+                Self::encode(self.inner.qp.fetch_add(rkey, va, add)),
                 1,
                 OpKind::Atomic { va, add },
             ),
             OpKind::Remote { op, .. } => (
-                self.inner.qp.remote_op(self.inner.rkey, &op),
+                self.inner.qp.remote_op(rkey, &op),
                 1,
                 OpKind::Remote { op, done: None },
             ),
         };
         self.outstanding.push_back(Outstanding {
-            first_psn: req.bth.psn,
+            first_psn,
             span,
             cookie,
             sent_at: ctx.now(),
             kind,
         });
-        self.transmit(ctx, req);
+        self.send(ctx, frame);
     }
 
     /// Launch queued ops into whatever room the window now has.
@@ -991,35 +993,30 @@ impl ReliableChannel {
     /// and plain-ACKs duplicate WRITEs, so replays are idempotent.
     fn retransmit_all(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>) {
         let now = ctx.now();
+        let (qp, rkey) = (&self.inner.qp, self.inner.rkey);
         for i in 0..self.outstanding.len() {
             let op = &self.outstanding[i];
-            let req = match &op.kind {
+            let frame = match &op.kind {
                 OpKind::Write {
                     va,
                     payload,
                     ack_req,
-                } => self.inner.qp.write_only_at(
+                } => Self::encode(qp.write_only_at(
                     op.first_psn,
-                    self.inner.rkey,
+                    rkey,
                     *va,
                     payload.clone(),
                     *ack_req,
-                ),
+                )),
                 OpKind::Read { va, len, .. } => {
-                    self.inner
-                        .qp
-                        .read_at(op.first_psn, self.inner.rkey, *va, *len)
+                    Self::encode(qp.read_at(op.first_psn, rkey, *va, *len))
                 }
                 OpKind::Atomic { va, add } => {
-                    self.inner
-                        .qp
-                        .fetch_add_at(op.first_psn, self.inner.rkey, *va, *add)
+                    Self::encode(qp.fetch_add_at(op.first_psn, rkey, *va, *add))
                 }
-                OpKind::Remote { op: rop, .. } => {
-                    self.inner.qp.remote_op_at(op.first_psn, self.inner.rkey, rop)
-                }
+                OpKind::Remote { op: rop, .. } => qp.remote_op_at(op.first_psn, rkey, rop),
             };
-            self.transmit(ctx, req);
+            self.send(ctx, frame);
             self.stats.retransmits += 1;
             self.outstanding[i].sent_at = now;
         }
@@ -1134,7 +1131,7 @@ impl ReliableChannel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use extmem_rnic::RnicConfig;
+    use extmem_rnic::{Operand, RnicConfig};
     use extmem_wire::MacAddr;
 
     #[test]
@@ -1302,6 +1299,188 @@ mod tests {
             .map(|&span| (span as u64, read_image(span)))
             .collect();
         assert_eq!(done, want);
+    }
+
+    /// Owns one channel with a one-op window behind a server that never
+    /// answers; the test pokes it through the stages of a remote op's life.
+    struct OpIssuer {
+        channel: ReliableChannel,
+        events: Vec<ChannelEvent>,
+    }
+
+    fn probe_op() -> RemoteOp {
+        RemoteOp::HashProbe {
+            base_va: 0x1000,
+            b1: 3,
+            b2: 9,
+            bucket_bytes: 128,
+            slot_bytes: 32,
+            key_off: 0,
+            key: Operand::new(b"thirteen-byte"),
+        }
+    }
+
+    fn install_op() -> RemoteOp {
+        RemoteOp::CondWrite {
+            cmp_va: 0x1040,
+            write_va: 0x1080,
+            compare: Operand::new(&[0xc5; 32]),
+            write: Operand::new(&[0x3a; 32]),
+        }
+    }
+
+    const ISSUE: u64 = 1;
+    const ANSWER_PROBE: u64 = 2;
+    const REISSUE: u64 = 3;
+    const RECOVERED_PSN: u32 = 0x10_0000;
+
+    impl extmem_switch::PipelineProgram for OpIssuer {
+        fn ingress(&mut self, _: &mut SwitchCtx<'_, '_, '_>, _: PortId, _: Packet) {}
+
+        fn on_timer(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, token: u64) {
+            use extmem_wire::aeth::Aeth;
+            use extmem_wire::bth::Bth;
+            use extmem_wire::extop::ExtOpAckEth;
+            match token {
+                ISSUE => {
+                    // The probe takes the window; the install queues.
+                    assert!(self.channel.remote_op(ctx, probe_op(), 1));
+                    assert!(self.channel.remote_op(ctx, install_op(), 2));
+                    assert_eq!(self.channel.queued_len(), 1);
+                }
+                ANSWER_PROBE => {
+                    let qp = &self.channel.inner().qp;
+                    let resp = RocePacket::new(
+                        qp.peer,
+                        qp.local,
+                        qp.udp_src_port,
+                        Bth::new(Opcode::ExtOpResp, SWITCH_QPN, 0),
+                        RoceExt::ExtOpAck(
+                            Aeth::ack(1),
+                            ExtOpAckEth {
+                                op: Opcode::HashProbe as u8,
+                                flags: 0,
+                                index: 0,
+                            },
+                        ),
+                        vec![],
+                    );
+                    assert!(self.channel.on_roce(ctx, &resp, &mut self.events));
+                    assert_eq!(self.channel.queued_len(), 0, "the install launched");
+                }
+                REISSUE => {
+                    // What the pool does with an op orphaned by a failover.
+                    assert!(self.channel.is_failed());
+                    self.channel.recover_at(RECOVERED_PSN);
+                    assert!(self.channel.remote_op(ctx, install_op(), 2));
+                }
+                t if t == self.channel.timer_token() => {
+                    self.channel.on_timer_fired(ctx, &mut self.events);
+                }
+                other => panic!("unexpected token {other}"),
+            }
+        }
+    }
+
+    /// Records every frame the switch sends it; never answers.
+    #[derive(Default)]
+    struct Blackhole {
+        frames: Vec<Packet>,
+    }
+
+    impl extmem_sim::Node for Blackhole {
+        fn on_packet(&mut self, _: &mut extmem_sim::NodeCtx<'_>, _: PortId, packet: Packet) {
+            self.frames.push(packet);
+        }
+        fn on_timer(&mut self, _: &mut extmem_sim::NodeCtx<'_>, _: u64) {}
+        fn on_tx_done(&mut self, _: &mut extmem_sim::NodeCtx<'_>, _: PortId) {}
+        fn name(&self) -> &str {
+            "blackhole"
+        }
+    }
+
+    #[test]
+    fn remote_op_operands_are_encoded_the_same_every_time() {
+        use extmem_rnic::requester::RequesterQp;
+        use extmem_sim::{LinkSpec, SimBuilder};
+        use extmem_switch::switch::program_token;
+        use extmem_switch::{SwitchConfig, SwitchNode};
+        use extmem_types::{QpNum, Time};
+
+        let local = RoceEndpoint {
+            mac: MacAddr::local(1),
+            ip: 0x0a000001,
+        };
+        let peer = RoceEndpoint {
+            mac: MacAddr::local(9),
+            ip: 0x0a000009,
+        };
+        let channel = RdmaChannel {
+            qp: RequesterQp::new(local, peer, QpNum(0x100), 2048),
+            rkey: Rkey(7),
+            base_va: 0x1000,
+            region_len: 1 << 16,
+            server_port: PortId(0),
+        };
+        let config = ReliableConfig {
+            rto: TimeDelta::from_micros(10),
+            max_retries: 1,
+            max_window: 1,
+            ..ReliableConfig::default()
+        };
+        let mut b = SimBuilder::new(1);
+        let sw = b.add_node(Box::new(SwitchNode::new(
+            "tor",
+            SwitchConfig::default(),
+            Box::new(OpIssuer {
+                channel: ReliableChannel::new(channel, config),
+                events: Vec::new(),
+            }),
+        )));
+        let hole = b.add_node(Box::new(Blackhole::default()));
+        b.connect(sw, PortId(0), hole, PortId(0), LinkSpec::testbed_40g());
+        let mut sim = b.build();
+        // The probe goes out at 0 and, unanswered, again at 10 us; its
+        // answer at 15 us lets the install out, which times out at 25 us,
+        // is retransmitted, and at 45 us takes the channel down with it.
+        sim.schedule_timer(sw, TimeDelta::ZERO, program_token(ISSUE));
+        sim.schedule_timer(sw, TimeDelta::from_micros(15), program_token(ANSWER_PROBE));
+        sim.schedule_timer(sw, TimeDelta::from_micros(60), program_token(REISSUE));
+        sim.run_until(Time::from_micros(65));
+
+        let program = sim.node::<SwitchNode>(sw).program::<OpIssuer>();
+        assert_eq!(
+            program.events[1..],
+            [ChannelEvent::OpFailed { cookie: 2 }, ChannelEvent::Failed]
+        );
+        assert!(matches!(
+            program.events[0],
+            ChannelEvent::RemoteDone { cookie: 1, .. }
+        ));
+        let frames = &sim.node::<Blackhole>(hole).frames;
+        let sent: Vec<RocePacket> = frames
+            .iter()
+            .map(|f| RocePacket::parse(f).unwrap().unwrap())
+            .collect();
+        let seen: Vec<(Opcode, u32)> = sent.iter().map(|p| (p.bth.opcode, p.bth.psn)).collect();
+        assert_eq!(
+            seen,
+            [
+                (Opcode::HashProbe, 0),
+                (Opcode::HashProbe, 0),
+                (Opcode::CondWrite, 1),
+                (Opcode::CondWrite, 1),
+                (Opcode::CondWrite, RECOVERED_PSN),
+            ]
+        );
+        // A retransmission is the same frame, byte for byte.
+        assert_eq!(frames[0], frames[1]);
+        assert_eq!(frames[2], frames[3]);
+        // The reissue differs in its PSN and in nothing the op describes.
+        assert_eq!(sent[4].ext, sent[2].ext);
+        assert_eq!(sent[4].payload, sent[2].payload);
+        assert_eq!(sent[0].payload, *b"thirteen-byte");
+        assert_eq!(sent[2].payload, [[0xc5u8; 32], [0x3a; 32]].concat());
     }
 
     #[test]

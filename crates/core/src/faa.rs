@@ -23,9 +23,9 @@
 use crate::channel::{ChannelEvent, ChannelStats, RdmaChannel, ReliableChannel, ReliableConfig};
 use crate::pool::{PoolConfig, PoolStats, ReplicatedPool};
 use extmem_switch::SwitchCtx;
-use extmem_types::{PortId, TimeDelta};
+use extmem_types::{IntMap, PortId, TimeDelta};
 use extmem_wire::roce::RocePacket;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Engine configuration.
 #[derive(Clone, Copy, Debug)]
@@ -88,10 +88,10 @@ pub struct FaaEngine {
     pool: ReplicatedPool,
     config: FaaConfig,
     /// Issued-but-unsettled values, keyed by channel cookie.
-    in_flight: HashMap<u64, (u64, u64)>,
+    in_flight: IntMap<u64, (u64, u64)>,
     next_cookie: u64,
     /// Accumulated-but-unsent values per slot.
-    pending: HashMap<u64, u64>,
+    pending: IntMap<u64, u64>,
     /// Slots whose pending value has reached `min_batch`, FIFO.
     ready: VecDeque<u64>,
     /// Membership guard for `ready` (keeps periodic flushes from growing
@@ -153,9 +153,9 @@ impl FaaEngine {
         FaaEngine {
             pool,
             config,
-            in_flight: HashMap::new(),
+            in_flight: IntMap::default(),
             next_cookie: 0,
-            pending: HashMap::new(),
+            pending: IntMap::default(),
             ready: VecDeque::new(),
             ready_set: std::collections::HashSet::new(),
             events: Vec::new(),

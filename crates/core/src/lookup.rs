@@ -40,7 +40,7 @@ use crate::cuckoo::{
 };
 use crate::fib::Fib;
 use crate::pool::{PoolConfig, PoolStats, ReplicatedPool};
-use extmem_rnic::{RemoteOp, RnicNode};
+use extmem_rnic::{Operand, RemoteOp, RnicNode};
 use extmem_wire::extop::{EXTOP_FLAG_HIT, EXTOP_FLAG_SECONDARY};
 use extmem_switch::filter::ChoiceFilter;
 use extmem_switch::hash::flow_index;
@@ -469,7 +469,7 @@ struct CuckooState {
     /// into the FIFO channel.
     live_filter: ChoiceFilter,
     /// In-flight bucket READs: cookie → (flow, probed-secondary?, packet).
-    pending: std::collections::HashMap<u64, (FiveTuple, bool, Packet)>,
+    pending: extmem_types::IntMap<u64, (FiveTuple, bool, Packet)>,
     /// Next data-plane lookup cookie (bits 62/63 clear).
     next_lookup: u64,
     /// Next control-op cookie (CTRL_BIT set).
@@ -629,7 +629,7 @@ impl LookupTableProgram {
             cuckoo: Some(CuckooState {
                 live_filter,
                 dir,
-                pending: std::collections::HashMap::new(),
+                pending: extmem_types::IntMap::default(),
                 next_lookup: 0,
                 next_ctrl: 0,
                 steps: VecDeque::new(),
@@ -788,7 +788,7 @@ impl LookupTableProgram {
                     bucket_bytes: BUCKET_BYTES as u16,
                     slot_bytes: SLOT_BYTES as u16,
                     key_off: 0,
-                    key: extmem_wire::pool::copy_from_slice(&slot_key(&flow)),
+                    key: Operand::new(&slot_key(&flow)),
                 },
                 cookie,
             );
@@ -934,14 +934,14 @@ impl LookupTableProgram {
                     // The filter flip and mirror fan-out happen on the
                     // response (the pool fans the *decided* image out, so
                     // mirrors never re-run the condition).
-                    let expected = encode_slot(&key, &action);
+                    let expected = Operand::new(&encode_slot(&key, &action));
                     self.pool.remote_op(
                         ctx,
                         RemoteOp::CondWrite {
                             cmp_va: slot_va(base, from),
                             write_va: slot_va(base, to),
-                            compare: extmem_wire::pool::copy_from_slice(&expected),
-                            write: extmem_wire::pool::copy_from_slice(&expected),
+                            compare: expected,
+                            write: expected,
                         },
                         cookie,
                     );

@@ -34,10 +34,10 @@ use crate::channel::{ChannelEvent, ReliableChannel};
 use extmem_rnic::RemoteOp;
 use extmem_switch::SwitchCtx;
 use extmem_wire::extop::EXTOP_FLAG_HIT;
-use extmem_types::{PortId, Rkey, TimeDelta};
+use extmem_types::{IntMap, PortId, Rkey, TimeDelta};
 use extmem_wire::bth::psn_add;
 use extmem_wire::Payload;
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashSet, VecDeque};
 use std::fmt;
 
 /// Cookie-space split: the pool's internal ops (mirror writes, probes,
@@ -366,7 +366,7 @@ pub struct ReplicatedPool {
     /// reused across calls.
     raw: Vec<ChannelEvent>,
     /// Pool-internal ops in flight anywhere.
-    internal: HashMap<u64, InternalOp>,
+    internal: IntMap<u64, InternalOp>,
     next_internal: u64,
     /// Caller cookies failed by the dying primary, awaiting reissue.
     orphans: Vec<u64>,
@@ -438,7 +438,7 @@ impl ReplicatedPool {
             config,
             ops: VecDeque::new(),
             raw: Vec::new(),
-            internal: HashMap::new(),
+            internal: IntMap::default(),
             next_internal: 0,
             orphans: Vec::new(),
             delta_skip: HashSet::new(),
@@ -877,7 +877,9 @@ impl ReplicatedPool {
                             // propagate the decided image to the mirrors
                             // as plain WRITEs (re-running the *condition*
                             // there could decide differently).
-                            self.mirror_write(ctx, write_va, &write);
+                            let mut image = extmem_wire::pool::take();
+                            image.extend_from_slice(&write);
+                            self.mirror_write(ctx, write_va, &Payload::from_vec(image));
                         }
                     }
                     out.push(ChannelEvent::RemoteDone {

@@ -5,8 +5,7 @@
 //! address; every access is bounds- and permission-checked by the NIC, never
 //! by the host CPU.
 
-use extmem_types::{ByteSize, Rkey};
-use std::collections::HashMap;
+use extmem_types::{ByteSize, IntMap, Rkey};
 
 /// Why an access was refused. Maps onto the RoCE "remote access error" NAK.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -111,7 +110,7 @@ impl MemoryRegion {
 /// All regions registered with one RNIC.
 #[derive(Debug, Default)]
 pub struct MrTable {
-    regions: HashMap<Rkey, MemoryRegion>,
+    regions: IntMap<Rkey, MemoryRegion>,
     next_rkey: u32,
     next_va: u64,
 }
@@ -124,7 +123,7 @@ impl MrTable {
     /// An empty table.
     pub fn new() -> MrTable {
         MrTable {
-            regions: HashMap::new(),
+            regions: IntMap::default(),
             next_rkey: 1,
             next_va: VA_BASE,
         }

@@ -27,11 +27,11 @@ use crate::mr::MrTable;
 use crate::qp::QueuePair;
 use crate::responder::{process_request, Outcome};
 use extmem_sim::{Node, NodeCtx, TimerHandle, TxQueue};
-use extmem_types::{ByteSize, PortId, QpNum, Rate, Rkey, TimeDelta};
+use extmem_types::{ByteSize, IntMap, PortId, QpNum, Rate, Rkey, TimeDelta};
 use extmem_wire::bth::Opcode;
 use extmem_wire::roce::{RoceEndpoint, RocePacket};
 use extmem_wire::Packet;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Static configuration of an RNIC.
 #[derive(Clone, Copy, Debug)]
@@ -159,7 +159,7 @@ pub struct RnicNode {
     name: String,
     config: RnicConfig,
     mrs: MrTable,
-    qps: HashMap<QpNum, QueuePair>,
+    qps: IntMap<QpNum, QueuePair>,
     next_qpn: u32,
     /// Parsed requests waiting for the pipeline, with their atomic flag.
     rx_queue: VecDeque<RocePacket>,
@@ -186,7 +186,7 @@ impl RnicNode {
             name: name.into(),
             config,
             mrs: MrTable::new(),
-            qps: HashMap::new(),
+            qps: IntMap::default(),
             next_qpn: 0x100,
             rx_queue: VecDeque::new(),
             atomics_in_flight: 0,
@@ -353,17 +353,12 @@ impl RnicNode {
             Outcome::Nak(_) => self.stats.naks += 1,
             Outcome::OutOfSequenceDropped => self.stats.out_of_sequence_drops += 1,
         }
-        // The request is consumed; recover its frame buffer for the
-        // response builds below (WRITE payload views release it here).
+        // The request is consumed: its frame buffer goes back to the pool
+        // (WRITE payload views release it here). The responses arrive
+        // encoded, one pooled buffer each, and only need queueing.
         extmem_wire::pool::recycle(req.payload);
         for resp in result.responses {
-            let mut buf = extmem_wire::pool::take();
-            resp.build_into(&mut buf)
-                .expect("response packet must encode");
-            self.tx.send(ctx, Packet::from_vec(buf));
-            // The encoded frame holds its own copy of the bytes read out
-            // of the region; that buffer goes back too.
-            extmem_wire::pool::recycle(resp.payload);
+            self.tx.send(ctx, resp);
         }
         self.maybe_start_service(ctx);
     }

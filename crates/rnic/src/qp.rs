@@ -28,9 +28,11 @@ pub struct QueuePair {
     /// The last executed atomic, for duplicate replay.
     pub last_atomic: Option<(u32, u64)>,
     /// Recently executed conditional WRITEs, for duplicate replay:
-    /// `(psn, flags, observed compare bytes)`. Like `last_atomic` this models
-    /// the bounded responder-resource replay buffer of a real RNIC; it is
-    /// sized to the atomic in-flight bound and the oldest entry falls off.
+    /// `(psn, flags, observed compare bytes)`, the bytes being a window of
+    /// the response frame that first carried them. Like `last_atomic` this
+    /// models the bounded responder-resource replay buffer of a real RNIC;
+    /// it is sized to the atomic in-flight bound and the oldest entry falls
+    /// off.
     pub cond_replay: std::collections::VecDeque<(u32, u8, extmem_wire::Payload)>,
     /// Whether a sequence-error NAK has been sent and not yet cleared by an
     /// in-order packet (NAKs are sent once per gap, per IB spec).

@@ -13,8 +13,59 @@ use extmem_wire::atomic::AtomicEth;
 use extmem_wire::bth::{psn_add, Bth, Opcode};
 use extmem_wire::extop::{CondWriteEth, GatherEth, HashProbeEth, IndirectEth, IndirectMode};
 use extmem_wire::reth::Reth;
-use extmem_wire::roce::{RoceEndpoint, RoceExt, RocePacket};
-use extmem_wire::{Packet, Payload};
+use extmem_wire::roce::{RoceEndpoint, RoceExt, RoceHeaders, RocePacket};
+use extmem_wire::Packet;
+
+/// A remote op's byte operand (a probe key, a compare or write image), held
+/// inline in the op: up to [`Operand::MAX_LEN`] bytes, no heap buffer. The
+/// op owns its operands outright, so it can be queued, retransmitted and
+/// reissued to a failover replica by value, and every transmission encodes
+/// them straight into the request frame.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct Operand {
+    len: u8,
+    /// Zero past `len`, so derived equality sees only the operand.
+    bytes: [u8; Operand::MAX_LEN],
+}
+
+impl Operand {
+    /// Largest operand: one cuckoo slot image, the biggest any primitive
+    /// sends (a probe key is 13 bytes).
+    pub const MAX_LEN: usize = 32;
+
+    /// Copy `bytes` into an operand.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bytes` is longer than [`Operand::MAX_LEN`].
+    pub fn new(bytes: &[u8]) -> Operand {
+        assert!(
+            bytes.len() <= Self::MAX_LEN,
+            "remote-op operand of {} bytes exceeds the inline limit of {}",
+            bytes.len(),
+            Self::MAX_LEN
+        );
+        let mut op = Operand {
+            len: bytes.len() as u8,
+            bytes: [0; Self::MAX_LEN],
+        };
+        op.bytes[..bytes.len()].copy_from_slice(bytes);
+        op
+    }
+}
+
+impl std::ops::Deref for Operand {
+    type Target = [u8];
+    fn deref(&self) -> &[u8] {
+        &self.bytes[..self.len as usize]
+    }
+}
+
+impl std::fmt::Debug for Operand {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "Operand({:02x?})", &self[..])
+    }
+}
 
 /// A remote op the requester wants executed in the responder's NIC op
 /// engine: the whole dependent-access chain, described once, costing one
@@ -53,7 +104,7 @@ pub enum RemoteOp {
         /// Byte offset of the key field inside a slot.
         key_off: u8,
         /// The key bytes to match.
-        key: Payload,
+        key: Operand,
     },
     /// Conditional WRITE: iff the bytes at `cmp_va` equal `compare`, write
     /// `write` at `write_va`. The response returns the observed bytes.
@@ -63,9 +114,9 @@ pub enum RemoteOp {
         /// Address the write lands at.
         write_va: u64,
         /// Expected bytes at `cmp_va`.
-        compare: Payload,
+        compare: Operand,
         /// Bytes to write on success.
-        write: Payload,
+        write: Operand,
     },
     /// Bounded gather/walk: read `word_len` bytes at each address, return
     /// the concatenation.
@@ -75,21 +126,6 @@ pub enum RemoteOp {
         /// The addresses, in response order.
         vas: Vec<u64>,
     },
-}
-
-impl RemoteOp {
-    /// The op is finished with: its operand buffers go back to the frame
-    /// pool (a buffer some clone still reads is left alone).
-    pub fn recycle(self) {
-        match self {
-            RemoteOp::HashProbe { key, .. } => extmem_wire::pool::recycle(key),
-            RemoteOp::CondWrite { compare, write, .. } => {
-                extmem_wire::pool::recycle(compare);
-                extmem_wire::pool::recycle(write);
-            }
-            RemoteOp::Indirect { .. } | RemoteOp::Gather { .. } => {}
-        }
-    }
 }
 
 /// Requester-side queue pair state: where requests go and which PSN is next.
@@ -235,25 +271,37 @@ impl RequesterQp {
         )
     }
 
-    /// Build a remote-op request. Every remote op consumes exactly one PSN
-    /// (its response is always a single packet).
-    pub fn remote_op(&mut self, rkey: Rkey, op: &RemoteOp) -> RocePacket {
+    /// Encode a remote-op request frame. Every remote op consumes exactly
+    /// one PSN (its response is always a single packet).
+    pub fn remote_op(&mut self, rkey: Rkey, op: &RemoteOp) -> Packet {
         let pkt = self.remote_op_at(self.npsn, rkey, op);
         self.npsn = psn_add(self.npsn, 1);
         pkt
     }
 
-    /// Build a remote-op request carrying an explicit PSN, without touching
-    /// `npsn` (see [`RequesterQp::write_only_at`]).
-    pub fn remote_op_at(&self, psn: u32, rkey: Rkey, op: &RemoteOp) -> RocePacket {
-        let (opcode, ext, payload) = match op {
+    /// Encode a remote-op request frame carrying an explicit PSN, without
+    /// touching `npsn` (see [`RequesterQp::write_only_at`]). The operands
+    /// go from the op into the frame; no payload is built around them.
+    pub fn remote_op_at(&self, psn: u32, rkey: Rkey, op: &RemoteOp) -> Packet {
+        let encode = |opcode, ext, body: &[&[u8]]| {
+            RoceHeaders::new(
+                self.local,
+                self.peer,
+                self.udp_src_port,
+                Bth::new(opcode, self.peer_qpn, psn),
+                ext,
+            )
+            .encode(body)
+            .expect("remote-op request encodes")
+        };
+        match op {
             RemoteOp::Indirect {
                 va,
                 mode,
                 len_off,
                 hdr_len,
                 max_len,
-            } => (
+            } => encode(
                 Opcode::IndirectRead,
                 RoceExt::Indirect(IndirectEth {
                     va: *va,
@@ -263,7 +311,7 @@ impl RequesterQp {
                     hdr_len: *hdr_len,
                     max_len: *max_len,
                 }),
-                Payload::empty(),
+                &[],
             ),
             RemoteOp::HashProbe {
                 base_va,
@@ -273,7 +321,7 @@ impl RequesterQp {
                 slot_bytes,
                 key_off,
                 key,
-            } => (
+            } => encode(
                 Opcode::HashProbe,
                 RoceExt::HashProbe(HashProbeEth {
                     base_va: *base_va,
@@ -285,52 +333,43 @@ impl RequesterQp {
                     key_off: *key_off,
                     key_len: key.len() as u8,
                 }),
-                key.clone(),
+                &[key],
             ),
             RemoteOp::CondWrite {
                 cmp_va,
                 write_va,
                 compare,
                 write,
-            } => {
-                let mut payload = extmem_wire::pool::take();
-                payload.extend_from_slice(compare);
-                payload.extend_from_slice(write);
-                (
-                    Opcode::CondWrite,
-                    RoceExt::CondWrite(CondWriteEth {
-                        cmp_va: *cmp_va,
-                        write_va: *write_va,
-                        rkey,
-                        cmp_len: compare.len() as u16,
-                    }),
-                    Payload::from_vec(payload),
-                )
-            }
+            } => encode(
+                Opcode::CondWrite,
+                RoceExt::CondWrite(CondWriteEth {
+                    cmp_va: *cmp_va,
+                    write_va: *write_va,
+                    rkey,
+                    cmp_len: compare.len() as u16,
+                }),
+                &[compare, write],
+            ),
             RemoteOp::Gather { word_len, vas } => {
-                let mut payload = extmem_wire::pool::take();
+                // The address list has no byte form in the op; it is spelt
+                // out in a scratch buffer borrowed from the pool.
+                let mut be = extmem_wire::pool::take();
                 for va in vas {
-                    payload.extend_from_slice(&va.to_be_bytes());
+                    be.extend_from_slice(&va.to_be_bytes());
                 }
-                (
+                let frame = encode(
                     Opcode::GatherWalk,
                     RoceExt::Gather(GatherEth {
                         rkey,
                         word_len: *word_len,
                         count: vas.len() as u16,
                     }),
-                    Payload::from_vec(payload),
-                )
+                    &[&be],
+                );
+                extmem_wire::pool::give(be);
+                frame
             }
-        };
-        RocePacket::new(
-            self.local,
-            self.peer,
-            self.udp_src_port,
-            Bth::new(opcode, self.peer_qpn, psn),
-            ext,
-            payload,
-        )
+        }
     }
 }
 
@@ -423,9 +462,8 @@ impl WriteBlaster {
             .qp
             .write_only(self.rkey, self.base_va + self.cursor, payload, false);
         self.cursor += self.msg_size as u64;
-        let mut buf = extmem_wire::pool::take();
-        req.build_into(&mut buf).expect("write encodes");
-        self.tx.send(ctx, Packet::from_vec(buf));
+        let frame = req.headers().encode(&[&req.payload]);
+        self.tx.send(ctx, frame.expect("write encodes"));
         extmem_wire::pool::recycle(req.payload);
         self.sent += 1;
         if self.remaining > 0 {
@@ -520,9 +558,8 @@ impl ReadLooper {
                 .qp
                 .read(self.rkey, self.base_va + self.cursor, self.msg_size as u32);
             self.cursor += self.msg_size as u64;
-            let mut buf = extmem_wire::pool::take();
-            req.build_into(&mut buf).expect("read encodes");
-            self.tx.send(ctx, Packet::from_vec(buf));
+            let frame = req.headers().encode(&[&req.payload]);
+            self.tx.send(ctx, frame.expect("read encodes"));
         }
     }
 }

@@ -1,9 +1,16 @@
 //! The RoCEv2 responder state machine.
 //!
 //! Given a parsed inbound request and the QP + memory-region state, decide
-//! what DMA to perform and which response packets to emit. This is pure
+//! what DMA to perform and which response frames to emit. This is pure
 //! protocol logic — the timing model lives in [`crate::nic`] — so it is
 //! directly unit-testable.
+//!
+//! Responses leave here already encoded. A READ or remote-op response is
+//! written once, from the [`crate::mr::MemoryRegion`] slice it returns
+//! straight into a pooled frame buffer ([`RoceHeaders::encode`]): the region
+//! bytes are never copied into an intermediate payload, and every response
+//! — data, ACK or NAK — costs exactly one payload construction, the frame
+//! itself. The NIC only queues what it is handed.
 
 use crate::mr::{AccessError, MrTable};
 use crate::qp::{QueuePair, WriteCursor};
@@ -11,8 +18,8 @@ use extmem_wire::aeth::{Aeth, NakCode};
 use extmem_wire::atomic::AtomicAckEth;
 use extmem_wire::bth::{psn_add, psn_before, Bth, Opcode};
 use extmem_wire::extop::{ExtOpAckEth, IndirectMode, EXTOP_FLAG_HIT, EXTOP_FLAG_SECONDARY};
-use extmem_wire::roce::{RoceEndpoint, RoceExt, RocePacket};
-use extmem_wire::{pool, Payload};
+use extmem_wire::roce::{RoceEndpoint, RoceExt, RoceHeaders, RocePacket, ROCEV2_BASE_OVERHEAD};
+use extmem_wire::{pool, EthernetHeader, Packet};
 
 /// Upper bound on dependent reads a single gather/walk op may perform. Keeps
 /// the modeled NIC op engine line-rate: a request can occupy the execution
@@ -59,22 +66,22 @@ pub enum Outcome {
     OutOfSequenceDropped,
 }
 
-/// The response packets of one request, in order. Every request but a
-/// READ longer than the MTU is answered by at most one packet, which is
+/// The encoded response frames of one request, in order. Every request but
+/// a READ longer than the MTU is answered by at most one frame, which is
 /// held inline; reads as a slice either way.
 #[derive(Debug)]
 pub enum Responses {
     /// Nothing to send (an unacknowledged WRITE, a dropped request).
     None,
     /// The single response.
-    One(RocePacket),
+    One(Packet),
     /// A multi-packet READ response.
-    Many(Vec<RocePacket>),
+    Many(Vec<Packet>),
 }
 
 impl std::ops::Deref for Responses {
-    type Target = [RocePacket];
-    fn deref(&self) -> &[RocePacket] {
+    type Target = [Packet];
+    fn deref(&self) -> &[Packet] {
         match self {
             Responses::None => &[],
             Responses::One(p) => std::slice::from_ref(p),
@@ -84,9 +91,8 @@ impl std::ops::Deref for Responses {
 }
 
 impl IntoIterator for Responses {
-    type Item = RocePacket;
-    type IntoIter =
-        std::iter::Chain<std::option::IntoIter<RocePacket>, std::vec::IntoIter<RocePacket>>;
+    type Item = Packet;
+    type IntoIter = std::iter::Chain<std::option::IntoIter<Packet>, std::vec::IntoIter<Packet>>;
     fn into_iter(self) -> Self::IntoIter {
         let (one, many) = match self {
             Responses::None => (None, Vec::new()),
@@ -98,8 +104,8 @@ impl IntoIterator for Responses {
 }
 
 impl<'a> IntoIterator for &'a Responses {
-    type Item = &'a RocePacket;
-    type IntoIter = std::slice::Iter<'a, RocePacket>;
+    type Item = &'a Packet;
+    type IntoIter = std::slice::Iter<'a, Packet>;
     fn into_iter(self) -> Self::IntoIter {
         self.iter()
     }
@@ -108,7 +114,7 @@ impl<'a> IntoIterator for &'a Responses {
 /// The result of processing one request packet.
 #[derive(Debug)]
 pub struct ResponderResult {
-    /// Packets to transmit back to the requester, in order.
+    /// Frames to transmit back to the requester, in order.
     pub responses: Responses,
     /// What happened, for the NIC's statistics.
     pub outcome: Outcome,
@@ -315,7 +321,7 @@ fn duplicate(
                     Opcode::CondWrite,
                     *flags,
                     0,
-                    observed.clone(),
+                    &[observed.as_slice()],
                 ),
                 None => plain_ack(local, qp, req.bth.psn),
             };
@@ -332,6 +338,10 @@ fn duplicate(
     }
 }
 
+/// Offset of the body in a remote-op response frame.
+const EXT_OP_RESP_BODY_AT: usize =
+    EthernetHeader::LEN + ROCEV2_BASE_OVERHEAD + Aeth::LEN + ExtOpAckEth::LEN;
+
 /// How a remote op failed.
 enum ExtOpError {
     /// Malformed request (inconsistent lengths/counts).
@@ -346,12 +356,35 @@ impl From<AccessError> for ExtOpError {
     }
 }
 
-/// The result of executing a remote op against the MR table.
-struct ExtOpOutput {
+/// What a remote op resolved to: every access checked and performed except
+/// a conditional WRITE's install, which waits until the response — a view
+/// of memory *before* the write — has been encoded.
+struct ExtOpPlan<'a> {
     flags: u8,
     index: u16,
     steps: u32,
-    data: Payload,
+    /// The region bytes the response returns, in order; the first `n_parts`
+    /// are meaningful.
+    parts: [&'a [u8]; MAX_GATHER],
+    n_parts: usize,
+}
+
+impl<'a> ExtOpPlan<'a> {
+    fn new(flags: u8, index: u16, steps: u32, data: &[&'a [u8]]) -> ExtOpPlan<'a> {
+        let mut parts: [&[u8]; MAX_GATHER] = [&[]; MAX_GATHER];
+        parts[..data.len()].copy_from_slice(data);
+        ExtOpPlan {
+            flags,
+            index,
+            steps,
+            parts,
+            n_parts: data.len(),
+        }
+    }
+
+    fn body(&self) -> &[&'a [u8]] {
+        &self.parts[..self.n_parts]
+    }
 }
 
 /// Serve a remote-op request (shared by the fresh and duplicate paths).
@@ -365,66 +398,73 @@ fn serve_ext_op(
 ) -> ResponderResult {
     let op = req.bth.opcode;
     let psn = req.bth.psn;
-    match execute_ext_op(mrs, req, mtu) {
-        Ok(out) => {
-            if !is_duplicate {
-                qp.epsn = psn_add(qp.epsn, 1);
-                qp.msn = (qp.msn + 1) & 0xff_ffff;
-                if op == Opcode::CondWrite {
-                    if qp.cond_replay.len() >= COND_REPLAY_DEPTH {
-                        qp.cond_replay.pop_front();
-                    }
-                    qp.cond_replay.push_back((psn, out.flags, out.data.clone()));
-                }
-            }
-            let bytes = out.data.len() as u64;
-            ResponderResult {
-                responses: Responses::One(ext_op_resp(
-                    local, qp, psn, op, out.flags, out.index, out.data,
-                )),
-                outcome: Outcome::ExtOpExecuted {
-                    op,
-                    steps: out.steps,
-                    bytes,
-                },
-            }
-        }
+    let plan = match resolve_ext_op(mrs, req, mtu) {
+        Ok(plan) => plan,
         Err(e) => {
             let code = match e {
                 ExtOpError::Invalid => NakCode::InvalidRequest,
                 ExtOpError::Access => NakCode::RemoteAccessError,
             };
-            if is_duplicate {
-                // A bad duplicate must not perturb the live sequence state.
-                nak(local, qp, code)
-            } else {
+            // A bad duplicate must not perturb the live sequence state.
+            if !is_duplicate {
                 qp.epsn = psn_add(qp.epsn, 1);
-                nak(local, qp, code)
+            }
+            return nak(local, qp, code);
+        }
+    };
+    if !is_duplicate {
+        qp.epsn = psn_add(qp.epsn, 1);
+        qp.msn = (qp.msn + 1) & 0xff_ffff;
+    }
+    let (flags, steps) = (plan.flags, plan.steps);
+    let bytes: usize = plan.body().iter().map(|part| part.len()).sum();
+    let response = ext_op_resp(local, qp, psn, op, flags, plan.index, plan.body());
+    if let RoceExt::CondWrite(h) = req.ext {
+        debug_assert!(!is_duplicate, "duplicate conditional WRITEs replay");
+        // The replay buffer keeps the observed bytes as a window of the
+        // response frame: no second copy out of the region.
+        if qp.cond_replay.len() >= COND_REPLAY_DEPTH {
+            if let Some((_, _, evicted)) = qp.cond_replay.pop_front() {
+                pool::recycle(evicted);
             }
         }
+        let observed = response.view(EXT_OP_RESP_BODY_AT..EXT_OP_RESP_BODY_AT + bytes);
+        qp.cond_replay.push_back((psn, flags, observed));
+        if flags & EXTOP_FLAG_HIT != 0 {
+            mrs.get_mut(h.rkey)
+                .and_then(|r| r.write(h.write_va, &req.payload[h.cmp_len as usize..]))
+                .expect("conditional write target was bounds-checked");
+        }
+    }
+    ResponderResult {
+        responses: Responses::One(response),
+        outcome: Outcome::ExtOpExecuted {
+            op,
+            steps,
+            bytes: bytes as u64,
+        },
     }
 }
 
-/// Execute one remote op against the MR table: the dependent-access chain
-/// the requester would otherwise issue as separate verbs, run NIC-side.
-fn execute_ext_op(mrs: &mut MrTable, req: &RocePacket, mtu: usize) -> Result<ExtOpOutput, ExtOpError> {
+/// Resolve one remote op against the MR table: the dependent-access chain
+/// the requester would otherwise issue as separate verbs, run NIC-side. The
+/// result borrows the region bytes the response will carry.
+fn resolve_ext_op<'a>(
+    mrs: &'a MrTable,
+    req: &RocePacket,
+    mtu: usize,
+) -> Result<ExtOpPlan<'a>, ExtOpError> {
     match req.ext {
         RoceExt::Indirect(h) => {
             let region = mrs.get(h.rkey)?;
-            match h.mode {
+            let data = match h.mode {
                 IndirectMode::Pointer => {
                     if h.max_len as usize > mtu {
                         return Err(ExtOpError::Invalid);
                     }
                     let ptr_bytes = region.read(h.va, 8)?;
                     let ptr = u64::from_be_bytes(ptr_bytes.try_into().unwrap());
-                    let data = pool::copy_from_slice(region.read(ptr, h.max_len as u64)?);
-                    Ok(ExtOpOutput {
-                        flags: EXTOP_FLAG_HIT,
-                        index: 0,
-                        steps: 2,
-                        data,
-                    })
+                    region.read(ptr, h.max_len as u64)?
                 }
                 IndirectMode::LengthPrefixed => {
                     let hdr_len = h.hdr_len as usize;
@@ -437,15 +477,10 @@ fn execute_ext_op(mrs: &mut MrTable, req: &RocePacket, mtu: usize) -> Result<Ext
                     if body > h.max_len as usize || hdr_len + body > mtu {
                         return Err(ExtOpError::Invalid);
                     }
-                    let data = pool::copy_from_slice(region.read(h.va, (hdr_len + body) as u64)?);
-                    Ok(ExtOpOutput {
-                        flags: EXTOP_FLAG_HIT,
-                        index: 0,
-                        steps: 2,
-                        data,
-                    })
+                    region.read(h.va, (hdr_len + body) as u64)?
                 }
-            }
+            };
+            Ok(ExtOpPlan::new(EXTOP_FLAG_HIT, 0, 2, &[data]))
         }
         RoceExt::HashProbe(h) => {
             let key = &req.payload;
@@ -479,45 +514,26 @@ fn execute_ext_op(mrs: &mut MrTable, req: &RocePacket, mtu: usize) -> Result<Ext
                         if nth == 1 {
                             flags |= EXTOP_FLAG_SECONDARY;
                         }
-                        return Ok(ExtOpOutput {
-                            flags,
-                            index: slot as u16,
-                            steps,
-                            data: pool::copy_from_slice(data),
-                        });
+                        return Ok(ExtOpPlan::new(flags, slot as u16, steps, &[data]));
                     }
                 }
             }
-            Ok(ExtOpOutput {
-                flags: 0,
-                index: 0,
-                steps,
-                data: Payload::empty(),
-            })
+            Ok(ExtOpPlan::new(0, 0, steps, &[]))
         }
         RoceExt::CondWrite(h) => {
             let cmp_len = h.cmp_len as usize;
             if cmp_len == 0 || cmp_len > req.payload.len() || cmp_len > mtu {
                 return Err(ExtOpError::Invalid);
             }
-            let observed = {
-                let region = mrs.get(h.rkey)?;
-                pool::copy_from_slice(region.read(h.cmp_va, cmp_len as u64)?)
-            };
-            let mut steps = 1;
-            let mut flags = 0;
-            if observed[..] == req.payload[..cmp_len] {
-                mrs.get_mut(h.rkey)?
-                    .write(h.write_va, &req.payload[cmp_len..])?;
-                steps += 1;
-                flags |= EXTOP_FLAG_HIT;
+            let region = mrs.get(h.rkey)?;
+            let observed = region.read(h.cmp_va, cmp_len as u64)?;
+            if observed[..] != req.payload[..cmp_len] {
+                return Ok(ExtOpPlan::new(0, 0, 1, &[observed]));
             }
-            Ok(ExtOpOutput {
-                flags,
-                index: 0,
-                steps,
-                data: observed,
-            })
+            // The caller installs the write once the response is encoded;
+            // a target out of bounds fails the op here, before any effect.
+            region.read(h.write_va, (req.payload.len() - cmp_len) as u64)?;
+            Ok(ExtOpPlan::new(EXTOP_FLAG_HIT, 0, 2, &[observed]))
         }
         RoceExt::Gather(h) => {
             let count = h.count as usize;
@@ -531,23 +547,26 @@ fn execute_ext_op(mrs: &mut MrTable, req: &RocePacket, mtu: usize) -> Result<Ext
                 return Err(ExtOpError::Invalid);
             }
             let region = mrs.get(h.rkey)?;
-            let mut data = pool::take();
-            for i in 0..count {
-                let va = u64::from_be_bytes(req.payload[i * 8..i * 8 + 8].try_into().unwrap());
-                data.extend_from_slice(region.read(va, word_len as u64)?);
+            let mut plan = ExtOpPlan::new(EXTOP_FLAG_HIT, 0, count as u32, &[]);
+            for (word, va) in plan.parts.iter_mut().zip(req.payload.chunks_exact(8)) {
+                let va = u64::from_be_bytes(va.try_into().unwrap());
+                *word = region.read(va, word_len as u64)?;
             }
-            Ok(ExtOpOutput {
-                flags: EXTOP_FLAG_HIT,
-                index: 0,
-                steps: count as u32,
-                data: Payload::from_vec(data),
-            })
+            plan.n_parts = count;
+            Ok(plan)
         }
         _ => Err(ExtOpError::Invalid),
     }
 }
 
-/// Build the single-packet remote-op response.
+/// Encode one response frame from this QP to its peer.
+fn respond(local: RoceEndpoint, qp: &QueuePair, bth: Bth, ext: RoceExt, body: &[&[u8]]) -> Packet {
+    RoceHeaders::new(local, qp.peer, qp.udp_src_port, bth, ext)
+        .encode(body)
+        .expect("response packet must encode")
+}
+
+/// Encode the single-packet remote-op response.
 fn ext_op_resp(
     local: RoceEndpoint,
     qp: &QueuePair,
@@ -555,12 +574,11 @@ fn ext_op_resp(
     op: Opcode,
     flags: u8,
     index: u16,
-    data: Payload,
-) -> RocePacket {
-    RocePacket::new(
+    data: &[&[u8]],
+) -> Packet {
+    respond(
         local,
-        qp.peer,
-        qp.udp_src_port,
+        qp,
         Bth::new(Opcode::ExtOpResp, qp.peer_qpn, psn),
         RoceExt::ExtOpAck(
             Aeth::ack(qp.msn),
@@ -587,13 +605,13 @@ fn serve_read(
         return invalid(local, qp);
     };
     assert!(mtu > 0, "RoCE MTU must be positive");
-    // One copy out of the MR into a shared (pooled) buffer; the per-MTU
-    // response chunks below are zero-copy windows into it.
+    // No copy out of the MR: each per-MTU response chunk is encoded from
+    // its window of the region.
     let data = match mrs
         .get(reth.rkey)
         .and_then(|r| r.read(reth.va, reth.dma_len as u64))
     {
-        Ok(d) => pool::copy_from_slice(d),
+        Ok(d) => d,
         Err(e) if is_duplicate => {
             // A bad duplicate must not perturb the live sequence state.
             let _ = e;
@@ -620,20 +638,14 @@ fn serve_read(
         let bth = Bth::new(opcode, qp.peer_qpn, psn_add(req.bth.psn, i));
         let start = i as usize * mtu;
         let end = (start + mtu).min(data.len());
-        RocePacket::new(
-            local,
-            qp.peer,
-            qp.udp_src_port,
-            bth,
-            ext,
-            data.slice(start..end),
-        )
+        respond(local, qp, bth, ext, &[&data[start..end]])
     };
     let responses = if n_packets == 1 {
         Responses::One(chunk(0))
     } else {
         Responses::Many((0..n_packets).map(chunk).collect())
     };
+    let bytes = data.len() as u64;
     if !is_duplicate {
         qp.epsn = psn_add(qp.epsn, n_packets);
         qp.msn = (qp.msn + 1) & 0xff_ffff;
@@ -642,7 +654,7 @@ fn serve_read(
         responses,
         outcome: Outcome::ReadServed {
             packets: n_packets,
-            bytes: data.len() as u64,
+            bytes,
         },
     }
 }
@@ -665,22 +677,20 @@ fn write_ack(
     }
 }
 
-fn plain_ack(local: RoceEndpoint, qp: &QueuePair, psn: u32) -> RocePacket {
-    RocePacket::new(
+fn plain_ack(local: RoceEndpoint, qp: &QueuePair, psn: u32) -> Packet {
+    respond(
         local,
-        qp.peer,
-        qp.udp_src_port,
+        qp,
         Bth::new(Opcode::Acknowledge, qp.peer_qpn, psn),
         RoceExt::Aeth(Aeth::ack(qp.msn)),
-        Payload::empty(),
+        &[],
     )
 }
 
-fn atomic_ack(local: RoceEndpoint, qp: &QueuePair, psn: u32, original: u64) -> RocePacket {
-    RocePacket::new(
+fn atomic_ack(local: RoceEndpoint, qp: &QueuePair, psn: u32, original: u64) -> Packet {
+    respond(
         local,
-        qp.peer,
-        qp.udp_src_port,
+        qp,
         Bth::new(Opcode::AtomicAcknowledge, qp.peer_qpn, psn),
         RoceExt::AtomicAck(
             Aeth::ack(qp.msn),
@@ -688,18 +698,17 @@ fn atomic_ack(local: RoceEndpoint, qp: &QueuePair, psn: u32, original: u64) -> R
                 original_value: original,
             },
         ),
-        Payload::empty(),
+        &[],
     )
 }
 
 fn nak(local: RoceEndpoint, qp: &QueuePair, code: NakCode) -> ResponderResult {
-    let pkt = RocePacket::new(
+    let pkt = respond(
         local,
-        qp.peer,
-        qp.udp_src_port,
+        qp,
         Bth::new(Opcode::Acknowledge, qp.peer_qpn, qp.epsn),
         RoceExt::Aeth(Aeth::nak(code, qp.msn)),
-        Payload::empty(),
+        &[],
     );
     ResponderResult {
         responses: Responses::One(pkt),
@@ -725,7 +734,46 @@ mod tests {
     use super::*;
     use extmem_types::{ByteSize, QpNum, Rkey};
     use extmem_wire::reth::Reth;
-    use extmem_wire::MacAddr;
+    use extmem_wire::{CounterSpan, MacAddr};
+
+    /// What a request was answered with, as its sender sees it: the
+    /// response frames parsed back into packets.
+    struct Served {
+        responses: Vec<RocePacket>,
+        outcome: Outcome,
+    }
+
+    /// [`super::process_request`] with every response frame parsed, and a
+    /// check that each frame cost exactly one payload construction — the
+    /// frame itself, never a copy of the region bytes beside it.
+    fn process_request(
+        local: RoceEndpoint,
+        qp: &mut QueuePair,
+        mrs: &mut MrTable,
+        req: &RocePacket,
+        mtu: usize,
+    ) -> Served {
+        let span = CounterSpan::begin();
+        let r = super::process_request(local, qp, mrs, req, mtu);
+        assert_eq!(
+            span.allocs(),
+            r.responses.len() as u64,
+            "{:?}: one payload per response frame",
+            r.outcome
+        );
+        Served {
+            responses: r
+                .responses
+                .iter()
+                .map(|frame| {
+                    RocePacket::parse(frame)
+                        .expect("well-formed response")
+                        .expect("a RoCE frame")
+                })
+                .collect(),
+            outcome: r.outcome,
+        }
+    }
 
     fn setup() -> (RoceEndpoint, QueuePair, MrTable, Rkey, u64) {
         let local = RoceEndpoint {
@@ -1078,9 +1126,7 @@ mod tests {
         let qpn = qp.qpn;
         let region = mrs.get_mut(rkey).unwrap();
         for i in 0..4u8 {
-            region
-                .write(base + 100 * i as u64, &[i + 1; 16])
-                .unwrap();
+            region.write(base + 100 * i as u64, &[i + 1; 16]).unwrap();
         }
         let vas = [base + 300, base, base + 100, base + 200];
         let mut payload = Vec::new();
@@ -1403,6 +1449,267 @@ mod tests {
         assert_eq!(r.responses[0].bth.opcode, Opcode::ExtOpResp);
         assert_eq!(r.responses[0].payload, vec![3u8; 16]);
         assert_eq!(qp.epsn, 1, "duplicate must not advance the sequence");
+    }
+
+    /// The frame the pre-encoding responder would have handed the NIC: a
+    /// `RocePacket` from this QP to its peer, built by the packet encoder.
+    fn built(
+        local: RoceEndpoint,
+        qp: &QueuePair,
+        opcode: Opcode,
+        psn: u32,
+        ext: RoceExt,
+        data: &[u8],
+    ) -> Packet {
+        RocePacket::new(
+            local,
+            qp.peer,
+            qp.udp_src_port,
+            Bth::new(opcode, qp.peer_qpn, psn),
+            ext,
+            data.to_vec(),
+        )
+        .build()
+        .unwrap()
+    }
+
+    fn ext_ack(qp: &QueuePair, op: Opcode, flags: u8, index: u16) -> RoceExt {
+        RoceExt::ExtOpAck(
+            Aeth::ack(qp.msn),
+            ExtOpAckEth {
+                op: op as u8,
+                flags,
+                index,
+            },
+        )
+    }
+
+    #[test]
+    fn response_frames_are_what_the_packet_builder_would_have_built() {
+        use extmem_wire::extop::{CondWriteEth, GatherEth, HashProbeEth, IndirectEth};
+        let (local, mut qp, mut mrs, rkey, base) = setup();
+        let image: Vec<u8> = (0..4096u32).map(|i| (i * 5 + 1) as u8).collect();
+        mrs.get_mut(rkey).unwrap().write(base, &image).unwrap();
+        let qpn = qp.qpn;
+        const MTU: usize = 1024;
+        let serve = |qp: &mut QueuePair, mrs: &mut MrTable, req: &RocePacket| {
+            let span = CounterSpan::begin();
+            let r = super::process_request(local, qp, mrs, req, MTU);
+            assert_eq!(span.allocs(), r.responses.len() as u64, "{:?}", r.outcome);
+            r.responses.to_vec()
+        };
+
+        // READ answered by one packet: the AETH carries the MSN from before
+        // the READ completed.
+        let read1 = read_req(&qp, 0, rkey, base + 10, 300);
+        let want = built(
+            local,
+            &qp,
+            Opcode::ReadRespOnly,
+            0,
+            RoceExt::Aeth(Aeth::ack(0)),
+            &image[10..310],
+        );
+        assert_eq!(serve(&mut qp, &mut mrs, &read1), [want]);
+
+        // READ answered by three: PSNs 1..=3, no AETH in the middle.
+        let read3 = read_req(&qp, 1, rkey, base, 2500);
+        let chunks = |qp: &QueuePair| {
+            [
+                (
+                    Opcode::ReadRespFirst,
+                    RoceExt::Aeth(Aeth::ack(qp.msn)),
+                    0..1024,
+                ),
+                (Opcode::ReadRespMiddle, RoceExt::None, 1024..2048),
+                (
+                    Opcode::ReadRespLast,
+                    RoceExt::Aeth(Aeth::ack(qp.msn)),
+                    2048..2500,
+                ),
+            ]
+            .into_iter()
+            .zip(1u32..)
+            .map(|((op, ext, range), psn)| built(local, qp, op, psn, ext, &image[range]))
+            .collect::<Vec<_>>()
+        };
+        let want = chunks(&qp);
+        assert_eq!(serve(&mut qp, &mut mrs, &read3), want);
+        // Its duplicate is re-executed, under the MSN of the moment.
+        let want = chunks(&qp);
+        assert_eq!(serve(&mut qp, &mut mrs, &read3), want);
+        assert_eq!((qp.epsn, qp.msn), (4, 2));
+
+        // Each remote op: one ExtOpResp, MSN already counting the op.
+        let gather = remote_req(
+            qpn,
+            4,
+            RoceExt::Gather(GatherEth {
+                rkey,
+                word_len: 8,
+                count: 3,
+            }),
+            [base + 800, base + 8, base + 64]
+                .iter()
+                .flat_map(|va| va.to_be_bytes())
+                .collect(),
+        );
+        let got = serve(&mut qp, &mut mrs, &gather);
+        let words = [&image[800..808], &image[8..16], &image[64..72]].concat();
+        let ext = ext_ack(&qp, Opcode::GatherWalk, EXTOP_FLAG_HIT, 0);
+        assert_eq!(got, [built(local, &qp, Opcode::ExtOpResp, 4, ext, &words)]);
+
+        let probe = |psn, key: &[u8]| {
+            remote_req(
+                qpn,
+                psn,
+                RoceExt::HashProbe(HashProbeEth {
+                    base_va: base + 256,
+                    rkey,
+                    b1: 3,
+                    b2: 0,
+                    bucket_bytes: 32,
+                    slot_bytes: 16,
+                    key_off: 2,
+                    key_len: key.len() as u8,
+                }),
+                key.to_vec(),
+            )
+        };
+        // Slot 1 of bucket 0, reached second.
+        let got = serve(&mut qp, &mut mrs, &probe(5, &image[256 + 18..256 + 22]));
+        let ext = ext_ack(
+            &qp,
+            Opcode::HashProbe,
+            EXTOP_FLAG_HIT | EXTOP_FLAG_SECONDARY,
+            1,
+        );
+        assert_eq!(
+            got,
+            [built(
+                local,
+                &qp,
+                Opcode::ExtOpResp,
+                5,
+                ext,
+                &image[256..288]
+            )]
+        );
+        let got = serve(&mut qp, &mut mrs, &probe(6, &[0xee; 4]));
+        let ext = ext_ack(&qp, Opcode::HashProbe, 0, 0);
+        assert_eq!(got, [built(local, &qp, Opcode::ExtOpResp, 6, ext, &[])]);
+
+        let indirect = remote_req(
+            qpn,
+            7,
+            RoceExt::Indirect(IndirectEth {
+                va: base + 1200,
+                rkey,
+                mode: IndirectMode::LengthPrefixed,
+                len_off: 0,
+                hdr_len: 2,
+                max_len: 64,
+            }),
+            vec![],
+        );
+        mrs.get_mut(rkey)
+            .unwrap()
+            .write(base + 1200, &20u16.to_be_bytes())
+            .unwrap();
+        let entry = mrs
+            .get(rkey)
+            .unwrap()
+            .read(base + 1200, 22)
+            .unwrap()
+            .to_vec();
+        let got = serve(&mut qp, &mut mrs, &indirect);
+        let ext = ext_ack(&qp, Opcode::IndirectRead, EXTOP_FLAG_HIT, 0);
+        assert_eq!(got, [built(local, &qp, Opcode::ExtOpResp, 7, ext, &entry)]);
+
+        // A conditional WRITE over its own compare bytes: the response
+        // shows memory as it was before the write landed.
+        let cond = remote_req(
+            qpn,
+            8,
+            RoceExt::CondWrite(CondWriteEth {
+                cmp_va: base + 700,
+                write_va: base + 702,
+                rkey,
+                cmp_len: 4,
+            }),
+            [&image[700..704], &[9u8; 12][..]].concat(),
+        );
+        let got = serve(&mut qp, &mut mrs, &cond);
+        let ext = ext_ack(&qp, Opcode::CondWrite, EXTOP_FLAG_HIT, 0);
+        assert_eq!(
+            got,
+            [built(
+                local,
+                &qp,
+                Opcode::ExtOpResp,
+                8,
+                ext,
+                &image[700..704]
+            )]
+        );
+        assert_eq!(
+            mrs.get(rkey).unwrap().read(base + 700, 14).unwrap(),
+            [&image[700..702], &[9u8; 12][..]].concat()
+        );
+
+        // Every NAK path: a request the op engine refuses, an access
+        // outside the region, and a gap in the sequence (answered once).
+        let over = remote_req(
+            qpn,
+            9,
+            RoceExt::Gather(GatherEth {
+                rkey,
+                word_len: 8,
+                count: 2,
+            }),
+            base.to_be_bytes().to_vec(), // one address short
+        );
+        let got = serve(&mut qp, &mut mrs, &over);
+        let nak = |qp: &QueuePair, code| {
+            built(
+                local,
+                qp,
+                Opcode::Acknowledge,
+                qp.epsn,
+                RoceExt::Aeth(Aeth::nak(code, qp.msn)),
+                &[],
+            )
+        };
+        assert_eq!(got, [nak(&qp, NakCode::InvalidRequest)]);
+        let beyond = read_req(&qp, 10, rkey, base + 65_000, 4096);
+        let got = serve(&mut qp, &mut mrs, &beyond);
+        assert_eq!(got, [nak(&qp, NakCode::RemoteAccessError)]);
+        let late = read_req(&qp, 13, rkey, base, 8);
+        let got = serve(&mut qp, &mut mrs, &late);
+        assert_eq!(got, [nak(&qp, NakCode::PsnSequenceError)]);
+        assert!(serve(&mut qp, &mut mrs, &late).is_empty());
+
+        // Duplicates of the ops above: the conditional WRITE replays its
+        // first answer (memory has moved on), a bad duplicate is NAKed
+        // without touching the sequence.
+        let got = serve(&mut qp, &mut mrs, &cond);
+        let ext = ext_ack(&qp, Opcode::CondWrite, EXTOP_FLAG_HIT, 0);
+        assert_eq!(
+            got,
+            [built(
+                local,
+                &qp,
+                Opcode::ExtOpResp,
+                8,
+                ext,
+                &image[700..704]
+            )]
+        );
+        let got = serve(&mut qp, &mut mrs, &over);
+        assert_eq!(got, [nak(&qp, NakCode::InvalidRequest)]);
+        let got = serve(&mut qp, &mut mrs, &beyond);
+        assert_eq!(got, [nak(&qp, NakCode::RemoteAccessError)]);
+        assert_eq!((qp.epsn, qp.msn), (11, 7));
     }
 
     #[test]

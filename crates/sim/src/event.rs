@@ -336,6 +336,16 @@ struct Wheel {
     /// Scratch reused across cascades.
     scratch: Vec<Key>,
     cascades: u64,
+    /// The earliest granule at which a coarse window opens or an overflow
+    /// key falls due (`u64::MAX` with none pending) — or lower: inserts only
+    /// ever pull it down, and the sweep in [`Wheel::advance_step`] recomputes
+    /// it. While the next occupied L0 granule lies before it the cursor can
+    /// move there on the one-bitmap-scan path, however many far timers sit
+    /// parked in the coarse levels.
+    coarse_due: u64,
+    /// Times [`Wheel::advance_step`] fell through to the candidate sweep.
+    #[cfg(test)]
+    sweeps: u64,
 }
 
 impl Wheel {
@@ -352,6 +362,9 @@ impl Wheel {
             pending: 0,
             scratch: Vec::new(),
             cascades: 0,
+            coarse_due: u64::MAX,
+            #[cfg(test)]
+            sweeps: 0,
         }
     }
 
@@ -367,15 +380,24 @@ impl Wheel {
             let idx = (g & (L0_SLOTS as u64 - 1)) as usize;
             self.l0_bits[idx >> 6] |= 1 << (idx & 63);
             self.l0[idx].push(key);
-        } else if delta < 1 << L2_SHIFT {
+            return;
+        }
+        // A coarse key is next looked at when its window opens (its own
+        // granule, past the horizon).
+        let shift = if delta < 1 << L2_SHIFT {
             self.l1.insert(((g >> L1_SHIFT) & 63) as usize, key);
+            L1_SHIFT
         } else if delta < 1 << L3_SHIFT {
             self.l2.insert(((g >> L2_SHIFT) & 63) as usize, key);
+            L2_SHIFT
         } else if delta < 1 << HORIZON_SHIFT {
             self.l3.insert(((g >> L3_SHIFT) & 63) as usize, key);
+            L3_SHIFT
         } else {
             self.overflow.insert((key.at, key.seq), key.slot);
-        }
+            0
+        };
+        self.coarse_due = self.coarse_due.min(g >> shift << shift);
     }
 
     /// Earliest occupied L0 granule strictly after the cursor, if any.
@@ -433,11 +455,13 @@ impl Wheel {
     /// guarantees progress (each step either fills `ready` or strictly
     /// shrinks the distance to the next due key).
     fn advance_step(&mut self) {
-        // Fast path: nearly always only L0 holds keys (coarse levels and
-        // overflow fill on multi-ms timers, which are rare among wire-time
-        // events). One bitmap scan then replaces the full candidate sweep.
-        if self.l1.bits | self.l2.bits | self.l3.bits == 0 && self.overflow.is_empty() {
-            let target = self.next_l0().expect("advance_step on empty wheel");
+        // Fast path: the next occupied L0 granule comes before anything in
+        // the coarse levels or overflow needs looking at (nearly always: at
+        // wire timescales those hold retransmission timers parked tens of
+        // microseconds out). One bitmap scan then replaces the full
+        // candidate sweep.
+        let cand_l0 = self.next_l0();
+        if let Some(target) = cand_l0.filter(|&g| g < self.coarse_due) {
             self.cursor = target;
             let idx = (target & (L0_SLOTS as u64 - 1)) as usize;
             self.l0_bits[idx >> 6] &= !(1 << (idx & 63));
@@ -457,7 +481,10 @@ impl Wheel {
             }
             return;
         }
-        let cand_l0 = self.next_l0();
+        #[cfg(test)]
+        {
+            self.sweeps += 1;
+        }
         let cand_l1 = self.l1.next_window(self.cursor >> L1_SHIFT).map(|w| w << L1_SHIFT);
         let cand_l2 = self.l2.next_window(self.cursor >> L2_SHIFT).map(|w| w << L2_SHIFT);
         let cand_l3 = self.l3.next_window(self.cursor >> L3_SHIFT).map(|w| w << L3_SHIFT);
@@ -499,6 +526,23 @@ impl Wheel {
             self.pending -= 1;
             self.ready.push(Key { at, seq, slot });
         }
+        // Exact again: cascaded keys may have landed in lower coarse levels.
+        self.coarse_due = [
+            self.l1
+                .next_window(self.cursor >> L1_SHIFT)
+                .map(|w| w << L1_SHIFT),
+            self.l2
+                .next_window(self.cursor >> L2_SHIFT)
+                .map(|w| w << L2_SHIFT),
+            self.l3
+                .next_window(self.cursor >> L3_SHIFT)
+                .map(|w| w << L3_SHIFT),
+            self.overflow.keys().next().map(|&(at, _)| granule(at)),
+        ]
+        .into_iter()
+        .flatten()
+        .min()
+        .unwrap_or(u64::MAX);
     }
 
     fn peek(&mut self) -> Option<&Key> {
@@ -998,6 +1042,51 @@ mod tests {
         }
         let order: Vec<u64> = std::iter::from_fn(|| q.pop()).map(token_of).collect();
         assert_eq!(order, vec![0, 1, 2, 3, 4, 5]);
+    }
+
+    #[test]
+    fn parked_far_timer_leaves_near_events_on_the_fast_path() {
+        // What a reliable channel does to the queue: one retransmission
+        // timer always parked 50 us out (re-armed when it fires) while
+        // wire-time events churn a few granules ahead of the cursor. The
+        // candidate sweep may run only when the timer's coarse window
+        // opens, and the pop order must be the heap's.
+        let mut q = EventQueue::new();
+        let mut oracle = BinaryHeap::new();
+        let mut seq = 0u64;
+        const NEAR: u64 = 0;
+        const RTO: u64 = 1;
+        let mut push = |q: &mut EventQueue, oracle: &mut BinaryHeap<Key>, at: u64, token| {
+            let at = Time::from_picos(at);
+            q.push(at, timer(0, token));
+            oracle.push(Key { at, seq, slot: 0 });
+            seq += 1;
+        };
+        push(&mut q, &mut oracle, 50_000_000, RTO);
+        push(&mut q, &mut oracle, 21_000, NEAR);
+        let mut rounds = 0;
+        while rounds < 10_000 {
+            let got = q.pop().expect("event");
+            let want = oracle.pop().expect("oracle event");
+            assert_eq!((got.at, got.seq), (want.at, want.seq), "round {rounds}");
+            let now = got.at.picos();
+            if token_of(got) == RTO {
+                push(&mut q, &mut oracle, now + 50_000_000, RTO);
+            } else {
+                // 21-33 ns ahead: 5 to 8 granules, some of them shared.
+                let ahead = 21_000 + (rounds % 4) * 4_000;
+                push(&mut q, &mut oracle, now + ahead, NEAR);
+                rounds += 1;
+            }
+        }
+        let Core::Wheel(wheel) = &q.core else {
+            unreachable!("default backend is the wheel")
+        };
+        assert!(wheel.cascades >= 5, "the run spans several timer periods");
+        assert_eq!(
+            wheel.sweeps, wheel.cascades,
+            "swept without a coarse window opening"
+        );
     }
 
     #[test]

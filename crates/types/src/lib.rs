@@ -13,12 +13,14 @@
 #![warn(missing_docs)]
 
 pub mod flow;
+pub mod hash;
 pub mod id;
 pub mod rate;
 pub mod time;
 pub mod units;
 
 pub use flow::FiveTuple;
+pub use hash::IntMap;
 pub use id::{LinkId, NodeId, PortId, QpNum, Rkey};
 pub use rate::Rate;
 pub use time::{Time, TimeDelta};

@@ -4,12 +4,14 @@
 //! nodes) each build thousands of frames per simulated millisecond, and the
 //! buffer of a consumed frame is usually free again a few events later. The
 //! pool closes that loop: [`take`] hands back a previously-recycled `Vec`
-//! (cleared, capacity retained) instead of a fresh allocation,
-//! [`copy_from_slice`] is [`take`] plus the copy for payloads that start
-//! life as a slice of someone else's memory (a READ out of a region, a
-//! probe key), and [`recycle`] recovers the backing buffer of a [`Payload`]
-//! whose last owner is done with it — without copying, via
-//! [`Payload::recover_vec`].
+//! (cleared, capacity retained) instead of a fresh allocation, and
+//! [`recycle`] recovers the backing buffer of a [`Payload`] whose last
+//! owner is done with it — without copying, via [`Payload::recover_vec`].
+//! A pooled buffer holds a whole frame: bytes that start life as a slice of
+//! someone else's memory (a READ out of a region, a remote op's operands)
+//! are encoded from there into the frame
+//! ([`crate::roce::RoceHeaders::encode`]) and never get a buffer, or a
+//! payload, of their own.
 //!
 //! The loop only stays closed if *every* consumer gives back what it took.
 //! The free list is LIFO and size-blind, which is harmless while it is
@@ -112,15 +114,6 @@ pub fn take() -> Vec<u8> {
             Vec::new()
         }
     }
-}
-
-/// Copy `bytes` into a pooled buffer: [`Payload::copy_from_slice`] with the
-/// byte allocation served by the pool, for payloads whose last owner
-/// [`recycle`]s them.
-pub fn copy_from_slice(bytes: &[u8]) -> Payload {
-    let mut buf = take();
-    buf.extend_from_slice(bytes);
-    Payload::from_vec(buf)
 }
 
 /// Return a buffer to the pool. Zero-capacity and oversized buffers are

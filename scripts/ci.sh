@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # The full local CI gate: release build, tests, lints, release re-runs of
-# the timing-sensitive suites. Host-time performance is not gated here; it
-# is measured by the repo benchmark (BENCHMARK.json, crates/benchmark).
+# the timing-sensitive suites, allocation ceilings on the repo benchmark's
+# workloads. Host-time performance is not gated here; it is measured by the
+# repo benchmark (BENCHMARK.json, crates/benchmark).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -64,16 +65,47 @@ echo "== scheduler equivalence proptests (release) =="
 # optimized profile (overflow/ordering bugs can be profile-dependent).
 cargo test -q --release --test structure_proptests
 
-echo "== parallel engine and frame-pool hand-off unit tests (release) =="
+echo "== engine, timing-wheel, frame-pool and encoder tests (release) =="
 # The engine's own tests (partitioner, promise cadence against a scripted
-# peer, parallel == wheel fingerprints) and the wire crate's per-thread
-# pool and counter tests ran in debug above; races and atomics orderings
-# shake out differently under the profile the benchmark measures.
+# peer, parallel == wheel fingerprints), the wheel's fast-path test (a
+# parked far timer must not push near events onto the candidate sweep),
+# the wire crate's per-thread pool and counter tests and the one frame
+# encoder's byte-equality properties ran in debug above; races, atomics
+# orderings and overflow shake out differently under the profile the
+# benchmark measures.
 cargo test -q --release -p extmem-sim -p extmem-wire
+cargo test -q --release --test wire_proptests
 
 echo "== backend equivalence and scenario pins (release) =="
 # Every library scenario on wheel, heap and parallel(1/2/4), each asserted
 # equal in-process, plus the pinned digests.
 cargo test -q --release --test sched_equivalence --test wire_pin
+
+echo "== benchmark allocation ceilings (release) =="
+# Allocation counts repeat exactly per seed, so unlike host time they can
+# be gated on any machine: one short untraced run of each benchmark
+# workload must pass its own checks and stay under the committed
+# allocs-per-frame ceiling (payloads constructed per frame, see
+# tests/alloc_budget.rs; the two lookups cost the same three).
+while read -r workload ceiling; do
+    # A failed check exits non-zero and says so in the JSON; report that.
+    result="$(crates/benchmark/run.sh --workload "$workload" --seed 7 --seconds 3 --trace 0 </dev/null | tail -n 1)" || true
+    allocs="$(sed -n 's/.*"allocs_per_pkt": {"value": \([0-9.eE+-]*\).*/\1/p' <<<"$result")"
+    if [[ "$result" != *'"correct": true'* ]]; then
+        echo "FAIL: $workload did not pass its checks: $result" >&2
+        exit 1
+    fi
+    if [ -z "$allocs" ] || ! awk -v a="$allocs" -v c="$ceiling" 'BEGIN { exit !(a <= c) }'; then
+        echo "FAIL: $workload allocs_per_pkt ${allocs:-missing} exceeds ceiling $ceiling" >&2
+        exit 1
+    fi
+    echo "ok     $workload: allocs_per_pkt $allocs <= $ceiling"
+done <<'CEILINGS'
+lookup_verbs 3.01
+lookup_ops 3.01
+pktbuf_lossy 6.1
+fabric_shard 2.8
+fabric_shard_p2 2.8
+CEILINGS
 
 echo "== ci.sh: all gates passed =="

@@ -1014,11 +1014,11 @@ mod shard_ring {
 mod remote_op_oracle {
     use extmem_rnic::requester::RequesterQp;
     use extmem_rnic::responder::{process_request, Outcome};
-    use extmem_rnic::{MrTable, QueuePair, RemoteOp};
+    use extmem_rnic::{MrTable, Operand, QueuePair, RemoteOp};
     use extmem_types::{ByteSize, QpNum, Rkey};
     use extmem_wire::extop::{IndirectMode, EXTOP_FLAG_HIT, EXTOP_FLAG_SECONDARY};
     use extmem_wire::roce::{RoceEndpoint, RoceExt};
-    use extmem_wire::{MacAddr, Payload};
+    use extmem_wire::{MacAddr, Packet, RocePacket};
     use proptest::prelude::*;
 
     const REGION: u64 = 4096;
@@ -1143,7 +1143,7 @@ mod remote_op_oracle {
                             bucket_bytes,
                             slot_bytes: *slot_bytes,
                             key_off: *key_off,
-                            key: Payload::copy_from_slice(key),
+                            key: Operand::new(key),
                         },
                     )
                 }
@@ -1163,8 +1163,8 @@ mod remote_op_oracle {
                         RemoteOp::CondWrite {
                             cmp_va: base + cmp_off,
                             write_va: base + write_off,
-                            compare: Payload::copy_from_slice(compare),
-                            write: Payload::copy_from_slice(write),
+                            compare: Operand::new(compare),
+                            write: Operand::new(write),
                         },
                     )
                 }
@@ -1238,6 +1238,13 @@ mod remote_op_oracle {
         ]
     }
 
+    /// A frame as the node at the other end of the link sees it.
+    fn parsed(frame: &Packet) -> RocePacket {
+        RocePacket::parse(frame)
+            .expect("well-formed")
+            .expect("a RoCE frame")
+    }
+
     /// A requester + responder pair over one registered region.
     struct Rig {
         server: RoceEndpoint,
@@ -1291,7 +1298,7 @@ mod remote_op_oracle {
             );
             let mut out = Vec::new();
             for p in &r.responses {
-                out.extend_from_slice(&p.payload[..]);
+                out.extend_from_slice(&parsed(p).payload[..]);
             }
             out
         }
@@ -1299,14 +1306,14 @@ mod remote_op_oracle {
         /// Execute a remote op, then deliver the identical packet again (a
         /// retransmitted duplicate) and demand a byte-identical replay.
         fn remote(&mut self, op: &RemoteOp) -> (u8, u16, Vec<u8>) {
-            let pkt = self.req.remote_op(self.rkey, op);
+            let pkt = parsed(&self.req.remote_op(self.rkey, op));
             let r = process_request(self.server, &mut self.qp, &mut self.mrs, &pkt, MTU);
             assert!(
                 matches!(r.outcome, Outcome::ExtOpExecuted { .. }),
                 "{:?}",
                 r.outcome
             );
-            let resp = &r.responses[0];
+            let resp = parsed(&r.responses[0]);
             let RoceExt::ExtOpAck(_, eth) = &resp.ext else {
                 panic!("not an ext-op response: {:?}", resp.ext)
             };
@@ -1314,7 +1321,7 @@ mod remote_op_oracle {
             let before = self.image();
             let r2 = process_request(self.server, &mut self.qp, &mut self.mrs, &pkt, MTU);
             assert!(matches!(r2.outcome, Outcome::Duplicate), "{:?}", r2.outcome);
-            let resp2 = &r2.responses[0];
+            let resp2 = parsed(&r2.responses[0]);
             let RoceExt::ExtOpAck(_, eth2) = &resp2.ext else {
                 panic!("duplicate replay is not an ext-op response")
             };
@@ -1419,10 +1426,10 @@ mod remote_op_oracle {
     /// Every kind of response the responder emits — READ (one packet and
     /// three), WRITE with and without an ACK, Fetch-and-Add, each remote op,
     /// a sequence-error NAK, an access NAK, and the duplicate of each —
-    /// encoded to wire bytes and folded into one digest. The digest was
-    /// taken before the responses moved from a `Vec` per request to an
-    /// inline slot and the copies out of the region moved to pooled
-    /// buffers; neither may change a byte on the wire.
+    /// as wire bytes, folded into one digest. The digest was taken when the
+    /// responder still returned unencoded packets whose payloads were
+    /// copies out of the region; encoding each frame straight from the
+    /// region may not change a byte on the wire.
     #[test]
     fn response_encodings_are_pinned() {
         const PINNED: u64 = 0x6cea_7d41_e188_b0ba;
@@ -1442,14 +1449,14 @@ mod remote_op_oracle {
             rig.req.read(rkey, base + 32, 100),
             rig.req.read(rkey, base, 300),
             rig.req.fetch_add(rkey, base + 512, 41),
-            rig.req.remote_op(
+            parsed(&rig.req.remote_op(
                 rkey,
                 &RemoteOp::Gather {
                     word_len: 8,
                     vas: vec![base + 8, base + 1024, base + 40],
                 },
-            ),
-            rig.req.remote_op(
+            )),
+            parsed(&rig.req.remote_op(
                 rkey,
                 &RemoteOp::HashProbe {
                     base_va: base + 256,
@@ -1458,19 +1465,19 @@ mod remote_op_oracle {
                     bucket_bytes: 32,
                     slot_bytes: 16,
                     key_off: 2,
-                    key: Payload::copy_from_slice(&probe_key),
+                    key: Operand::new(&probe_key),
                 },
-            ),
-            rig.req.remote_op(
+            )),
+            parsed(&rig.req.remote_op(
                 rkey,
                 &RemoteOp::CondWrite {
                     cmp_va: base + 700,
                     write_va: base + 900,
-                    compare: Payload::copy_from_slice(&image[700..704]),
-                    write: Payload::copy_from_slice(&[9; 12]),
+                    compare: Operand::new(&image[700..704]),
+                    write: Operand::new(&[9; 12]),
                 },
-            ),
-            rig.req.remote_op(
+            )),
+            parsed(&rig.req.remote_op(
                 rkey,
                 &RemoteOp::Indirect {
                     va: base + 1200,
@@ -1479,10 +1486,10 @@ mod remote_op_oracle {
                     hdr_len: 2,
                     max_len: 64,
                 },
-            ),
+            )),
             // The same op over bytes that are no entry header: the length
             // they spell exceeds `max_len`, an invalid-request NAK.
-            rig.req.remote_op(
+            parsed(&rig.req.remote_op(
                 rkey,
                 &RemoteOp::Indirect {
                     va: base + 1300,
@@ -1491,7 +1498,7 @@ mod remote_op_oracle {
                     hdr_len: 2,
                     max_len: 64,
                 },
-            ),
+            )),
             // Past the end of the region: an access NAK.
             rig.req.read(rkey, base + REGION - 4, 64),
         ];
@@ -1499,8 +1506,7 @@ mod remote_op_oracle {
         let mut serve = |rig: &mut Rig, req: &extmem_wire::RocePacket| {
             let r = process_request(rig.server, &mut rig.qp, &mut rig.mrs, req, MTU);
             wire.extend_from_slice(format!("{:?}", r.outcome).as_bytes());
-            for p in &r.responses {
-                let frame = p.build().expect("responses encode");
+            for frame in &r.responses {
                 wire.extend_from_slice(&(frame.len() as u32).to_be_bytes());
                 wire.extend_from_slice(frame.as_slice());
             }

@@ -413,7 +413,7 @@ mod extop_roundtrips {
     use extmem_wire::MacAddr;
     use proptest::prelude::*;
 
-    fn arb_ext_op() -> impl Strategy<Value = (Opcode, RoceExt, Vec<u8>)> {
+    pub fn arb_ext_op() -> impl Strategy<Value = (Opcode, RoceExt, Vec<u8>)> {
         prop_oneof![
             (
                 any::<u64>(),
@@ -556,6 +556,195 @@ mod extop_roundtrips {
             prop_assert_eq!(parsed.bth.dest_qp, QpNum(qpn));
             prop_assert_eq!(parsed.ext, pkt.ext);
             prop_assert_eq!(parsed.payload, pkt.payload);
+        }
+    }
+}
+
+/// There is one frame encoder, [`RoceHeaders::encode_into`], fed borrowed
+/// body parts; `RocePacket::build_into` is that encoder with the payload as
+/// the only part. Both must produce, byte for byte, what the encoder they
+/// replaced produced: every header written by its own codec at its fixed
+/// offset into a zeroed frame, the payload copied behind them, zero pad,
+/// ICRC over everything after the Ethernet header — kept here as the
+/// reference, for every opcode/extension pairing and however the body is
+/// cut into parts.
+mod one_encoder {
+    use super::{arb_endpoint, extop_roundtrips::arb_ext_op};
+    use extmem_types::{QpNum, Rkey};
+    use extmem_wire::aeth::Aeth;
+    use extmem_wire::atomic::{AtomicAckEth, AtomicEth};
+    use extmem_wire::bth::{Bth, Opcode};
+    use extmem_wire::icrc::{icrc_rocev2, ICRC_LEN};
+    use extmem_wire::reth::Reth;
+    use extmem_wire::roce::{pad_len, RoceExt, RocePacket};
+    use extmem_wire::{EthernetHeader, Ipv4Header, UdpHeader};
+    use proptest::prelude::*;
+
+    /// The pre-refactor `build_into`, written the slow obvious way.
+    fn reference_build(pkt: &RocePacket) -> Vec<u8> {
+        let pad = pad_len(pkt.payload.len());
+        let mut out = vec![0u8; pkt.wire_len()];
+        let total = out.len();
+        pkt.eth.write(&mut out).unwrap();
+        let ip_at = EthernetHeader::LEN;
+        let mut ipv4 = pkt.ipv4;
+        ipv4.total_len = (total - ip_at) as u16;
+        ipv4.write(&mut out[ip_at..]).unwrap();
+        let udp_at = ip_at + Ipv4Header::LEN;
+        let mut udp = pkt.udp;
+        udp.length = (total - udp_at) as u16;
+        udp.write(&mut out[udp_at..]).unwrap();
+        let bth_at = udp_at + UdpHeader::LEN;
+        let mut bth = pkt.bth;
+        bth.pad_count = pad as u8;
+        bth.write(&mut out[bth_at..]).unwrap();
+        let ext = &mut out[bth_at + Bth::LEN..];
+        match &pkt.ext {
+            RoceExt::None => {}
+            RoceExt::Reth(h) => h.write(ext).unwrap(),
+            RoceExt::Aeth(h) => h.write(ext).unwrap(),
+            RoceExt::AtomicEth(h) => h.write(ext).unwrap(),
+            RoceExt::AtomicAck(aeth, ack) => {
+                aeth.write(ext).unwrap();
+                ack.write(&mut ext[Aeth::LEN..]).unwrap();
+            }
+            RoceExt::Indirect(h) => h.write(ext).unwrap(),
+            RoceExt::HashProbe(h) => h.write(ext).unwrap(),
+            RoceExt::CondWrite(h) => h.write(ext).unwrap(),
+            RoceExt::Gather(h) => h.write(ext).unwrap(),
+            RoceExt::ExtOpAck(aeth, ack) => {
+                aeth.write(ext).unwrap();
+                ack.write(&mut ext[Aeth::LEN..]).unwrap();
+            }
+        }
+        let body_at = bth_at + Bth::LEN + pkt.ext.len();
+        out[body_at..body_at + pkt.payload.len()].copy_from_slice(&pkt.payload);
+        let icrc = icrc_rocev2(&out[ip_at..total - ICRC_LEN]);
+        out[total - ICRC_LEN..].copy_from_slice(&icrc.to_le_bytes());
+        out
+    }
+
+    /// Every verb opcode with the extension header it requires, and a body
+    /// of any length (the encoder does not police which opcodes carry one).
+    fn arb_verb() -> impl Strategy<Value = (Opcode, RoceExt, Vec<u8>)> {
+        let reth = (any::<u64>(), any::<u32>(), any::<u32>()).prop_map(|(va, rkey, dma_len)| {
+            RoceExt::Reth(Reth {
+                va,
+                rkey: Rkey(rkey),
+                dma_len,
+            })
+        });
+        let aeth = (0u32..0x0100_0000).prop_map(|msn| RoceExt::Aeth(Aeth::ack(msn)));
+        let exts = prop_oneof![
+            (
+                prop::sample::select(vec![
+                    Opcode::WriteFirst,
+                    Opcode::WriteOnly,
+                    Opcode::ReadRequest
+                ]),
+                reth
+            ),
+            (
+                prop::sample::select(vec![
+                    Opcode::WriteMiddle,
+                    Opcode::WriteLast,
+                    Opcode::ReadRespMiddle
+                ]),
+                Just(RoceExt::None)
+            ),
+            (
+                prop::sample::select(vec![
+                    Opcode::ReadRespFirst,
+                    Opcode::ReadRespLast,
+                    Opcode::ReadRespOnly,
+                    Opcode::Acknowledge
+                ]),
+                aeth
+            ),
+            (
+                Just(Opcode::FetchAdd),
+                (any::<u64>(), any::<u32>(), any::<u64>(), any::<u64>()).prop_map(
+                    |(va, rkey, swap_add, compare)| RoceExt::AtomicEth(AtomicEth {
+                        va,
+                        rkey: Rkey(rkey),
+                        swap_add,
+                        compare
+                    })
+                )
+            ),
+            (
+                Just(Opcode::AtomicAcknowledge),
+                (0u32..0x0100_0000, any::<u64>()).prop_map(|(msn, original_value)| {
+                    RoceExt::AtomicAck(Aeth::ack(msn), AtomicAckEth { original_value })
+                })
+            ),
+        ];
+        (exts, proptest::collection::vec(any::<u8>(), 0..700))
+            .prop_map(|((op, ext), body)| (op, ext, body))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+        #[test]
+        fn borrowed_parts_encode_what_the_old_builder_did(
+            (op, ext, body) in prop_oneof![arb_verb(), arb_ext_op()],
+            src in arb_endpoint(),
+            dst in arb_endpoint(),
+            sport: u16,
+            qpn in 0u32..0x0100_0000,
+            psn in 0u32..0x0100_0000,
+            (solicited, ack_req, pkey) in (any::<bool>(), any::<bool>(), any::<u16>()),
+            (dscp, ecn, ttl, identification) in (0u8..0x40, 0u8..4, any::<u8>(), any::<u16>()),
+            cuts in proptest::collection::vec(any::<u16>(), 0..5),
+            stale in proptest::collection::vec(any::<u8>(), 0..64),
+        ) {
+            let mut bth = Bth::new(op, QpNum(qpn), psn);
+            bth.solicited = solicited;
+            bth.ack_req = ack_req;
+            bth.pkey = pkey;
+            let mut pkt = RocePacket::new(src, dst, sport, bth, ext, body.clone());
+            pkt.ipv4.dscp = dscp;
+            pkt.ipv4.ecn = ecn;
+            pkt.ipv4.ttl = ttl;
+            pkt.ipv4.identification = identification;
+            let want = reference_build(&pkt);
+
+            // Cut the body anywhere, any number of times; repeated cut
+            // points make empty parts, no cuts and no body make `&[]`.
+            let mut at: Vec<usize> = cuts.iter().map(|c| *c as usize % (body.len() + 1)).collect();
+            at.sort_unstable();
+            let mut parts: Vec<&[u8]> = Vec::new();
+            let mut from = 0;
+            for cut in at {
+                parts.push(&body[from..cut]);
+                from = cut;
+            }
+            if from < body.len() {
+                parts.push(&body[from..]);
+            }
+            // Whatever the buffer held before is gone.
+            let mut out = stale;
+            pkt.headers().encode_into(&parts, &mut out).unwrap();
+            prop_assert_eq!(&out, &want, "parts {:?}", parts.iter().map(|p| p.len()).collect::<Vec<_>>());
+            pkt.build_into(&mut out).unwrap();
+            prop_assert_eq!(&out, &want);
+            // The pooled entry point is the same bytes in a `Packet`.
+            let frame = pkt.headers().encode(&parts).unwrap();
+            prop_assert_eq!(frame.as_slice(), &want[..]);
+            prop_assert_eq!(RocePacket::parse(&frame).unwrap().unwrap().payload, body);
+        }
+
+        #[test]
+        fn both_entry_points_refuse_a_mismatched_extension(
+            (op, _, body) in arb_verb(),
+        ) {
+            let src = extmem_wire::roce::RoceEndpoint { mac: extmem_wire::MacAddr::local(1), ip: 1 };
+            // A Gather header belongs to none of the verb opcodes.
+            let wrong = RoceExt::Gather(extmem_wire::extop::GatherEth { rkey: Rkey(1), word_len: 8, count: 1 });
+            let pkt = RocePacket::new(src, src, 7, Bth::new(op, QpNum(1), 0), wrong, body.clone());
+            let mut out = Vec::new();
+            prop_assert!(pkt.build_into(&mut out).is_err());
+            prop_assert!(pkt.headers().encode_into(&[&body], &mut out).is_err());
         }
     }
 }
