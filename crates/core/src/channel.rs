@@ -9,8 +9,16 @@
 //! In the simulation this runs *before* events flow — exactly mirroring the
 //! paper's initialization-only CPU involvement. Everything after setup is
 //! pure data plane.
+//!
+//! [`ReliableChannel`] is that data plane's requester: it owns every op
+//! from acceptance to completion, and with it the bytes the op sends. A
+//! WRITE's are a [`WriteBody`] — a head held inline and a tail shared with
+//! whoever produced it (a stored packet's arrival frame) — and each
+//! transmission, first or repeated, encodes the request frame from those
+//! parts; the tail goes back to the frame pool when the op that holds its
+//! last reference retires.
 
-use extmem_rnic::requester::{RemoteOp, RequesterQp};
+use extmem_rnic::requester::{RemoteOp, RequesterQp, WriteBody};
 use extmem_rnic::RnicNode;
 use extmem_sim::TimerHandle;
 use extmem_switch::SwitchCtx;
@@ -310,9 +318,12 @@ pub enum ChannelEvent {
 /// What an outstanding op needs to be retransmitted and completed.
 #[derive(Clone, Debug)]
 enum OpKind {
+    /// The body stays with the op until it retires: every transmission —
+    /// first, go-back-N replay, reissue on a failover replica — encodes the
+    /// frame from it.
     Write {
         va: u64,
-        payload: Payload,
+        body: WriteBody,
         ack_req: bool,
     },
     /// `chunks` collects the response packets of a READ longer than the
@@ -363,13 +374,15 @@ impl Outstanding {
         psn_add(self.first_psn, self.span - 1)
     }
 
-    /// The op is finished: its completion event, with the request bytes it
-    /// held for retransmission going back to the frame pool.
+    /// The op is finished: its completion event. A WRITE's tail goes back
+    /// to the frame pool if the op was its last owner (the arrival frame of
+    /// a stored packet is; a tail a mirror's op still holds is recycled by
+    /// that one).
     fn retire(self) -> ChannelEvent {
         let cookie = self.cookie;
         match self.kind {
-            OpKind::Write { payload, .. } => {
-                extmem_wire::pool::recycle(payload);
+            OpKind::Write { body, .. } => {
+                extmem_wire::pool::recycle(body.tail);
                 ChannelEvent::WriteDone { cookie }
             }
             OpKind::Atomic { .. } => ChannelEvent::AtomicDone { cookie },
@@ -566,9 +579,8 @@ impl ReliableChannel {
         }
     }
 
-    /// Encode a verb request into a pooled frame. The frame holds its own
-    /// copy of a WRITE's bytes; the payload stays with the outstanding op
-    /// for retransmission and mirror fan-out.
+    /// Encode a body-less verb request (READ, Fetch-and-Add) into a pooled
+    /// frame.
     fn encode(req: RocePacket) -> Packet {
         req.headers()
             .encode(&[&req.payload])
@@ -583,28 +595,21 @@ impl ReliableChannel {
         }
     }
 
-    /// Issue a single-packet WRITE of `payload` at `va`. With `ack_req` the
-    /// responder acknowledges it explicitly (loss is then recoverable even
-    /// if no later op completes behind it). Returns `false` — op not sent —
-    /// once the channel has failed over.
+    /// Issue a single-packet WRITE of `body` at `va` (a `Vec<u8>` or
+    /// [`Payload`] is a body that is all tail). With `ack_req` the responder
+    /// acknowledges it explicitly (loss is then recoverable even if no
+    /// later op completes behind it). Returns `false` — op not sent, body
+    /// dropped — once the channel has failed over.
     pub fn write(
         &mut self,
         ctx: &mut SwitchCtx<'_, '_, '_>,
         va: u64,
-        payload: impl Into<Payload>,
+        body: impl Into<WriteBody>,
         ack_req: bool,
         cookie: u64,
     ) -> bool {
-        let payload = payload.into();
-        self.accept(
-            ctx,
-            cookie,
-            OpKind::Write {
-                va,
-                payload,
-                ack_req,
-            },
-        )
+        let body = body.into();
+        self.accept(ctx, cookie, OpKind::Write { va, body, ack_req })
     }
 
     /// Issue a READ of `len` bytes at `va`. Returns `false` once failed over.
@@ -680,18 +685,10 @@ impl ReliableChannel {
         let first_psn = self.inner.qp.npsn;
         let rkey = self.inner.rkey;
         let (frame, span, kind) = match kind {
-            OpKind::Write {
-                va,
-                payload,
-                ack_req,
-            } => (
-                Self::encode(self.inner.qp.write_only(rkey, va, payload.clone(), ack_req)),
+            OpKind::Write { va, body, ack_req } => (
+                self.inner.qp.write_only(rkey, va, &body.parts(), ack_req),
                 1,
-                OpKind::Write {
-                    va,
-                    payload,
-                    ack_req,
-                },
+                OpKind::Write { va, body, ack_req },
             ),
             OpKind::Read { va, len, .. } => {
                 let span = self.inner.qp.read_span(len);
@@ -997,17 +994,9 @@ impl ReliableChannel {
         for i in 0..self.outstanding.len() {
             let op = &self.outstanding[i];
             let frame = match &op.kind {
-                OpKind::Write {
-                    va,
-                    payload,
-                    ack_req,
-                } => Self::encode(qp.write_only_at(
-                    op.first_psn,
-                    rkey,
-                    *va,
-                    payload.clone(),
-                    *ack_req,
-                )),
+                OpKind::Write { va, body, ack_req } => {
+                    qp.write_only_at(op.first_psn, rkey, *va, &body.parts(), *ack_req)
+                }
                 OpKind::Read { va, len, .. } => {
                     Self::encode(qp.read_at(op.first_psn, rkey, *va, *len))
                 }
@@ -1399,12 +1388,43 @@ mod tests {
         }
     }
 
+    /// A switch running `program` whose port 0 leads to a [`Blackhole`], and
+    /// a channel for the program to send on: RTO 10 us, one retry. Returns
+    /// the simulation, the switch and the blackhole.
+    fn behind_blackhole<P: extmem_switch::PipelineProgram + 'static>(
+        channel: RdmaChannel,
+        max_window: usize,
+        program: impl FnOnce(ReliableChannel) -> P,
+    ) -> (
+        extmem_sim::Simulator,
+        extmem_types::NodeId,
+        extmem_types::NodeId,
+    ) {
+        use extmem_sim::{LinkSpec, SimBuilder};
+        use extmem_switch::{SwitchConfig, SwitchNode};
+        let config = ReliableConfig {
+            rto: TimeDelta::from_micros(10),
+            max_retries: 1,
+            max_window,
+            ..ReliableConfig::default()
+        };
+        let program = program(ReliableChannel::new(channel, config));
+        let mut b = SimBuilder::new(1);
+        let sw = b.add_node(Box::new(SwitchNode::new(
+            "tor",
+            SwitchConfig::default(),
+            Box::new(program),
+        )));
+        let hole = b.add_node(Box::new(Blackhole::default()));
+        b.connect(sw, PortId(0), hole, PortId(0), LinkSpec::testbed_40g());
+        (b.build(), sw, hole)
+    }
+
     #[test]
     fn remote_op_operands_are_encoded_the_same_every_time() {
         use extmem_rnic::requester::RequesterQp;
-        use extmem_sim::{LinkSpec, SimBuilder};
         use extmem_switch::switch::program_token;
-        use extmem_switch::{SwitchConfig, SwitchNode};
+        use extmem_switch::SwitchNode;
         use extmem_types::{QpNum, Time};
 
         let local = RoceEndpoint {
@@ -1422,24 +1442,10 @@ mod tests {
             region_len: 1 << 16,
             server_port: PortId(0),
         };
-        let config = ReliableConfig {
-            rto: TimeDelta::from_micros(10),
-            max_retries: 1,
-            max_window: 1,
-            ..ReliableConfig::default()
-        };
-        let mut b = SimBuilder::new(1);
-        let sw = b.add_node(Box::new(SwitchNode::new(
-            "tor",
-            SwitchConfig::default(),
-            Box::new(OpIssuer {
-                channel: ReliableChannel::new(channel, config),
-                events: Vec::new(),
-            }),
-        )));
-        let hole = b.add_node(Box::new(Blackhole::default()));
-        b.connect(sw, PortId(0), hole, PortId(0), LinkSpec::testbed_40g());
-        let mut sim = b.build();
+        let (mut sim, sw, hole) = behind_blackhole(channel, 1, |channel| OpIssuer {
+            channel,
+            events: Vec::new(),
+        });
         // The probe goes out at 0 and, unanswered, again at 10 us; its
         // answer at 15 us lets the install out, which times out at 25 us,
         // is retransmitted, and at 45 us takes the channel down with it.
@@ -1481,6 +1487,131 @@ mod tests {
         assert_eq!(sent[4].payload, sent[2].payload);
         assert_eq!(sent[0].payload, *b"thirteen-byte");
         assert_eq!(sent[2].payload, [[0xc5u8; 32], [0x3a; 32]].concat());
+    }
+
+    /// Owns one channel behind a server that never answers; sends one
+    /// framed WRITE, lets it time out, be retransmitted and take the
+    /// channel down, then reissues it the way the pool does after a
+    /// failover. `allocs` is the payloads constructed per timer callback.
+    struct Writer {
+        channel: ReliableChannel,
+        body: WriteBody,
+        events: Vec<ChannelEvent>,
+        allocs: Vec<u64>,
+    }
+
+    impl extmem_switch::PipelineProgram for Writer {
+        fn ingress(&mut self, _: &mut SwitchCtx<'_, '_, '_>, _: PortId, _: Packet) {}
+
+        fn on_timer(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, token: u64) {
+            let va = self.channel.base_va() + 64;
+            let span = extmem_wire::CounterSpan::begin();
+            match token {
+                ISSUE => assert!(self.channel.write(ctx, va, self.body.clone(), true, 1)),
+                REISSUE => {
+                    assert!(self.channel.is_failed());
+                    self.channel.recover_at(RECOVERED_PSN);
+                    assert!(self.channel.write(ctx, va, self.body.clone(), true, 1));
+                }
+                t if t == self.channel.timer_token() => {
+                    self.channel.on_timer_fired(ctx, &mut self.events);
+                }
+                other => panic!("unexpected token {other}"),
+            }
+            self.allocs.push(span.allocs());
+        }
+    }
+
+    #[test]
+    fn framed_write_is_encoded_from_its_parts_every_time() {
+        use extmem_rnic::requester::RequesterQp;
+        use extmem_rnic::responder::process_request;
+        use extmem_rnic::{MrTable, QueuePair};
+        use extmem_switch::switch::program_token;
+        use extmem_switch::SwitchNode;
+        use extmem_types::{QpNum, Time};
+
+        let local = RoceEndpoint {
+            mac: MacAddr::local(1),
+            ip: 0x0a000001,
+        };
+        let peer = RoceEndpoint {
+            mac: MacAddr::local(9),
+            ip: 0x0a000009,
+        };
+        // A responder to replay the captured frames at: registering on a
+        // fresh table hands out the same key and address every time.
+        let region = || {
+            let mut mrs = MrTable::new();
+            let (rkey, base_va) = mrs.register(ByteSize::from_bytes(4096));
+            (mrs, rkey, base_va)
+        };
+        let (_, rkey, base_va) = region();
+        let channel = RdmaChannel {
+            qp: RequesterQp::new(local, peer, QpNum(0x100), 2048),
+            rkey,
+            base_va,
+            region_len: 4096,
+            server_port: PortId(0),
+        };
+        // The tail is a window of a larger buffer, as a stored frame that
+        // was itself lifted out of another is.
+        let frame = Payload::from_vec((0..200u8).collect());
+        let body = WriteBody::framed(b"hdr[6]", frame.slice(20..180));
+        let image = [&b"hdr[6]"[..], &frame[20..180]].concat();
+        let window = ReliableConfig::default().max_window;
+        let (mut sim, sw, hole) = behind_blackhole(channel, window, |channel| Writer {
+            channel,
+            body,
+            events: Vec::new(),
+            allocs: Vec::new(),
+        });
+        // Sent at 0, retransmitted at 10 us when the RTO passes in silence,
+        // given up on at 30 us (the channel fails), reissued at 60 us.
+        sim.schedule_timer(sw, TimeDelta::ZERO, program_token(ISSUE));
+        sim.schedule_timer(sw, TimeDelta::from_micros(60), program_token(REISSUE));
+        sim.run_until(Time::from_micros(65));
+
+        let program = sim.node::<SwitchNode>(sw).program::<Writer>();
+        assert_eq!(
+            program.events,
+            [ChannelEvent::OpFailed { cookie: 1 }, ChannelEvent::Failed]
+        );
+        // One payload per transmission — the frame — and none for the
+        // callback that only gave up.
+        assert_eq!(program.allocs, [1, 1, 0, 1]);
+        assert_eq!(
+            program.body.tail.ref_count(),
+            3,
+            "the test, the program and the reissued op share one tail"
+        );
+
+        let frames = &sim.node::<Blackhole>(hole).frames;
+        assert_eq!(frames.len(), 3);
+        assert_eq!(frames[0], frames[1], "a retransmission is the same frame");
+        let sent: Vec<RocePacket> = frames
+            .iter()
+            .map(|f| RocePacket::parse(f).unwrap().unwrap())
+            .collect();
+        assert_eq!((sent[0].bth.psn, sent[2].bth.psn), (0, RECOVERED_PSN));
+        // The reissue differs in its PSN and in nothing else.
+        let mut renumbered = sent[2].clone();
+        renumbered.bth.psn = 0;
+        assert_eq!(renumbered.build().unwrap(), frames[0]);
+        for req in &sent {
+            let RoceExt::Reth(reth) = req.ext else {
+                panic!("a WRITE carries a RETH: {:?}", req.ext);
+            };
+            assert_eq!(reth.dma_len as usize, image.len());
+            let (mut mrs, rkey, _) = region();
+            let mut qp = QueuePair::new(QpNum(0x100), local, SWITCH_QPN, req.bth.psn);
+            process_request(peer, &mut qp, &mut mrs, req, 2048);
+            let landed = mrs
+                .get(rkey)
+                .unwrap()
+                .read(base_va + 64, image.len() as u64);
+            assert_eq!(landed.unwrap(), &image[..], "the region holds head ‖ tail");
+        }
     }
 
     #[test]

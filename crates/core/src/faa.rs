@@ -23,7 +23,7 @@
 use crate::channel::{ChannelEvent, ChannelStats, RdmaChannel, ReliableChannel, ReliableConfig};
 use crate::pool::{PoolConfig, PoolStats, ReplicatedPool};
 use extmem_switch::SwitchCtx;
-use extmem_types::{IntMap, PortId, TimeDelta};
+use extmem_types::{IntMap, IntSet, PortId, TimeDelta};
 use extmem_wire::roce::RocePacket;
 use std::collections::VecDeque;
 
@@ -96,7 +96,7 @@ pub struct FaaEngine {
     ready: VecDeque<u64>,
     /// Membership guard for `ready` (keeps periodic flushes from growing
     /// the queue without bound while the outstanding window is full).
-    ready_set: std::collections::HashSet<u64>,
+    ready_set: IntSet<u64>,
     /// Completion scratch, reused across calls.
     events: Vec<ChannelEvent>,
     stats: FaaStats,
@@ -157,7 +157,7 @@ impl FaaEngine {
             next_cookie: 0,
             pending: IntMap::default(),
             ready: VecDeque::new(),
-            ready_set: std::collections::HashSet::new(),
+            ready_set: IntSet::default(),
             events: Vec::new(),
             stats: FaaStats::default(),
         }

@@ -40,14 +40,14 @@ use crate::cuckoo::{
 };
 use crate::fib::Fib;
 use crate::pool::{PoolConfig, PoolStats, ReplicatedPool};
-use extmem_rnic::{Operand, RemoteOp, RnicNode};
+use extmem_rnic::{Operand, RemoteOp, RnicNode, WriteBody};
 use extmem_wire::extop::{EXTOP_FLAG_HIT, EXTOP_FLAG_SECONDARY};
 use extmem_switch::filter::ChoiceFilter;
 use extmem_switch::hash::flow_index;
 use extmem_switch::switch::RECIRC_PORT;
 use extmem_switch::table::{ExactMatchTable, Replacement};
 use extmem_switch::{PipelineProgram, SwitchCtx};
-use extmem_types::{FiveTuple, PortId, TimeDelta};
+use extmem_types::{FiveTuple, IntMap, IntSet, PortId, TimeDelta};
 use extmem_wire::ipv4::{internet_checksum, proto};
 use extmem_wire::roce::RocePacket;
 use extmem_wire::{EthernetHeader, Ipv4Header, MacAddr, Packet, Payload, UdpHeader};
@@ -436,14 +436,14 @@ pub struct LookupTableProgram {
     miss_handling: MissHandling,
     /// Recirculate mode: slots with an action READ in flight (responses
     /// are attributed by cookie, so membership is all we need).
-    pending_reads: std::collections::HashSet<u64>,
+    pending_reads: IntSet<u64>,
     /// Recirculate mode: responses parked until their looping packet
     /// comes around again.
-    staged: std::collections::HashMap<u64, ActionEntry>,
+    staged: IntMap<u64, ActionEntry>,
     /// Recirculate mode: passes taken per slot since its READ was issued;
     /// packets whose slot exceeds [`RECIRC_BUDGET`] are dropped (a lost
     /// READ/response must not recirculate packets forever).
-    recirc_passes: std::collections::HashMap<u64, u32>,
+    recirc_passes: IntMap<u64, u32>,
     /// Channel failed over: misses punt to the slow path (forward
     /// unmodified); the local cache keeps serving hits.
     degraded: bool,
@@ -469,7 +469,7 @@ struct CuckooState {
     /// into the FIFO channel.
     live_filter: ChoiceFilter,
     /// In-flight bucket READs: cookie → (flow, probed-secondary?, packet).
-    pending: extmem_types::IntMap<u64, (FiveTuple, bool, Packet)>,
+    pending: IntMap<u64, (FiveTuple, bool, Packet)>,
     /// Next data-plane lookup cookie (bits 62/63 clear).
     next_lookup: u64,
     /// Next control-op cookie (CTRL_BIT set).
@@ -545,9 +545,9 @@ impl LookupTableProgram {
             entries,
             cache: cache_capacity.map(|c| ExactMatchTable::new(c, Replacement::Lru)),
             miss_handling: MissHandling::Bounce,
-            pending_reads: std::collections::HashSet::new(),
-            staged: std::collections::HashMap::new(),
-            recirc_passes: std::collections::HashMap::new(),
+            pending_reads: IntSet::default(),
+            staged: IntMap::default(),
+            recirc_passes: IntMap::default(),
             degraded: false,
             events: Vec::new(),
             mode: TableMode::DirectHash,
@@ -620,16 +620,16 @@ impl LookupTableProgram {
             entries: dir.config().buckets,
             cache: cache_capacity.map(|c| ExactMatchTable::new(c, Replacement::Lru)),
             miss_handling: MissHandling::Bounce,
-            pending_reads: std::collections::HashSet::new(),
-            staged: std::collections::HashMap::new(),
-            recirc_passes: std::collections::HashMap::new(),
+            pending_reads: IntSet::default(),
+            staged: IntMap::default(),
+            recirc_passes: IntMap::default(),
             degraded: false,
             events: Vec::new(),
             mode: TableMode::Cuckoo,
             cuckoo: Some(CuckooState {
                 live_filter,
                 dir,
-                pending: extmem_types::IntMap::default(),
+                pending: IntMap::default(),
                 next_lookup: 0,
                 next_ctrl: 0,
                 steps: VecDeque::new(),
@@ -957,8 +957,8 @@ impl LookupTableProgram {
                 filter_add,
             } => {
                 let cookie = self.next_ctrl_cookie();
-                let bytes = encode_slot(&key, &action).to_vec();
-                self.pool.write(ctx, slot_va(base, to), bytes, true, cookie);
+                let image = WriteBody::inline(&encode_slot(&key, &action));
+                self.pool.write(ctx, slot_va(base, to), image, true, cookie);
                 if filter_add {
                     self.cuckoo
                         .as_mut()
@@ -969,8 +969,9 @@ impl LookupTableProgram {
             }
             Step::Clear { at, filter_sub } => {
                 let cookie = self.next_ctrl_cookie();
+                let zeroes = WriteBody::inline(&[0u8; SLOT_BYTES]);
                 self.pool
-                    .write(ctx, slot_va(base, at), vec![0u8; SLOT_BYTES], true, cookie);
+                    .write(ctx, slot_va(base, at), zeroes, true, cookie);
                 if let Some(key) = filter_sub {
                     self.cuckoo
                         .as_mut()
@@ -1005,8 +1006,8 @@ impl LookupTableProgram {
             }
             let wc = self.next_ctrl_cookie();
             let base = self.pool.base_va();
-            self.pool
-                .write(ctx, slot_va(base, to), expected.to_vec(), true, wc);
+            let image = WriteBody::inline(&expected);
+            self.pool.write(ctx, slot_va(base, to), image, true, wc);
             self.cuckoo
                 .as_mut()
                 .expect("cuckoo state")
@@ -1038,9 +1039,8 @@ impl LookupTableProgram {
                 self.stats.verify_mismatches += 1;
                 let wc = self.next_ctrl_cookie();
                 let base = self.pool.base_va();
-                let expected = encode_slot(&key, &action);
-                self.pool
-                    .write(ctx, slot_va(base, to), expected.to_vec(), true, wc);
+                let image = WriteBody::inline(&encode_slot(&key, &action));
+                self.pool.write(ctx, slot_va(base, to), image, true, wc);
             }
             self.cuckoo
                 .as_mut()
@@ -1183,17 +1183,17 @@ impl LookupTableProgram {
         let slot = self.slot_of(&flow);
         let entry_va = self.pool.base_va() + slot * self.entry_size;
 
-        // (1) WRITE [len][packet] into the slot's scratch area. No explicit
-        // ACK: the READ right behind it completes both (in-order channel),
-        // and a timeout replays the pair.
-        let mut payload = Vec::with_capacity(LEN_FIELD + pkt.len());
-        payload.extend_from_slice(&(pkt.len() as u16).to_be_bytes());
-        payload.extend_from_slice(pkt.as_slice());
+        // (1) WRITE [len][packet] into the slot's scratch area: the length
+        // in front of the arrival frame itself, which the outstanding WRITE
+        // owns from here on. No explicit ACK: the READ right behind it
+        // completes both (in-order channel), and a timeout replays the pair.
+        let read_len = (ACTION_LEN + LEN_FIELD + pkt.len()) as u32;
+        let len = (pkt.len() as u16).to_be_bytes();
+        let bounce = WriteBody::framed(&len, pkt.into_payload());
         self.pool
-            .write(ctx, entry_va + ACTION_LEN as u64, payload, false, slot);
+            .write(ctx, entry_va + ACTION_LEN as u64, bounce, false, slot);
 
         // (2) READ back exactly [action][len][packet].
-        let read_len = (ACTION_LEN + LEN_FIELD + pkt.len()) as u32;
         self.pool.read(ctx, entry_va, read_len, slot);
     }
 

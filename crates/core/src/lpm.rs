@@ -38,11 +38,10 @@ use extmem_rnic::{RemoteOp, RnicNode};
 use extmem_switch::hash::hash_to_index;
 use extmem_switch::table::{ExactMatchTable, Replacement};
 use extmem_switch::{PipelineProgram, SwitchCtx};
-use extmem_types::PortId;
+use extmem_types::{IntMap, PortId};
 use extmem_wire::ipv4::proto;
 use extmem_wire::roce::RocePacket;
 use extmem_wire::{EthernetHeader, Ipv4Header, Packet};
-use std::collections::HashMap;
 
 /// Timer token for the reliability-layer retransmission tick.
 const TOKEN_RELIABILITY_TICK: u64 = 0x51;
@@ -116,7 +115,7 @@ pub struct RemoteLpmProgram {
     cache: Option<ExactMatchTable<u32, ActionEntry>>,
     /// In-flight lookups by id; rung responses are attributed via the
     /// `id × rungs + rung` channel cookie.
-    pending: HashMap<u64, PendingLookup>,
+    pending: IntMap<u64, PendingLookup>,
     next_id: u64,
     /// Collapse each miss's rung ladder into a single gather/walk remote
     /// op (one RTT per miss) instead of per-rung READs.
@@ -208,7 +207,7 @@ impl RemoteLpmProgram {
             levels,
             slots_per_level,
             cache: cache_capacity.map(|c| ExactMatchTable::new(c, Replacement::Lru)),
-            pending: HashMap::new(),
+            pending: IntMap::default(),
             next_id: 0,
             remote_ops: false,
             degraded: false,

@@ -20,7 +20,15 @@
 //!   small reorder stage releases entries strictly in ring order; the
 //!   property is tested end to end.
 //!
-//! Each ring entry is `[ring index: u32][length: u16][packet bytes…]`.
+//! Each ring entry is `[ring index: u32][length: u16][packet bytes…]`, and
+//! storing one is the header prepend the paper describes: the WRITE's body
+//! is the six header bytes, held inline in the op, in front of the arrival
+//! frame itself, shared by refcount ([`WriteBody::framed`]). The packet's
+//! bytes move once, into the request frame; until the WRITE is
+//! acknowledged the outstanding op is the arrival frame's owner (so a
+//! retransmission encodes the same bytes), and its retirement recycles the
+//! buffer. A WRITE the pool refuses leaves the packet with its caller, for
+//! the local queue.
 //! Every WRITE and READ rides a per-server [`ReliableChannel`] with the
 //! ring index as its cookie: lost RDMA packets are retransmitted (§7's
 //! "retransmit the packet on the switch"), responses are attributed to
@@ -33,7 +41,7 @@
 use crate::channel::{ChannelEvent, ChannelStats, RdmaChannel, ReliableChannel, ReliableConfig};
 use crate::fib::Fib;
 use crate::pool::{PoolConfig, PoolStats, ReplicatedPool};
-use extmem_rnic::RemoteOp;
+use extmem_rnic::{RemoteOp, WriteBody};
 use extmem_switch::{PipelineProgram, SwitchCtx};
 use extmem_wire::extop::IndirectMode;
 use extmem_types::{PortId, TimeDelta};
@@ -430,19 +438,22 @@ impl PacketBufferProgram {
             return;
         }
         let idx = self.widx;
-        let mut payload = extmem_wire::pool::take();
-        payload.extend_from_slice(&(idx as u32).to_be_bytes());
-        payload.extend_from_slice(&(pkt.len() as u16).to_be_bytes());
-        payload.extend_from_slice(pkt.as_slice());
+        // Encapsulation is a header prepend: the entry is `[idx][len]` in
+        // front of the arrival frame, which the WRITE shares, not copies.
+        let mut hdr = [0u8; ENTRY_HDR];
+        hdr[..4].copy_from_slice(&(idx as u32).to_be_bytes());
+        hdr[4..].copy_from_slice(&(pkt.len() as u16).to_be_bytes());
+        let entry = WriteBody::framed(&hdr, pkt.view(0..pkt.len()));
         let (ch, va) = self.locate(idx);
-        if !self.pools[ch].write(ctx, va, payload, true, idx) {
+        if !self.pools[ch].write(ctx, va, entry, true, idx) {
             // Failed over between the detour decision and the write: the
             // packet takes the local queue instead.
             self.enqueue_protected(ctx, pkt);
             return;
         }
-        // The entry holds its own copy; the arrival frame's buffer is free.
-        extmem_wire::pool::recycle(pkt.into_payload());
+        // The outstanding WRITE is the frame's last owner now, and recycles
+        // its buffer when the ACK retires it.
+        drop(pkt);
         self.widx += 1;
         self.stats.stored += 1;
         self.stats.max_ring_occupancy = self.stats.max_ring_occupancy.max(self.ring_occupancy());
@@ -695,6 +706,9 @@ mod tests {
         interval: TimeDelta,
         sent: u32,
         tx: TxQueue,
+        /// Bytes of other data on either side of each frame in its buffer:
+        /// 0 sends frames that own their buffer, more sends windows.
+        margin: usize,
     }
 
     impl Node for Source {
@@ -713,6 +727,15 @@ mod tests {
                 self.size,
             )
             .unwrap();
+            let pkt = if self.margin == 0 {
+                pkt
+            } else {
+                let mut buf = vec![0xee; self.margin];
+                buf.extend_from_slice(pkt.as_slice());
+                buf.resize(buf.len() + self.margin, 0xee);
+                let framed = Payload::from_vec(buf);
+                Packet::from_payload(framed.slice(self.margin..self.margin + pkt.len()))
+            };
             self.sent += 1;
             self.tx.send(ctx, pkt);
             if self.sent < self.n {
@@ -731,10 +754,15 @@ mod tests {
     struct Sink {
         seqs: Vec<u32>,
         corrupt: u64,
+        /// Frames that arrived with someone else still holding their bytes.
+        shared: u64,
     }
 
     impl Node for Sink {
         fn on_packet(&mut self, _: &mut NodeCtx<'_>, _: PortId, packet: Packet) {
+            if packet.ref_count() != 1 {
+                self.shared += 1;
+            }
             match parse_data_packet(&packet) {
                 Ok(Some(info)) => self.seqs.push(info.data.seq),
                 _ => self.corrupt += 1,
@@ -747,6 +775,7 @@ mod tests {
 
     struct Rig {
         sim: Simulator,
+        source: NodeId,
         sink: NodeId,
         switch: NodeId,
         memsrvs: Vec<NodeId>,
@@ -808,10 +837,12 @@ mod tests {
             interval: TimeDelta::from_nanos(gap_ns),
             sent: 0,
             tx: TxQueue::new(PortId(0)),
+            margin: 0,
         }));
         let sink = b.add_node(Box::new(Sink {
             seqs: vec![],
             corrupt: 0,
+            shared: 0,
         }));
         let switch = b.add_node(Box::new(SwitchNode::new(
             "tor",
@@ -844,6 +875,7 @@ mod tests {
         sim.schedule_timer(source, TimeDelta::ZERO, 0);
         Rig {
             sim,
+            source,
             sink,
             switch,
             memsrvs,
@@ -1084,6 +1116,93 @@ mod tests {
             "responses must shed entry slack: {}",
             nic.ext_op_bytes
         );
+    }
+
+    #[test]
+    fn windowed_arrival_frame_is_stored_behind_its_entry_header() {
+        // Every arrival is a window into a larger buffer (as a frame lifted
+        // out of an encapsulation is): the WRITE must carry exactly the
+        // window, and the window's buffer must not be recycled under it.
+        let mut r = rig(Mode::Manual, 30, 1000, 300, ByteSize::from_mb(1));
+        r.sim.node_mut::<Source>(r.source).margin = 11;
+        r.sim.run_until(Time::from_micros(100));
+        assert_eq!(prog_stats(&r).stored, 30);
+        let sw = r.sim.node::<SwitchNode>(r.switch);
+        let pool = sw.program::<PacketBufferProgram>().pool(0);
+        let (rkey, base_va) = (pool.rkey(), pool.base_va());
+        let ring = r.sim.node::<RnicNode>(r.memsrvs[0]).region(rkey);
+        for idx in 0..30u32 {
+            let entry = ring.read(base_va + idx as u64 * 2048, 6 + 1000).unwrap();
+            assert_eq!(entry[..4], idx.to_be_bytes(), "entry {idx}: ring index");
+            assert_eq!(entry[4..6], 1000u16.to_be_bytes(), "entry {idx}: length");
+            let stored = Packet::from_vec(entry[6..].to_vec());
+            let info = parse_data_packet(&stored)
+                .unwrap()
+                .expect("a workload frame");
+            assert_eq!(
+                info.data.seq, idx,
+                "entry {idx}: the frame behind the header"
+            );
+        }
+        r.sim.schedule_timer(
+            r.switch,
+            TimeDelta::ZERO,
+            program_token(TOKEN_START_LOADING),
+        );
+        r.sim.run_to_quiescence();
+        assert_eq!(prog_stats(&r).loaded, 30);
+        let sink = r.sim.node::<Sink>(r.sink);
+        assert_eq!(sink.corrupt, 0);
+        assert_eq!(sink.seqs, (0..30).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn refused_write_leaves_the_packet_on_the_protected_queue() {
+        // A server link that delivers nothing: the first store is
+        // retransmitted at 10 us and abandoned at 30 us, taking the channel
+        // (and the detour) down with it.
+        let mut r = rig_full(
+            Mode::Manual,
+            20,
+            1000,
+            100_000,
+            ByteSize::from_mb(1),
+            40,
+            1,
+            1.0,
+            7,
+            false,
+        );
+        fn prog(r: &mut Rig) -> &mut PacketBufferProgram {
+            r.sim.node_mut::<SwitchNode>(r.switch).program_mut()
+        }
+        prog(&mut r).pools[0].set_config(ReliableConfig {
+            rto: TimeDelta::from_micros(10),
+            max_retries: 1,
+            ..Default::default()
+        });
+        r.sim.run_until(Time::from_micros(50));
+        let s = prog_stats(&r);
+        assert!(prog(&mut r).is_degraded());
+        assert_eq!((s.stored, s.lost_entries), (1, 1), "{s:?}");
+        // The window between the detour decision and the write, held open:
+        // from here every arrival decides to detour and is refused.
+        prog(&mut r).degraded = false;
+        let takes = || extmem_wire::pool::hit_count() + extmem_wire::pool::miss_count();
+        let before = takes();
+        r.sim.run_to_quiescence();
+        // The only buffers taken are the ones the source built its 19
+        // frames in: a refused store stages nothing it could then drop.
+        assert_eq!(takes() - before, 19);
+        let s = prog_stats(&r);
+        assert_eq!((s.stored, s.direct, s.loaded), (1, 0, 0), "{s:?}");
+        let sink = r.sim.node::<Sink>(r.sink);
+        assert_eq!(
+            sink.seqs,
+            (1..20).collect::<Vec<_>>(),
+            "refused stores go local"
+        );
+        assert_eq!((sink.corrupt, sink.shared), (0, 0), "and own their bytes");
     }
 
     #[test]

@@ -31,13 +31,13 @@
 //! primitives pay nothing.
 
 use crate::channel::{ChannelEvent, ReliableChannel};
-use extmem_rnic::RemoteOp;
+use extmem_rnic::{RemoteOp, WriteBody};
 use extmem_switch::SwitchCtx;
 use extmem_wire::extop::EXTOP_FLAG_HIT;
-use extmem_types::{IntMap, PortId, Rkey, TimeDelta};
+use extmem_types::{IntMap, IntSet, PortId, Rkey, TimeDelta};
 use extmem_wire::bth::psn_add;
 use extmem_wire::Payload;
-use std::collections::{BTreeMap, BTreeSet, HashSet, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 use std::fmt;
 
 /// Cookie-space split: the pool's internal ops (mirror writes, probes,
@@ -288,7 +288,7 @@ impl fmt::Display for PoolStats {
 enum PoolOp {
     Write {
         va: u64,
-        payload: Payload,
+        body: WriteBody,
         ack_req: bool,
     },
     Read {
@@ -334,8 +334,21 @@ struct PoolServer {
     /// Channel-stat watermarks for deriving detector inputs.
     seen_timeouts: u64,
     seen_progress: u64,
-    /// FaA updates applied to the primary but not yet to this server.
-    delta: BTreeMap<u64, u64>,
+    /// FaA updates applied to the primary but not yet to this server:
+    /// `(va, sum)` in ascending `va`, the order a flush replays them in.
+    /// Small (one entry per counter touched since the last flush), so a
+    /// sorted vector that keeps its capacity across flushes.
+    delta: Vec<(u64, u64)>,
+}
+
+impl PoolServer {
+    /// Owe this server `add` more at `va`.
+    fn accumulate(&mut self, va: u64, add: u64) {
+        match self.delta.binary_search_by_key(&va, |&(at, _)| at) {
+            Ok(i) => self.delta[i].1 += add,
+            Err(i) => self.delta.insert(i, (va, add)),
+        }
+    }
 }
 
 impl fmt::Debug for PoolServer {
@@ -372,7 +385,7 @@ pub struct ReplicatedPool {
     orphans: Vec<u64>,
     /// `(server, cookie)`: caller atomics already covered by that server's
     /// in-progress reseed snapshot — their deltas must not double-apply.
-    delta_skip: HashSet<(usize, u64)>,
+    delta_skip: IntSet<(usize, u64)>,
     /// Every word ever touched by a caller FaA (the reseed copy list).
     touched: BTreeSet<u64>,
     reseed: Option<Reseed>,
@@ -431,7 +444,7 @@ impl ReplicatedPool {
                     health: HealthDetector::new(config.down_threshold),
                     seen_timeouts: 0,
                     seen_progress: 0,
-                    delta: BTreeMap::new(),
+                    delta: Vec::new(),
                 })
                 .collect(),
             primary: 0,
@@ -441,7 +454,7 @@ impl ReplicatedPool {
             internal: IntMap::default(),
             next_internal: 0,
             orphans: Vec::new(),
-            delta_skip: HashSet::new(),
+            delta_skip: IntSet::default(),
             touched: BTreeSet::new(),
             reseed: None,
             probe_armed: false,
@@ -596,35 +609,38 @@ impl ReplicatedPool {
     }
 
     /// Issue a WRITE: primary (caller cookie) + a copy to every live
-    /// mirror. Returns `false` once the pool has wholly degraded.
+    /// mirror, all sharing `body`'s tail. Returns `false` — body dropped —
+    /// once the pool has wholly degraded.
     pub fn write(
         &mut self,
         ctx: &mut SwitchCtx<'_, '_, '_>,
         va: u64,
-        payload: impl Into<Payload>,
+        body: impl Into<WriteBody>,
         ack_req: bool,
         cookie: u64,
     ) -> bool {
-        let payload = payload.into();
+        let body = body.into();
         if self.servers.len() == 1 {
-            return self.servers[0].channel.write(ctx, va, payload, ack_req, cookie);
+            return self.servers[0]
+                .channel
+                .write(ctx, va, body, ack_req, cookie);
         }
         if self.failed {
             return false;
         }
         debug_assert!(cookie & INTERNAL_BIT == 0, "caller cookies use bits 0..63");
-        self.mirror_write(ctx, va, &payload);
+        self.mirror_write(ctx, va, &body);
         self.ops.push_back((
             cookie,
             PoolOp::Write {
                 va,
-                payload: payload.clone(),
+                body: body.clone(),
                 ack_req,
             },
         ));
         self.servers[self.primary]
             .channel
-            .write(ctx, va, payload, ack_req, cookie)
+            .write(ctx, va, body, ack_req, cookie)
     }
 
     /// Issue a READ at the primary. Returns `false` once wholly degraded.
@@ -684,13 +700,13 @@ impl ReplicatedPool {
         self.servers[self.primary].channel.remote_op(ctx, op, cookie)
     }
 
-    /// Copy a WRITE of `payload` at `va` to every mirror currently
+    /// Copy a WRITE of `body` at `va` to every mirror currently
     /// eligible for fanout (live and not the primary), each under its own
     /// internal cookie. Mirror copies always request an explicit ACK: with
     /// no caller traffic behind them on that channel, an implicit
     /// completion might never come and the retransmission timer would
     /// wrongly fail the mirror.
-    fn mirror_write(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, va: u64, payload: &Payload) {
+    fn mirror_write(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, va: u64, body: &WriteBody) {
         for j in 0..self.servers.len() {
             let live = matches!(
                 self.servers[j].health.state(),
@@ -702,7 +718,7 @@ impl ReplicatedPool {
             let ic = self.alloc_internal(InternalOp::MirrorWrite);
             self.servers[j]
                 .channel
-                .write(ctx, va, payload.clone(), true, ic);
+                .write(ctx, va, body.clone(), true, ic);
             self.stats.mirror_writes += 1;
         }
     }
@@ -846,14 +862,19 @@ impl ReplicatedPool {
                             if self.delta_skip.remove(&(j, cookie)) {
                                 continue;
                             }
-                            *self.servers[j].delta.entry(va).or_insert(0) += add;
+                            self.servers[j].accumulate(va, add);
                             self.stats.delta_accumulated += 1;
                         }
                     }
                     out.push(ChannelEvent::AtomicDone { cookie });
                 }
                 ChannelEvent::WriteDone { cookie } => {
-                    self.pop_caller_op(cookie);
+                    // The pool's copy of the body kept the tail shared while
+                    // the channels retired theirs; whichever reference goes
+                    // last — this one, or a slower mirror's — recycles it.
+                    if let Some(PoolOp::Write { body, .. }) = self.pop_caller_op(cookie) {
+                        extmem_wire::pool::recycle(body.tail);
+                    }
                     out.push(ChannelEvent::WriteDone { cookie });
                 }
                 ChannelEvent::ReadDone { cookie, data } => {
@@ -877,9 +898,7 @@ impl ReplicatedPool {
                             // propagate the decided image to the mirrors
                             // as plain WRITEs (re-running the *condition*
                             // there could decide differently).
-                            let mut image = extmem_wire::pool::take();
-                            image.extend_from_slice(&write);
-                            self.mirror_write(ctx, write_va, &Payload::from_vec(image));
+                            self.mirror_write(ctx, write_va, &WriteBody::inline(&write));
                         }
                     }
                     out.push(ChannelEvent::RemoteDone {
@@ -953,7 +972,7 @@ impl ReplicatedPool {
             InternalOp::Probe { .. } => {}
             InternalOp::DeltaFaa { server, va, add } => {
                 // Replay didn't land; put the delta back for the next flush.
-                *self.servers[server].delta.entry(va).or_insert(0) += add;
+                self.servers[server].accumulate(va, add);
             }
             InternalOp::ReseedRead { target, .. } | InternalOp::ReseedWrite { target } => {
                 if self.reseed.as_ref().is_some_and(|r| r.target == target) {
@@ -1009,14 +1028,14 @@ impl ReplicatedPool {
                 continue;
             };
             match &op {
-                PoolOp::Write {
-                    va,
-                    payload,
-                    ack_req,
-                } => {
-                    self.servers[new_primary]
-                        .channel
-                        .write(ctx, *va, payload.clone(), *ack_req, cookie);
+                PoolOp::Write { va, body, ack_req } => {
+                    self.servers[new_primary].channel.write(
+                        ctx,
+                        *va,
+                        body.clone(),
+                        *ack_req,
+                        cookie,
+                    );
                 }
                 PoolOp::Read { va, len } => {
                     self.servers[new_primary]
@@ -1041,14 +1060,19 @@ impl ReplicatedPool {
         }
     }
 
-    /// Drain `server`'s accumulated FaA delta into replay ops on it.
+    /// Drain `server`'s accumulated FaA delta into replay ops on it, in
+    /// ascending `va`.
     fn replay_delta(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, server: usize) {
-        let delta = std::mem::take(&mut self.servers[server].delta);
-        for (va, add) in delta {
+        // Issuing an op completes none, so nothing accumulates on `server`
+        // while its list is out; it goes back empty, capacity intact.
+        let mut delta = std::mem::take(&mut self.servers[server].delta);
+        for (va, add) in delta.drain(..) {
             let ic = self.alloc_internal(InternalOp::DeltaFaa { server, va, add });
             self.servers[server].channel.fetch_add(ctx, va, add, ic);
             self.stats.delta_replayed += 1;
         }
+        debug_assert!(self.servers[server].delta.is_empty());
+        self.servers[server].delta = delta;
     }
 
     /// Anti-entropy flush: replay pending FaA deltas onto every live

@@ -22,10 +22,9 @@ use crate::lookup::flow_of;
 use crate::pool::PoolStats;
 use extmem_switch::hash::flow_index;
 use extmem_switch::{PipelineProgram, SwitchCtx};
-use extmem_types::{FiveTuple, PortId, TimeDelta};
+use extmem_types::{FiveTuple, IntMap, PortId, TimeDelta};
 use extmem_wire::roce::RocePacket;
 use extmem_wire::Packet;
-use std::collections::HashMap;
 
 /// Timer token for the program's periodic flush/retransmit tick.
 const TOKEN_TICK: u64 = 0x21;
@@ -185,7 +184,7 @@ pub struct ShardedStateStoreProgram {
     /// Ground-truth `(shard, slot)` counts recorded at routing time — the
     /// oracle stays exact across rebalances because each update is
     /// attributed to the shard that actually received it.
-    pub oracle: HashMap<(u32, u64), u64>,
+    pub oracle: IntMap<(u32, u64), u64>,
     /// Packets forwarded.
     pub forwarded: u64,
 }
@@ -235,7 +234,7 @@ impl ShardedStateStoreProgram {
             counters_per_shard,
             tick_interval,
             tick_armed: false,
-            oracle: HashMap::new(),
+            oracle: IntMap::default(),
             forwarded: 0,
         }
     }

@@ -16,7 +16,7 @@ use crate::fib::Fib;
 use crate::lookup::{flow_of, ActionEntry, ActionKind};
 use extmem_switch::table::{ExactMatchTable, Replacement};
 use extmem_switch::{PipelineProgram, SwitchCtx};
-use extmem_types::{FiveTuple, PortId, TimeDelta};
+use extmem_types::{FiveTuple, IntMap, PortId, TimeDelta};
 use extmem_wire::Packet;
 use std::collections::HashMap;
 
@@ -44,7 +44,7 @@ pub struct CpuSlowPathProgram {
     cpu_latency: TimeDelta,
     /// Punt-queue bound (packets in flight to the CPU).
     max_outstanding: usize,
-    pending: HashMap<u64, Packet>,
+    pending: IntMap<u64, Packet>,
     next_token: u64,
     stats: SlowPathStats,
 }
@@ -64,7 +64,7 @@ impl CpuSlowPathProgram {
             cache: cache_capacity.map(|c| ExactMatchTable::new(c, Replacement::Lru)),
             cpu_latency,
             max_outstanding,
-            pending: HashMap::new(),
+            pending: IntMap::default(),
             next_token: 0,
             stats: SlowPathStats::default(),
         }

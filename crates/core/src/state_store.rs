@@ -19,10 +19,9 @@ use crate::lookup::flow_of;
 use extmem_rnic::RnicNode;
 use extmem_switch::hash::flow_index;
 use extmem_switch::{PipelineProgram, SwitchCtx};
-use extmem_types::{PortId, Rkey, TimeDelta};
+use extmem_types::{IntMap, PortId, Rkey, TimeDelta};
 use extmem_wire::roce::RocePacket;
 use extmem_wire::Packet;
-use std::collections::HashMap;
 
 /// Timer token for the periodic flush/retransmit tick.
 const TOKEN_TICK: u64 = 0x21;
@@ -39,7 +38,7 @@ pub struct StateStoreProgram {
     /// Ground-truth per-slot counts maintained by the test oracle (the
     /// simulated equivalent of §5's "verify the accuracy of the value in
     /// the counter"). Not consulted by the data path.
-    pub oracle: HashMap<u64, u64>,
+    pub oracle: IntMap<u64, u64>,
     /// Packets forwarded.
     pub forwarded: u64,
 }
@@ -55,7 +54,7 @@ impl StateStoreProgram {
             counters,
             tick_interval,
             tick_armed: false,
-            oracle: HashMap::new(),
+            oracle: IntMap::default(),
             forwarded: 0,
         }
     }

@@ -145,14 +145,11 @@ impl TraceStoreProgram {
         // ring end, so a batch never wraps mid-WRITE.
         let slot = first_seq % self.ring_records;
         let va = self.channel.base_va + slot * RECORD_LEN as u64;
-        let req = self
+        let frame = self
             .channel
             .qp
-            .write_only(self.channel.rkey, va, payload, false);
-        ctx.enqueue(
-            self.channel.server_port,
-            req.build().expect("trace write encodes"),
-        );
+            .write_only(self.channel.rkey, va, &[&payload], false);
+        ctx.enqueue(self.channel.server_port, frame);
         self.stats.writes += 1;
     }
 

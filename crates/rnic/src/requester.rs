@@ -5,6 +5,12 @@
 //! switch primitives embed one per channel; the E1 baseline ("native
 //! server-to-server RDMA") uses the two traffic nodes defined here,
 //! [`WriteBlaster`] and [`ReadLooper`].
+//!
+//! A request that carries bytes is encoded from where its owner keeps them:
+//! a remote op's operands ride inline in the [`RemoteOp`], a WRITE's bytes
+//! are a [`WriteBody`] — an inline head and a shared tail — and
+//! [`RequesterQp::write_only`] / [`RequesterQp::remote_op`] return the
+//! encoded frame. No request has a payload built around its bytes first.
 
 use crate::nic::RnicNode;
 use extmem_sim::{Node, NodeCtx, TxQueue};
@@ -14,7 +20,7 @@ use extmem_wire::bth::{psn_add, Bth, Opcode};
 use extmem_wire::extop::{CondWriteEth, GatherEth, HashProbeEth, IndirectEth, IndirectMode};
 use extmem_wire::reth::Reth;
 use extmem_wire::roce::{RoceEndpoint, RoceExt, RoceHeaders, RocePacket};
-use extmem_wire::Packet;
+use extmem_wire::{Packet, Payload};
 
 /// A remote op's byte operand (a probe key, a compare or write image), held
 /// inline in the op: up to [`Operand::MAX_LEN`] bytes, no heap buffer. The
@@ -64,6 +70,67 @@ impl std::ops::Deref for Operand {
 impl std::fmt::Debug for Operand {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "Operand({:02x?})", &self[..])
+    }
+}
+
+/// The bytes of an RDMA WRITE, in the two parts a switch has them in: a
+/// short `head` it composes itself (a ring entry's `[idx][len]`, a slot
+/// image), held inline like a remote op's operands, and a `tail` it only
+/// forwards — the arrival frame being stored, shared by refcount, never
+/// copied into a buffer of its own. The responder sees `head ‖ tail` at the
+/// WRITE's address: encapsulating a packet is prepending a header to it.
+///
+/// Whoever queues the WRITE for retransmission owns the body by value, and
+/// every transmission encodes the frame from the two parts
+/// ([`RequesterQp::write_only_at`]). Nothing can change the tail meanwhile:
+/// a [`Payload`] mutates only through copy-on-write, which leaves the
+/// shared bytes alone.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct WriteBody {
+    /// Bytes the requester composed, first at the WRITE's address.
+    pub head: Operand,
+    /// Bytes it forwards, right behind the head.
+    pub tail: Payload,
+}
+
+impl WriteBody {
+    /// A body of at most [`Operand::MAX_LEN`] bytes, with no heap buffer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bytes` is longer than [`Operand::MAX_LEN`].
+    pub fn inline(bytes: &[u8]) -> WriteBody {
+        WriteBody::framed(bytes, Payload::empty())
+    }
+
+    /// `head` (at most [`Operand::MAX_LEN`] bytes, copied inline) in front
+    /// of `tail` (shared, not copied).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `head` is longer than [`Operand::MAX_LEN`].
+    pub fn framed(head: &[u8], tail: Payload) -> WriteBody {
+        WriteBody {
+            head: Operand::new(head),
+            tail,
+        }
+    }
+
+    /// The body as the frame encoder takes it.
+    pub fn parts(&self) -> [&[u8]; 2] {
+        [&self.head, &self.tail]
+    }
+}
+
+impl From<Payload> for WriteBody {
+    fn from(tail: Payload) -> WriteBody {
+        WriteBody::framed(&[], tail)
+    }
+}
+
+impl From<Vec<u8>> for WriteBody {
+    fn from(bytes: Vec<u8>) -> WriteBody {
+        Payload::from_vec(bytes).into()
     }
 }
 
@@ -163,22 +230,15 @@ impl RequesterQp {
         }
     }
 
-    /// Build a single-packet RDMA WRITE. Accepts any payload source (a
-    /// `Vec<u8>` or an already-shared [`extmem_wire::Payload`]); passing a
-    /// `Payload` keeps the buffer shared, copy-free.
-    pub fn write_only(
-        &mut self,
-        rkey: Rkey,
-        va: u64,
-        payload: impl Into<extmem_wire::Payload>,
-        ack_req: bool,
-    ) -> RocePacket {
-        let pkt = self.write_only_at(self.npsn, rkey, va, payload, ack_req);
+    /// Encode a single-packet RDMA WRITE of `body`, the concatenation of
+    /// its parts, at `va`: the frame is the one copy made of them.
+    pub fn write_only(&mut self, rkey: Rkey, va: u64, body: &[&[u8]], ack_req: bool) -> Packet {
+        let pkt = self.write_only_at(self.npsn, rkey, va, body, ack_req);
         self.npsn = psn_add(self.npsn, 1);
         pkt
     }
 
-    /// Build a single-packet RDMA WRITE carrying an explicit PSN, without
+    /// Encode a single-packet RDMA WRITE carrying an explicit PSN, without
     /// touching `npsn`. Retransmission layers use this to re-send an
     /// in-flight op under its original sequence number.
     pub fn write_only_at(
@@ -186,24 +246,25 @@ impl RequesterQp {
         psn: u32,
         rkey: Rkey,
         va: u64,
-        payload: impl Into<extmem_wire::Payload>,
+        body: &[&[u8]],
         ack_req: bool,
-    ) -> RocePacket {
-        let payload = payload.into();
+    ) -> Packet {
         let mut bth = Bth::new(Opcode::WriteOnly, self.peer_qpn, psn);
         bth.ack_req = ack_req;
-        RocePacket::new(
+        let reth = Reth {
+            va,
+            rkey,
+            dma_len: body.iter().map(|part| part.len()).sum::<usize>() as u32,
+        };
+        RoceHeaders::new(
             self.local,
             self.peer,
             self.udp_src_port,
             bth,
-            RoceExt::Reth(Reth {
-                va,
-                rkey,
-                dma_len: payload.len() as u32,
-            }),
-            payload,
+            RoceExt::Reth(reth),
         )
+        .encode(body)
+        .expect("WRITE request encodes")
     }
 
     /// Response packets a READ of `len` bytes will generate (one PSN each,
@@ -456,15 +517,14 @@ impl WriteBlaster {
         if self.cursor + self.msg_size as u64 > self.region_len {
             self.cursor = 0;
         }
-        let mut payload = extmem_wire::pool::take();
-        payload.resize(self.msg_size, (self.sent & 0xff) as u8);
-        let req = self
+        let mut message = extmem_wire::pool::take();
+        message.resize(self.msg_size, (self.sent & 0xff) as u8);
+        let frame = self
             .qp
-            .write_only(self.rkey, self.base_va + self.cursor, payload, false);
+            .write_only(self.rkey, self.base_va + self.cursor, &[&message], false);
+        extmem_wire::pool::give(message);
         self.cursor += self.msg_size as u64;
-        let frame = req.headers().encode(&[&req.payload]);
-        self.tx.send(ctx, frame.expect("write encodes"));
-        extmem_wire::pool::recycle(req.payload);
+        self.tx.send(ctx, frame);
         self.sent += 1;
         if self.remaining > 0 {
             ctx.schedule(self.interval, TOKEN_SEND);
@@ -627,7 +687,8 @@ mod tests {
     #[test]
     fn requester_qp_psn_accounting() {
         let mut qp = RequesterQp::new(host(), server(), QpNum(7), 1024);
-        let w = qp.write_only(Rkey(1), 0x1000, vec![0; 10], false);
+        let w = qp.write_only(Rkey(1), 0x1000, &[&[0; 10]], false);
+        let w = RocePacket::parse(&w).unwrap().unwrap();
         assert_eq!(w.bth.psn, 0);
         let r = qp.read(Rkey(1), 0x1000, 3000); // 3 response packets at 1024 MTU
         assert_eq!(r.bth.psn, 1);

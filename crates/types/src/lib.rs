@@ -20,7 +20,7 @@ pub mod time;
 pub mod units;
 
 pub use flow::FiveTuple;
-pub use hash::IntMap;
+pub use hash::{IntMap, IntSet};
 pub use id::{LinkId, NodeId, PortId, QpNum, Rkey};
 pub use rate::Rate;
 pub use time::{Time, TimeDelta};

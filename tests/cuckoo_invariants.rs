@@ -317,6 +317,70 @@ fn collision_cell_direct_hash_aliases_the_pair() {
     assert_eq!(s.actions_applied, 2, "{s:?}");
 }
 
+/// Direct-hash mode bounces every missing packet through its slot: the
+/// WRITE is a length in front of the arrival frame itself (the frame is the
+/// WRITE's tail, not copied into a payload of its own), and the READ behind
+/// it brings back `[action][len][packet]`. Every frame must come back
+/// whole, the slot must hold what was bounced, and the arrival frame's
+/// buffer must return to the frame pool once the pair completes.
+#[test]
+fn direct_hash_bounce_round_trips_the_arrival_frame() {
+    const ENTRIES: u64 = 64;
+    const COUNT: u64 = 400;
+    const DSCP: u8 = 46;
+    let flows: Vec<FiveTuple> = (0..8)
+        .map(|i| FiveTuple::new(host_ip(0), host_ip(1), 30_000 + i, 80, 17))
+        .collect();
+    let spec = traffic(flows.clone(), FlowPick::RoundRobin, 2, COUNT, 3);
+    let (mut tb, table, channel) = lookup_rig(91, spec, DSCP, ENTRIES * 2048);
+    let (rkey, base_va) = (channel.rkey, channel.base_va);
+    for flow in &flows {
+        let action = ActionEntry::set_dscp(DSCP);
+        install_remote_action(tb.nic_mut(table), &channel, 2048, flow, action);
+    }
+    let prog = LookupTableProgram::new(tb.fib(), channel, 2048, None);
+    let mut t = tb.build(SwitchConfig::default(), Box::new(prog));
+    // A quarter of the run warms the frame pool; from then on every build
+    // finds a buffer some consumer gave back.
+    t.sim.run_until(Time::from_micros(100));
+    let misses = extmem_wire::pool::miss_count();
+    t.sim.run_to_quiescence();
+    assert_eq!(
+        extmem_wire::pool::miss_count(),
+        misses,
+        "a buffer left the pool"
+    );
+
+    let sink = t.sim.node::<SinkNode>(t.hosts[1]);
+    assert_eq!(
+        (sink.received, sink.corrupt, sink.dscp_mismatch),
+        (COUNT, 0, 0)
+    );
+    let sw: &SwitchNode = t.sim.node(t.switch);
+    let prog = sw.program::<LookupTableProgram>();
+    let s = prog.stats();
+    assert_eq!(
+        (s.remote_lookups, s.responses, s.actions_applied),
+        (COUNT, COUNT, COUNT),
+        "{s:?}"
+    );
+    assert_eq!(s.channel.retransmits, 0, "{s:?}");
+    // Each slot's scratch area: the length, then the last frame bounced
+    // through it, as it arrived (the action is applied on the way out).
+    let region = t.sim.node::<RnicNode>(t.servers[0]).region(rkey);
+    for flow in &flows {
+        let va = base_va + prog.slot_of(flow) * 2048 + 16;
+        let scratch = region.read(va, 2 + 256).unwrap();
+        assert_eq!(scratch[..2], 256u16.to_be_bytes());
+        let frame = extmem_wire::Packet::from_vec(scratch[2..].to_vec());
+        let info = extmem_wire::payload::parse_data_packet(&frame)
+            .expect("bounced bytes are an intact frame")
+            .expect("a workload frame");
+        assert_eq!(info.ipv4.dscp, 0, "stored before the action applied");
+        assert_eq!(prog.slot_of(&info.five_tuple()), prog.slot_of(flow));
+    }
+}
+
 /// Cuckoo mode: the same colliding pair resolves to two distinct actions,
 /// one READ each — proven end to end by steering `fb` out a different
 /// egress port while `fa` keeps its DSCP mark.

@@ -350,6 +350,117 @@ fn parallel_workers_report_their_payload_counts() {
     assert_eq!(counts(SchedBackend::Parallel(2)), wheel);
 }
 
+/// Issues one WRITE per tick to a replicated pool, its bytes in a buffer
+/// from the frame pool, and recycles every frame the servers send back.
+struct PoolWriter {
+    pool: extmem_core::ReplicatedPool,
+    events: Vec<extmem_core::ChannelEvent>,
+    issued: u64,
+    acked: u64,
+}
+
+impl PoolWriter {
+    const TICK: u64 = 1;
+}
+
+impl extmem_switch::PipelineProgram for PoolWriter {
+    fn ingress(
+        &mut self,
+        ctx: &mut extmem_switch::SwitchCtx<'_, '_, '_>,
+        port: PortId,
+        pkt: Packet,
+    ) {
+        if let Ok(Some(roce)) = extmem_wire::RocePacket::parse(&pkt) {
+            self.pool.on_roce(ctx, port, &roce, &mut self.events);
+        }
+        extmem_wire::pool::recycle(pkt.into_payload());
+        for ev in self.events.drain(..) {
+            assert!(
+                matches!(ev, extmem_core::ChannelEvent::WriteDone { .. }),
+                "{ev:?}"
+            );
+            self.acked += 1;
+        }
+    }
+
+    fn on_timer(&mut self, ctx: &mut extmem_switch::SwitchCtx<'_, '_, '_>, token: u64) {
+        if token != Self::TICK {
+            assert!(self.pool.on_timer(ctx, token, &mut self.events));
+            return;
+        }
+        let mut image = extmem_wire::pool::take();
+        image.resize(512, self.issued as u8);
+        let va = self.pool.base_va() + (self.issued % 8) * 512;
+        assert!(self.pool.write(ctx, va, image, true, self.issued));
+        self.issued += 1;
+    }
+}
+
+const WRITES: u64 = 200;
+
+/// `WRITES` acknowledged WRITEs to a two-server pool, then `WRITES` more:
+/// frame-pool `(hits, misses)` of the second window. `delays` are the
+/// propagation delays of the primary's and the mirror's link, which decide
+/// whose ACK comes first.
+fn replicated_write_window(delays: [TimeDelta; 2]) -> (u64, u64) {
+    use extmem_apps::scenario::{Built, Testbed};
+    use extmem_core::{PoolConfig, ReliableChannel, ReliableConfig, ReplicatedPool};
+    use extmem_rnic::RnicConfig;
+    use extmem_switch::switch::program_token;
+    use extmem_switch::{SwitchConfig, SwitchNode};
+    use extmem_types::{ByteSize, Rate};
+    use extmem_wire::pool;
+
+    let mut tb = Testbed::new(17);
+    let channels = delays.map(|delay| {
+        let link = LinkSpec::new(Rate::from_gbps(40), delay);
+        let (_, channel) = tb.server(RnicConfig::default(), ByteSize::from_bytes(4096), link);
+        ReliableChannel::new(channel, ReliableConfig::default())
+    });
+    let prog = PoolWriter {
+        pool: ReplicatedPool::new(channels.into(), PoolConfig::default()),
+        events: Vec::new(),
+        issued: 0,
+        acked: 0,
+    };
+    let mut t = tb.build(SwitchConfig::default(), Box::new(prog));
+    // One WRITE a microsecond; each window runs until its last ACK is in.
+    let window = |t: &mut Built, n: u64| {
+        for i in 0..WRITES {
+            let at = TimeDelta::from_micros(i);
+            t.sim
+                .schedule_timer(t.switch, at, program_token(PoolWriter::TICK));
+        }
+        let until = t.sim.now() + TimeDelta::from_micros(WRITES + 100);
+        t.sim.run_until(until);
+        let sw: &SwitchNode = t.sim.node(t.switch);
+        let prog = sw.program::<PoolWriter>();
+        assert_eq!((prog.issued, prog.acked), (n * WRITES, n * WRITES));
+        assert!(prog.pool.is_synced());
+        (pool::hit_count(), pool::miss_count())
+    };
+    let (hits0, misses0) = window(&mut t, 1);
+    let (hits1, misses1) = window(&mut t, 2);
+    (hits1 - hits0, misses1 - misses0)
+}
+
+/// A replicated WRITE's bytes are shared by the primary's op, the mirror's
+/// and the pool's own record of the op. Whichever lets go last must hand
+/// the buffer back to the frame pool — when that was the pool's record it
+/// used to be dropped, so with the mirror the quicker replica every WRITE
+/// drained the pool by one and, once it ran dry, every build missed.
+#[test]
+fn replicated_pool_returns_write_buffers_to_the_frame_pool() {
+    let (near, far) = (TimeDelta::from_nanos(300), TimeDelta::from_micros(2));
+    for (order, delays) in [("mirror", [far, near]), ("primary", [near, far])] {
+        let (hits, misses) = replicated_write_window(delays);
+        // Per WRITE: its bytes, a request frame to each server, an ACK
+        // from each.
+        assert_eq!(hits, 5 * WRITES, "{order} answers first: takes per WRITE");
+        assert_eq!(misses, 0, "{order} answers first: a buffer left the pool");
+    }
+}
+
 /// A 4-leaf x 2-spine fabric in the shape of the benchmark's: every leaf
 /// counts each frame it forwards with a Fetch-and-Add on its pod's memory
 /// server, every pod's generator sends across a spine to the next pod's

@@ -1279,7 +1279,7 @@ mod remote_op_oracle {
         }
 
         fn write(&mut self, va: u64, bytes: &[u8]) {
-            let pkt = self.req.write_only(self.rkey, va, bytes.to_vec(), false);
+            let pkt = parsed(&self.req.write_only(self.rkey, va, &[bytes], false));
             let r = process_request(self.server, &mut self.qp, &mut self.mrs, &pkt, MTU);
             assert!(
                 matches!(r.outcome, Outcome::WriteExecuted { .. }),
@@ -1444,8 +1444,8 @@ mod remote_op_oracle {
         rig.write(base + 1200, &20u16.to_be_bytes());
         let probe_key = image[256 + 16 + 2..256 + 16 + 6].to_vec();
         let requests = [
-            rig.req.write_only(rkey, base + 64, vec![0xa5; 100], true),
-            rig.req.write_only(rkey, base + 200, vec![0x5a; 24], false),
+            parsed(&rig.req.write_only(rkey, base + 64, &[&[0xa5; 100]], true)),
+            parsed(&rig.req.write_only(rkey, base + 200, &[&[0x5a; 24]], false)),
             rig.req.read(rkey, base + 32, 100),
             rig.req.read(rkey, base, 300),
             rig.req.fetch_add(rkey, base + 512, 41),

@@ -204,6 +204,66 @@ proptest! {
         prop_assert_eq!(info.five_tuple(), flow);
     }
 
+    /// The filler is written and checked a block at a time against a static
+    /// byte ramp; the oracle is the byte-at-a-time definition. Every filler
+    /// length from none to a full frame's, then one byte flipped anywhere
+    /// behind the magic: the workload header (a different flow or sequence
+    /// number moves the whole ramp) or the filler itself.
+    #[test]
+    fn filler_blocks_match_the_bytewise_oracle(
+        flow_id: u32,
+        seq: u32,
+        filler_len in 0usize..1501,
+        flip_at in any::<prop::sample::Index>(),
+        flip in 0u8..255,
+    ) {
+        fn oracle(flow_id: u32, seq: u32, offset: usize) -> u8 {
+            ((flow_id as u64)
+                .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+                .wrapping_add((seq as u64).rotate_left(17))
+                .wrapping_add(offset as u64)) as u8
+        }
+        /// The first filler byte of `frame` that is not what its own
+        /// header says it should be.
+        fn first_bad_byte(frame: &[u8]) -> Option<u8> {
+            let word = |at: usize| u32::from_be_bytes(frame[at..at + 4].try_into().unwrap());
+            let (flow_id, seq) = (word(44), word(48));
+            frame[MIN_DATA_FRAME..]
+                .iter()
+                .enumerate()
+                .find(|&(off, &b)| b != oracle(flow_id, seq, off))
+                .map(|(_, &b)| b)
+        }
+        let flow = extmem_types::FiveTuple::new(1, 2, 3, 4, 17);
+        let pkt = build_data_packet(
+            MacAddr::local(1),
+            MacAddr::local(2),
+            flow,
+            flow_id,
+            seq,
+            extmem_types::Time::from_nanos(42),
+            MIN_DATA_FRAME + filler_len,
+        ).unwrap();
+        let built = &pkt.as_slice()[MIN_DATA_FRAME..];
+        let want: Vec<u8> = (0..filler_len).map(|off| oracle(flow_id, seq, off)).collect();
+        prop_assert_eq!(built, &want[..]);
+        prop_assert!(parse_data_packet(&pkt).unwrap().is_some());
+
+        // Behind the magic: flow id, sequence number, timestamp, filler.
+        let mut bytes = pkt.into_vec();
+        let at = 44 + flip_at.index(bytes.len() - 44);
+        bytes[at] ^= flip + 1;
+        let want = first_bad_byte(&bytes);
+        match (parse_data_packet(&Packet::from_vec(bytes)), want) {
+            (Ok(Some(_)), None) => {}
+            (Err(extmem_wire::WireError::InvalidField { field, value }), Some(bad)) => {
+                prop_assert_eq!(field, "workload filler");
+                prop_assert_eq!(value, bad as u64, "flip at {}", at);
+            }
+            (got, want) => prop_assert!(false, "flip at {}: {:?}, oracle {:?}", at, got, want),
+        }
+    }
+
     /// Serialize → corrupt an arbitrary set of bits anywhere in the frame
     /// (including the Ethernet header) → parse. Any outcome is acceptable
     /// except a panic.
@@ -732,6 +792,48 @@ mod one_encoder {
             let frame = pkt.headers().encode(&parts).unwrap();
             prop_assert_eq!(frame.as_slice(), &want[..]);
             prop_assert_eq!(RocePacket::parse(&frame).unwrap().unwrap().payload, body);
+        }
+
+        /// A WRITE's body is an inline head and a shared tail; the frame
+        /// must be the one a WRITE of their concatenation is, wherever the
+        /// split falls — no head, no tail, neither — and whether or not
+        /// the tail is a window of a larger buffer.
+        #[test]
+        fn write_head_and_tail_encode_their_concatenation(
+            body in proptest::collection::vec(any::<u8>(), 0..700),
+            cut in any::<prop::sample::Index>(),
+            margin in 0usize..9,
+            src in arb_endpoint(),
+            dst in arb_endpoint(),
+            (va, rkey, psn) in (any::<u64>(), any::<u32>(), 0u32..0x0100_0000),
+            ack_req: bool,
+        ) {
+            use extmem_rnic::requester::{Operand, RequesterQp, WriteBody};
+            use extmem_wire::Payload;
+            let cut = cut.index(body.len().min(Operand::MAX_LEN) + 1);
+            let mut buffer = vec![0xee; margin];
+            buffer.extend_from_slice(&body[cut..]);
+            buffer.resize(buffer.len() + margin, 0xee);
+            let tail = Payload::from_vec(buffer).slice(margin..margin + body.len() - cut);
+            let framed = WriteBody::framed(&body[..cut], tail);
+
+            let mut qp = RequesterQp::new(src, dst, QpNum(0x100), 1024);
+            qp.npsn = psn;
+            let mut bth = Bth::new(Opcode::WriteOnly, QpNum(0x100), psn);
+            bth.ack_req = ack_req;
+            let reth = Reth { va, rkey: Rkey(rkey), dma_len: body.len() as u32 };
+            let whole = RocePacket::new(src, dst, qp.udp_src_port, bth, RoceExt::Reth(reth), body.clone());
+            let want = reference_build(&whole);
+
+            let frame = qp.write_only(Rkey(rkey), va, &framed.parts(), ack_req);
+            prop_assert_eq!(frame.as_slice(), &want[..], "split at {}", cut);
+            prop_assert_eq!(qp.npsn, (psn + 1) & 0x00ff_ffff);
+            if body.len() <= Operand::MAX_LEN {
+                let inline = WriteBody::inline(&body);
+                prop_assert!(inline.tail.is_empty());
+                let frame = qp.write_only_at(psn, Rkey(rkey), va, &inline.parts(), ack_req);
+                prop_assert_eq!(frame.as_slice(), &want[..]);
+            }
         }
 
         #[test]
