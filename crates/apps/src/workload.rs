@@ -393,9 +393,8 @@ impl TrafficGenNode {
 }
 
 impl Node for TrafficGenNode {
-    fn on_packet(&mut self, _ctx: &mut NodeCtx<'_>, _port: PortId, packet: Packet) {
-        // Generators ignore inbound traffic but still return the buffer.
-        extmem_wire::pool::recycle(packet.into_payload());
+    fn on_packet(&mut self, _ctx: &mut NodeCtx<'_>, _port: PortId, _packet: Packet) {
+        // Generators ignore inbound traffic.
     }
 
     fn on_timer(&mut self, ctx: &mut NodeCtx<'_>, _token: u64) {
@@ -530,8 +529,6 @@ impl Node for SinkNode {
             Ok(None) => self.foreign += 1,
             Err(_) => self.corrupt += 1,
         }
-        // Terminal consumer: hand the frame buffer back to the pool.
-        extmem_wire::pool::recycle(packet.into_payload());
     }
 
     fn name(&self) -> &str {

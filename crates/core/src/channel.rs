@@ -18,7 +18,7 @@
 //! parts; the tail goes back to the frame pool when the op that holds its
 //! last reference retires.
 
-use extmem_rnic::requester::{RemoteOp, RequesterQp, WriteBody};
+use extmem_rnic::requester::{RemoteOp, Request, RequesterQp, WriteBody};
 use extmem_rnic::RnicNode;
 use extmem_sim::TimerHandle;
 use extmem_switch::SwitchCtx;
@@ -219,29 +219,6 @@ impl ChannelStats {
         self.failed_over |= other.failed_over;
         self.recoveries += other.recoveries;
     }
-
-    /// JSON object with every counter — the uniform serialization the chaos
-    /// harness and `simperf` embed instead of ad-hoc formatting.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"ops_issued\":{},\"acks\":{},\"naks\":{},\"retransmits\":{},\
-             \"timeouts\":{},\"duplicate_drops\":{},\"aged_out\":{},\
-             \"naks_suppressed\":{},\"backoff_level\":{},\"max_backoff_level\":{},\
-             \"failed_over\":{},\"recoveries\":{}}}",
-            self.ops_issued,
-            self.acks,
-            self.naks,
-            self.retransmits,
-            self.timeouts,
-            self.duplicate_drops,
-            self.aged_out,
-            self.naks_suppressed,
-            self.backoff_level,
-            self.max_backoff_level,
-            self.failed_over,
-            self.recoveries,
-        )
-    }
 }
 
 impl fmt::Display for ChannelStats {
@@ -327,8 +304,9 @@ enum OpKind {
         ack_req: bool,
     },
     /// `chunks` collects the response packets of a READ longer than the
-    /// MTU, by PSN offset (empty — unallocated — for the usual one-packet
-    /// READ); `done` holds the whole response once it is complete.
+    /// MTU, by PSN offset (empty — unallocated — until the first of them
+    /// arrives, and for the usual one-packet READ always); `done` holds the
+    /// whole response once it is complete.
     Read {
         va: u64,
         len: u32,
@@ -347,6 +325,24 @@ enum OpKind {
         op: RemoteOp,
         done: Option<(u8, u16, Payload)>,
     },
+}
+
+impl OpKind {
+    /// The op as the requester QP encodes it. Every transmission — first,
+    /// go-back-N replay, reissue on a failover replica — is this request
+    /// under some PSN and rkey.
+    fn request(&self) -> Request<'_> {
+        match self {
+            OpKind::Write { va, body, ack_req } => Request::Write {
+                va: *va,
+                body: body.parts(),
+                ack_req: *ack_req,
+            },
+            OpKind::Read { va, len, .. } => Request::Read { va: *va, len: *len },
+            OpKind::Atomic { va, add } => Request::FetchAdd { va: *va, add: *add },
+            OpKind::Remote { op, .. } => Request::Op(op),
+        }
+    }
 }
 
 #[derive(Clone, Debug)]
@@ -374,17 +370,11 @@ impl Outstanding {
         psn_add(self.first_psn, self.span - 1)
     }
 
-    /// The op is finished: its completion event. A WRITE's tail goes back
-    /// to the frame pool if the op was its last owner (the arrival frame of
-    /// a stored packet is; a tail a mirror's op still holds is recycled by
-    /// that one).
+    /// The op is finished: its completion event.
     fn retire(self) -> ChannelEvent {
         let cookie = self.cookie;
         match self.kind {
-            OpKind::Write { body, .. } => {
-                extmem_wire::pool::recycle(body.tail);
-                ChannelEvent::WriteDone { cookie }
-            }
+            OpKind::Write { .. } => ChannelEvent::WriteDone { cookie },
             OpKind::Atomic { .. } => ChannelEvent::AtomicDone { cookie },
             OpKind::Read { done, .. } => ChannelEvent::ReadDone {
                 cookie,
@@ -579,14 +569,6 @@ impl ReliableChannel {
         }
     }
 
-    /// Encode a body-less verb request (READ, Fetch-and-Add) into a pooled
-    /// frame.
-    fn encode(req: RocePacket) -> Packet {
-        req.headers()
-            .encode(&[&req.payload])
-            .expect("RDMA request encodes")
-    }
-
     fn send(&self, ctx: &mut SwitchCtx<'_, '_, '_>, frame: Packet) {
         if self.config.high_priority {
             ctx.enqueue_high(self.inner.server_port, frame);
@@ -682,42 +664,11 @@ impl ReliableChannel {
     /// First transmission of an op: assign its PSN(s), record it
     /// outstanding, and put the request on the wire.
     fn launch(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, cookie: u64, kind: OpKind) {
-        let first_psn = self.inner.qp.npsn;
-        let rkey = self.inner.rkey;
-        let (frame, span, kind) = match kind {
-            OpKind::Write { va, body, ack_req } => (
-                self.inner.qp.write_only(rkey, va, &body.parts(), ack_req),
-                1,
-                OpKind::Write { va, body, ack_req },
-            ),
-            OpKind::Read { va, len, .. } => {
-                let span = self.inner.qp.read_span(len);
-                (
-                    Self::encode(self.inner.qp.read(rkey, va, len)),
-                    span,
-                    OpKind::Read {
-                        va,
-                        len,
-                        chunks: if span > 1 {
-                            vec![None; span as usize]
-                        } else {
-                            Vec::new()
-                        },
-                        done: None,
-                    },
-                )
-            }
-            OpKind::Atomic { va, add } => (
-                Self::encode(self.inner.qp.fetch_add(rkey, va, add)),
-                1,
-                OpKind::Atomic { va, add },
-            ),
-            OpKind::Remote { op, .. } => (
-                self.inner.qp.remote_op(rkey, &op),
-                1,
-                OpKind::Remote { op, done: None },
-            ),
-        };
+        let (qp, rkey) = (&mut self.inner.qp, self.inner.rkey);
+        let first_psn = qp.npsn;
+        let request = kind.request();
+        let span = qp.span(&request);
+        let frame = qp.issue(rkey, &request);
         self.outstanding.push_back(Outstanding {
             first_psn,
             span,
@@ -844,6 +795,7 @@ impl ReliableChannel {
             // Single-packet response: hand back the shared buffer.
             *done = Some(roce.payload.clone());
         } else {
+            chunks.resize(op.span as usize, None);
             let at = psn.wrapping_sub(op.first_psn) & 0x00ff_ffff;
             chunks[at as usize] = Some(roce.payload.clone());
             if chunks.iter().all(|c| c.is_some()) {
@@ -993,18 +945,7 @@ impl ReliableChannel {
         let (qp, rkey) = (&self.inner.qp, self.inner.rkey);
         for i in 0..self.outstanding.len() {
             let op = &self.outstanding[i];
-            let frame = match &op.kind {
-                OpKind::Write { va, body, ack_req } => {
-                    qp.write_only_at(op.first_psn, rkey, *va, &body.parts(), *ack_req)
-                }
-                OpKind::Read { va, len, .. } => {
-                    Self::encode(qp.read_at(op.first_psn, rkey, *va, *len))
-                }
-                OpKind::Atomic { va, add } => {
-                    Self::encode(qp.fetch_add_at(op.first_psn, rkey, *va, *add))
-                }
-                OpKind::Remote { op: rop, .. } => qp.remote_op_at(op.first_psn, rkey, rop),
-            };
+            let frame = qp.encode_at(op.first_psn, rkey, &op.kind.request());
             self.send(ctx, frame);
             self.stats.retransmits += 1;
             self.outstanding[i].sent_at = now;
@@ -1489,29 +1430,47 @@ mod tests {
         assert_eq!(sent[2].payload, [[0xc5u8; 32], [0x3a; 32]].concat());
     }
 
+    /// One verb, as [`Sender`] issues it at `base_va + 64` under cookie 1.
+    #[derive(Clone)]
+    enum Verb {
+        Write(WriteBody),
+        Read(u32),
+        FetchAdd(u64),
+    }
+
     /// Owns one channel behind a server that never answers; sends one
-    /// framed WRITE, lets it time out, be retransmitted and take the
-    /// channel down, then reissues it the way the pool does after a
-    /// failover. `allocs` is the payloads constructed per timer callback.
-    struct Writer {
+    /// verb, lets it time out, be retransmitted and take the channel down,
+    /// then reissues it the way the pool does after a failover. `allocs` is
+    /// the payloads constructed per timer callback.
+    struct Sender {
         channel: ReliableChannel,
-        body: WriteBody,
+        verb: Verb,
         events: Vec<ChannelEvent>,
         allocs: Vec<u64>,
     }
 
-    impl extmem_switch::PipelineProgram for Writer {
+    impl Sender {
+        fn send(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>) {
+            let va = self.channel.base_va() + 64;
+            assert!(match self.verb.clone() {
+                Verb::Write(body) => self.channel.write(ctx, va, body, true, 1),
+                Verb::Read(len) => self.channel.read(ctx, va, len, 1),
+                Verb::FetchAdd(add) => self.channel.fetch_add(ctx, va, add, 1),
+            });
+        }
+    }
+
+    impl extmem_switch::PipelineProgram for Sender {
         fn ingress(&mut self, _: &mut SwitchCtx<'_, '_, '_>, _: PortId, _: Packet) {}
 
         fn on_timer(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, token: u64) {
-            let va = self.channel.base_va() + 64;
             let span = extmem_wire::CounterSpan::begin();
             match token {
-                ISSUE => assert!(self.channel.write(ctx, va, self.body.clone(), true, 1)),
+                ISSUE => self.send(ctx),
                 REISSUE => {
                     assert!(self.channel.is_failed());
                     self.channel.recover_at(RECOVERED_PSN);
-                    assert!(self.channel.write(ctx, va, self.body.clone(), true, 1));
+                    self.send(ctx);
                 }
                 t if t == self.channel.timer_token() => {
                     self.channel.on_timer_fired(ctx, &mut self.events);
@@ -1522,70 +1481,69 @@ mod tests {
         }
     }
 
-    #[test]
-    fn framed_write_is_encoded_from_its_parts_every_time() {
+    fn local() -> RoceEndpoint {
+        RoceEndpoint {
+            mac: MacAddr::local(1),
+            ip: 0x0a000001,
+        }
+    }
+
+    fn peer() -> RoceEndpoint {
+        RoceEndpoint {
+            mac: MacAddr::local(9),
+            ip: 0x0a000009,
+        }
+    }
+
+    /// A responder to replay captured frames at: registering on a fresh
+    /// table hands out the same key and address every time.
+    fn region() -> (extmem_rnic::MrTable, Rkey, u64) {
+        let mut mrs = extmem_rnic::MrTable::new();
+        let (rkey, base_va) = mrs.register(ByteSize::from_bytes(4096));
+        (mrs, rkey, base_va)
+    }
+
+    /// `verb`'s life on a channel to [`region`] whose server never answers:
+    /// sent at 0, retransmitted at 10 us when the RTO passes in silence,
+    /// given up on at 30 us (the channel fails), reissued at 60 us. Checks
+    /// what every verb has in common — one payload per transmission, the
+    /// frame, and none for the callback that only gave up; a
+    /// retransmission that is the same frame; a reissue that differs in
+    /// its PSN and in nothing else — and returns the simulation, the switch
+    /// and the three requests as the blackhole parsed them.
+    fn sent_three_times(
+        verb: Verb,
+    ) -> (extmem_sim::Simulator, extmem_types::NodeId, Vec<RocePacket>) {
         use extmem_rnic::requester::RequesterQp;
-        use extmem_rnic::responder::process_request;
-        use extmem_rnic::{MrTable, QueuePair};
         use extmem_switch::switch::program_token;
         use extmem_switch::SwitchNode;
         use extmem_types::{QpNum, Time};
 
-        let local = RoceEndpoint {
-            mac: MacAddr::local(1),
-            ip: 0x0a000001,
-        };
-        let peer = RoceEndpoint {
-            mac: MacAddr::local(9),
-            ip: 0x0a000009,
-        };
-        // A responder to replay the captured frames at: registering on a
-        // fresh table hands out the same key and address every time.
-        let region = || {
-            let mut mrs = MrTable::new();
-            let (rkey, base_va) = mrs.register(ByteSize::from_bytes(4096));
-            (mrs, rkey, base_va)
-        };
         let (_, rkey, base_va) = region();
         let channel = RdmaChannel {
-            qp: RequesterQp::new(local, peer, QpNum(0x100), 2048),
+            qp: RequesterQp::new(local(), peer(), QpNum(0x100), 2048),
             rkey,
             base_va,
             region_len: 4096,
             server_port: PortId(0),
         };
-        // The tail is a window of a larger buffer, as a stored frame that
-        // was itself lifted out of another is.
-        let frame = Payload::from_vec((0..200u8).collect());
-        let body = WriteBody::framed(b"hdr[6]", frame.slice(20..180));
-        let image = [&b"hdr[6]"[..], &frame[20..180]].concat();
         let window = ReliableConfig::default().max_window;
-        let (mut sim, sw, hole) = behind_blackhole(channel, window, |channel| Writer {
+        let (mut sim, sw, hole) = behind_blackhole(channel, window, |channel| Sender {
             channel,
-            body,
+            verb,
             events: Vec::new(),
             allocs: Vec::new(),
         });
-        // Sent at 0, retransmitted at 10 us when the RTO passes in silence,
-        // given up on at 30 us (the channel fails), reissued at 60 us.
         sim.schedule_timer(sw, TimeDelta::ZERO, program_token(ISSUE));
         sim.schedule_timer(sw, TimeDelta::from_micros(60), program_token(REISSUE));
         sim.run_until(Time::from_micros(65));
 
-        let program = sim.node::<SwitchNode>(sw).program::<Writer>();
+        let program = sim.node::<SwitchNode>(sw).program::<Sender>();
         assert_eq!(
             program.events,
             [ChannelEvent::OpFailed { cookie: 1 }, ChannelEvent::Failed]
         );
-        // One payload per transmission — the frame — and none for the
-        // callback that only gave up.
         assert_eq!(program.allocs, [1, 1, 0, 1]);
-        assert_eq!(
-            program.body.tail.ref_count(),
-            3,
-            "the test, the program and the reissued op share one tail"
-        );
-
         let frames = &sim.node::<Blackhole>(hole).frames;
         assert_eq!(frames.len(), 3);
         assert_eq!(frames[0], frames[1], "a retransmission is the same frame");
@@ -1594,23 +1552,76 @@ mod tests {
             .map(|f| RocePacket::parse(f).unwrap().unwrap())
             .collect();
         assert_eq!((sent[0].bth.psn, sent[2].bth.psn), (0, RECOVERED_PSN));
-        // The reissue differs in its PSN and in nothing else.
         let mut renumbered = sent[2].clone();
         renumbered.bth.psn = 0;
         assert_eq!(renumbered.build().unwrap(), frames[0]);
+        (sim, sw, sent)
+    }
+
+    #[test]
+    fn framed_write_is_encoded_from_its_parts_every_time() {
+        use extmem_rnic::responder::process_request;
+        use extmem_rnic::QueuePair;
+        use extmem_switch::SwitchNode;
+        use extmem_types::QpNum;
+
+        // The tail is a window of a larger buffer, as a stored frame that
+        // was itself lifted out of another is.
+        let frame = Payload::from_vec((0..200u8).collect());
+        let body = WriteBody::framed(b"hdr[6]", frame.slice(20..180));
+        let image = [&b"hdr[6]"[..], &frame[20..180]].concat();
+        let (sim, sw, sent) = sent_three_times(Verb::Write(body));
+
+        let Verb::Write(body) = &sim.node::<SwitchNode>(sw).program::<Sender>().verb else {
+            unreachable!()
+        };
+        assert_eq!(
+            body.tail.ref_count(),
+            3,
+            "the test, the program and the reissued op share one tail"
+        );
         for req in &sent {
             let RoceExt::Reth(reth) = req.ext else {
                 panic!("a WRITE carries a RETH: {:?}", req.ext);
             };
             assert_eq!(reth.dma_len as usize, image.len());
-            let (mut mrs, rkey, _) = region();
-            let mut qp = QueuePair::new(QpNum(0x100), local, SWITCH_QPN, req.bth.psn);
-            process_request(peer, &mut qp, &mut mrs, req, 2048);
+            let (mut mrs, rkey, base_va) = region();
+            let mut qp = QueuePair::new(QpNum(0x100), local(), SWITCH_QPN, req.bth.psn);
+            process_request(peer(), &mut qp, &mut mrs, req, 2048);
             let landed = mrs
                 .get(rkey)
                 .unwrap()
                 .read(base_va + 64, image.len() as u64);
             assert_eq!(landed.unwrap(), &image[..], "the region holds head ‖ tail");
+        }
+    }
+
+    #[test]
+    fn read_and_fetch_add_are_encoded_the_same_every_time() {
+        use extmem_wire::atomic::AtomicEth;
+        use extmem_wire::reth::Reth;
+
+        let (_, rkey, base_va) = region();
+        let va = base_va + 64;
+        // A READ answered in one packet, one answered in three (its PSN
+        // span is not the frame's business), and a Fetch-and-Add.
+        let reth = |dma_len| RoceExt::Reth(Reth { va, rkey, dma_len });
+        let atomic = RoceExt::AtomicEth(AtomicEth {
+            va,
+            rkey,
+            swap_add: 41,
+            compare: 0,
+        });
+        for (verb, opcode, ext) in [
+            (Verb::Read(300), Opcode::ReadRequest, reth(300)),
+            (Verb::Read(5000), Opcode::ReadRequest, reth(5000)),
+            (Verb::FetchAdd(41), Opcode::FetchAdd, atomic),
+        ] {
+            let (_, _, sent) = sent_three_times(verb);
+            for req in &sent {
+                assert_eq!((req.bth.opcode, req.ext), (opcode, ext));
+                assert!(req.payload.is_empty() && !req.bth.ack_req);
+            }
         }
     }
 

@@ -468,8 +468,8 @@ struct CuckooState {
     /// step: each flip is applied at the instant its paired WRITE is issued
     /// into the FIFO channel.
     live_filter: ChoiceFilter,
-    /// In-flight bucket READs: cookie → (flow, probed-secondary?, packet).
-    pending: IntMap<u64, (FiveTuple, bool, Packet)>,
+    /// In-flight lookups: cookie → (flow, packet).
+    pending: IntMap<u64, (FiveTuple, Packet)>,
     /// Next data-plane lookup cookie (bits 62/63 clear).
     next_lookup: u64,
     /// Next control-op cookie (CTRL_BIT set).
@@ -773,7 +773,7 @@ impl LookupTableProgram {
         let secondary = bucket == b2 && b1 != b2;
         let cookie = cs.next_lookup;
         cs.next_lookup += 1;
-        cs.pending.insert(cookie, (flow, secondary, pkt));
+        cs.pending.insert(cookie, (flow, pkt));
         self.stats.remote_lookups += 1;
         self.stats.bucket_reads += 1;
         self.stats.lookup_rtts += 1;
@@ -801,51 +801,20 @@ impl LookupTableProgram {
         self.pool.read(ctx, va, BUCKET_BYTES as u32, cookie);
     }
 
+    /// A lookup's response is in: take its parked flow and packet.
+    fn take_pending(&mut self, cookie: u64) -> Option<(FiveTuple, Packet)> {
+        self.stats.responses += 1;
+        let cs = self.cuckoo.as_mut().expect("cuckoo state");
+        cs.pending.remove(&cookie)
+    }
+
     /// A bucket READ response: scan the four slots for the pending flow.
     fn cuckoo_read_done(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, cookie: u64, data: &Payload) {
-        self.stats.responses += 1;
-        let Some((flow, secondary, pkt)) = self
-            .cuckoo
-            .as_mut()
-            .expect("cuckoo state")
-            .pending
-            .remove(&cookie)
-        else {
+        let Some((flow, pkt)) = self.take_pending(cookie) else {
             return;
         };
-        let mut found = None;
-        for s in 0..SLOTS_PER_BUCKET {
-            let at = s * SLOT_BYTES;
-            if data.len() < at + SLOT_BYTES {
-                break;
-            }
-            if let Some((key, action)) = decode_slot(&data[at..at + SLOT_BYTES]) {
-                if key == flow {
-                    found = Some(action);
-                    break;
-                }
-            }
-        }
-        match found {
-            Some(action) => {
-                if let Some(cache) = &mut self.cache {
-                    cache.insert(flow, action);
-                }
-                self.apply_and_forward(ctx, pkt, action);
-            }
-            None => {
-                // Unknown flow (or a filter false positive for a
-                // non-resident key): the software slow path, forwarded
-                // unmodified. Resident keys never land here — that's the
-                // no-transient-miss invariant.
-                self.stats.bucket_misses += 1;
-                let _ = secondary;
-                self.stats.slow_path += 1;
-                if let Some(port) = self.fib.egress_for(&pkt) {
-                    ctx.enqueue(port, pkt);
-                }
-            }
-        }
+        let found = (0..SLOTS_PER_BUCKET).find_map(|s| slot_match(data, s, &flow));
+        self.finish_lookup(ctx, flow, pkt, found);
     }
 
     /// A hash-probe response (remote-op mode). The responder already
@@ -859,48 +828,45 @@ impl LookupTableProgram {
         index: u16,
         data: &Payload,
     ) {
-        self.stats.responses += 1;
-        let Some((flow, _, pkt)) = self
-            .cuckoo
-            .as_mut()
-            .expect("cuckoo state")
-            .pending
-            .remove(&cookie)
-        else {
+        let Some((flow, pkt)) = self.take_pending(cookie) else {
             return;
         };
-        let mut found = None;
-        if flags & EXTOP_FLAG_HIT != 0 {
-            let at = index as usize * SLOT_BYTES;
-            if data.len() >= at + SLOT_BYTES {
-                if let Some((key, action)) = decode_slot(&data[at..at + SLOT_BYTES]) {
-                    if key == flow {
-                        found = Some(action);
-                    }
-                }
-            }
+        let found = if flags & EXTOP_FLAG_HIT != 0 {
+            slot_match(data, index as usize, &flow)
+        } else {
+            None
+        };
+        if found.is_some() && flags & EXTOP_FLAG_SECONDARY != 0 {
+            self.stats.filter_secondary_probes += 1;
         }
-        match found {
-            Some(action) => {
-                if flags & EXTOP_FLAG_SECONDARY != 0 {
-                    self.stats.filter_secondary_probes += 1;
-                }
-                if let Some(cache) = &mut self.cache {
-                    cache.insert(flow, action);
-                }
-                self.apply_and_forward(ctx, pkt, action);
+        self.finish_lookup(ctx, flow, pkt, found);
+    }
+
+    /// The end of every cuckoo lookup, however the slot was found: apply
+    /// and cache the action, or — an unknown flow, or in verb mode a filter
+    /// false positive for a non-resident key — punt to the software slow
+    /// path, forwarded unmodified. Resident keys never miss (the
+    /// no-transient-miss invariant), and a hash probe's miss is definitive:
+    /// both buckets were checked in the one round trip.
+    fn finish_lookup(
+        &mut self,
+        ctx: &mut SwitchCtx<'_, '_, '_>,
+        flow: FiveTuple,
+        pkt: Packet,
+        found: Option<ActionEntry>,
+    ) {
+        let Some(action) = found else {
+            self.stats.bucket_misses += 1;
+            self.stats.slow_path += 1;
+            if let Some(port) = self.fib.egress_for(&pkt) {
+                ctx.enqueue(port, pkt);
             }
-            None => {
-                // Unknown flow: a definitive miss — both buckets were
-                // checked in the one round trip, so there is no
-                // false-positive second probe to fall back to.
-                self.stats.bucket_misses += 1;
-                self.stats.slow_path += 1;
-                if let Some(port) = self.fib.egress_for(&pkt) {
-                    ctx.enqueue(port, pkt);
-                }
-            }
+            return;
+        };
+        if let Some(cache) = &mut self.cache {
+            cache.insert(flow, action);
         }
+        self.apply_and_forward(ctx, pkt, action);
     }
 
     fn next_ctrl_cookie(&mut self) -> u64 {
@@ -983,9 +949,19 @@ impl LookupTableProgram {
         }
     }
 
-    /// A verify READ came back: compare against the directory's bytes and
-    /// issue the destination WRITE + filter add.
-    fn ctrl_read_done(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, cookie: u64, data: &Payload) {
+    /// A `Move`'s source check came back: a verify READ, whose bytes
+    /// `matched` compares against the directory's, or (remote-op mode) a
+    /// conditional WRITE that did the comparison at the responder. A
+    /// matching conditional WRITE already installed the destination bytes
+    /// (and the pool fanned the decided image to the mirrors); a READ never
+    /// does, and on a mismatch nothing was written — the directory is
+    /// authoritative, so count the drift and write the correct bytes anyway.
+    fn finish_move(
+        &mut self,
+        ctx: &mut SwitchCtx<'_, '_, '_>,
+        cookie: u64,
+        matched: impl FnOnce(&[u8; SLOT_BYTES]) -> bool,
+    ) {
         let cs = self.cuckoo.as_mut().expect("cuckoo state");
         let Some((step, vc)) = cs.verify else {
             return;
@@ -994,61 +970,29 @@ impl LookupTableProgram {
             return;
         }
         cs.verify = None;
-        if let Step::Move {
+        let Step::Move {
             key, action, to, ..
         } = step
-        {
-            let expected = encode_slot(&key, &action);
-            if data.len() < SLOT_BYTES || data[..SLOT_BYTES] != expected {
-                // The directory is authoritative; count the drift and
-                // write the correct bytes anyway.
-                self.stats.verify_mismatches += 1;
-            }
+        else {
+            return;
+        };
+        let expected = encode_slot(&key, &action);
+        let matched = matched(&expected);
+        if !matched {
+            self.stats.verify_mismatches += 1;
+        }
+        if !(matched && self.remote_ops) {
             let wc = self.next_ctrl_cookie();
             let base = self.pool.base_va();
             let image = WriteBody::inline(&expected);
             self.pool.write(ctx, slot_va(base, to), image, true, wc);
-            self.cuckoo
-                .as_mut()
-                .expect("cuckoo state")
-                .live_filter
-                .insert(&key);
-            self.stats.relocation_moves += 1;
         }
-    }
-
-    /// A relocation conditional WRITE came back (remote-op mode). On a
-    /// match the responder already installed the destination bytes and the
-    /// pool fanned the decided image to the mirrors; on a mismatch nothing
-    /// was written — the directory is authoritative, so count the drift
-    /// and write the correct bytes anyway.
-    fn ctrl_cond_done(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, cookie: u64, flags: u8) {
-        let cs = self.cuckoo.as_mut().expect("cuckoo state");
-        let Some((step, vc)) = cs.verify else {
-            return;
-        };
-        if vc != cookie {
-            return;
-        }
-        cs.verify = None;
-        if let Step::Move {
-            key, action, to, ..
-        } = step
-        {
-            if flags & EXTOP_FLAG_HIT == 0 {
-                self.stats.verify_mismatches += 1;
-                let wc = self.next_ctrl_cookie();
-                let base = self.pool.base_va();
-                let image = WriteBody::inline(&encode_slot(&key, &action));
-                self.pool.write(ctx, slot_va(base, to), image, true, wc);
-            }
-            self.cuckoo
-                .as_mut()
-                .expect("cuckoo state")
-                .live_filter
-                .insert(&key);
-            self.stats.relocation_moves += 1;
-        }
+        self.cuckoo
+            .as_mut()
+            .expect("cuckoo state")
+            .live_filter
+            .insert(&key);
+        self.stats.relocation_moves += 1;
     }
 
     /// Plan the next queued control op (only with the step queue drained).
@@ -1280,7 +1224,9 @@ impl LookupTableProgram {
                 ChannelEvent::ReadDone { cookie, data } => match self.mode {
                     TableMode::Cuckoo => {
                         if cookie & CTRL_BIT != 0 {
-                            self.ctrl_read_done(ctx, cookie, &data);
+                            self.finish_move(ctx, cookie, |expected| {
+                                data.get(..SLOT_BYTES) == Some(&expected[..])
+                            });
                         } else {
                             self.cuckoo_read_done(ctx, cookie, &data);
                         }
@@ -1304,7 +1250,7 @@ impl LookupTableProgram {
                     data,
                 } => {
                     if cookie & CTRL_BIT != 0 {
-                        self.ctrl_cond_done(ctx, cookie, flags);
+                        self.finish_move(ctx, cookie, |_| flags & EXTOP_FLAG_HIT != 0);
                     } else {
                         self.cuckoo_probe_done(ctx, cookie, flags, index, &data);
                     }
@@ -1323,7 +1269,7 @@ impl LookupTableProgram {
                                 if cs.verify.is_some_and(|(_, vc)| vc == cookie) {
                                     cs.verify = None;
                                 }
-                            } else if let Some((_, _, pkt)) = cs.pending.remove(&cookie) {
+                            } else if let Some((_, pkt)) = cs.pending.remove(&cookie) {
                                 // The lookup is gone with the pool: punt the
                                 // parked packet to the slow path unmodified.
                                 self.stats.slow_path += 1;
@@ -1345,7 +1291,6 @@ impl LookupTableProgram {
             }
         }
     }
-
 }
 
 impl PipelineProgram for LookupTableProgram {
@@ -1353,8 +1298,6 @@ impl PipelineProgram for LookupTableProgram {
         if self.pool.owns_port(in_port) {
             if let Ok(Some(roce)) = RocePacket::parse(&pkt) {
                 self.on_roce(ctx, in_port, &roce);
-                drop(roce);
-                extmem_wire::pool::recycle(pkt.into_payload());
                 return;
             }
         }
@@ -1412,6 +1355,14 @@ impl PipelineProgram for LookupTableProgram {
     fn program_name(&self) -> &str {
         "lookup-table-primitive"
     }
+}
+
+/// The action in slot `slot` of a bucket image, if that slot holds `flow`
+/// (`None` too when the image is too short to have the slot).
+fn slot_match(bucket: &[u8], slot: usize, flow: &FiveTuple) -> Option<ActionEntry> {
+    let at = slot * SLOT_BYTES;
+    let (key, action) = decode_slot(bucket.get(at..at + SLOT_BYTES)?)?;
+    (key == *flow).then_some(action)
 }
 
 /// The bucket-granularity READ geometry: a cuckoo bucket must come back as

@@ -451,9 +451,6 @@ impl PacketBufferProgram {
             self.enqueue_protected(ctx, pkt);
             return;
         }
-        // The outstanding WRITE is the frame's last owner now, and recycles
-        // its buffer when the ACK retires it.
-        drop(pkt);
         self.widx += 1;
         self.stats.stored += 1;
         self.stats.max_ring_occupancy = self.stats.max_ring_occupancy.max(self.ring_occupancy());
@@ -639,8 +636,6 @@ impl PipelineProgram for PacketBufferProgram {
         if let Some(ch) = self.pool_of_port(in_port) {
             if let Ok(Some(roce)) = RocePacket::parse(&pkt) {
                 self.on_roce(ctx, ch, in_port, &roce);
-                drop(roce);
-                extmem_wire::pool::recycle(pkt.into_payload());
                 return;
             }
         }

@@ -239,26 +239,6 @@ impl PoolStats {
         self.reseed_ops += other.reseed_ops;
         self.reissued_ops += other.reissued_ops;
     }
-
-    /// JSON object with every counter (same convention as
-    /// [`crate::channel::ChannelStats::to_json`]).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"servers\":{},\"unavailable\":{},\"failovers\":{},\"probes\":{},\
-             \"rejoins\":{},\"mirror_writes\":{},\"delta_accumulated\":{},\
-             \"delta_replayed\":{},\"reseed_ops\":{},\"reissued_ops\":{}}}",
-            self.servers,
-            self.unavailable,
-            self.failovers,
-            self.probes,
-            self.rejoins,
-            self.mirror_writes,
-            self.delta_accumulated,
-            self.delta_replayed,
-            self.reseed_ops,
-            self.reissued_ops,
-        )
-    }
 }
 
 impl fmt::Display for PoolStats {
@@ -869,12 +849,7 @@ impl ReplicatedPool {
                     out.push(ChannelEvent::AtomicDone { cookie });
                 }
                 ChannelEvent::WriteDone { cookie } => {
-                    // The pool's copy of the body kept the tail shared while
-                    // the channels retired theirs; whichever reference goes
-                    // last — this one, or a slower mirror's — recycles it.
-                    if let Some(PoolOp::Write { body, .. }) = self.pop_caller_op(cookie) {
-                        extmem_wire::pool::recycle(body.tail);
-                    }
+                    self.pop_caller_op(cookie);
                     out.push(ChannelEvent::WriteDone { cookie });
                 }
                 ChannelEvent::ReadDone { cookie, data } => {
@@ -1298,7 +1273,7 @@ mod tests {
     }
 
     #[test]
-    fn pool_stats_merge_and_json() {
+    fn pool_stats_merge() {
         let mut a = PoolStats {
             servers: 2,
             failovers: 1,
@@ -1314,9 +1289,6 @@ mod tests {
         assert_eq!(a.servers, 4);
         assert_eq!(a.failovers, 1);
         assert_eq!(a.rejoins, 1);
-        let json = a.to_json();
-        assert!(json.starts_with('{') && json.ends_with('}'));
-        assert!(json.contains("\"failovers\":1"));
         assert!(format!("{a}").contains("failovers=1"));
     }
 }

@@ -363,8 +363,6 @@ impl PipelineProgram for ShardedStateStoreProgram {
             if s.engine.owns_port(in_port) {
                 if let Ok(Some(roce)) = RocePacket::parse(&pkt) {
                     s.engine.on_roce(ctx, in_port, &roce);
-                    drop(roce);
-                    extmem_wire::pool::recycle(pkt.into_payload());
                     return;
                 }
             }

@@ -105,8 +105,6 @@ impl PipelineProgram for StateStoreProgram {
         if self.engine.owns_port(in_port) {
             if let Ok(Some(roce)) = RocePacket::parse(&pkt) {
                 self.engine.on_roce(ctx, in_port, &roce);
-                drop(roce);
-                extmem_wire::pool::recycle(pkt.into_payload());
                 return;
             }
         }

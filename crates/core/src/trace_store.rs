@@ -22,7 +22,7 @@
 use crate::channel::RdmaChannel;
 use crate::fib::Fib;
 use crate::lookup::flow_of;
-use extmem_rnic::RnicNode;
+use extmem_rnic::{Request, RnicNode};
 use extmem_switch::{PipelineProgram, SwitchCtx};
 use extmem_types::{FiveTuple, PortId, Rkey, Time, TimeDelta};
 use extmem_wire::Packet;
@@ -145,10 +145,12 @@ impl TraceStoreProgram {
         // ring end, so a batch never wraps mid-WRITE.
         let slot = first_seq % self.ring_records;
         let va = self.channel.base_va + slot * RECORD_LEN as u64;
-        let frame = self
-            .channel
-            .qp
-            .write_only(self.channel.rkey, va, &[&payload], false);
+        let write = Request::Write {
+            va,
+            body: [&payload, &[]],
+            ack_req: false,
+        };
+        let frame = self.channel.qp.issue(self.channel.rkey, &write);
         ctx.enqueue(self.channel.server_port, frame);
         self.stats.writes += 1;
     }

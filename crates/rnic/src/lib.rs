@@ -38,4 +38,4 @@ pub mod responder;
 pub use mr::{MemoryRegion, MrTable};
 pub use nic::{RnicConfig, RnicNode, RnicStats};
 pub use qp::QueuePair;
-pub use requester::{Operand, RemoteOp, WriteBody};
+pub use requester::{Operand, RemoteOp, Request, WriteBody};

@@ -353,10 +353,8 @@ impl RnicNode {
             Outcome::Nak(_) => self.stats.naks += 1,
             Outcome::OutOfSequenceDropped => self.stats.out_of_sequence_drops += 1,
         }
-        // The request is consumed: its frame buffer goes back to the pool
-        // (WRITE payload views release it here). The responses arrive
-        // encoded, one pooled buffer each, and only need queueing.
-        extmem_wire::pool::recycle(req.payload);
+        // The responses arrive encoded, one pooled buffer each, and only
+        // need queueing.
         for resp in result.responses {
             self.tx.send(ctx, resp);
         }
@@ -403,10 +401,6 @@ impl Node for RnicNode {
             self.atomics_in_flight += 1;
         }
         self.rx_queue.push_back(parsed);
-        // READ/atomic requests carry no payload view, so the arrival frame
-        // is already sole-owned here and its buffer can be recycled; WRITE
-        // frames stay shared with the queued payload until service.
-        extmem_wire::pool::recycle(packet.into_payload());
         self.maybe_start_service(ctx);
     }
 

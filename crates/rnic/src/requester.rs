@@ -6,11 +6,12 @@
 //! server-to-server RDMA") uses the two traffic nodes defined here,
 //! [`WriteBlaster`] and [`ReadLooper`].
 //!
-//! A request that carries bytes is encoded from where its owner keeps them:
-//! a remote op's operands ride inline in the [`RemoteOp`], a WRITE's bytes
-//! are a [`WriteBody`] — an inline head and a shared tail — and
-//! [`RequesterQp::write_only`] / [`RequesterQp::remote_op`] return the
-//! encoded frame. No request has a payload built around its bytes first.
+//! A request is described once, as a [`Request`] borrowing its bytes from
+//! where their owner keeps them — a remote op's operands ride inline in the
+//! [`RemoteOp`], a WRITE's bytes are a [`WriteBody`], an inline head and a
+//! shared tail — and becomes a frame in one function,
+//! [`RequesterQp::encode_at`]. No request has a payload built around its
+//! bytes first, and no transmission of it has an encoder of its own.
 
 use crate::nic::RnicNode;
 use extmem_sim::{Node, NodeCtx, TxQueue};
@@ -82,7 +83,7 @@ impl std::fmt::Debug for Operand {
 ///
 /// Whoever queues the WRITE for retransmission owns the body by value, and
 /// every transmission encodes the frame from the two parts
-/// ([`RequesterQp::write_only_at`]). Nothing can change the tail meanwhile:
+/// ([`RequesterQp::encode_at`]). Nothing can change the tail meanwhile:
 /// a [`Payload`] mutates only through copy-on-write, which leaves the
 /// shared bytes alone.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -195,6 +196,41 @@ pub enum RemoteOp {
     },
 }
 
+/// One RDMA request, as its owner describes it: the addresses and flags by
+/// value, the bytes borrowed from wherever they are kept. This is what
+/// [`RequesterQp::encode_at`] turns into a frame; nothing about a request
+/// exists outside it.
+#[derive(Clone, Copy, Debug)]
+pub enum Request<'a> {
+    /// Single-packet RDMA WRITE of `body[0] ‖ body[1]` at `va` (a
+    /// [`WriteBody`]'s head and tail; either may be empty).
+    Write {
+        /// Where the bytes land.
+        va: u64,
+        /// The bytes, in two parts.
+        body: [&'a [u8]; 2],
+        /// Ask the responder for an explicit ACK.
+        ack_req: bool,
+    },
+    /// RDMA READ of `len` bytes at `va`; one response packet (and one PSN)
+    /// per MTU of it.
+    Read {
+        /// Where to read.
+        va: u64,
+        /// How many bytes.
+        len: u32,
+    },
+    /// Atomic Fetch-and-Add of `add` to the u64 at `va`.
+    FetchAdd {
+        /// The counter's address.
+        va: u64,
+        /// The addend.
+        add: u64,
+    },
+    /// A remote op: one PSN, one response packet, whatever the chain depth.
+    Op(&'a RemoteOp),
+}
+
 /// Requester-side queue pair state: where requests go and which PSN is next.
 #[derive(Debug, Clone)]
 pub struct RequesterQp {
@@ -230,43 +266,6 @@ impl RequesterQp {
         }
     }
 
-    /// Encode a single-packet RDMA WRITE of `body`, the concatenation of
-    /// its parts, at `va`: the frame is the one copy made of them.
-    pub fn write_only(&mut self, rkey: Rkey, va: u64, body: &[&[u8]], ack_req: bool) -> Packet {
-        let pkt = self.write_only_at(self.npsn, rkey, va, body, ack_req);
-        self.npsn = psn_add(self.npsn, 1);
-        pkt
-    }
-
-    /// Encode a single-packet RDMA WRITE carrying an explicit PSN, without
-    /// touching `npsn`. Retransmission layers use this to re-send an
-    /// in-flight op under its original sequence number.
-    pub fn write_only_at(
-        &self,
-        psn: u32,
-        rkey: Rkey,
-        va: u64,
-        body: &[&[u8]],
-        ack_req: bool,
-    ) -> Packet {
-        let mut bth = Bth::new(Opcode::WriteOnly, self.peer_qpn, psn);
-        bth.ack_req = ack_req;
-        let reth = Reth {
-            va,
-            rkey,
-            dma_len: body.iter().map(|part| part.len()).sum::<usize>() as u32,
-        };
-        RoceHeaders::new(
-            self.local,
-            self.peer,
-            self.udp_src_port,
-            bth,
-            RoceExt::Reth(reth),
-        )
-        .encode(body)
-        .expect("WRITE request encodes")
-    }
-
     /// Response packets a READ of `len` bytes will generate (one PSN each,
     /// per the IB spec).
     pub fn read_span(&self, len: u32) -> u32 {
@@ -280,90 +279,74 @@ impl RequesterQp {
         self.mtu as u32
     }
 
-    /// Build an RDMA READ request for `len` bytes. Consumes one PSN per
-    /// expected response packet, per the IB spec.
-    pub fn read(&mut self, rkey: Rkey, va: u64, len: u32) -> RocePacket {
-        let pkt = self.read_at(self.npsn, rkey, va, len);
-        self.npsn = psn_add(self.npsn, self.read_span(len));
-        pkt
+    /// PSNs `req` consumes: one per response packet for a READ, one for
+    /// everything else.
+    pub fn span(&self, req: &Request<'_>) -> u32 {
+        match req {
+            Request::Read { len, .. } => self.read_span(*len),
+            _ => 1,
+        }
     }
 
-    /// Build an RDMA READ request carrying an explicit PSN, without touching
-    /// `npsn` (see [`RequesterQp::write_only_at`]).
-    pub fn read_at(&self, psn: u32, rkey: Rkey, va: u64, len: u32) -> RocePacket {
-        let bth = Bth::new(Opcode::ReadRequest, self.peer_qpn, psn);
-        RocePacket::new(
-            self.local,
-            self.peer,
-            self.udp_src_port,
-            bth,
-            RoceExt::Reth(Reth {
-                va,
-                rkey,
-                dma_len: len,
-            }),
-            vec![],
-        )
+    /// Encode `req` at the next PSN and advance past its span: a first
+    /// transmission.
+    pub fn issue(&mut self, rkey: Rkey, req: &Request<'_>) -> Packet {
+        let frame = self.encode_at(self.npsn, rkey, req);
+        self.npsn = psn_add(self.npsn, self.span(req));
+        frame
     }
 
-    /// Build an atomic Fetch-and-Add request.
-    pub fn fetch_add(&mut self, rkey: Rkey, va: u64, add: u64) -> RocePacket {
-        let pkt = self.fetch_add_at(self.npsn, rkey, va, add);
-        self.npsn = psn_add(self.npsn, 1);
-        pkt
-    }
-
-    /// Build an atomic Fetch-and-Add request carrying an explicit PSN,
-    /// without touching `npsn` (see [`RequesterQp::write_only_at`]).
-    pub fn fetch_add_at(&self, psn: u32, rkey: Rkey, va: u64, add: u64) -> RocePacket {
-        let bth = Bth::new(Opcode::FetchAdd, self.peer_qpn, psn);
-        RocePacket::new(
-            self.local,
-            self.peer,
-            self.udp_src_port,
-            bth,
-            RoceExt::AtomicEth(AtomicEth {
-                va,
-                rkey,
-                swap_add: add,
-                compare: 0,
-            }),
-            vec![],
-        )
-    }
-
-    /// Encode a remote-op request frame. Every remote op consumes exactly
-    /// one PSN (its response is always a single packet).
-    pub fn remote_op(&mut self, rkey: Rkey, op: &RemoteOp) -> Packet {
-        let pkt = self.remote_op_at(self.npsn, rkey, op);
-        self.npsn = psn_add(self.npsn, 1);
-        pkt
-    }
-
-    /// Encode a remote-op request frame carrying an explicit PSN, without
-    /// touching `npsn` (see [`RequesterQp::write_only_at`]). The operands
-    /// go from the op into the frame; no payload is built around them.
-    pub fn remote_op_at(&self, psn: u32, rkey: Rkey, op: &RemoteOp) -> Packet {
-        let encode = |opcode, ext, body: &[&[u8]]| {
-            RoceHeaders::new(
-                self.local,
-                self.peer,
-                self.udp_src_port,
-                Bth::new(opcode, self.peer_qpn, psn),
-                ext,
-            )
-            .encode(body)
-            .expect("remote-op request encodes")
+    /// Encode `req` as the frame that carries it under `psn`, without
+    /// touching `npsn`. This is the only place a request becomes bytes:
+    /// a first transmission ([`RequesterQp::issue`]), a retransmission
+    /// under the op's original PSN and a reissue to a failover replica
+    /// under another rkey all come through here, so they cannot differ in
+    /// anything but what they are given. The bytes go from where `req`
+    /// borrows them into the frame; no payload is built around them.
+    pub fn encode_at(&self, psn: u32, rkey: Rkey, req: &Request<'_>) -> Packet {
+        let encode = |opcode, ack_req, ext, body: &[&[u8]]| {
+            let mut bth = Bth::new(opcode, self.peer_qpn, psn);
+            bth.ack_req = ack_req;
+            RoceHeaders::new(self.local, self.peer, self.udp_src_port, bth, ext)
+                .encode(body)
+                .expect("RDMA request encodes")
         };
-        match op {
-            RemoteOp::Indirect {
+        match *req {
+            Request::Write { va, body, ack_req } => {
+                let dma_len = (body[0].len() + body[1].len()) as u32;
+                let reth = Reth { va, rkey, dma_len };
+                encode(Opcode::WriteOnly, ack_req, RoceExt::Reth(reth), &body)
+            }
+            Request::Read { va, len } => encode(
+                Opcode::ReadRequest,
+                false,
+                RoceExt::Reth(Reth {
+                    va,
+                    rkey,
+                    dma_len: len,
+                }),
+                &[],
+            ),
+            Request::FetchAdd { va, add } => encode(
+                Opcode::FetchAdd,
+                false,
+                RoceExt::AtomicEth(AtomicEth {
+                    va,
+                    rkey,
+                    swap_add: add,
+                    compare: 0,
+                }),
+                &[],
+            ),
+            Request::Op(RemoteOp::Indirect {
                 va,
                 mode,
                 len_off,
                 hdr_len,
                 max_len,
-            } => encode(
+            }) => encode(
                 Opcode::IndirectRead,
+                false,
                 RoceExt::Indirect(IndirectEth {
                     va: *va,
                     rkey,
@@ -374,7 +357,7 @@ impl RequesterQp {
                 }),
                 &[],
             ),
-            RemoteOp::HashProbe {
+            Request::Op(RemoteOp::HashProbe {
                 base_va,
                 b1,
                 b2,
@@ -382,8 +365,9 @@ impl RequesterQp {
                 slot_bytes,
                 key_off,
                 key,
-            } => encode(
+            }) => encode(
                 Opcode::HashProbe,
+                false,
                 RoceExt::HashProbe(HashProbeEth {
                     base_va: *base_va,
                     rkey,
@@ -396,13 +380,14 @@ impl RequesterQp {
                 }),
                 &[key],
             ),
-            RemoteOp::CondWrite {
+            Request::Op(RemoteOp::CondWrite {
                 cmp_va,
                 write_va,
                 compare,
                 write,
-            } => encode(
+            }) => encode(
                 Opcode::CondWrite,
+                false,
                 RoceExt::CondWrite(CondWriteEth {
                     cmp_va: *cmp_va,
                     write_va: *write_va,
@@ -411,7 +396,7 @@ impl RequesterQp {
                 }),
                 &[compare, write],
             ),
-            RemoteOp::Gather { word_len, vas } => {
+            Request::Op(RemoteOp::Gather { word_len, vas }) => {
                 // The address list has no byte form in the op; it is spelt
                 // out in a scratch buffer borrowed from the pool.
                 let mut be = extmem_wire::pool::take();
@@ -420,6 +405,7 @@ impl RequesterQp {
                 }
                 let frame = encode(
                     Opcode::GatherWalk,
+                    false,
                     RoceExt::Gather(GatherEth {
                         rkey,
                         word_len: *word_len,
@@ -519,9 +505,12 @@ impl WriteBlaster {
         }
         let mut message = extmem_wire::pool::take();
         message.resize(self.msg_size, (self.sent & 0xff) as u8);
-        let frame = self
-            .qp
-            .write_only(self.rkey, self.base_va + self.cursor, &[&message], false);
+        let write = Request::Write {
+            va: self.base_va + self.cursor,
+            body: [&message, &[]],
+            ack_req: false,
+        };
+        let frame = self.qp.issue(self.rkey, &write);
         extmem_wire::pool::give(message);
         self.cursor += self.msg_size as u64;
         self.tx.send(ctx, frame);
@@ -533,10 +522,8 @@ impl WriteBlaster {
 }
 
 impl Node for WriteBlaster {
-    fn on_packet(&mut self, _ctx: &mut NodeCtx<'_>, _port: PortId, packet: Packet) {
-        // ACKs/NAKs are ignored: the blaster is open-loop. The frame buffer
-        // goes straight back to the pool.
-        extmem_wire::pool::recycle(packet.into_payload());
+    fn on_packet(&mut self, _ctx: &mut NodeCtx<'_>, _port: PortId, _packet: Packet) {
+        // ACKs/NAKs are ignored: the blaster is open-loop.
     }
 
     fn on_timer(&mut self, ctx: &mut NodeCtx<'_>, token: u64) {
@@ -614,12 +601,13 @@ impl ReadLooper {
             if self.cursor + self.msg_size as u64 > self.region_len {
                 self.cursor = 0;
             }
-            let req = self
-                .qp
-                .read(self.rkey, self.base_va + self.cursor, self.msg_size as u32);
+            let read = Request::Read {
+                va: self.base_va + self.cursor,
+                len: self.msg_size as u32,
+            };
             self.cursor += self.msg_size as u64;
-            let frame = req.headers().encode(&[&req.payload]);
-            self.tx.send(ctx, frame.expect("read encodes"));
+            let frame = self.qp.issue(self.rkey, &read);
+            self.tx.send(ctx, frame);
         }
     }
 }
@@ -629,12 +617,8 @@ impl Node for ReadLooper {
         let Ok(Some(resp)) = RocePacket::parse(&packet) else {
             return;
         };
-        let (opcode, payload_len) = (resp.bth.opcode, resp.payload.len() as u64);
-        // Drop the parsed view before recycling so the frame buffer has a
-        // sole owner again.
-        drop(resp);
-        extmem_wire::pool::recycle(packet.into_payload());
-        match opcode {
+        let payload_len = resp.payload.len() as u64;
+        match resp.bth.opcode {
             Opcode::ReadRespOnly | Opcode::ReadRespLast => {
                 self.bytes += payload_len;
                 self.completed += 1;
@@ -687,14 +671,29 @@ mod tests {
     #[test]
     fn requester_qp_psn_accounting() {
         let mut qp = RequesterQp::new(host(), server(), QpNum(7), 1024);
-        let w = qp.write_only(Rkey(1), 0x1000, &[&[0; 10]], false);
-        let w = RocePacket::parse(&w).unwrap().unwrap();
-        assert_eq!(w.bth.psn, 0);
-        let r = qp.read(Rkey(1), 0x1000, 3000); // 3 response packets at 1024 MTU
-        assert_eq!(r.bth.psn, 1);
-        let f = qp.fetch_add(Rkey(1), 0x1000, 1);
-        assert_eq!(f.bth.psn, 4);
-        assert_eq!(qp.npsn, 5);
+        let mut issue = |req: Request<'_>| {
+            let frame = qp.issue(Rkey(1), &req);
+            (RocePacket::parse(&frame).unwrap().unwrap().bth.psn, qp.npsn)
+        };
+        let write = Request::Write {
+            va: 0x1000,
+            body: [&[0; 10], &[]],
+            ack_req: false,
+        };
+        assert_eq!(issue(write), (0, 1));
+        // 3 response packets at 1024 MTU.
+        let read = Request::Read {
+            va: 0x1000,
+            len: 3000,
+        };
+        assert_eq!(issue(read), (1, 4));
+        let add = Request::FetchAdd { va: 0x1000, add: 1 };
+        assert_eq!(issue(add), (4, 5));
+        let op = RemoteOp::Gather {
+            word_len: 8,
+            vas: vec![0x1000, 0x2000],
+        };
+        assert_eq!(issue(Request::Op(&op)), (5, 6));
     }
 
     #[test]

@@ -19,7 +19,7 @@ use extmem_wire::atomic::AtomicAckEth;
 use extmem_wire::bth::{psn_add, psn_before, Bth, Opcode};
 use extmem_wire::extop::{ExtOpAckEth, IndirectMode, EXTOP_FLAG_HIT, EXTOP_FLAG_SECONDARY};
 use extmem_wire::roce::{RoceEndpoint, RoceExt, RoceHeaders, RocePacket, ROCEV2_BASE_OVERHEAD};
-use extmem_wire::{pool, EthernetHeader, Packet};
+use extmem_wire::{EthernetHeader, Packet};
 
 /// Upper bound on dependent reads a single gather/walk op may perform. Keeps
 /// the modeled NIC op engine line-rate: a request can occupy the execution
@@ -424,9 +424,7 @@ fn serve_ext_op(
         // The replay buffer keeps the observed bytes as a window of the
         // response frame: no second copy out of the region.
         if qp.cond_replay.len() >= COND_REPLAY_DEPTH {
-            if let Some((_, _, evicted)) = qp.cond_replay.pop_front() {
-                pool::recycle(evicted);
-            }
+            qp.cond_replay.pop_front();
         }
         let observed = response.view(EXT_OP_RESP_BODY_AT..EXT_OP_RESP_BODY_AT + bytes);
         qp.cond_replay.push_back((psn, flags, observed));

@@ -908,43 +908,6 @@ impl EventQueue {
 mod tests {
     use super::*;
 
-    /// Micro-benchmark of the wheel vs heap backends on the shallow-queue
-    /// pattern the FAA scenarios produce: one far timer parked in a coarse
-    /// level plus steady near-term churn. Ignored by default (timing is
-    /// machine-dependent); run with `cargo test -q --release -p extmem-sim
-    /// qbench -- --ignored --nocapture`.
-    #[test]
-    #[ignore]
-    fn qbench() {
-        fn run(n: u64) -> u64 {
-            let mut q = EventQueue::new();
-            let _h = q.push_timer(Time::from_micros(50), NodeId(0), 1);
-            let mut now = 0u64;
-            let mut acc = 0u64;
-            for i in 0..12u64 {
-                q.push(Time::from_picos(now + 170_000 + i * 40_000), timer(1, i));
-            }
-            for i in 0..n {
-                let ev = q.pop().expect("event");
-                now = ev.at.picos();
-                acc ^= ev.seq;
-                q.push(Time::from_picos(now + 170_000 + (i % 7) * 13_000), timer(1, i));
-            }
-            acc
-        }
-        const N: u64 = 3_000_000;
-        for backend in [SchedBackend::Wheel, SchedBackend::Heap] {
-            let mut best = f64::MAX;
-            for _ in 0..5 {
-                let t = std::time::Instant::now();
-                let acc = with_sched_backend(backend, || run(N));
-                std::hint::black_box(acc);
-                best = best.min(t.elapsed().as_secs_f64());
-            }
-            println!("{backend:?}: {:.1} ns/op", best * 1e9 / N as f64);
-        }
-    }
-
     fn timer(node: u32, token: u64) -> EventKind {
         EventKind::Timer {
             node: NodeId(node),

@@ -13,11 +13,13 @@
 //! * copy-on-write mutation via [`Payload::make_mut`] (the fault injector's
 //!   byte flip affects only the in-flight copy, never the sender's view).
 //!
-//! A payload's life ends in [`crate::pool`]: its last owner recycles it,
-//! [`Payload::recover_vec`] yields the byte buffer only if no clone or
-//! window is left to read it, and the next build reuses the bytes. The
-//! `Arc` block is not part of that cycle — each payload constructed from
-//! bytes allocates its own, which is exactly what [`alloc_count`] counts.
+//! A payload's bytes belong to whoever holds a clone or window of it, and to
+//! nobody in particular: when the last of them is dropped — on whichever
+//! thread, for whatever reason — the buffer goes to that thread's
+//! [`crate::pool`] and the next build reuses it. No owner has to hand
+//! anything back, and none can forget to. The `Arc` block is not part of
+//! that cycle — each payload constructed from bytes allocates its own, which
+//! is exactly what [`alloc_count`] counts.
 //!
 //! Two per-thread counters — [`alloc_count`] and [`cow_count`] — let tests
 //! pin the zero-copy property: forwarding a packet across N hops must not
@@ -145,15 +147,26 @@ impl CounterSpan {
     }
 }
 
-/// A shared, immutable-by-default byte buffer: `Arc<Vec<u8>>` plus a
-/// window. Clones and subslices share the allocation; mutation goes through
-/// [`Payload::make_mut`], which copies only when the buffer is shared or
-/// windowed.
+/// The bytes behind a [`Payload`]. It is dropped exactly once, by whichever
+/// clone or window lets go last, and that drop is the one place a frame
+/// buffer returns to the pool.
+struct Frame(Vec<u8>);
+
+impl Drop for Frame {
+    fn drop(&mut self) {
+        crate::pool::give(std::mem::take(&mut self.0));
+    }
+}
+
+/// A shared, immutable-by-default byte buffer: an `Arc`-held `Vec<u8>` plus
+/// a window. Clones and subslices share the allocation; mutation goes
+/// through [`Payload::make_mut`], which copies only when the buffer is
+/// shared or windowed.
 #[derive(Clone)]
 pub struct Payload {
     /// `None` exactly when the payload is empty: an empty payload owns
     /// nothing, so making or dropping one touches no shared refcount.
-    buf: Option<Arc<Vec<u8>>>,
+    buf: Option<Arc<Frame>>,
     off: usize,
     len: usize,
 }
@@ -176,7 +189,7 @@ impl Payload {
         count(|c| c.allocs += 1);
         let len = bytes.len();
         Payload {
-            buf: Some(Arc::new(bytes)),
+            buf: Some(Arc::new(Frame(bytes))),
             off: 0,
             len,
         }
@@ -205,7 +218,7 @@ impl Payload {
     /// Immutable view of the visible bytes.
     pub fn as_slice(&self) -> &[u8] {
         match &self.buf {
-            Some(buf) => &buf[self.off..self.off + self.len],
+            Some(buf) => &buf.0[self.off..self.off + self.len],
             None => &[],
         }
     }
@@ -240,13 +253,13 @@ impl Payload {
         let Some(buf) = &self.buf else {
             return &mut [];
         };
-        let whole = self.off == 0 && self.len == buf.len();
+        let whole = self.off == 0 && self.len == buf.0.len();
         if !(whole && Arc::strong_count(buf) == 1) {
             count(|c| c.cows += 1);
             *self = Payload::copy_from_slice(self.as_slice());
         }
         let buf = self.buf.as_mut().expect("non-empty after CoW");
-        &mut Arc::get_mut(buf).expect("uniquely owned after CoW")[..]
+        &mut Arc::get_mut(buf).expect("uniquely owned after CoW").0[..]
     }
 
     /// Copy the visible bytes out.
@@ -255,13 +268,15 @@ impl Payload {
     }
 
     /// Consume into a `Vec`, without copying when this is the sole owner of
-    /// a full-range buffer.
+    /// a full-range buffer (the caller then owns the bytes and nothing is
+    /// pooled).
     pub fn into_vec(self) -> Vec<u8> {
         match self.buf {
-            Some(buf) if self.off == 0 && self.len == buf.len() => {
-                Arc::try_unwrap(buf).unwrap_or_else(|shared| shared[..].to_vec())
-            }
-            Some(buf) => buf[self.off..self.off + self.len].to_vec(),
+            Some(buf) if self.off == 0 && self.len == buf.0.len() => match Arc::try_unwrap(buf) {
+                Ok(mut sole) => std::mem::take(&mut sole.0),
+                Err(shared) => shared.0.clone(),
+            },
+            Some(buf) => buf.0[self.off..self.off + self.len].to_vec(),
             None => Vec::new(),
         }
     }
@@ -270,15 +285,6 @@ impl Payload {
     /// empty payload, which has none to share.
     pub fn ref_count(&self) -> usize {
         self.buf.as_ref().map_or(1, Arc::strong_count)
-    }
-
-    /// Recover the backing buffer without copying, if this payload is the
-    /// allocation's sole owner. The returned `Vec` is the *full* backing
-    /// buffer even when this view was windowed — callers recycle it for its
-    /// capacity (see [`crate::pool`]), not its contents. Returns `None`
-    /// (and drops the reference) when the buffer is still shared.
-    pub fn recover_vec(self) -> Option<Vec<u8>> {
-        Arc::try_unwrap(self.buf?).ok()
     }
 }
 
@@ -434,6 +440,94 @@ mod tests {
         let p = Payload::from_vec(vec![7; 32]);
         let _keep = p.clone();
         assert_eq!(p.into_vec(), vec![7; 32]);
+    }
+
+    /// Empty the calling thread's pool, so a later hit can only be a buffer
+    /// given back in between.
+    fn empty_pool() {
+        crate::pool::swap(&mut crate::pool::FreeList::default());
+    }
+
+    /// Whether the calling thread's pool holds a buffer (which this takes).
+    fn pool_has_one() -> Option<usize> {
+        let hits = crate::pool::hit_count();
+        let buf = crate::pool::take();
+        (crate::pool::hit_count() > hits).then_some(buf.capacity())
+    }
+
+    #[test]
+    fn the_last_owner_to_drop_pools_the_buffer_whichever_it_is() {
+        for last in 0..3 {
+            empty_pool();
+            let original = Payload::from_vec(vec![5; 300]);
+            let mut owners = vec![original.clone(), original.slice(100..200), original];
+            let survivor = owners.swap_remove(last);
+            drop(owners);
+            assert_eq!(pool_has_one(), None, "pooled under a live owner {last}");
+            assert_eq!(survivor.ref_count(), 1);
+            drop(survivor);
+            let cap = pool_has_one().expect("the last drop pools the buffer");
+            assert!(cap >= 300, "the whole backing buffer, not the window");
+            assert_eq!(pool_has_one(), None, "pooled once");
+        }
+    }
+
+    #[test]
+    fn into_vec_by_a_sole_owner_pools_nothing() {
+        empty_pool();
+        let v = Payload::from_vec(vec![7; 32]).into_vec();
+        assert_eq!(pool_has_one(), None, "the caller owns the bytes now");
+        assert_eq!(v, vec![7; 32]);
+        // A shared or windowed payload copies out; its buffer is pooled by
+        // whoever drops last, as ever.
+        let p = Payload::from_vec(vec![8; 32]);
+        assert_eq!(p.slice(4..8).into_vec(), vec![8; 4]);
+        assert_eq!(pool_has_one(), None);
+        assert_eq!(p.into_vec(), vec![8; 32]);
+        assert_eq!(pool_has_one(), None);
+    }
+
+    #[test]
+    fn a_drop_on_another_thread_lands_in_that_threads_pool() {
+        empty_pool();
+        let p = Payload::from_vec(vec![3; 200]);
+        let here = p.clone();
+        let there = std::thread::scope(|s| {
+            let worker = s.spawn(move || {
+                drop(p);
+                let shared = pool_has_one();
+                // The test thread let go first (the join below orders it).
+                drop(here);
+                (shared, pool_has_one())
+            });
+            worker.join().expect("worker")
+        });
+        assert_eq!(there.0, None, "pooled while this thread still held it");
+        assert!(there.1.is_some_and(|cap| cap >= 200));
+        assert_eq!(pool_has_one(), None, "nothing came back to this thread");
+    }
+
+    #[test]
+    fn a_payload_dropped_by_a_thread_local_destructor_does_not_panic() {
+        use std::cell::RefCell;
+        thread_local! {
+            static HELD: RefCell<Option<Payload>> = const { RefCell::new(None) };
+        }
+        // Destructors run in the reverse of the order the thread first
+        // touched each local: whichever of the pool and the holder goes
+        // first, the payload's drop must not reach for a dead pool.
+        for pool_first in [false, true] {
+            let worker = std::thread::spawn(move || {
+                if pool_first {
+                    drop(crate::pool::take());
+                }
+                HELD.with(|h| *h.borrow_mut() = Some(Payload::from_vec(vec![1; 64])));
+                drop(crate::pool::take());
+            });
+            worker
+                .join()
+                .expect("thread teardown with a payload in a local");
+        }
     }
 
     #[test]

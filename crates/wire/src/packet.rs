@@ -17,7 +17,9 @@ pub fn digest_compute_count() -> u64 {
 ///
 /// The simulator moves `Packet`s by value between nodes; `clone` is a
 /// refcount bump on the shared [`Payload`] buffer, so multicast and
-/// buffering never copy bytes. The switch model mutates headers in place
+/// buffering never copy bytes, and whoever drops the last clone or view —
+/// a consumer, a full queue, a lossy link — returns the buffer to
+/// [`crate::pool`] by doing so. The switch model mutates headers in place
 /// (e.g. the DSCP rewrite action of experiment E2) through
 /// [`Packet::as_mut_slice`], which is copy-on-write: a uniquely-owned
 /// packet mutates its buffer directly, a shared one is copied first so
@@ -105,9 +107,9 @@ impl Packet {
         self.data.into_vec()
     }
 
-    /// Consume the packet, returning its shared payload buffer (no copy).
-    /// This is the recycling path: a consumer done with a frame hands the
-    /// payload to [`crate::pool::recycle`].
+    /// Consume the packet, returning its shared payload buffer (no copy):
+    /// how a program keeps a frame's bytes as a [`Payload`] of its own (a
+    /// bounced packet becomes the tail of the WRITE that stores it).
     pub fn into_payload(self) -> Payload {
         self.data
     }

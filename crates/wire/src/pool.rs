@@ -3,36 +3,31 @@
 //! Encode loops (the RNIC responder, the switch channels, the E1 traffic
 //! nodes) each build thousands of frames per simulated millisecond, and the
 //! buffer of a consumed frame is usually free again a few events later. The
-//! pool closes that loop: [`take`] hands back a previously-recycled `Vec`
-//! (cleared, capacity retained) instead of a fresh allocation, and
-//! [`recycle`] recovers the backing buffer of a [`Payload`] whose last
-//! owner is done with it — without copying, via [`Payload::recover_vec`].
-//! A pooled buffer holds a whole frame: bytes that start life as a slice of
-//! someone else's memory (a READ out of a region, a remote op's operands)
-//! are encoded from there into the frame
+//! pool closes that loop: [`take`] hands back a previously-used `Vec`
+//! (cleared, capacity retained) instead of a fresh allocation, and a
+//! [`crate::Payload`]'s bytes come back by themselves, when the last clone
+//! or window of it is dropped. That is the whole ownership rule: a frame
+//! buffer belongs to its payload, and dropping the payload — delivered,
+//! consumed, tail-dropped, lost on a faulty link, whatever — returns it.
+//! [`give`] is for the other kind of buffer, a scratch `Vec` that was taken
+//! and never became a payload. A pooled buffer holds a whole frame: bytes
+//! that start life as a slice of someone else's memory (a READ out of a
+//! region, a remote op's operands) are encoded from there into the frame
 //! ([`crate::roce::RoceHeaders::encode`]) and never get a buffer, or a
 //! payload, of their own.
 //!
-//! The loop only stays closed if *every* consumer gives back what it took.
-//! The free list is LIFO and size-blind, which is harmless while it is
-//! balanced (buffers only ever grow, so they converge on the largest frame
-//! in use) — but one path that drops pooled buffers instead of recycling
-//! them drains it, and every build behind it then misses, or regrows a
-//! small buffer that happened to be on top.
-//!
-//! Recycling is strictly best-effort. A payload still shared with another
-//! clone simply isn't recovered — that is the whole safety argument: a
-//! buffer re-enters the pool only when `Arc::try_unwrap` proves nobody
-//! else can read it — and the free list is bounded in both entry count and
-//! per-buffer capacity so a burst of jumbo frames cannot pin memory
-//! forever. The [`hit_count`]/[`miss_count`] counters report how often the
-//! loop closes (`wire.frame_pool_hit_rate` in the benchmark). The pool
-//! recycles bytes, not `Arc` blocks: a payload built from a pooled buffer
-//! still allocates its 40-byte control block (see [`crate::bytes`]).
+//! The free list is LIFO and size-blind, which is harmless: buffers only
+//! ever grow, so they converge on the largest frame in use. It is bounded
+//! in both entry count and per-buffer capacity so a burst of jumbo frames
+//! cannot pin memory forever. The [`hit_count`]/[`miss_count`] counters
+//! report how often the loop closes (`wire.frame_pool_hit_rate` in the
+//! benchmark). The pool recycles bytes, not `Arc` blocks: a payload built
+//! from a pooled buffer still allocates its 40-byte control block (see
+//! [`crate::bytes`]).
 //!
 //! The free list and its counters belong to the calling thread, so the
 //! packet path takes no lock and writes no cache line another thread reads.
-//! A buffer is recycled into the pool of whichever thread consumed its last
+//! A buffer returns to the pool of whichever thread dropped its last
 //! reference, which need not be the thread that took it: while two threads
 //! trade frames at unequal rates one list fills to its bound (and drops
 //! the excess) as the other runs dry (and allocates). The parallel
@@ -41,7 +36,7 @@
 //! [`FreeList`] for one slice of the run, and its counters are folded into
 //! the driver's by [`crate::bytes::ThreadCounts::absorb`].
 
-use crate::bytes::{count, Payload, ThreadCounts};
+use crate::bytes::{count, ThreadCounts};
 use std::cell::RefCell;
 
 /// Upper bound on free-list entries; beyond it, returned buffers are
@@ -117,25 +112,19 @@ pub fn take() -> Vec<u8> {
 }
 
 /// Return a buffer to the pool. Zero-capacity and oversized buffers are
-/// dropped, as is everything past the free-list bound.
+/// dropped, as is everything past the free-list bound — and everything
+/// given while the thread is shutting down and its pool is already gone
+/// (a payload held in another thread-local, dropped by its destructor).
 pub fn give(buf: Vec<u8>) {
     if buf.capacity() == 0 || buf.capacity() > MAX_POOLED_CAPACITY {
         return;
     }
-    FREE.with(|free| {
+    let _ = FREE.try_with(|free| {
         let free = &mut free.borrow_mut().0;
         if free.len() < MAX_POOLED {
             free.push(buf);
         }
     });
-}
-
-/// Recover `payload`'s backing buffer into the pool if this was its sole
-/// owner; a no-op (not an error) when the buffer is still shared.
-pub fn recycle(payload: Payload) {
-    if let Some(buf) = payload.recover_vec() {
-        give(buf);
-    }
 }
 
 /// Pool hits (a [`take`] served from the free list) on this thread (plus
@@ -175,22 +164,30 @@ mod tests {
 
     #[test]
     fn recycle_recovers_sole_owner_only() {
-        // Start from an empty list so the hit below can only be the
-        // recovered buffer.
+        use crate::bytes::Payload;
+        // Start from an empty list so a hit below can only be a buffer
+        // these payloads gave up.
         swap(&mut FreeList::default());
-        // Shared payload: not recovered.
+        // Shared: dropping one owner pools nothing ...
         let p = Payload::from_vec(vec![9; 64]);
         let clone = p.clone();
-        recycle(p);
+        drop(p);
+        let (hits0, misses0) = counts();
+        let _ = take();
+        assert_eq!(counts(), (hits0, misses0 + 1), "pooled while still shared");
+        // ... dropping the last one pools it.
         drop(clone);
-        // Sole owner, even when windowed: recovered.
+        assert!(take().capacity() >= 64);
+        assert_eq!(counts(), (hits0 + 1, misses0 + 1));
+        // A window is as good an owner as the whole payload, and what comes
+        // back is the full backing buffer.
         let p = Payload::from_vec(vec![7; 128]);
         let window = p.slice(10..20);
         drop(p);
-        recycle(window);
+        drop(window);
         let (hits0, misses0) = counts();
         let b = take();
-        assert!(b.capacity() >= 128, "full backing buffer recovered");
+        assert!(b.capacity() >= 128, "full backing buffer pooled");
         let _ = take();
         assert_eq!(
             counts(),
@@ -201,12 +198,13 @@ mod tests {
 
     #[test]
     fn recycled_buffer_never_aliases_a_live_payload() {
+        use crate::bytes::Payload;
         let mut b = take();
         b.extend_from_slice(&[0xaa; 64]);
         let built = Payload::from_vec(b);
         let live = built.clone();
         // Still shared: the buffer must stay out of the pool ...
-        recycle(built);
+        drop(built);
         // ... so whatever the next builds are handed, it is not the
         // storage `live` reads.
         let mut later: Vec<Vec<u8>> = (0..4).map(|_| take()).collect();
@@ -216,11 +214,11 @@ mod tests {
         }
         assert_eq!(live, [0xaa; 64], "a live payload's bytes were overwritten");
         later.into_iter().for_each(give);
-        // A window is as good an owner as the whole payload.
+        // A window keeps it out just the same.
         let window = live.slice(8..16);
         drop(live);
         let keep = window.clone();
-        recycle(window);
+        drop(window);
         let (hits0, misses0) = counts();
         let mut next = take();
         assert_eq!(counts(), (hits0 + 1, misses0), "one of the four given back");

@@ -351,7 +351,7 @@ fn parallel_workers_report_their_payload_counts() {
 }
 
 /// Issues one WRITE per tick to a replicated pool, its bytes in a buffer
-/// from the frame pool, and recycles every frame the servers send back.
+/// from the frame pool.
 struct PoolWriter {
     pool: extmem_core::ReplicatedPool,
     events: Vec<extmem_core::ChannelEvent>,
@@ -373,7 +373,6 @@ impl extmem_switch::PipelineProgram for PoolWriter {
         if let Ok(Some(roce)) = extmem_wire::RocePacket::parse(&pkt) {
             self.pool.on_roce(ctx, port, &roce, &mut self.events);
         }
-        extmem_wire::pool::recycle(pkt.into_payload());
         for ev in self.events.drain(..) {
             assert!(
                 matches!(ev, extmem_core::ChannelEvent::WriteDone { .. }),
@@ -459,6 +458,92 @@ fn replicated_pool_returns_write_buffers_to_the_frame_pool() {
         assert_eq!(hits, 5 * WRITES, "{order} answers first: takes per WRITE");
         assert_eq!(misses, 0, "{order} answers first: a buffer left the pool");
     }
+}
+
+/// Nobody consumes a frame that dies on a drop path — the traffic manager's
+/// tail drop, a faulty link's loss, a duplicate response the channel throws
+/// away — so nobody could hand its buffer back; they used to leave the pool
+/// one by one, and every drop past the pool's slack became a miss. Eight
+/// flows at 40 Gbit/s into a 10 Gbit/s sink port behind a 16 KB switch
+/// buffer (three frames in four are tail-dropped, and most Fetch-and-Add
+/// requests with them), each counted, reliably, on a server behind a link
+/// that loses 1 % of frames in either direction.
+#[test]
+fn frames_that_die_on_a_drop_path_return_to_the_pool() {
+    use extmem_apps::scenario::{host_ip, host_mac, Testbed};
+    use extmem_apps::workload::{FlowSet, SinkNode, WorkloadSpec};
+    use extmem_core::faa::{FaaConfig, FaaEngine};
+    use extmem_core::state_store::StateStoreProgram;
+    use extmem_rnic::RnicConfig;
+    use extmem_switch::{SwitchConfig, SwitchNode};
+    use extmem_types::{ByteSize, FiveTuple, Rate, Time};
+
+    const FRAMES: u64 = 40_000;
+    let link = LinkSpec::testbed_40g();
+    let flows = (0..8)
+        .map(|i| FiveTuple::new(host_ip(0), host_ip(1), 5000 + i, 9000, 17))
+        .collect();
+    let mut tb = Testbed::new(29);
+    tb.gen(
+        WorkloadSpec {
+            flows: FlowSet::List(flows),
+            ..WorkloadSpec::simple(
+                host_mac(0),
+                host_mac(1),
+                FiveTuple::new(0, 0, 0, 0, 0),
+                512,
+                Rate::from_gbps(40),
+                FRAMES,
+            )
+        },
+        link,
+    );
+    tb.sink(LinkSpec::new(Rate::from_gbps(10), link.propagation));
+    let lossy = LinkSpec {
+        faults: FaultSpec::drop(0.01),
+        ..link
+    };
+    let (_, channel) = tb.server(RnicConfig::default(), ByteSize::from_bytes(4096), lossy);
+    let engine = FaaEngine::new(
+        channel,
+        FaaConfig {
+            reliable: true,
+            ..FaaConfig::default()
+        },
+    );
+    let prog = StateStoreProgram::new(tb.fib(), engine, TimeDelta::from_micros(20));
+    let config = SwitchConfig {
+        buffer: ByteSize::from_kb(16),
+        ..SwitchConfig::default()
+    };
+    let mut t = tb.build(config, Box::new(prog));
+
+    // Warm up on the first half of the run, measure the second: the traffic
+    // is the same throughout, so the pool has seen its high-water mark.
+    let half = Rate::from_gbps(40).time_to_send(512 * FRAMES as usize / 2);
+    t.sim.run_until(Time::ZERO + half);
+    let tm_drops = t.sim.node::<SwitchNode>(t.switch).stats().tm_drops;
+    let lost = |t: &extmem_apps::scenario::Built| {
+        (0..2)
+            .map(|end| t.sim.link_stats(t.links[2], end).dropped_packets)
+            .sum::<u64>()
+    };
+    let link_drops = lost(&t);
+    let misses = extmem_wire::pool::miss_count();
+    t.sim
+        .run_until(Time::ZERO + half + half + TimeDelta::from_micros(500));
+
+    let tm_drops = t.sim.node::<SwitchNode>(t.switch).stats().tm_drops - tm_drops;
+    let link_drops = lost(&t) - link_drops;
+    let received = t.sim.node::<SinkNode>(t.hosts[1]).received;
+    assert!(tm_drops > 5_000, "tail drops while measuring: {tm_drops}");
+    assert!(link_drops > 10, "link losses while measuring: {link_drops}");
+    assert!(received > 5_000 && received < FRAMES / 2, "{received}");
+    assert_eq!(
+        extmem_wire::pool::miss_count() - misses,
+        0,
+        "{tm_drops} tail drops and {link_drops} link losses took buffers out of the pool"
+    );
 }
 
 /// A 4-leaf x 2-spine fabric in the shape of the benchmark's: every leaf

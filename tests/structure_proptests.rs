@@ -1014,7 +1014,7 @@ mod shard_ring {
 mod remote_op_oracle {
     use extmem_rnic::requester::RequesterQp;
     use extmem_rnic::responder::{process_request, Outcome};
-    use extmem_rnic::{MrTable, Operand, QueuePair, RemoteOp};
+    use extmem_rnic::{MrTable, Operand, QueuePair, RemoteOp, Request};
     use extmem_types::{ByteSize, QpNum, Rkey};
     use extmem_wire::extop::{IndirectMode, EXTOP_FLAG_HIT, EXTOP_FLAG_SECONDARY};
     use extmem_wire::roce::{RoceEndpoint, RoceExt};
@@ -1278,8 +1278,17 @@ mod remote_op_oracle {
             }
         }
 
+        /// The next request on the rig's QP, as the responder receives it.
+        fn issue(&mut self, req: Request<'_>) -> extmem_wire::RocePacket {
+            parsed(&self.req.issue(self.rkey, &req))
+        }
+
         fn write(&mut self, va: u64, bytes: &[u8]) {
-            let pkt = parsed(&self.req.write_only(self.rkey, va, &[bytes], false));
+            let pkt = self.issue(Request::Write {
+                va,
+                body: [bytes, &[]],
+                ack_req: false,
+            });
             let r = process_request(self.server, &mut self.qp, &mut self.mrs, &pkt, MTU);
             assert!(
                 matches!(r.outcome, Outcome::WriteExecuted { .. }),
@@ -1289,7 +1298,7 @@ mod remote_op_oracle {
         }
 
         fn read(&mut self, va: u64, len: u32) -> Vec<u8> {
-            let pkt = self.req.read(self.rkey, va, len);
+            let pkt = self.issue(Request::Read { va, len });
             let r = process_request(self.server, &mut self.qp, &mut self.mrs, &pkt, MTU);
             assert!(
                 matches!(r.outcome, Outcome::ReadServed { .. }),
@@ -1306,7 +1315,7 @@ mod remote_op_oracle {
         /// Execute a remote op, then deliver the identical packet again (a
         /// retransmitted duplicate) and demand a byte-identical replay.
         fn remote(&mut self, op: &RemoteOp) -> (u8, u16, Vec<u8>) {
-            let pkt = parsed(&self.req.remote_op(self.rkey, op));
+            let pkt = self.issue(Request::Op(op));
             let r = process_request(self.server, &mut self.qp, &mut self.mrs, &pkt, MTU);
             assert!(
                 matches!(r.outcome, Outcome::ExtOpExecuted { .. }),
@@ -1438,69 +1447,71 @@ mod remote_op_oracle {
         const MTU: usize = 128;
         let mut rig = Rig::new(&image);
         rig.req.mtu = MTU;
-        let (rkey, base) = (rig.rkey, rig.base);
+        let base = rig.base;
         // A length-prefixed entry for the indirect READ: 20 bytes follow
         // the 2-byte header.
         rig.write(base + 1200, &20u16.to_be_bytes());
         let probe_key = image[256 + 16 + 2..256 + 16 + 6].to_vec();
         let requests = [
-            parsed(&rig.req.write_only(rkey, base + 64, &[&[0xa5; 100]], true)),
-            parsed(&rig.req.write_only(rkey, base + 200, &[&[0x5a; 24]], false)),
-            rig.req.read(rkey, base + 32, 100),
-            rig.req.read(rkey, base, 300),
-            rig.req.fetch_add(rkey, base + 512, 41),
-            parsed(&rig.req.remote_op(
-                rkey,
-                &RemoteOp::Gather {
-                    word_len: 8,
-                    vas: vec![base + 8, base + 1024, base + 40],
-                },
-            )),
-            parsed(&rig.req.remote_op(
-                rkey,
-                &RemoteOp::HashProbe {
-                    base_va: base + 256,
-                    b1: 3,
-                    b2: 0,
-                    bucket_bytes: 32,
-                    slot_bytes: 16,
-                    key_off: 2,
-                    key: Operand::new(&probe_key),
-                },
-            )),
-            parsed(&rig.req.remote_op(
-                rkey,
-                &RemoteOp::CondWrite {
-                    cmp_va: base + 700,
-                    write_va: base + 900,
-                    compare: Operand::new(&image[700..704]),
-                    write: Operand::new(&[9; 12]),
-                },
-            )),
-            parsed(&rig.req.remote_op(
-                rkey,
-                &RemoteOp::Indirect {
-                    va: base + 1200,
-                    mode: IndirectMode::LengthPrefixed,
-                    len_off: 0,
-                    hdr_len: 2,
-                    max_len: 64,
-                },
-            )),
+            rig.issue(Request::Write {
+                va: base + 64,
+                body: [&[0xa5; 100], &[]],
+                ack_req: true,
+            }),
+            rig.issue(Request::Write {
+                va: base + 200,
+                body: [&[0x5a; 24], &[]],
+                ack_req: false,
+            }),
+            rig.issue(Request::Read {
+                va: base + 32,
+                len: 100,
+            }),
+            rig.issue(Request::Read { va: base, len: 300 }),
+            rig.issue(Request::FetchAdd {
+                va: base + 512,
+                add: 41,
+            }),
+            rig.issue(Request::Op(&RemoteOp::Gather {
+                word_len: 8,
+                vas: vec![base + 8, base + 1024, base + 40],
+            })),
+            rig.issue(Request::Op(&RemoteOp::HashProbe {
+                base_va: base + 256,
+                b1: 3,
+                b2: 0,
+                bucket_bytes: 32,
+                slot_bytes: 16,
+                key_off: 2,
+                key: Operand::new(&probe_key),
+            })),
+            rig.issue(Request::Op(&RemoteOp::CondWrite {
+                cmp_va: base + 700,
+                write_va: base + 900,
+                compare: Operand::new(&image[700..704]),
+                write: Operand::new(&[9; 12]),
+            })),
+            rig.issue(Request::Op(&RemoteOp::Indirect {
+                va: base + 1200,
+                mode: IndirectMode::LengthPrefixed,
+                len_off: 0,
+                hdr_len: 2,
+                max_len: 64,
+            })),
             // The same op over bytes that are no entry header: the length
             // they spell exceeds `max_len`, an invalid-request NAK.
-            parsed(&rig.req.remote_op(
-                rkey,
-                &RemoteOp::Indirect {
-                    va: base + 1300,
-                    mode: IndirectMode::LengthPrefixed,
-                    len_off: 0,
-                    hdr_len: 2,
-                    max_len: 64,
-                },
-            )),
+            rig.issue(Request::Op(&RemoteOp::Indirect {
+                va: base + 1300,
+                mode: IndirectMode::LengthPrefixed,
+                len_off: 0,
+                hdr_len: 2,
+                max_len: 64,
+            })),
             // Past the end of the region: an access NAK.
-            rig.req.read(rkey, base + REGION - 4, 64),
+            rig.issue(Request::Read {
+                va: base + REGION - 4,
+                len: 64,
+            }),
         ];
         let mut wire = Vec::new();
         let mut serve = |rig: &mut Rig, req: &extmem_wire::RocePacket| {
@@ -1519,8 +1530,8 @@ mod remote_op_oracle {
             serve(&mut rig, req);
         }
         // A gap in the sequence: NAK once, then silence.
-        let _skipped = rig.req.read(rkey, base, 8);
-        let late = rig.req.read(rkey, base, 8);
+        let _skipped = rig.issue(Request::Read { va: base, len: 8 });
+        let late = rig.issue(Request::Read { va: base, len: 8 });
         serve(&mut rig, &late);
         serve(&mut rig, &late);
         assert_eq!(

@@ -630,6 +630,7 @@ mod extop_roundtrips {
 /// cut into parts.
 mod one_encoder {
     use super::{arb_endpoint, extop_roundtrips::arb_ext_op};
+    use extmem_rnic::requester::{Operand, RemoteOp, Request, RequesterQp};
     use extmem_types::{QpNum, Rkey};
     use extmem_wire::aeth::Aeth;
     use extmem_wire::atomic::{AtomicAckEth, AtomicEth};
@@ -682,6 +683,215 @@ mod one_encoder {
         let icrc = icrc_rocev2(&out[ip_at..total - ICRC_LEN]);
         out[total - ICRC_LEN..].copy_from_slice(&icrc.to_le_bytes());
         out
+    }
+
+    /// A request that owns its bytes, to lend to a [`Request`].
+    #[derive(Debug, Clone)]
+    enum Owned {
+        Write {
+            va: u64,
+            body: Vec<u8>,
+            cut: prop::sample::Index,
+            ack_req: bool,
+        },
+        Read {
+            va: u64,
+            len: u32,
+        },
+        FetchAdd {
+            va: u64,
+            add: u64,
+        },
+        Op(RemoteOp),
+    }
+
+    impl Owned {
+        /// The request as the encoder takes it, and the same thing spelt
+        /// out as the opcode, extension header and payload of its frame.
+        fn spelt_out(&self, rkey: Rkey) -> (Request<'_>, Opcode, RoceExt, Vec<u8>) {
+            use extmem_wire::extop::{CondWriteEth, GatherEth, HashProbeEth, IndirectEth};
+            match self {
+                Owned::Write {
+                    va,
+                    body,
+                    cut,
+                    ack_req,
+                } => {
+                    let (head, tail) = body.split_at(cut.index(body.len() + 1));
+                    let reth = Reth {
+                        va: *va,
+                        rkey,
+                        dma_len: body.len() as u32,
+                    };
+                    let req = Request::Write {
+                        va: *va,
+                        body: [head, tail],
+                        ack_req: *ack_req,
+                    };
+                    (req, Opcode::WriteOnly, RoceExt::Reth(reth), body.clone())
+                }
+                &Owned::Read { va, len } => {
+                    let reth = Reth {
+                        va,
+                        rkey,
+                        dma_len: len,
+                    };
+                    let req = Request::Read { va, len };
+                    (req, Opcode::ReadRequest, RoceExt::Reth(reth), vec![])
+                }
+                &Owned::FetchAdd { va, add } => {
+                    let atomic = AtomicEth {
+                        va,
+                        rkey,
+                        swap_add: add,
+                        compare: 0,
+                    };
+                    let req = Request::FetchAdd { va, add };
+                    (req, Opcode::FetchAdd, RoceExt::AtomicEth(atomic), vec![])
+                }
+                Owned::Op(op) => {
+                    let (opcode, ext, payload) = match op {
+                        &RemoteOp::Indirect {
+                            va,
+                            mode,
+                            len_off,
+                            hdr_len,
+                            max_len,
+                        } => (
+                            Opcode::IndirectRead,
+                            RoceExt::Indirect(IndirectEth {
+                                va,
+                                rkey,
+                                mode,
+                                len_off,
+                                hdr_len,
+                                max_len,
+                            }),
+                            vec![],
+                        ),
+                        &RemoteOp::HashProbe {
+                            base_va,
+                            b1,
+                            b2,
+                            bucket_bytes,
+                            slot_bytes,
+                            key_off,
+                            key,
+                        } => (
+                            Opcode::HashProbe,
+                            RoceExt::HashProbe(HashProbeEth {
+                                base_va,
+                                rkey,
+                                b1,
+                                b2,
+                                bucket_bytes,
+                                slot_bytes,
+                                key_off,
+                                key_len: key.len() as u8,
+                            }),
+                            key.to_vec(),
+                        ),
+                        &RemoteOp::CondWrite {
+                            cmp_va,
+                            write_va,
+                            compare,
+                            write,
+                        } => (
+                            Opcode::CondWrite,
+                            RoceExt::CondWrite(CondWriteEth {
+                                cmp_va,
+                                write_va,
+                                rkey,
+                                cmp_len: compare.len() as u16,
+                            }),
+                            [&compare[..], &write[..]].concat(),
+                        ),
+                        RemoteOp::Gather { word_len, vas } => (
+                            Opcode::GatherWalk,
+                            RoceExt::Gather(GatherEth {
+                                rkey,
+                                word_len: *word_len,
+                                count: vas.len() as u16,
+                            }),
+                            vas.iter().flat_map(|va| va.to_be_bytes()).collect(),
+                        ),
+                    };
+                    (Request::Op(op), opcode, ext, payload)
+                }
+            }
+        }
+    }
+
+    fn arb_request() -> impl Strategy<Value = Owned> {
+        use extmem_wire::extop::IndirectMode;
+        use proptest::collection::vec;
+        let operand = |len| vec(any::<u8>(), len).prop_map(|bytes| Operand::new(&bytes));
+        prop_oneof![
+            (
+                any::<u64>(),
+                vec(any::<u8>(), 0..700),
+                any::<prop::sample::Index>(),
+                any::<bool>(),
+            )
+                .prop_map(|(va, body, cut, ack_req)| Owned::Write {
+                    va,
+                    body,
+                    cut,
+                    ack_req,
+                }),
+            (any::<u64>(), any::<u32>()).prop_map(|(va, len)| Owned::Read { va, len }),
+            (any::<u64>(), any::<u64>()).prop_map(|(va, add)| Owned::FetchAdd { va, add }),
+            (
+                any::<u64>(),
+                any::<bool>(),
+                any::<u8>(),
+                any::<u16>(),
+                any::<u32>(),
+            )
+                .prop_map(|(va, lp, len_off, hdr_len, max_len)| {
+                    let mode = if lp {
+                        IndirectMode::LengthPrefixed
+                    } else {
+                        IndirectMode::Pointer
+                    };
+                    Owned::Op(RemoteOp::Indirect {
+                        va,
+                        mode,
+                        len_off,
+                        hdr_len,
+                        max_len,
+                    })
+                }),
+            (
+                (any::<u64>(), any::<u32>(), any::<u32>()),
+                (any::<u16>(), any::<u16>(), any::<u8>(), operand(1..33)),
+            )
+                .prop_map(
+                    |((base_va, b1, b2), (bucket_bytes, slot_bytes, key_off, key))| {
+                        Owned::Op(RemoteOp::HashProbe {
+                            base_va,
+                            b1,
+                            b2,
+                            bucket_bytes,
+                            slot_bytes,
+                            key_off,
+                            key,
+                        })
+                    }
+                ),
+            (any::<u64>(), any::<u64>(), operand(1..33), operand(0..33)).prop_map(
+                |(cmp_va, write_va, compare, write)| {
+                    Owned::Op(RemoteOp::CondWrite {
+                        cmp_va,
+                        write_va,
+                        compare,
+                        write,
+                    })
+                }
+            ),
+            (any::<u16>(), vec(any::<u64>(), 1..17))
+                .prop_map(|(word_len, vas)| Owned::Op(RemoteOp::Gather { word_len, vas })),
+        ]
     }
 
     /// Every verb opcode with the extension header it requires, and a body
@@ -808,7 +1018,7 @@ mod one_encoder {
             (va, rkey, psn) in (any::<u64>(), any::<u32>(), 0u32..0x0100_0000),
             ack_req: bool,
         ) {
-            use extmem_rnic::requester::{Operand, RequesterQp, WriteBody};
+            use extmem_rnic::requester::WriteBody;
             use extmem_wire::Payload;
             let cut = cut.index(body.len().min(Operand::MAX_LEN) + 1);
             let mut buffer = vec![0xee; margin];
@@ -825,15 +1035,51 @@ mod one_encoder {
             let whole = RocePacket::new(src, dst, qp.udp_src_port, bth, RoceExt::Reth(reth), body.clone());
             let want = reference_build(&whole);
 
-            let frame = qp.write_only(Rkey(rkey), va, &framed.parts(), ack_req);
+            fn write(va: u64, body: &WriteBody, ack_req: bool) -> Request<'_> {
+                Request::Write { va, body: body.parts(), ack_req }
+            }
+            let frame = qp.issue(Rkey(rkey), &write(va, &framed, ack_req));
             prop_assert_eq!(frame.as_slice(), &want[..], "split at {}", cut);
             prop_assert_eq!(qp.npsn, (psn + 1) & 0x00ff_ffff);
             if body.len() <= Operand::MAX_LEN {
                 let inline = WriteBody::inline(&body);
                 prop_assert!(inline.tail.is_empty());
-                let frame = qp.write_only_at(psn, Rkey(rkey), va, &inline.parts(), ack_req);
+                let frame = qp.encode_at(psn, Rkey(rkey), &write(va, &inline, ack_req));
                 prop_assert_eq!(frame.as_slice(), &want[..]);
             }
+        }
+
+        /// The one request encoder against the slow reference, for all four
+        /// kinds of request: whatever the PSN, rkey and operands, the frame
+        /// is the one `RocePacket::new(..)` with the same fields builds,
+        /// and `issue` is that frame at `npsn`, which moves on by the span.
+        #[test]
+        fn every_request_kind_is_encoded_as_the_reference_builds_it(
+            owned in arb_request(),
+            src in arb_endpoint(),
+            dst in arb_endpoint(),
+            (rkey, psn) in (any::<u32>(), 0u32..0x0100_0000),
+            mtu in prop::sample::select(vec![256usize, 1024, 4096]),
+        ) {
+            let rkey = Rkey(rkey);
+            let mut qp = RequesterQp::new(src, dst, QpNum(0x4242), mtu);
+            let (req, opcode, ext, payload) = owned.spelt_out(rkey);
+            let mut bth = Bth::new(opcode, qp.peer_qpn, psn);
+            bth.ack_req = matches!(req, Request::Write { ack_req: true, .. });
+            let want = reference_build(&RocePacket::new(src, dst, qp.udp_src_port, bth, ext, payload));
+
+            let frame = qp.encode_at(psn, rkey, &req);
+            prop_assert_eq!(frame.as_slice(), &want[..]);
+            prop_assert_eq!(qp.npsn, 0, "encode_at leaves the sequence alone");
+            qp.npsn = psn;
+            let frame = qp.issue(rkey, &req);
+            prop_assert_eq!(frame.as_slice(), &want[..]);
+            let span = match req {
+                Request::Read { len, .. } => (len as u64).div_ceil(mtu as u64).max(1),
+                _ => 1,
+            };
+            prop_assert_eq!(qp.span(&req) as u64, span);
+            prop_assert_eq!(qp.npsn as u64, (psn as u64 + span) & 0x00ff_ffff);
         }
 
         #[test]
