@@ -10,13 +10,18 @@
 //! paper's initialization-only CPU involvement. Everything after setup is
 //! pure data plane.
 //!
-//! [`ReliableChannel`] is that data plane's requester: it owns every op
-//! from acceptance to completion, and with it the bytes the op sends. A
-//! WRITE's are a [`WriteBody`] — a head held inline and a tail shared with
-//! whoever produced it (a stored packet's arrival frame) — and each
-//! transmission, first or repeated, encodes the request frame from those
-//! parts; the tail goes back to the frame pool when the op that holds its
-//! last reference retires.
+//! [`ReliableChannel`] is that data plane's requester, and the one place an
+//! in-flight op lives. An op is an [`Op`], a value: whoever wants it done
+//! hands it to [`ReliableChannel::submit`] and keeps only what the answer
+//! will mean to them, under a cookie. The channel holds the op from
+//! acceptance until it retires or fails, encodes every transmission of it
+//! — first, replayed — from that one value ([`Op::request`]), and hands it
+//! back in the [`ChannelEvent`] that ends it, so a layer above (the
+//! replicated pool on a failover) can send it again verbatim without
+//! having kept a copy. A WRITE's bytes are a [`WriteBody`] — a head held
+//! inline and a tail shared with whoever produced it (a stored packet's
+//! arrival frame); the tail goes back to the frame pool when the last
+//! holder of the finished op's event drops it.
 
 use extmem_rnic::requester::{RemoteOp, Request, RequesterQp, WriteBody};
 use extmem_rnic::RnicNode;
@@ -244,35 +249,79 @@ impl fmt::Display for ChannelStats {
     }
 }
 
-/// Completion (or failure) of an op issued through a [`ReliableChannel`],
-/// tagged with the caller-chosen cookie. `Failed` is the graceful-
-/// degradation signal: the channel gave up and the primitive must fall back
-/// to local-only operation.
+/// One RDMA op, as whoever wants it done describes it: addresses, flags
+/// and bytes by value, no PSN and no rkey. The channel that accepts it
+/// ([`ReliableChannel::submit`]) holds it until it is answered or given up
+/// on and returns it in the [`ChannelEvent`] that says which, so the same
+/// value can be submitted again — to a failover replica, under that
+/// server's own region key — and come out as the same request.
 #[derive(Clone, Debug, PartialEq)]
-pub enum ChannelEvent {
-    /// A WRITE was acknowledged (explicitly or implicitly).
-    WriteDone {
-        /// The cookie passed to [`ReliableChannel::write`].
-        cookie: u64,
+pub enum Op {
+    /// Single-packet WRITE of `body` at `va`. With `ack_req` the responder
+    /// acknowledges it explicitly (loss is then recoverable even if no
+    /// later op completes behind it).
+    Write {
+        /// Where the bytes land.
+        va: u64,
+        /// The bytes: an inline head and a shared tail.
+        body: WriteBody,
+        /// Ask the responder for an explicit ACK.
+        ack_req: bool,
     },
-    /// A READ's full response arrived.
-    ReadDone {
-        /// The cookie passed to [`ReliableChannel::read`].
-        cookie: u64,
-        /// The reassembled response bytes (zero-copy for single-packet
-        /// responses — the common case).
-        data: Payload,
+    /// READ of `len` bytes at `va`.
+    Read {
+        /// Where to read.
+        va: u64,
+        /// How many bytes.
+        len: u32,
     },
-    /// A Fetch-and-Add was acknowledged.
-    AtomicDone {
-        /// The cookie passed to [`ReliableChannel::fetch_add`].
-        cookie: u64,
+    /// Atomic Fetch-and-Add of `add` to the u64 at `va`.
+    FetchAdd {
+        /// The counter's address.
+        va: u64,
+        /// The addend.
+        add: u64,
     },
-    /// A remote op's response arrived (indirect READ, hash probe,
-    /// conditional WRITE, or gather/walk — one RTT each).
-    RemoteDone {
-        /// The cookie passed to [`ReliableChannel::remote_op`].
-        cookie: u64,
+    /// A remote op (indirect READ, hash-probe-and-fetch, conditional WRITE,
+    /// gather/walk): a whole dependent-access chain the responder NIC
+    /// executes locally, one RTT whatever its depth.
+    Remote(RemoteOp),
+}
+
+impl Op {
+    /// The op as the requester QP encodes it. Every transmission — first,
+    /// go-back-N replay, reissue on a failover replica — is this request
+    /// under some PSN and rkey.
+    pub fn request(&self) -> Request<'_> {
+        match self {
+            Op::Write { va, body, ack_req } => Request::Write {
+                va: *va,
+                body: body.parts(),
+                ack_req: *ack_req,
+            },
+            Op::Read { va, len } => Request::Read { va: *va, len: *len },
+            Op::FetchAdd { va, add } => Request::FetchAdd { va: *va, add: *add },
+            Op::Remote(op) => Request::Op(op),
+        }
+    }
+
+    /// Whether the op is answered with data of its own (a READ, a remote
+    /// op) rather than covered by any acknowledgement at or past its PSN.
+    fn bears_response(&self) -> bool {
+        matches!(self, Op::Read { .. } | Op::Remote(_))
+    }
+}
+
+/// What the responder answered a finished [`Op`] with.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Reply {
+    /// A WRITE or Fetch-and-Add was acknowledged (explicitly or implicitly).
+    Ack,
+    /// A READ's reassembled response bytes (zero-copy for single-packet
+    /// responses — the common case).
+    Data(Payload),
+    /// A remote op's response.
+    Remote {
         /// Op-specific flags (`EXTOP_FLAG_HIT`, `EXTOP_FLAG_SECONDARY`).
         flags: u8,
         /// Op-specific index (matched slot for a hash probe).
@@ -281,68 +330,47 @@ pub enum ChannelEvent {
         /// compare image, or the dereferenced entry.
         data: Payload,
     },
+}
+
+impl Reply {
+    /// The bytes that came back, whichever kind of op fetched them; `None`
+    /// for a bare acknowledgement.
+    pub fn into_data(self) -> Option<Payload> {
+        match self {
+            Reply::Ack => None,
+            Reply::Data(data) | Reply::Remote { data, .. } => Some(data),
+        }
+    }
+}
+
+/// The end of an op submitted to a [`ReliableChannel`], tagged with the
+/// caller-chosen cookie and carrying the op itself back. `Failed` is the
+/// graceful-degradation signal: the channel gave up and the primitive must
+/// fall back to local-only operation.
+#[derive(Clone, Debug, PartialEq)]
+pub enum ChannelEvent {
+    /// The op was executed and answered.
+    Done {
+        /// The cookie passed to [`ReliableChannel::submit`].
+        cookie: u64,
+        /// The op, as submitted.
+        op: Op,
+        /// The responder's answer.
+        reply: Reply,
+    },
     /// The op was abandoned: aged out (best-effort), failed by a NAK
-    /// (best-effort), or in flight when the channel failed over.
+    /// (best-effort), or in flight or queued when the channel failed over.
+    /// A volley of these comes in submit order.
     OpFailed {
         /// The cookie of the abandoned op.
         cookie: u64,
+        /// The op, as submitted: whoever can still have it done submits it
+        /// again.
+        op: Op,
     },
     /// The retry cap was exhausted; the channel is now failed and accepts
     /// no further ops. Emitted once, after the per-op `OpFailed` events.
     Failed,
-}
-
-/// What an outstanding op needs to be retransmitted and completed.
-#[derive(Clone, Debug)]
-enum OpKind {
-    /// The body stays with the op until it retires: every transmission —
-    /// first, go-back-N replay, reissue on a failover replica — encodes the
-    /// frame from it.
-    Write {
-        va: u64,
-        body: WriteBody,
-        ack_req: bool,
-    },
-    /// `chunks` collects the response packets of a READ longer than the
-    /// MTU, by PSN offset (empty — unallocated — until the first of them
-    /// arrives, and for the usual one-packet READ always); `done` holds the
-    /// whole response once it is complete.
-    Read {
-        va: u64,
-        len: u32,
-        chunks: Vec<Option<Payload>>,
-        done: Option<Payload>,
-    },
-    Atomic {
-        va: u64,
-        add: u64,
-    },
-    /// A remote op (§"remote-op ISA"): the full op description is kept so a
-    /// retransmission — or a reissue against a failover replica under a
-    /// different rkey — rebuilds the request verbatim. `done` buffers the
-    /// response until completion, like a READ's.
-    Remote {
-        op: RemoteOp,
-        done: Option<(u8, u16, Payload)>,
-    },
-}
-
-impl OpKind {
-    /// The op as the requester QP encodes it. Every transmission — first,
-    /// go-back-N replay, reissue on a failover replica — is this request
-    /// under some PSN and rkey.
-    fn request(&self) -> Request<'_> {
-        match self {
-            OpKind::Write { va, body, ack_req } => Request::Write {
-                va: *va,
-                body: body.parts(),
-                ack_req: *ack_req,
-            },
-            OpKind::Read { va, len, .. } => Request::Read { va: *va, len: *len },
-            OpKind::Atomic { va, add } => Request::FetchAdd { va: *va, add: *add },
-            OpKind::Remote { op, .. } => Request::Op(op),
-        }
-    }
 }
 
 #[derive(Clone, Debug)]
@@ -353,16 +381,11 @@ struct Outstanding {
     span: u32,
     cookie: u64,
     sent_at: Time,
-    kind: OpKind,
-}
-
-/// An op accepted while the transmit window was full: parked here with no
-/// PSN yet (PSNs are assigned at first transmission, so queued ops stay
-/// behind every in-flight op in sequence space).
-#[derive(Clone, Debug)]
-struct QueuedOp {
-    cookie: u64,
-    kind: OpKind,
+    op: Op,
+    /// The response packets of a READ longer than the MTU, by PSN offset
+    /// (empty — unallocated — until the first of them arrives, and for
+    /// every other op, the usual one-packet READ included, always).
+    chunks: Vec<Option<Payload>>,
 }
 
 impl Outstanding {
@@ -371,24 +394,19 @@ impl Outstanding {
     }
 
     /// The op is finished: its completion event.
-    fn retire(self) -> ChannelEvent {
-        let cookie = self.cookie;
-        match self.kind {
-            OpKind::Write { .. } => ChannelEvent::WriteDone { cookie },
-            OpKind::Atomic { .. } => ChannelEvent::AtomicDone { cookie },
-            OpKind::Read { done, .. } => ChannelEvent::ReadDone {
-                cookie,
-                data: done.expect("completed READ has its response"),
-            },
-            OpKind::Remote { done, .. } => {
-                let (flags, index, data) = done.expect("completed remote op has its response");
-                ChannelEvent::RemoteDone {
-                    cookie,
-                    flags,
-                    index,
-                    data,
-                }
-            }
+    fn retire(self, reply: Reply) -> ChannelEvent {
+        ChannelEvent::Done {
+            cookie: self.cookie,
+            op: self.op,
+            reply,
+        }
+    }
+
+    /// The op is given up on: its failure event.
+    fn abandon(self) -> ChannelEvent {
+        ChannelEvent::OpFailed {
+            cookie: self.cookie,
+            op: self.op,
         }
     }
 }
@@ -404,10 +422,10 @@ fn psn_at_or_before(a: u32, b: u32) -> bool {
 /// retry cap fails over so the primitive can degrade to local-only
 /// operation instead of stalling forever (§7).
 ///
-/// Completions are delivered as [`ChannelEvent`]s pushed onto the `events`
-/// buffer passed to [`ReliableChannel::on_roce`] /
-/// [`ReliableChannel::on_timer_fired`]; the cookie is caller-chosen and
-/// opaque to the channel.
+/// Ops come in through [`ReliableChannel::submit`] and go out, each exactly
+/// once, in the [`ChannelEvent`]s pushed onto the `events` buffer passed to
+/// [`ReliableChannel::on_roce`] / [`ReliableChannel::on_timer_fired`]; the
+/// cookie is caller-chosen and opaque to the channel.
 ///
 /// The channel manages its own retransmission deadline: it arms a
 /// cancellable timer (under [`ReliableChannel::timer_token`]) when ops go
@@ -421,8 +439,10 @@ pub struct ReliableChannel {
     config: ReliableConfig,
     /// In-flight ops in issue order (PSN order, wrap-aware).
     outstanding: VecDeque<Outstanding>,
-    /// Ops accepted past the window cap, awaiting transmission.
-    queue: VecDeque<QueuedOp>,
+    /// Ops accepted past the window cap, awaiting transmission, with
+    /// their cookies. No PSN yet: PSNs are assigned at first transmission,
+    /// so queued ops stay behind every in-flight op in sequence space.
+    queue: VecDeque<(u64, Op)>,
     /// Current backoff shift; resets on any progress from the responder.
     backoff_level: u32,
     /// Timeout rounds since the last progress.
@@ -577,75 +597,20 @@ impl ReliableChannel {
         }
     }
 
-    /// Issue a single-packet WRITE of `body` at `va` (a `Vec<u8>` or
-    /// [`Payload`] is a body that is all tail). With `ack_req` the responder
-    /// acknowledges it explicitly (loss is then recoverable even if no
-    /// later op completes behind it). Returns `false` — op not sent, body
-    /// dropped — once the channel has failed over.
-    pub fn write(
-        &mut self,
-        ctx: &mut SwitchCtx<'_, '_, '_>,
-        va: u64,
-        body: impl Into<WriteBody>,
-        ack_req: bool,
-        cookie: u64,
-    ) -> bool {
-        let body = body.into();
-        self.accept(ctx, cookie, OpKind::Write { va, body, ack_req })
+    /// Every op held for the caller, in submit order: in flight, then
+    /// queued behind the window.
+    pub fn ops(&self) -> impl Iterator<Item = (u64, &Op)> {
+        let in_flight = self.outstanding.iter().map(|o| (o.cookie, &o.op));
+        in_flight.chain(self.queue.iter().map(|(cookie, op)| (*cookie, op)))
     }
 
-    /// Issue a READ of `len` bytes at `va`. Returns `false` once failed over.
-    pub fn read(
-        &mut self,
-        ctx: &mut SwitchCtx<'_, '_, '_>,
-        va: u64,
-        len: u32,
-        cookie: u64,
-    ) -> bool {
-        self.accept(
-            ctx,
-            cookie,
-            OpKind::Read {
-                va,
-                len,
-                chunks: Vec::new(),
-                done: None,
-            },
-        )
-    }
-
-    /// Issue an atomic Fetch-and-Add of `add` at `va`. Returns `false` once
-    /// failed over.
-    pub fn fetch_add(
-        &mut self,
-        ctx: &mut SwitchCtx<'_, '_, '_>,
-        va: u64,
-        add: u64,
-        cookie: u64,
-    ) -> bool {
-        self.accept(ctx, cookie, OpKind::Atomic { va, add })
-    }
-
-    /// Issue a remote op (indirect READ, hash-probe-and-fetch, conditional
-    /// WRITE, gather/walk). The op describes a whole dependent-access chain
-    /// that the responder NIC executes locally, so the chain costs one RTT
-    /// regardless of its depth. Completion arrives as
-    /// [`ChannelEvent::RemoteDone`]. Returns `false` once failed over.
-    pub fn remote_op(
-        &mut self,
-        ctx: &mut SwitchCtx<'_, '_, '_>,
-        op: RemoteOp,
-        cookie: u64,
-    ) -> bool {
-        self.accept(ctx, cookie, OpKind::Remote { op, done: None })
-    }
-
-    /// Admit an op: transmit immediately while the window has room, park it
-    /// in the queue otherwise (queued ops launch as the window drains, in
-    /// acceptance order). Best-effort channels skip the window entirely.
-    /// Returns `false` — op not accepted — only once the channel has
-    /// failed over.
-    fn accept(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, cookie: u64, kind: OpKind) -> bool {
+    /// Admit `op` under `cookie`: transmit immediately while the window has
+    /// room, park it in the queue otherwise (queued ops launch as the
+    /// window drains, in acceptance order). Best-effort channels skip the
+    /// window entirely. The op comes back in exactly one
+    /// [`ChannelEvent::Done`] or [`ChannelEvent::OpFailed`]. Returns `false`
+    /// — op not accepted, dropped — only once the channel has failed over.
+    pub fn submit(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, op: Op, cookie: u64) -> bool {
         if self.failed {
             return false;
         }
@@ -653,9 +618,9 @@ impl ReliableChannel {
         if self.config.reliable
             && (self.outstanding.len() >= self.config.max_window || !self.queue.is_empty())
         {
-            self.queue.push_back(QueuedOp { cookie, kind });
+            self.queue.push_back((cookie, op));
         } else {
-            self.launch(ctx, cookie, kind);
+            self.launch(ctx, cookie, op);
             self.maintain_timer(ctx);
         }
         true
@@ -663,10 +628,10 @@ impl ReliableChannel {
 
     /// First transmission of an op: assign its PSN(s), record it
     /// outstanding, and put the request on the wire.
-    fn launch(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, cookie: u64, kind: OpKind) {
+    fn launch(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, cookie: u64, op: Op) {
         let (qp, rkey) = (&mut self.inner.qp, self.inner.rkey);
         let first_psn = qp.npsn;
-        let request = kind.request();
+        let request = op.request();
         let span = qp.span(&request);
         let frame = qp.issue(rkey, &request);
         self.outstanding.push_back(Outstanding {
@@ -674,19 +639,19 @@ impl ReliableChannel {
             span,
             cookie,
             sent_at: ctx.now(),
-            kind,
+            op,
+            chunks: Vec::new(),
         });
         self.send(ctx, frame);
     }
 
     /// Launch queued ops into whatever room the window now has.
     fn pump_queue(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>) {
-        while !self.failed
-            && self.outstanding.len() < self.config.max_window
-            && !self.queue.is_empty()
-        {
-            let q = self.queue.pop_front().unwrap();
-            self.launch(ctx, q.cookie, q.kind);
+        while !self.failed && self.outstanding.len() < self.config.max_window {
+            let Some((cookie, op)) = self.queue.pop_front() else {
+                break;
+            };
+            self.launch(ctx, cookie, op);
         }
     }
 
@@ -749,36 +714,39 @@ impl ReliableChannel {
         self.nak_epoch = None;
     }
 
-    /// Complete and remove the op at `idx`, plus every *earlier* WRITE and
-    /// atomic (the in-order responder must have executed them for this
-    /// response to exist). Earlier READs stay outstanding: their data may
-    /// still be in flight — or lost, in which case the timer re-reads them.
-    fn complete_at(&mut self, idx: usize, events: &mut Vec<ChannelEvent>) {
-        let mut i = 0;
-        for _ in 0..idx {
-            if matches!(
-                self.outstanding[i].kind,
-                OpKind::Read { .. } | OpKind::Remote { .. }
-            ) {
-                // Response-bearing ops stay outstanding: the responder has
-                // executed them, but their data may still be in flight (or
-                // lost — the timer re-issues them).
-                i += 1;
-                continue;
+    /// Retire the WRITEs and atomics among the first `n` outstanding ops:
+    /// the in-order responder has executed them. The response-bearing ones
+    /// stay — the responder executed those too, but their data may still be
+    /// in flight (or lost, in which case the timer re-issues them). Returns
+    /// how many stayed.
+    fn retire_executed(&mut self, n: usize, events: &mut Vec<ChannelEvent>) -> usize {
+        let mut kept = 0;
+        for _ in 0..n {
+            if self.outstanding[kept].op.bears_response() {
+                kept += 1;
+            } else if let Some(op) = self.outstanding.remove(kept) {
+                events.push(op.retire(Reply::Ack));
             }
-            let op = self.outstanding.remove(i).unwrap();
-            events.push(op.retire());
         }
-        let op = self.outstanding.remove(i).unwrap();
-        events.push(op.retire());
+        kept
+    }
+
+    /// Complete and remove the op at `idx`, answered with `reply`, plus
+    /// every *earlier* WRITE and atomic (for this response to exist, the
+    /// responder must have executed them).
+    fn complete_at(&mut self, idx: usize, reply: Reply, events: &mut Vec<ChannelEvent>) {
+        let at = self.retire_executed(idx, events);
+        if let Some(op) = self.outstanding.remove(at) {
+            events.push(op.retire(reply));
+        }
     }
 
     fn on_read_resp(&mut self, roce: &RocePacket, events: &mut Vec<ChannelEvent>) {
         let psn = roce.bth.psn;
-        let pos = self.outstanding.iter().position(|op| {
-            matches!(op.kind, OpKind::Read { .. })
-                && !psn_before(psn, op.first_psn)
-                && psn_before(psn, psn_add(op.first_psn, op.span))
+        let pos = self.outstanding.iter().position(|o| {
+            matches!(o.op, Op::Read { .. })
+                && !psn_before(psn, o.first_psn)
+                && psn_before(psn, psn_add(o.first_psn, o.span))
         });
         let Some(pos) = pos else {
             // A replayed duplicate of a READ already completed: drop it
@@ -788,27 +756,23 @@ impl ReliableChannel {
         };
         self.progress();
         let op = &mut self.outstanding[pos];
-        let OpKind::Read { chunks, done, .. } = &mut op.kind else {
-            unreachable!()
-        };
-        if op.span == 1 {
+        let data = if op.span == 1 {
             // Single-packet response: hand back the shared buffer.
-            *done = Some(roce.payload.clone());
+            roce.payload.clone()
         } else {
-            chunks.resize(op.span as usize, None);
+            op.chunks.resize(op.span as usize, None);
             let at = psn.wrapping_sub(op.first_psn) & 0x00ff_ffff;
-            chunks[at as usize] = Some(roce.payload.clone());
-            if chunks.iter().all(|c| c.is_some()) {
-                let mut buf = extmem_wire::pool::take();
-                for chunk in chunks.drain(..) {
-                    buf.extend_from_slice(&chunk.expect("complete READ has all chunks"));
-                }
-                *done = Some(Payload::from_vec(buf));
+            op.chunks[at as usize] = Some(roce.payload.clone());
+            if op.chunks.iter().any(|c| c.is_none()) {
+                return;
             }
-        }
-        if done.is_some() {
-            self.complete_at(pos, events);
-        }
+            let mut buf = extmem_wire::pool::take();
+            for chunk in op.chunks.drain(..).flatten() {
+                buf.extend_from_slice(&chunk);
+            }
+            Payload::from_vec(buf)
+        };
+        self.complete_at(pos, Reply::Data(data), events);
     }
 
     /// A remote op's response: completes exactly the matching op (exact-PSN
@@ -826,17 +790,15 @@ impl ReliableChannel {
         let pos = self
             .outstanding
             .iter()
-            .position(|op| matches!(op.kind, OpKind::Remote { .. }) && op.first_psn == psn);
+            .position(|o| matches!(o.op, Op::Remote(_)) && o.first_psn == psn);
         let Some(pos) = pos else {
             // A replayed duplicate of an op already completed.
             self.stats.duplicate_drops += 1;
             return;
         };
         self.progress();
-        if let OpKind::Remote { done, .. } = &mut self.outstanding[pos].kind {
-            *done = Some((flags, index, payload.clone()));
-        }
-        self.complete_at(pos, events);
+        let data = payload.clone();
+        self.complete_at(pos, Reply::Remote { flags, index, data }, events);
     }
 
     fn on_atomic_ack(&mut self, psn: u32, events: &mut Vec<ChannelEvent>) {
@@ -844,13 +806,13 @@ impl ReliableChannel {
         let pos = self
             .outstanding
             .iter()
-            .position(|op| matches!(op.kind, OpKind::Atomic { .. }) && op.first_psn == psn);
+            .position(|o| matches!(o.op, Op::FetchAdd { .. }) && o.first_psn == psn);
         let Some(pos) = pos else {
             self.stats.duplicate_drops += 1;
             return;
         };
         self.progress();
-        self.complete_at(pos, events);
+        self.complete_at(pos, Reply::Ack, events);
     }
 
     /// A plain ACK of `psn` acknowledges every op through `psn`. WRITEs and
@@ -867,20 +829,12 @@ impl ReliableChannel {
             return;
         }
         self.progress();
-        let mut idx = 0;
-        while idx < self.outstanding.len() {
-            let op = &self.outstanding[idx];
-            if !psn_at_or_before(op.last_psn(), psn) {
-                break;
-            }
-            match op.kind {
-                OpKind::Read { .. } | OpKind::Remote { .. } => idx += 1,
-                OpKind::Write { .. } | OpKind::Atomic { .. } => {
-                    let op = self.outstanding.remove(idx).unwrap();
-                    events.push(op.retire());
-                }
-            }
-        }
+        let covered = self
+            .outstanding
+            .iter()
+            .take_while(|op| psn_at_or_before(op.last_psn(), psn))
+            .count();
+        self.retire_executed(covered, events);
     }
 
     /// The responder NAKed: its `epsn` (carried in the NAK's PSN field)
@@ -898,20 +852,12 @@ impl ReliableChannel {
             // Ops fully before the responder's expected PSN were executed;
             // complete the WRITEs/atomics among them (READ data may still
             // be lost — the timer covers those).
-            let mut idx = 0;
-            while idx < self.outstanding.len() {
-                let op = &self.outstanding[idx];
-                if !psn_before(op.last_psn(), epsn) {
-                    break;
-                }
-                match op.kind {
-                    OpKind::Read { .. } | OpKind::Remote { .. } => idx += 1,
-                    OpKind::Write { .. } | OpKind::Atomic { .. } => {
-                        let op = self.outstanding.remove(idx).unwrap();
-                        events.push(op.retire());
-                    }
-                }
-            }
+            let executed = self
+                .outstanding
+                .iter()
+                .take_while(|op| psn_before(op.last_psn(), epsn))
+                .count();
+            self.retire_executed(executed, events);
             if self.nak_epoch == Some(epsn) {
                 // Every out-of-sequence packet behind the same loss draws
                 // its own NAK; the volley already in flight answers them
@@ -928,9 +874,7 @@ impl ReliableChannel {
             // Best effort: everything in flight is lost. Fail the ops,
             // resynchronize the requester's PSN to what the responder
             // expects, and keep going — the caller absorbs the loss.
-            while let Some(op) = self.outstanding.pop_front() {
-                events.push(ChannelEvent::OpFailed { cookie: op.cookie });
-            }
+            events.extend(self.outstanding.drain(..).map(Outstanding::abandon));
             if self.inner.qp.npsn != epsn {
                 self.inner.qp.npsn = epsn;
             }
@@ -944,8 +888,8 @@ impl ReliableChannel {
         let now = ctx.now();
         let (qp, rkey) = (&self.inner.qp, self.inner.rkey);
         for i in 0..self.outstanding.len() {
-            let op = &self.outstanding[i];
-            let frame = qp.encode_at(op.first_psn, rkey, &op.kind.request());
+            let sent = &self.outstanding[i];
+            let frame = qp.encode_at(sent.first_psn, rkey, &sent.op.request());
             self.send(ctx, frame);
             self.stats.retransmits += 1;
             self.outstanding[i].sent_at = now;
@@ -992,14 +936,14 @@ impl ReliableChannel {
             self.retransmit_all(ctx);
         } else {
             // Best effort: age out everything past the base RTO.
-            while let Some(op) = self.outstanding.front() {
-                if now.saturating_since(op.sent_at) < self.config.rto {
-                    break;
-                }
-                let op = self.outstanding.pop_front().unwrap();
-                self.stats.aged_out += 1;
-                events.push(ChannelEvent::OpFailed { cookie: op.cookie });
-            }
+            let rto = self.config.rto;
+            let aged = self
+                .outstanding
+                .iter()
+                .take_while(|op| now.saturating_since(op.sent_at) >= rto)
+                .count();
+            self.stats.aged_out += aged as u64;
+            events.extend(self.outstanding.drain(..aged).map(Outstanding::abandon));
             self.pump_queue(ctx);
         }
         self.maintain_timer(ctx);
@@ -1008,12 +952,9 @@ impl ReliableChannel {
     /// Give up: fail every outstanding op, mark the channel failed, drop
     /// the armed deadline, and emit the degradation signal.
     fn fail(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, events: &mut Vec<ChannelEvent>) {
-        while let Some(op) = self.outstanding.pop_front() {
-            events.push(ChannelEvent::OpFailed { cookie: op.cookie });
-        }
-        while let Some(op) = self.queue.pop_front() {
-            events.push(ChannelEvent::OpFailed { cookie: op.cookie });
-        }
+        events.extend(self.outstanding.drain(..).map(Outstanding::abandon));
+        let queued = self.queue.drain(..);
+        events.extend(queued.map(|(cookie, op)| ChannelEvent::OpFailed { cookie, op }));
         self.failed = true;
         self.stats.failed_over = true;
         if let Some(h) = self.timer.take() {
@@ -1059,7 +1000,7 @@ impl ReliableChannel {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use extmem_rnic::{Operand, RnicConfig};
     use extmem_wire::MacAddr;
@@ -1149,7 +1090,8 @@ mod tests {
             // PSN 0 | 1..=2 | 3..=5.
             for span in 1..=3usize {
                 let len = read_image(span).len() as u32;
-                assert!(self.channel.read(ctx, 0x1000, len, span as u64));
+                let read = Op::Read { va: 0x1000, len };
+                assert!(self.channel.submit(ctx, read, span as u64));
             }
             // The three-packet READ first: last chunk, first chunk twice,
             // then the middle one completes it.
@@ -1218,7 +1160,11 @@ mod tests {
             .events
             .iter()
             .map(|ev| match ev {
-                ChannelEvent::ReadDone { cookie, data } => (*cookie, data.to_vec()),
+                ChannelEvent::Done {
+                    cookie,
+                    reply: Reply::Data(data),
+                    ..
+                } => (*cookie, data.to_vec()),
                 other => panic!("unexpected {other:?}"),
             })
             .collect();
@@ -1274,8 +1220,8 @@ mod tests {
             match token {
                 ISSUE => {
                     // The probe takes the window; the install queues.
-                    assert!(self.channel.remote_op(ctx, probe_op(), 1));
-                    assert!(self.channel.remote_op(ctx, install_op(), 2));
+                    assert!(self.channel.submit(ctx, Op::Remote(probe_op()), 1));
+                    assert!(self.channel.submit(ctx, Op::Remote(install_op()), 2));
                     assert_eq!(self.channel.queued_len(), 1);
                 }
                 ANSWER_PROBE => {
@@ -1302,7 +1248,7 @@ mod tests {
                     // What the pool does with an op orphaned by a failover.
                     assert!(self.channel.is_failed());
                     self.channel.recover_at(RECOVERED_PSN);
-                    assert!(self.channel.remote_op(ctx, install_op(), 2));
+                    assert!(self.channel.submit(ctx, Op::Remote(install_op()), 2));
                 }
                 t if t == self.channel.timer_token() => {
                     self.channel.on_timer_fired(ctx, &mut self.events);
@@ -1314,28 +1260,36 @@ mod tests {
 
     /// Records every frame the switch sends it; never answers.
     #[derive(Default)]
-    struct Blackhole {
-        frames: Vec<Packet>,
+    pub(crate) struct Blackhole {
+        pub(crate) frames: Vec<Packet>,
     }
 
     impl extmem_sim::Node for Blackhole {
         fn on_packet(&mut self, _: &mut extmem_sim::NodeCtx<'_>, _: PortId, packet: Packet) {
             self.frames.push(packet);
         }
-        fn on_timer(&mut self, _: &mut extmem_sim::NodeCtx<'_>, _: u64) {}
-        fn on_tx_done(&mut self, _: &mut extmem_sim::NodeCtx<'_>, _: PortId) {}
         fn name(&self) -> &str {
             "blackhole"
         }
     }
 
-    /// A switch running `program` whose port 0 leads to a [`Blackhole`], and
-    /// a channel for the program to send on: RTO 10 us, one retry. Returns
+    /// The policy of a channel that is to give up on a [`Blackhole`] soon:
+    /// RTO 10 us, one retry.
+    pub(crate) fn impatient(max_window: usize) -> ReliableConfig {
+        ReliableConfig {
+            rto: TimeDelta::from_micros(10),
+            max_retries: 1,
+            max_window,
+            ..ReliableConfig::default()
+        }
+    }
+
+    /// A switch running `program` whose port 0 leads to a [`Blackhole`];
+    /// `more` hangs whatever else the test needs off the switch. Returns
     /// the simulation, the switch and the blackhole.
-    fn behind_blackhole<P: extmem_switch::PipelineProgram + 'static>(
-        channel: RdmaChannel,
-        max_window: usize,
-        program: impl FnOnce(ReliableChannel) -> P,
+    pub(crate) fn behind_blackhole(
+        program: impl extmem_switch::PipelineProgram + 'static,
+        more: impl FnOnce(&mut extmem_sim::SimBuilder, extmem_types::NodeId),
     ) -> (
         extmem_sim::Simulator,
         extmem_types::NodeId,
@@ -1343,13 +1297,6 @@ mod tests {
     ) {
         use extmem_sim::{LinkSpec, SimBuilder};
         use extmem_switch::{SwitchConfig, SwitchNode};
-        let config = ReliableConfig {
-            rto: TimeDelta::from_micros(10),
-            max_retries: 1,
-            max_window,
-            ..ReliableConfig::default()
-        };
-        let program = program(ReliableChannel::new(channel, config));
         let mut b = SimBuilder::new(1);
         let sw = b.add_node(Box::new(SwitchNode::new(
             "tor",
@@ -1358,6 +1305,7 @@ mod tests {
         )));
         let hole = b.add_node(Box::new(Blackhole::default()));
         b.connect(sw, PortId(0), hole, PortId(0), LinkSpec::testbed_40g());
+        more(&mut b, sw);
         (b.build(), sw, hole)
     }
 
@@ -1383,10 +1331,11 @@ mod tests {
             region_len: 1 << 16,
             server_port: PortId(0),
         };
-        let (mut sim, sw, hole) = behind_blackhole(channel, 1, |channel| OpIssuer {
-            channel,
+        let program = OpIssuer {
+            channel: ReliableChannel::new(channel, impatient(1)),
             events: Vec::new(),
-        });
+        };
+        let (mut sim, sw, hole) = behind_blackhole(program, |_, _| {});
         // The probe goes out at 0 and, unanswered, again at 10 us; its
         // answer at 15 us lets the install out, which times out at 25 us,
         // is retransmitted, and at 45 us takes the channel down with it.
@@ -1396,13 +1345,16 @@ mod tests {
         sim.run_until(Time::from_micros(65));
 
         let program = sim.node::<SwitchNode>(sw).program::<OpIssuer>();
-        assert_eq!(
-            program.events[1..],
-            [ChannelEvent::OpFailed { cookie: 2 }, ChannelEvent::Failed]
-        );
+        // The failed install comes back whole, as it was submitted.
+        let orphan = ChannelEvent::OpFailed {
+            cookie: 2,
+            op: Op::Remote(install_op()),
+        };
+        assert_eq!(program.events[1..], [orphan, ChannelEvent::Failed]);
         assert!(matches!(
-            program.events[0],
-            ChannelEvent::RemoteDone { cookie: 1, .. }
+            &program.events[0],
+            ChannelEvent::Done { cookie: 1, op, reply: Reply::Remote { .. } }
+                if *op == Op::Remote(probe_op())
         ));
         let frames = &sim.node::<Blackhole>(hole).frames;
         let sent: Vec<RocePacket> = frames
@@ -1430,33 +1382,20 @@ mod tests {
         assert_eq!(sent[2].payload, [[0xc5u8; 32], [0x3a; 32]].concat());
     }
 
-    /// One verb, as [`Sender`] issues it at `base_va + 64` under cookie 1.
-    #[derive(Clone)]
-    enum Verb {
-        Write(WriteBody),
-        Read(u32),
-        FetchAdd(u64),
-    }
-
-    /// Owns one channel behind a server that never answers; sends one
-    /// verb, lets it time out, be retransmitted and take the channel down,
-    /// then reissues it the way the pool does after a failover. `allocs` is
-    /// the payloads constructed per timer callback.
+    /// Owns one channel behind a server that never answers; submits one
+    /// op under cookie 1, lets it time out, be retransmitted and take the
+    /// channel down, then submits it again the way the pool does after a
+    /// failover. `allocs` is the payloads constructed per timer callback.
     struct Sender {
         channel: ReliableChannel,
-        verb: Verb,
+        op: Op,
         events: Vec<ChannelEvent>,
         allocs: Vec<u64>,
     }
 
     impl Sender {
         fn send(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>) {
-            let va = self.channel.base_va() + 64;
-            assert!(match self.verb.clone() {
-                Verb::Write(body) => self.channel.write(ctx, va, body, true, 1),
-                Verb::Read(len) => self.channel.read(ctx, va, len, 1),
-                Verb::FetchAdd(add) => self.channel.fetch_add(ctx, va, add, 1),
-            });
+            assert!(self.channel.submit(ctx, self.op.clone(), 1));
         }
     }
 
@@ -1503,17 +1442,16 @@ mod tests {
         (mrs, rkey, base_va)
     }
 
-    /// `verb`'s life on a channel to [`region`] whose server never answers:
+    /// `op`'s life on a channel to [`region`] whose server never answers:
     /// sent at 0, retransmitted at 10 us when the RTO passes in silence,
     /// given up on at 30 us (the channel fails), reissued at 60 us. Checks
-    /// what every verb has in common — one payload per transmission, the
-    /// frame, and none for the callback that only gave up; a
+    /// what every op has in common — one payload per transmission, the
+    /// frame, and none for the callback that only gave up, which hands the
+    /// op back whole; a
     /// retransmission that is the same frame; a reissue that differs in
     /// its PSN and in nothing else — and returns the simulation, the switch
     /// and the three requests as the blackhole parsed them.
-    fn sent_three_times(
-        verb: Verb,
-    ) -> (extmem_sim::Simulator, extmem_types::NodeId, Vec<RocePacket>) {
+    fn sent_three_times(op: Op) -> (extmem_sim::Simulator, extmem_types::NodeId, Vec<RocePacket>) {
         use extmem_rnic::requester::RequesterQp;
         use extmem_switch::switch::program_token;
         use extmem_switch::SwitchNode;
@@ -1528,20 +1466,22 @@ mod tests {
             server_port: PortId(0),
         };
         let window = ReliableConfig::default().max_window;
-        let (mut sim, sw, hole) = behind_blackhole(channel, window, |channel| Sender {
-            channel,
-            verb,
+        let program = Sender {
+            channel: ReliableChannel::new(channel, impatient(window)),
+            op,
             events: Vec::new(),
             allocs: Vec::new(),
-        });
+        };
+        let (mut sim, sw, hole) = behind_blackhole(program, |_, _| {});
         sim.schedule_timer(sw, TimeDelta::ZERO, program_token(ISSUE));
         sim.schedule_timer(sw, TimeDelta::from_micros(60), program_token(REISSUE));
         sim.run_until(Time::from_micros(65));
 
         let program = sim.node::<SwitchNode>(sw).program::<Sender>();
+        let (cookie, op) = (1, program.op.clone());
         assert_eq!(
             program.events,
-            [ChannelEvent::OpFailed { cookie: 1 }, ChannelEvent::Failed]
+            [ChannelEvent::OpFailed { cookie, op }, ChannelEvent::Failed]
         );
         assert_eq!(program.allocs, [1, 1, 0, 1]);
         let frames = &sim.node::<Blackhole>(hole).frames;
@@ -1570,15 +1510,21 @@ mod tests {
         let frame = Payload::from_vec((0..200u8).collect());
         let body = WriteBody::framed(b"hdr[6]", frame.slice(20..180));
         let image = [&b"hdr[6]"[..], &frame[20..180]].concat();
-        let (sim, sw, sent) = sent_three_times(Verb::Write(body));
+        let (_, _, base_va) = region();
+        let (sim, sw, sent) = sent_three_times(Op::Write {
+            va: base_va + 64,
+            body,
+            ack_req: true,
+        });
 
-        let Verb::Write(body) = &sim.node::<SwitchNode>(sw).program::<Sender>().verb else {
+        let Op::Write { body, .. } = &sim.node::<SwitchNode>(sw).program::<Sender>().op else {
             unreachable!()
         };
         assert_eq!(
             body.tail.ref_count(),
-            3,
-            "the test, the program and the reissued op share one tail"
+            4,
+            "the test, the program, the failed op in its event and the \
+             reissued op share one tail"
         );
         for req in &sent {
             let RoceExt::Reth(reth) = req.ext else {
@@ -1612,12 +1558,12 @@ mod tests {
             swap_add: 41,
             compare: 0,
         });
-        for (verb, opcode, ext) in [
-            (Verb::Read(300), Opcode::ReadRequest, reth(300)),
-            (Verb::Read(5000), Opcode::ReadRequest, reth(5000)),
-            (Verb::FetchAdd(41), Opcode::FetchAdd, atomic),
+        for (op, opcode, ext) in [
+            (Op::Read { va, len: 300 }, Opcode::ReadRequest, reth(300)),
+            (Op::Read { va, len: 5000 }, Opcode::ReadRequest, reth(5000)),
+            (Op::FetchAdd { va, add: 41 }, Opcode::FetchAdd, atomic),
         ] {
-            let (_, _, sent) = sent_three_times(verb);
+            let (_, _, sent) = sent_three_times(op);
             for req in &sent {
                 assert_eq!((req.bth.opcode, req.ext), (opcode, ext));
                 assert!(req.payload.is_empty() && !req.bth.ack_req);

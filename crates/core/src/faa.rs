@@ -19,8 +19,15 @@
 //!   certain remote memory reliable, e.g., in the remote counter case".
 //!   Past the channel's retry cap the engine degrades gracefully: it keeps
 //!   accumulating locally, so no update is ever silently dropped.
+//!
+//! The engine's own state is what has *not* been sent (`pending`). A value
+//! in flight lives in its op, in the channel that may have to send it
+//! again; an abandoned op comes back in `OpFailed` and its value goes back
+//! to `pending`.
 
-use crate::channel::{ChannelEvent, ChannelStats, RdmaChannel, ReliableChannel, ReliableConfig};
+use crate::channel::{
+    ChannelEvent, ChannelStats, Op, RdmaChannel, ReliableChannel, ReliableConfig,
+};
 use crate::pool::{PoolConfig, PoolStats, ReplicatedPool};
 use extmem_switch::SwitchCtx;
 use extmem_types::{IntMap, IntSet, PortId, TimeDelta};
@@ -87,8 +94,6 @@ pub struct FaaStats {
 pub struct FaaEngine {
     pool: ReplicatedPool,
     config: FaaConfig,
-    /// Issued-but-unsettled values, keyed by channel cookie.
-    in_flight: IntMap<u64, (u64, u64)>,
     next_cookie: u64,
     /// Accumulated-but-unsent values per slot.
     pending: IntMap<u64, u64>,
@@ -153,7 +158,6 @@ impl FaaEngine {
         FaaEngine {
             pool,
             config,
-            in_flight: IntMap::default(),
             next_cookie: 0,
             pending: IntMap::default(),
             ready: VecDeque::new(),
@@ -218,10 +222,14 @@ impl FaaEngine {
     /// Sum (wrapping) of values sent but not yet acknowledged. An
     /// outstanding value may or may not have executed remotely yet — that
     /// ambiguity is resolved only by its ACK.
+    ///
+    /// The engine keeps no record of these: they are the ops the pool's
+    /// primary channel holds for it, every one a Fetch-and-Add.
     pub fn outstanding_sum(&self) -> u64 {
-        self.in_flight
-            .values()
-            .fold(0u64, |a, &(_, v)| a.wrapping_add(v))
+        self.pool.caller_ops().fold(0u64, |a, (_, op)| match op {
+            Op::FetchAdd { add, .. } => a.wrapping_add(*add),
+            _ => a,
+        })
     }
 
     /// [`FaaEngine::pending_sum`] plus [`FaaEngine::outstanding_sum`]: every
@@ -240,7 +248,7 @@ impl FaaEngine {
 
     /// Whether everything has been flushed and acknowledged.
     pub fn is_quiescent(&self) -> bool {
-        self.pending.is_empty() && self.in_flight.is_empty()
+        self.pending.is_empty() && self.pool.caller_ops().next().is_none()
     }
 
     /// Record a logical `+value` on `slot` and issue what the window allows.
@@ -313,36 +321,33 @@ impl FaaEngine {
             let va = self.pool.base_va() + slot * 8;
             let cookie = self.next_cookie;
             self.next_cookie += 1;
-            if self.pool.fetch_add(ctx, va, value, cookie) {
-                self.in_flight.insert(cookie, (slot, value));
-            }
+            let op = Op::FetchAdd { va, add: value };
+            let accepted = self.pool.submit(ctx, op, cookie);
+            debug_assert!(accepted, "the loop guard saw a live pool");
         }
     }
 
     fn consume_events(&mut self, events: &mut Vec<ChannelEvent>) {
         for ev in events.drain(..) {
-            match ev {
-                ChannelEvent::AtomicDone { cookie } => {
-                    self.in_flight.remove(&cookie);
-                }
-                ChannelEvent::OpFailed { cookie } => {
-                    let Some((slot, value)) = self.in_flight.remove(&cookie) else {
-                        continue;
-                    };
-                    if self.config.reliable {
-                        // Failover: keep accumulating locally — the update
-                        // is preserved in `pending`, never silently lost.
-                        let e = self.pending.entry(slot).or_insert(0);
-                        *e = e.wrapping_add(value);
-                    } else {
-                        // Best effort: the remote counter undercounts.
-                        self.stats.lost_updates = self.stats.lost_updates.wrapping_add(value);
-                    }
-                }
-                ChannelEvent::Failed => {}
-                ChannelEvent::WriteDone { .. }
-                | ChannelEvent::ReadDone { .. }
-                | ChannelEvent::RemoteDone { .. } => {}
+            // A completion settles its value and the op goes with the
+            // event; only an abandoned Fetch-and-Add has anything to give
+            // back, and it brings its own `(va, add)`.
+            let ChannelEvent::OpFailed {
+                op: Op::FetchAdd { va, add },
+                ..
+            } = ev
+            else {
+                continue;
+            };
+            if self.config.reliable {
+                // Failover: keep accumulating locally — the update is
+                // preserved in `pending`, never silently lost.
+                let slot = (va - self.pool.base_va()) / 8;
+                let e = self.pending.entry(slot).or_insert(0);
+                *e = e.wrapping_add(add);
+            } else {
+                // Best effort: the remote counter undercounts.
+                self.stats.lost_updates = self.stats.lost_updates.wrapping_add(add);
             }
         }
     }
@@ -394,8 +399,80 @@ mod tests {
             rkey: Rkey(1),
             base_va: 0x1000,
             region_len: slots * 8,
-            server_port: PortId(2),
+            server_port: PortId(0),
         }
+    }
+
+    /// Owns a replicated engine whose servers never answer; issues four
+    /// Fetch-and-Adds when poked and notes `outstanding_sum()` right after
+    /// and again once the first server has been given up on.
+    struct Adder {
+        engine: FaaEngine,
+        outstanding: Vec<u64>,
+    }
+
+    const ADD: u64 = 1;
+    const LOOK: u64 = 2;
+    const VALUES: [u64; 4] = [5, u64::MAX, 1 << 40, 9];
+
+    impl extmem_switch::PipelineProgram for Adder {
+        fn ingress(&mut self, _: &mut SwitchCtx<'_, '_, '_>, _: PortId, _: extmem_wire::Packet) {}
+
+        fn on_timer(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, token: u64) {
+            match token {
+                ADD => {
+                    for (slot, value) in VALUES.into_iter().enumerate() {
+                        self.engine.add(ctx, slot as u64, value);
+                    }
+                }
+                LOOK => {}
+                _ => {
+                    assert!(self.engine.on_timer(ctx, token));
+                    return;
+                }
+            }
+            self.outstanding.push(self.engine.outstanding_sum());
+        }
+    }
+
+    /// The engine keeps no record of what it has in flight; the values are
+    /// in the ops. They follow the ops to the second server when the first
+    /// is written off, and come back in `OpFailed` when the second is too.
+    #[test]
+    fn in_flight_values_come_back_with_their_ops() {
+        use crate::channel::tests::behind_blackhole;
+        use extmem_switch::switch::program_token;
+        use extmem_switch::SwitchNode;
+        use extmem_types::Time;
+
+        let config = FaaConfig {
+            max_outstanding: VALUES.len(),
+            reliable: true,
+            rto: TimeDelta::from_micros(10),
+            ..FaaConfig::default()
+        };
+        // Both servers sit behind the one black hole.
+        let channels = vec![dummy_channel(16), dummy_channel(16)];
+        let engine = FaaEngine::replicated(channels, config, PoolConfig::default());
+        let program = Adder {
+            engine,
+            outstanding: Vec::new(),
+        };
+        let (mut sim, sw, _) = behind_blackhole(program, |_, _| {});
+        // Three silent rounds (10, 30, 70 us) write the primary off and the
+        // ops go to the mirror; three more (80, 100, 140 us) and the pool
+        // has nobody left.
+        sim.schedule_timer(sw, TimeDelta::ZERO, program_token(ADD));
+        sim.schedule_timer(sw, TimeDelta::from_micros(75), program_token(LOOK));
+        sim.run_until(Time::from_micros(150));
+
+        let program = sim.node::<SwitchNode>(sw).program::<Adder>();
+        let sum = VALUES.iter().fold(0u64, |a, &v| a.wrapping_add(v));
+        assert_eq!(program.outstanding, [sum, sum]);
+        let engine = &program.engine;
+        assert_eq!(engine.stats().pool.reissued_ops, VALUES.len() as u64);
+        assert!(engine.is_degraded() && !engine.is_quiescent());
+        assert_eq!((engine.outstanding_sum(), engine.pending_sum()), (0, sum));
     }
 
     #[test]

@@ -62,7 +62,9 @@ pub mod slow_path;
 pub mod state_store;
 pub mod trace_store;
 
-pub use channel::{ChannelEvent, ChannelStats, RdmaChannel, ReliableChannel, ReliableConfig};
+pub use channel::{
+    ChannelEvent, ChannelStats, Op, RdmaChannel, ReliableChannel, ReliableConfig, Reply,
+};
 pub use cuckoo::{CuckooConfig, CuckooDirectory, CuckooError};
 pub use pool::{Health, HealthDetector, PoolConfig, PoolStats, ReplicatedPool};
 pub use fib::Fib;

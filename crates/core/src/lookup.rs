@@ -33,9 +33,11 @@
 //! is ever transiently unfindable. The direct-hash wire behavior stays
 //! available (the default constructors) as the ablation baseline.
 
-use crate::channel::{ChannelEvent, ChannelStats, RdmaChannel, ReliableChannel, ReliableConfig};
+use crate::channel::{
+    ChannelEvent, ChannelStats, Op, RdmaChannel, ReliableChannel, ReliableConfig, Reply,
+};
 use crate::cuckoo::{
-    decode_slot, encode_slot, slot_key, slot_va, CuckooDirectory, Step, BUCKET_BYTES,
+    decode_slot, encode_slot, slot_key, slot_va, CuckooDirectory, SlotRef, Step, BUCKET_BYTES,
     SLOTS_PER_BUCKET, SLOT_BYTES,
 };
 use crate::fib::Fib;
@@ -777,28 +779,26 @@ impl LookupTableProgram {
         self.stats.remote_lookups += 1;
         self.stats.bucket_reads += 1;
         self.stats.lookup_rtts += 1;
-        if remote_ops {
+        let op = if remote_ops {
             debug_assert!(buckets <= u32::MAX as u64, "bucket index fits the probe");
-            self.pool.remote_op(
-                ctx,
-                RemoteOp::HashProbe {
-                    base_va: base,
-                    b1: b1 as u32,
-                    b2: b2 as u32,
-                    bucket_bytes: BUCKET_BYTES as u16,
-                    slot_bytes: SLOT_BYTES as u16,
-                    key_off: 0,
-                    key: Operand::new(&slot_key(&flow)),
-                },
-                cookie,
-            );
-            return;
-        }
-        if secondary {
-            self.stats.filter_secondary_probes += 1;
-        }
-        let va = base + bucket * BUCKET_BYTES as u64;
-        self.pool.read(ctx, va, BUCKET_BYTES as u32, cookie);
+            Op::Remote(RemoteOp::HashProbe {
+                base_va: base,
+                b1: b1 as u32,
+                b2: b2 as u32,
+                bucket_bytes: BUCKET_BYTES as u16,
+                slot_bytes: SLOT_BYTES as u16,
+                key_off: 0,
+                key: Operand::new(&slot_key(&flow)),
+            })
+        } else {
+            if secondary {
+                self.stats.filter_secondary_probes += 1;
+            }
+            let va = base + bucket * BUCKET_BYTES as u64;
+            let len = BUCKET_BYTES as u32;
+            Op::Read { va, len }
+        };
+        self.pool.submit(ctx, op, cookie);
     }
 
     /// A lookup's response is in: take its parked flow and packet.
@@ -876,6 +876,16 @@ impl LookupTableProgram {
         cookie
     }
 
+    /// WRITE one slot's `image` at `at` as a control op of its own,
+    /// explicitly acknowledged.
+    fn write_slot(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, at: SlotRef, image: &[u8]) {
+        let cookie = self.next_ctrl_cookie();
+        let va = slot_va(self.pool.base_va(), at);
+        let (body, ack_req) = (WriteBody::inline(image), true);
+        let write = Op::Write { va, body, ack_req };
+        self.pool.submit(ctx, write, cookie);
+    }
+
     /// Issue one plan step onto the wire. `Move`s first READ-verify their
     /// source slot (the WRITE + filter flip happen on the response);
     /// `Write`/`Clear` issue immediately, flipping the live filter at the
@@ -892,7 +902,7 @@ impl LookupTableProgram {
                 ..
             } => {
                 let cookie = self.next_ctrl_cookie();
-                if self.remote_ops {
+                let check = if self.remote_ops {
                     // The verify READ and destination WRITE collapse into
                     // one conditional WRITE: the responder compares the
                     // source slot against the directory's bytes and
@@ -901,19 +911,17 @@ impl LookupTableProgram {
                     // response (the pool fans the *decided* image out, so
                     // mirrors never re-run the condition).
                     let expected = Operand::new(&encode_slot(&key, &action));
-                    self.pool.remote_op(
-                        ctx,
-                        RemoteOp::CondWrite {
-                            cmp_va: slot_va(base, from),
-                            write_va: slot_va(base, to),
-                            compare: expected,
-                            write: expected,
-                        },
-                        cookie,
-                    );
+                    Op::Remote(RemoteOp::CondWrite {
+                        cmp_va: slot_va(base, from),
+                        write_va: slot_va(base, to),
+                        compare: expected,
+                        write: expected,
+                    })
                 } else {
-                    self.pool.read(ctx, slot_va(base, from), SLOT_BYTES as u32, cookie);
-                }
+                    let (va, len) = (slot_va(base, from), SLOT_BYTES as u32);
+                    Op::Read { va, len }
+                };
+                self.pool.submit(ctx, check, cookie);
                 self.cuckoo.as_mut().expect("cuckoo state").verify = Some((step, cookie));
             }
             Step::Write {
@@ -922,9 +930,7 @@ impl LookupTableProgram {
                 to,
                 filter_add,
             } => {
-                let cookie = self.next_ctrl_cookie();
-                let image = WriteBody::inline(&encode_slot(&key, &action));
-                self.pool.write(ctx, slot_va(base, to), image, true, cookie);
+                self.write_slot(ctx, to, &encode_slot(&key, &action));
                 if filter_add {
                     self.cuckoo
                         .as_mut()
@@ -934,10 +940,7 @@ impl LookupTableProgram {
                 }
             }
             Step::Clear { at, filter_sub } => {
-                let cookie = self.next_ctrl_cookie();
-                let zeroes = WriteBody::inline(&[0u8; SLOT_BYTES]);
-                self.pool
-                    .write(ctx, slot_va(base, at), zeroes, true, cookie);
+                self.write_slot(ctx, at, &[0u8; SLOT_BYTES]);
                 if let Some(key) = filter_sub {
                     self.cuckoo
                         .as_mut()
@@ -982,10 +985,7 @@ impl LookupTableProgram {
             self.stats.verify_mismatches += 1;
         }
         if !(matched && self.remote_ops) {
-            let wc = self.next_ctrl_cookie();
-            let base = self.pool.base_va();
-            let image = WriteBody::inline(&expected);
-            self.pool.write(ctx, slot_va(base, to), image, true, wc);
+            self.write_slot(ctx, to, &expected);
         }
         self.cuckoo
             .as_mut()
@@ -1131,14 +1131,16 @@ impl LookupTableProgram {
         // in front of the arrival frame itself, which the outstanding WRITE
         // owns from here on. No explicit ACK: the READ right behind it
         // completes both (in-order channel), and a timeout replays the pair.
-        let read_len = (ACTION_LEN + LEN_FIELD + pkt.len()) as u32;
-        let len = (pkt.len() as u16).to_be_bytes();
-        let bounce = WriteBody::framed(&len, pkt.into_payload());
-        self.pool
-            .write(ctx, entry_va + ACTION_LEN as u64, bounce, false, slot);
+        let len = (ACTION_LEN + LEN_FIELD + pkt.len()) as u32;
+        let bounce = Op::Write {
+            va: entry_va + ACTION_LEN as u64,
+            body: WriteBody::framed(&(pkt.len() as u16).to_be_bytes(), pkt.into_payload()),
+            ack_req: false,
+        };
+        self.pool.submit(ctx, bounce, slot);
 
         // (2) READ back exactly [action][len][packet].
-        self.pool.read(ctx, entry_va, read_len, slot);
+        self.pool.submit(ctx, Op::Read { va: entry_va, len }, slot);
     }
 
     /// Recirculate-mode miss: issue an action-only READ (once per slot)
@@ -1166,8 +1168,9 @@ impl LookupTableProgram {
             self.stats.remote_lookups += 1;
             self.stats.action_only_reads += 1;
             self.stats.lookup_rtts += 1;
-            let entry_va = self.pool.base_va() + slot * self.entry_size;
-            self.pool.read(ctx, entry_va, ACTION_LEN as u32, slot);
+            let va = self.pool.base_va() + slot * self.entry_size;
+            let len = ACTION_LEN as u32;
+            self.pool.submit(ctx, Op::Read { va, len }, slot);
         }
         let passes = self.recirc_passes.entry(slot).or_insert(0);
         *passes += 1;
@@ -1221,7 +1224,11 @@ impl LookupTableProgram {
     fn consume_events(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, events: &mut Vec<ChannelEvent>) {
         for ev in events.drain(..) {
             match ev {
-                ChannelEvent::ReadDone { cookie, data } => match self.mode {
+                ChannelEvent::Done {
+                    cookie,
+                    reply: Reply::Data(data),
+                    ..
+                } => match self.mode {
                     TableMode::Cuckoo => {
                         if cookie & CTRL_BIT != 0 {
                             self.finish_move(ctx, cookie, |expected| {
@@ -1243,11 +1250,10 @@ impl LookupTableProgram {
                         }
                     },
                 },
-                ChannelEvent::RemoteDone {
+                ChannelEvent::Done {
                     cookie,
-                    flags,
-                    index,
-                    data,
+                    reply: Reply::Remote { flags, index, data },
+                    ..
                 } => {
                     if cookie & CTRL_BIT != 0 {
                         self.finish_move(ctx, cookie, |_| flags & EXTOP_FLAG_HIT != 0);
@@ -1255,9 +1261,9 @@ impl LookupTableProgram {
                         self.cuckoo_probe_done(ctx, cookie, flags, index, &data);
                     }
                 }
-                ChannelEvent::WriteDone { .. } => {}
-                ChannelEvent::AtomicDone { .. } => {}
-                ChannelEvent::OpFailed { cookie } => {
+                // A WRITE's acknowledgement: nothing waits on it.
+                ChannelEvent::Done { .. } => {}
+                ChannelEvent::OpFailed { cookie, .. } => {
                     self.stats.failed_ops += 1;
                     match self.mode {
                         TableMode::Cuckoo => {

@@ -30,7 +30,9 @@
 //! degrades to FIB-only forwarding — wrong routes are structurally
 //! impossible, not just unlikely.
 
-use crate::channel::{ChannelEvent, ChannelStats, RdmaChannel, ReliableChannel, ReliableConfig};
+use crate::channel::{
+    ChannelEvent, ChannelStats, Op, RdmaChannel, ReliableChannel, ReliableConfig,
+};
 use crate::pool::{PoolConfig, PoolStats, ReplicatedPool};
 use crate::fib::Fib;
 use crate::lookup::{ActionEntry, ActionKind, ACTION_LEN};
@@ -312,19 +314,28 @@ impl RemoteLpmProgram {
     fn consume_events(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, events: &mut Vec<ChannelEvent>) {
         for ev in events.drain(..) {
             match ev {
-                ChannelEvent::ReadDone { cookie, data } => {
+                ChannelEvent::Done { cookie, reply, .. } => {
+                    let Some(data) = reply.into_data() else {
+                        continue;
+                    };
                     self.stats.responses += 1;
                     let rungs = self.levels.len() as u64;
                     let (id, rung) = (cookie / rungs, (cookie % rungs) as usize);
                     let Some(lookup) = self.pending.get_mut(&id) else {
                         continue;
                     };
-                    let entry = if data.len() >= ACTION_LEN {
-                        ActionEntry::from_bytes(data.as_slice()[..ACTION_LEN].try_into().unwrap())
-                    } else {
-                        ActionEntry::NONE
+                    let entry_at = |at: usize| match data.as_slice().get(at..at + ACTION_LEN) {
+                        Some(b) => ActionEntry::from_bytes(b.try_into().unwrap()),
+                        None => ActionEntry::NONE,
                     };
-                    if lookup.collected[rung].replace(entry).is_none() {
+                    if self.remote_ops {
+                        // One gather response resolves the whole ladder:
+                        // rung `i`'s action entry is bytes `i*16..(i+1)*16`.
+                        for (i, slot) in lookup.collected.iter_mut().enumerate() {
+                            *slot = Some(entry_at(i * ACTION_LEN));
+                        }
+                        lookup.missing = 0;
+                    } else if lookup.collected[rung].replace(entry_at(0)).is_none() {
                         lookup.missing -= 1;
                     }
                     if lookup.missing == 0 {
@@ -332,7 +343,7 @@ impl RemoteLpmProgram {
                         self.resolve(ctx, done);
                     }
                 }
-                ChannelEvent::OpFailed { cookie } => {
+                ChannelEvent::OpFailed { cookie, .. } => {
                     // One rung READ exhausted its retries: the whole lookup
                     // is abandoned (its packet dropped) — wrong-rung routes
                     // are structurally impossible, missing-rung ones aren't.
@@ -341,31 +352,7 @@ impl RemoteLpmProgram {
                         self.stats.lookups_failed += 1;
                     }
                 }
-                ChannelEvent::RemoteDone { cookie, data, .. } => {
-                    // One gather response resolves the whole ladder: rung
-                    // `i`'s action entry is bytes `i*16..(i+1)*16`.
-                    self.stats.responses += 1;
-                    let rungs = self.levels.len();
-                    let id = cookie / rungs as u64;
-                    let Some(lookup) = self.pending.get_mut(&id) else {
-                        continue;
-                    };
-                    for (i, slot) in lookup.collected.iter_mut().enumerate() {
-                        let at = i * ACTION_LEN;
-                        let entry = match data.as_slice().get(at..at + ACTION_LEN) {
-                            Some(b) => ActionEntry::from_bytes(b.try_into().unwrap()),
-                            None => ActionEntry::NONE,
-                        };
-                        *slot = Some(entry);
-                    }
-                    lookup.missing = 0;
-                    let done = self.pending.remove(&id).unwrap();
-                    self.resolve(ctx, done);
-                }
-                ChannelEvent::Failed => {
-                    self.degraded = true;
-                }
-                ChannelEvent::WriteDone { .. } | ChannelEvent::AtomicDone { .. } => {}
+                ChannelEvent::Failed => self.degraded = true,
             }
         }
     }
@@ -425,20 +412,15 @@ impl PipelineProgram for RemoteLpmProgram {
         self.next_id += 1;
         if self.remote_ops {
             let vas = (0..rungs).map(|i| self.slot_va(i, dst)).collect();
-            self.pool.remote_op(
-                ctx,
-                RemoteOp::Gather {
-                    word_len: ACTION_LEN as u16,
-                    vas,
-                },
-                id * rungs as u64,
-            );
+            let word_len = ACTION_LEN as u16;
+            let ladder = Op::Remote(RemoteOp::Gather { word_len, vas });
+            self.pool.submit(ctx, ladder, id * rungs as u64);
             self.stats.lookup_rtts += 1;
         } else {
             for i in 0..rungs {
-                let va = self.slot_va(i, dst);
-                self.pool
-                    .read(ctx, va, ACTION_LEN as u32, id * rungs as u64 + i as u64);
+                let (va, len) = (self.slot_va(i, dst), ACTION_LEN as u32);
+                let cookie = id * rungs as u64 + i as u64;
+                self.pool.submit(ctx, Op::Read { va, len }, cookie);
                 self.stats.lookup_rtts += 1;
             }
         }

@@ -38,7 +38,9 @@
 //! stranded on the dead server are counted lost rather than wedging the
 //! ring. With no loss the anomaly counters stay zero (asserted by tests).
 
-use crate::channel::{ChannelEvent, ChannelStats, RdmaChannel, ReliableChannel, ReliableConfig};
+use crate::channel::{
+    ChannelEvent, ChannelStats, Op, RdmaChannel, ReliableChannel, ReliableConfig,
+};
 use crate::fib::Fib;
 use crate::pool::{PoolConfig, PoolStats, ReplicatedPool};
 use extmem_rnic::{RemoteOp, WriteBody};
@@ -443,9 +445,10 @@ impl PacketBufferProgram {
         let mut hdr = [0u8; ENTRY_HDR];
         hdr[..4].copy_from_slice(&(idx as u32).to_be_bytes());
         hdr[4..].copy_from_slice(&(pkt.len() as u16).to_be_bytes());
-        let entry = WriteBody::framed(&hdr, pkt.view(0..pkt.len()));
+        let body = WriteBody::framed(&hdr, pkt.view(0..pkt.len()));
         let (ch, va) = self.locate(idx);
-        if !self.pools[ch].write(ctx, va, entry, true, idx) {
+        let ack_req = true;
+        if !self.pools[ch].submit(ctx, Op::Write { va, body, ack_req }, idx) {
             // Failed over between the detour decision and the write: the
             // packet takes the local queue instead.
             self.enqueue_protected(ctx, pkt);
@@ -477,22 +480,19 @@ impl PacketBufferProgram {
             {
                 let idx = self.next_read_idx;
                 let (ch, va) = self.locate(idx);
-                let issued = if self.remote_ops {
-                    self.pools[ch].remote_op(
-                        ctx,
-                        RemoteOp::Indirect {
-                            va,
-                            mode: IndirectMode::LengthPrefixed,
-                            len_off: 4,
-                            hdr_len: ENTRY_HDR as u16,
-                            max_len: self.entry_size as u32 - ENTRY_HDR as u32,
-                        },
-                        idx,
-                    )
+                let pull = if self.remote_ops {
+                    Op::Remote(RemoteOp::Indirect {
+                        va,
+                        mode: IndirectMode::LengthPrefixed,
+                        len_off: 4,
+                        hdr_len: ENTRY_HDR as u16,
+                        max_len: self.entry_size as u32 - ENTRY_HDR as u32,
+                    })
                 } else {
-                    self.pools[ch].read(ctx, va, self.entry_size as u32, idx)
+                    let len = self.entry_size as u32;
+                    Op::Read { va, len }
                 };
-                if issued {
+                if self.pools[ch].submit(ctx, pull, idx) {
                     self.stats.reads_issued += 1;
                 } else {
                     self.reorder.entry(idx).or_insert(None);
@@ -593,14 +593,15 @@ impl PacketBufferProgram {
     fn consume_events(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, events: &mut Vec<ChannelEvent>) {
         for ev in events.drain(..) {
             match ev {
-                ChannelEvent::ReadDone { cookie, data } => self.handle_entry(ctx, cookie, data),
-                // An indirect-READ load: the payload is the exact
-                // `[idx][len][packet]` entry prefix, validated the same way.
-                ChannelEvent::RemoteDone { cookie, data, .. } => {
-                    self.handle_entry(ctx, cookie, data)
+                // A load, by READ or by indirect READ (whose payload is the
+                // exact `[idx][len][packet]` entry prefix, validated the
+                // same way); a store's acknowledgement carries no data.
+                ChannelEvent::Done { cookie, reply, .. } => {
+                    if let Some(data) = reply.into_data() {
+                        self.handle_entry(ctx, cookie, data);
+                    }
                 }
-                ChannelEvent::WriteDone { .. } | ChannelEvent::AtomicDone { .. } => {}
-                ChannelEvent::OpFailed { cookie } => {
+                ChannelEvent::OpFailed { cookie, .. } => {
                     // The entry's WRITE or READ exhausted its retries: the
                     // original packet is lost (§7), but the ring moves on.
                     if cookie >= self.rdone {

@@ -18,7 +18,11 @@
 //!   latency is the detector threshold, not the channel retry cap;
 //! * on primary failure promotes the best mirror, replays its outstanding
 //!   delta, and reissues the caller ops that were in flight (same cookies,
-//!   so the owning primitive never notices);
+//!   so the owning primitive never notices) — the very [`Op`] values the
+//!   dying channel hands back in its `OpFailed` events, in its order. The
+//!   pool keeps no list of caller ops: what it needs of one (a
+//!   Fetch-and-Add's delta, a conditional WRITE's decided image) it reads
+//!   off the event that completes it;
 //! * probes Down servers with periodic 8-byte READs over a channel re-armed
 //!   at a fresh PSN ([`ReliableChannel::recover_at`]); a answered probe
 //!   moves the server to `Rejoining`, after which its state is re-seeded
@@ -30,14 +34,13 @@
 //! passthrough with no tracking overhead, so existing single-server
 //! primitives pay nothing.
 
-use crate::channel::{ChannelEvent, ReliableChannel};
+use crate::channel::{ChannelEvent, Op, ReliableChannel, Reply};
 use extmem_rnic::{RemoteOp, WriteBody};
 use extmem_switch::SwitchCtx;
 use extmem_wire::extop::EXTOP_FLAG_HIT;
 use extmem_types::{IntMap, IntSet, PortId, Rkey, TimeDelta};
 use extmem_wire::bth::psn_add;
-use extmem_wire::Payload;
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::BTreeSet;
 use std::fmt;
 
 /// Cookie-space split: the pool's internal ops (mirror writes, probes,
@@ -262,29 +265,6 @@ impl fmt::Display for PoolStats {
     }
 }
 
-/// A caller op in flight on the primary, kept so it can be reissued
-/// verbatim if the primary dies under it.
-#[derive(Clone, Debug)]
-enum PoolOp {
-    Write {
-        va: u64,
-        body: WriteBody,
-        ack_req: bool,
-    },
-    Read {
-        va: u64,
-        len: u32,
-    },
-    Atomic {
-        va: u64,
-        add: u64,
-    },
-    /// A remote op. The description carries no rkey, so a reissue against a
-    /// promoted mirror rebuilds the identical request under that server's
-    /// own region key.
-    Remote(RemoteOp),
-}
-
 /// A pool-internal op (top cookie bit set).
 #[derive(Clone, Debug)]
 enum InternalOp {
@@ -341,28 +321,20 @@ impl fmt::Debug for PoolServer {
 }
 
 /// N symmetric remote-memory servers behind the same channel-shaped API
-/// the primitives already speak (`write`/`read`/`fetch_add`/`on_roce`/
-/// `on_timer`), plus health monitoring, failover and rejoin. See the
-/// module docs for the replication rules.
+/// the primitives already speak (`submit`/`on_roce`/`on_timer`), plus
+/// health monitoring, failover and rejoin. See the module docs for the
+/// replication rules.
 #[derive(Debug)]
 pub struct ReplicatedPool {
     servers: Vec<PoolServer>,
     primary: usize,
     config: PoolConfig,
-    /// Caller ops in flight on the primary (replicated pools only), with
-    /// their cookies, in issue order. A cookie may repeat — the lookup
-    /// primitive issues a WRITE+READ pair under one — and the channel
-    /// completes in issue order, so a completion retires the oldest entry
-    /// under its cookie, which sits at or near the front.
-    ops: VecDeque<(u64, PoolOp)>,
     /// Channel-event scratch for [`Self::on_roce`] / [`Self::on_timer`],
     /// reused across calls.
     raw: Vec<ChannelEvent>,
     /// Pool-internal ops in flight anywhere.
     internal: IntMap<u64, InternalOp>,
     next_internal: u64,
-    /// Caller cookies failed by the dying primary, awaiting reissue.
-    orphans: Vec<u64>,
     /// `(server, cookie)`: caller atomics already covered by that server's
     /// in-progress reseed snapshot — their deltas must not double-apply.
     delta_skip: IntSet<(usize, u64)>,
@@ -429,11 +401,9 @@ impl ReplicatedPool {
                 .collect(),
             primary: 0,
             config,
-            ops: VecDeque::new(),
             raw: Vec::new(),
             internal: IntMap::default(),
             next_internal: 0,
-            orphans: Vec::new(),
             delta_skip: IntSet::default(),
             touched: BTreeSet::new(),
             reseed: None,
@@ -554,12 +524,6 @@ impl ReplicatedPool {
         self.servers[self.primary].channel.outstanding_len()
     }
 
-    /// Caller ops in flight on the primary plus queued behind its window.
-    pub fn backlog(&self) -> usize {
-        let ch = &self.servers[self.primary].channel;
-        ch.outstanding_len() + ch.queued_len()
-    }
-
     /// Whether the replicas have converged: no mirror holds an unreplayed
     /// FaA delta and no pool-internal op (mirror write, delta replay,
     /// probe, reseed step) is in flight. Quiescence on the caller side
@@ -581,103 +545,60 @@ impl ReplicatedPool {
                 .any(|s| s.health.state() == Health::Rejoining)
     }
 
-    fn alloc_internal(&mut self, op: InternalOp) -> u64 {
+    /// The caller's ops the primary's channel holds, in submit order (in
+    /// flight, then queued behind its window). The pool keeps no list of
+    /// its own: this is the channel's, minus the pool-internal ops.
+    pub fn caller_ops(&self) -> impl Iterator<Item = (u64, &Op)> {
+        let ops = self.servers[self.primary].channel.ops();
+        ops.filter(|(cookie, _)| cookie & INTERNAL_BIT == 0)
+    }
+
+    /// Submit a pool-internal `op` to `server`, under a fresh internal
+    /// cookie that remembers `what` it is for.
+    fn submit_internal(
+        &mut self,
+        ctx: &mut SwitchCtx<'_, '_, '_>,
+        server: usize,
+        what: InternalOp,
+        op: Op,
+    ) {
         let cookie = INTERNAL_BIT | self.next_internal;
         self.next_internal += 1;
-        self.internal.insert(cookie, op);
-        cookie
+        self.internal.insert(cookie, what);
+        self.servers[server].channel.submit(ctx, op, cookie);
     }
 
-    /// Issue a WRITE: primary (caller cookie) + a copy to every live
-    /// mirror, all sharing `body`'s tail. Returns `false` — body dropped —
-    /// once the pool has wholly degraded.
-    pub fn write(
-        &mut self,
-        ctx: &mut SwitchCtx<'_, '_, '_>,
-        va: u64,
-        body: impl Into<WriteBody>,
-        ack_req: bool,
-        cookie: u64,
-    ) -> bool {
-        let body = body.into();
+    /// Submit `op` under `cookie`, which must leave the top bit clear (it
+    /// marks the pool's own ops). Every op runs on the primary, and the
+    /// event that ends it — on this primary or, after a failover reissued
+    /// it, the next — carries it back under the same cookie:
+    ///
+    /// * a WRITE also goes, as a copy sharing `body`'s tail, to every live
+    ///   mirror;
+    /// * a Fetch-and-Add's delta is owed to the mirrors once it completes
+    ///   and reconciled by replay;
+    /// * a remote op must not fan out — each replica could observe a
+    ///   different compare value and the replica images would diverge — so
+    ///   a *conditional WRITE*'s side effect is mirrored after the fact,
+    ///   when its completion reports a hit (DESIGN §4g).
+    ///
+    /// Returns `false` — op dropped — once the pool has wholly degraded.
+    pub fn submit(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, op: Op, cookie: u64) -> bool {
+        debug_assert!(cookie & INTERNAL_BIT == 0, "caller cookies use bits 0..63");
         if self.servers.len() == 1 {
-            return self.servers[0]
-                .channel
-                .write(ctx, va, body, ack_req, cookie);
+            return self.servers[0].channel.submit(ctx, op, cookie);
         }
         if self.failed {
             return false;
         }
-        debug_assert!(cookie & INTERNAL_BIT == 0, "caller cookies use bits 0..63");
-        self.mirror_write(ctx, va, &body);
-        self.ops.push_back((
-            cookie,
-            PoolOp::Write {
-                va,
-                body: body.clone(),
-                ack_req,
-            },
-        ));
-        self.servers[self.primary]
-            .channel
-            .write(ctx, va, body, ack_req, cookie)
-    }
-
-    /// Issue a READ at the primary. Returns `false` once wholly degraded.
-    pub fn read(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, va: u64, len: u32, cookie: u64) -> bool {
-        if self.servers.len() == 1 {
-            return self.servers[0].channel.read(ctx, va, len, cookie);
+        match &op {
+            Op::Write { va, body, .. } => self.mirror_write(ctx, *va, body),
+            Op::FetchAdd { va, .. } => {
+                self.touched.insert(*va);
+            }
+            Op::Read { .. } | Op::Remote(_) => {}
         }
-        if self.failed {
-            return false;
-        }
-        debug_assert!(cookie & INTERNAL_BIT == 0, "caller cookies use bits 0..63");
-        self.ops.push_back((cookie, PoolOp::Read { va, len }));
-        self.servers[self.primary].channel.read(ctx, va, len, cookie)
-    }
-
-    /// Issue a Fetch-and-Add at the primary; the mirrors' copies are
-    /// reconciled by delta replay. Returns `false` once wholly degraded.
-    pub fn fetch_add(
-        &mut self,
-        ctx: &mut SwitchCtx<'_, '_, '_>,
-        va: u64,
-        add: u64,
-        cookie: u64,
-    ) -> bool {
-        if self.servers.len() == 1 {
-            return self.servers[0].channel.fetch_add(ctx, va, add, cookie);
-        }
-        if self.failed {
-            return false;
-        }
-        debug_assert!(cookie & INTERNAL_BIT == 0, "caller cookies use bits 0..63");
-        self.touched.insert(va);
-        self.ops.push_back((cookie, PoolOp::Atomic { va, add }));
-        self.servers[self.primary].channel.fetch_add(ctx, va, add, cookie)
-    }
-
-    /// Issue a remote op at the primary. Like READs and FaAs, remote ops
-    /// run on the primary only; the *conditional WRITE*'s side effect is
-    /// mirrored after the fact, when its completion reports a hit (the op
-    /// itself must not fan out — each replica could observe a different
-    /// compare value and the replica images would diverge; see DESIGN §4g).
-    /// Returns `false` once wholly degraded.
-    pub fn remote_op(
-        &mut self,
-        ctx: &mut SwitchCtx<'_, '_, '_>,
-        op: RemoteOp,
-        cookie: u64,
-    ) -> bool {
-        if self.servers.len() == 1 {
-            return self.servers[0].channel.remote_op(ctx, op, cookie);
-        }
-        if self.failed {
-            return false;
-        }
-        debug_assert!(cookie & INTERNAL_BIT == 0, "caller cookies use bits 0..63");
-        self.ops.push_back((cookie, PoolOp::Remote(op.clone())));
-        self.servers[self.primary].channel.remote_op(ctx, op, cookie)
+        self.servers[self.primary].channel.submit(ctx, op, cookie)
     }
 
     /// Copy a WRITE of `body` at `va` to every mirror currently
@@ -695,10 +616,12 @@ impl ReplicatedPool {
             if j == self.primary || !live {
                 continue;
             }
-            let ic = self.alloc_internal(InternalOp::MirrorWrite);
-            self.servers[j]
-                .channel
-                .write(ctx, va, body.clone(), true, ic);
+            let copy = Op::Write {
+                va,
+                body: body.clone(),
+                ack_req: true,
+            };
+            self.submit_internal(ctx, j, InternalOp::MirrorWrite, copy);
             self.stats.mirror_writes += 1;
         }
     }
@@ -749,7 +672,7 @@ impl ReplicatedPool {
         }
         let n = self.servers.len() as u64;
         if token == self.probe_token() {
-            self.on_probe_timer(ctx, events);
+            self.on_probe_timer(ctx);
             return true;
         }
         if token < self.timer_base || token >= self.timer_base + n {
@@ -819,92 +742,55 @@ impl ReplicatedPool {
         raw: &mut Vec<ChannelEvent>,
         out: &mut Vec<ChannelEvent>,
     ) {
+        // Caller ops the dying primary handed back, in the order it did:
+        // held for the `Failed` that ends the same volley, which reissues
+        // them on a promoted mirror or passes them on.
+        let mut orphans = Vec::new();
         for ev in raw.drain(..) {
             match ev {
-                ChannelEvent::WriteDone { cookie } if cookie & INTERNAL_BIT != 0 => {
-                    self.internal_done(ctx, cookie, None);
+                ChannelEvent::Done { cookie, reply, .. } if cookie & INTERNAL_BIT != 0 => {
+                    self.internal_done(ctx, cookie, reply);
                 }
-                ChannelEvent::ReadDone { cookie, data } if cookie & INTERNAL_BIT != 0 => {
-                    self.internal_done(ctx, cookie, Some(data));
-                }
-                ChannelEvent::AtomicDone { cookie } if cookie & INTERNAL_BIT != 0 => {
-                    self.internal_done(ctx, cookie, None);
-                }
-                ChannelEvent::OpFailed { cookie } if cookie & INTERNAL_BIT != 0 => {
+                ChannelEvent::OpFailed { cookie, .. } if cookie & INTERNAL_BIT != 0 => {
                     self.internal_failed(cookie);
                 }
-                ChannelEvent::AtomicDone { cookie } => {
-                    if let Some(PoolOp::Atomic { va, add }) = self.pop_caller_op(cookie) {
-                        for j in 0..self.servers.len() {
-                            if j == i {
-                                continue;
+                ChannelEvent::Done { cookie, op, reply } => {
+                    match (&op, &reply) {
+                        (Op::FetchAdd { va, add }, _) => {
+                            for j in 0..self.servers.len() {
+                                if j == i || self.delta_skip.remove(&(j, cookie)) {
+                                    continue;
+                                }
+                                self.servers[j].accumulate(*va, *add);
+                                self.stats.delta_accumulated += 1;
                             }
-                            if self.delta_skip.remove(&(j, cookie)) {
-                                continue;
-                            }
-                            self.servers[j].accumulate(va, add);
-                            self.stats.delta_accumulated += 1;
                         }
-                    }
-                    out.push(ChannelEvent::AtomicDone { cookie });
-                }
-                ChannelEvent::WriteDone { cookie } => {
-                    self.pop_caller_op(cookie);
-                    out.push(ChannelEvent::WriteDone { cookie });
-                }
-                ChannelEvent::ReadDone { cookie, data } => {
-                    self.pop_caller_op(cookie);
-                    out.push(ChannelEvent::ReadDone { cookie, data });
-                }
-                ChannelEvent::RemoteDone {
-                    cookie,
-                    flags,
-                    index,
-                    data,
-                } => {
-                    // Pool-internal traffic never uses remote ops, so this
-                    // is always a caller completion.
-                    if let Some(PoolOp::Remote(RemoteOp::CondWrite {
-                        write_va, write, ..
-                    })) = self.pop_caller_op(cookie)
-                    {
-                        if flags & EXTOP_FLAG_HIT != 0 {
-                            // The primary took the conditional write:
-                            // propagate the decided image to the mirrors
-                            // as plain WRITEs (re-running the *condition*
-                            // there could decide differently).
-                            self.mirror_write(ctx, write_va, &WriteBody::inline(&write));
+                        // The primary took the conditional write: propagate
+                        // the decided image to the mirrors as plain WRITEs
+                        // (re-running the *condition* there could decide
+                        // differently).
+                        (
+                            Op::Remote(RemoteOp::CondWrite {
+                                write_va, write, ..
+                            }),
+                            Reply::Remote { flags, .. },
+                        ) if flags & EXTOP_FLAG_HIT != 0 => {
+                            self.mirror_write(ctx, *write_va, &WriteBody::inline(write));
                         }
+                        _ => {}
                     }
-                    out.push(ChannelEvent::RemoteDone {
-                        cookie,
-                        flags,
-                        index,
-                        data,
-                    });
+                    out.push(ChannelEvent::Done { cookie, op, reply });
                 }
-                ChannelEvent::OpFailed { cookie } => {
-                    // In flight on the dying primary; held for reissue once
-                    // the `Failed` at the end of this volley promotes a
-                    // mirror.
-                    self.orphans.push(cookie);
+                ChannelEvent::OpFailed { cookie, op } => orphans.push((cookie, op)),
+                ChannelEvent::Failed => {
+                    self.server_failed(ctx, i, std::mem::take(&mut orphans), out)
                 }
-                ChannelEvent::Failed => self.server_failed(ctx, i, out),
             }
         }
-        // A caller-op failure volley is always terminated by `Failed` in
-        // the same batch, which either reissues or rejects the orphans.
-        debug_assert!(self.orphans.is_empty(), "orphans outlived their batch");
+        debug_assert!(orphans.is_empty(), "orphans outlived their batch");
     }
 
-    /// Pop the oldest in-flight caller op under `cookie` (completions and
-    /// failure drains both arrive in issue order).
-    fn pop_caller_op(&mut self, cookie: u64) -> Option<PoolOp> {
-        let at = self.ops.iter().position(|(c, _)| *c == cookie)?;
-        self.ops.remove(at).map(|(_, op)| op)
-    }
-
-    fn internal_done(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, cookie: u64, data: Option<Payload>) {
+    fn internal_done(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, cookie: u64, reply: Reply) {
         let Some(op) = self.internal.remove(&cookie) else {
             return;
         };
@@ -915,9 +801,15 @@ impl ReplicatedPool {
                 self.begin_rejoin(ctx, server);
             }
             InternalOp::ReseedRead { target, va } => {
-                let data = data.expect("READ completion carries data");
-                let ic = self.alloc_internal(InternalOp::ReseedWrite { target });
-                self.servers[target].channel.write(ctx, va, data, true, ic);
+                let Reply::Data(data) = reply else {
+                    unreachable!("a READ is answered with data");
+                };
+                let copy = Op::Write {
+                    va,
+                    body: data.into(),
+                    ack_req: true,
+                };
+                self.submit_internal(ctx, target, InternalOp::ReseedWrite { target }, copy);
                 self.stats.reseed_ops += 1;
             }
             InternalOp::ReseedWrite { target } => {
@@ -962,6 +854,7 @@ impl ReplicatedPool {
         &mut self,
         ctx: &mut SwitchCtx<'_, '_, '_>,
         i: usize,
+        orphans: Vec<(u64, Op)>,
         out: &mut Vec<ChannelEvent>,
     ) {
         self.servers[i].health.on_channel_failed();
@@ -969,7 +862,7 @@ impl ReplicatedPool {
             self.reseed = None;
         }
         if i != self.primary {
-            debug_assert!(self.orphans.is_empty(), "caller ops never run on mirrors");
+            debug_assert!(orphans.is_empty(), "caller ops never run on mirrors");
             return;
         }
         // Promote the healthiest mirror, preferring fully Healthy ones.
@@ -983,10 +876,8 @@ impl ReplicatedPool {
             });
         let Some(new_primary) = candidate else {
             self.failed = true;
-            for cookie in std::mem::take(&mut self.orphans) {
-                self.pop_caller_op(cookie);
-                out.push(ChannelEvent::OpFailed { cookie });
-            }
+            let orphans = orphans.into_iter();
+            out.extend(orphans.map(|(cookie, op)| ChannelEvent::OpFailed { cookie, op }));
             out.push(ChannelEvent::Failed);
             return;
         };
@@ -994,43 +885,13 @@ impl ReplicatedPool {
         self.stats.failovers += 1;
         // The new primary first catches up on the FaA deltas it missed,
         // then the orphaned caller ops are replayed under their original
-        // cookies. Channel FIFO ordering makes the catch-up happen first.
+        // cookies, in the order the old primary's channel held them.
+        // Channel FIFO ordering makes the catch-up happen first. An op
+        // carries no rkey, so it reissues verbatim under the new primary's
+        // own region key.
         self.replay_delta(ctx, new_primary);
-        for cookie in std::mem::take(&mut self.orphans) {
-            // Pop-and-requeue keeps each cookie's deque aligned with the
-            // new primary's completion order.
-            let Some(op) = self.pop_caller_op(cookie) else {
-                continue;
-            };
-            match &op {
-                PoolOp::Write { va, body, ack_req } => {
-                    self.servers[new_primary].channel.write(
-                        ctx,
-                        *va,
-                        body.clone(),
-                        *ack_req,
-                        cookie,
-                    );
-                }
-                PoolOp::Read { va, len } => {
-                    self.servers[new_primary]
-                        .channel
-                        .read(ctx, *va, *len, cookie);
-                }
-                PoolOp::Atomic { va, add } => {
-                    self.servers[new_primary]
-                        .channel
-                        .fetch_add(ctx, *va, *add, cookie);
-                }
-                PoolOp::Remote(op) => {
-                    // The rkey-free description reissues verbatim under the
-                    // new primary's own region key.
-                    self.servers[new_primary]
-                        .channel
-                        .remote_op(ctx, op.clone(), cookie);
-                }
-            }
-            self.ops.push_back((cookie, op));
+        for (cookie, op) in orphans {
+            self.servers[new_primary].channel.submit(ctx, op, cookie);
             self.stats.reissued_ops += 1;
         }
     }
@@ -1042,8 +903,8 @@ impl ReplicatedPool {
         // while its list is out; it goes back empty, capacity intact.
         let mut delta = std::mem::take(&mut self.servers[server].delta);
         for (va, add) in delta.drain(..) {
-            let ic = self.alloc_internal(InternalOp::DeltaFaa { server, va, add });
-            self.servers[server].channel.fetch_add(ctx, va, add, ic);
+            let what = InternalOp::DeltaFaa { server, va, add };
+            self.submit_internal(ctx, server, what, Op::FetchAdd { va, add });
             self.stats.delta_replayed += 1;
         }
         debug_assert!(self.servers[server].delta.is_empty());
@@ -1082,9 +943,9 @@ impl ReplicatedPool {
             // Caller atomics currently in flight on the primary will be
             // captured by the snapshot READs behind them (FIFO channel), so
             // their deltas must not be applied to the rejoiner again.
-            for (cookie, op) in &self.ops {
-                if matches!(op, PoolOp::Atomic { .. }) {
-                    self.delta_skip.insert((server, *cookie));
+            for (cookie, op) in self.servers[self.primary].channel.ops() {
+                if cookie & INTERNAL_BIT == 0 && matches!(op, Op::FetchAdd { .. }) {
+                    self.delta_skip.insert((server, cookie));
                 }
             }
             self.servers[server].delta.clear();
@@ -1094,8 +955,8 @@ impl ReplicatedPool {
                 pending: vas.len(),
             });
             for va in vas {
-                let ic = self.alloc_internal(InternalOp::ReseedRead { target: server, va });
-                self.servers[self.primary].channel.read(ctx, va, 8, ic);
+                let what = InternalOp::ReseedRead { target: server, va };
+                self.submit_internal(ctx, self.primary, what, Op::Read { va, len: 8 });
                 self.stats.reseed_ops += 1;
             }
         } else if self.config.auto_promote {
@@ -1171,8 +1032,12 @@ impl ReplicatedPool {
             pending: image.len(),
         });
         for (va, bytes) in image {
-            let ic = self.alloc_internal(InternalOp::ReseedWrite { target });
-            self.servers[target].channel.write(ctx, va, bytes, true, ic);
+            let copy = Op::Write {
+                va,
+                body: bytes.into(),
+                ack_req: true,
+            };
+            self.submit_internal(ctx, target, InternalOp::ReseedWrite { target }, copy);
             self.stats.reseed_ops += 1;
         }
         true
@@ -1198,7 +1063,7 @@ impl ReplicatedPool {
         self.probe_armed = true;
     }
 
-    fn on_probe_timer(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, _events: &mut Vec<ChannelEvent>) {
+    fn on_probe_timer(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>) {
         self.probe_armed = false;
         if self.failed {
             return;
@@ -1220,8 +1085,8 @@ impl ReplicatedPool {
             let fresh = psn_add(self.servers[i].channel.inner().qp.npsn, PSN_JUMP);
             self.servers[i].channel.recover_at(fresh);
             let va = self.servers[i].channel.base_va();
-            let ic = self.alloc_internal(InternalOp::Probe { server: i });
-            self.servers[i].channel.read(ctx, va, 8, ic);
+            let probe = Op::Read { va, len: 8 };
+            self.submit_internal(ctx, i, InternalOp::Probe { server: i }, probe);
             self.stats.probes += 1;
         }
         self.ensure_probe_timer(ctx);
@@ -1231,6 +1096,200 @@ impl ReplicatedPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::channel::tests::{behind_blackhole, impatient, Blackhole};
+    use crate::channel::{RdmaChannel, ReliableConfig};
+    use extmem_rnic::{Operand, RnicConfig, RnicNode};
+    use extmem_sim::{LinkSpec, Node, NodeCtx};
+    use extmem_switch::switch::program_token;
+    use extmem_switch::{PipelineProgram, SwitchNode};
+    use extmem_types::{ByteSize, Time};
+    use extmem_wire::roce::{RoceEndpoint, RocePacket};
+    use extmem_wire::{MacAddr, Packet, Payload};
+
+    /// A memory server that also records every frame the switch sends it.
+    struct Tap {
+        nic: RnicNode,
+        frames: Vec<Packet>,
+    }
+
+    impl Node for Tap {
+        fn on_packet(&mut self, ctx: &mut NodeCtx<'_>, port: PortId, packet: Packet) {
+            self.frames.push(packet.clone());
+            self.nic.on_packet(ctx, port, packet);
+        }
+        fn on_timer(&mut self, ctx: &mut NodeCtx<'_>, token: u64) {
+            self.nic.on_timer(ctx, token);
+        }
+        fn on_tx_done(&mut self, ctx: &mut NodeCtx<'_>, port: PortId) {
+            self.nic.on_tx_done(ctx, port);
+        }
+        fn name(&self) -> &str {
+            "tap"
+        }
+    }
+
+    /// Owns a pool; submits `ops` under cookies 10, 11, … when poked and
+    /// keeps every event the pool hands up.
+    struct Submitter {
+        pool: ReplicatedPool,
+        ops: Vec<Op>,
+        events: Vec<ChannelEvent>,
+    }
+
+    const SUBMIT: u64 = 1;
+
+    impl PipelineProgram for Submitter {
+        fn ingress(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, port: PortId, pkt: Packet) {
+            let roce = RocePacket::parse(&pkt).unwrap().unwrap();
+            assert!(self.pool.on_roce(ctx, port, &roce, &mut self.events));
+        }
+
+        fn on_timer(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, token: u64) {
+            if token != SUBMIT {
+                assert!(self.pool.on_timer(ctx, token, &mut self.events));
+                return;
+            }
+            for (i, op) in self.ops.iter().enumerate() {
+                assert!(self.pool.submit(ctx, op.clone(), 10 + i as u64));
+            }
+        }
+    }
+
+    /// The primary of a three-server pool never answers. One op of each
+    /// kind and a fifth, three of the five still queued behind a two-op
+    /// window, are in the primary's channel when the detector writes it
+    /// off; the pool has kept no copy of them. What reaches the promoted
+    /// mirror is what the failed channel handed back: the same five
+    /// requests, in submit order, each answered once under its own cookie.
+    #[test]
+    fn failover_reissues_what_the_failed_channel_hands_back() {
+        let endpoint = |i| RoceEndpoint {
+            mac: MacAddr::local(i),
+            ip: 0x0a00_0000 + i,
+        };
+        // Three servers with the same region triple, on ports 0, 1 and 2;
+        // the one on port 0 is never plugged in — a black hole sits there.
+        let mut nics = [10, 11, 12].map(|i| RnicNode::new("mem", RnicConfig::at(endpoint(i))));
+        let channels: [RdmaChannel; 3] = std::array::from_fn(|i| {
+            let size = ByteSize::from_bytes(4096);
+            RdmaChannel::setup(endpoint(1), PortId(i as u16), &mut nics[i], size)
+        });
+        let (rkey, base) = (channels[1].rkey, channels[1].base_va);
+        let promoted_qp = channels[1].qp.clone();
+
+        let tail = Payload::from_vec((0..30).collect());
+        let ops = vec![
+            Op::Write {
+                va: base,
+                body: WriteBody::framed(b"hd", tail.clone()),
+                ack_req: true,
+            },
+            Op::Read {
+                va: base + 64,
+                len: 16,
+            },
+            Op::FetchAdd {
+                va: base + 128,
+                add: 7,
+            },
+            // The region is zeroed, so the compare matches: a hit.
+            Op::Remote(RemoteOp::CondWrite {
+                cmp_va: base + 192,
+                write_va: base + 256,
+                compare: Operand::new(&[0; 8]),
+                write: Operand::new(&[0xab; 8]),
+            }),
+            // Reads the WRITE back: the order survived the failover.
+            Op::Read { va: base, len: 32 },
+        ];
+        // The detector (two silent rounds) is to trip before the channel's
+        // own retry cap does.
+        let rc = ReliableConfig {
+            max_retries: 8,
+            ..impatient(2)
+        };
+        let pool_config = PoolConfig {
+            down_threshold: 2,
+            ..PoolConfig::default()
+        };
+        let channels = channels.into_iter().map(|ch| ReliableChannel::new(ch, rc));
+        let program = Submitter {
+            pool: ReplicatedPool::new(channels.collect(), pool_config),
+            ops: ops.clone(),
+            events: Vec::new(),
+        };
+        let mut servers = Vec::new();
+        let (mut sim, sw, hole) = behind_blackhole(program, |b, sw| {
+            let [_unplugged, nic, spare] = nics;
+            let frames = Vec::new();
+            servers.push(b.add_node(Box::new(Tap { nic, frames })));
+            servers.push(b.add_node(Box::new(spare)));
+            for (i, &server) in servers.iter().enumerate() {
+                let port = PortId(1 + i as u16);
+                b.connect(sw, port, server, PortId(0), LinkSpec::testbed_40g());
+            }
+        });
+        // Silence at 10 us and again at 30 us; well before the first probe.
+        sim.schedule_timer(sw, TimeDelta::ZERO, program_token(SUBMIT));
+        sim.run_until(Time::from_micros(100));
+
+        let program = sim.node::<SwitchNode>(sw).program::<Submitter>();
+        let stats = program.pool.stats();
+        assert_eq!((program.pool.primary(), stats.failovers), (1, 1));
+        assert_eq!(stats.reissued_ops, 5);
+        // Only the window ever reached the dead primary: sent, and sent
+        // again in each of the two silent rounds.
+        assert_eq!(sim.node::<Blackhole>(hole).frames.len(), 2 * 3);
+
+        // At the promoted mirror: its copy of the WRITE, from before the
+        // failover, then the five ops exactly as `Op::request` lowers
+        // them, under consecutive PSNs.
+        let tap = sim.node::<Tap>(servers[0]);
+        assert_eq!(tap.frames.len(), 6);
+        for (i, (frame, op)) in tap.frames[1..].iter().zip(&ops).enumerate() {
+            let want = promoted_qp.encode_at(1 + i as u32, rkey, &op.request());
+            assert_eq!(*frame, want, "reissued op {i}");
+        }
+
+        // Every op came back once, under its cookie, with its answer.
+        let image = [&b"hd"[..], &tail[..]].concat();
+        let replies = [
+            Reply::Ack,
+            Reply::Data(Payload::from_vec(vec![0; 16])),
+            Reply::Ack,
+            Reply::Remote {
+                flags: EXTOP_FLAG_HIT,
+                index: 0,
+                data: Payload::from_vec(vec![0; 8]),
+            },
+            Reply::Data(Payload::from_vec(image.clone())),
+        ];
+        let done = ops.iter().zip(replies).enumerate();
+        let want: Vec<ChannelEvent> = done
+            .map(|(i, (op, reply))| ChannelEvent::Done {
+                cookie: 10 + i as u64,
+                op: op.clone(),
+                reply,
+            })
+            .collect();
+        assert_eq!(program.events, want);
+
+        // The Fetch-and-Add never completed on the old primary, so it is
+        // owed to nobody as a delta: the new primary applied it once, as
+        // the reissued op, and nothing was replayed onto it.
+        let counter = |nic: &RnicNode| nic.region(rkey).read(base + 128, 8).unwrap().to_vec();
+        assert_eq!(counter(&tap.nic), 7u64.to_be_bytes());
+        assert_eq!(stats.delta_replayed, 0);
+        // The conditional WRITE hit on the new primary, and its decided
+        // image went on to the one mirror still alive (as the WRITE's copy
+        // had, at submit time, to both).
+        let spare = sim.node::<RnicNode>(servers[1]);
+        assert_eq!(stats.mirror_writes, 3);
+        for nic in [&tap.nic, spare] {
+            assert_eq!(nic.region(rkey).read(base + 256, 8).unwrap(), [0xab; 8]);
+            assert_eq!(nic.region(rkey).read(base, 32).unwrap(), &image[..]);
+        }
+    }
 
     #[test]
     fn detector_needs_threshold_consecutive_timeouts() {

@@ -138,4 +138,8 @@ fabric_shard 2.74
 fabric_shard_p2 2.74
 CEILINGS
 
+echo "== non-test lines per crate =="
+# Not a gate: the table a simplicity PR quotes for parent and change.
+scripts/loc.sh --crates
+
 echo "== ci.sh: all gates passed =="
