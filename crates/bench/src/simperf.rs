@@ -38,24 +38,24 @@
 //!   pods; sharded leaf–spine), built on `SimBuilder` / `FabricSpec`.
 
 use crate::e1;
+use crate::rigs::{
+    cuckoo_storm, faa_store, failover_store, flows, lossy_detour, one_flow, paced, program,
+    reliable_faa, sink, testbed_with_server,
+};
 use extmem_apps::incast::{run_incast, IncastConfig, RemoteBufferSpec};
-use extmem_apps::scenario::{host_endpoint, host_ip, host_mac, Built, Testbed};
+use extmem_apps::scenario::{host_endpoint, host_ip, host_mac, Built};
 use extmem_apps::workload::{Arrival, FlowPick, FlowSet, SinkNode, TrafficGenNode, WorkloadSpec};
 use extmem_core::faa::{FaaConfig, FaaEngine};
 use extmem_core::lookup::{
     install_cuckoo_image, install_remote_action, ActionEntry, ChurnScript, ControlOp,
     LookupTableProgram,
 };
-use extmem_core::packet_buffer::{Mode, PacketBufferProgram};
+use extmem_core::packet_buffer::PacketBufferProgram;
 use extmem_core::shard::ShardedStateStoreProgram;
 use extmem_core::state_store::{read_remote_counters, StateStoreProgram};
-use extmem_core::{
-    CuckooConfig, CuckooDirectory, Fib, L2Program, PoolConfig, RdmaChannel, ReliableConfig,
-};
+use extmem_core::{CuckooConfig, CuckooDirectory, Fib, L2Program, PoolConfig, RdmaChannel};
 use extmem_rnic::{RnicConfig, RnicNode};
-use extmem_sim::{
-    with_sched_backend, FabricSpec, FaultSpec, LinkSpec, SchedBackend, SimBuilder, Simulator,
-};
+use extmem_sim::{with_sched_backend, FabricSpec, LinkSpec, SchedBackend, SimBuilder, Simulator};
 use extmem_switch::switch::program_token;
 use extmem_switch::{SwitchConfig, SwitchNode};
 use extmem_types::{ByteSize, FiveTuple, PortId, Rate, Time, TimeDelta};
@@ -107,61 +107,10 @@ pub fn incast_scenario() -> ScenarioResult {
     }
 }
 
-/// Client → switch → server with a table server on port 2: the shape every
-/// lookup scenario here shares. Returns the testbed with the table server's
-/// handle and channel.
-fn lookup_rig(seed: u64, spec: WorkloadSpec, region_bytes: u64) -> (Testbed, usize, RdmaChannel) {
-    let link = LinkSpec::testbed_40g();
-    let mut tb = Testbed::new(seed);
-    tb.gen(spec, link);
-    tb.sink(link);
-    let (table, channel) = tb.server(
-        RnicConfig::default(),
-        ByteSize::from_bytes(region_bytes),
-        link,
-    );
-    (tb, table, channel)
-}
-
-/// The lookup scenarios' traffic: 256 B frames over `flows`, paced at 5 Gbps.
-fn lookup_spec(flows: Vec<FiveTuple>, pick: FlowPick, count: u64, seed: u64) -> WorkloadSpec {
-    WorkloadSpec {
-        src_mac: host_mac(0),
-        dst_mac: host_mac(1),
-        flows: flows.into(),
-        pick,
-        frame_len: 256,
-        offered: Some(Rate::from_gbps(5)),
-        arrival: Arrival::Paced,
-        count,
-        seed,
-        flow_id_base: 0,
-    }
-}
-
-/// The cacheless cuckoo miss storm over 256 installed flows, verb or
-/// remote-op miss path, run to quiescence.
-fn cuckoo_storm(count: u64, remote_ops: bool) -> Built {
-    let flows: Vec<FiveTuple> = (0..256)
-        .map(|i| FiveTuple::new(host_ip(0), host_ip(1), 40_000 + i, 80, 17))
-        .collect();
-    let mut dir = CuckooDirectory::new(CuckooConfig::for_capacity(flows.len() as u64));
-    for f in &flows {
-        dir.install(*f, ActionEntry::set_dscp(46))
-            .expect("pre-population fits");
-    }
-    let spec = lookup_spec(flows, FlowPick::RoundRobin, count, 9);
-    let (mut tb, table, channel) = lookup_rig(31, spec, dir.region_bytes());
-    install_cuckoo_image(tb.nic_mut(table), &channel, &dir);
-    let prog = LookupTableProgram::cuckoo(tb.fib(), channel, dir, None).with_remote_ops(remote_ops);
-    let mut t = tb.build(SwitchConfig::default(), Box::new(prog));
-    t.sim.run_to_quiescence();
-    assert_eq!(
-        t.sim.node::<SinkNode>(t.hosts[1]).received,
-        count,
-        "forward path lost frames"
-    );
-    t
+/// The cuckoo scenarios' storm: 256 installed flows at 5 Gbps, seed 31.
+fn storm_256(count: u64, remote_ops: bool) -> Built {
+    let cfg = CuckooConfig::for_capacity(256);
+    cuckoo_storm(31, cfg, 256, Rate::from_gbps(5), count, remote_ops).0
 }
 
 /// Lookup-miss storm, one-RTT cuckoo mode: 256 installed flows, caching
@@ -169,9 +118,8 @@ fn cuckoo_storm(count: u64, remote_ops: bool) -> Built {
 /// each probe to the bucket its key lives in). The run asserts the tentpole
 /// metric — reads-per-miss == 1.0 with zero slow-path punts.
 pub fn lookup_miss_storm(count: u64) -> ScenarioResult {
-    let t = cuckoo_storm(count, false);
-    let sw: &SwitchNode = t.sim.node::<SwitchNode>(t.switch);
-    let stats = sw.program::<LookupTableProgram>().stats();
+    let t = storm_256(count, false);
+    let stats = program::<LookupTableProgram>(&t).stats();
     assert_eq!(
         stats.remote_lookups, count,
         "every packet must take the remote path"
@@ -191,18 +139,12 @@ pub fn lookup_miss_storm(count: u64) -> ScenarioResult {
 /// digest pins the old wire format and the backend-equivalence suite
 /// replays it.
 pub fn lookup_miss_storm_direct(count: u64) -> ScenarioResult {
-    let flow = FiveTuple::new(host_ip(0), host_ip(1), 40_000, 80, 17);
-    let spec = WorkloadSpec::simple(
-        host_mac(0),
-        host_mac(1),
-        flow,
-        256,
-        Rate::from_gbps(5),
-        count,
-    );
-    let (mut tb, table, channel) = lookup_rig(31, spec, 4096 * 2048);
+    let spec = one_flow(40_000, 80, 256, Rate::from_gbps(5), count);
+    let flow = spec.flows.get(0);
+    let region = ByteSize::from_bytes(4096 * 2048);
+    let (mut tb, channel) = testbed_with_server(31, spec, LinkSpec::testbed_40g(), region, 0.0);
     install_remote_action(
-        tb.nic_mut(table),
+        tb.nic_mut(0),
         &channel,
         2048,
         &flow,
@@ -211,9 +153,8 @@ pub fn lookup_miss_storm_direct(count: u64) -> ScenarioResult {
     let prog = LookupTableProgram::new(tb.fib(), channel, 2048, None);
     let mut t = tb.build(SwitchConfig::default(), Box::new(prog));
     t.sim.run_to_quiescence();
-    let sw: &SwitchNode = t.sim.node::<SwitchNode>(t.switch);
     assert_eq!(
-        sw.program::<LookupTableProgram>().stats().remote_lookups,
+        program::<LookupTableProgram>(&t).stats().remote_lookups,
         count,
         "every packet must take the remote path"
     );
@@ -225,9 +166,8 @@ pub fn lookup_miss_storm_direct(count: u64) -> ScenarioResult {
 /// issues one hash-probe-and-fetch op that the responder's op engine
 /// resolves against both candidate buckets in a single exchange.
 pub fn remote_ops(count: u64) -> ScenarioResult {
-    let t = cuckoo_storm(count, true);
-    let sw: &SwitchNode = t.sim.node::<SwitchNode>(t.switch);
-    let stats = sw.program::<LookupTableProgram>().stats();
+    let t = storm_256(count, true);
+    let stats = program::<LookupTableProgram>(&t).stats();
     assert_eq!(
         stats.remote_lookups, count,
         "every packet must take the remote path"
@@ -273,16 +213,12 @@ pub fn insert_churn(count: u64) -> ScenarioResult {
         max_plan_steps: 64,
     };
     let mut dir = CuckooDirectory::new(cfg);
-    let flows: Vec<FiveTuple> = (0..TRAFFIC_KEYS)
-        .map(|i| FiveTuple::new(host_ip(0), host_ip(1), 40_000 + i, 80, 17))
-        .collect();
-    for f in &flows {
+    let resident = flows(TRAFFIC_KEYS, 40_000, 80);
+    for f in &resident {
         dir.install(*f, ActionEntry::set_dscp(DSCP))
             .expect("pre-population fits");
     }
-    let churn_keys: Vec<FiveTuple> = (0..CHURN_KEYS)
-        .map(|i| FiveTuple::new(host_ip(0), host_ip(1), 50_000 + i, 80, 17))
-        .collect();
+    let churn_keys = flows(CHURN_KEYS, 50_000, 80);
     let mut ops = Vec::new();
     for (i, k) in churn_keys.iter().enumerate() {
         ops.push(ControlOp::Insert(*k, ActionEntry::set_dscp(12)));
@@ -298,10 +234,11 @@ pub fn insert_churn(count: u64) -> ScenarioResult {
         period: TimeDelta::from_micros(2),
     };
 
-    let spec = lookup_spec(flows, FlowPick::Zipf(1.1), count, 13);
-    let (mut tb, table, channel) = lookup_rig(37, spec, dir.region_bytes());
+    let spec = paced(resident, FlowPick::Zipf(1.1), 256, Rate::from_gbps(5), count, 13);
+    let region = ByteSize::from_bytes(dir.region_bytes());
+    let (mut tb, channel) = testbed_with_server(37, spec, LinkSpec::testbed_40g(), region, 0.0);
     let (rkey, base_va) = (channel.rkey, channel.base_va);
-    install_cuckoo_image(tb.nic_mut(table), &channel, &dir);
+    install_cuckoo_image(tb.nic_mut(0), &channel, &dir);
     let prog = LookupTableProgram::cuckoo(tb.fib(), channel, dir, None).with_churn(script);
     let mut t = tb.build(SwitchConfig::default(), Box::new(prog));
     t.sim.schedule_timer(
@@ -311,14 +248,9 @@ pub fn insert_churn(count: u64) -> ScenarioResult {
     );
     t.sim.run_to_quiescence();
 
-    let sw: &SwitchNode = t.sim.node::<SwitchNode>(t.switch);
-    let prog = sw.program::<LookupTableProgram>();
+    let prog = program::<LookupTableProgram>(&t);
     let stats = prog.stats();
-    assert_eq!(
-        t.sim.node::<SinkNode>(t.hosts[1]).received,
-        count,
-        "forward path lost frames"
-    );
+    assert_eq!(sink(&t).received, count, "forward path lost frames");
     assert_eq!(stats.remote_lookups, count, "cacheless: all remote");
     assert_eq!(stats.slow_path, 0, "transient miss punted: {stats:?}");
     assert_eq!(stats.bucket_misses, 0, "filter misdirected a probe: {stats:?}");
@@ -349,43 +281,21 @@ pub fn insert_churn(count: u64) -> ScenarioResult {
 /// the outstanding-atomics cap forces local accumulation and the engine's
 /// merge/flush machinery runs hot alongside forwarding.
 pub fn faa_storm(count: u64) -> ScenarioResult {
-    let counters = 4096u64;
-    let flows: Vec<FiveTuple> = (0..16)
-        .map(|i| FiveTuple::new(host_ip(0), host_ip(1), 40_000 + i, 9_000, 17))
-        .collect();
-    let spec = WorkloadSpec {
-        src_mac: host_mac(0),
-        dst_mac: host_mac(1),
-        flows: flows.into(),
-        pick: FlowPick::RoundRobin,
-        frame_len: 256,
-        offered: Some(Rate::from_gbps(10)),
-        arrival: Arrival::Paced,
-        count,
-        seed: 5,
-        flow_id_base: 0,
-    };
-    let link = LinkSpec::testbed_40g();
-    let mut tb = Testbed::new(41);
-    tb.gen(spec, link);
-    tb.sink(link);
-    let (_, channel) = tb.server(
-        RnicConfig::default(),
-        ByteSize::from_bytes(counters * 8),
-        link,
-    );
-    let (rkey, base_va) = (channel.rkey, channel.base_va);
-    let engine = FaaEngine::new(channel, FaaConfig::default());
-    let prog = StateStoreProgram::new(tb.fib(), engine, TimeDelta::from_micros(20));
-    let mut t = tb.build(SwitchConfig::default(), Box::new(prog));
-    // The flush tick re-arms forever, so drive to a fixed deadline: the
-    // send time at the offered rate plus a generous settle window.
+    let sixteen = flows(16, 40_000, 9_000);
+    let spec = paced(sixteen, FlowPick::RoundRobin, 256, Rate::from_gbps(10), count, 5);
+    // The send time at the offered rate plus a generous settle window.
     let send_time = TimeDelta::from_secs_f64(count as f64 * 256.0 * 8.0 / 10e9);
-    t.sim
-        .run_until(Time::ZERO + send_time + TimeDelta::from_millis(5));
+    let (t, remote) = faa_store(
+        41,
+        spec,
+        4096,
+        0.0,
+        FaaConfig::default(),
+        TimeDelta::from_micros(20),
+        Time::ZERO + send_time + TimeDelta::from_millis(5),
+    );
 
-    let sw: &SwitchNode = t.sim.node::<SwitchNode>(t.switch);
-    let prog = sw.program::<StateStoreProgram>();
+    let prog = program::<StateStoreProgram>(&t);
     assert_eq!(
         prog.forwarded, count,
         "telemetry must not cost forwarded packets"
@@ -397,16 +307,19 @@ pub fn faa_storm(count: u64) -> ScenarioResult {
         stats.merged > 0,
         "storm must overrun the atomic rate and accumulate: {stats:?}"
     );
-    let nic = t.sim.node::<RnicNode>(t.servers[0]);
     assert_eq!(
-        nic.stats().atomic_overflow_drops,
+        t.sim
+            .node::<RnicNode>(t.servers[0])
+            .stats()
+            .atomic_overflow_drops,
         0,
         "outstanding cap must protect the NIC"
     );
-    let remote: u64 = read_remote_counters(nic, rkey, base_va, counters)
-        .iter()
-        .sum();
-    assert_eq!(remote, count, "settled counters must be exact");
+    assert_eq!(
+        remote.iter().sum::<u64>(),
+        count,
+        "settled counters must be exact"
+    );
     ScenarioResult::of("faa_storm", &t.sim)
 }
 
@@ -416,56 +329,10 @@ pub fn faa_storm(count: u64) -> ScenarioResult {
 /// Each loss point must still recover *exactly* — no lost ring entries, no
 /// failover — or the run asserts.
 pub fn loss_sweep(count: u64) -> ScenarioResult {
-    const ENTRY: u64 = 816;
     let (mut events, mut packets, mut digest) = (0u64, 0u64, 0u64);
     for (i, &loss) in [0.001f64, 0.01].iter().enumerate() {
-        let mut tb = Testbed::new(61 + i as u64);
-        tb.gen(
-            WorkloadSpec::simple(
-                host_mac(0),
-                host_mac(1),
-                FiveTuple::new(host_ip(0), host_ip(1), 5000, 9000, 17),
-                800,
-                Rate::from_gbps(30),
-                count,
-            ),
-            LinkSpec::testbed_40g(),
-        );
-        // A 10 G drain port keeps the detour engaged for the whole run.
-        let drain = tb.sink(LinkSpec::new(
-            Rate::from_gbps(10),
-            TimeDelta::from_nanos(300),
-        ));
-        let mut lossy = LinkSpec::testbed_40g();
-        lossy.faults = FaultSpec::drop(loss);
-        let (_, channel) = tb.server(
-            RnicConfig::default(),
-            ByteSize::from_bytes((count + 8) * ENTRY),
-            lossy,
-        );
-        let prog = PacketBufferProgram::new(
-            tb.fib(),
-            vec![channel],
-            drain,
-            ENTRY,
-            Mode::Auto {
-                start_store_qbytes: 4096,
-                resume_load_qbytes: 2048,
-            },
-            8,
-            TimeDelta::from_micros(50),
-        )
-        .with_reliability(ReliableConfig {
-            rto: TimeDelta::from_micros(50),
-            ..Default::default()
-        });
-        let mut t = tb.build(SwitchConfig::default(), Box::new(prog));
-        let drain_time = TimeDelta::from_secs_f64(count as f64 * 800.0 * 8.0 / 10e9);
-        t.sim
-            .run_until(Time::ZERO + drain_time + TimeDelta::from_millis(10));
-
-        let sw: &SwitchNode = t.sim.node::<SwitchNode>(t.switch);
-        let s = sw.program::<PacketBufferProgram>().stats();
+        let t = lossy_detour(61 + i as u64, count, 816, loss, TimeDelta::from_millis(10));
+        let s = program::<PacketBufferProgram>(&t).stats();
         assert!(s.stored > 0, "loss={loss}: the detour was never exercised");
         assert!(
             s.channel.retransmits > 0,
@@ -475,7 +342,7 @@ pub fn loss_sweep(count: u64) -> ScenarioResult {
         assert_eq!(s.lost_entries, 0, "loss={loss}: lost ring entries: {s:?}");
         assert_eq!(s.loaded, s.stored, "loss={loss}: ring did not drain: {s:?}");
         assert_eq!(
-            t.sim.node::<SinkNode>(t.hosts[1]).received,
+            sink(&t).received,
             count,
             "loss={loss}: recovery must be exact"
         );
@@ -497,52 +364,8 @@ pub fn loss_sweep(count: u64) -> ScenarioResult {
 /// accumulation, anti-entropy replay, probe/reseed traffic. The run
 /// asserts exact settled counters on *both* replicas.
 pub fn server_failover(count: u64) -> ScenarioResult {
-    let counters = 512u64;
-    let region = ByteSize::from_bytes(counters * 8);
-    let link = LinkSpec::testbed_40g();
-    let mut tb = Testbed::new(71);
-    tb.gen(
-        WorkloadSpec::simple(
-            host_mac(0),
-            host_mac(1),
-            FiveTuple::new(host_ip(0), host_ip(1), 5000, 9000, 17),
-            256,
-            Rate::from_gbps(2),
-            count,
-        ),
-        link,
-    );
-    tb.sink(link);
-    let (_, ch_a) = tb.server(RnicConfig::default(), region, link);
-    let (_, ch_b) = tb.server(RnicConfig::default(), region, link);
-    let (rkey, base_va) = (ch_a.rkey, ch_a.base_va);
-    let engine = FaaEngine::replicated(
-        vec![ch_a, ch_b],
-        FaaConfig {
-            reliable: true,
-            rto: TimeDelta::from_micros(30),
-            ..Default::default()
-        },
-        PoolConfig {
-            down_threshold: 2,
-            probe_interval: TimeDelta::from_micros(100),
-            reseed_atomics: true,
-            ..Default::default()
-        },
-    );
-    let prog = StateStoreProgram::new(tb.fib(), engine, TimeDelta::from_micros(30));
-    let mut t = tb.build(SwitchConfig::default(), Box::new(prog));
-    // ~1us of traffic per update: crash the primary a quarter in, bring it
-    // back at the halfway mark so reseed + delta replay overlap live load.
-    t.sim
-        .schedule_crash(t.servers[0], TimeDelta::from_micros(count / 4));
-    t.sim
-        .schedule_restart(t.servers[0], TimeDelta::from_micros(count / 2));
-    t.sim
-        .run_until(Time::from_micros(count) + TimeDelta::from_millis(10));
-
-    let sw: &SwitchNode = t.sim.node::<SwitchNode>(t.switch);
-    let prog = sw.program::<StateStoreProgram>();
+    let (t, [dump_a, dump_b]) = failover_store(71, 512, count, Some(0), true);
+    let prog = program::<StateStoreProgram>(&t);
     let stats = prog.faa_stats();
     assert!(prog.is_quiescent(), "stuck window: {stats:?}");
     assert!(!prog.is_degraded(), "pool must survive the crash: {stats:?}");
@@ -550,23 +373,21 @@ pub fn server_failover(count: u64) -> ScenarioResult {
     assert!(stats.pool.rejoins >= 1, "no rejoin: {stats:?}");
     let truth: u64 = prog.oracle.values().sum();
     assert_eq!(truth, count);
-    let dump = |s: usize| {
-        read_remote_counters(
-            t.sim.node::<RnicNode>(t.servers[s]),
-            rkey,
-            base_va,
-            counters,
-        )
-    };
-    let (dump_a, dump_b) = (dump(0), dump(1));
     let total_b: u64 = dump_b.iter().sum();
     assert_eq!(total_b, truth, "survivor lost counts");
     assert_eq!(dump_a, dump_b, "rejoined replica diverges");
     ScenarioResult::of("server_failover", &t.sim)
 }
 
-/// Pods in the [`fabric_fanout`] scenario.
-pub const FANOUT_PODS: usize = 8;
+/// Switch `i` of a multi-switch scenario speaks RoCE to its local servers
+/// under its own identity (the shared `switch_endpoint` would alias across
+/// pods).
+fn fabric_switch_endpoint(i: usize) -> extmem_wire::roce::RoceEndpoint {
+    extmem_wire::roce::RoceEndpoint {
+        mac: extmem_wire::MacAddr::local(200 + i as u32),
+        ip: 0x0a00_0100 + i as u32,
+    }
+}
 
 /// Fabric fan-out: the parallel-backend workhorse. Eight pods — each a ToR
 /// switch running the §4 state-store primitive against its own local
@@ -589,7 +410,7 @@ pub const FANOUT_PODS: usize = 8;
 /// pod's oracle exactly (reliable FaA), every sink must see both its local
 /// and its ring flow in full, and no pod may degrade.
 pub fn fabric_fanout(count: u64, threads: usize) -> ScenarioResult {
-    const PODS: usize = FANOUT_PODS;
+    const PODS: usize = 8;
     with_sched_backend(SchedBackend::Parallel(threads), || {
         let counters = 256u64;
         let region = ByteSize::from_bytes(counters * 8);
@@ -598,12 +419,6 @@ pub fn fabric_fanout(count: u64, threads: usize) -> ScenarioResult {
         let sink_host = |p: usize| p * 4 + 1;
         let memsrv_host = |p: usize| p * 4 + 2;
         let gen_cross_host = |p: usize| p * 4 + 3;
-        // Pod p's switch speaks RoCE to its local server under its own
-        // identity (the shared `switch_endpoint` would alias across pods).
-        let pod_switch_ep = |p: usize| extmem_wire::roce::RoceEndpoint {
-            mac: extmem_wire::MacAddr::local(200 + p as u32),
-            ip: 0x0a00_0100 + p as u32,
-        };
 
         let mut b = SimBuilder::new(97);
         let link = LinkSpec::testbed_40g();
@@ -618,18 +433,14 @@ pub fn fabric_fanout(count: u64, threads: usize) -> ScenarioResult {
                 format!("memsrv{p}"),
                 RnicConfig::at(host_endpoint(memsrv_host(p))),
             );
-            let channel = RdmaChannel::setup(pod_switch_ep(p), PortId(2), &mut nic, region);
+            let channel = RdmaChannel::setup(fabric_switch_endpoint(p), PortId(2), &mut nic, region);
             keys.push((channel.rkey, channel.base_va));
             let mut fib = Fib::new(8);
             fib.install(host_mac(sink_host(p)), PortId(1));
             fib.install(host_mac(sink_host(next)), PortId(4));
             let engine = FaaEngine::new(
                 channel,
-                FaaConfig {
-                    reliable: true,
-                    rto: TimeDelta::from_micros(50),
-                    ..Default::default()
-                },
+                reliable_faa(50),
             );
             let prog = StateStoreProgram::new(fib, engine, TimeDelta::from_micros(20));
             let switch = b.add_node(Box::new(SwitchNode::new(
@@ -637,42 +448,18 @@ pub fn fabric_fanout(count: u64, threads: usize) -> ScenarioResult {
                 SwitchConfig::default(),
                 Box::new(prog),
             )));
-            let local_flow = FiveTuple::new(
-                host_ip(gen_local_host(p)),
-                host_ip(sink_host(p)),
-                40_000 + p as u16,
-                9_000,
-                17,
-            );
-            let cross_flow = FiveTuple::new(
-                host_ip(gen_cross_host(p)),
-                host_ip(sink_host(next)),
-                41_000 + p as u16,
-                9_000,
-                17,
-            );
-            let gen_local = b.add_node(Box::new(TrafficGenNode::new(
-                format!("local{p}"),
-                WorkloadSpec::simple(
-                    host_mac(gen_local_host(p)),
-                    host_mac(sink_host(p)),
-                    local_flow,
-                    256,
-                    Rate::from_gbps(5),
-                    count,
-                ),
-            )));
-            let gen_cross = b.add_node(Box::new(TrafficGenNode::new(
-                format!("cross{p}"),
-                WorkloadSpec::simple(
-                    host_mac(gen_cross_host(p)),
-                    host_mac(sink_host(next)),
-                    cross_flow,
-                    256,
-                    Rate::from_gbps(5),
-                    count,
-                ),
-            )));
+            // Local traffic stays in the pod; cross traffic takes the ring to
+            // the next pod's sink.
+            let [gen_local, gen_cross] = [
+                ("local", gen_local_host(p), sink_host(p), 40_000),
+                ("cross", gen_cross_host(p), sink_host(next), 41_000),
+            ]
+            .map(|(name, from, to, sport)| {
+                let flow = FiveTuple::new(host_ip(from), host_ip(to), sport + p as u16, 9_000, 17);
+                let (src, dst) = (host_mac(from), host_mac(to));
+                let spec = WorkloadSpec::simple(src, dst, flow, 256, Rate::from_gbps(5), count);
+                b.add_node(Box::new(TrafficGenNode::new(format!("{name}{p}"), spec)))
+            });
             let sink = b.add_node(Box::new(SinkNode::new(format!("sink{p}"))));
             let server = b.add_node(Box::new(nic));
             b.connect(switch, PortId(0), gen_local, PortId(0), link);
@@ -755,22 +542,22 @@ pub fn fabric_fanout(count: u64, threads: usize) -> ScenarioResult {
 }
 
 /// Leaf switches in the [`fabric_shard`] scenario.
-pub const SHARD_LEAVES: usize = 4;
+const SHARD_LEAVES: usize = 4;
 /// Spine switches in the [`fabric_shard`] scenario.
-pub const SHARD_SPINES: usize = 2;
+const SHARD_SPINES: usize = 2;
 /// Replicated servers per shard.
-pub const SHARD_REPLICAS: usize = 2;
+const SHARD_REPLICAS: usize = 2;
 /// Counter slots per shard region.
-pub const SHARD_COUNTERS: u64 = 256;
+const SHARD_COUNTERS: u64 = 256;
 /// Synthesized flow population per generator (above the exact-CDF
 /// threshold, so the constant-space Zipf sampler is on the pinned path).
-pub const SHARD_FLOWS: usize = 1 << 20;
+const SHARD_FLOWS: usize = 1 << 20;
 /// Shard id of each leaf's spare (activated mid-run).
 const SPARE_SHARD: u32 = 2;
 
 /// Hosts per leaf in [`fabric_shard`]: gen, sink, and 3 shards × 2
 /// replica servers (shard 2 is the spare).
-pub const SHARD_HOSTS_PER_LEAF: usize = 2 + 3 * SHARD_REPLICAS;
+const SHARD_HOSTS_PER_LEAF: usize = 2 + 3 * SHARD_REPLICAS;
 
 /// Global host index of host `i` on leaf `l` (MAC/IP assignment).
 fn shard_host(l: usize, i: usize) -> usize {
@@ -803,14 +590,9 @@ fn shard_host(l: usize, i: usize) -> usize {
 /// mutation included.
 pub fn fabric_shard(count: u64, threads: usize) -> ScenarioResult {
     with_sched_backend(SchedBackend::Parallel(threads), || {
-        const L: usize = SHARD_LEAVES;
         let region = ByteSize::from_bytes(SHARD_COUNTERS * 8);
-        let leaf_switch_ep = |l: usize| extmem_wire::roce::RoceEndpoint {
-            mac: extmem_wire::MacAddr::local(200 + l as u32),
-            ip: 0x0a00_0100 + l as u32,
-        };
         let spec = FabricSpec {
-            leaves: L,
+            leaves: SHARD_LEAVES,
             spines: SHARD_SPINES,
             hosts_per_leaf: SHARD_HOSTS_PER_LEAF,
             host_link: LinkSpec::asymmetric(
@@ -826,7 +608,7 @@ pub fn fabric_shard(count: u64, threads: usize) -> ScenarioResult {
         let mut progs: Vec<Option<ShardedStateStoreProgram>> = Vec::new();
         let mut nics: Vec<Vec<Option<RnicNode>>> = Vec::new();
         let mut keys = Vec::new(); // [leaf][shard][replica] -> (rkey, base_va)
-        for l in 0..L {
+        for l in 0..SHARD_LEAVES {
             let mut pod_nics: Vec<Option<RnicNode>> = vec![None, None];
             let mut shards = Vec::new();
             let mut pod_keys = Vec::new();
@@ -840,7 +622,7 @@ pub fn fabric_shard(count: u64, threads: usize) -> ScenarioResult {
                         RnicConfig::at(host_endpoint(shard_host(l, host_i))),
                     );
                     let ch = RdmaChannel::setup(
-                        leaf_switch_ep(l),
+                        fabric_switch_endpoint(l),
                         spec.host_port(host_i),
                         &mut nic,
                         region,
@@ -852,17 +634,13 @@ pub fn fabric_shard(count: u64, threads: usize) -> ScenarioResult {
                 pod_keys.push(shard_keys);
                 let engine = FaaEngine::replicated(
                     channels,
-                    FaaConfig {
-                        reliable: true,
-                        rto: TimeDelta::from_micros(50),
-                        ..Default::default()
-                    },
+                    reliable_faa(50),
                     PoolConfig::default(),
                 );
                 shards.push((shard, engine, shard != SPARE_SHARD));
             }
             keys.push(pod_keys);
-            let next = (l + 1) % L;
+            let next = (l + 1) % SHARD_LEAVES;
             let mut fib = Fib::new(8);
             fib.install(host_mac(shard_host(l, 1)), spec.host_port(1));
             fib.install(
@@ -890,7 +668,7 @@ pub fn fabric_shard(count: u64, threads: usize) -> ScenarioResult {
             },
             |s| {
                 let mut fib = Fib::new(8);
-                for j in 0..L {
+                for j in 0..SHARD_LEAVES {
                     fib.install(host_mac(shard_host(j, 1)), FabricSpec::spine_port(&spec, j));
                 }
                 let mut prog = L2Program::new(8);
@@ -903,7 +681,7 @@ pub fn fabric_shard(count: u64, threads: usize) -> ScenarioResult {
             },
             |l, i| match i {
                 0 => {
-                    let next = (l + 1) % L;
+                    let next = (l + 1) % SHARD_LEAVES;
                     Box::new(TrafficGenNode::new(
                         format!("gen{l}"),
                         WorkloadSpec {
@@ -931,7 +709,7 @@ pub fn fabric_shard(count: u64, threads: usize) -> ScenarioResult {
         );
 
         let mut sim = b.build();
-        for l in 0..L {
+        for l in 0..SHARD_LEAVES {
             sim.schedule_timer(fabric.hosts[l][0], TimeDelta::ZERO, TrafficGenNode::KICK_TOKEN);
         }
 
@@ -1010,7 +788,7 @@ pub fn fabric_shard(count: u64, threads: usize) -> ScenarioResult {
         let par = sim.par_stats();
         assert_eq!(
             par.partitions,
-            threads.clamp(1, L * (1 + SHARD_HOSTS_PER_LEAF) + SHARD_SPINES),
+            threads.clamp(1, SHARD_LEAVES * (1 + SHARD_HOSTS_PER_LEAF) + SHARD_SPINES),
             "builder must honor the requested thread count"
         );
         // Pods stay whole, so the cut runs through leaf–spine links only,

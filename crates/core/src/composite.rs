@@ -15,10 +15,9 @@ use crate::faa::{FaaEngine, FaaStats};
 use crate::lookup::{flow_of, LookupStats, LookupTableProgram};
 use extmem_switch::hash::flow_index;
 use extmem_switch::{PipelineProgram, SwitchCtx};
-use extmem_types::{PortId, TimeDelta};
+use extmem_types::{IntMap, PortId, TimeDelta};
 use extmem_wire::roce::RocePacket;
 use extmem_wire::Packet;
-use std::collections::HashMap;
 
 /// Timer token for the telemetry flush tick (distinct from any token the
 /// embedded lookup program uses).
@@ -33,7 +32,7 @@ pub struct GatewayTelemetryProgram {
     tick_interval: TimeDelta,
     tick_armed: bool,
     /// Ground truth per counter slot (test oracle, not on the data path).
-    pub oracle: HashMap<u64, u64>,
+    pub oracle: IntMap<u64, u64>,
 }
 
 impl GatewayTelemetryProgram {
@@ -50,7 +49,7 @@ impl GatewayTelemetryProgram {
             engine,
             tick_interval,
             tick_armed: false,
-            oracle: HashMap::new(),
+            oracle: IntMap::default(),
         }
     }
 

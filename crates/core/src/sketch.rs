@@ -13,7 +13,7 @@ use crate::fib::Fib;
 use crate::lookup::flow_of;
 use extmem_switch::hash::{flow_sign, salted_flow_index};
 use extmem_switch::{PipelineProgram, SwitchCtx};
-use extmem_types::{FiveTuple, PortId, TimeDelta};
+use extmem_types::{FiveTuple, IntMap, PortId, TimeDelta};
 use extmem_wire::roce::RocePacket;
 use extmem_wire::Packet;
 
@@ -59,7 +59,7 @@ pub struct SketchProgram {
     tick_interval: TimeDelta,
     tick_armed: bool,
     /// Exact per-flow ground truth (test oracle only).
-    pub oracle: std::collections::HashMap<FiveTuple, u64>,
+    pub oracle: IntMap<FiveTuple, u64>,
 }
 
 impl SketchProgram {
@@ -83,7 +83,7 @@ impl SketchProgram {
             geometry,
             tick_interval,
             tick_armed: false,
-            oracle: std::collections::HashMap::new(),
+            oracle: IntMap::default(),
         }
     }
 

@@ -18,7 +18,6 @@ use extmem_switch::table::{ExactMatchTable, Replacement};
 use extmem_switch::{PipelineProgram, SwitchCtx};
 use extmem_types::{FiveTuple, IntMap, PortId, TimeDelta};
 use extmem_wire::Packet;
-use std::collections::HashMap;
 
 /// Counters for the slow-path baseline.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -38,7 +37,7 @@ pub struct CpuSlowPathProgram {
     /// L2 forwarding.
     pub fib: Fib,
     /// The authoritative table, held in software (the CPU side).
-    soft_table: HashMap<FiveTuple, ActionEntry>,
+    soft_table: IntMap<FiveTuple, ActionEntry>,
     cache: Option<ExactMatchTable<FiveTuple, ActionEntry>>,
     /// One-way-and-back software latency per punted packet.
     cpu_latency: TimeDelta,
@@ -60,7 +59,7 @@ impl CpuSlowPathProgram {
         assert!(max_outstanding > 0);
         CpuSlowPathProgram {
             fib,
-            soft_table: HashMap::new(),
+            soft_table: IntMap::default(),
             cache: cache_capacity.map(|c| ExactMatchTable::new(c, Replacement::Lru)),
             cpu_latency,
             max_outstanding,

@@ -234,8 +234,7 @@ pub fn read_remote_trace(
 /// data plane.
 pub mod analysis {
     use super::TraceRecord;
-    use extmem_types::{FiveTuple, TimeDelta};
-    use std::collections::HashMap;
+    use extmem_types::{FiveTuple, IntMap, TimeDelta};
 
     /// Per-flow aggregate.
     #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -247,8 +246,8 @@ pub mod analysis {
     }
 
     /// Aggregate the trace per flow.
-    pub fn per_flow(trace: &[TraceRecord]) -> HashMap<FiveTuple, FlowAgg> {
-        let mut m: HashMap<FiveTuple, FlowAgg> = HashMap::new();
+    pub fn per_flow(trace: &[TraceRecord]) -> IntMap<FiveTuple, FlowAgg> {
+        let mut m: IntMap<FiveTuple, FlowAgg> = IntMap::default();
         for r in trace {
             let e = m.entry(r.flow).or_default();
             e.packets += 1;

@@ -18,13 +18,12 @@ use crate::partition::{
     PortSlotStatic, SyncShared, Topo, STREAM_FAULTS, STREAM_NODE,
 };
 use crate::trace::{TraceEvent, TraceSink};
-use extmem_types::{LinkId, NodeId, PortId, Rate, Time, TimeDelta};
+use extmem_types::{IntMap, LinkId, NodeId, PortId, Rate, Time, TimeDelta};
 use extmem_wire::bytes::ThreadCounts;
 use extmem_wire::pool::{self, FreeList};
 use extmem_wire::Packet;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
 use std::sync::atomic::Ordering::{Acquire, SeqCst};
 use std::sync::mpsc::{self, TrySendError};
 use std::sync::Arc;
@@ -605,7 +604,7 @@ impl Partition {
 pub struct SimBuilder {
     nodes: Vec<Box<dyn Node>>,
     links: Vec<LinkInfo>,
-    ports: HashMap<(NodeId, PortId), (usize, usize)>,
+    ports: IntMap<(NodeId, PortId), (usize, usize)>,
     seed: u64,
     keep_trace: bool,
 }
@@ -616,7 +615,7 @@ impl SimBuilder {
         SimBuilder {
             nodes: Vec::new(),
             links: Vec::new(),
-            ports: HashMap::new(),
+            ports: IntMap::default(),
             seed,
             keep_trace: false,
         }

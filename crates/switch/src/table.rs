@@ -6,8 +6,8 @@
 //! bound explicit: inserts fail when full unless LRU replacement is enabled
 //! (the cache mode used by the lookup-table primitive's local cache).
 
+use extmem_types::IntMap;
 use std::borrow::Borrow;
-use std::collections::HashMap;
 use std::hash::Hash;
 
 /// What to do when inserting into a full table.
@@ -37,7 +37,7 @@ pub enum Replacement {
 /// structure simple and obviously correct.
 #[derive(Debug)]
 pub struct ExactMatchTable<K, V> {
-    entries: HashMap<K, Entry<V>>,
+    entries: IntMap<K, Entry<V>>,
     capacity: usize,
     replacement: Replacement,
     clock: u64,
@@ -63,7 +63,7 @@ impl<K: Eq + Hash + Clone, V> ExactMatchTable<K, V> {
     pub fn new(capacity: usize, replacement: Replacement) -> Self {
         assert!(capacity > 0, "table capacity must be positive");
         ExactMatchTable {
-            entries: HashMap::with_capacity(capacity),
+            entries: IntMap::with_capacity_and_hasher(capacity, Default::default()),
             capacity,
             replacement,
             clock: 0,

@@ -4,11 +4,11 @@
 //! seed: robust against adversarial keys, but several times the cost of the
 //! lookup itself for a `u32`/`u64` key, and a source of run-to-run variation
 //! (iteration order, and with it allocation counts, differ between two
-//! processes given the same seed). The keys hashed here — request cookies,
-//! queue-pair numbers, region keys, flow ids, counter addresses — are
-//! generated by the simulation itself, never by an outside party, so
-//! collision resistance buys nothing. [`IntMap`] trades it for one multiply
-//! and one fold per key, the same in every process.
+//! processes given the same seed). The keys hashed here — cookies, QP numbers,
+//! region keys, flow ids, counter addresses, the MACs and five-tuples of
+//! simulated frames — come from the simulation itself, never from an outside
+//! party, so collision resistance buys nothing. [`IntMap`] trades it for one
+//! multiply and one fold per key, the same in every process.
 
 use core::hash::{BuildHasherDefault, Hasher};
 use std::collections::{HashMap, HashSet};

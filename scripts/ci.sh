@@ -95,18 +95,47 @@ echo "== backend equivalence and scenario pins (release) =="
 # equal in-process, plus the pinned digests.
 cargo test -q --release --test sched_equivalence --test wire_pin
 
-echo "== same seed, same bytes, across processes =="
-# In-process digests are pinned above; this is the check that nothing
-# process-specific (a randomly seeded hasher's iteration order) leaks into
-# simulated output. The ablation's FaA-ops column used to move by a few ops
-# from one process to the next.
-cargo run -q --release -p extmem-bench --bin a2_atomics_ablation >"$tmp/ablation.1"
-cargo run -q --release -p extmem-bench --bin a2_atomics_ablation >"$tmp/ablation.2"
-if ! cmp "$tmp/ablation.1" "$tmp/ablation.2"; then
-    echo "FAIL: a2_atomics_ablation printed different bytes in two processes" >&2
+echo "== experiments: same bytes in two processes, and the golden files =="
+# Every row of the experiments binary, twice. In-process digests are pinned
+# above; comparing two processes is the check that nothing process-specific
+# (a randomly seeded hasher's iteration order: a2_atomics_ablation's FaA-ops
+# column used to move by a few ops) leaks into simulated output. The reports
+# are on stdout and the `== name ==` headers, in table order, on stderr, so
+# the first run must also equal the golden files concatenated in that order.
+experiments="${CARGO_TARGET_DIR:-target}/release/experiments"
+"$experiments" >"$tmp/experiments.1" 2>"$tmp/experiments.names"
+"$experiments" >"$tmp/experiments.2" 2>/dev/null
+if ! cmp "$tmp/experiments.1" "$tmp/experiments.2"; then
+    echo "FAIL: experiments printed different bytes in two processes" >&2
     exit 1
 fi
-echo "ok     a2_atomics_ablation: two processes, identical output"
+sed -n 's/^== \(.*\) ==$/\1/p' "$tmp/experiments.names" | while read -r name; do
+    cat "crates/bench/expected/$name.txt"
+done >"$tmp/experiments.golden"
+if ! cmp "$tmp/experiments.1" "$tmp/experiments.golden"; then
+    echo "FAIL: experiments no longer prints crates/bench/expected/*.txt:" >&2
+    diff "$tmp/experiments.golden" "$tmp/experiments.1" | head -n 40 >&2
+    exit 1
+fi
+echo "ok     experiments: $(grep -c '^== ' "$tmp/experiments.names") rows, two processes, identical to the golden files"
+
+echo "== no std-hashed maps in library crates =="
+# `std`'s HashMap/HashSet hash under a per-process random seed, so anything
+# that iterates one can differ between two runs of the same seed. Library
+# code uses extmem_types::{IntMap, IntSet} (types/src/hash.rs defines them
+# over the std containers); test modules, which start at `#[cfg(test)]`, may
+# use either. Not a clippy `disallowed-types` entry: that would also cover
+# crates/benchmark, which is frozen and uses HashMap.
+std_hashed="$(find crates/{types,wire,sim,rnic,switch,core,apps}/src -name '*.rs' ! -path crates/types/src/hash.rs |
+    LC_ALL=C sort | while read -r f; do
+        awk -v f="$f" '/#\[cfg\(test\)\]/ { exit }
+            /collections::(\{[^}]*)?Hash(Map|Set)/ { printf "%s:%d: %s\n", f, NR, $0 }' "$f"
+    done)"
+if [ -n "$std_hashed" ]; then
+    echo "$std_hashed"
+    echo "FAIL: use extmem_types::IntMap / IntSet in library code" >&2
+    exit 1
+fi
 
 echo "== benchmark allocation ceilings (release) =="
 # Allocation counts repeat exactly per seed, so unlike host time they can

@@ -1,18 +1,16 @@
 #!/usr/bin/env bash
-# Run every experiment harness in sequence (the full EXPERIMENTS.md sweep).
+# Run every experiment row (the full EXPERIMENTS.md sweep), one output file
+# per row. The rows are the golden files' names: pass crates/bench/expected
+# as the output directory to regenerate them.
 # Usage: scripts/run_all_experiments.sh [output-dir]
 set -euo pipefail
+cd "$(dirname "$0")/.."
 out="${1:-experiment-results}"
 mkdir -p "$out"
-bins=(
-  e1_pktbuf_rates e2_lookup_latency e3_statestore_bw e4_incast e5_overhead
-  e6_capacity a1_cache_ablation a2_atomics_ablation a3_threshold_ablation
-  a4_recirculation a5_rdma_priority a6_kvcache a7_trace_capture a8_slowpath_vs_remote
-  a9_loss_sweep a10_failover a12_capacity a13_remote_ops
-)
-for b in "${bins[@]}"; do
-  echo "== $b =="
-  cargo run --release -q -p extmem-bench --bin "$b" | tee "$out/$b.txt"
+cargo build --release -q -p extmem-bench --bin experiments
+for golden in crates/bench/expected/*.txt; do
+  name="$(basename "$golden" .txt)"
+  "${CARGO_TARGET_DIR:-target}/release/experiments" "$name" | tee "$out/$name.txt"
   echo
 done
 echo "all outputs in $out/"
