@@ -8,7 +8,7 @@
 //! demand, and local SRAM acts as a cache.
 //!
 //! [`run_gateway`] drives a client that sends to `n_vips` virtual
-//! destinations with configurable skew through a [`LookupTableProgram`],
+//! destinations with configurable skew through a [`DirectTableProgram`],
 //! verifies every delivered packet was translated, and reports latency and
 //! cache behaviour. With `cache = None` every packet pays the remote
 //! round trip — the configuration Fig 3a measures.
@@ -16,8 +16,8 @@
 use crate::metrics::LatencySummary;
 use crate::scenario::{host_ip, host_mac, Built, Testbed};
 use crate::workload::{EchoNode, FlowPick, RttProbeNode, SinkNode, WorkloadSpec};
-use extmem_core::lookup::{install_remote_action, ActionEntry, LookupStats, LookupTableProgram};
-use extmem_core::L2Program;
+use extmem_core::direct_table::install_remote_action;
+use extmem_core::{ActionEntry, DirectTableProgram, L2Program, LookupStats};
 use extmem_rnic::{RnicConfig, RnicNode};
 use extmem_sim::LinkSpec;
 use extmem_switch::{SwitchConfig, SwitchNode};
@@ -147,7 +147,7 @@ pub fn run_gateway(cfg: GatewayConfig) -> GatewayResult {
             ActionEntry::translate(pip_ip, pip_mac),
         );
     }
-    let mut prog = LookupTableProgram::new(tb.fib(), channel, cfg.entry_size, cfg.cache);
+    let mut prog = DirectTableProgram::new(tb.fib(), channel, cfg.entry_size, cfg.cache);
     if cfg.recirculate {
         prog = prog.with_recirculation();
     }
@@ -172,7 +172,7 @@ pub fn run_gateway(cfg: GatewayConfig) -> GatewayResult {
     // registered under the flow_id, and separately count mismatches here.
     let untranslated = sink.foreign; // see SinkNode docs: VIP frames would still parse; foreign counts non-workload
     let sw: &SwitchNode = sim.node::<SwitchNode>(switch);
-    let prog = sw.program::<LookupTableProgram>();
+    let prog = sw.program::<DirectTableProgram>();
     GatewayResult {
         sent: cfg.count,
         delivered: sink.received,
@@ -266,7 +266,7 @@ fn dscp_table(
     flows: &[FiveTuple],
     cache: Option<usize>,
     link: LinkSpec,
-) -> LookupTableProgram {
+) -> DirectTableProgram {
     let (table, channel) = tb.server(
         RnicConfig::default(),
         ByteSize::from_bytes(4096 * 2048),
@@ -281,7 +281,7 @@ fn dscp_table(
             ActionEntry::set_dscp(E2_DSCP),
         );
     }
-    LookupTableProgram::new(tb.fib(), channel, 2048, cache)
+    DirectTableProgram::new(tb.fib(), channel, 2048, cache)
 }
 
 /// A generator sending [`e2_flow`] on port 0 and a DSCP-checking sink on
@@ -356,7 +356,7 @@ pub fn run_dscp_lookup(
     assert_eq!(sink.received, count, "lookup path lost packets");
     assert_eq!(sink.dscp_mismatch, 0, "action not applied");
     let sw: &SwitchNode = t.sim.node::<SwitchNode>(t.switch);
-    let prog = sw.program::<LookupTableProgram>();
+    let prog = sw.program::<DirectTableProgram>();
     (sink.latency.summarize().expect("no packets delivered"), prog.stats())
 }
 
@@ -392,7 +392,7 @@ pub fn run_dscp_lookup_rtt(
     let mut t = tb.build(SwitchConfig::default(), Box::new(prog));
     let rtt = run_rtt_probe(&mut t, count);
     let sw: &SwitchNode = t.sim.node::<SwitchNode>(t.switch);
-    (rtt, sw.program::<LookupTableProgram>().stats())
+    (rtt, sw.program::<DirectTableProgram>().stats())
 }
 
 /// RTT baseline over the plain L2 switch.
@@ -440,7 +440,7 @@ mod e2_tests {
         // workload horizon.
         sim.run_to_quiescence();
         let sw: &SwitchNode = sim.node::<SwitchNode>(switch);
-        let stats = sw.program::<LookupTableProgram>().stats();
+        let stats = sw.program::<DirectTableProgram>().stats();
         let delivered = sim.node::<SinkNode>(hosts[1]).received;
         assert!(
             delivered + stats.recirc_budget_drops + stats.slow_path >= 190,

@@ -16,7 +16,7 @@
 
 use crate::metrics::{LatencyRecorder, LatencySummary};
 use crate::scenario::{host_ip, host_mac, Built, Testbed};
-use extmem_core::lookup::{install_remote_action, ActionEntry, LookupStats, LookupTableProgram};
+use extmem_core::{ActionEntry, DirectTableProgram, LookupStats};
 use extmem_rnic::{RnicConfig, RnicNode};
 use extmem_sim::{LinkSpec, Node, NodeCtx, TxQueue};
 use extmem_types::{ByteSize, FiveTuple, PortId, Time, TimeDelta};
@@ -195,7 +195,7 @@ pub fn run_kv(keys: u32, skew: f64, count: u64, cache: Option<usize>, seed: u64)
         link,
     );
     for key in 0..keys {
-        install_remote_action(
+        extmem_core::direct_table::install_remote_action(
             tb.nic_mut(kv),
             &channel,
             entry_size,
@@ -203,7 +203,7 @@ pub fn run_kv(keys: u32, skew: f64, count: u64, cache: Option<usize>, seed: u64)
             ActionEntry::kv_respond(value_of(key)),
         );
     }
-    let prog = LookupTableProgram::new(tb.fib(), channel, entry_size, cache);
+    let prog = DirectTableProgram::new(tb.fib(), channel, entry_size, cache);
     let Built {
         mut sim,
         switch,
@@ -220,7 +220,7 @@ pub fn run_kv(keys: u32, skew: f64, count: u64, cache: Option<usize>, seed: u64)
         correct: client.correct,
         wrong: client.wrong,
         latency: client.latency.summarize().expect("no GET completed"),
-        lookup: sw.program::<LookupTableProgram>().stats(),
+        lookup: sw.program::<DirectTableProgram>().stats(),
         server_cpu_packets: sim.node::<RnicNode>(servers[0]).stats().cpu_packets,
     }
 }

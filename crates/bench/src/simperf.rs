@@ -46,9 +46,9 @@ use extmem_apps::incast::{run_incast, IncastConfig, RemoteBufferSpec};
 use extmem_apps::scenario::{host_endpoint, host_ip, host_mac, Built};
 use extmem_apps::workload::{Arrival, FlowPick, FlowSet, SinkNode, TrafficGenNode, WorkloadSpec};
 use extmem_core::faa::{FaaConfig, FaaEngine};
+use extmem_core::direct_table::{install_remote_action, DirectTableProgram};
 use extmem_core::lookup::{
-    install_cuckoo_image, install_remote_action, ActionEntry, ChurnScript, ControlOp,
-    LookupTableProgram,
+    install_cuckoo_image, ActionEntry, ChurnScript, ControlOp, LookupTableProgram,
 };
 use extmem_core::packet_buffer::PacketBufferProgram;
 use extmem_core::shard::ShardedStateStoreProgram;
@@ -113,7 +113,7 @@ fn storm_256(count: u64, remote_ops: bool) -> Built {
     cuckoo_storm(31, cfg, 256, Rate::from_gbps(5), count, remote_ops).0
 }
 
-/// Lookup-miss storm, one-RTT cuckoo mode: 256 installed flows, caching
+/// Lookup-miss storm on the one-RTT cuckoo table: 256 installed flows, caching
 /// disabled, every packet pays exactly one bucket READ (the filter steers
 /// each probe to the bucket its key lives in). The run asserts the tentpole
 /// metric — reads-per-miss == 1.0 with zero slow-path punts.
@@ -124,7 +124,7 @@ pub fn lookup_miss_storm(count: u64) -> ScenarioResult {
         stats.remote_lookups, count,
         "every packet must take the remote path"
     );
-    assert_eq!(stats.slow_path, 0, "no punts in cuckoo mode: {stats:?}");
+    assert_eq!(stats.slow_path, 0, "no punts from the cuckoo table: {stats:?}");
     assert_eq!(stats.bucket_misses, 0, "filter misdirected a probe: {stats:?}");
     assert_eq!(
         stats.reads_per_miss(),
@@ -134,10 +134,10 @@ pub fn lookup_miss_storm(count: u64) -> ScenarioResult {
     ScenarioResult::of("lookup_miss_storm", &t.sim)
 }
 
-/// The direct-hash ablation baseline: the pre-cuckoo lookup wire behavior
-/// (one flow hashed straight to its slot, no filter, no relocation). Its
-/// digest pins the old wire format and the backend-equivalence suite
-/// replays it.
+/// The paper's §4 table (`DirectTableProgram`: one flow hashed straight to
+/// its slot, the packet bounced through it; no filter, no relocation). Its
+/// digest pins that wire format and the backend-equivalence suite replays
+/// it.
 pub fn lookup_miss_storm_direct(count: u64) -> ScenarioResult {
     let spec = one_flow(40_000, 80, 256, Rate::from_gbps(5), count);
     let flow = spec.flows.get(0);
@@ -150,11 +150,11 @@ pub fn lookup_miss_storm_direct(count: u64) -> ScenarioResult {
         &flow,
         ActionEntry::set_dscp(46),
     );
-    let prog = LookupTableProgram::new(tb.fib(), channel, 2048, None);
+    let prog = DirectTableProgram::new(tb.fib(), channel, 2048, None);
     let mut t = tb.build(SwitchConfig::default(), Box::new(prog));
     t.sim.run_to_quiescence();
     assert_eq!(
-        program::<LookupTableProgram>(&t).stats().remote_lookups,
+        program::<DirectTableProgram>(&t).stats().remote_lookups,
         count,
         "every packet must take the remote path"
     );
@@ -264,7 +264,7 @@ pub fn insert_churn(count: u64) -> ScenarioResult {
     assert_eq!(stats.removes_applied, CHURN_KEYS as u64, "{stats:?}");
     assert_eq!(stats.verify_mismatches, 0, "directory drifted: {stats:?}");
     assert!(prog.relocation_idle(), "relocation work leaked: {stats:?}");
-    let dir = prog.directory().expect("cuckoo mode");
+    let dir = prog.directory();
     let image = dir.encode_region();
     let remote = t
         .sim

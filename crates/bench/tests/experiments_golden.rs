@@ -104,7 +104,7 @@ fn every_documented_experiment_names_a_row() {
     }
 
     // EXPERIMENTS.md: one `## E1 — …` heading per experiment, with the
-    // row's golden file named in the section. A11 is the one heading
+    // row's golden file named and quoted in the section. A11 is the one heading
     // without a row: it is the `simperf::insert_churn` scenario, which
     // asserts its table instead of printing it.
     let doc = include_str!("../../../EXPERIMENTS.md");
@@ -117,6 +117,15 @@ fn every_documented_experiment_names_a_row() {
         assert!(
             section.contains(&format!("crates/bench/expected/{name}.txt")),
             "EXPERIMENTS.md {id} does not name its golden file"
+        );
+        // ... and quoted in full: the section's one ```text block is the
+        // golden file, so the document cannot drift from what the row prints.
+        let mut fences = section.split("```text\n").skip(1);
+        let block = fences.next().and_then(|rest| rest.split("```").next());
+        let golden = GOLDEN.iter().find(|(golden, _)| *golden == name);
+        assert!(
+            block == golden.map(|(_, text)| *text) && fences.next().is_none(),
+            "EXPERIMENTS.md {id}: its ```text block is not crates/bench/expected/{name}.txt"
         );
         documented += 1;
     }

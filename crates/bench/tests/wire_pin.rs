@@ -1,9 +1,9 @@
 //! Wire-format pin for the direct-hash lookup ablation.
 //!
-//! The one-RTT cuckoo rework left the old direct-hash lookup mode in place
-//! as the ablation baseline, and its wire behavior must not drift while the
-//! cuckoo path evolves: same slot arithmetic, same READ geometry, same
-//! packet trace. The trace digest is backend- and platform-independent
+//! The paper's direct-hash table (`core::direct_table`) is the ablation
+//! baseline of the one-RTT cuckoo table, and its wire behavior must not
+//! drift while the cuckoo path evolves: same slot arithmetic, same READ
+//! geometry, same packet trace. The trace digest is backend- and platform-independent
 //! (the sched_equivalence suite proves the former), so a single pinned
 //! constant holds the whole run — any change to the direct-hash wire
 //! format, op sizing, or event ordering shows up as a digest mismatch here

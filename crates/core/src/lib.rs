@@ -10,7 +10,8 @@
 //! | paper §4 primitive | module | remote data structure | verbs used |
 //! |---|---|---|---|
 //! | packet buffer | [`packet_buffer`] | ring buffer of fixed-size entries | WRITE + READ |
-//! | lookup table | [`lookup`] | fixed-size array of (action, packet) slots | WRITE + READ |
+//! | lookup table | [`direct_table`] | fixed-size array of (action, packet) slots | WRITE + READ |
+//! | lookup table (one RTT) | [`lookup`] | two-choice cuckoo buckets of (key, action) slots | READ, or one hash-probe op |
 //! | state store | [`state_store`], [`sketch`] | array of 64-bit counters | Fetch-and-Add |
 //! | state store (event capture) | [`trace_store`] | ring of 32-byte packet records | WRITE |
 //!
@@ -37,8 +38,6 @@
 //!   primitive replaces (§2.2), for the A8 comparison.
 //! * [`cuckoo`] — the two-choice cuckoo directory + relocation planner
 //!   behind the one-RTT lookup mode (EMOMA-style filter-steered probing).
-//! * [`composite`] — multiple primitives on one switch (§1's coexistence
-//!   motivation): the gateway and telemetry in a single pipeline.
 //! * [`trace_store`] — WRITE-based packet-event capture (§2.3) plus
 //!   operator-side trace analysis (§7's "streaming packet trace analysis
 //!   system").
@@ -47,8 +46,8 @@
 #![warn(missing_docs)]
 
 pub mod channel;
-pub mod composite;
 pub mod cuckoo;
+pub mod direct_table;
 pub mod faa;
 pub mod fib;
 pub mod l2;
@@ -66,10 +65,11 @@ pub use channel::{
     ChannelEvent, ChannelStats, Op, RdmaChannel, ReliableChannel, ReliableConfig, Reply,
 };
 pub use cuckoo::{CuckooConfig, CuckooDirectory, CuckooError};
+pub use direct_table::DirectTableProgram;
 pub use pool::{Health, HealthDetector, PoolConfig, PoolStats, ReplicatedPool};
 pub use fib::Fib;
 pub use l2::L2Program;
-pub use lookup::{ActionEntry, ActionKind, LookupTableProgram};
+pub use lookup::{ActionEntry, ActionKind, LookupStats, LookupTableProgram};
 pub use packet_buffer::PacketBufferProgram;
 pub use shard::{ShardRing, ShardStats, ShardedStateStoreProgram};
 pub use state_store::StateStoreProgram;

@@ -1,37 +1,20 @@
-//! The **lookup-table primitive** (§4): extend exact-match tables into
-//! remote DRAM.
+//! The **one-RTT lookup table**: exact-match tables extended into remote
+//! DRAM, every miss exactly one round trip — and the pieces it shares with
+//! the paper's own §4 table ([`crate::direct_table`]): the 16-byte
+//! [`ActionEntry`], the [`flow_of`] parser stage, the [`LookupStats`]
+//! counters and the front of the pipeline up to the miss.
 //!
-//! On a local miss the switch (1) WRITEs the original packet into the
-//! flow's remote slot — "by bouncing the original packet to and from the
-//! remote buffer, the switch does not need to store the packet when waiting
-//! for the table entry" — and (2) immediately READs back the
-//! `(action, packet)` pair, applies the action, and optionally caches the
-//! entry in local SRAM so subsequent packets of the flow hit locally.
-//!
-//! Remote slot layout (`entry_size` bytes, indexed by a CRC hash of the
-//! 5-tuple):
-//!
-//! ```text
-//! [ action: 16 B ][ len: u16 ][ packet bytes … ]
-//! ```
-//!
-//! The action area is populated by the control plane (the operator's
-//! table); the packet area is scratch space owned by the data plane.
-//!
-//! ## One-RTT cuckoo mode
-//!
-//! [`TableMode::Cuckoo`] replaces the direct-hash slot array with a
-//! two-choice cuckoo table ([`crate::cuckoo`]) plus a counting Bloom filter
-//! in switch SRAM ([`extmem_switch::filter`]): the filter tells the data
-//! plane *which* of the key's two buckets to READ, so every miss costs
-//! exactly one bucket-sized round trip — no collisions, no second probe.
-//! Online inserts and deletes run through a relocation planner whose steps
-//! this program executes over the reliable channel (READ-verify then WRITE
-//! per displaced entry, mirror fan-out preserved); the live filter flips at
-//! the instant each destination WRITE is issued, so the FIFO channel
-//! guarantees any later bucket READ observes the write and no resident key
-//! is ever transiently unfindable. The direct-hash wire behavior stays
-//! available (the default constructors) as the ablation baseline.
+//! [`LookupTableProgram`] keeps a two-choice cuckoo table
+//! ([`crate::cuckoo`]) in remote memory plus a counting Bloom filter in
+//! switch SRAM ([`extmem_switch::filter`]): the filter tells the data plane
+//! *which* of the key's two buckets to READ, so every miss costs exactly one
+//! bucket-sized round trip — no collisions, no second probe — while the
+//! packet waits on the switch. Online inserts and deletes run through a
+//! relocation planner whose steps this program executes over the reliable
+//! channel (READ-verify then WRITE per displaced entry, mirror fan-out
+//! preserved); the live filter flips at the instant each destination WRITE
+//! is issued, so the FIFO channel guarantees any later bucket READ observes
+//! the write and no resident key is ever transiently unfindable.
 
 use crate::channel::{
     ChannelEvent, ChannelStats, Op, RdmaChannel, ReliableChannel, ReliableConfig, Reply,
@@ -43,31 +26,28 @@ use crate::cuckoo::{
 use crate::fib::Fib;
 use crate::pool::{PoolConfig, PoolStats, ReplicatedPool};
 use extmem_rnic::{Operand, RemoteOp, RnicNode, WriteBody};
-use extmem_wire::extop::{EXTOP_FLAG_HIT, EXTOP_FLAG_SECONDARY};
 use extmem_switch::filter::ChoiceFilter;
-use extmem_switch::hash::flow_index;
 use extmem_switch::switch::RECIRC_PORT;
 use extmem_switch::table::{ExactMatchTable, Replacement};
 use extmem_switch::{PipelineProgram, SwitchCtx};
-use extmem_types::{FiveTuple, IntMap, IntSet, PortId, TimeDelta};
+use extmem_types::{FiveTuple, IntMap, PortId, TimeDelta};
+use extmem_wire::extop::{EXTOP_FLAG_HIT, EXTOP_FLAG_SECONDARY};
 use extmem_wire::ipv4::{internet_checksum, proto};
 use extmem_wire::roce::RocePacket;
-use extmem_wire::{EthernetHeader, Ipv4Header, MacAddr, Packet, Payload, UdpHeader};
+use extmem_wire::{EthernetHeader, Ipv4Header, MacAddr, Packet, UdpHeader};
 use std::collections::VecDeque;
 
 /// Timer token for the reliability-layer retransmission tick (routed to the
-/// program via the switch's program-token bit; distinct from the composite
-/// program's 0x41).
+/// program via the switch's program-token bit).
 const TOKEN_RELIABILITY_TICK: u64 = 0x31;
 
-/// Timer token that drains queued control-plane table ops (cuckoo mode).
+/// Timer token that drains queued control-plane table ops.
 /// Well above the pool's per-server tick tokens (`0x31 + i`, probe at
 /// `0x31 + n`).
 pub const TOKEN_CONTROL: u64 = 0x3A0;
 
-/// Timer token that steps the scripted churn driver (cuckoo mode). The
-/// program re-arms it every [`ChurnScript::period`] until the script is
-/// exhausted.
+/// Timer token that steps the scripted churn driver. The program re-arms
+/// it every [`ChurnScript::period`] until the script is exhausted.
 pub const TOKEN_CHURN: u64 = 0x3A1;
 
 /// Cookie bit marking control-plane (relocation/maintenance) ops. Bit 63 is
@@ -75,10 +55,8 @@ pub const TOKEN_CHURN: u64 = 0x3A1;
 /// clear.
 const CTRL_BIT: u64 = 1 << 62;
 
-/// Bytes reserved for the action at the head of each slot.
+/// Bytes of an encoded [`ActionEntry`].
 pub const ACTION_LEN: usize = 16;
-/// Bytes of the packet-length field following the action.
-const LEN_FIELD: usize = 2;
 
 /// What a table entry tells the switch to do.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -284,38 +262,8 @@ pub fn flow_of(pkt: &Packet) -> Option<FiveTuple> {
     ))
 }
 
-/// What to do with a packet whose flow misses the local cache.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum MissHandling {
-    /// The paper's §4 design: WRITE the packet into the remote slot and
-    /// READ back `(action, packet)` — "by bouncing the original packet to
-    /// and from the remote buffer, the switch does not need to store the
-    /// packet when waiting for the table entry".
-    #[default]
-    Bounce,
-    /// The §7 alternative: "recirculate the original packet locally and
-    /// wait for the pulled entry, instead of depositing the original
-    /// packet. This can save the bandwidth overhead to the remote memory."
-    /// Only the 16-byte action is READ; the packet loops through the
-    /// recirculation path until the response lands. Requires a local cache
-    /// (responses are staged there for the looping packet to find).
-    Recirculate,
-}
-
-/// Which remote data structure the table runs on.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum TableMode {
-    /// The paper's §4 wire behavior: one slot per flow hash, colliding
-    /// flows alias/punt. Kept as the ablation baseline.
-    #[default]
-    DirectHash,
-    /// EMOMA-style one-RTT mode: two-choice cuckoo buckets + switch-side
-    /// counting filter; every miss is exactly one bucket READ.
-    Cuckoo,
-}
-
-/// A control-plane table operation (cuckoo mode), executed asynchronously
-/// by the relocation machinery.
+/// A control-plane table operation, executed asynchronously by the
+/// relocation machinery.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ControlOp {
     /// Insert `key → action` (or update the action in place).
@@ -336,14 +284,17 @@ pub struct ChurnScript {
     pub period: TimeDelta,
 }
 
-/// Counters for the lookup program.
+/// Counters of either table program: the first group is kept by both, the
+/// recirculation group by [`DirectTableProgram`](crate::direct_table::DirectTableProgram)
+/// alone, everything from `bucket_reads` to `inserts_rejected` by
+/// [`LookupTableProgram`] alone.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct LookupStats {
     /// Packets answered by the local SRAM cache.
     pub cache_hits: u64,
-    /// Packets that went to remote memory (WRITE+READ issued).
+    /// Packets that went to remote memory.
     pub remote_lookups: u64,
-    /// READ responses consumed.
+    /// READ and probe responses consumed.
     pub responses: u64,
     /// Actions applied (cache or remote).
     pub actions_applied: u64,
@@ -354,9 +305,9 @@ pub struct LookupStats {
     pub non_flow: u64,
     /// NAKs received.
     pub naks: u64,
-    /// Recirculation passes taken by waiting packets (Recirculate mode).
+    /// Recirculation passes taken by waiting packets.
     pub recirc_passes: u64,
-    /// Action-only READs issued (Recirculate mode).
+    /// Action-only READs issued for recirculating packets.
     pub action_only_reads: u64,
     /// Packets dropped after exhausting the recirculation budget (their
     /// slot's READ or its response was lost).
@@ -364,8 +315,8 @@ pub struct LookupStats {
     /// Ops abandoned by the reliability layer (a bounced packet lost to a
     /// channel failover is gone: it lived in remote memory).
     pub failed_ops: u64,
-    /// Bucket READs issued (cuckoo mode; equals `remote_lookups` there —
-    /// one probe per miss is the whole point).
+    /// Bucket READs issued (equals `remote_lookups` — one probe per miss
+    /// is the whole point).
     pub bucket_reads: u64,
     /// Bucket READs whose response held no matching key (an unknown flow,
     /// or a filter false positive steering a non-resident key to h2).
@@ -374,8 +325,8 @@ pub struct LookupStats {
     /// mode; responder-reported hits in remote-op mode).
     pub filter_secondary_probes: u64,
     /// Request round trips issued by the data-plane miss path (bucket READs
-    /// in verb mode, hash-probe-and-fetch ops in remote-op mode, WRITE+READ
-    /// bounce pairs in direct-hash mode).
+    /// in verb mode, hash-probe-and-fetch ops in remote-op mode; WRITE+READ
+    /// bounce pairs or action-only READs on the direct table).
     pub lookup_rtts: u64,
     /// Cuckoo displacements executed on the wire (READ-verify + WRITE).
     pub relocation_moves: u64,
@@ -402,8 +353,8 @@ pub struct LookupStats {
 }
 
 impl LookupStats {
-    /// READs issued per remote miss — the tentpole metric: 1.0 in cuckoo
-    /// mode, meaningless (0) when no misses have happened.
+    /// Bucket READs issued per remote miss — 1.0 on the one-RTT table,
+    /// meaningless (0) when no misses have happened.
     pub fn reads_per_miss(&self) -> f64 {
         if self.remote_lookups == 0 {
             0.0
@@ -412,8 +363,8 @@ impl LookupStats {
         }
     }
 
-    /// Round trips per remote miss, `None` before any miss. 1.0 in cuckoo
-    /// mode either way; the remote-op probe additionally covers *both*
+    /// Round trips per remote miss, `None` before any miss. 1.0 on the
+    /// one-RTT table either way; the remote-op probe additionally covers *both*
     /// candidate buckets in that one trip, so a filter false positive can
     /// no longer punt a resident key to the slow path.
     pub fn rtts_per_miss(&self) -> Option<f64> {
@@ -427,42 +378,145 @@ impl LookupStats {
     }
 }
 
-/// The lookup-table pipeline program.
-pub struct LookupTableProgram {
+/// What [`LookupTableProgram`] and
+/// [`DirectTableProgram`](crate::direct_table::DirectTableProgram) are both
+/// built on: forwarding, the pool of table servers, the optional SRAM cache
+/// and the counters, with every pipeline step that does not depend on the
+/// remote data structure.
+pub(crate) struct TableFront {
     /// L2 forwarding (also the post-action forwarding step).
-    pub fib: Fib,
-    pool: ReplicatedPool,
-    entry_size: u64,
-    entries: u64,
-    cache: Option<ExactMatchTable<FiveTuple, ActionEntry>>,
-    miss_handling: MissHandling,
-    /// Recirculate mode: slots with an action READ in flight (responses
-    /// are attributed by cookie, so membership is all we need).
-    pending_reads: IntSet<u64>,
-    /// Recirculate mode: responses parked until their looping packet
-    /// comes around again.
-    staged: IntMap<u64, ActionEntry>,
-    /// Recirculate mode: passes taken per slot since its READ was issued;
-    /// packets whose slot exceeds [`RECIRC_BUDGET`] are dropped (a lost
-    /// READ/response must not recirculate packets forever).
-    recirc_passes: IntMap<u64, u32>,
+    fib: Fib,
+    pub(crate) pool: ReplicatedPool,
+    pub(crate) cache: Option<ExactMatchTable<FiveTuple, ActionEntry>>,
     /// Channel failed over: misses punt to the slow path (forward
     /// unmodified); the local cache keeps serving hits.
-    degraded: bool,
-    /// Completion scratch, reused across calls.
-    events: Vec<ChannelEvent>,
-    mode: TableMode,
-    /// Cuckoo-mode state (`Some` iff `mode == TableMode::Cuckoo`).
-    cuckoo: Option<CuckooState>,
-    /// Use the RNIC remote-op engine: misses become hash-probe-and-fetch
-    /// ops (responder scans both candidate buckets) and relocation `Move`s
-    /// become conditional WRITEs — each one request round trip.
-    remote_ops: bool,
-    stats: LookupStats,
+    pub(crate) degraded: bool,
+    /// Completions the pool handed up, for the program to drain; the
+    /// vector is reused across calls.
+    pub(crate) events: Vec<ChannelEvent>,
+    pub(crate) stats: LookupStats,
 }
 
-/// All cuckoo-mode state of the lookup program.
-struct CuckooState {
+/// The pool under a single-server table: one reliable channel.
+pub(crate) fn single_server_pool(channel: RdmaChannel) -> ReplicatedPool {
+    let mut channel = ReliableChannel::new(channel, ReliableConfig::default());
+    channel.set_timer_token(TOKEN_RELIABILITY_TICK);
+    ReplicatedPool::single(channel)
+}
+
+impl TableFront {
+    /// `cache_capacity = Some(n)` enables an n-entry local LRU cache (§4:
+    /// "the switch can (optionally) cache the table entry in local SRAM").
+    pub(crate) fn new(fib: Fib, pool: ReplicatedPool, cache_capacity: Option<usize>) -> TableFront {
+        TableFront {
+            fib,
+            pool,
+            cache: cache_capacity.map(|c| ExactMatchTable::new(c, Replacement::Lru)),
+            degraded: false,
+            events: Vec::new(),
+            stats: LookupStats::default(),
+        }
+    }
+
+    /// The counters, with the channel's and the pool's merged in.
+    pub(crate) fn stats(&self) -> LookupStats {
+        let ch = self.pool.channel_stats();
+        let mut s = self.stats;
+        s.naks = ch.naks;
+        s.channel = ch;
+        s.pool = self.pool.stats();
+        s
+    }
+
+    /// RoCE demux: a frame from a table server is the pool's, and its
+    /// completions are left in `events`. `false`: not such a frame.
+    pub(crate) fn on_roce(
+        &mut self,
+        ctx: &mut SwitchCtx<'_, '_, '_>,
+        in_port: PortId,
+        pkt: &Packet,
+    ) -> bool {
+        if !self.pool.owns_port(in_port) {
+            return false;
+        }
+        let Ok(Some(roce)) = RocePacket::parse(pkt) else {
+            return false;
+        };
+        self.pool.on_roce(ctx, in_port, &roce, &mut self.events);
+        true
+    }
+
+    /// Everything a workload packet can be answered with locally: plain L2
+    /// for a non-flow, the cached action on a hit, the slow path while
+    /// degraded. What comes back is a miss for the remote table to resolve.
+    pub(crate) fn local_lookup(
+        &mut self,
+        ctx: &mut SwitchCtx<'_, '_, '_>,
+        in_port: PortId,
+        pkt: Packet,
+    ) -> Option<(FiveTuple, Packet)> {
+        let Some(flow) = flow_of(&pkt) else {
+            self.stats.non_flow += 1;
+            self.forward_unmodified(ctx, pkt);
+            return None;
+        };
+        if let Some(cache) = &mut self.cache {
+            if let Some(&action) = cache.lookup(&flow) {
+                // A first-pass arrival is a real cache hit; a looping
+                // packet finding its freshly promoted entry is not.
+                if in_port != RECIRC_PORT {
+                    self.stats.cache_hits += 1;
+                }
+                self.apply_and_forward(ctx, pkt, action);
+                return None;
+            }
+        }
+        if self.degraded {
+            // §7 graceful degradation: the remote table is unreachable, so
+            // misses punt to the software slow path (forward unmodified).
+            self.stats.slow_path += 1;
+            self.forward_unmodified(ctx, pkt);
+            return None;
+        }
+        Some((flow, pkt))
+    }
+
+    /// Forward `pkt` by FIB alone, as plain L2 and the slow path do.
+    pub(crate) fn forward_unmodified(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, pkt: Packet) {
+        if let Some(port) = self.fib.egress_for(&pkt) {
+            ctx.enqueue(port, pkt);
+        }
+    }
+
+    /// Remember a fetched entry in the cache, if there is one.
+    pub(crate) fn cache_insert(&mut self, flow: FiveTuple, action: ActionEntry) {
+        if let Some(cache) = &mut self.cache {
+            cache.insert(flow, action);
+        }
+    }
+
+    pub(crate) fn apply_and_forward(
+        &mut self,
+        ctx: &mut SwitchCtx<'_, '_, '_>,
+        mut pkt: Packet,
+        action: ActionEntry,
+    ) {
+        if action.kind == ActionKind::None {
+            self.stats.slow_path += 1;
+        } else {
+            action.apply(&mut pkt);
+            self.stats.actions_applied += 1;
+        }
+        let port = action.port_override.or_else(|| self.fib.egress_for(&pkt));
+        if let Some(port) = port {
+            ctx.enqueue(port, pkt);
+        }
+    }
+}
+
+/// The one-RTT lookup-table pipeline program.
+pub struct LookupTableProgram {
+    front: TableFront,
     /// The control-plane directory: authoritative table contents, planned
     /// filter, relocation planner.
     dir: CuckooDirectory,
@@ -490,79 +544,17 @@ struct CuckooState {
     /// A directory image is being written onto a rejoining replica;
     /// control ops hold until it completes so the image cannot go stale.
     reseeding: bool,
+    /// Use the RNIC remote-op engine: misses become hash-probe-and-fetch
+    /// ops (responder scans both candidate buckets) and relocation `Move`s
+    /// become conditional WRITEs — each one request round trip.
+    remote_ops: bool,
 }
 
 impl LookupTableProgram {
-    /// Create the program. `cache_capacity = Some(n)` enables an n-entry
-    /// local LRU cache (§4: "the switch can (optionally) cache the table
-    /// entry in local SRAM").
-    pub fn new(
-        fib: Fib,
-        channel: RdmaChannel,
-        entry_size: u64,
-        cache_capacity: Option<usize>,
-    ) -> LookupTableProgram {
-        let mut channel = ReliableChannel::new(channel, ReliableConfig::default());
-        channel.set_timer_token(TOKEN_RELIABILITY_TICK);
-        Self::over_pool(fib, ReplicatedPool::single(channel), entry_size, cache_capacity)
-    }
-
-    /// Create the program over a replicated pool of table servers (index 0
-    /// starts as primary). All servers must expose identical region
-    /// geometry; the control plane installs each action on every server.
-    pub fn replicated(
-        fib: Fib,
-        channels: Vec<RdmaChannel>,
-        entry_size: u64,
-        cache_capacity: Option<usize>,
-        pool_config: PoolConfig,
-    ) -> LookupTableProgram {
-        let mut pool = ReplicatedPool::new(
-            channels
-                .into_iter()
-                .map(|ch| ReliableChannel::new(ch, ReliableConfig::default()))
-                .collect(),
-            pool_config,
-        );
-        pool.set_timer_tokens(TOKEN_RELIABILITY_TICK);
-        Self::over_pool(fib, pool, entry_size, cache_capacity)
-    }
-
-    fn over_pool(
-        fib: Fib,
-        pool: ReplicatedPool,
-        entry_size: u64,
-        cache_capacity: Option<usize>,
-    ) -> LookupTableProgram {
-        assert!(
-            entry_size as usize > ACTION_LEN + LEN_FIELD,
-            "entry too small"
-        );
-        let entries = pool.region_len() / entry_size;
-        assert!(entries > 0, "region smaller than one entry");
-        LookupTableProgram {
-            fib,
-            pool,
-            entry_size,
-            entries,
-            cache: cache_capacity.map(|c| ExactMatchTable::new(c, Replacement::Lru)),
-            miss_handling: MissHandling::Bounce,
-            pending_reads: IntSet::default(),
-            staged: IntMap::default(),
-            recirc_passes: IntMap::default(),
-            degraded: false,
-            events: Vec::new(),
-            mode: TableMode::DirectHash,
-            cuckoo: None,
-            remote_ops: false,
-            stats: LookupStats::default(),
-        }
-    }
-
-    /// Create the program in one-RTT cuckoo mode over a single table
-    /// server. `dir` is the pre-populated control-plane directory; install
-    /// its byte image on the server with [`install_cuckoo_image`] before
-    /// traffic flows.
+    /// Create the program over a single table server. `dir` is the
+    /// pre-populated control-plane directory; install its byte image on the
+    /// server with [`install_cuckoo_image`] before traffic flows.
+    /// `cache_capacity = Some(n)` enables an n-entry local LRU cache.
     pub fn cuckoo(
         fib: Fib,
         channel: RdmaChannel,
@@ -570,12 +562,10 @@ impl LookupTableProgram {
         cache_capacity: Option<usize>,
     ) -> LookupTableProgram {
         assert_bucket_geometry(&channel);
-        let mut channel = ReliableChannel::new(channel, ReliableConfig::default());
-        channel.set_timer_token(TOKEN_RELIABILITY_TICK);
-        Self::over_cuckoo(fib, ReplicatedPool::single(channel), dir, cache_capacity)
+        Self::over_pool(fib, single_server_pool(channel), dir, cache_capacity)
     }
 
-    /// One-RTT cuckoo mode over a replicated pool of table servers (index 0
+    /// Create the program over a replicated pool of table servers (index 0
     /// starts as primary). Install the directory image on **every** server
     /// before traffic flows. Rejoining replicas are reconciled from the
     /// directory (the authoritative copy), so `auto_promote`/
@@ -601,10 +591,10 @@ impl LookupTableProgram {
             pool_config,
         );
         pool.set_timer_tokens(TOKEN_RELIABILITY_TICK);
-        Self::over_cuckoo(fib, pool, dir, cache_capacity)
+        Self::over_pool(fib, pool, dir, cache_capacity)
     }
 
-    fn over_cuckoo(
+    fn over_pool(
         fib: Fib,
         pool: ReplicatedPool,
         dir: CuckooDirectory,
@@ -614,55 +604,37 @@ impl LookupTableProgram {
             pool.region_len() >= dir.region_bytes(),
             "remote region smaller than the cuckoo table"
         );
-        let live_filter = dir.filter().clone();
         LookupTableProgram {
-            fib,
-            pool,
-            entry_size: BUCKET_BYTES as u64,
-            entries: dir.config().buckets,
-            cache: cache_capacity.map(|c| ExactMatchTable::new(c, Replacement::Lru)),
-            miss_handling: MissHandling::Bounce,
-            pending_reads: IntSet::default(),
-            staged: IntMap::default(),
-            recirc_passes: IntMap::default(),
-            degraded: false,
-            events: Vec::new(),
-            mode: TableMode::Cuckoo,
-            cuckoo: Some(CuckooState {
-                live_filter,
-                dir,
-                pending: IntMap::default(),
-                next_lookup: 0,
-                next_ctrl: 0,
-                steps: VecDeque::new(),
-                verify: None,
-                control: VecDeque::new(),
-                churn: None,
-                churn_next: 0,
-                reseeding: false,
-            }),
+            front: TableFront::new(fib, pool, cache_capacity),
+            live_filter: dir.filter().clone(),
+            dir,
+            pending: IntMap::default(),
+            next_lookup: 0,
+            next_ctrl: 0,
+            steps: VecDeque::new(),
+            verify: None,
+            control: VecDeque::new(),
+            churn: None,
+            churn_next: 0,
+            reseeding: false,
             remote_ops: false,
-            stats: LookupStats::default(),
         }
     }
 
-    /// Attach a scripted churn sequence (cuckoo mode). Kick it by
-    /// scheduling [`TOKEN_CHURN`] (via `program_token`) at the desired
-    /// start time; it then self-paces at `script.period`.
+    /// Attach a scripted churn sequence. Kick it by scheduling
+    /// [`TOKEN_CHURN`] (via `program_token`) at the desired start time; it
+    /// then self-paces at `script.period`.
     pub fn with_churn(mut self, script: ChurnScript) -> LookupTableProgram {
-        let cs = self.cuckoo.as_mut().expect("churn needs cuckoo mode");
-        cs.churn = Some(script);
+        self.churn = Some(script);
         self
     }
 
-    /// Run misses and relocations on the RNIC's remote-op engine (cuckoo
-    /// mode): each miss issues one hash-probe-and-fetch that checks both
-    /// candidate buckets server-side, and each relocation `Move` collapses
-    /// its verify READ + destination WRITE into one conditional WRITE. Off
-    /// (the default) keeps the one-sided verb wire behavior as the
-    /// ablation baseline.
+    /// Run misses and relocations on the RNIC's remote-op engine: each miss
+    /// issues one hash-probe-and-fetch that checks both candidate buckets
+    /// server-side, and each relocation `Move` collapses its verify READ +
+    /// destination WRITE into one conditional WRITE. Off (the default)
+    /// keeps the one-sided verb wire behavior as the ablation baseline.
     pub fn with_remote_ops(mut self, on: bool) -> LookupTableProgram {
-        assert_eq!(self.mode, TableMode::Cuckoo, "remote ops need cuckoo mode");
         self.remote_ops = on;
         self
     }
@@ -672,114 +644,74 @@ impl LookupTableProgram {
         self.remote_ops
     }
 
-    /// Switch the miss path to the §7 recirculation alternative. Requires
-    /// a local cache (staged actions are promoted into it).
-    pub fn with_recirculation(mut self) -> LookupTableProgram {
-        assert_eq!(self.mode, TableMode::DirectHash, "cuckoo mode always bounces");
-        assert!(self.cache.is_some(), "Recirculate mode needs a local cache");
-        self.miss_handling = MissHandling::Recirculate;
-        self
-    }
-
     /// Override the reliability policy (before traffic flows).
     pub fn with_reliability(mut self, rc: ReliableConfig) -> LookupTableProgram {
-        self.pool.set_config(rc);
+        self.front.pool.set_config(rc);
         self
     }
 
     /// Counters.
     pub fn stats(&self) -> LookupStats {
-        let ch = self.pool.channel_stats();
-        let mut s = self.stats;
-        s.naks = ch.naks;
-        s.channel = ch;
-        s.pool = self.pool.stats();
-        s
+        self.front.stats()
     }
 
     /// The replication pool underneath (health/failover inspection).
     pub fn pool(&self) -> &ReplicatedPool {
-        &self.pool
+        &self.front.pool
     }
 
     /// Whether the reliability layer gave up and misses punt to the slow
     /// path.
     pub fn is_degraded(&self) -> bool {
-        self.degraded
+        self.front.degraded
     }
 
-    /// Cache hit-rate so far (0 when the cache is disabled).
-    pub fn cache_hit_rate(&self) -> f64 {
-        self.cache.as_ref().map_or(0.0, |c| c.hit_rate())
+    /// The control-plane cuckoo directory.
+    pub fn directory(&self) -> &CuckooDirectory {
+        &self.dir
     }
 
-    /// The number of remote slots.
-    pub fn remote_entries(&self) -> u64 {
-        self.entries
-    }
-
-    /// The remote slot a flow maps to (direct-hash mode; in cuckoo mode
-    /// residency is decided by the directory, not this arithmetic).
-    pub fn slot_of(&self, flow: &FiveTuple) -> u64 {
-        flow_index(flow, self.entries)
-    }
-
-    /// Which remote data structure this table runs on.
-    pub fn mode(&self) -> TableMode {
-        self.mode
-    }
-
-    /// The control-plane cuckoo directory (cuckoo mode).
-    pub fn directory(&self) -> Option<&CuckooDirectory> {
-        self.cuckoo.as_ref().map(|cs| &cs.dir)
-    }
-
-    /// The data plane's live filter (cuckoo mode).
-    pub fn live_filter(&self) -> Option<&ChoiceFilter> {
-        self.cuckoo.as_ref().map(|cs| &cs.live_filter)
+    /// The data plane's live filter.
+    pub fn live_filter(&self) -> &ChoiceFilter {
+        &self.live_filter
     }
 
     /// Whether no relocation step, verify READ, control op, or reseed is
-    /// outstanding (cuckoo mode; trivially true otherwise).
+    /// outstanding.
     pub fn relocation_idle(&self) -> bool {
-        self.cuckoo.as_ref().is_none_or(|cs| {
-            cs.steps.is_empty() && cs.verify.is_none() && cs.control.is_empty() && !cs.reseeding
-        })
+        self.steps.is_empty() && self.verify.is_none() && self.control.is_empty() && !self.reseeding
     }
 
-    /// Queue an insert/update for asynchronous execution (cuckoo mode).
-    /// Drained on the next event or [`TOKEN_CONTROL`] firing.
+    /// Queue an insert/update for asynchronous execution. Drained on the
+    /// next event or [`TOKEN_CONTROL`] firing.
     pub fn queue_insert(&mut self, key: FiveTuple, action: ActionEntry) {
-        let cs = self.cuckoo.as_mut().expect("inserts need cuckoo mode");
-        cs.control.push_back(ControlOp::Insert(key, action));
+        self.control.push_back(ControlOp::Insert(key, action));
     }
 
-    /// Queue a delete for asynchronous execution (cuckoo mode).
+    /// Queue a delete for asynchronous execution.
     pub fn queue_remove(&mut self, key: FiveTuple) {
-        let cs = self.cuckoo.as_mut().expect("removes need cuckoo mode");
-        cs.control.push_back(ControlOp::Remove(key));
+        self.control.push_back(ControlOp::Remove(key));
     }
 
-    /// Cuckoo miss path. Verb mode: probe the live filter, READ exactly one
+    /// The miss path. Verb mode: probe the live filter, READ exactly one
     /// bucket. Remote-op mode: issue one hash-probe-and-fetch naming both
     /// candidate buckets — the responder scans them in place, so the SRAM
     /// filter drops off the miss path entirely and a filter false positive
     /// can no longer misdirect the probe.
-    fn cuckoo_lookup(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, flow: FiveTuple, pkt: Packet) {
-        let base = self.pool.base_va();
-        let remote_ops = self.remote_ops;
-        let cs = self.cuckoo.as_mut().expect("cuckoo state");
-        let buckets = cs.dir.config().buckets;
-        let bucket = crate::cuckoo::probe_with(&cs.live_filter, &flow, buckets);
-        let (b1, b2) = cs.dir.bucket_pair(&flow);
+    fn remote_lookup(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, flow: FiveTuple, pkt: Packet) {
+        let base = self.front.pool.base_va();
+        let buckets = self.dir.config().buckets;
+        let bucket = crate::cuckoo::probe_with(&self.live_filter, &flow, buckets);
+        let (b1, b2) = self.dir.bucket_pair(&flow);
         let secondary = bucket == b2 && b1 != b2;
-        let cookie = cs.next_lookup;
-        cs.next_lookup += 1;
-        cs.pending.insert(cookie, (flow, pkt));
-        self.stats.remote_lookups += 1;
-        self.stats.bucket_reads += 1;
-        self.stats.lookup_rtts += 1;
-        let op = if remote_ops {
+        let cookie = self.next_lookup;
+        self.next_lookup += 1;
+        self.pending.insert(cookie, (flow, pkt));
+        let stats = &mut self.front.stats;
+        stats.remote_lookups += 1;
+        stats.bucket_reads += 1;
+        stats.lookup_rtts += 1;
+        let op = if self.remote_ops {
             debug_assert!(buckets <= u32::MAX as u64, "bucket index fits the probe");
             Op::Remote(RemoteOp::HashProbe {
                 base_va: base,
@@ -792,87 +724,55 @@ impl LookupTableProgram {
             })
         } else {
             if secondary {
-                self.stats.filter_secondary_probes += 1;
+                stats.filter_secondary_probes += 1;
             }
             let va = base + bucket * BUCKET_BYTES as u64;
             let len = BUCKET_BYTES as u32;
             Op::Read { va, len }
         };
-        self.pool.submit(ctx, op, cookie);
+        self.front.pool.submit(ctx, op, cookie);
     }
 
-    /// A lookup's response is in: take its parked flow and packet.
-    fn take_pending(&mut self, cookie: u64) -> Option<(FiveTuple, Packet)> {
-        self.stats.responses += 1;
-        let cs = self.cuckoo.as_mut().expect("cuckoo state");
-        cs.pending.remove(&cookie)
-    }
-
-    /// A bucket READ response: scan the four slots for the pending flow.
-    fn cuckoo_read_done(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, cookie: u64, data: &Payload) {
-        let Some((flow, pkt)) = self.take_pending(cookie) else {
-            return;
-        };
-        let found = (0..SLOTS_PER_BUCKET).find_map(|s| slot_match(data, s, &flow));
-        self.finish_lookup(ctx, flow, pkt, found);
-    }
-
-    /// A hash-probe response (remote-op mode). The responder already
-    /// scanned both candidate buckets; on a hit `index` names the matching
-    /// slot within the returned bucket image.
-    fn cuckoo_probe_done(
-        &mut self,
-        ctx: &mut SwitchCtx<'_, '_, '_>,
-        cookie: u64,
-        flags: u8,
-        index: u16,
-        data: &Payload,
-    ) {
-        let Some((flow, pkt)) = self.take_pending(cookie) else {
-            return;
-        };
-        let found = if flags & EXTOP_FLAG_HIT != 0 {
-            slot_match(data, index as usize, &flow)
-        } else {
-            None
-        };
-        if found.is_some() && flags & EXTOP_FLAG_SECONDARY != 0 {
-            self.stats.filter_secondary_probes += 1;
-        }
-        self.finish_lookup(ctx, flow, pkt, found);
-    }
-
-    /// The end of every cuckoo lookup, however the slot was found: apply
-    /// and cache the action, or — an unknown flow, or in verb mode a filter
+    /// The end of every lookup: find the parked flow's action in the answer,
+    /// apply and cache it, or — an unknown flow, or in verb mode a filter
     /// false positive for a non-resident key — punt to the software slow
-    /// path, forwarded unmodified. Resident keys never miss (the
+    /// path, forwarded unmodified. A bucket READ's slots are scanned here; a
+    /// hash probe (remote-op mode) was scanned by the responder, over both
+    /// candidate buckets, and on a hit `index` names the slot within the
+    /// returned bucket image. Resident keys never miss (the
     /// no-transient-miss invariant), and a hash probe's miss is definitive:
     /// both buckets were checked in the one round trip.
-    fn finish_lookup(
-        &mut self,
-        ctx: &mut SwitchCtx<'_, '_, '_>,
-        flow: FiveTuple,
-        pkt: Packet,
-        found: Option<ActionEntry>,
-    ) {
-        let Some(action) = found else {
-            self.stats.bucket_misses += 1;
-            self.stats.slow_path += 1;
-            if let Some(port) = self.fib.egress_for(&pkt) {
-                ctx.enqueue(port, pkt);
-            }
+    fn lookup_done(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, cookie: u64, reply: Reply) {
+        let stats = &mut self.front.stats;
+        stats.responses += 1;
+        let Some((flow, pkt)) = self.pending.remove(&cookie) else {
             return;
         };
-        if let Some(cache) = &mut self.cache {
-            cache.insert(flow, action);
-        }
-        self.apply_and_forward(ctx, pkt, action);
+        let found = match reply {
+            Reply::Data(bucket) => {
+                (0..SLOTS_PER_BUCKET).find_map(|s| slot_match(&bucket, s, &flow))
+            }
+            Reply::Remote { flags, index, data } if flags & EXTOP_FLAG_HIT != 0 => {
+                let found = slot_match(&data, index as usize, &flow);
+                if found.is_some() && flags & EXTOP_FLAG_SECONDARY != 0 {
+                    stats.filter_secondary_probes += 1;
+                }
+                found
+            }
+            Reply::Remote { .. } | Reply::Ack => None,
+        };
+        let Some(action) = found else {
+            stats.bucket_misses += 1;
+            stats.slow_path += 1;
+            return self.front.forward_unmodified(ctx, pkt);
+        };
+        self.front.cache_insert(flow, action);
+        self.front.apply_and_forward(ctx, pkt, action);
     }
 
     fn next_ctrl_cookie(&mut self) -> u64 {
-        let cs = self.cuckoo.as_mut().expect("cuckoo state");
-        let cookie = CTRL_BIT | cs.next_ctrl;
-        cs.next_ctrl += 1;
+        let cookie = CTRL_BIT | self.next_ctrl;
+        self.next_ctrl += 1;
         cookie
     }
 
@@ -880,10 +780,10 @@ impl LookupTableProgram {
     /// explicitly acknowledged.
     fn write_slot(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, at: SlotRef, image: &[u8]) {
         let cookie = self.next_ctrl_cookie();
-        let va = slot_va(self.pool.base_va(), at);
+        let va = slot_va(self.front.pool.base_va(), at);
         let (body, ack_req) = (WriteBody::inline(image), true);
         let write = Op::Write { va, body, ack_req };
-        self.pool.submit(ctx, write, cookie);
+        self.front.pool.submit(ctx, write, cookie);
     }
 
     /// Issue one plan step onto the wire. `Move`s first READ-verify their
@@ -892,7 +792,7 @@ impl LookupTableProgram {
     /// same instant their WRITE enters the FIFO channel — that atomicity is
     /// what keeps redirected probes and remote bytes consistent.
     fn issue_step(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, step: Step) {
-        let base = self.pool.base_va();
+        let base = self.front.pool.base_va();
         match step {
             Step::Move {
                 from,
@@ -921,8 +821,8 @@ impl LookupTableProgram {
                     let (va, len) = (slot_va(base, from), SLOT_BYTES as u32);
                     Op::Read { va, len }
                 };
-                self.pool.submit(ctx, check, cookie);
-                self.cuckoo.as_mut().expect("cuckoo state").verify = Some((step, cookie));
+                self.front.pool.submit(ctx, check, cookie);
+                self.verify = Some((step, cookie));
             }
             Step::Write {
                 key,
@@ -932,21 +832,13 @@ impl LookupTableProgram {
             } => {
                 self.write_slot(ctx, to, &encode_slot(&key, &action));
                 if filter_add {
-                    self.cuckoo
-                        .as_mut()
-                        .expect("cuckoo state")
-                        .live_filter
-                        .insert(&key);
+                    self.live_filter.insert(&key);
                 }
             }
             Step::Clear { at, filter_sub } => {
                 self.write_slot(ctx, at, &[0u8; SLOT_BYTES]);
                 if let Some(key) = filter_sub {
-                    self.cuckoo
-                        .as_mut()
-                        .expect("cuckoo state")
-                        .live_filter
-                        .remove(&key);
+                    self.live_filter.remove(&key);
                 }
             }
         }
@@ -965,14 +857,13 @@ impl LookupTableProgram {
         cookie: u64,
         matched: impl FnOnce(&[u8; SLOT_BYTES]) -> bool,
     ) {
-        let cs = self.cuckoo.as_mut().expect("cuckoo state");
-        let Some((step, vc)) = cs.verify else {
+        let Some((step, vc)) = self.verify else {
             return;
         };
         if vc != cookie {
             return;
         }
-        cs.verify = None;
+        self.verify = None;
         let Step::Move {
             key, action, to, ..
         } = step
@@ -982,46 +873,41 @@ impl LookupTableProgram {
         let expected = encode_slot(&key, &action);
         let matched = matched(&expected);
         if !matched {
-            self.stats.verify_mismatches += 1;
+            self.front.stats.verify_mismatches += 1;
         }
         if !(matched && self.remote_ops) {
             self.write_slot(ctx, to, &expected);
         }
-        self.cuckoo
-            .as_mut()
-            .expect("cuckoo state")
-            .live_filter
-            .insert(&key);
-        self.stats.relocation_moves += 1;
+        self.live_filter.insert(&key);
+        self.front.stats.relocation_moves += 1;
     }
 
     /// Plan the next queued control op (only with the step queue drained).
     /// Returns `false` when nothing was planned.
     fn plan_next_control(&mut self) -> bool {
-        let cs = self.cuckoo.as_mut().expect("cuckoo state");
-        let Some(op) = cs.control.pop_front() else {
+        let Some(op) = self.control.pop_front() else {
             return false;
         };
+        let stats = &mut self.front.stats;
         match op {
-            ControlOp::Insert(key, action) => match cs.dir.plan_insert(key, action) {
+            ControlOp::Insert(key, action) => match self.dir.plan_insert(key, action) {
                 Ok(plan) => {
-                    self.stats.inserts_applied += 1;
-                    self.stats.relocation_chain_max =
-                        self.stats.relocation_chain_max.max(plan.moves as u64);
-                    self.stats.filter_fp_moves += plan.fp_moves as u64;
-                    cs.steps.extend(plan.steps);
-                    if let Some(cache) = &mut self.cache {
+                    stats.inserts_applied += 1;
+                    stats.relocation_chain_max = stats.relocation_chain_max.max(plan.moves as u64);
+                    stats.filter_fp_moves += plan.fp_moves as u64;
+                    self.steps.extend(plan.steps);
+                    if let Some(cache) = &mut self.front.cache {
                         // An update must not keep serving a stale action.
                         cache.remove(&key);
                     }
                 }
-                Err(_) => self.stats.inserts_rejected += 1,
+                Err(_) => stats.inserts_rejected += 1,
             },
             ControlOp::Remove(key) => {
-                if let Some(plan) = cs.dir.plan_remove(&key) {
-                    self.stats.removes_applied += 1;
-                    cs.steps.extend(plan.steps);
-                    if let Some(cache) = &mut self.cache {
+                if let Some(plan) = self.dir.plan_remove(&key) {
+                    stats.removes_applied += 1;
+                    self.steps.extend(plan.steps);
+                    if let Some(cache) = &mut self.front.cache {
                         cache.remove(&key);
                     }
                 }
@@ -1032,20 +918,16 @@ impl LookupTableProgram {
 
     /// Pop one scripted churn op into the control queue and re-arm.
     fn step_churn(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>) {
-        let cs = self.cuckoo.as_mut().expect("cuckoo state");
-        let Some(script) = &cs.churn else {
+        let Some(script) = &self.churn else {
             return;
         };
-        if cs.churn_next >= script.ops.len() {
+        let Some(&op) = script.ops.get(self.churn_next) else {
             return;
-        }
-        let op = script.ops[cs.churn_next];
-        let period = script.period;
-        cs.churn_next += 1;
-        let more = cs.churn_next < script.ops.len();
-        cs.control.push_back(op);
-        if more {
-            ctx.schedule(period, TOKEN_CHURN);
+        };
+        self.churn_next += 1;
+        self.control.push_back(op);
+        if self.churn_next < script.ops.len() {
+            ctx.schedule(script.period, TOKEN_CHURN);
         }
     }
 
@@ -1054,21 +936,16 @@ impl LookupTableProgram {
     /// promote it. Control ops hold while the reseed is in flight so the
     /// image cannot go stale.
     fn maybe_reseed(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>) {
-        let active = self.pool.reseed_active();
-        let pending = self.pool.rejoin_pending();
-        let base = self.pool.base_va();
-        let cs = self.cuckoo.as_mut().expect("cuckoo state");
-        if cs.reseeding {
-            if active {
+        let pool = &mut self.front.pool;
+        if self.reseeding {
+            if pool.reseed_active() {
                 return;
             }
-            cs.reseeding = false; // finished (or aborted; a re-probe retries)
+            self.reseeding = false; // finished (or aborted; a re-probe retries)
         }
-        if pending && cs.verify.is_none() && cs.steps.is_empty() {
-            let image = cs.dir.encode_writes(base);
-            if self.pool.reseed_rejoiner(ctx, image) {
-                self.cuckoo.as_mut().expect("cuckoo state").reseeding = true;
-            }
+        if pool.rejoin_pending() && self.verify.is_none() && self.steps.is_empty() {
+            let image = self.dir.encode_writes(pool.base_va());
+            self.reseeding = pool.reseed_rejoiner(ctx, image);
         }
     }
 
@@ -1076,286 +953,92 @@ impl LookupTableProgram {
     /// trip), then plan further control ops, then check reseed. Called
     /// after every event batch and control/churn timer.
     fn advance(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>) {
-        if self.mode != TableMode::Cuckoo || self.degraded {
+        if self.front.degraded {
             return;
         }
         self.maybe_reseed(ctx);
         loop {
-            let cs = self.cuckoo.as_mut().expect("cuckoo state");
-            if cs.verify.is_some() {
+            if self.verify.is_some() {
                 return;
             }
-            if let Some(step) = cs.steps.pop_front() {
+            if let Some(step) = self.steps.pop_front() {
                 self.issue_step(ctx, step);
                 continue;
             }
-            if cs.reseeding || !self.plan_next_control() {
+            if self.reseeding || !self.plan_next_control() {
                 return;
             }
         }
     }
 
-    /// Forward `pkt` after its action was applied.
-    fn forward(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, pkt: Packet, action: &ActionEntry) {
-        let port = action.port_override.or_else(|| self.fib.egress_for(&pkt));
-        if let Some(port) = port {
-            ctx.enqueue(port, pkt);
-        }
-    }
-
-    fn apply_and_forward(
-        &mut self,
-        ctx: &mut SwitchCtx<'_, '_, '_>,
-        mut pkt: Packet,
-        action: ActionEntry,
-    ) {
-        if action.kind == ActionKind::None {
-            self.stats.slow_path += 1;
-        } else {
-            action.apply(&mut pkt);
-            self.stats.actions_applied += 1;
-        }
-        self.forward(ctx, pkt, &action);
-    }
-
-    /// Remote lookup: bounce the packet through the flow's slot.
-    fn remote_lookup(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, flow: FiveTuple, pkt: Packet) {
-        self.stats.remote_lookups += 1;
-        // The WRITE and READ are issued back-to-back into the FIFO channel,
-        // so the bounce pair costs one round trip of latency.
-        self.stats.lookup_rtts += 1;
-        let slot = self.slot_of(&flow);
-        let entry_va = self.pool.base_va() + slot * self.entry_size;
-
-        // (1) WRITE [len][packet] into the slot's scratch area: the length
-        // in front of the arrival frame itself, which the outstanding WRITE
-        // owns from here on. No explicit ACK: the READ right behind it
-        // completes both (in-order channel), and a timeout replays the pair.
-        let len = (ACTION_LEN + LEN_FIELD + pkt.len()) as u32;
-        let bounce = Op::Write {
-            va: entry_va + ACTION_LEN as u64,
-            body: WriteBody::framed(&(pkt.len() as u16).to_be_bytes(), pkt.into_payload()),
-            ack_req: false,
-        };
-        self.pool.submit(ctx, bounce, slot);
-
-        // (2) READ back exactly [action][len][packet].
-        self.pool.submit(ctx, Op::Read { va: entry_va, len }, slot);
-    }
-
-    /// Recirculate-mode miss: issue an action-only READ (once per slot)
-    /// and send the packet around the recirculation path. A bounded
-    /// per-slot pass budget keeps a lost READ (or response) from looping
-    /// packets forever: once exceeded, the packet is dropped and the slot
-    /// reset so the next arrival re-issues the READ.
-    fn recirculate_miss(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, flow: FiveTuple, pkt: Packet) {
-        /// Passes allowed before declaring the slot's READ lost. At the
-        /// default 800 ns recirculation latency this is ~50 µs of waiting —
-        /// far beyond any healthy response time.
-        const RECIRC_BUDGET: u32 = 64;
-        let slot = self.slot_of(&flow);
-        if let Some(&action) = self.staged.get(&slot) {
-            // The response already landed while we were looping.
-            self.staged.remove(&slot);
-            self.recirc_passes.remove(&slot);
-            if let Some(cache) = &mut self.cache {
-                cache.insert(flow, action);
-            }
-            self.apply_and_forward(ctx, pkt, action);
-            return;
-        }
-        if self.pending_reads.insert(slot) {
-            self.stats.remote_lookups += 1;
-            self.stats.action_only_reads += 1;
-            self.stats.lookup_rtts += 1;
-            let va = self.pool.base_va() + slot * self.entry_size;
-            let len = ACTION_LEN as u32;
-            self.pool.submit(ctx, Op::Read { va, len }, slot);
-        }
-        let passes = self.recirc_passes.entry(slot).or_insert(0);
-        *passes += 1;
-        if *passes > RECIRC_BUDGET {
-            self.recirc_passes.remove(&slot);
-            self.pending_reads.remove(&slot);
-            self.stats.recirc_budget_drops += 1;
-            return; // drop the packet: best-effort under loss
-        }
-        self.stats.recirc_passes += 1;
-        ctx.recirculate(pkt);
-    }
-
-    /// Process a complete READ-response entry (Bounce mode).
-    fn consume_entry(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, entry: &Payload) {
-        self.stats.responses += 1;
-        if entry.len() < ACTION_LEN + LEN_FIELD {
-            return;
-        }
-        let action = ActionEntry::from_bytes(entry[..ACTION_LEN].try_into().unwrap());
-        let len = u16::from_be_bytes(
-            entry[ACTION_LEN..ACTION_LEN + LEN_FIELD]
-                .try_into()
-                .unwrap(),
-        ) as usize;
-        let body = &entry[ACTION_LEN + LEN_FIELD..];
-        if len == 0 || len > body.len() {
-            return;
-        }
-        // Zero-copy: the released packet is a window into the READ
-        // response's (shared) buffer.
-        let body_at = ACTION_LEN + LEN_FIELD;
-        let pkt = Packet::from_payload(entry.slice(body_at..body_at + len));
-        // Cache under the *returned* packet's flow (the slot owner).
-        if let Some(flow) = flow_of(&pkt) {
-            if let Some(cache) = &mut self.cache {
-                cache.insert(flow, action);
-            }
-        }
-        self.apply_and_forward(ctx, pkt, action);
-    }
-
-    fn on_roce(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, in_port: PortId, roce: &RocePacket) {
-        let mut events = std::mem::take(&mut self.events);
-        self.pool.on_roce(ctx, in_port, roce, &mut events);
-        self.consume_events(ctx, &mut events);
-        self.events = events;
-        self.advance(ctx);
-    }
-
-    fn consume_events(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, events: &mut Vec<ChannelEvent>) {
+    /// Drain the completions in `front.events`, then pump relocations.
+    fn consume_events(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>) {
+        let mut events = std::mem::take(&mut self.front.events);
         for ev in events.drain(..) {
             match ev {
+                // A slot WRITE's acknowledgement: nothing waits on it.
                 ChannelEvent::Done {
-                    cookie,
-                    reply: Reply::Data(data),
-                    ..
-                } => match self.mode {
-                    TableMode::Cuckoo => {
-                        if cookie & CTRL_BIT != 0 {
-                            self.finish_move(ctx, cookie, |expected| {
-                                data.get(..SLOT_BYTES) == Some(&expected[..])
-                            });
-                        } else {
-                            self.cuckoo_read_done(ctx, cookie, &data);
-                        }
-                    }
-                    TableMode::DirectHash => match self.miss_handling {
-                        MissHandling::Bounce => self.consume_entry(ctx, &data),
-                        MissHandling::Recirculate => {
-                            self.stats.responses += 1;
-                            if data.len() >= ACTION_LEN && self.pending_reads.remove(&cookie) {
-                                let action =
-                                    ActionEntry::from_bytes(data[..ACTION_LEN].try_into().unwrap());
-                                self.staged.insert(cookie, action);
-                            }
-                        }
-                    },
-                },
-                ChannelEvent::Done {
-                    cookie,
-                    reply: Reply::Remote { flags, index, data },
-                    ..
-                } => {
-                    if cookie & CTRL_BIT != 0 {
-                        self.finish_move(ctx, cookie, |_| flags & EXTOP_FLAG_HIT != 0);
-                    } else {
-                        self.cuckoo_probe_done(ctx, cookie, flags, index, &data);
-                    }
+                    reply: Reply::Ack, ..
+                } => {}
+                ChannelEvent::Done { cookie, reply, .. } if cookie & CTRL_BIT == 0 => {
+                    self.lookup_done(ctx, cookie, reply)
                 }
-                // A WRITE's acknowledgement: nothing waits on it.
-                ChannelEvent::Done { .. } => {}
+                // What is left is a `Move`'s source check.
+                ChannelEvent::Done {
+                    cookie,
+                    reply: Reply::Data(slot),
+                    ..
+                } => self.finish_move(ctx, cookie, |expected| {
+                    slot.get(..SLOT_BYTES) == Some(&expected[..])
+                }),
+                ChannelEvent::Done {
+                    cookie,
+                    reply: Reply::Remote { flags, .. },
+                    ..
+                } => self.finish_move(ctx, cookie, |_| flags & EXTOP_FLAG_HIT != 0),
                 ChannelEvent::OpFailed { cookie, .. } => {
-                    self.stats.failed_ops += 1;
-                    match self.mode {
-                        TableMode::Cuckoo => {
-                            let cs = self.cuckoo.as_mut().expect("cuckoo state");
-                            if cookie & CTRL_BIT != 0 {
-                                // A dying pool abandoned a control op; if it
-                                // was the verify READ, drop the step (the
-                                // table is degrading anyway).
-                                if cs.verify.is_some_and(|(_, vc)| vc == cookie) {
-                                    cs.verify = None;
-                                }
-                            } else if let Some((_, pkt)) = cs.pending.remove(&cookie) {
-                                // The lookup is gone with the pool: punt the
-                                // parked packet to the slow path unmodified.
-                                self.stats.slow_path += 1;
-                                if let Some(port) = self.fib.egress_for(&pkt) {
-                                    ctx.enqueue(port, pkt);
-                                }
-                            }
+                    self.front.stats.failed_ops += 1;
+                    if cookie & CTRL_BIT != 0 {
+                        // A dying pool abandoned a control op; if it was
+                        // the verify READ, drop the step (the table is
+                        // degrading anyway).
+                        if self.verify.is_some_and(|(_, vc)| vc == cookie) {
+                            self.verify = None;
                         }
-                        TableMode::DirectHash => {
-                            if self.miss_handling == MissHandling::Recirculate {
-                                // Let the next arrival for this slot re-issue
-                                // (or, degraded, punt to the slow path).
-                                self.pending_reads.remove(&cookie);
-                            }
-                        }
+                    } else if let Some((_, pkt)) = self.pending.remove(&cookie) {
+                        // The lookup is gone with the pool: punt the parked
+                        // packet to the slow path unmodified.
+                        self.front.stats.slow_path += 1;
+                        self.front.forward_unmodified(ctx, pkt);
                     }
                 }
-                ChannelEvent::Failed => self.degraded = true,
+                ChannelEvent::Failed => self.front.degraded = true,
             }
         }
+        self.front.events = events;
+        self.advance(ctx);
     }
 }
 
 impl PipelineProgram for LookupTableProgram {
     fn ingress(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, in_port: PortId, pkt: Packet) {
-        if self.pool.owns_port(in_port) {
-            if let Ok(Some(roce)) = RocePacket::parse(&pkt) {
-                self.on_roce(ctx, in_port, &roce);
-                return;
-            }
-        }
-        let Some(flow) = flow_of(&pkt) else {
-            self.stats.non_flow += 1;
-            if let Some(port) = self.fib.egress_for(&pkt) {
-                ctx.enqueue(port, pkt);
-            }
-            return;
-        };
-        if let Some(cache) = &mut self.cache {
-            if let Some(&action) = cache.lookup(&flow) {
-                // A first-pass arrival is a real cache hit; a looping
-                // packet finding its freshly promoted entry is not.
-                if in_port != RECIRC_PORT {
-                    self.stats.cache_hits += 1;
-                }
-                self.apply_and_forward(ctx, pkt, action);
-                return;
-            }
-        }
-        if self.degraded {
-            // §7 graceful degradation: the remote table is unreachable, so
-            // misses punt to the software slow path (forward unmodified).
-            self.stats.slow_path += 1;
-            if let Some(port) = self.fib.egress_for(&pkt) {
-                ctx.enqueue(port, pkt);
-            }
-            return;
-        }
-        match self.mode {
-            TableMode::Cuckoo => self.cuckoo_lookup(ctx, flow, pkt),
-            TableMode::DirectHash => match self.miss_handling {
-                MissHandling::Bounce => self.remote_lookup(ctx, flow, pkt),
-                MissHandling::Recirculate => self.recirculate_miss(ctx, flow, pkt),
-            },
+        if self.front.on_roce(ctx, in_port, &pkt) {
+            self.consume_events(ctx);
+        } else if let Some((flow, pkt)) = self.front.local_lookup(ctx, in_port, pkt) {
+            self.remote_lookup(ctx, flow, pkt);
         }
     }
 
     fn on_timer(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, token: u64) {
-        if self.mode == TableMode::Cuckoo && (token == TOKEN_CONTROL || token == TOKEN_CHURN) {
+        if token == TOKEN_CONTROL || token == TOKEN_CHURN {
             if token == TOKEN_CHURN {
                 self.step_churn(ctx);
             }
             self.advance(ctx);
             return;
         }
-        let mut events = std::mem::take(&mut self.events);
-        self.pool.on_timer(ctx, token, &mut events);
-        self.consume_events(ctx, &mut events);
-        self.events = events;
-        self.advance(ctx);
+        self.front.pool.on_timer(ctx, token, &mut self.front.events);
+        self.consume_events(ctx);
     }
 
     fn program_name(&self) -> &str {
@@ -1384,9 +1067,9 @@ fn assert_bucket_geometry(channel: &RdmaChannel) {
 }
 
 /// Control plane: install the directory's byte image into the remote region
-/// backing `channel` on `nic` (host-side pre-population, the cuckoo-mode
-/// analogue of [`install_remote_action`]). With replication, call once per
-/// server.
+/// backing `channel` on `nic` (host-side pre-population, the counterpart of
+/// [`install_remote_action`](crate::direct_table::install_remote_action)).
+/// With replication, call once per server.
 pub fn install_cuckoo_image(nic: &mut RnicNode, channel: &RdmaChannel, dir: &CuckooDirectory) {
     for (va, bytes) in dir.encode_writes(channel.base_va) {
         nic.region_mut(channel.rkey)
@@ -1395,30 +1078,18 @@ pub fn install_cuckoo_image(nic: &mut RnicNode, channel: &RdmaChannel, dir: &Cuc
     }
 }
 
-/// Control plane: install `action` for `flow` in the remote table backing
-/// `channel` on `nic`. This is the operator populating the table (e.g. the
-/// §2.2 VIP→PIP mappings) and runs host-side, not on the data plane.
-pub fn install_remote_action(
-    nic: &mut RnicNode,
-    channel: &RdmaChannel,
-    entry_size: u64,
-    flow: &FiveTuple,
-    action: ActionEntry,
-) -> u64 {
-    let entries = channel.region_len / entry_size;
-    let slot = flow_index(flow, entries);
-    let va = channel.base_va + slot * entry_size;
-    nic.region_mut(channel.rkey)
-        .write(va, &action.to_bytes())
-        .expect("install in bounds");
-    slot
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use extmem_types::Time;
+    use crate::channel::tests::{behind_blackhole, impatient, Blackhole};
+    use crate::direct_table::{install_remote_action, DirectTableProgram};
+    use extmem_rnic::RnicConfig;
+    use extmem_sim::LinkSpec;
+    use extmem_switch::switch::program_token;
+    use extmem_switch::SwitchNode;
+    use extmem_types::{ByteSize, Time};
     use extmem_wire::payload::build_data_packet;
+    use extmem_wire::roce::RoceEndpoint;
 
     #[test]
     fn action_entry_roundtrip() {
@@ -1496,62 +1167,188 @@ mod tests {
         );
     }
 
-    /// A pair of distinct flows that alias under the direct-hash table
+    pub(crate) const POKE: u64 = 1;
+
+    pub(crate) type Poke<P> = Box<dyn FnMut(&mut P, &mut SwitchCtx<'_, '_, '_>) + Send>;
+
+    /// A table program that, when the switch's timer [`POKE`] fires, is
+    /// handed to `poke` with the switch's context; every other event is the
+    /// program's own.
+    pub(crate) struct Poked<P> {
+        pub(crate) prog: P,
+        pub(crate) poke: Poke<P>,
+    }
+
+    impl<P: PipelineProgram> PipelineProgram for Poked<P> {
+        fn ingress(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, in_port: PortId, pkt: Packet) {
+            self.prog.ingress(ctx, in_port, pkt);
+        }
+
+        fn on_timer(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, token: u64) {
+            if token == POKE {
+                (self.poke)(&mut self.prog, ctx);
+            } else {
+                self.prog.on_timer(ctx, token);
+            }
+        }
+    }
+
+    /// The FIB of a switch whose port 0 leads to everybody.
+    pub(crate) fn fib() -> Fib {
+        let mut fib = Fib::new(8);
+        fib.install(MacAddr::local(2), PortId(0));
+        fib
+    }
+
+    /// A table server for port 1 and the channel to it.
+    pub(crate) fn table_server(region: u64) -> (RnicNode, RdmaChannel) {
+        let endpoint = |i| RoceEndpoint {
+            mac: MacAddr::local(i),
+            ip: 0x0a00_0000 + i,
+        };
+        let mut nic = RnicNode::new("table", RnicConfig::at(endpoint(3)));
+        let size = ByteSize::from_bytes(region);
+        let channel = RdmaChannel::setup(endpoint(100), PortId(1), &mut nic, size);
+        (nic, channel)
+    }
+
+    /// Run `prog` on a switch with `nic` on port 1 and hand it one packet
+    /// of each of `flows` at time zero. Returns its `stats` and the DSCP
+    /// each packet left with (port 0's black hole is where the FIB sends
+    /// them).
+    fn dscp_out<P: PipelineProgram>(
+        prog: P,
+        nic: RnicNode,
+        flows: [FiveTuple; 2],
+        stats: fn(&P) -> LookupStats,
+    ) -> (LookupStats, [u8; 2]) {
+        let poke = Box::new(move |prog: &mut P, ctx: &mut SwitchCtx<'_, '_, '_>| {
+            for flow in flows {
+                let (src, dst) = (MacAddr::local(1), MacAddr::local(2));
+                let pkt = build_data_packet(src, dst, flow, 0, 0, Time::ZERO, 128).unwrap();
+                prog.ingress(ctx, PortId(2), pkt);
+            }
+        });
+        let (mut sim, sw, hole) = behind_blackhole(Poked { prog, poke }, |b, sw| {
+            let server = b.add_node(Box::new(nic));
+            b.connect(sw, PortId(1), server, PortId(0), LinkSpec::testbed_40g());
+        });
+        sim.schedule_timer(sw, TimeDelta::ZERO, program_token(POKE));
+        sim.run_until(Time::from_micros(100));
+        let frames = &sim.node::<Blackhole>(hole).frames;
+        let dscp = flows.map(|flow| {
+            let frame = frames.iter().find(|f| flow_of(f) == Some(flow));
+            let frame = frame.expect("every packet comes out");
+            Ipv4Header::parse(&frame.as_slice()[14..]).unwrap().dscp
+        });
+        let program = sim.node::<SwitchNode>(sw).program::<Poked<P>>();
+        (stats(&program.prog), dscp)
+    }
+
+    /// A pair of distinct flows that alias under the direct table's
     /// arithmetic (`flow_index` over `entries` slots).
-    fn colliding_pair(entries: u64) -> (FiveTuple, FiveTuple) {
+    fn colliding_pair(entries: u64) -> [FiveTuple; 2] {
         use extmem_switch::hash::flow_index;
         for a in 0..500u32 {
             for b2 in (a + 1)..500 {
                 let fa = FiveTuple::new(0x0a000001, 0x0a000002, 1000 + a as u16, 80, 17);
                 let fb = FiveTuple::new(0x0a000001, 0x0a000002, 1000 + b2 as u16, 80, 17);
                 if flow_index(&fa, entries) == flow_index(&fb, entries) {
-                    return (fa, fb);
+                    return [fa, fb];
                 }
             }
         }
         panic!("a collision must exist in 500 flows over {entries} slots");
     }
 
+    const ENTRIES: u64 = 64; // small table to force a collision quickly
+
     #[test]
     fn direct_hash_colliding_flows_share_a_slot_action() {
-        // The remote table is direct-indexed by a hash: two flows mapping
+        // The paper's table is direct-indexed by a hash: two flows mapping
         // to the same slot get the same action — a property of the §4
         // design the control plane must manage (size the table, detect
-        // collisions at install time). Verify the arithmetic surfaces it.
-        use extmem_switch::hash::flow_index;
-        let entries = 64u64; // small table to force a collision quickly
-        let (fa, fb) = colliding_pair(entries);
-        assert_eq!(flow_index(&fa, entries), flow_index(&fb, entries));
-        assert_ne!(fa, fb);
+        // collisions at install time). Only `fa` is installed; `fb` leaves
+        // with its action all the same.
+        let [fa, fb] = colliding_pair(ENTRIES);
+        let (mut nic, channel) = table_server(ENTRIES * 2048);
+        install_remote_action(&mut nic, &channel, 2048, &fa, ActionEntry::set_dscp(46));
+        let prog = DirectTableProgram::new(fib(), channel, 2048, None);
+        assert_eq!(prog.slot_of(&fa), prog.slot_of(&fb));
+        let (stats, dscp) = dscp_out(prog, nic, [fa, fb], DirectTableProgram::stats);
+        assert_eq!(dscp, [46, 46]);
+        assert_eq!(
+            (stats.actions_applied, stats.slow_path),
+            (2, 0),
+            "{stats:?}"
+        );
     }
 
     #[test]
     fn cuckoo_mode_resolves_the_same_colliding_pair() {
-        // The exact pair the direct-hash table aliases gets two distinct
-        // entries in cuckoo mode, each findable where the filter-steered
-        // probe points — one READ each, no punt.
-        use crate::cuckoo::{probe_with, CuckooConfig, CuckooDirectory};
-        let entries = 64u64;
-        let (fa, fb) = colliding_pair(entries);
-        let mut dir = CuckooDirectory::new(CuckooConfig {
-            buckets: entries,
+        // The exact pair the direct table aliases gets two distinct entries
+        // here, each found where the filter-steered probe points — one READ
+        // each, no punt.
+        let [fa, fb] = colliding_pair(ENTRIES);
+        let mut dir = CuckooDirectory::new(crate::cuckoo::CuckooConfig {
+            buckets: ENTRIES,
             filter_cells: 512,
             filter_hashes: 2,
             max_plan_steps: 64,
         });
         dir.install(fa, ActionEntry::set_dscp(46)).unwrap();
         dir.install(fb, ActionEntry::set_dscp(12)).unwrap();
-        assert_eq!(dir.lookup(&fa), Some(ActionEntry::set_dscp(46)));
-        assert_eq!(dir.lookup(&fb), Some(ActionEntry::set_dscp(12)));
-        for f in [&fa, &fb] {
-            let probed = probe_with(dir.filter(), f, entries);
-            assert_eq!(
-                probed,
-                dir.position(f).unwrap().bucket,
-                "probe must point at residency"
-            );
-        }
-        dir.check_invariants();
+        let (mut nic, channel) = table_server(dir.region_bytes());
+        install_cuckoo_image(&mut nic, &channel, &dir);
+        let prog = LookupTableProgram::cuckoo(fib(), channel, dir, None);
+        let (stats, dscp) = dscp_out(prog, nic, [fa, fb], LookupTableProgram::stats);
+        assert_eq!(dscp, [46, 12]);
+        assert_eq!(
+            (stats.bucket_reads, stats.bucket_misses),
+            (2, 0),
+            "{stats:?}"
+        );
+        assert_eq!(
+            (stats.actions_applied, stats.slow_path),
+            (2, 0),
+            "{stats:?}"
+        );
+    }
+
+    /// The table server never answers: the channel gives the bucket READ
+    /// up, and the packet that was parked on it leaves as it came.
+    #[test]
+    fn failed_lookup_punts_the_parked_packet_unmodified() {
+        let flow = FiveTuple::new(0x0a000001, 0x0a000002, 1111, 2222, proto::UDP);
+        let mut dir = CuckooDirectory::new(crate::cuckoo::CuckooConfig::for_capacity(8));
+        dir.install(flow, ActionEntry::set_dscp(46)).unwrap();
+        // Port 0 is the black hole's, so that is where the channel leads;
+        // the server it was set up with is never plugged in.
+        let (_unplugged, mut channel) = table_server(dir.region_bytes());
+        channel.server_port = PortId(0);
+        let prog =
+            LookupTableProgram::cuckoo(fib(), channel, dir, None).with_reliability(impatient(1));
+        let poke = Box::new(
+            |prog: &mut LookupTableProgram, ctx: &mut SwitchCtx<'_, '_, '_>| {
+                prog.ingress(ctx, PortId(2), sample_packet());
+            },
+        );
+        let (mut sim, sw, hole) = behind_blackhole(Poked { prog, poke }, |_, _| {});
+        sim.schedule_timer(sw, TimeDelta::ZERO, program_token(POKE));
+        sim.run_until(Time::from_micros(100));
+
+        // The READ, its one retransmission, then the packet.
+        let frames = &sim.node::<Blackhole>(hole).frames;
+        assert_eq!(frames.len(), 3);
+        assert_eq!(frames[2], sample_packet());
+        let prog = &sim
+            .node::<SwitchNode>(sw)
+            .program::<Poked<LookupTableProgram>>()
+            .prog;
+        let stats = prog.stats();
+        assert_eq!((stats.failed_ops, stats.slow_path), (1, 1), "{stats:?}");
+        assert_eq!(stats.actions_applied, 0, "{stats:?}");
+        assert!(prog.is_degraded());
     }
 
     #[test]

@@ -33,7 +33,7 @@
 use crate::channel::{
     ChannelEvent, ChannelStats, Op, RdmaChannel, ReliableChannel, ReliableConfig,
 };
-use crate::pool::{PoolConfig, PoolStats, ReplicatedPool};
+use crate::pool::{PoolStats, ReplicatedPool};
 use crate::fib::Fib;
 use crate::lookup::{ActionEntry, ActionKind, ACTION_LEN};
 use extmem_rnic::{RemoteOp, RnicNode};
@@ -169,27 +169,6 @@ impl RemoteLpmProgram {
         let mut channel = ReliableChannel::new(channel, ReliableConfig::default());
         channel.set_timer_token(TOKEN_RELIABILITY_TICK);
         Self::over_pool(fib, ReplicatedPool::single(channel), levels, cache_capacity)
-    }
-
-    /// Create the program over a replicated pool of rung servers (index 0
-    /// starts as primary). The control plane installs every route on every
-    /// server.
-    pub fn replicated(
-        fib: Fib,
-        channels: Vec<RdmaChannel>,
-        levels: Vec<u8>,
-        cache_capacity: Option<usize>,
-        pool_config: PoolConfig,
-    ) -> RemoteLpmProgram {
-        let mut pool = ReplicatedPool::new(
-            channels
-                .into_iter()
-                .map(|ch| ReliableChannel::new(ch, ReliableConfig::default()))
-                .collect(),
-            pool_config,
-        );
-        pool.set_timer_tokens(TOKEN_RELIABILITY_TICK);
-        Self::over_pool(fib, pool, levels, cache_capacity)
     }
 
     fn over_pool(

@@ -123,12 +123,13 @@ echo "== no std-hashed maps in library crates =="
 # `std`'s HashMap/HashSet hash under a per-process random seed, so anything
 # that iterates one can differ between two runs of the same seed. Library
 # code uses extmem_types::{IntMap, IntSet} (types/src/hash.rs defines them
-# over the std containers); test modules, which start at `#[cfg(test)]`, may
-# use either. Not a clippy `disallowed-types` entry: that would also cover
-# crates/benchmark, which is frozen and uses HashMap.
+# over the std containers); test modules, which start at a `#[cfg(test)]` in
+# column 0 (an indented one gates a field or a statement of library code),
+# may use either. Not a clippy `disallowed-types` entry: that would also
+# cover crates/benchmark, which is frozen and uses HashMap.
 std_hashed="$(find crates/{types,wire,sim,rnic,switch,core,apps}/src -name '*.rs' ! -path crates/types/src/hash.rs |
     LC_ALL=C sort | while read -r f; do
-        awk -v f="$f" '/#\[cfg\(test\)\]/ { exit }
+        awk -v f="$f" '/^#\[cfg\(test\)\]/ { exit }
             /collections::(\{[^}]*)?Hash(Map|Set)/ { printf "%s:%d: %s\n", f, NR, $0 }' "$f"
     done)"
 if [ -n "$std_hashed" ]; then

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Non-test Rust lines under crates/*/src: each file counts up to (and
-# including) its first `#[cfg(test)]` line, or whole if it has none.
+# including) its first `#[cfg(test)]` line at column 0 (the test module; an
+# indented one gates a field or a statement), or whole if it has none.
 # Prints one line per file, then one per crate, then the total — the number
 # every simplicity PR compares between parent and change.
 #
@@ -18,7 +19,7 @@ fi
 cd "${1:-$(dirname "$0")/..}"
 
 per_file="$(find crates -path 'crates/*/src/*' -name '*.rs' | LC_ALL=C sort | while read -r f; do
-    awk -v f="$f" '/#\[cfg\(test\)\]/ { n = NR; exit } END { printf "%7d  %s\n", (n ? n : NR), f }' "$f"
+    awk -v f="$f" '/^#\[cfg\(test\)\]/ { n = NR; exit } END { printf "%7d  %s\n", (n ? n : NR), f }' "$f"
 done)"
 
 [ "$files" -eq 1 ] && echo "$per_file"

@@ -9,17 +9,18 @@
 //!   live traffic; every packet must resolve in one READ with zero
 //!   slow-path punts, and the remote region must converge bit-for-bit to
 //!   the control-plane directory,
-//! * the collision cell in both table modes — the exact flow pair the
-//!   direct-hash table aliases to one slot gets two distinct actions in
-//!   cuckoo mode, demonstrated end to end by steering the packets to
+//! * the collision cell on both table programs — the exact flow pair the
+//!   direct table aliases to one slot gets two distinct actions from the
+//!   cuckoo table, demonstrated end to end by steering the packets to
 //!   different egress ports.
 
 use extmem_apps::scenario::{host_ip, host_mac, Built, Testbed};
 use extmem_apps::workload::{Arrival, FlowPick, SinkNode, WorkloadSpec};
 use extmem_core::cuckoo::{CuckooConfig, CuckooDirectory};
+use extmem_core::direct_table::{install_remote_action, DirectTableProgram};
 use extmem_core::lookup::{
-    install_cuckoo_image, install_remote_action, ActionEntry, ChurnScript, ControlOp,
-    LookupTableProgram, TOKEN_CHURN, TOKEN_CONTROL,
+    install_cuckoo_image, ActionEntry, ChurnScript, ControlOp, LookupTableProgram, TOKEN_CHURN,
+    TOKEN_CONTROL,
 };
 use extmem_core::RdmaChannel;
 use extmem_rnic::{RnicConfig, RnicNode};
@@ -83,7 +84,6 @@ fn assert_region_matches_directory(t: &Built, rkey: extmem_types::Rkey, base_va:
     let image = sw
         .program::<LookupTableProgram>()
         .directory()
-        .unwrap()
         .encode_region();
     let remote = t
         .sim
@@ -177,8 +177,8 @@ fn relocation_storm(remote_ops: bool) {
     // control-plane directory exactly.
     assert_region_matches_directory(&t, rkey, base_va);
     assert_eq!(
-        prog.live_filter().unwrap().raw_counts(),
-        prog.directory().unwrap().filter().raw_counts(),
+        prog.live_filter().raw_counts(),
+        prog.directory().filter().raw_counts(),
         "live filter diverged from planned filter"
     );
     let nic = sim.node::<RnicNode>(table).stats();
@@ -242,7 +242,7 @@ fn queued_insert_then_remove_under_traffic() {
     let prog = table_prog(&mut t);
     assert!(prog.relocation_idle(), "insert still in flight");
     assert_eq!(
-        prog.directory().unwrap().lookup(&key),
+        prog.directory().lookup(&key),
         Some(ActionEntry::set_dscp(12))
     );
     assert_region_matches_directory(&t, rkey, base_va);
@@ -253,7 +253,7 @@ fn queued_insert_then_remove_under_traffic() {
     t.sim.run_to_quiescence();
     let prog = table_prog(&mut t);
     assert!(prog.relocation_idle(), "remove still in flight");
-    assert_eq!(prog.directory().unwrap().lookup(&key), None);
+    assert_eq!(prog.directory().lookup(&key), None);
     let s = prog.stats();
     assert_eq!((s.inserts_applied, s.removes_applied), (1, 1), "{s:?}");
     assert_eq!(s.slow_path, 0, "control op punted a lookup: {s:?}");
@@ -280,9 +280,9 @@ fn colliding_pair(entries: u64) -> (FiveTuple, FiveTuple) {
     panic!("a collision must exist in 500 flows over {entries} slots");
 }
 
-/// Direct-hash mode: the aliasing pair shares one slot, so the uninstalled
+/// The direct table: the aliasing pair shares one slot, so the uninstalled
 /// flow silently receives the installed flow's action — the defect the
-/// cuckoo mode exists to remove (and the ablation must keep exhibiting).
+/// cuckoo table exists to remove (and the ablation must keep exhibiting).
 #[test]
 fn collision_cell_direct_hash_aliases_the_pair() {
     const ENTRIES: u64 = 64;
@@ -298,7 +298,7 @@ fn collision_cell_direct_hash_aliases_the_pair() {
         &fa,
         ActionEntry::set_dscp(DSCP),
     );
-    let prog = LookupTableProgram::new(tb.fib(), channel, 2048, None);
+    let prog = DirectTableProgram::new(tb.fib(), channel, 2048, None);
     let Built {
         mut sim,
         switch,
@@ -310,14 +310,14 @@ fn collision_cell_direct_hash_aliases_the_pair() {
 
     let sink = sim.node::<SinkNode>(server);
     let sw: &SwitchNode = sim.node(switch);
-    let s = sw.program::<LookupTableProgram>().stats();
+    let s = sw.program::<DirectTableProgram>().stats();
     assert_eq!(sink.received, 2);
     // The alias: BOTH packets carry fa's DSCP, including fb's.
     assert_eq!(sink.dscp_mismatch, 0, "fb must receive fa's action: {s:?}");
     assert_eq!(s.actions_applied, 2, "{s:?}");
 }
 
-/// Direct-hash mode bounces every missing packet through its slot: the
+/// The direct table bounces every missing packet through its slot: the
 /// WRITE is a length in front of the arrival frame itself (the frame is the
 /// WRITE's tail, not copied into a payload of its own), and the READ behind
 /// it brings back `[action][len][packet]`. Every frame must come back
@@ -338,7 +338,7 @@ fn direct_hash_bounce_round_trips_the_arrival_frame() {
         let action = ActionEntry::set_dscp(DSCP);
         install_remote_action(tb.nic_mut(table), &channel, 2048, flow, action);
     }
-    let prog = LookupTableProgram::new(tb.fib(), channel, 2048, None);
+    let prog = DirectTableProgram::new(tb.fib(), channel, 2048, None);
     let mut t = tb.build(SwitchConfig::default(), Box::new(prog));
     // A quarter of the run warms the frame pool; from then on every build
     // finds a buffer some consumer gave back.
@@ -357,7 +357,7 @@ fn direct_hash_bounce_round_trips_the_arrival_frame() {
         (COUNT, 0, 0)
     );
     let sw: &SwitchNode = t.sim.node(t.switch);
-    let prog = sw.program::<LookupTableProgram>();
+    let prog = sw.program::<DirectTableProgram>();
     let s = prog.stats();
     assert_eq!(
         (s.remote_lookups, s.responses, s.actions_applied),
@@ -381,7 +381,7 @@ fn direct_hash_bounce_round_trips_the_arrival_frame() {
     }
 }
 
-/// Cuckoo mode: the same colliding pair resolves to two distinct actions,
+/// The cuckoo table: the same colliding pair resolves to two distinct actions,
 /// one READ each — proven end to end by steering `fb` out a different
 /// egress port while `fa` keeps its DSCP mark.
 #[test]

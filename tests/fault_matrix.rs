@@ -16,10 +16,10 @@
 use extmem_apps::scenario::{host_ip, host_mac, Built, Testbed};
 use extmem_apps::workload::{Arrival, FlowPick, FlowSet, SinkNode, WorkloadSpec};
 use extmem_core::cuckoo::{CuckooConfig, CuckooDirectory};
+use extmem_core::direct_table::{install_remote_action, DirectTableProgram};
 use extmem_core::faa::{FaaConfig, FaaEngine};
 use extmem_core::lookup::{
-    install_cuckoo_image, install_remote_action, ActionEntry, ChurnScript, ControlOp,
-    LookupTableProgram, TOKEN_CHURN,
+    install_cuckoo_image, ActionEntry, ChurnScript, ControlOp, LookupTableProgram, TOKEN_CHURN,
 };
 use extmem_core::lpm::{install_remote_route, slots_per_level, RemoteLpmProgram};
 use extmem_core::packet_buffer::{Mode, PacketBufferProgram};
@@ -271,7 +271,7 @@ fn smoke_packet_buffer_worst_cell() {
 }
 
 // ---------------------------------------------------------------------------
-// Lookup table (bounce mode): every packet comes back with its action.
+// The paper's lookup table, bouncing: every packet comes back with its action.
 // ---------------------------------------------------------------------------
 
 fn run_lookup_cell(cell: &Cell, seed: u64) {
@@ -300,7 +300,7 @@ fn run_lookup_cell(cell: &Cell, seed: u64) {
     );
     // No cache: every packet must do a full remote bounce.
     let prog =
-        LookupTableProgram::new(tb.fib(), channel, 2048, None).with_reliability(ReliableConfig {
+        DirectTableProgram::new(tb.fib(), channel, 2048, None).with_reliability(ReliableConfig {
             rto: TimeDelta::from_micros(40),
             ..Default::default()
         });
@@ -315,7 +315,7 @@ fn run_lookup_cell(cell: &Cell, seed: u64) {
 
     let sink = sim.node::<SinkNode>(hosts[1]);
     let sw: &SwitchNode = sim.node(switch);
-    let prog = sw.program::<LookupTableProgram>();
+    let prog = sw.program::<DirectTableProgram>();
     let s = prog.stats();
     assert!(!prog.is_degraded(), "{cell:?}: must not fail over: {s:?}");
     assert_eq!(s.failed_ops, 0, "{cell:?}: leaked outstanding ops: {s:?}");
@@ -550,7 +550,7 @@ fn run_cuckoo_probe_cell(cell: &Cell, seed: u64) {
     assert_eq!(s.reads_per_lookup(), Some(1.0), "{cell:?}: {s:?}");
     // Bit-for-bit: the settled table equals the directory's byte image, so
     // every conditional WRITE landed exactly once despite drops.
-    let image = prog.directory().unwrap().encode_region();
+    let image = prog.directory().encode_region();
     let remote = sim
         .node::<RnicNode>(servers[0])
         .region(rkey)
@@ -742,7 +742,7 @@ fn lookup_failover_punts_to_slow_path() {
         ActionEntry::set_dscp(46),
     );
     let prog =
-        LookupTableProgram::new(tb.fib(), channel, 2048, None).with_reliability(fast_failover());
+        DirectTableProgram::new(tb.fib(), channel, 2048, None).with_reliability(fast_failover());
     let Built {
         mut sim,
         switch,
@@ -753,7 +753,7 @@ fn lookup_failover_punts_to_slow_path() {
 
     let sink = sim.node::<SinkNode>(hosts[1]);
     let sw: &SwitchNode = sim.node(switch);
-    let prog = sw.program::<LookupTableProgram>();
+    let prog = sw.program::<DirectTableProgram>();
     let s = prog.stats();
     assert!(prog.is_degraded(), "retry cap must trip failover: {s:?}");
     assert!(s.channel.failed_over, "{s:?}");
@@ -1313,7 +1313,7 @@ fn run_crash_lookup_cell(remote_ops: bool) {
     assert!(prog.relocation_idle(), "relocation work leaked: {s:?}");
     // Bit-for-bit: both replicas equal the directory's byte image — the
     // survivor through mirror fan-out, the rejoiner through the reseed.
-    let image = prog.directory().unwrap().encode_region();
+    let image = prog.directory().encode_region();
     for (name, node) in [("rejoiner", server_a), ("survivor", server_b)] {
         let remote = sim
             .node::<RnicNode>(node)
