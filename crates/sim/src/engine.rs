@@ -788,10 +788,15 @@ impl SimBuilder {
                             })
                             .collect(),
                         timer_seq: vec![0; n],
-                        trace: if self.keep_trace {
-                            TraceSink::recording(dirs_n)
-                        } else {
-                            TraceSink::disabled(dirs_n)
+                        trace: {
+                            let ends = topo.links.iter().flat_map(|l| {
+                                [(l.ends[0], l.ends[1]), (l.ends[1], l.ends[0])]
+                            });
+                            if self.keep_trace {
+                                TraceSink::recording(ends)
+                            } else {
+                                TraceSink::disabled(ends)
+                            }
                         },
                         events_processed: 0,
                         outboxes: Vec::new(),

@@ -8,10 +8,17 @@
 //! [`TraceSink::combined_digest`] then folds the per-direction digests in a
 //! fixed canonical order (ascending direction id), which is what makes the
 //! wheel, heap, and parallel backends produce bit-identical fingerprints.
+//!
+//! Every fold is [`fold_word`], the round the content digest is made of. A
+//! direction's two endpoints never change, so they are folded into its
+//! state once, when the sink is built; a delivery then costs three rounds
+//! (time, length, content digest). It runs on every delivered packet of
+//! every run, traced or not: after the content digest itself it is the
+//! determinism guarantee's whole host-time cost.
 
 use crate::link::Endpoint;
 use extmem_types::Time;
-use extmem_wire::packet::fnv1a;
+use extmem_wire::packet::fold_word;
 
 /// One delivered packet, as seen by the trace.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -24,62 +31,61 @@ pub struct TraceEvent {
     pub to: Endpoint,
     /// Packet length in bytes.
     pub len: usize,
-    /// Content digest (FNV-1a over the delivered bytes).
+    /// Content digest ([`extmem_wire::Packet::digest`] of the delivered
+    /// bytes).
     pub digest: u64,
 }
 
-/// FNV-1a offset basis; every per-direction fold starts here.
+/// FNV-1a offset basis; every fold starts here.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// One link direction's rolling state.
-#[derive(Clone)]
 struct DirTrace {
     digest: u64,
     count: u64,
     events: Vec<TraceEvent>,
 }
 
-impl DirTrace {
-    const EMPTY: DirTrace = DirTrace {
-        digest: FNV_OFFSET,
-        count: 0,
-        events: Vec::new(),
-    };
-}
-
 /// Collects trace events and maintains per-direction rolling digests.
 ///
-/// The digests are always maintained (they are cheap); full event recording
-/// is opt-in because it grows with traffic volume. In a partitioned
-/// simulation each partition owns the sink entries for the link directions
-/// it transmits on; the engine folds them canonically at read time.
+/// The digests are always maintained; full event recording is opt-in
+/// because it grows with traffic volume. In a partitioned simulation each
+/// partition owns the sink entries for the link directions it transmits
+/// on; the engine folds them canonically at read time.
 pub struct TraceSink {
     record: bool,
     dirs: Vec<DirTrace>,
 }
 
 impl TraceSink {
-    /// A sink for `dirs` link directions that only maintains digests.
-    pub fn disabled(dirs: usize) -> TraceSink {
+    /// A sink that only maintains digests, with one direction per
+    /// `(from, to)` pair of `ends`, in direction-id order.
+    pub fn disabled(ends: impl IntoIterator<Item = (Endpoint, Endpoint)>) -> TraceSink {
+        let word = |e: Endpoint| (e.node.raw() as u64) << 16 | e.port.raw() as u64;
+        let dirs = ends.into_iter().map(|(from, to)| DirTrace {
+            digest: fold_word(fold_word(FNV_OFFSET, word(from)), word(to)),
+            count: 0,
+            events: Vec::new(),
+        });
         TraceSink {
             record: false,
-            dirs: vec![DirTrace::EMPTY; dirs],
+            dirs: dirs.collect(),
         }
     }
 
     /// A sink that also records every event.
-    pub fn recording(dirs: usize) -> TraceSink {
+    pub fn recording(ends: impl IntoIterator<Item = (Endpoint, Endpoint)>) -> TraceSink {
         TraceSink {
             record: true,
-            dirs: vec![DirTrace::EMPTY; dirs],
+            ..TraceSink::disabled(ends)
         }
     }
 
-    /// Fold one delivery on direction `dir` into its rolling digest. This
-    /// is the hot path (it runs on every delivered packet): it stays
-    /// allocation-free — the previous digest and the fields are serialized
-    /// into one stack buffer — and when recording is disabled no
-    /// [`TraceEvent`] is ever materialized.
+    /// Fold one delivery on direction `dir` — which must run `from` → `to`,
+    /// the pair the sink was built with — into its rolling digest. This is
+    /// the hot path (it runs on every delivered packet): three rounds, no
+    /// allocation, and when recording is disabled no [`TraceEvent`] is ever
+    /// materialized.
     pub fn record_delivery(
         &mut self,
         dir: usize,
@@ -90,16 +96,7 @@ impl TraceSink {
         digest: u64,
     ) {
         let d = &mut self.dirs[dir];
-        let mut buf = [0u8; 44];
-        buf[0..8].copy_from_slice(&d.digest.to_le_bytes());
-        buf[8..16].copy_from_slice(&at.picos().to_le_bytes());
-        buf[16..20].copy_from_slice(&from.node.raw().to_le_bytes());
-        buf[20..22].copy_from_slice(&from.port.raw().to_le_bytes());
-        buf[22..26].copy_from_slice(&to.node.raw().to_le_bytes());
-        buf[26..28].copy_from_slice(&to.port.raw().to_le_bytes());
-        buf[28..36].copy_from_slice(&(len as u64).to_le_bytes());
-        buf[36..44].copy_from_slice(&digest.to_le_bytes());
-        d.digest = fnv1a(&buf);
+        d.digest = fold_word(fold_word(fold_word(d.digest, at.picos()), len as u64), digest);
         d.count += 1;
         if self.record {
             d.events.push(TraceEvent {
@@ -127,16 +124,10 @@ impl TraceSink {
     /// sink owning it — in a partitioned engine, the transmitting
     /// partition's sink; in a single-partition engine, always the same one.
     pub fn combined_digest<'a>(dirs: usize, pick: impl Fn(usize) -> &'a TraceSink) -> u64 {
-        let mut acc = FNV_OFFSET;
-        let mut buf = [0u8; 24];
-        for dir in 0..dirs {
+        (0..dirs).fold(FNV_OFFSET, |acc, dir| {
             let (digest, count) = pick(dir).dir_digest(dir);
-            buf[0..8].copy_from_slice(&acc.to_le_bytes());
-            buf[8..16].copy_from_slice(&digest.to_le_bytes());
-            buf[16..24].copy_from_slice(&count.to_le_bytes());
-            acc = fnv1a(&buf);
-        }
-        acc
+            fold_word(fold_word(acc, digest), count)
+        })
     }
 }
 
@@ -145,17 +136,23 @@ mod tests {
     use super::*;
     use extmem_types::{NodeId, PortId};
 
+    fn end(node: u32) -> Endpoint {
+        Endpoint {
+            node: NodeId(node),
+            port: PortId(0),
+        }
+    }
+
+    /// `dirs` directions, all running node 0 -> node 1 (what [`ev`] says).
+    fn ends(dirs: usize) -> Vec<(Endpoint, Endpoint)> {
+        vec![(end(0), end(1)); dirs]
+    }
+
     fn ev(t: u64, d: u64) -> TraceEvent {
         TraceEvent {
             at: Time::from_picos(t),
-            from: Endpoint {
-                node: NodeId(0),
-                port: PortId(0),
-            },
-            to: Endpoint {
-                node: NodeId(1),
-                port: PortId(0),
-            },
+            from: end(0),
+            to: end(1),
             len: 64,
             digest: d,
         }
@@ -167,15 +164,15 @@ mod tests {
 
     #[test]
     fn digest_depends_on_order_and_content() {
-        let mut a = TraceSink::disabled(2);
+        let mut a = TraceSink::disabled(ends(2));
         record(&mut a, 0, ev(1, 10));
         record(&mut a, 0, ev(2, 20));
-        let mut b = TraceSink::disabled(2);
+        let mut b = TraceSink::disabled(ends(2));
         record(&mut b, 0, ev(2, 20));
         record(&mut b, 0, ev(1, 10));
         assert_ne!(a.dir_digest(0), b.dir_digest(0));
 
-        let mut c = TraceSink::disabled(2);
+        let mut c = TraceSink::disabled(ends(2));
         record(&mut c, 0, ev(1, 10));
         record(&mut c, 0, ev(2, 20));
         assert_eq!(a.dir_digest(0), c.dir_digest(0));
@@ -184,9 +181,9 @@ mod tests {
     #[test]
     fn combined_digest_separates_directions() {
         // The same deliveries on different directions must not collide.
-        let mut a = TraceSink::disabled(2);
+        let mut a = TraceSink::disabled(ends(2));
         record(&mut a, 0, ev(1, 10));
-        let mut b = TraceSink::disabled(2);
+        let mut b = TraceSink::disabled(ends(2));
         record(&mut b, 1, ev(1, 10));
         let da = TraceSink::combined_digest(2, |_| &a);
         let db = TraceSink::combined_digest(2, |_| &b);
@@ -197,12 +194,12 @@ mod tests {
     fn combined_digest_is_fold_order_stable() {
         // Folding the same per-direction state from two sinks (as the
         // partitioned engine does) equals folding it from one.
-        let mut whole = TraceSink::disabled(2);
+        let mut whole = TraceSink::disabled(ends(2));
         record(&mut whole, 0, ev(1, 10));
         record(&mut whole, 1, ev(2, 20));
-        let mut p0 = TraceSink::disabled(2);
+        let mut p0 = TraceSink::disabled(ends(2));
         record(&mut p0, 0, ev(1, 10));
-        let mut p1 = TraceSink::disabled(2);
+        let mut p1 = TraceSink::disabled(ends(2));
         record(&mut p1, 1, ev(2, 20));
         let split = TraceSink::combined_digest(2, |d| if d == 0 { &p0 } else { &p1 });
         assert_eq!(TraceSink::combined_digest(2, |_| &whole), split);
@@ -210,8 +207,8 @@ mod tests {
 
     #[test]
     fn recording_flag_controls_storage_not_digest() {
-        let mut rec = TraceSink::recording(1);
-        let mut dis = TraceSink::disabled(1);
+        let mut rec = TraceSink::recording(ends(1));
+        let mut dis = TraceSink::disabled(ends(1));
         record(&mut rec, 0, ev(5, 7));
         record(&mut dis, 0, ev(5, 7));
         assert_eq!(rec.dir_events(0).len(), 1);
