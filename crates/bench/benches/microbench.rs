@@ -117,6 +117,9 @@ fn bench_wire() {
 
 /// Raw kernel throughput: word-parallel vs byte-at-a-time, in MB/s.
 fn bench_kernels() {
+    use extmem_sim::link::Endpoint;
+    use extmem_sim::TraceSink;
+    use extmem_types::NodeId;
     use extmem_wire::icrc::{crc32_update, crc32_update_bytewise};
     use extmem_wire::packet::{digest64, fnv1a};
     let frame = vec![0x5au8; 1500];
@@ -126,11 +129,30 @@ fn bench_kernels() {
     bench_mb("kernel", "crc32_bytewise_1500", 50_000, frame.len(), || {
         crc32_update_bytewise(!0, black_box(&frame))
     });
-    bench_mb("kernel", "digest64_1500", 50_000, frame.len(), || {
-        digest64(black_box(&frame))
-    });
+    // 256 and 850 B are the repo benchmark's frame sizes: a lookup or
+    // fabric frame, and about what an 800 B packet-buffer frame measures
+    // inside its WRITE or its READ response.
+    for len in [256, 850, 1500] {
+        let name = format!("digest64_{len}");
+        bench_mb("kernel", &name, 50_000, len, || {
+            digest64(black_box(&frame[..len]))
+        });
+    }
     bench_mb("kernel", "fnv1a_1500", 50_000, frame.len(), || {
         fnv1a(black_box(&frame))
+    });
+    // What every delivery costs on top of its (cached) content digest.
+    let end = |node| Endpoint {
+        node: NodeId(node),
+        port: PortId(0),
+    };
+    let (from, to) = (end(0), end(1));
+    let mut sink = TraceSink::disabled([(from, to)]);
+    let mut at = Time::ZERO;
+    bench("kernel", "trace_fold", 1_000_000, || {
+        at += TimeDelta::from_nanos(200);
+        sink.record_delivery(0, at, from, to, 256, black_box(0x1234_5678_9abc_def0));
+        sink.dir_digest(0)
     });
 }
 

@@ -249,7 +249,12 @@ impl EngineCore {
             } else {
                 NO_LANE
             };
-            let copy = duplicate.then(|| pkt.clone());
+            // Hashed before it is cloned, so the copy inherits the cached
+            // digest instead of hashing the same bytes again.
+            let copy = duplicate.then(|| {
+                pkt.digest();
+                pkt.clone()
+            });
             let from = Endpoint { node, port };
             self.deliver(dir, arrival, lane, from, dst, pkt);
             if let Some(copy) = copy {
@@ -789,9 +794,10 @@ impl SimBuilder {
                             .collect(),
                         timer_seq: vec![0; n],
                         trace: {
-                            let ends = topo.links.iter().flat_map(|l| {
-                                [(l.ends[0], l.ends[1]), (l.ends[1], l.ends[0])]
-                            });
+                            let ends = topo
+                                .links
+                                .iter()
+                                .flat_map(|l| [(l.ends[0], l.ends[1]), (l.ends[1], l.ends[0])]);
                             if self.keep_trace {
                                 TraceSink::recording(ends)
                             } else {
@@ -1469,6 +1475,33 @@ mod tests {
         // 3 deliveries each way.
         assert_eq!(sim.trace().len(), 6);
         assert!(sim.trace().windows(2).all(|w| w[0].at <= w[1].at));
+    }
+
+    #[test]
+    fn duplicated_frame_is_hashed_once() {
+        const FRAMES: u64 = 25;
+        let mut b = SimBuilder::new(4);
+        let bl = b.add_node(blaster(FRAMES, 300));
+        let echo = b.add_node(Box::new(Echo::new("e")));
+        let mut spec = LinkSpec::testbed_40g();
+        spec.faults = FaultSpec {
+            duplicate_prob: 1.0,
+            ..FaultSpec::NONE
+        };
+        let l = b.connect(bl, PortId(0), echo, PortId(0), spec);
+        b.keep_trace(true);
+        let mut sim = b.build();
+        sim.schedule_timer(bl, TimeDelta::ZERO, 0);
+        let before = extmem_wire::packet::digest_compute_count();
+        sim.run_to_quiescence();
+        // Every frame arrives twice and each arrival is echoed twice, and
+        // all six deliveries share the one hash of the frame as first sent.
+        assert_eq!(sim.link_stats(l, 0).duplicated_packets, FRAMES);
+        assert_eq!(sim.node::<Blaster>(bl).rx, 4 * FRAMES);
+        assert_eq!(extmem_wire::packet::digest_compute_count() - before, FRAMES);
+        let content = Packet::zeroed(300).digest();
+        assert_eq!(sim.trace().len() as u64, 6 * FRAMES);
+        assert!(sim.trace().iter().all(|e| e.digest == content));
     }
 
     // ------------------------------------------------------------------

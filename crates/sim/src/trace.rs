@@ -63,7 +63,9 @@ impl TraceSink {
     pub fn disabled(ends: impl IntoIterator<Item = (Endpoint, Endpoint)>) -> TraceSink {
         let word = |e: Endpoint| (e.node.raw() as u64) << 16 | e.port.raw() as u64;
         let dirs = ends.into_iter().map(|(from, to)| DirTrace {
-            digest: fold_word(fold_word(FNV_OFFSET, word(from)), word(to)),
+            digest: [word(from), word(to)]
+                .into_iter()
+                .fold(FNV_OFFSET, fold_word),
             count: 0,
             events: Vec::new(),
         });
@@ -96,7 +98,9 @@ impl TraceSink {
         digest: u64,
     ) {
         let d = &mut self.dirs[dir];
-        d.digest = fold_word(fold_word(fold_word(d.digest, at.picos()), len as u64), digest);
+        d.digest = [at.picos(), len as u64, digest]
+            .into_iter()
+            .fold(d.digest, fold_word);
         d.count += 1;
         if self.record {
             d.events.push(TraceEvent {
@@ -126,7 +130,7 @@ impl TraceSink {
     pub fn combined_digest<'a>(dirs: usize, pick: impl Fn(usize) -> &'a TraceSink) -> u64 {
         (0..dirs).fold(FNV_OFFSET, |acc, dir| {
             let (digest, count) = pick(dir).dir_digest(dir);
-            fold_word(fold_word(acc, digest), count)
+            [digest, count].into_iter().fold(acc, fold_word)
         })
     }
 }
@@ -203,6 +207,33 @@ mod tests {
         record(&mut p1, 1, ev(2, 20));
         let split = TraceSink::combined_digest(2, |d| if d == 0 { &p0 } else { &p1 });
         assert_eq!(TraceSink::combined_digest(2, |_| &whole), split);
+    }
+
+    #[test]
+    fn a_directions_endpoints_are_part_of_its_digest() {
+        // The endpoints are folded when the sink is built, not per delivery:
+        // sinks fed the same (at, len, digest) stream must still tell apart
+        // every pair of endpoints — reversed, another node, another port.
+        let port1 = Endpoint {
+            node: NodeId(1),
+            port: PortId(1),
+        };
+        let pairs = [
+            (end(0), end(1)),
+            (end(1), end(0)),
+            (end(0), end(2)),
+            (end(0), port1),
+        ];
+        let run = |mut sink: TraceSink| {
+            record(&mut sink, 0, ev(1, 10));
+            record(&mut sink, 0, ev(2, 20));
+            sink.dir_digest(0)
+        };
+        let digests = pairs.map(|pair| run(TraceSink::disabled([pair])));
+        for (i, d) in digests.iter().enumerate() {
+            assert!(!digests[..i].contains(d), "{:?} collides", pairs[i]);
+            assert_eq!(*d, run(TraceSink::recording([pairs[i]])));
+        }
     }
 
     #[test]

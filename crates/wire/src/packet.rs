@@ -192,9 +192,8 @@ pub fn digest64(data: &[u8]) -> u64 {
     }
     let rem = words.remainder();
     if !rem.is_empty() {
-        let mut tail = [0u8; 8];
-        tail[..rem.len()].copy_from_slice(rem);
-        h = fold_word(h, u64::from_le_bytes(tail));
+        let tail = rem.iter().rev().fold(0, |w, &b| w << 8 | b as u64);
+        h = fold_word(h, tail);
     }
     h ^= h >> 32;
     h = h.wrapping_mul(0xd6e8_feb8_6659_fd93);
@@ -351,14 +350,14 @@ mod tests {
         // on every platform (little-endian word loads are spelt out). The
         // answers are from an independent big-integer transcription of the
         // doc comment, not from this code.
-        let ramp: Vec<u8> = (0..850).map(|i| (i % 251) as u8).collect();
+        let bytes: Vec<u8> = (0..850).map(|i| (i % 251) as u8).collect();
         for (data, want) in [
-            (&ramp[..0], 0x7cf7_b420_3701_d60e_u64),
-            (&ramp[1..2], 0xf0b9_81e8_c903_03f3),
-            (&ramp[..31], 0x6693_8379_fcdd_59ff),
-            (&ramp[..32], 0x5a02_f26d_cf18_2634),
-            (&ramp[..33], 0x5c0e_01c2_07d0_35ab),
-            (&ramp[..], 0xfbb1_ad71_7827_dc49),
+            (&bytes[..0], 0x7cf7_b420_3701_d60e_u64),
+            (&bytes[1..2], 0xf0b9_81e8_c903_03f3),
+            (&bytes[..31], 0x6693_8379_fcdd_59ff),
+            (&bytes[..32], 0x5a02_f26d_cf18_2634),
+            (&bytes[..33], 0x5c0e_01c2_07d0_35ab),
+            (&bytes[..], 0xfbb1_ad71_7827_dc49),
         ] {
             assert_eq!(
                 digest64(data),

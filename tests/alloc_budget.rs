@@ -22,17 +22,13 @@
 //! reads a process-wide counter instead and holds [`GATE`] exclusively
 //! while it does.
 
-use extmem_apps::scenario::{host_ip, host_mac, Built, Testbed};
-use extmem_apps::workload::{Arrival, FlowPick, SinkNode, TrafficGenNode, WorkloadSpec};
-use extmem_core::faa::{FaaConfig, FaaEngine};
-use extmem_core::lookup::{install_cuckoo_image, ActionEntry, LookupTableProgram};
-use extmem_core::packet_buffer::{Mode, PacketBufferProgram};
+use extmem_apps::scenario::Built;
+use extmem_apps::workload::{SinkNode, TrafficGenNode};
+use extmem_core::lookup::LookupTableProgram;
+use extmem_core::packet_buffer::PacketBufferProgram;
 use extmem_core::state_store::StateStoreProgram;
-use extmem_core::{CuckooConfig, CuckooDirectory, PoolConfig};
-use extmem_rnic::RnicConfig;
-use extmem_sim::LinkSpec;
-use extmem_switch::{SwitchConfig, SwitchNode};
-use extmem_types::{ByteSize, FiveTuple, PortId, Rate, Time, TimeDelta};
+use extmem_switch::SwitchNode;
+use extmem_types::{Time, TimeDelta};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -95,6 +91,8 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 }
 
+mod rigs;
+
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
@@ -144,45 +142,9 @@ fn check(what: &str, per_frame: f64, payloads_per_frame: f64) {
     );
 }
 
-/// 256 B frames over 512 installed flows, cache off: every frame pays one
-/// remote miss, by bucket READ or by hash-probe op.
+/// [`rigs::cuckoo_lookup`]: every frame pays one remote miss.
 fn cuckoo_lookup(remote_ops: bool) -> f64 {
-    const DSCP: u8 = 46;
-    let flows: Vec<FiveTuple> = (0..512u16)
-        .map(|i| FiveTuple::new(host_ip(0), host_ip(1), 20_000 + i, 80, 17))
-        .collect();
-    let mut dir = CuckooDirectory::new(CuckooConfig::for_capacity(flows.len() as u64));
-    for f in &flows {
-        dir.install(*f, ActionEntry::set_dscp(DSCP)).unwrap();
-    }
-    let link = LinkSpec::testbed_40g();
-    let mut tb = Testbed::new(11);
-    tb.gen(
-        WorkloadSpec {
-            src_mac: host_mac(0),
-            dst_mac: host_mac(1),
-            flows: flows.into(),
-            pick: FlowPick::Zipf(1.05),
-            frame_len: 256,
-            offered: Some(Rate::from_gbps(8)),
-            arrival: Arrival::Poisson,
-            count: FRAMES,
-            seed: 5,
-            flow_id_base: 0,
-        },
-        link,
-    );
-    let mut sink = SinkNode::new("server");
-    sink.expect_dscp = Some(DSCP);
-    tb.host(sink, link);
-    let (table, channel) = tb.server(
-        RnicConfig::default(),
-        ByteSize::from_bytes(dir.region_bytes()),
-        link,
-    );
-    install_cuckoo_image(tb.nic_mut(table), &channel, &dir);
-    let prog = LookupTableProgram::cuckoo(tb.fib(), channel, dir, None).with_remote_ops(remote_ops);
-    let mut t = tb.build(SwitchConfig::default(), Box::new(prog));
+    let mut t = rigs::cuckoo_lookup(remote_ops, FRAMES);
     let per_frame = steady_state_allocs_per_frame(&mut t, Time::from_millis(20));
     let sw: &SwitchNode = t.sim.node(t.switch);
     let stats = sw.program::<LookupTableProgram>().stats();
@@ -208,38 +170,9 @@ fn lookup_by_remote_ops_allocates_once_per_payload() {
     check("lookup by remote ops", cuckoo_lookup(true), 3.0);
 }
 
-/// 800 B frames at 12 G into a 10 G port behind the packet buffer: once the
-/// protected queue passes 16 KB every frame is stored to the remote ring by
-/// WRITE and fetched back by READ.
 #[test]
 fn packet_buffer_store_and_fetch_allocates_once_per_payload() {
-    const ENTRY: u64 = 816;
-    let flow = FiveTuple::new(host_ip(0), host_ip(1), 7000, 9000, 17);
-    let link = LinkSpec::testbed_40g();
-    let mut tb = Testbed::new(12);
-    tb.gen(
-        WorkloadSpec::simple(host_mac(0), host_mac(1), flow, 800, Rate::from_gbps(12), FRAMES),
-        link,
-    );
-    tb.sink(LinkSpec::new(Rate::from_gbps(10), TimeDelta::from_nanos(300)));
-    let (_, channel) = tb.server(
-        RnicConfig::default(),
-        ByteSize::from_bytes(8192 * ENTRY),
-        link,
-    );
-    let prog = PacketBufferProgram::new(
-        tb.fib(),
-        vec![channel],
-        PortId(1),
-        ENTRY,
-        Mode::Auto {
-            start_store_qbytes: 16 << 10,
-            resume_load_qbytes: 8 << 10,
-        },
-        8,
-        TimeDelta::from_micros(50),
-    );
-    let mut t = tb.build(SwitchConfig::default(), Box::new(prog));
+    let mut t = rigs::packet_buffer(FRAMES);
     let per_frame = steady_state_allocs_per_frame(&mut t, Time::from_millis(40));
     let sw: &SwitchNode = t.sim.node(t.switch);
     let stats = sw.program::<PacketBufferProgram>().stats();
@@ -253,50 +186,6 @@ fn packet_buffer_store_and_fetch_allocates_once_per_payload() {
     // on its way into the response; six while the arrival frame was copied
     // into a ring entry of its own before being copied into the WRITE.)
     check("packet buffer", per_frame, 5.0);
-}
-
-/// 256 B frames, one Fetch-and-Add per frame on a two-replica pool (the
-/// primary executes it, the mirror catches up by delta replay). Built on
-/// the ambient scheduler backend.
-fn replicated_fetch_and_add() -> Built {
-    let counters = 256u64;
-    let region = ByteSize::from_bytes(counters * 8);
-    // Eight counters: one flush replays at most eight deltas, inside the
-    // mirror NIC's window of outstanding atomics (past it requests drop
-    // and the channel goes back N — a storm, not a steady state).
-    let flows: Vec<FiveTuple> = (0..8u16)
-        .map(|i| FiveTuple::new(host_ip(0), host_ip(1), 30_000 + i, 80, 17))
-        .collect();
-    let link = LinkSpec::testbed_40g();
-    let mut tb = Testbed::new(13);
-    tb.gen(
-        WorkloadSpec {
-            src_mac: host_mac(0),
-            dst_mac: host_mac(1),
-            flows: flows.into(),
-            pick: FlowPick::RoundRobin,
-            frame_len: 256,
-            offered: Some(Rate::from_gbps(2)),
-            arrival: Arrival::Paced,
-            count: FRAMES,
-            seed: 6,
-            flow_id_base: 0,
-        },
-        link,
-    );
-    tb.sink(link);
-    let (_, primary) = tb.server(RnicConfig::default(), region, link);
-    let (_, mirror) = tb.server(RnicConfig::default(), region, link);
-    let engine = FaaEngine::replicated(
-        vec![primary, mirror],
-        FaaConfig {
-            reliable: true,
-            ..Default::default()
-        },
-        PoolConfig::default(),
-    );
-    let prog = StateStoreProgram::new(tb.fib(), engine, TimeDelta::from_micros(20));
-    tb.build(SwitchConfig::default(), Box::new(prog))
 }
 
 fn check_replicated_fetch_and_add(what: &str, t: &Built, per_frame: f64) {
@@ -314,7 +203,7 @@ fn check_replicated_fetch_and_add(what: &str, t: &Built, per_frame: f64) {
 
 #[test]
 fn replicated_fetch_and_add_allocates_once_per_payload() {
-    let mut t = replicated_fetch_and_add();
+    let mut t = rigs::replicated_fetch_and_add(FRAMES);
     let per_frame = steady_state_allocs_per_frame(&mut t, Time::from_millis(40));
     check_replicated_fetch_and_add("replicated fetch-and-add", &t, per_frame);
 }
@@ -329,7 +218,7 @@ fn replicated_fetch_and_add_allocates_once_per_payload() {
 fn replicated_fetch_and_add_on_two_threads_allocates_once_per_payload() {
     let _exclusive = GATE.write().unwrap_or_else(|e| e.into_inner());
     extmem_sim::with_sched_backend(extmem_sim::SchedBackend::Parallel(2), || {
-        let mut t = replicated_fetch_and_add();
+        let mut t = rigs::replicated_fetch_and_add(FRAMES);
         assert_eq!(t.sim.par_stats().partitions, 2);
         assert_ne!(t.sim.partition_of(t.switch), t.sim.partition_of(t.hosts[0]));
         let per_frame = allocs_per_frame(

@@ -26,6 +26,8 @@ use extmem_sim::{FaultSpec, LinkSpec, Node, NodeCtx, SimBuilder};
 use extmem_types::{PortId, TimeDelta};
 use extmem_wire::{CounterSpan, Packet};
 
+mod rigs;
+
 /// Sends pre-built packets (constructed before the run so in-run allocation
 /// deltas are attributable to the engine, not the workload) and keeps a
 /// clone of each — the "sender's view" the CoW tests check.
@@ -296,6 +298,57 @@ fn multi_hop_forwarding_digests_each_packet_once() {
             "corrupted copy must digest differently"
         );
     }
+}
+
+/// Cold content digests per offered frame, one row per primitive, as exact
+/// counts: a frame is hashed when the trace first folds it and again only
+/// after a header rewrite, so a change that loses the cache (a clone taken
+/// before the hash, a payload rebuilt where it could be shared) moves a
+/// count here instead of hiding in host-time noise.
+#[test]
+fn cold_digests_per_frame_are_exact() {
+    use extmem_apps::scenario::Built;
+    use extmem_apps::workload::SinkNode;
+    use extmem_core::packet_buffer::PacketBufferProgram;
+    use extmem_core::state_store::StateStoreProgram;
+    use extmem_switch::SwitchNode;
+    use extmem_types::Time;
+    const FRAMES: u64 = 2_000;
+    let run = |mut t: Built| {
+        let span = CounterSpan::begin();
+        t.sim.run_until(Time::from_millis(5));
+        assert_eq!(t.sim.node::<SinkNode>(t.hosts[1]).received, FRAMES);
+        (span.digests(), t)
+    };
+
+    // The frame as offered, its DSCP-rewritten self on the way out, the
+    // bucket READ or hash-probe op, the response.
+    for remote_ops in [false, true] {
+        let (digests, _) = run(rigs::cuckoo_lookup(remote_ops, FRAMES));
+        assert_eq!(digests, 4 * FRAMES, "lookup, remote ops {remote_ops}");
+    }
+
+    // A frame that goes straight out is hashed once; a detoured one adds
+    // the WRITE, its ACK, the READ, the response, and the frame lifted back
+    // out of the response (new bytes as far as the cache can tell).
+    let (digests, t) = run(rigs::packet_buffer(FRAMES));
+    let sw: &SwitchNode = t.sim.node(t.switch);
+    let stored = sw.program::<PacketBufferProgram>().stats().stored;
+    assert!(stored > FRAMES * 9 / 10, "the run must exercise the detour");
+    assert_eq!(digests, FRAMES + 5 * stored, "packet buffer, {stored} stored");
+
+    // The frame (forwarded untouched), the Fetch-and-Add, its atomic ACK;
+    // the same pair again for each delta replayed to the mirror.
+    let (digests, t) = run(rigs::replicated_fetch_and_add(FRAMES));
+    let sw: &SwitchNode = t.sim.node(t.switch);
+    let faa = sw.program::<StateStoreProgram>().faa_stats();
+    let replayed = faa.pool.delta_replayed;
+    assert!(replayed > 0, "the mirror must be fed");
+    assert_eq!(
+        digests,
+        3 * FRAMES + 2 * replayed,
+        "replicated fetch-and-add, {replayed} deltas replayed"
+    );
 }
 
 #[test]

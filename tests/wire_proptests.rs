@@ -338,6 +338,41 @@ proptest! {
         prop_assert_eq!(q.as_slice()[at] ^ data[at], 1 << bit);
     }
 
+    /// The content digest on arbitrary bytes: any one flipped bit, any two
+    /// distinct words exchanged (whichever lanes, blocks or tail they sit
+    /// in) and any run of appended zero bytes changes it, and a packet's
+    /// cached digest is `digest64` of its bytes.
+    #[test]
+    fn digest64_tells_flips_swaps_and_zero_padding_apart(
+        data in proptest::collection::vec(any::<u8>(), 16..600),
+        bit in any::<prop::sample::Index>(),
+        a in any::<prop::sample::Index>(),
+        b in any::<prop::sample::Index>(),
+        zeros in 1usize..80,
+    ) {
+        use extmem_wire::packet::digest64;
+        let h = digest64(&data);
+        prop_assert_eq!(Packet::from_vec(data.clone()).digest(), h);
+
+        let mut flipped = data.clone();
+        let at = bit.index(data.len() * 8);
+        flipped[at / 8] ^= 1 << (at % 8);
+        prop_assert_ne!(digest64(&flipped), h, "bit {} of {} B", at, data.len());
+
+        let (a, b) = (a.index(data.len() / 8) * 8, b.index(data.len() / 8) * 8);
+        if data[a..a + 8] != data[b..b + 8] {
+            let mut swapped = data.clone();
+            for i in 0..8 {
+                swapped.swap(a + i, b + i);
+            }
+            prop_assert_ne!(digest64(&swapped), h, "words at {} and {} of {} B", a, b, data.len());
+        }
+
+        let mut padded = data.clone();
+        padded.resize(data.len() + zeros, 0);
+        prop_assert_ne!(digest64(&padded), h, "{} B + {} zero bytes", data.len(), zeros);
+    }
+
     /// The slice-by-8 CRC must be bit-identical to the byte-at-a-time
     /// oracle for any data, any starting state, and any split point (the
     /// masked-prefix ICRC path feeds the CRC in two runs).
