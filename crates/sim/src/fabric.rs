@@ -169,7 +169,9 @@ mod tests {
 
     impl Relay {
         fn new(map: Vec<u16>) -> Relay {
-            let qs = (0..map.len() as u16).map(|p| TxQueue::new(PortId(p))).collect();
+            let qs = (0..map.len() as u16)
+                .map(|p| TxQueue::new(PortId(p)))
+                .collect();
             Relay { map, qs }
         }
     }

@@ -37,10 +37,10 @@ pub mod queue;
 pub mod trace;
 
 pub use engine::{SimBuilder, Simulator};
-pub use fabric::{Fabric, FabricSpec};
 pub use event::{with_sched_backend, SchedBackend, SchedStats, TimerHandle};
-pub use partition::ParStats;
+pub use fabric::{Fabric, FabricSpec};
 pub use link::{FaultSpec, LinkSpec, LinkStats};
 pub use node::{Node, NodeCtx};
+pub use partition::ParStats;
 pub use queue::TxQueue;
 pub use trace::{TraceEvent, TraceSink};

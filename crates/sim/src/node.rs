@@ -101,7 +101,8 @@ impl NodeCtx<'_> {
     /// Like [`NodeCtx::schedule`], but returns a handle the node can pass
     /// to [`NodeCtx::cancel_timer`] if the timer becomes moot.
     pub fn schedule_cancellable(&mut self, delay: TimeDelta, token: u64) -> TimerHandle {
-        self.core.schedule_timer_cancellable(self.node, delay, token)
+        self.core
+            .schedule_timer_cancellable(self.node, delay, token)
     }
 
     /// Cancel a timer scheduled with [`NodeCtx::schedule_cancellable`].
