@@ -146,12 +146,11 @@ fn bench_kernels() {
         node: NodeId(node),
         port: PortId(0),
     };
-    let (from, to) = (end(0), end(1));
-    let mut sink = TraceSink::disabled([(from, to)]);
+    let mut sink = TraceSink::disabled([(end(0), end(1))]);
     let mut at = Time::ZERO;
     bench("kernel", "trace_fold", 1_000_000, || {
         at += TimeDelta::from_nanos(200);
-        sink.record_delivery(0, at, from, to, 256, black_box(0x1234_5678_9abc_def0));
+        sink.record_delivery(0, at, 256, black_box(0x1234_5678_9abc_def0));
         sink.dir_digest(0)
     });
 }

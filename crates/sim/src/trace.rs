@@ -41,6 +41,8 @@ const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// One link direction's rolling state.
 struct DirTrace {
+    from: Endpoint,
+    to: Endpoint,
     digest: u64,
     count: u64,
     events: Vec<TraceEvent>,
@@ -63,6 +65,8 @@ impl TraceSink {
     pub fn disabled(ends: impl IntoIterator<Item = (Endpoint, Endpoint)>) -> TraceSink {
         let word = |e: Endpoint| (e.node.raw() as u64) << 16 | e.port.raw() as u64;
         let dirs = ends.into_iter().map(|(from, to)| DirTrace {
+            from,
+            to,
             digest: [word(from), word(to)]
                 .into_iter()
                 .fold(FNV_OFFSET, fold_word),
@@ -83,20 +87,12 @@ impl TraceSink {
         }
     }
 
-    /// Fold one delivery on direction `dir` — which must run `from` → `to`,
-    /// the pair the sink was built with — into its rolling digest. This is
-    /// the hot path (it runs on every delivered packet): three rounds, no
+    /// Fold one delivery on direction `dir` into its rolling digest. This
+    /// is the hot path (it runs on every delivered packet): three rounds, no
     /// allocation, and when recording is disabled no [`TraceEvent`] is ever
-    /// materialized.
-    pub fn record_delivery(
-        &mut self,
-        dir: usize,
-        at: Time,
-        from: Endpoint,
-        to: Endpoint,
-        len: usize,
-        digest: u64,
-    ) {
+    /// materialized; a recorded one takes its endpoints from the pair the
+    /// sink was built with.
+    pub fn record_delivery(&mut self, dir: usize, at: Time, len: usize, digest: u64) {
         let d = &mut self.dirs[dir];
         d.digest = [at.picos(), len as u64, digest]
             .into_iter()
@@ -105,8 +101,8 @@ impl TraceSink {
         if self.record {
             d.events.push(TraceEvent {
                 at,
-                from,
-                to,
+                from: d.from,
+                to: d.to,
                 len,
                 digest,
             });
@@ -163,7 +159,7 @@ mod tests {
     }
 
     fn record(sink: &mut TraceSink, dir: usize, e: TraceEvent) {
-        sink.record_delivery(dir, e.at, e.from, e.to, e.len, e.digest);
+        sink.record_delivery(dir, e.at, e.len, e.digest);
     }
 
     #[test]
@@ -242,7 +238,7 @@ mod tests {
         let mut dis = TraceSink::disabled(ends(1));
         record(&mut rec, 0, ev(5, 7));
         record(&mut dis, 0, ev(5, 7));
-        assert_eq!(rec.dir_events(0).len(), 1);
+        assert_eq!(rec.dir_events(0), [ev(5, 7)], "endpoints from the sink");
         assert_eq!(dis.dir_events(0).len(), 0);
         assert_eq!(rec.dir_digest(0), dis.dir_digest(0));
     }

@@ -32,6 +32,11 @@ fi
 echo "== cargo clippy (deny warnings) =="
 cargo clippy --all-targets -- -D warnings
 
+echo "== rustfmt (sim, wire, types) =="
+# The crates that are rustfmt-clean stay clean; the others are not
+# formatted yet and are left out until they are.
+cargo fmt -p extmem-sim -p extmem-wire -p extmem-types -- --check
+
 echo "== no hand-placed buffer returns =="
 # A frame buffer goes back to the pool when its payload's last owner drops
 # it (wire::bytes::Frame); the call that used to do it by hand, and the
@@ -70,15 +75,17 @@ echo "== allocation budget (release) =="
 cargo test -q --release --test alloc_budget
 
 echo "== scheduler equivalence proptests (release) =="
-# The timing-wheel vs binary-heap oracle properties plus the parallel
-# engine's lookahead-safety and digest-equivalence properties, under the
-# optimized profile (overflow/ordering bugs can be profile-dependent).
+# The timing wheel against the binary-heap oracle and a sorted-list model
+# (across the ring's far boundary), plus the parallel engine's
+# lookahead-safety and digest-equivalence properties, under the optimized
+# profile (overflow/ordering bugs can be profile-dependent).
 cargo test -q --release --test structure_proptests
 
 echo "== engine, timing-wheel, frame-pool and encoder tests (release) =="
 # The engine's own tests (partitioner, promise cadence against a scripted
-# peer, parallel == wheel fingerprints), the wheel's fast-path test (a
-# parked far timer must not push near events onto the candidate sweep),
+# peer, parallel == wheel fingerprints), the wheel's tests (a parked
+# retransmission timer is the only far key while near events churn; keys
+# at the ring's far boundary pop in exact order),
 # the wire crate's per-thread pool and counter tests (a payload's last drop
 # on another thread, and from a thread-local destructor after the pool is
 # gone) and the one frame encoder's byte-equality properties (any split of

@@ -301,6 +301,78 @@ mod event_queue {
                 .0;
             Some(self.pending.remove(min))
         }
+
+        /// Drop the pending event carrying `token`, as cancelling its timer
+        /// does; `false` once it has popped.
+        fn remove(&mut self, token: u64) -> bool {
+            let Some(i) = self.pending.iter().position(|p| p.2 == token) else {
+                return false;
+            };
+            self.pending.remove(i);
+            true
+        }
+    }
+
+    fn timer(token: u64) -> EventKind {
+        EventKind::Timer {
+            node: NodeId(0),
+            token,
+        }
+    }
+
+    fn token_of(kind: EventKind) -> u64 {
+        let EventKind::Timer { token, .. } = kind else {
+            panic!("queue returned a non-timer event");
+        };
+        token
+    }
+
+    /// Pop one event from each and check they agree; returns the pop time.
+    fn pop_both(q: &mut EventQueue, model: &mut ModelQueue) -> Result<Option<Time>, TestCaseError> {
+        match (q.pop(), model.pop()) {
+            (None, None) => Ok(None),
+            (Some(got), Some((at, seq, tok))) => {
+                prop_assert_eq!((got.at, got.seq), (at, seq));
+                prop_assert_eq!(token_of(got.kind), tok);
+                Ok(Some(at))
+            }
+            (a, b) => Err(TestCaseError::fail(format!(
+                "emptiness diverged: queue={} model={}",
+                a.is_some(),
+                b.is_some()
+            ))),
+        }
+    }
+
+    /// Picoseconds per wheel granule.
+    const GRANULE: u64 = 4096;
+
+    /// A time in one of the wheel's regimes, counted from `now` (the last
+    /// popped time, whose granule the cursor has reached): the granule of
+    /// `now` itself (forced ties), inside the 256-granule ring, 255, 256 or
+    /// 257 granules ahead (the far boundary), far, and very far.
+    fn time_for(class: u8, r: u64, now: Time) -> Time {
+        let base = now.picos() / GRANULE * GRANULE;
+        let ahead = match class % 5 {
+            0 => r % GRANULE,
+            1 => r % (256 * GRANULE),
+            2 => (255 + r % 3) * GRANULE + (r >> 2) % GRANULE,
+            3 => 1_000_000 + r % 500_000_000,          // 1 us .. 0.5 ms
+            _ => 1_000_000_000_000 * (1 + r % 3) + r % GRANULE, // seconds
+        };
+        Time::from_picos(base + ahead)
+    }
+
+    /// [`time_for`], plus a sixth regime: the granule of a pending event —
+    /// its very instant or another one in it — so that a key pushed after
+    /// the cursor moved on ties with one that went far before it did.
+    fn model_time(class: u8, r: u64, now: Time, model: &ModelQueue) -> Time {
+        if class % 6 != 5 || model.pending.is_empty() {
+            return time_for(class, r, now);
+        }
+        let at = model.pending[(r as usize) % model.pending.len()].0.picos();
+        let same_granule = at / GRANULE * GRANULE + (r >> 1) % GRANULE;
+        Time::from_picos(if r & 1 == 0 { at } else { same_granule })
     }
 
     proptest! {
@@ -318,59 +390,67 @@ mod event_queue {
                 if push {
                     // Times drawn from 8 values force heavy (at,) ties so
                     // the seq tie-break is actually exercised.
-                    q.push(Time::from_nanos(t), EventKind::Timer { node: NodeId(0), token });
+                    q.push(Time::from_nanos(t), timer(token));
                     model.push(Time::from_nanos(t), token);
                     token += 1;
                 } else {
-                    match (q.pop(), model.pop()) {
-                        (None, None) => {}
-                        (Some(got), Some((at, seq, tok))) => {
-                            prop_assert_eq!(got.at, at);
-                            prop_assert_eq!(got.seq, seq);
-                            let EventKind::Timer { token: got_tok, .. } = got.kind else {
-                                return Err(TestCaseError::fail("wrong event kind"));
-                            };
-                            prop_assert_eq!(got_tok, tok);
-                        }
-                        (a, b) => {
-                            return Err(TestCaseError::fail(format!(
-                                "emptiness diverged: queue={} model={}",
-                                a.is_some(),
-                                b.is_some()
-                            )));
+                    pop_both(&mut q, &mut model)?;
+                }
+            }
+            // Drain both: the tails must agree too.
+            while pop_both(&mut q, &mut model)?.is_some() {}
+            prop_assert!(q.is_empty());
+        }
+
+        /// The production queue against the reference model across the
+        /// ring's edge: pushes 255/256/257 granules past the last pop, far
+        /// keys joined later by near ones in the same granule (same instant
+        /// or not), and cancel-then-reschedule, interleaved with pops.
+        #[test]
+        fn queue_matches_model_across_the_ring_boundary(
+            ops in proptest::collection::vec((0u8..4, any::<u8>(), any::<u64>()), 1..400),
+        ) {
+            let mut q = EventQueue::new();
+            let mut model = ModelQueue::default();
+            let mut handles = Vec::new();
+            let mut now = Time::ZERO;
+            let mut token = 0u64;
+            for (kind, class, r) in ops {
+                let at = model_time(class, r, now, &model);
+                match kind {
+                    0 => {
+                        q.push(at, timer(token));
+                        model.push(at, token);
+                        token += 1;
+                    }
+                    1 => {
+                        handles.push((q.push_timer(at, NodeId(0), token), token));
+                        model.push(at, token);
+                        token += 1;
+                    }
+                    // Cancel a random handle (stale once it fired), then
+                    // re-arm at another time.
+                    2 if !handles.is_empty() => {
+                        let (h, tok) = handles.remove((r as usize) % handles.len());
+                        prop_assert_eq!(q.cancel(h), model.remove(tok));
+                        let at = model_time(class.wrapping_add(1), r ^ 0x5555, now, &model);
+                        handles.push((q.push_timer(at, NodeId(0), token), token));
+                        model.push(at, token);
+                        token += 1;
+                    }
+                    _ => {
+                        if let Some(at) = pop_both(&mut q, &mut model)? {
+                            now = at;
                         }
                     }
                 }
             }
-            // Drain both: the tails must agree too.
-            while let Some((at, seq, tok)) = model.pop() {
-                let got = q.pop().expect("queue drained early");
-                prop_assert_eq!((got.at, got.seq), (at, seq));
-                let EventKind::Timer { token: got_tok, .. } = got.kind else {
-                    return Err(TestCaseError::fail("wrong event kind"));
-                };
-                prop_assert_eq!(got_tok, tok);
-            }
-            prop_assert!(q.pop().is_none());
+            while pop_both(&mut q, &mut model)?.is_some() {}
             prop_assert!(q.is_empty());
         }
     }
 
     use extmem_sim::{with_sched_backend, SchedBackend};
-
-    /// A time in one of the wheel's distinct regimes: same-granule ties,
-    /// the L0 fine ring, each coarse level, the horizon edge, and the
-    /// far-future overflow map.
-    fn time_for(class: u8, r: u64) -> Time {
-        match class % 6 {
-            0 => Time::from_picos(r % 4096),        // one granule: forced ties
-            1 => Time::from_nanos(r % 2_000_000),   // L0 / L1
-            2 => Time::from_micros(r % 500),        // L1 / L2
-            3 => Time::from_millis(r % 270),        // L2 / L3
-            4 => Time::from_millis(270 + r % 100),  // the ~275 ms horizon edge
-            _ => Time::from_secs(1 + r % 3),        // deep overflow
-        }
-    }
 
     /// Run one op script against a chosen scheduler backend and log every
     /// observable: pop results (time, seq, token), pop-empty, and cancel
@@ -380,20 +460,18 @@ mod event_queue {
             let mut q = EventQueue::new();
             let mut handles = Vec::new();
             let mut log = Vec::new();
+            let mut now = Time::ZERO;
             let mut token = 0u64;
             for &(kind, class, r) in ops {
                 match kind % 4 {
                     // Plain push (no handle kept).
                     0 => {
-                        q.push(
-                            time_for(class, r),
-                            EventKind::Timer { node: NodeId(0), token },
-                        );
+                        q.push(time_for(class, r, now), timer(token));
                         token += 1;
                     }
                     // Cancellable push.
                     1 => {
-                        handles.push(q.push_timer(time_for(class, r), NodeId(0), token));
+                        handles.push(q.push_timer(time_for(class, r, now), NodeId(0), token));
                         token += 1;
                     }
                     // Cancel-then-reschedule: revoke a random live handle
@@ -404,7 +482,7 @@ mod event_queue {
                         let cancelled = q.cancel(h);
                         log.push((u64::MAX, cancelled as u64, u64::MAX));
                         handles.push(q.push_timer(
-                            time_for(class.wrapping_add(1), r ^ 0x5555),
+                            time_for(class.wrapping_add(1), r ^ 0x5555, now),
                             NodeId(0),
                             token,
                         ));
@@ -412,20 +490,15 @@ mod event_queue {
                     }
                     _ => match q.pop() {
                         Some(s) => {
-                            let EventKind::Timer { token: t, .. } = s.kind else {
-                                panic!("queue returned a non-timer event");
-                            };
-                            log.push((s.at.picos(), s.seq, t));
+                            now = s.at;
+                            log.push((s.at.picos(), s.seq, token_of(s.kind)));
                         }
                         None => log.push((0, 0, u64::MAX - 1)),
                     },
                 }
             }
             while let Some(s) = q.pop() {
-                let EventKind::Timer { token: t, .. } = s.kind else {
-                    panic!("queue returned a non-timer event");
-                };
-                log.push((s.at.picos(), s.seq, t));
+                log.push((s.at.picos(), s.seq, token_of(s.kind)));
             }
             log
         })
@@ -434,8 +507,8 @@ mod event_queue {
     proptest! {
         /// The timing wheel and the binary-heap oracle are observationally
         /// identical for any interleaving of pushes across every wheel
-        /// regime — equal-time ties, all coarse levels, the horizon edge,
-        /// and far-future overflow — plus pops and cancel-then-reschedule.
+        /// regime — same-granule ties, the ring, its far boundary, far and
+        /// very far keys — plus pops and cancel-then-reschedule.
         #[test]
         fn wheel_matches_heap_oracle(
             ops in proptest::collection::vec((0u8..8, any::<u8>(), any::<u64>()), 1..400),
@@ -445,16 +518,15 @@ mod event_queue {
             prop_assert_eq!(wheel, heap);
         }
 
-        /// Far-future events only: everything lands in the overflow map (or
-        /// the outermost level) and must still drain in exact (at, seq)
-        /// order on both backends.
+        /// Far-future events only: everything lands in the far heap and
+        /// must still drain in exact (at, seq) order on both backends.
         #[test]
         fn far_future_overflow_matches_oracle(
             times in proptest::collection::vec(0u64..10_000, 1..200),
         ) {
             let ops: Vec<(u8, u8, u64)> = times
                 .iter()
-                .map(|&t| (1u8, 4 + (t % 2) as u8, t))
+                .map(|&t| (1u8, 3 + (t % 2) as u8, t))
                 .collect();
             let wheel = run_script(SchedBackend::Wheel, &ops);
             let heap = run_script(SchedBackend::Heap, &ops);
