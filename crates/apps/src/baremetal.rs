@@ -177,7 +177,10 @@ pub fn run_gateway(cfg: GatewayConfig) -> GatewayResult {
         sent: cfg.count,
         delivered: sink.received,
         untranslated,
-        latency: sink.latency.summarize().expect("gateway delivered no packets"),
+        latency: sink
+            .latency
+            .summarize()
+            .expect("gateway delivered no packets"),
         lookup: prog.stats(),
         cache_hit_rate: prog.cache_hit_rate(),
         server_cpu_packets: sim.node::<RnicNode>(servers[0]).stats().cpu_packets,
@@ -357,7 +360,10 @@ pub fn run_dscp_lookup(
     assert_eq!(sink.dscp_mismatch, 0, "action not applied");
     let sw: &SwitchNode = t.sim.node::<SwitchNode>(t.switch);
     let prog = sw.program::<DirectTableProgram>();
-    (sink.latency.summarize().expect("no packets delivered"), prog.stats())
+    (
+        sink.latency.summarize().expect("no packets delivered"),
+        prog.stats(),
+    )
 }
 
 /// Experiment E2 baseline: "a simple P4 implementation of L2 switch

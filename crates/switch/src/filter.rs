@@ -146,7 +146,13 @@ mod tests {
     use super::*;
 
     fn flow(n: u32) -> FiveTuple {
-        FiveTuple::new(0x0a00_0000 + n, 0x0a63_0000, 1000 + (n % 50_000) as u16, 80, 6)
+        FiveTuple::new(
+            0x0a00_0000 + n,
+            0x0a63_0000,
+            1000 + (n % 50_000) as u16,
+            80,
+            6,
+        )
     }
 
     #[test]
