@@ -181,57 +181,91 @@ fn bench_switch_units() {
     });
 }
 
-/// Engine throughput: a two-node blast measured in events processed.
+/// Engine throughput: a sender pushing 1001 frames of 256 B through a
+/// `TxQueue` to a sink, measured per run. Two pacings cover the engine's
+/// two transmit paths: `blast` sends each frame from the last one's
+/// completion, so every completion is an event; `paced` sends from a timer
+/// at 30 ns intervals onto an idle port (256 B take 20.48 ns at 100G), so
+/// no completion is.
 fn bench_engine() {
     use extmem_sim::{LinkSpec, Node, NodeCtx, SimBuilder, TxQueue};
     use extmem_wire::Packet;
 
-    struct Blaster {
-        n: u32,
+    const FRAMES: u64 = 1001;
+
+    struct Sender {
+        left: u64,
         tx: TxQueue,
+        /// Send the next frame this long after the last; `None` sends it
+        /// when the last one completes.
+        gap: Option<TimeDelta>,
     }
-    impl Node for Blaster {
+    impl Sender {
+        fn send_next(&mut self, ctx: &mut NodeCtx<'_>) {
+            if self.left == 0 {
+                return;
+            }
+            self.left -= 1;
+            self.tx.send(ctx, Packet::zeroed(256));
+            if self.left > 0 {
+                match self.gap {
+                    Some(gap) => ctx.schedule(gap, 0),
+                    None => ctx.watch_tx_done(PortId(0)),
+                }
+            }
+        }
+    }
+    impl Node for Sender {
         fn on_packet(&mut self, _: &mut NodeCtx<'_>, _: PortId, _: Packet) {}
         fn on_timer(&mut self, ctx: &mut NodeCtx<'_>, _: u64) {
-            self.tx.send(ctx, Packet::zeroed(256));
+            self.send_next(ctx);
         }
         fn on_tx_done(&mut self, ctx: &mut NodeCtx<'_>, _: PortId) {
             self.tx.on_tx_done(ctx);
-            if self.n > 0 {
-                self.n -= 1;
-                self.tx.send(ctx, Packet::zeroed(256));
+            if self.gap.is_none() {
+                self.send_next(ctx);
             }
         }
         fn name(&self) -> &str {
-            "blaster"
+            "sender"
         }
     }
-    struct Sink;
+    struct Sink {
+        rx: u64,
+    }
     impl Node for Sink {
-        fn on_packet(&mut self, _: &mut NodeCtx<'_>, _: PortId, _: Packet) {}
+        fn on_packet(&mut self, _: &mut NodeCtx<'_>, _: PortId, _: Packet) {
+            self.rx += 1;
+        }
         fn name(&self) -> &str {
             "sink"
         }
     }
 
-    bench("engine", "blast_1000_packets", 200, || {
+    let run = |gap: Option<TimeDelta>| {
         let mut builder = SimBuilder::new(1);
-        let bl = builder.add_node(Box::new(Blaster {
-            n: 1000,
+        let tx = builder.add_node(Box::new(Sender {
+            left: FRAMES,
             tx: TxQueue::new(PortId(0)),
+            gap,
         }));
-        let sk = builder.add_node(Box::new(Sink));
+        let sk = builder.add_node(Box::new(Sink { rx: 0 }));
         builder.connect(
-            bl,
+            tx,
             PortId(0),
             sk,
             PortId(0),
             LinkSpec::new(Rate::from_gbps(100), TimeDelta::from_nanos(100)),
         );
         let mut sim = builder.build();
-        sim.schedule_timer(bl, TimeDelta::ZERO, 0);
+        sim.schedule_timer(tx, TimeDelta::ZERO, 0);
         sim.run_to_quiescence();
+        assert_eq!(sim.node::<Sink>(sk).rx, FRAMES, "the run sent every frame");
         sim.events_processed()
+    };
+    bench("engine", "blast_1000_packets", 200, || run(None));
+    bench("engine", "paced_1000_packets", 200, || {
+        run(Some(TimeDelta::from_nanos(30)))
     });
 }
 

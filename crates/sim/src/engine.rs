@@ -32,12 +32,31 @@ use std::sync::Arc;
 /// this prefix (see the comment at the injection site in [`EngineCore::start_tx`]).
 const CLASSIFICATION_PREFIX: usize = 14 + 20 + 8;
 
-/// FIFO lane ids: two per link direction.
-const LANE_DELIVER: u32 = 0;
-const LANE_TX_DONE: u32 = 1;
+/// A position in the `(at, seq)` total order.
+type OrderKey = (Time, u64);
 
-fn lane_of(link: usize, end: usize, kind: u32) -> u32 {
-    (link as u32) * 4 + (end as u32) * 2 + kind
+/// One port's transmit state: where its last transmit's completion sits in
+/// the total order, and whether that completion is an event in the queue.
+///
+/// The port is busy while the completion lies beyond the engine's horizon
+/// (see [`EngineCore::horizon`]) or its event is still queued. A completion
+/// nobody watches is never pushed: it passes when the horizon does, at the
+/// exact key its `TxDone` would have had.
+#[derive(Clone, Copy)]
+struct TxPort {
+    done: OrderKey,
+    scheduled: bool,
+}
+
+impl TxPort {
+    const IDLE: TxPort = TxPort {
+        done: (Time::ZERO, 0),
+        scheduled: false,
+    };
+
+    fn busy(&self, horizon: OrderKey) -> bool {
+        self.scheduled || self.done > horizon
+    }
 }
 
 /// Events dispatched per worker-loop round before the dispatch bound is
@@ -111,10 +130,16 @@ pub struct EngineCore {
     part: u32,
     topo: Arc<Topo>,
     queue: EventQueue,
+    /// The highest `(at, seq)` dispatched so far, raised to `(deadline,
+    /// u64::MAX)` when `run_until` returns and past every recorded
+    /// completion at quiescence. A maximum rather than the current key: a
+    /// zero-delay event can be dispatched after a larger key.
+    horizon: OrderKey,
+    /// The latest completion key recorded on any port.
+    latest_done: OrderKey,
     dirs: Vec<DirState>,
-    /// `busy[node][port]`: whether a transmit is in flight, shaped like
-    /// `topo.ports`.
-    busy: Vec<Vec<bool>>,
+    /// `tx[node][port]`, shaped like `topo.ports`.
+    tx: Vec<Vec<TxPort>>,
     /// Per-node crash flag: while set, the node's deliveries and timers are
     /// blackholed (counted in `crash_drops`) instead of dispatched.
     crashed: Vec<bool>,
@@ -137,12 +162,40 @@ pub struct EngineCore {
 }
 
 impl EngineCore {
-    pub(crate) fn set_tx_idle(&mut self, node: NodeId, port: PortId) {
-        self.busy[node.raw() as usize][port.raw() as usize] = false;
+    pub(crate) fn tx_busy(&self, node: NodeId, port: PortId) -> bool {
+        self.tx[node.raw() as usize]
+            .get(port.raw() as usize)
+            .is_some_and(|p| p.busy(self.horizon))
     }
 
-    pub(crate) fn tx_busy(&self, node: NodeId, port: PortId) -> bool {
-        self.topo.slot(node, port).is_some() && self.busy[node.raw() as usize][port.raw() as usize]
+    /// Push the `TxDone` of the transmit in flight on `port`, at the key
+    /// [`EngineCore::start_tx`] recorded, unless the port is idle or that
+    /// event is already queued.
+    pub(crate) fn watch_tx_done(&mut self, node: NodeId, port: PortId) {
+        let Some(p) = self.tx[node.raw() as usize].get_mut(port.raw() as usize) else {
+            return;
+        };
+        if !p.scheduled && p.done > self.horizon {
+            p.scheduled = true;
+            let (at, tie) = p.done;
+            self.queue
+                .push_keyed(at, tie, EventKind::TxDone { node, port });
+        }
+    }
+
+    /// `run_until(deadline)` returned: the clock reaches the deadline even
+    /// if the queue went quiet, and every completion at or before it has
+    /// passed, as its event would have.
+    fn reach_deadline(&mut self, deadline: Time) {
+        self.now = self.now.max(deadline);
+        self.horizon = self.horizon.max((deadline, u64::MAX));
+    }
+
+    /// Let every recorded completion pass, as at quiescence: the clock
+    /// ends where the last of them would have fired as an event.
+    fn pass_completions(&mut self) {
+        self.horizon = self.horizon.max(self.latest_done);
+        self.now = self.now.max(self.latest_done.0);
     }
 
     pub(crate) fn port_link(&self, node: NodeId, port: PortId) -> Option<LinkId> {
@@ -159,14 +212,18 @@ impl EngineCore {
             .rate_from(slot.end as usize)
     }
 
-    pub(crate) fn start_tx(&mut self, node: NodeId, port: PortId, packet: Packet) {
+    /// Serialize `packet` out of `port`. A `watched` transmit pushes its
+    /// `TxDone`; an unwatched one only records the completion's key, and
+    /// [`EngineCore::watch_tx_done`] can push it later.
+    pub(crate) fn start_tx(&mut self, node: NodeId, port: PortId, packet: Packet, watched: bool) {
         let slot = self
             .topo
             .slot(node, port)
             .unwrap_or_else(|| panic!("start_tx on unconnected port {node:?}/{port:?}"));
-        let busy = &mut self.busy[node.raw() as usize][port.raw() as usize];
-        assert!(!*busy, "start_tx while port busy: {node:?}/{port:?}");
-        *busy = true;
+        assert!(
+            !self.tx_busy(node, port),
+            "start_tx while port busy: {node:?}/{port:?}"
+        );
         let (lid, end) = (slot.link as usize, slot.end as usize);
         let dir = lid * 2 + end;
         let (ser, prop, faults, dst) = {
@@ -179,19 +236,35 @@ impl EngineCore {
             )
         };
         let done_at = self.now + ser;
-
-        {
+        // Every transmit draws its completion's tie, scheduled or not, so a
+        // completion that does become an event keys exactly as if all of
+        // them did.
+        let tie = {
             let ds = &mut self.dirs[dir];
-            ds.stats.tx_packets += 1;
-            ds.stats.tx_bytes += packet.len() as u64;
-            if !ds.admin_up {
-                // Administratively down: the bits leave the transceiver and
-                // die. TxDone still fires so the sender's port cycles
-                // normally.
-                ds.stats.admin_drops += 1;
-                self.push_tx_done(dir, done_at, node, port);
-                return;
-            }
+            let s = ds.txdone_seq;
+            ds.txdone_seq = s.checked_add(1).expect("tx-done seq overflow");
+            tie::pack(tie::CLASS_TX_DONE, dir as u32, s)
+        };
+        let done = (done_at, tie);
+        self.latest_done = self.latest_done.max(done);
+        // A completion keyed below the horizon (a zero-length frame started
+        // after a later-keyed event at the same instant) would read as
+        // already passed: it must be an event to keep the port busy.
+        let scheduled = watched || done < self.horizon;
+        self.tx[node.raw() as usize][port.raw() as usize] = TxPort { done, scheduled };
+        if scheduled {
+            self.queue
+                .push_keyed(done_at, tie, EventKind::TxDone { node, port });
+        }
+
+        let ds = &mut self.dirs[dir];
+        ds.stats.tx_packets += 1;
+        ds.stats.tx_bytes += packet.len() as u64;
+        if !ds.admin_up {
+            // Administratively down: the bits leave the transceiver and
+            // die. The port still cycles normally.
+            ds.stats.admin_drops += 1;
+            return;
         }
 
         // Fault injection is decided at transmit time, drawing from this
@@ -200,10 +273,9 @@ impl EngineCore {
         // every backend.
         let base_arrival = done_at + prop;
         let mut arrival = base_arrival;
-        let mut deliver = Some(packet);
+        let mut pkt = packet;
         let mut duplicate = false;
         if faults.is_active() {
-            let ds = &mut self.dirs[dir];
             if faults.reorder_prob > 0.0 && ds.rng.gen_bool(faults.reorder_prob) {
                 // Held back: packets serialized after this one overtake it.
                 arrival += faults.reorder_delay;
@@ -211,61 +283,53 @@ impl EngineCore {
             }
             if faults.drop_prob > 0.0 && ds.rng.gen_bool(faults.drop_prob) {
                 ds.stats.dropped_packets += 1;
-                deliver = None;
-            } else if faults.corrupt_prob > 0.0 && ds.rng.gen_bool(faults.corrupt_prob) {
-                let mut pkt = deliver.take().unwrap();
-                if !pkt.is_empty() {
-                    // Our frames carry no Ethernet FCS: on a real wire a
-                    // flipped classification bit (MAC, ethertype, IP/UDP
-                    // headers) dies at the receiving MAC before any layer
-                    // sees it. The injector therefore models the post-FCS
-                    // corruption domain — the in-network bit flips that
-                    // only an end-to-end check (ICRC) catches — and flips
-                    // bits past the L2/L3/L4 classification prefix.
-                    let lo = if pkt.len() > CLASSIFICATION_PREFIX {
-                        CLASSIFICATION_PREFIX
-                    } else {
-                        0
-                    };
-                    let idx = ds.rng.gen_range(lo..pkt.len());
-                    pkt.as_mut_slice()[idx] ^= 1 << ds.rng.gen_range(0..8u8);
-                    ds.stats.corrupted_packets += 1;
-                }
-                deliver = Some(pkt);
+                return;
+            }
+            if faults.corrupt_prob > 0.0 && ds.rng.gen_bool(faults.corrupt_prob) && !pkt.is_empty()
+            {
+                // Our frames carry no Ethernet FCS: on a real wire a flipped
+                // classification bit (MAC, ethertype, IP/UDP headers) dies at
+                // the receiving MAC before any layer sees it. The injector
+                // therefore models the post-FCS corruption domain — the
+                // in-network bit flips that only an end-to-end check (ICRC)
+                // catches — and flips bits past the L2/L3/L4 classification
+                // prefix.
+                let lo = if pkt.len() > CLASSIFICATION_PREFIX {
+                    CLASSIFICATION_PREFIX
+                } else {
+                    0
+                };
+                let idx = ds.rng.gen_range(lo..pkt.len());
+                pkt.as_mut_slice()[idx] ^= 1 << ds.rng.gen_range(0..8u8);
+                ds.stats.corrupted_packets += 1;
             }
             // A replayed frame: the same packet arrives twice, back to back.
-            duplicate = deliver.is_some()
-                && faults.duplicate_prob > 0.0
-                && ds.rng.gen_bool(faults.duplicate_prob);
+            duplicate = faults.duplicate_prob > 0.0 && ds.rng.gen_bool(faults.duplicate_prob);
         }
 
-        if let Some(pkt) = deliver {
-            // Deliveries on one link direction arrive in transmit order
-            // (each serialization finishes before the next begins), so they
-            // ride the FIFO lane — unless a reorder fault broke the order.
-            let lane = if arrival == base_arrival {
-                lane_of(lid, end, LANE_DELIVER)
-            } else {
-                NO_LANE
-            };
-            // Hashed before it is cloned, so the copy inherits the cached
-            // digest instead of hashing the same bytes again.
-            let copy = duplicate.then(|| {
-                pkt.digest();
-                pkt.clone()
-            });
-            self.deliver(dir, arrival, lane, dst, pkt);
-            if let Some(copy) = copy {
-                // The copy lands at the same instant but strictly after the
-                // original in the total order (later per-direction seq). It
-                // bypasses the FIFO lane: lanes require non-decreasing push
-                // times and the next real delivery may be earlier-keyed.
-                self.dirs[dir].stats.duplicated_packets += 1;
-                self.deliver(dir, arrival, NO_LANE, dst, copy);
-            }
+        // Deliveries on one link direction arrive in transmit order (each
+        // serialization finishes before the next begins), so they ride the
+        // direction's FIFO lane — unless a reorder fault broke the order.
+        let lane = if arrival == base_arrival {
+            dir as u32
+        } else {
+            NO_LANE
+        };
+        // Hashed before it is cloned, so the copy inherits the cached digest
+        // instead of hashing the same bytes again.
+        let copy = duplicate.then(|| {
+            pkt.digest();
+            pkt.clone()
+        });
+        self.deliver(dir, arrival, lane, dst, pkt);
+        if let Some(copy) = copy {
+            // The copy lands at the same instant but strictly after the
+            // original in the total order (later per-direction seq). It
+            // bypasses the FIFO lane: lanes require non-decreasing push times
+            // and the next real delivery may be earlier-keyed.
+            self.dirs[dir].stats.duplicated_packets += 1;
+            self.deliver(dir, arrival, NO_LANE, dst, copy);
         }
-        // TxDone per port is likewise monotone: one transmit in flight.
-        self.push_tx_done(dir, done_at, node, port);
     }
 
     /// Account, trace, and route one delivery: into the local queue when
@@ -309,19 +373,6 @@ impl EngineCore {
                 },
             );
         }
-    }
-
-    fn push_tx_done(&mut self, dir: usize, at: Time, node: NodeId, port: PortId) {
-        let ds = &mut self.dirs[dir];
-        let s = ds.txdone_seq;
-        ds.txdone_seq = s.checked_add(1).expect("tx-done seq overflow");
-        let t = tie::pack(tie::CLASS_TX_DONE, dir as u32, s);
-        self.queue.push_lane_keyed(
-            at,
-            lane_of(dir / 2, dir & 1, LANE_TX_DONE),
-            t,
-            EventKind::TxDone { node, port },
-        );
     }
 
     /// Ship a delivery to partition `dst`. A full channel never deadlocks:
@@ -464,6 +515,7 @@ impl Partition {
         // delivery drained after reading `safe` has `at >= safe > now`.
         debug_assert!(ev.at >= self.core.now, "event queue went backwards");
         self.core.now = ev.at;
+        self.core.horizon = self.core.horizon.max((ev.at, ev.seq));
         self.core.events_processed += 1;
         match ev.kind {
             EventKind::Deliver { node, port, packet } => {
@@ -478,7 +530,7 @@ impl Partition {
             EventKind::TxDone { node, port } => {
                 // The wire frees up regardless; the callback is what a
                 // crashed node doesn't get.
-                self.core.set_tx_idle(node, port);
+                self.core.tx[node.raw() as usize][port.raw() as usize].scheduled = false;
                 if self.core.crashed[node.raw() as usize] {
                     return;
                 }
@@ -755,7 +807,7 @@ impl SimBuilder {
         let mut parts: Vec<Partition> = (0..k)
             .map(|pid| {
                 let mut queue = EventQueue::new();
-                queue.ensure_lanes(topo.links.len() * 4);
+                queue.ensure_lanes(dirs_n);
                 Partition {
                     worker_counts: ThreadCounts::default(),
                     frame_pool: FreeList::default(),
@@ -765,6 +817,8 @@ impl SimBuilder {
                         part: pid as u32,
                         topo: topo.clone(),
                         queue,
+                        horizon: (Time::ZERO, 0),
+                        latest_done: (Time::ZERO, 0),
                         dirs: (0..dirs_n)
                             .map(|d| DirState {
                                 stats: LinkStats::default(),
@@ -778,10 +832,10 @@ impl SimBuilder {
                                 txdone_seq: 0,
                             })
                             .collect(),
-                        busy: topo
+                        tx: topo
                             .ports
                             .iter()
-                            .map(|row| vec![false; row.len()])
+                            .map(|row| vec![TxPort::IDLE; row.len()])
                             .collect(),
                         crashed: vec![false; n],
                         crash_drops: vec![0; n],
@@ -972,14 +1026,13 @@ impl Simulator {
             part.dispatch(ev);
             n += 1;
         }
-        // Advance the clock to the deadline even if the queue went quiet.
-        if part.core.now < deadline {
-            part.core.now = deadline;
-        }
+        part.core.reach_deadline(deadline);
         n
     }
 
-    /// Run until the event queue is empty. Returns events processed.
+    /// Run until the event queue is empty. Returns events processed. The
+    /// clock ends at the last event or the last completion, whichever is
+    /// later.
     pub fn run_to_quiescence(&mut self) -> u64 {
         if self.parts.len() > 1 {
             return self.run_parallel(Time::from_picos(u64::MAX), true);
@@ -990,6 +1043,7 @@ impl Simulator {
             part.dispatch(ev);
             n += 1;
         }
+        part.core.pass_completions();
         // Quiescence is the natural point to hand a storm's peak slab
         // capacity back to the allocator.
         part.core.queue.release_excess();
@@ -1033,25 +1087,27 @@ impl Simulator {
             std::mem::take(&mut p.worker_counts).absorb();
             p.frame_pool.give_back();
         }
-        if quiesce {
-            // Partitions stop at the time of their own last event; the
-            // simulation's quiescence instant is the latest of those.
-            let max_now = self
-                .parts
-                .iter()
-                .map(|p| p.core.now)
-                .max()
-                .expect("at least one partition");
-            for p in &mut self.parts {
-                p.core.now = max_now;
+        for p in &mut self.parts {
+            if quiesce {
+                p.core.pass_completions();
                 p.core.queue.release_excess();
+            } else {
+                p.core.reach_deadline(deadline);
             }
-        } else {
-            for p in &mut self.parts {
-                if p.core.now < deadline {
-                    p.core.now = deadline;
-                }
-            }
+        }
+        // Partitions stop at the time of their own last event or
+        // completion; the simulation's instant is the latest of those, and
+        // its horizon the highest key any partition passed — what the
+        // sequential loop would have reached.
+        let (now, horizon) = self
+            .parts
+            .iter()
+            .fold((Time::ZERO, (Time::ZERO, 0)), |(t, h), p| {
+                (t.max(p.core.now), h.max(p.core.horizon))
+            });
+        for p in &mut self.parts {
+            p.core.now = now;
+            p.core.horizon = horizon;
         }
         let after: u64 = self.parts.iter().map(|p| p.core.events_processed).sum();
         after - before
@@ -1503,6 +1559,287 @@ mod tests {
         let content = Packet::zeroed(300).digest();
         assert_eq!(sim.trace().len() as u64, 6 * FRAMES);
         assert!(sim.trace().iter().all(|e| e.digest == content));
+    }
+
+    // ------------------------------------------------------------------
+    // Unwatched transmit completions. Each test runs a watched twin, which
+    // starts with `start_tx`, and an unwatched one, which starts with
+    // `start_tx_unwatched`; the port must read the same at every callback.
+
+    /// What a [`Scripted`] node does when timer `token` fires.
+    #[derive(Clone, Copy)]
+    enum Act {
+        /// Start a frame of this many bytes on port 0.
+        Send(usize),
+        /// Ask for port 0's completion.
+        Watch,
+        /// Nothing: the timer only reads the port.
+        Read,
+    }
+
+    /// Test node: timer `token` runs `script[token]`; every callback logs
+    /// `(now, callback, tx_busy(port 0))`, after its action.
+    struct Scripted {
+        watched: bool,
+        script: Vec<Act>,
+        log: Vec<(Time, &'static str, bool)>,
+    }
+
+    impl Scripted {
+        fn note(&mut self, ctx: &NodeCtx<'_>, what: &'static str) {
+            self.log.push((ctx.now(), what, ctx.tx_busy(PortId(0))));
+        }
+    }
+
+    impl Node for Scripted {
+        fn on_packet(&mut self, ctx: &mut NodeCtx<'_>, _: PortId, _: Packet) {
+            self.note(ctx, "packet");
+        }
+        fn on_timer(&mut self, ctx: &mut NodeCtx<'_>, token: u64) {
+            match self.script[token as usize] {
+                Act::Send(len) if self.watched => ctx.start_tx(PortId(0), Packet::zeroed(len)),
+                Act::Send(len) => ctx.start_tx_unwatched(PortId(0), Packet::zeroed(len)),
+                Act::Watch => ctx.watch_tx_done(PortId(0)),
+                Act::Read => {}
+            }
+            self.note(ctx, "timer");
+        }
+        fn on_tx_done(&mut self, ctx: &mut NodeCtx<'_>, _: PortId) {
+            self.note(ctx, "tx_done");
+        }
+        fn on_crash(&mut self, ctx: &mut NodeCtx<'_>) {
+            self.note(ctx, "crash");
+        }
+        fn name(&self) -> &str {
+            "scripted"
+        }
+    }
+
+    /// Node `a` (scripted, watched or not) and node `b` (always watched)
+    /// on one link; `kicks` are `(node, delay ns, token)` timers scheduled
+    /// on the simulator at time zero.
+    fn scripted_pair(
+        watched: bool,
+        a: Vec<Act>,
+        b: Vec<Act>,
+        spec: LinkSpec,
+        kicks: &[(usize, u64, u64)],
+    ) -> (Simulator, NodeId) {
+        let mut builder = SimBuilder::new(1);
+        let script = |watched, script| {
+            Box::new(Scripted {
+                watched,
+                script,
+                log: Vec::new(),
+            })
+        };
+        let ids = [
+            builder.add_node(script(watched, a)),
+            builder.add_node(script(true, b)),
+        ];
+        builder.connect(ids[0], PortId(0), ids[1], PortId(0), spec);
+        let mut sim = builder.build();
+        for &(node, delay, token) in kicks {
+            sim.schedule_timer(ids[node], TimeDelta::from_nanos(delay), token);
+        }
+        (sim, ids[0])
+    }
+
+    /// `a`'s log without its `on_tx_done` entries, which only a watched
+    /// completion produces.
+    fn readings(sim: &Simulator, a: NodeId) -> Vec<(Time, &'static str, bool)> {
+        let log = &sim.node::<Scripted>(a).log;
+        log.iter().filter(|e| e.1 != "tx_done").copied().collect()
+    }
+
+    /// `run_to_quiescence` on one partition, returning every dispatched
+    /// event's `(at, seq)`.
+    fn run_keyed(sim: &mut Simulator) -> Vec<OrderKey> {
+        let part = &mut sim.parts[0];
+        let mut keys = Vec::new();
+        while let Some(ev) = part.core.queue.pop() {
+            keys.push((ev.at, ev.seq));
+            part.dispatch(ev);
+        }
+        part.core.pass_completions();
+        keys
+    }
+
+    #[test]
+    fn at_the_completion_instant_earlier_keys_read_busy_and_later_ones_idle() {
+        // `a` sends 1500 B at t = 0: done at 300 ns. `b`'s zero-length
+        // frame arrives at `a` at 300 ns too, as a delivery (class 3, keyed
+        // before the completion); `a`'s own timer at 300 ns (class 5) is
+        // keyed after it.
+        let run = |watched| {
+            let (mut sim, a) = scripted_pair(
+                watched,
+                vec![Act::Send(1500), Act::Read],
+                vec![Act::Send(0)],
+                LinkSpec::testbed_40g(),
+                &[(0, 0, 0), (0, 300, 1), (1, 0, 0)],
+            );
+            let events = sim.run_to_quiescence();
+            (readings(&sim, a), events)
+        };
+        let (watched, unwatched) = (run(true), run(false));
+        let at = Time::from_nanos(300);
+        assert_eq!(
+            watched.0,
+            [
+                (Time::ZERO, "timer", true),
+                (at, "packet", true),
+                (at, "timer", false)
+            ]
+        );
+        assert_eq!(watched.0, unwatched.0);
+        assert_eq!(watched.1, unwatched.1 + 1, "one completion event saved");
+    }
+
+    #[test]
+    fn a_late_watch_fires_at_the_key_a_watched_start_has() {
+        // Started unwatched at 0, watched at 100 ns: `on_tx_done` at 300 ns
+        // between the delivery and the timer there, with the very key of
+        // the twin started watched (whose own watch is a no-op).
+        let run = |watched| {
+            let (mut sim, a) = scripted_pair(
+                watched,
+                vec![Act::Send(1500), Act::Watch, Act::Read],
+                vec![Act::Send(0)],
+                LinkSpec::testbed_40g(),
+                &[(0, 0, 0), (0, 100, 1), (0, 300, 2), (1, 0, 0)],
+            );
+            let keys = run_keyed(&mut sim);
+            (sim.node::<Scripted>(a).log.clone(), keys)
+        };
+        let watched = run(true);
+        assert_eq!(watched, run(false));
+        let at = Time::from_nanos(300);
+        assert_eq!(
+            watched.0[2..],
+            [
+                (at, "packet", true),
+                (at, "tx_done", false),
+                (at, "timer", false)
+            ]
+        );
+    }
+
+    #[test]
+    fn a_zero_length_frame_started_from_a_timer_schedules_its_completion() {
+        // The timer's key (class 5) is past the completion's (class 4) at
+        // the same instant, so the completion must be an event: the port
+        // reads busy after the start and idle once it has popped, before
+        // the second timer at that instant.
+        let run = |watched| {
+            let (mut sim, a) = scripted_pair(
+                watched,
+                vec![Act::Send(0), Act::Read],
+                vec![],
+                LinkSpec::testbed_40g(),
+                &[(0, 0, 0), (0, 0, 1)],
+            );
+            let events = sim.run_to_quiescence();
+            (sim.node::<Scripted>(a).log.clone(), events)
+        };
+        let watched = run(true);
+        assert_eq!(watched, run(false));
+        assert_eq!(
+            watched.0,
+            [
+                (Time::ZERO, "timer", true),
+                (Time::ZERO, "tx_done", false),
+                (Time::ZERO, "timer", false)
+            ]
+        );
+    }
+
+    #[test]
+    fn after_run_until_the_completion_instant_a_new_timer_reads_idle() {
+        // After `run_until` stops 1 ps short of the completion, a timer
+        // scheduled at that instant reads busy; after it stops at the
+        // completion, one reads idle. So does a crash there, though its key
+        // (class 1) is below the completion's: `run_until` passed
+        // everything at or before its deadline.
+        let (before, at) = (Time::from_picos(299_999), Time::from_nanos(300));
+        let run = |watched, crash| {
+            let (mut sim, a) = scripted_pair(
+                watched,
+                vec![Act::Send(1500), Act::Read],
+                vec![],
+                LinkSpec::testbed_40g(),
+                &[(0, 0, 0)],
+            );
+            sim.run_until(before);
+            sim.schedule_timer(a, TimeDelta::ZERO, 1);
+            sim.run_until(before);
+            sim.run_until(at);
+            if crash {
+                sim.schedule_crash(a, TimeDelta::ZERO);
+            } else {
+                sim.schedule_timer(a, TimeDelta::ZERO, 1);
+            }
+            sim.run_until(at);
+            readings(&sim, a)
+        };
+        for (crash, what) in [(false, "timer"), (true, "crash")] {
+            let watched = run(true, crash);
+            assert_eq!(watched, run(false, crash));
+            assert_eq!(watched[1..], [(before, "timer", true), (at, what, false)]);
+        }
+    }
+
+    #[test]
+    fn a_passed_completion_stays_passed_for_a_later_dispatched_smaller_key() {
+        // Zero propagation. At 300 ns `a`'s completion passes, then `a`'s
+        // timer reads idle; `b`'s timer, keyed after it, sends a zero-length
+        // frame that reaches `a` at once as a delivery keyed *before* the
+        // completion. The horizon is a maximum, so it reads idle too.
+        let run = |watched| {
+            let (mut sim, a) = scripted_pair(
+                watched,
+                vec![Act::Send(1500), Act::Read],
+                vec![Act::Send(0)],
+                LinkSpec::new(Rate::from_gbps(40), TimeDelta::ZERO),
+                &[(0, 0, 0), (0, 300, 1), (1, 300, 0)],
+            );
+            sim.run_to_quiescence();
+            readings(&sim, a)
+        };
+        let watched = run(true);
+        assert_eq!(watched, run(false));
+        let at = Time::from_nanos(300);
+        assert_eq!(
+            watched,
+            [
+                (Time::ZERO, "timer", true),
+                (at, "timer", false),
+                (at, "packet", false)
+            ]
+        );
+    }
+
+    #[test]
+    fn quiescence_ends_at_the_last_completion() {
+        // The frame is lost on the wire, so its completion at 300 ns is the
+        // last thing that happens: the clock must end there, watched or
+        // not, sequential or parallel.
+        let mut spec = LinkSpec::testbed_40g();
+        spec.faults = FaultSpec {
+            drop_prob: 1.0,
+            ..FaultSpec::NONE
+        };
+        for backend in [SchedBackend::Wheel, SchedBackend::Parallel(2)] {
+            for watched in [true, false] {
+                let now = with_sched_backend(backend, || {
+                    let (mut sim, _) =
+                        scripted_pair(watched, vec![Act::Send(1500)], vec![], spec, &[(0, 0, 0)]);
+                    sim.run_to_quiescence();
+                    sim.now()
+                });
+                assert_eq!(now, Time::from_nanos(300), "{backend:?}, watched {watched}");
+            }
+        }
     }
 
     // ------------------------------------------------------------------

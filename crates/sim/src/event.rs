@@ -20,9 +20,9 @@
 //!   so the total order is bit-identical to a plain binary heap's
 //!   (property-tested against the retained heap oracle in
 //!   `tests/structure_proptests.rs`, selectable via [`with_sched_backend`]).
-//! * **FIFO lanes**: deliveries and tx-completions on one link direction are
-//!   inherently time-ordered, so only each lane's head key lives in the
-//!   wheel; the rest park in a per-lane `VecDeque` and are promoted on pop.
+//! * **FIFO lanes**: deliveries on one link direction are inherently
+//!   time-ordered, so only each lane's head key lives in the wheel; the
+//!   rest park in a per-lane `VecDeque` and are promoted on pop.
 //!   This collapses the wheel population from O(in-flight packets) to
 //!   O(links) in storm scenarios.
 //! * **cancellable timers**: [`EventQueue::push_timer`] returns a
@@ -50,8 +50,9 @@ pub enum EventKind {
         /// The packet, after any fault injection.
         packet: Packet,
     },
-    /// `node` finishes serializing a packet out of `port`; the port is free
-    /// again and the node's `on_tx_done` hook runs.
+    /// `node` finishes serializing a watched packet out of `port`; the port
+    /// is free again and the node's `on_tx_done` hook runs. An unwatched
+    /// completion is no event at all.
     TxDone {
         /// Transmitting node.
         node: NodeId,
@@ -492,7 +493,8 @@ impl EventQueue {
         }
     }
 
-    /// Size the FIFO lane table (engine build time: 4 lanes per link).
+    /// Size the FIFO lane table (engine build time: one lane per link
+    /// direction).
     pub(crate) fn ensure_lanes(&mut self, lanes: usize) {
         if self.lanes.len() < lanes {
             self.lanes.resize_with(lanes, VecDeque::new);

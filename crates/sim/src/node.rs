@@ -11,7 +11,8 @@ use std::any::Any;
 ///
 /// A node owns its ports' queues: the engine serializes at most one packet
 /// per `(node, port)` at a time and calls [`Node::on_tx_done`] when the wire
-/// is free again. This "one in flight, you manage the queue" contract is what
+/// is free again, if the node asked to hear about it. This "one in flight,
+/// you manage the queue" contract is what
 /// lets the switch model expose true egress-queue depth to the paper's
 /// packet-buffer primitive.
 ///
@@ -28,8 +29,10 @@ pub trait Node: Any + Send {
     /// A timer scheduled via [`NodeCtx::schedule`] fired.
     fn on_timer(&mut self, _ctx: &mut NodeCtx<'_>, _token: u64) {}
 
-    /// The packet previously passed to [`NodeCtx::start_tx`] on `port` has
-    /// fully serialized; the port can transmit again.
+    /// The packet last started on `port` has fully serialized; the port
+    /// can transmit again. Fires for every [`NodeCtx::start_tx`]; for a
+    /// [`NodeCtx::start_tx_unwatched`] see there. An unwatched completion
+    /// frees the port without a callback (and without an event).
     fn on_tx_done(&mut self, _ctx: &mut NodeCtx<'_>, _port: PortId) {}
 
     /// The node lost power (scheduled via `Simulator::schedule_crash`).
@@ -63,7 +66,8 @@ impl NodeCtx<'_> {
         self.core.now
     }
 
-    /// Begin serializing `packet` out of `port`.
+    /// Begin serializing `packet` out of `port`; [`Node::on_tx_done`] fires
+    /// when the port is free again.
     ///
     /// # Panics
     ///
@@ -71,7 +75,32 @@ impl NodeCtx<'_> {
     /// both are programming errors in the calling node; use [`crate::TxQueue`]
     /// to queue behind an in-flight packet.
     pub fn start_tx(&mut self, port: PortId, packet: Packet) {
-        self.core.start_tx(self.node, port, packet);
+        self.core.start_tx(self.node, port, packet, true);
+    }
+
+    /// [`NodeCtx::start_tx`] for a node with nothing to do when the port
+    /// frees up. [`Node::on_tx_done`] fires only if
+    /// [`NodeCtx::watch_tx_done`] asks for it before then, or if the
+    /// completion is keyed before an event already dispatched (a
+    /// zero-length frame started by a later-keyed event at the same
+    /// instant), which makes it an event regardless. The
+    /// port reads busy and idle at exactly the same points in the event
+    /// order either way; only the completion's own event is saved.
+    ///
+    /// # Panics
+    ///
+    /// As [`NodeCtx::start_tx`].
+    pub fn start_tx_unwatched(&mut self, port: PortId, packet: Packet) {
+        self.core.start_tx(self.node, port, packet, false);
+    }
+
+    /// Make the transmit in flight on `port` fire [`Node::on_tx_done`] when
+    /// it completes, at the same point in the event order as if it had been
+    /// started with [`NodeCtx::start_tx`]. Call it when something starts
+    /// waiting for the port. A no-op on an idle port or a completion that
+    /// already fires.
+    pub fn watch_tx_done(&mut self, port: PortId) {
+        self.core.watch_tx_done(self.node, port);
     }
 
     /// Whether `port` is currently serializing a packet.

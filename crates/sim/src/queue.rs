@@ -12,6 +12,13 @@ use extmem_wire::Packet;
 use std::collections::VecDeque;
 
 /// FIFO transmit queue for one port, with optional byte cap.
+///
+/// A transmit with nothing queued behind it starts unwatched
+/// ([`NodeCtx::start_tx_unwatched`]); queueing behind a busy port watches
+/// it. So the owner's [`crate::Node::on_tx_done`] for this port fires only
+/// when a packet waits for [`TxQueue::on_tx_done`] to start it, and an
+/// owner that must hear about every completion calls
+/// [`NodeCtx::watch_tx_done`] itself.
 #[derive(Debug)]
 pub struct TxQueue {
     port: PortId,
@@ -51,7 +58,7 @@ impl TxQueue {
     /// packet was tail-dropped by the byte cap.
     pub fn send(&mut self, ctx: &mut NodeCtx<'_>, packet: Packet) -> bool {
         if !ctx.tx_busy(self.port) && self.queue.is_empty() {
-            ctx.start_tx(self.port, packet);
+            ctx.start_tx_unwatched(self.port, packet);
             return true;
         }
         if let Some(cap) = self.cap_bytes {
@@ -62,15 +69,20 @@ impl TxQueue {
         }
         self.queued_bytes += packet.len() as u64;
         self.queue.push_back(packet);
+        ctx.watch_tx_done(self.port);
         true
     }
 
     /// Call from the node's `on_tx_done` for this port: starts the next
-    /// queued packet, if any.
+    /// queued packet, if any, watched while more wait behind it.
     pub fn on_tx_done(&mut self, ctx: &mut NodeCtx<'_>) {
         if let Some(pkt) = self.queue.pop_front() {
             self.queued_bytes -= pkt.len() as u64;
-            ctx.start_tx(self.port, pkt);
+            if self.queue.is_empty() {
+                ctx.start_tx_unwatched(self.port, pkt);
+            } else {
+                ctx.start_tx(self.port, pkt);
+            }
         }
     }
 
@@ -91,7 +103,7 @@ impl TxQueue {
 
     /// Discard everything queued (crash path: a powered-off NIC forgets its
     /// transmit ring). The packet already in serialization, if any, is the
-    /// engine's — its TxDone still fires and frees the port.
+    /// engine's — the port frees itself when it completes.
     pub fn clear(&mut self) {
         self.queue.clear();
         self.queued_bytes = 0;

@@ -535,6 +535,165 @@ mod event_queue {
     }
 }
 
+/// Unwatched transmit completions against the always-watched contract: a
+/// sender queueing through `TxQueue`, whose starts onto an idle port are
+/// unwatched, and one queueing for itself with `start_tx` must put the same
+/// frames on the wire at the same instants and read their port the same at
+/// every callback both receive.
+mod tx_completions {
+    use extmem_sim::{LinkSpec, Node, NodeCtx, SimBuilder, TraceEvent, TxQueue};
+    use extmem_types::{PortId, Rate, Time, TimeDelta};
+    use extmem_wire::Packet;
+    use proptest::prelude::*;
+    use std::collections::VecDeque;
+
+    /// One timer firing: these frames back to back, then the next step
+    /// this many nanoseconds later.
+    type Step = (Vec<usize>, u64);
+
+    enum Queue {
+        Tx(TxQueue),
+        Own(VecDeque<Packet>),
+    }
+
+    /// Sends its script to port 0 and echoes nothing; logs `tx_busy(0)` at
+    /// each timer, after each send, and at each arrival.
+    struct Sender {
+        steps: Vec<Step>,
+        next: usize,
+        queue: Queue,
+        log: Vec<(Time, bool)>,
+    }
+
+    impl Sender {
+        fn note(&mut self, ctx: &NodeCtx<'_>) {
+            self.log.push((ctx.now(), ctx.tx_busy(PortId(0))));
+        }
+
+        fn send(&mut self, ctx: &mut NodeCtx<'_>, pkt: Packet) {
+            match &mut self.queue {
+                Queue::Tx(q) => {
+                    q.send(ctx, pkt);
+                }
+                Queue::Own(q) if ctx.tx_busy(PortId(0)) => q.push_back(pkt),
+                Queue::Own(_) => ctx.start_tx(PortId(0), pkt),
+            }
+        }
+    }
+
+    impl Node for Sender {
+        fn on_packet(&mut self, ctx: &mut NodeCtx<'_>, _: PortId, _: Packet) {
+            self.note(ctx);
+        }
+        fn on_timer(&mut self, ctx: &mut NodeCtx<'_>, _: u64) {
+            let (frames, gap) = self.steps[self.next].clone();
+            self.next += 1;
+            self.note(ctx);
+            for len in frames {
+                self.send(ctx, Packet::zeroed(len));
+                self.note(ctx);
+            }
+            if self.next < self.steps.len() {
+                ctx.schedule(TimeDelta::from_nanos(gap), 0);
+            }
+        }
+        fn on_tx_done(&mut self, ctx: &mut NodeCtx<'_>, _: PortId) {
+            match &mut self.queue {
+                Queue::Tx(q) => q.on_tx_done(ctx),
+                Queue::Own(q) => {
+                    if let Some(pkt) = q.pop_front() {
+                        ctx.start_tx(PortId(0), pkt);
+                    }
+                }
+            }
+        }
+        fn name(&self) -> &str {
+            "sender"
+        }
+    }
+
+    /// Echoes every frame back with `start_tx`, so the sender also reads
+    /// its port at deliveries, some of them at its completion instants.
+    struct Echo {
+        queue: VecDeque<Packet>,
+    }
+
+    impl Node for Echo {
+        fn on_packet(&mut self, ctx: &mut NodeCtx<'_>, port: PortId, pkt: Packet) {
+            if ctx.tx_busy(port) {
+                self.queue.push_back(pkt);
+            } else {
+                ctx.start_tx(port, pkt);
+            }
+        }
+        fn on_tx_done(&mut self, ctx: &mut NodeCtx<'_>, port: PortId) {
+            if let Some(pkt) = self.queue.pop_front() {
+                ctx.start_tx(port, pkt);
+            }
+        }
+        fn name(&self) -> &str {
+            "echo"
+        }
+    }
+
+    /// The delivery trace, the sender's readings, the end time and the
+    /// event count of one run.
+    fn run(
+        steps: &[Step],
+        gbps: u64,
+        prop_ns: u64,
+        queue: Queue,
+    ) -> (Vec<TraceEvent>, Vec<(Time, bool)>, Time, u64) {
+        let mut b = SimBuilder::new(3);
+        b.keep_trace(true);
+        let sender = b.add_node(Box::new(Sender {
+            steps: steps.to_vec(),
+            next: 0,
+            queue,
+            log: Vec::new(),
+        }));
+        let echo = b.add_node(Box::new(Echo {
+            queue: VecDeque::new(),
+        }));
+        let spec = LinkSpec::new(Rate::from_gbps(gbps), TimeDelta::from_nanos(prop_ns));
+        b.connect(sender, PortId(0), echo, PortId(0), spec);
+        let mut sim = b.build();
+        sim.schedule_timer(sender, TimeDelta::ZERO, 0);
+        let events = sim.run_to_quiescence();
+        let log = std::mem::take(&mut sim.node_mut::<Sender>(sender).log);
+        (sim.trace(), log, sim.now(), events)
+    }
+
+    fn frame_len() -> impl Strategy<Value = usize> {
+        prop_oneof![Just(0usize), 1usize..1600]
+    }
+
+    fn gap_ns() -> impl Strategy<Value = u64> {
+        prop_oneof![Just(0u64), 0u64..400]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
+
+        #[test]
+        fn unwatched_completions_change_nothing_but_events(
+            steps in proptest::collection::vec(
+                (proptest::collection::vec(frame_len(), 0..4), gap_ns()),
+                1..24,
+            ),
+            gbps in prop::sample::select(vec![10u64, 40, 100]),
+            prop_ns in prop_oneof![Just(0u64), 1u64..400],
+        ) {
+            let tx = run(&steps, gbps, prop_ns, Queue::Tx(TxQueue::new(PortId(0))));
+            let own = run(&steps, gbps, prop_ns, Queue::Own(VecDeque::new()));
+            prop_assert_eq!(&tx.0, &own.0, "delivery traces differ");
+            prop_assert_eq!(&tx.1, &own.1, "tx_busy readings differ");
+            prop_assert_eq!(tx.2, own.2, "quiescence instants differ");
+            prop_assert!(tx.3 <= own.3, "more events with unwatched completions");
+        }
+    }
+}
+
 /// The conservative parallel engine on random topologies: the lookahead
 /// safety margin must never collapse, and the trace must be bit-identical
 /// to the sequential wheel for any shape, propagation mix, and thread
