@@ -466,7 +466,10 @@ pub const DEFAULT_CHANNEL_TIMER_TOKEN: u64 = 0x7a11;
 impl ReliableChannel {
     /// Wrap `channel` in the reliability layer.
     pub fn new(channel: RdmaChannel, config: ReliableConfig) -> ReliableChannel {
-        assert!(config.max_window > 0, "window cap must admit at least one op");
+        assert!(
+            config.max_window > 0,
+            "window cap must admit at least one op"
+        );
         ReliableChannel {
             inner: channel,
             config,
@@ -511,7 +514,10 @@ impl ReliableChannel {
             self.outstanding.is_empty() && self.queue.is_empty() && !self.failed,
             "reconfigure an idle channel"
         );
-        assert!(config.max_window > 0, "window cap must admit at least one op");
+        assert!(
+            config.max_window > 0,
+            "window cap must admit at least one op"
+        );
         self.config = config;
     }
 

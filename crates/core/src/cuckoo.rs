@@ -724,7 +724,10 @@ impl CuckooDirectory {
                         bucket: b as u64,
                         slot,
                     };
-                    out.push((slot_va(base_va, at), encode_slot(&s.key, &s.action).to_vec()));
+                    out.push((
+                        slot_va(base_va, at),
+                        encode_slot(&s.key, &s.action).to_vec(),
+                    ));
                 }
             }
         }
@@ -812,7 +815,13 @@ mod tests {
     use super::*;
 
     fn flow(n: u32) -> FiveTuple {
-        FiveTuple::new(0x0a00_0000 + n, 0x0a63_0001, 1000 + (n % 60_000) as u16, 80, 6)
+        FiveTuple::new(
+            0x0a00_0000 + n,
+            0x0a63_0001,
+            1000 + (n % 60_000) as u16,
+            80,
+            6,
+        )
     }
 
     fn small() -> CuckooDirectory {
@@ -1000,7 +1009,8 @@ mod tests {
                 a == b
             })
             .expect("no degenerate key in 3000 at 8 buckets");
-        dir.plan_insert(degenerate, ActionEntry::set_dscp(1)).unwrap();
+        dir.plan_insert(degenerate, ActionEntry::set_dscp(1))
+            .unwrap();
         let (b1, _) = cuckoo_buckets(&degenerate, buckets);
         assert_eq!(dir.position(&degenerate).unwrap().bucket, b1);
         assert_eq!(dir.probe(&degenerate), b1);

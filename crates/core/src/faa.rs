@@ -124,7 +124,10 @@ impl FaaEngine {
         } else {
             ReliableConfig::best_effort(config.rto)
         };
-        Self::over_pool(ReplicatedPool::single(ReliableChannel::new(channel, rc)), config)
+        Self::over_pool(
+            ReplicatedPool::single(ReliableChannel::new(channel, rc)),
+            config,
+        )
     }
 
     /// Create an engine over a replicated pool of `channels` (one per
@@ -305,9 +308,7 @@ impl FaaEngine {
 
     /// Issue ready slots while the outstanding window has room.
     fn pump(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>) {
-        while !self.pool.is_failed()
-            && self.pool.outstanding_len() < self.config.max_outstanding
-        {
+        while !self.pool.is_failed() && self.pool.outstanding_len() < self.config.max_outstanding {
             let Some(slot) = self.ready.pop_front() else {
                 break;
             };

@@ -66,10 +66,10 @@ pub use channel::{
 };
 pub use cuckoo::{CuckooConfig, CuckooDirectory, CuckooError};
 pub use direct_table::DirectTableProgram;
-pub use pool::{Health, HealthDetector, PoolConfig, PoolStats, ReplicatedPool};
 pub use fib::Fib;
 pub use l2::L2Program;
 pub use lookup::{ActionEntry, ActionKind, LookupStats, LookupTableProgram};
 pub use packet_buffer::PacketBufferProgram;
+pub use pool::{Health, HealthDetector, PoolConfig, PoolStats, ReplicatedPool};
 pub use shard::{ShardRing, ShardStats, ShardedStateStoreProgram};
 pub use state_store::StateStoreProgram;

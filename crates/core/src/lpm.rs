@@ -33,9 +33,9 @@
 use crate::channel::{
     ChannelEvent, ChannelStats, Op, RdmaChannel, ReliableChannel, ReliableConfig,
 };
-use crate::pool::{PoolStats, ReplicatedPool};
 use crate::fib::Fib;
 use crate::lookup::{ActionEntry, ActionKind, ACTION_LEN};
+use crate::pool::{PoolStats, ReplicatedPool};
 use extmem_rnic::{RemoteOp, RnicNode};
 use extmem_switch::hash::hash_to_index;
 use extmem_switch::table::{ExactMatchTable, Replacement};
@@ -83,16 +83,14 @@ impl LpmStats {
     /// Round trips per remote lookup: `levels` in verb mode, 1.0 in
     /// remote-op mode. `None` before the first miss.
     pub fn rtts_per_miss(&self) -> Option<f64> {
-        (self.remote_lookups > 0)
-            .then(|| self.lookup_rtts as f64 / self.remote_lookups as f64)
+        (self.remote_lookups > 0).then(|| self.lookup_rtts as f64 / self.remote_lookups as f64)
     }
 
     /// Responses consumed per remote lookup (rung READ responses in verb
     /// mode, one gather response in remote-op mode). `None` before the
     /// first miss.
     pub fn reads_per_lookup(&self) -> Option<f64> {
-        (self.remote_lookups > 0)
-            .then(|| self.responses as f64 / self.remote_lookups as f64)
+        (self.remote_lookups > 0).then(|| self.responses as f64 / self.remote_lookups as f64)
     }
 }
 
@@ -241,8 +239,7 @@ impl RemoteLpmProgram {
     fn slot_va(&self, level_idx: usize, dst: u32) -> u64 {
         let level = self.levels[level_idx];
         let slot = hash_to_index(&rung_key(level, dst), self.slots_per_level);
-        self.pool.base_va()
-            + (level_idx as u64 * self.slots_per_level + slot) * ACTION_LEN as u64
+        self.pool.base_va() + (level_idx as u64 * self.slots_per_level + slot) * ACTION_LEN as u64
     }
 
     fn resolve(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, lookup: PendingLookup) {
@@ -571,7 +568,8 @@ mod tests {
 
         let mut fib = Fib::new(8);
         fib.install(MacAddr::local(1), PortId(0));
-        let prog = RemoteLpmProgram::new(fib, channel, levels, Some(16)).with_remote_ops(remote_ops);
+        let prog =
+            RemoteLpmProgram::new(fib, channel, levels, Some(16)).with_remote_ops(remote_ops);
 
         let mut b = SimBuilder::new(7);
         let switch = b.add_node(Box::new(SwitchNode::new(

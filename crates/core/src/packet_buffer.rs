@@ -45,8 +45,8 @@ use crate::fib::Fib;
 use crate::pool::{PoolConfig, PoolStats, ReplicatedPool};
 use extmem_rnic::{RemoteOp, WriteBody};
 use extmem_switch::{PipelineProgram, SwitchCtx};
-use extmem_wire::extop::IndirectMode;
 use extmem_types::{PortId, TimeDelta};
+use extmem_wire::extop::IndirectMode;
 use extmem_wire::roce::RocePacket;
 use extmem_wire::{Packet, Payload};
 use std::collections::BTreeMap;
@@ -1100,7 +1100,11 @@ mod tests {
         assert_eq!(s.naks, 0);
         let sink = r.sim.node::<Sink>(r.sink);
         assert_eq!(sink.corrupt, 0);
-        assert_eq!(sink.seqs, (0..50).collect::<Vec<_>>(), "FIFO order violated");
+        assert_eq!(
+            sink.seqs,
+            (0..50).collect::<Vec<_>>(),
+            "FIFO order violated"
+        );
         let nic = r.sim.node::<RnicNode>(r.memsrvs[0]).stats();
         assert_eq!(nic.cpu_packets, 0, "indirect loads stay one-sided");
         assert_eq!(nic.reads, 0, "loads must not use plain READs");

@@ -37,9 +37,9 @@
 use crate::channel::{ChannelEvent, Op, ReliableChannel, Reply};
 use extmem_rnic::{RemoteOp, WriteBody};
 use extmem_switch::SwitchCtx;
-use extmem_wire::extop::EXTOP_FLAG_HIT;
 use extmem_types::{IntMap, IntSet, PortId, Rkey, TimeDelta};
 use extmem_wire::bth::psn_add;
+use extmem_wire::extop::EXTOP_FLAG_HIT;
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -1018,8 +1018,8 @@ impl ReplicatedPool {
         if self.failed || self.reseed.is_some() {
             return false;
         }
-        let Some(target) = (0..self.servers.len())
-            .find(|&j| self.servers[j].health.state() == Health::Rejoining)
+        let Some(target) =
+            (0..self.servers.len()).find(|&j| self.servers[j].health.state() == Health::Rejoining)
         else {
             return false;
         };
@@ -1310,13 +1310,21 @@ mod tests {
     fn rejoin_only_from_down() {
         let mut d = HealthDetector::new(2);
         d.on_probe_success();
-        assert_eq!(d.state(), Health::Healthy, "probe success is not a promotion");
+        assert_eq!(
+            d.state(),
+            Health::Healthy,
+            "probe success is not a promotion"
+        );
         d.on_channel_failed();
         assert_eq!(d.state(), Health::Down);
         d.on_probe_success();
         assert_eq!(d.state(), Health::Rejoining);
         d.on_timeout();
-        assert_eq!(d.state(), Health::Rejoining, "raw timeouts don't demote a rejoiner");
+        assert_eq!(
+            d.state(),
+            Health::Rejoining,
+            "raw timeouts don't demote a rejoiner"
+        );
         d.on_rejoin_complete();
         assert_eq!(d.state(), Health::Healthy);
         assert_eq!(d.consecutive_failures(), 0);

@@ -208,7 +208,9 @@ impl ShardedStateStoreProgram {
         );
         let counters_per_shard = shards[0].1.slots();
         assert!(
-            shards.iter().all(|(_, e, _)| e.slots() == counters_per_shard),
+            shards
+                .iter()
+                .all(|(_, e, _)| e.slots() == counters_per_shard),
             "all shards must have the same region geometry"
         );
         let mut ring = ShardRing::new(vnodes);
@@ -444,7 +446,10 @@ mod tests {
         for k in 0..50_000u64 {
             let b = before.shard_for_key(k);
             let a = after.shard_for_key(k);
-            assert!(a == b || a == 4, "key {k} moved {b} -> {a}, not to the new shard");
+            assert!(
+                a == b || a == 4,
+                "key {k} moved {b} -> {a}, not to the new shard"
+            );
         }
     }
 
@@ -475,7 +480,10 @@ mod tests {
         let ideal = samples as f64 / 8.0;
         for (id, &c) in counts.iter().enumerate() {
             let skew = (c as f64 - ideal).abs() / ideal;
-            assert!(skew < 0.35, "shard {id} holds {c} of {samples} (skew {skew:.2})");
+            assert!(
+                skew < 0.35,
+                "shard {id} holds {c} of {samples} (skew {skew:.2})"
+            );
         }
     }
 
@@ -490,6 +498,9 @@ mod tests {
             assert_eq!(s, r.shard_for_flow(&f));
             seen[s as usize] = true;
         }
-        assert!(seen.iter().all(|&x| x), "256 flows missed a shard: {seen:?}");
+        assert!(
+            seen.iter().all(|&x| x),
+            "256 flows missed a shard: {seen:?}"
+        );
     }
 }
