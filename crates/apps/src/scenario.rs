@@ -65,7 +65,7 @@ pub fn switch_endpoint() -> RoceEndpoint {
 /// use extmem_apps::scenario::{host_ip, host_mac, Testbed};
 /// use extmem_apps::workload::{SinkNode, WorkloadSpec};
 /// use extmem_core::faa::{FaaConfig, FaaEngine};
-/// use extmem_core::state_store::StateStoreProgram;
+/// use extmem_core::ShardedStateStoreProgram;
 /// use extmem_rnic::RnicConfig;
 /// use extmem_sim::LinkSpec;
 /// use extmem_switch::SwitchConfig;
@@ -77,8 +77,8 @@ pub fn switch_endpoint() -> RoceEndpoint {
 /// tb.gen(WorkloadSpec::simple(host_mac(0), host_mac(1), flow, 256, Rate::from_gbps(1), 10), link);
 /// tb.sink(link);
 /// let (_, channel) = tb.server(RnicConfig::default(), ByteSize::from_bytes(512), link);
-/// let engine = FaaEngine::new(channel, FaaConfig::default());
-/// let prog = StateStoreProgram::new(tb.fib(), engine, TimeDelta::from_micros(20));
+/// let shards = vec![(0, FaaEngine::new(channel, FaaConfig::default()), true)];
+/// let prog = ShardedStateStoreProgram::new(tb.fib(), shards, 1, TimeDelta::from_micros(20));
 /// let mut t = tb.build(SwitchConfig::default(), Box::new(prog));
 /// t.sim.run_until(extmem_types::Time::from_millis(1));
 /// assert_eq!(t.sim.node::<SinkNode>(t.hosts[1]).received, 10);

@@ -13,8 +13,8 @@ use crate::scenario::{host_ip, host_mac, Built, Testbed};
 use crate::workload::{FlowPick, SinkNode, WorkloadSpec};
 use extmem_core::faa::{FaaConfig, FaaEngine, FaaStats};
 use extmem_core::sketch::{SketchGeometry, SketchKind, SketchProgram};
-use extmem_core::state_store::{read_remote_counters, StateStoreProgram};
-use extmem_core::RdmaChannel;
+use extmem_core::state_store::read_remote_counters;
+use extmem_core::{RdmaChannel, ShardedStateStoreProgram};
 use extmem_rnic::{RnicConfig, RnicNode};
 use extmem_sim::LinkSpec;
 use extmem_switch::{SwitchConfig, SwitchNode};
@@ -126,8 +126,8 @@ pub fn run_counting(cfg: CountingConfig) -> CountingResult {
     let (tb, channel) = telemetry_rig(cfg.seed, spec, cfg.counters * 8);
     let rkey = channel.rkey;
     let base_va = channel.base_va;
-    let engine = FaaEngine::new(channel, cfg.faa);
-    let prog = StateStoreProgram::new(tb.fib(), engine, TimeDelta::from_micros(50));
+    let shards = vec![(0, FaaEngine::new(channel, cfg.faa), true)];
+    let prog = ShardedStateStoreProgram::new(tb.fib(), shards, 1, TimeDelta::from_micros(50));
     let Built {
         mut sim,
         switch,
@@ -145,7 +145,7 @@ pub fn run_counting(cfg: CountingConfig) -> CountingResult {
 
     let sink = sim.node::<SinkNode>(hosts[1]);
     let sw: &SwitchNode = sim.node::<SwitchNode>(switch);
-    let prog = sw.program::<StateStoreProgram>();
+    let prog = sw.program::<ShardedStateStoreProgram>();
     let nic = sim.node::<RnicNode>(servers[0]);
     let remote = read_remote_counters(nic, rkey, base_va, cfg.counters);
 
@@ -153,7 +153,7 @@ pub fn run_counting(cfg: CountingConfig) -> CountingResult {
     let exact_slots = prog
         .oracle
         .iter()
-        .filter(|(slot, &v)| remote[**slot as usize] == v)
+        .filter(|(&(_, slot), &v)| remote[slot as usize] == v)
         .count();
 
     // Fig 3b metric: FaA traffic on the switch↔server link, averaged over
@@ -174,7 +174,7 @@ pub fn run_counting(cfg: CountingConfig) -> CountingResult {
         truth_total,
         exact_slots,
         truth_slots: prog.oracle.len(),
-        faa: prog.faa_stats(),
+        faa: prog.engine(0).stats(),
         faa_request_bw: throughput(to_server.delivered_bytes, active),
         faa_response_bw: throughput(from_server.delivered_bytes, active),
         goodput: if elapsed > TimeDelta::ZERO {

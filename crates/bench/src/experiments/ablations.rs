@@ -20,7 +20,7 @@ use extmem_core::lpm::{install_remote_route, slots_per_level, LpmStats, RemoteLp
 use extmem_core::packet_buffer::{Mode, PacketBufferProgram};
 use extmem_core::shard::ShardedStateStoreProgram;
 use extmem_core::slow_path::CpuSlowPathProgram;
-use extmem_core::state_store::{read_remote_counters, StateStoreProgram};
+use extmem_core::state_store::read_remote_counters;
 use extmem_core::trace_store::{read_remote_trace, TraceStoreProgram};
 use extmem_core::{CuckooConfig, PoolConfig};
 use extmem_rnic::{RnicConfig, RnicNode, RnicStats};
@@ -703,11 +703,11 @@ fn a9_state_store(loss: f64, count: u64) -> (ChannelStats, u64, bool) {
         TimeDelta::from_micros(30),
         Time::from_millis(50),
     );
-    let prog = program::<StateStoreProgram>(&t);
+    let prog = program::<ShardedStateStoreProgram>(&t);
     let truth: u64 = prog.oracle.values().sum();
     let delivered = sink(&t).received;
     let exact = prog.is_quiescent() && remote.iter().sum::<u64>() == truth && delivered == count;
-    (prog.faa_stats().channel, delivered, exact)
+    (prog.engine(0).stats().channel, delivered, exact)
 }
 
 /// A9 — the reliability layer under a loss sweep (§7 "handling packet
@@ -792,8 +792,8 @@ pub fn a10_failover(out: &mut String) {
         .iter()
         .map(|&(name, crash, rejoin)| {
             let (t, [dump_a, dump_b]) = failover_store(191, 256, COUNT, crash, rejoin);
-            let prog = program::<StateStoreProgram>(&t);
-            let stats = prog.faa_stats();
+            let prog = program::<ShardedStateStoreProgram>(&t);
+            let stats = prog.engine(0).stats();
             let truth: u64 = prog.oracle.values().sum();
             // The live replica set depends on the fault: compare against
             // whichever replica is authoritative, and check replica

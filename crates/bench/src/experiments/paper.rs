@@ -16,11 +16,11 @@ use extmem_types::{ByteSize, QpNum, Rate, Rkey, TimeDelta};
 use extmem_wire::atomic::AtomicEth;
 use extmem_wire::bth::{Bth, Opcode};
 use extmem_wire::ethernet::EthernetHeader;
-use extmem_wire::grh::Grh;
 use extmem_wire::icrc::ICRC_LEN;
 use extmem_wire::reth::Reth;
 use extmem_wire::roce::{
-    RoceExt, RocePacket, FETCH_ADD_OP_OVERHEAD, ROCEV2_BASE_OVERHEAD, WRITE_READ_OP_OVERHEAD,
+    RoceExt, RocePacket, FETCH_ADD_OP_OVERHEAD, ROCEV1_BASE_OVERHEAD, ROCEV2_BASE_OVERHEAD,
+    WRITE_READ_OP_OVERHEAD,
 };
 
 /// Packet sizes of Fig 3a and Fig 3b.
@@ -357,7 +357,7 @@ pub fn e5_overhead(out: &mut String) {
         ],
         vec![
             "RoCEv1 routing+transport (GRH+BTH)".into(),
-            (Grh::LEN + Bth::LEN).to_string(),
+            ROCEV1_BASE_OVERHEAD.to_string(),
             "52".into(),
         ],
         vec![

@@ -12,8 +12,10 @@ use extmem_apps::workload::{Arrival, FlowPick, FlowSet, SinkNode, WorkloadSpec};
 use extmem_core::faa::{FaaConfig, FaaEngine};
 use extmem_core::lookup::{install_cuckoo_image, ActionEntry, LookupTableProgram};
 use extmem_core::packet_buffer::{Mode, PacketBufferProgram};
-use extmem_core::state_store::{read_remote_counters, StateStoreProgram};
-use extmem_core::{CuckooConfig, CuckooDirectory, PoolConfig, RdmaChannel, ReliableConfig};
+use extmem_core::state_store::read_remote_counters;
+use extmem_core::{
+    CuckooConfig, CuckooDirectory, PoolConfig, RdmaChannel, ReliableConfig, ShardedStateStoreProgram,
+};
 use extmem_rnic::{RnicConfig, RnicNode};
 use extmem_sim::{FaultSpec, LinkSpec};
 use extmem_switch::{PipelineProgram, SwitchConfig, SwitchNode};
@@ -163,7 +165,8 @@ pub fn faa_store(
     let region = ByteSize::from_bytes(counters * 8);
     let (tb, channel) = testbed_with_server(seed, spec, LinkSpec::testbed_40g(), region, loss);
     let at = (channel.rkey, channel.base_va);
-    let prog = StateStoreProgram::new(tb.fib(), FaaEngine::new(channel, faa), flush);
+    let shards = vec![(0, FaaEngine::new(channel, faa), true)];
+    let prog = ShardedStateStoreProgram::new(tb.fib(), shards, 1, flush);
     let mut t = tb.build(SwitchConfig::default(), Box::new(prog));
     t.sim.run_until(until);
     let remote = counters_at(&t, 0, at, counters);
@@ -199,7 +202,8 @@ pub fn failover_store(
             ..Default::default()
         },
     );
-    let prog = StateStoreProgram::new(tb.fib(), engine, TimeDelta::from_micros(30));
+    let shards = vec![(0, engine, true)];
+    let prog = ShardedStateStoreProgram::new(tb.fib(), shards, 1, TimeDelta::from_micros(30));
     let mut t = tb.build(SwitchConfig::default(), Box::new(prog));
     if let Some(server) = crash {
         t.sim

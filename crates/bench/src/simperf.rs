@@ -52,7 +52,7 @@ use extmem_core::lookup::{
 };
 use extmem_core::packet_buffer::PacketBufferProgram;
 use extmem_core::shard::ShardedStateStoreProgram;
-use extmem_core::state_store::{read_remote_counters, StateStoreProgram};
+use extmem_core::state_store::read_remote_counters;
 use extmem_core::{CuckooConfig, CuckooDirectory, Fib, L2Program, PoolConfig, RdmaChannel};
 use extmem_rnic::{RnicConfig, RnicNode};
 use extmem_sim::{with_sched_backend, FabricSpec, LinkSpec, SchedBackend, SimBuilder, Simulator};
@@ -295,13 +295,13 @@ pub fn faa_storm(count: u64) -> ScenarioResult {
         Time::ZERO + send_time + TimeDelta::from_millis(5),
     );
 
-    let prog = program::<StateStoreProgram>(&t);
+    let prog = program::<ShardedStateStoreProgram>(&t);
     assert_eq!(
         prog.forwarded, count,
         "telemetry must not cost forwarded packets"
     );
     assert!(prog.is_quiescent(), "updates still pending at the deadline");
-    let stats = prog.faa_stats();
+    let stats = prog.engine(0).stats();
     assert_eq!(stats.updates, count);
     assert!(
         stats.merged > 0,
@@ -365,8 +365,8 @@ pub fn loss_sweep(count: u64) -> ScenarioResult {
 /// asserts exact settled counters on *both* replicas.
 pub fn server_failover(count: u64) -> ScenarioResult {
     let (t, [dump_a, dump_b]) = failover_store(71, 512, count, Some(0), true);
-    let prog = program::<StateStoreProgram>(&t);
-    let stats = prog.faa_stats();
+    let prog = program::<ShardedStateStoreProgram>(&t);
+    let stats = prog.engine(0).stats();
     assert!(prog.is_quiescent(), "stuck window: {stats:?}");
     assert!(!prog.is_degraded(), "pool must survive the crash: {stats:?}");
     assert!(stats.pool.failovers >= 1, "no failover: {stats:?}");
@@ -438,11 +438,8 @@ pub fn fabric_fanout(count: u64, threads: usize) -> ScenarioResult {
             let mut fib = Fib::new(8);
             fib.install(host_mac(sink_host(p)), PortId(1));
             fib.install(host_mac(sink_host(next)), PortId(4));
-            let engine = FaaEngine::new(
-                channel,
-                reliable_faa(50),
-            );
-            let prog = StateStoreProgram::new(fib, engine, TimeDelta::from_micros(20));
+            let shards = vec![(0, FaaEngine::new(channel, reliable_faa(50)), true)];
+            let prog = ShardedStateStoreProgram::new(fib, shards, 1, TimeDelta::from_micros(20));
             let switch = b.add_node(Box::new(SwitchNode::new(
                 format!("tor{p}"),
                 SwitchConfig::default(),
@@ -490,8 +487,8 @@ pub fn fabric_fanout(count: u64, threads: usize) -> ScenarioResult {
         sim.run_until(deadline);
         for p in 0..PODS {
             let sw: &SwitchNode = sim.node::<SwitchNode>(switches[p]);
-            let prog = sw.program::<StateStoreProgram>();
-            let stats = prog.faa_stats();
+            let prog = sw.program::<ShardedStateStoreProgram>();
+            let stats = prog.engine(0).stats();
             assert!(prog.is_quiescent(), "pod {p}: stuck window: {stats:?}");
             assert!(!prog.is_degraded(), "pod {p}: pool degraded: {stats:?}");
             // Local + locally injected cross + ring arrivals from p-1.
@@ -504,7 +501,7 @@ pub fn fabric_fanout(count: u64, threads: usize) -> ScenarioResult {
             let (rkey, base_va) = keys[p];
             let dump = read_remote_counters(sim.node::<RnicNode>(servers[p]), rkey, base_va, counters);
             let mut expected = vec![0u64; counters as usize];
-            for (&slot, &v) in &prog.oracle {
+            for (&(_, slot), &v) in &prog.oracle {
                 expected[slot as usize] += v;
             }
             assert_eq!(dump, expected, "pod {p}: settled counters must be exact");

@@ -8,6 +8,8 @@
 //! (or `scripts/run_all_experiments.sh crates/bench/expected` for all).
 
 use extmem_bench::experiments::EXPERIMENTS;
+use std::fs;
+use std::path::{Path, PathBuf};
 
 const GOLDEN: [(&str, &str); 18] = [
     ("e1_pktbuf_rates", include_str!("../expected/e1_pktbuf_rates.txt")),
@@ -130,4 +132,91 @@ fn every_documented_experiment_names_a_row() {
         documented += 1;
     }
     assert_eq!(documented, EXPERIMENTS.len());
+}
+
+/// The repository root.
+fn repo() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
+}
+
+/// A markdown document's inline code spans, fenced blocks left out, each
+/// with its line breaks read as spaces.
+fn code_spans(doc: &str) -> Vec<String> {
+    let mut fenced = false;
+    let prose: Vec<&str> = doc
+        .lines()
+        .filter(|line| {
+            if line.trim_start().starts_with("```") {
+                fenced = !fenced;
+                return false;
+            }
+            !fenced
+        })
+        .collect();
+    let joined = prose.join("\n");
+    let spans = joined.split('`').skip(1).step_by(2);
+    spans
+        .map(|span| span.split_whitespace().collect::<Vec<_>>().join(" "))
+        .collect()
+}
+
+/// Every `.rs` file under `dir`, concatenated onto `out`.
+fn rust_sources(dir: &Path, out: &mut String) {
+    for entry in fs::read_dir(dir).unwrap() {
+        let path = entry.unwrap().path();
+        if path.is_dir() {
+            rust_sources(&path, out);
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            out.push_str(&fs::read_to_string(&path).unwrap());
+        }
+    }
+}
+
+/// Whether `src` declares `pub {kind} {name}` (and not a longer name).
+fn declares(src: &str, kind: &str, name: &str) -> bool {
+    let decl = format!("pub {kind} {name}");
+    src.match_indices(&decl).any(|(at, _)| {
+        let next = src[at + decl.len()..].chars().next();
+        !next.is_some_and(|c| c.is_alphanumeric() || c == '_')
+    })
+}
+
+/// DESIGN.md, README.md and the verify skill against the tree: every
+/// backticked path under `crates/`, `tests/` or `scripts/` exists (a
+/// `<placeholder>` or `*` stands for any file: what comes before it must
+/// exist), and every backticked name ending in `Program` is a `pub struct`
+/// (or, for `PipelineProgram`, a `pub trait`) under `crates/*/src`.
+#[test]
+fn documented_paths_and_programs_exist() {
+    let root = repo();
+    let mut src = String::new();
+    for krate in fs::read_dir(root.join("crates")).unwrap() {
+        let dir = krate.unwrap().path().join("src");
+        if dir.is_dir() {
+            rust_sources(&dir, &mut src);
+        }
+    }
+    for doc in ["DESIGN.md", "README.md", ".claude/skills/verify/SKILL.md"] {
+        let text = fs::read_to_string(root.join(doc)).unwrap();
+        for span in code_spans(&text) {
+            let first = span.split(' ').next().unwrap_or_default();
+            if ["crates/", "tests/", "scripts/"]
+                .iter()
+                .any(|dir| first.starts_with(dir))
+            {
+                let path = first.split(['<', '*']).next().unwrap_or_default();
+                assert!(
+                    root.join(path).exists(),
+                    "{doc}: `{span}` names {path}, which does not exist"
+                );
+            }
+            let words = span.split(|c: char| !(c.is_alphanumeric() || c == '_'));
+            for name in words.filter(|w| w.len() > "Program".len() && w.ends_with("Program")) {
+                assert!(
+                    declares(&src, "struct", name) || declares(&src, "trait", name),
+                    "{doc}: `{span}` names {name}, which is no pub struct under crates/*/src"
+                );
+            }
+        }
+    }
 }

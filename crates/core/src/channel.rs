@@ -428,10 +428,11 @@ fn psn_at_or_before(a: u32, b: u32) -> bool {
 /// cookie is caller-chosen and opaque to the channel.
 ///
 /// The channel manages its own retransmission deadline: it arms a
-/// cancellable timer (under [`ReliableChannel::timer_token`]) when ops go
-/// outstanding and cancels it when the last one retires, so an idle or
-/// healthy channel schedules no periodic tick events at all. The owning
-/// program only has to route the token from its `on_timer` back into
+/// cancellable timer (under [`ReliableChannel::timer_token`], which its
+/// server port names: `CHANNEL_TIMER | port`) when ops go outstanding and
+/// cancels it when the last one retires, so an idle or healthy channel
+/// schedules no periodic tick events at all. The owning program only has
+/// to route the token from its `on_timer` back into
 /// [`ReliableChannel::on_timer_fired`].
 #[derive(Debug)]
 pub struct ReliableChannel {
@@ -458,10 +459,11 @@ pub struct ReliableChannel {
     stats: ChannelStats,
 }
 
-/// Default timer token; distinct from every shipping primitive's own
-/// tokens. Programs juggling several channels assign unique tokens via
-/// [`ReliableChannel::set_timer_token`].
-pub const DEFAULT_CHANNEL_TIMER_TOKEN: u64 = 0x7a11;
+/// Tag of a channel's program-timer token: the channel to the server on
+/// switch port `p` arms its deadline under `CHANNEL_TIMER | p`, so one
+/// program's channels never share a token as long as their servers never
+/// share a port. Clear of every program's own tokens (all below `1 << 32`).
+pub(crate) const CHANNEL_TIMER: u64 = 1 << 32;
 
 impl ReliableChannel {
     /// Wrap `channel` in the reliability layer.
@@ -471,6 +473,7 @@ impl ReliableChannel {
             "window cap must admit at least one op"
         );
         ReliableChannel {
+            timer_token: CHANNEL_TIMER | channel.server_port.0 as u64,
             inner: channel,
             config,
             outstanding: VecDeque::new(),
@@ -479,22 +482,15 @@ impl ReliableChannel {
             retries: 0,
             nak_epoch: None,
             failed: false,
-            timer_token: DEFAULT_CHANNEL_TIMER_TOKEN,
             timer: None,
             stats: ChannelStats::default(),
         }
     }
 
-    /// The program-timer token the channel arms its deadline under.
+    /// The program-timer token the channel arms its deadline under
+    /// (`CHANNEL_TIMER | server port`).
     pub fn timer_token(&self) -> u64 {
         self.timer_token
-    }
-
-    /// Assign the timer token (before traffic flows). Owning programs set
-    /// this so channel wakeups don't collide with their own tokens.
-    pub fn set_timer_token(&mut self, token: u64) {
-        assert!(self.timer.is_none(), "retoken an idle channel");
-        self.timer_token = token;
     }
 
     /// The wrapped channel (region triple, server port, QP state).
@@ -556,11 +552,6 @@ impl ReliableChannel {
     /// Ops in flight.
     pub fn outstanding_len(&self) -> usize {
         self.outstanding.len()
-    }
-
-    /// Ops accepted but still parked behind the transmit window.
-    pub fn queued_len(&self) -> usize {
-        self.queue.len()
     }
 
     /// The absolute time the head-of-line op times out.
@@ -1228,7 +1219,8 @@ pub(crate) mod tests {
                     // The probe takes the window; the install queues.
                     assert!(self.channel.submit(ctx, Op::Remote(probe_op()), 1));
                     assert!(self.channel.submit(ctx, Op::Remote(install_op()), 2));
-                    assert_eq!(self.channel.queued_len(), 1);
+                    let held = self.channel.ops().count();
+                    assert_eq!((self.channel.outstanding_len(), held), (1, 2));
                 }
                 ANSWER_PROBE => {
                     let qp = &self.channel.inner().qp;
@@ -1248,7 +1240,9 @@ pub(crate) mod tests {
                         vec![],
                     );
                     assert!(self.channel.on_roce(ctx, &resp, &mut self.events));
-                    assert_eq!(self.channel.queued_len(), 0, "the install launched");
+                    let held = self.channel.ops().count();
+                    let launched = (self.channel.outstanding_len(), held);
+                    assert_eq!(launched, (1, 1), "the install launched");
                 }
                 REISSUE => {
                     // What the pool does with an op orphaned by a failover.

@@ -198,13 +198,6 @@ impl FaaEngine {
         &self.pool
     }
 
-    /// Re-base the pool's retransmit/probe timer tokens. Programs that run
-    /// several engines on one switch (the sharded state store) must give
-    /// each a disjoint token range or their `on_timer` dispatches collide.
-    pub fn set_timer_tokens(&mut self, base: u64) {
-        self.pool.set_timer_tokens(base);
-    }
-
     /// The number of counter slots the region holds.
     pub fn slots(&self) -> u64 {
         self.pool.region_len() / 8
@@ -441,7 +434,8 @@ mod tests {
     /// is written off, and come back in `OpFailed` when the second is too.
     #[test]
     fn in_flight_values_come_back_with_their_ops() {
-        use crate::channel::tests::behind_blackhole;
+        use crate::channel::tests::{behind_blackhole, Blackhole};
+        use extmem_sim::LinkSpec;
         use extmem_switch::switch::program_token;
         use extmem_switch::SwitchNode;
         use extmem_types::Time;
@@ -452,14 +446,20 @@ mod tests {
             rto: TimeDelta::from_micros(10),
             ..FaaConfig::default()
         };
-        // Both servers sit behind the one black hole.
-        let channels = vec![dummy_channel(16), dummy_channel(16)];
+        // The primary sits behind the black hole on port 0, the mirror
+        // behind a second one on port 1.
+        let mut mirror = dummy_channel(16);
+        mirror.server_port = PortId(1);
+        let channels = vec![dummy_channel(16), mirror];
         let engine = FaaEngine::replicated(channels, config, PoolConfig::default());
         let program = Adder {
             engine,
             outstanding: Vec::new(),
         };
-        let (mut sim, sw, _) = behind_blackhole(program, |_, _| {});
+        let (mut sim, sw, _) = behind_blackhole(program, |b, sw| {
+            let hole = b.add_node(Box::new(Blackhole::default()));
+            b.connect(sw, PortId(1), hole, PortId(0), LinkSpec::testbed_40g());
+        });
         // Three silent rounds (10, 30, 70 us) write the primary off and the
         // ops go to the mirror; three more (80, 100, 140 us) and the pool
         // has nobody left.

@@ -12,7 +12,7 @@
 //! | packet buffer | [`packet_buffer`] | ring buffer of fixed-size entries | WRITE + READ |
 //! | lookup table | [`direct_table`] | fixed-size array of (action, packet) slots | WRITE + READ |
 //! | lookup table (one RTT) | [`lookup`] | two-choice cuckoo buckets of (key, action) slots | READ, or one hash-probe op |
-//! | state store | [`state_store`], [`sketch`] | array of 64-bit counters | Fetch-and-Add |
+//! | state store | [`shard`] (read back: [`state_store`]), [`sketch`] | array of 64-bit counters, over one or more shards | Fetch-and-Add |
 //! | state store (event capture) | [`trace_store`] | ring of 32-byte packet records | WRITE |
 //!
 //! Supporting modules:
@@ -72,4 +72,3 @@ pub use lookup::{ActionEntry, ActionKind, LookupStats, LookupTableProgram};
 pub use packet_buffer::PacketBufferProgram;
 pub use pool::{Health, HealthDetector, PoolConfig, PoolStats, ReplicatedPool};
 pub use shard::{ShardRing, ShardStats, ShardedStateStoreProgram};
-pub use state_store::StateStoreProgram;

@@ -37,13 +37,8 @@ use extmem_wire::roce::RocePacket;
 use extmem_wire::{EthernetHeader, Ipv4Header, MacAddr, Packet, UdpHeader};
 use std::collections::VecDeque;
 
-/// Timer token for the reliability-layer retransmission tick (routed to the
-/// program via the switch's program-token bit).
-const TOKEN_RELIABILITY_TICK: u64 = 0x31;
-
-/// Timer token that drains queued control-plane table ops.
-/// Well above the pool's per-server tick tokens (`0x31 + i`, probe at
-/// `0x31 + n`).
+/// Timer token that drains queued control-plane table ops. Every other
+/// token the program sees is its pool's.
 pub const TOKEN_CONTROL: u64 = 0x3A0;
 
 /// Timer token that steps the scripted churn driver. The program re-arms
@@ -399,9 +394,7 @@ pub(crate) struct TableFront {
 
 /// The pool under a single-server table: one reliable channel.
 pub(crate) fn single_server_pool(channel: RdmaChannel) -> ReplicatedPool {
-    let mut channel = ReliableChannel::new(channel, ReliableConfig::default());
-    channel.set_timer_token(TOKEN_RELIABILITY_TICK);
-    ReplicatedPool::single(channel)
+    ReplicatedPool::single(ReliableChannel::new(channel, ReliableConfig::default()))
 }
 
 impl TableFront {
@@ -583,14 +576,13 @@ impl LookupTableProgram {
         }
         pool_config.auto_promote = false;
         pool_config.reseed_atomics = false;
-        let mut pool = ReplicatedPool::new(
+        let pool = ReplicatedPool::new(
             channels
                 .into_iter()
                 .map(|ch| ReliableChannel::new(ch, ReliableConfig::default()))
                 .collect(),
             pool_config,
         );
-        pool.set_timer_tokens(TOKEN_RELIABILITY_TICK);
         Self::over_pool(fib, pool, dir, cache_capacity)
     }
 

@@ -45,9 +45,6 @@ use extmem_wire::ipv4::proto;
 use extmem_wire::roce::RocePacket;
 use extmem_wire::{EthernetHeader, Ipv4Header, Packet};
 
-/// Timer token for the reliability-layer retransmission tick.
-const TOKEN_RELIABILITY_TICK: u64 = 0x51;
-
 /// Counters for the remote-LPM program.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct LpmStats {
@@ -164,8 +161,7 @@ impl RemoteLpmProgram {
         levels: Vec<u8>,
         cache_capacity: Option<usize>,
     ) -> RemoteLpmProgram {
-        let mut channel = ReliableChannel::new(channel, ReliableConfig::default());
-        channel.set_timer_token(TOKEN_RELIABILITY_TICK);
+        let channel = ReliableChannel::new(channel, ReliableConfig::default());
         Self::over_pool(fib, ReplicatedPool::single(channel), levels, cache_capacity)
     }
 

@@ -42,7 +42,7 @@ use crate::channel::{
     ChannelEvent, ChannelStats, Op, RdmaChannel, ReliableChannel, ReliableConfig,
 };
 use crate::fib::Fib;
-use crate::pool::{PoolConfig, PoolStats, ReplicatedPool};
+use crate::pool::{assert_distinct_ports, PoolConfig, PoolStats, ReplicatedPool};
 use extmem_rnic::{RemoteOp, WriteBody};
 use extmem_switch::{PipelineProgram, SwitchCtx};
 use extmem_types::{PortId, TimeDelta};
@@ -57,10 +57,6 @@ const ENTRY_HDR: usize = 6;
 /// Program timer token a scenario driver fires (via
 /// [`extmem_switch::switch::program_token`]) to begin manual loading.
 pub const TOKEN_START_LOADING: u64 = 0x10;
-
-/// First per-channel retransmission-deadline token (channel `i` arms
-/// `TOKEN_CHANNEL_TIMER_BASE + i`).
-const TOKEN_CHANNEL_TIMER_BASE: u64 = 0x100;
 
 /// When the primitive stores and loads.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -123,8 +119,6 @@ pub struct PacketBufferProgram {
     /// One pool per ring stripe (a pool is one server, or primary +
     /// mirrors when replicated).
     pools: Vec<ReplicatedPool>,
-    /// First program timer token past this program's pools' ranges.
-    timer_tokens_end: u64,
     /// Entries each stripe's region holds.
     per_channel_entries: u64,
     protected_port: PortId,
@@ -241,7 +235,7 @@ impl PacketBufferProgram {
 
     fn from_pools(
         fib: Fib,
-        mut pools: Vec<ReplicatedPool>,
+        pools: Vec<ReplicatedPool>,
         protected_port: PortId,
         entry_size: u64,
         mode: Mode,
@@ -269,18 +263,11 @@ impl PacketBufferProgram {
             .min()
             .unwrap();
         assert!(per_channel_entries > 0, "region smaller than one entry");
-        // Lay out timer tokens: each pool takes `server_count + 1` tokens
-        // (one retransmission deadline per channel plus the probe timer).
-        let mut next = TOKEN_CHANNEL_TIMER_BASE;
-        for pool in &mut pools {
-            pool.set_timer_tokens(next);
-            next += pool.server_count() as u64 + 1;
-        }
+        assert_distinct_ports(&pools);
         let k = pools.len() as u64;
         PacketBufferProgram {
             fib,
             pools,
-            timer_tokens_end: next,
             per_channel_entries,
             protected_port,
             entry_size,
@@ -668,10 +655,7 @@ impl PipelineProgram for PacketBufferProgram {
                 self.loading_enabled = true;
                 self.try_issue_reads(ctx);
             }
-            t if t >= TOKEN_CHANNEL_TIMER_BASE && t < self.timer_tokens_end => {
-                self.pool_timer(ctx, t);
-            }
-            _ => {}
+            _ => self.pool_timer(ctx, token),
         }
     }
 
@@ -1250,6 +1234,66 @@ mod tests {
             sink.seqs,
             (0..200).collect::<Vec<_>>(),
             "exact in-order delivery"
+        );
+    }
+
+    /// Two stripes, each behind its own link dropping 1 %: each stripe's
+    /// channel arms its own timer (named by its server's port) and
+    /// recovers its own losses.
+    #[test]
+    fn striped_ring_recovers_loss_on_every_stripe() {
+        let mut r = rig_full(
+            Mode::Manual,
+            400,
+            1000,
+            300,
+            ByteSize::from_mb(1),
+            40,
+            2,
+            0.01,
+            99,
+            false,
+        );
+        r.sim.run_until(Time::from_micros(500));
+        r.sim.schedule_timer(
+            r.switch,
+            TimeDelta::ZERO,
+            program_token(TOKEN_START_LOADING),
+        );
+        r.sim.run_until(Time::from_millis(100));
+
+        let prog = r
+            .sim
+            .node::<SwitchNode>(r.switch)
+            .program::<PacketBufferProgram>();
+        for (i, ch) in prog.channel_stats().iter().enumerate() {
+            assert!(ch.retransmits > 0, "stripe {i} saw no retransmit: {ch:?}");
+        }
+        let s = prog.stats();
+        assert_eq!((s.stored, s.loaded, s.lost_entries), (400, 400, 0), "{s:?}");
+        let sink = r.sim.node::<Sink>(r.sink);
+        assert_eq!(sink.seqs, (0..400).collect::<Vec<_>>());
+    }
+
+    #[test]
+    #[should_panic(expected = "distinct ports")]
+    fn stripes_sharing_a_port_are_refused() {
+        let endpoint = |i| extmem_wire::roce::RoceEndpoint {
+            mac: MacAddr::local(i),
+            ip: 0x0a00_0000 + i,
+        };
+        let stripe = |i| {
+            let mut nic = RnicNode::new("memsrv", RnicConfig::at(endpoint(i)));
+            RdmaChannel::setup(endpoint(100), PortId(2), &mut nic, ByteSize::from_mb(1))
+        };
+        PacketBufferProgram::new(
+            Fib::new(8),
+            vec![stripe(10), stripe(11)],
+            PortId(1),
+            2048,
+            Mode::Manual,
+            8,
+            TimeDelta::from_micros(50),
         );
     }
 }

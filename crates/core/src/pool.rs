@@ -342,9 +342,28 @@ pub struct ReplicatedPool {
     touched: BTreeSet<u64>,
     reseed: Option<Reseed>,
     probe_armed: bool,
-    timer_base: u64,
     failed: bool,
     stats: PoolStats,
+}
+
+/// Tag of a pool's probe-timer token: `PROBE_TIMER | p`, where `p` is the
+/// switch port of the pool's first server (whose channel's timer is
+/// `CHANNEL_TIMER | p`).
+pub(crate) const PROBE_TIMER: u64 = 1 << 33;
+
+/// Panics unless no two servers of `pools` share a switch port. A server's
+/// port names its channel, for the frames it answers with and for the
+/// channel's and the pool's timers, so a program's servers must each have
+/// their own.
+pub(crate) fn assert_distinct_ports<'a>(pools: impl IntoIterator<Item = &'a ReplicatedPool>) {
+    let mut ports: Vec<PortId> = pools
+        .into_iter()
+        .flat_map(|p| p.servers.iter().map(|s| s.channel.server_port()))
+        .collect();
+    let n = ports.len();
+    ports.sort_unstable();
+    ports.dedup();
+    assert_eq!(ports.len(), n, "memory servers must sit on distinct ports");
 }
 
 impl ReplicatedPool {
@@ -377,16 +396,12 @@ impl ReplicatedPool {
                 );
             }
         }
-        Self::build(channels, config)
+        let pool = Self::build(channels, config);
+        assert_distinct_ports([&pool]);
+        pool
     }
 
-    fn build(mut channels: Vec<ReliableChannel>, config: PoolConfig) -> ReplicatedPool {
-        let timer_base = channels[0].timer_token();
-        // Every channel needs its own retransmission-timer token; lay them
-        // out consecutively from the first channel's (a no-op for N=1).
-        for (i, ch) in channels.iter_mut().enumerate().skip(1) {
-            ch.set_timer_token(timer_base + i as u64);
-        }
+    fn build(channels: Vec<ReliableChannel>, config: PoolConfig) -> ReplicatedPool {
         let n = channels.len() as u32;
         ReplicatedPool {
             servers: channels
@@ -408,7 +423,6 @@ impl ReplicatedPool {
             touched: BTreeSet::new(),
             reseed: None,
             probe_armed: false,
-            timer_base,
             failed: false,
             stats: PoolStats {
                 servers: n,
@@ -417,17 +431,8 @@ impl ReplicatedPool {
         }
     }
 
-    /// Assign the pool's timer-token range: channel `i` arms `base + i`,
-    /// and the probe timer uses `base + server_count`. Call before traffic.
-    pub fn set_timer_tokens(&mut self, base: u64) {
-        for (i, s) in self.servers.iter_mut().enumerate() {
-            s.channel.set_timer_token(base + i as u64);
-        }
-        self.timer_base = base;
-    }
-
     fn probe_token(&self) -> u64 {
-        self.timer_base + self.servers.len() as u64
+        PROBE_TIMER | self.servers[0].channel.server_port().0 as u64
     }
 
     /// Number of servers.
@@ -670,15 +675,17 @@ impl ReplicatedPool {
             self.servers[0].channel.on_timer_fired(ctx, events);
             return true;
         }
-        let n = self.servers.len() as u64;
         if token == self.probe_token() {
             self.on_probe_timer(ctx);
             return true;
         }
-        if token < self.timer_base || token >= self.timer_base + n {
+        let Some(i) = self
+            .servers
+            .iter()
+            .position(|s| s.channel.timer_token() == token)
+        else {
             return false;
-        }
-        let i = (token - self.timer_base) as usize;
+        };
         let mut raw = std::mem::take(&mut self.raw);
         if self.servers[i].health.state() == Health::Down && !self.servers[i].channel.is_failed() {
             // An unanswered op (typically a probe) on a written-off server
@@ -1289,6 +1296,32 @@ mod tests {
             assert_eq!(nic.region(rkey).read(base + 256, 8).unwrap(), [0xab; 8]);
             assert_eq!(nic.region(rkey).read(base, 32).unwrap(), &image[..]);
         }
+    }
+
+    /// A server's port names its channel's timer: two servers on one port
+    /// would arm the same token, so the pool refuses them.
+    #[test]
+    #[should_panic(expected = "distinct ports")]
+    fn servers_sharing_a_port_are_refused() {
+        use extmem_rnic::requester::RequesterQp;
+        use extmem_types::QpNum;
+        let endpoint = |i| RoceEndpoint {
+            mac: MacAddr::local(i),
+            ip: i,
+        };
+        let channel = || RdmaChannel {
+            qp: RequesterQp::new(endpoint(1), endpoint(2), QpNum(0x100), 2048),
+            rkey: Rkey(1),
+            base_va: 0x1000,
+            region_len: 64,
+            server_port: PortId(3),
+        };
+        let rc = ReliableConfig::default();
+        let channels = vec![
+            ReliableChannel::new(channel(), rc),
+            ReliableChannel::new(channel(), rc),
+        ];
+        ReplicatedPool::new(channels, PoolConfig::default());
     }
 
     #[test]

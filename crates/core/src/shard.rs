@@ -10,16 +10,27 @@
 //! removing a shard moves only ~1/(N+1) of the keys — the rebalance cost
 //! the `a12_capacity` experiment measures.
 //!
-//! [`ShardedStateStoreProgram`] is the state-store primitive rebuilt on
-//! this layer: per-flow counters spread over many pools, with per-shard
-//! stats rollups and a live add/remove path (spare shards activate mid-run
-//! without stopping traffic).
+//! [`ShardedStateStoreProgram`] is the **state-store primitive** (§4) on
+//! this layer: per-flow counters in remote DRAM, updated with RDMA
+//! Fetch-and-Add, spread over one or more pools, with per-shard stats
+//! rollups and a live add/remove path (spare shards activate mid-run
+//! without stopping traffic). One shard over one server is the paper's
+//! store.
+//!
+//! "While an original packet is processed through the regular pipeline,
+//! the primitive clones the original packet and truncates the entire
+//! headers and payload of cloned packet to generate a packet for an RDMA
+//! Fetch-and-Add request" — here the forwarding happens first and the FaA
+//! request is generated alongside; the original packet's latency is
+//! unaffected (verified by experiment E3's no-throughput-degradation
+//! check). The issuing discipline (outstanding bound + local accumulation)
+//! lives in [`FaaEngine`].
 
 use crate::channel::ChannelStats;
 use crate::faa::{FaaEngine, FaaStats};
 use crate::fib::Fib;
 use crate::lookup::flow_of;
-use crate::pool::PoolStats;
+use crate::pool::{assert_distinct_ports, PoolStats};
 use extmem_switch::hash::flow_index;
 use extmem_switch::{PipelineProgram, SwitchCtx};
 use extmem_types::{FiveTuple, IntMap, PortId, TimeDelta};
@@ -28,11 +39,6 @@ use extmem_wire::Packet;
 
 /// Timer token for the program's periodic flush/retransmit tick.
 const TOKEN_TICK: u64 = 0x21;
-
-/// Base for per-shard engine timer tokens: shard `k` with `R` servers gets
-/// `SHARD_TIMER_BASE + k * (R + 1)` .. `+ R` (one per server channel plus
-/// the pool's probe timer). Chosen clear of every other program token.
-const SHARD_TIMER_BASE: u64 = 0x4000;
 
 /// The 64-bit finalizer from splitmix64 — a full-avalanche mix so ring
 /// point placement and key hashing are uncorrelated with the structured
@@ -169,10 +175,10 @@ pub struct ShardStats {
 
 /// The state-store primitive over a consistent-hash ring of shards.
 ///
-/// Forwarding is unchanged from [`crate::state_store::StateStoreProgram`];
-/// the counter update routes through the ring to one of N independent
-/// [`FaaEngine`]s, so total counter capacity is the sum of the shards'
-/// regions and grows linearly with added server pools.
+/// Traffic is forwarded by L2 first; then the packet's counter update
+/// routes through the ring to one of N independent [`FaaEngine`]s, so
+/// total counter capacity is the sum of the shards' regions and grows
+/// linearly with added server pools.
 pub struct ShardedStateStoreProgram {
     /// L2 forwarding.
     pub fib: Fib,
@@ -193,8 +199,9 @@ impl ShardedStateStoreProgram {
     /// Build the program over `(id, engine, active)` shards with `vnodes`
     /// virtual nodes per shard. Inactive shards are spares: their servers
     /// are wired and their channels live, but they own no keys until
-    /// [`Self::activate_shard`]. Each engine's timer tokens are re-based
-    /// to a disjoint range; at least one shard must start active.
+    /// [`Self::activate_shard`]. At least one shard must start active, and
+    /// no two servers may share a switch port (a port names its server's
+    /// channel and timers).
     pub fn new(
         fib: Fib,
         shards: Vec<(u32, FaaEngine, bool)>,
@@ -213,12 +220,10 @@ impl ShardedStateStoreProgram {
                 .all(|(_, e, _)| e.slots() == counters_per_shard),
             "all shards must have the same region geometry"
         );
+        assert_distinct_ports(shards.iter().map(|(_, e, _)| e.pool()));
         let mut ring = ShardRing::new(vnodes);
         let mut built = Vec::with_capacity(shards.len());
-        let mut next_token = SHARD_TIMER_BASE;
-        for (id, mut engine, active) in shards {
-            engine.set_timer_tokens(next_token);
-            next_token += engine.pool().server_count() as u64 + 1;
+        for (id, engine, active) in shards {
             if active {
                 ring.add_shard(id);
             }
@@ -421,6 +426,35 @@ mod tests {
             r.add_shard(id);
         }
         r
+    }
+
+    /// Two shards whose servers share a port would arm one timer token
+    /// for two channels: the program refuses them.
+    #[test]
+    #[should_panic(expected = "distinct ports")]
+    fn shards_sharing_a_port_are_refused() {
+        use crate::channel::RdmaChannel;
+        use crate::faa::FaaConfig;
+        use extmem_rnic::requester::RequesterQp;
+        use extmem_types::{QpNum, Rkey};
+        use extmem_wire::roce::RoceEndpoint;
+        use extmem_wire::MacAddr;
+        let endpoint = |i| RoceEndpoint {
+            mac: MacAddr::local(i),
+            ip: i,
+        };
+        let engine = |server| {
+            let channel = RdmaChannel {
+                qp: RequesterQp::new(endpoint(1), endpoint(server), QpNum(0x100), 2048),
+                rkey: Rkey(1),
+                base_va: 0x1000,
+                region_len: 64,
+                server_port: PortId(2),
+            };
+            FaaEngine::new(channel, FaaConfig::default())
+        };
+        let shards = vec![(0, engine(2), true), (1, engine(3), true)];
+        ShardedStateStoreProgram::new(Fib::new(8), shards, 4, TimeDelta::from_micros(20));
     }
 
     #[test]

@@ -1,142 +1,13 @@
-//! The **state-store primitive** (§4): per-flow counters in remote DRAM,
-//! updated with RDMA atomic Fetch-and-Add.
+//! The **state-store primitive**'s control plane (§4): per-flow counters
+//! in remote DRAM, read back by the operator.
 //!
-//! "While an original packet is processed through the regular pipeline, the
-//! primitive clones the original packet and truncates the entire headers
-//! and payload of cloned packet to generate a packet for an RDMA
-//! Fetch-and-Add request" — here the forwarding happens first and the FaA
-//! request is generated alongside; the original packet's latency is
-//! unaffected (verified by experiment E3's no-throughput-degradation
-//! check).
-//!
-//! The remote region is an array of 64-bit counters, one per flow hash
-//! slot. The issuing discipline (outstanding bound + local accumulation)
-//! lives in [`crate::faa::FaaEngine`].
+//! The data plane is [`crate::shard::ShardedStateStoreProgram`]: one shard
+//! over one memory server is the paper's store, more shards spread the
+//! counters over more servers. The remote region is an array of 64-bit
+//! counters, one per flow hash slot.
 
-use crate::faa::{FaaEngine, FaaStats};
-use crate::fib::Fib;
-use crate::lookup::flow_of;
 use extmem_rnic::RnicNode;
-use extmem_switch::hash::flow_index;
-use extmem_switch::{PipelineProgram, SwitchCtx};
-use extmem_types::{IntMap, PortId, Rkey, TimeDelta};
-use extmem_wire::roce::RocePacket;
-use extmem_wire::Packet;
-
-/// Timer token for the periodic flush/retransmit tick.
-const TOKEN_TICK: u64 = 0x21;
-
-/// The state-store pipeline program: forwards traffic normally and counts
-/// every UDP flow packet into a remote counter.
-pub struct StateStoreProgram {
-    /// L2 forwarding.
-    pub fib: Fib,
-    engine: FaaEngine,
-    counters: u64,
-    tick_interval: TimeDelta,
-    tick_armed: bool,
-    /// Ground-truth per-slot counts maintained by the test oracle (the
-    /// simulated equivalent of §5's "verify the accuracy of the value in
-    /// the counter"). Not consulted by the data path.
-    pub oracle: IntMap<u64, u64>,
-    /// Packets forwarded.
-    pub forwarded: u64,
-}
-
-impl StateStoreProgram {
-    /// Create the program. The engine's channel region defines the counter
-    /// count (`region_len / 8`).
-    pub fn new(fib: Fib, engine: FaaEngine, tick_interval: TimeDelta) -> StateStoreProgram {
-        let counters = engine.slots();
-        StateStoreProgram {
-            fib,
-            engine,
-            counters,
-            tick_interval,
-            tick_armed: false,
-            oracle: IntMap::default(),
-            forwarded: 0,
-        }
-    }
-
-    /// Engine counters.
-    pub fn faa_stats(&self) -> FaaStats {
-        self.engine.stats()
-    }
-
-    /// The engine's replication pool (health/failover inspection).
-    pub fn pool(&self) -> &crate::pool::ReplicatedPool {
-        self.engine.pool()
-    }
-
-    /// Values not yet settled on the remote counters.
-    pub fn in_transit(&self) -> u64 {
-        self.engine.in_transit()
-    }
-
-    /// Values accumulated locally and not yet sent.
-    pub fn pending_sum(&self) -> u64 {
-        self.engine.pending_sum()
-    }
-
-    /// Whether every update has been flushed and acknowledged.
-    pub fn is_quiescent(&self) -> bool {
-        self.engine.is_quiescent()
-    }
-
-    /// Whether the reliability layer gave up and updates accumulate
-    /// locally.
-    pub fn is_degraded(&self) -> bool {
-        self.engine.is_degraded()
-    }
-
-    /// The counter slot a flow maps to.
-    pub fn slot_of(&self, flow: &extmem_types::FiveTuple) -> u64 {
-        flow_index(flow, self.counters)
-    }
-}
-
-impl PipelineProgram for StateStoreProgram {
-    fn ingress(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, in_port: PortId, pkt: Packet) {
-        if !self.tick_armed {
-            self.tick_armed = true;
-            ctx.schedule(self.tick_interval, TOKEN_TICK);
-        }
-        if self.engine.owns_port(in_port) {
-            if let Ok(Some(roce)) = RocePacket::parse(&pkt) {
-                self.engine.on_roce(ctx, in_port, &roce);
-                return;
-            }
-        }
-        // Forward through the regular pipeline first (the original packet
-        // is never delayed by the telemetry path).
-        let flow = flow_of(&pkt);
-        if let Some(port) = self.fib.egress_for(&pkt) {
-            self.forwarded += 1;
-            ctx.enqueue(port, pkt);
-        }
-        // Then update the remote counter from the (conceptual) clone.
-        if let Some(flow) = flow {
-            let slot = flow_index(&flow, self.counters);
-            *self.oracle.entry(slot).or_insert(0) += 1;
-            self.engine.add(ctx, slot, 1);
-        }
-    }
-
-    fn on_timer(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, token: u64) {
-        if token == TOKEN_TICK {
-            self.engine.flush(ctx);
-            self.engine.tick(ctx);
-            ctx.schedule(self.tick_interval, TOKEN_TICK);
-        } else {
-            self.engine.on_timer(ctx, token);
-        }
-    }
-
-    fn program_name(&self) -> &str {
-        "state-store-primitive"
-    }
-}
+use extmem_types::Rkey;
 
 /// Control plane: read all remote counters from the memory server (the
 /// operator running estimation jobs over the state store, §2.3).
@@ -154,13 +25,15 @@ pub fn read_remote_counters(nic: &RnicNode, rkey: Rkey, base_va: u64, counters: 
 mod tests {
     use super::*;
     use crate::channel::RdmaChannel;
-    use crate::faa::FaaConfig;
-    use extmem_rnic::{RnicConfig, RnicNode};
+    use crate::faa::{FaaConfig, FaaEngine};
+    use crate::fib::Fib;
+    use crate::shard::ShardedStateStoreProgram;
+    use extmem_rnic::RnicConfig;
     use extmem_sim::{LinkSpec, Node, NodeCtx, SimBuilder, Simulator, TxQueue};
     use extmem_switch::{SwitchConfig, SwitchNode};
-    use extmem_types::{ByteSize, FiveTuple, NodeId, Time};
+    use extmem_types::{ByteSize, FiveTuple, NodeId, PortId, Time, TimeDelta};
     use extmem_wire::payload::build_data_packet;
-    use extmem_wire::MacAddr;
+    use extmem_wire::{MacAddr, Packet};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -227,7 +100,31 @@ mod tests {
         counters: u64,
     }
 
-    fn rig(config: FaaConfig, n_packets: u32, n_flows: usize, gap_ns: u64, seed: u64) -> Rig {
+    impl Rig {
+        /// The store: one shard over the one memory server.
+        fn prog(&self) -> &ShardedStateStoreProgram {
+            self.sim.node::<SwitchNode>(self.switch).program()
+        }
+
+        /// Every remote counter, read back by the control plane.
+        fn remote(&self) -> Vec<u64> {
+            let nic = self.sim.node::<RnicNode>(self.memsrv);
+            read_remote_counters(nic, self.rkey, self.base_va, self.counters)
+        }
+    }
+
+    /// source -> [p0 SWITCH p1] -> sink, the memory server on port 2
+    /// behind a link dropping `drop` of its frames; `n_packets` over
+    /// `n_flows` flows, one every `gap_ns`, counted into `counters` slots.
+    fn rig_on(
+        config: FaaConfig,
+        counters: u64,
+        n_packets: u32,
+        n_flows: usize,
+        gap_ns: u64,
+        seed: u64,
+        drop: f64,
+    ) -> Rig {
         let switch_ep = extmem_wire::roce::RoceEndpoint {
             mac: MacAddr::local(100),
             ip: 0x0a0000fe,
@@ -237,7 +134,6 @@ mod tests {
             ip: 0x0a000003,
         };
         let mut nic = RnicNode::new("memsrv", RnicConfig::at(server_ep));
-        let counters = 1024u64;
         let channel = RdmaChannel::setup(
             switch_ep,
             PortId(2),
@@ -250,8 +146,8 @@ mod tests {
         let mut fib = Fib::new(8);
         fib.install(MacAddr::local(1), PortId(0));
         fib.install(MacAddr::local(2), PortId(1));
-        let engine = FaaEngine::new(channel, config);
-        let prog = StateStoreProgram::new(fib, engine, TimeDelta::from_micros(20));
+        let shards = vec![(0, FaaEngine::new(channel, config), true)];
+        let prog = ShardedStateStoreProgram::new(fib, shards, 1, TimeDelta::from_micros(20));
 
         let flows: Vec<FiveTuple> = (0..n_flows)
             .map(|i| FiveTuple::new(0x0a000001, 0x0a000002, 5000 + i as u16, 9000, 17))
@@ -281,13 +177,11 @@ mod tests {
             LinkSpec::testbed_40g(),
         );
         b.connect(switch, PortId(1), sink, PortId(0), LinkSpec::testbed_40g());
-        b.connect(
-            switch,
-            PortId(2),
-            memsrv,
-            PortId(0),
-            LinkSpec::testbed_40g(),
-        );
+        let mut server_link = LinkSpec::testbed_40g();
+        if drop > 0.0 {
+            server_link.faults = extmem_sim::FaultSpec::drop(drop);
+        }
+        b.connect(switch, PortId(2), memsrv, PortId(0), server_link);
         let mut sim = b.build();
         sim.schedule_timer(source, TimeDelta::ZERO, 0);
         Rig {
@@ -301,6 +195,19 @@ mod tests {
         }
     }
 
+    /// A loss-free rig over 1024 counters.
+    fn rig(config: FaaConfig, n_packets: u32, n_flows: usize, gap_ns: u64, seed: u64) -> Rig {
+        rig_on(config, 1024, n_packets, n_flows, gap_ns, seed, 0.0)
+    }
+
+    /// One flow's 400 packets, one every 400 ns, counted into 64 slots
+    /// over a server link dropping `drop`; run for 20 ms.
+    fn lossy(config: FaaConfig, seed: u64, drop: f64) -> Rig {
+        let mut r = rig_on(config, 64, 400, 1, 400, seed, drop);
+        r.sim.run_until(Time::from_millis(20));
+        r
+    }
+
     fn run_and_settle(r: &mut Rig) {
         // Run the workload and several flush ticks; the tick timer re-arms
         // forever, so run until a far deadline instead of quiescence.
@@ -308,14 +215,11 @@ mod tests {
     }
 
     fn remote_plus_transit_equals_oracle(r: &Rig) {
-        let sw: &SwitchNode = r.sim.node::<SwitchNode>(r.switch);
-        let prog = sw.program::<StateStoreProgram>();
-        let nic = r.sim.node::<RnicNode>(r.memsrv);
-        let remote = read_remote_counters(nic, r.rkey, r.base_va, r.counters);
+        let prog = r.prog();
         let oracle_total: u64 = prog.oracle.values().sum();
-        let remote_total: u64 = remote.iter().sum();
+        let remote_total: u64 = r.remote().iter().sum();
         assert_eq!(
-            remote_total + prog.in_transit(),
+            remote_total + prog.engine(0).in_transit(),
             oracle_total,
             "conservation violated"
         );
@@ -325,19 +229,19 @@ mod tests {
     fn counters_are_exactly_accurate_after_settling() {
         let mut r = rig(FaaConfig::default(), 500, 10, 500, 42);
         run_and_settle(&mut r);
-        let sw: &SwitchNode = r.sim.node::<SwitchNode>(r.switch);
-        let prog = sw.program::<StateStoreProgram>();
+        let prog = r.prog();
         assert!(prog.is_quiescent(), "updates still pending after settle");
         assert_eq!(prog.forwarded, 500);
         assert_eq!(r.sim.node::<Sink>(r.sink).rx, 500);
 
         // §5: "the updated value is 100% accurate".
-        let nic = r.sim.node::<RnicNode>(r.memsrv);
-        let remote = read_remote_counters(nic, r.rkey, r.base_va, r.counters);
-        for (slot, &expect) in &prog.oracle {
-            assert_eq!(remote[*slot as usize], expect, "slot {slot} wrong");
+        let remote = r.remote();
+        for (&(shard, slot), &expect) in &prog.oracle {
+            assert_eq!(shard, 0);
+            assert_eq!(remote[slot as usize], expect, "slot {slot} wrong");
         }
         assert_eq!(remote.iter().sum::<u64>(), 500);
+        let nic = r.sim.node::<RnicNode>(r.memsrv);
         assert_eq!(nic.stats().cpu_packets, 0);
         assert_eq!(
             nic.stats().atomic_overflow_drops,
@@ -353,9 +257,8 @@ mod tests {
         // must be far fewer than updates, yet the final counts exact.
         let mut r = rig(FaaConfig::default(), 2000, 4, 60, 7);
         run_and_settle(&mut r);
-        let sw: &SwitchNode = r.sim.node::<SwitchNode>(r.switch);
-        let prog = sw.program::<StateStoreProgram>();
-        let s = prog.faa_stats();
+        let prog = r.prog();
+        let s = prog.engine(0).stats();
         assert_eq!(s.updates, 2000);
         assert!(
             s.merged > 0,
@@ -364,10 +267,8 @@ mod tests {
         assert!(s.faa_sent < 2000, "batching must reduce FaA count: {s:?}");
         assert!(prog.is_quiescent());
         remote_plus_transit_equals_oracle(&r);
-        let nic = r.sim.node::<RnicNode>(r.memsrv);
-        let remote = read_remote_counters(nic, r.rkey, r.base_va, r.counters);
         assert_eq!(
-            remote.iter().sum::<u64>(),
+            r.remote().iter().sum::<u64>(),
             2000,
             "accuracy must survive accumulation"
         );
@@ -375,44 +276,25 @@ mod tests {
 
     #[test]
     fn batching_reduces_faa_traffic_further() {
-        let mut r1 = rig(
-            FaaConfig {
-                min_batch: 1,
+        let batched = |min_batch| {
+            let config = FaaConfig {
+                min_batch,
                 ..Default::default()
-            },
-            1000,
-            4,
-            60,
-            9,
-        );
-        run_and_settle(&mut r1);
-        let mut r8 = rig(
-            FaaConfig {
-                min_batch: 8,
-                ..Default::default()
-            },
-            1000,
-            4,
-            60,
-            9,
-        );
-        run_and_settle(&mut r8);
-        let faa1 = {
-            let sw: &SwitchNode = r1.sim.node::<SwitchNode>(r1.switch);
-            sw.program::<StateStoreProgram>().faa_stats().faa_sent
+            };
+            let mut r = rig(config, 1000, 4, 60, 9);
+            run_and_settle(&mut r);
+            r
         };
-        let faa8 = {
-            let sw: &SwitchNode = r8.sim.node::<SwitchNode>(r8.switch);
-            sw.program::<StateStoreProgram>().faa_stats().faa_sent
-        };
+        let (r1, r8) = (batched(1), batched(8));
+        let faa1 = r1.prog().engine(0).stats().faa_sent;
+        let faa8 = r8.prog().engine(0).stats().faa_sent;
         assert!(
             faa8 < faa1,
             "min_batch=8 sent {faa8}, min_batch=1 sent {faa1}"
         );
         // Accuracy unaffected after flush.
         remote_plus_transit_equals_oracle(&r8);
-        let sw: &SwitchNode = r8.sim.node::<SwitchNode>(r8.switch);
-        assert!(sw.program::<StateStoreProgram>().is_quiescent());
+        assert!(r8.prog().is_quiescent());
     }
 
     #[test]
@@ -425,15 +307,11 @@ mod tests {
         let mut r = rig(FaaConfig::default(), 300, 3, 100, 3);
         for deadline_us in [50, 120, 300, 1000] {
             r.sim.run_until(Time::from_micros(deadline_us));
-            let sw: &SwitchNode = r.sim.node::<SwitchNode>(r.switch);
-            let prog = sw.program::<StateStoreProgram>();
-            let nic = r.sim.node::<RnicNode>(r.memsrv);
-            let remote: u64 = read_remote_counters(nic, r.rkey, r.base_va, r.counters)
-                .iter()
-                .sum();
-            let oracle: u64 = prog.oracle.values().sum();
-            assert!(remote + prog.pending_sum() <= oracle, "overcount!");
-            assert!(oracle <= remote + prog.in_transit(), "updates vanished!");
+            let engine = r.prog().engine(0);
+            let remote: u64 = r.remote().iter().sum();
+            let oracle: u64 = r.prog().oracle.values().sum();
+            assert!(remote + engine.pending_sum() <= oracle, "overcount!");
+            assert!(oracle <= remote + engine.in_transit(), "updates vanished!");
         }
         run_and_settle(&mut r);
         remote_plus_transit_equals_oracle(&r);
@@ -441,73 +319,16 @@ mod tests {
 
     #[test]
     fn reliable_mode_survives_a_lossy_channel() {
-        // Build a rig with 2% drop on the server link, reliable mode on:
-        // the remote counters must still be exact.
-        let switch_ep = extmem_wire::roce::RoceEndpoint {
-            mac: MacAddr::local(100),
-            ip: 0x0a0000fe,
+        // 2% drop on the server link, reliable mode on: the remote
+        // counters must still be exact.
+        let config = FaaConfig {
+            reliable: true,
+            rto: TimeDelta::from_micros(50),
+            ..Default::default()
         };
-        let server_ep = extmem_wire::roce::RoceEndpoint {
-            mac: MacAddr::local(3),
-            ip: 0x0a000003,
-        };
-        let mut nic = RnicNode::new("memsrv", RnicConfig::at(server_ep));
-        let counters = 64u64;
-        let channel = RdmaChannel::setup(
-            switch_ep,
-            PortId(2),
-            &mut nic,
-            ByteSize::from_bytes(counters * 8),
-        );
-        let rkey = channel.rkey;
-        let base_va = channel.base_va;
-        let mut fib = Fib::new(8);
-        fib.install(MacAddr::local(1), PortId(0));
-        fib.install(MacAddr::local(2), PortId(1));
-        let engine = FaaEngine::new(
-            channel,
-            FaaConfig {
-                reliable: true,
-                rto: TimeDelta::from_micros(50),
-                ..Default::default()
-            },
-        );
-        let prog = StateStoreProgram::new(fib, engine, TimeDelta::from_micros(20));
-
-        let mut b = SimBuilder::new(77);
-        let source = b.add_node(Box::new(MultiFlowSource {
-            flows: vec![FiveTuple::new(0x0a000001, 0x0a000002, 5000, 9000, 17)],
-            n: 400,
-            sent: 0,
-            interval: TimeDelta::from_nanos(400),
-            rng: StdRng::seed_from_u64(1),
-            tx: TxQueue::new(PortId(0)),
-        }));
-        let sink = b.add_node(Box::new(Sink { rx: 0 }));
-        let switch = b.add_node(Box::new(SwitchNode::new(
-            "tor",
-            SwitchConfig::default(),
-            Box::new(prog),
-        )));
-        let memsrv = b.add_node(Box::new(nic));
-        b.connect(
-            switch,
-            PortId(0),
-            source,
-            PortId(0),
-            LinkSpec::testbed_40g(),
-        );
-        b.connect(switch, PortId(1), sink, PortId(0), LinkSpec::testbed_40g());
-        let mut lossy = LinkSpec::testbed_40g();
-        lossy.faults = extmem_sim::FaultSpec::drop(0.02);
-        b.connect(switch, PortId(2), memsrv, PortId(0), lossy);
-        let mut sim = b.build();
-        sim.schedule_timer(source, TimeDelta::ZERO, 0);
-        sim.run_until(Time::from_millis(20));
-
-        let sw: &SwitchNode = sim.node::<SwitchNode>(switch);
-        let prog = sw.program::<StateStoreProgram>();
-        let s = prog.faa_stats();
+        let r = lossy(config, 77, 0.02);
+        let prog = r.prog();
+        let s = prog.engine(0).stats();
         assert!(
             s.retransmits > 0 || s.naks > 0,
             "loss should have triggered recovery: {s:?}"
@@ -516,10 +337,7 @@ mod tests {
             prog.is_quiescent(),
             "reliable mode must eventually settle: {s:?}"
         );
-        let nic = sim.node::<RnicNode>(memsrv);
-        let remote: u64 = read_remote_counters(nic, rkey, base_va, counters)
-            .iter()
-            .sum();
+        let remote: u64 = r.remote().iter().sum();
         let oracle: u64 = prog.oracle.values().sum();
         assert_eq!(remote, oracle, "reliable mode must deliver exact counts");
     }
@@ -528,72 +346,13 @@ mod tests {
     fn best_effort_mode_undercounts_on_loss() {
         // Same loss, reliability off: the §7 observation that "an RDMA
         // packet drop would affect the accuracy of the state".
-        let switch_ep = extmem_wire::roce::RoceEndpoint {
-            mac: MacAddr::local(100),
-            ip: 0x0a0000fe,
-        };
-        let server_ep = extmem_wire::roce::RoceEndpoint {
-            mac: MacAddr::local(3),
-            ip: 0x0a000003,
-        };
-        let mut nic = RnicNode::new("memsrv", RnicConfig::at(server_ep));
-        let counters = 64u64;
-        let channel = RdmaChannel::setup(
-            switch_ep,
-            PortId(2),
-            &mut nic,
-            ByteSize::from_bytes(counters * 8),
-        );
-        let rkey = channel.rkey;
-        let base_va = channel.base_va;
-        let mut fib = Fib::new(8);
-        fib.install(MacAddr::local(1), PortId(0));
-        fib.install(MacAddr::local(2), PortId(1));
-        let engine = FaaEngine::new(channel, FaaConfig::default());
-        let prog = StateStoreProgram::new(fib, engine, TimeDelta::from_micros(20));
-
         // Seed picked so the drop pattern undercounts without tripping the
         // pool's failure detector — a burst of consecutive timeouts would
         // declare the sole server down and freeze the remote counter, which
         // is a different scenario than the one this test pins.
-        let mut b = SimBuilder::new(81);
-        let source = b.add_node(Box::new(MultiFlowSource {
-            flows: vec![FiveTuple::new(0x0a000001, 0x0a000002, 5000, 9000, 17)],
-            n: 400,
-            sent: 0,
-            interval: TimeDelta::from_nanos(400),
-            rng: StdRng::seed_from_u64(1),
-            tx: TxQueue::new(PortId(0)),
-        }));
-        let sink = b.add_node(Box::new(Sink { rx: 0 }));
-        let switch = b.add_node(Box::new(SwitchNode::new(
-            "tor",
-            SwitchConfig::default(),
-            Box::new(prog),
-        )));
-        let memsrv = b.add_node(Box::new(nic));
-        b.connect(
-            switch,
-            PortId(0),
-            source,
-            PortId(0),
-            LinkSpec::testbed_40g(),
-        );
-        b.connect(switch, PortId(1), sink, PortId(0), LinkSpec::testbed_40g());
-        let mut lossy = LinkSpec::testbed_40g();
-        lossy.faults = extmem_sim::FaultSpec::drop(0.05);
-        b.connect(switch, PortId(2), memsrv, PortId(0), lossy);
-        let mut sim = b.build();
-        sim.schedule_timer(source, TimeDelta::ZERO, 0);
-        sim.run_until(Time::from_millis(20));
-
-        let nic = sim.node::<RnicNode>(memsrv);
-        let remote: u64 = read_remote_counters(nic, rkey, base_va, counters)
-            .iter()
-            .sum();
-        let sw: &SwitchNode = sim.node::<SwitchNode>(switch);
-        let prog = sw.program::<StateStoreProgram>();
-        let oracle: u64 = prog.oracle.values().sum();
+        let r = lossy(FaaConfig::default(), 81, 0.05);
+        let remote: u64 = r.remote().iter().sum();
+        let oracle: u64 = r.prog().oracle.values().sum();
         assert!(
             remote < oracle,
             "5% loss without reliability must undercount"

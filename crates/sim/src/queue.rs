@@ -91,11 +91,6 @@ impl TxQueue {
         self.queued_bytes
     }
 
-    /// Packets currently waiting.
-    pub fn queued_packets(&self) -> usize {
-        self.queue.len()
-    }
-
     /// Whether nothing is waiting.
     pub fn is_empty(&self) -> bool {
         self.queue.is_empty()
@@ -190,7 +185,6 @@ mod tests {
         let q = TxQueue::bounded(PortId(0), 100);
         assert!(q.is_empty());
         assert_eq!(q.queued_bytes(), 0);
-        assert_eq!(q.queued_packets(), 0);
         assert_eq!(q.port(), PortId(0));
     }
 }

@@ -107,37 +107,6 @@ impl Opcode {
                 | Opcode::GatherWalk
         )
     }
-
-    /// Whether this opcode is a remote-op request (the ISA extension: a
-    /// dependent-access chain executed by the responder NIC in one RTT).
-    pub fn is_remote_op(self) -> bool {
-        matches!(
-            self,
-            Opcode::IndirectRead | Opcode::HashProbe | Opcode::CondWrite | Opcode::GatherWalk
-        )
-    }
-
-    /// Whether this opcode carries an RETH (first/only packets of WRITE, and
-    /// READ requests).
-    pub fn has_reth(self) -> bool {
-        matches!(
-            self,
-            Opcode::WriteFirst | Opcode::WriteOnly | Opcode::ReadRequest
-        )
-    }
-
-    /// Whether this opcode carries an AETH.
-    pub fn has_aeth(self) -> bool {
-        matches!(
-            self,
-            Opcode::ReadRespFirst
-                | Opcode::ReadRespLast
-                | Opcode::ReadRespOnly
-                | Opcode::Acknowledge
-                | Opcode::AtomicAcknowledge
-                | Opcode::ExtOpResp
-        )
-    }
 }
 
 /// A decoded Base Transport Header.
@@ -321,16 +290,8 @@ mod tests {
         assert!(Opcode::WriteOnly.is_request());
         assert!(Opcode::FetchAdd.is_request());
         assert!(!Opcode::Acknowledge.is_request());
-        assert!(Opcode::ReadRequest.has_reth());
-        assert!(!Opcode::WriteMiddle.has_reth());
-        assert!(Opcode::ReadRespOnly.has_aeth());
-        assert!(!Opcode::ReadRespMiddle.has_aeth());
         assert!(Opcode::GatherWalk.is_request());
-        assert!(Opcode::CondWrite.is_remote_op());
         assert!(!Opcode::ExtOpResp.is_request());
-        assert!(!Opcode::ExtOpResp.is_remote_op());
-        assert!(Opcode::ExtOpResp.has_aeth());
-        assert!(!Opcode::HashProbe.has_reth());
     }
 
     #[test]

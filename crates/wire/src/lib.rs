@@ -33,7 +33,6 @@ pub mod bytes;
 pub mod error;
 pub mod ethernet;
 pub mod extop;
-pub mod grh;
 pub mod icrc;
 pub mod ipv4;
 pub mod packet;
@@ -48,7 +47,7 @@ pub use error::WireError;
 pub use ethernet::{EtherType, EthernetHeader, MacAddr};
 pub use ipv4::Ipv4Header;
 pub use packet::Packet;
-pub use roce::{RoceMessage, RocePacket};
+pub use roce::RocePacket;
 pub use udp::UdpHeader;
 
 /// Result alias for wire-format operations.

@@ -30,10 +30,14 @@ use crate::{Result, WireError};
 /// IPv4 (20) + UDP (8) + BTH (12). This is the paper's "40 bytes".
 pub const ROCEV2_BASE_OVERHEAD: usize = Ipv4Header::LEN + UdpHeader::LEN + Bth::LEN;
 
+/// RoCEv1's routing header, the InfiniBand Global Route Header: 40 bytes
+/// laid out like an IPv6 header (IB spec vol 1, §8.3). Nothing here
+/// encodes one; the primitives speak RoCEv2.
+const GRH_LEN: usize = 40;
+
 /// The RoCEv1 equivalent: GRH (40) + BTH (12) = 52 bytes, quoted by the
-/// paper for comparison (see [`crate::grh`] for the GRH codec; the
-/// primitives themselves speak RoCEv2).
-pub const ROCEV1_BASE_OVERHEAD: usize = crate::grh::Grh::LEN + Bth::LEN;
+/// paper for comparison.
+pub const ROCEV1_BASE_OVERHEAD: usize = GRH_LEN + Bth::LEN;
 
 /// Operation-specific header bytes for WRITE and READ (the RETH).
 pub const WRITE_READ_OP_OVERHEAD: usize = Reth::LEN;
@@ -367,9 +371,6 @@ pub struct RocePacket {
     /// windows the frame's buffer, and cloning bumps a refcount.
     pub payload: Payload,
 }
-
-/// Alias kept for readers coming from the parser API.
-pub type RoceMessage = RocePacket;
 
 impl RocePacket {
     /// Construct a packet with workspace-default L3/L4 fields. `total_len`,

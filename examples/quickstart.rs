@@ -11,9 +11,11 @@
 use extmem_apps::scenario::{host_ip, host_mac, Built, Testbed};
 use extmem_apps::workload::{FlowPick, SinkNode, WorkloadSpec};
 use extmem_core::faa::{FaaConfig, FaaEngine};
-use extmem_core::state_store::{read_remote_counters, StateStoreProgram};
+use extmem_core::state_store::read_remote_counters;
+use extmem_core::ShardedStateStoreProgram;
 use extmem_rnic::{RnicConfig, RnicNode};
 use extmem_sim::LinkSpec;
+use extmem_switch::hash::flow_index;
 use extmem_switch::{SwitchConfig, SwitchNode};
 use extmem_types::{ByteSize, FiveTuple, Rate, Time, TimeDelta};
 
@@ -61,10 +63,12 @@ fn main() {
     );
 
     // ---------------------------------------------------------------
-    // 3. The data-plane program: L2 forwarding + remote per-flow counting.
+    // 3. The data-plane program: L2 forwarding + remote per-flow counting,
+    //    over one shard (shard 0, active) backed by that one server.
     // ---------------------------------------------------------------
     let engine = FaaEngine::new(channel, FaaConfig::default());
-    let program = StateStoreProgram::new(tb.fib(), engine, TimeDelta::from_micros(50));
+    let shards = vec![(0, engine, true)];
+    let program = ShardedStateStoreProgram::new(tb.fib(), shards, 1, TimeDelta::from_micros(50));
 
     // ---------------------------------------------------------------
     // 4. Build (wires the links, starts the sender) and run. After the
@@ -91,13 +95,13 @@ fn main() {
     );
 
     let sw: &SwitchNode = sim.node::<SwitchNode>(switch);
-    let prog = sw.program::<StateStoreProgram>();
+    let prog = sw.program::<ShardedStateStoreProgram>();
     let nic = sim.node::<RnicNode>(servers[0]);
     let remote = read_remote_counters(nic, rkey, base_va, counters);
 
     println!("\nper-flow counters (read from the server's DRAM):");
     for f in &flows {
-        let slot = prog.slot_of(f);
+        let slot = flow_index(f, prog.counters_per_shard());
         println!(
             "  {:?} -> slot {:4}: {:4} packets",
             f, slot, remote[slot as usize]
@@ -105,10 +109,10 @@ fn main() {
     }
     let total: u64 = remote.iter().sum();
     println!("\nremote total = {total} (sent 1000)");
+    let faa = prog.engine(0).stats();
     println!(
         "FaA requests sent: {} (merged {} updates into fewer ops)",
-        prog.faa_stats().faa_sent,
-        prog.faa_stats().merged
+        faa.faa_sent, faa.merged
     );
     println!(
         "server CPU packets: {} (zero CPU involvement)",

@@ -32,10 +32,11 @@ fi
 echo "== cargo clippy (deny warnings) =="
 cargo clippy --all-targets -- -D warnings
 
-echo "== rustfmt (sim, wire, types, switch, apps) =="
+echo "== rustfmt (sim, wire, types, switch, apps, core) =="
 # The crates that are rustfmt-clean stay clean; the others are not
 # formatted yet and are left out until they are.
-cargo fmt -p extmem-sim -p extmem-wire -p extmem-types -p extmem-switch -p extmem-apps -- --check
+cargo fmt -p extmem-sim -p extmem-wire -p extmem-types -p extmem-switch -p extmem-apps \
+    -p extmem-core -- --check
 
 echo "== no hand-placed buffer returns =="
 # A frame buffer goes back to the pool when its payload's last owner drops

@@ -26,7 +26,7 @@ use extmem_apps::scenario::Built;
 use extmem_apps::workload::{SinkNode, TrafficGenNode};
 use extmem_core::lookup::LookupTableProgram;
 use extmem_core::packet_buffer::PacketBufferProgram;
-use extmem_core::state_store::StateStoreProgram;
+use extmem_core::ShardedStateStoreProgram;
 use extmem_switch::SwitchNode;
 use extmem_types::{Time, TimeDelta};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -190,9 +190,9 @@ fn packet_buffer_store_and_fetch_allocates_once_per_payload() {
 
 fn check_replicated_fetch_and_add(what: &str, t: &Built, per_frame: f64) {
     let sw: &SwitchNode = t.sim.node(t.switch);
-    let prog = sw.program::<StateStoreProgram>();
+    let prog = sw.program::<ShardedStateStoreProgram>();
     assert!(prog.is_quiescent() && !prog.is_degraded());
-    let s = prog.faa_stats();
+    let s = prog.engine(0).stats();
     assert_eq!((s.lost_updates, s.retransmits), (0, 0), "{s:?}");
     assert!(s.pool.delta_replayed > 0, "the mirror must be fed: {s:?}");
     // Data frame, FaA request to the primary, its atomic ACK; the mirror's

@@ -5,7 +5,7 @@ use extmem_apps::incast::{run_incast, IncastConfig, RemoteBufferSpec};
 use extmem_apps::scenario::{host_endpoint, host_ip, host_mac, Testbed};
 use extmem_apps::workload::{FlowPick, WorkloadSpec};
 use extmem_core::faa::{FaaConfig, FaaEngine};
-use extmem_core::state_store::StateStoreProgram;
+use extmem_core::ShardedStateStoreProgram;
 use extmem_rnic::{RnicConfig, RnicNode};
 use extmem_sim::{LinkSpec, SimBuilder, Simulator};
 use extmem_types::{ByteSize, FiveTuple, PortId, Rate, Time, TimeDelta};
@@ -35,7 +35,8 @@ fn statestore_sim(seed: u64) -> Simulator {
     tb.sink(link);
     let (_, channel) = tb.server(RnicConfig::default(), ByteSize::from_kb(8), link);
     let engine = FaaEngine::new(channel, FaaConfig::default());
-    let prog = StateStoreProgram::new(tb.fib(), engine, TimeDelta::from_micros(50));
+    let shards = vec![(0, engine, true)];
+    let prog = ShardedStateStoreProgram::new(tb.fib(), shards, 1, TimeDelta::from_micros(50));
     tb.build(extmem_switch::SwitchConfig::default(), Box::new(prog))
         .sim
 }

@@ -11,7 +11,8 @@ use extmem_apps::scenario::{host_ip, host_mac, Built, Testbed};
 use extmem_apps::workload::{SinkNode, WorkloadSpec};
 use extmem_core::faa::{FaaConfig, FaaEngine};
 use extmem_core::packet_buffer::{Mode, PacketBufferProgram};
-use extmem_core::state_store::{read_remote_counters, StateStoreProgram};
+use extmem_core::state_store::read_remote_counters;
+use extmem_core::ShardedStateStoreProgram;
 use extmem_core::RdmaChannel;
 use extmem_rnic::{RnicConfig, RnicNode};
 use extmem_sim::{FaultSpec, LinkSpec};
@@ -65,7 +66,8 @@ fn lossy_counting_rig(faa: FaaConfig, faults: FaultSpec, seed: u64) -> (Built, R
     );
     let (rkey, base) = (channel.rkey, channel.base_va);
     let engine = FaaEngine::new(channel, faa);
-    let prog = StateStoreProgram::new(tb.fib(), engine, TimeDelta::from_micros(30));
+    let shards = vec![(0, engine, true)];
+    let prog = ShardedStateStoreProgram::new(tb.fib(), shards, 1, TimeDelta::from_micros(30));
     (
         tb.build(SwitchConfig::default(), Box::new(prog)),
         rkey,
@@ -123,8 +125,8 @@ fn reliable_statestore_is_exact_under_drops() {
     );
     rig.sim.run_until(Time::from_millis(30));
     let sw: &SwitchNode = rig.sim.node(rig.switch);
-    let prog = sw.program::<StateStoreProgram>();
-    let s = prog.faa_stats();
+    let prog = sw.program::<ShardedStateStoreProgram>();
+    let s = prog.engine(0).stats();
     assert!(s.retransmits > 0, "expected recovery activity: {s:?}");
     assert!(prog.is_quiescent(), "must settle: {s:?}");
     let remote = remote_total(&rig, rkey, base, 256);
@@ -147,14 +149,15 @@ fn best_effort_statestore_undercounts_under_drops() {
     );
     rig.sim.run_until(Time::from_millis(30));
     let sw: &SwitchNode = rig.sim.node(rig.switch);
-    let prog = sw.program::<StateStoreProgram>();
+    let prog = sw.program::<ShardedStateStoreProgram>();
     let remote = remote_total(&rig, rkey, base, 256);
     let truth: u64 = prog.oracle.values().sum();
     assert!(
         remote < truth,
         "8% loss must undercount (remote {remote} vs truth {truth})"
     );
-    assert!(prog.faa_stats().lost_updates > 0 || prog.faa_stats().naks > 0);
+    let s = prog.engine(0).stats();
+    assert!(s.lost_updates > 0 || s.naks > 0);
 }
 
 #[test]
@@ -176,12 +179,12 @@ fn best_effort_statestore_never_wedges_under_heavy_loss() {
     );
     rig.sim.run_until(Time::from_millis(40));
     let sw: &SwitchNode = rig.sim.node(rig.switch);
-    let prog = sw.program::<StateStoreProgram>();
-    let s = prog.faa_stats();
+    let prog = sw.program::<ShardedStateStoreProgram>();
+    let s = prog.engine(0).stats();
     assert!(
         prog.is_quiescent(),
         "engine wedged: in_transit={} stats={s:?}",
-        prog.in_transit()
+        prog.engine(0).in_transit()
     );
     assert!(s.lost_updates > 0, "20% loss must lose something: {s:?}");
     // Forwarding untouched.
@@ -216,7 +219,7 @@ fn corruption_dies_at_the_nic() {
     );
     // Reliability recovers the corrupted requests too.
     let sw: &SwitchNode = rig.sim.node(rig.switch);
-    let prog = sw.program::<StateStoreProgram>();
+    let prog = sw.program::<ShardedStateStoreProgram>();
     let remote = remote_total(&rig, rkey, base, 256);
     let truth: u64 = prog.oracle.values().sum();
     assert_eq!(remote, truth, "reliable mode must absorb corruption");
@@ -283,7 +286,8 @@ fn server_outage_and_recovery_with_reliable_statestore() {
             ..Default::default()
         },
     );
-    let prog = StateStoreProgram::new(tb.fib(), engine, TimeDelta::from_micros(50));
+    let shards = vec![(0, engine, true)];
+    let prog = ShardedStateStoreProgram::new(tb.fib(), shards, 1, TimeDelta::from_micros(50));
     let Built {
         mut sim,
         switch,
@@ -297,7 +301,7 @@ fn server_outage_and_recovery_with_reliable_statestore() {
     sim.run_until(Time::from_micros(2_500));
     {
         let sw: &SwitchNode = sim.node(switch);
-        let prog = sw.program::<StateStoreProgram>();
+        let prog = sw.program::<ShardedStateStoreProgram>();
         let nic = sim.node::<RnicNode>(server);
         assert!(nic.stats().outage_drops > 0, "outage never bit");
         let remote: u64 = read_remote_counters(nic, rkey, base, counters).iter().sum();
@@ -308,8 +312,8 @@ fn server_outage_and_recovery_with_reliable_statestore() {
     // After recovery + retransmissions, exactness is restored.
     sim.run_until(Time::from_millis(30));
     let sw: &SwitchNode = sim.node(switch);
-    let prog = sw.program::<StateStoreProgram>();
-    let s = prog.faa_stats();
+    let prog = sw.program::<ShardedStateStoreProgram>();
+    let s = prog.engine(0).stats();
     assert!(s.retransmits > 0, "recovery must retransmit: {s:?}");
     assert!(prog.is_quiescent(), "must settle after recovery: {s:?}");
     let nic = sim.node::<RnicNode>(server);

@@ -12,7 +12,8 @@ use extmem_apps::scenario::{host_endpoint, host_ip, host_mac, switch_endpoint};
 use extmem_apps::workload::{SinkNode, TrafficGenNode, WorkloadSpec};
 use extmem_core::faa::{FaaConfig, FaaEngine};
 use extmem_core::packet_buffer::{Mode, PacketBufferProgram};
-use extmem_core::state_store::{read_remote_counters, StateStoreProgram};
+use extmem_core::state_store::read_remote_counters;
+use extmem_core::ShardedStateStoreProgram;
 use extmem_core::{Fib, L2Program, RdmaChannel};
 use extmem_rnic::{RnicConfig, RnicNode};
 use extmem_sim::{LinkSpec, SimBuilder};
@@ -38,7 +39,8 @@ fn state_store_works_through_an_intermediate_switch() {
     tor_fib.install(host_mac(0), PortId(0));
     tor_fib.install(host_mac(1), PortId(1));
     let engine = FaaEngine::new(channel, FaaConfig::default());
-    let tor_prog = StateStoreProgram::new(tor_fib, engine, TimeDelta::from_micros(30));
+    let shards = vec![(0, engine, true)];
+    let tor_prog = ShardedStateStoreProgram::new(tor_fib, shards, 1, TimeDelta::from_micros(30));
 
     // The aggregation switch is a plain L2 forwarder that knows the
     // server's MAC on port 1 and the ToR('s switch identity) on port 0.
@@ -85,8 +87,8 @@ fn state_store_works_through_an_intermediate_switch() {
     sim.run_until(Time::from_millis(20));
 
     let tor_ref: &SwitchNode = sim.node(tor);
-    let prog = tor_ref.program::<StateStoreProgram>();
-    assert!(prog.is_quiescent(), "{:?}", prog.faa_stats());
+    let prog = tor_ref.program::<ShardedStateStoreProgram>();
+    assert!(prog.is_quiescent(), "{:?}", prog.engine(0).stats());
     let nic = sim.node::<RnicNode>(srv);
     let remote = read_remote_counters(nic, rkey, base, counters);
     let truth: u64 = prog.oracle.values().sum();

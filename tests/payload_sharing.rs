@@ -310,7 +310,7 @@ fn cold_digests_per_frame_are_exact() {
     use extmem_apps::scenario::Built;
     use extmem_apps::workload::SinkNode;
     use extmem_core::packet_buffer::PacketBufferProgram;
-    use extmem_core::state_store::StateStoreProgram;
+    use extmem_core::ShardedStateStoreProgram;
     use extmem_switch::SwitchNode;
     use extmem_types::Time;
     const FRAMES: u64 = 2_000;
@@ -341,7 +341,7 @@ fn cold_digests_per_frame_are_exact() {
     // the same pair again for each delta replayed to the mirror.
     let (digests, t) = run(rigs::replicated_fetch_and_add(FRAMES));
     let sw: &SwitchNode = t.sim.node(t.switch);
-    let faa = sw.program::<StateStoreProgram>().faa_stats();
+    let faa = sw.program::<ShardedStateStoreProgram>().engine(0).stats();
     let replayed = faa.pool.delta_replayed;
     assert!(replayed > 0, "the mirror must be fed");
     assert_eq!(
@@ -556,7 +556,7 @@ fn frames_that_die_on_a_drop_path_return_to_the_pool() {
     use extmem_apps::scenario::{host_ip, host_mac, Testbed};
     use extmem_apps::workload::{FlowSet, SinkNode, WorkloadSpec};
     use extmem_core::faa::{FaaConfig, FaaEngine};
-    use extmem_core::state_store::StateStoreProgram;
+    use extmem_core::ShardedStateStoreProgram;
     use extmem_rnic::RnicConfig;
     use extmem_switch::{SwitchConfig, SwitchNode};
     use extmem_types::{ByteSize, FiveTuple, Rate, Time};
@@ -594,7 +594,8 @@ fn frames_that_die_on_a_drop_path_return_to_the_pool() {
             ..FaaConfig::default()
         },
     );
-    let prog = StateStoreProgram::new(tb.fib(), engine, TimeDelta::from_micros(20));
+    let shards = vec![(0, engine, true)];
+    let prog = ShardedStateStoreProgram::new(tb.fib(), shards, 1, TimeDelta::from_micros(20));
     let config = SwitchConfig {
         buffer: ByteSize::from_kb(16),
         ..SwitchConfig::default()
@@ -641,7 +642,7 @@ fn sliced_fabric_run(
     use extmem_apps::scenario::{host_endpoint, host_ip, host_mac};
     use extmem_apps::workload::{SinkNode, TrafficGenNode, WorkloadSpec};
     use extmem_core::faa::{FaaConfig, FaaEngine};
-    use extmem_core::state_store::StateStoreProgram;
+    use extmem_core::ShardedStateStoreProgram;
     use extmem_core::{Fib, L2Program, RdmaChannel};
     use extmem_rnic::{RnicConfig, RnicNode};
     use extmem_sim::FabricSpec;
@@ -657,7 +658,7 @@ fn sliced_fabric_run(
     let host = |l: usize, i: usize| l * 3 + i;
     extmem_sim::with_sched_backend(backend, || {
         let mut nics: Vec<Option<RnicNode>> = Vec::new();
-        let mut progs: Vec<Option<StateStoreProgram>> = Vec::new();
+        let mut progs: Vec<Option<ShardedStateStoreProgram>> = Vec::new();
         for l in 0..LEAVES {
             let mut nic =
                 RnicNode::new(format!("mem{l}"), RnicConfig::at(host_endpoint(host(l, 2))));
@@ -675,10 +676,11 @@ fn sliced_fabric_run(
             let mut fib = Fib::new(8);
             fib.install(host_mac(host(l, 1)), spec.host_port(1));
             fib.install(host_mac(host(next, 1)), spec.uplink_port(next % SPINES));
-            let engine = FaaEngine::new(channel, FaaConfig::default());
-            progs.push(Some(StateStoreProgram::new(
+            let shards = vec![(0, FaaEngine::new(channel, FaaConfig::default()), true)];
+            progs.push(Some(ShardedStateStoreProgram::new(
                 fib,
-                engine,
+                shards,
+                1,
                 TimeDelta::from_micros(20),
             )));
             nics.push(Some(nic));
@@ -755,7 +757,7 @@ fn sliced_fabric_run(
         for l in 0..LEAVES {
             assert_eq!(sim.node::<SinkNode>(fabric.hosts[l][1]).received, FRAMES);
             let leaf: &SwitchNode = sim.node(fabric.leaves[l]);
-            assert!(leaf.program::<StateStoreProgram>().is_quiescent());
+            assert!(leaf.program::<ShardedStateStoreProgram>().is_quiescent());
         }
         let par = sim.par_stats();
         if par.partitions > 1 {

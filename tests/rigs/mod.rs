@@ -9,7 +9,7 @@ use extmem_apps::workload::{Arrival, FlowPick, SinkNode, WorkloadSpec};
 use extmem_core::faa::{FaaConfig, FaaEngine};
 use extmem_core::lookup::{install_cuckoo_image, ActionEntry, LookupTableProgram};
 use extmem_core::packet_buffer::{Mode, PacketBufferProgram};
-use extmem_core::state_store::StateStoreProgram;
+use extmem_core::ShardedStateStoreProgram;
 use extmem_core::{CuckooConfig, CuckooDirectory, PoolConfig};
 use extmem_rnic::RnicConfig;
 use extmem_sim::LinkSpec;
@@ -140,6 +140,7 @@ pub fn replicated_fetch_and_add(frames: u64) -> Built {
         },
         PoolConfig::default(),
     );
-    let prog = StateStoreProgram::new(tb.fib(), engine, TimeDelta::from_micros(20));
+    let shards = vec![(0, engine, true)];
+    let prog = ShardedStateStoreProgram::new(tb.fib(), shards, 1, TimeDelta::from_micros(20));
     tb.build(SwitchConfig::default(), Box::new(prog))
 }
