@@ -14,7 +14,8 @@ use extmem_core::lookup::{install_cuckoo_image, ActionEntry, LookupTableProgram}
 use extmem_core::packet_buffer::{Mode, PacketBufferProgram};
 use extmem_core::state_store::read_remote_counters;
 use extmem_core::{
-    CuckooConfig, CuckooDirectory, PoolConfig, RdmaChannel, ReliableConfig, ShardedStateStoreProgram,
+    CuckooConfig, CuckooDirectory, PoolConfig, RdmaChannel, ReliableConfig,
+    ShardedStateStoreProgram,
 };
 use extmem_rnic::{RnicConfig, RnicNode};
 use extmem_sim::{FaultSpec, LinkSpec};

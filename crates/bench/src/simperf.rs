@@ -45,8 +45,8 @@ use crate::rigs::{
 use extmem_apps::incast::{run_incast, IncastConfig, RemoteBufferSpec};
 use extmem_apps::scenario::{host_endpoint, host_ip, host_mac, Built};
 use extmem_apps::workload::{Arrival, FlowPick, FlowSet, SinkNode, TrafficGenNode, WorkloadSpec};
-use extmem_core::faa::{FaaConfig, FaaEngine};
 use extmem_core::direct_table::{install_remote_action, DirectTableProgram};
+use extmem_core::faa::{FaaConfig, FaaEngine};
 use extmem_core::lookup::{
     install_cuckoo_image, ActionEntry, ChurnScript, ControlOp, LookupTableProgram,
 };
@@ -124,8 +124,14 @@ pub fn lookup_miss_storm(count: u64) -> ScenarioResult {
         stats.remote_lookups, count,
         "every packet must take the remote path"
     );
-    assert_eq!(stats.slow_path, 0, "no punts from the cuckoo table: {stats:?}");
-    assert_eq!(stats.bucket_misses, 0, "filter misdirected a probe: {stats:?}");
+    assert_eq!(
+        stats.slow_path, 0,
+        "no punts from the cuckoo table: {stats:?}"
+    );
+    assert_eq!(
+        stats.bucket_misses, 0,
+        "filter misdirected a probe: {stats:?}"
+    );
     assert_eq!(
         stats.reads_per_miss(),
         1.0,
@@ -234,7 +240,14 @@ pub fn insert_churn(count: u64) -> ScenarioResult {
         period: TimeDelta::from_micros(2),
     };
 
-    let spec = paced(resident, FlowPick::Zipf(1.1), 256, Rate::from_gbps(5), count, 13);
+    let spec = paced(
+        resident,
+        FlowPick::Zipf(1.1),
+        256,
+        Rate::from_gbps(5),
+        count,
+        13,
+    );
     let region = ByteSize::from_bytes(dir.region_bytes());
     let (mut tb, channel) = testbed_with_server(37, spec, LinkSpec::testbed_40g(), region, 0.0);
     let (rkey, base_va) = (channel.rkey, channel.base_va);
@@ -253,13 +266,19 @@ pub fn insert_churn(count: u64) -> ScenarioResult {
     assert_eq!(sink(&t).received, count, "forward path lost frames");
     assert_eq!(stats.remote_lookups, count, "cacheless: all remote");
     assert_eq!(stats.slow_path, 0, "transient miss punted: {stats:?}");
-    assert_eq!(stats.bucket_misses, 0, "filter misdirected a probe: {stats:?}");
+    assert_eq!(
+        stats.bucket_misses, 0,
+        "filter misdirected a probe: {stats:?}"
+    );
     assert_eq!(stats.reads_per_miss(), 1.0, "one READ per miss: {stats:?}");
     assert!(
         stats.relocation_moves > 0,
         "churn never displaced a resident: {stats:?}"
     );
-    assert_eq!(stats.inserts_rejected, 0, "table full mid-script: {stats:?}");
+    assert_eq!(
+        stats.inserts_rejected, 0,
+        "table full mid-script: {stats:?}"
+    );
     assert_eq!(stats.inserts_applied, CHURN_KEYS as u64, "{stats:?}");
     assert_eq!(stats.removes_applied, CHURN_KEYS as u64, "{stats:?}");
     assert_eq!(stats.verify_mismatches, 0, "directory drifted: {stats:?}");
@@ -282,7 +301,14 @@ pub fn insert_churn(count: u64) -> ScenarioResult {
 /// merge/flush machinery runs hot alongside forwarding.
 pub fn faa_storm(count: u64) -> ScenarioResult {
     let sixteen = flows(16, 40_000, 9_000);
-    let spec = paced(sixteen, FlowPick::RoundRobin, 256, Rate::from_gbps(10), count, 5);
+    let spec = paced(
+        sixteen,
+        FlowPick::RoundRobin,
+        256,
+        Rate::from_gbps(10),
+        count,
+        5,
+    );
     // The send time at the offered rate plus a generous settle window.
     let send_time = TimeDelta::from_secs_f64(count as f64 * 256.0 * 8.0 / 10e9);
     let (t, remote) = faa_store(
@@ -368,7 +394,10 @@ pub fn server_failover(count: u64) -> ScenarioResult {
     let prog = program::<ShardedStateStoreProgram>(&t);
     let stats = prog.engine(0).stats();
     assert!(prog.is_quiescent(), "stuck window: {stats:?}");
-    assert!(!prog.is_degraded(), "pool must survive the crash: {stats:?}");
+    assert!(
+        !prog.is_degraded(),
+        "pool must survive the crash: {stats:?}"
+    );
     assert!(stats.pool.failovers >= 1, "no failover: {stats:?}");
     assert!(stats.pool.rejoins >= 1, "no rejoin: {stats:?}");
     let truth: u64 = prog.oracle.values().sum();
@@ -433,7 +462,8 @@ pub fn fabric_fanout(count: u64, threads: usize) -> ScenarioResult {
                 format!("memsrv{p}"),
                 RnicConfig::at(host_endpoint(memsrv_host(p))),
             );
-            let channel = RdmaChannel::setup(fabric_switch_endpoint(p), PortId(2), &mut nic, region);
+            let channel =
+                RdmaChannel::setup(fabric_switch_endpoint(p), PortId(2), &mut nic, region);
             keys.push((channel.rkey, channel.base_va));
             let mut fib = Fib::new(8);
             fib.install(host_mac(sink_host(p)), PortId(1));
@@ -472,7 +502,13 @@ pub fn fabric_fanout(count: u64, threads: usize) -> ScenarioResult {
         // The ring: pod p's port 4 feeds pod p+1's port 5. 300 ns of
         // propagation per hop is the parallel engine's lookahead.
         for p in 0..PODS {
-            b.connect(switches[p], PortId(4), switches[(p + 1) % PODS], PortId(5), link);
+            b.connect(
+                switches[p],
+                PortId(4),
+                switches[(p + 1) % PODS],
+                PortId(5),
+                link,
+            );
         }
 
         let mut sim = b.build();
@@ -499,7 +535,8 @@ pub fn fabric_fanout(count: u64, threads: usize) -> ScenarioResult {
                 "pod {p}: sink must see its local and its ring flow"
             );
             let (rkey, base_va) = keys[p];
-            let dump = read_remote_counters(sim.node::<RnicNode>(servers[p]), rkey, base_va, counters);
+            let dump =
+                read_remote_counters(sim.node::<RnicNode>(servers[p]), rkey, base_va, counters);
             let mut expected = vec![0u64; counters as usize];
             for (&(_, slot), &v) in &prog.oracle {
                 expected[slot as usize] += v;
@@ -629,11 +666,8 @@ pub fn fabric_shard(count: u64, threads: usize) -> ScenarioResult {
                     pod_nics.push(Some(nic));
                 }
                 pod_keys.push(shard_keys);
-                let engine = FaaEngine::replicated(
-                    channels,
-                    reliable_faa(50),
-                    PoolConfig::default(),
-                );
+                let engine =
+                    FaaEngine::replicated(channels, reliable_faa(50), PoolConfig::default());
                 shards.push((shard, engine, shard != SPARE_SHARD));
             }
             keys.push(pod_keys);
@@ -707,7 +741,11 @@ pub fn fabric_shard(count: u64, threads: usize) -> ScenarioResult {
 
         let mut sim = b.build();
         for l in 0..SHARD_LEAVES {
-            sim.schedule_timer(fabric.hosts[l][0], TimeDelta::ZERO, TrafficGenNode::KICK_TOKEN);
+            sim.schedule_timer(
+                fabric.hosts[l][0],
+                TimeDelta::ZERO,
+                TrafficGenNode::KICK_TOKEN,
+            );
         }
 
         // 5 Gbps × 256 B paced sends; spares activate at the halfway mark,
@@ -736,7 +774,11 @@ pub fn fabric_shard(count: u64, threads: usize) -> ScenarioResult {
             assert!(prog.is_quiescent(), "leaf {l}: stuck window");
             assert!(!prog.is_degraded(), "leaf {l}: pool degraded");
             // Own egress plus the previous pod's ingress.
-            assert_eq!(prog.forwarded, 2 * count, "leaf {l}: forwarding lost frames");
+            assert_eq!(
+                prog.forwarded,
+                2 * count,
+                "leaf {l}: forwarding lost frames"
+            );
             assert_eq!(prog.capacity_slots(), 3 * SHARD_COUNTERS);
             let sink = sim.node::<SinkNode>(fabric.hosts[l][1]);
             assert_eq!(sink.received, count, "leaf {l}: sink short");
@@ -766,7 +808,10 @@ pub fn fabric_shard(count: u64, threads: usize) -> ScenarioResult {
                     dumps[0], expected,
                     "leaf {l} shard {shard}: counters must be exact"
                 );
-                assert_eq!(dumps[0], dumps[1], "leaf {l} shard {shard}: replicas diverge");
+                assert_eq!(
+                    dumps[0], dumps[1],
+                    "leaf {l} shard {shard}: replicas diverge"
+                );
             }
             // The spare only saw post-activation traffic.
             let stats = prog.shard_stats();

@@ -12,24 +12,60 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 const GOLDEN: [(&str, &str); 18] = [
-    ("e1_pktbuf_rates", include_str!("../expected/e1_pktbuf_rates.txt")),
-    ("e2_lookup_latency", include_str!("../expected/e2_lookup_latency.txt")),
-    ("e3_statestore_bw", include_str!("../expected/e3_statestore_bw.txt")),
+    (
+        "e1_pktbuf_rates",
+        include_str!("../expected/e1_pktbuf_rates.txt"),
+    ),
+    (
+        "e2_lookup_latency",
+        include_str!("../expected/e2_lookup_latency.txt"),
+    ),
+    (
+        "e3_statestore_bw",
+        include_str!("../expected/e3_statestore_bw.txt"),
+    ),
     ("e4_incast", include_str!("../expected/e4_incast.txt")),
     ("e5_overhead", include_str!("../expected/e5_overhead.txt")),
     ("e6_capacity", include_str!("../expected/e6_capacity.txt")),
-    ("a1_cache_ablation", include_str!("../expected/a1_cache_ablation.txt")),
-    ("a2_atomics_ablation", include_str!("../expected/a2_atomics_ablation.txt")),
-    ("a3_threshold_ablation", include_str!("../expected/a3_threshold_ablation.txt")),
-    ("a4_recirculation", include_str!("../expected/a4_recirculation.txt")),
-    ("a5_rdma_priority", include_str!("../expected/a5_rdma_priority.txt")),
+    (
+        "a1_cache_ablation",
+        include_str!("../expected/a1_cache_ablation.txt"),
+    ),
+    (
+        "a2_atomics_ablation",
+        include_str!("../expected/a2_atomics_ablation.txt"),
+    ),
+    (
+        "a3_threshold_ablation",
+        include_str!("../expected/a3_threshold_ablation.txt"),
+    ),
+    (
+        "a4_recirculation",
+        include_str!("../expected/a4_recirculation.txt"),
+    ),
+    (
+        "a5_rdma_priority",
+        include_str!("../expected/a5_rdma_priority.txt"),
+    ),
     ("a6_kvcache", include_str!("../expected/a6_kvcache.txt")),
-    ("a7_trace_capture", include_str!("../expected/a7_trace_capture.txt")),
-    ("a8_slowpath_vs_remote", include_str!("../expected/a8_slowpath_vs_remote.txt")),
-    ("a9_loss_sweep", include_str!("../expected/a9_loss_sweep.txt")),
+    (
+        "a7_trace_capture",
+        include_str!("../expected/a7_trace_capture.txt"),
+    ),
+    (
+        "a8_slowpath_vs_remote",
+        include_str!("../expected/a8_slowpath_vs_remote.txt"),
+    ),
+    (
+        "a9_loss_sweep",
+        include_str!("../expected/a9_loss_sweep.txt"),
+    ),
     ("a10_failover", include_str!("../expected/a10_failover.txt")),
     ("a12_capacity", include_str!("../expected/a12_capacity.txt")),
-    ("a13_remote_ops", include_str!("../expected/a13_remote_ops.txt")),
+    (
+        "a13_remote_ops",
+        include_str!("../expected/a13_remote_ops.txt"),
+    ),
 ];
 
 /// The two rows that are 26 of the full run's 28 release-mode seconds; an
@@ -102,7 +138,10 @@ fn every_documented_experiment_names_a_row() {
         .collect();
     assert_eq!(indexed.len(), EXPERIMENTS.len(), "{indexed:?}");
     for id in indexed {
-        assert!(row_for(id).is_some(), "DESIGN.md §5 lists {id}: no such row");
+        assert!(
+            row_for(id).is_some(),
+            "DESIGN.md §5 lists {id}: no such row"
+        );
     }
 
     // EXPERIMENTS.md: one `## E1 — …` heading per experiment, with the

@@ -13,7 +13,7 @@
 //! the wheel run, so the digests agree across thread counts too.
 
 use extmem_bench::simperf::{
-    e1_write_read_loop, fabric_fanout, fabric_shard, faa_storm, incast_scenario, insert_churn,
+    e1_write_read_loop, faa_storm, fabric_fanout, fabric_shard, incast_scenario, insert_churn,
     lookup_miss_storm, lookup_miss_storm_direct, loss_sweep, remote_ops, server_failover,
     ScenarioResult,
 };

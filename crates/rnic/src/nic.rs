@@ -275,9 +275,10 @@ impl RnicNode {
             // response-generation bandwidth on the returned bytes.
             Opcode::IndirectRead | Opcode::HashProbe | Opcode::CondWrite | Opcode::GatherWalk => {
                 let (steps, resp_bytes) = match req.ext {
-                    extmem_wire::roce::RoceExt::Indirect(h) => {
-                        (2usize, (h.hdr_len as usize + h.max_len as usize).min(self.config.mtu))
-                    }
+                    extmem_wire::roce::RoceExt::Indirect(h) => (
+                        2usize,
+                        (h.hdr_len as usize + h.max_len as usize).min(self.config.mtu),
+                    ),
                     extmem_wire::roce::RoceExt::HashProbe(h) => {
                         let probes = if h.b2 == h.b1 { 1 } else { 2 };
                         (probes, (h.bucket_bytes as usize).min(self.config.mtu))
@@ -409,7 +410,10 @@ impl Node for RnicNode {
             TOKEN_SERVICE_DONE => self.complete_service(ctx),
             other => {
                 if self.stats.unknown_timer_tokens == 0 {
-                    eprintln!("rnic {}: ignoring unknown timer token {other:#x}", self.name);
+                    eprintln!(
+                        "rnic {}: ignoring unknown timer token {other:#x}",
+                        self.name
+                    );
                 }
                 self.stats.unknown_timer_tokens += 1;
             }
