@@ -16,7 +16,7 @@ use extmem_apps::LatencySummary;
 use extmem_core::channel::ChannelStats;
 use extmem_core::faa::{FaaConfig, FaaEngine};
 use extmem_core::lookup::{ActionEntry, LookupStats, LookupTableProgram};
-use extmem_core::lpm::{install_remote_route, slots_per_level, LpmStats, RemoteLpmProgram};
+use extmem_core::lpm::{install_remote_route, slots_per_level, RemoteLpmProgram};
 use extmem_core::packet_buffer::{Mode, PacketBufferProgram};
 use extmem_core::shard::ShardedStateStoreProgram;
 use extmem_core::slow_path::CpuSlowPathProgram;
@@ -1045,7 +1045,7 @@ const A13_COUNT: u64 = 2_000;
 /// One LPM leg: a depth-`levels.len()` ladder with no route cache, every
 /// packet a full remote walk. Returns the program stats, the sink's
 /// latency summary, and the table server's NIC stats.
-fn a13_lpm(levels: &[u8], remote_ops: bool) -> (LpmStats, LatencySummary, RnicStats) {
+fn a13_lpm(levels: &[u8], remote_ops: bool) -> (LookupStats, LatencySummary, RnicStats) {
     let dst_ip = 0x0a010203u32;
     let flow = FiveTuple::new(host_ip(0), dst_ip, 5000, 9000, 17);
     let link = LinkSpec::testbed_40g();

@@ -199,8 +199,6 @@ pub fn failover_store(
         PoolConfig {
             down_threshold: 2,
             probe_interval: TimeDelta::from_micros(100),
-            reseed_atomics: true,
-            ..Default::default()
         },
     );
     let shards = vec![(0, engine, true)];

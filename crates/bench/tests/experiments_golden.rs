@@ -223,8 +223,9 @@ fn declares(src: &str, kind: &str, name: &str) -> bool {
 /// DESIGN.md, README.md and the verify skill against the tree: every
 /// backticked path under `crates/`, `tests/` or `scripts/` exists (a
 /// `<placeholder>` or `*` stands for any file: what comes before it must
-/// exist), and every backticked name ending in `Program` is a `pub struct`
-/// (or, for `PipelineProgram`, a `pub trait`) under `crates/*/src`.
+/// exist), and every backticked name ending in `Program`, `Stats` or
+/// `Config` is a `pub struct` (or, for `PipelineProgram`, a `pub trait`)
+/// under `crates/*/src`.
 #[test]
 fn documented_paths_and_programs_exist() {
     let root = repo();
@@ -250,7 +251,11 @@ fn documented_paths_and_programs_exist() {
                 );
             }
             let words = span.split(|c: char| !(c.is_alphanumeric() || c == '_'));
-            for name in words.filter(|w| w.len() > "Program".len() && w.ends_with("Program")) {
+            let typed = |w: &&str| {
+                let kinds = ["Program", "Stats", "Config"];
+                kinds.iter().any(|k| w.len() > k.len() && w.ends_with(k))
+            };
+            for name in words.filter(typed) {
                 assert!(
                     declares(&src, "struct", name) || declares(&src, "trait", name),
                     "{doc}: `{span}` names {name}, which is no pub struct under crates/*/src"

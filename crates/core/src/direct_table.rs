@@ -19,7 +19,7 @@
 //! table); the packet area is scratch space owned by the data plane.
 //! Colliding flows alias: they share the slot's action, which the control
 //! plane must manage by sizing the table. [`crate::lookup`] holds the
-//! one-RTT table that resolves them, and the pieces the two tables share.
+//! one-RTT table that resolves them, and the pieces the tables share.
 //!
 //! [`DirectTableProgram::with_recirculation`] switches the miss path to the
 //! §7 alternative: "recirculate the original packet locally and wait for
@@ -267,7 +267,8 @@ impl PipelineProgram for DirectTableProgram {
     fn ingress(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, in_port: PortId, pkt: Packet) {
         if self.front.on_roce(ctx, in_port, &pkt) {
             self.consume_events(ctx);
-        } else if let Some((flow, pkt)) = self.front.local_lookup(ctx, in_port, pkt) {
+        } else if let Some((flow, pkt)) = self.front.local_lookup(ctx, in_port, flow_of(&pkt), pkt)
+        {
             self.remote_lookup(ctx, flow, pkt);
         }
     }

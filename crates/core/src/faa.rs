@@ -71,12 +71,6 @@ pub struct FaaStats {
     /// Updates merged into a pending accumulator instead of sent
     /// immediately.
     pub merged: u64,
-    /// Atomic acknowledgements consumed.
-    pub acks: u64,
-    /// NAKs received.
-    pub naks: u64,
-    /// Retransmitted requests (reliable mode).
-    pub retransmits: u64,
     /// Updates counted as lost (best-effort mode: aged out or NAKed).
     pub lost_updates: u64,
     /// High-water mark of slots with pending accumulation.
@@ -173,14 +167,12 @@ impl FaaEngine {
     /// Counters.
     pub fn stats(&self) -> FaaStats {
         let ch = self.pool.channel_stats();
-        let mut s = self.stats;
-        s.acks = ch.acks;
-        s.naks = ch.naks;
-        s.retransmits = ch.retransmits;
-        s.faa_sent = ch.ops_issued + ch.retransmits;
-        s.channel = ch;
-        s.pool = self.pool.stats();
-        s
+        FaaStats {
+            faa_sent: ch.ops_issued + ch.retransmits,
+            channel: ch,
+            pool: self.pool.stats(),
+            ..self.stats
+        }
     }
 
     /// The switch port of the (current primary) memory server.
@@ -277,12 +269,17 @@ impl FaaEngine {
         self.pump(ctx);
     }
 
-    /// Periodic maintenance: re-issue anything the window now has room for
-    /// and flush pending mirror deltas (anti-entropy, replicated pools).
-    /// The channel's retransmission/age-out deadline runs on its own
-    /// cancellable timer (see [`FaaEngine::on_timer`]); this only pumps.
+    /// Periodic maintenance: re-issue anything the window now has room for,
+    /// promote a server that rejoined before anything was counted (a pool
+    /// that has counted re-seeds its rejoiners itself) and flush pending
+    /// mirror deltas (anti-entropy, replicated pools). The channel's
+    /// retransmission/age-out deadline runs on its own cancellable timer
+    /// (see [`FaaEngine::on_timer`]).
     pub fn tick(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>) {
         self.pump(ctx);
+        if self.pool.rejoin_pending() {
+            self.pool.complete_rejoin(ctx);
+        }
         self.pool.sync_mirrors(ctx);
     }
 

@@ -33,7 +33,8 @@
 //!   telemetry use case).
 //! * [`lpm`] — longest-prefix matching over remote memory: the §7
 //!   ternary-matching co-design, solved with one exact-match rung per
-//!   prefix length.
+//!   prefix length; a third program on the lookup tables' front, cached
+//!   and counted (`LookupStats`) by destination address.
 //! * [`slow_path`] — the CPU software-fallback baseline the lookup
 //!   primitive replaces (§2.2), for the A8 comparison.
 //! * [`cuckoo`] — the two-choice cuckoo directory + relocation planner

@@ -1,8 +1,9 @@
 //! The **one-RTT lookup table**: exact-match tables extended into remote
 //! DRAM, every miss exactly one round trip — and the pieces it shares with
-//! the paper's own §4 table ([`crate::direct_table`]): the 16-byte
-//! [`ActionEntry`], the [`flow_of`] parser stage, the [`LookupStats`]
-//! counters and the front of the pipeline up to the miss.
+//! the paper's own §4 table ([`crate::direct_table`]) and the LPM ladder
+//! ([`crate::lpm`]): the 16-byte [`ActionEntry`], the [`flow_of`] parser
+//! stage, the [`LookupStats`] counters and the front of the pipeline up to
+//! the miss.
 //!
 //! [`LookupTableProgram`] keeps a two-choice cuckoo table
 //! ([`crate::cuckoo`]) in remote memory plus a counting Bloom filter in
@@ -36,6 +37,7 @@ use extmem_wire::ipv4::{internet_checksum, proto};
 use extmem_wire::roce::RocePacket;
 use extmem_wire::{EthernetHeader, Ipv4Header, MacAddr, Packet, UdpHeader};
 use std::collections::VecDeque;
+use std::hash::Hash;
 
 /// Timer token that drains queued control-plane table ops. Every other
 /// token the program sees is its pool's.
@@ -279,8 +281,8 @@ pub struct ChurnScript {
     pub period: TimeDelta,
 }
 
-/// Counters of either table program: the first group is kept by both, the
-/// recirculation group by [`DirectTableProgram`](crate::direct_table::DirectTableProgram)
+/// Counters of the three table programs: the first group is kept by all,
+/// the recirculation group by [`DirectTableProgram`](crate::direct_table::DirectTableProgram)
 /// alone, everything from `bucket_reads` to `inserts_rejected` by
 /// [`LookupTableProgram`] alone.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -293,13 +295,14 @@ pub struct LookupStats {
     pub responses: u64,
     /// Actions applied (cache or remote).
     pub actions_applied: u64,
-    /// Packets whose slot held no action (the software-fallback path the
-    /// paper eliminates; with a fully provisioned remote table this is 0).
+    /// Packets whose slot held no action, or (LPM) that matched no rung,
+    /// or that missed while degraded: the software-fallback path the paper
+    /// eliminates; with a fully provisioned, reachable remote table this
+    /// is 0.
     pub slow_path: u64,
-    /// Non-IP/UDP packets forwarded by plain L2.
+    /// Packets without a lookup key (non-IP/UDP; for LPM non-IPv4
+    /// UDP/TCP) forwarded by plain L2.
     pub non_flow: u64,
-    /// NAKs received.
-    pub naks: u64,
     /// Recirculation passes taken by waiting packets.
     pub recirc_passes: u64,
     /// Action-only READs issued for recirculating packets.
@@ -308,7 +311,9 @@ pub struct LookupStats {
     /// slot's READ or its response was lost).
     pub recirc_budget_drops: u64,
     /// Ops abandoned by the reliability layer (a bounced packet lost to a
-    /// channel failover is gone: it lived in remote memory).
+    /// channel failover is gone: it lived in remote memory). LPM counts
+    /// once per abandoned lookup, however many of its rung READs failed,
+    /// and drops that lookup's packet.
     pub failed_ops: u64,
     /// Bucket READs issued (equals `remote_lookups` — one probe per miss
     /// is the whole point).
@@ -321,7 +326,8 @@ pub struct LookupStats {
     pub filter_secondary_probes: u64,
     /// Request round trips issued by the data-plane miss path (bucket READs
     /// in verb mode, hash-probe-and-fetch ops in remote-op mode; WRITE+READ
-    /// bounce pairs or action-only READs on the direct table).
+    /// bounce pairs or action-only READs on the direct table; one READ per
+    /// rung, or one gather op, on the LPM ladder).
     pub lookup_rtts: u64,
     /// Cuckoo displacements executed on the wire (READ-verify + WRITE).
     pub relocation_moves: u64,
@@ -373,16 +379,17 @@ impl LookupStats {
     }
 }
 
-/// What [`LookupTableProgram`] and
-/// [`DirectTableProgram`](crate::direct_table::DirectTableProgram) are both
-/// built on: forwarding, the pool of table servers, the optional SRAM cache
-/// and the counters, with every pipeline step that does not depend on the
-/// remote data structure.
-pub(crate) struct TableFront {
+/// What the three table programs — [`LookupTableProgram`],
+/// [`DirectTableProgram`](crate::direct_table::DirectTableProgram) and
+/// [`RemoteLpmProgram`](crate::lpm::RemoteLpmProgram) — are built on:
+/// forwarding, the pool of table servers, the optional SRAM cache keyed by
+/// `K` and the counters, with every pipeline step that does not depend on
+/// the remote data structure.
+pub(crate) struct TableFront<K = FiveTuple> {
     /// L2 forwarding (also the post-action forwarding step).
     fib: Fib,
     pub(crate) pool: ReplicatedPool,
-    pub(crate) cache: Option<ExactMatchTable<FiveTuple, ActionEntry>>,
+    pub(crate) cache: Option<ExactMatchTable<K, ActionEntry>>,
     /// Channel failed over: misses punt to the slow path (forward
     /// unmodified); the local cache keeps serving hits.
     pub(crate) degraded: bool,
@@ -397,10 +404,10 @@ pub(crate) fn single_server_pool(channel: RdmaChannel) -> ReplicatedPool {
     ReplicatedPool::single(ReliableChannel::new(channel, ReliableConfig::default()))
 }
 
-impl TableFront {
+impl<K: Eq + Hash + Copy> TableFront<K> {
     /// `cache_capacity = Some(n)` enables an n-entry local LRU cache (§4:
     /// "the switch can (optionally) cache the table entry in local SRAM").
-    pub(crate) fn new(fib: Fib, pool: ReplicatedPool, cache_capacity: Option<usize>) -> TableFront {
+    pub(crate) fn new(fib: Fib, pool: ReplicatedPool, cache_capacity: Option<usize>) -> Self {
         TableFront {
             fib,
             pool,
@@ -413,12 +420,11 @@ impl TableFront {
 
     /// The counters, with the channel's and the pool's merged in.
     pub(crate) fn stats(&self) -> LookupStats {
-        let ch = self.pool.channel_stats();
-        let mut s = self.stats;
-        s.naks = ch.naks;
-        s.channel = ch;
-        s.pool = self.pool.stats();
-        s
+        LookupStats {
+            channel: self.pool.channel_stats(),
+            pool: self.pool.stats(),
+            ..self.stats
+        }
     }
 
     /// RoCE demux: a frame from a table server is the pool's, and its
@@ -440,21 +446,23 @@ impl TableFront {
     }
 
     /// Everything a workload packet can be answered with locally: plain L2
-    /// for a non-flow, the cached action on a hit, the slow path while
-    /// degraded. What comes back is a miss for the remote table to resolve.
+    /// when it has no `key`, the cached action on a hit, the slow path
+    /// while degraded. What comes back is a miss for the remote table to
+    /// resolve.
     pub(crate) fn local_lookup(
         &mut self,
         ctx: &mut SwitchCtx<'_, '_, '_>,
         in_port: PortId,
+        key: Option<K>,
         pkt: Packet,
-    ) -> Option<(FiveTuple, Packet)> {
-        let Some(flow) = flow_of(&pkt) else {
+    ) -> Option<(K, Packet)> {
+        let Some(key) = key else {
             self.stats.non_flow += 1;
             self.forward_unmodified(ctx, pkt);
             return None;
         };
         if let Some(cache) = &mut self.cache {
-            if let Some(&action) = cache.lookup(&flow) {
+            if let Some(&action) = cache.lookup(&key) {
                 // A first-pass arrival is a real cache hit; a looping
                 // packet finding its freshly promoted entry is not.
                 if in_port != RECIRC_PORT {
@@ -471,7 +479,7 @@ impl TableFront {
             self.forward_unmodified(ctx, pkt);
             return None;
         }
-        Some((flow, pkt))
+        Some((key, pkt))
     }
 
     /// Forward `pkt` by FIB alone, as plain L2 and the slow path do.
@@ -482,12 +490,14 @@ impl TableFront {
     }
 
     /// Remember a fetched entry in the cache, if there is one.
-    pub(crate) fn cache_insert(&mut self, flow: FiveTuple, action: ActionEntry) {
+    pub(crate) fn cache_insert(&mut self, key: K, action: ActionEntry) {
         if let Some(cache) = &mut self.cache {
-            cache.insert(flow, action);
+            cache.insert(key, action);
         }
     }
 
+    /// Apply `action` and forward, by its port override or the FIB; an
+    /// empty action is the slow path (forwarded unmodified).
     pub(crate) fn apply_and_forward(
         &mut self,
         ctx: &mut SwitchCtx<'_, '_, '_>,
@@ -560,22 +570,19 @@ impl LookupTableProgram {
 
     /// Create the program over a replicated pool of table servers (index 0
     /// starts as primary). Install the directory image on **every** server
-    /// before traffic flows. Rejoining replicas are reconciled from the
-    /// directory (the authoritative copy), so `auto_promote`/
-    /// `reseed_atomics` are forced off — promotion happens only after this
-    /// program reseeds the rejoiner bit-for-bit.
+    /// before traffic flows. A rejoining replica is reconciled from the
+    /// directory (the authoritative copy): the pool promotes it only after
+    /// this program has reseeded it bit-for-bit.
     pub fn cuckoo_replicated(
         fib: Fib,
         channels: Vec<RdmaChannel>,
         dir: CuckooDirectory,
         cache_capacity: Option<usize>,
-        mut pool_config: PoolConfig,
+        pool_config: PoolConfig,
     ) -> LookupTableProgram {
         for ch in &channels {
             assert_bucket_geometry(ch);
         }
-        pool_config.auto_promote = false;
-        pool_config.reseed_atomics = false;
         let pool = ReplicatedPool::new(
             channels
                 .into_iter()
@@ -1016,7 +1023,8 @@ impl PipelineProgram for LookupTableProgram {
     fn ingress(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, in_port: PortId, pkt: Packet) {
         if self.front.on_roce(ctx, in_port, &pkt) {
             self.consume_events(ctx);
-        } else if let Some((flow, pkt)) = self.front.local_lookup(ctx, in_port, pkt) {
+        } else if let Some((flow, pkt)) = self.front.local_lookup(ctx, in_port, flow_of(&pkt), pkt)
+        {
             self.remote_lookup(ctx, flow, pkt);
         }
     }

@@ -30,66 +30,18 @@
 //! degrades to FIB-only forwarding — wrong routes are structurally
 //! impossible, not just unlikely.
 
-use crate::channel::{
-    ChannelEvent, ChannelStats, Op, RdmaChannel, ReliableChannel, ReliableConfig,
-};
+use crate::channel::{ChannelEvent, Op, RdmaChannel, ReliableConfig};
 use crate::fib::Fib;
-use crate::lookup::{ActionEntry, ActionKind, ACTION_LEN};
-use crate::pool::{PoolStats, ReplicatedPool};
+use crate::lookup::{
+    single_server_pool, ActionEntry, ActionKind, LookupStats, TableFront, ACTION_LEN,
+};
+use crate::pool::ReplicatedPool;
 use extmem_rnic::{RemoteOp, RnicNode};
 use extmem_switch::hash::hash_to_index;
-use extmem_switch::table::{ExactMatchTable, Replacement};
 use extmem_switch::{PipelineProgram, SwitchCtx};
 use extmem_types::{IntMap, PortId};
 use extmem_wire::ipv4::proto;
-use extmem_wire::roce::RocePacket;
 use extmem_wire::{EthernetHeader, Ipv4Header, Packet};
-
-/// Counters for the remote-LPM program.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct LpmStats {
-    /// Pending lookups abandoned because the reliability layer gave one of
-    /// their rung READs up (their packets are dropped).
-    pub lookups_failed: u64,
-    /// Packets answered by the local route cache.
-    pub cache_hits: u64,
-    /// Remote lookups performed (each costs `levels` READs in verb mode,
-    /// one gather/walk op in remote-op mode).
-    pub remote_lookups: u64,
-    /// Request round trips issued for remote lookups (first transmissions
-    /// only; retransmits are counted by the channel layer).
-    pub lookup_rtts: u64,
-    /// READ / remote-op responses consumed.
-    pub responses: u64,
-    /// Lookups that matched no rung (forwarded by plain L2 / dropped).
-    pub no_route: u64,
-    /// Packets forwarded with a route action applied.
-    pub routed: u64,
-    /// NAKs received.
-    pub naks: u64,
-    /// Misses forwarded FIB-only because the channel failed over.
-    pub degraded_fallbacks: u64,
-    /// Reliability-layer counters for the underlying channel(s), merged
-    /// across the pool.
-    pub channel: ChannelStats,
-    /// Replication-layer counters (all zero for single-server ladders).
-    pub pool: PoolStats,
-}
-
-impl LpmStats {
-    /// Round trips per remote lookup: `levels` in verb mode, 1.0 in
-    /// remote-op mode. `None` before the first miss.
-    pub fn rtts_per_miss(&self) -> Option<f64> {
-        (self.remote_lookups > 0).then(|| self.lookup_rtts as f64 / self.remote_lookups as f64)
-    }
-
-    /// Responses consumed per remote lookup (rung READ responses in verb
-    /// mode, one gather response in remote-op mode). `None` before the
-    /// first miss.
-    pub fn reads_per_lookup(&self) -> Option<f64> {
-        (self.remote_lookups > 0).then(|| self.responses as f64 / self.remote_lookups as f64)
-    }
-}
 
 /// One in-flight lookup: the waiting packet plus the responses collected
 /// so far (one slot per rung, longest prefix first; filled in any order).
@@ -100,16 +52,13 @@ struct PendingLookup {
     missing: usize,
 }
 
-/// The remote-LPM pipeline program.
+/// The remote-LPM pipeline program: a table front whose cache is keyed by
+/// destination address, over a ladder of per-rung remote arrays.
 pub struct RemoteLpmProgram {
-    /// Plain L2 forwarding for non-IPv4 traffic and no-route fallback.
-    pub fib: Fib,
-    pool: ReplicatedPool,
+    front: TableFront<u32>,
     /// Prefix lengths, longest first (e.g. `[32, 24, 16, 8]`).
     levels: Vec<u8>,
     slots_per_level: u64,
-    /// Local cache: destination address → resolved action.
-    cache: Option<ExactMatchTable<u32, ActionEntry>>,
     /// In-flight lookups by id; rung responses are attributed via the
     /// `id × rungs + rung` channel cookie.
     pending: IntMap<u64, PendingLookup>,
@@ -117,11 +66,6 @@ pub struct RemoteLpmProgram {
     /// Collapse each miss's rung ladder into a single gather/walk remote
     /// op (one RTT per miss) instead of per-rung READs.
     remote_ops: bool,
-    /// Channel failed over: misses forward FIB-only.
-    degraded: bool,
-    /// Completion scratch, reused across calls.
-    events: Vec<ChannelEvent>,
-    stats: LpmStats,
 }
 
 /// The byte the control plane and data plane hash for rung `level` and
@@ -152,48 +96,47 @@ pub fn mask(addr: u32, len: u8) -> u32 {
     }
 }
 
+/// The destination IPv4 address of an Ethernet/IPv4 UDP or TCP frame, the
+/// key the ladder is walked with.
+fn dst_of(pkt: &Packet) -> Option<u32> {
+    let eth = EthernetHeader::parse(pkt.as_slice()).ok()?;
+    if eth.ethertype != extmem_wire::EtherType::Ipv4 {
+        return None;
+    }
+    let ip = Ipv4Header::parse(&pkt.as_slice()[EthernetHeader::LEN..]).ok()?;
+    if ip.protocol != proto::UDP && ip.protocol != proto::TCP {
+        return None;
+    }
+    Some(ip.dst)
+}
+
 impl RemoteLpmProgram {
     /// Create the program. `levels` is the prefix ladder (will be sorted
     /// longest-first); the channel's region is divided evenly among rungs.
     pub fn new(
         fib: Fib,
         channel: RdmaChannel,
-        levels: Vec<u8>,
-        cache_capacity: Option<usize>,
-    ) -> RemoteLpmProgram {
-        let channel = ReliableChannel::new(channel, ReliableConfig::default());
-        Self::over_pool(fib, ReplicatedPool::single(channel), levels, cache_capacity)
-    }
-
-    fn over_pool(
-        fib: Fib,
-        pool: ReplicatedPool,
         mut levels: Vec<u8>,
         cache_capacity: Option<usize>,
     ) -> RemoteLpmProgram {
         assert!(!levels.is_empty(), "need at least one prefix length");
         assert!(levels.iter().all(|&l| l <= 32), "IPv4 prefix lengths only");
         normalize_levels(&mut levels);
-        let slots_per_level = pool.region_len() / (levels.len() as u64 * ACTION_LEN as u64);
+        let slots_per_level = channel.region_len / (levels.len() as u64 * ACTION_LEN as u64);
         assert!(slots_per_level > 0, "region smaller than one slot per rung");
         RemoteLpmProgram {
-            fib,
-            pool,
+            front: TableFront::new(fib, single_server_pool(channel), cache_capacity),
             levels,
             slots_per_level,
-            cache: cache_capacity.map(|c| ExactMatchTable::new(c, Replacement::Lru)),
             pending: IntMap::default(),
             next_id: 0,
             remote_ops: false,
-            degraded: false,
-            events: Vec::new(),
-            stats: LpmStats::default(),
         }
     }
 
     /// Override the reliability policy (before traffic flows).
     pub fn with_reliability(mut self, rc: ReliableConfig) -> RemoteLpmProgram {
-        self.pool.set_config(rc);
+        self.front.pool.set_config(rc);
         self
     }
 
@@ -207,23 +150,18 @@ impl RemoteLpmProgram {
     }
 
     /// Counters.
-    pub fn stats(&self) -> LpmStats {
-        let ch = self.pool.channel_stats();
-        let mut s = self.stats;
-        s.naks = ch.naks;
-        s.channel = ch;
-        s.pool = self.pool.stats();
-        s
+    pub fn stats(&self) -> LookupStats {
+        self.front.stats()
     }
 
     /// The replication pool underneath (health/failover inspection).
     pub fn pool(&self) -> &ReplicatedPool {
-        &self.pool
+        &self.front.pool
     }
 
     /// Whether the reliability layer gave up and misses forward FIB-only.
     pub fn is_degraded(&self) -> bool {
-        self.degraded
+        self.front.degraded
     }
 
     /// The prefix ladder, longest first.
@@ -235,62 +173,69 @@ impl RemoteLpmProgram {
     fn slot_va(&self, level_idx: usize, dst: u32) -> u64 {
         let level = self.levels[level_idx];
         let slot = hash_to_index(&rung_key(level, dst), self.slots_per_level);
-        self.pool.base_va() + (level_idx as u64 * self.slots_per_level + slot) * ACTION_LEN as u64
+        self.front.pool.base_va()
+            + (level_idx as u64 * self.slots_per_level + slot) * ACTION_LEN as u64
     }
 
+    /// Remote lookup. Verb mode: one action READ per rung, longest prefix
+    /// first, each cookie-tagged so the response fills its own rung slot.
+    /// Remote-op mode: the whole ladder rides in one gather/walk op (cookie
+    /// `id * rungs`, so failure attribution is uniform across modes).
+    fn remote_lookup(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, dst: u32, pkt: Packet) {
+        self.front.stats.remote_lookups += 1;
+        let rungs = self.levels.len();
+        let id = self.next_id;
+        self.next_id += 1;
+        if self.remote_ops {
+            let vas = (0..rungs).map(|i| self.slot_va(i, dst)).collect();
+            let word_len = ACTION_LEN as u16;
+            let ladder = Op::Remote(RemoteOp::Gather { word_len, vas });
+            self.front.pool.submit(ctx, ladder, id * rungs as u64);
+            self.front.stats.lookup_rtts += 1;
+        } else {
+            for i in 0..rungs {
+                let (va, len) = (self.slot_va(i, dst), ACTION_LEN as u32);
+                let cookie = id * rungs as u64 + i as u64;
+                self.front.pool.submit(ctx, Op::Read { va, len }, cookie);
+                self.front.stats.lookup_rtts += 1;
+            }
+        }
+        self.pending.insert(
+            id,
+            PendingLookup {
+                pkt,
+                dst,
+                collected: vec![None; rungs],
+                missing: rungs,
+            },
+        );
+    }
+
+    /// The longest rung that holds a route wins; no route is the slow path.
     fn resolve(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, lookup: PendingLookup) {
-        // Longest rung that holds a route wins.
-        let action = lookup
+        let route = lookup
             .collected
             .iter()
             .flatten()
             .find(|a| a.kind != ActionKind::None)
             .copied();
-        match action {
-            Some(action) => {
-                if let Some(cache) = &mut self.cache {
-                    cache.insert(lookup.dst, action);
-                }
-                self.apply_and_forward(ctx, lookup.pkt, action);
-            }
-            None => {
-                self.stats.no_route += 1;
-                if let Some(port) = self.fib.egress_for(&lookup.pkt) {
-                    ctx.enqueue(port, lookup.pkt);
-                }
-            }
+        if let Some(action) = route {
+            self.front.cache_insert(lookup.dst, action);
         }
+        let action = route.unwrap_or(ActionEntry::NONE);
+        self.front.apply_and_forward(ctx, lookup.pkt, action);
     }
 
-    fn apply_and_forward(
-        &mut self,
-        ctx: &mut SwitchCtx<'_, '_, '_>,
-        mut pkt: Packet,
-        action: ActionEntry,
-    ) {
-        action.apply(&mut pkt);
-        self.stats.routed += 1;
-        let port = action.port_override.or_else(|| self.fib.egress_for(&pkt));
-        if let Some(port) = port {
-            ctx.enqueue(port, pkt);
-        }
-    }
-
-    fn on_roce(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, in_port: PortId, roce: &RocePacket) {
-        let mut events = std::mem::take(&mut self.events);
-        self.pool.on_roce(ctx, in_port, roce, &mut events);
-        self.consume_events(ctx, &mut events);
-        self.events = events;
-    }
-
-    fn consume_events(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, events: &mut Vec<ChannelEvent>) {
+    /// Drain the completions in `front.events`.
+    fn consume_events(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>) {
+        let mut events = std::mem::take(&mut self.front.events);
         for ev in events.drain(..) {
             match ev {
                 ChannelEvent::Done { cookie, reply, .. } => {
                     let Some(data) = reply.into_data() else {
                         continue;
                     };
-                    self.stats.responses += 1;
+                    self.front.stats.responses += 1;
                     let rungs = self.levels.len() as u64;
                     let (id, rung) = (cookie / rungs, (cookie % rungs) as usize);
                     let Some(lookup) = self.pending.get_mut(&id) else {
@@ -321,97 +266,28 @@ impl RemoteLpmProgram {
                     // are structurally impossible, missing-rung ones aren't.
                     let id = cookie / self.levels.len() as u64;
                     if self.pending.remove(&id).is_some() {
-                        self.stats.lookups_failed += 1;
+                        self.front.stats.failed_ops += 1;
                     }
                 }
-                ChannelEvent::Failed => self.degraded = true,
+                ChannelEvent::Failed => self.front.degraded = true,
             }
         }
-    }
-
-    /// The destination IPv4 address of an Ethernet/IPv4 frame, if any.
-    fn dst_of(pkt: &Packet) -> Option<u32> {
-        let eth = EthernetHeader::parse(pkt.as_slice()).ok()?;
-        if eth.ethertype != extmem_wire::EtherType::Ipv4 {
-            return None;
-        }
-        let ip = Ipv4Header::parse(&pkt.as_slice()[EthernetHeader::LEN..]).ok()?;
-        if ip.protocol != proto::UDP && ip.protocol != proto::TCP {
-            return None;
-        }
-        Some(ip.dst)
+        self.front.events = events;
     }
 }
 
 impl PipelineProgram for RemoteLpmProgram {
     fn ingress(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, in_port: PortId, pkt: Packet) {
-        if self.pool.owns_port(in_port) {
-            if let Ok(Some(roce)) = RocePacket::parse(&pkt) {
-                self.on_roce(ctx, in_port, &roce);
-                return;
-            }
+        if self.front.on_roce(ctx, in_port, &pkt) {
+            self.consume_events(ctx);
+        } else if let Some((dst, pkt)) = self.front.local_lookup(ctx, in_port, dst_of(&pkt), pkt) {
+            self.remote_lookup(ctx, dst, pkt);
         }
-        let Some(dst) = Self::dst_of(&pkt) else {
-            if let Some(port) = self.fib.egress_for(&pkt) {
-                ctx.enqueue(port, pkt);
-            }
-            return;
-        };
-        if let Some(cache) = &mut self.cache {
-            if let Some(&action) = cache.lookup(&dst) {
-                self.stats.cache_hits += 1;
-                self.apply_and_forward(ctx, pkt, action);
-                return;
-            }
-        }
-        if self.degraded {
-            // Channel failed over: forward FIB-only rather than wait on a
-            // dead server.
-            self.stats.degraded_fallbacks += 1;
-            if let Some(port) = self.fib.egress_for(&pkt) {
-                ctx.enqueue(port, pkt);
-            }
-            return;
-        }
-        // Remote lookup. Verb mode: one action READ per rung, longest
-        // prefix first, each cookie-tagged so the response fills its own
-        // rung slot. Remote-op mode: the whole ladder rides in one
-        // gather/walk op (cookie `id * rungs`, so failure attribution is
-        // uniform across modes).
-        self.stats.remote_lookups += 1;
-        let rungs = self.levels.len();
-        let id = self.next_id;
-        self.next_id += 1;
-        if self.remote_ops {
-            let vas = (0..rungs).map(|i| self.slot_va(i, dst)).collect();
-            let word_len = ACTION_LEN as u16;
-            let ladder = Op::Remote(RemoteOp::Gather { word_len, vas });
-            self.pool.submit(ctx, ladder, id * rungs as u64);
-            self.stats.lookup_rtts += 1;
-        } else {
-            for i in 0..rungs {
-                let (va, len) = (self.slot_va(i, dst), ACTION_LEN as u32);
-                let cookie = id * rungs as u64 + i as u64;
-                self.pool.submit(ctx, Op::Read { va, len }, cookie);
-                self.stats.lookup_rtts += 1;
-            }
-        }
-        self.pending.insert(
-            id,
-            PendingLookup {
-                pkt,
-                dst,
-                collected: vec![None; rungs],
-                missing: rungs,
-            },
-        );
     }
 
     fn on_timer(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, token: u64) {
-        let mut events = std::mem::take(&mut self.events);
-        self.pool.on_timer(ctx, token, &mut events);
-        self.consume_events(ctx, &mut events);
-        self.events = events;
+        self.front.pool.on_timer(ctx, token, &mut self.front.events);
+        self.consume_events(ctx);
     }
 
     fn program_name(&self) -> &str {
@@ -534,7 +410,7 @@ mod tests {
     /// Three-rung ladder with one route per rung, four misses + one cache
     /// hit; returns the sink's DSCP sequence, the program stats, and the
     /// server NIC stats.
-    fn run_ladder(remote_ops: bool) -> (Vec<u8>, LpmStats, extmem_rnic::RnicStats) {
+    fn run_ladder(remote_ops: bool) -> (Vec<u8>, LookupStats, extmem_rnic::RnicStats) {
         // Deliberately unsorted with a duplicate: both the program and the
         // install helper normalize, so the layouts must still agree.
         let levels = vec![16u8, 32, 24, 24];
@@ -612,8 +488,8 @@ mod tests {
         assert_eq!(s.responses, 12, "3 rungs x 4 lookups");
         assert_eq!(s.rtts_per_miss(), Some(3.0), "one RTT per rung: {s:?}");
         assert_eq!(s.reads_per_lookup(), Some(3.0));
-        assert_eq!(s.no_route, 1);
-        assert_eq!(s.naks, 0);
+        assert_eq!(s.slow_path, 1, "the unrouted address: {s:?}");
+        assert_eq!(s.channel.naks, 0);
         assert_eq!(nic.cpu_packets, 0);
         assert_eq!(nic.ext_ops, 0, "verb baseline must not use remote ops");
     }
@@ -625,8 +501,8 @@ mod tests {
         assert_eq!(dscps, vec![32, 24, 10, 32], "wrong rung selected");
         assert_eq!(s.remote_lookups, 4, "repeat must be a cache hit: {s:?}");
         assert_eq!(s.cache_hits, 1);
-        assert_eq!(s.no_route, 1);
-        assert_eq!(s.naks, 0);
+        assert_eq!(s.slow_path, 1, "the unrouted address: {s:?}");
+        assert_eq!(s.channel.naks, 0);
         // …but the whole ladder rides one gather/walk op per miss.
         assert_eq!(s.responses, 4, "one gather response per lookup");
         assert_eq!(s.rtts_per_miss(), Some(1.0), "the tentpole metric: {s:?}");
@@ -638,7 +514,7 @@ mod tests {
 
     #[test]
     fn derived_stats_are_none_before_traffic() {
-        let s = LpmStats::default();
+        let s = LookupStats::default();
         assert_eq!(s.rtts_per_miss(), None);
         assert_eq!(s.reads_per_lookup(), None);
     }

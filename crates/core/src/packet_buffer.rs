@@ -98,8 +98,6 @@ pub struct PacketBufferStats {
     pub stale_skipped: u64,
     /// Responses held briefly for in-order release (cross-server skew).
     pub reordered_held: u64,
-    /// NAKs received on any channel.
-    pub naks: u64,
     /// Highest ring occupancy (entries) observed.
     pub max_ring_occupancy: u64,
     /// READ requests issued.
@@ -190,8 +188,8 @@ impl PacketBufferProgram {
     /// (index 0 the primary, the rest mirrors). Stored packets fan out to
     /// every live replica, so a primary crash loses no buffered packets —
     /// READs fail over to a mirror. Rejoin promotion is gated on the ring
-    /// draining (`auto_promote` is forced off): a restarted server's ring
-    /// window is stale, so it only rejoins between bursts.
+    /// draining: a restarted server's ring window is stale, so it only
+    /// rejoins between bursts.
     #[allow(clippy::too_many_arguments)]
     pub fn replicated(
         fib: Fib,
@@ -207,10 +205,6 @@ impl PacketBufferProgram {
             rto,
             ..Default::default()
         };
-        let pc = PoolConfig {
-            auto_promote: false,
-            ..pool_config
-        };
         let pools = stripes
             .into_iter()
             .map(|servers| {
@@ -219,7 +213,7 @@ impl PacketBufferProgram {
                         .into_iter()
                         .map(|c| ReliableChannel::new(c, rc))
                         .collect(),
-                    pc,
+                    pool_config,
                 )
             })
             .collect();
@@ -336,7 +330,6 @@ impl PacketBufferProgram {
             agg.merge(&pool.channel_stats());
             pagg.merge(&pool.stats());
         }
-        s.naks = agg.naks;
         s.channel = agg;
         s.pool = pagg;
         s
@@ -898,7 +891,7 @@ mod tests {
         assert_eq!(s.loaded, 50);
         assert_eq!(s.lost_entries, 0);
         assert_eq!(s.stale_skipped, 0);
-        assert_eq!(s.naks, 0);
+        assert_eq!(s.channel.naks, 0);
         let sink = r.sim.node::<Sink>(r.sink);
         assert_eq!(sink.corrupt, 0);
         assert_eq!(
@@ -953,7 +946,7 @@ mod tests {
         assert!(s.stored > 0, "burst should trigger the detour: {s:?}");
         assert_eq!(s.stored, s.loaded, "every stored packet must come back");
         assert_eq!(s.lost_entries, 0);
-        assert_eq!(s.naks, 0);
+        assert_eq!(s.channel.naks, 0);
         let sink = r.sim.node::<Sink>(r.sink);
         assert_eq!(sink.seqs.len(), 200, "no packet lost");
         assert_eq!(
@@ -1081,7 +1074,7 @@ mod tests {
         assert_eq!(s.loaded, 50);
         assert_eq!(s.lost_entries, 0);
         assert_eq!(s.stale_skipped, 0);
-        assert_eq!(s.naks, 0);
+        assert_eq!(s.channel.naks, 0);
         let sink = r.sim.node::<Sink>(r.sink);
         assert_eq!(sink.corrupt, 0);
         assert_eq!(

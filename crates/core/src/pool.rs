@@ -24,11 +24,15 @@
 //!   Fetch-and-Add's delta, a conditional WRITE's decided image) it reads
 //!   off the event that completes it;
 //! * probes Down servers with periodic 8-byte READs over a channel re-armed
-//!   at a fresh PSN ([`ReliableChannel::recover_at`]); a answered probe
-//!   moves the server to `Rejoining`, after which its state is re-seeded
-//!   (counters copied from the current primary) or — for primitives with
-//!   their own drain discipline, like the packet buffer — promotion waits
-//!   for the caller's [`ReplicatedPool::complete_rejoin`].
+//!   at a fresh PSN ([`ReliableChannel::recover_at`]); an answered probe
+//!   moves the server to `Rejoining`. A pool that has carried a caller
+//!   Fetch-and-Add re-seeds those counters from the current primary and
+//!   promotes the server itself; any other pool holds nothing it could
+//!   copy, so promotion waits for its owner's
+//!   [`ReplicatedPool::complete_rejoin`] (the packet buffer once its ring
+//!   drains, the FaA engine on its tick) or
+//!   [`ReplicatedPool::reseed_rejoiner`] (the lookup table's directory
+//!   image).
 //!
 //! A single-server pool ([`ReplicatedPool::single`]) is a strict
 //! passthrough with no tracking overhead, so existing single-server
@@ -174,19 +178,6 @@ pub struct PoolConfig {
     pub down_threshold: u32,
     /// Period of the probe timer while any server is `Down`.
     pub probe_interval: TimeDelta,
-    /// Give up probing after this many probes (`None` = keep trying). A
-    /// bound keeps `run_to_quiescence`-style drivers terminating when a
-    /// server never comes back.
-    pub max_probes: Option<u32>,
-    /// Promote a `Rejoining` server back to mirror as soon as
-    /// reconciliation (if any) completes. Primitives with their own drain
-    /// discipline (the packet buffer: ring must empty first) set this
-    /// `false` and call [`ReplicatedPool::complete_rejoin`] themselves.
-    pub auto_promote: bool,
-    /// Re-seed a rejoining server's atomically-updated words by copying
-    /// them from the current primary (state-store counters). Without it a
-    /// rejoiner comes back cold (packet buffer, lookup).
-    pub reseed_atomics: bool,
 }
 
 impl Default for PoolConfig {
@@ -194,12 +185,14 @@ impl Default for PoolConfig {
         PoolConfig {
             down_threshold: 3,
             probe_interval: TimeDelta::from_micros(200),
-            max_probes: Some(64),
-            auto_promote: true,
-            reseed_atomics: false,
         }
     }
 }
+
+/// Probes a pool sends before it gives up on its Down servers: a bound
+/// keeps a `run_to_quiescence` simulation terminating when a server never
+/// comes back.
+const MAX_PROBES: u64 = 64;
 
 /// Pool-level counters, surfaced next to [`crate::channel::ChannelStats`]
 /// in every primitive's stats.
@@ -541,7 +534,8 @@ impl ReplicatedPool {
     }
 
     /// Whether any server has answered a probe and now waits for the
-    /// caller's promotion gate (packet buffer: ring drained).
+    /// owner's promotion gate ([`Self::complete_rejoin`] or
+    /// [`Self::reseed_rejoiner`]).
     pub fn rejoin_pending(&self) -> bool {
         self.reseed.is_none()
             && self
@@ -940,36 +934,35 @@ impl ReplicatedPool {
         }
     }
 
+    /// Re-seed a probe-answered `server` from the primary — every word a
+    /// caller Fetch-and-Add has touched is copied, then the server is
+    /// promoted. A pool that never carried one has nothing to copy and
+    /// leaves the server `Rejoining` for its owner to promote.
     fn begin_rejoin(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, server: usize) {
-        if self.config.reseed_atomics && !self.touched.is_empty() {
-            if self.reseed.is_some() {
-                // One reconciliation at a time; this server stays
-                // `Rejoining` and is picked up when the current one ends.
-                return;
-            }
-            // Caller atomics currently in flight on the primary will be
-            // captured by the snapshot READs behind them (FIFO channel), so
-            // their deltas must not be applied to the rejoiner again.
-            for (cookie, op) in self.servers[self.primary].channel.ops() {
-                if cookie & INTERNAL_BIT == 0 && matches!(op, Op::FetchAdd { .. }) {
-                    self.delta_skip.insert((server, cookie));
-                }
-            }
-            self.servers[server].delta.clear();
-            let vas: Vec<u64> = self.touched.iter().copied().collect();
-            self.reseed = Some(Reseed {
-                target: server,
-                pending: vas.len(),
-            });
-            for va in vas {
-                let what = InternalOp::ReseedRead { target: server, va };
-                self.submit_internal(ctx, self.primary, what, Op::Read { va, len: 8 });
-                self.stats.reseed_ops += 1;
-            }
-        } else if self.config.auto_promote {
-            self.finish_rejoin(ctx, server);
+        if self.touched.is_empty() || self.reseed.is_some() {
+            // One reconciliation at a time: a second rejoiner stays
+            // `Rejoining` and is picked up when the current one ends.
+            return;
         }
-        // Otherwise: wait for the caller's `complete_rejoin` gate.
+        // Caller atomics currently in flight on the primary will be
+        // captured by the snapshot READs behind them (FIFO channel), so
+        // their deltas must not be applied to the rejoiner again.
+        for (cookie, op) in self.servers[self.primary].channel.ops() {
+            if cookie & INTERNAL_BIT == 0 && matches!(op, Op::FetchAdd { .. }) {
+                self.delta_skip.insert((server, cookie));
+            }
+        }
+        self.servers[server].delta.clear();
+        let vas: Vec<u64> = self.touched.iter().copied().collect();
+        self.reseed = Some(Reseed {
+            target: server,
+            pending: vas.len(),
+        });
+        for va in vas {
+            let what = InternalOp::ReseedRead { target: server, va };
+            self.submit_internal(ctx, self.primary, what, Op::Read { va, len: 8 });
+            self.stats.reseed_ops += 1;
+        }
     }
 
     fn finish_rejoin(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, server: usize) {
@@ -988,16 +981,22 @@ impl ReplicatedPool {
         }
     }
 
-    /// Caller-side promotion gate (pools built with `auto_promote: false`):
-    /// promote every probe-answered server back to mirror. The packet
-    /// buffer calls this once its ring has drained, so a rejoined replica
-    /// never holds a stale ring window.
+    /// The owner's promotion gate: promote every probe-answered server
+    /// back to mirror as it is, or — in a pool that has carried a
+    /// Fetch-and-Add — re-seed it first. The packet buffer calls this once
+    /// its ring has drained, so a rejoined replica never holds a stale ring
+    /// window; the FaA engine from its tick, for a rejoin before the first
+    /// count, when every replica's counters are still zero.
     pub fn complete_rejoin(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>) {
         for i in 0..self.servers.len() {
             if self.servers[i].health.state() == Health::Rejoining
                 && self.reseed.as_ref().is_none_or(|r| r.target != i)
             {
-                self.finish_rejoin(ctx, i);
+                if self.touched.is_empty() {
+                    self.finish_rejoin(ctx, i);
+                } else {
+                    self.begin_rejoin(ctx, i);
+                }
             }
         }
     }
@@ -1051,13 +1050,12 @@ impl ReplicatedPool {
     }
 
     fn ensure_probe_timer(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>) {
-        if self.probe_armed || self.failed || self.servers.len() == 1 {
+        if self.probe_armed
+            || self.failed
+            || self.servers.len() == 1
+            || self.stats.probes >= MAX_PROBES
+        {
             return;
-        }
-        if let Some(max) = self.config.max_probes {
-            if self.stats.probes >= max as u64 {
-                return;
-            }
         }
         if !self
             .servers
@@ -1076,13 +1074,8 @@ impl ReplicatedPool {
             return;
         }
         for i in 0..self.servers.len() {
-            if self.servers[i].health.state() != Health::Down {
+            if self.servers[i].health.state() != Health::Down || self.stats.probes >= MAX_PROBES {
                 continue;
-            }
-            if let Some(max) = self.config.max_probes {
-                if self.stats.probes >= max as u64 {
-                    continue;
-                }
             }
             // A live (non-failed) channel here means the previous probe is
             // still being timed out; let it conclude before re-arming.

@@ -330,7 +330,7 @@ mod tests {
         let prog = r.prog();
         let s = prog.engine(0).stats();
         assert!(
-            s.retransmits > 0 || s.naks > 0,
+            s.channel.retransmits > 0 || s.channel.naks > 0,
             "loss should have triggered recovery: {s:?}"
         );
         assert!(

@@ -32,11 +32,11 @@ fi
 echo "== cargo clippy (deny warnings) =="
 cargo clippy --all-targets -- -D warnings
 
-echo "== rustfmt (sim, wire, types, switch, apps, core) =="
-# The crates that are rustfmt-clean stay clean; the others are not
-# formatted yet and are left out until they are.
+echo "== rustfmt (sim, wire, types, switch, apps, core, rnic, bench) =="
+# The crates that are rustfmt-clean stay clean. The benchmark is frozen and
+# never formatted; the root tests are not formatted yet.
 cargo fmt -p extmem-sim -p extmem-wire -p extmem-types -p extmem-switch -p extmem-apps \
-    -p extmem-core -- --check
+    -p extmem-core -p extmem-rnic -p extmem-bench -- --check
 
 echo "== no hand-placed buffer returns =="
 # A frame buffer goes back to the pool when its payload's last owner drops
@@ -67,7 +67,9 @@ echo "== crash/failover cells (release) =="
 # server lives in a different partition than the switch driving it, and
 # the sharded store's cell (crash_fabric_shard_*), where one shard's
 # primary dies and rejoins while consistent-hash routing keeps the other
-# shards counting.
+# shards counting, and the cold-rejoin cell
+# (crash_state_store_cold_rejoin_*), where a pool built with nothing but
+# its detection knobs must reseed each restarted server on its own.
 cargo test -q --release --test fault_matrix crash_
 
 echo "== allocation budget (release) =="

@@ -193,7 +193,7 @@ fn check_replicated_fetch_and_add(what: &str, t: &Built, per_frame: f64) {
     let prog = sw.program::<ShardedStateStoreProgram>();
     assert!(prog.is_quiescent() && !prog.is_degraded());
     let s = prog.engine(0).stats();
-    assert_eq!((s.lost_updates, s.retransmits), (0, 0), "{s:?}");
+    assert_eq!((s.lost_updates, s.channel.retransmits), (0, 0), "{s:?}");
     assert!(s.pool.delta_replayed > 0, "the mirror must be fed: {s:?}");
     // Data frame, FaA request to the primary, its atomic ACK; the mirror's
     // share (replayed FaA and ACK per flush, not per frame) rides in the

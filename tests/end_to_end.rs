@@ -46,7 +46,7 @@ fn lookup_latency_overhead_matches_fig3a_shape() {
         let base = run_l2_baseline(size, 300, Rate::from_gbps(1), 5);
         let (with, stats) = run_dscp_lookup(size, 300, Rate::from_gbps(1), None, 5);
         assert_eq!(stats.remote_lookups, 300);
-        assert_eq!(stats.naks, 0);
+        assert_eq!(stats.channel.naks, 0);
         overheads.push(with.median.as_micros_f64() - base.median.as_micros_f64());
     }
     for &o in &overheads {

@@ -127,7 +127,7 @@ fn reliable_statestore_is_exact_under_drops() {
     let sw: &SwitchNode = rig.sim.node(rig.switch);
     let prog = sw.program::<ShardedStateStoreProgram>();
     let s = prog.engine(0).stats();
-    assert!(s.retransmits > 0, "expected recovery activity: {s:?}");
+    assert!(s.channel.retransmits > 0, "expected recovery activity: {s:?}");
     assert!(prog.is_quiescent(), "must settle: {s:?}");
     let remote = remote_total(&rig, rkey, base, 256);
     let truth: u64 = prog.oracle.values().sum();
@@ -157,7 +157,7 @@ fn best_effort_statestore_undercounts_under_drops() {
         "8% loss must undercount (remote {remote} vs truth {truth})"
     );
     let s = prog.engine(0).stats();
-    assert!(s.lost_updates > 0 || s.naks > 0);
+    assert!(s.lost_updates > 0 || s.channel.naks > 0);
 }
 
 #[test]
@@ -314,7 +314,7 @@ fn server_outage_and_recovery_with_reliable_statestore() {
     let sw: &SwitchNode = sim.node(switch);
     let prog = sw.program::<ShardedStateStoreProgram>();
     let s = prog.engine(0).stats();
-    assert!(s.retransmits > 0, "recovery must retransmit: {s:?}");
+    assert!(s.channel.retransmits > 0, "recovery must retransmit: {s:?}");
     assert!(prog.is_quiescent(), "must settle after recovery: {s:?}");
     let nic = sim.node::<RnicNode>(server);
     let remote: u64 = read_remote_counters(nic, rkey, base, counters).iter().sum();

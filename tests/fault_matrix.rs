@@ -186,7 +186,7 @@ fn run_state_store_cell(cell: &Cell, seed: u64) {
     let truth: u64 = prog.oracle.values().sum();
     assert_eq!(remote, truth, "{cell:?}: counters must settle exactly");
     if is_clean(cell) {
-        assert_eq!(s.retransmits, 0, "clean cell must not retransmit: {s:?}");
+        assert_eq!(s.channel.retransmits, 0, "clean cell must not retransmit: {s:?}");
     }
     assert_eq!(sim.node::<SinkNode>(hosts[1]).received, COUNT);
 }
@@ -397,12 +397,11 @@ fn run_lpm_cell(cell: &Cell, seed: u64, remote_ops: bool) {
     let prog = sw.program::<RemoteLpmProgram>();
     let s = prog.stats();
     assert!(!prog.is_degraded(), "{cell:?}: must not fail over: {s:?}");
-    assert_eq!(s.lookups_failed, 0, "{cell:?}: lookups abandoned: {s:?}");
-    assert_eq!(s.degraded_fallbacks, 0, "{cell:?}: {s:?}");
+    assert_eq!(s.failed_ops, 0, "{cell:?}: lookups abandoned: {s:?}");
     assert_eq!(sink.received, COUNT, "{cell:?}: packets lost: {s:?}");
     assert_eq!(sink.dscp_mismatch, 0, "{cell:?}: wrong rung won");
-    assert_eq!(s.routed, COUNT, "{cell:?}: {s:?}");
-    assert_eq!(s.no_route, 0, "{cell:?}: {s:?}");
+    assert_eq!(s.actions_applied, COUNT, "{cell:?}: {s:?}");
+    assert_eq!(s.slow_path, 0, "{cell:?}: no route or degraded: {s:?}");
     // Exactly one completion per issued request — duplicates were deduped
     // and nothing leaked. Verb mode settles 3 rung READs per miss; the
     // gather/walk op settles the whole ladder in one exchange even when the
@@ -824,20 +823,20 @@ fn lpm_failover_forwards_fib_only() {
     assert!(prog.is_degraded(), "retry cap must trip failover: {s:?}");
     assert!(s.channel.failed_over, "{s:?}");
     assert!(
-        s.degraded_fallbacks > 0,
+        s.slow_path > 0,
         "degraded misses must forward FIB-only: {s:?}"
     );
     // Packets waiting on abandoned rung READs are dropped (and counted);
     // everything else flows. No wedge, full accounting.
     assert_eq!(
-        sink.received + s.lookups_failed,
+        sink.received + s.failed_ops,
         COUNT,
         "every packet delivered or accounted: {s:?}"
     );
     // The FIB-only path actually carries traffic: every degraded fallback
     // reached the sink.
     assert!(
-        sink.received >= s.degraded_fallbacks,
+        sink.received >= s.slow_path,
         "fallback packets vanished: received={} {s:?}",
         sink.received
     );
@@ -931,7 +930,7 @@ fn state_store_exact_across_psn_wrap_with_loss() {
     let sw: &SwitchNode = sim.node(switch);
     let prog = sw.program::<ShardedStateStoreProgram>();
     let s = prog.engine(0).stats();
-    assert!(s.retransmits > 0, "loss never bit: {s:?}");
+    assert!(s.channel.retransmits > 0, "loss never bit: {s:?}");
     assert!(prog.is_quiescent(), "stuck across the wrap: {s:?}");
     let nic = sim.node::<RnicNode>(servers[0]);
     let remote: u64 = read_remote_counters(nic, rkey, base, counters).iter().sum();
@@ -954,7 +953,6 @@ fn crash_pool_config() -> PoolConfig {
     PoolConfig {
         down_threshold: 2,
         probe_interval: TimeDelta::from_micros(100),
-        ..Default::default()
     }
 }
 
@@ -982,12 +980,7 @@ fn run_state_store_crash_cell(crash_primary: bool, rejoin: bool, seed: u64) {
             rto: TimeDelta::from_micros(30),
             ..Default::default()
         },
-        PoolConfig {
-            // A restarted server's DRAM is wiped: its counters must be
-            // re-seeded from the survivor before deltas are replayed.
-            reseed_atomics: true,
-            ..crash_pool_config()
-        },
+        crash_pool_config(),
     );
     let shards = vec![(0, engine, true)];
     let prog = ShardedStateStoreProgram::new(tb.fib(), shards, 1, TimeDelta::from_micros(30));
@@ -1085,6 +1078,78 @@ fn crash_state_store_rejoin_under_parallel_backend() {
     extmem_sim::with_sched_backend(extmem_sim::SchedBackend::Parallel(2), || {
         run_state_store_crash_cell(true, true, 9802);
     });
+}
+
+/// A replicated state store whose pool names only the detection knobs. A
+/// restarted server comes back with wiped DRAM while counting goes on, and
+/// the pool must re-seed it from the survivor without being told to: the
+/// mirror crashes and rejoins first, then the primary. Once settled, both
+/// replicas hold the oracle's counters exactly.
+#[test]
+fn crash_state_store_cold_rejoin_reseeds_both_replicas() {
+    const COUNT: u64 = 1500;
+    let counters = 256u64;
+    let region = ByteSize::from_bytes(counters * 8);
+    let link = LinkSpec::testbed_40g();
+    let mut tb = Testbed::new(9803);
+    tb.gen(probe_spec(256, 2, COUNT), link);
+    tb.sink(link);
+    let (_, ch_a) = tb.server(RnicConfig::default(), region, link);
+    let (_, ch_b) = tb.server(RnicConfig::default(), region, link);
+    let (rkey, base) = (ch_a.rkey, ch_a.base_va);
+    let engine = FaaEngine::replicated(
+        vec![ch_a, ch_b],
+        FaaConfig {
+            reliable: true,
+            rto: TimeDelta::from_micros(30),
+            ..Default::default()
+        },
+        crash_pool_config(),
+    );
+    let shards = vec![(0, engine, true)];
+    let prog = ShardedStateStoreProgram::new(tb.fib(), shards, 1, TimeDelta::from_micros(30));
+    let Built {
+        mut sim,
+        switch,
+        hosts,
+        servers,
+        ..
+    } = tb.build(SwitchConfig::default(), Box::new(prog));
+    // Traffic spans ~1.6ms: the mirror is down 200-400us, the primary
+    // 800-1000us, each rejoin well before the next crash.
+    let (primary, mirror) = (servers[0], servers[1]);
+    sim.schedule_crash(mirror, TimeDelta::from_micros(200));
+    sim.schedule_restart(mirror, TimeDelta::from_micros(400));
+    sim.schedule_crash(primary, TimeDelta::from_micros(800));
+    sim.schedule_restart(primary, TimeDelta::from_micros(1000));
+    let pool = |sim: &extmem_sim::Simulator| {
+        let sw: &SwitchNode = sim.node(switch);
+        let prog = sw.program::<ShardedStateStoreProgram>();
+        let pool = prog.engine(0).pool();
+        (pool.stats(), [pool.health(0), pool.health(1)])
+    };
+    sim.run_until(Time::from_micros(750));
+    let (s, health) = pool(&sim);
+    assert_eq!((s.rejoins, s.failovers), (1, 0), "mirror never rejoined: {s}");
+    assert_eq!(health, [Health::Healthy; 2], "{s}");
+    sim.run_until(Time::from_millis(50));
+
+    assert!(sim.crash_drops(mirror) > 0 && sim.crash_drops(primary) > 0);
+    let (s, health) = pool(&sim);
+    assert!(s.rejoins >= 2 && s.failovers >= 1, "{s}");
+    assert_eq!(health, [Health::Healthy; 2], "{s}");
+    let sw: &SwitchNode = sim.node(switch);
+    let prog = sw.program::<ShardedStateStoreProgram>();
+    assert!(prog.is_settled() && !prog.is_degraded(), "{s}");
+    let mut oracle = vec![0u64; counters as usize];
+    for (&(_, slot), &v) in &prog.oracle {
+        oracle[slot as usize] += v;
+    }
+    for (name, node) in [("primary", primary), ("mirror", mirror)] {
+        let dump = read_remote_counters(sim.node::<RnicNode>(node), rkey, base, counters);
+        assert_eq!(dump, oracle, "{name} diverges from the oracle: {s}");
+    }
+    assert_eq!(sim.node::<SinkNode>(hosts[1]).received, COUNT);
 }
 
 /// Replicated packet buffer under a whole-node crash at 50us (inside the
@@ -1382,10 +1447,7 @@ fn crash_fabric_shard_primary_mid_run_rejoins_exact() {
                 rto: TimeDelta::from_micros(30),
                 ..Default::default()
             },
-            PoolConfig {
-                reseed_atomics: true,
-                ..crash_pool_config()
-            },
+            crash_pool_config(),
         );
         shards.push((shard, engine, true));
     }
