@@ -13,7 +13,7 @@ use extmem_apps::scenario::{host_ip, host_mac};
 use extmem_apps::telemetry::{run_counting, CountingConfig};
 use extmem_apps::workload::{FlowPick, FlowSet, SinkNode, WorkloadSpec};
 use extmem_apps::LatencySummary;
-use extmem_core::channel::ChannelStats;
+use extmem_core::channel::{ChannelStats, ReliableConfig};
 use extmem_core::faa::{FaaConfig, FaaEngine};
 use extmem_core::lookup::{ActionEntry, LookupStats, LookupTableProgram};
 use extmem_core::lpm::{install_remote_route, slots_per_level, RemoteLpmProgram};
@@ -346,7 +346,8 @@ fn a5_probe(high_priority: bool) -> Vec<String> {
     );
     let mut fib = tb.fib();
     fib.install(host_mac(2), channel.server_port); // bulk data to the server's host side
-    let mut prog = PacketBufferProgram::new(
+    let rto = TimeDelta::from_micros(100);
+    let prog = PacketBufferProgram::new(
         fib,
         vec![channel],
         PortId(1),
@@ -356,11 +357,13 @@ fn a5_probe(high_priority: bool) -> Vec<String> {
             resume_load_qbytes: 4_000,
         },
         8,
-        TimeDelta::from_micros(100),
-    );
-    if high_priority {
-        prog = prog.with_high_priority_rdma();
-    }
+        rto,
+    )
+    .with_reliability(ReliableConfig {
+        rto,
+        high_priority,
+        ..Default::default()
+    });
     // Default 12MB buffer: contention delays, it does not drop.
     let mut t = tb.build(SwitchConfig::default(), Box::new(prog));
     t.sim.run_to_quiescence();
@@ -1112,9 +1115,9 @@ fn a13_cuckoo(filter_cells: usize, remote_ops: bool) -> (LookupStats, LatencySum
 ///
 /// * **LPM walk depth 1–4** — verb mode issues one rung READ per level
 ///   (pipelined on the QP, so RTTs-per-miss equals the ladder depth and
-///   each extra rung costs a full `per_op_overhead` in the server NIC's
+///   each extra rung costs a full `nic::PER_OP_OVERHEAD` in the server NIC's
 ///   service pipeline plus request wire bytes); the gather/walk op reads
-///   every rung inside the responder for one `ext_op_step` each, so it
+///   every rung inside the responder for one `nic::EXT_OP_STEP` each, so it
 ///   pays exactly 1.0 RTTs-per-miss and its p99 pulls ahead of the verb
 ///   ladder from depth 2 on.
 /// * **Cuckoo lookups under filter pressure** — verb mode stays exact only

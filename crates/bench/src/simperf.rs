@@ -116,7 +116,7 @@ fn storm_256(count: u64, remote_ops: bool) -> Built {
 /// Lookup-miss storm on the one-RTT cuckoo table: 256 installed flows, caching
 /// disabled, every packet pays exactly one bucket READ (the filter steers
 /// each probe to the bucket its key lives in). The run asserts the tentpole
-/// metric — reads-per-miss == 1.0 with zero slow-path punts.
+/// metric — one READ response per miss with zero slow-path punts.
 pub fn lookup_miss_storm(count: u64) -> ScenarioResult {
     let t = storm_256(count, false);
     let stats = program::<LookupTableProgram>(&t).stats();
@@ -133,8 +133,8 @@ pub fn lookup_miss_storm(count: u64) -> ScenarioResult {
         "filter misdirected a probe: {stats:?}"
     );
     assert_eq!(
-        stats.reads_per_miss(),
-        1.0,
+        stats.reads_per_lookup(),
+        Some(1.0),
         "the one-RTT property: exactly one READ per miss: {stats:?}"
     );
     ScenarioResult::of("lookup_miss_storm", &t.sim)
@@ -270,7 +270,11 @@ pub fn insert_churn(count: u64) -> ScenarioResult {
         stats.bucket_misses, 0,
         "filter misdirected a probe: {stats:?}"
     );
-    assert_eq!(stats.reads_per_miss(), 1.0, "one READ per miss: {stats:?}");
+    assert_eq!(
+        stats.reads_per_lookup(),
+        Some(1.0),
+        "one READ per miss: {stats:?}"
+    );
     assert!(
         stats.relocation_moves > 0,
         "churn never displaced a resident: {stats:?}"

@@ -9,6 +9,7 @@
 
 use extmem_bench::experiments::EXPERIMENTS;
 use std::fs;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 const GOLDEN: [(&str, &str); 18] = [
@@ -199,14 +200,14 @@ fn code_spans(doc: &str) -> Vec<String> {
         .collect()
 }
 
-/// Every `.rs` file under `dir`, concatenated onto `out`.
-fn rust_sources(dir: &Path, out: &mut String) {
+/// Calls `f` on the text of every `.rs` file under `dir`.
+fn each_rust_source(dir: &Path, f: &mut dyn FnMut(&str)) {
     for entry in fs::read_dir(dir).unwrap() {
         let path = entry.unwrap().path();
         if path.is_dir() {
-            rust_sources(&path, out);
+            each_rust_source(&path, f);
         } else if path.extension().is_some_and(|e| e == "rs") {
-            out.push_str(&fs::read_to_string(&path).unwrap());
+            f(&fs::read_to_string(&path).unwrap());
         }
     }
 }
@@ -233,7 +234,7 @@ fn documented_paths_and_programs_exist() {
     for krate in fs::read_dir(root.join("crates")).unwrap() {
         let dir = krate.unwrap().path().join("src");
         if dir.is_dir() {
-            rust_sources(&dir, &mut src);
+            each_rust_source(&dir, &mut |file| src.push_str(file));
         }
     }
     for doc in ["DESIGN.md", "README.md", ".claude/skills/verify/SKILL.md"] {
@@ -263,4 +264,155 @@ fn documented_paths_and_programs_exist() {
             }
         }
     }
+}
+
+/// Config settings that no shipped code sets, kept on purpose.
+const UNSET_ON_PURPOSE: [(&str, &str); 3] = [
+    (
+        "RnicConfig::outage",
+        "a fault injector: the tests that take a server down are its callers",
+    ),
+    (
+        "SwitchConfig::ecn_threshold",
+        "the §2.1 ECN backstop, which only the end-to-end DCTCP test turns on",
+    ),
+    (
+        "DctcpConfig",
+        "the sender half of the same backstop, run on its defaults",
+    ),
+];
+
+/// Every `.rs` file under `dir`, each cut at its first `#[cfg(test)]` and
+/// with its `//` comments blanked: the code a build ships.
+fn shipped_sources(dir: &Path, out: &mut Vec<String>) {
+    each_rust_source(dir, &mut |src| {
+        let code = src.split("#[cfg(test)]").next().unwrap_or_default();
+        let lines = code
+            .lines()
+            .map(|l| l.split("//").next().unwrap_or_default());
+        out.push(lines.collect::<Vec<_>>().join("\n"));
+    });
+}
+
+/// The text between the `{` at `open` and its matching `}`.
+fn braced(src: &str, open: usize) -> &str {
+    let mut depth = 0;
+    for (i, c) in src[open..].char_indices() {
+        match c {
+            '{' => depth += 1,
+            '}' if depth == 1 => return &src[open + 1..open + i],
+            '}' => depth -= 1,
+            _ => {}
+        }
+    }
+    panic!("unbalanced braces after byte {open}")
+}
+
+/// Every `name {` in `src` that opens a braced block (`name` not being the
+/// tail of a longer identifier), as the span from the name to the closing
+/// brace and the text between the braces.
+fn blocks<'s>(src: &'s str, name: &str) -> Vec<(Range<usize>, &'s str)> {
+    let ident = |c: char| c.is_alphanumeric() || c == '_';
+    src.match_indices(name)
+        .filter(|&(at, _)| !src[..at].ends_with(ident))
+        .filter_map(|(at, _)| {
+            let rest = &src[at + name.len()..];
+            let open = src.len() - rest.trim_start().len();
+            src[open..].starts_with('{').then(|| {
+                let body = braced(src, open);
+                (at..open + body.len() + 2, body)
+            })
+        })
+        .collect()
+}
+
+/// The fields a struct literal's `body` names, explicitly or by shorthand.
+fn literal_fields(body: &str) -> Vec<&str> {
+    let (mut fields, mut depth, mut start) = (Vec::new(), 0, 0);
+    for (i, c) in body.char_indices() {
+        match c {
+            '(' | '[' | '{' => depth += 1,
+            ')' | ']' | '}' => depth -= 1,
+            ',' if depth == 0 => {
+                fields.push(&body[start..i]);
+                start = i + 1;
+            }
+            _ => {}
+        }
+    }
+    fields.push(&body[start..]);
+    fields
+        .into_iter()
+        .map(|f| f.split(':').next().unwrap_or_default().trim())
+        .filter(|f| !f.is_empty() && !f.starts_with(".."))
+        .collect()
+}
+
+/// Every `pub` field of every `pub struct …Config` under `crates/*/src` is
+/// set somewhere outside the tests, by an explicit or shorthand field in a
+/// `Name { … }` literal in `crates/*/src` or `examples/` (the struct's own
+/// `impl Default` does not count), unless `UNSET_ON_PURPOSE` says why not.
+/// A setting only tests or nothing set is a constant in disguise.
+#[test]
+fn every_config_field_has_a_setter() {
+    let root = repo();
+    let mut crates = Vec::new();
+    for krate in fs::read_dir(root.join("crates")).unwrap() {
+        let dir = krate.unwrap().path().join("src");
+        if dir.is_dir() {
+            shipped_sources(&dir, &mut crates);
+        }
+    }
+    let mut shipped = crates.clone();
+    shipped_sources(&root.join("examples"), &mut shipped);
+
+    let mut unset = Vec::new();
+    for src in &crates {
+        for (at, _) in src.match_indices("pub struct ") {
+            let rest = &src[at + "pub struct ".len()..];
+            let ident_end = rest.find(|c: char| !(c.is_alphanumeric() || c == '_'));
+            let name = &rest[..ident_end.unwrap_or(rest.len())];
+            if !name.ends_with("Config") || name == "Config" {
+                continue;
+            }
+            let Some(&(_, decl)) = blocks(rest, name).first() else {
+                continue;
+            };
+            let fields = decl.lines().filter_map(|line| {
+                let field = line.trim().strip_prefix("pub ")?;
+                Some(field.split(':').next()?.trim())
+            });
+            // A literal: not the declaration, an `impl` block or a function
+            // body returning the type, and not inside `impl Default`.
+            let default = format!("impl Default for {name}");
+            let mut set = Vec::new();
+            for src in &shipped {
+                let defaults: Vec<Range<usize>> =
+                    blocks(src, &default).into_iter().map(|b| b.0).collect();
+                for (span, body) in blocks(src, name) {
+                    let before = src[..span.start].trim_end();
+                    let not_literal = ["struct", "for", "impl", "->"];
+                    if not_literal.iter().any(|w| before.ends_with(w))
+                        || defaults.iter().any(|d| d.contains(&span.start))
+                    {
+                        continue;
+                    }
+                    set.extend(literal_fields(body));
+                }
+            }
+            for field in fields {
+                let qualified = format!("{name}::{field}");
+                let allowed = UNSET_ON_PURPOSE
+                    .iter()
+                    .any(|&(item, _)| item == name || item == qualified);
+                if !set.contains(&field) && !allowed {
+                    unset.push(qualified);
+                }
+            }
+        }
+    }
+    assert!(
+        unset.is_empty(),
+        "set by no code outside the tests; make each a constant: {unset:?}"
+    );
 }

@@ -115,19 +115,34 @@ impl RdmaChannel {
 // Requester-side reliability layer (§7: retry, resynchronize, degrade).
 // ---------------------------------------------------------------------------
 
+/// Timeout rounds before a reliable channel declares itself failed and
+/// degrades to local-only operation. With [`MAX_BACKOFF_LEVEL`], a channel
+/// facing a silent server gives up `1 + 2 + 4 + 8 + 5 × 16 = 95` RTOs after
+/// its last progress.
+pub const MAX_RETRIES: u32 = 8;
+
+/// Cap on the backoff shift, bounding the effective timeout at
+/// `rto << MAX_BACKOFF_LEVEL`.
+pub const MAX_BACKOFF_LEVEL: u32 = 4;
+
+/// Transmit-window cap (reliable mode only): at most this many ops in
+/// flight at once; further ops queue inside the channel and go out as the
+/// window drains. This is what bounds a go-back-N volley — an unbounded
+/// window lets one loss trigger a retransmission burst that takes longer to
+/// serialize than the RTO, which re-times-out and snowballs into a storm
+/// (real QPs are bounded the same way, by their WQE count). Best-effort
+/// channels ignore it: with no retransmission there is no volley to bound,
+/// and windowing would flow-control a path whose whole point is to fire at
+/// line rate and let the server ceiling show as loss.
+pub const MAX_WINDOW: usize = 64;
+
 /// Reliability policy for a [`ReliableChannel`].
 #[derive(Clone, Copy, Debug)]
 pub struct ReliableConfig {
     /// Base retransmission timeout; the effective timeout is
     /// `rto << backoff_level` (exponential backoff).
     pub rto: TimeDelta,
-    /// Timeout rounds before the channel declares itself failed and
-    /// degrades to local-only operation (reliable mode only).
-    pub max_retries: u32,
-    /// Cap on the backoff shift, bounding the effective timeout at
-    /// `rto << max_backoff_level`.
-    pub max_backoff_level: u32,
-    /// `true`: retransmit on NAK/timeout until `max_retries`, then fail
+    /// `true`: retransmit on NAK/timeout until [`MAX_RETRIES`], then fail
     /// over. `false`: best-effort — ops age out past the RTO and NAKs fail
     /// everything in flight (the caller absorbs the loss), but the channel
     /// itself never fails over.
@@ -136,28 +151,14 @@ pub struct ReliableConfig {
     /// traffic uses this so RDMA is not stuck behind the very congestion it
     /// is trying to relieve).
     pub high_priority: bool,
-    /// Transmit-window cap (reliable mode only): at most this many ops in
-    /// flight at once; further ops queue inside the channel and go out as
-    /// the window drains. This is what bounds a go-back-N volley — an
-    /// unbounded window lets one loss trigger a retransmission burst that
-    /// takes longer to serialize than the RTO, which re-times-out and
-    /// snowballs into a storm (real QPs are bounded the same way, by their
-    /// WQE count). Best-effort channels ignore it: with no retransmission
-    /// there is no volley to bound, and windowing would flow-control a
-    /// path whose whole point is to fire at line rate and let the server
-    /// ceiling show as loss.
-    pub max_window: usize,
 }
 
 impl Default for ReliableConfig {
     fn default() -> Self {
         ReliableConfig {
             rto: TimeDelta::from_micros(100),
-            max_retries: 8,
-            max_backoff_level: 4,
             reliable: true,
             high_priority: false,
-            max_window: 64,
         }
     }
 }
@@ -468,10 +469,6 @@ pub(crate) const CHANNEL_TIMER: u64 = 1 << 32;
 impl ReliableChannel {
     /// Wrap `channel` in the reliability layer.
     pub fn new(channel: RdmaChannel, config: ReliableConfig) -> ReliableChannel {
-        assert!(
-            config.max_window > 0,
-            "window cap must admit at least one op"
-        );
         ReliableChannel {
             timer_token: CHANNEL_TIMER | channel.server_port.0 as u64,
             inner: channel,
@@ -510,10 +507,6 @@ impl ReliableChannel {
             self.outstanding.is_empty() && self.queue.is_empty() && !self.failed,
             "reconfigure an idle channel"
         );
-        assert!(
-            config.max_window > 0,
-            "window cap must admit at least one op"
-        );
         self.config = config;
     }
 
@@ -540,7 +533,7 @@ impl ReliableChannel {
     /// Reliability counters.
     pub fn stats(&self) -> ChannelStats {
         let mut s = self.stats;
-        s.backoff_level = self.backoff_level.min(self.config.max_backoff_level);
+        s.backoff_level = self.backoff_level.min(MAX_BACKOFF_LEVEL);
         s
     }
 
@@ -558,7 +551,7 @@ impl ReliableChannel {
     fn deadline(&self) -> Option<Time> {
         let head = self.outstanding.front()?;
         let shift = if self.config.reliable {
-            self.backoff_level.min(self.config.max_backoff_level)
+            self.backoff_level.min(MAX_BACKOFF_LEVEL)
         } else {
             0
         };
@@ -612,8 +605,7 @@ impl ReliableChannel {
             return false;
         }
         self.stats.ops_issued += 1;
-        if self.config.reliable
-            && (self.outstanding.len() >= self.config.max_window || !self.queue.is_empty())
+        if self.config.reliable && (self.outstanding.len() >= MAX_WINDOW || !self.queue.is_empty())
         {
             self.queue.push_back((cookie, op));
         } else {
@@ -644,7 +636,7 @@ impl ReliableChannel {
 
     /// Launch queued ops into whatever room the window now has.
     fn pump_queue(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>) {
-        while !self.failed && self.outstanding.len() < self.config.max_window {
+        while !self.failed && self.outstanding.len() < MAX_WINDOW {
             let Some((cookie, op)) = self.queue.pop_front() else {
                 break;
             };
@@ -919,7 +911,7 @@ impl ReliableChannel {
             return;
         }
         if self.config.reliable {
-            if self.retries >= self.config.max_retries {
+            if self.retries >= MAX_RETRIES {
                 self.fail(ctx, events);
                 return;
             }
@@ -929,7 +921,7 @@ impl ReliableChannel {
             self.stats.max_backoff_level = self
                 .stats
                 .max_backoff_level
-                .max(self.backoff_level.min(self.config.max_backoff_level));
+                .max(self.backoff_level.min(MAX_BACKOFF_LEVEL));
             self.retransmit_all(ctx);
         } else {
             // Best effort: age out everything past the base RTO.
@@ -964,7 +956,7 @@ impl ReliableChannel {
     /// emit `Failed`): the pool layer's health detector calls this when its
     /// consecutive-failure threshold trips before the channel's own retry
     /// cap does, so failover latency is governed by the detector, not by
-    /// `max_retries`. No-op on an already-failed channel.
+    /// [`MAX_RETRIES`]. No-op on an already-failed channel.
     pub fn abort(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, events: &mut Vec<ChannelEvent>) {
         if !self.failed {
             self.fail(ctx, events);
@@ -1174,8 +1166,8 @@ pub(crate) mod tests {
         assert_eq!(done, want);
     }
 
-    /// Owns one channel with a one-op window behind a server that never
-    /// answers; the test pokes it through the stages of a remote op's life.
+    /// Owns one channel behind a server that never answers; the test pokes
+    /// it through the stages of a remote op's life.
     struct OpIssuer {
         channel: ReliableChannel,
         events: Vec<ChannelEvent>,
@@ -1206,6 +1198,9 @@ pub(crate) mod tests {
     const ANSWER_PROBE: u64 = 2;
     const REISSUE: u64 = 3;
     const RECOVERED_PSN: u32 = 0x10_0000;
+    /// The install's cookie: the probes that fill the window take 1 to
+    /// [`MAX_WINDOW`].
+    const INSTALL: u64 = MAX_WINDOW as u64 + 1;
 
     impl extmem_switch::PipelineProgram for OpIssuer {
         fn ingress(&mut self, _: &mut SwitchCtx<'_, '_, '_>, _: PortId, _: Packet) {}
@@ -1216,30 +1211,35 @@ pub(crate) mod tests {
             use extmem_wire::extop::ExtOpAckEth;
             match token {
                 ISSUE => {
-                    // The probe takes the window; the install queues.
-                    assert!(self.channel.submit(ctx, Op::Remote(probe_op()), 1));
-                    assert!(self.channel.submit(ctx, Op::Remote(install_op()), 2));
+                    // The probes take the window; the install queues.
+                    for cookie in 1..=MAX_WINDOW as u64 {
+                        assert!(self.channel.submit(ctx, Op::Remote(probe_op()), cookie));
+                    }
+                    assert!(self.channel.submit(ctx, Op::Remote(install_op()), INSTALL));
                     let held = self.channel.ops().count();
-                    assert_eq!((self.channel.outstanding_len(), held), (1, 2));
+                    let queued = (self.channel.outstanding_len(), held);
+                    assert_eq!(queued, (MAX_WINDOW, MAX_WINDOW + 1));
                 }
                 ANSWER_PROBE => {
-                    let qp = &self.channel.inner().qp;
-                    let resp = RocePacket::new(
-                        qp.peer,
-                        qp.local,
-                        qp.udp_src_port,
-                        Bth::new(Opcode::ExtOpResp, SWITCH_QPN, 0),
-                        RoceExt::ExtOpAck(
-                            Aeth::ack(1),
-                            ExtOpAckEth {
-                                op: Opcode::HashProbe as u8,
-                                flags: 0,
-                                index: 0,
-                            },
-                        ),
-                        vec![],
-                    );
-                    assert!(self.channel.on_roce(ctx, &resp, &mut self.events));
+                    for psn in 0..MAX_WINDOW as u32 {
+                        let qp = &self.channel.inner().qp;
+                        let resp = RocePacket::new(
+                            qp.peer,
+                            qp.local,
+                            qp.udp_src_port,
+                            Bth::new(Opcode::ExtOpResp, SWITCH_QPN, psn),
+                            RoceExt::ExtOpAck(
+                                Aeth::ack(1),
+                                ExtOpAckEth {
+                                    op: Opcode::HashProbe as u8,
+                                    flags: 0,
+                                    index: 0,
+                                },
+                            ),
+                            vec![],
+                        );
+                        assert!(self.channel.on_roce(ctx, &resp, &mut self.events));
+                    }
                     let held = self.channel.ops().count();
                     let launched = (self.channel.outstanding_len(), held);
                     assert_eq!(launched, (1, 1), "the install launched");
@@ -1248,7 +1248,8 @@ pub(crate) mod tests {
                     // What the pool does with an op orphaned by a failover.
                     assert!(self.channel.is_failed());
                     self.channel.recover_at(RECOVERED_PSN);
-                    assert!(self.channel.submit(ctx, Op::Remote(install_op()), 2));
+                    let install = Op::Remote(install_op());
+                    assert!(self.channel.submit(ctx, install, INSTALL));
                 }
                 t if t == self.channel.timer_token() => {
                     self.channel.on_timer_fired(ctx, &mut self.events);
@@ -1274,12 +1275,10 @@ pub(crate) mod tests {
     }
 
     /// The policy of a channel that is to give up on a [`Blackhole`] soon:
-    /// RTO 10 us, one retry.
-    pub(crate) fn impatient(max_window: usize) -> ReliableConfig {
+    /// RTO 10 us, so [`MAX_RETRIES`] retransmissions and 950 us of silence.
+    pub(crate) fn impatient() -> ReliableConfig {
         ReliableConfig {
             rto: TimeDelta::from_micros(10),
-            max_retries: 1,
-            max_window,
             ..ReliableConfig::default()
         }
     }
@@ -1332,54 +1331,60 @@ pub(crate) mod tests {
             server_port: PortId(0),
         };
         let program = OpIssuer {
-            channel: ReliableChannel::new(channel, impatient(1)),
+            channel: ReliableChannel::new(channel, impatient()),
             events: Vec::new(),
         };
         let (mut sim, sw, hole) = behind_blackhole(program, |_, _| {});
-        // The probe goes out at 0 and, unanswered, again at 10 us; its
-        // answer at 15 us lets the install out, which times out at 25 us,
-        // is retransmitted, and at 45 us takes the channel down with it.
+        // The probes go out at 0 and, unanswered, again at 10 us; their
+        // answers at 15 us let the install out, which times out at 30 us
+        // and, retransmitted with backoff, at 970 us takes the channel down
+        // with it.
         sim.schedule_timer(sw, TimeDelta::ZERO, program_token(ISSUE));
         sim.schedule_timer(sw, TimeDelta::from_micros(15), program_token(ANSWER_PROBE));
-        sim.schedule_timer(sw, TimeDelta::from_micros(60), program_token(REISSUE));
-        sim.run_until(Time::from_micros(65));
+        sim.schedule_timer(sw, TimeDelta::from_micros(1000), program_token(REISSUE));
+        sim.run_until(Time::from_micros(1005));
 
         let program = sim.node::<SwitchNode>(sw).program::<OpIssuer>();
         // The failed install comes back whole, as it was submitted.
         let orphan = ChannelEvent::OpFailed {
-            cookie: 2,
+            cookie: INSTALL,
             op: Op::Remote(install_op()),
         };
-        assert_eq!(program.events[1..], [orphan, ChannelEvent::Failed]);
-        assert!(matches!(
-            &program.events[0],
-            ChannelEvent::Done { cookie: 1, op, reply: Reply::Remote { .. } }
-                if *op == Op::Remote(probe_op())
-        ));
+        assert_eq!(program.events[MAX_WINDOW..], [orphan, ChannelEvent::Failed]);
+        for (i, done) in program.events[..MAX_WINDOW].iter().enumerate() {
+            assert!(matches!(
+                done,
+                ChannelEvent::Done { cookie, op, reply: Reply::Remote { .. } }
+                    if *cookie == 1 + i as u64 && *op == Op::Remote(probe_op())
+            ));
+        }
         let frames = &sim.node::<Blackhole>(hole).frames;
         let sent: Vec<RocePacket> = frames
             .iter()
             .map(|f| RocePacket::parse(f).unwrap().unwrap())
             .collect();
         let seen: Vec<(Opcode, u32)> = sent.iter().map(|p| (p.bth.opcode, p.bth.psn)).collect();
-        assert_eq!(
-            seen,
-            [
-                (Opcode::HashProbe, 0),
-                (Opcode::HashProbe, 0),
-                (Opcode::CondWrite, 1),
-                (Opcode::CondWrite, 1),
-                (Opcode::CondWrite, RECOVERED_PSN),
-            ]
-        );
+        let probes = (0..MAX_WINDOW as u32).map(|psn| (Opcode::HashProbe, psn));
+        let installs = [(Opcode::CondWrite, MAX_WINDOW as u32)].repeat(1 + MAX_RETRIES as usize);
+        let want: Vec<(Opcode, u32)> = probes
+            .clone()
+            .chain(probes)
+            .chain(installs)
+            .chain([(Opcode::CondWrite, RECOVERED_PSN)])
+            .collect();
+        assert_eq!(seen, want);
         // A retransmission is the same frame, byte for byte.
-        assert_eq!(frames[0], frames[1]);
-        assert_eq!(frames[2], frames[3]);
+        let (probes, rest) = frames.split_at(2 * MAX_WINDOW);
+        assert_eq!(probes[..MAX_WINDOW], probes[MAX_WINDOW..]);
+        let (reissue, installs) = rest.split_last().unwrap();
+        assert!(installs.iter().all(|f| *f == installs[0]));
         // The reissue differs in its PSN and in nothing the op describes.
-        assert_eq!(sent[4].ext, sent[2].ext);
-        assert_eq!(sent[4].payload, sent[2].payload);
+        let install = &sent[2 * MAX_WINDOW];
+        let reissue = RocePacket::parse(reissue).unwrap().unwrap();
+        assert_eq!(reissue.ext, install.ext);
+        assert_eq!(reissue.payload, install.payload);
         assert_eq!(sent[0].payload, *b"thirteen-byte");
-        assert_eq!(sent[2].payload, [[0xc5u8; 32], [0x3a; 32]].concat());
+        assert_eq!(install.payload, [[0xc5u8; 32], [0x3a; 32]].concat());
     }
 
     /// Owns one channel behind a server that never answers; submits one
@@ -1443,15 +1448,15 @@ pub(crate) mod tests {
     }
 
     /// `op`'s life on a channel to [`region`] whose server never answers:
-    /// sent at 0, retransmitted at 10 us when the RTO passes in silence,
-    /// given up on at 30 us (the channel fails), reissued at 60 us. Checks
-    /// what every op has in common — one payload per transmission, the
-    /// frame, and none for the callback that only gave up, which hands the
-    /// op back whole; a
-    /// retransmission that is the same frame; a reissue that differs in
-    /// its PSN and in nothing else — and returns the simulation, the switch
-    /// and the three requests as the blackhole parsed them.
-    fn sent_three_times(op: Op) -> (extmem_sim::Simulator, extmem_types::NodeId, Vec<RocePacket>) {
+    /// sent at 0, retransmitted [`MAX_RETRIES`] times as the RTO passes in
+    /// silence (at 10 us, then with backoff), given up on at 950 us (the
+    /// channel fails), reissued at 1 ms. Checks what every op has in common
+    /// — one payload per transmission, the frame, and none for the callback
+    /// that only gave up, which hands the op back whole; a retransmission
+    /// that is the same frame; a reissue that differs in its PSN and in
+    /// nothing else — and returns the simulation, the switch and every
+    /// request as the blackhole parsed them, the reissue last.
+    fn sent_and_reissued(op: Op) -> (extmem_sim::Simulator, extmem_types::NodeId, Vec<RocePacket>) {
         use extmem_rnic::requester::RequesterQp;
         use extmem_switch::switch::program_token;
         use extmem_switch::SwitchNode;
@@ -1465,17 +1470,16 @@ pub(crate) mod tests {
             region_len: 4096,
             server_port: PortId(0),
         };
-        let window = ReliableConfig::default().max_window;
         let program = Sender {
-            channel: ReliableChannel::new(channel, impatient(window)),
+            channel: ReliableChannel::new(channel, impatient()),
             op,
             events: Vec::new(),
             allocs: Vec::new(),
         };
         let (mut sim, sw, hole) = behind_blackhole(program, |_, _| {});
         sim.schedule_timer(sw, TimeDelta::ZERO, program_token(ISSUE));
-        sim.schedule_timer(sw, TimeDelta::from_micros(60), program_token(REISSUE));
-        sim.run_until(Time::from_micros(65));
+        sim.schedule_timer(sw, TimeDelta::from_micros(1000), program_token(REISSUE));
+        sim.run_until(Time::from_micros(1005));
 
         let program = sim.node::<SwitchNode>(sw).program::<Sender>();
         let (cookie, op) = (1, program.op.clone());
@@ -1483,16 +1487,24 @@ pub(crate) mod tests {
             program.events,
             [ChannelEvent::OpFailed { cookie, op }, ChannelEvent::Failed]
         );
-        assert_eq!(program.allocs, [1, 1, 0, 1]);
+        let transmissions = 1 + MAX_RETRIES as usize;
+        let allocs = [vec![1; transmissions], vec![0, 1]].concat();
+        assert_eq!(program.allocs, allocs);
         let frames = &sim.node::<Blackhole>(hole).frames;
-        assert_eq!(frames.len(), 3);
-        assert_eq!(frames[0], frames[1], "a retransmission is the same frame");
+        assert_eq!(frames.len(), transmissions + 1);
+        for retransmission in &frames[1..transmissions] {
+            assert_eq!(
+                frames[0], *retransmission,
+                "a retransmission is the same frame"
+            );
+        }
         let sent: Vec<RocePacket> = frames
             .iter()
             .map(|f| RocePacket::parse(f).unwrap().unwrap())
             .collect();
-        assert_eq!((sent[0].bth.psn, sent[2].bth.psn), (0, RECOVERED_PSN));
-        let mut renumbered = sent[2].clone();
+        let reissued = &sent[transmissions];
+        assert_eq!((sent[0].bth.psn, reissued.bth.psn), (0, RECOVERED_PSN));
+        let mut renumbered = reissued.clone();
         renumbered.bth.psn = 0;
         assert_eq!(renumbered.build().unwrap(), frames[0]);
         (sim, sw, sent)
@@ -1511,7 +1523,7 @@ pub(crate) mod tests {
         let body = WriteBody::framed(b"hdr[6]", frame.slice(20..180));
         let image = [&b"hdr[6]"[..], &frame[20..180]].concat();
         let (_, _, base_va) = region();
-        let (sim, sw, sent) = sent_three_times(Op::Write {
+        let (sim, sw, sent) = sent_and_reissued(Op::Write {
             va: base_va + 64,
             body,
             ack_req: true,
@@ -1563,7 +1575,7 @@ pub(crate) mod tests {
             (Op::Read { va, len: 5000 }, Opcode::ReadRequest, reth(5000)),
             (Op::FetchAdd { va, add: 41 }, Opcode::FetchAdd, atomic),
         ] {
-            let (_, _, sent) = sent_three_times(op);
+            let (_, _, sent) = sent_and_reissued(op);
             for req in &sent {
                 assert_eq!((req.bth.opcode, req.ext), (opcode, ext));
                 assert!(req.payload.is_empty() && !req.bth.ack_req);

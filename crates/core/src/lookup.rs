@@ -283,7 +283,7 @@ pub struct ChurnScript {
 
 /// Counters of the three table programs: the first group is kept by all,
 /// the recirculation group by [`DirectTableProgram`](crate::direct_table::DirectTableProgram)
-/// alone, everything from `bucket_reads` to `inserts_rejected` by
+/// alone, everything from `bucket_misses` to `inserts_rejected` by
 /// [`LookupTableProgram`] alone.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct LookupStats {
@@ -315,9 +315,6 @@ pub struct LookupStats {
     /// once per abandoned lookup, however many of its rung READs failed,
     /// and drops that lookup's packet.
     pub failed_ops: u64,
-    /// Bucket READs issued (equals `remote_lookups` — one probe per miss
-    /// is the whole point).
-    pub bucket_reads: u64,
     /// Bucket READs whose response held no matching key (an unknown flow,
     /// or a filter false positive steering a non-resident key to h2).
     pub bucket_misses: u64,
@@ -354,16 +351,6 @@ pub struct LookupStats {
 }
 
 impl LookupStats {
-    /// Bucket READs issued per remote miss — 1.0 on the one-RTT table,
-    /// meaningless (0) when no misses have happened.
-    pub fn reads_per_miss(&self) -> f64 {
-        if self.remote_lookups == 0 {
-            0.0
-        } else {
-            self.bucket_reads as f64 / self.remote_lookups as f64
-        }
-    }
-
     /// Round trips per remote miss, `None` before any miss. 1.0 on the
     /// one-RTT table either way; the remote-op probe additionally covers *both*
     /// candidate buckets in that one trip, so a filter false positive can
@@ -638,11 +625,6 @@ impl LookupTableProgram {
         self
     }
 
-    /// Whether the remote-op engine is in use for misses and relocations.
-    pub fn remote_ops(&self) -> bool {
-        self.remote_ops
-    }
-
     /// Override the reliability policy (before traffic flows).
     pub fn with_reliability(mut self, rc: ReliableConfig) -> LookupTableProgram {
         self.front.pool.set_config(rc);
@@ -708,7 +690,6 @@ impl LookupTableProgram {
         self.pending.insert(cookie, (flow, pkt));
         let stats = &mut self.front.stats;
         stats.remote_lookups += 1;
-        stats.bucket_reads += 1;
         stats.lookup_rtts += 1;
         let op = if self.remote_ops {
             debug_assert!(buckets <= u32::MAX as u64, "bucket index fits the probe");
@@ -1082,6 +1063,7 @@ pub fn install_cuckoo_image(nic: &mut RnicNode, channel: &RdmaChannel, dir: &Cuc
 pub(crate) mod tests {
     use super::*;
     use crate::channel::tests::{behind_blackhole, impatient, Blackhole};
+    use crate::channel::MAX_RETRIES;
     use crate::direct_table::{install_remote_action, DirectTableProgram};
     use extmem_rnic::RnicConfig;
     use extmem_sim::LinkSpec;
@@ -1303,11 +1285,7 @@ pub(crate) mod tests {
         let prog = LookupTableProgram::cuckoo(fib(), channel, dir, None);
         let (stats, dscp) = dscp_out(prog, nic, [fa, fb], LookupTableProgram::stats);
         assert_eq!(dscp, [46, 12]);
-        assert_eq!(
-            (stats.bucket_reads, stats.bucket_misses),
-            (2, 0),
-            "{stats:?}"
-        );
+        assert_eq!((stats.responses, stats.bucket_misses), (2, 0), "{stats:?}");
         assert_eq!(
             (stats.actions_applied, stats.slow_path),
             (2, 0),
@@ -1327,7 +1305,7 @@ pub(crate) mod tests {
         let (_unplugged, mut channel) = table_server(dir.region_bytes());
         channel.server_port = PortId(0);
         let prog =
-            LookupTableProgram::cuckoo(fib(), channel, dir, None).with_reliability(impatient(1));
+            LookupTableProgram::cuckoo(fib(), channel, dir, None).with_reliability(impatient());
         let poke = Box::new(
             |prog: &mut LookupTableProgram, ctx: &mut SwitchCtx<'_, '_, '_>| {
                 prog.ingress(ctx, PortId(2), sample_packet());
@@ -1335,12 +1313,12 @@ pub(crate) mod tests {
         );
         let (mut sim, sw, hole) = behind_blackhole(Poked { prog, poke }, |_, _| {});
         sim.schedule_timer(sw, TimeDelta::ZERO, program_token(POKE));
-        sim.run_until(Time::from_micros(100));
+        sim.run_until(Time::from_millis(1));
 
-        // The READ, its one retransmission, then the packet.
+        // The READ, its retransmissions, then the packet.
         let frames = &sim.node::<Blackhole>(hole).frames;
-        assert_eq!(frames.len(), 3);
-        assert_eq!(frames[2], sample_packet());
+        assert_eq!(frames.len(), 2 + MAX_RETRIES as usize);
+        assert_eq!(frames[1 + MAX_RETRIES as usize], sample_packet());
         let prog = &sim
             .node::<SwitchNode>(sw)
             .program::<Poked<LookupTableProgram>>()

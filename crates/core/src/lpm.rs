@@ -164,11 +164,6 @@ impl RemoteLpmProgram {
         self.front.degraded
     }
 
-    /// The prefix ladder, longest first.
-    pub fn levels(&self) -> &[u8] {
-        &self.levels
-    }
-
     /// The VA of the slot for (`level_idx`, `dst`).
     fn slot_va(&self, level_idx: usize, dst: u32) -> u64 {
         let level = self.levels[level_idx];

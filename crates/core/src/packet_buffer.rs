@@ -43,10 +43,9 @@ use crate::channel::{
 };
 use crate::fib::Fib;
 use crate::pool::{assert_distinct_ports, PoolConfig, PoolStats, ReplicatedPool};
-use extmem_rnic::{RemoteOp, WriteBody};
+use extmem_rnic::WriteBody;
 use extmem_switch::{PipelineProgram, SwitchCtx};
 use extmem_types::{PortId, TimeDelta};
-use extmem_wire::extop::IndirectMode;
 use extmem_wire::roce::RocePacket;
 use extmem_wire::{Packet, Payload};
 use std::collections::BTreeMap;
@@ -138,10 +137,6 @@ pub struct PacketBufferProgram {
     reorder: BTreeMap<u64, Option<Packet>>,
     /// A channel failed over: stop detouring, drain what remains.
     degraded: bool,
-    /// Load via the RNIC's length-prefixed indirect READ: the responder
-    /// reads the entry header in place and returns exactly the stored
-    /// packet, not the fixed-size entry.
-    remote_ops: bool,
     /// Completion scratch, reused across calls.
     events: Vec<ChannelEvent>,
     stats: PacketBufferStats,
@@ -274,51 +269,20 @@ impl PacketBufferProgram {
             rdone: 0,
             reorder: BTreeMap::new(),
             degraded: false,
-            remote_ops: false,
             events: Vec::new(),
             stats: PacketBufferStats::default(),
         }
     }
 
-    /// Send this program's RDMA requests at strict-high TM priority, so
-    /// they are not stuck behind (or dropped with) bulk data sharing the
-    /// server-facing ports (§7).
-    pub fn with_high_priority_rdma(mut self) -> PacketBufferProgram {
-        for pool in &mut self.pools {
-            let rc = ReliableConfig {
-                high_priority: true,
-                ..pool.config()
-            };
-            pool.set_config(rc);
-        }
-        self
-    }
-
     /// Override the reliability policy on every channel (before traffic
-    /// flows). `high_priority` is still governed by
-    /// [`Self::with_high_priority_rdma`] — apply it afterwards if both are
-    /// wanted.
+    /// flows). `ReliableConfig::high_priority` sends this program's RDMA
+    /// requests at strict-high TM priority, so they are not stuck behind
+    /// (or dropped with) bulk data sharing the server-facing ports (§7).
     pub fn with_reliability(mut self, rc: ReliableConfig) -> PacketBufferProgram {
         for pool in &mut self.pools {
             pool.set_config(rc);
         }
         self
-    }
-
-    /// Load ring entries with the RNIC's indirect-READ remote op: the
-    /// responder dereferences the `[idx: u32][len: u16]` entry header in
-    /// place and returns exactly `len` packet bytes, so the response sheds
-    /// the fixed-size entry's slack and a future variable-size layout
-    /// needs no header-then-body READ chain. Off (the default) keeps the
-    /// plain one-sided READ as the ablation baseline.
-    pub fn with_remote_ops(mut self, on: bool) -> PacketBufferProgram {
-        self.remote_ops = on;
-        self
-    }
-
-    /// Whether loads use the indirect-READ remote op.
-    pub fn remote_ops(&self) -> bool {
-        self.remote_ops
     }
 
     /// Counters.
@@ -355,11 +319,6 @@ impl PacketBufferProgram {
     /// Entries currently in the ring (stored, not yet consumed).
     pub fn ring_occupancy(&self) -> u64 {
         self.widx - self.rdone
-    }
-
-    /// The protected egress port.
-    pub fn protected_port(&self) -> PortId {
-        self.protected_port
     }
 
     /// `(stripe index, VA)` of ring entry `idx`.
@@ -460,19 +419,8 @@ impl PacketBufferProgram {
             {
                 let idx = self.next_read_idx;
                 let (ch, va) = self.locate(idx);
-                let pull = if self.remote_ops {
-                    Op::Remote(RemoteOp::Indirect {
-                        va,
-                        mode: IndirectMode::LengthPrefixed,
-                        len_off: 4,
-                        hdr_len: ENTRY_HDR as u16,
-                        max_len: self.entry_size as u32 - ENTRY_HDR as u32,
-                    })
-                } else {
-                    let len = self.entry_size as u32;
-                    Op::Read { va, len }
-                };
-                if self.pools[ch].submit(ctx, pull, idx) {
+                let len = self.entry_size as u32;
+                if self.pools[ch].submit(ctx, Op::Read { va, len }, idx) {
                     self.stats.reads_issued += 1;
                 } else {
                     self.reorder.entry(idx).or_insert(None);
@@ -573,9 +521,8 @@ impl PacketBufferProgram {
     fn consume_events(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, events: &mut Vec<ChannelEvent>) {
         for ev in events.drain(..) {
             match ev {
-                // A load, by READ or by indirect READ (whose payload is the
-                // exact `[idx][len][packet]` entry prefix, validated the
-                // same way); a store's acknowledgement carries no data.
+                // A load's READ returns the `[idx][len][packet]` entry; a
+                // store's acknowledgement carries no data.
                 ChannelEvent::Done { cookie, reply, .. } => {
                     if let Some(data) = reply.into_data() {
                         self.handle_entry(ctx, cookie, data);
@@ -767,7 +714,6 @@ mod tests {
         n_servers: usize,
         server_drop: f64,
         seed: u64,
-        remote_ops: bool,
     ) -> Rig {
         let switch_ep = extmem_wire::roce::RoceEndpoint {
             mac: MacAddr::local(100),
@@ -797,8 +743,7 @@ mod tests {
             mode,
             8,
             TimeDelta::from_micros(50),
-        )
-        .with_remote_ops(remote_ops);
+        );
 
         let mut b = SimBuilder::new(seed);
         let source = b.add_node(Box::new(Source {
@@ -856,7 +801,7 @@ mod tests {
     }
 
     fn rig(mode: Mode, n: u32, size: usize, gap_ns: u64, region: ByteSize) -> Rig {
-        rig_full(mode, n, size, gap_ns, region, 40, 1, 0.0, 7, false)
+        rig_full(mode, n, size, gap_ns, region, 40, 1, 0.0, 7)
     }
 
     fn prog_stats(rig: &Rig) -> PacketBufferStats {
@@ -939,7 +884,6 @@ mod tests {
             1,
             0.0,
             7,
-            false,
         );
         r.sim.run_to_quiescence();
         let s = prog_stats(&r);
@@ -968,7 +912,6 @@ mod tests {
             2,
             0.0,
             11,
-            false,
         );
         r.sim.run_until(Time::from_micros(200));
         let s = prog_stats(&r);
@@ -1045,57 +988,6 @@ mod tests {
     }
 
     #[test]
-    fn remote_ops_load_trims_to_packet_length() {
-        // Same store/load flow as the manual-mode test, but loads ride the
-        // length-prefixed indirect READ: the responder dereferences each
-        // entry's `[idx][len]` header in place and returns exactly the
-        // stored packet, so response traffic sheds the fixed-entry slack.
-        let mut r = rig_full(
-            Mode::Manual,
-            50,
-            1000,
-            300,
-            ByteSize::from_mb(1),
-            40,
-            1,
-            0.0,
-            7,
-            true,
-        );
-        r.sim.run_until(Time::from_micros(100));
-        r.sim.schedule_timer(
-            r.switch,
-            TimeDelta::ZERO,
-            program_token(TOKEN_START_LOADING),
-        );
-        r.sim.run_to_quiescence();
-        let s = prog_stats(&r);
-        assert_eq!(s.stored, 50);
-        assert_eq!(s.loaded, 50);
-        assert_eq!(s.lost_entries, 0);
-        assert_eq!(s.stale_skipped, 0);
-        assert_eq!(s.channel.naks, 0);
-        let sink = r.sim.node::<Sink>(r.sink);
-        assert_eq!(sink.corrupt, 0);
-        assert_eq!(
-            sink.seqs,
-            (0..50).collect::<Vec<_>>(),
-            "FIFO order violated"
-        );
-        let nic = r.sim.node::<RnicNode>(r.memsrvs[0]).stats();
-        assert_eq!(nic.cpu_packets, 0, "indirect loads stay one-sided");
-        assert_eq!(nic.reads, 0, "loads must not use plain READs");
-        assert_eq!(nic.ext_ops, 50, "one indirect READ per entry");
-        // Each response carries header + 1000-byte frame, not the full
-        // 2048-byte entry.
-        assert!(
-            nic.ext_op_bytes < 50 * 2048,
-            "responses must shed entry slack: {}",
-            nic.ext_op_bytes
-        );
-    }
-
-    #[test]
     fn windowed_arrival_frame_is_stored_behind_its_entry_header() {
         // Every arrival is a window into a larger buffer (as a frame lifted
         // out of an encapsulation is): the WRITE must carry exactly the
@@ -1135,9 +1027,10 @@ mod tests {
 
     #[test]
     fn refused_write_leaves_the_packet_on_the_protected_queue() {
-        // A server link that delivers nothing: the first store is
-        // retransmitted at 10 us and abandoned at 30 us, taking the channel
-        // (and the detour) down with it.
+        // A server link that delivers nothing: at a 400 ns RTO the first
+        // store is retransmitted from 1.4 us on and abandoned 95 RTOs after
+        // it went out, at ~39 us, taking the channel (and the detour) down
+        // with it.
         let mut r = rig_full(
             Mode::Manual,
             20,
@@ -1148,14 +1041,12 @@ mod tests {
             1,
             1.0,
             7,
-            false,
         );
         fn prog(r: &mut Rig) -> &mut PacketBufferProgram {
             r.sim.node_mut::<SwitchNode>(r.switch).program_mut()
         }
         prog(&mut r).pools[0].set_config(ReliableConfig {
-            rto: TimeDelta::from_micros(10),
-            max_retries: 1,
+            rto: TimeDelta::from_nanos(400),
             ..Default::default()
         });
         r.sim.run_until(Time::from_micros(50));
@@ -1194,7 +1085,6 @@ mod tests {
             1,
             0.05,
             1234,
-            false,
         );
         r.sim.run_until(Time::from_micros(500));
         r.sim.schedule_timer(
@@ -1245,7 +1135,6 @@ mod tests {
             2,
             0.01,
             99,
-            false,
         );
         r.sim.run_until(Time::from_micros(500));
         r.sim.schedule_timer(

@@ -53,7 +53,7 @@ use std::fmt;
 const INTERNAL_BIT: u64 = 1 << 63;
 
 /// How far `recover_at` jumps the PSN past the dead window. Far larger
-/// than any transmit window (`max_window` ≤ a few hundred), so a straggler
+/// than any transmit window ([`crate::channel::MAX_WINDOW`]), so a straggler
 /// response from the old incarnation can never alias into the recovered
 /// window's dedup horizon.
 const PSN_JUMP: u32 = 1 << 20;
@@ -428,11 +428,6 @@ impl ReplicatedPool {
         PROBE_TIMER | self.servers[0].channel.server_port().0 as u64
     }
 
-    /// Number of servers.
-    pub fn server_count(&self) -> usize {
-        self.servers.len()
-    }
-
     /// Index of the current primary.
     pub fn primary(&self) -> usize {
         self.primary
@@ -466,11 +461,6 @@ impl ReplicatedPool {
     /// Region length in bytes (identical across servers).
     pub fn region_len(&self) -> u64 {
         self.servers[0].channel.region_len()
-    }
-
-    /// The reliability config in force (shared by every replica).
-    pub fn config(&self) -> crate::channel::ReliableConfig {
-        self.servers[0].channel.config()
     }
 
     /// Override the reliability policy on every server's channel (before
@@ -1097,7 +1087,7 @@ impl ReplicatedPool {
 mod tests {
     use super::*;
     use crate::channel::tests::{behind_blackhole, impatient, Blackhole};
-    use crate::channel::{RdmaChannel, ReliableConfig};
+    use crate::channel::{RdmaChannel, ReliableConfig, MAX_WINDOW};
     use extmem_rnic::{Operand, RnicConfig, RnicNode};
     use extmem_sim::{LinkSpec, Node, NodeCtx};
     use extmem_switch::switch::program_token;
@@ -1155,12 +1145,13 @@ mod tests {
         }
     }
 
-    /// The primary of a three-server pool never answers. One op of each
-    /// kind and a fifth, three of the five still queued behind a two-op
-    /// window, are in the primary's channel when the detector writes it
-    /// off; the pool has kept no copy of them. What reaches the promoted
-    /// mirror is what the failed channel handed back: the same five
-    /// requests, in submit order, each answered once under its own cookie.
+    /// The primary of a three-server pool never answers. READs that fill
+    /// all but two of the window, then one op of each kind and a fifth,
+    /// three of the five still queued behind the full window, are in the
+    /// primary's channel when the detector writes it off; the pool has kept
+    /// no copy of them. What reaches the promoted mirror is what the failed
+    /// channel handed back: the same requests, in submit order, each
+    /// answered once under its own cookie.
     #[test]
     fn failover_reissues_what_the_failed_channel_hands_back() {
         let endpoint = |i| RoceEndpoint {
@@ -1178,7 +1169,13 @@ mod tests {
         let promoted_qp = channels[1].qp.clone();
 
         let tail = Payload::from_vec((0..30).collect());
-        let ops = vec![
+        let filler = Op::Read {
+            va: base + 512,
+            len: 8,
+        };
+        let fillers = MAX_WINDOW - 2;
+        let mut ops = vec![filler; fillers];
+        ops.extend([
             Op::Write {
                 va: base,
                 body: WriteBody::framed(b"hd", tail.clone()),
@@ -1201,13 +1198,10 @@ mod tests {
             }),
             // Reads the WRITE back: the order survived the failover.
             Op::Read { va: base, len: 32 },
-        ];
+        ]);
         // The detector (two silent rounds) is to trip before the channel's
         // own retry cap does.
-        let rc = ReliableConfig {
-            max_retries: 8,
-            ..impatient(2)
-        };
+        let rc = impatient();
         let pool_config = PoolConfig {
             down_threshold: 2,
             ..PoolConfig::default()
@@ -1236,16 +1230,16 @@ mod tests {
         let program = sim.node::<SwitchNode>(sw).program::<Submitter>();
         let stats = program.pool.stats();
         assert_eq!((program.pool.primary(), stats.failovers), (1, 1));
-        assert_eq!(stats.reissued_ops, 5);
+        assert_eq!(stats.reissued_ops, ops.len() as u64);
         // Only the window ever reached the dead primary: sent, and sent
         // again in each of the two silent rounds.
-        assert_eq!(sim.node::<Blackhole>(hole).frames.len(), 2 * 3);
+        assert_eq!(sim.node::<Blackhole>(hole).frames.len(), MAX_WINDOW * 3);
 
         // At the promoted mirror: its copy of the WRITE, from before the
-        // failover, then the five ops exactly as `Op::request` lowers
-        // them, under consecutive PSNs.
+        // failover, then every op exactly as `Op::request` lowers them,
+        // under consecutive PSNs.
         let tap = sim.node::<Tap>(servers[0]);
-        assert_eq!(tap.frames.len(), 6);
+        assert_eq!(tap.frames.len(), 1 + ops.len());
         for (i, (frame, op)) in tap.frames[1..].iter().zip(&ops).enumerate() {
             let want = promoted_qp.encode_at(1 + i as u32, rkey, &op.request());
             assert_eq!(*frame, want, "reissued op {i}");
@@ -1253,7 +1247,8 @@ mod tests {
 
         // Every op came back once, under its cookie, with its answer.
         let image = [&b"hd"[..], &tail[..]].concat();
-        let replies = [
+        let mut replies = vec![Reply::Data(Payload::from_vec(vec![0; 8])); fillers];
+        replies.extend([
             Reply::Ack,
             Reply::Data(Payload::from_vec(vec![0; 16])),
             Reply::Ack,
@@ -1263,7 +1258,7 @@ mod tests {
                 data: Payload::from_vec(vec![0; 8]),
             },
             Reply::Data(Payload::from_vec(image.clone())),
-        ];
+        ]);
         let done = ops.iter().zip(replies).enumerate();
         let want: Vec<ChannelEvent> = done
             .map(|(i, (op, reply))| ChannelEvent::Done {

@@ -262,26 +262,6 @@ impl ShardedStateStoreProgram {
         self.ring.remap_fraction(&before, samples)
     }
 
-    /// Take a shard off the ring (live scale-in). Its engine keeps
-    /// draining — in-flight updates settle and its counters stay readable.
-    /// Returns the moved key fraction over `samples` synthetic keys.
-    pub fn deactivate_shard(&mut self, id: u32, samples: u64) -> f64 {
-        assert!(
-            self.ring.shard_count() > 1,
-            "cannot deactivate the last active shard"
-        );
-        let shard = self
-            .shards
-            .iter_mut()
-            .find(|s| s.id == id)
-            .unwrap_or_else(|| panic!("deactivate_shard: no shard {id}"));
-        assert!(shard.active, "shard {id} is not active");
-        let before = self.ring.clone();
-        shard.active = false;
-        self.ring.remove_shard(id);
-        self.ring.remap_fraction(&before, samples)
-    }
-
     /// The ring (routing inspection).
     pub fn ring(&self) -> &ShardRing {
         &self.ring

@@ -96,11 +96,6 @@ impl SketchProgram {
     pub fn is_quiescent(&self) -> bool {
         self.engine.is_quiescent()
     }
-
-    /// The sketch geometry.
-    pub fn geometry(&self) -> SketchGeometry {
-        self.geometry
-    }
 }
 
 impl PipelineProgram for SketchProgram {

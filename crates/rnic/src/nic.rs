@@ -7,13 +7,14 @@
 //! * Every inbound request occupies the pipeline for a **service time**
 //!   that depends on the operation: WRITEs are limited by the DMA-write
 //!   bandwidth, READs by the response-generation bandwidth, and atomics by
-//!   a fixed operations-per-second rate — the knob that produces the
-//!   paper's Fig 3b "capped by RNIC Fetch-and-Add throughput" plateau.
+//!   a fixed operations-per-second rate ([`ATOMIC_OPS_PER_SEC`]), which
+//!   produces the paper's Fig 3b "capped by RNIC Fetch-and-Add throughput"
+//!   plateau.
 //! * Requests that arrive while the RX queue is full are **dropped**; this
 //!   is the mechanism behind the paper's §5 observation that "beyond these
 //!   rates … RDMA requests were occasionally dropped at the NIC", and it
 //!   is what defines the maximum *lossless* rates of experiment E1.
-//! * Atomics additionally respect a `max_outstanding_atomics` bound
+//! * Atomics additionally respect a [`MAX_OUTSTANDING_ATOMICS`] bound
 //!   (real RNICs have a small responder-resource pool for atomics); excess
 //!   atomics are dropped, which is precisely why the paper's state-store
 //!   primitive tracks outstanding requests on the switch.
@@ -33,43 +34,50 @@ use extmem_wire::roce::{RoceEndpoint, RocePacket};
 use extmem_wire::Packet;
 use std::collections::VecDeque;
 
-/// Static configuration of an RNIC.
+/// Maximum READ-response payload per packet. CX-3 class NICs support a
+/// 2048 B RoCE MTU, which lets a full-sized Ethernet frame stored in a
+/// ring-buffer entry come back in a single response packet.
+pub const MTU: usize = 2048;
+
+/// DMA-write bandwidth (payload bytes/s through the WRITE path, PCIe-side —
+/// it may exceed the link rate). Together with [`PER_OP_OVERHEAD`] this caps
+/// 1500 B WRITE intake at `1500 B / (100 ns + 12 kb / 48 Gbps) ≈ 34.3 Gbps`
+/// of payload, matching the §5 store ceiling of 34.1 Gbps.
+pub const WRITE_BW: Rate = Rate::from_gbps(48);
+
+/// READ-response generation bandwidth (PCIe-side). Caps 1516 B entry reads
+/// at ≈37.5 Gbps of payload, matching the §5 forward ceiling of 37.4 Gbps.
+pub const READ_BW: Rate = Rate::from_gbps(55);
+
+/// Atomic operations per second. Calibrated so FaA request+response wire
+/// traffic plateaus near 2.1 Gbps (Fig 3b).
+pub const ATOMIC_OPS_PER_SEC: u64 = 1_700_000;
+
+/// Fixed per-request pipeline overhead (parse, rkey check, PCIe round trip),
+/// bounding the small-packet message rate.
+pub const PER_OP_OVERHEAD: TimeDelta = TimeDelta::from_nanos(100);
+
+/// Per-dependent-access cost of the remote-op engine. The *first* memory
+/// access a remote op performs is covered by [`PER_OP_OVERHEAD`], exactly as
+/// a plain READ's single access is; each additional access (the chased
+/// pointer, the second probed bucket, each further gathered rung) adds this
+/// on top, so the one-RTT collapse is honestly priced — an N-step gather is
+/// cheaper than N pipelined READs (which pay [`PER_OP_OVERHEAD`] each) but
+/// not free.
+pub const EXT_OP_STEP: TimeDelta = TimeDelta::from_nanos(60);
+
+/// RX queue capacity in packets; arrivals beyond it are dropped.
+pub const RX_QUEUE_CAP: usize = 256;
+
+/// Maximum atomics admitted into the pipeline at once.
+pub const MAX_OUTSTANDING_ATOMICS: usize = 16;
+
+/// Static configuration of an RNIC: who it is and when it is down. The
+/// performance model is the constants above.
 #[derive(Clone, Copy, Debug)]
 pub struct RnicConfig {
     /// L2/L3 identity of this NIC.
     pub endpoint: RoceEndpoint,
-    /// Maximum READ-response payload per packet. CX-3 class NICs support a
-    /// 2048 B RoCE MTU, which lets a full-sized Ethernet frame stored in a
-    /// ring-buffer entry come back in a single response packet.
-    pub mtu: usize,
-    /// DMA-write bandwidth (payload bytes/s through the WRITE path,
-    /// PCIe-side — it may exceed the link rate). Together with
-    /// `per_op_overhead` this caps 1500 B WRITE intake at
-    /// `1500 B / (100 ns + 12 kb / 48 Gbps) ≈ 34.3 Gbps` of payload,
-    /// matching the §5 store ceiling of 34.1 Gbps.
-    pub write_bw: Rate,
-    /// READ-response generation bandwidth (PCIe-side). Caps 1516 B entry
-    /// reads at ≈37.5 Gbps of payload, matching the §5 forward ceiling of
-    /// 37.4 Gbps.
-    pub read_bw: Rate,
-    /// Atomic operations per second. Calibrated so FaA request+response
-    /// wire traffic plateaus near 2.1 Gbps (Fig 3b).
-    pub atomic_ops_per_sec: u64,
-    /// Fixed per-request pipeline overhead (parse, rkey check, PCIe round
-    /// trip), bounding the small-packet message rate.
-    pub per_op_overhead: TimeDelta,
-    /// Per-dependent-access cost of the remote-op engine. The *first*
-    /// memory access a remote op performs is covered by `per_op_overhead`,
-    /// exactly as a plain READ's single access is; each additional access
-    /// (the chased pointer, the second probed bucket, each further gathered
-    /// rung) adds this on top, so the one-RTT collapse is honestly priced —
-    /// an N-step gather is cheaper than N pipelined READs (which pay
-    /// `per_op_overhead` each) but not free.
-    pub ext_op_step: TimeDelta,
-    /// RX queue capacity in packets; arrivals beyond it are dropped.
-    pub rx_queue_cap: usize,
-    /// Maximum atomics admitted into the pipeline at once.
-    pub max_outstanding_atomics: usize,
     /// Simulated outage window `[from, until)`: the NIC silently drops
     /// everything that arrives inside it — the §7 "handling switch and
     /// server failures" scenario. `None` = always up.
@@ -83,14 +91,6 @@ impl Default for RnicConfig {
                 mac: extmem_wire::MacAddr::ZERO,
                 ip: 0,
             },
-            mtu: 2048,
-            write_bw: Rate::from_gbps_f64(48.0),
-            read_bw: Rate::from_gbps_f64(55.0),
-            atomic_ops_per_sec: 1_700_000,
-            per_op_overhead: TimeDelta::from_nanos(100),
-            ext_op_step: TimeDelta::from_nanos(60),
-            rx_queue_cap: 256,
-            max_outstanding_atomics: 16,
             outage: None,
         }
     }
@@ -177,11 +177,6 @@ pub struct RnicNode {
 impl RnicNode {
     /// Create an RNIC with `name` and `config`.
     pub fn new(name: impl Into<String>, config: RnicConfig) -> RnicNode {
-        assert!(config.mtu > 0, "MTU must be positive");
-        assert!(
-            config.atomic_ops_per_sec > 0,
-            "atomic rate must be positive"
-        );
         RnicNode {
             name: name.into(),
             config,
@@ -202,9 +197,9 @@ impl RnicNode {
         self.config.endpoint
     }
 
-    /// The configured RoCE MTU.
+    /// The RoCE MTU ([`MTU`]).
     pub fn mtu(&self) -> usize {
-        self.config.mtu
+        MTU
     }
 
     /// Control plane: register a memory region (zero-initialized). Returns
@@ -248,10 +243,10 @@ impl RnicNode {
     }
 
     fn service_time(&self, req: &RocePacket) -> TimeDelta {
-        let base = self.config.per_op_overhead;
+        let base = PER_OP_OVERHEAD;
         match req.bth.opcode {
             Opcode::FetchAdd => {
-                TimeDelta::from_picos(1_000_000_000_000u64.div_ceil(self.config.atomic_ops_per_sec))
+                TimeDelta::from_picos(1_000_000_000_000u64.div_ceil(ATOMIC_OPS_PER_SEC))
             }
             Opcode::ReadRequest => {
                 // Cap the service cost of a not-yet-validated length: real
@@ -266,37 +261,36 @@ impl RnicNode {
                     }
                     _ => 0,
                 };
-                base + self.config.read_bw.time_to_send(len)
+                base + READ_BW.time_to_send(len)
             }
-            // Remote ops: `per_op_overhead` covers the first memory access
+            // Remote ops: `PER_OP_OVERHEAD` covers the first memory access
             // (exactly like a plain READ's single access); each *additional*
             // dependent access the engine will perform (worst case,
-            // derivable from the request alone) charges `ext_op_step`, plus
+            // derivable from the request alone) charges `EXT_OP_STEP`, plus
             // response-generation bandwidth on the returned bytes.
             Opcode::IndirectRead | Opcode::HashProbe | Opcode::CondWrite | Opcode::GatherWalk => {
                 let (steps, resp_bytes) = match req.ext {
-                    extmem_wire::roce::RoceExt::Indirect(h) => (
-                        2usize,
-                        (h.hdr_len as usize + h.max_len as usize).min(self.config.mtu),
-                    ),
+                    extmem_wire::roce::RoceExt::Indirect(h) => {
+                        (2usize, (h.hdr_len as usize + h.max_len as usize).min(MTU))
+                    }
                     extmem_wire::roce::RoceExt::HashProbe(h) => {
                         let probes = if h.b2 == h.b1 { 1 } else { 2 };
-                        (probes, (h.bucket_bytes as usize).min(self.config.mtu))
+                        (probes, (h.bucket_bytes as usize).min(MTU))
                     }
                     extmem_wire::roce::RoceExt::CondWrite(h) => {
-                        (2usize, (h.cmp_len as usize).min(self.config.mtu))
+                        (2usize, (h.cmp_len as usize).min(MTU))
                     }
                     extmem_wire::roce::RoceExt::Gather(h) => (
                         (h.count as usize).min(crate::responder::MAX_GATHER),
-                        (h.count as usize * h.word_len as usize).min(self.config.mtu),
+                        (h.count as usize * h.word_len as usize).min(MTU),
                     ),
                     _ => (1usize, 0usize),
                 };
-                base + self.config.ext_op_step * (steps as u64).saturating_sub(1)
-                    + self.config.read_bw.time_to_send(resp_bytes)
+                base + EXT_OP_STEP * (steps as u64).saturating_sub(1)
+                    + READ_BW.time_to_send(resp_bytes)
             }
             // WRITE variants: cost scales with payload.
-            _ => base + self.config.write_bw.time_to_send(req.payload.len()),
+            _ => base + WRITE_BW.time_to_send(req.payload.len()),
         }
     }
 
@@ -328,13 +322,7 @@ impl RnicNode {
             self.maybe_start_service(ctx);
             return;
         };
-        let result = process_request(
-            self.config.endpoint,
-            qp,
-            &mut self.mrs,
-            &req,
-            self.config.mtu,
-        );
+        let result = process_request(self.config.endpoint, qp, &mut self.mrs, &req, MTU);
         match result.outcome {
             Outcome::WriteExecuted { bytes } => {
                 self.stats.writes += 1;
@@ -390,12 +378,12 @@ impl Node for RnicNode {
             self.stats.malformed_drops += 1;
             return;
         }
-        if self.rx_queue.len() >= self.config.rx_queue_cap {
+        if self.rx_queue.len() >= RX_QUEUE_CAP {
             self.stats.rx_overflow_drops += 1;
             return;
         }
         if parsed.bth.opcode == Opcode::FetchAdd {
-            if self.atomics_in_flight >= self.config.max_outstanding_atomics {
+            if self.atomics_in_flight >= MAX_OUTSTANDING_ATOMICS {
                 self.stats.atomic_overflow_drops += 1;
                 return;
             }
@@ -649,27 +637,15 @@ mod tests {
 
     #[test]
     fn rx_queue_overflow_drops() {
-        // Tiny queue + slow write bandwidth → overflow.
-        let mut nic = RnicNode::new(
-            "rnic",
-            RnicConfig {
-                rx_queue_cap: 4,
-                write_bw: Rate::from_gbps(1),
-                ..RnicConfig::at(server_endpoint())
-            },
-        );
-        let (rkey, base) = nic.register_region(ByteSize::from_kb(64));
-        let qpn = nic.create_qp(client_endpoint(), QpNum(0x55), 0);
-        let packets: Vec<Packet> = (0..20)
-            .map(|i| build_write(qpn, rkey, base, i, vec![0; 1000]))
-            .collect();
-
-        let mut b = SimBuilder::new(1);
-        let driver = b.add_node(Box::new(Driver::new(packets)));
-        let rnic = b.add_node(Box::new(nic));
-        b.connect(driver, PortId(0), rnic, PortId(0), LinkSpec::testbed_40g());
-        let mut sim = b.build();
-        sim.schedule_timer(driver, TimeDelta::ZERO, 0);
+        // 1000 B WRITEs arrive every 214.8 ns at 40G but take 266.7 ns of
+        // service (100 ns + 8 kb at 48 Gbps): the queue gains one entry per
+        // ~5 arrivals and overflows its 256 entries after ~1300.
+        const N: u32 = 2000;
+        let (mut sim, _, rnic) = rig(|qpn, rkey, base| {
+            (0..N)
+                .map(|i| build_write(qpn, rkey, base, i, vec![0; 1000]))
+                .collect()
+        });
         sim.run_to_quiescence();
         let stats = sim.node::<RnicNode>(rnic).stats();
         assert!(stats.rx_overflow_drops > 0, "expected overflow drops");
@@ -681,31 +657,18 @@ mod tests {
                 + stats.naks
                 + stats.out_of_sequence_drops
                 + stats.duplicates,
-            20
+            N as u64
         );
     }
 
     #[test]
     fn outstanding_atomics_bound_enforced() {
-        let mut nic = RnicNode::new(
-            "rnic",
-            RnicConfig {
-                max_outstanding_atomics: 2,
-                ..RnicConfig::at(server_endpoint())
-            },
-        );
-        let (rkey, base) = nic.register_region(ByteSize::from_kb(4));
-        let qpn = nic.create_qp(client_endpoint(), QpNum(0x55), 0);
-        // 10 atomics arrive back-to-back at 40G (86B each ≈ 17ns apart) while
-        // each takes ~588ns to service: most exceed the bound of 2.
-        let packets: Vec<Packet> = (0..10).map(|i| build_fadd(qpn, rkey, base, i, 1)).collect();
-
-        let mut b = SimBuilder::new(1);
-        let driver = b.add_node(Box::new(Driver::new(packets)));
-        let rnic = b.add_node(Box::new(nic));
-        b.connect(driver, PortId(0), rnic, PortId(0), LinkSpec::testbed_40g());
-        let mut sim = b.build();
-        sim.schedule_timer(driver, TimeDelta::ZERO, 0);
+        // Ten more atomics than the bound arrive back-to-back at 40G (86B
+        // each ≈ 17ns apart), all before the first ~588ns service ends:
+        // everything past the bound is dropped.
+        let n = MAX_OUTSTANDING_ATOMICS as u32 + 10;
+        let (mut sim, _, rnic) =
+            rig(|qpn, rkey, base| (0..n).map(|i| build_fadd(qpn, rkey, base, i, 1)).collect());
         sim.run_to_quiescence();
         let stats = sim.node::<RnicNode>(rnic).stats();
         assert!(
@@ -715,7 +678,7 @@ mod tests {
         );
         assert!(
             stats.atomics + stats.atomic_overflow_drops + stats.naks + stats.out_of_sequence_drops
-                >= 10
+                >= n as u64
         );
     }
 

@@ -740,15 +740,11 @@ mod tests {
 
     #[test]
     fn write_blaster_overload_drops_at_nic() {
-        let mut nic = RnicNode::new(
-            "rnic",
-            RnicConfig {
-                rx_queue_cap: 16,
-                ..RnicConfig::at(server())
-            },
-        );
+        let mut nic = RnicNode::new("rnic", RnicConfig::at(server()));
         let (qp, rkey, base) = setup_channel(host(), QpNum(0x55), &mut nic, ByteSize::from_mb(1));
-        // 40G offered into a ~34G write path with a small queue → drops.
+        // 40G offered into a ~34G write path: a 1500 B WRITE arrives every
+        // 314.8 ns and takes 350 ns, so the queue gains one entry per ~10
+        // arrivals and overflows its 256 entries after ~2600.
         let blaster = WriteBlaster::new(
             "blaster",
             qp,
@@ -757,7 +753,7 @@ mod tests {
             1_000_000,
             1500,
             Rate::from_gbps(40),
-            2000,
+            4000,
         );
         let mut b = SimBuilder::new(2);
         let bl = b.add_node(Box::new(blaster));
@@ -770,6 +766,12 @@ mod tests {
         assert!(
             stats.rx_overflow_drops > 0,
             "expected NIC drops at overload"
+        );
+        // A drop leaves a PSN gap: what follows it is NAK'd or dropped as
+        // out of sequence, never lost from the count.
+        assert_eq!(
+            stats.writes + stats.rx_overflow_drops + stats.naks + stats.out_of_sequence_drops,
+            4000
         );
     }
 

@@ -15,7 +15,7 @@ use crate::link::{Endpoint, LinkSpec, LinkStats};
 use crate::node::{Node, NodeCtx};
 use crate::partition::{
     assign, stream_seed, ChannelMeta, CrossMsg, Inbox, LinkInfo, Outbox, PanicFuse, ParStats,
-    PortSlotStatic, SyncShared, Topo, STREAM_FAULTS, STREAM_NODE,
+    PortSlotStatic, SyncShared, Topo, STREAM_FAULTS,
 };
 use crate::trace::{TraceEvent, TraceSink};
 use extmem_types::{IntMap, LinkId, NodeId, PortId, Rate, Time, TimeDelta};
@@ -145,10 +145,6 @@ pub struct EngineCore {
     crashed: Vec<bool>,
     /// Deliveries + timers discarded per node while it was crashed.
     crash_drops: Vec<u64>,
-    /// Per-node RNG streams backing [`NodeCtx::rng`]; per-node (rather than
-    /// one engine-global stream) so a node's draws depend only on its own
-    /// callback sequence, not on how partitions interleave.
-    pub(crate) node_rng: Vec<StdRng>,
     /// Per-node timer tie counters (plain + cancellable share one stream).
     timer_seq: Vec<u32>,
     trace: TraceSink,
@@ -839,11 +835,6 @@ impl SimBuilder {
                             .collect(),
                         crashed: vec![false; n],
                         crash_drops: vec![0; n],
-                        node_rng: (0..n)
-                            .map(|i| {
-                                StdRng::seed_from_u64(stream_seed(self.seed, STREAM_NODE, i as u64))
-                            })
-                            .collect(),
                         timer_seq: vec![0; n],
                         trace: {
                             let ends = topo

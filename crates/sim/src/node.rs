@@ -4,7 +4,6 @@ use crate::engine::EngineCore;
 use crate::event::TimerHandle;
 use extmem_types::{NodeId, PortId, Rate, Time, TimeDelta};
 use extmem_wire::Packet;
-use rand::rngs::StdRng;
 use std::any::Any;
 
 /// Anything attached to the simulated topology.
@@ -16,8 +15,8 @@ use std::any::Any;
 /// lets the switch model expose true egress-queue depth to the paper's
 /// packet-buffer primitive.
 ///
-/// Implementations must be deterministic: any randomness must come from
-/// [`NodeCtx::rng`].
+/// Implementations must be deterministic: any randomness must come from a
+/// generator seeded by the node's own configuration.
 ///
 /// `Send` because the parallel scheduler backend moves each partition's
 /// nodes onto a worker thread; a node is still only ever called from one
@@ -52,8 +51,8 @@ pub trait Node: Any + Send {
 
 /// The engine-backed context available during node callbacks.
 ///
-/// All interaction with the outside world — sending, timers, randomness —
-/// goes through this handle, which keeps nodes testable and the simulation
+/// All interaction with the outside world — sending, timers — goes
+/// through this handle, which keeps nodes testable and the simulation
 /// deterministic.
 pub struct NodeCtx<'a> {
     pub(crate) core: &'a mut EngineCore,
@@ -138,12 +137,5 @@ impl NodeCtx<'_> {
     /// Returns `false` if it already fired or was already cancelled.
     pub fn cancel_timer(&mut self, handle: TimerHandle) -> bool {
         self.core.cancel_timer(handle)
-    }
-
-    /// This node's RNG stream. Per-node (derived from the simulation seed),
-    /// so a node's draws depend only on its own callback sequence — the
-    /// same on every scheduler backend, parallel included.
-    pub fn rng(&mut self) -> &mut StdRng {
-        &mut self.core.node_rng[self.node.raw() as usize]
     }
 }

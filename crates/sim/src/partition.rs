@@ -193,8 +193,6 @@ pub(crate) fn stream_seed(seed: u64, tag: u64, idx: u64) -> u64 {
 
 /// RNG stream tag for per-link-direction fault injection.
 pub(crate) const STREAM_FAULTS: u64 = 1;
-/// RNG stream tag for per-node [`crate::NodeCtx::rng`] draws.
-pub(crate) const STREAM_NODE: u64 = 2;
 
 /// A delivery crossing a partition boundary. The tie key and lane were
 /// fixed by the transmitting side, so the receiver just inserts it.
@@ -544,7 +542,7 @@ mod tests {
         let a = stream_seed(42, STREAM_FAULTS, 0);
         assert_eq!(a, stream_seed(42, STREAM_FAULTS, 0), "pure function");
         assert_ne!(a, stream_seed(42, STREAM_FAULTS, 1));
-        assert_ne!(a, stream_seed(42, STREAM_NODE, 0));
+        assert_ne!(a, stream_seed(42, STREAM_FAULTS + 1, 0));
         assert_ne!(a, stream_seed(43, STREAM_FAULTS, 0));
     }
 

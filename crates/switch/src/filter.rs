@@ -64,11 +64,6 @@ impl ChoiceFilter {
         }
     }
 
-    /// Number of hash functions.
-    pub fn hashes(&self) -> u32 {
-        self.hashes
-    }
-
     /// The cell indices `key` maps to, one per hash function (duplicates
     /// possible and handled consistently by insert/remove). The iterator
     /// borrows nothing, so callers may update cells while walking it.

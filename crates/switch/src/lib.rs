@@ -8,12 +8,9 @@
 //! * [`table`] — exact-match match-action tables with **bounded capacity**
 //!   (on-chip SRAM is the scarce resource the whole paper is about) and an
 //!   optional LRU replacement mode for cache-style use,
-//! * [`register`] — stateful register arrays (the switch-side state the
-//!   primitives keep: ring pointers, outstanding-request counters,
-//!   accumulators),
 //! * [`hash`] — the CRC-based hash units switches use to index tables,
-//! * [`filter`] — a counting Bloom filter (SRAM register arrays + hash
-//!   units) steering the one-RTT cuckoo lookup's bucket choice,
+//! * [`filter`] — a counting Bloom filter (SRAM counters + hash units)
+//!   steering the one-RTT cuckoo lookup's bucket choice,
 //! * [`tm`] — the traffic manager: per-port egress queues drawing from a
 //!   **shared packet buffer** (12 MB in the paper's ToR example) with
 //!   tail-drop, the resource whose exhaustion motivates §2.1,
@@ -29,13 +26,11 @@
 
 pub mod filter;
 pub mod hash;
-pub mod register;
 pub mod switch;
 pub mod table;
 pub mod tm;
 
 pub use filter::{ChoiceFilter, FilterStats};
-pub use register::RegisterArray;
 pub use switch::{PipelineProgram, SwitchConfig, SwitchCtx, SwitchNode, SwitchStats};
 pub use table::ExactMatchTable;
 pub use tm::TrafficManager;

@@ -3,7 +3,7 @@
 //! A [`SwitchNode`] is: RX → fixed-latency ingress pipeline (running a user
 //! [`PipelineProgram`]) → traffic-manager egress queues → per-port
 //! serialization. The program sees arriving packets, can consult/modify its
-//! own tables and registers (plain Rust fields of the program type), emit
+//! own tables and state (plain Rust fields of the program type), emit
 //! packets to any egress port (including clones), recirculate packets, set
 //! timers, and is notified on every egress dequeue — the hook the
 //! packet-buffer primitive uses to detect queue drain (§4 "the egress queue
@@ -39,6 +39,13 @@ pub fn program_token(token: u64) -> u64 {
     token | PROGRAM_TOKEN_BIT
 }
 
+/// Fixed ingress-pipeline latency (parse + match-action stages).
+/// Tofino-class ASICs sit in the 400–800 ns range.
+pub const PIPELINE_LATENCY: TimeDelta = TimeDelta::from_nanos(500);
+
+/// Extra latency for one recirculation pass.
+pub const RECIRC_LATENCY: TimeDelta = TimeDelta::from_nanos(800);
+
 /// Static switch configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct SwitchConfig {
@@ -46,11 +53,6 @@ pub struct SwitchConfig {
     pub ports: u16,
     /// Shared packet-buffer size (12 MB on the paper's ToR).
     pub buffer: ByteSize,
-    /// Fixed ingress-pipeline latency (parse + match-action stages).
-    /// Tofino-class ASICs sit in the 400–800 ns range.
-    pub pipeline_latency: TimeDelta,
-    /// Extra latency for one recirculation pass.
-    pub recirc_latency: TimeDelta,
     /// ECN CE-marking threshold per egress queue (None = no marking).
     pub ecn_threshold: Option<ByteSize>,
 }
@@ -60,8 +62,6 @@ impl Default for SwitchConfig {
         SwitchConfig {
             ports: 32,
             buffer: ByteSize::from_mb(12),
-            pipeline_latency: TimeDelta::from_nanos(500),
-            recirc_latency: TimeDelta::from_nanos(800),
             ecn_threshold: None,
         }
     }
@@ -91,8 +91,8 @@ pub struct SwitchStats {
 }
 
 /// A data-plane program running on the switch. Implementations own their
-/// match-action tables ([`crate::ExactMatchTable`]) and register arrays
-/// ([`crate::RegisterArray`]) as ordinary fields.
+/// match-action tables ([`crate::ExactMatchTable`]) and other switch state
+/// as ordinary fields.
 ///
 /// `Send` because the switch node (and the program inside it) may be moved
 /// onto a worker thread by the simulator's parallel scheduler backend.
@@ -177,8 +177,7 @@ impl SwitchCtx<'_, '_, '_> {
     }
 
     /// Send `pkt` through the recirculation path: it re-enters the pipeline
-    /// as if received on [`RECIRC_PORT`] after the configured recirculation
-    /// latency.
+    /// as if received on [`RECIRC_PORT`] after [`RECIRC_LATENCY`].
     pub fn recirculate(&mut self, pkt: Packet) {
         self.stats.recirculated += 1;
         self.staged_recirc.push(pkt);
@@ -227,7 +226,6 @@ fn start_egress(tm: &TrafficManager, node: &mut NodeCtx<'_>, port: PortId, pkt: 
 /// The switch node.
 pub struct SwitchNode {
     name: String,
-    config: SwitchConfig,
     tm: TrafficManager,
     program: Option<Box<dyn PipelineProgram>>,
     pending_ingress: VecDeque<(PortId, Packet)>,
@@ -253,7 +251,6 @@ impl SwitchNode {
         SwitchNode {
             name: name.into(),
             tm,
-            config,
             program: Some(program),
             pending_ingress: VecDeque::new(),
             pending_recirc: VecDeque::new(),
@@ -316,7 +313,7 @@ impl SwitchNode {
         }
         for pkt in self.staged_recirc.drain(..) {
             self.pending_recirc.push_back(pkt);
-            ctx.schedule(self.config.recirc_latency, TOKEN_RECIRC);
+            ctx.schedule(RECIRC_LATENCY, TOKEN_RECIRC);
         }
         self.program = Some(program);
     }
@@ -332,7 +329,7 @@ impl Node for SwitchNode {
         self.stats.rx_packets += 1;
         self.stats.rx_bytes += packet.len() as u64;
         self.pending_ingress.push_back((port, packet));
-        ctx.schedule(self.config.pipeline_latency, TOKEN_PIPELINE);
+        ctx.schedule(PIPELINE_LATENCY, TOKEN_PIPELINE);
     }
 
     fn on_timer(&mut self, ctx: &mut NodeCtx<'_>, token: u64) {

@@ -3,7 +3,7 @@
 //! Data-center switch ASICs back all port queues with one shared packet
 //! buffer — 12 MB in the paper's §2.1 example, which a single 8-into-1
 //! incast fills in ~0.34 ms. The model is per-port FIFO queues drawing from
-//! a shared byte pool with tail-drop, plus optional per-queue caps.
+//! a shared byte pool with tail-drop.
 
 use extmem_types::{ByteSize, PortId};
 use extmem_wire::Packet;
@@ -14,7 +14,7 @@ use std::collections::VecDeque;
 pub struct QueueStats {
     /// Packets accepted into the queue.
     pub enqueued: u64,
-    /// Packets dropped (shared pool or per-queue cap exhausted).
+    /// Packets dropped (shared pool exhausted).
     pub dropped: u64,
     /// Packets dequeued for transmission.
     pub dequeued: u64,
@@ -36,7 +36,6 @@ pub struct TrafficManager {
     stats: Vec<QueueStats>,
     shared_cap: u64,
     shared_used: u64,
-    per_queue_cap: Option<u64>,
     ecn_threshold: Option<u64>,
 }
 
@@ -61,15 +60,8 @@ impl TrafficManager {
             stats: vec![QueueStats::default(); ports],
             shared_cap: shared_cap.bytes(),
             shared_used: 0,
-            per_queue_cap: None,
             ecn_threshold: None,
         }
-    }
-
-    /// Additionally cap each queue at `cap` bytes.
-    pub fn with_per_queue_cap(mut self, cap: ByteSize) -> TrafficManager {
-        self.per_queue_cap = Some(cap.bytes());
-        self
     }
 
     /// Mark the ECN CE codepoint on ECN-capable IPv4 packets admitted while
@@ -83,8 +75,7 @@ impl TrafficManager {
     }
 
     /// Try to admit `pkt` to `port`'s normal-priority queue. Returns
-    /// `false` (tail drop) if the shared pool or the per-queue cap would be
-    /// exceeded.
+    /// `false` (tail drop) if the shared pool would be exceeded.
     pub fn enqueue(&mut self, port: PortId, pkt: Packet) -> bool {
         self.enqueue_with_priority(port, pkt, Priority::Normal)
     }
@@ -93,11 +84,7 @@ impl TrafficManager {
     pub fn enqueue_with_priority(&mut self, port: PortId, mut pkt: Packet, prio: Priority) -> bool {
         let p = port.raw() as usize;
         let len = pkt.len() as u64;
-        let over_shared = self.shared_used + len > self.shared_cap;
-        let over_queue = self
-            .per_queue_cap
-            .is_some_and(|cap| self.queue_bytes[p] + len > cap);
-        if over_shared || over_queue {
+        if self.shared_used + len > self.shared_cap {
             self.stats[p].dropped += 1;
             return false;
         }
@@ -163,14 +150,11 @@ impl TrafficManager {
     }
 
     /// Internal consistency check used by property tests: per-queue byte
-    /// counts must sum to the shared usage and stay within caps.
+    /// counts must sum to the shared usage and stay within the pool.
     pub fn check_invariants(&self) {
         let sum: u64 = self.queue_bytes.iter().sum();
         assert_eq!(sum, self.shared_used, "queue bytes out of sync with pool");
         assert!(self.shared_used <= self.shared_cap, "pool overcommitted");
-        if let Some(cap) = self.per_queue_cap {
-            assert!(self.queue_bytes.iter().all(|&b| b <= cap), "queue over cap");
-        }
         for (q, &b) in self.queues.iter().zip(&self.queue_bytes) {
             let bytes: u64 = q
                 .iter()
@@ -328,16 +312,6 @@ mod tests {
         assert!(!tm.enqueue(PortId(1), pkt(100)));
         tm.dequeue(PortId(0)).unwrap();
         assert!(tm.enqueue(PortId(1), pkt(100)));
-        tm.check_invariants();
-    }
-
-    #[test]
-    fn per_queue_cap() {
-        let mut tm = TrafficManager::new(2, ByteSize::from_kb(10))
-            .with_per_queue_cap(ByteSize::from_bytes(150));
-        assert!(tm.enqueue(PortId(0), pkt(100)));
-        assert!(!tm.enqueue(PortId(0), pkt(100)), "queue cap");
-        assert!(tm.enqueue(PortId(1), pkt(100)), "other queue unaffected");
         tm.check_invariants();
     }
 

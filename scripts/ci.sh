@@ -72,6 +72,12 @@ echo "== crash/failover cells (release) =="
 # its detection knobs must reseed each restarted server on its own.
 cargo test -q --release --test fault_matrix crash_
 
+echo "== retry-cap failover cells (release) =="
+# The single-server failover cells reach failover through the RTO alone
+# (the retry cap and the backoff cap are fixed), so when a channel gives up
+# mid-burst is decided by timer order too.
+cargo test -q --release --test fault_matrix failover_
+
 echo "== allocation budget (release) =="
 # Steady-state heap allocations per frame for the four primitives, under
 # the profile the repo benchmark measures (`allocs_per_pkt`).

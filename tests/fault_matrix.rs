@@ -582,13 +582,12 @@ fn smoke_remote_ops_cuckoo_worst_cell() {
 // Failover: past the retry cap, degrade to local-only without deadlock.
 // ---------------------------------------------------------------------------
 
-/// A retry policy that gives up after ~210us of silence (two retransmit
-/// rounds at 30/60us, then the 120us cap expires).
+/// A retry policy that gives up after ~210us of silence: the channel's
+/// retry budget is 95 RTOs (eight retransmissions, backoff capped at 16
+/// RTOs).
 fn fast_failover() -> ReliableConfig {
     ReliableConfig {
-        rto: TimeDelta::from_micros(30),
-        max_retries: 2,
-        max_backoff_level: 2,
+        rto: TimeDelta::from_nanos(2_200),
         ..Default::default()
     }
 }

@@ -5,7 +5,7 @@ use extmem_core::sketch::{estimate, SketchGeometry, SketchKind};
 use extmem_core::trace_store::{TraceRecord, RECORD_LEN};
 use extmem_switch::hash::{flow_sign, salted_flow_index};
 use extmem_switch::table::{ExactMatchTable, Replacement};
-use extmem_switch::{ChoiceFilter, RegisterArray};
+use extmem_switch::ChoiceFilter;
 use extmem_types::{FiveTuple, Time};
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -55,36 +55,6 @@ proptest! {
             }
             prop_assert_eq!(real.len(), model.entries.len());
         }
-    }
-
-    /// Register-array ops agree with plain u64 arithmetic.
-    #[test]
-    fn register_array_matches_scalar_model(
-        size in 1usize..16,
-        ops in proptest::collection::vec((0u8..4, any::<prop::sample::Index>(), any::<u64>()), 1..200),
-    ) {
-        let mut real = RegisterArray::new("prop", size);
-        let mut model = vec![0u64; size];
-        for (op, idx, v) in ops {
-            let i = idx.index(size);
-            match op {
-                0 => {
-                    real.write(i, v);
-                    model[i] = v;
-                }
-                1 => prop_assert_eq!(real.add(i, v), {
-                    model[i] = model[i].wrapping_add(v);
-                    model[i]
-                }),
-                2 => prop_assert_eq!(real.exchange(i, v), {
-                    let old = model[i];
-                    model[i] = v;
-                    old
-                }),
-                _ => prop_assert_eq!(real.read(i), model[i]),
-            }
-        }
-        prop_assert_eq!(real.sum(), model.iter().fold(0u64, |a, &b| a.wrapping_add(b)));
     }
 
     /// Count-Min never underestimates, for arbitrary flow multisets.
