@@ -148,7 +148,10 @@ fn cuckoo_lookup(remote_ops: bool) -> f64 {
     let per_frame = steady_state_allocs_per_frame(&mut t, Time::from_millis(20));
     let sw: &SwitchNode = t.sim.node(t.switch);
     let stats = sw.program::<LookupTableProgram>().stats();
-    assert_eq!(stats.remote_lookups, FRAMES, "cache off: every frame misses");
+    assert_eq!(
+        stats.remote_lookups, FRAMES,
+        "cache off: every frame misses"
+    );
     assert_eq!(stats.slow_path, 0);
     per_frame
 }

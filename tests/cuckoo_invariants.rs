@@ -163,13 +163,20 @@ fn relocation_storm(remote_ops: bool) {
     assert_eq!(s.remote_lookups, COUNT, "cacheless: all remote: {s:?}");
     assert_eq!(s.slow_path, 0, "transient miss punted: {s:?}");
     assert_eq!(s.bucket_misses, 0, "filter misdirected a probe: {s:?}");
-    assert_eq!(s.rtts_per_miss(), Some(1.0), "one round trip per miss: {s:?}");
+    assert_eq!(
+        s.rtts_per_miss(),
+        Some(1.0),
+        "one round trip per miss: {s:?}"
+    );
     assert_eq!(
         s.reads_per_lookup(),
         Some(1.0),
         "more than one READ per miss: {s:?}"
     );
-    assert!(s.relocation_moves > 0, "storm never displaced anyone: {s:?}");
+    assert!(
+        s.relocation_moves > 0,
+        "storm never displaced anyone: {s:?}"
+    );
     assert_eq!(s.inserts_applied, CHURN_KEYS as u64, "{s:?}");
     assert_eq!(s.removes_applied, CHURN_KEYS as u64, "{s:?}");
     assert_eq!(s.inserts_rejected, 0, "{s:?}");

@@ -12,8 +12,8 @@ use extmem_apps::workload::{SinkNode, WorkloadSpec};
 use extmem_core::faa::{FaaConfig, FaaEngine};
 use extmem_core::packet_buffer::{Mode, PacketBufferProgram};
 use extmem_core::state_store::read_remote_counters;
-use extmem_core::ShardedStateStoreProgram;
 use extmem_core::RdmaChannel;
+use extmem_core::ShardedStateStoreProgram;
 use extmem_rnic::{RnicConfig, RnicNode};
 use extmem_sim::{FaultSpec, LinkSpec};
 use extmem_switch::{SwitchConfig, SwitchNode};
@@ -127,7 +127,10 @@ fn reliable_statestore_is_exact_under_drops() {
     let sw: &SwitchNode = rig.sim.node(rig.switch);
     let prog = sw.program::<ShardedStateStoreProgram>();
     let s = prog.engine(0).stats();
-    assert!(s.channel.retransmits > 0, "expected recovery activity: {s:?}");
+    assert!(
+        s.channel.retransmits > 0,
+        "expected recovery activity: {s:?}"
+    );
     assert!(prog.is_quiescent(), "must settle: {s:?}");
     let remote = remote_total(&rig, rkey, base, 256);
     let truth: u64 = prog.oracle.values().sum();
@@ -258,7 +261,10 @@ fn packet_buffer_never_duplicates_or_reorders_under_loss() {
             s.lost_entries, 0,
             "seed {seed}: reliable channel must lose nothing: {s:?}"
         );
-        assert_eq!(s.loaded, s.stored, "seed {seed}: entries unaccounted: {s:?}");
+        assert_eq!(
+            s.loaded, s.stored,
+            "seed {seed}: entries unaccounted: {s:?}"
+        );
     }
 }
 
@@ -352,8 +358,14 @@ fn server_outage_packet_buffer_recovers_exactly() {
     let nic = sim.node::<RnicNode>(servers[0]);
     assert!(nic.stats().outage_drops > 0, "outage never bit");
     assert!(s.channel.retransmits > 0, "recovery must retransmit: {s:?}");
-    assert!(!s.channel.failed_over, "short outage must not fail over: {s:?}");
-    assert_eq!(s.lost_entries, 0, "reliable channel must lose nothing: {s:?}");
+    assert!(
+        !s.channel.failed_over,
+        "short outage must not fail over: {s:?}"
+    );
+    assert_eq!(
+        s.lost_entries, 0,
+        "reliable channel must lose nothing: {s:?}"
+    );
     assert_eq!(s.loaded, s.stored, "entries unaccounted: {s:?}");
     assert_eq!(sink.total_reorders(), 0);
     assert_eq!(sink.received, 600, "every packet must be delivered");

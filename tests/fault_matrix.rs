@@ -177,7 +177,10 @@ fn run_state_store_cell(cell: &Cell, seed: u64) {
         "{cell:?}: stuck window (in_transit={}): {s:?}",
         prog.engine(0).in_transit()
     );
-    assert!(!s.channel.failed_over, "{cell:?}: must not fail over: {s:?}");
+    assert!(
+        !s.channel.failed_over,
+        "{cell:?}: must not fail over: {s:?}"
+    );
     let nic = sim.node::<RnicNode>(servers[0]);
     if cell.outage {
         assert!(nic.stats().outage_drops > 0, "{cell:?}: outage never bit");
@@ -186,7 +189,10 @@ fn run_state_store_cell(cell: &Cell, seed: u64) {
     let truth: u64 = prog.oracle.values().sum();
     assert_eq!(remote, truth, "{cell:?}: counters must settle exactly");
     if is_clean(cell) {
-        assert_eq!(s.channel.retransmits, 0, "clean cell must not retransmit: {s:?}");
+        assert_eq!(
+            s.channel.retransmits, 0,
+            "clean cell must not retransmit: {s:?}"
+        );
     }
     assert_eq!(sim.node::<SinkNode>(hosts[1]).received, COUNT);
 }
@@ -244,13 +250,19 @@ fn run_packet_buffer_cell(cell: &Cell, seed: u64) {
     let sw: &SwitchNode = sim.node(switch);
     let s = sw.program::<PacketBufferProgram>().stats();
     assert!(s.stored > 0, "{cell:?}: the detour was never exercised");
-    assert!(!s.channel.failed_over, "{cell:?}: must not fail over: {s:?}");
+    assert!(
+        !s.channel.failed_over,
+        "{cell:?}: must not fail over: {s:?}"
+    );
     if cell.outage {
         let nic = sim.node::<RnicNode>(servers[0]);
         assert!(nic.stats().outage_drops > 0, "{cell:?}: outage never bit");
     }
     assert_eq!(s.lost_entries, 0, "{cell:?}: entries lost: {s:?}");
-    assert_eq!(s.loaded, s.stored, "{cell:?}: ring left entries behind: {s:?}");
+    assert_eq!(
+        s.loaded, s.stored,
+        "{cell:?}: ring left entries behind: {s:?}"
+    );
     assert_eq!(sink.received, COUNT, "{cell:?}: packets lost: {s:?}");
     assert_eq!(sink.total_reorders(), 0, "{cell:?}: ring order violated");
     assert_eq!(sink.corrupt, 0, "{cell:?}: payload corrupted");
@@ -281,7 +293,14 @@ fn run_lookup_cell(cell: &Cell, seed: u64) {
     let flow = FiveTuple::new(host_ip(0), host_ip(1), 40_000, 80, 17);
     let mut tb = Testbed::new(seed);
     tb.gen(
-        WorkloadSpec::simple(host_mac(0), host_mac(1), flow, 256, Rate::from_gbps(2), COUNT),
+        WorkloadSpec::simple(
+            host_mac(0),
+            host_mac(1),
+            flow,
+            256,
+            Rate::from_gbps(2),
+            COUNT,
+        ),
         LinkSpec::testbed_40g(),
     );
     tb.host(dscp_sink(DSCP), LinkSpec::testbed_40g());
@@ -356,7 +375,14 @@ fn run_lpm_cell(cell: &Cell, seed: u64, remote_ops: bool) {
     let flow = FiveTuple::new(host_ip(0), dst_ip, 5000, 9000, 17);
     let mut tb = Testbed::new(seed);
     tb.gen(
-        WorkloadSpec::simple(host_mac(0), host_mac(1), flow, 256, Rate::from_gbps(2), COUNT),
+        WorkloadSpec::simple(
+            host_mac(0),
+            host_mac(1),
+            flow,
+            256,
+            Rate::from_gbps(2),
+            COUNT,
+        ),
         LinkSpec::testbed_40g(),
     );
     let sink_port = tb.host(dscp_sink(32), LinkSpec::testbed_40g());
@@ -373,8 +399,24 @@ fn run_lpm_cell(cell: &Cell, seed: u64, remote_ops: bool) {
         a
     };
     // A /16 shadow route plus the /32 winner: resolution must pick /32.
-    install_remote_route(tb.nic_mut(srv), &channel, &levels, spl, 0x0a010000, 16, route(10));
-    install_remote_route(tb.nic_mut(srv), &channel, &levels, spl, dst_ip, 32, route(32));
+    install_remote_route(
+        tb.nic_mut(srv),
+        &channel,
+        &levels,
+        spl,
+        0x0a010000,
+        16,
+        route(10),
+    );
+    install_remote_route(
+        tb.nic_mut(srv),
+        &channel,
+        &levels,
+        spl,
+        dst_ip,
+        32,
+        route(32),
+    );
     // No cache: every packet costs a full 3-rung remote lookup (one
     // gather/walk op per packet when remote ops are on).
     let prog = RemoteLpmProgram::new(tb.fib(), channel, levels, None)
@@ -540,10 +582,16 @@ fn run_cuckoo_probe_cell(cell: &Cell, seed: u64) {
     assert_eq!(sink.received, COUNT, "{cell:?}: packets lost: {s:?}");
     assert_eq!(sink.dscp_mismatch, 0, "{cell:?}: action not applied");
     assert_eq!(s.slow_path, 0, "{cell:?}: probe punted: {s:?}");
-    assert_eq!(s.bucket_misses, 0, "{cell:?}: probe missed a resident key: {s:?}");
+    assert_eq!(
+        s.bucket_misses, 0,
+        "{cell:?}: probe missed a resident key: {s:?}"
+    );
     assert_eq!(s.inserts_applied, CHURN_KEYS as u64, "{cell:?}: {s:?}");
     assert_eq!(s.removes_applied, CHURN_KEYS as u64, "{cell:?}: {s:?}");
-    assert!(prog.relocation_idle(), "{cell:?}: relocation work leaked: {s:?}");
+    assert!(
+        prog.relocation_idle(),
+        "{cell:?}: relocation work leaked: {s:?}"
+    );
     // One hash-probe exchange per miss, loss or not: retransmission must
     // not double-issue ops or leave any without a completion.
     assert_eq!(s.rtts_per_miss(), Some(1.0), "{cell:?}: {s:?}");
@@ -556,7 +604,11 @@ fn run_cuckoo_probe_cell(cell: &Cell, seed: u64) {
         .region(rkey)
         .read(base, image.len() as u64)
         .unwrap();
-    assert_eq!(remote, &image[..], "{cell:?}: table diverges from directory: {s:?}");
+    assert_eq!(
+        remote,
+        &image[..],
+        "{cell:?}: table diverges from directory: {s:?}"
+    );
     if cell.outage {
         let nic = sim.node::<RnicNode>(servers[0]);
         assert!(nic.stats().outage_drops > 0, "{cell:?}: outage never bit");
@@ -649,7 +701,10 @@ fn state_store_failover_accumulates_locally() {
         truth,
         "local accumulation must preserve every update"
     );
-    assert!(prog.engine(0).pending_sum() > 0, "failover must strand updates locally");
+    assert!(
+        prog.engine(0).pending_sum() > 0,
+        "failover must strand updates locally"
+    );
     // Forwarding is never disturbed.
     assert_eq!(sim.node::<SinkNode>(hosts[1]).received, 600);
 }
@@ -723,7 +778,14 @@ fn lookup_failover_punts_to_slow_path() {
     let flow = FiveTuple::new(host_ip(0), host_ip(1), 40_000, 80, 17);
     let mut tb = Testbed::new(4244);
     tb.gen(
-        WorkloadSpec::simple(host_mac(0), host_mac(1), flow, 256, Rate::from_gbps(2), COUNT),
+        WorkloadSpec::simple(
+            host_mac(0),
+            host_mac(1),
+            flow,
+            256,
+            Rate::from_gbps(2),
+            COUNT,
+        ),
         LinkSpec::testbed_40g(),
     );
     tb.sink(LinkSpec::testbed_40g());
@@ -757,8 +819,14 @@ fn lookup_failover_punts_to_slow_path() {
     let s = prog.stats();
     assert!(prog.is_degraded(), "retry cap must trip failover: {s:?}");
     assert!(s.channel.failed_over, "{s:?}");
-    assert!(s.slow_path > 0, "degraded misses must punt, not stall: {s:?}");
-    assert!(s.failed_ops > 0, "in-flight bounces must be accounted: {s:?}");
+    assert!(
+        s.slow_path > 0,
+        "degraded misses must punt, not stall: {s:?}"
+    );
+    assert!(
+        s.failed_ops > 0,
+        "in-flight bounces must be accounted: {s:?}"
+    );
     // A bounced packet lost to failover lived only in remote memory; each
     // failed op covers at most one such packet, so delivery plus failures
     // bounds the burst. No silent loss, no deadlock.
@@ -789,7 +857,14 @@ fn lpm_failover_forwards_fib_only() {
     let flow = FiveTuple::new(host_ip(0), dst_ip, 5000, 9000, 17);
     let mut tb = Testbed::new(4245);
     tb.gen(
-        WorkloadSpec::simple(host_mac(0), host_mac(1), flow, 256, Rate::from_gbps(2), COUNT),
+        WorkloadSpec::simple(
+            host_mac(0),
+            host_mac(1),
+            flow,
+            256,
+            Rate::from_gbps(2),
+            COUNT,
+        ),
         LinkSpec::testbed_40g(),
     );
     let sink_port = tb.sink(LinkSpec::testbed_40g());
@@ -883,7 +958,10 @@ fn packet_buffer_exact_across_psn_wrap_with_loss() {
         let sink = sim.node::<SinkNode>(hosts[1]);
         let sw: &SwitchNode = sim.node(switch);
         let s = sw.program::<PacketBufferProgram>().stats();
-        assert!(s.channel.retransmits > 0, "seed {seed}: loss never bit: {s:?}");
+        assert!(
+            s.channel.retransmits > 0,
+            "seed {seed}: loss never bit: {s:?}"
+        );
         assert!(!s.channel.failed_over, "seed {seed}: {s:?}");
         assert_eq!(s.lost_entries, 0, "seed {seed}: {s:?}");
         assert_eq!(s.loaded, s.stored, "seed {seed}: {s:?}");
@@ -1030,7 +1108,10 @@ fn run_state_store_crash_cell(crash_primary: bool, rejoin: bool, seed: u64) {
     let surv_total: u64 = surv_dump.iter().sum();
     assert_eq!(surv_total, truth, "{cell:?}: counts lost: {s:?}");
     if rejoin {
-        assert!(s.pool.rejoins >= 1, "{cell:?}: server never rejoined: {s:?}");
+        assert!(
+            s.pool.rejoins >= 1,
+            "{cell:?}: server never rejoined: {s:?}"
+        );
         assert!(s.pool.probes >= 1, "{cell:?}: no probe issued: {s:?}");
         // Bit-for-bit reconciliation: the restarted server's counter
         // array equals the survivor's, slot by slot.
@@ -1129,7 +1210,11 @@ fn crash_state_store_cold_rejoin_reseeds_both_replicas() {
     };
     sim.run_until(Time::from_micros(750));
     let (s, health) = pool(&sim);
-    assert_eq!((s.rejoins, s.failovers), (1, 0), "mirror never rejoined: {s}");
+    assert_eq!(
+        (s.rejoins, s.failovers),
+        (1, 0),
+        "mirror never rejoined: {s}"
+    );
     assert_eq!(health, [Health::Healthy; 2], "{s}");
     sim.run_until(Time::from_millis(50));
 
@@ -1201,7 +1286,10 @@ fn run_packet_buffer_crash_cell(crash_primary: bool, rejoin: bool, seed: u64) {
     // Zero lost packets: every stored entry fanned out to the survivor, so
     // the crash costs retransmissions and a failover, never data.
     assert_eq!(s.lost_entries, 0, "{cell:?}: entries lost: {s:?}");
-    assert_eq!(s.loaded, s.stored, "{cell:?}: ring left entries behind: {s:?}");
+    assert_eq!(
+        s.loaded, s.stored,
+        "{cell:?}: ring left entries behind: {s:?}"
+    );
     assert_eq!(sink.received, COUNT, "{cell:?}: packets lost: {s:?}");
     assert_eq!(sink.total_reorders(), 0, "{cell:?}: ring order violated");
     assert_eq!(sink.corrupt, 0, "{cell:?}: payload corrupted");
@@ -1209,10 +1297,16 @@ fn run_packet_buffer_crash_cell(crash_primary: bool, rejoin: bool, seed: u64) {
         assert!(s.pool.failovers >= 1, "{cell:?}: no failover: {s:?}");
     } else {
         assert_eq!(s.pool.failovers, 0, "{cell:?}: spurious failover: {s:?}");
-        assert!(s.pool.mirror_writes > 0, "{cell:?}: fanout never ran: {s:?}");
+        assert!(
+            s.pool.mirror_writes > 0,
+            "{cell:?}: fanout never ran: {s:?}"
+        );
     }
     if rejoin {
-        assert!(s.pool.rejoins >= 1, "{cell:?}: server never rejoined: {s:?}");
+        assert!(
+            s.pool.rejoins >= 1,
+            "{cell:?}: server never rejoined: {s:?}"
+        );
         let pool = prog.pool(0);
         assert_eq!(pool.health(0), Health::Healthy, "{cell:?}: {s:?}");
         assert_eq!(pool.health(1), Health::Healthy, "{cell:?}: {s:?}");
@@ -1356,7 +1450,10 @@ fn run_crash_lookup_cell(remote_ops: bool) {
     let sw: &SwitchNode = sim.node(switch);
     let prog = sw.program::<LookupTableProgram>();
     let s = prog.stats();
-    assert!(!prog.is_degraded(), "mirror must keep the table alive: {s:?}");
+    assert!(
+        !prog.is_degraded(),
+        "mirror must keep the table alive: {s:?}"
+    );
     assert!(s.pool.failovers >= 1, "no failover: {s:?}");
     assert!(s.pool.rejoins >= 1, "server never rejoined: {s:?}");
     assert!(s.pool.probes >= 1, "no probe issued: {s:?}");

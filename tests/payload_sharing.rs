@@ -335,7 +335,11 @@ fn cold_digests_per_frame_are_exact() {
     let sw: &SwitchNode = t.sim.node(t.switch);
     let stored = sw.program::<PacketBufferProgram>().stats().stored;
     assert!(stored > FRAMES * 9 / 10, "the run must exercise the detour");
-    assert_eq!(digests, FRAMES + 5 * stored, "packet buffer, {stored} stored");
+    assert_eq!(
+        digests,
+        FRAMES + 5 * stored,
+        "packet buffer, {stored} stored"
+    );
 
     // The frame (forwarded untouched), the Fetch-and-Add, its atomic ACK;
     // the same pair again for each delta replayed to the mirror.

@@ -24,14 +24,14 @@ use extmem_core::lookup::ActionEntry;
 use extmem_core::packet_buffer::{Mode, PacketBufferProgram};
 use extmem_core::state_store::read_remote_counters;
 use extmem_core::ShardedStateStoreProgram;
-use extmem_switch::ChoiceFilter;
-use std::collections::HashMap;
 use extmem_rnic::{RnicConfig, RnicNode};
 use extmem_sim::LinkSpec;
+use extmem_switch::ChoiceFilter;
 use extmem_switch::{SwitchConfig, SwitchNode, TrafficManager};
 use extmem_types::{ByteSize, FiveTuple, PortId, Rate, Time, TimeDelta};
 use extmem_wire::Packet;
 use proptest::prelude::*;
+use std::collections::HashMap;
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]

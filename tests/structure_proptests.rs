@@ -327,7 +327,7 @@ mod event_queue {
             0 => r % GRANULE,
             1 => r % (256 * GRANULE),
             2 => (255 + r % 3) * GRANULE + (r >> 2) % GRANULE,
-            3 => 1_000_000 + r % 500_000_000,          // 1 us .. 0.5 ms
+            3 => 1_000_000 + r % 500_000_000, // 1 us .. 0.5 ms
             _ => 1_000_000_000_000 * (1 + r % 3) + r % GRANULE, // seconds
         };
         Time::from_picos(base + ahead)
@@ -742,10 +742,7 @@ mod parallel_engine {
                     PortId(0),
                     sinks[i],
                     PortId(0),
-                    LinkSpec::new(
-                        Rate::from_gbps(p.gbps),
-                        TimeDelta::from_nanos(p.prop_ns),
-                    ),
+                    LinkSpec::new(Rate::from_gbps(p.gbps), TimeDelta::from_nanos(p.prop_ns)),
                 );
             }
             let mut sim = b.build();
@@ -1405,19 +1402,18 @@ mod remote_op_oracle {
                 ),
             )
                 .prop_map(
-                    |(
-                        (base_off, n_buckets, b1, b2),
-                        (slot_bytes, slots, key_off, key, plant),
-                    )| OpSpec::HashProbe {
-                        base_off,
-                        n_buckets,
-                        b1,
-                        b2,
-                        slot_bytes,
-                        slots,
-                        key_off,
-                        key,
-                        plant,
+                    |((base_off, n_buckets, b1, b2), (slot_bytes, slots, key_off, key, plant))| {
+                        OpSpec::HashProbe {
+                            base_off,
+                            n_buckets,
+                            b1,
+                            b2,
+                            slot_bytes,
+                            slots,
+                            key_off,
+                            key,
+                            plant,
+                        }
                     }
                 ),
             (
@@ -1573,8 +1569,7 @@ mod remote_op_oracle {
                 } => {
                     let hdr = self.read(*va, *hdr_len as u32);
                     let off = *len_off as usize;
-                    let body =
-                        u16::from_be_bytes(hdr[off..off + 2].try_into().unwrap()) as u32;
+                    let body = u16::from_be_bytes(hdr[off..off + 2].try_into().unwrap()) as u32;
                     (EXTOP_FLAG_HIT, 0, self.read(*va, *hdr_len as u32 + body))
                 }
                 RemoteOp::HashProbe {
