@@ -75,20 +75,10 @@ impl KvClientNode {
         seed: u64,
     ) -> KvClientNode {
         assert!(keys > 0 && count > 0);
-        let weights: Vec<f64> = (1..=keys).map(|k| 1.0 / (k as f64).powf(skew)).collect();
-        let total: f64 = weights.iter().sum();
-        let mut acc = 0.0;
-        let zipf_cdf = weights
-            .iter()
-            .map(|w| {
-                acc += w / total;
-                acc
-            })
-            .collect();
         KvClientNode {
             name: name.into(),
             keys,
-            zipf_cdf,
+            zipf_cdf: crate::workload::zipf_cdf(keys as usize, skew),
             rng: StdRng::seed_from_u64(seed),
             remaining: count,
             in_flight_key: None,

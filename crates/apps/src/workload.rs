@@ -686,7 +686,7 @@ impl Node for RttProbeNode {
 }
 
 /// The CDF of a Zipf(s) distribution over `n` ranks.
-fn zipf_cdf(n: usize, s: f64) -> Vec<f64> {
+pub(crate) fn zipf_cdf(n: usize, s: f64) -> Vec<f64> {
     assert!(n > 0 && s >= 0.0, "invalid zipf parameters");
     let weights: Vec<f64> = (1..=n).map(|k| 1.0 / (k as f64).powf(s)).collect();
     let total: f64 = weights.iter().sum();

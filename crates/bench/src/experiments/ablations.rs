@@ -1107,10 +1107,9 @@ fn a13_cuckoo(filter_cells: usize, remote_ops: bool) -> (LookupStats, LatencySum
 
 /// A13 — remote-op ISA A/B: dependent-access chains in one RTT.
 ///
-/// The responder's op engine (indexed/indirect READ, hash-probe-and-fetch,
-/// conditional WRITE, bounded gather/walk) collapses every dependent-access
-/// chain the switch primitives issue into a single request/response
-/// exchange. Two sweeps measure the claim against the verb baseline (the
+/// The responder's op engine (hash-probe-and-fetch, conditional WRITE,
+/// bounded gather/walk) collapses every dependent-access chain the switch
+/// primitives issue into a single request/response exchange. Two sweeps measure the claim against the verb baseline (the
 /// `RemoteOps` knob off):
 ///
 /// * **LPM walk depth 1–4** — verb mode issues one rung READ per level

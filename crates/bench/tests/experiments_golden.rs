@@ -180,7 +180,7 @@ fn repo() -> PathBuf {
 }
 
 /// A markdown document's inline code spans, fenced blocks left out, each
-/// with its line breaks read as spaces.
+/// with its line breaks read as spaces (and as nothing after a `::`).
 fn code_spans(doc: &str) -> Vec<String> {
     let mut fenced = false;
     let prose: Vec<&str> = doc
@@ -196,7 +196,10 @@ fn code_spans(doc: &str) -> Vec<String> {
     let joined = prose.join("\n");
     let spans = joined.split('`').skip(1).step_by(2);
     spans
-        .map(|span| span.split_whitespace().collect::<Vec<_>>().join(" "))
+        .map(|span| {
+            let words = span.split_whitespace().collect::<Vec<_>>();
+            words.join(" ").replace(":: ", "::")
+        })
         .collect()
 }
 
@@ -212,21 +215,58 @@ fn each_rust_source(dir: &Path, f: &mut dyn FnMut(&str)) {
     }
 }
 
-/// Whether `src` declares `pub {kind} {name}` (and not a longer name).
-fn declares(src: &str, kind: &str, name: &str) -> bool {
-    let decl = format!("pub {kind} {name}");
-    src.match_indices(&decl).any(|(at, _)| {
+/// Whether `src` holds `decl` followed by no further name character.
+fn holds(src: &str, decl: &str) -> bool {
+    src.match_indices(decl).any(|(at, _)| {
         let next = src[at + decl.len()..].chars().next();
         !next.is_some_and(|c| c.is_alphanumeric() || c == '_')
+    })
+}
+
+/// Whether `src` declares `pub {kind} {name}` (and not a longer name).
+fn declares(src: &str, kind: &str, name: &str) -> bool {
+    holds(src, &format!("pub {kind} {name}"))
+}
+
+/// Whether `src` declares an item `name` of any kind, public or not.
+fn declares_item(src: &str, name: &str) -> bool {
+    [
+        "fn", "struct", "enum", "trait", "type", "const", "static", "mod",
+    ]
+    .iter()
+    .any(|kind| holds(src, &format!("{kind} {name}")))
+}
+
+/// The crates a document names by path, `extmem_` prefix optional.
+const CRATES: [&str; 8] = [
+    "types", "wire", "sim", "rnic", "switch", "core", "apps", "bench",
+];
+
+/// Every `crate::module` or `crate::module::item` path in a code span, as
+/// `(crate, module, item)`. A capitalised second segment is no module
+/// (`extmem_types::IntMap` is a re-export), and `switch::tests::name` is a
+/// unit test as cargo prints it, module first: neither is returned.
+fn module_paths(span: &str) -> impl Iterator<Item = (&str, &str, Option<&str>)> {
+    let words = span.split(|c: char| !(c.is_alphanumeric() || c == '_' || c == ':'));
+    words.filter_map(|word| {
+        let mut segments = word.split("::");
+        let first = segments.next()?;
+        let krate = first.strip_prefix("extmem_").unwrap_or(first);
+        let module = segments.next()?;
+        let item = segments.next().filter(|item| !item.is_empty());
+        let is_module = module.starts_with(|c: char| c.is_ascii_lowercase()) && module != "tests";
+        (CRATES.contains(&krate) && is_module).then_some((krate, module, item))
     })
 }
 
 /// DESIGN.md, README.md and the verify skill against the tree: every
 /// backticked path under `crates/`, `tests/` or `scripts/` exists (a
 /// `<placeholder>` or `*` stands for any file: what comes before it must
-/// exist), and every backticked name ending in `Program`, `Stats` or
+/// exist), every backticked name ending in `Program`, `Stats` or
 /// `Config` is a `pub struct` (or, for `PipelineProgram`, a `pub trait`)
-/// under `crates/*/src`.
+/// under `crates/*/src`, and every backticked `crate::module` has its
+/// file under `crates/<crate>/src`, which declares the `::item` after it
+/// if one is named.
 #[test]
 fn documented_paths_and_programs_exist() {
     let root = repo();
@@ -237,6 +277,7 @@ fn documented_paths_and_programs_exist() {
             each_rust_source(&dir, &mut |file| src.push_str(file));
         }
     }
+    let mut stale = Vec::new();
     for doc in ["DESIGN.md", "README.md", ".claude/skills/verify/SKILL.md"] {
         let text = fs::read_to_string(root.join(doc)).unwrap();
         for span in code_spans(&text) {
@@ -262,8 +303,28 @@ fn documented_paths_and_programs_exist() {
                     "{doc}: `{span}` names {name}, which is no pub struct under crates/*/src"
                 );
             }
+            for (krate, module, item) in module_paths(&span) {
+                let dir = root.join("crates").join(krate).join("src");
+                let file = [
+                    dir.join(format!("{module}.rs")),
+                    dir.join(module).join("mod.rs"),
+                ]
+                .into_iter()
+                .find(|file| file.is_file());
+                let found = file.is_some_and(|file| {
+                    let src = fs::read_to_string(file).unwrap();
+                    item.is_none_or(|item| declares_item(&src, item))
+                });
+                if !found {
+                    stale.push(format!("{doc}: `{span}`"));
+                }
+            }
         }
     }
+    assert!(
+        stale.is_empty(),
+        "module paths naming no module file or no item declared in it: {stale:#?}"
+    );
 }
 
 /// Config settings that no shipped code sets, kept on purpose.

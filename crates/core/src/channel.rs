@@ -283,9 +283,9 @@ pub enum Op {
         /// The addend.
         add: u64,
     },
-    /// A remote op (indirect READ, hash-probe-and-fetch, conditional WRITE,
-    /// gather/walk): a whole dependent-access chain the responder NIC
-    /// executes locally, one RTT whatever its depth.
+    /// A remote op (hash-probe-and-fetch, conditional WRITE, gather/walk):
+    /// a whole dependent-access chain the responder NIC executes locally,
+    /// one RTT whatever its depth.
     Remote(RemoteOp),
 }
 

@@ -268,11 +268,8 @@ impl RnicNode {
             // dependent access the engine will perform (worst case,
             // derivable from the request alone) charges `EXT_OP_STEP`, plus
             // response-generation bandwidth on the returned bytes.
-            Opcode::IndirectRead | Opcode::HashProbe | Opcode::CondWrite | Opcode::GatherWalk => {
+            Opcode::HashProbe | Opcode::CondWrite | Opcode::GatherWalk => {
                 let (steps, resp_bytes) = match req.ext {
-                    extmem_wire::roce::RoceExt::Indirect(h) => {
-                        (2usize, (h.hdr_len as usize + h.max_len as usize).min(MTU))
-                    }
                     extmem_wire::roce::RoceExt::HashProbe(h) => {
                         let probes = if h.b2 == h.b1 { 1 } else { 2 };
                         (probes, (h.bucket_bytes as usize).min(MTU))
@@ -695,6 +692,55 @@ mod tests {
         assert_eq!(stats.malformed_drops, 1);
         assert_eq!(stats.writes, 0);
         assert_eq!(stats.cpu_packets, 0);
+    }
+
+    #[test]
+    fn unassigned_opcode_is_dropped_not_executed() {
+        // A READ request relabelled 0xc0 (an opcode from the manufacturer
+        // range, below the remote ops, that the NIC does not implement) and
+        // sealed with a fresh ICRC: intact on the wire, but no request the
+        // NIC knows. Four bytes after the RETH make the twenty that 0xc0's
+        // header took while it named an indirect READ, so only the opcode
+        // can refuse the frame.
+        const OPCODE: u8 = 0xc0;
+        const IP_AT: usize = extmem_wire::EthernetHeader::LEN;
+        const BTH_AT: usize = IP_AT + extmem_wire::Ipv4Header::LEN + extmem_wire::UdpHeader::LEN;
+        let frame = |qpn, rkey, va| {
+            let mut bytes = RocePacket::new(
+                client_endpoint(),
+                server_endpoint(),
+                0x9000,
+                Bth::new(Opcode::ReadRequest, qpn, 0),
+                RoceExt::Reth(Reth {
+                    va,
+                    rkey,
+                    dma_len: 8,
+                }),
+                vec![0, 0, 0, 8],
+            )
+            .build()
+            .unwrap()
+            .into_vec();
+            bytes[BTH_AT] = OPCODE;
+            let icrc_at = bytes.len() - extmem_wire::icrc::ICRC_LEN;
+            let icrc = extmem_wire::icrc::icrc_rocev2(&bytes[IP_AT..icrc_at]);
+            bytes[icrc_at..].copy_from_slice(&icrc.to_le_bytes());
+            Packet::from_vec(bytes)
+        };
+        let (mut sim, driver, rnic) = rig(|qpn, rkey, base| {
+            let pkt = frame(qpn, rkey, base);
+            assert_eq!(
+                RocePacket::parse(&pkt),
+                Err(extmem_wire::WireError::UnsupportedOpcode(OPCODE))
+            );
+            vec![pkt]
+        });
+        sim.run_to_quiescence();
+        let stats = sim.node::<RnicNode>(rnic).stats();
+        assert_eq!(stats.malformed_drops, 1);
+        assert_eq!(stats.ext_ops, 0);
+        assert_eq!(stats.cpu_packets, 0);
+        assert!(sim.node::<Driver>(driver).received.is_empty());
     }
 
     #[test]

@@ -18,7 +18,7 @@ use extmem_sim::{Node, NodeCtx, TxQueue};
 use extmem_types::{PortId, QpNum, Rate, Rkey, Time, TimeDelta};
 use extmem_wire::atomic::AtomicEth;
 use extmem_wire::bth::{psn_add, Bth, Opcode};
-use extmem_wire::extop::{CondWriteEth, GatherEth, HashProbeEth, IndirectEth, IndirectMode};
+use extmem_wire::extop::{CondWriteEth, GatherEth, HashProbeEth};
 use extmem_wire::reth::Reth;
 use extmem_wire::roce::{RoceEndpoint, RoceExt, RoceHeaders, RocePacket};
 use extmem_wire::{Packet, Payload};
@@ -142,20 +142,6 @@ impl From<Vec<u8>> for WriteBody {
 /// reissued verbatim to a failover replica.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RemoteOp {
-    /// Indexed/indirect READ: fetch the slot at `va`, then return what it
-    /// addresses (see [`IndirectMode`]).
-    Indirect {
-        /// First-hop virtual address.
-        va: u64,
-        /// Pointer vs. length-prefixed interpretation.
-        mode: IndirectMode,
-        /// Offset of the big-endian u16 length inside the header.
-        len_off: u8,
-        /// Header bytes read at `va` (length-prefixed mode).
-        hdr_len: u16,
-        /// Second-hop byte count / body-length cap.
-        max_len: u32,
-    },
     /// Hash-probe-and-fetch: probe bucket `b1` then `b2` for `key`, return
     /// the matching bucket.
     HashProbe {
@@ -335,25 +321,6 @@ impl RequesterQp {
                     rkey,
                     swap_add: add,
                     compare: 0,
-                }),
-                &[],
-            ),
-            Request::Op(RemoteOp::Indirect {
-                va,
-                mode,
-                len_off,
-                hdr_len,
-                max_len,
-            }) => encode(
-                Opcode::IndirectRead,
-                false,
-                RoceExt::Indirect(IndirectEth {
-                    va: *va,
-                    rkey,
-                    mode: *mode,
-                    len_off: *len_off,
-                    hdr_len: *hdr_len,
-                    max_len: *max_len,
                 }),
                 &[],
             ),

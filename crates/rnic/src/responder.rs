@@ -17,7 +17,7 @@ use crate::qp::{QueuePair, WriteCursor};
 use extmem_wire::aeth::{Aeth, NakCode};
 use extmem_wire::atomic::AtomicAckEth;
 use extmem_wire::bth::{psn_add, psn_before, Bth, Opcode};
-use extmem_wire::extop::{ExtOpAckEth, IndirectMode, EXTOP_FLAG_HIT, EXTOP_FLAG_SECONDARY};
+use extmem_wire::extop::{ExtOpAckEth, EXTOP_FLAG_HIT, EXTOP_FLAG_SECONDARY};
 use extmem_wire::roce::{RoceEndpoint, RoceExt, RoceHeaders, RocePacket, ROCEV2_BASE_OVERHEAD};
 use extmem_wire::{EthernetHeader, Packet};
 
@@ -264,7 +264,7 @@ pub fn process_request(
                 Err(e) => access_nak(local, qp, e),
             }
         }
-        Opcode::IndirectRead | Opcode::HashProbe | Opcode::CondWrite | Opcode::GatherWalk => {
+        Opcode::HashProbe | Opcode::CondWrite | Opcode::GatherWalk => {
             serve_ext_op(local, qp, mrs, req, mtu, false)
         }
         _ => invalid(local, qp),
@@ -300,7 +300,7 @@ fn duplicate(
         }
         // Duplicate read-like remote ops are re-executed like READs: their
         // response data may have been lost in flight.
-        Opcode::IndirectRead | Opcode::HashProbe | Opcode::GatherWalk => {
+        Opcode::HashProbe | Opcode::GatherWalk => {
             let mut r = serve_ext_op(local, qp, mrs, req, mtu, true);
             r.outcome = Outcome::Duplicate;
             r
@@ -453,33 +453,6 @@ fn resolve_ext_op<'a>(
     mtu: usize,
 ) -> Result<ExtOpPlan<'a>, ExtOpError> {
     match req.ext {
-        RoceExt::Indirect(h) => {
-            let region = mrs.get(h.rkey)?;
-            let data = match h.mode {
-                IndirectMode::Pointer => {
-                    if h.max_len as usize > mtu {
-                        return Err(ExtOpError::Invalid);
-                    }
-                    let ptr_bytes = region.read(h.va, 8)?;
-                    let ptr = u64::from_be_bytes(ptr_bytes.try_into().unwrap());
-                    region.read(ptr, h.max_len as u64)?
-                }
-                IndirectMode::LengthPrefixed => {
-                    let hdr_len = h.hdr_len as usize;
-                    if hdr_len < h.len_off as usize + 2 {
-                        return Err(ExtOpError::Invalid);
-                    }
-                    let hdr = region.read(h.va, hdr_len as u64)?;
-                    let off = h.len_off as usize;
-                    let body = u16::from_be_bytes(hdr[off..off + 2].try_into().unwrap()) as usize;
-                    if body > h.max_len as usize || hdr_len + body > mtu {
-                        return Err(ExtOpError::Invalid);
-                    }
-                    region.read(h.va, (hdr_len + body) as u64)?
-                }
-            };
-            Ok(ExtOpPlan::new(EXTOP_FLAG_HIT, 0, 2, &[data]))
-        }
         RoceExt::HashProbe(h) => {
             let key = &req.payload;
             let key_len = h.key_len as usize;
@@ -1105,7 +1078,6 @@ mod tests {
 
     fn remote_req(qpn: QpNum, psn: u32, ext: RoceExt, payload: Vec<u8>) -> RocePacket {
         let opcode = match ext {
-            RoceExt::Indirect(_) => Opcode::IndirectRead,
             RoceExt::HashProbe(_) => Opcode::HashProbe,
             RoceExt::CondWrite(_) => Opcode::CondWrite,
             RoceExt::Gather(_) => Opcode::GatherWalk,
@@ -1361,68 +1333,6 @@ mod tests {
     }
 
     #[test]
-    fn indirect_read_follows_pointer_and_length_prefix() {
-        let (local, mut qp, mut mrs, rkey, base) = setup();
-        let qpn = qp.qpn;
-        let region = mrs.get_mut(rkey).unwrap();
-        // Pointer mode: slot at base holds a pointer to base+512.
-        region.write(base, &(base + 512).to_be_bytes()).unwrap();
-        region.write(base + 512, &[0x5a; 32]).unwrap();
-        let req = remote_req(
-            qpn,
-            0,
-            RoceExt::Indirect(extmem_wire::extop::IndirectEth {
-                va: base,
-                rkey,
-                mode: IndirectMode::Pointer,
-                len_off: 0,
-                hdr_len: 0,
-                max_len: 32,
-            }),
-            vec![],
-        );
-        let r = process_request(local, &mut qp, &mut mrs, &req, 2048);
-        assert_eq!(
-            r.outcome,
-            Outcome::ExtOpExecuted {
-                op: Opcode::IndirectRead,
-                steps: 2,
-                bytes: 32
-            }
-        );
-        assert_eq!(r.responses[0].payload, vec![0x5a; 32]);
-        // Length-prefixed mode: entry header [idx:4][len:2] then body.
-        let region = mrs.get_mut(rkey).unwrap();
-        let mut entry = 9u32.to_be_bytes().to_vec();
-        entry.extend_from_slice(&40u16.to_be_bytes());
-        entry.extend_from_slice(&[0xc3; 40]);
-        region.write(base + 1024, &entry).unwrap();
-        let req = remote_req(
-            qpn,
-            1,
-            RoceExt::Indirect(extmem_wire::extop::IndirectEth {
-                va: base + 1024,
-                rkey,
-                mode: IndirectMode::LengthPrefixed,
-                len_off: 4,
-                hdr_len: 6,
-                max_len: 1500,
-            }),
-            vec![],
-        );
-        let r = process_request(local, &mut qp, &mut mrs, &req, 2048);
-        assert_eq!(
-            r.outcome,
-            Outcome::ExtOpExecuted {
-                op: Opcode::IndirectRead,
-                steps: 2,
-                bytes: 46
-            }
-        );
-        assert_eq!(r.responses[0].payload, entry);
-    }
-
-    #[test]
     fn duplicate_gather_reexecutes_like_a_read() {
         let (local, mut qp, mut mrs, rkey, base) = setup();
         let qpn = qp.qpn;
@@ -1484,7 +1394,7 @@ mod tests {
 
     #[test]
     fn response_frames_are_what_the_packet_builder_would_have_built() {
-        use extmem_wire::extop::{CondWriteEth, GatherEth, HashProbeEth, IndirectEth};
+        use extmem_wire::extop::{CondWriteEth, GatherEth, HashProbeEth};
         let (local, mut qp, mut mrs, rkey, base) = setup();
         let image: Vec<u8> = (0..4096u32).map(|i| (i * 5 + 1) as u8).collect();
         mrs.get_mut(rkey).unwrap().write(base, &image).unwrap();
@@ -1597,38 +1507,11 @@ mod tests {
         let ext = ext_ack(&qp, Opcode::HashProbe, 0, 0);
         assert_eq!(got, [built(local, &qp, Opcode::ExtOpResp, 6, ext, &[])]);
 
-        let indirect = remote_req(
-            qpn,
-            7,
-            RoceExt::Indirect(IndirectEth {
-                va: base + 1200,
-                rkey,
-                mode: IndirectMode::LengthPrefixed,
-                len_off: 0,
-                hdr_len: 2,
-                max_len: 64,
-            }),
-            vec![],
-        );
-        mrs.get_mut(rkey)
-            .unwrap()
-            .write(base + 1200, &20u16.to_be_bytes())
-            .unwrap();
-        let entry = mrs
-            .get(rkey)
-            .unwrap()
-            .read(base + 1200, 22)
-            .unwrap()
-            .to_vec();
-        let got = serve(&mut qp, &mut mrs, &indirect);
-        let ext = ext_ack(&qp, Opcode::IndirectRead, EXTOP_FLAG_HIT, 0);
-        assert_eq!(got, [built(local, &qp, Opcode::ExtOpResp, 7, ext, &entry)]);
-
         // A conditional WRITE over its own compare bytes: the response
         // shows memory as it was before the write landed.
         let cond = remote_req(
             qpn,
-            8,
+            7,
             RoceExt::CondWrite(CondWriteEth {
                 cmp_va: base + 700,
                 write_va: base + 702,
@@ -1645,7 +1528,7 @@ mod tests {
                 local,
                 &qp,
                 Opcode::ExtOpResp,
-                8,
+                7,
                 ext,
                 &image[700..704]
             )]
@@ -1659,7 +1542,7 @@ mod tests {
         // outside the region, and a gap in the sequence (answered once).
         let over = remote_req(
             qpn,
-            9,
+            8,
             RoceExt::Gather(GatherEth {
                 rkey,
                 word_len: 8,
@@ -1679,10 +1562,10 @@ mod tests {
             )
         };
         assert_eq!(got, [nak(&qp, NakCode::InvalidRequest)]);
-        let beyond = read_req(&qp, 10, rkey, base + 65_000, 4096);
+        let beyond = read_req(&qp, 9, rkey, base + 65_000, 4096);
         let got = serve(&mut qp, &mut mrs, &beyond);
         assert_eq!(got, [nak(&qp, NakCode::RemoteAccessError)]);
-        let late = read_req(&qp, 13, rkey, base, 8);
+        let late = read_req(&qp, 12, rkey, base, 8);
         let got = serve(&mut qp, &mut mrs, &late);
         assert_eq!(got, [nak(&qp, NakCode::PsnSequenceError)]);
         assert!(serve(&mut qp, &mut mrs, &late).is_empty());
@@ -1698,7 +1581,7 @@ mod tests {
                 local,
                 &qp,
                 Opcode::ExtOpResp,
-                8,
+                7,
                 ext,
                 &image[700..704]
             )]
@@ -1707,7 +1590,7 @@ mod tests {
         assert_eq!(got, [nak(&qp, NakCode::InvalidRequest)]);
         let got = serve(&mut qp, &mut mrs, &beyond);
         assert_eq!(got, [nak(&qp, NakCode::RemoteAccessError)]);
-        assert_eq!((qp.epsn, qp.msn), (11, 7));
+        assert_eq!((qp.epsn, qp.msn), (10, 6));
     }
 
     #[test]

@@ -53,9 +53,7 @@ pub enum Opcode {
     AtomicAcknowledge = 0x12,
     /// Atomic Fetch-and-Add request.
     FetchAdd = 0x14,
-    /// Remote-op: indexed/indirect READ request (manufacturer opcode space).
-    IndirectRead = 0xc0,
-    /// Remote-op: hash-probe-and-fetch request.
+    /// Remote-op: hash-probe-and-fetch request (manufacturer opcode space).
     HashProbe = 0xc1,
     /// Remote-op: conditional WRITE request.
     CondWrite = 0xc2,
@@ -81,7 +79,6 @@ impl Opcode {
             0x11 => Opcode::Acknowledge,
             0x12 => Opcode::AtomicAcknowledge,
             0x14 => Opcode::FetchAdd,
-            0xc0 => Opcode::IndirectRead,
             0xc1 => Opcode::HashProbe,
             0xc2 => Opcode::CondWrite,
             0xc3 => Opcode::GatherWalk,
@@ -101,7 +98,6 @@ impl Opcode {
                 | Opcode::WriteOnly
                 | Opcode::ReadRequest
                 | Opcode::FetchAdd
-                | Opcode::IndirectRead
                 | Opcode::HashProbe
                 | Opcode::CondWrite
                 | Opcode::GatherWalk
@@ -244,7 +240,6 @@ mod tests {
             Opcode::Acknowledge,
             Opcode::AtomicAcknowledge,
             Opcode::FetchAdd,
-            Opcode::IndirectRead,
             Opcode::HashProbe,
             Opcode::CondWrite,
             Opcode::GatherWalk,

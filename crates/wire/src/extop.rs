@@ -1,7 +1,7 @@
 //! Extension headers for the remote-op ISA (Tiara-style dependent accesses).
 //!
-//! These headers ride after the BTH on the four remote-op request opcodes
-//! ([`crate::bth::Opcode::IndirectRead`], [`HashProbe`](crate::bth::Opcode::HashProbe),
+//! These headers ride after the BTH on the three remote-op request opcodes
+//! ([`HashProbe`](crate::bth::Opcode::HashProbe),
 //! [`CondWrite`](crate::bth::Opcode::CondWrite),
 //! [`GatherWalk`](crate::bth::Opcode::GatherWalk)) and on the single
 //! [`ExtOpResp`](crate::bth::Opcode::ExtOpResp) response opcode. Each op
@@ -22,96 +22,6 @@ use extmem_types::Rkey;
 pub const EXTOP_FLAG_HIT: u8 = 0x01;
 /// Response flag: a hash probe matched in the *second* candidate bucket.
 pub const EXTOP_FLAG_SECONDARY: u8 = 0x02;
-
-/// How an indirect READ interprets the bytes at its first-hop address.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum IndirectMode {
-    /// The 8 bytes at `va` are a big-endian pointer; the response returns
-    /// `max_len` bytes from the pointed-to address.
-    Pointer,
-    /// The `hdr_len` bytes at `va` start a length-prefixed record: the
-    /// big-endian `u16` at offset `len_off` gives the body length, and the
-    /// response returns `hdr_len + body` bytes from `va` (body capped by
-    /// `max_len`).
-    LengthPrefixed,
-}
-
-impl IndirectMode {
-    fn to_bits(self) -> u8 {
-        match self {
-            IndirectMode::Pointer => 0,
-            IndirectMode::LengthPrefixed => 1,
-        }
-    }
-
-    fn from_bits(bits: u8) -> Result<IndirectMode> {
-        Ok(match bits {
-            0 => IndirectMode::Pointer,
-            1 => IndirectMode::LengthPrefixed,
-            other => {
-                return Err(WireError::InvalidField {
-                    field: "indirect mode",
-                    value: other as u64,
-                })
-            }
-        })
-    }
-}
-
-/// Extension header for the indexed/indirect READ op, 20 bytes.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct IndirectEth {
-    /// First-hop virtual address (the slot holding the pointer or header).
-    pub va: u64,
-    /// Remote access key covering both hops.
-    pub rkey: Rkey,
-    /// Pointer vs. length-prefixed interpretation of the first hop.
-    pub mode: IndirectMode,
-    /// Offset of the big-endian `u16` length inside the header
-    /// (length-prefixed mode only; must satisfy `len_off + 2 <= hdr_len`).
-    pub len_off: u8,
-    /// Header bytes read at `va` in length-prefixed mode.
-    pub hdr_len: u16,
-    /// Second-hop byte count (pointer mode) or body-length cap
-    /// (length-prefixed mode).
-    pub max_len: u32,
-}
-
-impl IndirectEth {
-    /// Encoded size in bytes.
-    pub const LEN: usize = 20;
-
-    /// Parse from the start of `buf`.
-    pub fn parse(buf: &[u8]) -> Result<IndirectEth> {
-        let b = take(buf, 0, Self::LEN, "IndirectETH")?;
-        Ok(IndirectEth {
-            va: u64::from_be_bytes(b[0..8].try_into().unwrap()),
-            rkey: Rkey(u32::from_be_bytes(b[8..12].try_into().unwrap())),
-            mode: IndirectMode::from_bits(b[12])?,
-            len_off: b[13],
-            hdr_len: u16::from_be_bytes(b[14..16].try_into().unwrap()),
-            max_len: u32::from_be_bytes(b[16..20].try_into().unwrap()),
-        })
-    }
-
-    /// Write into the first [`Self::LEN`] bytes of `buf`.
-    pub fn write(&self, buf: &mut [u8]) -> Result<()> {
-        if buf.len() < Self::LEN {
-            return Err(WireError::Truncated {
-                what: "IndirectETH",
-                needed: Self::LEN,
-                available: buf.len(),
-            });
-        }
-        buf[0..8].copy_from_slice(&self.va.to_be_bytes());
-        buf[8..12].copy_from_slice(&self.rkey.raw().to_be_bytes());
-        buf[12] = self.mode.to_bits();
-        buf[13] = self.len_off;
-        buf[14..16].copy_from_slice(&self.hdr_len.to_be_bytes());
-        buf[16..20].copy_from_slice(&self.max_len.to_be_bytes());
-        Ok(())
-    }
-}
 
 /// Extension header for the hash-probe-and-fetch op, 26 bytes.
 ///
@@ -320,27 +230,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn indirect_roundtrip_both_modes() {
-        for mode in [IndirectMode::Pointer, IndirectMode::LengthPrefixed] {
-            let h = IndirectEth {
-                va: 0x0123_4567_89ab_cdef,
-                rkey: Rkey(0xdead_beef),
-                mode,
-                len_off: 4,
-                hdr_len: 6,
-                max_len: 2042,
-            };
-            let mut buf = [0u8; IndirectEth::LEN];
-            h.write(&mut buf).unwrap();
-            assert_eq!(IndirectEth::parse(&buf).unwrap(), h);
-        }
-        // Reserved mode bits are rejected.
-        let mut buf = [0u8; IndirectEth::LEN];
-        buf[12] = 2;
-        assert!(IndirectEth::parse(&buf).is_err());
-    }
-
-    #[test]
     fn hash_probe_roundtrip() {
         let h = HashProbeEth {
             base_va: 0x1000_0000,
@@ -396,7 +285,6 @@ mod tests {
 
     #[test]
     fn short_buffers_rejected() {
-        assert!(IndirectEth::parse(&[0u8; IndirectEth::LEN - 1]).is_err());
         assert!(HashProbeEth::parse(&[0u8; HashProbeEth::LEN - 1]).is_err());
         assert!(CondWriteEth::parse(&[0u8; CondWriteEth::LEN - 1]).is_err());
         assert!(GatherEth::parse(&[0u8; GatherEth::LEN - 1]).is_err());

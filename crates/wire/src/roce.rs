@@ -18,7 +18,7 @@ use crate::bth::{Bth, Opcode};
 use crate::bytes::Payload;
 use crate::error::take;
 use crate::ethernet::{EtherType, EthernetHeader, MacAddr};
-use crate::extop::{CondWriteEth, ExtOpAckEth, GatherEth, HashProbeEth, IndirectEth};
+use crate::extop::{CondWriteEth, ExtOpAckEth, GatherEth, HashProbeEth};
 use crate::icrc::{icrc_rocev2, ICRC_LEN};
 use crate::ipv4::{proto, Ipv4Header};
 use crate::packet::Packet;
@@ -68,8 +68,6 @@ pub enum RoceExt {
     AtomicEth(AtomicEth),
     /// AETH + AtomicAckETH (atomic acknowledge).
     AtomicAck(Aeth, AtomicAckEth),
-    /// An IndirectETH (remote-op indirect READ request).
-    Indirect(IndirectEth),
     /// A HashProbeETH (remote-op hash-probe-and-fetch request).
     HashProbe(HashProbeEth),
     /// A CondWriteETH (remote-op conditional WRITE request).
@@ -89,7 +87,6 @@ impl RoceExt {
             RoceExt::Aeth(_) => Aeth::LEN,
             RoceExt::AtomicEth(_) => AtomicEth::LEN,
             RoceExt::AtomicAck(..) => Aeth::LEN + AtomicAckEth::LEN,
-            RoceExt::Indirect(_) => IndirectEth::LEN,
             RoceExt::HashProbe(_) => HashProbeEth::LEN,
             RoceExt::CondWrite(_) => CondWriteEth::LEN,
             RoceExt::Gather(_) => GatherEth::LEN,
@@ -113,7 +110,6 @@ impl RoceExt {
             | Opcode::Acknowledge => ExtKind::Aeth,
             Opcode::FetchAdd => ExtKind::AtomicEth,
             Opcode::AtomicAcknowledge => ExtKind::AtomicAck,
-            Opcode::IndirectRead => ExtKind::Indirect,
             Opcode::HashProbe => ExtKind::HashProbe,
             Opcode::CondWrite => ExtKind::CondWrite,
             Opcode::GatherWalk => ExtKind::Gather,
@@ -128,7 +124,6 @@ impl RoceExt {
             RoceExt::Aeth(_) => ExtKind::Aeth,
             RoceExt::AtomicEth(_) => ExtKind::AtomicEth,
             RoceExt::AtomicAck(..) => ExtKind::AtomicAck,
-            RoceExt::Indirect(_) => ExtKind::Indirect,
             RoceExt::HashProbe(_) => ExtKind::HashProbe,
             RoceExt::CondWrite(_) => ExtKind::CondWrite,
             RoceExt::Gather(_) => ExtKind::Gather,
@@ -144,7 +139,6 @@ enum ExtKind {
     Aeth,
     AtomicEth,
     AtomicAck,
-    Indirect,
     HashProbe,
     CondWrite,
     Gather,
@@ -298,7 +292,6 @@ impl RoceHeaders {
                 aeth.write(&mut head[ext_at..])?;
                 ack.write(&mut head[ext_at + Aeth::LEN..])?;
             }
-            RoceExt::Indirect(h) => h.write(&mut head[ext_at..])?,
             RoceExt::HashProbe(h) => h.write(&mut head[ext_at..])?,
             RoceExt::CondWrite(h) => h.write(&mut head[ext_at..])?,
             RoceExt::Gather(h) => h.write(&mut head[ext_at..])?,
@@ -483,7 +476,6 @@ impl RocePacket {
                 let ack = AtomicAckEth::parse(&buf[ext_at + Aeth::LEN..ip_end])?;
                 RoceExt::AtomicAck(aeth, ack)
             }
-            ExtKind::Indirect => RoceExt::Indirect(IndirectEth::parse(&buf[ext_at..ip_end])?),
             ExtKind::HashProbe => RoceExt::HashProbe(HashProbeEth::parse(&buf[ext_at..ip_end])?),
             ExtKind::CondWrite => RoceExt::CondWrite(CondWriteEth::parse(&buf[ext_at..ip_end])?),
             ExtKind::Gather => RoceExt::Gather(GatherEth::parse(&buf[ext_at..ip_end])?),
@@ -690,23 +682,9 @@ mod tests {
 
     #[test]
     fn remote_op_requests_and_response_roundtrip() {
-        use crate::extop::{
-            CondWriteEth, ExtOpAckEth, GatherEth, HashProbeEth, IndirectEth, IndirectMode,
-            EXTOP_FLAG_HIT,
-        };
+        use crate::extop::{CondWriteEth, ExtOpAckEth, GatherEth, HashProbeEth, EXTOP_FLAG_HIT};
         let (s, d) = endpoints();
         let cases: Vec<(RoceExt, Vec<u8>)> = vec![
-            (
-                RoceExt::Indirect(IndirectEth {
-                    va: 0x1000,
-                    rkey: Rkey(5),
-                    mode: IndirectMode::LengthPrefixed,
-                    len_off: 4,
-                    hdr_len: 6,
-                    max_len: 1500,
-                }),
-                vec![],
-            ),
             (
                 RoceExt::HashProbe(HashProbeEth {
                     base_va: 0x1000,
@@ -740,7 +718,6 @@ mod tests {
         ];
         for (ext, payload) in cases {
             let opcode = match ext {
-                RoceExt::Indirect(_) => Opcode::IndirectRead,
                 RoceExt::HashProbe(_) => Opcode::HashProbe,
                 RoceExt::CondWrite(_) => Opcode::CondWrite,
                 RoceExt::Gather(_) => Opcode::GatherWalk,

@@ -32,11 +32,11 @@ fi
 echo "== cargo clippy (deny warnings) =="
 cargo clippy --all-targets -- -D warnings
 
-echo "== rustfmt (sim, wire, types, switch, apps, core, rnic, bench) =="
+echo "== rustfmt (sim, wire, types, switch, apps, core, rnic, bench, root tests) =="
 # The crates that are rustfmt-clean stay clean. The benchmark is frozen and
-# never formatted; the root tests are not formatted yet.
+# never formatted.
 cargo fmt -p extmem-sim -p extmem-wire -p extmem-types -p extmem-switch -p extmem-apps \
-    -p extmem-core -p extmem-rnic -p extmem-bench -- --check
+    -p extmem-core -p extmem-rnic -p extmem-bench -p extmem-integration -- --check
 
 echo "== no hand-placed buffer returns =="
 # A frame buffer goes back to the pool when its payload's last owner drops

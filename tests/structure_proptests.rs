@@ -1214,7 +1214,7 @@ mod remote_op_oracle {
     use extmem_rnic::responder::{process_request, Outcome};
     use extmem_rnic::{MrTable, Operand, QueuePair, RemoteOp, Request};
     use extmem_types::{ByteSize, QpNum, Rkey};
-    use extmem_wire::extop::{IndirectMode, EXTOP_FLAG_HIT, EXTOP_FLAG_SECONDARY};
+    use extmem_wire::extop::{EXTOP_FLAG_HIT, EXTOP_FLAG_SECONDARY};
     use extmem_wire::roce::{RoceEndpoint, RoceExt};
     use extmem_wire::{MacAddr, Packet, RocePacket};
     use proptest::prelude::*;
@@ -1223,25 +1223,13 @@ mod remote_op_oracle {
     const MTU: usize = 2048;
 
     /// One remote op described with region-relative offsets, plus the plain
-    /// WRITEs that must precede it so the dependent chain is well-formed
-    /// (pointers in bounds, length prefixes within their caps).
+    /// WRITEs that must precede it (a planted probe key or compare image, so
+    /// that hits occur).
     #[derive(Clone, Debug)]
     enum OpSpec {
         Gather {
             word_len: u16,
             offs: Vec<u64>,
-        },
-        IndirectPtr {
-            slot_off: u64,
-            target_off: u64,
-            max_len: u32,
-        },
-        IndirectLen {
-            off: u64,
-            len_off: u8,
-            hdr_len: u16,
-            max_len: u32,
-            body_raw: u16,
         },
         HashProbe {
             base_off: u64,
@@ -1275,39 +1263,6 @@ mod remote_op_oracle {
                         vas: offs.iter().map(|o| base + o).collect(),
                     },
                 ),
-                OpSpec::IndirectPtr {
-                    slot_off,
-                    target_off,
-                    max_len,
-                } => (
-                    vec![(base + slot_off, (base + target_off).to_be_bytes().to_vec())],
-                    RemoteOp::Indirect {
-                        va: base + slot_off,
-                        mode: IndirectMode::Pointer,
-                        len_off: 0,
-                        hdr_len: 0,
-                        max_len: *max_len,
-                    },
-                ),
-                OpSpec::IndirectLen {
-                    off,
-                    len_off,
-                    hdr_len,
-                    max_len,
-                    body_raw,
-                } => {
-                    let body = (*body_raw as u32 % (max_len + 1)) as u16;
-                    (
-                        vec![(base + off + *len_off as u64, body.to_be_bytes().to_vec())],
-                        RemoteOp::Indirect {
-                            va: base + off,
-                            mode: IndirectMode::LengthPrefixed,
-                            len_off: *len_off,
-                            hdr_len: *hdr_len,
-                            max_len: *max_len,
-                        },
-                    )
-                }
                 OpSpec::HashProbe {
                     base_off,
                     n_buckets,
@@ -1374,22 +1329,6 @@ mod remote_op_oracle {
         prop_oneof![
             (1u16..33, prop::collection::vec(0u64..REGION - 32, 1..17))
                 .prop_map(|(word_len, offs)| OpSpec::Gather { word_len, offs }),
-            (0u64..REGION - 8, 0u64..REGION - 64, 1u32..65).prop_map(
-                |(slot_off, target_off, max_len)| OpSpec::IndirectPtr {
-                    slot_off,
-                    target_off,
-                    max_len,
-                }
-            ),
-            (0u64..REGION - 80, 0u8..7, 0u16..9, 1u32..65, any::<u16>()).prop_map(
-                |(off, len_off, extra, max_len, body_raw)| OpSpec::IndirectLen {
-                    off,
-                    len_off,
-                    hdr_len: len_off as u16 + 2 + extra,
-                    max_len,
-                    body_raw,
-                }
-            ),
             (
                 (0u64..REGION - 1024, 1u32..9, any::<u32>(), any::<u32>()),
                 (
@@ -1551,27 +1490,6 @@ mod remote_op_oracle {
                     }
                     (EXTOP_FLAG_HIT, 0, out)
                 }
-                RemoteOp::Indirect {
-                    va,
-                    mode: IndirectMode::Pointer,
-                    max_len,
-                    ..
-                } => {
-                    let ptr = u64::from_be_bytes(self.read(*va, 8).try_into().unwrap());
-                    (EXTOP_FLAG_HIT, 0, self.read(ptr, *max_len))
-                }
-                RemoteOp::Indirect {
-                    va,
-                    mode: IndirectMode::LengthPrefixed,
-                    len_off,
-                    hdr_len,
-                    ..
-                } => {
-                    let hdr = self.read(*va, *hdr_len as u32);
-                    let off = *len_off as usize;
-                    let body = u16::from_be_bytes(hdr[off..off + 2].try_into().unwrap()) as u32;
-                    (EXTOP_FLAG_HIT, 0, self.read(*va, *hdr_len as u32 + body))
-                }
                 RemoteOp::HashProbe {
                     base_va,
                     b1,
@@ -1630,23 +1548,21 @@ mod remote_op_oracle {
 
     /// Every kind of response the responder emits — READ (one packet and
     /// three), WRITE with and without an ACK, Fetch-and-Add, each remote op,
-    /// a sequence-error NAK, an access NAK, and the duplicate of each —
-    /// as wire bytes, folded into one digest. The digest was taken when the
-    /// responder still returned unencoded packets whose payloads were
-    /// copies out of the region; encoding each frame straight from the
-    /// region may not change a byte on the wire.
+    /// an invalid-request NAK, an access NAK, the duplicate of each, and a
+    /// sequence-error NAK followed by silence — as wire bytes, folded into
+    /// one digest. The digest was first taken when the responder still
+    /// returned unencoded packets whose payloads were copies out of the
+    /// region; a change to how it builds its frames may not move a byte on
+    /// the wire.
     #[test]
     fn response_encodings_are_pinned() {
-        const PINNED: u64 = 0x6cea_7d41_e188_b0ba;
+        const PINNED: u64 = 0xf28b_2a02_65f3_b313;
         let image: Vec<u8> = (0..REGION).map(|i| (i * 7 + 3) as u8).collect();
         // A small MTU so a 300-byte READ is answered in three packets.
         const MTU: usize = 128;
         let mut rig = Rig::new(&image);
         rig.req.mtu = MTU;
         let base = rig.base;
-        // A length-prefixed entry for the indirect READ: 20 bytes follow
-        // the 2-byte header.
-        rig.write(base + 1200, &20u16.to_be_bytes());
         let probe_key = image[256 + 16 + 2..256 + 16 + 6].to_vec();
         let requests = [
             rig.issue(Request::Write {
@@ -1687,21 +1603,16 @@ mod remote_op_oracle {
                 compare: Operand::new(&image[700..704]),
                 write: Operand::new(&[9; 12]),
             })),
-            rig.issue(Request::Op(&RemoteOp::Indirect {
-                va: base + 1200,
-                mode: IndirectMode::LengthPrefixed,
-                len_off: 0,
-                hdr_len: 2,
-                max_len: 64,
-            })),
-            // The same op over bytes that are no entry header: the length
-            // they spell exceeds `max_len`, an invalid-request NAK.
-            rig.issue(Request::Op(&RemoteOp::Indirect {
-                va: base + 1300,
-                mode: IndirectMode::LengthPrefixed,
-                len_off: 0,
-                hdr_len: 2,
-                max_len: 64,
+            // A bucket that is no whole number of slots: an
+            // invalid-request NAK.
+            rig.issue(Request::Op(&RemoteOp::HashProbe {
+                base_va: base + 256,
+                b1: 3,
+                b2: 0,
+                bucket_bytes: 24,
+                slot_bytes: 16,
+                key_off: 2,
+                key: Operand::new(&probe_key),
             })),
             // Past the end of the region: an access NAK.
             rig.issue(Request::Read {

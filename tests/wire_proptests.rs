@@ -493,7 +493,7 @@ proptest! {
 }
 
 /// Round-trip through the full packet codec for every remote-op opcode:
-/// the four request formats (extension header + op-specific payload) and
+/// the three request formats (extension header + op-specific payload) and
 /// the ExtOpResp response (AETH + ExtOpAckETH + data payload). Payloads
 /// are generated consistent with their headers, as the requester builds
 /// them.
@@ -501,39 +501,13 @@ mod extop_roundtrips {
     use extmem_types::{QpNum, Rkey};
     use extmem_wire::aeth::{Aeth, Syndrome};
     use extmem_wire::bth::{Bth, Opcode};
-    use extmem_wire::extop::{
-        CondWriteEth, ExtOpAckEth, GatherEth, HashProbeEth, IndirectEth, IndirectMode,
-    };
+    use extmem_wire::extop::{CondWriteEth, ExtOpAckEth, GatherEth, HashProbeEth};
     use extmem_wire::roce::{RoceEndpoint, RoceExt, RocePacket};
     use extmem_wire::MacAddr;
     use proptest::prelude::*;
 
     pub fn arb_ext_op() -> impl Strategy<Value = (Opcode, RoceExt, Vec<u8>)> {
         prop_oneof![
-            (
-                any::<u64>(),
-                any::<u32>(),
-                any::<bool>(),
-                any::<u8>(),
-                any::<u16>(),
-                any::<u32>(),
-            )
-                .prop_map(|(va, rkey, lp, len_off, hdr_len, max_len)| (
-                    Opcode::IndirectRead,
-                    RoceExt::Indirect(IndirectEth {
-                        va,
-                        rkey: Rkey(rkey),
-                        mode: if lp {
-                            IndirectMode::LengthPrefixed
-                        } else {
-                            IndirectMode::Pointer
-                        },
-                        len_off,
-                        hdr_len,
-                        max_len,
-                    }),
-                    vec![],
-                )),
             (
                 (any::<u64>(), any::<u32>(), any::<u32>(), any::<u32>()),
                 (
@@ -603,7 +577,7 @@ mod extop_roundtrips {
             (
                 0u32..0x0100_0000,
                 0u8..32,
-                prop::sample::select(vec![0xc0u8, 0xc1, 0xc2, 0xc3]),
+                prop::sample::select(vec![0xc1u8, 0xc2, 0xc3]),
                 any::<u8>(),
                 any::<u16>(),
                 proptest::collection::vec(any::<u8>(), 0..256),
@@ -704,7 +678,6 @@ mod one_encoder {
                 aeth.write(ext).unwrap();
                 ack.write(&mut ext[Aeth::LEN..]).unwrap();
             }
-            RoceExt::Indirect(h) => h.write(ext).unwrap(),
             RoceExt::HashProbe(h) => h.write(ext).unwrap(),
             RoceExt::CondWrite(h) => h.write(ext).unwrap(),
             RoceExt::Gather(h) => h.write(ext).unwrap(),
@@ -744,7 +717,7 @@ mod one_encoder {
         /// The request as the encoder takes it, and the same thing spelt
         /// out as the opcode, extension header and payload of its frame.
         fn spelt_out(&self, rkey: Rkey) -> (Request<'_>, Opcode, RoceExt, Vec<u8>) {
-            use extmem_wire::extop::{CondWriteEth, GatherEth, HashProbeEth, IndirectEth};
+            use extmem_wire::extop::{CondWriteEth, GatherEth, HashProbeEth};
             match self {
                 Owned::Write {
                     va,
@@ -786,24 +759,6 @@ mod one_encoder {
                 }
                 Owned::Op(op) => {
                     let (opcode, ext, payload) = match op {
-                        &RemoteOp::Indirect {
-                            va,
-                            mode,
-                            len_off,
-                            hdr_len,
-                            max_len,
-                        } => (
-                            Opcode::IndirectRead,
-                            RoceExt::Indirect(IndirectEth {
-                                va,
-                                rkey,
-                                mode,
-                                len_off,
-                                hdr_len,
-                                max_len,
-                            }),
-                            vec![],
-                        ),
                         &RemoteOp::HashProbe {
                             base_va,
                             b1,
@@ -858,7 +813,6 @@ mod one_encoder {
     }
 
     fn arb_request() -> impl Strategy<Value = Owned> {
-        use extmem_wire::extop::IndirectMode;
         use proptest::collection::vec;
         let operand = |len| vec(any::<u8>(), len).prop_map(|bytes| Operand::new(&bytes));
         prop_oneof![
@@ -876,27 +830,6 @@ mod one_encoder {
                 }),
             (any::<u64>(), any::<u32>()).prop_map(|(va, len)| Owned::Read { va, len }),
             (any::<u64>(), any::<u64>()).prop_map(|(va, add)| Owned::FetchAdd { va, add }),
-            (
-                any::<u64>(),
-                any::<bool>(),
-                any::<u8>(),
-                any::<u16>(),
-                any::<u32>(),
-            )
-                .prop_map(|(va, lp, len_off, hdr_len, max_len)| {
-                    let mode = if lp {
-                        IndirectMode::LengthPrefixed
-                    } else {
-                        IndirectMode::Pointer
-                    };
-                    Owned::Op(RemoteOp::Indirect {
-                        va,
-                        mode,
-                        len_off,
-                        hdr_len,
-                        max_len,
-                    })
-                }),
             (
                 (any::<u64>(), any::<u32>(), any::<u32>()),
                 (any::<u16>(), any::<u16>(), any::<u8>(), operand(1..33)),
