@@ -19,6 +19,8 @@ use std::collections::VecDeque;
 /// The in-port value a recirculated packet appears on.
 pub const RECIRC_PORT: PortId = PortId(u16::MAX);
 
+/// The switch's own timers: bit 0 is the kind, the bits above it the
+/// epoch (crashes so far) the timer was armed in.
 const TOKEN_PIPELINE: u64 = 0;
 const TOKEN_RECIRC: u64 = 1;
 /// Program-owned timer tokens have this bit set on the wire.
@@ -234,6 +236,9 @@ pub struct SwitchNode {
     /// notifications: empty between callbacks, capacity kept.
     staged_recirc: Vec<Packet>,
     dequeue_notify: VecDeque<PortId>,
+    /// Crashes so far. A pipeline or recirculation timer from an earlier
+    /// epoch fired after a restart and has no frame left to pop.
+    epoch: u64,
     stats: SwitchStats,
 }
 
@@ -256,8 +261,14 @@ impl SwitchNode {
             pending_recirc: VecDeque::new(),
             staged_recirc: Vec::new(),
             dequeue_notify: VecDeque::new(),
+            epoch: 0,
             stats: SwitchStats::default(),
         }
+    }
+
+    /// `kind` ([`TOKEN_PIPELINE`] or [`TOKEN_RECIRC`]) armed in this epoch.
+    fn token(&self, kind: u64) -> u64 {
+        kind | (self.epoch << 1)
     }
 
     /// Switch-level counters.
@@ -311,9 +322,10 @@ impl SwitchNode {
                 program.on_dequeue(&mut sctx, port);
             }
         }
+        let token = self.token(TOKEN_RECIRC);
         for pkt in self.staged_recirc.drain(..) {
             self.pending_recirc.push_back(pkt);
-            ctx.schedule(RECIRC_LATENCY, TOKEN_RECIRC);
+            ctx.schedule(RECIRC_LATENCY, token);
         }
         self.program = Some(program);
     }
@@ -329,7 +341,7 @@ impl Node for SwitchNode {
         self.stats.rx_packets += 1;
         self.stats.rx_bytes += packet.len() as u64;
         self.pending_ingress.push_back((port, packet));
-        ctx.schedule(PIPELINE_LATENCY, TOKEN_PIPELINE);
+        ctx.schedule(PIPELINE_LATENCY, self.token(TOKEN_PIPELINE));
     }
 
     fn on_timer(&mut self, ctx: &mut NodeCtx<'_>, token: u64) {
@@ -338,7 +350,11 @@ impl Node for SwitchNode {
             self.with_program(ctx, |p, sctx| p.on_timer(sctx, user));
             return;
         }
-        match token {
+        if token >> 1 < self.epoch {
+            // Armed before a crash; its frame went with it.
+            return;
+        }
+        match token ^ (self.epoch << 1) {
             TOKEN_PIPELINE => {
                 let (port, pkt) = self
                     .pending_ingress
@@ -350,10 +366,10 @@ impl Node for SwitchNode {
                 let pkt = self.pending_recirc.pop_front().expect("recirc underflow");
                 self.run_ingress(ctx, RECIRC_PORT, pkt);
             }
-            other => {
+            _ => {
                 if self.stats.unknown_timer_tokens == 0 {
                     eprintln!(
-                        "switch {}: ignoring unknown timer token {other:#x}",
+                        "switch {}: ignoring unknown timer token {token:#x}",
                         self.name
                     );
                 }
@@ -370,6 +386,16 @@ impl Node for SwitchNode {
             start_egress(&self.tm, ctx, port, pkt);
             self.with_program(ctx, |p, sctx| p.on_dequeue(sctx, port));
         }
+    }
+
+    /// Power loss drops every frame the switch holds: the pipeline and
+    /// recirculation FIFOs and every TM queue. The program, its tables and
+    /// registers survive, as do the counters.
+    fn on_crash(&mut self, _ctx: &mut NodeCtx<'_>) {
+        self.pending_ingress.clear();
+        self.pending_recirc.clear();
+        self.tm.flush();
+        self.epoch += 1;
     }
 
     fn name(&self) -> &str {
@@ -444,6 +470,14 @@ mod tests {
             .unwrap();
             buf[14..18].copy_from_slice(&(seq as u32).to_be_bytes());
             Packet::from_vec(buf)
+        }
+
+        /// The sequence numbers of the frames received, in order.
+        fn rx_seqs(&self) -> Vec<u32> {
+            self.rx
+                .iter()
+                .map(|pkt| u32::from_be_bytes(pkt.as_slice()[14..18].try_into().unwrap()))
+                .collect()
         }
     }
 
@@ -597,6 +631,46 @@ mod tests {
         assert_eq!(sw_ref.program::<L2>().dropped_unknown, 5);
     }
 
+    /// 200 × 1000 B at 40 G into a 10 G port, the switch down from 2 µs to
+    /// `2 µs + outage`: the sink gets the frames the switch started sending
+    /// before the crash, then exactly the frames that reached it after the
+    /// restart, in order, and nothing is left behind.
+    fn crash_and_restart(outage: TimeDelta) {
+        let (mut sim, _h1, h2, sw) = build_l2_sim_rates(200, 1000, ByteSize::from_mb(12), 10);
+        let crash = TimeDelta::from_micros(2);
+        sim.schedule_crash(sw, crash);
+        sim.schedule_restart(sw, crash + outage);
+        // Mid-outage: the counts are those from before the crash.
+        sim.run_until(Time::ZERO + crash + outage / 2);
+        let sw_ref = sim.node::<SwitchNode>(sw);
+        let (before, sent) = (
+            sw_ref.stats().rx_packets,
+            sw_ref.tm().stats(PortId(1)).dequeued,
+        );
+        assert!(sent + 2 < before, "the crash should find frames held");
+        sim.run_to_quiescence();
+        let after = sim.node::<SwitchNode>(sw).stats().rx_packets - before;
+        let want: Vec<u32> = (0..sent as u32).chain(200 - after as u32..200).collect();
+        assert_eq!(sim.node::<Host>(h2).rx_seqs(), want);
+        let sw_ref = sim.node::<SwitchNode>(sw);
+        assert!(sw_ref.pending_ingress.is_empty() && sw_ref.pending_recirc.is_empty());
+        assert_eq!(sw_ref.tm().total_bytes(), 0);
+        sw_ref.tm().check_invariants();
+        assert_eq!(sw_ref.stats().unknown_timer_tokens, 0);
+    }
+
+    #[test]
+    fn restart_forwards_nothing_from_before_the_crash() {
+        crash_and_restart(TimeDelta::from_micros(1));
+    }
+
+    #[test]
+    fn restart_ignores_pipeline_timers_armed_before_the_crash() {
+        // Shorter than PIPELINE_LATENCY: the timers of frames lost in the
+        // crash fire after the restart, among the new frames' timers.
+        crash_and_restart(TimeDelta::from_nanos(100));
+    }
+
     /// Program that recirculates every fresh packet once, then forwards.
     struct Recirc {
         out: PortId,
@@ -647,6 +721,46 @@ mod tests {
         assert_eq!(sw_ref.stats().recirculated, 3);
         // Each packet passes the pipeline twice.
         assert_eq!(sw_ref.stats().pipeline_passes, 6);
+    }
+
+    #[test]
+    fn restart_ignores_recirculation_timers_armed_before_the_crash() {
+        // An outage shorter than RECIRC_LATENCY: the recirculation timers
+        // of frames lost in the crash fire among the new frames' timers.
+        let mut b = SimBuilder::new(5);
+        let h1 = b.add_node(Box::new(Host::new(
+            MacAddr::local(1),
+            MacAddr::local(2),
+            40,
+            1000,
+        )));
+        let h2 = b.add_node(Box::new(Host::new(
+            MacAddr::local(2),
+            MacAddr::local(1),
+            0,
+            1000,
+        )));
+        let sw = b.add_node(Box::new(SwitchNode::new(
+            "tor",
+            SwitchConfig::default(),
+            Box::new(Recirc {
+                out: PortId(1),
+                recirc_seen: 0,
+            }),
+        )));
+        b.connect(sw, PortId(0), h1, PortId(0), LinkSpec::testbed_40g());
+        b.connect(sw, PortId(1), h2, PortId(0), LinkSpec::testbed_40g());
+        let mut sim = b.build();
+        sim.schedule_timer(h1, TimeDelta::ZERO, 0);
+        sim.schedule_crash(sw, TimeDelta::from_micros(2));
+        sim.schedule_restart(sw, TimeDelta::from_nanos(2_300));
+        sim.run_to_quiescence();
+        let seqs = sim.node::<Host>(h2).rx_seqs();
+        assert!(seqs.len() < 40 && seqs.windows(2).all(|w| w[0] < w[1]));
+        assert_eq!(seqs.last(), Some(&39));
+        let sw_ref = sim.node::<SwitchNode>(sw);
+        assert!(sw_ref.pending_ingress.is_empty() && sw_ref.pending_recirc.is_empty());
+        assert_eq!(sw_ref.tm().total_bytes(), 0);
     }
 
     /// Program that forwards to a port with no link attached.

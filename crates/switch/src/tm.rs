@@ -118,6 +118,16 @@ impl TrafficManager {
         Some(pkt)
     }
 
+    /// Drop every queued packet (a power loss) and return the shared pool
+    /// to empty. The counters are kept.
+    pub(crate) fn flush(&mut self) {
+        for q in self.queues.iter_mut().flatten() {
+            q.clear();
+        }
+        self.queue_bytes.fill(0);
+        self.shared_used = 0;
+    }
+
     /// Bytes currently queued for `port`.
     pub fn queue_bytes(&self, port: PortId) -> u64 {
         self.queue_bytes[port.raw() as usize]

@@ -111,6 +111,21 @@ echo "== backend equivalence and scenario pins (release) =="
 # equal in-process, plus the pinned digests.
 cargo test -q --release --test sched_equivalence --test wire_pin
 
+echo "== examples (release) =="
+# Clippy compiles examples/ but nothing else runs them. Each one ends in a
+# self-check of its own (an assert or an OK line), so a non-zero exit is a
+# failure.
+cargo build --release --examples
+for example in examples/*.rs; do
+    name="$(basename "$example" .rs)"
+    if ! "${CARGO_TARGET_DIR:-target}/release/examples/$name" >"$tmp/example.out"; then
+        tail -n 20 "$tmp/example.out" >&2
+        echo "FAIL: example $name exited non-zero" >&2
+        exit 1
+    fi
+    echo "ok     example $name"
+done
+
 echo "== experiments: same bytes in two processes, and the golden files =="
 # Every row of the experiments binary, twice. In-process digests are pinned
 # above; comparing two processes is the check that nothing process-specific
@@ -162,26 +177,33 @@ echo "== benchmark allocation ceilings (release) =="
 # tests/alloc_budget.rs; the two lookups cost the same three, a detoured
 # frame five — a little under, now that the frames the lossy link eats
 # return to the pool — and nothing on the fabric allocates per flush any
-# more).
-while read -r workload ceiling; do
+# more) and heap-bytes-per-frame ceiling (within 0.5 % of this invocation's
+# values: the sinks' latency samples are four bytes each in fixed blocks).
+# Fail unless the last run's metric $2 is present and at most $3.
+under_ceiling() {
+    local value
+    value="$(sed -n "s/.*\"$2\": {\"value\": \([0-9.eE+-]*\).*/\1/p" <<<"$result")"
+    if [ -z "$value" ] || ! awk -v a="$value" -v c="$3" 'BEGIN { exit !(a <= c) }'; then
+        echo "FAIL: $1 $2 ${value:-missing} exceeds ceiling $3" >&2
+        exit 1
+    fi
+    echo "ok     $1: $2 $value <= $3"
+}
+while read -r workload allocs bytes; do
     # A failed check exits non-zero and says so in the JSON; report that.
     result="$(crates/benchmark/run.sh --workload "$workload" --seed 7 --seconds 3 --trace 0 </dev/null | tail -n 1)" || true
-    allocs="$(sed -n 's/.*"allocs_per_pkt": {"value": \([0-9.eE+-]*\).*/\1/p' <<<"$result")"
     if [[ "$result" != *'"correct": true'* ]]; then
         echo "FAIL: $workload did not pass its checks: $result" >&2
         exit 1
     fi
-    if [ -z "$allocs" ] || ! awk -v a="$allocs" -v c="$ceiling" 'BEGIN { exit !(a <= c) }'; then
-        echo "FAIL: $workload allocs_per_pkt ${allocs:-missing} exceeds ceiling $ceiling" >&2
-        exit 1
-    fi
-    echo "ok     $workload: allocs_per_pkt $allocs <= $ceiling"
+    under_ceiling "$workload" allocs_per_pkt "$allocs"
+    under_ceiling "$workload" alloc_bytes_per_pkt "$bytes"
 done <<'CEILINGS'
-lookup_verbs 3.01
-lookup_ops 3.01
-pktbuf_lossy 5.025
-fabric_shard 2.74
-fabric_shard_p2 2.74
+lookup_verbs 3.01 125.2
+lookup_ops 3.01 125.2
+pktbuf_lossy 5.025 213.3
+fabric_shard 2.74 114.8
+fabric_shard_p2 2.74 115.3
 CEILINGS
 
 echo "== non-test lines per crate =="
