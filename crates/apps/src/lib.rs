@@ -16,8 +16,8 @@
 //!   remote packet buffer (experiment E4),
 //! * [`baremetal`] — §2.2 / Fig 1b: VIP→PIP translation for bare-metal
 //!   hosting over the remote lookup table (experiment E2 and ablation A1),
-//! * [`telemetry`] — §2.3 / Fig 1c: per-flow counting and sketches over
-//!   the remote state store (experiment E3 and ablation A2),
+//! * [`telemetry`] — §2.3 / Fig 1c: per-flow counting over the remote
+//!   state store (experiment E3 and ablation A2),
 //! * [`kvcache`] — the §2.2 NetCache aside: in-network key-value serving
 //!   with hot keys in switch SRAM and the full store in server DRAM.
 
@@ -25,7 +25,6 @@
 #![warn(missing_docs)]
 
 pub mod baremetal;
-pub mod cc;
 pub mod incast;
 pub mod kvcache;
 pub mod metrics;

@@ -1,8 +1,8 @@
-//! The §2.3 / Fig 1c telemetry scenario: per-flow counting and sketches in
-//! remote memory (experiments E3, A2).
+//! The §2.3 / Fig 1c telemetry scenario: per-flow counting in remote memory
+//! (experiments E3, A2).
 //!
-//! Traffic between two hosts crosses a ToR running the state-store (or
-//! sketch) program; every packet updates a remote counter via Fetch-and-Add
+//! Traffic between two hosts crosses a ToR running the state-store
+//! program; every packet updates a remote counter via Fetch-and-Add
 //! while being forwarded normally. [`run_counting`] reports counter
 //! accuracy, the FaA bandwidth overhead on the switch↔server link (the
 //! Fig 3b metric), and end-to-end goodput (to verify "no end-to-end
@@ -12,9 +12,8 @@ use crate::metrics::throughput;
 use crate::scenario::{host_ip, host_mac, Built, Testbed};
 use crate::workload::{FlowPick, SinkNode, WorkloadSpec};
 use extmem_core::faa::{FaaConfig, FaaEngine, FaaStats};
-use extmem_core::sketch::{SketchGeometry, SketchKind, SketchProgram};
 use extmem_core::state_store::read_remote_counters;
-use extmem_core::{RdmaChannel, ShardedStateStoreProgram};
+use extmem_core::ShardedStateStoreProgram;
 use extmem_rnic::{RnicConfig, RnicNode};
 use extmem_sim::LinkSpec;
 use extmem_switch::{SwitchConfig, SwitchNode};
@@ -86,35 +85,15 @@ pub struct CountingResult {
     pub server_cpu_packets: u64,
 }
 
-/// Sender (port 0) → receiver (port 1) with a telemetry server of
-/// `region_bytes` on port 2: the shape both telemetry scenarios share.
-/// Returns the testbed and the server's channel.
-fn telemetry_rig(seed: u64, spec: WorkloadSpec, region_bytes: u64) -> (Testbed, RdmaChannel) {
-    let link = LinkSpec::testbed_40g();
-    let mut tb = Testbed::new(seed);
-    tb.gen(spec, link);
-    tb.sink(link);
-    let (_, channel) = tb.server(
-        RnicConfig::default(),
-        ByteSize::from_bytes(region_bytes),
-        link,
-    );
-    (tb, channel)
-}
-
-/// The `n` flows between the two hosts.
-fn telemetry_flows(n: usize) -> Vec<FiveTuple> {
-    (0..n)
-        .map(|i| FiveTuple::new(host_ip(0), host_ip(1), 30_000 + i as u16, 9_000, 17))
-        .collect()
-}
-
 /// Build and run the counting scenario.
 pub fn run_counting(cfg: CountingConfig) -> CountingResult {
+    let flows: Vec<FiveTuple> = (0..cfg.n_flows)
+        .map(|i| FiveTuple::new(host_ip(0), host_ip(1), 30_000 + i as u16, 9_000, 17))
+        .collect();
     let spec = WorkloadSpec {
         src_mac: host_mac(0),
         dst_mac: host_mac(1),
-        flows: telemetry_flows(cfg.n_flows).into(),
+        flows: flows.into(),
         pick: cfg.pick.clone(),
         frame_len: cfg.frame_len,
         offered: Some(cfg.offered),
@@ -123,7 +102,16 @@ pub fn run_counting(cfg: CountingConfig) -> CountingResult {
         arrival: crate::workload::Arrival::Paced,
         flow_id_base: 0,
     };
-    let (tb, channel) = telemetry_rig(cfg.seed, spec, cfg.counters * 8);
+    // Sender (port 0) → receiver (port 1), the telemetry server on port 2.
+    let link = LinkSpec::testbed_40g();
+    let mut tb = Testbed::new(cfg.seed);
+    tb.gen(spec, link);
+    tb.sink(link);
+    let (_, channel) = tb.server(
+        RnicConfig::default(),
+        ByteSize::from_bytes(cfg.counters * 8),
+        link,
+    );
     let rkey = channel.rkey;
     let base_va = channel.base_va;
     let shards = vec![(0, FaaEngine::new(channel, cfg.faa), true)];
@@ -186,78 +174,6 @@ pub fn run_counting(cfg: CountingConfig) -> CountingResult {
     }
 }
 
-/// Sketch-scenario result.
-#[derive(Clone, Debug)]
-pub struct SketchResult {
-    /// Per-candidate `(truth, estimate)` pairs.
-    pub estimates: Vec<(u64, i64)>,
-    /// FaA engine counters.
-    pub faa: FaaStats,
-    /// Heavy hitters found at the given threshold (flow indexes).
-    pub heavy_hitters: Vec<usize>,
-}
-
-/// Run Zipf traffic through a remote sketch and estimate every flow.
-pub fn run_sketch(
-    kind: SketchKind,
-    geometry: SketchGeometry,
-    n_flows: usize,
-    count: u64,
-    hh_threshold: i64,
-    seed: u64,
-) -> SketchResult {
-    let flows = telemetry_flows(n_flows);
-    let spec = WorkloadSpec {
-        src_mac: host_mac(0),
-        dst_mac: host_mac(1),
-        flows: flows.clone().into(),
-        pick: FlowPick::Zipf(1.2),
-        frame_len: 128,
-        offered: Some(Rate::from_gbps(5)),
-        count,
-        seed: seed ^ 0x5e,
-        arrival: crate::workload::Arrival::Paced,
-        flow_id_base: 0,
-    };
-    let (tb, channel) = telemetry_rig(seed, spec, geometry.region_bytes());
-    let rkey = channel.rkey;
-    let base_va = channel.base_va;
-    let engine = FaaEngine::new(channel, FaaConfig::default());
-    let prog = SketchProgram::new(tb.fib(), engine, kind, geometry, TimeDelta::from_micros(50));
-    let Built {
-        mut sim,
-        switch,
-        servers,
-        ..
-    } = tb.build(SwitchConfig::default(), Box::new(prog));
-    let workload = TimeDelta::from_secs_f64(count as f64 * 128.0 * 8.0 / 5e9);
-    sim.run_until(Time::ZERO + workload + TimeDelta::from_millis(20));
-
-    let sw: &SwitchNode = sim.node::<SwitchNode>(switch);
-    let prog = sw.program::<SketchProgram>();
-    let nic = sim.node::<RnicNode>(servers[0]);
-    let counters = read_remote_counters(nic, rkey, base_va, geometry.rows as u64 * geometry.cols);
-
-    let estimates: Vec<(u64, i64)> = flows
-        .iter()
-        .map(|f| {
-            let truth = prog.oracle.get(f).copied().unwrap_or(0);
-            let est = extmem_core::sketch::estimate(kind, &geometry, &counters, f);
-            (truth, est)
-        })
-        .collect();
-    let hh = extmem_core::sketch::heavy_hitters(kind, &geometry, &counters, &flows, hh_threshold);
-    let heavy_hitters = hh
-        .iter()
-        .filter_map(|(f, _)| flows.iter().position(|x| x == f))
-        .collect();
-    SketchResult {
-        estimates,
-        faa: prog.faa_stats(),
-        heavy_hitters,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -305,17 +221,5 @@ mod tests {
             "goodput degraded: {}",
             r.goodput
         );
-    }
-
-    #[test]
-    fn sketch_end_to_end_estimates_track_truth() {
-        let g = SketchGeometry { rows: 4, cols: 512 };
-        let r = run_sketch(SketchKind::CountMin, g, 32, 3000, 200, 5);
-        // CMS never underestimates (after settle, all updates landed).
-        for &(truth, est) in &r.estimates {
-            assert!(est >= truth as i64, "CMS underestimated: {est} < {truth}");
-        }
-        // The Zipf head must be detected as a heavy hitter.
-        assert!(r.heavy_hitters.contains(&0), "{:?}", r.heavy_hitters);
     }
 }

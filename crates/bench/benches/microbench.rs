@@ -1,7 +1,7 @@
 //! Microbenchmarks for the hot paths of the reproduction: packet codecs,
-//! ICRC, switch table/hash units, the event engine, and the sketch
-//! estimators. These gate performance regressions in the substrate that
-//! every experiment stands on.
+//! ICRC, switch table/hash units, the event engine and the RNIC responder.
+//! These gate performance regressions in the substrate that every
+//! experiment stands on.
 //!
 //! Self-timed (`harness = false`): the container has no crates.io access, so
 //! instead of criterion each benchmark is measured with a warmup pass and a
@@ -296,32 +296,6 @@ fn bench_rnic_responder() {
     });
 }
 
-fn bench_sketch() {
-    use extmem_core::sketch::{estimate, SketchGeometry, SketchKind};
-    let g9 = SketchGeometry {
-        rows: 5,
-        cols: 4096,
-    };
-    let counters = vec![7u64; (g9.rows as u64 * g9.cols) as usize];
-    let flow = FiveTuple::new(0x0a000001, 0x0a000002, 40_000, 9_000, 17);
-    bench("sketch", "estimate_cms_5rows", 100_000, || {
-        estimate(
-            SketchKind::CountMin,
-            &g9,
-            black_box(&counters),
-            black_box(&flow),
-        )
-    });
-    bench("sketch", "estimate_countsketch_5rows", 100_000, || {
-        estimate(
-            SketchKind::CountSketch,
-            &g9,
-            black_box(&counters),
-            black_box(&flow),
-        )
-    });
-}
-
 fn main() {
     // `cargo bench` passes harness flags like `--bench`; ignore them.
     bench_wire();
@@ -329,5 +303,4 @@ fn main() {
     bench_switch_units();
     bench_engine();
     bench_rnic_responder();
-    bench_sketch();
 }

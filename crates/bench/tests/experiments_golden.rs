@@ -124,19 +124,22 @@ fn leading_id(text: &str) -> Option<&str> {
     (digits > 0).then(|| &text[..1 + digits])
 }
 
-#[test]
-fn every_documented_experiment_names_a_row() {
-    // DESIGN.md §5: the index table, one `| E1 | …` line per experiment.
-    let design = include_str!("../../../DESIGN.md");
-    let index = design
+/// DESIGN.md §5's index table: one `| E1 | … | Modules | Row |` line per
+/// experiment, as `(id, line)`.
+fn design_index() -> Vec<(&'static str, &'static str)> {
+    include_str!("../../../DESIGN.md")
         .split("## 5. Experiment index")
         .nth(1)
         .and_then(|rest| rest.split("\n## ").next())
-        .expect("DESIGN.md has a §5");
-    let indexed: Vec<&str> = index
+        .expect("DESIGN.md has a §5")
         .lines()
-        .filter_map(|line| leading_id(line.strip_prefix("| ")?))
-        .collect();
+        .filter_map(|line| Some((leading_id(line.strip_prefix("| ")?)?, line)))
+        .collect()
+}
+
+#[test]
+fn every_documented_experiment_names_a_row() {
+    let indexed: Vec<&str> = design_index().into_iter().map(|(id, _)| id).collect();
     assert_eq!(indexed.len(), EXPERIMENTS.len(), "{indexed:?}");
     for id in indexed {
         assert!(
@@ -172,6 +175,64 @@ fn every_documented_experiment_names_a_row() {
         documented += 1;
     }
     assert_eq!(documented, EXPERIMENTS.len());
+}
+
+/// Library modules no DESIGN §5 row names, each with the reason: the
+/// infrastructure every row stands on.
+const NO_ROW_ON_PURPOSE: [(&str, &str); 2] = [
+    (
+        "core::fib",
+        "the L2 forwarding table every program embeds for its non-remote traffic",
+    ),
+    (
+        "apps::workload",
+        "the traffic generators and sinks that drive every row's testbed",
+    ),
+];
+
+/// The reverse of `every_documented_experiment_names_a_row`: each `pub mod`
+/// of `crates/{core,apps}/src/lib.rs` is named (`core::lookup`) in the
+/// Modules cell of some DESIGN §5 row, or is on `NO_ROW_ON_PURPOSE`, and
+/// not both. A library module that no row runs either gets a row or goes.
+#[test]
+fn every_library_module_names_a_row() {
+    // The Modules cell is the one before the Row cell.
+    let named: Vec<&str> = design_index()
+        .into_iter()
+        .flat_map(|(_, line)| {
+            let cells: Vec<&str> = line.trim_end().trim_end_matches('|').split('|').collect();
+            cells[cells.len() - 2].split(|c: char| !(c.is_alphanumeric() || c == '_' || c == ':'))
+        })
+        .filter(|token| token.starts_with("core::") || token.starts_with("apps::"))
+        .collect();
+    let mut modules = Vec::new();
+    for krate in ["core", "apps"] {
+        let lib = fs::read_to_string(repo().join(format!("crates/{krate}/src/lib.rs"))).unwrap();
+        modules.extend(lib.lines().filter_map(|line| {
+            let module = line.strip_prefix("pub mod ")?.strip_suffix(';')?;
+            Some(format!("{krate}::{module}"))
+        }));
+    }
+    for (item, _) in NO_ROW_ON_PURPOSE {
+        assert!(
+            modules.iter().any(|module| module == item),
+            "NO_ROW_ON_PURPOSE names {item}: no such module"
+        );
+        assert!(
+            !named.contains(&item),
+            "{item} has a row: take it off NO_ROW_ON_PURPOSE"
+        );
+    }
+    let exempt = NO_ROW_ON_PURPOSE.map(|(item, _)| item);
+    let rowless: Vec<&str> = modules
+        .iter()
+        .map(String::as_str)
+        .filter(|module| !named.contains(module) && !exempt.contains(module))
+        .collect();
+    assert!(
+        rowless.is_empty(),
+        "library modules no DESIGN.md §5 row names in its Modules cell: {rowless:?}"
+    );
 }
 
 /// The repository root.
@@ -328,20 +389,10 @@ fn documented_paths_and_programs_exist() {
 }
 
 /// Config settings that no shipped code sets, kept on purpose.
-const UNSET_ON_PURPOSE: [(&str, &str); 3] = [
-    (
-        "RnicConfig::outage",
-        "a fault injector: the tests that take a server down are its callers",
-    ),
-    (
-        "SwitchConfig::ecn_threshold",
-        "the §2.1 ECN backstop, which only the end-to-end DCTCP test turns on",
-    ),
-    (
-        "DctcpConfig",
-        "the sender half of the same backstop, run on its defaults",
-    ),
-];
+const UNSET_ON_PURPOSE: [(&str, &str); 1] = [(
+    "RnicConfig::outage",
+    "a fault injector: the tests that take a server down are its callers",
+)];
 
 /// Every `.rs` file under `dir`, each cut at its first `#[cfg(test)]` and
 /// with its `//` comments blanked: the code a build ships.

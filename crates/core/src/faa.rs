@@ -1,4 +1,5 @@
-//! The Fetch-and-Add engine shared by the state-store and sketch programs.
+//! The Fetch-and-Add engine behind each shard of the state-store program
+//! ([`crate::shard::ShardedStateStoreProgram`]).
 //!
 //! §4: "Since there is a maximum limit of outstanding RDMA atomic requests
 //! that an RNIC can handle, we design this primitive to maintain the number
@@ -201,8 +202,8 @@ impl FaaEngine {
         self.pool.is_failed()
     }
 
-    /// Sum (wrapping, i.e. modulo 2^64 — Count Sketch encodes −1 as
-    /// `u64::MAX`) of values accumulated locally and not yet sent.
+    /// Sum (wrapping, i.e. modulo 2^64, as NIC Fetch-and-Add adds) of
+    /// values accumulated locally and not yet sent.
     pub fn pending_sum(&self) -> u64 {
         self.pending.values().fold(0u64, |a, &v| a.wrapping_add(v))
     }
@@ -248,8 +249,8 @@ impl FaaEngine {
         if *entry > 0 {
             self.stats.merged += 1;
         }
-        // Wrapping: signed updates (Count Sketch's −1) travel as
-        // two's-complement u64 values, exactly as Fetch-and-Add treats them.
+        // Wrapping: a NIC Fetch-and-Add adds modulo 2^64, and so does the
+        // local accumulation that stands in for it.
         *entry = entry.wrapping_add(value);
         if was_below && *entry >= self.config.min_batch && self.ready_set.insert(slot) {
             self.ready.push_back(slot);

@@ -12,7 +12,7 @@
 //! | packet buffer | [`packet_buffer`] | ring buffer of fixed-size entries | WRITE + READ |
 //! | lookup table | [`direct_table`] | fixed-size array of (action, packet) slots | WRITE + READ |
 //! | lookup table (one RTT) | [`lookup`] | two-choice cuckoo buckets of (key, action) slots | READ, or one hash-probe op |
-//! | state store | [`shard`] (read back: [`state_store`]), [`sketch`] | array of 64-bit counters, over one or more shards | Fetch-and-Add |
+//! | state store | [`shard`] (read back: [`state_store`]) | array of 64-bit counters, over one or more shards | Fetch-and-Add |
 //! | state store (event capture) | [`trace_store`] | ring of 32-byte packet records | WRITE |
 //!
 //! Supporting modules:
@@ -25,12 +25,10 @@
 //!   issues its RDMA ops through.
 //! * [`fib`] — the basic L2 forwarding table every program embeds.
 //! * [`l2`] — the plain L2 switch program, the paper's §5 baseline.
-//! * [`faa`] — the Fetch-and-Add engine shared by the state-store and
-//!   sketch programs: outstanding-request bounding, local accumulation
-//!   (§4), optional batching and switch-side retransmission (§7 future
-//!   work, built as extensions).
-//! * [`sketch`] — Count-Min and Count Sketch over remote counters (§2.3's
-//!   telemetry use case).
+//! * [`faa`] — the Fetch-and-Add engine behind each state-store shard:
+//!   outstanding-request bounding, local accumulation (§4), optional
+//!   batching and switch-side retransmission (§7 future work, built as
+//!   extensions).
 //! * [`lpm`] — longest-prefix matching over remote memory: the §7
 //!   ternary-matching co-design, solved with one exact-match rung per
 //!   prefix length; a third program on the lookup tables' front, cached
@@ -57,7 +55,6 @@ pub mod lpm;
 pub mod packet_buffer;
 pub mod pool;
 pub mod shard;
-pub mod sketch;
 pub mod slow_path;
 pub mod state_store;
 pub mod trace_store;

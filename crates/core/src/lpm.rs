@@ -97,8 +97,13 @@ pub fn mask(addr: u32, len: u8) -> u32 {
 }
 
 /// The destination IPv4 address of an Ethernet/IPv4 UDP or TCP frame, the
-/// key the ladder is walked with.
+/// key the ladder is walked with. The frame must carry its L4 ports, which
+/// a `KvRespond` action swaps; a shorter one is plain L2 traffic.
 fn dst_of(pkt: &Packet) -> Option<u32> {
+    const L4_PORTS_END: usize = EthernetHeader::LEN + Ipv4Header::LEN + 4;
+    if pkt.len() < L4_PORTS_END {
+        return None;
+    }
     let eth = EthernetHeader::parse(pkt.as_slice()).ok()?;
     if eth.ethertype != extmem_wire::EtherType::Ipv4 {
         return None;
@@ -351,6 +356,8 @@ mod tests {
 
     struct Gen {
         dsts: Vec<u32>,
+        /// Each frame is cut to this many bytes (128 leaves it whole).
+        len: usize,
         sent: usize,
         tx: TxQueue,
     }
@@ -373,7 +380,8 @@ mod tests {
             )
             .unwrap();
             self.sent += 1;
-            self.tx.send(ctx, pkt);
+            let frame = Packet::from_payload(pkt.view(0..self.len));
+            self.tx.send(ctx, frame);
             if self.sent < self.dsts.len() {
                 ctx.schedule(TimeDelta::from_micros(5), 0);
             }
@@ -402,10 +410,23 @@ mod tests {
         }
     }
 
-    /// Three-rung ladder with one route per rung, four misses + one cache
-    /// hit; returns the sink's DSCP sequence, the program stats, and the
-    /// server NIC stats.
-    fn run_ladder(remote_ops: bool) -> (Vec<u8>, LookupStats, extmem_rnic::RnicStats) {
+    /// One destination per rung, one with no route, and a repeat.
+    const LADDER_DSTS: [u32; 5] = [
+        0x0a010203, // /32 hit → DSCP 32
+        0x0a010204, // /24 hit → DSCP 24
+        0x0a010300, // /16 hit → DSCP 10
+        0x0a020000, // no route
+        0x0a010203, // cached /32 on the repeat
+    ];
+
+    /// Three-rung ladder with one DSCP route per rung and a `KvRespond`
+    /// route, frames of `len` bytes to `dsts`; returns the sink's DSCP
+    /// sequence, the program stats, and the server NIC stats.
+    fn run_ladder(
+        remote_ops: bool,
+        dsts: &[u32],
+        len: usize,
+    ) -> (Vec<u8>, LookupStats, extmem_rnic::RnicStats) {
         // Deliberately unsorted with a duplicate: both the program and the
         // install helper normalize, so the layouts must still agree.
         let levels = vec![16u8, 32, 24, 24];
@@ -423,15 +444,18 @@ mod tests {
         let spl = slots_per_level(region.bytes(), &levels);
 
         // Routes: 10.1.0.0/16 → DSCP 10; 10.1.2.0/24 → DSCP 24;
-        // 10.1.2.3/32 → DSCP 32. All forward out port 1.
-        let route = |dscp: u8| {
-            let mut a = ActionEntry::set_dscp(dscp);
+        // 10.1.2.3/32 → DSCP 32; 10.9.0.0/16 → KvRespond. All forward out
+        // port 1.
+        let route = |mut a: ActionEntry| {
             a.port_override = Some(PortId(1));
             a
         };
-        install_remote_route(&mut nic, &channel, &levels, spl, 0x0a010000, 16, route(10));
-        install_remote_route(&mut nic, &channel, &levels, spl, 0x0a010200, 24, route(24));
-        install_remote_route(&mut nic, &channel, &levels, spl, 0x0a010203, 32, route(32));
+        let dscp = |dscp: u8| route(ActionEntry::set_dscp(dscp));
+        install_remote_route(&mut nic, &channel, &levels, spl, 0x0a010000, 16, dscp(10));
+        install_remote_route(&mut nic, &channel, &levels, spl, 0x0a010200, 24, dscp(24));
+        install_remote_route(&mut nic, &channel, &levels, spl, 0x0a010203, 32, dscp(32));
+        let kv = route(ActionEntry::kv_respond(7));
+        install_remote_route(&mut nic, &channel, &levels, spl, 0x0a090000, 16, kv);
 
         let mut fib = Fib::new(8);
         fib.install(MacAddr::local(1), PortId(0));
@@ -444,15 +468,9 @@ mod tests {
             SwitchConfig::default(),
             Box::new(prog),
         )));
-        // Four destinations exercising each rung plus a no-route address.
         let gen = b.add_node(Box::new(Gen {
-            dsts: vec![
-                0x0a010203, // /32 hit → DSCP 32
-                0x0a010204, // /24 hit → DSCP 24
-                0x0a010300, // /16 hit → DSCP 10
-                0x0a020000, // no route
-                0x0a010203, // cached /32 on the repeat
-            ],
+            dsts: dsts.to_vec(),
+            len,
             sent: 0,
             tx: TxQueue::new(PortId(0)),
         }));
@@ -476,7 +494,7 @@ mod tests {
 
     #[test]
     fn longest_prefix_wins_end_to_end() {
-        let (dscps, s, nic) = run_ladder(false);
+        let (dscps, s, nic) = run_ladder(false, &LADDER_DSTS, 128);
         assert_eq!(dscps, vec![32, 24, 10, 32], "wrong rung selected");
         assert_eq!(s.remote_lookups, 4, "repeat must be a cache hit: {s:?}");
         assert_eq!(s.cache_hits, 1);
@@ -491,7 +509,7 @@ mod tests {
 
     #[test]
     fn remote_ops_ladder_is_one_rtt_per_miss() {
-        let (dscps, s, nic) = run_ladder(true);
+        let (dscps, s, nic) = run_ladder(true, &LADDER_DSTS, 128);
         // Same routing outcomes as the verb baseline…
         assert_eq!(dscps, vec![32, 24, 10, 32], "wrong rung selected");
         assert_eq!(s.remote_lookups, 4, "repeat must be a cache hit: {s:?}");
@@ -505,6 +523,20 @@ mod tests {
         assert_eq!(nic.cpu_packets, 0, "remote ops stay one-sided");
         assert_eq!(nic.ext_ops, 4, "one gather per miss");
         assert_eq!(nic.ext_op_steps, 12, "3 rung reads per gather");
+    }
+
+    /// An IPv4/UDP frame that ends with its IPv4 header has no L4 ports for
+    /// a `KvRespond` route to swap: it is plain L2 traffic, never looked up,
+    /// with verbs and with remote ops.
+    #[test]
+    fn frame_without_l4_ports_is_plain_l2() {
+        for remote_ops in [false, true] {
+            let len = EthernetHeader::LEN + Ipv4Header::LEN;
+            let (_, s, nic) = run_ladder(remote_ops, &[0x0a090001], len);
+            assert_eq!(s.non_flow, 1, "{s:?}");
+            assert_eq!(s.remote_lookups, 0, "{s:?}");
+            assert_eq!(nic.ext_ops, 0);
+        }
     }
 
     #[test]

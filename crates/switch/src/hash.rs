@@ -20,8 +20,10 @@ pub fn flow_index(flow: &FiveTuple, buckets: u64) -> u64 {
     hash_to_index(&flow.to_bytes(), buckets)
 }
 
-/// A keyed variant for sketch rows, giving each row of a Count-Min/Count
-/// sketch an independent hash function.
+/// A keyed variant of [`flow_index`]: each salt is an independent hash
+/// function. The choice filter's cell hashes ([`crate::filter::ChoiceFilter`])
+/// and the cuckoo table's two bucket hashes ([`cuckoo_buckets`]) are salts of
+/// this one function.
 ///
 /// Note that simply prepending the salt to the CRC input does **not** work:
 /// CRC is linear, so a fixed-position prefix change XORs every hash by the
@@ -50,21 +52,6 @@ pub fn cuckoo_buckets(flow: &FiveTuple, buckets: u64) -> (u64, u64) {
         salted_flow_index(flow, CUCKOO_SALT_H1, buckets),
         salted_flow_index(flow, CUCKOO_SALT_H2, buckets),
     )
-}
-
-/// The ±1 "sign hash" used by Count Sketch [Charikar et al.], derived from a
-/// different salt space so it is independent of the index hash.
-pub fn flow_sign(flow: &FiveTuple, salt: u32) -> i64 {
-    let crc = crc32(&flow.to_bytes()) as u64;
-    let mixed = splitmix64(
-        crc ^ ((salt as u64).wrapping_mul(0xa5a5_a5a5_5a5a_5a5b)).rotate_left(17)
-            ^ 0xdead_beef_cafe_f00d,
-    );
-    if mixed & 1 == 0 {
-        1
-    } else {
-        -1
-    }
 }
 
 /// The splitmix64 finalizer: a fast, well-mixed 64-bit permutation.
@@ -145,17 +132,6 @@ mod tests {
         }
         // h1 == h2 should happen at roughly the 1/buckets rate, not often.
         assert!(degenerate < 100, "too many degenerate keys: {degenerate}");
-    }
-
-    #[test]
-    fn signs_are_balanced() {
-        let n = 10_000;
-        let plus: i64 = (0..n)
-            .map(|i| flow_sign(&flow(i), 0))
-            .filter(|&s| s == 1)
-            .count() as i64;
-        let frac = plus as f64 / n as f64;
-        assert!((0.45..0.55).contains(&frac), "sign bias: {frac}");
     }
 
     #[test]

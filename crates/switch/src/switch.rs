@@ -55,8 +55,6 @@ pub struct SwitchConfig {
     pub ports: u16,
     /// Shared packet-buffer size (12 MB on the paper's ToR).
     pub buffer: ByteSize,
-    /// ECN CE-marking threshold per egress queue (None = no marking).
-    pub ecn_threshold: Option<ByteSize>,
 }
 
 impl Default for SwitchConfig {
@@ -64,7 +62,6 @@ impl Default for SwitchConfig {
         SwitchConfig {
             ports: 32,
             buffer: ByteSize::from_mb(12),
-            ecn_threshold: None,
         }
     }
 }
@@ -249,13 +246,9 @@ impl SwitchNode {
         config: SwitchConfig,
         program: Box<dyn PipelineProgram>,
     ) -> SwitchNode {
-        let mut tm = TrafficManager::new(config.ports as usize, config.buffer);
-        if let Some(t) = config.ecn_threshold {
-            tm = tm.with_ecn_threshold(t);
-        }
         SwitchNode {
             name: name.into(),
-            tm,
+            tm: TrafficManager::new(config.ports as usize, config.buffer),
             program: Some(program),
             pending_ingress: VecDeque::new(),
             pending_recirc: VecDeque::new(),

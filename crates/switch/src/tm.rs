@@ -20,8 +20,6 @@ pub struct QueueStats {
     pub dequeued: u64,
     /// High-water mark of queued bytes.
     pub max_bytes: u64,
-    /// Packets ECN-marked at admission.
-    pub ecn_marked: u64,
 }
 
 /// The shared-buffer traffic manager with two strict-priority levels per
@@ -36,7 +34,6 @@ pub struct TrafficManager {
     stats: Vec<QueueStats>,
     shared_cap: u64,
     shared_used: u64,
-    ecn_threshold: Option<u64>,
 }
 
 /// Priority level for TM admission.
@@ -60,18 +57,7 @@ impl TrafficManager {
             stats: vec![QueueStats::default(); ports],
             shared_cap: shared_cap.bytes(),
             shared_used: 0,
-            ecn_threshold: None,
         }
-    }
-
-    /// Mark the ECN CE codepoint on ECN-capable IPv4 packets admitted while
-    /// their queue holds more than `threshold` bytes — the switch half of
-    /// the DCTCP-style congestion control the paper leans on for persistent
-    /// congestion ("end-to-end congestion control based on ECN … should
-    /// have slowed traffic", §2.1).
-    pub fn with_ecn_threshold(mut self, threshold: ByteSize) -> TrafficManager {
-        self.ecn_threshold = Some(threshold.bytes());
-        self
     }
 
     /// Try to admit `pkt` to `port`'s normal-priority queue. Returns
@@ -81,7 +67,7 @@ impl TrafficManager {
     }
 
     /// [`TrafficManager::enqueue`] with an explicit priority level.
-    pub fn enqueue_with_priority(&mut self, port: PortId, mut pkt: Packet, prio: Priority) -> bool {
+    pub fn enqueue_with_priority(&mut self, port: PortId, pkt: Packet, prio: Priority) -> bool {
         let p = port.raw() as usize;
         let len = pkt.len() as u64;
         if self.shared_used + len > self.shared_cap {
@@ -92,13 +78,6 @@ impl TrafficManager {
         self.queue_bytes[p] += len;
         self.stats[p].enqueued += 1;
         self.stats[p].max_bytes = self.stats[p].max_bytes.max(self.queue_bytes[p]);
-        if let Some(thresh) = self.ecn_threshold {
-            // Mark based on the pre-enqueue depth (RED-style instantaneous
-            // threshold, as in DCTCP's switch config).
-            if self.queue_bytes[p] - len > thresh && mark_ecn_ce(&mut pkt) {
-                self.stats[p].ecn_marked += 1;
-            }
-        }
         let level = if prio == Priority::High { 0 } else { 1 };
         self.queues[p][level].push_back(pkt);
         true
@@ -176,118 +155,12 @@ impl TrafficManager {
     }
 }
 
-/// Set the ECN field of an IPv4 frame to CE (0b11), fixing the header
-/// checksum. Returns `false` (no mark) for non-IPv4 frames or packets whose
-/// sender did not negotiate ECN (ECT codepoint 0b00).
-fn mark_ecn_ce(pkt: &mut Packet) -> bool {
-    let b = pkt.as_mut_slice();
-    if b.len() < 34 || u16::from_be_bytes([b[12], b[13]]) != 0x0800 {
-        return false;
-    }
-    if b[15] & 0x03 == 0 {
-        return false; // not ECN-capable transport
-    }
-    if b[15] & 0x03 == 0x03 {
-        return false; // already CE: not a mark this switch applied
-    }
-    b[15] |= 0x03;
-    b[24] = 0;
-    b[25] = 0;
-    let csum = extmem_wire::ipv4::internet_checksum(&b[14..34]);
-    b[24..26].copy_from_slice(&csum.to_be_bytes());
-    true
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn pkt(n: usize) -> Packet {
         Packet::zeroed(n)
-    }
-
-    /// A well-formed ECT(1) IPv4 frame for marking tests.
-    fn ect_frame() -> Packet {
-        use extmem_wire::ethernet::{EtherType, EthernetHeader, MacAddr};
-        let mut b = vec![0u8; 64];
-        EthernetHeader {
-            dst: MacAddr::local(2),
-            src: MacAddr::local(1),
-            ethertype: EtherType::Ipv4,
-        }
-        .write(&mut b)
-        .unwrap();
-        extmem_wire::Ipv4Header {
-            dscp: 0,
-            ecn: 1, // ECT(1)
-            total_len: 50,
-            identification: 0,
-            dont_fragment: true,
-            ttl: 64,
-            protocol: 17,
-            src: 1,
-            dst: 2,
-        }
-        .write(&mut b[14..])
-        .unwrap();
-        Packet::from_vec(b)
-    }
-
-    #[test]
-    fn ecn_marks_above_threshold_only() {
-        let mut tm = TrafficManager::new(1, ByteSize::from_kb(100))
-            .with_ecn_threshold(ByteSize::from_bytes(100));
-        // Below threshold: no mark.
-        assert!(tm.enqueue(PortId(0), ect_frame()));
-        assert_eq!(tm.stats(PortId(0)).ecn_marked, 0);
-        // Fill past the threshold, then the next ECT packet gets CE.
-        assert!(tm.enqueue(PortId(0), pkt(200)));
-        assert!(tm.enqueue(PortId(0), ect_frame()));
-        assert_eq!(tm.stats(PortId(0)).ecn_marked, 1);
-        // The marked frame still parses with a valid checksum and ECN=CE.
-        tm.dequeue(PortId(0));
-        tm.dequeue(PortId(0));
-        let marked = tm.dequeue(PortId(0)).unwrap();
-        let ip = extmem_wire::Ipv4Header::parse(&marked.as_slice()[14..]).unwrap();
-        assert_eq!(ip.ecn, 3);
-        tm.check_invariants();
-    }
-
-    #[test]
-    fn ecn_does_not_count_premarked_ce() {
-        let mut tm =
-            TrafficManager::new(1, ByteSize::from_kb(100)).with_ecn_threshold(ByteSize::ZERO);
-        tm.enqueue(PortId(0), pkt(100)); // establish depth
-        let mut ce = ect_frame().into_vec();
-        ce[15] |= 0x03; // already CE
-        ce[24] = 0;
-        ce[25] = 0;
-        let csum = extmem_wire::ipv4::internet_checksum(&ce[14..34]);
-        ce[24..26].copy_from_slice(&csum.to_be_bytes());
-        tm.enqueue(PortId(0), Packet::from_vec(ce));
-        assert_eq!(
-            tm.stats(PortId(0)).ecn_marked,
-            0,
-            "pre-marked CE is not our mark"
-        );
-    }
-
-    #[test]
-    fn ecn_skips_non_ect_and_non_ip() {
-        let mut tm =
-            TrafficManager::new(1, ByteSize::from_kb(100)).with_ecn_threshold(ByteSize::ZERO);
-        tm.enqueue(PortId(0), pkt(100)); // establish depth
-                                         // Non-IP zero frame: not marked.
-        tm.enqueue(PortId(0), pkt(100));
-        // IPv4 but ECN=00 (not ECN-capable): not marked.
-        let mut not_ect = ect_frame().into_vec();
-        not_ect[15] &= !0x03;
-        not_ect[24] = 0;
-        not_ect[25] = 0;
-        let csum = extmem_wire::ipv4::internet_checksum(&not_ect[14..34]);
-        not_ect[24..26].copy_from_slice(&csum.to_be_bytes());
-        tm.enqueue(PortId(0), Packet::from_vec(not_ect));
-        assert_eq!(tm.stats(PortId(0)).ecn_marked, 0);
     }
 
     #[test]

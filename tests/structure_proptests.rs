@@ -1,9 +1,10 @@
-//! Property-based tests for the switch-side data structures and the sketch
-//! estimators, checked against reference models.
+//! Property-based tests for the switch-side data structures (LRU table,
+//! salted hashes, choice filter, shard ring), trace records, the remote LPM
+//! layout, the event queue and both scheduler engines, and the remote-op
+//! engine, each checked against a reference model.
 
-use extmem_core::sketch::{estimate, SketchGeometry, SketchKind};
 use extmem_core::trace_store::{TraceRecord, RECORD_LEN};
-use extmem_switch::hash::{flow_sign, salted_flow_index};
+use extmem_switch::hash::salted_flow_index;
 use extmem_switch::table::{ExactMatchTable, Replacement};
 use extmem_switch::ChoiceFilter;
 use extmem_types::{FiveTuple, Time};
@@ -55,46 +56,6 @@ proptest! {
             }
             prop_assert_eq!(real.len(), model.entries.len());
         }
-    }
-
-    /// Count-Min never underestimates, for arbitrary flow multisets.
-    #[test]
-    fn count_min_never_underestimates(
-        flows in proptest::collection::vec((0u32..64, 1u64..50), 1..40),
-        rows in 2u32..6,
-        cols in 16u64..256,
-    ) {
-        let g = SketchGeometry { rows, cols };
-        let mut counters = vec![0u64; (rows as u64 * cols) as usize];
-        let mut truth: HashMap<u32, u64> = HashMap::new();
-        for &(f, n) in &flows {
-            *truth.entry(f).or_insert(0) += n;
-            let ft = key(f);
-            for row in 0..rows {
-                counters[g.slot(row, &ft) as usize] += n;
-            }
-        }
-        for (&f, &n) in &truth {
-            let est = estimate(SketchKind::CountMin, &g, &counters, &key(f));
-            prop_assert!(est >= n as i64, "flow {} est {} < truth {}", f, est, n);
-        }
-    }
-
-    /// Count Sketch applied to a single flow returns it exactly
-    /// (sign * sign = 1 in every row).
-    #[test]
-    fn count_sketch_single_flow_is_exact(f in 0u32..1000, n in 1u64..1000) {
-        let g = SketchGeometry { rows: 5, cols: 64 };
-        let mut counters = vec![0u64; (5 * 64) as usize];
-        let ft = key(f);
-        for row in 0..5 {
-            let v = flow_sign(&ft, row) as u64;
-            let slot = g.slot(row, &ft) as usize;
-            for _ in 0..n {
-                counters[slot] = counters[slot].wrapping_add(v);
-            }
-        }
-        prop_assert_eq!(estimate(SketchKind::CountSketch, &g, &counters, &ft), n as i64);
     }
 
     /// Trace records round-trip for arbitrary field values.
