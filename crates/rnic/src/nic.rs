@@ -744,6 +744,35 @@ mod tests {
     }
 
     #[test]
+    fn datagram_shorter_than_its_headers_is_dropped_not_panicked() {
+        // A 64-byte frame to the RoCEv2 port with an intact IPv4 checksum
+        // whose `total_len` (20) ends the datagram before the BTH.
+        let (mut sim, driver, rnic) = rig(|qpn, _, _| {
+            let h = extmem_wire::roce::RoceHeaders::new(
+                client_endpoint(),
+                server_endpoint(),
+                0x9000,
+                Bth::new(Opcode::WriteMiddle, qpn, 0),
+                RoceExt::None,
+            );
+            let mut bytes = vec![0u8; 64];
+            h.eth.write(&mut bytes).unwrap();
+            let ipv4 = extmem_wire::Ipv4Header {
+                total_len: 20,
+                ..h.ipv4
+            };
+            ipv4.write(&mut bytes[14..]).unwrap();
+            h.udp.write(&mut bytes[34..]).unwrap();
+            vec![Packet::from_vec(bytes)]
+        });
+        sim.run_to_quiescence();
+        let stats = sim.node::<RnicNode>(rnic).stats();
+        assert_eq!(stats.malformed_drops, 1);
+        assert_eq!(stats.cpu_packets, 0);
+        assert!(sim.node::<Driver>(driver).received.is_empty());
+    }
+
+    #[test]
     fn non_roce_traffic_counts_as_cpu() {
         let (mut sim, _, rnic) = rig(|_, _, _| {
             vec![extmem_wire::payload::build_data_packet(

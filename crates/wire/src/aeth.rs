@@ -5,7 +5,7 @@
 //! count) from NAKs (with a NAK code); the remaining 24 bits carry the
 //! responder's message sequence number (MSN).
 
-use crate::error::take;
+use crate::layout::{check_max, prefix, prefix_mut};
 use crate::{Result, WireError};
 
 /// NAK codes from IB spec §9.7.5.2.8 (the subset a responder can emit here).
@@ -97,7 +97,7 @@ impl Aeth {
 
     /// Parse from the start of `buf`.
     pub fn parse(buf: &[u8]) -> Result<Aeth> {
-        let b = take(buf, 0, Self::LEN, "AETH")?;
+        let b = prefix(buf, Self::LEN, "AETH")?;
         let syndrome_byte = b[0];
         let low5 = syndrome_byte & 0x1f;
         let syndrome = match syndrome_byte >> 5 {
@@ -119,27 +119,15 @@ impl Aeth {
 
     /// Write into the first [`Self::LEN`] bytes of `buf`.
     pub fn write(&self, buf: &mut [u8]) -> Result<()> {
-        if buf.len() < Self::LEN {
-            return Err(WireError::Truncated {
-                what: "AETH",
-                needed: Self::LEN,
-                available: buf.len(),
-            });
-        }
-        if self.msn > crate::bth::MAX_24BIT {
-            return Err(WireError::ValueOutOfRange {
-                field: "MSN",
-                value: self.msn as u64,
-                max: crate::bth::MAX_24BIT as u64,
-            });
-        }
+        let buf = prefix_mut(buf, Self::LEN, "AETH")?;
+        check_max("MSN", self.msn, crate::bth::MAX_24BIT)?;
         let syndrome_byte = match self.syndrome {
             Syndrome::Ack { credits } => {
-                check5("ACK credits", credits)?;
+                check_max("ACK credits", credits, 31u8)?;
                 credits
             }
             Syndrome::RnrNak { timer } => {
-                check5("RNR timer", timer)?;
+                check_max("RNR timer", timer, 31u8)?;
                 (0b001 << 5) | timer
             }
             Syndrome::Nak(code) => (0b011 << 5) | code.to_bits(),
@@ -154,17 +142,6 @@ impl Aeth {
     pub fn is_ack(&self) -> bool {
         matches!(self.syndrome, Syndrome::Ack { .. })
     }
-}
-
-fn check5(field: &'static str, v: u8) -> Result<()> {
-    if v > 31 {
-        return Err(WireError::ValueOutOfRange {
-            field,
-            value: v as u64,
-            max: 31,
-        });
-    }
-    Ok(())
 }
 
 #[cfg(test)]

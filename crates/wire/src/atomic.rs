@@ -6,87 +6,30 @@
 //! response carries the *original* remote value in an AtomicAckETH, which is
 //! how the switch learns the pre-update counter value.
 
-use crate::error::take;
-use crate::{Result, WireError};
+use crate::layout::header;
 use extmem_types::Rkey;
 
-/// A decoded AtomicETH.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct AtomicEth {
-    /// Remote virtual address of the 8-byte target word. Real RNICs require
-    /// 8-byte alignment; our RNIC model enforces the same.
-    pub va: u64,
-    /// Remote access key.
-    pub rkey: Rkey,
-    /// For Fetch-and-Add: the value to add. For Compare-and-Swap: the swap
-    /// value (CAS is not used by the paper and not implemented elsewhere).
-    pub swap_add: u64,
-    /// For Compare-and-Swap: the compare value. Zero for Fetch-and-Add.
-    pub compare: u64,
-}
-
-impl AtomicEth {
-    /// Encoded size in bytes.
-    pub const LEN: usize = 28;
-
-    /// Parse from the start of `buf`.
-    pub fn parse(buf: &[u8]) -> Result<AtomicEth> {
-        let b = take(buf, 0, Self::LEN, "AtomicETH")?;
-        Ok(AtomicEth {
-            va: u64::from_be_bytes(b[0..8].try_into().unwrap()),
-            rkey: Rkey(u32::from_be_bytes(b[8..12].try_into().unwrap())),
-            swap_add: u64::from_be_bytes(b[12..20].try_into().unwrap()),
-            compare: u64::from_be_bytes(b[20..28].try_into().unwrap()),
-        })
-    }
-
-    /// Write into the first [`Self::LEN`] bytes of `buf`.
-    pub fn write(&self, buf: &mut [u8]) -> Result<()> {
-        if buf.len() < Self::LEN {
-            return Err(WireError::Truncated {
-                what: "AtomicETH",
-                needed: Self::LEN,
-                available: buf.len(),
-            });
-        }
-        buf[0..8].copy_from_slice(&self.va.to_be_bytes());
-        buf[8..12].copy_from_slice(&self.rkey.raw().to_be_bytes());
-        buf[12..20].copy_from_slice(&self.swap_add.to_be_bytes());
-        buf[20..28].copy_from_slice(&self.compare.to_be_bytes());
-        Ok(())
+header! {
+    /// A decoded AtomicETH.
+    pub struct AtomicEth as "AtomicETH" {
+        /// Remote virtual address of the 8-byte target word. Real RNICs require
+        /// 8-byte alignment; our RNIC model enforces the same.
+        pub va: u64,
+        /// Remote access key.
+        pub rkey: Rkey,
+        /// For Fetch-and-Add: the value to add. For Compare-and-Swap: the swap
+        /// value (CAS is not used by the paper and not implemented elsewhere).
+        pub swap_add: u64,
+        /// For Compare-and-Swap: the compare value. Zero for Fetch-and-Add.
+        pub compare: u64,
     }
 }
 
-/// A decoded AtomicAckETH, carried in atomic acknowledgements.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct AtomicAckEth {
-    /// The remote word's value *before* the atomic was applied.
-    pub original_value: u64,
-}
-
-impl AtomicAckEth {
-    /// Encoded size in bytes.
-    pub const LEN: usize = 8;
-
-    /// Parse from the start of `buf`.
-    pub fn parse(buf: &[u8]) -> Result<AtomicAckEth> {
-        let b = take(buf, 0, Self::LEN, "AtomicAckETH")?;
-        Ok(AtomicAckEth {
-            original_value: u64::from_be_bytes(b[0..8].try_into().unwrap()),
-        })
-    }
-
-    /// Write into the first [`Self::LEN`] bytes of `buf`.
-    pub fn write(&self, buf: &mut [u8]) -> Result<()> {
-        if buf.len() < Self::LEN {
-            return Err(WireError::Truncated {
-                what: "AtomicAckETH",
-                needed: Self::LEN,
-                available: buf.len(),
-            });
-        }
-        buf[0..8].copy_from_slice(&self.original_value.to_be_bytes());
-        Ok(())
+header! {
+    /// A decoded AtomicAckETH, carried in atomic acknowledgements.
+    pub struct AtomicAckEth as "AtomicAckETH" {
+        /// The remote word's value *before* the atomic was applied.
+        pub original_value: u64,
     }
 }
 

@@ -12,7 +12,7 @@
 //! bytes 9-11  PSN (24 bit)
 //! ```
 
-use crate::error::take;
+use crate::layout::{check_max, prefix, prefix_mut};
 use crate::{Result, WireError};
 use extmem_types::QpNum;
 
@@ -149,7 +149,7 @@ impl Bth {
 
     /// Parse from the start of `buf`.
     pub fn parse(buf: &[u8]) -> Result<Bth> {
-        let b = take(buf, 0, Self::LEN, "BTH")?;
+        let b = prefix(buf, Self::LEN, "BTH")?;
         let opcode = Opcode::from_u8(b[0])?;
         Ok(Bth {
             opcode,
@@ -166,34 +166,10 @@ impl Bth {
 
     /// Write into the first [`Self::LEN`] bytes of `buf`.
     pub fn write(&self, buf: &mut [u8]) -> Result<()> {
-        if buf.len() < Self::LEN {
-            return Err(WireError::Truncated {
-                what: "BTH",
-                needed: Self::LEN,
-                available: buf.len(),
-            });
-        }
-        if self.dest_qp.raw() > MAX_24BIT {
-            return Err(WireError::ValueOutOfRange {
-                field: "destination QP",
-                value: self.dest_qp.raw() as u64,
-                max: MAX_24BIT as u64,
-            });
-        }
-        if self.psn > MAX_24BIT {
-            return Err(WireError::ValueOutOfRange {
-                field: "PSN",
-                value: self.psn as u64,
-                max: MAX_24BIT as u64,
-            });
-        }
-        if self.pad_count > 3 {
-            return Err(WireError::ValueOutOfRange {
-                field: "pad count",
-                value: self.pad_count as u64,
-                max: 3,
-            });
-        }
+        let buf = prefix_mut(buf, Self::LEN, "BTH")?;
+        check_max("destination QP", self.dest_qp.raw(), MAX_24BIT)?;
+        check_max("PSN", self.psn, MAX_24BIT)?;
+        check_max("pad count", self.pad_count, 3u8)?;
         buf[0] = self.opcode as u8;
         buf[1] = ((self.solicited as u8) << 7)
             | ((self.mig_req as u8) << 6)

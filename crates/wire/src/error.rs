@@ -83,25 +83,6 @@ impl fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-/// Bounds-checked slice read helper used by all header parsers.
-pub(crate) fn take<'a>(
-    buf: &'a [u8],
-    at: usize,
-    len: usize,
-    what: &'static str,
-) -> crate::Result<&'a [u8]> {
-    let end = at.checked_add(len).ok_or(WireError::Truncated {
-        what,
-        needed: len,
-        available: 0,
-    })?;
-    buf.get(at..end).ok_or(WireError::Truncated {
-        what,
-        needed: end,
-        available: buf.len(),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -119,13 +100,5 @@ mod tests {
             expected: 2,
         };
         assert!(e.to_string().contains("checksum"));
-    }
-
-    #[test]
-    fn take_rejects_overflow_and_short_buffers() {
-        let buf = [0u8; 4];
-        assert!(take(&buf, 0, 4, "x").is_ok());
-        assert!(take(&buf, 1, 4, "x").is_err());
-        assert!(take(&buf, usize::MAX, 2, "x").is_err());
     }
 }

@@ -1,7 +1,6 @@
 //! Ethernet II framing.
 
-use crate::error::take;
-use crate::{Result, WireError};
+use crate::layout::header;
 use core::fmt;
 
 /// A 48-bit IEEE 802 MAC address.
@@ -77,50 +76,22 @@ impl EtherType {
     }
 }
 
-/// An Ethernet II header (no 802.1Q tag support, matching the paper testbed).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct EthernetHeader {
-    /// Destination MAC.
-    pub dst: MacAddr,
-    /// Source MAC.
-    pub src: MacAddr,
-    /// EtherType of the payload.
-    pub ethertype: EtherType,
-}
-
-impl EthernetHeader {
-    /// Encoded size in bytes.
-    pub const LEN: usize = 14;
-
-    /// Parse from the start of `buf`.
-    pub fn parse(buf: &[u8]) -> Result<EthernetHeader> {
-        let b = take(buf, 0, Self::LEN, "Ethernet header")?;
-        Ok(EthernetHeader {
-            dst: MacAddr(b[0..6].try_into().unwrap()),
-            src: MacAddr(b[6..12].try_into().unwrap()),
-            ethertype: EtherType::from_value(u16::from_be_bytes([b[12], b[13]])),
-        })
-    }
-
-    /// Write into the first [`Self::LEN`] bytes of `buf`.
-    pub fn write(&self, buf: &mut [u8]) -> Result<()> {
-        if buf.len() < Self::LEN {
-            return Err(WireError::Truncated {
-                what: "Ethernet header",
-                needed: Self::LEN,
-                available: buf.len(),
-            });
-        }
-        buf[0..6].copy_from_slice(&self.dst.0);
-        buf[6..12].copy_from_slice(&self.src.0);
-        buf[12..14].copy_from_slice(&self.ethertype.value().to_be_bytes());
-        Ok(())
+header! {
+    /// An Ethernet II header (no 802.1Q tag support, matching the paper testbed).
+    pub struct EthernetHeader as "Ethernet header" {
+        /// Destination MAC.
+        pub dst: MacAddr,
+        /// Source MAC.
+        pub src: MacAddr,
+        /// EtherType of the payload.
+        pub ethertype: EtherType,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::WireError;
 
     #[test]
     fn roundtrip() {

@@ -1,6 +1,6 @@
 //! IPv4 header (RFC 791), without options.
 
-use crate::error::take;
+use crate::layout::{check_max, prefix, prefix_mut, Field};
 use crate::{Result, WireError};
 
 /// IP protocol numbers used in this workspace.
@@ -42,7 +42,7 @@ impl Ipv4Header {
 
     /// Parse from the start of `buf`, verifying version, IHL and checksum.
     pub fn parse(buf: &[u8]) -> Result<Ipv4Header> {
-        let b = take(buf, 0, Self::LEN, "IPv4 header")?;
+        let b = prefix(buf, Self::LEN, "IPv4 header")?;
         let version = b[0] >> 4;
         if version != 4 {
             return Err(WireError::InvalidField {
@@ -71,36 +71,17 @@ impl Ipv4Header {
             dont_fragment: flags_frag & 0x4000 != 0,
             ttl: b[8],
             protocol: b[9],
-            src: u32::from_be_bytes(b[12..16].try_into().unwrap()),
-            dst: u32::from_be_bytes(b[16..20].try_into().unwrap()),
+            src: u32::decode(&b[12..16]),
+            dst: u32::decode(&b[16..20]),
         })
     }
 
     /// Write into the first [`Self::LEN`] bytes of `buf`, computing the
     /// header checksum.
     pub fn write(&self, buf: &mut [u8]) -> Result<()> {
-        if buf.len() < Self::LEN {
-            return Err(WireError::Truncated {
-                what: "IPv4 header",
-                needed: Self::LEN,
-                available: buf.len(),
-            });
-        }
-        if self.dscp > 0x3f {
-            return Err(WireError::ValueOutOfRange {
-                field: "DSCP",
-                value: self.dscp as u64,
-                max: 0x3f,
-            });
-        }
-        if self.ecn > 0x3 {
-            return Err(WireError::ValueOutOfRange {
-                field: "ECN",
-                value: self.ecn as u64,
-                max: 0x3,
-            });
-        }
-        let b = &mut buf[..Self::LEN];
+        let b = prefix_mut(buf, Self::LEN, "IPv4 header")?;
+        check_max("DSCP", self.dscp, 0x3fu8)?;
+        check_max("ECN", self.ecn, 0x3u8)?;
         b[0] = 0x45;
         b[1] = (self.dscp << 2) | self.ecn;
         b[2..4].copy_from_slice(&self.total_len.to_be_bytes());

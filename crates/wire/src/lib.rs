@@ -9,6 +9,8 @@
 //!   transport: BTH, RETH, AtomicETH, AETH, AtomicAckETH and the ICRC32
 //!   trailer, covering the one-sided verbs the paper uses — RDMA WRITE,
 //!   RDMA READ and atomic Fetch-and-Add,
+//! * the remote-op headers of [`extop`]: HashProbeETH, CondWriteETH and
+//!   GatherETH on requests, ExtOpAckETH on the response,
 //! * a small application payload format used by the workload generators so
 //!   that end-to-end tests can verify byte-exact, in-order delivery.
 //!
@@ -18,7 +20,12 @@
 //! these constants.
 //!
 //! Parsing never panics on malformed input: every decoder returns
-//! [`WireError`] and is exercised with property-based fuzz tests.
+//! [`WireError`] and is exercised with property-based fuzz tests, among
+//! them `robustness_proptests::roce_parser_total_past_the_ip_checksum`,
+//! which edits the lengths, opcode and extended header of valid frames
+//! behind an intact IPv4 checksum. Each byte-aligned header is declared
+//! once, as a field list its parser and writer are both generated from;
+//! BTH, AETH and IPv4 keep hand-written bit-field code.
 
 // Unsafe is denied crate-wide; the one exemption is the PCLMULQDQ CRC-32
 // kernel in `icrc` (raw SIMD intrinsics behind a runtime feature check),
@@ -35,6 +42,7 @@ pub mod ethernet;
 pub mod extop;
 pub mod icrc;
 pub mod ipv4;
+mod layout;
 pub mod packet;
 pub mod payload;
 pub mod pool;

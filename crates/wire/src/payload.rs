@@ -9,6 +9,7 @@
 
 use crate::ethernet::{EtherType, EthernetHeader, MacAddr};
 use crate::ipv4::{proto, Ipv4Header};
+use crate::layout::{check_max, header, tail};
 use crate::packet::Packet;
 use crate::udp::UdpHeader;
 use crate::{Result, WireError};
@@ -17,10 +18,20 @@ use extmem_types::{FiveTuple, Time};
 /// Magic number identifying workload payloads ("XM").
 pub const DATA_MAGIC: u16 = 0x584d;
 
+header! {
+    /// The workload payload header as it sits on the wire.
+    struct WireDataHeader as "workload header" {
+        magic: u16,
+        flow_id: u32,
+        seq: u32,
+        sent_at_ps: u64,
+    }
+}
+
 /// Encoded size of the workload payload header. Kept compact (18 bytes) so a
 /// 64-byte frame — the smallest point on the paper's Fig 3 x-axis — can carry
 /// it: 14 (Eth) + 20 (IP) + 8 (UDP) + 18 = 60 <= 64.
-pub const DATA_HEADER_LEN: usize = 2 + 4 + 4 + 8;
+pub const DATA_HEADER_LEN: usize = WireDataHeader::LEN;
 
 /// Minimum total frame size able to carry the workload header.
 pub const MIN_DATA_FRAME: usize =
@@ -84,13 +95,7 @@ pub fn build_data_packet(
             max: MIN_DATA_FRAME as u64, // reported as the minimum bound
         });
     }
-    if frame_len > u16::MAX as usize {
-        return Err(WireError::ValueOutOfRange {
-            field: "workload frame length",
-            value: frame_len as u64,
-            max: u16::MAX as u64,
-        });
-    }
+    check_max("workload frame length", frame_len as u64, u16::MAX)?;
     let mut buf = crate::pool::take();
     buf.resize(frame_len, 0);
     EthernetHeader {
@@ -121,10 +126,13 @@ pub fn build_data_packet(
     }
     .write(&mut buf[udp_at..])?;
     let p = udp_at + UdpHeader::LEN;
-    buf[p..p + 2].copy_from_slice(&DATA_MAGIC.to_be_bytes());
-    buf[p + 2..p + 6].copy_from_slice(&flow_id.to_be_bytes());
-    buf[p + 6..p + 10].copy_from_slice(&seq.to_be_bytes());
-    buf[p + 10..p + 18].copy_from_slice(&sent_at.picos().to_be_bytes());
+    WireDataHeader {
+        magic: DATA_MAGIC,
+        flow_id,
+        seq,
+        sent_at_ps: sent_at.picos(),
+    }
+    .write(&mut buf[p..])?;
     let first = filler_byte(flow_id, seq, 0);
     for block in buf[p + DATA_HEADER_LEN..].chunks_mut(RAMP_PERIOD) {
         block.copy_from_slice(ramp(first, block.len()));
@@ -141,27 +149,21 @@ pub fn parse_data_packet(pkt: &Packet) -> Result<Option<DataPacketInfo>> {
     if eth.ethertype != EtherType::Ipv4 {
         return Ok(None);
     }
-    let ipv4 = Ipv4Header::parse(&buf[EthernetHeader::LEN..])?;
+    let ipv4 = Ipv4Header::parse(tail(buf, EthernetHeader::LEN))?;
     if ipv4.protocol != proto::UDP {
         return Ok(None);
     }
     let udp_at = EthernetHeader::LEN + Ipv4Header::LEN;
-    let udp = UdpHeader::parse(&buf[udp_at..])?;
+    let udp = UdpHeader::parse(tail(buf, udp_at))?;
     if udp.dst_port == crate::udp::ROCEV2_PORT {
         return Ok(None);
     }
     let p = udp_at + UdpHeader::LEN;
-    if buf.len() < p + DATA_HEADER_LEN {
-        return Ok(None);
-    }
-    let magic = u16::from_be_bytes(buf[p..p + 2].try_into().unwrap());
-    if magic != DATA_MAGIC {
-        return Ok(None);
-    }
-    let flow_id = u32::from_be_bytes(buf[p + 2..p + 6].try_into().unwrap());
-    let seq = u32::from_be_bytes(buf[p + 6..p + 10].try_into().unwrap());
-    let sent_at = Time::from_picos(u64::from_be_bytes(buf[p + 10..p + 18].try_into().unwrap()));
-    let filler = &buf[p + DATA_HEADER_LEN..];
+    let (flow_id, seq, sent_at_ps) = match WireDataHeader::parse(tail(buf, p)) {
+        Ok(h) if h.magic == DATA_MAGIC => (h.flow_id, h.seq, h.sent_at_ps),
+        _ => return Ok(None),
+    };
+    let filler = tail(buf, p + DATA_HEADER_LEN);
     let first = filler_byte(flow_id, seq, 0);
     let intact = filler
         .chunks(RAMP_PERIOD)
@@ -184,7 +186,7 @@ pub fn parse_data_packet(pkt: &Packet) -> Result<Option<DataPacketInfo>> {
         data: DataHeader {
             flow_id,
             seq,
-            sent_at,
+            sent_at: Time::from_picos(sent_at_ps),
         },
     }))
 }

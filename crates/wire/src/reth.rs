@@ -3,48 +3,18 @@
 //! Carried by WRITE first/only packets and READ requests; names the remote
 //! virtual address, rkey and DMA length of the one-sided operation.
 
-use crate::error::take;
-use crate::{Result, WireError};
+use crate::layout::header;
 use extmem_types::Rkey;
 
-/// A decoded RETH.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct Reth {
-    /// Remote virtual address the operation targets.
-    pub va: u64,
-    /// Remote access key of the registered memory region.
-    pub rkey: Rkey,
-    /// Total DMA length of the message in bytes.
-    pub dma_len: u32,
-}
-
-impl Reth {
-    /// Encoded size in bytes.
-    pub const LEN: usize = 16;
-
-    /// Parse from the start of `buf`.
-    pub fn parse(buf: &[u8]) -> Result<Reth> {
-        let b = take(buf, 0, Self::LEN, "RETH")?;
-        Ok(Reth {
-            va: u64::from_be_bytes(b[0..8].try_into().unwrap()),
-            rkey: Rkey(u32::from_be_bytes(b[8..12].try_into().unwrap())),
-            dma_len: u32::from_be_bytes(b[12..16].try_into().unwrap()),
-        })
-    }
-
-    /// Write into the first [`Self::LEN`] bytes of `buf`.
-    pub fn write(&self, buf: &mut [u8]) -> Result<()> {
-        if buf.len() < Self::LEN {
-            return Err(WireError::Truncated {
-                what: "RETH",
-                needed: Self::LEN,
-                available: buf.len(),
-            });
-        }
-        buf[0..8].copy_from_slice(&self.va.to_be_bytes());
-        buf[8..12].copy_from_slice(&self.rkey.raw().to_be_bytes());
-        buf[12..16].copy_from_slice(&self.dma_len.to_be_bytes());
-        Ok(())
+header! {
+    /// A decoded RETH.
+    pub struct Reth as "RETH" {
+        /// Remote virtual address the operation targets.
+        pub va: u64,
+        /// Remote access key of the registered memory region.
+        pub rkey: Rkey,
+        /// Total DMA length of the message in bytes.
+        pub dma_len: u32,
     }
 }
 

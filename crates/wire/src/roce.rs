@@ -16,11 +16,11 @@ use crate::aeth::Aeth;
 use crate::atomic::{AtomicAckEth, AtomicEth};
 use crate::bth::{Bth, Opcode};
 use crate::bytes::Payload;
-use crate::error::take;
 use crate::ethernet::{EtherType, EthernetHeader, MacAddr};
 use crate::extop::{CondWriteEth, ExtOpAckEth, GatherEth, HashProbeEth};
 use crate::icrc::{icrc_rocev2, ICRC_LEN};
 use crate::ipv4::{proto, Ipv4Header};
+use crate::layout::{prefix, tail};
 use crate::packet::Packet;
 use crate::reth::Reth;
 use crate::udp::{UdpHeader, ROCEV2_PORT};
@@ -439,53 +439,48 @@ impl RocePacket {
     /// protocol or UDP port); returns an error if it *is* RoCEv2 but
     /// malformed.
     pub fn parse(pkt: &Packet) -> Result<Option<RocePacket>> {
+        const UDP_AT: usize = EthernetHeader::LEN + Ipv4Header::LEN;
+        const BTH_AT: usize = UDP_AT + UdpHeader::LEN;
+        const EXT_AT: usize = BTH_AT + Bth::LEN;
         let buf = pkt.as_slice();
         let eth = EthernetHeader::parse(buf)?;
         if eth.ethertype != EtherType::Ipv4 {
             return Ok(None);
         }
-        let ipv4 = Ipv4Header::parse(&buf[EthernetHeader::LEN..])?;
+        let ipv4 = Ipv4Header::parse(tail(buf, EthernetHeader::LEN))?;
         if ipv4.protocol != proto::UDP {
             return Ok(None);
         }
-        let udp_at = EthernetHeader::LEN + Ipv4Header::LEN;
-        let udp = UdpHeader::parse(&buf[udp_at..])?;
+        let udp = UdpHeader::parse(tail(buf, UDP_AT))?;
         if udp.dst_port != ROCEV2_PORT {
             return Ok(None);
         }
 
-        // From here on, malformations are errors, not "not RoCE".
+        // From here on, malformations are errors, not "not RoCE". Every
+        // later header and the trailer lie inside the IPv4 datagram, so they
+        // are read from `frame`, which ends where `total_len` says.
         let ip_end = EthernetHeader::LEN + ipv4.total_len as usize;
-        if ip_end > buf.len() {
-            return Err(WireError::Truncated {
-                what: "RoCE frame (IPv4 total_len)",
-                needed: ip_end,
-                available: buf.len(),
-            });
-        }
-        let bth_at = udp_at + UdpHeader::LEN;
-        let bth = Bth::parse(&buf[bth_at..ip_end])?;
-        let ext_at = bth_at + Bth::LEN;
+        let frame = prefix(buf, ip_end, "RoCE frame (IPv4 total_len)")?;
+        let bth = Bth::parse(tail(frame, BTH_AT))?;
+        let ext_buf = tail(frame, EXT_AT);
         let ext = match RoceExt::expected_for(bth.opcode) {
             ExtKind::None => RoceExt::None,
-            ExtKind::Reth => RoceExt::Reth(Reth::parse(&buf[ext_at..ip_end])?),
-            ExtKind::Aeth => RoceExt::Aeth(Aeth::parse(&buf[ext_at..ip_end])?),
-            ExtKind::AtomicEth => RoceExt::AtomicEth(AtomicEth::parse(&buf[ext_at..ip_end])?),
-            ExtKind::AtomicAck => {
-                let aeth = Aeth::parse(&buf[ext_at..ip_end])?;
-                let ack = AtomicAckEth::parse(&buf[ext_at + Aeth::LEN..ip_end])?;
-                RoceExt::AtomicAck(aeth, ack)
-            }
-            ExtKind::HashProbe => RoceExt::HashProbe(HashProbeEth::parse(&buf[ext_at..ip_end])?),
-            ExtKind::CondWrite => RoceExt::CondWrite(CondWriteEth::parse(&buf[ext_at..ip_end])?),
-            ExtKind::Gather => RoceExt::Gather(GatherEth::parse(&buf[ext_at..ip_end])?),
-            ExtKind::ExtOpAck => {
-                let aeth = Aeth::parse(&buf[ext_at..ip_end])?;
-                let ack = ExtOpAckEth::parse(&buf[ext_at + Aeth::LEN..ip_end])?;
-                RoceExt::ExtOpAck(aeth, ack)
-            }
+            ExtKind::Reth => RoceExt::Reth(Reth::parse(ext_buf)?),
+            ExtKind::Aeth => RoceExt::Aeth(Aeth::parse(ext_buf)?),
+            ExtKind::AtomicEth => RoceExt::AtomicEth(AtomicEth::parse(ext_buf)?),
+            ExtKind::AtomicAck => RoceExt::AtomicAck(
+                Aeth::parse(ext_buf)?,
+                AtomicAckEth::parse(tail(ext_buf, Aeth::LEN))?,
+            ),
+            ExtKind::HashProbe => RoceExt::HashProbe(HashProbeEth::parse(ext_buf)?),
+            ExtKind::CondWrite => RoceExt::CondWrite(CondWriteEth::parse(ext_buf)?),
+            ExtKind::Gather => RoceExt::Gather(GatherEth::parse(ext_buf)?),
+            ExtKind::ExtOpAck => RoceExt::ExtOpAck(
+                Aeth::parse(ext_buf)?,
+                ExtOpAckEth::parse(tail(ext_buf, Aeth::LEN))?,
+            ),
         };
-        let payload_at = ext_at + ext.len();
+        let payload_at = EXT_AT + ext.len();
         let trailer = ICRC_LEN + bth.pad_count as usize;
         if ip_end < payload_at + trailer {
             return Err(WireError::Truncated {
@@ -496,12 +491,15 @@ impl RocePacket {
         }
         let payload = pkt.view(payload_at..ip_end - trailer);
 
-        let found = u32::from_le_bytes(
-            take(buf, ip_end - ICRC_LEN, ICRC_LEN, "ICRC")?
-                .try_into()
-                .unwrap(),
-        );
-        let expected = icrc_rocev2(&buf[EthernetHeader::LEN..ip_end - ICRC_LEN]);
+        let (covered, icrc) = frame
+            .split_last_chunk::<ICRC_LEN>()
+            .ok_or(WireError::Truncated {
+                what: "ICRC",
+                needed: ICRC_LEN,
+                available: frame.len(),
+            })?;
+        let found = u32::from_le_bytes(*icrc);
+        let expected = icrc_rocev2(tail(covered, EthernetHeader::LEN));
         if found != expected {
             return Err(WireError::BadIcrc { found, expected });
         }
@@ -788,6 +786,37 @@ mod tests {
             .unwrap()
             .unwrap();
         assert_eq!(parsed.ipv4.ttl, 63);
+    }
+
+    #[test]
+    fn total_len_short_of_the_headers_is_truncated() {
+        // A 64-byte frame to the RoCEv2 port, intact IPv4 checksum, whose
+        // datagram ends before the BTH (or inside it, at 39).
+        let (s, d) = endpoints();
+        let h = RoceHeaders::new(
+            s,
+            d,
+            1,
+            Bth::new(Opcode::WriteOnly, QpNum(1), 0),
+            RoceExt::None,
+        );
+        for total_len in [0, 20, 27, 39] {
+            let mut buf = vec![0u8; 64];
+            h.eth.write(&mut buf).unwrap();
+            let ipv4 = Ipv4Header {
+                total_len,
+                ..h.ipv4
+            };
+            ipv4.write(&mut buf[EthernetHeader::LEN..]).unwrap();
+            h.udp.write(&mut buf[34..]).unwrap();
+            assert!(
+                matches!(
+                    RocePacket::parse(&Packet::from_vec(buf)),
+                    Err(WireError::Truncated { .. })
+                ),
+                "total_len {total_len}"
+            );
+        }
     }
 
     #[test]

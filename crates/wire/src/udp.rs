@@ -1,56 +1,24 @@
 //! UDP header (RFC 768).
 
-use crate::error::take;
-use crate::{Result, WireError};
+use crate::layout::header;
 
 /// The IANA-assigned UDP destination port for RoCEv2.
 pub const ROCEV2_PORT: u16 = 4791;
 
-/// A UDP header. RoCEv2 runs over UDP destination port [`ROCEV2_PORT`]; the
-/// checksum is commonly transmitted as zero for RoCEv2 (the ICRC covers the
-/// payload), which is what our builder does.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct UdpHeader {
-    /// Source port. RNICs use this for ECMP entropy; our builders set a
-    /// per-queue-pair value.
-    pub src_port: u16,
-    /// Destination port.
-    pub dst_port: u16,
-    /// Length of header plus payload.
-    pub length: u16,
-    /// Checksum (0 = not computed, standard for RoCEv2).
-    pub checksum: u16,
-}
-
-impl UdpHeader {
-    /// Encoded size in bytes.
-    pub const LEN: usize = 8;
-
-    /// Parse from the start of `buf`.
-    pub fn parse(buf: &[u8]) -> Result<UdpHeader> {
-        let b = take(buf, 0, Self::LEN, "UDP header")?;
-        Ok(UdpHeader {
-            src_port: u16::from_be_bytes([b[0], b[1]]),
-            dst_port: u16::from_be_bytes([b[2], b[3]]),
-            length: u16::from_be_bytes([b[4], b[5]]),
-            checksum: u16::from_be_bytes([b[6], b[7]]),
-        })
-    }
-
-    /// Write into the first [`Self::LEN`] bytes of `buf`.
-    pub fn write(&self, buf: &mut [u8]) -> Result<()> {
-        if buf.len() < Self::LEN {
-            return Err(WireError::Truncated {
-                what: "UDP header",
-                needed: Self::LEN,
-                available: buf.len(),
-            });
-        }
-        buf[0..2].copy_from_slice(&self.src_port.to_be_bytes());
-        buf[2..4].copy_from_slice(&self.dst_port.to_be_bytes());
-        buf[4..6].copy_from_slice(&self.length.to_be_bytes());
-        buf[6..8].copy_from_slice(&self.checksum.to_be_bytes());
-        Ok(())
+header! {
+    /// A UDP header. RoCEv2 runs over UDP destination port [`ROCEV2_PORT`]; the
+    /// checksum is commonly transmitted as zero for RoCEv2 (the ICRC covers the
+    /// payload), which is what our builder does.
+    pub struct UdpHeader as "UDP header" {
+        /// Source port. RNICs use this for ECMP entropy; our builders set a
+        /// per-queue-pair value.
+        pub src_port: u16,
+        /// Destination port.
+        pub dst_port: u16,
+        /// Length of header plus payload.
+        pub length: u16,
+        /// Checksum (0 = not computed, standard for RoCEv2).
+        pub checksum: u16,
     }
 }
 

@@ -47,6 +47,23 @@ if grep -rn 'pool::recycle\|recover_vec' crates tests examples; then
     exit 1
 fi
 
+echo "== no unwrap/expect in the wire codecs =="
+# A parser answers any bytes with a value or a WireError, and a writer any
+# buffer. The non-test part of each wire file (up to its first column-0
+# `#[cfg(test)]`, as scripts/loc.sh counts; doc-comment lines aside) holds no
+# `.unwrap()` or `.expect(`. bytes.rs and packet.rs are exempt: their three
+# sites check invariants of buffers they own, not input.
+unwraps="$(for f in crates/wire/src/*.rs; do
+    case "$f" in */bytes.rs | */packet.rs) continue ;; esac
+    awk -v f="$f" '/^#\[cfg\(test\)\]/ { exit }
+        !/^[[:space:]]*\/\/[\/!]/ && /\.unwrap\(\)|\.expect\(/ { printf "%s:%d: %s\n", f, NR, $0 }' "$f"
+done)"
+if [ -n "$unwraps" ]; then
+    echo "$unwraps" >&2
+    echo "FAIL: wire codecs return WireError; no unwrap/expect outside tests" >&2
+    exit 1
+fi
+
 echo "== fault-matrix smoke (worst cell, release) =="
 # The full loss x outage x reorder grid already ran under `cargo test`;
 # this re-runs just the harshest cell per primitive under the release

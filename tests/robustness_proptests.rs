@@ -71,6 +71,180 @@ proptest! {
     }
 }
 
+/// A valid RoCEv2 frame for `opcode`, with the extended header it requires.
+fn valid_roce_frame(opcode: extmem_wire::bth::Opcode, payload: Vec<u8>) -> Vec<u8> {
+    use extmem_types::{QpNum, Rkey};
+    use extmem_wire::aeth::Aeth;
+    use extmem_wire::atomic::{AtomicAckEth, AtomicEth};
+    use extmem_wire::bth::{Bth, Opcode::*};
+    use extmem_wire::extop::{CondWriteEth, ExtOpAckEth, GatherEth, HashProbeEth};
+    use extmem_wire::reth::Reth;
+    use extmem_wire::roce::{RoceEndpoint, RoceExt};
+    use extmem_wire::MacAddr;
+    let rkey = Rkey(7);
+    let ext = match opcode {
+        WriteFirst | WriteOnly | ReadRequest => RoceExt::Reth(Reth {
+            va: 0x1000,
+            rkey,
+            dma_len: 64,
+        }),
+        WriteMiddle | WriteLast | ReadRespMiddle => RoceExt::None,
+        ReadRespFirst | ReadRespLast | ReadRespOnly | Acknowledge => RoceExt::Aeth(Aeth::ack(1)),
+        FetchAdd => RoceExt::AtomicEth(AtomicEth {
+            va: 0x1000,
+            rkey,
+            swap_add: 1,
+            compare: 0,
+        }),
+        AtomicAcknowledge => RoceExt::AtomicAck(Aeth::ack(1), AtomicAckEth { original_value: 9 }),
+        HashProbe => RoceExt::HashProbe(HashProbeEth {
+            base_va: 0x1000,
+            rkey,
+            b1: 1,
+            b2: 2,
+            bucket_bytes: 64,
+            slot_bytes: 16,
+            key_off: 0,
+            key_len: 8,
+        }),
+        CondWrite => RoceExt::CondWrite(CondWriteEth {
+            cmp_va: 0x1000,
+            write_va: 0x2000,
+            rkey,
+            cmp_len: 8,
+        }),
+        GatherWalk => RoceExt::Gather(GatherEth {
+            rkey,
+            word_len: 8,
+            count: 2,
+        }),
+        ExtOpResp => RoceExt::ExtOpAck(
+            Aeth::ack(1),
+            ExtOpAckEth {
+                op: HashProbe as u8,
+                flags: 1,
+                index: 0,
+            },
+        ),
+    };
+    let src = RoceEndpoint {
+        mac: MacAddr::local(1),
+        ip: 1,
+    };
+    let dst = RoceEndpoint {
+        mac: MacAddr::local(2),
+        ip: 2,
+    };
+    RocePacket::new(src, dst, 9, Bth::new(opcode, QpNum(3), 4), ext, payload)
+        .build()
+        .unwrap()
+        .into_vec()
+}
+
+/// Every BTH opcode the parser knows.
+const OPCODES: [extmem_wire::bth::Opcode; 16] = {
+    use extmem_wire::bth::Opcode::*;
+    [
+        WriteFirst,
+        WriteMiddle,
+        WriteLast,
+        WriteOnly,
+        ReadRequest,
+        ReadRespFirst,
+        ReadRespMiddle,
+        ReadRespLast,
+        ReadRespOnly,
+        Acknowledge,
+        AtomicAcknowledge,
+        FetchAdd,
+        HashProbe,
+        CondWrite,
+        GatherWalk,
+        ExtOpResp,
+    ]
+};
+
+/// One field of a valid frame overwritten, each a length or selector the
+/// parser trusts once the IPv4 checksum holds.
+#[derive(Clone, Copy, Debug)]
+enum FrameEdit {
+    /// IPv4 `total_len`: where the parser thinks the datagram ends.
+    IpTotalLen(u16),
+    /// UDP `length`.
+    UdpLength(u16),
+    /// The BTH opcode byte: another known opcode or any byte.
+    Opcode(u8),
+    /// The BTH pad count (0..=3).
+    PadCount(u8),
+    /// One byte of the extended header, at `at % its length`.
+    ExtByte { at: usize, value: u8 },
+}
+
+fn frame_edit() -> impl Strategy<Value = FrameEdit> {
+    // `total_len` mostly near real frame sizes, where it ends the datagram
+    // inside or before the headers; sometimes anywhere.
+    prop_oneof![
+        (0u16..200).prop_map(FrameEdit::IpTotalLen),
+        any::<u16>().prop_map(FrameEdit::IpTotalLen),
+        any::<u16>().prop_map(FrameEdit::UdpLength),
+        (0usize..OPCODES.len()).prop_map(|i| FrameEdit::Opcode(OPCODES[i] as u8)),
+        any::<u8>().prop_map(FrameEdit::Opcode),
+        (0u8..4).prop_map(FrameEdit::PadCount),
+        (any::<usize>(), any::<u8>()).prop_map(|(at, value)| FrameEdit::ExtByte { at, value }),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 2048, ..ProptestConfig::default() })]
+
+    /// Random bytes almost never carry a valid IPv4 checksum and the RoCEv2
+    /// port, so they stop before the RoCE layer. This starts from a valid
+    /// frame of every opcode, overwrites one field the RoCE layer trusts,
+    /// re-seals the IPv4 checksum (and, half the time, the ICRC where the
+    /// parser will look for it), and requires `Ok` or `Err`, never a panic.
+    #[test]
+    fn roce_parser_total_past_the_ip_checksum(
+        op in 0usize..OPCODES.len(),
+        payload in proptest::collection::vec(any::<u8>(), 0..48),
+        edit in frame_edit(),
+        reseal_icrc: bool,
+    ) {
+        use extmem_wire::icrc::{icrc_rocev2, ICRC_LEN};
+        use extmem_wire::ipv4::internet_checksum;
+        const IP_AT: usize = 14;
+        const BTH_AT: usize = IP_AT + 20 + 8;
+        const EXT_AT: usize = BTH_AT + 12;
+        let opcode = OPCODES[op];
+        let mut bytes = valid_roce_frame(opcode, payload.clone());
+        let ext_len = valid_roce_frame(opcode, Vec::new()).len() - EXT_AT - ICRC_LEN;
+        match edit {
+            FrameEdit::IpTotalLen(v) => bytes[IP_AT + 2..IP_AT + 4].copy_from_slice(&v.to_be_bytes()),
+            FrameEdit::UdpLength(v) => bytes[IP_AT + 24..IP_AT + 26].copy_from_slice(&v.to_be_bytes()),
+            FrameEdit::Opcode(v) => bytes[BTH_AT] = v,
+            FrameEdit::PadCount(v) => bytes[BTH_AT + 1] = (bytes[BTH_AT + 1] & !0x30) | (v << 4),
+            FrameEdit::ExtByte { at, value } if ext_len > 0 => bytes[EXT_AT + at % ext_len] = value,
+            FrameEdit::ExtByte { .. } => {}
+        }
+        bytes[IP_AT + 10..IP_AT + 12].fill(0);
+        let csum = internet_checksum(&bytes[IP_AT..IP_AT + 20]);
+        bytes[IP_AT + 10..IP_AT + 12].copy_from_slice(&csum.to_be_bytes());
+        let ip_end = IP_AT + u16::from_be_bytes([bytes[IP_AT + 2], bytes[IP_AT + 3]]) as usize;
+        if reseal_icrc && ip_end <= bytes.len() && ip_end >= EXT_AT + ICRC_LEN {
+            let icrc = icrc_rocev2(&bytes[IP_AT..ip_end - ICRC_LEN]);
+            bytes[ip_end - ICRC_LEN..ip_end].copy_from_slice(&icrc.to_le_bytes());
+        }
+        let parsed = std::panic::catch_unwind(|| RocePacket::parse(&Packet::from_vec(bytes)));
+        prop_assert!(
+            parsed.is_ok(),
+            "parser panicked: {:?} frame ({}-byte payload) with {:?}, ICRC resealed: {}",
+            opcode,
+            payload.len(),
+            edit,
+            reseal_icrc
+        );
+    }
+}
+
 /// The event queue pops in exact `(time, insertion)` order for arbitrary
 /// schedules (this drives the whole simulator's determinism).
 #[test]
