@@ -28,7 +28,7 @@ use extmem_rnic::RnicNode;
 use extmem_sim::TimerHandle;
 use extmem_switch::SwitchCtx;
 use extmem_types::{ByteSize, PortId, QpNum, Rkey, Time, TimeDelta};
-use extmem_wire::bth::{psn_add, psn_before, Opcode};
+use extmem_wire::bth::{psn_before, Opcode};
 use extmem_wire::roce::{RoceEndpoint, RoceExt, RocePacket};
 use extmem_wire::{Packet, Payload};
 use std::collections::VecDeque;
@@ -99,7 +99,7 @@ impl RdmaChannel {
     ) -> RdmaChannel {
         let (rkey, base_va) = nic.register_region(region_size);
         let qpn = nic.create_qp(switch_endpoint, SWITCH_QPN, start_psn);
-        let mut qp = RequesterQp::new(switch_endpoint, nic.endpoint(), qpn, nic.mtu());
+        let mut qp = RequesterQp::new(switch_endpoint, nic.endpoint(), qpn);
         qp.npsn = start_psn;
         RdmaChannel {
             qp,
@@ -318,8 +318,8 @@ impl Op {
 pub enum Reply {
     /// A WRITE or Fetch-and-Add was acknowledged (explicitly or implicitly).
     Ack,
-    /// A READ's reassembled response bytes (zero-copy for single-packet
-    /// responses — the common case).
+    /// A READ's response bytes (a window of the response frame, not a
+    /// copy).
     Data(Payload),
     /// A remote op's response.
     Remote {
@@ -376,24 +376,14 @@ pub enum ChannelEvent {
 
 #[derive(Clone, Debug)]
 struct Outstanding {
-    /// PSN of the request packet (first response PSN for READs).
-    first_psn: u32,
-    /// PSNs consumed: 1 for WRITE/atomic, response-packet count for READs.
-    span: u32,
+    /// PSN of the request packet, and of its response.
+    psn: u32,
     cookie: u64,
     sent_at: Time,
     op: Op,
-    /// The response packets of a READ longer than the MTU, by PSN offset
-    /// (empty — unallocated — until the first of them arrives, and for
-    /// every other op, the usual one-packet READ included, always).
-    chunks: Vec<Option<Payload>>,
 }
 
 impl Outstanding {
-    fn last_psn(&self) -> u32 {
-        psn_add(self.first_psn, self.span - 1)
-    }
-
     /// The op is finished: its completion event.
     fn retire(self, reply: Reply) -> ChannelEvent {
         ChannelEvent::Done {
@@ -615,21 +605,17 @@ impl ReliableChannel {
         true
     }
 
-    /// First transmission of an op: assign its PSN(s), record it
+    /// First transmission of an op: assign its PSN, record it
     /// outstanding, and put the request on the wire.
     fn launch(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, cookie: u64, op: Op) {
         let (qp, rkey) = (&mut self.inner.qp, self.inner.rkey);
-        let first_psn = qp.npsn;
-        let request = op.request();
-        let span = qp.span(&request);
-        let frame = qp.issue(rkey, &request);
+        let psn = qp.npsn;
+        let frame = qp.issue(rkey, &op.request());
         self.outstanding.push_back(Outstanding {
-            first_psn,
-            span,
+            psn,
             cookie,
             sent_at: ctx.now(),
             op,
-            chunks: Vec::new(),
         });
         self.send(ctx, frame);
     }
@@ -653,16 +639,15 @@ impl ReliableChannel {
         roce: &RocePacket,
         events: &mut Vec<ChannelEvent>,
     ) -> bool {
+        let psn = roce.bth.psn;
         let consumed = match roce.bth.opcode {
-            Opcode::ReadRespFirst
-            | Opcode::ReadRespMiddle
-            | Opcode::ReadRespLast
-            | Opcode::ReadRespOnly => {
-                self.on_read_resp(roce, events);
+            Opcode::ReadRespOnly => {
+                self.on_response(psn, Reply::Data(roce.payload.clone()), events);
                 true
             }
             Opcode::AtomicAcknowledge => {
-                self.on_atomic_ack(roce.bth.psn, events);
+                self.stats.acks += 1;
+                self.on_response(psn, Reply::Ack, events);
                 true
             }
             Opcode::ExtOpResp => {
@@ -670,7 +655,9 @@ impl ReliableChannel {
                     return false;
                 };
                 if aeth.is_ack() {
-                    self.on_ext_op_resp(roce.bth.psn, ack.flags, ack.index, &roce.payload, events);
+                    self.stats.acks += 1;
+                    let (flags, index, data) = (ack.flags, ack.index, roce.payload.clone());
+                    self.on_response(psn, Reply::Remote { flags, index, data }, events);
                 } else {
                     self.on_nak(ctx, roce.bth.psn, events);
                 }
@@ -730,78 +717,29 @@ impl ReliableChannel {
         }
     }
 
-    fn on_read_resp(&mut self, roce: &RocePacket, events: &mut Vec<ChannelEvent>) {
-        let psn = roce.bth.psn;
+    /// A response that answers one op: a READ's data, an atomic's
+    /// acknowledgement or a remote op's result. It completes the op of its
+    /// kind sent under `psn` (and, as any response does, every earlier
+    /// WRITE and atomic): it proves execution and carries the answer in one
+    /// packet.
+    fn on_response(&mut self, psn: u32, reply: Reply, events: &mut Vec<ChannelEvent>) {
         let pos = self.outstanding.iter().position(|o| {
-            matches!(o.op, Op::Read { .. })
-                && !psn_before(psn, o.first_psn)
-                && psn_before(psn, psn_add(o.first_psn, o.span))
+            o.psn == psn
+                && matches!(
+                    (&o.op, &reply),
+                    (Op::Read { .. }, Reply::Data(_))
+                        | (Op::FetchAdd { .. }, Reply::Ack)
+                        | (Op::Remote(_), Reply::Remote { .. })
+                )
         });
         let Some(pos) = pos else {
-            // A replayed duplicate of a READ already completed: drop it
-            // rather than double-applying the data.
+            // A replayed duplicate of an op already completed: drop it
+            // rather than apply it twice.
             self.stats.duplicate_drops += 1;
             return;
         };
         self.progress();
-        let op = &mut self.outstanding[pos];
-        let data = if op.span == 1 {
-            // Single-packet response: hand back the shared buffer.
-            roce.payload.clone()
-        } else {
-            op.chunks.resize(op.span as usize, None);
-            let at = psn.wrapping_sub(op.first_psn) & 0x00ff_ffff;
-            op.chunks[at as usize] = Some(roce.payload.clone());
-            if op.chunks.iter().any(|c| c.is_none()) {
-                return;
-            }
-            let mut buf = extmem_wire::pool::take();
-            for chunk in op.chunks.drain(..).flatten() {
-                buf.extend_from_slice(&chunk);
-            }
-            Payload::from_vec(buf)
-        };
-        self.complete_at(pos, Reply::Data(data), events);
-    }
-
-    /// A remote op's response: completes exactly the matching op (exact-PSN
-    /// match, span is always 1). Like a READ response, it proves execution
-    /// *and* delivers the data in one packet.
-    fn on_ext_op_resp(
-        &mut self,
-        psn: u32,
-        flags: u8,
-        index: u16,
-        payload: &Payload,
-        events: &mut Vec<ChannelEvent>,
-    ) {
-        self.stats.acks += 1;
-        let pos = self
-            .outstanding
-            .iter()
-            .position(|o| matches!(o.op, Op::Remote(_)) && o.first_psn == psn);
-        let Some(pos) = pos else {
-            // A replayed duplicate of an op already completed.
-            self.stats.duplicate_drops += 1;
-            return;
-        };
-        self.progress();
-        let data = payload.clone();
-        self.complete_at(pos, Reply::Remote { flags, index, data }, events);
-    }
-
-    fn on_atomic_ack(&mut self, psn: u32, events: &mut Vec<ChannelEvent>) {
-        self.stats.acks += 1;
-        let pos = self
-            .outstanding
-            .iter()
-            .position(|o| matches!(o.op, Op::FetchAdd { .. }) && o.first_psn == psn);
-        let Some(pos) = pos else {
-            self.stats.duplicate_drops += 1;
-            return;
-        };
-        self.progress();
-        self.complete_at(pos, Reply::Ack, events);
+        self.complete_at(pos, reply, events);
     }
 
     /// A plain ACK of `psn` acknowledges every op through `psn`. WRITEs and
@@ -812,7 +750,7 @@ impl ReliableChannel {
         if !self
             .outstanding
             .iter()
-            .any(|op| psn_at_or_before(op.last_psn(), psn))
+            .any(|op| psn_at_or_before(op.psn, psn))
         {
             self.stats.duplicate_drops += 1;
             return;
@@ -821,7 +759,7 @@ impl ReliableChannel {
         let covered = self
             .outstanding
             .iter()
-            .take_while(|op| psn_at_or_before(op.last_psn(), psn))
+            .take_while(|op| psn_at_or_before(op.psn, psn))
             .count();
         self.retire_executed(covered, events);
     }
@@ -844,7 +782,7 @@ impl ReliableChannel {
             let executed = self
                 .outstanding
                 .iter()
-                .take_while(|op| psn_before(op.last_psn(), epsn))
+                .take_while(|op| psn_before(op.psn, epsn))
                 .count();
             self.retire_executed(executed, events);
             if self.nak_epoch == Some(epsn) {
@@ -878,7 +816,7 @@ impl ReliableChannel {
         let (qp, rkey) = (&self.inner.qp, self.inner.rkey);
         for i in 0..self.outstanding.len() {
             let sent = &self.outstanding[i];
-            let frame = qp.encode_at(sent.first_psn, rkey, &sent.op.request());
+            let frame = qp.encode_at(sent.psn, rkey, &sent.op.request());
             self.send(ctx, frame);
             self.stats.retransmits += 1;
             self.outstanding[i].sent_at = now;
@@ -1010,7 +948,6 @@ pub(crate) mod tests {
         assert_eq!(ch.server_port, PortId(3));
         assert_eq!(ch.qp.peer, server);
         assert_eq!(ch.qp.local, switch);
-        assert_eq!(ch.qp.mtu, nic.mtu());
         // The responder knows the switch as its peer.
         assert_eq!(nic.qp(ch.qp.peer_qpn).peer_qpn, SWITCH_QPN);
         // The region is real and zeroed.
@@ -1020,98 +957,79 @@ pub(crate) mod tests {
         );
     }
 
-    /// Owns one channel; when poked, issues READs answered by one, two and
-    /// three response packets and plays the responder itself, delivering
-    /// the chunks out of order and more than once.
-    struct Reassembler {
+    /// Owns one channel; when poked, sends a READ, a Fetch-and-Add and a
+    /// remote op (PSNs 0, 1 and 2) and plays the responder itself.
+    struct Replayer {
         channel: ReliableChannel,
         events: Vec<ChannelEvent>,
     }
 
-    const MTU: usize = 256;
-
-    /// The bytes a READ of `span` response packets returns (the last chunk
-    /// is five bytes short of a full MTU).
-    fn read_image(span: usize) -> Vec<u8> {
-        (0..span * MTU - 5).map(|i| (i * 31 + span) as u8).collect()
-    }
-
-    impl Reassembler {
-        /// Deliver response packet `chunk` of the READ whose first PSN is
-        /// `first_psn` and which spans `span` packets.
-        fn deliver(
-            &mut self,
-            ctx: &mut SwitchCtx<'_, '_, '_>,
-            first_psn: u32,
-            span: usize,
-            chunk: usize,
-        ) {
+    impl Replayer {
+        fn answer(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, psn: u32, opcode: Opcode) {
             use extmem_wire::aeth::Aeth;
+            use extmem_wire::atomic::AtomicAckEth;
             use extmem_wire::bth::Bth;
-            let image = read_image(span);
-            let opcode = match (span, chunk) {
-                (1, _) => Opcode::ReadRespOnly,
-                (_, 0) => Opcode::ReadRespFirst,
-                (s, c) if c == s - 1 => Opcode::ReadRespLast,
-                _ => Opcode::ReadRespMiddle,
-            };
-            let ext = match opcode {
-                Opcode::ReadRespMiddle => RoceExt::None,
-                _ => RoceExt::Aeth(Aeth::ack(0)),
+            use extmem_wire::extop::{ExtOpAckEth, EXTOP_FLAG_HIT};
+            let (ext, payload) = match opcode {
+                Opcode::ReadRespOnly => (RoceExt::Aeth(Aeth::ack(0)), vec![7; 8]),
+                Opcode::AtomicAcknowledge => {
+                    let ack = AtomicAckEth { original_value: 41 };
+                    (RoceExt::AtomicAck(Aeth::ack(0), ack), vec![])
+                }
+                _ => {
+                    let ack = ExtOpAckEth {
+                        op: Opcode::HashProbe as u8,
+                        flags: EXTOP_FLAG_HIT,
+                        index: 1,
+                    };
+                    (RoceExt::ExtOpAck(Aeth::ack(0), ack), vec![5; 128])
+                }
             };
             let qp = &self.channel.inner().qp;
-            let resp = RocePacket::new(
-                qp.peer,
-                qp.local,
-                qp.udp_src_port,
-                Bth::new(opcode, SWITCH_QPN, first_psn + chunk as u32),
-                ext,
-                image[chunk * MTU..image.len().min((chunk + 1) * MTU)].to_vec(),
-            );
+            let bth = Bth::new(opcode, SWITCH_QPN, psn);
+            let resp = RocePacket::new(qp.peer, qp.local, qp.udp_src_port, bth, ext, payload);
             assert!(self.channel.on_roce(ctx, &resp, &mut self.events));
         }
     }
 
-    impl extmem_switch::PipelineProgram for Reassembler {
+    impl extmem_switch::PipelineProgram for Replayer {
         fn ingress(&mut self, _: &mut SwitchCtx<'_, '_, '_>, _: PortId, _: Packet) {}
 
         fn on_timer(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, _token: u64) {
-            // PSN 0 | 1..=2 | 3..=5.
-            for span in 1..=3usize {
-                let len = read_image(span).len() as u32;
-                let read = Op::Read { va: 0x1000, len };
-                assert!(self.channel.submit(ctx, read, span as u64));
+            let ops = [
+                Op::Read { va: 0x1000, len: 8 },
+                Op::FetchAdd { va: 0x2000, add: 1 },
+                Op::Remote(probe_op()),
+            ];
+            for (cookie, op) in ops.into_iter().enumerate() {
+                assert!(self.channel.submit(ctx, op, cookie as u64));
             }
-            // The three-packet READ first: last chunk, first chunk twice,
-            // then the middle one completes it.
-            for chunk in [2, 0, 0, 1] {
-                assert!(self.events.is_empty(), "completed with a chunk missing");
-                self.deliver(ctx, 3, 3, chunk);
+            // An atomic's acknowledgement under the READ's PSN answers
+            // nothing.
+            self.answer(ctx, 0, Opcode::AtomicAcknowledge);
+            assert!(self.events.is_empty());
+            let answers = [
+                Opcode::ReadRespOnly,
+                Opcode::AtomicAcknowledge,
+                Opcode::ExtOpResp,
+            ];
+            // Each answer completes its op; its replay is dropped.
+            for _ in 0..2 {
+                for (psn, opcode) in answers.into_iter().enumerate() {
+                    self.answer(ctx, psn as u32, opcode);
+                }
             }
-            assert_eq!(self.events.len(), 1);
-            // The two-packet READ back to front, its tail duplicated.
-            for chunk in [1, 1, 0] {
-                assert_eq!(self.events.len(), 1, "completed with a chunk missing");
-                self.deliver(ctx, 1, 2, chunk);
-            }
-            self.deliver(ctx, 0, 1, 0);
-            assert_eq!(self.events.len(), 3);
-            // Replays of finished READs are dropped, not double-applied.
-            let dups = self.channel.stats().duplicate_drops;
-            self.deliver(ctx, 3, 3, 1);
-            self.deliver(ctx, 1, 2, 0);
-            self.deliver(ctx, 0, 1, 0);
-            assert_eq!(self.channel.stats().duplicate_drops, dups + 3);
         }
     }
 
     #[test]
-    fn read_reassembly_survives_reordered_and_duplicated_chunks() {
+    fn replayed_responses_are_dropped_not_completed_twice() {
         use extmem_rnic::requester::RequesterQp;
         use extmem_sim::SimBuilder;
         use extmem_switch::switch::program_token;
         use extmem_switch::{SwitchConfig, SwitchNode};
         use extmem_types::{QpNum, Time};
+        use extmem_wire::extop::EXTOP_FLAG_HIT;
 
         let local = RoceEndpoint {
             mac: MacAddr::local(1),
@@ -1122,13 +1040,13 @@ pub(crate) mod tests {
             ip: 0x0a000009,
         };
         let channel = RdmaChannel {
-            qp: RequesterQp::new(local, peer, QpNum(0x100), MTU),
+            qp: RequesterQp::new(local, peer, QpNum(0x100)),
             rkey: Rkey(7),
             base_va: 0x1000,
             region_len: 1 << 16,
             server_port: PortId(0),
         };
-        let program = Reassembler {
+        let program = Replayer {
             channel: ReliableChannel::new(channel, ReliableConfig::default()),
             events: Vec::new(),
         };
@@ -1143,27 +1061,28 @@ pub(crate) mod tests {
         // Well inside the RTO: no retransmission interferes.
         sim.run_until(Time::from_micros(10));
 
-        let program = sim.node::<SwitchNode>(sw).program::<Reassembler>();
+        let program = sim.node::<SwitchNode>(sw).program::<Replayer>();
         assert_eq!(program.channel.outstanding_len(), 0);
-        let done: Vec<(u64, Vec<u8>)> = program
+        assert_eq!(program.channel.stats().duplicate_drops, 4);
+        let replies: Vec<(u64, Reply)> = program
             .events
             .iter()
             .map(|ev| match ev {
-                ChannelEvent::Done {
-                    cookie,
-                    reply: Reply::Data(data),
-                    ..
-                } => (*cookie, data.to_vec()),
+                ChannelEvent::Done { cookie, reply, .. } => (*cookie, reply.clone()),
                 other => panic!("unexpected {other:?}"),
             })
             .collect();
-        // Completion order follows delivery; the bytes are each READ's
-        // chunks in PSN order, once, whatever order they arrived in.
-        let want: Vec<(u64, Vec<u8>)> = [3usize, 2, 1]
-            .iter()
-            .map(|&span| (span as u64, read_image(span)))
-            .collect();
-        assert_eq!(done, want);
+        let remote = Reply::Remote {
+            flags: EXTOP_FLAG_HIT,
+            index: 1,
+            data: vec![5; 128].into(),
+        };
+        let want = [
+            (0, Reply::Data(vec![7; 8].into())),
+            (1, Reply::Ack),
+            (2, remote),
+        ];
+        assert_eq!(replies, want);
     }
 
     /// Owns one channel behind a server that never answers; the test pokes
@@ -1324,7 +1243,7 @@ pub(crate) mod tests {
             ip: 0x0a000009,
         };
         let channel = RdmaChannel {
-            qp: RequesterQp::new(local, peer, QpNum(0x100), 2048),
+            qp: RequesterQp::new(local, peer, QpNum(0x100)),
             rkey: Rkey(7),
             base_va: 0x1000,
             region_len: 1 << 16,
@@ -1464,7 +1383,7 @@ pub(crate) mod tests {
 
         let (_, rkey, base_va) = region();
         let channel = RdmaChannel {
-            qp: RequesterQp::new(local(), peer(), QpNum(0x100), 2048),
+            qp: RequesterQp::new(local(), peer(), QpNum(0x100)),
             rkey,
             base_va,
             region_len: 4096,

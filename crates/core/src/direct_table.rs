@@ -33,6 +33,7 @@ use crate::fib::Fib;
 use crate::lookup::{
     flow_of, single_server_pool, ActionEntry, LookupStats, TableFront, ACTION_LEN,
 };
+use extmem_rnic::nic::MTU;
 use extmem_rnic::{RnicNode, WriteBody};
 use extmem_switch::hash::flow_index;
 use extmem_switch::{PipelineProgram, SwitchCtx};
@@ -81,6 +82,10 @@ impl DirectTableProgram {
         assert!(
             entry_size as usize > ACTION_LEN + LEN_FIELD,
             "entry too small"
+        );
+        assert!(
+            entry_size as usize <= MTU,
+            "{entry_size} B entry exceeds the {MTU} B MTU"
         );
         let entries = channel.region_len / entry_size;
         assert!(entries > 0, "region smaller than one entry");
@@ -368,5 +373,12 @@ mod tests {
                 .as_ref()
                 .is_none_or(|waiting| waiting.is_empty()));
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "2049 B entry exceeds the 2048 B MTU")]
+    fn entries_over_the_mtu_are_refused() {
+        let (_unplugged, channel) = table_server(64 * 4096);
+        DirectTableProgram::new(fib(), channel, MTU as u64 + 1, None);
     }
 }

@@ -387,7 +387,7 @@ mod tests {
             ip: 2,
         };
         RdmaChannel {
-            qp: RequesterQp::new(a, b, QpNum(0x100), 2048),
+            qp: RequesterQp::new(a, b, QpNum(0x100)),
             rkey: Rkey(1),
             base_va: 0x1000,
             region_len: slots * 8,

@@ -26,6 +26,7 @@ use crate::cuckoo::{
 };
 use crate::fib::Fib;
 use crate::pool::{PoolConfig, PoolStats, ReplicatedPool};
+use extmem_rnic::nic::MTU;
 use extmem_rnic::{Operand, RemoteOp, RnicNode, WriteBody};
 use extmem_switch::filter::ChoiceFilter;
 use extmem_switch::switch::RECIRC_PORT;
@@ -551,7 +552,6 @@ impl LookupTableProgram {
         dir: CuckooDirectory,
         cache_capacity: Option<usize>,
     ) -> LookupTableProgram {
-        assert_bucket_geometry(&channel);
         Self::over_pool(fib, single_server_pool(channel), dir, cache_capacity)
     }
 
@@ -567,9 +567,6 @@ impl LookupTableProgram {
         cache_capacity: Option<usize>,
         pool_config: PoolConfig,
     ) -> LookupTableProgram {
-        for ch in &channels {
-            assert_bucket_geometry(ch);
-        }
         let pool = ReplicatedPool::new(
             channels
                 .into_iter()
@@ -1035,17 +1032,9 @@ fn slot_match(bucket: &[u8], slot: usize, flow: &FiveTuple) -> Option<ActionEntr
     (key == *flow).then_some(action)
 }
 
-/// The bucket-granularity READ geometry: a cuckoo bucket must come back as
-/// a single response packet (one PSN), or the "one memory access" miss
-/// would still span multiple wire packets. Checked against the channel's
-/// negotiated MTU.
-fn assert_bucket_geometry(channel: &RdmaChannel) {
-    assert!(
-        channel.qp.single_packet_read_limit() as usize >= BUCKET_BYTES,
-        "bucket ({BUCKET_BYTES} B) exceeds single-response READ limit ({} B)",
-        channel.qp.single_packet_read_limit()
-    );
-}
+/// The bucket-granularity READ geometry: a cuckoo bucket comes back as one
+/// response packet, the "one memory access" of a miss.
+const _: () = assert!(BUCKET_BYTES <= MTU);
 
 /// Control plane: install the directory's byte image into the remote region
 /// backing `channel` on `nic` (host-side pre-population, the counterpart of

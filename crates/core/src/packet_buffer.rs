@@ -43,6 +43,7 @@ use crate::channel::{
 };
 use crate::fib::Fib;
 use crate::pool::{assert_distinct_ports, PoolConfig, PoolStats, ReplicatedPool};
+use extmem_rnic::nic::MTU;
 use extmem_rnic::WriteBody;
 use extmem_switch::{PipelineProgram, SwitchCtx};
 use extmem_types::{PortId, TimeDelta};
@@ -232,6 +233,10 @@ impl PacketBufferProgram {
     ) -> PacketBufferProgram {
         assert!(!pools.is_empty(), "need at least one stripe");
         assert!(entry_size as usize > ENTRY_HDR, "entry too small");
+        assert!(
+            entry_size as usize <= MTU,
+            "{entry_size} B entry exceeds the {MTU} B MTU"
+        );
         assert!(
             max_outstanding_reads > 0,
             "need at least one outstanding read"
@@ -1173,6 +1178,26 @@ mod tests {
             vec![stripe(10), stripe(11)],
             PortId(1),
             2048,
+            Mode::Manual,
+            8,
+            TimeDelta::from_micros(50),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "2049 B entry exceeds the 2048 B MTU")]
+    fn entries_over_the_mtu_are_refused() {
+        let endpoint = |i| extmem_wire::roce::RoceEndpoint {
+            mac: MacAddr::local(i),
+            ip: 0x0a00_0000 + i,
+        };
+        let mut nic = RnicNode::new("memsrv", RnicConfig::at(endpoint(10)));
+        let channel = RdmaChannel::setup(endpoint(100), PortId(2), &mut nic, ByteSize::from_mb(1));
+        PacketBufferProgram::new(
+            Fib::new(8),
+            vec![channel],
+            PortId(1),
+            MTU as u64 + 1,
             Mode::Manual,
             8,
             TimeDelta::from_micros(50),

@@ -1298,7 +1298,7 @@ mod tests {
             ip: i,
         };
         let channel = || RdmaChannel {
-            qp: RequesterQp::new(endpoint(1), endpoint(2), QpNum(0x100), 2048),
+            qp: RequesterQp::new(endpoint(1), endpoint(2), QpNum(0x100)),
             rkey: Rkey(1),
             base_va: 0x1000,
             region_len: 64,

@@ -425,7 +425,7 @@ mod tests {
         };
         let engine = |server| {
             let channel = RdmaChannel {
-                qp: RequesterQp::new(endpoint(1), endpoint(server), QpNum(0x100), 2048),
+                qp: RequesterQp::new(endpoint(1), endpoint(server), QpNum(0x100)),
                 rkey: Rkey(1),
                 base_va: 0x1000,
                 region_len: 64,

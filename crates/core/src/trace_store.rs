@@ -22,6 +22,7 @@
 use crate::channel::RdmaChannel;
 use crate::fib::Fib;
 use crate::lookup::flow_of;
+use extmem_rnic::nic::MTU;
 use extmem_rnic::{Request, RnicNode};
 use extmem_switch::{PipelineProgram, SwitchCtx};
 use extmem_types::{FiveTuple, PortId, Rkey, Time, TimeDelta};
@@ -102,6 +103,10 @@ impl TraceStoreProgram {
     /// `region_len / 32` records.
     pub fn new(fib: Fib, channel: RdmaChannel, batch: usize, flush_after: TimeDelta) -> Self {
         assert!(batch > 0, "batch must be positive");
+        assert!(
+            batch * RECORD_LEN <= MTU,
+            "{batch}-record batch exceeds the {MTU} B MTU"
+        );
         let ring_records = channel.region_len / RECORD_LEN as u64;
         assert!(ring_records >= batch as u64, "ring smaller than one batch");
         TraceStoreProgram {
@@ -552,5 +557,19 @@ mod tests {
         assert_eq!(trace.len(), 16);
         assert_eq!(trace[0].seq, 24);
         assert_eq!(trace[15].seq, 39);
+    }
+
+    #[test]
+    #[should_panic(expected = "65-record batch exceeds the 2048 B MTU")]
+    fn batches_over_the_mtu_are_refused() {
+        let endpoint = |i| extmem_wire::roce::RoceEndpoint {
+            mac: MacAddr::local(i),
+            ip: 0x0a00_0000 + i,
+        };
+        let mut nic = RnicNode::new("tracesrv", RnicConfig::at(endpoint(3)));
+        let ring = ByteSize::from_bytes(1 << 16);
+        let channel = RdmaChannel::setup(endpoint(100), PortId(2), &mut nic, ring);
+        let batch = MTU / RECORD_LEN + 1;
+        TraceStoreProgram::new(Fib::new(8), channel, batch, TimeDelta::from_micros(20));
     }
 }

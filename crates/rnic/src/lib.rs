@@ -8,7 +8,7 @@
 //!
 //! * [`mr`] — registered memory regions with rkey-based access checks,
 //! * [`qp`] — reliable-connection queue pair state (expected PSN, MSN,
-//!   in-progress multi-packet writes),
+//!   duplicate-replay buffers),
 //! * [`responder`] — the RoCEv2 responder state machine: parse request,
 //!   validate, execute DMA, emit READ responses / ACKs / NAKs,
 //! * [`nic`] — the performance model: a service-time pipeline with

@@ -34,9 +34,12 @@ use extmem_wire::roce::{RoceEndpoint, RocePacket};
 use extmem_wire::Packet;
 use std::collections::VecDeque;
 
-/// Maximum READ-response payload per packet. CX-3 class NICs support a
-/// 2048 B RoCE MTU, which lets a full-sized Ethernet frame stored in a
-/// ring-buffer entry come back in a single response packet.
+/// The RoCE MTU: the most payload one packet carries. CX-3 class NICs
+/// support 2048 B, which lets a full-sized Ethernet frame stored in a
+/// ring-buffer entry go out in one WRITE and come back in one READ
+/// response. Every message is one packet: primitives check their entry
+/// sizes against this at construction, and the responder NAKs a WRITE or
+/// READ longer than it with `InvalidRequest`.
 pub const MTU: usize = 2048;
 
 /// DMA-write bandwidth (payload bytes/s through the WRITE path, PCIe-side —
@@ -197,11 +200,6 @@ impl RnicNode {
         self.config.endpoint
     }
 
-    /// The RoCE MTU ([`MTU`]).
-    pub fn mtu(&self) -> usize {
-        MTU
-    }
-
     /// Control plane: register a memory region (zero-initialized). Returns
     /// `(rkey, base_va)` — two thirds of the channel triple the paper's
     /// controller passes to the switch.
@@ -249,16 +247,11 @@ impl RnicNode {
                 TimeDelta::from_picos(1_000_000_000_000u64.div_ceil(ATOMIC_OPS_PER_SEC))
             }
             Opcode::ReadRequest => {
-                // Cap the service cost of a not-yet-validated length: real
-                // NICs bounds-check the RETH before streaming DMA, so a
-                // malformed multi-gigabyte dma_len must not stall the
-                // pipeline for its nominal transfer time (it will be NAK'd
-                // at execution).
-                const MAX_READ_SERVICE_BYTES: usize = 1 << 20;
+                // Price a not-yet-validated length at most one MTU: a READ
+                // longer than that is NAK'd at execution, and must not
+                // stall the pipeline for its nominal transfer time.
                 let len = match req.ext {
-                    extmem_wire::roce::RoceExt::Reth(r) => {
-                        (r.dma_len as usize).min(MAX_READ_SERVICE_BYTES)
-                    }
+                    extmem_wire::roce::RoceExt::Reth(r) => (r.dma_len as usize).min(MTU),
                     _ => 0,
                 };
                 base + READ_BW.time_to_send(len)
@@ -325,7 +318,7 @@ impl RnicNode {
                 self.stats.writes += 1;
                 self.stats.write_bytes += bytes;
             }
-            Outcome::ReadServed { bytes, .. } => {
+            Outcome::ReadServed { bytes } => {
                 self.stats.reads += 1;
                 self.stats.read_bytes += bytes;
             }
@@ -339,9 +332,9 @@ impl RnicNode {
             Outcome::Nak(_) => self.stats.naks += 1,
             Outcome::OutOfSequenceDropped => self.stats.out_of_sequence_drops += 1,
         }
-        // The responses arrive encoded, one pooled buffer each, and only
-        // need queueing.
-        for resp in result.responses {
+        // The response arrives encoded, in a pooled buffer, and only needs
+        // queueing.
+        if let Some(resp) = result.response {
             self.tx.send(ctx, resp);
         }
         self.maybe_start_service(ctx);
@@ -421,7 +414,6 @@ impl Node for RnicNode {
         self.tx.clear();
         self.mrs.wipe();
         for qp in self.qps.values_mut() {
-            qp.write_cursor = None;
             qp.last_atomic = None;
             qp.cond_replay.clear();
             qp.nak_outstanding = false;
@@ -449,6 +441,7 @@ mod tests {
     use super::*;
     use extmem_sim::{LinkSpec, SimBuilder, Simulator};
     use extmem_types::{NodeId, Time};
+    use extmem_wire::aeth::{NakCode, Syndrome};
     use extmem_wire::bth::Bth;
     use extmem_wire::reth::Reth;
     use extmem_wire::roce::RoceExt;
@@ -696,51 +689,57 @@ mod tests {
 
     #[test]
     fn unassigned_opcode_is_dropped_not_executed() {
-        // A READ request relabelled 0xc0 (an opcode from the manufacturer
-        // range, below the remote ops, that the NIC does not implement) and
-        // sealed with a fresh ICRC: intact on the wire, but no request the
-        // NIC knows. Four bytes after the RETH make the twenty that 0xc0's
-        // header took while it named an indirect READ, so only the opcode
-        // can refuse the frame.
-        const OPCODE: u8 = 0xc0;
+        // A READ request relabelled with an opcode the NIC does not
+        // implement and sealed with a fresh ICRC: intact on the wire, but
+        // no request the NIC knows. The first six are the multi-packet
+        // WRITE (first/middle/last) and READ-response (first/middle/last)
+        // opcodes: every message is one packet, so none is spoken. 0xc0 is
+        // from the manufacturer range, below the remote ops; four bytes
+        // after the RETH make the twenty that its header took while it
+        // named an indirect READ, so only the opcode can refuse the frame.
         const IP_AT: usize = extmem_wire::EthernetHeader::LEN;
         const BTH_AT: usize = IP_AT + extmem_wire::Ipv4Header::LEN + extmem_wire::UdpHeader::LEN;
-        let frame = |qpn, rkey, va| {
-            let mut bytes = RocePacket::new(
-                client_endpoint(),
-                server_endpoint(),
-                0x9000,
-                Bth::new(Opcode::ReadRequest, qpn, 0),
-                RoceExt::Reth(Reth {
-                    va,
-                    rkey,
-                    dma_len: 8,
-                }),
-                vec![0, 0, 0, 8],
-            )
-            .build()
-            .unwrap()
-            .into_vec();
-            bytes[BTH_AT] = OPCODE;
-            let icrc_at = bytes.len() - extmem_wire::icrc::ICRC_LEN;
-            let icrc = extmem_wire::icrc::icrc_rocev2(&bytes[IP_AT..icrc_at]);
-            bytes[icrc_at..].copy_from_slice(&icrc.to_le_bytes());
-            Packet::from_vec(bytes)
-        };
-        let (mut sim, driver, rnic) = rig(|qpn, rkey, base| {
-            let pkt = frame(qpn, rkey, base);
+        for opcode in [0x06, 0x07, 0x08, 0x0d, 0x0e, 0x0f, 0xc0] {
+            let frame = |qpn, rkey, va| {
+                let mut bytes = RocePacket::new(
+                    client_endpoint(),
+                    server_endpoint(),
+                    0x9000,
+                    Bth::new(Opcode::ReadRequest, qpn, 0),
+                    RoceExt::Reth(Reth {
+                        va,
+                        rkey,
+                        dma_len: 8,
+                    }),
+                    vec![0, 0, 0, 8],
+                )
+                .build()
+                .unwrap()
+                .into_vec();
+                bytes[BTH_AT] = opcode;
+                let icrc_at = bytes.len() - extmem_wire::icrc::ICRC_LEN;
+                let icrc = extmem_wire::icrc::icrc_rocev2(&bytes[IP_AT..icrc_at]);
+                bytes[icrc_at..].copy_from_slice(&icrc.to_le_bytes());
+                Packet::from_vec(bytes)
+            };
+            let (mut sim, driver, rnic) = rig(|qpn, rkey, base| {
+                let pkt = frame(qpn, rkey, base);
+                assert_eq!(
+                    RocePacket::parse(&pkt),
+                    Err(extmem_wire::WireError::UnsupportedOpcode(opcode))
+                );
+                vec![pkt]
+            });
+            sim.run_to_quiescence();
+            let stats = sim.node::<RnicNode>(rnic).stats();
+            assert_eq!(stats.malformed_drops, 1, "{opcode:#04x}");
             assert_eq!(
-                RocePacket::parse(&pkt),
-                Err(extmem_wire::WireError::UnsupportedOpcode(OPCODE))
+                (stats.writes, stats.reads, stats.ext_ops, stats.cpu_packets),
+                (0, 0, 0, 0),
+                "{opcode:#04x}"
             );
-            vec![pkt]
-        });
-        sim.run_to_quiescence();
-        let stats = sim.node::<RnicNode>(rnic).stats();
-        assert_eq!(stats.malformed_drops, 1);
-        assert_eq!(stats.ext_ops, 0);
-        assert_eq!(stats.cpu_packets, 0);
-        assert!(sim.node::<Driver>(driver).received.is_empty());
+            assert!(sim.node::<Driver>(driver).received.is_empty());
+        }
     }
 
     #[test]
@@ -752,8 +751,8 @@ mod tests {
                 client_endpoint(),
                 server_endpoint(),
                 0x9000,
-                Bth::new(Opcode::WriteMiddle, qpn, 0),
-                RoceExt::None,
+                Bth::new(Opcode::Acknowledge, qpn, 0),
+                RoceExt::Aeth(extmem_wire::aeth::Aeth::ack(0)),
             );
             let mut bytes = vec![0u8; 64];
             h.eth.write(&mut bytes).unwrap();
@@ -800,22 +799,28 @@ mod tests {
     }
 
     #[test]
-    fn large_read_fragments_across_mtu() {
-        let (mut sim, driver, _) = rig(|qpn, rkey, base| {
+    fn read_over_the_mtu_is_naked() {
+        // A READ one byte over the MTU is refused whole: one InvalidRequest
+        // NAK, no data, and the next request is in sequence.
+        let (mut sim, driver, rnic) = rig(|qpn, rkey, base| {
             vec![
-                build_write(qpn, rkey, base, 0, vec![0xab; 1500]),
-                build_write(qpn, rkey, base + 1500, 1, vec![0xcd; 1500]),
-                build_read(qpn, rkey, base, 2, 3000),
+                build_read(qpn, rkey, base, 0, MTU as u32 + 1),
+                build_read(qpn, rkey, base, 1, MTU as u32),
             ]
         });
         sim.run_to_quiescence();
+        let stats = sim.node::<RnicNode>(rnic).stats();
+        assert_eq!(
+            (stats.naks, stats.reads, stats.read_bytes),
+            (1, 1, MTU as u64)
+        );
         let recv = &sim.node::<Driver>(driver).received;
-        assert_eq!(recv.len(), 2, "3000B read at 2048 MTU = 2 packets");
-        assert_eq!(recv[0].bth.opcode, Opcode::ReadRespFirst);
-        assert_eq!(recv[1].bth.opcode, Opcode::ReadRespLast);
-        let mut data = recv[0].payload.to_vec();
-        data.extend_from_slice(&recv[1].payload);
-        assert_eq!(&data[..1500], &[0xab; 1500][..]);
-        assert_eq!(&data[1500..], &[0xcd; 1500][..]);
+        assert_eq!(recv.len(), 2);
+        assert!(matches!(
+            recv[0].ext,
+            RoceExt::Aeth(a) if a.syndrome == Syndrome::Nak(NakCode::InvalidRequest)
+        ));
+        assert_eq!(recv[1].bth.opcode, Opcode::ReadRespOnly);
+        assert_eq!(recv[1].payload.len(), MTU);
     }
 }

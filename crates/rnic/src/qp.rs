@@ -1,6 +1,6 @@
 //! Reliable-connection queue pair state (responder side).
 
-use extmem_types::{QpNum, Rkey};
+use extmem_types::QpNum;
 use extmem_wire::roce::RoceEndpoint;
 
 /// Responder-side state for one RC queue pair.
@@ -22,9 +22,6 @@ pub struct QueuePair {
     pub epsn: u32,
     /// Message sequence number: completed request messages.
     pub msn: u32,
-    /// In-progress multi-packet WRITE: where the next middle/last payload
-    /// lands.
-    pub write_cursor: Option<WriteCursor>,
     /// The last executed atomic, for duplicate replay.
     pub last_atomic: Option<(u32, u64)>,
     /// Recently executed conditional WRITEs, for duplicate replay:
@@ -52,17 +49,6 @@ pub struct QueuePair {
     pub resync_next: bool,
 }
 
-/// Progress of a multi-packet WRITE.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WriteCursor {
-    /// Region being written.
-    pub rkey: Rkey,
-    /// VA where the next payload byte lands.
-    pub va: u64,
-    /// Bytes still expected (from the RETH `dma_len`).
-    pub remaining: u64,
-}
-
 impl QueuePair {
     /// Create a QP expecting the first request at `start_psn`.
     pub fn new(qpn: QpNum, peer: RoceEndpoint, peer_qpn: QpNum, start_psn: u32) -> QueuePair {
@@ -73,7 +59,6 @@ impl QueuePair {
             udp_src_port: 0xc000 + (qpn.raw() & 0xfff) as u16,
             epsn: start_psn,
             msn: 0,
-            write_cursor: None,
             last_atomic: None,
             cond_replay: std::collections::VecDeque::new(),
             nak_outstanding: false,
@@ -108,7 +93,6 @@ mod tests {
         let qp = QueuePair::new(QpNum(0x100), peer, QpNum(0x200), 77);
         assert_eq!(qp.epsn, 77);
         assert_eq!(qp.msn, 0);
-        assert!(qp.write_cursor.is_none());
         assert!(qp.last_atomic.is_none());
         assert!(!qp.nak_outstanding);
         assert_eq!(qp.peer_qpn, QpNum(0x200));

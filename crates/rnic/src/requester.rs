@@ -13,7 +13,7 @@
 //! [`RequesterQp::encode_at`]. No request has a payload built around its
 //! bytes first, and no transmission of it has an encoder of its own.
 
-use crate::nic::RnicNode;
+use crate::nic::{RnicNode, MTU};
 use extmem_sim::{Node, NodeCtx, TxQueue};
 use extmem_types::{PortId, QpNum, Rate, Rkey, Time, TimeDelta};
 use extmem_wire::atomic::AtomicEth;
@@ -188,7 +188,7 @@ pub enum RemoteOp {
 /// exists outside it.
 #[derive(Clone, Copy, Debug)]
 pub enum Request<'a> {
-    /// Single-packet RDMA WRITE of `body[0] ‖ body[1]` at `va` (a
+    /// RDMA WRITE of `body[0] ‖ body[1]` (at most the MTU) at `va` (a
     /// [`WriteBody`]'s head and tail; either may be empty).
     Write {
         /// Where the bytes land.
@@ -198,8 +198,8 @@ pub enum Request<'a> {
         /// Ask the responder for an explicit ACK.
         ack_req: bool,
     },
-    /// RDMA READ of `len` bytes at `va`; one response packet (and one PSN)
-    /// per MTU of it.
+    /// RDMA READ of `len` (at most the MTU) bytes at `va`: one PSN, one
+    /// response packet.
     Read {
         /// Where to read.
         va: u64,
@@ -228,57 +228,27 @@ pub struct RequesterQp {
     pub peer_qpn: QpNum,
     /// UDP source port for flow entropy.
     pub udp_src_port: u16,
-    /// The responder's RoCE MTU (READ PSN accounting needs it).
-    pub mtu: usize,
     /// Next PSN to assign.
     pub npsn: u32,
 }
 
 impl RequesterQp {
     /// Create a requester QP starting at PSN 0.
-    pub fn new(
-        local: RoceEndpoint,
-        peer: RoceEndpoint,
-        peer_qpn: QpNum,
-        mtu: usize,
-    ) -> RequesterQp {
+    pub fn new(local: RoceEndpoint, peer: RoceEndpoint, peer_qpn: QpNum) -> RequesterQp {
         RequesterQp {
             local,
             peer,
             peer_qpn,
             udp_src_port: 0x9000,
-            mtu,
             npsn: 0,
         }
     }
 
-    /// Response packets a READ of `len` bytes will generate (one PSN each,
-    /// per the IB spec).
-    pub fn read_span(&self, len: u32) -> u32 {
-        (len as usize).div_ceil(self.mtu).max(1) as u32
-    }
-
-    /// Largest READ whose response is a single packet: the path MTU. Remote
-    /// data structures that want one-RTT, one-response-packet probes (the
-    /// cuckoo lookup's 128-byte buckets) size their read unit against this.
-    pub fn single_packet_read_limit(&self) -> u32 {
-        self.mtu as u32
-    }
-
-    /// PSNs `req` consumes: one per response packet for a READ, one for
-    /// everything else.
-    pub fn span(&self, req: &Request<'_>) -> u32 {
-        match req {
-            Request::Read { len, .. } => self.read_span(*len),
-            _ => 1,
-        }
-    }
-
-    /// Encode `req` at the next PSN and advance past its span: a first
+    /// Encode `req` at the next PSN and advance past it: a first
     /// transmission.
     pub fn issue(&mut self, rkey: Rkey, req: &Request<'_>) -> Packet {
         let frame = self.encode_at(self.npsn, rkey, req);
-        self.npsn = psn_add(self.npsn, self.span(req));
+        self.npsn = psn_add(self.npsn, 1);
         frame
     }
 
@@ -402,7 +372,7 @@ pub fn setup_channel(
 ) -> (RequesterQp, Rkey, u64) {
     let (rkey, base) = nic.register_region(region_size);
     let qpn = nic.create_qp(requester, requester_qpn, 0);
-    let qp = RequesterQp::new(requester, nic.endpoint(), qpn, nic.mtu());
+    let qp = RequesterQp::new(requester, nic.endpoint(), qpn);
     (qp, rkey, base)
 }
 
@@ -440,6 +410,10 @@ impl WriteBlaster {
         count: u64,
     ) -> WriteBlaster {
         assert!(msg_size as u64 <= region_len, "message larger than region");
+        assert!(
+            msg_size <= MTU,
+            "{msg_size} B WRITE exceeds the {MTU} B MTU"
+        );
         // Pace by the on-wire size of the encapsulated message.
         let wire = extmem_wire::ethernet::EthernetHeader::LEN
             + extmem_wire::roce::ROCEV2_BASE_OVERHEAD
@@ -543,6 +517,7 @@ impl ReadLooper {
         count: u64,
     ) -> ReadLooper {
         assert!(window > 0, "window must be positive");
+        assert!(msg_size <= MTU, "{msg_size} B READ exceeds the {MTU} B MTU");
         ReadLooper {
             name: name.into(),
             qp,
@@ -584,19 +559,12 @@ impl Node for ReadLooper {
         let Ok(Some(resp)) = RocePacket::parse(&packet) else {
             return;
         };
-        let payload_len = resp.payload.len() as u64;
-        match resp.bth.opcode {
-            Opcode::ReadRespOnly | Opcode::ReadRespLast => {
-                self.bytes += payload_len;
-                self.completed += 1;
-                self.outstanding = self.outstanding.saturating_sub(1);
-                self.last_completion = ctx.now();
-                self.fill_window(ctx);
-            }
-            Opcode::ReadRespFirst | Opcode::ReadRespMiddle => {
-                self.bytes += payload_len;
-            }
-            _ => {}
+        if resp.bth.opcode == Opcode::ReadRespOnly {
+            self.bytes += resp.payload.len() as u64;
+            self.completed += 1;
+            self.outstanding = self.outstanding.saturating_sub(1);
+            self.last_completion = ctx.now();
+            self.fill_window(ctx);
         }
     }
 
@@ -637,7 +605,7 @@ mod tests {
 
     #[test]
     fn requester_qp_psn_accounting() {
-        let mut qp = RequesterQp::new(host(), server(), QpNum(7), 1024);
+        let mut qp = RequesterQp::new(host(), server(), QpNum(7));
         let mut issue = |req: Request<'_>| {
             let frame = qp.issue(Rkey(1), &req);
             (RocePacket::parse(&frame).unwrap().unwrap().bth.psn, qp.npsn)
@@ -648,33 +616,54 @@ mod tests {
             ack_req: false,
         };
         assert_eq!(issue(write), (0, 1));
-        // 3 response packets at 1024 MTU.
+        // Every request is one PSN, a READ of a whole MTU too.
         let read = Request::Read {
             va: 0x1000,
-            len: 3000,
+            len: MTU as u32,
         };
-        assert_eq!(issue(read), (1, 4));
+        assert_eq!(issue(read), (1, 2));
         let add = Request::FetchAdd { va: 0x1000, add: 1 };
-        assert_eq!(issue(add), (4, 5));
+        assert_eq!(issue(add), (2, 3));
         let op = RemoteOp::Gather {
             word_len: 8,
             vas: vec![0x1000, 0x2000],
         };
-        assert_eq!(issue(Request::Op(&op)), (5, 6));
+        assert_eq!(issue(Request::Op(&op)), (3, 4));
     }
 
     #[test]
     fn bucket_sized_reads_are_single_response() {
-        // The one-RTT lookup's bucket READ geometry: a 128-byte cuckoo
-        // bucket must come back as exactly one response packet (one PSN) at
-        // every MTU the model supports.
-        for mtu in [256, 512, 1024, 2048, 4096] {
-            let qp = RequesterQp::new(host(), server(), QpNum(9), mtu);
-            assert!(qp.single_packet_read_limit() >= 128, "mtu {mtu}");
-            assert_eq!(qp.read_span(128), 1, "mtu {mtu}");
-            assert_eq!(qp.read_span(qp.single_packet_read_limit()), 1);
-            assert_eq!(qp.read_span(qp.single_packet_read_limit() + 1), 2);
+        // The one-RTT lookup's 128 B bucket READ, and any READ up to the
+        // MTU, takes one PSN and comes back as exactly one response packet.
+        let mut mrs = crate::mr::MrTable::new();
+        let (rkey, base) = mrs.register(ByteSize::from_kb(8));
+        let mut qp = RequesterQp::new(host(), server(), QpNum(0x100));
+        let mut responder = crate::qp::QueuePair::new(QpNum(0x100), host(), QpNum(7), 0);
+        for (psn, len) in [(0, 128), (1, MTU as u32)] {
+            let frame = qp.issue(rkey, &Request::Read { va: base, len });
+            assert_eq!(qp.npsn, psn + 1);
+            let req = RocePacket::parse(&frame).unwrap().unwrap();
+            let r =
+                crate::responder::process_request(server(), &mut responder, &mut mrs, &req, MTU);
+            let resp = RocePacket::parse(&r.response.unwrap()).unwrap().unwrap();
+            assert_eq!((resp.bth.opcode, resp.bth.psn), (Opcode::ReadRespOnly, psn));
+            assert_eq!(resp.payload.len(), len as usize);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the 2048 B MTU")]
+    fn write_blaster_refuses_messages_over_the_mtu() {
+        let qp = RequesterQp::new(host(), server(), QpNum(0x100));
+        let offered = Rate::from_gbps(10);
+        WriteBlaster::new("blaster", qp, Rkey(1), 0, 1 << 20, MTU + 1, offered, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the 2048 B MTU")]
+    fn read_looper_refuses_messages_over_the_mtu() {
+        let qp = RequesterQp::new(host(), server(), QpNum(0x100));
+        ReadLooper::new("looper", qp, Rkey(1), 0, 1 << 20, MTU + 1, 1, 1);
     }
 
     #[test]

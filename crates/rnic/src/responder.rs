@@ -1,7 +1,7 @@
 //! The RoCEv2 responder state machine.
 //!
 //! Given a parsed inbound request and the QP + memory-region state, decide
-//! what DMA to perform and which response frames to emit. This is pure
+//! what DMA to perform and which response frame to emit. This is pure
 //! protocol logic — the timing model lives in [`crate::nic`] — so it is
 //! directly unit-testable.
 //!
@@ -13,7 +13,7 @@
 //! itself. The NIC only queues what it is handed.
 
 use crate::mr::{AccessError, MrTable};
-use crate::qp::{QueuePair, WriteCursor};
+use crate::qp::QueuePair;
 use extmem_wire::aeth::{Aeth, NakCode};
 use extmem_wire::atomic::AtomicAckEth;
 use extmem_wire::bth::{psn_add, psn_before, Bth, Opcode};
@@ -39,10 +39,8 @@ pub enum Outcome {
         /// Bytes DMA'd.
         bytes: u64,
     },
-    /// A READ served with this many response packets / payload bytes.
+    /// A READ served: one response packet of this many payload bytes.
     ReadServed {
-        /// Response packets emitted.
-        packets: u32,
         /// Payload bytes returned.
         bytes: u64,
     },
@@ -66,56 +64,13 @@ pub enum Outcome {
     OutOfSequenceDropped,
 }
 
-/// The encoded response frames of one request, in order. Every request but
-/// a READ longer than the MTU is answered by at most one frame, which is
-/// held inline; reads as a slice either way.
-#[derive(Debug)]
-pub enum Responses {
-    /// Nothing to send (an unacknowledged WRITE, a dropped request).
-    None,
-    /// The single response.
-    One(Packet),
-    /// A multi-packet READ response.
-    Many(Vec<Packet>),
-}
-
-impl std::ops::Deref for Responses {
-    type Target = [Packet];
-    fn deref(&self) -> &[Packet] {
-        match self {
-            Responses::None => &[],
-            Responses::One(p) => std::slice::from_ref(p),
-            Responses::Many(v) => v,
-        }
-    }
-}
-
-impl IntoIterator for Responses {
-    type Item = Packet;
-    type IntoIter = std::iter::Chain<std::option::IntoIter<Packet>, std::vec::IntoIter<Packet>>;
-    fn into_iter(self) -> Self::IntoIter {
-        let (one, many) = match self {
-            Responses::None => (None, Vec::new()),
-            Responses::One(p) => (Some(p), Vec::new()),
-            Responses::Many(v) => (None, v),
-        };
-        one.into_iter().chain(many)
-    }
-}
-
-impl<'a> IntoIterator for &'a Responses {
-    type Item = &'a Packet;
-    type IntoIter = std::slice::Iter<'a, Packet>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.iter()
-    }
-}
-
 /// The result of processing one request packet.
 #[derive(Debug)]
 pub struct ResponderResult {
-    /// Frames to transmit back to the requester, in order.
-    pub responses: Responses,
+    /// The frame to transmit back to the requester: every request is
+    /// answered by at most one (none for an unacknowledged WRITE or a
+    /// dropped request).
+    pub response: Option<Packet>,
     /// What happened, for the NIC's statistics.
     pub outcome: Outcome,
 }
@@ -123,7 +78,8 @@ pub struct ResponderResult {
 /// Process one inbound request on `qp` against `mrs`.
 ///
 /// `local` is this NIC's endpoint identity (source of responses); `mtu` is
-/// the maximum READ-response payload per packet.
+/// the most payload one packet may carry. Every message is one packet, so a
+/// WRITE or READ longer than `mtu` is refused with an `InvalidRequest` NAK.
 pub fn process_request(
     local: RoceEndpoint,
     qp: &mut QueuePair,
@@ -139,7 +95,6 @@ pub fn process_request(
         // expected sequence and check strictly from there.
         qp.resync_next = false;
         qp.epsn = psn;
-        qp.write_cursor = None;
         qp.nak_outstanding = false;
     }
     if psn_before(psn, qp.epsn) {
@@ -150,12 +105,11 @@ pub fn process_request(
             // Best-effort channel: jump forward over the gap (the lost
             // requests are simply lost) and process this one in order.
             qp.epsn = psn;
-            qp.write_cursor = None; // a torn multi-packet write is void
         } else {
             // Strict RC: NAK once, then drop until the requester resyncs.
             if qp.nak_outstanding {
                 return ResponderResult {
-                    responses: Responses::None,
+                    response: None,
                     outcome: Outcome::OutOfSequenceDropped,
                 };
             }
@@ -170,7 +124,7 @@ pub fn process_request(
             let RoceExt::Reth(reth) = req.ext else {
                 return invalid(local, qp);
             };
-            if reth.dma_len as usize != req.payload.len() {
+            if reth.dma_len as usize != req.payload.len() || req.payload.len() > mtu {
                 return invalid(local, qp);
             }
             match mrs
@@ -181,64 +135,6 @@ pub fn process_request(
                     qp.epsn = psn_add(qp.epsn, 1);
                     qp.msn = (qp.msn + 1) & 0xff_ffff;
                     write_ack(local, qp, req.bth.ack_req, req.payload.len() as u64, psn)
-                }
-                Err(e) => access_nak(local, qp, e),
-            }
-        }
-        Opcode::WriteFirst => {
-            let RoceExt::Reth(reth) = req.ext else {
-                return invalid(local, qp);
-            };
-            if (req.payload.len() as u64) >= reth.dma_len as u64 {
-                return invalid(local, qp); // a First implies more to come
-            }
-            match mrs
-                .get_mut(reth.rkey)
-                .and_then(|r| r.write(reth.va, &req.payload))
-            {
-                Ok(()) => {
-                    qp.write_cursor = Some(WriteCursor {
-                        rkey: reth.rkey,
-                        va: reth.va + req.payload.len() as u64,
-                        remaining: reth.dma_len as u64 - req.payload.len() as u64,
-                    });
-                    qp.epsn = psn_add(qp.epsn, 1);
-                    // MSN advances only when the message completes.
-                    write_ack(local, qp, req.bth.ack_req, req.payload.len() as u64, psn)
-                }
-                Err(e) => access_nak(local, qp, e),
-            }
-        }
-        Opcode::WriteMiddle | Opcode::WriteLast => {
-            let Some(cursor) = qp.write_cursor else {
-                return invalid(local, qp);
-            };
-            let len = req.payload.len() as u64;
-            let fits = if req.bth.opcode == Opcode::WriteLast {
-                len == cursor.remaining
-            } else {
-                len < cursor.remaining
-            };
-            if !fits {
-                return invalid(local, qp);
-            }
-            match mrs
-                .get_mut(cursor.rkey)
-                .and_then(|r| r.write(cursor.va, &req.payload))
-            {
-                Ok(()) => {
-                    qp.epsn = psn_add(qp.epsn, 1);
-                    if req.bth.opcode == Opcode::WriteLast {
-                        qp.write_cursor = None;
-                        qp.msn = (qp.msn + 1) & 0xff_ffff;
-                    } else {
-                        qp.write_cursor = Some(WriteCursor {
-                            va: cursor.va + len,
-                            remaining: cursor.remaining - len,
-                            ..cursor
-                        });
-                    }
-                    write_ack(local, qp, req.bth.ack_req, len, psn)
                 }
                 Err(e) => access_nak(local, qp, e),
             }
@@ -257,7 +153,7 @@ pub fn process_request(
                     qp.msn = (qp.msn + 1) & 0xff_ffff;
                     qp.last_atomic = Some((psn, original));
                     ResponderResult {
-                        responses: Responses::One(atomic_ack(local, qp, psn, original)),
+                        response: Some(atomic_ack(local, qp, psn, original)),
                         outcome: Outcome::AtomicExecuted,
                     }
                 }
@@ -294,7 +190,7 @@ fn duplicate(
                 _ => plain_ack(local, qp, req.bth.psn),
             };
             ResponderResult {
-                responses: Responses::One(response),
+                response: Some(response),
                 outcome: Outcome::Duplicate,
             }
         }
@@ -326,13 +222,13 @@ fn duplicate(
                 None => plain_ack(local, qp, req.bth.psn),
             };
             ResponderResult {
-                responses: Responses::One(response),
+                response: Some(response),
                 outcome: Outcome::Duplicate,
             }
         }
         // Duplicate writes: acknowledge, do not re-execute.
         _ => ResponderResult {
-            responses: Responses::One(plain_ack(local, qp, req.bth.psn)),
+            response: Some(plain_ack(local, qp, req.bth.psn)),
             outcome: Outcome::Duplicate,
         },
     }
@@ -435,7 +331,7 @@ fn serve_ext_op(
         }
     }
     ResponderResult {
-        responses: Responses::One(response),
+        response: Some(response),
         outcome: Outcome::ExtOpExecuted {
             op,
             steps,
@@ -563,7 +459,8 @@ fn ext_op_resp(
     )
 }
 
-/// Serve a READ request (shared by the fresh and duplicate paths).
+/// Serve a READ request (shared by the fresh and duplicate paths): one
+/// response packet, encoded straight from its window of the region.
 fn serve_read(
     local: RoceEndpoint,
     qp: &mut QueuePair,
@@ -575,58 +472,33 @@ fn serve_read(
     let RoceExt::Reth(reth) = req.ext else {
         return invalid(local, qp);
     };
-    assert!(mtu > 0, "RoCE MTU must be positive");
-    // No copy out of the MR: each per-MTU response chunk is encoded from
-    // its window of the region.
-    let data = match mrs
-        .get(reth.rkey)
-        .and_then(|r| r.read(reth.va, reth.dma_len as u64))
-    {
-        Ok(d) => d,
-        Err(e) if is_duplicate => {
-            // A bad duplicate must not perturb the live sequence state.
-            let _ = e;
-            return nak(local, qp, NakCode::RemoteAccessError);
-        }
-        Err(e) => return access_nak(local, qp, e),
-    };
-    let n_packets = data.len().div_ceil(mtu).max(1) as u32;
-    let chunk = |i: u32| {
-        let opcode = if n_packets == 1 {
-            Opcode::ReadRespOnly
-        } else if i == 0 {
-            Opcode::ReadRespFirst
-        } else if i == n_packets - 1 {
-            Opcode::ReadRespLast
-        } else {
-            Opcode::ReadRespMiddle
-        };
-        let ext = if opcode == Opcode::ReadRespMiddle {
-            RoceExt::None
-        } else {
-            RoceExt::Aeth(Aeth::ack(qp.msn))
-        };
-        let bth = Bth::new(opcode, qp.peer_qpn, psn_add(req.bth.psn, i));
-        let start = i as usize * mtu;
-        let end = (start + mtu).min(data.len());
-        respond(local, qp, bth, ext, &[&data[start..end]])
-    };
-    let responses = if n_packets == 1 {
-        Responses::One(chunk(0))
+    let data = if reth.dma_len as usize > mtu {
+        Err(NakCode::InvalidRequest)
     } else {
-        Responses::Many((0..n_packets).map(chunk).collect())
+        mrs.get(reth.rkey)
+            .and_then(|r| r.read(reth.va, reth.dma_len as u64))
+            .map_err(|_| NakCode::RemoteAccessError)
     };
+    let data = match data {
+        Ok(d) => d,
+        Err(code) => {
+            // A bad duplicate must not perturb the live sequence state.
+            if !is_duplicate {
+                qp.epsn = psn_add(qp.epsn, 1);
+            }
+            return nak(local, qp, code);
+        }
+    };
+    let bth = Bth::new(Opcode::ReadRespOnly, qp.peer_qpn, req.bth.psn);
+    let response = respond(local, qp, bth, RoceExt::Aeth(Aeth::ack(qp.msn)), &[data]);
     let bytes = data.len() as u64;
     if !is_duplicate {
-        qp.epsn = psn_add(qp.epsn, n_packets);
+        qp.epsn = psn_add(qp.epsn, 1);
         qp.msn = (qp.msn + 1) & 0xff_ffff;
     }
     ResponderResult {
-        responses,
-        outcome: Outcome::ReadServed {
-            packets: n_packets,
-            bytes,
-        },
+        response: Some(response),
+        outcome: Outcome::ReadServed { bytes },
     }
 }
 
@@ -637,13 +509,8 @@ fn write_ack(
     bytes: u64,
     psn: u32,
 ) -> ResponderResult {
-    let responses = if ack_req {
-        Responses::One(plain_ack(local, qp, psn))
-    } else {
-        Responses::None
-    };
     ResponderResult {
-        responses,
+        response: ack_req.then(|| plain_ack(local, qp, psn)),
         outcome: Outcome::WriteExecuted { bytes },
     }
 }
@@ -682,7 +549,7 @@ fn nak(local: RoceEndpoint, qp: &QueuePair, code: NakCode) -> ResponderResult {
         &[],
     );
     ResponderResult {
-        responses: Responses::One(pkt),
+        response: Some(pkt),
         outcome: Outcome::Nak(code),
     }
 }
@@ -703,7 +570,9 @@ fn access_nak(local: RoceEndpoint, qp: &mut QueuePair, err: AccessError) -> Resp
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::nic::MTU;
     use extmem_types::{ByteSize, QpNum, Rkey};
+    use extmem_wire::aeth::Syndrome;
     use extmem_wire::reth::Reth;
     use extmem_wire::{CounterSpan, MacAddr};
 
@@ -728,13 +597,13 @@ mod tests {
         let r = super::process_request(local, qp, mrs, req, mtu);
         assert_eq!(
             span.allocs(),
-            r.responses.len() as u64,
+            r.response.is_some() as u64,
             "{:?}: one payload per response frame",
             r.outcome
         );
         Served {
             responses: r
-                .responses
+                .response
                 .iter()
                 .map(|frame| {
                     RocePacket::parse(frame)
@@ -831,13 +700,7 @@ mod tests {
         mrs.get_mut(rkey).unwrap().write(base, &[9; 300]).unwrap();
         let req = read_req(&qp, 0, rkey, base, 300);
         let r = process_request(local, &mut qp, &mut mrs, &req, 2048);
-        assert_eq!(
-            r.outcome,
-            Outcome::ReadServed {
-                packets: 1,
-                bytes: 300
-            }
-        );
+        assert_eq!(r.outcome, Outcome::ReadServed { bytes: 300 });
         assert_eq!(r.responses.len(), 1);
         assert_eq!(r.responses[0].bth.opcode, Opcode::ReadRespOnly);
         assert_eq!(r.responses[0].payload, vec![9; 300]);
@@ -845,41 +708,53 @@ mod tests {
         assert_eq!(qp.epsn, 1);
     }
 
+    fn is_nak(resp: &RocePacket, code: NakCode) -> bool {
+        matches!(resp.ext, RoceExt::Aeth(a) if a.syndrome == Syndrome::Nak(code))
+    }
+
     #[test]
-    fn read_fragments_by_mtu() {
+    fn read_over_the_mtu_is_invalid() {
+        // Every message is one packet: a READ one byte over the MTU is
+        // refused whole, and consumes its PSN once.
         let (local, mut qp, mut mrs, rkey, base) = setup();
-        let data: Vec<u8> = (0..2500u32).map(|i| i as u8).collect();
-        mrs.get_mut(rkey).unwrap().write(base, &data).unwrap();
-        let req = read_req(&qp, 0, rkey, base, 2500);
-        let r = process_request(local, &mut qp, &mut mrs, &req, 1024);
+        let req = read_req(&qp, 0, rkey, base, MTU as u32 + 1);
+        let r = process_request(local, &mut qp, &mut mrs, &req, MTU);
+        assert_eq!(r.outcome, Outcome::Nak(NakCode::InvalidRequest));
+        assert!(is_nak(&r.responses[0], NakCode::InvalidRequest));
+        assert_eq!((qp.epsn, qp.msn), (1, 0));
+        // Its duplicate is refused the same way and moves nothing.
+        let r = process_request(local, &mut qp, &mut mrs, &req, MTU);
+        assert_eq!(r.outcome, Outcome::Duplicate);
+        assert!(is_nak(&r.responses[0], NakCode::InvalidRequest));
+        assert_eq!((qp.epsn, qp.msn), (1, 0));
+        // A READ of exactly the MTU is one response packet.
+        let req = read_req(&qp, 1, rkey, base, MTU as u32);
+        let r = process_request(local, &mut qp, &mut mrs, &req, MTU);
+        assert_eq!(r.outcome, Outcome::ReadServed { bytes: MTU as u64 });
+        assert_eq!(r.responses[0].bth.opcode, Opcode::ReadRespOnly);
+        assert_eq!((qp.epsn, qp.msn), (2, 1));
+    }
+
+    #[test]
+    fn write_over_the_mtu_is_invalid() {
+        // A WRITE one byte over the MTU is refused whole: none of it lands,
+        // and it consumes its PSN once.
+        let (local, mut qp, mut mrs, rkey, base) = setup();
+        let req = write_req(&qp, 0, rkey, base, vec![7; MTU + 1]);
+        let r = process_request(local, &mut qp, &mut mrs, &req, MTU);
+        assert_eq!(r.outcome, Outcome::Nak(NakCode::InvalidRequest));
+        assert!(is_nak(&r.responses[0], NakCode::InvalidRequest));
+        assert_eq!((qp.epsn, qp.msn), (1, 0));
+        let region = mrs.get(rkey).unwrap();
         assert_eq!(
-            r.outcome,
-            Outcome::ReadServed {
-                packets: 3,
-                bytes: 2500
-            }
+            region.read(base, MTU as u64 + 1).unwrap(),
+            &[0u8; MTU + 1][..]
         );
-        let ops: Vec<Opcode> = r.responses.iter().map(|p| p.bth.opcode).collect();
-        assert_eq!(
-            ops,
-            vec![
-                Opcode::ReadRespFirst,
-                Opcode::ReadRespMiddle,
-                Opcode::ReadRespLast
-            ]
-        );
-        let psns: Vec<u32> = r.responses.iter().map(|p| p.bth.psn).collect();
-        assert_eq!(psns, vec![0, 1, 2]);
-        // Middle packets carry no AETH.
-        assert!(matches!(r.responses[1].ext, RoceExt::None));
-        // READ consumes one PSN per response packet.
-        assert_eq!(qp.epsn, 3);
-        // Reassembly matches.
-        let mut got = Vec::new();
-        for p in &r.responses {
-            got.extend_from_slice(&p.payload);
-        }
-        assert_eq!(got, data);
+        // A WRITE of exactly the MTU executes.
+        let req = write_req(&qp, 1, rkey, base, vec![7; MTU]);
+        let r = process_request(local, &mut qp, &mut mrs, &req, MTU);
+        assert_eq!(r.outcome, Outcome::WriteExecuted { bytes: MTU as u64 });
+        assert_eq!((qp.epsn, qp.msn), (2, 1));
     }
 
     #[test]
@@ -988,65 +863,6 @@ mod tests {
             r.outcome,
             Outcome::Nak(NakCode::RemoteAccessError)
         ));
-    }
-
-    #[test]
-    fn multi_packet_write_assembles() {
-        let (local, mut qp, mut mrs, rkey, base) = setup();
-        let total = 2500u32;
-        let first = RocePacket::new(
-            qp.peer,
-            local,
-            100,
-            Bth::new(Opcode::WriteFirst, qp.qpn, 0),
-            RoceExt::Reth(Reth {
-                va: base,
-                rkey,
-                dma_len: total,
-            }),
-            vec![1; 1024],
-        );
-        let middle = RocePacket::new(
-            qp.peer,
-            local,
-            100,
-            Bth::new(Opcode::WriteMiddle, qp.qpn, 1),
-            RoceExt::None,
-            vec![2; 1024],
-        );
-        let last = RocePacket::new(
-            qp.peer,
-            local,
-            100,
-            Bth::new(Opcode::WriteLast, qp.qpn, 2),
-            RoceExt::None,
-            vec![3; 452],
-        );
-        for (req, expect_msn) in [(&first, 0), (&middle, 0), (&last, 1)] {
-            let r = process_request(local, &mut qp, &mut mrs, req, 2048);
-            assert!(matches!(r.outcome, Outcome::WriteExecuted { .. }));
-            assert_eq!(qp.msn, expect_msn);
-        }
-        let data = mrs.get(rkey).unwrap().read(base, 2500).unwrap();
-        assert_eq!(&data[..1024], &[1u8; 1024][..]);
-        assert_eq!(&data[1024..2048], &[2u8; 1024][..]);
-        assert_eq!(&data[2048..], &[3u8; 452][..]);
-        assert!(qp.write_cursor.is_none());
-    }
-
-    #[test]
-    fn middle_without_first_is_invalid() {
-        let (local, mut qp, mut mrs, _rkey, _base) = setup();
-        let middle = RocePacket::new(
-            qp.peer,
-            local,
-            100,
-            Bth::new(Opcode::WriteMiddle, qp.qpn, 0),
-            RoceExt::None,
-            vec![2; 64],
-        );
-        let r = process_request(local, &mut qp, &mut mrs, &middle, 2048);
-        assert!(matches!(r.outcome, Outcome::Nak(NakCode::InvalidRequest)));
     }
 
     #[test]
@@ -1403,8 +1219,19 @@ mod tests {
         let serve = |qp: &mut QueuePair, mrs: &mut MrTable, req: &RocePacket| {
             let span = CounterSpan::begin();
             let r = super::process_request(local, qp, mrs, req, MTU);
-            assert_eq!(span.allocs(), r.responses.len() as u64, "{:?}", r.outcome);
-            r.responses.to_vec()
+            let frames = Vec::from_iter(r.response);
+            assert_eq!(span.allocs(), frames.len() as u64, "{:?}", r.outcome);
+            frames
+        };
+        let nak = |qp: &QueuePair, code| {
+            built(
+                local,
+                qp,
+                Opcode::Acknowledge,
+                qp.epsn,
+                RoceExt::Aeth(Aeth::nak(code, qp.msn)),
+                &[],
+            )
         };
 
         // READ answered by one packet: the AETH carries the MSN from before
@@ -1420,32 +1247,30 @@ mod tests {
         );
         assert_eq!(serve(&mut qp, &mut mrs, &read1), [want]);
 
-        // READ answered by three: PSNs 1..=3, no AETH in the middle.
-        let read3 = read_req(&qp, 1, rkey, base, 2500);
-        let chunks = |qp: &QueuePair| {
-            [
-                (
-                    Opcode::ReadRespFirst,
-                    RoceExt::Aeth(Aeth::ack(qp.msn)),
-                    0..1024,
-                ),
-                (Opcode::ReadRespMiddle, RoceExt::None, 1024..2048),
-                (
-                    Opcode::ReadRespLast,
-                    RoceExt::Aeth(Aeth::ack(qp.msn)),
-                    2048..2500,
-                ),
-            ]
-            .into_iter()
-            .zip(1u32..)
-            .map(|((op, ext, range), psn)| built(local, qp, op, psn, ext, &image[range]))
-            .collect::<Vec<_>>()
+        // A READ over the MTU is refused whole, and so is its duplicate,
+        // which leaves the sequence alone.
+        let long = read_req(&qp, 1, rkey, base, MTU as u32 + 1);
+        let got = serve(&mut qp, &mut mrs, &long);
+        assert_eq!(got, [nak(&qp, NakCode::InvalidRequest)]);
+        let got = serve(&mut qp, &mut mrs, &long);
+        assert_eq!(got, [nak(&qp, NakCode::InvalidRequest)]);
+
+        // A READ of exactly the MTU is one packet. Its duplicate is
+        // re-executed, under the MSN of the moment.
+        let full = read_req(&qp, 2, rkey, base, MTU as u32);
+        let whole = |qp: &QueuePair| {
+            let ext = RoceExt::Aeth(Aeth::ack(qp.msn));
+            built(local, qp, Opcode::ReadRespOnly, 2, ext, &image[..MTU])
         };
-        let want = chunks(&qp);
-        assert_eq!(serve(&mut qp, &mut mrs, &read3), want);
-        // Its duplicate is re-executed, under the MSN of the moment.
-        let want = chunks(&qp);
-        assert_eq!(serve(&mut qp, &mut mrs, &read3), want);
+        let want = whole(&qp);
+        assert_eq!(serve(&mut qp, &mut mrs, &full), [want]);
+        let want = whole(&qp);
+        assert_eq!(serve(&mut qp, &mut mrs, &full), [want]);
+
+        // A WRITE over the MTU is refused whole.
+        let long = write_req(&qp, 3, rkey, base, vec![9; MTU + 1]);
+        let got = serve(&mut qp, &mut mrs, &long);
+        assert_eq!(got, [nak(&qp, NakCode::InvalidRequest)]);
         assert_eq!((qp.epsn, qp.msn), (4, 2));
 
         // Each remote op: one ExtOpResp, MSN already counting the op.
@@ -1551,18 +1376,8 @@ mod tests {
             base.to_be_bytes().to_vec(), // one address short
         );
         let got = serve(&mut qp, &mut mrs, &over);
-        let nak = |qp: &QueuePair, code| {
-            built(
-                local,
-                qp,
-                Opcode::Acknowledge,
-                qp.epsn,
-                RoceExt::Aeth(Aeth::nak(code, qp.msn)),
-                &[],
-            )
-        };
         assert_eq!(got, [nak(&qp, NakCode::InvalidRequest)]);
-        let beyond = read_req(&qp, 9, rkey, base + 65_000, 4096);
+        let beyond = read_req(&qp, 9, rkey, base + 65_000, 1024);
         let got = serve(&mut qp, &mut mrs, &beyond);
         assert_eq!(got, [nak(&qp, NakCode::RemoteAccessError)]);
         let late = read_req(&qp, 12, rkey, base, 8);

@@ -82,13 +82,10 @@ const CHANNEL_CAP: usize = 1024;
 
 /// Mutable per-link-direction state. A direction (`link * 2 + transmitting
 /// end`) is owned by the partition owning its transmitting node, so none of
-/// this needs locks: stats, admin state, the fault RNG stream and the tie
-/// sequence counters are only ever touched by the owner.
+/// this needs locks: stats, the fault RNG stream and the tie sequence
+/// counters are only ever touched by the owner.
 struct DirState {
     stats: LinkStats,
-    /// Administrative state: while `false`, transmissions are dropped on
-    /// the floor (the port still cycles so senders don't wedge).
-    admin_up: bool,
     /// Fault-injection RNG stream, seeded per direction so fault draws are
     /// a function of this direction's transmit sequence alone.
     rng: StdRng,
@@ -256,12 +253,6 @@ impl EngineCore {
         let ds = &mut self.dirs[dir];
         ds.stats.tx_packets += 1;
         ds.stats.tx_bytes += packet.len() as u64;
-        if !ds.admin_up {
-            // Administratively down: the bits leave the transceiver and
-            // die. The port still cycles normally.
-            ds.stats.admin_drops += 1;
-            return;
-        }
 
         // Fault injection is decided at transmit time, drawing from this
         // direction's own RNG stream, so the draw order is a deterministic
@@ -552,9 +543,6 @@ impl Partition {
                     self.with_node(node, |n, ctx| n.on_crash(ctx));
                 }
             }
-            EventKind::LinkAdmin { link, end, up } => {
-                self.core.dirs[link as usize * 2 + end as usize].admin_up = up;
-            }
         }
     }
 
@@ -818,7 +806,6 @@ impl SimBuilder {
                         dirs: (0..dirs_n)
                             .map(|d| DirState {
                                 stats: LinkStats::default(),
-                                admin_up: true,
                                 rng: StdRng::seed_from_u64(stream_seed(
                                     self.seed,
                                     STREAM_FAULTS,
@@ -870,7 +857,6 @@ impl SimBuilder {
             topo,
             sync,
             admin_seq: vec![0; n],
-            link_admin_seq: vec![0; dirs_n],
         }
     }
 }
@@ -882,8 +868,6 @@ pub struct Simulator {
     sync: Option<Arc<SyncShared>>,
     /// Driver-side tie counters for crash/restart events, per node.
     admin_seq: Vec<u32>,
-    /// Driver-side tie counters for link admin events, per direction.
-    link_admin_seq: Vec<u32>,
 }
 
 impl Simulator {
@@ -941,33 +925,6 @@ impl Simulator {
     /// crashed at that time); its [`Node::on_restart`] hook runs.
     pub fn schedule_restart(&mut self, node: NodeId, delay: TimeDelta) {
         self.push_node_admin(node, true, delay);
-    }
-
-    /// Schedule link `link` to go administratively down (`up: false`) or
-    /// back up (`up: true`) after `delay`. While down, transmissions in
-    /// either direction are dropped (counted in `LinkStats::admin_drops`);
-    /// packets already in flight still arrive.
-    ///
-    /// Internally this is two per-direction events, each dispatched by the
-    /// partition owning that direction's transmitting node.
-    pub fn schedule_link_admin(&mut self, link: LinkId, up: bool, delay: TimeDelta) {
-        for end in 0..2usize {
-            let dir = link.raw() as usize * 2 + end;
-            let s = self.link_admin_seq[dir];
-            self.link_admin_seq[dir] = s.checked_add(1).expect("link admin seq overflow");
-            let t = tie::pack(tie::CLASS_LINK_ADMIN, dir as u32, s);
-            let p = self.topo.dir_owner(dir) as usize;
-            let at = self.parts[p].core.now + delay;
-            self.parts[p].core.queue.push_keyed(
-                at,
-                t,
-                EventKind::LinkAdmin {
-                    link: link.raw(),
-                    end: end as u8,
-                    up,
-                },
-            );
-        }
     }
 
     /// Deliveries and timers discarded while `node` was crashed.
@@ -1926,24 +1883,6 @@ mod tests {
         let wheel = run(SchedBackend::Wheel);
         assert_eq!(wheel, run(SchedBackend::Parallel(2)));
         assert!(wheel.1 > 0, "crash window should blackhole something");
-    }
-
-    #[test]
-    fn parallel_link_admin_matches_wheel() {
-        let run = |backend| {
-            with_sched_backend(backend, || {
-                let (mut sim, _, _) = two_node_sim(17);
-                sim.schedule_link_admin(LinkId(0), false, TimeDelta::from_nanos(500));
-                sim.schedule_link_admin(LinkId(0), true, TimeDelta::from_nanos(1500));
-                sim.run_to_quiescence();
-                (
-                    sim.trace_digest(),
-                    sim.link_stats(LinkId(0), 0).admin_drops
-                        + sim.link_stats(LinkId(0), 1).admin_drops,
-                )
-            })
-        };
-        assert_eq!(run(SchedBackend::Wheel), run(SchedBackend::Parallel(2)));
     }
 
     #[test]

@@ -74,18 +74,6 @@ pub enum EventKind {
         /// `false` = crash, `true` = restart.
         up: bool,
     },
-    /// One direction of link `link` goes administratively down
-    /// (`up: false`, transmissions are dropped on the floor) or back up
-    /// (`up: true`). Per-direction so each event is dispatched by the
-    /// partition owning that direction's transmitting node.
-    LinkAdmin {
-        /// Engine-internal link index (as returned by `SimBuilder::connect`).
-        link: u32,
-        /// The transmitting end this event governs (0 or 1).
-        end: u8,
-        /// `false` = down, `true` = up.
-        up: bool,
-    },
 }
 
 /// An event plus its position in the total order, as returned by
@@ -115,22 +103,21 @@ pub struct Scheduled {
 /// any backend:
 ///
 /// ```text
-///   bits 63..61  class   (1 = node admin, 2 = link admin, 3 = deliver,
-///                         4 = tx-done, 5 = timer)
+///   bits 63..61  class   (1 = node admin, 3 = deliver, 4 = tx-done,
+///                         5 = timer; 2 is unused)
 ///   bits 60..32  source  (node id, or link direction id = link * 2 + end)
 ///   bits 31..0   per-source sequence number
 /// ```
 ///
 /// Class 0 is reserved for the public push API's plain counter (its values
 /// never collide with packed keys: the counter would have to exceed 2^61).
-/// At one fire time, order is: external pushes, node admin, link admin,
-/// deliveries (by direction), tx-dones, timers (by node) — and within one
-/// source, schedule order.
+/// At one fire time, order is: external pushes, node admin, deliveries (by
+/// direction), tx-dones, timers (by node) — and within one source, schedule
+/// order. Class 2 is unused: the class numbers are part of every tie key,
+/// and so of every trace digest.
 pub(crate) mod tie {
     /// Crash/restart events, keyed by node.
     pub const CLASS_NODE_ADMIN: u64 = 1;
-    /// Per-direction link up/down events, keyed by direction.
-    pub const CLASS_LINK_ADMIN: u64 = 2;
     /// Packet deliveries, keyed by transmitting link direction.
     pub const CLASS_DELIVER: u64 = 3;
     /// Transmit completions, keyed by transmitting link direction.

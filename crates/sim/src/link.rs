@@ -152,8 +152,6 @@ pub struct LinkStats {
     pub reordered_packets: u64,
     /// Extra copies delivered by duplicate injection.
     pub duplicated_packets: u64,
-    /// Packets dropped because the link was administratively down.
-    pub admin_drops: u64,
 }
 
 #[cfg(test)]

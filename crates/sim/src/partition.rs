@@ -9,7 +9,7 @@
 //! any delivery it may still send (`earliest own work + min propagation p→q`), and `q` only
 //! dispatches events strictly below the minimum of its inbound bounds.
 //! Cross-partition deliveries travel through bounded SPSC channels;
-//! everything else (timers, tx-completions, crash and link admin) stays
+//! everything else (timers, tx-completions, crash and restart) stays
 //! partition-local.
 //!
 //! Deadlock freedom: bounds are re-published every loop iteration whether

@@ -1,9 +1,9 @@
 //! ACK Extended Transport Header (AETH), 4 bytes.
 //!
-//! Carried by acknowledgements and the first/last/only packets of READ
-//! responses. The syndrome byte distinguishes positive ACKs (with credit
-//! count) from NAKs (with a NAK code); the remaining 24 bits carry the
-//! responder's message sequence number (MSN).
+//! Carried by acknowledgements and READ responses. The syndrome byte
+//! distinguishes positive ACKs (with credit count) from NAKs (with a NAK
+//! code); the remaining 24 bits carry the responder's message sequence
+//! number (MSN).
 
 use crate::layout::{check_max, prefix, prefix_mut};
 use crate::{Result, WireError};

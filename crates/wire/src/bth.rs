@@ -23,29 +23,18 @@ pub const MAX_24BIT: u32 = 0x00ff_ffff;
 ///
 /// These are exactly the operations the paper needs: one-sided RDMA WRITE and
 /// READ, atomic Fetch-and-Add, and the acknowledgement opcodes used by the §7
-/// reliability extension. Multi-packet WRITE/READ-response variants
-/// (first/middle/last) are included because a 1500 B ring-buffer entry does
-/// not fit in a single RoCE MTU when the MTU is configured at 1024 B.
+/// reliability extension. Every message is one packet of at most the RoCE
+/// MTU (2,048 B, the paper's CX-3): the largest thing a primitive moves is a
+/// ring entry, and it fits. So there are only the `Only` variants, and a
+/// first/middle/last opcode fails to parse like any other unknown byte.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 #[repr(u8)]
 pub enum Opcode {
-    /// RDMA WRITE, first packet of a multi-packet message.
-    WriteFirst = 0x06,
-    /// RDMA WRITE, middle packet.
-    WriteMiddle = 0x07,
-    /// RDMA WRITE, last packet.
-    WriteLast = 0x08,
-    /// RDMA WRITE fully contained in one packet.
+    /// RDMA WRITE, one packet.
     WriteOnly = 0x0a,
     /// RDMA READ request.
     ReadRequest = 0x0c,
-    /// RDMA READ response, first packet.
-    ReadRespFirst = 0x0d,
-    /// RDMA READ response, middle packet.
-    ReadRespMiddle = 0x0e,
-    /// RDMA READ response, last packet.
-    ReadRespLast = 0x0f,
-    /// RDMA READ response fully contained in one packet.
+    /// RDMA READ response, one packet.
     ReadRespOnly = 0x10,
     /// Acknowledgement (also used for NAK via the AETH syndrome).
     Acknowledge = 0x11,
@@ -67,14 +56,8 @@ impl Opcode {
     /// Decode a BTH opcode byte.
     pub fn from_u8(v: u8) -> Result<Opcode> {
         Ok(match v {
-            0x06 => Opcode::WriteFirst,
-            0x07 => Opcode::WriteMiddle,
-            0x08 => Opcode::WriteLast,
             0x0a => Opcode::WriteOnly,
             0x0c => Opcode::ReadRequest,
-            0x0d => Opcode::ReadRespFirst,
-            0x0e => Opcode::ReadRespMiddle,
-            0x0f => Opcode::ReadRespLast,
             0x10 => Opcode::ReadRespOnly,
             0x11 => Opcode::Acknowledge,
             0x12 => Opcode::AtomicAcknowledge,
@@ -92,10 +75,7 @@ impl Opcode {
     pub fn is_request(self) -> bool {
         matches!(
             self,
-            Opcode::WriteFirst
-                | Opcode::WriteMiddle
-                | Opcode::WriteLast
-                | Opcode::WriteOnly
+            Opcode::WriteOnly
                 | Opcode::ReadRequest
                 | Opcode::FetchAdd
                 | Opcode::HashProbe
@@ -204,14 +184,8 @@ mod tests {
     #[test]
     fn roundtrip_all_opcodes() {
         for op in [
-            Opcode::WriteFirst,
-            Opcode::WriteMiddle,
-            Opcode::WriteLast,
             Opcode::WriteOnly,
             Opcode::ReadRequest,
-            Opcode::ReadRespFirst,
-            Opcode::ReadRespMiddle,
-            Opcode::ReadRespLast,
             Opcode::ReadRespOnly,
             Opcode::Acknowledge,
             Opcode::AtomicAcknowledge,
@@ -254,6 +228,13 @@ mod tests {
             Opcode::from_u8(0x42),
             Err(WireError::UnsupportedOpcode(0x42))
         ));
+        // The multi-packet WRITE and READ-response opcodes are not spoken.
+        for op in [0x06, 0x07, 0x08, 0x0d, 0x0e, 0x0f] {
+            assert!(matches!(
+                Opcode::from_u8(op),
+                Err(WireError::UnsupportedOpcode(o)) if o == op
+            ));
+        }
     }
 
     #[test]

@@ -58,11 +58,9 @@ pub struct RoceEndpoint {
 /// BTH opcode.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum RoceExt {
-    /// No extended header (WRITE middle/last, READ response middle).
-    None,
-    /// An RETH (WRITE first/only, READ request).
+    /// An RETH (WRITE, READ request).
     Reth(Reth),
-    /// An AETH (ACK, READ response first/last/only).
+    /// An AETH (ACK, READ response).
     Aeth(Aeth),
     /// An AtomicETH (Fetch-and-Add request).
     AtomicEth(AtomicEth),
@@ -80,9 +78,8 @@ pub enum RoceExt {
 
 impl RoceExt {
     /// Encoded size in bytes.
-    pub fn len(&self) -> usize {
+    pub fn encoded_len(&self) -> usize {
         match self {
-            RoceExt::None => 0,
             RoceExt::Reth(_) => Reth::LEN,
             RoceExt::Aeth(_) => Aeth::LEN,
             RoceExt::AtomicEth(_) => AtomicEth::LEN,
@@ -94,20 +91,11 @@ impl RoceExt {
         }
     }
 
-    /// Whether there is no extended header.
-    pub fn is_empty(&self) -> bool {
-        matches!(self, RoceExt::None)
-    }
-
     /// Which extended-header shape `opcode` requires.
     fn expected_for(opcode: Opcode) -> ExtKind {
         match opcode {
-            Opcode::WriteFirst | Opcode::WriteOnly | Opcode::ReadRequest => ExtKind::Reth,
-            Opcode::WriteMiddle | Opcode::WriteLast | Opcode::ReadRespMiddle => ExtKind::None,
-            Opcode::ReadRespFirst
-            | Opcode::ReadRespLast
-            | Opcode::ReadRespOnly
-            | Opcode::Acknowledge => ExtKind::Aeth,
+            Opcode::WriteOnly | Opcode::ReadRequest => ExtKind::Reth,
+            Opcode::ReadRespOnly | Opcode::Acknowledge => ExtKind::Aeth,
             Opcode::FetchAdd => ExtKind::AtomicEth,
             Opcode::AtomicAcknowledge => ExtKind::AtomicAck,
             Opcode::HashProbe => ExtKind::HashProbe,
@@ -119,7 +107,6 @@ impl RoceExt {
 
     fn kind(&self) -> ExtKind {
         match self {
-            RoceExt::None => ExtKind::None,
             RoceExt::Reth(_) => ExtKind::Reth,
             RoceExt::Aeth(_) => ExtKind::Aeth,
             RoceExt::AtomicEth(_) => ExtKind::AtomicEth,
@@ -134,7 +121,6 @@ impl RoceExt {
 
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum ExtKind {
-    None,
     Reth,
     Aeth,
     AtomicEth,
@@ -229,7 +215,7 @@ impl RoceHeaders {
     /// Encoded size of the headers: the offset of the first body byte in
     /// the frame.
     pub fn body_offset(&self) -> usize {
-        EthernetHeader::LEN + ROCEV2_BASE_OVERHEAD + self.ext.len()
+        EthernetHeader::LEN + ROCEV2_BASE_OVERHEAD + self.ext.encoded_len()
     }
 
     /// Encode a frame whose body is the concatenation of `body` into `out`
@@ -284,7 +270,6 @@ impl RoceHeaders {
 
         let ext_at = bth_at + Bth::LEN;
         match &self.ext {
-            RoceExt::None => {}
             RoceExt::Reth(r) => r.write(&mut head[ext_at..])?,
             RoceExt::Aeth(a) => a.write(&mut head[ext_at..])?,
             RoceExt::AtomicEth(a) => a.write(&mut head[ext_at..])?,
@@ -399,7 +384,7 @@ impl RocePacket {
         let pad = pad_len(self.payload.len());
         EthernetHeader::LEN
             + ROCEV2_BASE_OVERHEAD
-            + self.ext.len()
+            + self.ext.encoded_len()
             + self.payload.len()
             + pad
             + ICRC_LEN
@@ -464,7 +449,6 @@ impl RocePacket {
         let bth = Bth::parse(tail(frame, BTH_AT))?;
         let ext_buf = tail(frame, EXT_AT);
         let ext = match RoceExt::expected_for(bth.opcode) {
-            ExtKind::None => RoceExt::None,
             ExtKind::Reth => RoceExt::Reth(Reth::parse(ext_buf)?),
             ExtKind::Aeth => RoceExt::Aeth(Aeth::parse(ext_buf)?),
             ExtKind::AtomicEth => RoceExt::AtomicEth(AtomicEth::parse(ext_buf)?),
@@ -480,7 +464,7 @@ impl RocePacket {
                 ExtOpAckEth::parse(tail(ext_buf, Aeth::LEN))?,
             ),
         };
-        let payload_at = EXT_AT + ext.len();
+        let payload_at = EXT_AT + ext.encoded_len();
         let trailer = ICRC_LEN + bth.pad_count as usize;
         if ip_end < payload_at + trailer {
             return Err(WireError::Truncated {
@@ -754,7 +738,7 @@ mod tests {
             d,
             1,
             Bth::new(Opcode::WriteOnly, QpNum(1), 0),
-            RoceExt::None,
+            RoceExt::Aeth(Aeth::ack(0)),
             vec![],
         );
         assert!(bad.build().is_err());
@@ -797,8 +781,8 @@ mod tests {
             s,
             d,
             1,
-            Bth::new(Opcode::WriteOnly, QpNum(1), 0),
-            RoceExt::None,
+            Bth::new(Opcode::Acknowledge, QpNum(1), 0),
+            RoceExt::Aeth(Aeth::ack(0)),
         );
         for total_len in [0, 20, 27, 39] {
             let mut buf = vec![0u8; 64];

@@ -83,13 +83,12 @@ fn valid_roce_frame(opcode: extmem_wire::bth::Opcode, payload: Vec<u8>) -> Vec<u
     use extmem_wire::MacAddr;
     let rkey = Rkey(7);
     let ext = match opcode {
-        WriteFirst | WriteOnly | ReadRequest => RoceExt::Reth(Reth {
+        WriteOnly | ReadRequest => RoceExt::Reth(Reth {
             va: 0x1000,
             rkey,
             dma_len: 64,
         }),
-        WriteMiddle | WriteLast | ReadRespMiddle => RoceExt::None,
-        ReadRespFirst | ReadRespLast | ReadRespOnly | Acknowledge => RoceExt::Aeth(Aeth::ack(1)),
+        ReadRespOnly | Acknowledge => RoceExt::Aeth(Aeth::ack(1)),
         FetchAdd => RoceExt::AtomicEth(AtomicEth {
             va: 0x1000,
             rkey,
@@ -142,17 +141,11 @@ fn valid_roce_frame(opcode: extmem_wire::bth::Opcode, payload: Vec<u8>) -> Vec<u
 }
 
 /// Every BTH opcode the parser knows.
-const OPCODES: [extmem_wire::bth::Opcode; 16] = {
+const OPCODES: [extmem_wire::bth::Opcode; 10] = {
     use extmem_wire::bth::Opcode::*;
     [
-        WriteFirst,
-        WriteMiddle,
-        WriteLast,
         WriteOnly,
         ReadRequest,
-        ReadRespFirst,
-        ReadRespMiddle,
-        ReadRespLast,
         ReadRespOnly,
         Acknowledge,
         AtomicAcknowledge,

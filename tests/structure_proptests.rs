@@ -1367,7 +1367,7 @@ mod remote_op_oracle {
             mrs.get_mut(rkey).unwrap().write(base, image).unwrap();
             Rig {
                 server,
-                req: RequesterQp::new(switch, server, QpNum(0x100), MTU),
+                req: RequesterQp::new(switch, server, QpNum(0x100)),
                 qp: QueuePair::new(QpNum(0x100), switch, QpNum(0x200), 0),
                 mrs,
                 rkey,
@@ -1402,11 +1402,7 @@ mod remote_op_oracle {
                 "{:?}",
                 r.outcome
             );
-            let mut out = Vec::new();
-            for p in &r.responses {
-                out.extend_from_slice(&parsed(p).payload[..]);
-            }
-            out
+            parsed(&r.response.expect("a READ is answered")).payload[..].to_vec()
         }
 
         /// Execute a remote op, then deliver the identical packet again (a
@@ -1419,7 +1415,7 @@ mod remote_op_oracle {
                 "{:?}",
                 r.outcome
             );
-            let resp = parsed(&r.responses[0]);
+            let resp = parsed(&r.response.expect("an op is answered"));
             let RoceExt::ExtOpAck(_, eth) = &resp.ext else {
                 panic!("not an ext-op response: {:?}", resp.ext)
             };
@@ -1427,7 +1423,7 @@ mod remote_op_oracle {
             let before = self.image();
             let r2 = process_request(self.server, &mut self.qp, &mut self.mrs, &pkt, MTU);
             assert!(matches!(r2.outcome, Outcome::Duplicate), "{:?}", r2.outcome);
-            let resp2 = parsed(&r2.responses[0]);
+            let resp2 = parsed(&r2.response.expect("a duplicate op is answered"));
             let RoceExt::ExtOpAck(_, eth2) = &resp2.ext else {
                 panic!("duplicate replay is not an ext-op response")
             };
@@ -1507,22 +1503,21 @@ mod remote_op_oracle {
         }
     }
 
-    /// Every kind of response the responder emits — READ (one packet and
-    /// three), WRITE with and without an ACK, Fetch-and-Add, each remote op,
-    /// an invalid-request NAK, an access NAK, the duplicate of each, and a
-    /// sequence-error NAK followed by silence — as wire bytes, folded into
-    /// one digest. The digest was first taken when the responder still
-    /// returned unencoded packets whose payloads were copies out of the
-    /// region; a change to how it builds its frames may not move a byte on
-    /// the wire.
+    /// Every kind of response the responder emits — a READ, WRITE with and
+    /// without an ACK, Fetch-and-Add, each remote op, invalid-request NAKs
+    /// (a READ over the MTU, a malformed op), an access NAK, the duplicate
+    /// of each, and a sequence-error NAK followed by silence — as wire
+    /// bytes, folded into one digest with each outcome. The frames were
+    /// first pinned when the responder still returned unencoded packets
+    /// whose payloads were copies out of the region; a change to how it
+    /// builds its frames may not move a byte on the wire.
     #[test]
     fn response_encodings_are_pinned() {
-        const PINNED: u64 = 0xf28b_2a02_65f3_b313;
+        const PINNED: u64 = 0x9469_7386_1f39_8769;
         let image: Vec<u8> = (0..REGION).map(|i| (i * 7 + 3) as u8).collect();
-        // A small MTU so a 300-byte READ is answered in three packets.
+        // A small MTU so a 300-byte READ is over it.
         const MTU: usize = 128;
         let mut rig = Rig::new(&image);
-        rig.req.mtu = MTU;
         let base = rig.base;
         let probe_key = image[256 + 16 + 2..256 + 16 + 6].to_vec();
         let requests = [
@@ -1585,7 +1580,7 @@ mod remote_op_oracle {
         let mut serve = |rig: &mut Rig, req: &extmem_wire::RocePacket| {
             let r = process_request(rig.server, &mut rig.qp, &mut rig.mrs, req, MTU);
             wire.extend_from_slice(format!("{:?}", r.outcome).as_bytes());
-            for frame in &r.responses {
+            if let Some(frame) = &r.response {
                 wire.extend_from_slice(&(frame.len() as u32).to_be_bytes());
                 wire.extend_from_slice(frame.as_slice());
             }

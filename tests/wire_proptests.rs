@@ -14,14 +14,8 @@ use proptest::prelude::*;
 
 fn arb_opcode() -> impl Strategy<Value = Opcode> {
     prop_oneof![
-        Just(Opcode::WriteFirst),
-        Just(Opcode::WriteMiddle),
-        Just(Opcode::WriteLast),
         Just(Opcode::WriteOnly),
         Just(Opcode::ReadRequest),
-        Just(Opcode::ReadRespFirst),
-        Just(Opcode::ReadRespMiddle),
-        Just(Opcode::ReadRespLast),
         Just(Opcode::ReadRespOnly),
         Just(Opcode::Acknowledge),
         Just(Opcode::AtomicAcknowledge),
@@ -437,9 +431,8 @@ proptest! {
         prop_assert_eq!(u64::from(r), (u64::from(a) + u64::from(n)) % (1 << 24));
     }
 
-    /// Advancing in two hops equals advancing once by the sum — the
-    /// reliability layer relies on this when it splits a multi-packet READ
-    /// into per-PSN bookkeeping.
+    /// Advancing in two hops equals advancing once by the sum: where the
+    /// sequence ends does not depend on how the advance was split.
     #[test]
     fn psn_add_composes(a in 0u32..0x0100_0000, m in 0u32..0x0080_0000, n in 0u32..0x0080_0000) {
         use extmem_wire::bth::psn_add;
@@ -670,7 +663,6 @@ mod one_encoder {
         bth.write(&mut out[bth_at..]).unwrap();
         let ext = &mut out[bth_at + Bth::LEN..];
         match &pkt.ext {
-            RoceExt::None => {}
             RoceExt::Reth(h) => h.write(ext).unwrap(),
             RoceExt::Aeth(h) => h.write(ext).unwrap(),
             RoceExt::AtomicEth(h) => h.write(ext).unwrap(),
@@ -686,7 +678,7 @@ mod one_encoder {
                 ack.write(&mut ext[Aeth::LEN..]).unwrap();
             }
         }
-        let body_at = bth_at + Bth::LEN + pkt.ext.len();
+        let body_at = bth_at + Bth::LEN + pkt.ext.encoded_len();
         out[body_at..body_at + pkt.payload.len()].copy_from_slice(&pkt.payload);
         let icrc = icrc_rocev2(&out[ip_at..total - ICRC_LEN]);
         out[total - ICRC_LEN..].copy_from_slice(&icrc.to_le_bytes());
@@ -875,28 +867,11 @@ mod one_encoder {
         let aeth = (0u32..0x0100_0000).prop_map(|msn| RoceExt::Aeth(Aeth::ack(msn)));
         let exts = prop_oneof![
             (
-                prop::sample::select(vec![
-                    Opcode::WriteFirst,
-                    Opcode::WriteOnly,
-                    Opcode::ReadRequest
-                ]),
+                prop::sample::select(vec![Opcode::WriteOnly, Opcode::ReadRequest]),
                 reth
             ),
             (
-                prop::sample::select(vec![
-                    Opcode::WriteMiddle,
-                    Opcode::WriteLast,
-                    Opcode::ReadRespMiddle
-                ]),
-                Just(RoceExt::None)
-            ),
-            (
-                prop::sample::select(vec![
-                    Opcode::ReadRespFirst,
-                    Opcode::ReadRespLast,
-                    Opcode::ReadRespOnly,
-                    Opcode::Acknowledge
-                ]),
+                prop::sample::select(vec![Opcode::ReadRespOnly, Opcode::Acknowledge]),
                 aeth
             ),
             (
@@ -995,7 +970,7 @@ mod one_encoder {
             let tail = Payload::from_vec(buffer).slice(margin..margin + body.len() - cut);
             let framed = WriteBody::framed(&body[..cut], tail);
 
-            let mut qp = RequesterQp::new(src, dst, QpNum(0x100), 1024);
+            let mut qp = RequesterQp::new(src, dst, QpNum(0x100));
             qp.npsn = psn;
             let mut bth = Bth::new(Opcode::WriteOnly, QpNum(0x100), psn);
             bth.ack_req = ack_req;
@@ -1020,17 +995,16 @@ mod one_encoder {
         /// The one request encoder against the slow reference, for all four
         /// kinds of request: whatever the PSN, rkey and operands, the frame
         /// is the one `RocePacket::new(..)` with the same fields builds,
-        /// and `issue` is that frame at `npsn`, which moves on by the span.
+        /// and `issue` is that frame at `npsn`, which moves on by one.
         #[test]
         fn every_request_kind_is_encoded_as_the_reference_builds_it(
             owned in arb_request(),
             src in arb_endpoint(),
             dst in arb_endpoint(),
             (rkey, psn) in (any::<u32>(), 0u32..0x0100_0000),
-            mtu in prop::sample::select(vec![256usize, 1024, 4096]),
         ) {
             let rkey = Rkey(rkey);
-            let mut qp = RequesterQp::new(src, dst, QpNum(0x4242), mtu);
+            let mut qp = RequesterQp::new(src, dst, QpNum(0x4242));
             let (req, opcode, ext, payload) = owned.spelt_out(rkey);
             let mut bth = Bth::new(opcode, qp.peer_qpn, psn);
             bth.ack_req = matches!(req, Request::Write { ack_req: true, .. });
@@ -1042,12 +1016,7 @@ mod one_encoder {
             qp.npsn = psn;
             let frame = qp.issue(rkey, &req);
             prop_assert_eq!(frame.as_slice(), &want[..]);
-            let span = match req {
-                Request::Read { len, .. } => (len as u64).div_ceil(mtu as u64).max(1),
-                _ => 1,
-            };
-            prop_assert_eq!(qp.span(&req) as u64, span);
-            prop_assert_eq!(qp.npsn as u64, (psn as u64 + span) & 0x00ff_ffff);
+            prop_assert_eq!(qp.npsn, (psn + 1) & 0x00ff_ffff);
         }
 
         #[test]
