@@ -773,8 +773,8 @@ pub fn a9_loss_sweep(out: &mut String) {
 /// follow-through).
 ///
 /// The paper's primitives each talk to *one* memory server; a crash there
-/// is terminal. The replicated pool layer turns the server into a pool:
-/// WRITEs fan out to mirrors, FaA deltas are accumulated and replayed,
+/// is terminal. The replicated pool layer turns the state store's server
+/// into a pool: FaA deltas are accumulated and replayed onto the mirror,
 /// and a health detector drives failover, probing, and rejoin
 /// reconciliation. This row prices that machinery: what replication costs
 /// when nothing fails, and what a crash costs when it does — in failovers,

@@ -270,9 +270,8 @@ impl PlanCtx {
 /// The control-plane cuckoo directory: authoritative table contents, the
 /// planned filter, and the relocation planner.
 ///
-/// The directory is the source of truth for reconciliation — after a server
-/// crash and rejoin, [`CuckooDirectory::encode_writes`] regenerates the
-/// exact byte image the remote region must converge to.
+/// The directory is the source of truth: [`CuckooDirectory::encode_writes`]
+/// generates the exact byte image the remote region must hold.
 #[derive(Clone)]
 pub struct CuckooDirectory {
     cfg: CuckooConfig,
@@ -712,9 +711,9 @@ impl CuckooDirectory {
         out
     }
 
-    /// `(va, bytes)` writes for every occupied slot — the reconciliation
-    /// image used to reseed a rejoining replica (empty slots are implied by
-    /// the restarted server's zeroed region).
+    /// `(va, bytes)` writes for every occupied slot — the image
+    /// [`crate::lookup::install_cuckoo_image`] installs (empty slots are
+    /// implied by the server's zeroed region).
     pub fn encode_writes(&self, base_va: u64) -> Vec<(u64, Vec<u8>)> {
         let mut out = Vec::new();
         for (b, bucket) in self.buckets.iter().enumerate() {

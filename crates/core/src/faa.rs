@@ -84,7 +84,8 @@ pub struct FaaStats {
 }
 
 /// The Fetch-and-Add issuing engine. One per pool (usually one server;
-/// replicated engines fan out through [`ReplicatedPool`]).
+/// a replicated engine's mirrors catch up through [`ReplicatedPool`]'s
+/// delta replay).
 #[derive(Debug)]
 pub struct FaaEngine {
     pool: ReplicatedPool,
@@ -270,17 +271,12 @@ impl FaaEngine {
         self.pump(ctx);
     }
 
-    /// Periodic maintenance: re-issue anything the window now has room for,
-    /// promote a server that rejoined before anything was counted (a pool
-    /// that has counted re-seeds its rejoiners itself) and flush pending
-    /// mirror deltas (anti-entropy, replicated pools). The channel's
-    /// retransmission/age-out deadline runs on its own cancellable timer
-    /// (see [`FaaEngine::on_timer`]).
+    /// Periodic maintenance: re-issue anything the window now has room for
+    /// and flush pending mirror deltas (anti-entropy, replicated pools). The
+    /// channel's retransmission/age-out deadline runs on its own cancellable
+    /// timer (see [`FaaEngine::on_timer`]).
     pub fn tick(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>) {
         self.pump(ctx);
-        if self.pool.rejoin_pending() {
-            self.pool.complete_rejoin(ctx);
-        }
         self.pool.sync_mirrors(ctx);
     }
 

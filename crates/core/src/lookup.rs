@@ -12,10 +12,10 @@
 //! bucket-sized round trip — no collisions, no second probe — while the
 //! packet waits on the switch. Online inserts and deletes run through a
 //! relocation planner whose steps this program executes over the reliable
-//! channel (READ-verify then WRITE per displaced entry, mirror fan-out
-//! preserved); the live filter flips at the instant each destination WRITE
-//! is issued, so the FIFO channel guarantees any later bucket READ observes
-//! the write and no resident key is ever transiently unfindable.
+//! channel (READ-verify then WRITE per displaced entry); the live filter
+//! flips at the instant each destination WRITE is issued, so the FIFO
+//! channel guarantees any later bucket READ observes the write and no
+//! resident key is ever transiently unfindable.
 
 use crate::channel::{
     ChannelEvent, ChannelStats, Op, RdmaChannel, ReliableChannel, ReliableConfig, Reply,
@@ -25,7 +25,7 @@ use crate::cuckoo::{
     SLOTS_PER_BUCKET, SLOT_BYTES,
 };
 use crate::fib::Fib;
-use crate::pool::{PoolConfig, PoolStats, ReplicatedPool};
+use crate::pool::ReplicatedPool;
 use extmem_rnic::nic::MTU;
 use extmem_rnic::{Operand, RemoteOp, RnicNode, WriteBody};
 use extmem_switch::filter::ChoiceFilter;
@@ -344,11 +344,8 @@ pub struct LookupStats {
     /// Inserts rejected with a full table (the control plane's signal to
     /// resize; rejected inserts mutate nothing).
     pub inserts_rejected: u64,
-    /// Reliability-layer counters for the underlying channel(s), merged
-    /// across the pool.
+    /// Reliability-layer counters for the underlying channel.
     pub channel: ChannelStats,
-    /// Replication-layer counters (all zero for single-server tables).
-    pub pool: PoolStats,
 }
 
 impl LookupStats {
@@ -406,11 +403,10 @@ impl<K: Eq + Hash + Copy> TableFront<K> {
         }
     }
 
-    /// The counters, with the channel's and the pool's merged in.
+    /// The counters, with the channel's merged in.
     pub(crate) fn stats(&self) -> LookupStats {
         LookupStats {
             channel: self.pool.channel_stats(),
-            pool: self.pool.stats(),
             ..self.stats
         }
     }
@@ -532,9 +528,6 @@ pub struct LookupTableProgram {
     churn: Option<ChurnScript>,
     /// Next unexecuted churn-script op.
     churn_next: usize,
-    /// A directory image is being written onto a rejoining replica;
-    /// control ops hold until it completes so the image cannot go stale.
-    reseeding: bool,
     /// Use the RNIC remote-op engine: misses become hash-probe-and-fetch
     /// ops (responder scans both candidate buckets) and relocation `Move`s
     /// become conditional WRITEs — each one request round trip.
@@ -552,37 +545,7 @@ impl LookupTableProgram {
         dir: CuckooDirectory,
         cache_capacity: Option<usize>,
     ) -> LookupTableProgram {
-        Self::over_pool(fib, single_server_pool(channel), dir, cache_capacity)
-    }
-
-    /// Create the program over a replicated pool of table servers (index 0
-    /// starts as primary). Install the directory image on **every** server
-    /// before traffic flows. A rejoining replica is reconciled from the
-    /// directory (the authoritative copy): the pool promotes it only after
-    /// this program has reseeded it bit-for-bit.
-    pub fn cuckoo_replicated(
-        fib: Fib,
-        channels: Vec<RdmaChannel>,
-        dir: CuckooDirectory,
-        cache_capacity: Option<usize>,
-        pool_config: PoolConfig,
-    ) -> LookupTableProgram {
-        let pool = ReplicatedPool::new(
-            channels
-                .into_iter()
-                .map(|ch| ReliableChannel::new(ch, ReliableConfig::default()))
-                .collect(),
-            pool_config,
-        );
-        Self::over_pool(fib, pool, dir, cache_capacity)
-    }
-
-    fn over_pool(
-        fib: Fib,
-        pool: ReplicatedPool,
-        dir: CuckooDirectory,
-        cache_capacity: Option<usize>,
-    ) -> LookupTableProgram {
+        let pool = single_server_pool(channel);
         assert!(
             pool.region_len() >= dir.region_bytes(),
             "remote region smaller than the cuckoo table"
@@ -599,7 +562,6 @@ impl LookupTableProgram {
             control: VecDeque::new(),
             churn: None,
             churn_next: 0,
-            reseeding: false,
             remote_ops: false,
         }
     }
@@ -633,7 +595,7 @@ impl LookupTableProgram {
         self.front.stats()
     }
 
-    /// The replication pool underneath (health/failover inspection).
+    /// The single-server pool underneath.
     pub fn pool(&self) -> &ReplicatedPool {
         &self.front.pool
     }
@@ -654,10 +616,10 @@ impl LookupTableProgram {
         &self.live_filter
     }
 
-    /// Whether no relocation step, verify READ, control op, or reseed is
+    /// Whether no relocation step, verify READ or control op is
     /// outstanding.
     pub fn relocation_idle(&self) -> bool {
-        self.steps.is_empty() && self.verify.is_none() && self.control.is_empty() && !self.reseeding
+        self.steps.is_empty() && self.verify.is_none() && self.control.is_empty()
     }
 
     /// Queue an insert/update for asynchronous execution. Drained on the
@@ -784,9 +746,7 @@ impl LookupTableProgram {
                     // one conditional WRITE: the responder compares the
                     // source slot against the directory's bytes and
                     // installs them at the destination only on a match.
-                    // The filter flip and mirror fan-out happen on the
-                    // response (the pool fans the *decided* image out, so
-                    // mirrors never re-run the condition).
+                    // The filter flip happens on the response.
                     let expected = Operand::new(&encode_slot(&key, &action));
                     Op::Remote(RemoteOp::CondWrite {
                         cmp_va: slot_va(base, from),
@@ -824,10 +784,10 @@ impl LookupTableProgram {
     /// A `Move`'s source check came back: a verify READ, whose bytes
     /// `matched` compares against the directory's, or (remote-op mode) a
     /// conditional WRITE that did the comparison at the responder. A
-    /// matching conditional WRITE already installed the destination bytes
-    /// (and the pool fanned the decided image to the mirrors); a READ never
-    /// does, and on a mismatch nothing was written — the directory is
-    /// authoritative, so count the drift and write the correct bytes anyway.
+    /// matching conditional WRITE already installed the destination bytes;
+    /// a READ never does, and on a mismatch nothing was written — the
+    /// directory is authoritative, so count the drift and write the correct
+    /// bytes anyway.
     fn finish_move(
         &mut self,
         ctx: &mut SwitchCtx<'_, '_, '_>,
@@ -908,32 +868,13 @@ impl LookupTableProgram {
         }
     }
 
-    /// Reconcile a rejoining replica from the directory: once relocations
-    /// are idle, write the directory's byte image onto it and let the pool
-    /// promote it. Control ops hold while the reseed is in flight so the
-    /// image cannot go stale.
-    fn maybe_reseed(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>) {
-        let pool = &mut self.front.pool;
-        if self.reseeding {
-            if pool.reseed_active() {
-                return;
-            }
-            self.reseeding = false; // finished (or aborted; a re-probe retries)
-        }
-        if pool.rejoin_pending() && self.verify.is_none() && self.steps.is_empty() {
-            let image = self.dir.encode_writes(pool.base_va());
-            self.reseeding = pool.reseed_rejoiner(ctx, image);
-        }
-    }
-
     /// The relocation pump: issue queued steps (stopping at a verify round
-    /// trip), then plan further control ops, then check reseed. Called
-    /// after every event batch and control/churn timer.
+    /// trip), then plan further control ops. Called after every event batch
+    /// and control/churn timer.
     fn advance(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>) {
         if self.front.degraded {
             return;
         }
-        self.maybe_reseed(ctx);
         loop {
             if self.verify.is_some() {
                 return;
@@ -942,7 +883,7 @@ impl LookupTableProgram {
                 self.issue_step(ctx, step);
                 continue;
             }
-            if self.reseeding || !self.plan_next_control() {
+            if !self.plan_next_control() {
                 return;
             }
         }
@@ -1039,7 +980,6 @@ const _: () = assert!(BUCKET_BYTES <= MTU);
 /// Control plane: install the directory's byte image into the remote region
 /// backing `channel` on `nic` (host-side pre-population, the counterpart of
 /// [`install_remote_action`](crate::direct_table::install_remote_action)).
-/// With replication, call once per server.
 pub fn install_cuckoo_image(nic: &mut RnicNode, channel: &RdmaChannel, dir: &CuckooDirectory) {
     for (va, bytes) in dir.encode_writes(channel.base_va) {
         nic.region_mut(channel.rkey)

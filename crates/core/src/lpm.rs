@@ -159,7 +159,7 @@ impl RemoteLpmProgram {
         self.front.stats()
     }
 
-    /// The replication pool underneath (health/failover inspection).
+    /// The single-server pool underneath.
     pub fn pool(&self) -> &ReplicatedPool {
         &self.front.pool
     }

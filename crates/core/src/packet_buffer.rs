@@ -42,7 +42,7 @@ use crate::channel::{
     ChannelEvent, ChannelStats, Op, RdmaChannel, ReliableChannel, ReliableConfig,
 };
 use crate::fib::Fib;
-use crate::pool::{assert_distinct_ports, PoolConfig, PoolStats, ReplicatedPool};
+use crate::pool::{assert_distinct_ports, ReplicatedPool};
 use extmem_rnic::nic::MTU;
 use extmem_rnic::WriteBody;
 use extmem_switch::{PipelineProgram, SwitchCtx};
@@ -104,9 +104,6 @@ pub struct PacketBufferStats {
     pub reads_issued: u64,
     /// Reliability-layer counters, aggregated across channels.
     pub channel: ChannelStats,
-    /// Replication-layer counters, aggregated across stripes (all zero
-    /// without mirrors).
-    pub pool: PoolStats,
 }
 
 /// The packet-buffer pipeline program. Wraps plain L2 forwarding; traffic
@@ -114,8 +111,7 @@ pub struct PacketBufferStats {
 pub struct PacketBufferProgram {
     /// L2 forwarding for all traffic.
     pub fib: Fib,
-    /// One pool per ring stripe (a pool is one server, or primary +
-    /// mirrors when replicated).
+    /// One single-server pool per ring stripe.
     pools: Vec<ReplicatedPool>,
     /// Entries each stripe's region holds.
     per_channel_entries: u64,
@@ -161,77 +157,6 @@ impl PacketBufferProgram {
         rto: TimeDelta,
     ) -> PacketBufferProgram {
         assert!(!channels.is_empty(), "need at least one channel");
-        let rc = ReliableConfig {
-            rto,
-            ..Default::default()
-        };
-        let pools = channels
-            .into_iter()
-            .map(|c| ReplicatedPool::single(ReliableChannel::new(c, rc)))
-            .collect();
-        Self::from_pools(
-            fib,
-            pools,
-            protected_port,
-            entry_size,
-            mode,
-            max_outstanding_reads,
-        )
-    }
-
-    /// Create the program with each ring stripe backed by a *replicated*
-    /// pool of memory servers: `stripes[i]` lists stripe `i`'s servers
-    /// (index 0 the primary, the rest mirrors). Stored packets fan out to
-    /// every live replica, so a primary crash loses no buffered packets —
-    /// READs fail over to a mirror. Rejoin promotion is gated on the ring
-    /// draining: a restarted server's ring window is stale, so it only
-    /// rejoins between bursts.
-    #[allow(clippy::too_many_arguments)]
-    pub fn replicated(
-        fib: Fib,
-        stripes: Vec<Vec<RdmaChannel>>,
-        protected_port: PortId,
-        entry_size: u64,
-        mode: Mode,
-        max_outstanding_reads: u64,
-        rto: TimeDelta,
-        pool_config: PoolConfig,
-    ) -> PacketBufferProgram {
-        let rc = ReliableConfig {
-            rto,
-            ..Default::default()
-        };
-        let pools = stripes
-            .into_iter()
-            .map(|servers| {
-                ReplicatedPool::new(
-                    servers
-                        .into_iter()
-                        .map(|c| ReliableChannel::new(c, rc))
-                        .collect(),
-                    pool_config,
-                )
-            })
-            .collect();
-        Self::from_pools(
-            fib,
-            pools,
-            protected_port,
-            entry_size,
-            mode,
-            max_outstanding_reads,
-        )
-    }
-
-    fn from_pools(
-        fib: Fib,
-        pools: Vec<ReplicatedPool>,
-        protected_port: PortId,
-        entry_size: u64,
-        mode: Mode,
-        max_outstanding_reads: u64,
-    ) -> PacketBufferProgram {
-        assert!(!pools.is_empty(), "need at least one stripe");
         assert!(entry_size as usize > ENTRY_HDR, "entry too small");
         assert!(
             entry_size as usize <= MTU,
@@ -251,6 +176,14 @@ impl PacketBufferProgram {
                 "resume threshold above start threshold would oscillate"
             );
         }
+        let rc = ReliableConfig {
+            rto,
+            ..Default::default()
+        };
+        let pools: Vec<ReplicatedPool> = channels
+            .into_iter()
+            .map(|c| ReplicatedPool::single(ReliableChannel::new(c, rc)))
+            .collect();
         let per_channel_entries = pools
             .iter()
             .map(|p| p.region_len() / entry_size)
@@ -294,24 +227,19 @@ impl PacketBufferProgram {
     pub fn stats(&self) -> PacketBufferStats {
         let mut s = self.stats;
         let mut agg = ChannelStats::default();
-        let mut pagg = PoolStats::default();
         for pool in &self.pools {
             agg.merge(&pool.channel_stats());
-            pagg.merge(&pool.stats());
         }
         s.channel = agg;
-        s.pool = pagg;
         s
     }
 
-    /// Per-stripe reliability counters (index = stripe index; merged
-    /// across a stripe's replicas).
+    /// Per-stripe reliability counters (index = stripe index).
     pub fn channel_stats(&self) -> Vec<ChannelStats> {
         self.pools.iter().map(|p| p.channel_stats()).collect()
     }
 
-    /// The replication pool behind stripe `i` (health/failover
-    /// inspection).
+    /// The single-server pool behind stripe `i`.
     pub fn pool(&self, i: usize) -> &ReplicatedPool {
         &self.pools[i]
     }
@@ -545,22 +473,6 @@ impl PacketBufferProgram {
         }
         self.release_ready(ctx);
         self.try_issue_reads(ctx);
-        self.maybe_complete_rejoins(ctx);
-    }
-
-    /// Rejoin gate: a restarted replica's ring window is stale, so it is
-    /// promoted back to mirror only once the ring has fully drained (every
-    /// entry written before the crash has been released). From then on
-    /// WRITE fanout keeps it current.
-    fn maybe_complete_rejoins(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>) {
-        if self.ring_occupancy() != 0 {
-            return;
-        }
-        for pool in &mut self.pools {
-            if pool.rejoin_pending() {
-                pool.complete_rejoin(ctx);
-            }
-        }
     }
 }
 

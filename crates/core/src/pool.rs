@@ -1,15 +1,16 @@
 //! Replicated remote-memory pools: N servers behind one channel-shaped API.
 //!
 //! The paper assumes the memory server stays up; the reliability layer
-//! (PR 3) already survives packet loss but treats a dead server as
-//! terminal. This module makes server death survivable: a primitive binds
-//! to a *pool* of N symmetric servers (one primary, N−1 mirrors) instead of
-//! one [`ReliableChannel`]. The pool:
+//! already survives packet loss but treats a dead server as terminal. This
+//! module makes server death survivable for the one primitive whose remote
+//! state is a sum of its own updates: the state store's Fetch-and-Add
+//! engine binds to a *pool* of N symmetric servers (one primary, N−1
+//! mirrors) instead of one [`ReliableChannel`]. A replicated pool carries
+//! caller Fetch-and-Adds and nothing else (any other caller op panics).
+//! The pool:
 //!
-//! * fans WRITEs out to the primary and every live mirror (the caller's
-//!   completion tracks the primary);
-//! * sends READs and Fetch-and-Adds to the primary only, accumulating each
-//!   FaA's delta per mirror so a mirror's counters can be reconciled by
+//! * sends each Fetch-and-Add to the primary only, accumulating its delta
+//!   per mirror once it completes so a mirror's counters are reconciled by
 //!   replay (an anti-entropy flush, [`ReplicatedPool::sync_mirrors`],
 //!   keeps live mirrors converged between failovers);
 //! * watches each server with a [`HealthDetector`] (`Healthy → Suspect →
@@ -18,38 +19,30 @@
 //!   latency is the detector threshold, not the channel retry cap;
 //! * on primary failure promotes the best mirror, replays its outstanding
 //!   delta, and reissues the caller ops that were in flight (same cookies,
-//!   so the owning primitive never notices) — the very [`Op`] values the
+//!   so the owning engine never notices) — the very [`Op`] values the
 //!   dying channel hands back in its `OpFailed` events, in its order. The
-//!   pool keeps no list of caller ops: what it needs of one (a
-//!   Fetch-and-Add's delta, a conditional WRITE's decided image) it reads
-//!   off the event that completes it;
+//!   pool keeps no list of caller ops: a Fetch-and-Add's delta is read off
+//!   the event that completes it;
 //! * probes Down servers with periodic 8-byte READs over a channel re-armed
 //!   at a fresh PSN ([`ReliableChannel::recover_at`]); an answered probe
-//!   moves the server to `Rejoining`. A pool that has carried a caller
-//!   Fetch-and-Add re-seeds those counters from the current primary and
-//!   promotes the server itself; any other pool holds nothing it could
-//!   copy, so promotion waits for its owner's
-//!   [`ReplicatedPool::complete_rejoin`] (the packet buffer once its ring
-//!   drains, the FaA engine on its tick) or
-//!   [`ReplicatedPool::reseed_rejoiner`] (the lookup table's directory
-//!   image).
+//!   moves the server to `Rejoining`, and the pool promotes it itself:
+//!   after re-seeding every counter a Fetch-and-Add has touched from the
+//!   current primary, or at once if none has (every replica still holds
+//!   zeros).
 //!
 //! A single-server pool ([`ReplicatedPool::single`]) is a strict
-//! passthrough with no tracking overhead, so existing single-server
-//! primitives pay nothing.
+//! passthrough with no tracking overhead, so the single-server primitives
+//! pay nothing and may submit any op.
 
 use crate::channel::{ChannelEvent, Op, ReliableChannel, Reply};
-use extmem_rnic::{RemoteOp, WriteBody};
 use extmem_switch::SwitchCtx;
 use extmem_types::{IntMap, IntSet, PortId, Rkey, TimeDelta};
 use extmem_wire::bth::psn_add;
-use extmem_wire::extop::EXTOP_FLAG_HIT;
 use std::collections::BTreeSet;
 use std::fmt;
 
-/// Cookie-space split: the pool's internal ops (mirror writes, probes,
-/// delta replays, reseed copies) carry the top bit; caller cookies must
-/// leave it clear.
+/// Cookie-space split: the pool's internal ops (probes, delta replays,
+/// reseed copies) carry the top bit; caller cookies must leave it clear.
 const INTERNAL_BIT: u64 = 1 << 63;
 
 /// How far `recover_at` jumps the PSN past the dead window. Far larger
@@ -66,7 +59,7 @@ pub enum Health {
     /// Missed at least one timeout round; not yet written off.
     Suspect,
     /// Past the consecutive-failure threshold (or its channel failed).
-    /// Excluded from fanout; probed for recovery.
+    /// Owed deltas but sent none; probed for recovery.
     Down,
     /// A probe answered: the server is back but its state is stale; it
     /// rejoins the mirror set once reconciliation completes.
@@ -195,7 +188,7 @@ impl Default for PoolConfig {
 const MAX_PROBES: u64 = 64;
 
 /// Pool-level counters, surfaced next to [`crate::channel::ChannelStats`]
-/// in every primitive's stats.
+/// in the FaA engine's stats.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PoolStats {
     /// Servers in the pool.
@@ -208,7 +201,10 @@ pub struct PoolStats {
     pub probes: u64,
     /// Servers promoted back to mirror after a crash.
     pub rejoins: u64,
-    /// Fan-out WRITE copies issued to mirrors.
+    /// WRITE copies issued to mirrors: always 0, since a replicated pool
+    /// carries Fetch-and-Adds only and mirrors catch up by delta replay.
+    /// Kept because the benchmark harness (`crates/benchmark`) and A10's
+    /// "mirror wr" column read it.
     pub mirror_writes: u64,
     /// FaA deltas recorded for later mirror replay.
     pub delta_accumulated: u64,
@@ -221,8 +217,8 @@ pub struct PoolStats {
 }
 
 impl PoolStats {
-    /// Aggregate across pools (multi-pool primitives, e.g. the striped
-    /// packet buffer).
+    /// Aggregate across pools (the sharded state store's
+    /// `pool_rollup`).
     pub fn merge(&mut self, other: &PoolStats) {
         self.servers += other.servers;
         self.unavailable += other.unavailable;
@@ -261,8 +257,6 @@ impl fmt::Display for PoolStats {
 /// A pool-internal op (top cookie bit set).
 #[derive(Clone, Debug)]
 enum InternalOp {
-    /// Fan-out WRITE copy on a mirror.
-    MirrorWrite,
     /// Recovery probe READ at a Down server.
     Probe { server: usize },
     /// A FaA delta being replayed onto a mirror; re-accumulated on failure.
@@ -361,16 +355,17 @@ pub(crate) fn assert_distinct_ports<'a>(pools: impl IntoIterator<Item = &'a Repl
 
 impl ReplicatedPool {
     /// A single-server pool: a strict passthrough to `channel` with zero
-    /// tracking overhead. Every existing single-server constructor wraps
-    /// its channel this way.
-    pub fn single(channel: ReliableChannel) -> ReplicatedPool {
+    /// tracking overhead. Every single-server constructor wraps its channel
+    /// this way.
+    pub(crate) fn single(channel: ReliableChannel) -> ReplicatedPool {
         Self::build(vec![channel], PoolConfig::default())
     }
 
     /// A replicated pool over `channels` (index 0 starts as primary). All
     /// servers must present the same region geometry — the controller
-    /// registers identical layouts on each.
-    pub fn new(channels: Vec<ReliableChannel>, config: PoolConfig) -> ReplicatedPool {
+    /// registers identical layouts on each. Only the FaA engine builds one
+    /// ([`crate::faa::FaaEngine::replicated`]).
+    pub(crate) fn new(channels: Vec<ReliableChannel>, config: PoolConfig) -> ReplicatedPool {
         assert!(!channels.is_empty(), "a pool needs at least one server");
         if channels.len() > 1 {
             let (rkey, va, len) = (
@@ -426,11 +421,6 @@ impl ReplicatedPool {
 
     fn probe_token(&self) -> u64 {
         PROBE_TIMER | self.servers[0].channel.server_port().0 as u64
-    }
-
-    /// Index of the current primary.
-    pub fn primary(&self) -> usize {
-        self.primary
     }
 
     /// Health of server `i`.
@@ -513,25 +503,13 @@ impl ReplicatedPool {
     }
 
     /// Whether the replicas have converged: no mirror holds an unreplayed
-    /// FaA delta and no pool-internal op (mirror write, delta replay,
-    /// probe, reseed step) is in flight. Quiescence on the caller side
-    /// plus this is the "fully settled" condition replica-equality audits
-    /// should wait for.
+    /// FaA delta and no pool-internal op (delta replay, probe, reseed
+    /// step) is in flight. Quiescence on the caller side plus this is the
+    /// "fully settled" condition replica-equality audits should wait for.
     pub fn is_synced(&self) -> bool {
         self.internal.is_empty()
             && self.reseed.is_none()
             && self.servers.iter().all(|s| s.delta.is_empty())
-    }
-
-    /// Whether any server has answered a probe and now waits for the
-    /// owner's promotion gate ([`Self::complete_rejoin`] or
-    /// [`Self::reseed_rejoiner`]).
-    pub fn rejoin_pending(&self) -> bool {
-        self.reseed.is_none()
-            && self
-                .servers
-                .iter()
-                .any(|s| s.health.state() == Health::Rejoining)
     }
 
     /// The caller's ops the primary's channel holds, in submit order (in
@@ -558,18 +536,12 @@ impl ReplicatedPool {
     }
 
     /// Submit `op` under `cookie`, which must leave the top bit clear (it
-    /// marks the pool's own ops). Every op runs on the primary, and the
-    /// event that ends it — on this primary or, after a failover reissued
-    /// it, the next — carries it back under the same cookie:
-    ///
-    /// * a WRITE also goes, as a copy sharing `body`'s tail, to every live
-    ///   mirror;
-    /// * a Fetch-and-Add's delta is owed to the mirrors once it completes
-    ///   and reconciled by replay;
-    /// * a remote op must not fan out — each replica could observe a
-    ///   different compare value and the replica images would diverge — so
-    ///   a *conditional WRITE*'s side effect is mirrored after the fact,
-    ///   when its completion reports a hit (DESIGN §4g).
+    /// marks the pool's own ops). A single-server pool passes any op
+    /// through; a replicated one takes Fetch-and-Adds only and panics on
+    /// anything else. The op runs on the primary, and the event that ends
+    /// it — on this primary or, after a failover reissued it, the next —
+    /// carries it back under the same cookie; its delta is then owed to
+    /// the mirrors and reconciled by replay.
     ///
     /// Returns `false` — op dropped — once the pool has wholly degraded.
     pub fn submit(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, op: Op, cookie: u64) -> bool {
@@ -577,42 +549,14 @@ impl ReplicatedPool {
         if self.servers.len() == 1 {
             return self.servers[0].channel.submit(ctx, op, cookie);
         }
+        let Op::FetchAdd { va, .. } = op else {
+            panic!("a replicated pool carries Fetch-and-Adds only, not {op:?}");
+        };
         if self.failed {
             return false;
         }
-        match &op {
-            Op::Write { va, body, .. } => self.mirror_write(ctx, *va, body),
-            Op::FetchAdd { va, .. } => {
-                self.touched.insert(*va);
-            }
-            Op::Read { .. } | Op::Remote(_) => {}
-        }
+        self.touched.insert(va);
         self.servers[self.primary].channel.submit(ctx, op, cookie)
-    }
-
-    /// Copy a WRITE of `body` at `va` to every mirror currently
-    /// eligible for fanout (live and not the primary), each under its own
-    /// internal cookie. Mirror copies always request an explicit ACK: with
-    /// no caller traffic behind them on that channel, an implicit
-    /// completion might never come and the retransmission timer would
-    /// wrongly fail the mirror.
-    fn mirror_write(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, va: u64, body: &WriteBody) {
-        for j in 0..self.servers.len() {
-            let live = matches!(
-                self.servers[j].health.state(),
-                Health::Healthy | Health::Suspect
-            );
-            if j == self.primary || !live {
-                continue;
-            }
-            let copy = Op::Write {
-                va,
-                body: body.clone(),
-                ack_req: true,
-            };
-            self.submit_internal(ctx, j, InternalOp::MirrorWrite, copy);
-            self.stats.mirror_writes += 1;
-        }
     }
 
     /// Feed a RoCE packet from `in_port`. Returns `true` if some server's
@@ -746,29 +690,14 @@ impl ReplicatedPool {
                     self.internal_failed(cookie);
                 }
                 ChannelEvent::Done { cookie, op, reply } => {
-                    match (&op, &reply) {
-                        (Op::FetchAdd { va, add }, _) => {
-                            for j in 0..self.servers.len() {
-                                if j == i || self.delta_skip.remove(&(j, cookie)) {
-                                    continue;
-                                }
-                                self.servers[j].accumulate(*va, *add);
-                                self.stats.delta_accumulated += 1;
+                    if let Op::FetchAdd { va, add } = op {
+                        for j in 0..self.servers.len() {
+                            if j == i || self.delta_skip.remove(&(j, cookie)) {
+                                continue;
                             }
+                            self.servers[j].accumulate(va, add);
+                            self.stats.delta_accumulated += 1;
                         }
-                        // The primary took the conditional write: propagate
-                        // the decided image to the mirrors as plain WRITEs
-                        // (re-running the *condition* there could decide
-                        // differently).
-                        (
-                            Op::Remote(RemoteOp::CondWrite {
-                                write_va, write, ..
-                            }),
-                            Reply::Remote { flags, .. },
-                        ) if flags & EXTOP_FLAG_HIT != 0 => {
-                            self.mirror_write(ctx, *write_va, &WriteBody::inline(write));
-                        }
-                        _ => {}
                     }
                     out.push(ChannelEvent::Done { cookie, op, reply });
                 }
@@ -786,7 +715,7 @@ impl ReplicatedPool {
             return;
         };
         match op {
-            InternalOp::MirrorWrite | InternalOp::DeltaFaa { .. } => {}
+            InternalOp::DeltaFaa { .. } => {}
             InternalOp::Probe { server } => {
                 self.servers[server].health.on_probe_success();
                 self.begin_rejoin(ctx, server);
@@ -824,8 +753,6 @@ impl ReplicatedPool {
             return;
         };
         match op {
-            // The mirror is dying; its channel `Failed` handles the rest.
-            InternalOp::MirrorWrite => {}
             // Probe unanswered: the server stays Down, the timer re-probes.
             InternalOp::Probe { .. } => {}
             InternalOp::DeltaFaa { server, va, add } => {
@@ -903,13 +830,15 @@ impl ReplicatedPool {
     }
 
     /// Anti-entropy flush: replay pending FaA deltas onto every live
-    /// mirror so replicas converge between failovers. Primitives with a
-    /// periodic tick (the state store) call this from it; cheap when
-    /// nothing is pending.
+    /// mirror so replicas converge between failovers, and start the
+    /// reconciliation of a rejoiner that queued behind one cut short. The
+    /// FaA engine calls this from its periodic tick; cheap when nothing is
+    /// pending.
     pub fn sync_mirrors(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>) {
         if self.servers.len() == 1 || self.failed {
             return;
         }
+        self.next_rejoin(ctx);
         for j in 0..self.servers.len() {
             if j == self.primary
                 || self.servers[j].delta.is_empty()
@@ -926,12 +855,16 @@ impl ReplicatedPool {
 
     /// Re-seed a probe-answered `server` from the primary — every word a
     /// caller Fetch-and-Add has touched is copied, then the server is
-    /// promoted. A pool that never carried one has nothing to copy and
-    /// leaves the server `Rejoining` for its owner to promote.
+    /// promoted. A pool that never carried one has nothing to copy: every
+    /// replica still holds zeros, so the server is promoted at once.
     fn begin_rejoin(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, server: usize) {
-        if self.touched.is_empty() || self.reseed.is_some() {
+        if self.reseed.is_some() {
             // One reconciliation at a time: a second rejoiner stays
             // `Rejoining` and is picked up when the current one ends.
+            return;
+        }
+        if self.touched.is_empty() {
+            self.finish_rejoin(ctx, server);
             return;
         }
         // Caller atomics currently in flight on the primary will be
@@ -959,84 +892,20 @@ impl ReplicatedPool {
         self.servers[server].health.on_rejoin_complete();
         self.stats.rejoins += 1;
         // Deltas that accumulated while reseeding (post-snapshot atomics)
-        // flush now; afterwards the server takes normal WRITE fanout.
+        // flush now; afterwards the server is a mirror like any other.
         self.replay_delta(ctx, server);
         // Chain any rejoiner that was queued behind this reconciliation.
-        if self.reseed.is_none() {
-            let next = (0..self.servers.len())
-                .find(|&j| self.servers[j].health.state() == Health::Rejoining);
-            if let Some(j) = next {
-                self.begin_rejoin(ctx, j);
-            }
-        }
+        self.next_rejoin(ctx);
     }
 
-    /// The owner's promotion gate: promote every probe-answered server
-    /// back to mirror as it is, or — in a pool that has carried a
-    /// Fetch-and-Add — re-seed it first. The packet buffer calls this once
-    /// its ring has drained, so a rejoined replica never holds a stale ring
-    /// window; the FaA engine from its tick, for a rejoin before the first
-    /// count, when every replica's counters are still zero.
-    pub fn complete_rejoin(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>) {
-        for i in 0..self.servers.len() {
-            if self.servers[i].health.state() == Health::Rejoining
-                && self.reseed.as_ref().is_none_or(|r| r.target != i)
-            {
-                if self.touched.is_empty() {
-                    self.finish_rejoin(ctx, i);
-                } else {
-                    self.begin_rejoin(ctx, i);
-                }
-            }
+    /// Start reconciling the first `Rejoining` server, if there is one and
+    /// no reconciliation is under way.
+    fn next_rejoin(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>) {
+        let next =
+            (0..self.servers.len()).find(|&j| self.servers[j].health.state() == Health::Rejoining);
+        if let Some(j) = next {
+            self.begin_rejoin(ctx, j);
         }
-    }
-
-    /// Whether a rejoin reconciliation (pool-driven snapshot or
-    /// caller-driven [`ReplicatedPool::reseed_rejoiner`] image) is in
-    /// flight.
-    pub fn reseed_active(&self) -> bool {
-        self.reseed.is_some()
-    }
-
-    /// Caller-driven rejoin reconciliation: write `image` — `(va, bytes)`
-    /// pairs regenerated from the caller's authoritative copy (e.g. the
-    /// cuckoo directory) — onto the first `Rejoining` server, then promote
-    /// it. An empty image promotes immediately (the restarted server's
-    /// zeroed region already matches). Returns `true` when a reseed (or the
-    /// immediate promotion) started; callers should stop issuing state
-    /// mutations until [`ReplicatedPool::reseed_active`] goes false so the
-    /// image cannot go stale mid-reseed.
-    pub fn reseed_rejoiner(
-        &mut self,
-        ctx: &mut SwitchCtx<'_, '_, '_>,
-        image: Vec<(u64, Vec<u8>)>,
-    ) -> bool {
-        if self.failed || self.reseed.is_some() {
-            return false;
-        }
-        let Some(target) =
-            (0..self.servers.len()).find(|&j| self.servers[j].health.state() == Health::Rejoining)
-        else {
-            return false;
-        };
-        if image.is_empty() {
-            self.finish_rejoin(ctx, target);
-            return true;
-        }
-        self.reseed = Some(Reseed {
-            target,
-            pending: image.len(),
-        });
-        for (va, bytes) in image {
-            let copy = Op::Write {
-                va,
-                body: bytes.into(),
-                ack_req: true,
-            };
-            self.submit_internal(ctx, target, InternalOp::ReseedWrite { target }, copy);
-            self.stats.reseed_ops += 1;
-        }
-        true
     }
 
     fn ensure_probe_timer(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>) {
@@ -1088,13 +957,13 @@ mod tests {
     use super::*;
     use crate::channel::tests::{behind_blackhole, impatient, Blackhole};
     use crate::channel::{RdmaChannel, ReliableConfig, MAX_WINDOW};
-    use extmem_rnic::{Operand, RnicConfig, RnicNode};
+    use extmem_rnic::{RnicConfig, RnicNode, WriteBody};
     use extmem_sim::{LinkSpec, Node, NodeCtx};
     use extmem_switch::switch::program_token;
     use extmem_switch::{PipelineProgram, SwitchNode};
     use extmem_types::{ByteSize, Time};
     use extmem_wire::roce::{RoceEndpoint, RocePacket};
-    use extmem_wire::{MacAddr, Packet, Payload};
+    use extmem_wire::{MacAddr, Packet};
 
     /// A memory server that also records every frame the switch sends it.
     struct Tap {
@@ -1127,6 +996,11 @@ mod tests {
     }
 
     const SUBMIT: u64 = 1;
+    /// Write server 1 off as the detector does when its channel goes
+    /// silent: abort the channel and let the pool absorb the failure.
+    const WRITE_OFF: u64 = 2;
+    /// The FaA engine's tick: an anti-entropy flush.
+    const SYNC: u64 = 3;
 
     impl PipelineProgram for Submitter {
         fn ingress(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, port: PortId, pkt: Packet) {
@@ -1135,83 +1009,82 @@ mod tests {
         }
 
         fn on_timer(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, token: u64) {
-            if token != SUBMIT {
-                assert!(self.pool.on_timer(ctx, token, &mut self.events));
-                return;
-            }
-            for (i, op) in self.ops.iter().enumerate() {
-                assert!(self.pool.submit(ctx, op.clone(), 10 + i as u64));
+            match token {
+                SUBMIT => {
+                    for (i, op) in self.ops.iter().enumerate() {
+                        assert!(self.pool.submit(ctx, op.clone(), 10 + i as u64));
+                    }
+                }
+                WRITE_OFF => {
+                    let mut raw = Vec::new();
+                    self.pool.servers[1].channel.abort(ctx, &mut raw);
+                    self.pool
+                        .after_channel_activity(ctx, 1, &mut raw, &mut self.events);
+                }
+                SYNC => self.pool.sync_mirrors(ctx),
+                _ => assert!(self.pool.on_timer(ctx, token, &mut self.events)),
             }
         }
     }
 
-    /// The primary of a three-server pool never answers. READs that fill
-    /// all but two of the window, then one op of each kind and a fifth,
-    /// three of the five still queued behind the full window, are in the
-    /// primary's channel when the detector writes it off; the pool has kept
-    /// no copy of them. What reaches the promoted mirror is what the failed
-    /// channel handed back: the same requests, in submit order, each
-    /// answered once under its own cookie.
-    #[test]
-    fn failover_reissues_what_the_failed_channel_hands_back() {
-        let endpoint = |i| RoceEndpoint {
+    fn endpoint(i: u32) -> RoceEndpoint {
+        RoceEndpoint {
             mac: MacAddr::local(i),
             ip: 0x0a00_0000 + i,
-        };
-        // Three servers with the same region triple, on ports 0, 1 and 2;
-        // the one on port 0 is never plugged in — a black hole sits there.
-        let mut nics = [10, 11, 12].map(|i| RnicNode::new("mem", RnicConfig::at(endpoint(i))));
-        let channels: [RdmaChannel; 3] = std::array::from_fn(|i| {
+        }
+    }
+
+    /// `N` memory servers with the same region triple and their channels,
+    /// the channel to server `i` on switch port `i`.
+    fn servers<const N: usize>() -> ([RnicNode; N], [RdmaChannel; N]) {
+        let mut nics =
+            std::array::from_fn(|i| RnicNode::new("mem", RnicConfig::at(endpoint(10 + i as u32))));
+        let channels = std::array::from_fn(|i| {
             let size = ByteSize::from_bytes(4096);
             RdmaChannel::setup(endpoint(1), PortId(i as u16), &mut nics[i], size)
         });
-        let (rkey, base) = (channels[1].rkey, channels[1].base_va);
-        let promoted_qp = channels[1].qp.clone();
+        (nics, channels)
+    }
 
-        let tail = Payload::from_vec((0..30).collect());
-        let filler = Op::Read {
-            va: base + 512,
-            len: 8,
-        };
-        let fillers = MAX_WINDOW - 2;
-        let mut ops = vec![filler; fillers];
-        ops.extend([
-            Op::Write {
-                va: base,
-                body: WriteBody::framed(b"hd", tail.clone()),
-                ack_req: true,
-            },
-            Op::Read {
-                va: base + 64,
-                len: 16,
-            },
-            Op::FetchAdd {
-                va: base + 128,
-                add: 7,
-            },
-            // The region is zeroed, so the compare matches: a hit.
-            Op::Remote(RemoteOp::CondWrite {
-                cmp_va: base + 192,
-                write_va: base + 256,
-                compare: Operand::new(&[0; 8]),
-                write: Operand::new(&[0xab; 8]),
-            }),
-            // Reads the WRITE back: the order survived the failover.
-            Op::Read { va: base, len: 32 },
-        ]);
-        // The detector (two silent rounds) is to trip before the channel's
-        // own retry cap does.
-        let rc = impatient();
+    /// A pool of `channels` under `rc`, detector threshold two rounds.
+    fn submitter(
+        channels: impl IntoIterator<Item = RdmaChannel>,
+        rc: ReliableConfig,
+        ops: Vec<Op>,
+    ) -> Submitter {
         let pool_config = PoolConfig {
             down_threshold: 2,
             ..PoolConfig::default()
         };
         let channels = channels.into_iter().map(|ch| ReliableChannel::new(ch, rc));
-        let program = Submitter {
+        Submitter {
             pool: ReplicatedPool::new(channels.collect(), pool_config),
-            ops: ops.clone(),
+            ops,
             events: Vec::new(),
-        };
+        }
+    }
+
+    /// The primary of a three-server pool never answers. Fetch-and-Adds to
+    /// distinct counters fill its window and three more queue behind it
+    /// when the detector writes it off; the pool has kept no copy of them.
+    /// What reaches the promoted mirror is what the failed channel handed
+    /// back: the same requests, in submit order, each answered once under
+    /// its own cookie.
+    #[test]
+    fn failover_reissues_what_the_failed_channel_hands_back() {
+        // The server on port 0 is never plugged in — a black hole sits there.
+        let (nics, channels) = servers::<3>();
+        let (rkey, base) = (channels[1].rkey, channels[1].base_va);
+        let promoted_qp = channels[1].qp.clone();
+        let ops: Vec<Op> = (0..MAX_WINDOW as u64 + 3)
+            .map(|i| Op::FetchAdd {
+                va: base + 8 * i,
+                add: 1 + i,
+            })
+            .collect();
+        // The detector (two silent rounds) is to trip before the channel's
+        // own retry cap does.
+        let program = submitter(channels, impatient(), ops.clone());
         let mut servers = Vec::new();
         let (mut sim, sw, hole) = behind_blackhole(program, |b, sw| {
             let [_unplugged, nic, spare] = nics;
@@ -1229,60 +1102,115 @@ mod tests {
 
         let program = sim.node::<SwitchNode>(sw).program::<Submitter>();
         let stats = program.pool.stats();
-        assert_eq!((program.pool.primary(), stats.failovers), (1, 1));
+        assert_eq!(
+            (program.pool.server_port(), stats.failovers),
+            (PortId(1), 1)
+        );
         assert_eq!(stats.reissued_ops, ops.len() as u64);
         // Only the window ever reached the dead primary: sent, and sent
         // again in each of the two silent rounds.
         assert_eq!(sim.node::<Blackhole>(hole).frames.len(), MAX_WINDOW * 3);
 
-        // At the promoted mirror: its copy of the WRITE, from before the
-        // failover, then every op exactly as `Op::request` lowers them,
-        // under consecutive PSNs.
+        // At the promoted mirror: a window of ops in submit order, each
+        // exactly as `Op::request` lowers it under consecutive PSNs. The
+        // NIC admits only so many atomics at once, so go-back-N resends
+        // some, and the three that queued follow: each at its own PSN too.
+        let reissued: Vec<Packet> = (ops.iter().enumerate())
+            .map(|(i, op)| promoted_qp.encode_at(i as u32, rkey, &op.request()))
+            .collect();
         let tap = sim.node::<Tap>(servers[0]);
-        assert_eq!(tap.frames.len(), 1 + ops.len());
-        for (i, (frame, op)) in tap.frames[1..].iter().zip(&ops).enumerate() {
-            let want = promoted_qp.encode_at(1 + i as u32, rkey, &op.request());
-            assert_eq!(*frame, want, "reissued op {i}");
+        assert_eq!(tap.frames[..MAX_WINDOW], reissued[..MAX_WINDOW]);
+        for frame in &tap.frames[MAX_WINDOW..] {
+            assert!(reissued.contains(frame), "a frame no op lowers to");
         }
 
-        // Every op came back once, under its cookie, with its answer.
-        let image = [&b"hd"[..], &tail[..]].concat();
-        let mut replies = vec![Reply::Data(Payload::from_vec(vec![0; 8])); fillers];
-        replies.extend([
-            Reply::Ack,
-            Reply::Data(Payload::from_vec(vec![0; 16])),
-            Reply::Ack,
-            Reply::Remote {
-                flags: EXTOP_FLAG_HIT,
-                index: 0,
-                data: Payload::from_vec(vec![0; 8]),
-            },
-            Reply::Data(Payload::from_vec(image.clone())),
-        ]);
-        let done = ops.iter().zip(replies).enumerate();
-        let want: Vec<ChannelEvent> = done
-            .map(|(i, (op, reply))| ChannelEvent::Done {
+        // Every op came back once, under its cookie.
+        let want: Vec<ChannelEvent> = (ops.iter().enumerate())
+            .map(|(i, op)| ChannelEvent::Done {
                 cookie: 10 + i as u64,
                 op: op.clone(),
-                reply,
+                reply: Reply::Ack,
             })
             .collect();
         assert_eq!(program.events, want);
 
-        // The Fetch-and-Add never completed on the old primary, so it is
-        // owed to nobody as a delta: the new primary applied it once, as
-        // the reissued op, and nothing was replayed onto it.
-        let counter = |nic: &RnicNode| nic.region(rkey).read(base + 128, 8).unwrap().to_vec();
-        assert_eq!(counter(&tap.nic), 7u64.to_be_bytes());
+        // No Fetch-and-Add completed on the old primary, so none is owed
+        // to anybody as a delta: the new primary applied each once, as the
+        // reissued op, and nothing was replayed onto it. The two servers
+        // it did not run on are owed it.
+        for (i, op) in ops.iter().enumerate() {
+            let Op::FetchAdd { va, add } = *op else {
+                unreachable!()
+            };
+            let counter = tap.nic.region(rkey).read(va, 8).unwrap();
+            assert_eq!(counter, add.to_be_bytes(), "counter {i}");
+        }
         assert_eq!(stats.delta_replayed, 0);
-        // The conditional WRITE hit on the new primary, and its decided
-        // image went on to the one mirror still alive (as the WRITE's copy
-        // had, at submit time, to both).
-        let spare = sim.node::<RnicNode>(servers[1]);
-        assert_eq!(stats.mirror_writes, 3);
-        for nic in [&tap.nic, spare] {
-            assert_eq!(nic.region(rkey).read(base + 256, 8).unwrap(), [0xab; 8]);
-            assert_eq!(nic.region(rkey).read(base, 32).unwrap(), &image[..]);
+        assert_eq!(stats.delta_accumulated, 2 * ops.len() as u64);
+    }
+
+    /// A replicated pool keeps its mirrors by Fetch-and-Add delta replay
+    /// alone, so any other caller op is refused.
+    #[test]
+    #[should_panic(expected = "carries Fetch-and-Adds only")]
+    fn replicated_pool_carries_fetch_and_add_only() {
+        let (_nics, channels) = servers::<2>();
+        let write = Op::Write {
+            va: channels[0].base_va,
+            body: WriteBody::inline(b"hd"),
+            ack_req: true,
+        };
+        let program = submitter(channels, ReliableConfig::default(), vec![write]);
+        let (mut sim, sw, _) = behind_blackhole(program, |_, _| {});
+        sim.schedule_timer(sw, TimeDelta::ZERO, program_token(SUBMIT));
+        sim.run_until(Time::from_micros(10));
+    }
+
+    /// The mirror of a two-server pool crashes and is written off before
+    /// anything is counted, then restarts. Its probe is answered, and with
+    /// no counter to copy the pool promotes it at once; nobody else is
+    /// asked. The first Fetch-and-Add after that reaches both replicas.
+    #[test]
+    fn mirror_rejoining_before_the_first_count_is_promoted_by_the_pool() {
+        // Port 0 leads to the black hole; the servers sit on ports 1 and 2.
+        let (nics, [_, primary, mirror]) = servers::<3>();
+        let (rkey, base) = (primary.rkey, primary.base_va);
+        let count = Op::FetchAdd { va: base, add: 5 };
+        let program = submitter([primary, mirror], impatient(), vec![count]);
+        let mut servers = Vec::new();
+        let (mut sim, sw, _) = behind_blackhole(program, |b, sw| {
+            let [_unplugged, nics @ ..] = nics;
+            for (i, nic) in nics.into_iter().enumerate() {
+                let server = b.add_node(Box::new(nic));
+                let port = PortId(1 + i as u16);
+                b.connect(sw, port, server, PortId(0), LinkSpec::testbed_40g());
+                servers.push(server);
+            }
+        });
+        let mirror = servers[1];
+        sim.schedule_crash(mirror, TimeDelta::ZERO);
+        sim.schedule_timer(sw, TimeDelta::from_micros(5), program_token(WRITE_OFF));
+        sim.schedule_restart(mirror, TimeDelta::from_micros(100));
+        // The first probe goes out 200 us after the write-off.
+        sim.run_until(Time::from_micros(300));
+        let pool = &sim.node::<SwitchNode>(sw).program::<Submitter>().pool;
+        assert_eq!([pool.health(0), pool.health(1)], [Health::Healthy; 2]);
+        let stats = pool.stats();
+        assert_eq!((stats.probes, stats.rejoins, stats.reseed_ops), (1, 1, 0));
+
+        sim.schedule_timer(sw, TimeDelta::ZERO, program_token(SUBMIT));
+        sim.schedule_timer(sw, TimeDelta::from_micros(20), program_token(SYNC));
+        sim.run_until(Time::from_micros(400));
+        let pool = &sim.node::<SwitchNode>(sw).program::<Submitter>().pool;
+        assert!(pool.is_synced());
+        assert_eq!(pool.stats().delta_replayed, 1);
+        for server in servers {
+            let counter = sim
+                .node::<RnicNode>(server)
+                .region(rkey)
+                .read(base, 8)
+                .unwrap();
+            assert_eq!(counter, 5u64.to_be_bytes());
         }
     }
 
@@ -1293,10 +1221,6 @@ mod tests {
     fn servers_sharing_a_port_are_refused() {
         use extmem_rnic::requester::RequesterQp;
         use extmem_types::QpNum;
-        let endpoint = |i| RoceEndpoint {
-            mac: MacAddr::local(i),
-            ip: i,
-        };
         let channel = || RdmaChannel {
             qp: RequesterQp::new(endpoint(1), endpoint(2), QpNum(0x100)),
             rkey: Rkey(1),

@@ -64,36 +64,44 @@ if [ -n "$unwraps" ]; then
     exit 1
 fi
 
+# Re-run the fault_matrix cells whose names contain $1 under the release
+# profile. `cargo test` passes when a filter matches nothing, so a deleted
+# or renamed cell would silently empty the step: fail unless one ran.
+release_cells() {
+    cargo test -q --release --test fault_matrix "$1" 2>&1 | tee "$tmp/cells.log"
+    if ! grep -Eq '^test result: ok\. [1-9][0-9]* passed' "$tmp/cells.log"; then
+        echo "FAIL: fault_matrix filter '$1' ran no test" >&2
+        exit 1
+    fi
+}
+
 echo "== fault-matrix smoke (worst cell, release) =="
 # The full loss x outage x reorder grid already ran under `cargo test`;
 # this re-runs just the harshest cell per primitive under the release
 # profile, where timing-sensitive reliability bugs shake out differently.
-cargo test -q --release --test fault_matrix smoke_
+release_cells smoke_
 
 echo "== crash/failover cells (release) =="
-# The replicated-pool crash, failover, and rejoin cells re-run under the
-# release profile: failure detection races on timer ordering and PSN
-# resync, which optimization can reshuffle. This includes the cuckoo
-# relocation-crash cell (crash_lookup_mid_relocation_*): a primary dying
-# with displacement WRITEs in flight is the sharpest ordering race in the
-# tree, its remote-op twin (crash_remote_ops_lookup_*), where failover
-# must reissue in-flight hash-probe ops verbatim against the promoted
-# mirror without re-planning them, the parallel-backend replay of the
-# harshest state-store cell
-# (crash_state_store_rejoin_under_parallel_backend), where the crashed
-# server lives in a different partition than the switch driving it, and
+# The replicated state store's crash, failover, and rejoin cells re-run
+# under the release profile: failure detection races on timer ordering and
+# PSN resync, which optimization can reshuffle. They are the primary and
+# the mirror dying mid-count, with and without a restart that must
+# reconcile bit-for-bit (crash_state_store_*), the same replayed on the
+# parallel backend, where the crashed server lives in a different
+# partition than the switch driving it
+# (crash_state_store_rejoin_under_parallel_backend), the cold-rejoin cell
+# (crash_state_store_cold_rejoin_*), where a pool built with nothing but
+# its detection knobs must reseed each restarted server on its own, and
 # the sharded store's cell (crash_fabric_shard_*), where one shard's
 # primary dies and rejoins while consistent-hash routing keeps the other
-# shards counting, and the cold-rejoin cell
-# (crash_state_store_cold_rejoin_*), where a pool built with nothing but
-# its detection knobs must reseed each restarted server on its own.
-cargo test -q --release --test fault_matrix crash_
+# shards counting.
+release_cells crash_
 
 echo "== retry-cap failover cells (release) =="
 # The single-server failover cells reach failover through the RTO alone
 # (the retry cap and the backoff cap are fixed), so when a channel gives up
 # mid-burst is decided by timer order too.
-cargo test -q --release --test fault_matrix failover_
+release_cells failover_
 
 echo "== allocation budget (release) =="
 # Steady-state heap allocations per frame for the four primitives, under

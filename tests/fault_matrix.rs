@@ -1016,9 +1016,9 @@ fn state_store_exact_across_psn_wrap_with_loss() {
 }
 
 // ---------------------------------------------------------------------------
-// Whole-server crashes: replicated pools must lose nothing. A two-replica
-// pool sees one server die mid-workload (optionally coming back and being
-// reconciled) and the settled invariants must stay *exact*.
+// Whole-server crashes: a replicated state store must lose nothing. A
+// two-replica pool sees one server die mid-workload (optionally coming back
+// and being reconciled) and the settled invariants must stay *exact*.
 // ---------------------------------------------------------------------------
 
 use extmem_core::{Health, PoolConfig};
@@ -1234,259 +1234,6 @@ fn crash_state_store_cold_rejoin_reseeds_both_replicas() {
         assert_eq!(dump, oracle, "{name} diverges from the oracle: {s}");
     }
     assert_eq!(sim.node::<SinkNode>(hosts[1]).received, COUNT);
-}
-
-/// Replicated packet buffer under a whole-node crash at 50us (inside the
-/// detour burst). Stored entries fan out to both replicas, so no buffered
-/// packet is lost whichever server dies; with `rejoin` the dead server
-/// restarts and is promoted back only once the ring has drained.
-fn run_packet_buffer_crash_cell(crash_primary: bool, rejoin: bool, seed: u64) {
-    const COUNT: u64 = 400;
-    let region = ByteSize::from_mb(2);
-    let mut tb = Testbed::new(seed);
-    tb.gen(probe_spec(800, 30, COUNT), LinkSpec::testbed_40g());
-    let drain = tb.sink(drain_10g());
-    let (_, ch_a) = tb.server(RnicConfig::default(), region, LinkSpec::testbed_40g());
-    let (_, ch_b) = tb.server(RnicConfig::default(), region, LinkSpec::testbed_40g());
-    let prog = PacketBufferProgram::replicated(
-        tb.fib(),
-        vec![vec![ch_a, ch_b]],
-        drain,
-        2048,
-        Mode::Auto {
-            start_store_qbytes: 4096,
-            resume_load_qbytes: 2048,
-        },
-        8,
-        TimeDelta::from_micros(30),
-        crash_pool_config(),
-    );
-    let Built {
-        mut sim,
-        switch,
-        hosts,
-        servers,
-        ..
-    } = tb.build(SwitchConfig::default(), Box::new(prog));
-    let (server_a, server_b) = (servers[0], servers[1]);
-    let victim = if crash_primary { server_a } else { server_b };
-    sim.schedule_crash(victim, TimeDelta::from_micros(50));
-    if rejoin {
-        sim.schedule_restart(victim, TimeDelta::from_micros(250));
-    }
-    sim.run_until(Time::from_millis(60));
-
-    let cell = (crash_primary, rejoin);
-    assert!(sim.crash_drops(victim) > 0, "{cell:?}: crash never bit");
-    let sink = sim.node::<SinkNode>(hosts[1]);
-    let sw: &SwitchNode = sim.node(switch);
-    let prog = sw.program::<PacketBufferProgram>();
-    let s = prog.stats();
-    assert!(s.stored > 0, "{cell:?}: the detour was never exercised");
-    // Zero lost packets: every stored entry fanned out to the survivor, so
-    // the crash costs retransmissions and a failover, never data.
-    assert_eq!(s.lost_entries, 0, "{cell:?}: entries lost: {s:?}");
-    assert_eq!(
-        s.loaded, s.stored,
-        "{cell:?}: ring left entries behind: {s:?}"
-    );
-    assert_eq!(sink.received, COUNT, "{cell:?}: packets lost: {s:?}");
-    assert_eq!(sink.total_reorders(), 0, "{cell:?}: ring order violated");
-    assert_eq!(sink.corrupt, 0, "{cell:?}: payload corrupted");
-    if crash_primary {
-        assert!(s.pool.failovers >= 1, "{cell:?}: no failover: {s:?}");
-    } else {
-        assert_eq!(s.pool.failovers, 0, "{cell:?}: spurious failover: {s:?}");
-        assert!(
-            s.pool.mirror_writes > 0,
-            "{cell:?}: fanout never ran: {s:?}"
-        );
-    }
-    if rejoin {
-        assert!(
-            s.pool.rejoins >= 1,
-            "{cell:?}: server never rejoined: {s:?}"
-        );
-        let pool = prog.pool(0);
-        assert_eq!(pool.health(0), Health::Healthy, "{cell:?}: {s:?}");
-        assert_eq!(pool.health(1), Health::Healthy, "{cell:?}: {s:?}");
-    } else {
-        assert_eq!(s.pool.unavailable, 1, "{cell:?}: {s:?}");
-    }
-}
-
-#[test]
-fn crash_packet_buffer_primary_loses_nothing() {
-    run_packet_buffer_crash_cell(true, false, 9810);
-}
-
-#[test]
-fn crash_packet_buffer_mirror_loses_nothing() {
-    run_packet_buffer_crash_cell(false, false, 9811);
-}
-
-#[test]
-fn crash_packet_buffer_rejoin_waits_for_ring_drain() {
-    run_packet_buffer_crash_cell(true, true, 9812);
-}
-
-/// Replicated one-RTT cuckoo lookup through a primary crash *mid-relocation
-/// storm*: scripted inserts/deletes churn the table while traffic flows,
-/// the primary dies with relocations in flight, the pool fails over (the
-/// mirror holds every fanned-out WRITE), and the restarted server is
-/// reconciled from the control-plane directory — the authoritative copy —
-/// before promotion. Settled state must be exact: zero punts, every churn
-/// op applied, and both replicas bit-for-bit equal to the directory image.
-#[test]
-fn crash_lookup_mid_relocation_rejoins_bit_for_bit() {
-    run_crash_lookup_cell(false);
-}
-
-/// The same crash cell with the remote-op ISA on: lookups are
-/// hash-probe-and-fetch ops and relocation steps are conditional WRITEs.
-/// Ops in flight when the primary dies are reissued verbatim on the
-/// survivor, decided conditional writes fan their write image to the
-/// mirror, and the rejoiner is reconciled from the directory — so the
-/// bit-for-bit check proves op side effects are reproduced exactly.
-/// (`scripts/ci.sh` re-runs this cell in release via the `crash_` glob.)
-#[test]
-fn crash_remote_ops_lookup_rejoins_bit_for_bit() {
-    run_crash_lookup_cell(true);
-}
-
-fn run_crash_lookup_cell(remote_ops: bool) {
-    const COUNT: u64 = 600;
-    const DSCP: u8 = 46;
-    const TRAFFIC_KEYS: u16 = 140;
-    const CHURN_KEYS: u16 = 96;
-    const WINDOW: usize = 8;
-    let cfg = CuckooConfig {
-        buckets: 64,
-        filter_cells: 2048,
-        filter_hashes: 2,
-        max_plan_steps: 64,
-    };
-    let mut dir = CuckooDirectory::new(cfg);
-    let flows: Vec<FiveTuple> = (0..TRAFFIC_KEYS)
-        .map(|i| FiveTuple::new(host_ip(0), host_ip(1), 40_000 + i, 80, 17))
-        .collect();
-    for f in &flows {
-        dir.install(*f, ActionEntry::set_dscp(DSCP)).unwrap();
-    }
-    let churn_keys: Vec<FiveTuple> = (0..CHURN_KEYS)
-        .map(|i| FiveTuple::new(host_ip(0), host_ip(1), 50_000 + i, 80, 17))
-        .collect();
-    let mut ops = Vec::new();
-    for (i, k) in churn_keys.iter().enumerate() {
-        ops.push(ControlOp::Insert(*k, ActionEntry::set_dscp(12)));
-        if i >= WINDOW {
-            ops.push(ControlOp::Remove(churn_keys[i - WINDOW]));
-        }
-    }
-    for k in &churn_keys[CHURN_KEYS as usize - WINDOW..] {
-        ops.push(ControlOp::Remove(*k));
-    }
-    let script = ChurnScript {
-        ops,
-        period: TimeDelta::from_micros(3),
-    };
-
-    let spec = WorkloadSpec {
-        src_mac: host_mac(0),
-        dst_mac: host_mac(1),
-        flows: flows.into(),
-        pick: FlowPick::Zipf(1.1),
-        frame_len: 256,
-        offered: Some(Rate::from_gbps(2)),
-        arrival: Arrival::Paced,
-        count: COUNT,
-        seed: 23,
-        flow_id_base: 0,
-    };
-    let link = LinkSpec::testbed_40g();
-    let region = ByteSize::from_bytes(dir.region_bytes());
-    let mut tb = Testbed::new(9815);
-    tb.gen(spec, link);
-    tb.host(dscp_sink(DSCP), link);
-    let (a, ch_a) = tb.server(RnicConfig::default(), region, link);
-    let (b, ch_b) = tb.server(RnicConfig::default(), region, link);
-    let rkey = ch_a.rkey;
-    let base = ch_a.base_va;
-    install_cuckoo_image(tb.nic_mut(a), &ch_a, &dir);
-    install_cuckoo_image(tb.nic_mut(b), &ch_b, &dir);
-    let prog = LookupTableProgram::cuckoo_replicated(
-        tb.fib(),
-        vec![ch_a, ch_b],
-        dir,
-        None,
-        crash_pool_config(),
-    )
-    .with_remote_ops(remote_ops)
-    .with_reliability(ReliableConfig {
-        rto: TimeDelta::from_micros(30),
-        ..Default::default()
-    })
-    .with_churn(script);
-    let Built {
-        mut sim,
-        switch,
-        hosts,
-        servers,
-        ..
-    } = tb.build(SwitchConfig::default(), Box::new(prog));
-    let (server_a, server_b) = (servers[0], servers[1]);
-    sim.schedule_timer(
-        switch,
-        TimeDelta::from_micros(2),
-        extmem_switch::switch::program_token(TOKEN_CHURN),
-    );
-    // Traffic and churn span ~600us; the primary dies with the relocation
-    // storm running and comes back with wiped DRAM while it continues.
-    sim.schedule_crash(server_a, TimeDelta::from_micros(150));
-    sim.schedule_restart(server_a, TimeDelta::from_micros(350));
-    sim.run_until(Time::from_millis(50));
-
-    assert!(sim.crash_drops(server_a) > 0, "crash never bit");
-    let sw: &SwitchNode = sim.node(switch);
-    let prog = sw.program::<LookupTableProgram>();
-    let s = prog.stats();
-    assert!(
-        !prog.is_degraded(),
-        "mirror must keep the table alive: {s:?}"
-    );
-    assert!(s.pool.failovers >= 1, "no failover: {s:?}");
-    assert!(s.pool.rejoins >= 1, "server never rejoined: {s:?}");
-    assert!(s.pool.probes >= 1, "no probe issued: {s:?}");
-    let pool = prog.pool();
-    assert_eq!(pool.health(0), Health::Healthy, "{s:?}");
-    assert_eq!(pool.health(1), Health::Healthy, "{s:?}");
-    // In-flight lookups and relocation ops ride the failover (reissued on
-    // the survivor), so the no-transient-miss invariant holds even here.
-    let sink = sim.node::<SinkNode>(hosts[1]);
-    assert_eq!(sink.received, COUNT, "packets lost: {s:?}");
-    assert_eq!(sink.dscp_mismatch, 0, "a punt kept its old DSCP: {s:?}");
-    assert_eq!(s.slow_path, 0, "crash punted a lookup: {s:?}");
-    assert_eq!(s.bucket_misses, 0, "filter misdirected a probe: {s:?}");
-    if remote_ops {
-        // Failover reissues the op, it does not re-plan it: still one
-        // hash-probe exchange per miss from the program's point of view.
-        assert_eq!(s.rtts_per_miss(), Some(1.0), "{s:?}");
-    }
-    assert_eq!(s.inserts_applied, CHURN_KEYS as u64, "{s:?}");
-    assert_eq!(s.removes_applied, CHURN_KEYS as u64, "{s:?}");
-    assert_eq!(s.inserts_rejected, 0, "{s:?}");
-    assert!(prog.relocation_idle(), "relocation work leaked: {s:?}");
-    // Bit-for-bit: both replicas equal the directory's byte image — the
-    // survivor through mirror fan-out, the rejoiner through the reseed.
-    let image = prog.directory().encode_region();
-    for (name, node) in [("rejoiner", server_a), ("survivor", server_b)] {
-        let remote = sim
-            .node::<RnicNode>(node)
-            .region(rkey)
-            .read(base, image.len() as u64)
-            .unwrap();
-        assert_eq!(remote, &image[..], "{name} diverges from directory: {s:?}");
-    }
 }
 
 /// The sharded state store through a whole-node crash: shard 0's primary

@@ -407,146 +407,6 @@ fn parallel_workers_report_their_payload_counts() {
     assert_eq!(counts(SchedBackend::Parallel(2)), wheel);
 }
 
-/// Issues one framed WRITE per tick to a replicated pool, its tail in a
-/// buffer from the frame pool.
-struct PoolWriter {
-    pool: extmem_core::ReplicatedPool,
-    events: Vec<extmem_core::ChannelEvent>,
-    issued: u64,
-    acked: u64,
-    /// Most holders any WRITE's tail had right after its submit, this
-    /// program's own handle included.
-    max_tail_refs: usize,
-}
-
-impl PoolWriter {
-    const TICK: u64 = 1;
-}
-
-impl extmem_switch::PipelineProgram for PoolWriter {
-    fn ingress(
-        &mut self,
-        ctx: &mut extmem_switch::SwitchCtx<'_, '_, '_>,
-        port: PortId,
-        pkt: Packet,
-    ) {
-        if let Ok(Some(roce)) = extmem_wire::RocePacket::parse(&pkt) {
-            self.pool.on_roce(ctx, port, &roce, &mut self.events);
-        }
-        for ev in self.events.drain(..) {
-            use extmem_core::{ChannelEvent, Op, Reply};
-            let ChannelEvent::Done { op, reply, .. } = &ev else {
-                panic!("{ev:?}");
-            };
-            assert!(
-                matches!((op, reply), (Op::Write { .. }, Reply::Ack)),
-                "{ev:?}"
-            );
-            self.acked += 1;
-        }
-    }
-
-    fn on_timer(&mut self, ctx: &mut extmem_switch::SwitchCtx<'_, '_, '_>, token: u64) {
-        if token != Self::TICK {
-            assert!(self.pool.on_timer(ctx, token, &mut self.events));
-            return;
-        }
-        let mut image = extmem_wire::pool::take();
-        image.resize(506, self.issued as u8);
-        let tail = extmem_wire::Payload::from_vec(image);
-        let write = extmem_core::Op::Write {
-            va: self.pool.base_va() + (self.issued % 8) * 512,
-            body: extmem_rnic::WriteBody::framed(b"hdr[6]", tail.clone()),
-            ack_req: true,
-        };
-        assert!(self.pool.submit(ctx, write, self.issued));
-        self.max_tail_refs = self.max_tail_refs.max(tail.ref_count());
-        self.issued += 1;
-    }
-}
-
-const WRITES: u64 = 200;
-
-/// `WRITES` acknowledged WRITEs to a two-server pool, then `WRITES` more:
-/// frame-pool `(hits, misses)` of the second window, and the most holders
-/// any WRITE's tail had while in flight. `delays` are the propagation
-/// delays of the primary's and the mirror's link, which decide whose ACK
-/// comes first.
-fn replicated_write_window(delays: [TimeDelta; 2]) -> (u64, u64, usize) {
-    use extmem_apps::scenario::{Built, Testbed};
-    use extmem_core::{PoolConfig, ReliableChannel, ReliableConfig, ReplicatedPool};
-    use extmem_rnic::RnicConfig;
-    use extmem_switch::switch::program_token;
-    use extmem_switch::{SwitchConfig, SwitchNode};
-    use extmem_types::{ByteSize, Rate};
-    use extmem_wire::pool;
-
-    let mut tb = Testbed::new(17);
-    let channels = delays.map(|delay| {
-        let link = LinkSpec::new(Rate::from_gbps(40), delay);
-        let (_, channel) = tb.server(RnicConfig::default(), ByteSize::from_bytes(4096), link);
-        ReliableChannel::new(channel, ReliableConfig::default())
-    });
-    let prog = PoolWriter {
-        pool: ReplicatedPool::new(channels.into(), PoolConfig::default()),
-        events: Vec::new(),
-        issued: 0,
-        acked: 0,
-        max_tail_refs: 0,
-    };
-    let mut t = tb.build(SwitchConfig::default(), Box::new(prog));
-    // One WRITE a microsecond; each window runs until its last ACK is in.
-    let window = |t: &mut Built, n: u64| {
-        for i in 0..WRITES {
-            let at = TimeDelta::from_micros(i);
-            t.sim
-                .schedule_timer(t.switch, at, program_token(PoolWriter::TICK));
-        }
-        let until = t.sim.now() + TimeDelta::from_micros(WRITES + 100);
-        t.sim.run_until(until);
-        let sw: &SwitchNode = t.sim.node(t.switch);
-        let prog = sw.program::<PoolWriter>();
-        assert_eq!((prog.issued, prog.acked), (n * WRITES, n * WRITES));
-        assert!(prog.pool.is_synced());
-        (pool::hit_count(), pool::miss_count())
-    };
-    let (hits0, misses0) = window(&mut t, 1);
-    let (hits1, misses1) = window(&mut t, 2);
-    let sw: &SwitchNode = t.sim.node(t.switch);
-    let max_tail_refs = sw.program::<PoolWriter>().max_tail_refs;
-    (hits1 - hits0, misses1 - misses0, max_tail_refs)
-}
-
-/// A replicated WRITE's bytes are shared by the primary's op and the
-/// mirror's, and whichever lets go last must hand the buffer back to the
-/// frame pool, whichever replica answers first. (The pool used to keep a
-/// record of the op as well; when that was the last holder the buffer was
-/// dropped, every WRITE drained the pool by one and, once it ran dry, every
-/// build missed.)
-#[test]
-fn replicated_pool_returns_write_buffers_to_the_frame_pool() {
-    let (near, far) = (TimeDelta::from_nanos(300), TimeDelta::from_micros(2));
-    for (order, delays) in [("mirror", [far, near]), ("primary", [near, far])] {
-        let (hits, misses, _) = replicated_write_window(delays);
-        // Per WRITE: its bytes, a request frame to each server, an ACK
-        // from each.
-        assert_eq!(hits, 5 * WRITES, "{order} answers first: takes per WRITE");
-        assert_eq!(misses, 0, "{order} answers first: a buffer left the pool");
-    }
-}
-
-/// An in-flight op is held once: by the channel that may have to send it
-/// again. A WRITE on a two-server pool is two ops — the caller's on the
-/// primary, the pool's copy on the mirror — so its tail has those two
-/// holders and the handle this test kept, and no third for a list of the
-/// pool's own.
-#[test]
-fn replicated_write_in_flight_is_held_once_per_channel() {
-    let (near, far) = (TimeDelta::from_nanos(300), TimeDelta::from_micros(2));
-    let (_, _, holders) = replicated_write_window([near, far]);
-    assert_eq!(holders, 3, "primary's op + mirror's op + the test's handle");
-}
-
 /// Nobody consumes a frame that dies on a drop path — the traffic manager's
 /// tail drop, a faulty link's loss, a duplicate response the channel throws
 /// away — so nobody could hand its buffer back; they used to leave the pool
