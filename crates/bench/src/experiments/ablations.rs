@@ -1092,8 +1092,9 @@ fn a13_lpm(levels: &[u8], remote_ops: bool) -> (LookupStats, LatencySummary, Rni
 
 /// One cuckoo leg: 160 resident flows (62% load), round-robin traffic, no
 /// cache, filter sized by `filter_cells`. Also returns the FP-avoidance
-/// relocations the installs had to pay to keep the filter truthful.
-fn a13_cuckoo(filter_cells: usize, remote_ops: bool) -> (LookupStats, LatencySummary, u32) {
+/// relocations the installs had to pay to keep the filter truthful, and the
+/// bytes on the memory server's link, both directions, per lookup.
+fn a13_cuckoo(filter_cells: usize, remote_ops: bool) -> (LookupStats, LatencySummary, u32, f64) {
     let cfg = CuckooConfig {
         buckets: 64,
         filter_cells,
@@ -1102,7 +1103,13 @@ fn a13_cuckoo(filter_cells: usize, remote_ops: bool) -> (LookupStats, LatencySum
     };
     let (t, fp_moves) = cuckoo_storm(71, cfg, 160, Rate::from_gbps(2), A13_COUNT, remote_ops);
     let lat = sink(&t).latency.summarize().expect("traffic flowed");
-    (program::<LookupTableProgram>(&t).stats(), lat, fp_moves)
+    let stats = program::<LookupTableProgram>(&t).stats();
+    let server_link = t.links[2];
+    let bytes: u64 = (0..2)
+        .map(|end| t.sim.link_stats(server_link, end).delivered_bytes)
+        .sum();
+    let per_miss = bytes as f64 / stats.remote_lookups as f64;
+    (stats, lat, fp_moves, per_miss)
 }
 
 /// A13 — remote-op ISA A/B: dependent-access chains in one RTT.
@@ -1128,7 +1135,9 @@ fn a13_cuckoo(filter_cells: usize, remote_ops: bool) -> (LookupStats, LatencySum
 ///   checks both candidate buckets in the same exchange — so lookups stay
 ///   exact at 1.0 RTTs-per-miss with zero punts at any filter size, and
 ///   the filter plus its relocation machinery can come off the miss path
-///   entirely.
+///   entirely. It also moves fewer bytes on the memory link per miss (`B/miss`,
+///   both directions): the probe answers with the one slot it matched, where
+///   the verb READ brings the whole bucket back.
 pub fn a13_remote_ops(out: &mut String) {
     out.push_str(&format!(
         "A13: remote-op ISA A/B — one RTT per dependent-access chain ({A13_COUNT} packets/leg)\n"
@@ -1201,9 +1210,14 @@ pub fn a13_remote_ops(out: &mut String) {
     let mut rows = Vec::new();
     let mut fp_by_cells = Vec::new();
     for cells in [4096usize, 512, 96] {
-        let (vs, vlat, vfp) = a13_cuckoo(cells, false);
-        let (rs, rlat, rfp) = a13_cuckoo(cells, true);
+        let (vs, vlat, vfp, vbytes) = a13_cuckoo(cells, false);
+        let (rs, rlat, rfp, rbytes) = a13_cuckoo(cells, true);
         assert_eq!(vfp, rfp, "both legs install into the same directory");
+        assert!(
+            rbytes < vbytes,
+            "a hash probe returns one slot, so it must move fewer memory-link bytes \
+             per miss than a bucket READ: ops {rbytes} vs verb {vbytes}"
+        );
         fp_by_cells.push(vfp);
         assert_eq!(
             rs.rtts_per_miss(),
@@ -1224,9 +1238,11 @@ pub fn a13_remote_ops(out: &mut String) {
             format!("{:.2}", vs.rtts_per_miss().unwrap()),
             vs.filter_secondary_probes.to_string(),
             f2(vlat.p99.as_micros_f64()),
+            format!("{vbytes:.0}"),
             format!("{:.2}", rs.rtts_per_miss().unwrap()),
             rs.filter_secondary_probes.to_string(),
             f2(rlat.p99.as_micros_f64()),
+            format!("{rbytes:.0}"),
         ]);
     }
     assert!(
@@ -1242,9 +1258,11 @@ pub fn a13_remote_ops(out: &mut String) {
             "verb RTT/miss",
             "verb 2nd-bkt",
             "verb p99 us",
+            "verb B/miss",
             "ops RTT/miss",
             "ops 2nd-bkt",
             "ops p99 us",
+            "ops B/miss",
         ],
         &rows,
     );
@@ -1254,7 +1272,8 @@ pub fn a13_remote_ops(out: &mut String) {
              relocations at 96 filter cells vs {} at 4096. The hash-probe op needs\n\
              none of that machinery — the responder scans both buckets in one RTT.\n\
              \nexpectation: the ops legs hold 1.0 RTTs-per-miss at every depth and\n\
-             every filter size, with zero punts; verb p99 grows with ladder depth.\n",
+             every filter size, with zero punts, and the hash probe moves fewer\n\
+             memory-link bytes per miss; verb p99 grows with ladder depth.\n",
         fp_by_cells.last().unwrap(),
         fp_by_cells.first().unwrap()
     ));

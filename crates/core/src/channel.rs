@@ -325,10 +325,12 @@ pub enum Reply {
     Remote {
         /// Op-specific flags (`EXTOP_FLAG_HIT`, `EXTOP_FLAG_SECONDARY`).
         flags: u8,
-        /// Op-specific index (matched slot for a hash probe).
+        /// Op-specific index (for a hash probe, the matched slot's place in
+        /// its bucket).
         index: u16,
-        /// Result bytes: gathered words, the matched bucket, the observed
-        /// compare image, or the dereferenced entry.
+        /// Result bytes: a gather's words, or a hash probe's matched slot;
+        /// empty for a probe's miss and for a conditional WRITE, whose
+        /// answer is its flags.
         data: Payload,
     },
 }
@@ -982,7 +984,7 @@ pub(crate) mod tests {
                         flags: EXTOP_FLAG_HIT,
                         index: 1,
                     };
-                    (RoceExt::ExtOpAck(Aeth::ack(0), ack), vec![5; 128])
+                    (RoceExt::ExtOpAck(Aeth::ack(0), ack), vec![5; 32])
                 }
             };
             let qp = &self.channel.inner().qp;
@@ -1075,7 +1077,7 @@ pub(crate) mod tests {
         let remote = Reply::Remote {
             flags: EXTOP_FLAG_HIT,
             index: 1,
-            data: vec![5; 128].into(),
+            data: vec![5; 32].into(),
         };
         let want = [
             (0, Reply::Data(vec![7; 8].into())),

@@ -677,10 +677,10 @@ impl LookupTableProgram {
     /// false positive for a non-resident key — punt to the software slow
     /// path, forwarded unmodified. A bucket READ's slots are scanned here; a
     /// hash probe (remote-op mode) was scanned by the responder, over both
-    /// candidate buckets, and on a hit `index` names the slot within the
-    /// returned bucket image. Resident keys never miss (the
-    /// no-transient-miss invariant), and a hash probe's miss is definitive:
-    /// both buckets were checked in the one round trip.
+    /// candidate buckets, and on a hit returns the one slot it matched, whose
+    /// key is checked against the parked flow all the same. Resident keys
+    /// never miss (the no-transient-miss invariant), and a hash probe's miss
+    /// is definitive: both buckets were checked in the one round trip.
     fn lookup_done(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, cookie: u64, reply: Reply) {
         let stats = &mut self.front.stats;
         stats.responses += 1;
@@ -691,8 +691,8 @@ impl LookupTableProgram {
             Reply::Data(bucket) => {
                 (0..SLOTS_PER_BUCKET).find_map(|s| slot_match(&bucket, s, &flow))
             }
-            Reply::Remote { flags, index, data } if flags & EXTOP_FLAG_HIT != 0 => {
-                let found = slot_match(&data, index as usize, &flow);
+            Reply::Remote { flags, data, .. } if flags & EXTOP_FLAG_HIT != 0 => {
+                let found = slot_match(&data, 0, &flow);
                 if found.is_some() && flags & EXTOP_FLAG_SECONDARY != 0 {
                     stats.filter_secondary_probes += 1;
                 }

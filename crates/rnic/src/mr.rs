@@ -100,9 +100,11 @@ impl MemoryRegion {
             return Err(AccessError::Misaligned { va });
         }
         let off = self.offset_of(va, 8)?;
-        let word = &mut self.bytes[off..off + 8];
-        let old = u64::from_be_bytes(word.try_into().unwrap());
-        word.copy_from_slice(&old.wrapping_add(add).to_be_bytes());
+        let word = self.bytes[off..]
+            .first_chunk_mut::<8>()
+            .ok_or(AccessError::OutOfBounds { va, len: 8 })?;
+        let old = u64::from_be_bytes(*word);
+        *word = old.wrapping_add(add).to_be_bytes();
         Ok(old)
     }
 }

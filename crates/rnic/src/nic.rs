@@ -140,6 +140,8 @@ pub struct RnicStats {
     pub malformed_drops: u64,
     /// Out-of-sequence packets silently dropped.
     pub out_of_sequence_drops: u64,
+    /// Requests handled whose response failed to encode and was dropped.
+    pub response_drops: u64,
     /// Packets that would have been punted to the host CPU. The paper's
     /// zero-CPU-involvement claim is the invariant `cpu_packets == 0`.
     pub cpu_packets: u64,
@@ -260,9 +262,12 @@ impl RnicNode {
             // (exactly like a plain READ's single access); each *additional*
             // dependent access the engine will perform (worst case,
             // derivable from the request alone) charges `EXT_OP_STEP`, plus
-            // response-generation bandwidth on the returned bytes.
+            // `READ_BW` on the bytes the first access reads: one bucket for a
+            // probe, the compare image for a CondWrite, every word for a
+            // gather. That is not what the response carries: a probe answers
+            // with one slot, a CondWrite with its verdict alone.
             Opcode::HashProbe | Opcode::CondWrite | Opcode::GatherWalk => {
-                let (steps, resp_bytes) = match req.ext {
+                let (steps, read_bytes) = match req.ext {
                     extmem_wire::roce::RoceExt::HashProbe(h) => {
                         let probes = if h.b2 == h.b1 { 1 } else { 2 };
                         (probes, (h.bucket_bytes as usize).min(MTU))
@@ -277,7 +282,7 @@ impl RnicNode {
                     _ => (1usize, 0usize),
                 };
                 base + EXT_OP_STEP * (steps as u64).saturating_sub(1)
-                    + READ_BW.time_to_send(resp_bytes)
+                    + READ_BW.time_to_send(read_bytes)
             }
             // WRITE variants: cost scales with payload.
             _ => base + WRITE_BW.time_to_send(req.payload.len()),
@@ -331,6 +336,7 @@ impl RnicNode {
             Outcome::Duplicate => self.stats.duplicates += 1,
             Outcome::Nak(_) => self.stats.naks += 1,
             Outcome::OutOfSequenceDropped => self.stats.out_of_sequence_drops += 1,
+            Outcome::ResponseDropped => self.stats.response_drops += 1,
         }
         // The response arrives encoded, in a pooled buffer, and only needs
         // queueing.
@@ -822,5 +828,55 @@ mod tests {
         ));
         assert_eq!(recv[1].bth.opcode, Opcode::ReadRespOnly);
         assert_eq!(recv[1].payload.len(), MTU);
+    }
+
+    #[test]
+    fn remote_op_service_times_are_pinned() {
+        // The op engine prices the bytes its first access reads, not the
+        // bytes the response returns: a probe reads whole buckets though it
+        // answers with one slot, and a conditional WRITE reads its compare
+        // image though it answers with a verdict. What a response carries
+        // must not move these picoseconds.
+        use extmem_wire::extop::{CondWriteEth, GatherEth, HashProbeEth};
+        let nic = RnicNode::new("rnic", RnicConfig::at(server_endpoint()));
+        let op = |opcode, ext, payload: Vec<u8>| {
+            let bth = Bth::new(opcode, QpNum(0x55), 0);
+            RocePacket::new(
+                client_endpoint(),
+                server_endpoint(),
+                0x9000,
+                bth,
+                ext,
+                payload,
+            )
+        };
+        let probe = |b2| {
+            let ext = RoceExt::HashProbe(HashProbeEth {
+                base_va: 0x1000_0000,
+                rkey: Rkey(1),
+                b1: 3,
+                b2,
+                bucket_bytes: 128,
+                slot_bytes: 32,
+                key_off: 0,
+                key_len: 13,
+            });
+            nic.service_time(&op(Opcode::HashProbe, ext, vec![7; 13]))
+        };
+        let cond = RoceExt::CondWrite(CondWriteEth {
+            cmp_va: 0x1000_0000,
+            write_va: 0x1000_0080,
+            rkey: Rkey(1),
+            cmp_len: 32,
+        });
+        let cond = nic.service_time(&op(Opcode::CondWrite, cond, vec![7; 64]));
+        let gather = RoceExt::Gather(GatherEth {
+            rkey: Rkey(1),
+            word_len: 16,
+            count: 4,
+        });
+        let gather = nic.service_time(&op(Opcode::GatherWalk, gather, vec![0; 32]));
+        let picos = [probe(9), probe(3), cond, gather].map(|t| t.picos());
+        assert_eq!(picos, [178_619, 118_619, 164_655, 289_310]);
     }
 }

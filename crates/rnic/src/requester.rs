@@ -142,8 +142,9 @@ impl From<Vec<u8>> for WriteBody {
 /// reissued verbatim to a failover replica.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RemoteOp {
-    /// Hash-probe-and-fetch: probe bucket `b1` then `b2` for `key`, return
-    /// the matching bucket.
+    /// Hash-probe-and-fetch: probe bucket `b1` then `b2` for `key`. A hit
+    /// returns the one matching slot (`slot_bytes` bytes), its index within
+    /// the bucket and whether `b2` held it; a miss returns no bytes.
     HashProbe {
         /// Base virtual address of the bucket array.
         base_va: u64,
@@ -161,7 +162,8 @@ pub enum RemoteOp {
         key: Operand,
     },
     /// Conditional WRITE: iff the bytes at `cmp_va` equal `compare`, write
-    /// `write` at `write_va`. The response returns the observed bytes.
+    /// `write` at `write_va`. The response is the verdict alone: the HIT
+    /// flag set iff the write landed, and no bytes.
     CondWrite {
         /// Address the condition inspects.
         cmp_va: u64,

@@ -18,8 +18,8 @@ use extmem_wire::aeth::{Aeth, NakCode};
 use extmem_wire::atomic::AtomicAckEth;
 use extmem_wire::bth::{psn_add, psn_before, Bth, Opcode};
 use extmem_wire::extop::{ExtOpAckEth, EXTOP_FLAG_HIT, EXTOP_FLAG_SECONDARY};
-use extmem_wire::roce::{RoceEndpoint, RoceExt, RoceHeaders, RocePacket, ROCEV2_BASE_OVERHEAD};
-use extmem_wire::{EthernetHeader, Packet};
+use extmem_wire::roce::{RoceEndpoint, RoceExt, RoceHeaders, RocePacket};
+use extmem_wire::{Packet, WireError};
 
 /// Upper bound on dependent reads a single gather/walk op may perform. Keeps
 /// the modeled NIC op engine line-rate: a request can occupy the execution
@@ -57,6 +57,9 @@ pub enum Outcome {
     },
     /// A duplicate request was re-acknowledged (or replayed) without effect.
     Duplicate,
+    /// The request was handled but its response did not encode, and was
+    /// dropped.
+    ResponseDropped,
     /// A NAK was sent.
     Nak(NakCode),
     /// An out-of-sequence packet was dropped silently (NAK already
@@ -152,10 +155,10 @@ pub fn process_request(
                     qp.epsn = psn_add(qp.epsn, 1);
                     qp.msn = (qp.msn + 1) & 0xff_ffff;
                     qp.last_atomic = Some((psn, original));
-                    ResponderResult {
-                        response: Some(atomic_ack(local, qp, psn, original)),
-                        outcome: Outcome::AtomicExecuted,
-                    }
+                    answered(
+                        atomic_ack(local, qp, psn, original),
+                        Outcome::AtomicExecuted,
+                    )
                 }
                 Err(e) => access_nak(local, qp, e),
             }
@@ -175,68 +178,47 @@ fn duplicate(
     req: &RocePacket,
     mtu: usize,
 ) -> ResponderResult {
-    match req.bth.opcode {
+    let response = match req.bth.opcode {
         // Duplicate reads are re-executed per spec (the data may have been
         // lost in flight).
         Opcode::ReadRequest => {
             let mut r = serve_read(local, qp, mrs, req, mtu, true);
-            r.outcome = Outcome::Duplicate;
-            r
+            r.outcome = duplicate_outcome(r.outcome);
+            return r;
         }
         // Duplicate atomics replay the saved original value when possible.
-        Opcode::FetchAdd => {
-            let response = match qp.last_atomic {
-                Some((psn, original)) if psn == req.bth.psn => atomic_ack(local, qp, psn, original),
-                _ => plain_ack(local, qp, req.bth.psn),
-            };
-            ResponderResult {
-                response: Some(response),
-                outcome: Outcome::Duplicate,
-            }
-        }
+        Opcode::FetchAdd => match qp.last_atomic {
+            Some((psn, original)) if psn == req.bth.psn => atomic_ack(local, qp, psn, original),
+            _ => plain_ack(local, qp, req.bth.psn),
+        },
         // Duplicate read-like remote ops are re-executed like READs: their
         // response data may have been lost in flight.
         Opcode::HashProbe | Opcode::GatherWalk => {
             let mut r = serve_ext_op(local, qp, mrs, req, mtu, true);
-            r.outcome = Outcome::Duplicate;
-            r
+            r.outcome = duplicate_outcome(r.outcome);
+            return r;
         }
         // Duplicate conditional WRITEs must NOT re-execute (the original
-        // write may have changed the compared bytes); replay the saved
-        // response when it is still in the replay buffer.
-        Opcode::CondWrite => {
-            let response = match qp
-                .cond_replay
-                .iter()
-                .find(|(psn, _, _)| *psn == req.bth.psn)
-            {
-                Some((psn, flags, observed)) => ext_op_resp(
-                    local,
-                    qp,
-                    *psn,
-                    Opcode::CondWrite,
-                    *flags,
-                    0,
-                    &[observed.as_slice()],
-                ),
-                None => plain_ack(local, qp, req.bth.psn),
-            };
-            ResponderResult {
-                response: Some(response),
-                outcome: Outcome::Duplicate,
-            }
-        }
-        // Duplicate writes: acknowledge, do not re-execute.
-        _ => ResponderResult {
-            response: Some(plain_ack(local, qp, req.bth.psn)),
-            outcome: Outcome::Duplicate,
+        // write may have changed the compared bytes); replay the recorded
+        // verdict when it is still in the replay buffer.
+        Opcode::CondWrite => match qp.cond_replay.iter().find(|(psn, _)| *psn == req.bth.psn) {
+            Some(&(psn, flags)) => ext_op_resp(local, qp, psn, Opcode::CondWrite, flags, 0, &[]),
+            None => plain_ack(local, qp, req.bth.psn),
         },
-    }
+        // Duplicate writes: acknowledge, do not re-execute.
+        _ => plain_ack(local, qp, req.bth.psn),
+    };
+    answered(response, Outcome::Duplicate)
 }
 
-/// Offset of the body in a remote-op response frame.
-const EXT_OP_RESP_BODY_AT: usize =
-    EthernetHeader::LEN + ROCEV2_BASE_OVERHEAD + Aeth::LEN + ExtOpAckEth::LEN;
+/// A re-executed duplicate's outcome: `Duplicate`, unless its response
+/// could not be sent.
+fn duplicate_outcome(outcome: Outcome) -> Outcome {
+    match outcome {
+        Outcome::ResponseDropped => Outcome::ResponseDropped,
+        _ => Outcome::Duplicate,
+    }
+}
 
 /// How a remote op failed.
 enum ExtOpError {
@@ -252,9 +234,8 @@ impl From<AccessError> for ExtOpError {
     }
 }
 
-/// What a remote op resolved to: every access checked and performed except
-/// a conditional WRITE's install, which waits until the response — a view
-/// of memory *before* the write — has been encoded.
+/// What a remote op resolved to: its verdict, the accesses it performed,
+/// and the region bytes its response returns.
 struct ExtOpPlan<'a> {
     flags: u8,
     index: u16,
@@ -312,39 +293,30 @@ fn serve_ext_op(
         qp.epsn = psn_add(qp.epsn, 1);
         qp.msn = (qp.msn + 1) & 0xff_ffff;
     }
-    let (flags, steps) = (plan.flags, plan.steps);
-    let bytes: usize = plan.body().iter().map(|part| part.len()).sum();
-    let response = ext_op_resp(local, qp, psn, op, flags, plan.index, plan.body());
-    if let RoceExt::CondWrite(h) = req.ext {
+    if op == Opcode::CondWrite {
         debug_assert!(!is_duplicate, "duplicate conditional WRITEs replay");
-        // The replay buffer keeps the observed bytes as a window of the
-        // response frame: no second copy out of the region.
         if qp.cond_replay.len() >= COND_REPLAY_DEPTH {
             qp.cond_replay.pop_front();
         }
-        let observed = response.view(EXT_OP_RESP_BODY_AT..EXT_OP_RESP_BODY_AT + bytes);
-        qp.cond_replay.push_back((psn, flags, observed));
-        if flags & EXTOP_FLAG_HIT != 0 {
-            mrs.get_mut(h.rkey)
-                .and_then(|r| r.write(h.write_va, &req.payload[h.cmp_len as usize..]))
-                .expect("conditional write target was bounds-checked");
-        }
+        qp.cond_replay.push_back((psn, plan.flags));
     }
-    ResponderResult {
-        response: Some(response),
-        outcome: Outcome::ExtOpExecuted {
-            op,
-            steps,
-            bytes: bytes as u64,
-        },
-    }
+    let bytes = plan.body().iter().map(|part| part.len() as u64).sum();
+    let outcome = Outcome::ExtOpExecuted {
+        op,
+        steps: plan.steps,
+        bytes,
+    };
+    let response = ext_op_resp(local, qp, psn, op, plan.flags, plan.index, plan.body());
+    answered(response, outcome)
 }
 
 /// Resolve one remote op against the MR table: the dependent-access chain
 /// the requester would otherwise issue as separate verbs, run NIC-side. The
-/// result borrows the region bytes the response will carry.
+/// result borrows the region bytes the response will carry. A hash probe
+/// returns the one slot it matched; a conditional WRITE installs its write
+/// image on a match and returns only its verdict.
 fn resolve_ext_op<'a>(
-    mrs: &'a MrTable,
+    mrs: &'a mut MrTable,
     req: &RocePacket,
     mtu: usize,
 ) -> Result<ExtOpPlan<'a>, ExtOpError> {
@@ -374,14 +346,13 @@ fn resolve_ext_op<'a>(
                 let va = h.base_va + bucket as u64 * bucket_bytes as u64;
                 let data = region.read(va, bucket_bytes as u64)?;
                 steps += 1;
-                for slot in 0..bucket_bytes / slot_bytes {
-                    let at = slot * slot_bytes + key_off;
-                    if data[at..at + key_len] == key[..] {
+                for (slot, bytes) in data.chunks_exact(slot_bytes).enumerate() {
+                    if bytes[key_off..key_off + key_len] == key[..] {
                         let mut flags = EXTOP_FLAG_HIT;
                         if nth == 1 {
                             flags |= EXTOP_FLAG_SECONDARY;
                         }
-                        return Ok(ExtOpPlan::new(flags, slot as u16, steps, &[data]));
+                        return Ok(ExtOpPlan::new(flags, slot as u16, steps, &[bytes]));
                     }
                 }
             }
@@ -392,15 +363,14 @@ fn resolve_ext_op<'a>(
             if cmp_len == 0 || cmp_len > req.payload.len() || cmp_len > mtu {
                 return Err(ExtOpError::Invalid);
             }
-            let region = mrs.get(h.rkey)?;
-            let observed = region.read(h.cmp_va, cmp_len as u64)?;
-            if observed[..] != req.payload[..cmp_len] {
-                return Ok(ExtOpPlan::new(0, 0, 1, &[observed]));
+            let (compare, write) = req.payload.split_at(cmp_len);
+            let region = mrs.get_mut(h.rkey)?;
+            if region.read(h.cmp_va, cmp_len as u64)? != compare {
+                return Ok(ExtOpPlan::new(0, 0, 1, &[]));
             }
-            // The caller installs the write once the response is encoded;
-            // a target out of bounds fails the op here, before any effect.
-            region.read(h.write_va, (req.payload.len() - cmp_len) as u64)?;
-            Ok(ExtOpPlan::new(EXTOP_FLAG_HIT, 0, 2, &[observed]))
+            // A target out of bounds fails the op here, before any effect.
+            region.write(h.write_va, write)?;
+            Ok(ExtOpPlan::new(EXTOP_FLAG_HIT, 0, 2, &[]))
         }
         RoceExt::Gather(h) => {
             let count = h.count as usize;
@@ -415,9 +385,9 @@ fn resolve_ext_op<'a>(
             }
             let region = mrs.get(h.rkey)?;
             let mut plan = ExtOpPlan::new(EXTOP_FLAG_HIT, 0, count as u32, &[]);
-            for (word, va) in plan.parts.iter_mut().zip(req.payload.chunks_exact(8)) {
-                let va = u64::from_be_bytes(va.try_into().unwrap());
-                *word = region.read(va, word_len as u64)?;
+            let (vas, _) = req.payload.as_chunks::<8>();
+            for (word, va) in plan.parts.iter_mut().zip(vas) {
+                *word = region.read(u64::from_be_bytes(*va), word_len as u64)?;
             }
             plan.n_parts = count;
             Ok(plan)
@@ -427,10 +397,31 @@ fn resolve_ext_op<'a>(
 }
 
 /// Encode one response frame from this QP to its peer.
-fn respond(local: RoceEndpoint, qp: &QueuePair, bth: Bth, ext: RoceExt, body: &[&[u8]]) -> Packet {
-    RoceHeaders::new(local, qp.peer, qp.udp_src_port, bth, ext)
-        .encode(body)
-        .expect("response packet must encode")
+fn respond(
+    local: RoceEndpoint,
+    qp: &QueuePair,
+    bth: Bth,
+    ext: RoceExt,
+    body: &[&[u8]],
+) -> Result<Packet, WireError> {
+    RoceHeaders::new(local, qp.peer, qp.udp_src_port, bth, ext).encode(body)
+}
+
+/// A request's result: its response frame, if it encoded. None the
+/// responder builds fails to (every body is at most one MTU); one that did
+/// would be dropped and counted, like a response lost on the wire, and the
+/// requester's retransmission would recover it.
+fn answered(response: Result<Packet, WireError>, outcome: Outcome) -> ResponderResult {
+    match response {
+        Ok(frame) => ResponderResult {
+            response: Some(frame),
+            outcome,
+        },
+        Err(_) => ResponderResult {
+            response: None,
+            outcome: Outcome::ResponseDropped,
+        },
+    }
 }
 
 /// Encode the single-packet remote-op response.
@@ -442,7 +433,7 @@ fn ext_op_resp(
     flags: u8,
     index: u16,
     data: &[&[u8]],
-) -> Packet {
+) -> Result<Packet, WireError> {
     respond(
         local,
         qp,
@@ -496,10 +487,7 @@ fn serve_read(
         qp.epsn = psn_add(qp.epsn, 1);
         qp.msn = (qp.msn + 1) & 0xff_ffff;
     }
-    ResponderResult {
-        response: Some(response),
-        outcome: Outcome::ReadServed { bytes },
-    }
+    answered(response, Outcome::ReadServed { bytes })
 }
 
 fn write_ack(
@@ -509,13 +497,17 @@ fn write_ack(
     bytes: u64,
     psn: u32,
 ) -> ResponderResult {
-    ResponderResult {
-        response: ack_req.then(|| plain_ack(local, qp, psn)),
-        outcome: Outcome::WriteExecuted { bytes },
+    let outcome = Outcome::WriteExecuted { bytes };
+    if !ack_req {
+        return ResponderResult {
+            response: None,
+            outcome,
+        };
     }
+    answered(plain_ack(local, qp, psn), outcome)
 }
 
-fn plain_ack(local: RoceEndpoint, qp: &QueuePair, psn: u32) -> Packet {
+fn plain_ack(local: RoceEndpoint, qp: &QueuePair, psn: u32) -> Result<Packet, WireError> {
     respond(
         local,
         qp,
@@ -525,7 +517,12 @@ fn plain_ack(local: RoceEndpoint, qp: &QueuePair, psn: u32) -> Packet {
     )
 }
 
-fn atomic_ack(local: RoceEndpoint, qp: &QueuePair, psn: u32, original: u64) -> Packet {
+fn atomic_ack(
+    local: RoceEndpoint,
+    qp: &QueuePair,
+    psn: u32,
+    original: u64,
+) -> Result<Packet, WireError> {
     respond(
         local,
         qp,
@@ -541,17 +538,14 @@ fn atomic_ack(local: RoceEndpoint, qp: &QueuePair, psn: u32, original: u64) -> P
 }
 
 fn nak(local: RoceEndpoint, qp: &QueuePair, code: NakCode) -> ResponderResult {
-    let pkt = respond(
+    let response = respond(
         local,
         qp,
         Bth::new(Opcode::Acknowledge, qp.peer_qpn, qp.epsn),
         RoceExt::Aeth(Aeth::nak(code, qp.msn)),
         &[],
     );
-    ResponderResult {
-        response: Some(pkt),
-        outcome: Outcome::Nak(code),
-    }
+    answered(response, Outcome::Nak(code))
 }
 
 fn invalid(local: RoceEndpoint, qp: &mut QueuePair) -> ResponderResult {
@@ -978,12 +972,16 @@ mod tests {
     fn hash_probe_finds_in_either_bucket_or_misses() {
         let (local, mut qp, mut mrs, rkey, base) = setup();
         let qpn = qp.qpn;
-        // 2 buckets of 4 x 32 B slots; key field is bytes 0..14 of a slot.
+        // 2 buckets of 4 x 32 B slots; key field is bytes 0..14 of a slot,
+        // the rest of each slot its own ramp.
         let key_a = [0xaau8; 14];
         let key_b = [0xbbu8; 14];
         let region = mrs.get_mut(rkey).unwrap();
+        let ramp: Vec<u8> = (0..256u32).map(|i| i as u8).collect();
+        region.write(base, &ramp).unwrap();
         region.write(base + 2 * 32, &key_a).unwrap(); // bucket 0, slot 2
         region.write(base + 128 + 32, &key_b).unwrap(); // bucket 1, slot 1
+        let slot = |at: usize, key: [u8; 14]| [&key[..], &ramp[at + 14..at + 32]].concat();
         let probe = |key: [u8; 14], b1: u32, b2: u32| {
             RoceExt::HashProbe(extmem_wire::extop::HashProbeEth {
                 base_va: base,
@@ -996,7 +994,8 @@ mod tests {
                 key_len: key.len() as u8,
             })
         };
-        // Hit in the primary bucket: one probe step.
+        // Hit in the primary bucket: one probe step, and exactly the 32
+        // matching slot bytes back.
         let r = process_request(
             local,
             &mut qp,
@@ -1009,7 +1008,7 @@ mod tests {
             Outcome::ExtOpExecuted {
                 op: Opcode::HashProbe,
                 steps: 1,
-                bytes: 128
+                bytes: 32
             }
         );
         let RoceExt::ExtOpAck(_, ack) = r.responses[0].ext else {
@@ -1017,7 +1016,9 @@ mod tests {
         };
         assert_eq!(ack.flags, EXTOP_FLAG_HIT);
         assert_eq!(ack.index, 2);
-        // Hit in the secondary: two probe steps, still one response.
+        assert_eq!(r.responses[0].payload, slot(2 * 32, key_a));
+        // Hit in the secondary: two probe steps, still one response of one
+        // slot.
         let r = process_request(
             local,
             &mut qp,
@@ -1030,7 +1031,7 @@ mod tests {
             Outcome::ExtOpExecuted {
                 op: Opcode::HashProbe,
                 steps: 2,
-                bytes: 128
+                bytes: 32
             }
         );
         let RoceExt::ExtOpAck(_, ack) = r.responses[0].ext else {
@@ -1038,6 +1039,7 @@ mod tests {
         };
         assert_eq!(ack.flags, EXTOP_FLAG_HIT | EXTOP_FLAG_SECONDARY);
         assert_eq!(ack.index, 1);
+        assert_eq!(r.responses[0].payload, slot(128 + 32, key_b));
         // Miss in both: empty payload, no flags.
         let r = process_request(
             local,
@@ -1087,19 +1089,19 @@ mod tests {
             Outcome::ExtOpExecuted {
                 op: Opcode::CondWrite,
                 steps: 2,
-                bytes: 8
+                bytes: 0
             }
         );
         let RoceExt::ExtOpAck(_, ack) = r.responses[0].ext else {
             panic!("expected ExtOpAck");
         };
         assert_eq!(ack.flags, EXTOP_FLAG_HIT);
-        assert_eq!(r.responses[0].payload, vec![7u8; 8]);
+        assert!(r.responses[0].payload.is_empty(), "a verdict, no bytes");
         assert_eq!(
             mrs.get(rkey).unwrap().read(base + 64, 16).unwrap(),
             &[0x11u8; 16][..]
         );
-        // Mismatching compare: no write, observed bytes returned.
+        // Mismatching compare: no write, and again no bytes back.
         let mut miss = vec![9u8; 8];
         miss.extend_from_slice(&[0x22; 16]);
         let r = process_request(
@@ -1114,13 +1116,14 @@ mod tests {
             Outcome::ExtOpExecuted {
                 op: Opcode::CondWrite,
                 steps: 1,
-                bytes: 8
+                bytes: 0
             }
         );
         let RoceExt::ExtOpAck(_, ack) = r.responses[0].ext else {
             panic!("expected ExtOpAck");
         };
         assert_eq!(ack.flags, 0);
+        assert!(r.responses[0].payload.is_empty());
         assert_eq!(
             mrs.get(rkey).unwrap().read(base + 64, 16).unwrap(),
             &[0x11u8; 16][..],
@@ -1141,10 +1144,11 @@ mod tests {
             panic!("expected replayed ExtOpAck");
         };
         assert_eq!(ack.flags, EXTOP_FLAG_HIT, "replay keeps the original flags");
+        assert!(r.responses[0].payload.is_empty());
         assert_eq!(
-            r.responses[0].payload,
-            vec![7u8; 8],
-            "replay returns the originally observed bytes"
+            mrs.get(rkey).unwrap().read(base + 64, 16).unwrap(),
+            &[0x11u8; 16][..],
+            "replay must not write"
         );
     }
 
@@ -1309,7 +1313,7 @@ mod tests {
                 key.to_vec(),
             )
         };
-        // Slot 1 of bucket 0, reached second.
+        // Slot 1 of bucket 0, reached second: that slot alone comes back.
         let got = serve(&mut qp, &mut mrs, &probe(5, &image[256 + 18..256 + 22]));
         let ext = ext_ack(
             &qp,
@@ -1325,15 +1329,15 @@ mod tests {
                 Opcode::ExtOpResp,
                 5,
                 ext,
-                &image[256..288]
+                &image[272..288]
             )]
         );
         let got = serve(&mut qp, &mut mrs, &probe(6, &[0xee; 4]));
         let ext = ext_ack(&qp, Opcode::HashProbe, 0, 0);
         assert_eq!(got, [built(local, &qp, Opcode::ExtOpResp, 6, ext, &[])]);
 
-        // A conditional WRITE over its own compare bytes: the response
-        // shows memory as it was before the write landed.
+        // A conditional WRITE over its own compare bytes: the response is
+        // its verdict alone.
         let cond = remote_req(
             qpn,
             7,
@@ -1347,17 +1351,7 @@ mod tests {
         );
         let got = serve(&mut qp, &mut mrs, &cond);
         let ext = ext_ack(&qp, Opcode::CondWrite, EXTOP_FLAG_HIT, 0);
-        assert_eq!(
-            got,
-            [built(
-                local,
-                &qp,
-                Opcode::ExtOpResp,
-                7,
-                ext,
-                &image[700..704]
-            )]
-        );
+        assert_eq!(got, [built(local, &qp, Opcode::ExtOpResp, 7, ext, &[])]);
         assert_eq!(
             mrs.get(rkey).unwrap().read(base + 700, 14).unwrap(),
             [&image[700..702], &[9u8; 12][..]].concat()
@@ -1386,21 +1380,11 @@ mod tests {
         assert!(serve(&mut qp, &mut mrs, &late).is_empty());
 
         // Duplicates of the ops above: the conditional WRITE replays its
-        // first answer (memory has moved on), a bad duplicate is NAKed
+        // first verdict (memory has moved on), a bad duplicate is NAKed
         // without touching the sequence.
         let got = serve(&mut qp, &mut mrs, &cond);
         let ext = ext_ack(&qp, Opcode::CondWrite, EXTOP_FLAG_HIT, 0);
-        assert_eq!(
-            got,
-            [built(
-                local,
-                &qp,
-                Opcode::ExtOpResp,
-                7,
-                ext,
-                &image[700..704]
-            )]
-        );
+        assert_eq!(got, [built(local, &qp, Opcode::ExtOpResp, 7, ext, &[])]);
         let got = serve(&mut qp, &mut mrs, &over);
         assert_eq!(got, [nak(&qp, NakCode::InvalidRequest)]);
         let got = serve(&mut qp, &mut mrs, &beyond);

@@ -11,8 +11,9 @@
 //!
 //! All headers are fixed-size and `Copy`; variable-length op inputs (probe
 //! keys, compare/write images, VA lists) ride in the request payload, and op
-//! outputs (fetched buckets, gathered words, observed compare images) ride in
-//! the response payload.
+//! outputs ride in the response payload: a hash probe's matched slot or a
+//! gather's words. A probe's miss and every conditional WRITE answer with
+//! [`ExtOpAckEth`]'s flags alone and an empty payload.
 
 use crate::layout::header;
 use extmem_types::Rkey;
@@ -27,7 +28,9 @@ header! {
     ///
     /// The requester (switch) computes both candidate bucket indices with its
     /// own hash units; the responder probes `b1` then `b2` against the key bytes
-    /// in the request payload and returns the matching bucket in one response.
+    /// in the request payload. On a hit the one response carries the matching
+    /// slot's `slot_bytes` bytes, with its index in the bucket in
+    /// [`ExtOpAckEth::index`]; on a miss it carries none.
     pub struct HashProbeEth as "HashProbeETH" {
         /// Base virtual address of the bucket array.
         pub base_va: u64,
@@ -54,7 +57,7 @@ header! {
     /// The request payload is `[compare image (cmp_len bytes)][write image]`.
     /// The responder reads `cmp_len` bytes at `cmp_va`; iff they equal the
     /// compare image it writes the write image at `write_va`. The response
-    /// payload always carries the observed compare bytes.
+    /// payload is empty: [`EXTOP_FLAG_HIT`] says whether the write landed.
     pub struct CondWriteEth as "CondWriteETH" {
         /// Address of the bytes the condition inspects.
         pub cmp_va: u64,
@@ -91,7 +94,7 @@ header! {
         pub op: u8,
         /// [`EXTOP_FLAG_HIT`] / [`EXTOP_FLAG_SECONDARY`] bits.
         pub flags: u8,
-        /// Op-specific index (e.g. the matching slot within a fetched bucket).
+        /// Op-specific index (a hash probe's matched slot within its bucket).
         pub index: u16,
     }
 }

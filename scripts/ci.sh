@@ -47,20 +47,22 @@ if grep -rn 'pool::recycle\|recover_vec' crates tests examples; then
     exit 1
 fi
 
-echo "== no unwrap/expect in the wire codecs =="
+echo "== no unwrap/expect in the wire codecs and the responder's request path =="
 # A parser answers any bytes with a value or a WireError, and a writer any
-# buffer. The non-test part of each wire file (up to its first column-0
-# `#[cfg(test)]`, as scripts/loc.sh counts; doc-comment lines aside) holds no
-# `.unwrap()` or `.expect(`. bytes.rs and packet.rs are exempt: their three
-# sites check invariants of buffers they own, not input.
-unwraps="$(for f in crates/wire/src/*.rs; do
+# buffer; the RNIC's responder answers any request with a response, a NAK or
+# a counted drop. The non-test part of each wire file and of the responder's
+# two files (up to its first column-0 `#[cfg(test)]`, as scripts/loc.sh
+# counts; doc-comment lines aside) holds no `.unwrap()` or `.expect(`.
+# wire's bytes.rs and packet.rs are exempt: their three sites check
+# invariants of buffers they own, not input.
+unwraps="$(for f in crates/wire/src/*.rs crates/rnic/src/responder.rs crates/rnic/src/mr.rs; do
     case "$f" in */bytes.rs | */packet.rs) continue ;; esac
     awk -v f="$f" '/^#\[cfg\(test\)\]/ { exit }
         !/^[[:space:]]*\/\/[\/!]/ && /\.unwrap\(\)|\.expect\(/ { printf "%s:%d: %s\n", f, NR, $0 }' "$f"
 done)"
 if [ -n "$unwraps" ]; then
     echo "$unwraps" >&2
-    echo "FAIL: wire codecs return WireError; no unwrap/expect outside tests" >&2
+    echo "FAIL: wire codecs and the responder return errors; no unwrap/expect outside tests" >&2
     exit 1
 fi
 
@@ -194,7 +196,7 @@ if [ -n "$std_hashed" ]; then
     exit 1
 fi
 
-echo "== benchmark allocation ceilings (release) =="
+echo "== benchmark allocation and memory-link ceilings (release) =="
 # Allocation counts repeat exactly per seed, so unlike host time they can
 # be gated on any machine: one short untraced run of each benchmark
 # workload must pass its own checks and stay under the committed
@@ -204,6 +206,9 @@ echo "== benchmark allocation ceilings (release) =="
 # return to the pool — and nothing on the fabric allocates per flush any
 # more) and heap-bytes-per-frame ceiling (within 0.5 % of this invocation's
 # values: the sinks' latency samples are four bytes each in fixed blocks).
+# Memory-link bytes per application byte (`sim_rdma_overhead`, the paper's §5
+# cost of external memory) is a simulated count, exact per seed: its ceiling
+# is the seed-7 value plus 0.1 %.
 # Fail unless the last run's metric $2 is present and at most $3.
 under_ceiling() {
     local value
@@ -214,7 +219,7 @@ under_ceiling() {
     fi
     echo "ok     $1: $2 $value <= $3"
 }
-while read -r workload allocs bytes; do
+while read -r workload allocs bytes overhead; do
     # A failed check exits non-zero and says so in the JSON; report that.
     result="$(crates/benchmark/run.sh --workload "$workload" --seed 7 --seconds 3 --trace 0 </dev/null | tail -n 1)" || true
     if [[ "$result" != *'"correct": true'* ]]; then
@@ -223,12 +228,13 @@ while read -r workload allocs bytes; do
     fi
     under_ceiling "$workload" allocs_per_pkt "$allocs"
     under_ceiling "$workload" alloc_bytes_per_pkt "$bytes"
+    under_ceiling "$workload" sim_rdma_overhead "$overhead"
 done <<'CEILINGS'
-lookup_verbs 3.01 125.2
-lookup_ops 3.01 125.2
-pktbuf_lossy 5.025 213.3
-fabric_shard 2.74 114.8
-fabric_shard_p2 2.74 115.3
+lookup_verbs 3.01 125.2 1.0323
+lookup_ops 3.01 125.2 0.7742
+pktbuf_lossy 5.025 213.3 2.3633
+fabric_shard 2.74 114.8 0.5203
+fabric_shard_p2 2.74 115.3 0.5203
 CEILINGS
 
 echo "== non-test lines per crate =="

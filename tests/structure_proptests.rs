@@ -1437,7 +1437,9 @@ mod remote_op_oracle {
         }
 
         /// The verb oracle: the same op decomposed into dependent plain
-        /// READ / WRITE verbs, reproducing the engine's decision logic.
+        /// READ / WRITE verbs, reproducing the engine's decision logic. A
+        /// probe's answer is the matched slot cut from its bucket READ; a
+        /// conditional WRITE's is its flags alone.
         fn oracle(&mut self, op: &RemoteOp) -> (u8, u16, Vec<u8>) {
             match op {
                 RemoteOp::Gather { word_len, vas } => {
@@ -1462,14 +1464,14 @@ mod remote_op_oracle {
                         }
                         let va = base_va + bucket as u64 * *bucket_bytes as u64;
                         let data = self.read(va, *bucket_bytes as u32);
-                        for slot in 0..(bucket_bytes / slot_bytes) as usize {
-                            let at = slot * *slot_bytes as usize + *key_off as usize;
-                            if data[at..at + key.len()] == key[..] {
+                        for (slot, bytes) in data.chunks_exact(*slot_bytes as usize).enumerate() {
+                            let at = *key_off as usize;
+                            if bytes[at..at + key.len()] == key[..] {
                                 let mut flags = EXTOP_FLAG_HIT;
                                 if nth == 1 {
                                     flags |= EXTOP_FLAG_SECONDARY;
                                 }
-                                return (flags, slot as u16, data);
+                                return (flags, slot as u16, bytes.to_vec());
                             }
                         }
                     }
@@ -1488,7 +1490,7 @@ mod remote_op_oracle {
                         self.write(*write_va, &img);
                         flags = EXTOP_FLAG_HIT;
                     }
-                    (flags, 0, observed)
+                    (flags, 0, vec![])
                 }
             }
         }
@@ -1510,10 +1512,11 @@ mod remote_op_oracle {
     /// bytes, folded into one digest with each outcome. The frames were
     /// first pinned when the responder still returned unencoded packets
     /// whose payloads were copies out of the region; a change to how it
-    /// builds its frames may not move a byte on the wire.
+    /// builds its frames may not move a byte on the wire. A hash probe's hit
+    /// carries its matched slot, and a conditional WRITE its flags alone.
     #[test]
     fn response_encodings_are_pinned() {
-        const PINNED: u64 = 0x9469_7386_1f39_8769;
+        const PINNED: u64 = 0x42e1_5fd5_592f_313d;
         let image: Vec<u8> = (0..REGION).map(|i| (i * 7 + 3) as u8).collect();
         // A small MTU so a 300-byte READ is over it.
         const MTU: usize = 128;
