@@ -1126,18 +1126,19 @@ fn a13_cuckoo(filter_cells: usize, remote_ops: bool) -> (LookupStats, LatencySum
 ///   every rung inside the responder for one `nic::EXT_OP_STEP` each, so it
 ///   pays exactly 1.0 RTTs-per-miss and its p99 pulls ahead of the verb
 ///   ladder from depth 2 on.
-/// * **Cuckoo lookups under filter pressure** — verb mode stays exact only
+/// * **Cuckoo lookups under filter pressure** — both modes stay exact
 ///   because installs keep the switch-side counting filter truthful: every
 ///   would-be false positive forcibly relocates its victim key to the
 ///   secondary bucket (`fp_moves`). Shrinking the filter makes that
 ///   maintenance bill explode and packs the table's secondary buckets. The
-///   hash-probe-and-fetch op never consults the filter — the responder
-///   checks both candidate buckets in the same exchange — so lookups stay
-///   exact at 1.0 RTTs-per-miss with zero punts at any filter size, and
-///   the filter plus its relocation machinery can come off the miss path
-///   entirely. It also moves fewer bytes on the memory link per miss (`B/miss`,
-///   both directions): the probe answers with the one slot it matched, where
-///   the verb READ brings the whole bucket back.
+///   one filter steers both modes to the same bucket (`2nd-bkt` is equal):
+///   verb mode READs it, and the hash-probe-and-fetch op names it as both
+///   candidates, so the responder scans it in one access. Both modes pay
+///   the same install-time fp-moves and hold 1.0 RTTs-per-miss with zero
+///   punts at any filter size; the probe moves fewer bytes on the memory
+///   link per miss (`B/miss`, both directions), since it answers with the
+///   one slot it matched where the verb READ brings the whole bucket back,
+///   and its p99 is no worse.
 pub fn a13_remote_ops(out: &mut String) {
     out.push_str(&format!(
         "A13: remote-op ISA A/B — one RTT per dependent-access chain ({A13_COUNT} packets/leg)\n"
@@ -1209,16 +1210,29 @@ pub fn a13_remote_ops(out: &mut String) {
     // --- cuckoo filter-pressure sweep ------------------------------------
     let mut rows = Vec::new();
     let mut fp_by_cells = Vec::new();
+    let mut bytes_saved = 0.0;
     for cells in [4096usize, 512, 96] {
         let (vs, vlat, vfp, vbytes) = a13_cuckoo(cells, false);
         let (rs, rlat, rfp, rbytes) = a13_cuckoo(cells, true);
         assert_eq!(vfp, rfp, "both legs install into the same directory");
+        assert_eq!(
+            vs.filter_secondary_probes, rs.filter_secondary_probes,
+            "one filter steers both legs to the same buckets"
+        );
+        assert!(
+            rlat.p99 <= vlat.p99,
+            "a one-bucket probe is priced as the bucket READ it replaces, so its \
+             p99 must be no worse: ops {:?} vs verb {:?}",
+            rlat.p99,
+            vlat.p99
+        );
         assert!(
             rbytes < vbytes,
             "a hash probe returns one slot, so it must move fewer memory-link bytes \
              per miss than a bucket READ: ops {rbytes} vs verb {vbytes}"
         );
         fp_by_cells.push(vfp);
+        bytes_saved = vbytes - rbytes;
         assert_eq!(
             rs.rtts_per_miss(),
             Some(1.0),
@@ -1268,13 +1282,16 @@ pub fn a13_remote_ops(out: &mut String) {
     );
 
     out.push_str(&format!(
-        "\nverb mode's exactness is bought at install time: {} fp-avoidance\n\
-             relocations at 96 filter cells vs {} at 4096. The hash-probe op needs\n\
-             none of that machinery — the responder scans both buckets in one RTT.\n\
+        "\nboth modes' exactness is bought at install time: {} fp-avoidance\n\
+             relocations at 96 filter cells vs {} at 4096. The filter steers the\n\
+             hash probe to the same one bucket the verb READ fetches, so it is one\n\
+             access and moves {:.0} B less per miss.\n\
              \nexpectation: the ops legs hold 1.0 RTTs-per-miss at every depth and\n\
              every filter size, with zero punts, and the hash probe moves fewer\n\
-             memory-link bytes per miss; verb p99 grows with ladder depth.\n",
+             memory-link bytes per miss at no worse p99; verb p99 grows with\n\
+             ladder depth.\n",
         fp_by_cells.last().unwrap(),
-        fp_by_cells.first().unwrap()
+        fp_by_cells.first().unwrap(),
+        bytes_saved
     ));
 }

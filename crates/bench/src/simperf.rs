@@ -17,9 +17,9 @@
 //!   (the direct-hash ablation survives as `lookup_miss_storm_direct`),
 //! * `remote_ops` — the same miss storm with the `RemoteOps` knob on:
 //!   every miss is one hash-probe-and-fetch op through the responder's op
-//!   engine (both candidate buckets scanned server-side, no switch-side
-//!   filter on the path), asserted exact at 1.0 RTTs-per-miss with zero
-//!   punts and every request priced through the ext-op service model,
+//!   engine, on the one bucket the switch's filter names, asserted exact at
+//!   1.0 RTTs-per-miss and one memory access per probe with zero punts and
+//!   every request priced through the ext-op service model,
 //! * `insert_churn` — live cuckoo inserts/deletes (scripted sliding
 //!   window) under Zipf traffic: the relocation machinery's READ-verify +
 //!   WRITE displacements on the same wire as the lookups, with the
@@ -169,8 +169,9 @@ pub fn lookup_miss_storm_direct(count: u64) -> ScenarioResult {
 
 /// The remote-op ISA leg of the miss storm: identical traffic and table to
 /// [`lookup_miss_storm`], but with the `RemoteOps` knob on — every miss
-/// issues one hash-probe-and-fetch op that the responder's op engine
-/// resolves against both candidate buckets in a single exchange.
+/// issues one hash-probe-and-fetch op on the bucket the filter names
+/// (`b1 == b2`), which the responder's op engine resolves in one memory
+/// access and one exchange.
 pub fn remote_ops(count: u64) -> ScenarioResult {
     let t = storm_256(count, true);
     let stats = program::<LookupTableProgram>(&t).stats();
@@ -191,8 +192,9 @@ pub fn remote_ops(count: u64) -> ScenarioResult {
     );
     let nic_stats = t.sim.node::<RnicNode>(t.servers[0]).stats();
     assert_eq!(
-        nic_stats.ext_ops, count,
-        "every miss must run in the op engine"
+        (nic_stats.ext_op_steps, nic_stats.ext_ops),
+        (count, count),
+        "every miss must run in the op engine, one access per probe"
     );
     assert_eq!(nic_stats.cpu_packets, 0, "ops must bypass the server CPU");
     ScenarioResult::of("remote_ops", &t.sim)

@@ -8,14 +8,15 @@
 //! [`LookupTableProgram`] keeps a two-choice cuckoo table
 //! ([`crate::cuckoo`]) in remote memory plus a counting Bloom filter in
 //! switch SRAM ([`extmem_switch::filter`]): the filter tells the data plane
-//! *which* of the key's two buckets to READ, so every miss costs exactly one
-//! bucket-sized round trip — no collisions, no second probe — while the
-//! packet waits on the switch. Online inserts and deletes run through a
-//! relocation planner whose steps this program executes over the reliable
-//! channel (READ-verify then WRITE per displaced entry); the live filter
-//! flips at the instant each destination WRITE is issued, so the FIFO
-//! channel guarantees any later bucket READ observes the write and no
-//! resident key is ever transiently unfindable.
+//! *which* of the key's two buckets to READ (or, with remote ops, to
+//! hash-probe), so every miss costs exactly one bucket-sized round trip — no
+//! collisions, no second probe — while the packet waits on the switch.
+//! Online inserts and deletes run through a relocation planner whose steps
+//! this program executes over the reliable channel (READ-verify then WRITE
+//! per displaced entry, or one conditional WRITE with remote ops); the live
+//! filter flips at the instant each destination WRITE is issued (on a
+//! conditional WRITE's response), so any later probe observes the write and
+//! no resident key is ever transiently unfindable.
 
 use crate::channel::{
     ChannelEvent, ChannelStats, Op, RdmaChannel, ReliableChannel, ReliableConfig, Reply,
@@ -33,7 +34,7 @@ use extmem_switch::switch::RECIRC_PORT;
 use extmem_switch::table::{ExactMatchTable, Replacement};
 use extmem_switch::{PipelineProgram, SwitchCtx};
 use extmem_types::{FiveTuple, IntMap, PortId, TimeDelta};
-use extmem_wire::extop::{EXTOP_FLAG_HIT, EXTOP_FLAG_SECONDARY};
+use extmem_wire::extop::EXTOP_FLAG_HIT;
 use extmem_wire::ipv4::{internet_checksum, proto};
 use extmem_wire::roce::RocePacket;
 use extmem_wire::{EthernetHeader, Ipv4Header, MacAddr, Packet, UdpHeader};
@@ -316,11 +317,12 @@ pub struct LookupStats {
     /// once per abandoned lookup, however many of its rung READs failed,
     /// and drops that lookup's packet.
     pub failed_ops: u64,
-    /// Bucket READs whose response held no matching key (an unknown flow,
-    /// or a filter false positive steering a non-resident key to h2).
+    /// Bucket READs or hash probes whose response held no matching key (an
+    /// unknown flow, or a filter false positive steering a non-resident key
+    /// to h2).
     pub bucket_misses: u64,
-    /// Probes resolved against the secondary bucket (filter-steered in verb
-    /// mode; responder-reported hits in remote-op mode).
+    /// Probes the live filter steered to the secondary bucket, counted at
+    /// issue (a bucket READ or a one-bucket hash probe alike).
     pub filter_secondary_probes: u64,
     /// Request round trips issued by the data-plane miss path (bucket READs
     /// in verb mode, hash-probe-and-fetch ops in remote-op mode; WRITE+READ
@@ -350,9 +352,8 @@ pub struct LookupStats {
 
 impl LookupStats {
     /// Round trips per remote miss, `None` before any miss. 1.0 on the
-    /// one-RTT table either way; the remote-op probe additionally covers *both*
-    /// candidate buckets in that one trip, so a filter false positive can
-    /// no longer punt a resident key to the slow path.
+    /// one-RTT table either way: a bucket READ or a hash probe of the one
+    /// bucket the filter names.
     pub fn rtts_per_miss(&self) -> Option<f64> {
         (self.remote_lookups > 0).then(|| self.lookup_rtts as f64 / self.remote_lookups as f64)
     }
@@ -529,7 +530,7 @@ pub struct LookupTableProgram {
     /// Next unexecuted churn-script op.
     churn_next: usize,
     /// Use the RNIC remote-op engine: misses become hash-probe-and-fetch
-    /// ops (responder scans both candidate buckets) and relocation `Move`s
+    /// ops on the one bucket the live filter names, and relocation `Move`s
     /// become conditional WRITEs — each one request round trip.
     remote_ops: bool,
 }
@@ -575,10 +576,12 @@ impl LookupTableProgram {
     }
 
     /// Run misses and relocations on the RNIC's remote-op engine: each miss
-    /// issues one hash-probe-and-fetch that checks both candidate buckets
-    /// server-side, and each relocation `Move` collapses its verify READ +
-    /// destination WRITE into one conditional WRITE. Off (the default)
-    /// keeps the one-sided verb wire behavior as the ablation baseline.
+    /// issues one hash-probe-and-fetch on the bucket the live filter names
+    /// (the bucket verb mode READs), answered with the matching slot, and
+    /// each relocation `Move` collapses its verify READ + destination WRITE
+    /// into one conditional WRITE, the filter flipping on its response. Off
+    /// (the default) keeps the one-sided verb wire behavior as the ablation
+    /// baseline.
     pub fn with_remote_ops(mut self, on: bool) -> LookupTableProgram {
         self.remote_ops = on;
         self
@@ -633,38 +636,38 @@ impl LookupTableProgram {
         self.control.push_back(ControlOp::Remove(key));
     }
 
-    /// The miss path. Verb mode: probe the live filter, READ exactly one
-    /// bucket. Remote-op mode: issue one hash-probe-and-fetch naming both
-    /// candidate buckets — the responder scans them in place, so the SRAM
-    /// filter drops off the miss path entirely and a filter false positive
-    /// can no longer misdirect the probe.
+    /// The miss path: the live filter picks the one candidate bucket the
+    /// flow can live in (h2 if the filter holds it, else h1), and the miss
+    /// costs one access to it. Verb mode READs that bucket; remote-op mode
+    /// sends a hash-probe-and-fetch naming it as both candidates
+    /// (`b1 == b2`), which the responder scans in one access and answers
+    /// with the matching slot.
     fn remote_lookup(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, flow: FiveTuple, pkt: Packet) {
         let base = self.front.pool.base_va();
-        let buckets = self.dir.config().buckets;
-        let bucket = crate::cuckoo::probe_with(&self.live_filter, &flow, buckets);
         let (b1, b2) = self.dir.bucket_pair(&flow);
-        let secondary = bucket == b2 && b1 != b2;
+        let secondary = b1 != b2 && self.live_filter.contains(&flow);
+        let bucket = if secondary { b2 } else { b1 };
         let cookie = self.next_lookup;
         self.next_lookup += 1;
         self.pending.insert(cookie, (flow, pkt));
         let stats = &mut self.front.stats;
         stats.remote_lookups += 1;
         stats.lookup_rtts += 1;
+        if secondary {
+            stats.filter_secondary_probes += 1;
+        }
         let op = if self.remote_ops {
-            debug_assert!(buckets <= u32::MAX as u64, "bucket index fits the probe");
+            debug_assert!(bucket <= u32::MAX as u64, "bucket index fits the probe");
             Op::Remote(RemoteOp::HashProbe {
                 base_va: base,
-                b1: b1 as u32,
-                b2: b2 as u32,
+                b1: bucket as u32,
+                b2: bucket as u32,
                 bucket_bytes: BUCKET_BYTES as u16,
                 slot_bytes: SLOT_BYTES as u16,
                 key_off: 0,
                 key: Operand::new(&slot_key(&flow)),
             })
         } else {
-            if secondary {
-                stats.filter_secondary_probes += 1;
-            }
             let va = base + bucket * BUCKET_BYTES as u64;
             let len = BUCKET_BYTES as u32;
             Op::Read { va, len }
@@ -673,14 +676,14 @@ impl LookupTableProgram {
     }
 
     /// The end of every lookup: find the parked flow's action in the answer,
-    /// apply and cache it, or — an unknown flow, or in verb mode a filter
-    /// false positive for a non-resident key — punt to the software slow
-    /// path, forwarded unmodified. A bucket READ's slots are scanned here; a
-    /// hash probe (remote-op mode) was scanned by the responder, over both
-    /// candidate buckets, and on a hit returns the one slot it matched, whose
-    /// key is checked against the parked flow all the same. Resident keys
-    /// never miss (the no-transient-miss invariant), and a hash probe's miss
-    /// is definitive: both buckets were checked in the one round trip.
+    /// apply and cache it, or — an unknown flow, or a filter false positive
+    /// steering a non-resident key to h2 — punt to the software slow path,
+    /// forwarded unmodified. A bucket READ's slots are scanned here; a hash
+    /// probe (remote-op mode) was scanned by the responder, over the one
+    /// bucket the filter named, and on a hit returns the slot it matched,
+    /// whose key is checked against the parked flow all the same. Resident
+    /// keys never miss in either mode: the filter names the bucket each one
+    /// lives in (the no-transient-miss invariant).
     fn lookup_done(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, cookie: u64, reply: Reply) {
         let stats = &mut self.front.stats;
         stats.responses += 1;
@@ -692,11 +695,7 @@ impl LookupTableProgram {
                 (0..SLOTS_PER_BUCKET).find_map(|s| slot_match(&bucket, s, &flow))
             }
             Reply::Remote { flags, data, .. } if flags & EXTOP_FLAG_HIT != 0 => {
-                let found = slot_match(&data, 0, &flow);
-                if found.is_some() && flags & EXTOP_FLAG_SECONDARY != 0 {
-                    stats.filter_secondary_probes += 1;
-                }
-                found
+                slot_match(&data, 0, &flow)
             }
             Reply::Remote { .. } | Reply::Ack => None,
         };
@@ -1220,6 +1219,96 @@ pub(crate) mod tests {
             (2, 0),
             "{stats:?}"
         );
+    }
+
+    /// Remote-op mode probes the one bucket the live filter names, the
+    /// bucket verb mode READs: an h1-resident and an h2-resident key each
+    /// send one hash probe with `b1 == b2 ==` that bucket, only the h2
+    /// probe counts as a secondary probe, and both keys are found.
+    #[test]
+    fn remote_op_miss_probes_the_bucket_the_filter_names() {
+        use std::sync::{Arc, Mutex};
+        let mut dir = CuckooDirectory::new(crate::cuckoo::CuckooConfig {
+            buckets: 8,
+            filter_cells: 512,
+            filter_hashes: 2,
+            max_plan_steps: 64,
+        });
+        let keys: Vec<_> = (0..24u16)
+            .map(|i| FiveTuple::new(0x0a000001, 0x0a000002, 1000 + i, 80, proto::UDP))
+            .collect();
+        for (i, key) in keys.iter().enumerate() {
+            dir.install(*key, ActionEntry::set_dscp(10 + i as u8))
+                .unwrap();
+        }
+        // A key resident in its first (`h2 = false`) or second bucket.
+        let resident = |h2: bool| {
+            let found = keys.iter().copied().find(|key| {
+                let (b1, b2) = dir.bucket_pair(key);
+                let at = dir.position(key).unwrap().bucket;
+                b1 != b2 && at == if h2 { b2 } else { b1 }
+            });
+            found.expect("a load of 3/4 fills both kinds of bucket")
+        };
+        let flows = [resident(false), resident(true)];
+        let buckets = flows.map(|key| dir.position(&key).unwrap().bucket);
+        assert_eq!(buckets, flows.map(|key| dir.probe(&key)));
+        let dscp_in = flows.map(|key| dir.lookup(&key).unwrap().dscp);
+
+        let (mut nic, channel) = table_server(dir.region_bytes());
+        install_cuckoo_image(&mut nic, &channel, &dir);
+        let prog = LookupTableProgram::cuckoo(fib(), channel, dir, None).with_remote_ops(true);
+        // Per flow: the (b1, b2) its probe named and the secondary-probe
+        // count right after it was issued.
+        let issued = Arc::new(Mutex::new(Vec::new()));
+        let log = Arc::clone(&issued);
+        let poke = Box::new(
+            move |prog: &mut LookupTableProgram, ctx: &mut SwitchCtx<'_, '_, '_>| {
+                for flow in flows {
+                    let (src, dst) = (MacAddr::local(1), MacAddr::local(2));
+                    let pkt = build_data_packet(src, dst, flow, 0, 0, Time::ZERO, 128).unwrap();
+                    prog.ingress(ctx, PortId(2), pkt);
+                    let probes: Vec<_> = prog
+                        .pool()
+                        .caller_ops()
+                        .filter_map(|(_, op)| match op {
+                            Op::Remote(RemoteOp::HashProbe { b1, b2, .. }) => Some((*b1, *b2)),
+                            _ => None,
+                        })
+                        .collect();
+                    let secondary = prog.stats().filter_secondary_probes;
+                    log.lock()
+                        .unwrap()
+                        .push((*probes.last().unwrap(), probes.len(), secondary));
+                }
+            },
+        );
+        let mut server = None;
+        let (mut sim, sw, hole) = behind_blackhole(Poked { prog, poke }, |b, sw| {
+            let id = b.add_node(Box::new(nic));
+            b.connect(sw, PortId(1), id, PortId(0), LinkSpec::testbed_40g());
+            server = Some(id);
+        });
+        sim.schedule_timer(sw, TimeDelta::ZERO, program_token(POKE));
+        sim.run_until(Time::from_micros(100));
+
+        let [h1, h2] = buckets.map(|b| b as u32);
+        let issued = issued.lock().unwrap().clone();
+        assert_eq!(issued, [((h1, h1), 1, 0), ((h2, h2), 2, 1)]);
+        let frames = &sim.node::<Blackhole>(hole).frames;
+        let dscp_out = flows.map(|flow| {
+            let frame = frames.iter().find(|f| flow_of(f) == Some(flow)).unwrap();
+            Ipv4Header::parse(&frame.as_slice()[14..]).unwrap().dscp
+        });
+        assert_eq!(dscp_out, dscp_in);
+        let program = sim
+            .node::<SwitchNode>(sw)
+            .program::<Poked<LookupTableProgram>>();
+        let stats = program.prog.stats();
+        assert_eq!(stats.filter_secondary_probes, 1, "{stats:?}");
+        assert_eq!((stats.bucket_misses, stats.slow_path), (0, 0), "{stats:?}");
+        let nic = sim.node::<RnicNode>(server.unwrap()).stats();
+        assert_eq!((nic.ext_ops, nic.ext_op_steps), (2, 2), "{nic:?}");
     }
 
     /// The table server never answers: the channel gives the bucket READ

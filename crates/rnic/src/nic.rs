@@ -836,7 +836,9 @@ mod tests {
         // bytes the response returns: a probe reads whole buckets though it
         // answers with one slot, and a conditional WRITE reads its compare
         // image though it answers with a verdict. What a response carries
-        // must not move these picoseconds.
+        // must not move these picoseconds. A one-bucket probe (`b1 == b2`,
+        // what the cuckoo lookup sends) is one access, priced as the bucket
+        // READ the verb path sends in its place.
         use extmem_wire::extop::{CondWriteEth, GatherEth, HashProbeEth};
         let nic = RnicNode::new("rnic", RnicConfig::at(server_endpoint()));
         let op = |opcode, ext, payload: Vec<u8>| {
@@ -876,7 +878,14 @@ mod tests {
             count: 4,
         });
         let gather = nic.service_time(&op(Opcode::GatherWalk, gather, vec![0; 32]));
+        let read = RoceExt::Reth(Reth {
+            va: 0x1000_0180,
+            rkey: Rkey(1),
+            dma_len: 128,
+        });
+        let read = nic.service_time(&op(Opcode::ReadRequest, read, vec![]));
         let picos = [probe(9), probe(3), cond, gather].map(|t| t.picos());
         assert_eq!(picos, [178_619, 118_619, 164_655, 289_310]);
+        assert_eq!(probe(3), read);
     }
 }

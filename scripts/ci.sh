@@ -196,7 +196,7 @@ if [ -n "$std_hashed" ]; then
     exit 1
 fi
 
-echo "== benchmark allocation and memory-link ceilings (release) =="
+echo "== benchmark allocation, memory-link and latency ceilings (release) =="
 # Allocation counts repeat exactly per seed, so unlike host time they can
 # be gated on any machine: one short untraced run of each benchmark
 # workload must pass its own checks and stay under the committed
@@ -207,8 +207,10 @@ echo "== benchmark allocation and memory-link ceilings (release) =="
 # more) and heap-bytes-per-frame ceiling (within 0.5 % of this invocation's
 # values: the sinks' latency samples are four bytes each in fixed blocks).
 # Memory-link bytes per application byte (`sim_rdma_overhead`, the paper's §5
-# cost of external memory) is a simulated count, exact per seed: its ceiling
-# is the seed-7 value plus 0.1 %.
+# cost of external memory) and the sinks' simulated latency (`sim_lat_p50_ns`,
+# `sim_lat_p99_ns`) are simulated outcomes, exact per seed: each ceiling is
+# the seed-7 value plus 0.1 %, so a moved value means the traffic or its
+# timing changed.
 # Fail unless the last run's metric $2 is present and at most $3.
 under_ceiling() {
     local value
@@ -219,7 +221,7 @@ under_ceiling() {
     fi
     echo "ok     $1: $2 $value <= $3"
 }
-while read -r workload allocs bytes overhead; do
+while read -r workload allocs bytes overhead p50 p99; do
     # A failed check exits non-zero and says so in the JSON; report that.
     result="$(crates/benchmark/run.sh --workload "$workload" --seed 7 --seconds 3 --trace 0 </dev/null | tail -n 1)" || true
     if [[ "$result" != *'"correct": true'* ]]; then
@@ -229,12 +231,14 @@ while read -r workload allocs bytes overhead; do
     under_ceiling "$workload" allocs_per_pkt "$allocs"
     under_ceiling "$workload" alloc_bytes_per_pkt "$bytes"
     under_ceiling "$workload" sim_rdma_overhead "$overhead"
+    under_ceiling "$workload" sim_lat_p50_ns "$p50"
+    under_ceiling "$workload" sim_lat_p99_ns "$p99"
 done <<'CEILINGS'
-lookup_verbs 3.01 125.2 1.0323
-lookup_ops 3.01 125.2 0.7742
-pktbuf_lossy 5.025 213.3 2.3633
-fabric_shard 2.74 114.8 0.5203
-fabric_shard_p2 2.74 115.3 0.5203
+lookup_verbs 3.01 125.2 1.0323 2486.329 2895.996
+lookup_ops 3.01 125.2 0.7742 2473.116 2882.783
+pktbuf_lossy 5.025 213.3 2.3633 22384235.157 44349376.318
+fabric_shard 2.74 114.8 0.5203 2968.032 3311.595
+fabric_shard_p2 2.74 115.3 0.5203 2968.032 3311.595
 CEILINGS
 
 echo "== non-test lines per crate =="

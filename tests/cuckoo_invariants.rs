@@ -99,7 +99,8 @@ fn assert_region_matches_directory(t: &Built, rkey: extmem_types::Rkey, base_va:
 /// no-transient-miss invariant, asserted over 1500 packets and 192 table
 /// operations sharing one wire. Runs in both wire modes: verb (filter-
 /// steered bucket READs, READ-verify + WRITE relocations) and remote-op
-/// (hash-probe-and-fetch lookups, conditional-WRITE relocations).
+/// (hash-probe-and-fetch lookups of the same filter-steered bucket,
+/// conditional-WRITE relocations whose response flips the filter).
 fn relocation_storm(remote_ops: bool) {
     const COUNT: u64 = 1_500;
     const DSCP: u8 = 46;
