@@ -1114,10 +1114,10 @@ fn a13_cuckoo(filter_cells: usize, remote_ops: bool) -> (LookupStats, LatencySum
 
 /// A13 — remote-op ISA A/B: dependent-access chains in one RTT.
 ///
-/// The responder's op engine (hash-probe-and-fetch, conditional WRITE,
-/// bounded gather/walk) collapses every dependent-access chain the switch
-/// primitives issue into a single request/response exchange. Two sweeps measure the claim against the verb baseline (the
-/// `RemoteOps` knob off):
+/// The responder's op engine (hash-probe-and-fetch, bounded gather/walk)
+/// collapses every dependent-read chain the switch primitives issue into a
+/// single request/response exchange, answered like a READ. Two sweeps
+/// measure the claim against the verb baseline (the `RemoteOps` knob off):
 ///
 /// * **LPM walk depth 1–4** — verb mode issues one rung READ per level
 ///   (pipelined on the QP, so RTTs-per-miss equals the ladder depth and
@@ -1132,8 +1132,8 @@ fn a13_cuckoo(filter_cells: usize, remote_ops: bool) -> (LookupStats, LatencySum
 ///   secondary bucket (`fp_moves`). Shrinking the filter makes that
 ///   maintenance bill explode and packs the table's secondary buckets. The
 ///   one filter steers both modes to the same bucket (`2nd-bkt` is equal):
-///   verb mode READs it, and the hash-probe-and-fetch op names it as both
-///   candidates, so the responder scans it in one access. Both modes pay
+///   verb mode READs it, and the hash-probe-and-fetch op names it, so the
+///   responder scans it in one access. Both modes pay
 ///   the same install-time fp-moves and hold 1.0 RTTs-per-miss with zero
 ///   punts at any filter size; the probe moves fewer bytes on the memory
 ///   link per miss (`B/miss`, both directions), since it answers with the

@@ -169,9 +169,9 @@ pub fn lookup_miss_storm_direct(count: u64) -> ScenarioResult {
 
 /// The remote-op ISA leg of the miss storm: identical traffic and table to
 /// [`lookup_miss_storm`], but with the `RemoteOps` knob on — every miss
-/// issues one hash-probe-and-fetch op on the bucket the filter names
-/// (`b1 == b2`), which the responder's op engine resolves in one memory
-/// access and one exchange.
+/// issues one hash-probe-and-fetch op on the bucket the filter names,
+/// which the responder's op engine resolves in one memory access and one
+/// exchange.
 pub fn remote_ops(count: u64) -> ScenarioResult {
     let t = storm_256(count, true);
     let stats = program::<LookupTableProgram>(&t).stats();

@@ -53,7 +53,7 @@ fn pins() -> [Pin; 14] {
         pin!(incast_scenario(), 0xcd754ef4f7d00a02, 38953, 15892),
         pin!(lookup_miss_storm(250), 0x961cbf6e8838611e, 2001, 1000),
         pin!(lookup_miss_storm_direct(250), 0x7437e1c2ee0f4f47, 2751, 1250),
-        pin!(remote_ops(250), 0x5720607854ed7ada, 2001, 1000),
+        pin!(remote_ops(250), 0x0c4b9b308def1b44, 2001, 1000),
         pin!(insert_churn(600), 0x65945893db23143b, 5818, 2804),
         pin!(faa_storm(1_500), 0x21839ba8f98c58c1, 8428, 4080),
         pin!(loss_sweep(2_000), 0x16f8b0d548f9c643, 59683, 25658),
@@ -62,7 +62,7 @@ fn pins() -> [Pin; 14] {
         pin!(fabric_shard(300, 2), 0x95621375f92ac9c9, 44320, 20456),
         pin!(lookup_miss_storm_direct(500), 0x1c433c88e1fd224c, 5502, 2500),
         pin!(lookup_miss_storm(500), 0xb0e1d8e2bc67d629, 4002, 2000),
-        pin!(remote_ops(500), 0xfd28c45386dee70b, 4002, 2000),
+        pin!(remote_ops(500), 0x199b034cac4b0d4c, 4002, 2000),
     ]
 }
 

@@ -283,9 +283,9 @@ pub enum Op {
         /// The addend.
         add: u64,
     },
-    /// A remote op (hash-probe-and-fetch, conditional WRITE, gather/walk):
-    /// a whole dependent-access chain the responder NIC executes locally,
-    /// one RTT whatever its depth.
+    /// A remote op (hash-probe-and-fetch, gather/walk): a chain of
+    /// dependent reads the responder NIC executes locally, answered like a
+    /// READ, one RTT whatever its depth.
     Remote(RemoteOp),
 }
 
@@ -318,21 +318,10 @@ impl Op {
 pub enum Reply {
     /// A WRITE or Fetch-and-Add was acknowledged (explicitly or implicitly).
     Ack,
-    /// A READ's response bytes (a window of the response frame, not a
-    /// copy).
+    /// A READ's or a remote op's response bytes (a window of the response
+    /// frame, not a copy): a gather's words, a hash probe's matched slot,
+    /// nothing for a probe's miss.
     Data(Payload),
-    /// A remote op's response.
-    Remote {
-        /// Op-specific flags (`EXTOP_FLAG_HIT`, `EXTOP_FLAG_SECONDARY`).
-        flags: u8,
-        /// Op-specific index (for a hash probe, the matched slot's place in
-        /// its bucket).
-        index: u16,
-        /// Result bytes: a gather's words, or a hash probe's matched slot;
-        /// empty for a probe's miss and for a conditional WRITE, whose
-        /// answer is its flags.
-        data: Payload,
-    },
 }
 
 impl Reply {
@@ -341,7 +330,7 @@ impl Reply {
     pub fn into_data(self) -> Option<Payload> {
         match self {
             Reply::Ack => None,
-            Reply::Data(data) | Reply::Remote { data, .. } => Some(data),
+            Reply::Data(data) => Some(data),
         }
     }
 }
@@ -652,19 +641,6 @@ impl ReliableChannel {
                 self.on_response(psn, Reply::Ack, events);
                 true
             }
-            Opcode::ExtOpResp => {
-                let RoceExt::ExtOpAck(aeth, ack) = roce.ext else {
-                    return false;
-                };
-                if aeth.is_ack() {
-                    self.stats.acks += 1;
-                    let (flags, index, data) = (ack.flags, ack.index, roce.payload.clone());
-                    self.on_response(psn, Reply::Remote { flags, index, data }, events);
-                } else {
-                    self.on_nak(ctx, roce.bth.psn, events);
-                }
-                true
-            }
             Opcode::Acknowledge => {
                 let RoceExt::Aeth(aeth) = roce.ext else {
                     return false;
@@ -729,9 +705,8 @@ impl ReliableChannel {
             o.psn == psn
                 && matches!(
                     (&o.op, &reply),
-                    (Op::Read { .. }, Reply::Data(_))
+                    (Op::Read { .. } | Op::Remote(_), Reply::Data(_))
                         | (Op::FetchAdd { .. }, Reply::Ack)
-                        | (Op::Remote(_), Reply::Remote { .. })
                 )
         });
         let Some(pos) = pos else {
@@ -967,26 +942,20 @@ pub(crate) mod tests {
     }
 
     impl Replayer {
-        fn answer(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, psn: u32, opcode: Opcode) {
+        /// Answer `psn` with a READ response carrying `data`, or with an
+        /// atomic's acknowledgement if there is none.
+        fn answer(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, psn: u32, data: &[u8]) {
             use extmem_wire::aeth::Aeth;
             use extmem_wire::atomic::AtomicAckEth;
             use extmem_wire::bth::Bth;
-            use extmem_wire::extop::{ExtOpAckEth, EXTOP_FLAG_HIT};
-            let (ext, payload) = match opcode {
-                Opcode::ReadRespOnly => (RoceExt::Aeth(Aeth::ack(0)), vec![7; 8]),
-                Opcode::AtomicAcknowledge => {
-                    let ack = AtomicAckEth { original_value: 41 };
-                    (RoceExt::AtomicAck(Aeth::ack(0), ack), vec![])
-                }
-                _ => {
-                    let ack = ExtOpAckEth {
-                        op: Opcode::HashProbe as u8,
-                        flags: EXTOP_FLAG_HIT,
-                        index: 1,
-                    };
-                    (RoceExt::ExtOpAck(Aeth::ack(0), ack), vec![5; 32])
-                }
+            let (opcode, ext) = if data.is_empty() {
+                let ack = AtomicAckEth { original_value: 41 };
+                let ext = RoceExt::AtomicAck(Aeth::ack(0), ack);
+                (Opcode::AtomicAcknowledge, ext)
+            } else {
+                (Opcode::ReadRespOnly, RoceExt::Aeth(Aeth::ack(0)))
             };
+            let payload = data.to_vec();
             let qp = &self.channel.inner().qp;
             let bth = Bth::new(opcode, SWITCH_QPN, psn);
             let resp = RocePacket::new(qp.peer, qp.local, qp.udp_src_port, bth, ext, payload);
@@ -1007,18 +976,15 @@ pub(crate) mod tests {
                 assert!(self.channel.submit(ctx, op, cookie as u64));
             }
             // An atomic's acknowledgement under the READ's PSN answers
-            // nothing.
-            self.answer(ctx, 0, Opcode::AtomicAcknowledge);
+            // nothing, and READ bytes under the atomic's PSN nothing either.
+            self.answer(ctx, 0, &[]);
+            self.answer(ctx, 1, &[6; 8]);
             assert!(self.events.is_empty());
-            let answers = [
-                Opcode::ReadRespOnly,
-                Opcode::AtomicAcknowledge,
-                Opcode::ExtOpResp,
-            ];
+            let answers: [&[u8]; 3] = [&[7; 8], &[], &[5; 32]];
             // Each answer completes its op; its replay is dropped.
             for _ in 0..2 {
-                for (psn, opcode) in answers.into_iter().enumerate() {
-                    self.answer(ctx, psn as u32, opcode);
+                for (psn, data) in answers.into_iter().enumerate() {
+                    self.answer(ctx, psn as u32, data);
                 }
             }
         }
@@ -1031,7 +997,6 @@ pub(crate) mod tests {
         use extmem_switch::switch::program_token;
         use extmem_switch::{SwitchConfig, SwitchNode};
         use extmem_types::{QpNum, Time};
-        use extmem_wire::extop::EXTOP_FLAG_HIT;
 
         let local = RoceEndpoint {
             mac: MacAddr::local(1),
@@ -1065,7 +1030,7 @@ pub(crate) mod tests {
 
         let program = sim.node::<SwitchNode>(sw).program::<Replayer>();
         assert_eq!(program.channel.outstanding_len(), 0);
-        assert_eq!(program.channel.stats().duplicate_drops, 4);
+        assert_eq!(program.channel.stats().duplicate_drops, 5);
         let replies: Vec<(u64, Reply)> = program
             .events
             .iter()
@@ -1074,15 +1039,10 @@ pub(crate) mod tests {
                 other => panic!("unexpected {other:?}"),
             })
             .collect();
-        let remote = Reply::Remote {
-            flags: EXTOP_FLAG_HIT,
-            index: 1,
-            data: vec![5; 32].into(),
-        };
         let want = [
             (0, Reply::Data(vec![7; 8].into())),
             (1, Reply::Ack),
-            (2, remote),
+            (2, Reply::Data(vec![5; 32].into())),
         ];
         assert_eq!(replies, want);
     }
@@ -1097,8 +1057,7 @@ pub(crate) mod tests {
     fn probe_op() -> RemoteOp {
         RemoteOp::HashProbe {
             base_va: 0x1000,
-            b1: 3,
-            b2: 9,
+            bucket: 3,
             bucket_bytes: 128,
             slot_bytes: 32,
             key_off: 0,
@@ -1106,12 +1065,10 @@ pub(crate) mod tests {
         }
     }
 
-    fn install_op() -> RemoteOp {
-        RemoteOp::CondWrite {
-            cmp_va: 0x1040,
-            write_va: 0x1080,
-            compare: Operand::new(&[0xc5; 32]),
-            write: Operand::new(&[0x3a; 32]),
+    fn gather_op() -> RemoteOp {
+        RemoteOp::Gather {
+            word_len: 16,
+            vas: vec![0x1040, 0x1080],
         }
     }
 
@@ -1119,9 +1076,9 @@ pub(crate) mod tests {
     const ANSWER_PROBE: u64 = 2;
     const REISSUE: u64 = 3;
     const RECOVERED_PSN: u32 = 0x10_0000;
-    /// The install's cookie: the probes that fill the window take 1 to
+    /// The gather's cookie: the probes that fill the window take 1 to
     /// [`MAX_WINDOW`].
-    const INSTALL: u64 = MAX_WINDOW as u64 + 1;
+    const GATHER: u64 = MAX_WINDOW as u64 + 1;
 
     impl extmem_switch::PipelineProgram for OpIssuer {
         fn ingress(&mut self, _: &mut SwitchCtx<'_, '_, '_>, _: PortId, _: Packet) {}
@@ -1129,48 +1086,41 @@ pub(crate) mod tests {
         fn on_timer(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, token: u64) {
             use extmem_wire::aeth::Aeth;
             use extmem_wire::bth::Bth;
-            use extmem_wire::extop::ExtOpAckEth;
             match token {
                 ISSUE => {
-                    // The probes take the window; the install queues.
+                    // The probes take the window; the gather queues.
                     for cookie in 1..=MAX_WINDOW as u64 {
                         assert!(self.channel.submit(ctx, Op::Remote(probe_op()), cookie));
                     }
-                    assert!(self.channel.submit(ctx, Op::Remote(install_op()), INSTALL));
+                    assert!(self.channel.submit(ctx, Op::Remote(gather_op()), GATHER));
                     let held = self.channel.ops().count();
                     let queued = (self.channel.outstanding_len(), held);
                     assert_eq!(queued, (MAX_WINDOW, MAX_WINDOW + 1));
                 }
                 ANSWER_PROBE => {
+                    // Every probe misses: a READ response with no bytes.
                     for psn in 0..MAX_WINDOW as u32 {
                         let qp = &self.channel.inner().qp;
                         let resp = RocePacket::new(
                             qp.peer,
                             qp.local,
                             qp.udp_src_port,
-                            Bth::new(Opcode::ExtOpResp, SWITCH_QPN, psn),
-                            RoceExt::ExtOpAck(
-                                Aeth::ack(1),
-                                ExtOpAckEth {
-                                    op: Opcode::HashProbe as u8,
-                                    flags: 0,
-                                    index: 0,
-                                },
-                            ),
+                            Bth::new(Opcode::ReadRespOnly, SWITCH_QPN, psn),
+                            RoceExt::Aeth(Aeth::ack(1)),
                             vec![],
                         );
                         assert!(self.channel.on_roce(ctx, &resp, &mut self.events));
                     }
                     let held = self.channel.ops().count();
                     let launched = (self.channel.outstanding_len(), held);
-                    assert_eq!(launched, (1, 1), "the install launched");
+                    assert_eq!(launched, (1, 1), "the gather launched");
                 }
                 REISSUE => {
                     // What the pool does with an op orphaned by a failover.
                     assert!(self.channel.is_failed());
                     self.channel.recover_at(RECOVERED_PSN);
-                    let install = Op::Remote(install_op());
-                    assert!(self.channel.submit(ctx, install, INSTALL));
+                    let gather = Op::Remote(gather_op());
+                    assert!(self.channel.submit(ctx, gather, GATHER));
                 }
                 t if t == self.channel.timer_token() => {
                     self.channel.on_timer_fired(ctx, &mut self.events);
@@ -1257,7 +1207,7 @@ pub(crate) mod tests {
         };
         let (mut sim, sw, hole) = behind_blackhole(program, |_, _| {});
         // The probes go out at 0 and, unanswered, again at 10 us; their
-        // answers at 15 us let the install out, which times out at 30 us
+        // answers at 15 us let the gather out, which times out at 30 us
         // and, retransmitted with backoff, at 970 us takes the channel down
         // with it.
         sim.schedule_timer(sw, TimeDelta::ZERO, program_token(ISSUE));
@@ -1266,17 +1216,17 @@ pub(crate) mod tests {
         sim.run_until(Time::from_micros(1005));
 
         let program = sim.node::<SwitchNode>(sw).program::<OpIssuer>();
-        // The failed install comes back whole, as it was submitted.
+        // The failed gather comes back whole, as it was submitted.
         let orphan = ChannelEvent::OpFailed {
-            cookie: INSTALL,
-            op: Op::Remote(install_op()),
+            cookie: GATHER,
+            op: Op::Remote(gather_op()),
         };
         assert_eq!(program.events[MAX_WINDOW..], [orphan, ChannelEvent::Failed]);
         for (i, done) in program.events[..MAX_WINDOW].iter().enumerate() {
             assert!(matches!(
                 done,
-                ChannelEvent::Done { cookie, op, reply: Reply::Remote { .. } }
-                    if *cookie == 1 + i as u64 && *op == Op::Remote(probe_op())
+                ChannelEvent::Done { cookie, op, reply: Reply::Data(miss) }
+                    if *cookie == 1 + i as u64 && *op == Op::Remote(probe_op()) && miss.is_empty()
             ));
         }
         let frames = &sim.node::<Blackhole>(hole).frames;
@@ -1286,26 +1236,27 @@ pub(crate) mod tests {
             .collect();
         let seen: Vec<(Opcode, u32)> = sent.iter().map(|p| (p.bth.opcode, p.bth.psn)).collect();
         let probes = (0..MAX_WINDOW as u32).map(|psn| (Opcode::HashProbe, psn));
-        let installs = [(Opcode::CondWrite, MAX_WINDOW as u32)].repeat(1 + MAX_RETRIES as usize);
+        let gathers = [(Opcode::GatherWalk, MAX_WINDOW as u32)].repeat(1 + MAX_RETRIES as usize);
         let want: Vec<(Opcode, u32)> = probes
             .clone()
             .chain(probes)
-            .chain(installs)
-            .chain([(Opcode::CondWrite, RECOVERED_PSN)])
+            .chain(gathers)
+            .chain([(Opcode::GatherWalk, RECOVERED_PSN)])
             .collect();
         assert_eq!(seen, want);
         // A retransmission is the same frame, byte for byte.
         let (probes, rest) = frames.split_at(2 * MAX_WINDOW);
         assert_eq!(probes[..MAX_WINDOW], probes[MAX_WINDOW..]);
-        let (reissue, installs) = rest.split_last().unwrap();
-        assert!(installs.iter().all(|f| *f == installs[0]));
+        let (reissue, gathers) = rest.split_last().unwrap();
+        assert!(gathers.iter().all(|f| *f == gathers[0]));
         // The reissue differs in its PSN and in nothing the op describes.
-        let install = &sent[2 * MAX_WINDOW];
+        let gather = &sent[2 * MAX_WINDOW];
         let reissue = RocePacket::parse(reissue).unwrap().unwrap();
-        assert_eq!(reissue.ext, install.ext);
-        assert_eq!(reissue.payload, install.payload);
+        assert_eq!(reissue.ext, gather.ext);
+        assert_eq!(reissue.payload, gather.payload);
         assert_eq!(sent[0].payload, *b"thirteen-byte");
-        assert_eq!(install.payload, [[0xc5u8; 32], [0x3a; 32]].concat());
+        let vas = [0x1040u64, 0x1080].map(u64::to_be_bytes).concat();
+        assert_eq!(gather.payload, vas);
     }
 
     /// Owns one channel behind a server that never answers; submits one

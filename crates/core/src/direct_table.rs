@@ -243,11 +243,11 @@ impl DirectTableProgram {
                 ChannelEvent::Done {
                     reply: Reply::Ack, ..
                 } => {}
-                ChannelEvent::Done { cookie, reply, .. } => {
+                ChannelEvent::Done { cookie, op, reply } => {
                     self.front.stats.responses += 1;
                     // Only a READ's bytes are an entry, and READs are all
                     // this table issues.
-                    if let Reply::Data(entry) = reply {
+                    if let (Op::Read { .. }, Reply::Data(entry)) = (op, reply) {
                         self.read_done(ctx, cookie, &entry);
                     }
                 }
@@ -312,10 +312,10 @@ mod tests {
     use super::*;
     use crate::channel::tests::{behind_blackhole, Blackhole};
     use crate::lookup::tests::{fib, table_server, Poked, POKE};
+    use extmem_rnic::RemoteOp;
     use extmem_switch::switch::program_token;
     use extmem_switch::SwitchNode;
     use extmem_types::{Time, TimeDelta};
-    use extmem_wire::extop::EXTOP_FLAG_HIT;
 
     /// This table READs and WRITEs and nothing else, and names its ops by
     /// slot. A remote op's completion, or the failure of an op on a slot
@@ -337,15 +337,12 @@ mod tests {
                     let mut image = ActionEntry::set_dscp(46).to_bytes().to_vec();
                     image.extend([0, 64]);
                     image.extend([0; 64]);
-                    let op = Op::Read { va: 0, len: 82 };
+                    let vas = vec![0];
+                    let op = Op::Remote(RemoteOp::Gather { word_len: 82, vas });
                     prog.front.events.push(ChannelEvent::Done {
                         cookie: 7,
                         op: op.clone(),
-                        reply: Reply::Remote {
-                            flags: EXTOP_FLAG_HIT,
-                            index: 0,
-                            data: Payload::from_vec(image),
-                        },
+                        reply: Reply::Data(Payload::from_vec(image)),
                     });
                     prog.front
                         .events

@@ -13,9 +13,8 @@
 //! collisions, no second probe — while the packet waits on the switch.
 //! Online inserts and deletes run through a relocation planner whose steps
 //! this program executes over the reliable channel (READ-verify then WRITE
-//! per displaced entry, or one conditional WRITE with remote ops); the live
-//! filter flips at the instant each destination WRITE is issued (on a
-//! conditional WRITE's response), so any later probe observes the write and
+//! per displaced entry); the live filter flips at the instant each
+//! destination WRITE is issued, so any later probe observes the write and
 //! no resident key is ever transiently unfindable.
 
 use crate::channel::{
@@ -23,7 +22,7 @@ use crate::channel::{
 };
 use crate::cuckoo::{
     decode_slot, encode_slot, slot_key, slot_va, CuckooDirectory, SlotRef, Step, BUCKET_BYTES,
-    SLOTS_PER_BUCKET, SLOT_BYTES,
+    SLOT_BYTES,
 };
 use crate::fib::Fib;
 use crate::pool::ReplicatedPool;
@@ -34,7 +33,6 @@ use extmem_switch::switch::RECIRC_PORT;
 use extmem_switch::table::{ExactMatchTable, Replacement};
 use extmem_switch::{PipelineProgram, SwitchCtx};
 use extmem_types::{FiveTuple, IntMap, PortId, TimeDelta};
-use extmem_wire::extop::EXTOP_FLAG_HIT;
 use extmem_wire::ipv4::{internet_checksum, proto};
 use extmem_wire::roce::RocePacket;
 use extmem_wire::{EthernetHeader, Ipv4Header, MacAddr, Packet, UdpHeader};
@@ -530,8 +528,8 @@ pub struct LookupTableProgram {
     /// Next unexecuted churn-script op.
     churn_next: usize,
     /// Use the RNIC remote-op engine: misses become hash-probe-and-fetch
-    /// ops on the one bucket the live filter names, and relocation `Move`s
-    /// become conditional WRITEs — each one request round trip.
+    /// ops on the one bucket the live filter names, one request round trip
+    /// each.
     remote_ops: bool,
 }
 
@@ -575,13 +573,11 @@ impl LookupTableProgram {
         self
     }
 
-    /// Run misses and relocations on the RNIC's remote-op engine: each miss
-    /// issues one hash-probe-and-fetch on the bucket the live filter names
-    /// (the bucket verb mode READs), answered with the matching slot, and
-    /// each relocation `Move` collapses its verify READ + destination WRITE
-    /// into one conditional WRITE, the filter flipping on its response. Off
-    /// (the default) keeps the one-sided verb wire behavior as the ablation
-    /// baseline.
+    /// Run misses on the RNIC's remote-op engine: each miss issues one
+    /// hash-probe-and-fetch on the bucket the live filter names (the bucket
+    /// verb mode READs), answered with the matching slot alone.
+    /// Relocations are verbs in both modes. Off (the default) keeps the
+    /// one-sided verb wire behavior as the ablation baseline.
     pub fn with_remote_ops(mut self, on: bool) -> LookupTableProgram {
         self.remote_ops = on;
         self
@@ -639,9 +635,8 @@ impl LookupTableProgram {
     /// The miss path: the live filter picks the one candidate bucket the
     /// flow can live in (h2 if the filter holds it, else h1), and the miss
     /// costs one access to it. Verb mode READs that bucket; remote-op mode
-    /// sends a hash-probe-and-fetch naming it as both candidates
-    /// (`b1 == b2`), which the responder scans in one access and answers
-    /// with the matching slot.
+    /// sends a hash-probe-and-fetch naming it, which the responder scans in
+    /// one access and answers with the matching slot.
     fn remote_lookup(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, flow: FiveTuple, pkt: Packet) {
         let base = self.front.pool.base_va();
         let (b1, b2) = self.dir.bucket_pair(&flow);
@@ -660,8 +655,7 @@ impl LookupTableProgram {
             debug_assert!(bucket <= u32::MAX as u64, "bucket index fits the probe");
             Op::Remote(RemoteOp::HashProbe {
                 base_va: base,
-                b1: bucket as u32,
-                b2: bucket as u32,
+                bucket: bucket as u32,
                 bucket_bytes: BUCKET_BYTES as u16,
                 slot_bytes: SLOT_BYTES as u16,
                 key_off: 0,
@@ -678,27 +672,22 @@ impl LookupTableProgram {
     /// The end of every lookup: find the parked flow's action in the answer,
     /// apply and cache it, or — an unknown flow, or a filter false positive
     /// steering a non-resident key to h2 — punt to the software slow path,
-    /// forwarded unmodified. A bucket READ's slots are scanned here; a hash
-    /// probe (remote-op mode) was scanned by the responder, over the one
-    /// bucket the filter named, and on a hit returns the slot it matched,
-    /// whose key is checked against the parked flow all the same. Resident
-    /// keys never miss in either mode: the filter names the bucket each one
-    /// lives in (the no-transient-miss invariant).
-    fn lookup_done(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, cookie: u64, reply: Reply) {
+    /// forwarded unmodified. The answer is a run of slots, scanned here: a
+    /// bucket READ's four, or the one a hash probe (remote-op mode) matched
+    /// at the responder, whose key is checked against the parked flow all
+    /// the same (none on a miss). Resident keys never miss in either mode:
+    /// the filter names the bucket each one lives in (the no-transient-miss
+    /// invariant).
+    fn lookup_done(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, cookie: u64, slots: &[u8]) {
         let stats = &mut self.front.stats;
         stats.responses += 1;
         let Some((flow, pkt)) = self.pending.remove(&cookie) else {
             return;
         };
-        let found = match reply {
-            Reply::Data(bucket) => {
-                (0..SLOTS_PER_BUCKET).find_map(|s| slot_match(&bucket, s, &flow))
-            }
-            Reply::Remote { flags, data, .. } if flags & EXTOP_FLAG_HIT != 0 => {
-                slot_match(&data, 0, &flow)
-            }
-            Reply::Remote { .. } | Reply::Ack => None,
-        };
+        let found = slots.chunks_exact(SLOT_BYTES).find_map(|slot| {
+            let (key, action) = decode_slot(slot)?;
+            (key == flow).then_some(action)
+        });
         let Some(action) = found else {
             stats.bucket_misses += 1;
             stats.slow_path += 1;
@@ -732,32 +721,10 @@ impl LookupTableProgram {
     fn issue_step(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, step: Step) {
         let base = self.front.pool.base_va();
         match step {
-            Step::Move {
-                from,
-                key,
-                action,
-                to,
-                ..
-            } => {
+            Step::Move { from, .. } => {
                 let cookie = self.next_ctrl_cookie();
-                let check = if self.remote_ops {
-                    // The verify READ and destination WRITE collapse into
-                    // one conditional WRITE: the responder compares the
-                    // source slot against the directory's bytes and
-                    // installs them at the destination only on a match.
-                    // The filter flip happens on the response.
-                    let expected = Operand::new(&encode_slot(&key, &action));
-                    Op::Remote(RemoteOp::CondWrite {
-                        cmp_va: slot_va(base, from),
-                        write_va: slot_va(base, to),
-                        compare: expected,
-                        write: expected,
-                    })
-                } else {
-                    let (va, len) = (slot_va(base, from), SLOT_BYTES as u32);
-                    Op::Read { va, len }
-                };
-                self.front.pool.submit(ctx, check, cookie);
+                let (va, len) = (slot_va(base, from), SLOT_BYTES as u32);
+                self.front.pool.submit(ctx, Op::Read { va, len }, cookie);
                 self.verify = Some((step, cookie));
             }
             Step::Write {
@@ -780,19 +747,10 @@ impl LookupTableProgram {
         }
     }
 
-    /// A `Move`'s source check came back: a verify READ, whose bytes
-    /// `matched` compares against the directory's, or (remote-op mode) a
-    /// conditional WRITE that did the comparison at the responder. A
-    /// matching conditional WRITE already installed the destination bytes;
-    /// a READ never does, and on a mismatch nothing was written — the
-    /// directory is authoritative, so count the drift and write the correct
-    /// bytes anyway.
-    fn finish_move(
-        &mut self,
-        ctx: &mut SwitchCtx<'_, '_, '_>,
-        cookie: u64,
-        matched: impl FnOnce(&[u8; SLOT_BYTES]) -> bool,
-    ) {
+    /// A `Move`'s verify READ came back with the source slot's bytes. The
+    /// directory is authoritative: on a mismatch count the drift, and
+    /// write the correct bytes at the destination either way.
+    fn finish_move(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, cookie: u64, slot: &[u8]) {
         let Some((step, vc)) = self.verify else {
             return;
         };
@@ -807,13 +765,10 @@ impl LookupTableProgram {
             return;
         };
         let expected = encode_slot(&key, &action);
-        let matched = matched(&expected);
-        if !matched {
+        if slot != expected {
             self.front.stats.verify_mismatches += 1;
         }
-        if !(matched && self.remote_ops) {
-            self.write_slot(ctx, to, &expected);
-        }
+        self.write_slot(ctx, to, &expected);
         self.live_filter.insert(&key);
         self.front.stats.relocation_moves += 1;
     }
@@ -897,22 +852,17 @@ impl LookupTableProgram {
                 ChannelEvent::Done {
                     reply: Reply::Ack, ..
                 } => {}
-                ChannelEvent::Done { cookie, reply, .. } if cookie & CTRL_BIT == 0 => {
-                    self.lookup_done(ctx, cookie, reply)
-                }
-                // What is left is a `Move`'s source check.
+                ChannelEvent::Done {
+                    cookie,
+                    reply: Reply::Data(slots),
+                    ..
+                } if cookie & CTRL_BIT == 0 => self.lookup_done(ctx, cookie, &slots),
+                // What is left is a `Move`'s verify READ.
                 ChannelEvent::Done {
                     cookie,
                     reply: Reply::Data(slot),
                     ..
-                } => self.finish_move(ctx, cookie, |expected| {
-                    slot.get(..SLOT_BYTES) == Some(&expected[..])
-                }),
-                ChannelEvent::Done {
-                    cookie,
-                    reply: Reply::Remote { flags, .. },
-                    ..
-                } => self.finish_move(ctx, cookie, |_| flags & EXTOP_FLAG_HIT != 0),
+                } => self.finish_move(ctx, cookie, &slot),
                 ChannelEvent::OpFailed { cookie, .. } => {
                     self.front.stats.failed_ops += 1;
                     if cookie & CTRL_BIT != 0 {
@@ -962,14 +912,6 @@ impl PipelineProgram for LookupTableProgram {
     fn program_name(&self) -> &str {
         "lookup-table-primitive"
     }
-}
-
-/// The action in slot `slot` of a bucket image, if that slot holds `flow`
-/// (`None` too when the image is too short to have the slot).
-fn slot_match(bucket: &[u8], slot: usize, flow: &FiveTuple) -> Option<ActionEntry> {
-    let at = slot * SLOT_BYTES;
-    let (key, action) = decode_slot(bucket.get(at..at + SLOT_BYTES)?)?;
-    (key == *flow).then_some(action)
 }
 
 /// The bucket-granularity READ geometry: a cuckoo bucket comes back as one
@@ -1223,8 +1165,8 @@ pub(crate) mod tests {
 
     /// Remote-op mode probes the one bucket the live filter names, the
     /// bucket verb mode READs: an h1-resident and an h2-resident key each
-    /// send one hash probe with `b1 == b2 ==` that bucket, only the h2
-    /// probe counts as a secondary probe, and both keys are found.
+    /// send one hash probe naming that bucket, only the h2 probe counts as
+    /// a secondary probe, and both keys are found.
     #[test]
     fn remote_op_miss_probes_the_bucket_the_filter_names() {
         use std::sync::{Arc, Mutex};
@@ -1258,7 +1200,7 @@ pub(crate) mod tests {
         let (mut nic, channel) = table_server(dir.region_bytes());
         install_cuckoo_image(&mut nic, &channel, &dir);
         let prog = LookupTableProgram::cuckoo(fib(), channel, dir, None).with_remote_ops(true);
-        // Per flow: the (b1, b2) its probe named and the secondary-probe
+        // Per flow: the bucket its probe named and the secondary-probe
         // count right after it was issued.
         let issued = Arc::new(Mutex::new(Vec::new()));
         let log = Arc::clone(&issued);
@@ -1272,7 +1214,7 @@ pub(crate) mod tests {
                         .pool()
                         .caller_ops()
                         .filter_map(|(_, op)| match op {
-                            Op::Remote(RemoteOp::HashProbe { b1, b2, .. }) => Some((*b1, *b2)),
+                            Op::Remote(RemoteOp::HashProbe { bucket, .. }) => Some(*bucket),
                             _ => None,
                         })
                         .collect();
@@ -1294,7 +1236,7 @@ pub(crate) mod tests {
 
         let [h1, h2] = buckets.map(|b| b as u32);
         let issued = issued.lock().unwrap().clone();
-        assert_eq!(issued, [((h1, h1), 1, 0), ((h2, h2), 2, 1)]);
+        assert_eq!(issued, [(h1, 1, 0), (h2, 2, 1)]);
         let frames = &sim.node::<Blackhole>(hole).frames;
         let dscp_out = flows.map(|flow| {
             let frame = frames.iter().find(|f| flow_of(f) == Some(flow)).unwrap();

@@ -40,6 +40,12 @@ impl core::fmt::Display for AccessError {
 
 impl std::error::Error for AccessError {}
 
+impl From<AccessError> for extmem_wire::aeth::NakCode {
+    fn from(_: AccessError) -> Self {
+        extmem_wire::aeth::NakCode::RemoteAccessError
+    }
+}
+
 /// One registered region.
 #[derive(Debug)]
 pub struct MemoryRegion {

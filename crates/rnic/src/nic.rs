@@ -260,29 +260,22 @@ impl RnicNode {
             }
             // Remote ops: `PER_OP_OVERHEAD` covers the first memory access
             // (exactly like a plain READ's single access); each *additional*
-            // dependent access the engine will perform (worst case,
-            // derivable from the request alone) charges `EXT_OP_STEP`, plus
-            // `READ_BW` on the bytes the first access reads: one bucket for a
-            // probe, the compare image for a CondWrite, every word for a
-            // gather. That is not what the response carries: a probe answers
-            // with one slot, a CondWrite with its verdict alone.
-            Opcode::HashProbe | Opcode::CondWrite | Opcode::GatherWalk => {
+            // dependent access the engine will perform (derivable from the
+            // request alone) charges `EXT_OP_STEP`, plus `READ_BW` on the
+            // bytes the accesses read: the bucket a probe scans (though it
+            // answers with one slot), every word a gather returns. A probe
+            // is one access, priced as the bucket READ it stands in for.
+            Opcode::HashProbe | Opcode::GatherWalk => {
                 let (steps, read_bytes) = match req.ext {
-                    extmem_wire::roce::RoceExt::HashProbe(h) => {
-                        let probes = if h.b2 == h.b1 { 1 } else { 2 };
-                        (probes, (h.bucket_bytes as usize).min(MTU))
-                    }
-                    extmem_wire::roce::RoceExt::CondWrite(h) => {
-                        (2usize, (h.cmp_len as usize).min(MTU))
-                    }
+                    extmem_wire::roce::RoceExt::HashProbe(h) => (1, h.bucket_bytes as usize),
                     extmem_wire::roce::RoceExt::Gather(h) => (
                         (h.count as usize).min(crate::responder::MAX_GATHER),
-                        (h.count as usize * h.word_len as usize).min(MTU),
+                        h.count as usize * h.word_len as usize,
                     ),
-                    _ => (1usize, 0usize),
+                    _ => (1, 0),
                 };
                 base + EXT_OP_STEP * (steps as u64).saturating_sub(1)
-                    + READ_BW.time_to_send(read_bytes)
+                    + READ_BW.time_to_send(read_bytes.min(MTU))
             }
             // WRITE variants: cost scales with payload.
             _ => base + WRITE_BW.time_to_send(req.payload.len()),
@@ -421,7 +414,6 @@ impl Node for RnicNode {
         self.mrs.wipe();
         for qp in self.qps.values_mut() {
             qp.last_atomic = None;
-            qp.cond_replay.clear();
             qp.nak_outstanding = false;
         }
         self.stats.crashes += 1;
@@ -703,9 +695,11 @@ mod tests {
         // from the manufacturer range, below the remote ops; four bytes
         // after the RETH make the twenty that its header took while it
         // named an indirect READ, so only the opcode can refuse the frame.
+        // 0xc2 and 0xc4 sit between the two remote ops, which are
+        // answered as READs and need no response opcode of their own.
         const IP_AT: usize = extmem_wire::EthernetHeader::LEN;
         const BTH_AT: usize = IP_AT + extmem_wire::Ipv4Header::LEN + extmem_wire::UdpHeader::LEN;
-        for opcode in [0x06, 0x07, 0x08, 0x0d, 0x0e, 0x0f, 0xc0] {
+        for opcode in [0x06, 0x07, 0x08, 0x0d, 0x0e, 0x0f, 0xc0, 0xc2, 0xc4] {
             let frame = |qpn, rkey, va| {
                 let mut bytes = RocePacket::new(
                     client_endpoint(),
@@ -832,14 +826,12 @@ mod tests {
 
     #[test]
     fn remote_op_service_times_are_pinned() {
-        // The op engine prices the bytes its first access reads, not the
-        // bytes the response returns: a probe reads whole buckets though it
-        // answers with one slot, and a conditional WRITE reads its compare
-        // image though it answers with a verdict. What a response carries
-        // must not move these picoseconds. A one-bucket probe (`b1 == b2`,
-        // what the cuckoo lookup sends) is one access, priced as the bucket
+        // The op engine prices the bytes its accesses read, not the bytes
+        // the response returns: a probe reads a whole bucket though it
+        // answers with one slot. What a response carries must not move
+        // these picoseconds. A probe is one access, priced as the bucket
         // READ the verb path sends in its place.
-        use extmem_wire::extop::{CondWriteEth, GatherEth, HashProbeEth};
+        use extmem_wire::extop::{GatherEth, HashProbeEth};
         let nic = RnicNode::new("rnic", RnicConfig::at(server_endpoint()));
         let op = |opcode, ext, payload: Vec<u8>| {
             let bth = Bth::new(opcode, QpNum(0x55), 0);
@@ -852,26 +844,16 @@ mod tests {
                 payload,
             )
         };
-        let probe = |b2| {
-            let ext = RoceExt::HashProbe(HashProbeEth {
-                base_va: 0x1000_0000,
-                rkey: Rkey(1),
-                b1: 3,
-                b2,
-                bucket_bytes: 128,
-                slot_bytes: 32,
-                key_off: 0,
-                key_len: 13,
-            });
-            nic.service_time(&op(Opcode::HashProbe, ext, vec![7; 13]))
-        };
-        let cond = RoceExt::CondWrite(CondWriteEth {
-            cmp_va: 0x1000_0000,
-            write_va: 0x1000_0080,
+        let probe = RoceExt::HashProbe(HashProbeEth {
+            base_va: 0x1000_0000,
             rkey: Rkey(1),
-            cmp_len: 32,
+            bucket: 3,
+            bucket_bytes: 128,
+            slot_bytes: 32,
+            key_off: 0,
+            key_len: 13,
         });
-        let cond = nic.service_time(&op(Opcode::CondWrite, cond, vec![7; 64]));
+        let probe = nic.service_time(&op(Opcode::HashProbe, probe, vec![7; 13]));
         let gather = RoceExt::Gather(GatherEth {
             rkey: Rkey(1),
             word_len: 16,
@@ -884,8 +866,8 @@ mod tests {
             dma_len: 128,
         });
         let read = nic.service_time(&op(Opcode::ReadRequest, read, vec![]));
-        let picos = [probe(9), probe(3), cond, gather].map(|t| t.picos());
-        assert_eq!(picos, [178_619, 118_619, 164_655, 289_310]);
-        assert_eq!(probe(3), read);
+        let picos = [probe, gather].map(|t| t.picos());
+        assert_eq!(picos, [118_619, 289_310]);
+        assert_eq!(probe, read);
     }
 }

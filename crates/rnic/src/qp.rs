@@ -24,12 +24,6 @@ pub struct QueuePair {
     pub msn: u32,
     /// The last executed atomic, for duplicate replay.
     pub last_atomic: Option<(u32, u64)>,
-    /// Recently executed conditional WRITEs, for duplicate replay:
-    /// `(psn, flags)`, the verdict their response carried (a CondWrite
-    /// response has no body). Like `last_atomic` this models the bounded
-    /// responder-resource replay buffer of a real RNIC; it is sized to the
-    /// atomic in-flight bound and the oldest entry falls off.
-    pub cond_replay: std::collections::VecDeque<(u32, u8)>,
     /// Whether a sequence-error NAK has been sent and not yet cleared by an
     /// in-order packet (NAKs are sent once per gap, per IB spec).
     pub nak_outstanding: bool,
@@ -59,7 +53,6 @@ impl QueuePair {
             epsn: start_psn,
             msn: 0,
             last_atomic: None,
-            cond_replay: std::collections::VecDeque::new(),
             nak_outstanding: false,
             relaxed_psn: false,
             resync_next: false,

@@ -18,12 +18,12 @@ use extmem_sim::{Node, NodeCtx, TxQueue};
 use extmem_types::{PortId, QpNum, Rate, Rkey, Time, TimeDelta};
 use extmem_wire::atomic::AtomicEth;
 use extmem_wire::bth::{psn_add, Bth, Opcode};
-use extmem_wire::extop::{CondWriteEth, GatherEth, HashProbeEth};
+use extmem_wire::extop::{GatherEth, HashProbeEth};
 use extmem_wire::reth::Reth;
 use extmem_wire::roce::{RoceEndpoint, RoceExt, RoceHeaders, RocePacket};
 use extmem_wire::{Packet, Payload};
 
-/// A remote op's byte operand (a probe key, a compare or write image), held
+/// A remote op's byte operand (a probe key), held
 /// inline in the op: up to [`Operand::MAX_LEN`] bytes, no heap buffer. The
 /// op owns its operands outright, so it can be queued, retransmitted and
 /// reissued to a failover replica by value, and every transmission encodes
@@ -36,8 +36,8 @@ pub struct Operand {
 }
 
 impl Operand {
-    /// Largest operand: one cuckoo slot image, the biggest any primitive
-    /// sends (a probe key is 13 bytes).
+    /// Largest operand: one cuckoo slot image, the biggest inline head a
+    /// WRITE carries (a probe key is 13 bytes).
     pub const MAX_LEN: usize = 32;
 
     /// Copy `bytes` into an operand.
@@ -136,22 +136,19 @@ impl From<Vec<u8>> for WriteBody {
 }
 
 /// A remote op the requester wants executed in the responder's NIC op
-/// engine: the whole dependent-access chain, described once, costing one
-/// PSN and one response packet. The rkey is supplied at build time (by the
+/// engine: a chain of dependent reads, described once, costing one PSN and
+/// answered like a READ, by one response packet. The rkey is supplied at build time (by the
 /// channel that owns the region triple), so the same description can be
 /// reissued verbatim to a failover replica.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RemoteOp {
-    /// Hash-probe-and-fetch: probe bucket `b1` then `b2` for `key`. A hit
-    /// returns the one matching slot (`slot_bytes` bytes), its index within
-    /// the bucket and whether `b2` held it; a miss returns no bytes.
+    /// Hash-probe-and-fetch: scan bucket `bucket` for `key`. A hit returns
+    /// the one matching slot (`slot_bytes` bytes); a miss returns no bytes.
     HashProbe {
         /// Base virtual address of the bucket array.
         base_va: u64,
-        /// First candidate bucket index.
-        b1: u32,
-        /// Second candidate bucket index.
-        b2: u32,
+        /// The bucket to scan.
+        bucket: u32,
         /// Bytes per bucket.
         bucket_bytes: u16,
         /// Bytes per slot within a bucket.
@@ -160,19 +157,6 @@ pub enum RemoteOp {
         key_off: u8,
         /// The key bytes to match.
         key: Operand,
-    },
-    /// Conditional WRITE: iff the bytes at `cmp_va` equal `compare`, write
-    /// `write` at `write_va`. The response is the verdict alone: the HIT
-    /// flag set iff the write landed, and no bytes.
-    CondWrite {
-        /// Address the condition inspects.
-        cmp_va: u64,
-        /// Address the write lands at.
-        write_va: u64,
-        /// Expected bytes at `cmp_va`.
-        compare: Operand,
-        /// Bytes to write on success.
-        write: Operand,
     },
     /// Bounded gather/walk: read `word_len` bytes at each address, return
     /// the concatenation.
@@ -298,8 +282,7 @@ impl RequesterQp {
             ),
             Request::Op(RemoteOp::HashProbe {
                 base_va,
-                b1,
-                b2,
+                bucket,
                 bucket_bytes,
                 slot_bytes,
                 key_off,
@@ -310,30 +293,13 @@ impl RequesterQp {
                 RoceExt::HashProbe(HashProbeEth {
                     base_va: *base_va,
                     rkey,
-                    b1: *b1,
-                    b2: *b2,
+                    bucket: *bucket,
                     bucket_bytes: *bucket_bytes,
                     slot_bytes: *slot_bytes,
                     key_off: *key_off,
                     key_len: key.len() as u8,
                 }),
                 &[key],
-            ),
-            Request::Op(RemoteOp::CondWrite {
-                cmp_va,
-                write_va,
-                compare,
-                write,
-            }) => encode(
-                Opcode::CondWrite,
-                false,
-                RoceExt::CondWrite(CondWriteEth {
-                    cmp_va: *cmp_va,
-                    write_va: *write_va,
-                    rkey,
-                    cmp_len: compare.len() as u16,
-                }),
-                &[compare, write],
             ),
             Request::Op(RemoteOp::Gather { word_len, vas }) => {
                 // The address list has no byte form in the op; it is spelt

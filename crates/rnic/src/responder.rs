@@ -5,9 +5,10 @@
 //! protocol logic — the timing model lives in [`crate::nic`] — so it is
 //! directly unit-testable.
 //!
-//! Responses leave here already encoded. A READ or remote-op response is
-//! written once, from the [`crate::mr::MemoryRegion`] slice it returns
-//! straight into a pooled frame buffer ([`RoceHeaders::encode`]): the region
+//! Responses leave here already encoded. A READ response — and a remote
+//! op's, which only reads and is answered as a READ is — is written once,
+//! from the [`crate::mr::MemoryRegion`] slices it returns straight into a
+//! pooled frame buffer ([`RoceHeaders::encode`]): the region
 //! bytes are never copied into an intermediate payload, and every response
 //! — data, ACK or NAK — costs exactly one payload construction, the frame
 //! itself. The NIC only queues what it is handed.
@@ -17,7 +18,6 @@ use crate::qp::QueuePair;
 use extmem_wire::aeth::{Aeth, NakCode};
 use extmem_wire::atomic::AtomicAckEth;
 use extmem_wire::bth::{psn_add, psn_before, Bth, Opcode};
-use extmem_wire::extop::{ExtOpAckEth, EXTOP_FLAG_HIT, EXTOP_FLAG_SECONDARY};
 use extmem_wire::roce::{RoceEndpoint, RoceExt, RoceHeaders, RocePacket};
 use extmem_wire::{Packet, WireError};
 
@@ -25,11 +25,6 @@ use extmem_wire::{Packet, WireError};
 /// the modeled NIC op engine line-rate: a request can occupy the execution
 /// unit for at most this many memory accesses.
 pub const MAX_GATHER: usize = 16;
-
-/// Depth of the per-QP conditional-WRITE replay buffer (duplicate-request
-/// replay, mirroring the bounded responder resources real RNICs dedicate to
-/// atomic replay).
-pub const COND_REPLAY_DEPTH: usize = 16;
 
 /// What the responder did with a request (for statistics).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -48,14 +43,13 @@ pub enum Outcome {
     AtomicExecuted,
     /// A remote op executed in the NIC op engine.
     ExtOpExecuted {
-        /// The request opcode.
-        op: Opcode,
         /// Dependent memory accesses the op engine performed.
         steps: u32,
         /// Response payload bytes returned.
         bytes: u64,
     },
-    /// A duplicate request was re-acknowledged (or replayed) without effect.
+    /// A duplicate request was re-acknowledged, replayed or re-read without
+    /// effect.
     Duplicate,
     /// The request was handled but its response did not encode, and was
     /// dropped.
@@ -142,7 +136,9 @@ pub fn process_request(
                 Err(e) => access_nak(local, qp, e),
             }
         }
-        Opcode::ReadRequest => serve_read(local, qp, mrs, req, mtu, false),
+        Opcode::ReadRequest | Opcode::HashProbe | Opcode::GatherWalk => {
+            serve_read(local, qp, mrs, req, mtu, false)
+        }
         Opcode::FetchAdd => {
             let RoceExt::AtomicEth(a) = req.ext else {
                 return invalid(local, qp);
@@ -163,9 +159,6 @@ pub fn process_request(
                 Err(e) => access_nak(local, qp, e),
             }
         }
-        Opcode::HashProbe | Opcode::CondWrite | Opcode::GatherWalk => {
-            serve_ext_op(local, qp, mrs, req, mtu, false)
-        }
         _ => invalid(local, qp),
     }
 }
@@ -174,16 +167,18 @@ pub fn process_request(
 fn duplicate(
     local: RoceEndpoint,
     qp: &mut QueuePair,
-    mrs: &mut MrTable,
+    mrs: &MrTable,
     req: &RocePacket,
     mtu: usize,
 ) -> ResponderResult {
     let response = match req.bth.opcode {
-        // Duplicate reads are re-executed per spec (the data may have been
-        // lost in flight).
-        Opcode::ReadRequest => {
+        // Duplicate reads and remote ops (which only read) are re-executed
+        // per spec: their response data may have been lost in flight.
+        Opcode::ReadRequest | Opcode::HashProbe | Opcode::GatherWalk => {
             let mut r = serve_read(local, qp, mrs, req, mtu, true);
-            r.outcome = duplicate_outcome(r.outcome);
+            if r.outcome != Outcome::ResponseDropped {
+                r.outcome = Outcome::Duplicate;
+            }
             return r;
         }
         // Duplicate atomics replay the saved original value when possible.
@@ -191,68 +186,26 @@ fn duplicate(
             Some((psn, original)) if psn == req.bth.psn => atomic_ack(local, qp, psn, original),
             _ => plain_ack(local, qp, req.bth.psn),
         },
-        // Duplicate read-like remote ops are re-executed like READs: their
-        // response data may have been lost in flight.
-        Opcode::HashProbe | Opcode::GatherWalk => {
-            let mut r = serve_ext_op(local, qp, mrs, req, mtu, true);
-            r.outcome = duplicate_outcome(r.outcome);
-            return r;
-        }
-        // Duplicate conditional WRITEs must NOT re-execute (the original
-        // write may have changed the compared bytes); replay the recorded
-        // verdict when it is still in the replay buffer.
-        Opcode::CondWrite => match qp.cond_replay.iter().find(|(psn, _)| *psn == req.bth.psn) {
-            Some(&(psn, flags)) => ext_op_resp(local, qp, psn, Opcode::CondWrite, flags, 0, &[]),
-            None => plain_ack(local, qp, req.bth.psn),
-        },
         // Duplicate writes: acknowledge, do not re-execute.
         _ => plain_ack(local, qp, req.bth.psn),
     };
     answered(response, Outcome::Duplicate)
 }
 
-/// A re-executed duplicate's outcome: `Duplicate`, unless its response
-/// could not be sent.
-fn duplicate_outcome(outcome: Outcome) -> Outcome {
-    match outcome {
-        Outcome::ResponseDropped => Outcome::ResponseDropped,
-        _ => Outcome::Duplicate,
-    }
-}
-
-/// How a remote op failed.
-enum ExtOpError {
-    /// Malformed request (inconsistent lengths/counts).
-    Invalid,
-    /// A memory access faulted.
-    Access,
-}
-
-impl From<AccessError> for ExtOpError {
-    fn from(_: AccessError) -> ExtOpError {
-        ExtOpError::Access
-    }
-}
-
-/// What a remote op resolved to: its verdict, the accesses it performed,
-/// and the region bytes its response returns.
-struct ExtOpPlan<'a> {
-    flags: u8,
-    index: u16,
+/// The region bytes a READ or remote op returns, in order, and the memory
+/// accesses the op engine made to find them.
+struct Read<'a> {
     steps: u32,
-    /// The region bytes the response returns, in order; the first `n_parts`
-    /// are meaningful.
+    /// The first `n_parts` are meaningful.
     parts: [&'a [u8]; MAX_GATHER],
     n_parts: usize,
 }
 
-impl<'a> ExtOpPlan<'a> {
-    fn new(flags: u8, index: u16, steps: u32, data: &[&'a [u8]]) -> ExtOpPlan<'a> {
+impl<'a> Read<'a> {
+    fn of(steps: u32, data: &[&'a [u8]]) -> Read<'a> {
         let mut parts: [&[u8]; MAX_GATHER] = [&[]; MAX_GATHER];
         parts[..data.len()].copy_from_slice(data);
-        ExtOpPlan {
-            flags,
-            index,
+        Read {
             steps,
             parts,
             n_parts: data.len(),
@@ -264,24 +217,20 @@ impl<'a> ExtOpPlan<'a> {
     }
 }
 
-/// Serve a remote-op request (shared by the fresh and duplicate paths).
-fn serve_ext_op(
+/// Serve a READ or a remote op (shared by the fresh and duplicate paths):
+/// one `ReadRespOnly` packet, encoded straight from the region bytes the
+/// request resolved to, under the MSN from before the request completed.
+fn serve_read(
     local: RoceEndpoint,
     qp: &mut QueuePair,
-    mrs: &mut MrTable,
+    mrs: &MrTable,
     req: &RocePacket,
     mtu: usize,
     is_duplicate: bool,
 ) -> ResponderResult {
-    let op = req.bth.opcode;
-    let psn = req.bth.psn;
-    let plan = match resolve_ext_op(mrs, req, mtu) {
-        Ok(plan) => plan,
-        Err(e) => {
-            let code = match e {
-                ExtOpError::Invalid => NakCode::InvalidRequest,
-                ExtOpError::Access => NakCode::RemoteAccessError,
-            };
+    let read = match resolve_read(mrs, req, mtu) {
+        Ok(read) => read,
+        Err(code) => {
             // A bad duplicate must not perturb the live sequence state.
             if !is_duplicate {
                 qp.epsn = psn_add(qp.epsn, 1);
@@ -289,38 +238,38 @@ fn serve_ext_op(
             return nak(local, qp, code);
         }
     };
+    let bth = Bth::new(Opcode::ReadRespOnly, qp.peer_qpn, req.bth.psn);
+    let ext = RoceExt::Aeth(Aeth::ack(qp.msn));
+    let response = respond(local, qp, bth, ext, read.body());
     if !is_duplicate {
         qp.epsn = psn_add(qp.epsn, 1);
         qp.msn = (qp.msn + 1) & 0xff_ffff;
     }
-    if op == Opcode::CondWrite {
-        debug_assert!(!is_duplicate, "duplicate conditional WRITEs replay");
-        if qp.cond_replay.len() >= COND_REPLAY_DEPTH {
-            qp.cond_replay.pop_front();
-        }
-        qp.cond_replay.push_back((psn, plan.flags));
-    }
-    let bytes = plan.body().iter().map(|part| part.len() as u64).sum();
-    let outcome = Outcome::ExtOpExecuted {
-        op,
-        steps: plan.steps,
-        bytes,
+    let bytes = read.body().iter().map(|part| part.len() as u64).sum();
+    let outcome = match req.ext {
+        RoceExt::Reth(_) => Outcome::ReadServed { bytes },
+        _ => Outcome::ExtOpExecuted {
+            steps: read.steps,
+            bytes,
+        },
     };
-    let response = ext_op_resp(local, qp, psn, op, plan.flags, plan.index, plan.body());
     answered(response, outcome)
 }
 
-/// Resolve one remote op against the MR table: the dependent-access chain
-/// the requester would otherwise issue as separate verbs, run NIC-side. The
-/// result borrows the region bytes the response will carry. A hash probe
-/// returns the one slot it matched; a conditional WRITE installs its write
-/// image on a match and returns only its verdict.
-fn resolve_ext_op<'a>(
-    mrs: &'a mut MrTable,
-    req: &RocePacket,
-    mtu: usize,
-) -> Result<ExtOpPlan<'a>, ExtOpError> {
+/// Resolve a READ, or a remote op — the chain of dependent reads the
+/// requester would otherwise issue as separate verbs, run NIC-side —
+/// against the MR table. The result borrows the region bytes the response
+/// will carry: a READ's window, a hash probe's one matched slot (none on a
+/// miss), or a gather's words.
+fn resolve_read<'a>(mrs: &'a MrTable, req: &RocePacket, mtu: usize) -> Result<Read<'a>, NakCode> {
     match req.ext {
+        RoceExt::Reth(reth) => {
+            if reth.dma_len as usize > mtu {
+                return Err(NakCode::InvalidRequest);
+            }
+            let data = mrs.get(reth.rkey)?.read(reth.va, reth.dma_len as u64)?;
+            Ok(Read::of(0, &[data]))
+        }
         RoceExt::HashProbe(h) => {
             let key = &req.payload;
             let key_len = h.key_len as usize;
@@ -335,42 +284,19 @@ fn resolve_ext_op<'a>(
                 || !bucket_bytes.is_multiple_of(slot_bytes)
                 || bucket_bytes > mtu
             {
-                return Err(ExtOpError::Invalid);
+                return Err(NakCode::InvalidRequest);
             }
             let region = mrs.get(h.rkey)?;
-            let mut steps = 0u32;
-            for (nth, bucket) in [h.b1, h.b2].into_iter().enumerate() {
-                if nth == 1 && h.b2 == h.b1 {
-                    break;
-                }
-                let va = h.base_va + bucket as u64 * bucket_bytes as u64;
-                let data = region.read(va, bucket_bytes as u64)?;
-                steps += 1;
-                for (slot, bytes) in data.chunks_exact(slot_bytes).enumerate() {
-                    if bytes[key_off..key_off + key_len] == key[..] {
-                        let mut flags = EXTOP_FLAG_HIT;
-                        if nth == 1 {
-                            flags |= EXTOP_FLAG_SECONDARY;
-                        }
-                        return Ok(ExtOpPlan::new(flags, slot as u16, steps, &[bytes]));
-                    }
-                }
-            }
-            Ok(ExtOpPlan::new(0, 0, steps, &[]))
-        }
-        RoceExt::CondWrite(h) => {
-            let cmp_len = h.cmp_len as usize;
-            if cmp_len == 0 || cmp_len > req.payload.len() || cmp_len > mtu {
-                return Err(ExtOpError::Invalid);
-            }
-            let (compare, write) = req.payload.split_at(cmp_len);
-            let region = mrs.get_mut(h.rkey)?;
-            if region.read(h.cmp_va, cmp_len as u64)? != compare {
-                return Ok(ExtOpPlan::new(0, 0, 1, &[]));
-            }
-            // A target out of bounds fails the op here, before any effect.
-            region.write(h.write_va, write)?;
-            Ok(ExtOpPlan::new(EXTOP_FLAG_HIT, 0, 2, &[]))
+            // An address past the end of the VA space names no region.
+            let va = h
+                .base_va
+                .checked_add(h.bucket as u64 * bucket_bytes as u64)
+                .ok_or(NakCode::RemoteAccessError)?;
+            let bucket = region.read(va, bucket_bytes as u64)?;
+            let hit = bucket
+                .chunks_exact(slot_bytes)
+                .find(|slot| slot[key_off..key_off + key_len] == key[..]);
+            Ok(Read::of(1, hit.as_slice()))
         }
         RoceExt::Gather(h) => {
             let count = h.count as usize;
@@ -381,18 +307,18 @@ fn resolve_ext_op<'a>(
                 || req.payload.len() != count * 8
                 || count * word_len > mtu
             {
-                return Err(ExtOpError::Invalid);
+                return Err(NakCode::InvalidRequest);
             }
             let region = mrs.get(h.rkey)?;
-            let mut plan = ExtOpPlan::new(EXTOP_FLAG_HIT, 0, count as u32, &[]);
+            let mut read = Read::of(count as u32, &[]);
             let (vas, _) = req.payload.as_chunks::<8>();
-            for (word, va) in plan.parts.iter_mut().zip(vas) {
+            for (word, va) in read.parts.iter_mut().zip(vas) {
                 *word = region.read(u64::from_be_bytes(*va), word_len as u64)?;
             }
-            plan.n_parts = count;
-            Ok(plan)
+            read.n_parts = count;
+            Ok(read)
         }
-        _ => Err(ExtOpError::Invalid),
+        _ => Err(NakCode::InvalidRequest),
     }
 }
 
@@ -422,72 +348,6 @@ fn answered(response: Result<Packet, WireError>, outcome: Outcome) -> ResponderR
             outcome: Outcome::ResponseDropped,
         },
     }
-}
-
-/// Encode the single-packet remote-op response.
-fn ext_op_resp(
-    local: RoceEndpoint,
-    qp: &QueuePair,
-    psn: u32,
-    op: Opcode,
-    flags: u8,
-    index: u16,
-    data: &[&[u8]],
-) -> Result<Packet, WireError> {
-    respond(
-        local,
-        qp,
-        Bth::new(Opcode::ExtOpResp, qp.peer_qpn, psn),
-        RoceExt::ExtOpAck(
-            Aeth::ack(qp.msn),
-            ExtOpAckEth {
-                op: op as u8,
-                flags,
-                index,
-            },
-        ),
-        data,
-    )
-}
-
-/// Serve a READ request (shared by the fresh and duplicate paths): one
-/// response packet, encoded straight from its window of the region.
-fn serve_read(
-    local: RoceEndpoint,
-    qp: &mut QueuePair,
-    mrs: &mut MrTable,
-    req: &RocePacket,
-    mtu: usize,
-    is_duplicate: bool,
-) -> ResponderResult {
-    let RoceExt::Reth(reth) = req.ext else {
-        return invalid(local, qp);
-    };
-    let data = if reth.dma_len as usize > mtu {
-        Err(NakCode::InvalidRequest)
-    } else {
-        mrs.get(reth.rkey)
-            .and_then(|r| r.read(reth.va, reth.dma_len as u64))
-            .map_err(|_| NakCode::RemoteAccessError)
-    };
-    let data = match data {
-        Ok(d) => d,
-        Err(code) => {
-            // A bad duplicate must not perturb the live sequence state.
-            if !is_duplicate {
-                qp.epsn = psn_add(qp.epsn, 1);
-            }
-            return nak(local, qp, code);
-        }
-    };
-    let bth = Bth::new(Opcode::ReadRespOnly, qp.peer_qpn, req.bth.psn);
-    let response = respond(local, qp, bth, RoceExt::Aeth(Aeth::ack(qp.msn)), &[data]);
-    let bytes = data.len() as u64;
-    if !is_duplicate {
-        qp.epsn = psn_add(qp.epsn, 1);
-        qp.msn = (qp.msn + 1) & 0xff_ffff;
-    }
-    answered(response, Outcome::ReadServed { bytes })
 }
 
 fn write_ack(
@@ -567,6 +427,7 @@ mod tests {
     use crate::nic::MTU;
     use extmem_types::{ByteSize, QpNum, Rkey};
     use extmem_wire::aeth::Syndrome;
+    use extmem_wire::extop::{GatherEth, HashProbeEth};
     use extmem_wire::reth::Reth;
     use extmem_wire::{CounterSpan, MacAddr};
 
@@ -889,7 +750,6 @@ mod tests {
     fn remote_req(qpn: QpNum, psn: u32, ext: RoceExt, payload: Vec<u8>) -> RocePacket {
         let opcode = match ext {
             RoceExt::HashProbe(_) => Opcode::HashProbe,
-            RoceExt::CondWrite(_) => Opcode::CondWrite,
             RoceExt::Gather(_) => Opcode::GatherWalk,
             _ => panic!("not a remote op ext"),
         };
@@ -916,7 +776,7 @@ mod tests {
         let req = remote_req(
             qpn,
             0,
-            RoceExt::Gather(extmem_wire::extop::GatherEth {
+            RoceExt::Gather(GatherEth {
                 rkey,
                 word_len: 16,
                 count: 4,
@@ -927,14 +787,13 @@ mod tests {
         assert_eq!(
             r.outcome,
             Outcome::ExtOpExecuted {
-                op: Opcode::GatherWalk,
                 steps: 4,
                 bytes: 64
             }
         );
         assert_eq!(r.responses.len(), 1, "one RTT regardless of depth");
         let resp = &r.responses[0];
-        assert_eq!(resp.bth.opcode, Opcode::ExtOpResp);
+        assert_eq!(resp.bth.opcode, Opcode::ReadRespOnly);
         assert_eq!(resp.bth.psn, 0);
         let mut want = vec![4u8; 16];
         want.extend_from_slice(&[1; 16]);
@@ -957,7 +816,7 @@ mod tests {
         let req = remote_req(
             qpn,
             0,
-            RoceExt::Gather(extmem_wire::extop::GatherEth {
+            RoceExt::Gather(GatherEth {
                 rkey,
                 word_len: 16,
                 count: count as u16,
@@ -969,7 +828,7 @@ mod tests {
     }
 
     #[test]
-    fn hash_probe_finds_in_either_bucket_or_misses() {
+    fn hash_probe_returns_the_matched_slot_or_nothing() {
         let (local, mut qp, mut mrs, rkey, base) = setup();
         let qpn = qp.qpn;
         // 2 buckets of 4 x 32 B slots; key field is bytes 0..14 of a slot,
@@ -982,174 +841,62 @@ mod tests {
         region.write(base + 2 * 32, &key_a).unwrap(); // bucket 0, slot 2
         region.write(base + 128 + 32, &key_b).unwrap(); // bucket 1, slot 1
         let slot = |at: usize, key: [u8; 14]| [&key[..], &ramp[at + 14..at + 32]].concat();
-        let probe = |key: [u8; 14], b1: u32, b2: u32| {
-            RoceExt::HashProbe(extmem_wire::extop::HashProbeEth {
+        let mut probe = |psn, key: [u8; 14], bucket| {
+            let ext = RoceExt::HashProbe(HashProbeEth {
                 base_va: base,
                 rkey,
-                b1,
-                b2,
+                bucket,
                 bucket_bytes: 128,
                 slot_bytes: 32,
                 key_off: 0,
                 key_len: key.len() as u8,
-            })
+            });
+            let req = remote_req(qpn, psn, ext, key.to_vec());
+            let r = process_request(local, &mut qp, &mut mrs, &req, 2048);
+            assert_eq!(r.responses.len(), 1);
+            assert_eq!(r.responses[0].bth.opcode, Opcode::ReadRespOnly);
+            (r.outcome, r.responses[0].payload.to_vec())
         };
-        // Hit in the primary bucket: one probe step, and exactly the 32
-        // matching slot bytes back.
-        let r = process_request(
-            local,
-            &mut qp,
-            &mut mrs,
-            &remote_req(qpn, 0, probe(key_a, 0, 1), key_a.to_vec()),
-            2048,
-        );
-        assert_eq!(
-            r.outcome,
-            Outcome::ExtOpExecuted {
-                op: Opcode::HashProbe,
-                steps: 1,
-                bytes: 32
-            }
-        );
-        let RoceExt::ExtOpAck(_, ack) = r.responses[0].ext else {
-            panic!("expected ExtOpAck");
+        // A hit in either bucket: one access, and exactly the 32 matching
+        // slot bytes back.
+        let hit = |at, key| {
+            (
+                Outcome::ExtOpExecuted {
+                    steps: 1,
+                    bytes: 32,
+                },
+                slot(at, key),
+            )
         };
-        assert_eq!(ack.flags, EXTOP_FLAG_HIT);
-        assert_eq!(ack.index, 2);
-        assert_eq!(r.responses[0].payload, slot(2 * 32, key_a));
-        // Hit in the secondary: two probe steps, still one response of one
-        // slot.
-        let r = process_request(
-            local,
-            &mut qp,
-            &mut mrs,
-            &remote_req(qpn, 1, probe(key_b, 0, 1), key_b.to_vec()),
-            2048,
-        );
-        assert_eq!(
-            r.outcome,
-            Outcome::ExtOpExecuted {
-                op: Opcode::HashProbe,
-                steps: 2,
-                bytes: 32
-            }
-        );
-        let RoceExt::ExtOpAck(_, ack) = r.responses[0].ext else {
-            panic!("expected ExtOpAck");
-        };
-        assert_eq!(ack.flags, EXTOP_FLAG_HIT | EXTOP_FLAG_SECONDARY);
-        assert_eq!(ack.index, 1);
-        assert_eq!(r.responses[0].payload, slot(128 + 32, key_b));
-        // Miss in both: empty payload, no flags.
-        let r = process_request(
-            local,
-            &mut qp,
-            &mut mrs,
-            &remote_req(qpn, 2, probe([0xcc; 14], 0, 1), vec![0xcc; 14]),
-            2048,
-        );
-        assert_eq!(
-            r.outcome,
-            Outcome::ExtOpExecuted {
-                op: Opcode::HashProbe,
-                steps: 2,
-                bytes: 0
-            }
-        );
-        let RoceExt::ExtOpAck(_, ack) = r.responses[0].ext else {
-            panic!("expected ExtOpAck");
-        };
-        assert_eq!(ack.flags, 0);
-        assert!(r.responses[0].payload.is_empty());
+        assert_eq!(probe(0, key_a, 0), hit(2 * 32, key_a));
+        assert_eq!(probe(1, key_b, 1), hit(128 + 32, key_b));
+        // A key in the other bucket, or in neither: a miss, answered with no
+        // bytes at all.
+        let miss = (Outcome::ExtOpExecuted { steps: 1, bytes: 0 }, vec![]);
+        assert_eq!(probe(2, key_b, 0), miss);
+        assert_eq!(probe(3, [0xcc; 14], 1), miss);
     }
 
     #[test]
-    fn cond_write_executes_only_on_match_and_replays_duplicates() {
-        let (local, mut qp, mut mrs, rkey, base) = setup();
-        let qpn = qp.qpn;
-        mrs.get_mut(rkey).unwrap().write(base, &[7u8; 8]).unwrap();
-        let ext = RoceExt::CondWrite(extmem_wire::extop::CondWriteEth {
-            cmp_va: base,
-            write_va: base + 64,
+    fn hash_probe_past_the_end_of_the_address_space_is_an_access_error() {
+        // The bucket's address is computed from request fields: one that
+        // would overflow names no region, and is NAKed like any other
+        // address outside one.
+        let (local, mut qp, mut mrs, rkey, _) = setup();
+        let ext = RoceExt::HashProbe(HashProbeEth {
+            base_va: u64::MAX - 8,
             rkey,
-            cmp_len: 8,
+            bucket: 1,
+            bucket_bytes: 128,
+            slot_bytes: 32,
+            key_off: 0,
+            key_len: 13,
         });
-        // Matching compare: write executes.
-        let mut payload = vec![7u8; 8];
-        payload.extend_from_slice(&[0x11; 16]);
-        let r = process_request(
-            local,
-            &mut qp,
-            &mut mrs,
-            &remote_req(qpn, 0, ext, payload.clone()),
-            2048,
-        );
-        assert_eq!(
-            r.outcome,
-            Outcome::ExtOpExecuted {
-                op: Opcode::CondWrite,
-                steps: 2,
-                bytes: 0
-            }
-        );
-        let RoceExt::ExtOpAck(_, ack) = r.responses[0].ext else {
-            panic!("expected ExtOpAck");
-        };
-        assert_eq!(ack.flags, EXTOP_FLAG_HIT);
-        assert!(r.responses[0].payload.is_empty(), "a verdict, no bytes");
-        assert_eq!(
-            mrs.get(rkey).unwrap().read(base + 64, 16).unwrap(),
-            &[0x11u8; 16][..]
-        );
-        // Mismatching compare: no write, and again no bytes back.
-        let mut miss = vec![9u8; 8];
-        miss.extend_from_slice(&[0x22; 16]);
-        let r = process_request(
-            local,
-            &mut qp,
-            &mut mrs,
-            &remote_req(qpn, 1, ext, miss),
-            2048,
-        );
-        assert_eq!(
-            r.outcome,
-            Outcome::ExtOpExecuted {
-                op: Opcode::CondWrite,
-                steps: 1,
-                bytes: 0
-            }
-        );
-        let RoceExt::ExtOpAck(_, ack) = r.responses[0].ext else {
-            panic!("expected ExtOpAck");
-        };
-        assert_eq!(ack.flags, 0);
-        assert!(r.responses[0].payload.is_empty());
-        assert_eq!(
-            mrs.get(rkey).unwrap().read(base + 64, 16).unwrap(),
-            &[0x11u8; 16][..],
-            "mismatch must not write"
-        );
-        // Duplicate of the first CondWrite: replayed from the buffer, NOT
-        // re-executed (memory would now compare differently).
-        mrs.get_mut(rkey).unwrap().write(base, &[1u8; 8]).unwrap();
-        let r = process_request(
-            local,
-            &mut qp,
-            &mut mrs,
-            &remote_req(qpn, 0, ext, payload),
-            2048,
-        );
-        assert_eq!(r.outcome, Outcome::Duplicate);
-        let RoceExt::ExtOpAck(_, ack) = r.responses[0].ext else {
-            panic!("expected replayed ExtOpAck");
-        };
-        assert_eq!(ack.flags, EXTOP_FLAG_HIT, "replay keeps the original flags");
-        assert!(r.responses[0].payload.is_empty());
-        assert_eq!(
-            mrs.get(rkey).unwrap().read(base + 64, 16).unwrap(),
-            &[0x11u8; 16][..],
-            "replay must not write"
-        );
+        let req = remote_req(qp.qpn, 0, ext, vec![7; 13]);
+        let r = process_request(local, &mut qp, &mut mrs, &req, 2048);
+        assert_eq!(r.outcome, Outcome::Nak(NakCode::RemoteAccessError));
+        assert!(is_nak(&r.responses[0], NakCode::RemoteAccessError));
+        assert_eq!((qp.epsn, qp.msn), (1, 0));
     }
 
     #[test]
@@ -1161,7 +908,7 @@ mod tests {
             remote_req(
                 qpn,
                 psn,
-                RoceExt::Gather(extmem_wire::extop::GatherEth {
+                RoceExt::Gather(GatherEth {
                     rkey,
                     word_len: 16,
                     count: 1,
@@ -1174,7 +921,7 @@ mod tests {
         let dup = mk(0);
         let r = process_request(local, &mut qp, &mut mrs, &dup, 2048);
         assert_eq!(r.outcome, Outcome::Duplicate);
-        assert_eq!(r.responses[0].bth.opcode, Opcode::ExtOpResp);
+        assert_eq!(r.responses[0].bth.opcode, Opcode::ReadRespOnly);
         assert_eq!(r.responses[0].payload, vec![3u8; 16]);
         assert_eq!(qp.epsn, 1, "duplicate must not advance the sequence");
     }
@@ -1201,20 +948,8 @@ mod tests {
         .unwrap()
     }
 
-    fn ext_ack(qp: &QueuePair, op: Opcode, flags: u8, index: u16) -> RoceExt {
-        RoceExt::ExtOpAck(
-            Aeth::ack(qp.msn),
-            ExtOpAckEth {
-                op: op as u8,
-                flags,
-                index,
-            },
-        )
-    }
-
     #[test]
     fn response_frames_are_what_the_packet_builder_would_have_built() {
-        use extmem_wire::extop::{CondWriteEth, GatherEth, HashProbeEth};
         let (local, mut qp, mut mrs, rkey, base) = setup();
         let image: Vec<u8> = (0..4096u32).map(|i| (i * 5 + 1) as u8).collect();
         mrs.get_mut(rkey).unwrap().write(base, &image).unwrap();
@@ -1237,19 +972,17 @@ mod tests {
                 &[],
             )
         };
+        // A READ response, or a remote op's: the AETH carries the MSN from
+        // before the request completed.
+        let read_resp = |qp: &QueuePair, psn, data: &[u8]| {
+            let ext = RoceExt::Aeth(Aeth::ack(qp.msn));
+            [built(local, qp, Opcode::ReadRespOnly, psn, ext, data)]
+        };
 
-        // READ answered by one packet: the AETH carries the MSN from before
-        // the READ completed.
+        // READ answered by one packet.
         let read1 = read_req(&qp, 0, rkey, base + 10, 300);
-        let want = built(
-            local,
-            &qp,
-            Opcode::ReadRespOnly,
-            0,
-            RoceExt::Aeth(Aeth::ack(0)),
-            &image[10..310],
-        );
-        assert_eq!(serve(&mut qp, &mut mrs, &read1), [want]);
+        let want = read_resp(&qp, 0, &image[10..310]);
+        assert_eq!(serve(&mut qp, &mut mrs, &read1), want);
 
         // A READ over the MTU is refused whole, and so is its duplicate,
         // which leaves the sequence alone.
@@ -1262,14 +995,10 @@ mod tests {
         // A READ of exactly the MTU is one packet. Its duplicate is
         // re-executed, under the MSN of the moment.
         let full = read_req(&qp, 2, rkey, base, MTU as u32);
-        let whole = |qp: &QueuePair| {
-            let ext = RoceExt::Aeth(Aeth::ack(qp.msn));
-            built(local, qp, Opcode::ReadRespOnly, 2, ext, &image[..MTU])
-        };
-        let want = whole(&qp);
-        assert_eq!(serve(&mut qp, &mut mrs, &full), [want]);
-        let want = whole(&qp);
-        assert_eq!(serve(&mut qp, &mut mrs, &full), [want]);
+        let want = read_resp(&qp, 2, &image[..MTU]);
+        assert_eq!(serve(&mut qp, &mut mrs, &full), want);
+        let want = read_resp(&qp, 2, &image[..MTU]);
+        assert_eq!(serve(&mut qp, &mut mrs, &full), want);
 
         // A WRITE over the MTU is refused whole.
         let long = write_req(&qp, 3, rkey, base, vec![9; MTU + 1]);
@@ -1277,7 +1006,7 @@ mod tests {
         assert_eq!(got, [nak(&qp, NakCode::InvalidRequest)]);
         assert_eq!((qp.epsn, qp.msn), (4, 2));
 
-        // Each remote op: one ExtOpResp, MSN already counting the op.
+        // Each remote op: one READ response of the bytes it fetched.
         let gather = remote_req(
             qpn,
             4,
@@ -1291,10 +1020,9 @@ mod tests {
                 .flat_map(|va| va.to_be_bytes())
                 .collect(),
         );
-        let got = serve(&mut qp, &mut mrs, &gather);
         let words = [&image[800..808], &image[8..16], &image[64..72]].concat();
-        let ext = ext_ack(&qp, Opcode::GatherWalk, EXTOP_FLAG_HIT, 0);
-        assert_eq!(got, [built(local, &qp, Opcode::ExtOpResp, 4, ext, &words)]);
+        let want = read_resp(&qp, 4, &words);
+        assert_eq!(serve(&mut qp, &mut mrs, &gather), want);
 
         let probe = |psn, key: &[u8]| {
             remote_req(
@@ -1303,8 +1031,7 @@ mod tests {
                 RoceExt::HashProbe(HashProbeEth {
                     base_va: base + 256,
                     rkey,
-                    b1: 3,
-                    b2: 0,
+                    bucket: 3,
                     bucket_bytes: 32,
                     slot_bytes: 16,
                     key_off: 2,
@@ -1313,55 +1040,18 @@ mod tests {
                 key.to_vec(),
             )
         };
-        // Slot 1 of bucket 0, reached second: that slot alone comes back.
-        let got = serve(&mut qp, &mut mrs, &probe(5, &image[256 + 18..256 + 22]));
-        let ext = ext_ack(
-            &qp,
-            Opcode::HashProbe,
-            EXTOP_FLAG_HIT | EXTOP_FLAG_SECONDARY,
-            1,
-        );
-        assert_eq!(
-            got,
-            [built(
-                local,
-                &qp,
-                Opcode::ExtOpResp,
-                5,
-                ext,
-                &image[272..288]
-            )]
-        );
-        let got = serve(&mut qp, &mut mrs, &probe(6, &[0xee; 4]));
-        let ext = ext_ack(&qp, Opcode::HashProbe, 0, 0);
-        assert_eq!(got, [built(local, &qp, Opcode::ExtOpResp, 6, ext, &[])]);
-
-        // A conditional WRITE over its own compare bytes: the response is
-        // its verdict alone.
-        let cond = remote_req(
-            qpn,
-            7,
-            RoceExt::CondWrite(CondWriteEth {
-                cmp_va: base + 700,
-                write_va: base + 702,
-                rkey,
-                cmp_len: 4,
-            }),
-            [&image[700..704], &[9u8; 12][..]].concat(),
-        );
-        let got = serve(&mut qp, &mut mrs, &cond);
-        let ext = ext_ack(&qp, Opcode::CondWrite, EXTOP_FLAG_HIT, 0);
-        assert_eq!(got, [built(local, &qp, Opcode::ExtOpResp, 7, ext, &[])]);
-        assert_eq!(
-            mrs.get(rkey).unwrap().read(base + 700, 14).unwrap(),
-            [&image[700..702], &[9u8; 12][..]].concat()
-        );
+        // Slot 1 of bucket 3: that slot alone comes back; a miss, nothing.
+        let hit = probe(5, &image[352 + 18..352 + 22]);
+        let want = read_resp(&qp, 5, &image[368..384]);
+        assert_eq!(serve(&mut qp, &mut mrs, &hit), want);
+        let want = read_resp(&qp, 6, &[]);
+        assert_eq!(serve(&mut qp, &mut mrs, &probe(6, &[0xee; 4])), want);
 
         // Every NAK path: a request the op engine refuses, an access
         // outside the region, and a gap in the sequence (answered once).
         let over = remote_req(
             qpn,
-            8,
+            7,
             RoceExt::Gather(GatherEth {
                 rkey,
                 word_len: 8,
@@ -1371,25 +1061,24 @@ mod tests {
         );
         let got = serve(&mut qp, &mut mrs, &over);
         assert_eq!(got, [nak(&qp, NakCode::InvalidRequest)]);
-        let beyond = read_req(&qp, 9, rkey, base + 65_000, 1024);
+        let beyond = read_req(&qp, 8, rkey, base + 65_000, 1024);
         let got = serve(&mut qp, &mut mrs, &beyond);
         assert_eq!(got, [nak(&qp, NakCode::RemoteAccessError)]);
-        let late = read_req(&qp, 12, rkey, base, 8);
+        let late = read_req(&qp, 11, rkey, base, 8);
         let got = serve(&mut qp, &mut mrs, &late);
         assert_eq!(got, [nak(&qp, NakCode::PsnSequenceError)]);
         assert!(serve(&mut qp, &mut mrs, &late).is_empty());
 
-        // Duplicates of the ops above: the conditional WRITE replays its
-        // first verdict (memory has moved on), a bad duplicate is NAKed
-        // without touching the sequence.
-        let got = serve(&mut qp, &mut mrs, &cond);
-        let ext = ext_ack(&qp, Opcode::CondWrite, EXTOP_FLAG_HIT, 0);
-        assert_eq!(got, [built(local, &qp, Opcode::ExtOpResp, 7, ext, &[])]);
+        // Duplicates of the ops above: a probe is re-executed like a READ,
+        // under the MSN of the moment; a bad duplicate is NAKed without
+        // touching the sequence.
+        let want = read_resp(&qp, 5, &image[368..384]);
+        assert_eq!(serve(&mut qp, &mut mrs, &hit), want);
         let got = serve(&mut qp, &mut mrs, &over);
         assert_eq!(got, [nak(&qp, NakCode::InvalidRequest)]);
         let got = serve(&mut qp, &mut mrs, &beyond);
         assert_eq!(got, [nak(&qp, NakCode::RemoteAccessError)]);
-        assert_eq!((qp.epsn, qp.msn), (10, 6));
+        assert_eq!((qp.epsn, qp.msn), (9, 5));
     }
 
     #[test]

@@ -42,14 +42,12 @@ pub enum Opcode {
     AtomicAcknowledge = 0x12,
     /// Atomic Fetch-and-Add request.
     FetchAdd = 0x14,
-    /// Remote-op: hash-probe-and-fetch request (manufacturer opcode space).
+    /// Remote-op: hash-probe-and-fetch request (manufacturer opcode space),
+    /// answered by a [`Opcode::ReadRespOnly`].
     HashProbe = 0xc1,
-    /// Remote-op: conditional WRITE request.
-    CondWrite = 0xc2,
-    /// Remote-op: bounded gather/walk READ request.
+    /// Remote-op: bounded gather/walk READ request, answered by a
+    /// [`Opcode::ReadRespOnly`].
     GatherWalk = 0xc3,
-    /// Remote-op response (AETH + ExtOpAckETH + result payload).
-    ExtOpResp = 0xc4,
 }
 
 impl Opcode {
@@ -63,9 +61,7 @@ impl Opcode {
             0x12 => Opcode::AtomicAcknowledge,
             0x14 => Opcode::FetchAdd,
             0xc1 => Opcode::HashProbe,
-            0xc2 => Opcode::CondWrite,
             0xc3 => Opcode::GatherWalk,
-            0xc4 => Opcode::ExtOpResp,
             other => return Err(WireError::UnsupportedOpcode(other)),
         })
     }
@@ -79,7 +75,6 @@ impl Opcode {
                 | Opcode::ReadRequest
                 | Opcode::FetchAdd
                 | Opcode::HashProbe
-                | Opcode::CondWrite
                 | Opcode::GatherWalk
         )
     }
@@ -191,9 +186,7 @@ mod tests {
             Opcode::AtomicAcknowledge,
             Opcode::FetchAdd,
             Opcode::HashProbe,
-            Opcode::CondWrite,
             Opcode::GatherWalk,
-            Opcode::ExtOpResp,
         ] {
             let mut bth = Bth::new(op, QpNum(0x123456), 0xabcdef);
             bth.pad_count = 2;
@@ -228,8 +221,9 @@ mod tests {
             Opcode::from_u8(0x42),
             Err(WireError::UnsupportedOpcode(0x42))
         ));
-        // The multi-packet WRITE and READ-response opcodes are not spoken.
-        for op in [0x06, 0x07, 0x08, 0x0d, 0x0e, 0x0f] {
+        // The multi-packet WRITE and READ-response opcodes are not spoken,
+        // nor are the retired conditional WRITE and remote-op response.
+        for op in [0x06, 0x07, 0x08, 0x0d, 0x0e, 0x0f, 0xc2, 0xc4] {
             assert!(matches!(
                 Opcode::from_u8(op),
                 Err(WireError::UnsupportedOpcode(o)) if o == op
@@ -243,7 +237,7 @@ mod tests {
         assert!(Opcode::FetchAdd.is_request());
         assert!(!Opcode::Acknowledge.is_request());
         assert!(Opcode::GatherWalk.is_request());
-        assert!(!Opcode::ExtOpResp.is_request());
+        assert!(!Opcode::ReadRespOnly.is_request());
     }
 
     #[test]

@@ -8,8 +8,7 @@
 //! * O(1) `clone` (a refcount bump — multicast, retransmit queues and
 //!   in-flight copies all share one allocation),
 //! * zero-copy [`Payload::slice`] views (a parser lifts the payload out of
-//!   a frame as a window of it; a conditional WRITE's replay entry is a
-//!   window of the response that first carried it),
+//!   a frame as a window of it),
 //! * copy-on-write mutation via [`Payload::make_mut`] (the fault injector's
 //!   byte flip affects only the in-flight copy, never the sender's view).
 //!

@@ -9,8 +9,8 @@
 //!   transport: BTH, RETH, AtomicETH, AETH, AtomicAckETH and the ICRC32
 //!   trailer, covering the one-sided verbs the paper uses — RDMA WRITE,
 //!   RDMA READ and atomic Fetch-and-Add,
-//! * the remote-op headers of [`extop`]: HashProbeETH, CondWriteETH and
-//!   GatherETH on requests, ExtOpAckETH on the response,
+//! * the remote-op request headers of [`extop`], HashProbeETH and
+//!   GatherETH (both ops are answered as READs),
 //! * a small application payload format used by the workload generators so
 //!   that end-to-end tests can verify byte-exact, in-order delivery.
 //!

@@ -17,7 +17,7 @@ use crate::atomic::{AtomicAckEth, AtomicEth};
 use crate::bth::{Bth, Opcode};
 use crate::bytes::Payload;
 use crate::ethernet::{EtherType, EthernetHeader, MacAddr};
-use crate::extop::{CondWriteEth, ExtOpAckEth, GatherEth, HashProbeEth};
+use crate::extop::{GatherEth, HashProbeEth};
 use crate::icrc::{icrc_rocev2, ICRC_LEN};
 use crate::ipv4::{proto, Ipv4Header};
 use crate::layout::{prefix, tail};
@@ -68,12 +68,8 @@ pub enum RoceExt {
     AtomicAck(Aeth, AtomicAckEth),
     /// A HashProbeETH (remote-op hash-probe-and-fetch request).
     HashProbe(HashProbeEth),
-    /// A CondWriteETH (remote-op conditional WRITE request).
-    CondWrite(CondWriteEth),
     /// A GatherETH (remote-op bounded gather/walk request).
     Gather(GatherEth),
-    /// AETH + ExtOpAckETH (remote-op response).
-    ExtOpAck(Aeth, ExtOpAckEth),
 }
 
 impl RoceExt {
@@ -85,9 +81,7 @@ impl RoceExt {
             RoceExt::AtomicEth(_) => AtomicEth::LEN,
             RoceExt::AtomicAck(..) => Aeth::LEN + AtomicAckEth::LEN,
             RoceExt::HashProbe(_) => HashProbeEth::LEN,
-            RoceExt::CondWrite(_) => CondWriteEth::LEN,
             RoceExt::Gather(_) => GatherEth::LEN,
-            RoceExt::ExtOpAck(..) => Aeth::LEN + ExtOpAckEth::LEN,
         }
     }
 
@@ -99,9 +93,7 @@ impl RoceExt {
             Opcode::FetchAdd => ExtKind::AtomicEth,
             Opcode::AtomicAcknowledge => ExtKind::AtomicAck,
             Opcode::HashProbe => ExtKind::HashProbe,
-            Opcode::CondWrite => ExtKind::CondWrite,
             Opcode::GatherWalk => ExtKind::Gather,
-            Opcode::ExtOpResp => ExtKind::ExtOpAck,
         }
     }
 
@@ -112,9 +104,7 @@ impl RoceExt {
             RoceExt::AtomicEth(_) => ExtKind::AtomicEth,
             RoceExt::AtomicAck(..) => ExtKind::AtomicAck,
             RoceExt::HashProbe(_) => ExtKind::HashProbe,
-            RoceExt::CondWrite(_) => ExtKind::CondWrite,
             RoceExt::Gather(_) => ExtKind::Gather,
-            RoceExt::ExtOpAck(..) => ExtKind::ExtOpAck,
         }
     }
 }
@@ -126,9 +116,7 @@ enum ExtKind {
     AtomicEth,
     AtomicAck,
     HashProbe,
-    CondWrite,
     Gather,
-    ExtOpAck,
 }
 
 /// The headers of a RoCEv2 frame — everything a [`RocePacket`] holds but
@@ -278,12 +266,7 @@ impl RoceHeaders {
                 ack.write(&mut head[ext_at + Aeth::LEN..])?;
             }
             RoceExt::HashProbe(h) => h.write(&mut head[ext_at..])?,
-            RoceExt::CondWrite(h) => h.write(&mut head[ext_at..])?,
             RoceExt::Gather(h) => h.write(&mut head[ext_at..])?,
-            RoceExt::ExtOpAck(aeth, ack) => {
-                aeth.write(&mut head[ext_at..])?;
-                ack.write(&mut head[ext_at + Aeth::LEN..])?;
-            }
         }
         out.extend_from_slice(&head[..body_at]);
         for part in body {
@@ -457,12 +440,7 @@ impl RocePacket {
                 AtomicAckEth::parse(tail(ext_buf, Aeth::LEN))?,
             ),
             ExtKind::HashProbe => RoceExt::HashProbe(HashProbeEth::parse(ext_buf)?),
-            ExtKind::CondWrite => RoceExt::CondWrite(CondWriteEth::parse(ext_buf)?),
             ExtKind::Gather => RoceExt::Gather(GatherEth::parse(ext_buf)?),
-            ExtKind::ExtOpAck => RoceExt::ExtOpAck(
-                Aeth::parse(ext_buf)?,
-                ExtOpAckEth::parse(tail(ext_buf, Aeth::LEN))?,
-            ),
         };
         let payload_at = EXT_AT + ext.encoded_len();
         let trailer = ICRC_LEN + bth.pad_count as usize;
@@ -664,30 +642,20 @@ mod tests {
 
     #[test]
     fn remote_op_requests_and_response_roundtrip() {
-        use crate::extop::{CondWriteEth, ExtOpAckEth, GatherEth, HashProbeEth, EXTOP_FLAG_HIT};
+        use crate::extop::{GatherEth, HashProbeEth};
         let (s, d) = endpoints();
         let cases: Vec<(RoceExt, Vec<u8>)> = vec![
             (
                 RoceExt::HashProbe(HashProbeEth {
                     base_va: 0x1000,
                     rkey: Rkey(5),
-                    b1: 2,
-                    b2: 40,
+                    bucket: 2,
                     bucket_bytes: 128,
                     slot_bytes: 32,
                     key_off: 1,
                     key_len: 13,
                 }),
                 vec![0x5a; 13],
-            ),
-            (
-                RoceExt::CondWrite(CondWriteEth {
-                    cmp_va: 0x1040,
-                    write_va: 0x2080,
-                    rkey: Rkey(5),
-                    cmp_len: 32,
-                }),
-                vec![0xa5; 64],
             ),
             (
                 RoceExt::Gather(GatherEth {
@@ -701,7 +669,6 @@ mod tests {
         for (ext, payload) in cases {
             let opcode = match ext {
                 RoceExt::HashProbe(_) => Opcode::HashProbe,
-                RoceExt::CondWrite(_) => Opcode::CondWrite,
                 RoceExt::Gather(_) => Opcode::GatherWalk,
                 _ => unreachable!(),
             };
@@ -710,24 +677,14 @@ mod tests {
             assert_eq!(parsed.ext, req.ext, "{opcode:?}");
             assert_eq!(parsed.payload, req.payload, "{opcode:?}");
         }
-        let resp = RocePacket::new(
-            d,
-            s,
-            49152,
-            Bth::new(Opcode::ExtOpResp, QpNum(9), 7),
-            RoceExt::ExtOpAck(
-                Aeth::ack(4),
-                ExtOpAckEth {
-                    op: Opcode::HashProbe as u8,
-                    flags: EXTOP_FLAG_HIT,
-                    index: 2,
-                },
-            ),
-            vec![0xbb; 128],
-        );
-        let parsed = RocePacket::parse(&resp.build().unwrap()).unwrap().unwrap();
-        assert!(matches!(parsed.ext, RoceExt::ExtOpAck(a, e) if a.is_ack() && e.index == 2));
-        assert_eq!(parsed.payload.len(), 128);
+        // Either op is answered as a READ: a probe's hit with its one slot,
+        // a miss with no bytes at all.
+        for slot in [vec![0xbb; 32], vec![]] {
+            let bth = Bth::new(Opcode::ReadRespOnly, QpNum(9), 7);
+            let resp = RocePacket::new(d, s, 49152, bth, RoceExt::Aeth(Aeth::ack(4)), slot);
+            let parsed = RocePacket::parse(&resp.build().unwrap()).unwrap().unwrap();
+            assert_eq!((parsed.ext, parsed.payload), (resp.ext, resp.payload));
+        }
     }
 
     #[test]

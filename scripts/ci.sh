@@ -235,7 +235,7 @@ while read -r workload allocs bytes overhead p50 p99; do
     under_ceiling "$workload" sim_lat_p99_ns "$p99"
 done <<'CEILINGS'
 lookup_verbs 3.01 125.2 1.0323 2486.329 2895.996
-lookup_ops 3.01 125.2 0.7742 2473.116 2882.783
+lookup_ops 3.01 125.2 0.7429 2471.514 2881.181
 pktbuf_lossy 5.025 213.3 2.3633 22384235.157 44349376.318
 fabric_shard 2.74 114.8 0.5203 2968.032 3311.595
 fabric_shard_p2 2.74 115.3 0.5203 2968.032 3311.595

@@ -98,9 +98,9 @@ fn assert_region_matches_directory(t: &Built, rkey: extmem_types::Rkey, base_va:
 /// flight still resolves in exactly one READ — the event-interleaved
 /// no-transient-miss invariant, asserted over 1500 packets and 192 table
 /// operations sharing one wire. Runs in both wire modes: verb (filter-
-/// steered bucket READs, READ-verify + WRITE relocations) and remote-op
-/// (hash-probe-and-fetch lookups of the same filter-steered bucket,
-/// conditional-WRITE relocations whose response flips the filter).
+/// steered bucket READs) and remote-op (hash-probe-and-fetch lookups of the
+/// same filter-steered bucket); relocations are READ-verify + WRITE in
+/// both.
 fn relocation_storm(remote_ops: bool) {
     const COUNT: u64 = 1_500;
     const DSCP: u8 = 46;
@@ -195,11 +195,8 @@ fn relocation_storm(remote_ops: bool) {
     let nic = sim.node::<RnicNode>(table).stats();
     assert_eq!(nic.cpu_packets, 0, "remote memory must stay one-sided");
     if remote_ops {
-        // Lookups and relocation moves all rode the remote-op engine.
-        assert!(
-            nic.ext_ops >= COUNT + s.relocation_moves,
-            "probes + cond-writes must be remote ops: {nic:?}"
-        );
+        // Every lookup, and nothing else, rode the remote-op engine.
+        assert_eq!(nic.ext_ops, COUNT, "one probe per lookup: {nic:?}");
     } else {
         assert_eq!(nic.ext_ops, 0, "verb baseline must not use remote ops");
     }

@@ -486,7 +486,7 @@ fn smoke_remote_ops_lpm_worst_cell() {
 
 // ---------------------------------------------------------------------------
 // Cuckoo remote ops under faults: hash-probe-and-fetch lookups and
-// conditional-WRITE relocations ride retransmission and still settle
+// READ-verify + WRITE relocations ride retransmission and still settle
 // oracle-exact — zero punts and the table byte image bit-for-bit equal to
 // the control-plane directory.
 // ---------------------------------------------------------------------------
@@ -552,7 +552,7 @@ fn run_cuckoo_probe_cell(cell: &Cell, seed: u64) {
     let base = channel.base_va;
     install_cuckoo_image(tb.nic_mut(table), &channel, &dir);
     // No cache: every packet costs one hash-probe-and-fetch op; every
-    // relocation step costs one conditional WRITE.
+    // relocation step is a verify READ and a WRITE.
     let prog = LookupTableProgram::cuckoo(tb.fib(), channel, dir, None)
         .with_remote_ops(true)
         .with_reliability(ReliableConfig {
@@ -597,7 +597,7 @@ fn run_cuckoo_probe_cell(cell: &Cell, seed: u64) {
     assert_eq!(s.rtts_per_miss(), Some(1.0), "{cell:?}: {s:?}");
     assert_eq!(s.reads_per_lookup(), Some(1.0), "{cell:?}: {s:?}");
     // Bit-for-bit: the settled table equals the directory's byte image, so
-    // every conditional WRITE landed exactly once despite drops.
+    // every relocation WRITE landed despite drops.
     let image = prog.directory().encode_region();
     let remote = sim
         .node::<RnicNode>(servers[0])

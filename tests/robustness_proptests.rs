@@ -77,7 +77,7 @@ fn valid_roce_frame(opcode: extmem_wire::bth::Opcode, payload: Vec<u8>) -> Vec<u
     use extmem_wire::aeth::Aeth;
     use extmem_wire::atomic::{AtomicAckEth, AtomicEth};
     use extmem_wire::bth::{Bth, Opcode::*};
-    use extmem_wire::extop::{CondWriteEth, ExtOpAckEth, GatherEth, HashProbeEth};
+    use extmem_wire::extop::{GatherEth, HashProbeEth};
     use extmem_wire::reth::Reth;
     use extmem_wire::roce::{RoceEndpoint, RoceExt};
     use extmem_wire::MacAddr;
@@ -99,32 +99,17 @@ fn valid_roce_frame(opcode: extmem_wire::bth::Opcode, payload: Vec<u8>) -> Vec<u
         HashProbe => RoceExt::HashProbe(HashProbeEth {
             base_va: 0x1000,
             rkey,
-            b1: 1,
-            b2: 2,
+            bucket: 1,
             bucket_bytes: 64,
             slot_bytes: 16,
             key_off: 0,
             key_len: 8,
-        }),
-        CondWrite => RoceExt::CondWrite(CondWriteEth {
-            cmp_va: 0x1000,
-            write_va: 0x2000,
-            rkey,
-            cmp_len: 8,
         }),
         GatherWalk => RoceExt::Gather(GatherEth {
             rkey,
             word_len: 8,
             count: 2,
         }),
-        ExtOpResp => RoceExt::ExtOpAck(
-            Aeth::ack(1),
-            ExtOpAckEth {
-                op: HashProbe as u8,
-                flags: 1,
-                index: 0,
-            },
-        ),
     };
     let src = RoceEndpoint {
         mac: MacAddr::local(1),
@@ -141,7 +126,7 @@ fn valid_roce_frame(opcode: extmem_wire::bth::Opcode, payload: Vec<u8>) -> Vec<u
 }
 
 /// Every BTH opcode the parser knows.
-const OPCODES: [extmem_wire::bth::Opcode; 10] = {
+const OPCODES: [extmem_wire::bth::Opcode; 8] = {
     use extmem_wire::bth::Opcode::*;
     [
         WriteOnly,
@@ -151,9 +136,7 @@ const OPCODES: [extmem_wire::bth::Opcode; 10] = {
         AtomicAcknowledge,
         FetchAdd,
         HashProbe,
-        CondWrite,
         GatherWalk,
-        ExtOpResp,
     ]
 };
 
@@ -235,6 +218,140 @@ proptest! {
             edit,
             reseal_icrc
         );
+    }
+}
+
+/// A remote-op request, header and payload, with every field the responder
+/// trusts drawn from near the edges: addresses by the region, past it and by
+/// the end of the address space, lengths and counts around their bounds.
+/// Half are consistent, and get as far as the memory accesses: a probe's key
+/// is `key_len` bytes inside a slot and its bucket whole slots, a gather
+/// carries `count` addresses by the region.
+fn remote_op_request(
+    rkey: extmem_types::Rkey,
+    base: u64,
+) -> impl Strategy<Value = (extmem_wire::roce::RoceExt, Vec<u8>)> {
+    use extmem_types::Rkey;
+    use extmem_wire::extop::{GatherEth, HashProbeEth};
+    use extmem_wire::roce::RoceExt;
+    let va = prop_oneof![
+        (0u64..0x2_0000).prop_map(move |off| base + off),
+        (0u64..0x1000).prop_map(|off| u64::MAX - off),
+        any::<u64>(),
+    ];
+    let rkeys = move || prop_oneof![Just(rkey), any::<u32>().prop_map(Rkey)];
+    let small = || prop_oneof![0u16..300, any::<u16>()];
+    let bytes = || proptest::collection::vec(any::<u8>(), 0..80);
+    let probe = (
+        (va, rkeys(), prop_oneof![0u32..64, any::<u32>()]),
+        (small(), small(), 0u16..9),
+        (any::<u8>(), any::<u8>()),
+        (any::<bool>(), bytes()),
+    )
+        .prop_map(
+            |(
+                (base_va, rkey, bucket),
+                (bucket_bytes, slot_bytes, slots),
+                (key_off, key_len),
+                (consistent, mut key),
+            )| {
+                let mut h = HashProbeEth {
+                    base_va,
+                    rkey,
+                    bucket,
+                    bucket_bytes,
+                    slot_bytes,
+                    key_off,
+                    key_len,
+                };
+                if consistent {
+                    h.slot_bytes = 1 + slot_bytes % 64;
+                    h.bucket_bytes = h.slot_bytes * slots;
+                    h.key_len = (1 + key_len as u16 % h.slot_bytes) as u8;
+                    h.key_off = (key_off as u16 % (h.slot_bytes - h.key_len as u16 + 1)) as u8;
+                    key.resize(h.key_len as usize, 0);
+                }
+                (RoceExt::HashProbe(h), key)
+            },
+        );
+    let gather = (
+        (rkeys(), small(), prop_oneof![0u16..20, any::<u16>()]),
+        (any::<bool>(), bytes()),
+    )
+        .prop_map(
+            move |((rkey, word_len, mut count), (consistent, mut payload))| {
+                if consistent {
+                    count = (payload.len() / 4) as u16;
+                    let offsets = payload
+                        .chunks_exact(4)
+                        .map(|c| u32::from_le_bytes(c.try_into().unwrap()) % 0x1_2000);
+                    payload = offsets
+                        .flat_map(|off| (base + off as u64).to_be_bytes())
+                        .collect();
+                }
+                (
+                    RoceExt::Gather(GatherEth {
+                        rkey,
+                        word_len,
+                        count,
+                    }),
+                    payload,
+                )
+            },
+        );
+    prop_oneof![probe, gather]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 2048, ..ProptestConfig::default() })]
+
+    /// The responder's op engine computes addresses and lengths from
+    /// request fields. Whatever they say, a remote op is answered by one
+    /// frame, a NAK or a READ response of at most the MTU, never a panic;
+    /// it moves the expected PSN by at most one, and its duplicate moves it
+    /// not at all.
+    #[test]
+    fn remote_op_responder_total_on_arbitrary_headers(
+        (ext, payload) in remote_op_request(extmem_types::Rkey(1), 0x1000_0000),
+    ) {
+        use extmem_rnic::nic::MTU;
+        use extmem_rnic::responder::process_request;
+        use extmem_rnic::{MrTable, QueuePair};
+        use extmem_types::{ByteSize, QpNum};
+        use extmem_wire::aeth::Syndrome;
+        use extmem_wire::bth::{Bth, Opcode};
+        use extmem_wire::roce::{RoceEndpoint, RoceExt};
+        use extmem_wire::MacAddr;
+        let ep = |i| RoceEndpoint { mac: MacAddr::local(i), ip: i };
+        let mut mrs = MrTable::new();
+        let (rkey, base) = mrs.register(ByteSize::from_kb(64));
+        prop_assert_eq!((rkey, base), (extmem_types::Rkey(1), 0x1000_0000));
+        let image: Vec<u8> = (0..64_000u32).map(|i| (i % 7) as u8).collect();
+        mrs.get_mut(rkey).unwrap().write(base, &image).unwrap();
+        let mut qp = QueuePair::new(QpNum(0x100), ep(2), QpNum(0x200), 0);
+        let opcode = match ext {
+            RoceExt::HashProbe(_) => Opcode::HashProbe,
+            _ => Opcode::GatherWalk,
+        };
+        let req = RocePacket::new(ep(2), ep(1), 9, Bth::new(opcode, qp.qpn, 0), ext, payload);
+        for round in 0..2u32 {
+            let r = process_request(ep(1), &mut qp, &mut mrs, &req, MTU);
+            let frame = r.response.expect("every remote op is answered");
+            let resp = RocePacket::parse(&frame).unwrap().unwrap();
+            match (resp.bth.opcode, resp.ext) {
+                (Opcode::Acknowledge, RoceExt::Aeth(a)) => {
+                    prop_assert!(matches!(a.syndrome, Syndrome::Nak(_)), "{:?}", a);
+                }
+                (Opcode::ReadRespOnly, RoceExt::Aeth(a)) => {
+                    prop_assert!(a.is_ack());
+                    prop_assert!(resp.payload.len() <= MTU, "{} B", resp.payload.len());
+                    prop_assert_eq!(resp.bth.psn, 0);
+                }
+                other => prop_assert!(false, "answered with {:?}", other),
+            }
+            // The fresh request consumes its PSN once; its duplicate none.
+            prop_assert_eq!(qp.epsn, 1, "round {}", round);
+        }
     }
 }
 

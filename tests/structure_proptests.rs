@@ -1165,18 +1165,18 @@ mod shard_ring {
 
 /// The remote-op engine against a step-by-step verb oracle: for random op
 /// programs over random initial memory, executing each op in the
-/// responder's op engine must produce the same returned bytes, the same
-/// hit/index decision, and the same final memory image as decomposing it
-/// into plain READ/WRITE verbs on a second identical responder. Every op
-/// is also delivered twice (as a retransmitted duplicate would be) and
-/// must replay the identical response without perturbing memory.
+/// responder's op engine must return the same bytes, in a READ response,
+/// as decomposing it into plain READ verbs on a second identical
+/// responder, and leave memory alone. Every op is also delivered twice (as
+/// a retransmitted duplicate would be) and must be re-executed into the
+/// identical response.
 mod remote_op_oracle {
     use extmem_rnic::requester::RequesterQp;
     use extmem_rnic::responder::{process_request, Outcome};
     use extmem_rnic::{MrTable, Operand, QueuePair, RemoteOp, Request};
     use extmem_types::{ByteSize, QpNum, Rkey};
-    use extmem_wire::extop::{EXTOP_FLAG_HIT, EXTOP_FLAG_SECONDARY};
-    use extmem_wire::roce::{RoceEndpoint, RoceExt};
+    use extmem_wire::bth::Opcode;
+    use extmem_wire::roce::RoceEndpoint;
     use extmem_wire::{MacAddr, Packet, RocePacket};
     use proptest::prelude::*;
 
@@ -1184,8 +1184,7 @@ mod remote_op_oracle {
     const MTU: usize = 2048;
 
     /// One remote op described with region-relative offsets, plus the plain
-    /// WRITEs that must precede it (a planted probe key or compare image, so
-    /// that hits occur).
+    /// WRITE that must precede it (a planted probe key, so that hits occur).
     #[derive(Clone, Debug)]
     enum OpSpec {
         Gather {
@@ -1195,20 +1194,12 @@ mod remote_op_oracle {
         HashProbe {
             base_off: u64,
             n_buckets: u32,
-            b1: u32,
-            b2: u32,
+            bucket: u32,
             slot_bytes: u16,
             slots: u16,
             key_off: u8,
             key: Vec<u8>,
-            plant: Option<(bool, u16)>,
-        },
-        CondWrite {
-            cmp_off: u64,
-            write_off: u64,
-            compare: Vec<u8>,
-            write: Vec<u8>,
-            plant_match: bool,
+            plant: Option<u16>,
         },
     }
 
@@ -1227,8 +1218,7 @@ mod remote_op_oracle {
                 OpSpec::HashProbe {
                     base_off,
                     n_buckets,
-                    b1,
-                    b2,
+                    bucket,
                     slot_bytes,
                     slots,
                     key_off,
@@ -1236,49 +1226,24 @@ mod remote_op_oracle {
                     plant,
                 } => {
                     let bucket_bytes = slot_bytes * slots;
-                    let b1 = b1 % n_buckets;
-                    let b2 = b2 % n_buckets;
-                    let mut plants = vec![];
-                    if let Some((in_b2, slot)) = plant {
-                        let bucket = if *in_b2 { b2 } else { b1 };
+                    let bucket = bucket % n_buckets;
+                    let plants = Vec::from_iter(plant.map(|slot| {
                         let va = base
                             + base_off
                             + bucket as u64 * bucket_bytes as u64
                             + (slot % slots) as u64 * *slot_bytes as u64
                             + *key_off as u64;
-                        plants.push((va, key.clone()));
-                    }
+                        (va, key.clone())
+                    }));
                     (
                         plants,
                         RemoteOp::HashProbe {
                             base_va: base + base_off,
-                            b1,
-                            b2,
+                            bucket,
                             bucket_bytes,
                             slot_bytes: *slot_bytes,
                             key_off: *key_off,
                             key: Operand::new(key),
-                        },
-                    )
-                }
-                OpSpec::CondWrite {
-                    cmp_off,
-                    write_off,
-                    compare,
-                    write,
-                    plant_match,
-                } => {
-                    let mut plants = vec![];
-                    if *plant_match {
-                        plants.push((base + cmp_off, compare.clone()));
-                    }
-                    (
-                        plants,
-                        RemoteOp::CondWrite {
-                            cmp_va: base + cmp_off,
-                            write_va: base + write_off,
-                            compare: Operand::new(compare),
-                            write: Operand::new(write),
                         },
                     )
                 }
@@ -1291,23 +1256,21 @@ mod remote_op_oracle {
             (1u16..33, prop::collection::vec(0u64..REGION - 32, 1..17))
                 .prop_map(|(word_len, offs)| OpSpec::Gather { word_len, offs }),
             (
-                (0u64..REGION - 1024, 1u32..9, any::<u32>(), any::<u32>()),
+                (0u64..REGION - 1024, 1u32..9, any::<u32>()),
                 (
                     prop::sample::select(vec![8u16, 16, 32]),
                     1u16..5,
                     0u8..5,
                     prop::collection::vec(any::<u8>(), 1..5),
-                    (any::<bool>(), any::<bool>(), any::<u16>())
-                        .prop_map(|(p, in_b2, slot)| p.then_some((in_b2, slot))),
+                    (any::<bool>(), any::<u16>()).prop_map(|(p, slot)| p.then_some(slot)),
                 ),
             )
                 .prop_map(
-                    |((base_off, n_buckets, b1, b2), (slot_bytes, slots, key_off, key, plant))| {
+                    |((base_off, n_buckets, bucket), (slot_bytes, slots, key_off, key, plant))| {
                         OpSpec::HashProbe {
                             base_off,
                             n_buckets,
-                            b1,
-                            b2,
+                            bucket,
                             slot_bytes,
                             slots,
                             key_off,
@@ -1316,22 +1279,6 @@ mod remote_op_oracle {
                         }
                     }
                 ),
-            (
-                0u64..REGION - 8,
-                0u64..REGION - 24,
-                prop::collection::vec(any::<u8>(), 1..9),
-                prop::collection::vec(any::<u8>(), 1..25),
-                any::<bool>(),
-            )
-                .prop_map(|(cmp_off, write_off, compare, write, plant_match)| {
-                    OpSpec::CondWrite {
-                        cmp_off,
-                        write_off,
-                        compare,
-                        write,
-                        plant_match,
-                    }
-                }),
         ]
     }
 
@@ -1406,8 +1353,8 @@ mod remote_op_oracle {
         }
 
         /// Execute a remote op, then deliver the identical packet again (a
-        /// retransmitted duplicate) and demand a byte-identical replay.
-        fn remote(&mut self, op: &RemoteOp) -> (u8, u16, Vec<u8>) {
+        /// retransmitted duplicate) and demand a byte-identical answer.
+        fn remote(&mut self, op: &RemoteOp) -> Vec<u8> {
             let pkt = self.issue(Request::Op(op));
             let r = process_request(self.server, &mut self.qp, &mut self.mrs, &pkt, MTU);
             assert!(
@@ -1416,81 +1363,45 @@ mod remote_op_oracle {
                 r.outcome
             );
             let resp = parsed(&r.response.expect("an op is answered"));
-            let RoceExt::ExtOpAck(_, eth) = &resp.ext else {
-                panic!("not an ext-op response: {:?}", resp.ext)
-            };
-            let first = (eth.flags, eth.index, resp.payload[..].to_vec());
+            assert_eq!(resp.bth.opcode, Opcode::ReadRespOnly, "answered as a READ");
+            let first = resp.payload[..].to_vec();
             let before = self.image();
             let r2 = process_request(self.server, &mut self.qp, &mut self.mrs, &pkt, MTU);
             assert!(matches!(r2.outcome, Outcome::Duplicate), "{:?}", r2.outcome);
             let resp2 = parsed(&r2.response.expect("a duplicate op is answered"));
-            let RoceExt::ExtOpAck(_, eth2) = &resp2.ext else {
-                panic!("duplicate replay is not an ext-op response")
-            };
-            assert_eq!(
-                (eth2.flags, eth2.index, resp2.payload[..].to_vec()),
-                first,
-                "duplicate replay diverged"
-            );
+            assert_eq!(resp2.bth.opcode, Opcode::ReadRespOnly);
+            assert_eq!(resp2.payload[..], first[..], "duplicate diverged");
             assert_eq!(self.image(), before, "duplicate perturbed memory");
             first
         }
 
         /// The verb oracle: the same op decomposed into dependent plain
-        /// READ / WRITE verbs, reproducing the engine's decision logic. A
-        /// probe's answer is the matched slot cut from its bucket READ; a
-        /// conditional WRITE's is its flags alone.
-        fn oracle(&mut self, op: &RemoteOp) -> (u8, u16, Vec<u8>) {
+        /// READ verbs, reproducing the engine's decision logic. A probe's
+        /// answer is the matched slot cut from its bucket READ, or nothing.
+        fn oracle(&mut self, op: &RemoteOp) -> Vec<u8> {
             match op {
                 RemoteOp::Gather { word_len, vas } => {
                     let mut out = Vec::new();
                     for va in vas {
                         out.extend_from_slice(&self.read(*va, *word_len as u32));
                     }
-                    (EXTOP_FLAG_HIT, 0, out)
+                    out
                 }
                 RemoteOp::HashProbe {
                     base_va,
-                    b1,
-                    b2,
+                    bucket,
                     bucket_bytes,
                     slot_bytes,
                     key_off,
                     key,
                 } => {
-                    for (nth, bucket) in [*b1, *b2].into_iter().enumerate() {
-                        if nth == 1 && b2 == b1 {
-                            break;
-                        }
-                        let va = base_va + bucket as u64 * *bucket_bytes as u64;
-                        let data = self.read(va, *bucket_bytes as u32);
-                        for (slot, bytes) in data.chunks_exact(*slot_bytes as usize).enumerate() {
-                            let at = *key_off as usize;
-                            if bytes[at..at + key.len()] == key[..] {
-                                let mut flags = EXTOP_FLAG_HIT;
-                                if nth == 1 {
-                                    flags |= EXTOP_FLAG_SECONDARY;
-                                }
-                                return (flags, slot as u16, bytes.to_vec());
-                            }
-                        }
-                    }
-                    (0, 0, vec![])
-                }
-                RemoteOp::CondWrite {
-                    cmp_va,
-                    write_va,
-                    compare,
-                    write,
-                } => {
-                    let observed = self.read(*cmp_va, compare.len() as u32);
-                    let mut flags = 0;
-                    if observed[..] == compare[..] {
-                        let img = write[..].to_vec();
-                        self.write(*write_va, &img);
-                        flags = EXTOP_FLAG_HIT;
-                    }
-                    (flags, 0, vec![])
+                    let va = base_va + *bucket as u64 * *bucket_bytes as u64;
+                    let data = self.read(va, *bucket_bytes as u32);
+                    let at = *key_off as usize;
+                    let hit = data
+                        .chunks_exact(*slot_bytes as usize)
+                        .find(|slot| slot[at..at + key.len()] == key[..]);
+                    hit.unwrap_or_default().to_vec()
                 }
             }
         }
@@ -1512,11 +1423,11 @@ mod remote_op_oracle {
     /// bytes, folded into one digest with each outcome. The frames were
     /// first pinned when the responder still returned unencoded packets
     /// whose payloads were copies out of the region; a change to how it
-    /// builds its frames may not move a byte on the wire. A hash probe's hit
-    /// carries its matched slot, and a conditional WRITE its flags alone.
+    /// builds its frames may not move a byte on the wire. A remote op is
+    /// answered as a READ: a hash probe's hit with its matched slot.
     #[test]
     fn response_encodings_are_pinned() {
-        const PINNED: u64 = 0x42e1_5fd5_592f_313d;
+        const PINNED: u64 = 0x68d9_e84d_4e27_5f5e;
         let image: Vec<u8> = (0..REGION).map(|i| (i * 7 + 3) as u8).collect();
         // A small MTU so a 300-byte READ is over it.
         const MTU: usize = 128;
@@ -1549,25 +1460,17 @@ mod remote_op_oracle {
             })),
             rig.issue(Request::Op(&RemoteOp::HashProbe {
                 base_va: base + 256,
-                b1: 3,
-                b2: 0,
+                bucket: 0,
                 bucket_bytes: 32,
                 slot_bytes: 16,
                 key_off: 2,
                 key: Operand::new(&probe_key),
             })),
-            rig.issue(Request::Op(&RemoteOp::CondWrite {
-                cmp_va: base + 700,
-                write_va: base + 900,
-                compare: Operand::new(&image[700..704]),
-                write: Operand::new(&[9; 12]),
-            })),
             // A bucket that is no whole number of slots: an
             // invalid-request NAK.
             rig.issue(Request::Op(&RemoteOp::HashProbe {
                 base_va: base + 256,
-                b1: 3,
-                b2: 0,
+                bucket: 3,
                 bucket_bytes: 24,
                 slot_bytes: 16,
                 key_off: 2,

@@ -486,15 +486,14 @@ proptest! {
 }
 
 /// Round-trip through the full packet codec for every remote-op opcode:
-/// the three request formats (extension header + op-specific payload) and
-/// the ExtOpResp response (AETH + ExtOpAckETH + data payload). Payloads
-/// are generated consistent with their headers, as the requester builds
-/// them.
+/// the two request formats (extension header + op-specific payload).
+/// Payloads are generated consistent with their headers, as the requester
+/// builds them; the answer to either is a READ response, covered with the
+/// verbs.
 mod extop_roundtrips {
     use extmem_types::{QpNum, Rkey};
-    use extmem_wire::aeth::{Aeth, Syndrome};
     use extmem_wire::bth::{Bth, Opcode};
-    use extmem_wire::extop::{CondWriteEth, ExtOpAckEth, GatherEth, HashProbeEth};
+    use extmem_wire::extop::{GatherEth, HashProbeEth};
     use extmem_wire::roce::{RoceEndpoint, RoceExt, RocePacket};
     use extmem_wire::MacAddr;
     use proptest::prelude::*;
@@ -502,7 +501,7 @@ mod extop_roundtrips {
     pub fn arb_ext_op() -> impl Strategy<Value = (Opcode, RoceExt, Vec<u8>)> {
         prop_oneof![
             (
-                (any::<u64>(), any::<u32>(), any::<u32>(), any::<u32>()),
+                (any::<u64>(), any::<u32>(), any::<u32>()),
                 (
                     any::<u16>(),
                     any::<u16>(),
@@ -511,13 +510,12 @@ mod extop_roundtrips {
                 ),
             )
                 .prop_map(
-                    |((base_va, rkey, b1, b2), (bucket_bytes, slot_bytes, key_off, key))| (
+                    |((base_va, rkey, bucket), (bucket_bytes, slot_bytes, key_off, key))| (
                         Opcode::HashProbe,
                         RoceExt::HashProbe(HashProbeEth {
                             base_va,
                             rkey: Rkey(rkey),
-                            b1,
-                            b2,
+                            bucket,
                             bucket_bytes,
                             slot_bytes,
                             key_off,
@@ -526,27 +524,6 @@ mod extop_roundtrips {
                         key,
                     )
                 ),
-            (
-                any::<u64>(),
-                any::<u64>(),
-                any::<u32>(),
-                proptest::collection::vec(any::<u8>(), 1..33),
-                proptest::collection::vec(any::<u8>(), 0..65),
-            )
-                .prop_map(|(cmp_va, write_va, rkey, compare, write)| {
-                    let mut payload = compare.clone();
-                    payload.extend_from_slice(&write);
-                    (
-                        Opcode::CondWrite,
-                        RoceExt::CondWrite(CondWriteEth {
-                            cmp_va,
-                            write_va,
-                            rkey: Rkey(rkey),
-                            cmp_len: compare.len() as u16,
-                        }),
-                        payload,
-                    )
-                }),
             (
                 any::<u32>(),
                 any::<u16>(),
@@ -567,29 +544,6 @@ mod extop_roundtrips {
                         payload,
                     )
                 }),
-            (
-                0u32..0x0100_0000,
-                0u8..32,
-                prop::sample::select(vec![0xc1u8, 0xc2, 0xc3]),
-                any::<u8>(),
-                any::<u16>(),
-                proptest::collection::vec(any::<u8>(), 0..256),
-            )
-                .prop_map(|(msn, credits, op, flags, index, data)| (
-                    Opcode::ExtOpResp,
-                    RoceExt::ExtOpAck(
-                        Aeth {
-                            syndrome: Syndrome::Ack { credits },
-                            msn,
-                        },
-                        ExtOpAckEth {
-                            op,
-                            flags: flags & 0x03,
-                            index,
-                        },
-                    ),
-                    data,
-                )),
         ]
     }
 
@@ -671,12 +625,7 @@ mod one_encoder {
                 ack.write(&mut ext[Aeth::LEN..]).unwrap();
             }
             RoceExt::HashProbe(h) => h.write(ext).unwrap(),
-            RoceExt::CondWrite(h) => h.write(ext).unwrap(),
             RoceExt::Gather(h) => h.write(ext).unwrap(),
-            RoceExt::ExtOpAck(aeth, ack) => {
-                aeth.write(ext).unwrap();
-                ack.write(&mut ext[Aeth::LEN..]).unwrap();
-            }
         }
         let body_at = bth_at + Bth::LEN + pkt.ext.encoded_len();
         out[body_at..body_at + pkt.payload.len()].copy_from_slice(&pkt.payload);
@@ -709,7 +658,7 @@ mod one_encoder {
         /// The request as the encoder takes it, and the same thing spelt
         /// out as the opcode, extension header and payload of its frame.
         fn spelt_out(&self, rkey: Rkey) -> (Request<'_>, Opcode, RoceExt, Vec<u8>) {
-            use extmem_wire::extop::{CondWriteEth, GatherEth, HashProbeEth};
+            use extmem_wire::extop::{GatherEth, HashProbeEth};
             match self {
                 Owned::Write {
                     va,
@@ -753,8 +702,7 @@ mod one_encoder {
                     let (opcode, ext, payload) = match op {
                         &RemoteOp::HashProbe {
                             base_va,
-                            b1,
-                            b2,
+                            bucket,
                             bucket_bytes,
                             slot_bytes,
                             key_off,
@@ -764,29 +712,13 @@ mod one_encoder {
                             RoceExt::HashProbe(HashProbeEth {
                                 base_va,
                                 rkey,
-                                b1,
-                                b2,
+                                bucket,
                                 bucket_bytes,
                                 slot_bytes,
                                 key_off,
                                 key_len: key.len() as u8,
                             }),
                             key.to_vec(),
-                        ),
-                        &RemoteOp::CondWrite {
-                            cmp_va,
-                            write_va,
-                            compare,
-                            write,
-                        } => (
-                            Opcode::CondWrite,
-                            RoceExt::CondWrite(CondWriteEth {
-                                cmp_va,
-                                write_va,
-                                rkey,
-                                cmp_len: compare.len() as u16,
-                            }),
-                            [&compare[..], &write[..]].concat(),
                         ),
                         RemoteOp::Gather { word_len, vas } => (
                             Opcode::GatherWalk,
@@ -823,15 +755,14 @@ mod one_encoder {
             (any::<u64>(), any::<u32>()).prop_map(|(va, len)| Owned::Read { va, len }),
             (any::<u64>(), any::<u64>()).prop_map(|(va, add)| Owned::FetchAdd { va, add }),
             (
-                (any::<u64>(), any::<u32>(), any::<u32>()),
+                (any::<u64>(), any::<u32>()),
                 (any::<u16>(), any::<u16>(), any::<u8>(), operand(1..33)),
             )
                 .prop_map(
-                    |((base_va, b1, b2), (bucket_bytes, slot_bytes, key_off, key))| {
+                    |((base_va, bucket), (bucket_bytes, slot_bytes, key_off, key))| {
                         Owned::Op(RemoteOp::HashProbe {
                             base_va,
-                            b1,
-                            b2,
+                            bucket,
                             bucket_bytes,
                             slot_bytes,
                             key_off,
@@ -839,16 +770,6 @@ mod one_encoder {
                         })
                     }
                 ),
-            (any::<u64>(), any::<u64>(), operand(1..33), operand(0..33)).prop_map(
-                |(cmp_va, write_va, compare, write)| {
-                    Owned::Op(RemoteOp::CondWrite {
-                        cmp_va,
-                        write_va,
-                        compare,
-                        write,
-                    })
-                }
-            ),
             (any::<u16>(), vec(any::<u64>(), 1..17))
                 .prop_map(|(word_len, vas)| Owned::Op(RemoteOp::Gather { word_len, vas })),
         ]
