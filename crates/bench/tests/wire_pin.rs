@@ -49,14 +49,14 @@ macro_rules! pin {
 #[rustfmt::skip]
 fn pins() -> [Pin; 14] {
     [
-        pin!(e1_write_read_loop(400), 0xb1fd078a864d3f73, 4808, 2400),
-        pin!(incast_scenario(), 0xcd754ef4f7d00a02, 38953, 15892),
+        pin!(e1_write_read_loop(400), 0x4d6747d402ce6ead, 4208, 2100),
+        pin!(incast_scenario(), 0xdf35d35ea8800c82, 33655, 13339),
         pin!(lookup_miss_storm(250), 0x961cbf6e8838611e, 2001, 1000),
         pin!(lookup_miss_storm_direct(250), 0x7437e1c2ee0f4f47, 2751, 1250),
         pin!(remote_ops(250), 0x0c4b9b308def1b44, 2001, 1000),
         pin!(insert_churn(600), 0x65945893db23143b, 5818, 2804),
         pin!(faa_storm(1_500), 0x21839ba8f98c58c1, 8428, 4080),
-        pin!(loss_sweep(2_000), 0x16f8b0d548f9c643, 59683, 25658),
+        pin!(loss_sweep(2_000), 0xa15c5d7a9edd2ae2, 54265, 21485),
         pin!(server_failover(1_200), 0x9b1b31740261228b, 9874, 4728),
         pin!(fabric_fanout(150, 2), 0x6aa04480e46a2128, 18832, 7792),
         pin!(fabric_shard(300, 2), 0x95621375f92ac9c9, 44320, 20456),

@@ -259,8 +259,10 @@ impl fmt::Display for ChannelStats {
 #[derive(Clone, Debug, PartialEq)]
 pub enum Op {
     /// Single-packet WRITE of `body` at `va`. With `ack_req` the responder
-    /// acknowledges it explicitly (loss is then recoverable even if no
-    /// later op completes behind it).
+    /// acknowledges it explicitly, and the WRITE has a deadline of its own.
+    /// Without, it is confirmed by the answer to a later op (an ACK covers
+    /// the WRITEs at or before its PSN, a response the WRITEs before it),
+    /// and its loss shows as that op's NAK or timeout.
     Write {
         /// Where the bytes land.
         va: u64,
@@ -310,6 +312,14 @@ impl Op {
     /// op) rather than covered by any acknowledgement at or past its PSN.
     fn bears_response(&self) -> bool {
         matches!(self, Op::Read { .. } | Op::Remote(_))
+    }
+
+    /// Whether the responder answers the op with a packet of its own: data,
+    /// an atomic's acknowledgement, or the ACK a WRITE asked for. Only such
+    /// an op runs the channel's deadline; a WRITE that asked for no ACK
+    /// neither times out nor ages out by itself.
+    pub(crate) fn is_answered(&self) -> bool {
+        !matches!(self, Op::Write { ack_req: false, .. })
     }
 }
 
@@ -411,11 +421,14 @@ fn psn_at_or_before(a: u32, b: u32) -> bool {
 ///
 /// The channel manages its own retransmission deadline: it arms a
 /// cancellable timer (under [`ReliableChannel::timer_token`], which its
-/// server port names: `CHANNEL_TIMER | port`) when ops go outstanding and
-/// cancels it when the last one retires, so an idle or healthy channel
-/// schedules no periodic tick events at all. The owning program only has
-/// to route the token from its `on_timer` back into
-/// [`ReliableChannel::on_timer_fired`].
+/// server port names: `CHANNEL_TIMER | port`) when an op the responder
+/// answers (data, an atomic's acknowledgement, or an ACK a WRITE asked
+/// for) goes outstanding and cancels it when the last one retires, so an
+/// idle or healthy channel schedules no periodic tick events at all. The
+/// deadline runs from the oldest answered op: a WRITE that asked for no
+/// ACK waits, without a deadline, for the answer to an op behind it. The
+/// owning program only has to route the token from its `on_timer` back
+/// into [`ReliableChannel::on_timer_fired`].
 #[derive(Debug)]
 pub struct ReliableChannel {
     inner: RdmaChannel,
@@ -528,9 +541,10 @@ impl ReliableChannel {
         self.outstanding.len()
     }
 
-    /// The absolute time the head-of-line op times out.
+    /// The absolute time the oldest answered op times out; `None` while
+    /// no op in flight is one the responder answers.
     fn deadline(&self) -> Option<Time> {
-        let head = self.outstanding.front()?;
+        let head = self.outstanding.iter().find(|o| o.op.is_answered())?;
         let shift = if self.config.reliable {
             self.backoff_level.min(MAX_BACKOFF_LEVEL)
         } else {
@@ -539,20 +553,19 @@ impl ReliableChannel {
         Some(head.sent_at + TimeDelta::from_picos(self.config.rto.picos() << shift))
     }
 
-    /// Reconcile the armed timer with the channel state: arm when ops go
-    /// outstanding, cancel when the last one retires. A deadline that moved
-    /// *later* (head retired, successor is younger) is left alone — the
-    /// timer fires early once and re-arms for the exact remainder, which is
-    /// cheaper than re-arming on every ACK.
+    /// Reconcile the armed timer with the channel state: arm when an
+    /// answered op goes outstanding, cancel when the last one retires. A
+    /// deadline that moved *later* (head retired, successor is younger) is
+    /// left alone — the timer fires early once and re-arms for the exact
+    /// remainder, which is cheaper than re-arming on every ACK.
     fn maintain_timer(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>) {
-        let want = !self.failed && !self.outstanding.is_empty();
-        match (want, self.timer) {
-            (false, Some(h)) => {
+        let deadline = if self.failed { None } else { self.deadline() };
+        match (deadline, self.timer) {
+            (None, Some(h)) => {
                 ctx.cancel_timer(h);
                 self.timer = None;
             }
-            (true, None) => {
-                let deadline = self.deadline().expect("op outstanding");
+            (Some(deadline), None) => {
                 let delay = deadline.saturating_since(ctx.now());
                 self.timer = Some(ctx.schedule_cancellable(delay, self.timer_token));
             }
@@ -570,7 +583,7 @@ impl ReliableChannel {
 
     /// Every op held for the caller, in submit order: in flight, then
     /// queued behind the window.
-    pub fn ops(&self) -> impl Iterator<Item = (u64, &Op)> {
+    pub fn ops(&self) -> impl DoubleEndedIterator<Item = (u64, &Op)> {
         let in_flight = self.outstanding.iter().map(|o| (o.cookie, &o.op));
         in_flight.chain(self.queue.iter().map(|(cookie, op)| (*cookie, op)))
     }
@@ -802,9 +815,10 @@ impl ReliableChannel {
 
     /// The channel's retransmission deadline fired: the owning program
     /// routes its `on_timer` callback for [`ReliableChannel::timer_token`]
-    /// here. If the head op moved on since the timer was armed, this
-    /// re-arms for the exact remaining time; otherwise it runs the timeout
-    /// action (go-back-N replay with backoff, or best-effort age-out).
+    /// here. If the oldest answered op moved on since the timer was armed,
+    /// this re-arms for the exact remaining time; otherwise it runs the
+    /// timeout action (go-back-N replay with backoff, or best-effort
+    /// age-out).
     pub fn on_timer_fired(
         &mut self,
         ctx: &mut SwitchCtx<'_, '_, '_>,
@@ -839,13 +853,19 @@ impl ReliableChannel {
                 .max(self.backoff_level.min(MAX_BACKOFF_LEVEL));
             self.retransmit_all(ctx);
         } else {
-            // Best effort: age out everything past the base RTO.
+            // Best effort: age out every answered op past the base RTO, and
+            // the unanswered WRITEs sent before the last of them.
             let rto = self.config.rto;
-            let aged = self
-                .outstanding
-                .iter()
-                .take_while(|op| now.saturating_since(op.sent_at) >= rto)
-                .count();
+            let mut aged = 0;
+            for (i, sent) in self.outstanding.iter().enumerate() {
+                if !sent.op.is_answered() {
+                    continue;
+                }
+                if now.saturating_since(sent.sent_at) < rto {
+                    break;
+                }
+                aged = i + 1;
+            }
             self.stats.aged_out += aged as u64;
             events.extend(self.outstanding.drain(..aged).map(Outstanding::abandon));
             self.pump_queue(ctx);
@@ -1257,6 +1277,152 @@ pub(crate) mod tests {
         assert_eq!(sent[0].payload, *b"thirteen-byte");
         let vas = [0x1040u64, 0x1080].map(u64::to_be_bytes).concat();
         assert_eq!(gather.payload, vas);
+    }
+
+    /// Owns one channel behind a server that never answers; program timer
+    /// `t` submits `script[t]`, each op under its cookie.
+    struct Scripted {
+        channel: ReliableChannel,
+        script: Vec<Vec<(u64, Op)>>,
+        events: Vec<ChannelEvent>,
+    }
+
+    impl extmem_switch::PipelineProgram for Scripted {
+        fn ingress(&mut self, _: &mut SwitchCtx<'_, '_, '_>, _: PortId, _: Packet) {}
+
+        fn on_timer(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, token: u64) {
+            if token == self.channel.timer_token() {
+                return self.channel.on_timer_fired(ctx, &mut self.events);
+            }
+            for (cookie, op) in self.script[token as usize].clone() {
+                assert!(self.channel.submit(ctx, op, cookie));
+            }
+        }
+    }
+
+    /// A WRITE that asks for no ACK, under `cookie`.
+    fn unacked(cookie: u64) -> (u64, Op) {
+        let body = WriteBody::inline(&[cookie as u8; 8]);
+        let va = 0x1000 + 8 * cookie;
+        let write = Op::Write {
+            va,
+            body,
+            ack_req: false,
+        };
+        (cookie, write)
+    }
+
+    /// A READ, under `cookie`.
+    fn read(cookie: u64) -> (u64, Op) {
+        (cookie, Op::Read { va: 0x1000, len: 8 })
+    }
+
+    /// A switch running `script` over a channel under [`impatient`]
+    /// timing (RTO 10 us), reliable or not, behind a [`Blackhole`].
+    fn scripted(
+        reliable: bool,
+        script: Vec<Vec<(u64, Op)>>,
+    ) -> (
+        extmem_sim::Simulator,
+        extmem_types::NodeId,
+        extmem_types::NodeId,
+    ) {
+        use extmem_rnic::requester::RequesterQp;
+        use extmem_types::QpNum;
+        let channel = RdmaChannel {
+            qp: RequesterQp::new(local(), peer(), QpNum(0x100)),
+            rkey: Rkey(7),
+            base_va: 0x1000,
+            region_len: 1 << 16,
+            server_port: PortId(0),
+        };
+        let config = ReliableConfig {
+            reliable,
+            ..impatient()
+        };
+        let program = Scripted {
+            channel: ReliableChannel::new(channel, config),
+            script,
+            events: Vec::new(),
+        };
+        behind_blackhole(program, |_, _| {})
+    }
+
+    /// The cookies of the ops a [`Scripted`] program saw fail, in order.
+    fn failed(events: &[ChannelEvent]) -> Vec<u64> {
+        let cookie = |ev: &ChannelEvent| match ev {
+            ChannelEvent::OpFailed { cookie, .. } => *cookie,
+            other => panic!("unexpected {other:?}"),
+        };
+        events.iter().map(cookie).collect()
+    }
+
+    /// WRITEs that asked for no ACK have no deadline of their own: a
+    /// channel holding only them arms no timer, retransmits nothing and,
+    /// best-effort, abandons nothing, however long the server stays
+    /// silent. The READ behind them arms the deadline, and its timeout
+    /// covers them: reliable, the go-back-N volley re-sends all four;
+    /// best-effort, all four age out together, in submit order.
+    #[test]
+    fn writes_that_ask_no_ack_wait_for_the_op_behind_them() {
+        use extmem_switch::switch::program_token;
+        use extmem_switch::SwitchNode;
+        use extmem_types::Time;
+
+        for reliable in [true, false] {
+            let script = vec![vec![unacked(1), unacked(2), unacked(3)], vec![read(4)]];
+            let (mut sim, sw, hole) = scripted(reliable, script);
+            sim.schedule_timer(sw, TimeDelta::ZERO, program_token(0));
+            // Fifty RTOs of silence.
+            sim.run_until(Time::from_micros(500));
+            let program = sim.node::<SwitchNode>(sw).program::<Scripted>();
+            let stats = program.channel.stats();
+            assert!(program.channel.timer.is_none(), "reliable {reliable}");
+            assert_eq!(program.channel.outstanding_len(), 3);
+            assert!(program.events.is_empty(), "{:?}", program.events);
+            assert_eq!((stats.timeouts, stats.aged_out), (0, 0), "{stats:?}");
+            assert_eq!(sim.node::<Blackhole>(hole).frames.len(), 3);
+
+            sim.schedule_timer(sw, TimeDelta::ZERO, program_token(1));
+            // One RTO after the READ, and a little.
+            sim.run_until(Time::from_micros(515));
+            let program = sim.node::<SwitchNode>(sw).program::<Scripted>();
+            let stats = program.channel.stats();
+            let frames = sim.node::<Blackhole>(hole).frames.len();
+            if reliable {
+                assert_eq!((stats.timeouts, stats.retransmits), (1, 4), "{stats:?}");
+                assert_eq!(frames, 8, "the volley re-sends the WRITEs too");
+                assert!(program.events.is_empty());
+            } else {
+                assert_eq!((stats.aged_out, frames), (4, 4), "{stats:?}");
+                assert_eq!(failed(&program.events), [1, 2, 3, 4]);
+                assert!(program.channel.timer.is_none());
+            }
+        }
+    }
+
+    /// Best-effort, a WRITE that asked for no ACK ages out with the
+    /// answered op behind it, not with the one ahead of it: a READ at 0,
+    /// three such WRITEs right behind it and a READ at 5 us age out as
+    /// `[READ]` at 10 us, then the WRITEs and the second READ at 15 us.
+    #[test]
+    fn best_effort_ages_unacked_writes_out_with_the_op_behind_them() {
+        use extmem_switch::switch::program_token;
+        use extmem_switch::SwitchNode;
+        use extmem_types::Time;
+
+        let lead = vec![read(1), unacked(2), unacked(3), unacked(4)];
+        let (mut sim, sw, _) = scripted(false, vec![lead, vec![read(5)]]);
+        sim.schedule_timer(sw, TimeDelta::ZERO, program_token(0));
+        sim.schedule_timer(sw, TimeDelta::from_micros(5), program_token(1));
+        sim.run_until(Time::from_micros(12));
+        let program = sim.node::<SwitchNode>(sw).program::<Scripted>();
+        assert_eq!(failed(&program.events), [1]);
+        assert_eq!(program.channel.outstanding_len(), 4);
+        sim.run_until(Time::from_micros(17));
+        let program = sim.node::<SwitchNode>(sw).program::<Scripted>();
+        assert_eq!(failed(&program.events), [1, 2, 3, 4, 5]);
+        assert_eq!(program.channel.stats().aged_out, 5);
     }
 
     /// Owns one channel behind a server that never answers; submits one

@@ -25,10 +25,20 @@
 //! is the six header bytes, held inline in the op, in front of the arrival
 //! frame itself, shared by refcount ([`WriteBody::framed`]). The packet's
 //! bytes move once, into the request frame; until the WRITE is
-//! acknowledged the outstanding op is the arrival frame's owner (so a
+//! confirmed the outstanding op is the arrival frame's owner (so a
 //! retransmission encodes the same bytes), and its retirement recycles the
 //! buffer. A WRITE the pool refuses leaves the packet with its caller, for
 //! the local queue.
+//!
+//! A stored entry asks for no ACK of its own when an op behind it will
+//! confirm it: a later store's ACK or the READ that loads it retires it
+//! (the responder executes in order), and a lost one draws a NAK for the op
+//! behind it. A store asks for an ACK only when its stripe's channel holds
+//! no op the responder answers (so the store arms the deadline, and a dead
+//! server is detected as before) or when it is the sixteenth store in a row
+//! there, a quarter of the channel's window (so a detour with no READs yet
+//! keeps the window turning).
+//!
 //! Every WRITE and READ rides a per-server [`ReliableChannel`] with the
 //! ring index as its cookie: lost RDMA packets are retransmitted (§7's
 //! "retransmit the packet on the switch"), responses are attributed to
@@ -39,7 +49,7 @@
 //! ring. With no loss the anomaly counters stay zero (asserted by tests).
 
 use crate::channel::{
-    ChannelEvent, ChannelStats, Op, RdmaChannel, ReliableChannel, ReliableConfig,
+    ChannelEvent, ChannelStats, Op, RdmaChannel, ReliableChannel, ReliableConfig, MAX_WINDOW,
 };
 use crate::fib::Fib;
 use crate::pool::{assert_distinct_ports, ReplicatedPool};
@@ -53,6 +63,12 @@ use std::collections::BTreeMap;
 
 /// Per-entry header: `[idx: u32][len: u16]`.
 const ENTRY_HDR: usize = 6;
+
+/// A store asks for an ACK when it would be this many stores in a row on
+/// its stripe with no op the responder answers: a quarter of the channel's
+/// window, so a detour with no READs yet retires its WRITEs long before the
+/// window fills.
+const ACK_EVERY: usize = MAX_WINDOW / 4;
 
 /// Program timer token a scenario driver fires (via
 /// [`extmem_switch::switch::program_token`]) to begin manual loading.
@@ -187,8 +203,7 @@ impl PacketBufferProgram {
         let per_channel_entries = pools
             .iter()
             .map(|p| p.region_len() / entry_size)
-            .min()
-            .unwrap();
+            .fold(u64::MAX, u64::min);
         assert!(per_channel_entries > 0, "region smaller than one entry");
         assert_distinct_ports(&pools);
         let k = pools.len() as u64;
@@ -296,9 +311,10 @@ impl PacketBufferProgram {
         }
     }
 
-    /// Store `pkt` into the next ring slot via a reliable RDMA WRITE (with
-    /// `ack_req`, so a lost WRITE is retransmitted rather than silently
-    /// dropping the packet).
+    /// Store `pkt` into the next ring slot via a reliable RDMA WRITE. The
+    /// WRITE asks for an ACK only as `ACK_EVERY` says; either way a lost
+    /// one is retransmitted, on the NAK or timeout of the op behind it,
+    /// rather than silently dropping the packet.
     fn store_remote(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, pkt: Packet) {
         let cap = self.entry_size as usize - ENTRY_HDR;
         if pkt.len() > cap {
@@ -319,7 +335,13 @@ impl PacketBufferProgram {
         hdr[4..].copy_from_slice(&(pkt.len() as u16).to_be_bytes());
         let body = WriteBody::framed(&hdr, pkt.view(0..pkt.len()));
         let (ch, va) = self.locate(idx);
-        let ack_req = true;
+        // The stripe's newest ops: an answered one among the last
+        // `ACK_EVERY - 1` confirms this store in time.
+        let ack_req = !self.pools[ch]
+            .caller_ops()
+            .rev()
+            .take(ACK_EVERY - 1)
+            .any(|(_, op)| op.is_answered());
         if !self.pools[ch].submit(ctx, Op::Write { va, body, ack_req }, idx) {
             // Failed over between the detour decision and the write: the
             // packet takes the local queue instead.
@@ -411,9 +433,9 @@ impl PacketBufferProgram {
             return;
         }
         let mut parsed = None;
-        if data.len() >= ENTRY_HDR {
-            let tag = u32::from_be_bytes(data[0..4].try_into().unwrap());
-            let len = u16::from_be_bytes(data[4..6].try_into().unwrap()) as usize;
+        if let [t0, t1, t2, t3, l0, l1, ..] = data[..] {
+            let tag = u32::from_be_bytes([t0, t1, t2, t3]);
+            let len = u16::from_be_bytes([l0, l1]) as usize;
             if tag == idx as u32 && len > 0 && len <= data.len() - ENTRY_HDR {
                 // Zero-copy: the loaded packet is a window into the READ
                 // response's (shared) buffer.
@@ -530,6 +552,7 @@ mod tests {
     use extmem_switch::switch::program_token;
     use extmem_switch::{SwitchConfig, SwitchNode};
     use extmem_types::{ByteSize, FiveTuple, NodeId, Rate, Time};
+    use extmem_wire::bth::Opcode;
     use extmem_wire::payload::{build_data_packet, parse_data_packet};
     use extmem_wire::MacAddr;
 
@@ -610,12 +633,44 @@ mod tests {
         }
     }
 
+    /// A wire between the switch (port 0) and a memory server (port 1)
+    /// that eats one frame: the first WRITE under PSN `psn` that asked for
+    /// no ACK.
+    struct EatOnce {
+        psn: u32,
+        eaten: bool,
+        tx: [TxQueue; 2],
+    }
+
+    impl Node for EatOnce {
+        fn on_packet(&mut self, ctx: &mut NodeCtx<'_>, port: PortId, packet: Packet) {
+            if port == PortId(0) && !self.eaten {
+                if let Ok(Some(req)) = RocePacket::parse(&packet) {
+                    let bth = req.bth;
+                    if bth.opcode == Opcode::WriteOnly && bth.psn == self.psn && !bth.ack_req {
+                        self.eaten = true;
+                        return;
+                    }
+                }
+            }
+            self.tx[1 - port.0 as usize].send(ctx, packet);
+        }
+        fn on_tx_done(&mut self, ctx: &mut NodeCtx<'_>, port: PortId) {
+            self.tx[port.0 as usize].on_tx_done(ctx);
+        }
+        fn name(&self) -> &str {
+            "eat-once"
+        }
+    }
+
     struct Rig {
         sim: Simulator,
         source: NodeId,
         sink: NodeId,
         switch: NodeId,
         memsrvs: Vec<NodeId>,
+        /// The [`EatOnce`] in front of each memory server, if any.
+        wires: Vec<NodeId>,
     }
 
     /// source —40G— [p0 SWITCH p1] —sink link— sink, memory servers on
@@ -631,6 +686,35 @@ mod tests {
         n_servers: usize,
         server_drop: f64,
         seed: u64,
+    ) -> Rig {
+        rig_through(
+            mode,
+            n,
+            size,
+            gap_ns,
+            region,
+            sink_gbps,
+            n_servers,
+            server_drop,
+            seed,
+            None,
+        )
+    }
+
+    /// [`rig_full`], with an [`EatOnce`] for `eat` (a PSN) on every
+    /// server link when it is `Some`.
+    #[allow(clippy::too_many_arguments)]
+    fn rig_through(
+        mode: Mode,
+        n: u32,
+        size: usize,
+        gap_ns: u64,
+        region: ByteSize,
+        sink_gbps: u64,
+        n_servers: usize,
+        server_drop: f64,
+        seed: u64,
+        eat: Option<u32>,
     ) -> Rig {
         let switch_ep = extmem_wire::roce::RoceEndpoint {
             mac: MacAddr::local(100),
@@ -698,12 +782,26 @@ mod tests {
             PortId(0),
             LinkSpec::new(Rate::from_gbps(sink_gbps), TimeDelta::from_nanos(300)),
         );
-        let mut memsrvs = Vec::new();
+        let (mut memsrvs, mut wires) = (Vec::new(), Vec::new());
         for (i, nic) in nics.into_iter().enumerate() {
             let id = b.add_node(Box::new(nic));
             let mut spec = LinkSpec::testbed_40g();
             spec.faults = extmem_sim::FaultSpec::drop(server_drop);
-            b.connect(switch, PortId(2 + i as u16), id, PortId(0), spec);
+            let (to, to_port) = match eat {
+                None => (id, PortId(0)),
+                Some(psn) => {
+                    let wire = b.add_node(Box::new(EatOnce {
+                        psn,
+                        eaten: false,
+                        tx: [TxQueue::new(PortId(0)), TxQueue::new(PortId(1))],
+                    }));
+                    let testbed = LinkSpec::testbed_40g();
+                    b.connect(wire, PortId(1), id, PortId(0), testbed);
+                    wires.push(wire);
+                    (wire, PortId(0))
+                }
+            };
+            b.connect(switch, PortId(2 + i as u16), to, to_port, spec);
             memsrvs.push(id);
         }
         let mut sim = b.build();
@@ -714,6 +812,7 @@ mod tests {
             sink,
             switch,
             memsrvs,
+            wires,
         }
     }
 
@@ -761,6 +860,67 @@ mod tests {
             (0..50).collect::<Vec<_>>(),
             "FIFO order violated"
         );
+    }
+
+    /// A burst stored faster than the round trip and loaded only after more
+    /// than an RTO of silence: the first store asks for an ACK (nothing
+    /// answered is in flight), then one in [`ACK_EVERY`] in a row, and the
+    /// tail behind the last ACK waits, with no deadline, for the READs that
+    /// load it. No timeout, no retransmission, FIFO order.
+    #[test]
+    fn a_burst_asks_one_ack_per_sixteen_stores_and_never_times_out() {
+        const N: u32 = 200;
+        let mut r = rig(Mode::Manual, N, 128, 20, ByteSize::from_mb(1));
+        // The last store goes out by ~10 us; the RTO is 50 us.
+        r.sim.run_until(Time::from_micros(100));
+        let s = prog_stats(&r);
+        assert_eq!(s.stored, N as u64);
+        let most = (N as u64).div_ceil(ACK_EVERY as u64) + 1;
+        assert!(s.channel.acks <= most, "{s:?}: at most {most} ACKs");
+        r.sim.schedule_timer(
+            r.switch,
+            TimeDelta::ZERO,
+            program_token(TOKEN_START_LOADING),
+        );
+        r.sim.run_to_quiescence();
+        let s = prog_stats(&r);
+        assert_eq!((s.loaded, s.lost_entries), (N as u64, 0), "{s:?}");
+        let c = s.channel;
+        assert_eq!((c.timeouts, c.retransmits, c.naks), (0, 0, 0), "{c:?}");
+        let sink = r.sim.node::<Sink>(r.sink);
+        assert_eq!(sink.seqs, (0..N).collect::<Vec<_>>(), "FIFO order");
+    }
+
+    /// One stored WRITE that asked for no ACK is lost: mid-burst, where the
+    /// store behind it draws the NAK, and last, where the first READ does.
+    /// The go-back-N replay restores it without a timeout, and every packet
+    /// comes back once, in order.
+    #[test]
+    fn one_lost_unacked_write_is_recovered_in_order() {
+        const N: u32 = 40;
+        for psn in [5, N - 1] {
+            let (mode, size, gap, region) = (Mode::Manual, 128, 20, ByteSize::from_mb(1));
+            let mut r = rig_through(mode, N, size, gap, region, 40, 1, 0.0, 7, Some(psn));
+            r.sim.run_until(Time::from_micros(100));
+            r.sim.schedule_timer(
+                r.switch,
+                TimeDelta::ZERO,
+                program_token(TOKEN_START_LOADING),
+            );
+            r.sim.run_to_quiescence();
+            let wire = r.sim.node::<EatOnce>(r.wires[0]);
+            assert!(wire.eaten, "PSN {psn} was not an unacknowledged WRITE");
+            let s = prog_stats(&r);
+            assert_eq!(
+                (s.stored, s.loaded, s.lost_entries),
+                (N as u64, N as u64, 0)
+            );
+            let c = s.channel;
+            assert_eq!((c.timeouts, c.naks), (0, 1), "PSN {psn}: {c:?}");
+            assert!(c.retransmits > 0, "PSN {psn}: {c:?}");
+            let sink = r.sim.node::<Sink>(r.sink);
+            assert_eq!(sink.seqs, (0..N).collect::<Vec<_>>(), "PSN {psn}");
+        }
     }
 
     #[test]

@@ -515,7 +515,7 @@ impl ReplicatedPool {
     /// The caller's ops the primary's channel holds, in submit order (in
     /// flight, then queued behind its window). The pool keeps no list of
     /// its own: this is the channel's, minus the pool-internal ops.
-    pub fn caller_ops(&self) -> impl Iterator<Item = (u64, &Op)> {
+    pub fn caller_ops(&self) -> impl DoubleEndedIterator<Item = (u64, &Op)> {
         let ops = self.servers[self.primary].channel.ops();
         ops.filter(|(cookie, _)| cookie & INTERNAL_BIT == 0)
     }

@@ -185,12 +185,15 @@ fn packet_buffer_store_and_fetch_allocates_once_per_payload() {
         stats.stored > FRAMES * 9 / 10 && stats.loaded == stats.stored,
         "the run must exercise the detour: {stats:?}"
     );
-    // Data frame, WRITE request, its ACK, READ request, READ response.
-    // (Fifteen calls per frame before, with every detoured frame's buffer
-    // leaving the pool; seven while the entry was copied out of the region
-    // on its way into the response; six while the arrival frame was copied
-    // into a ring entry of its own before being copied into the WRITE.)
-    check("packet buffer", per_frame, 5.0);
+    // Data frame, WRITE request, READ request, READ response; a store asks
+    // for an ACK only once in sixteen in a row, or when nothing answered is
+    // in flight, and that share rides in the slack. (Fifteen calls per
+    // frame before, with every detoured frame's buffer leaving the pool;
+    // seven while the entry was copied out of the region on its way into
+    // the response; six while the arrival frame was copied into a ring
+    // entry of its own before being copied into the WRITE; five while every
+    // WRITE drew an ACK of its own.)
+    check("packet buffer", per_frame, 4.0);
 }
 
 fn check_replicated_fetch_and_add(what: &str, t: &Built, per_frame: f64) {

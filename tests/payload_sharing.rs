@@ -329,16 +329,22 @@ fn cold_digests_per_frame_are_exact() {
     }
 
     // A frame that goes straight out is hashed once; a detoured one adds
-    // the WRITE, its ACK, the READ, the response, and the frame lifted back
-    // out of the response (new bytes as far as the cache can tell).
+    // the WRITE, the READ, the response, and the frame lifted back out of
+    // the response (new bytes as far as the cache can tell); and each ACK a
+    // store asked for is one more.
     let (digests, t) = run(rigs::packet_buffer(FRAMES));
     let sw: &SwitchNode = t.sim.node(t.switch);
-    let stored = sw.program::<PacketBufferProgram>().stats().stored;
+    let stats = sw.program::<PacketBufferProgram>().stats();
+    let (stored, acks) = (stats.stored, stats.channel.acks);
     assert!(stored > FRAMES * 9 / 10, "the run must exercise the detour");
+    assert!(
+        acks < stored / 2,
+        "a store asks for an ACK only when it must"
+    );
     assert_eq!(
         digests,
-        FRAMES + 5 * stored,
-        "packet buffer, {stored} stored"
+        FRAMES + 4 * stored + acks,
+        "packet buffer, {stored} stored, {acks} ACKs"
     );
 
     // The frame (forwarded untouched), the Fetch-and-Add, its atomic ACK;
