@@ -6,7 +6,7 @@ use crate::rigs::{
     cuckoo_storm, drain_10g, faa_store, failover_store, flows, lossy_detour, one_flow, paced,
     program, reliable_faa, sink, testbed, testbed_with_server,
 };
-use crate::table::{f2, f3, human, table};
+use crate::table::{f1, f2, f3, human, table};
 use extmem_apps::baremetal::{run_gateway, GatewayConfig};
 use extmem_apps::kvcache::run_kv;
 use extmem_apps::scenario::{host_ip, host_mac};
@@ -774,13 +774,16 @@ pub fn a9_loss_sweep(out: &mut String) {
 ///
 /// The paper's primitives each talk to *one* memory server; a crash there
 /// is terminal. The replicated pool layer turns the state store's server
-/// into a pool: FaA deltas are accumulated and replayed onto the mirror,
-/// and a health detector drives failover, probing, and rejoin
-/// reconciliation. This row prices that machinery: what replication costs
-/// when nothing fails, and what a crash costs when it does — in failovers,
-/// probe/reseed traffic, and replayed deltas — while exactness (settled
-/// counters equal to ground truth on every live replica) holds at every
-/// point.
+/// into a pool: each counted word is owed to the mirror — as the primary's
+/// value when the count's atomic acknowledgement carried it, else as the
+/// add — and replayed onto it, and a health detector drives failover,
+/// probing, and rejoin reconciliation. This row prices that machinery:
+/// what replication costs when nothing fails (`mirror B/word`, the bytes on
+/// the mirror's link per replayed word, is checked below one Fetch-and-Add
+/// round trip, 86 + 70 B), and what a crash costs when it does — in
+/// failovers, probe/reseed traffic, and replayed words — while exactness
+/// (settled counters equal to ground truth on every live replica) holds at
+/// every point.
 pub fn a10_failover(out: &mut String) {
     const COUNT: u64 = 2_000;
     out.push_str("A10: replicated state store (primary + mirror) under server failure\n\n");
@@ -807,6 +810,19 @@ pub fn a10_failover(out: &mut String) {
             let exact =
                 prog.is_quiescent() && live.iter().sum::<u64>() == truth && delivered == COUNT;
             let p = &stats.pool;
+            // Without a fault, the mirror's link (links follow the
+            // generator, the sink and the primary) carries replays only.
+            let per_word = crash.is_none().then(|| {
+                let bytes: u64 = (0..2)
+                    .map(|end| t.sim.link_stats(t.links[3], end).delivered_bytes)
+                    .sum();
+                let per_word = bytes as f64 / p.delta_replayed as f64;
+                assert!(
+                    per_word < 156.0,
+                    "{per_word} B per word: no cheaper than a FaA"
+                );
+                per_word
+            });
             vec![
                 name.to_string(),
                 stats.channel.ops_issued.to_string(),
@@ -814,6 +830,7 @@ pub fn a10_failover(out: &mut String) {
                 p.failovers.to_string(),
                 p.probes.to_string(),
                 format!("{}+{}", p.delta_replayed, p.reseed_ops),
+                per_word.map_or("-".into(), f1),
                 p.rejoins.to_string(),
                 format!("{delivered}/{COUNT}"),
                 yes_no(exact),
@@ -831,6 +848,7 @@ pub fn a10_failover(out: &mut String) {
             "failovers",
             "probes",
             "replay+reseed",
+            "mirror B/word",
             "rejoins",
             "delivered",
             "exact",
@@ -839,14 +857,17 @@ pub fn a10_failover(out: &mut String) {
         &rows,
     );
     out.push_str(
-        "\nexpectation: an atomics primitive replicates by delta replay, not WRITE\n\
-         fan-out (mirror wr stays 0), so the no-fault overhead is only the\n\
-         background anti-entropy FaAs. A mirror crash costs nothing on the data\n\
-         path; a primary crash costs one failover plus replayed deltas, and the\n\
-         survivor still settles exactly. Without a restart the pool keeps probing\n\
-         until its probe budget runs out; with one, a probe detects the returning\n\
-         server and reseed copies rebuild it bit-for-bit — failure is bandwidth\n\
-         and latency, never lost or diverged state.\n",
+        "\nexpectation: an atomics primitive replicates by replaying each counted\n\
+         word, not by WRITE fan-out of its ops (mirror wr stays 0), so the\n\
+         no-fault overhead is only the background anti-entropy: one 8-byte WRITE\n\
+         of the primary's value per dirty word and one ACK per flush, below the\n\
+         156 B of a replayed Fetch-and-Add and its atomic ACK. A mirror crash\n\
+         costs nothing on the data path; a primary crash costs one failover plus\n\
+         replayed words, and the survivor still settles exactly. Without a\n\
+         restart the pool keeps probing until its probe budget runs out; with\n\
+         one, a probe detects the returning server and reseed copies rebuild it\n\
+         bit-for-bit — failure is bandwidth and latency, never lost or diverged\n\
+         state.\n",
     );
 }
 

@@ -326,8 +326,13 @@ impl Op {
 /// What the responder answered a finished [`Op`] with.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Reply {
-    /// A WRITE or Fetch-and-Add was acknowledged (explicitly or implicitly).
+    /// A WRITE was acknowledged, explicitly or by the answer to an op behind
+    /// it; or a Fetch-and-Add was, without its own atomic acknowledgement
+    /// (a later response or a duplicate's plain ACK retired it).
     Ack,
+    /// A Fetch-and-Add's own atomic acknowledgement: the word's value just
+    /// before the add.
+    Fetched(u64),
     /// A READ's or a remote op's response bytes (a window of the response
     /// frame, not a copy): a gather's words, a hash probe's matched slot,
     /// nothing for a probe's miss.
@@ -336,10 +341,10 @@ pub enum Reply {
 
 impl Reply {
     /// The bytes that came back, whichever kind of op fetched them; `None`
-    /// for a bare acknowledgement.
+    /// for an acknowledgement.
     pub fn into_data(self) -> Option<Payload> {
         match self {
-            Reply::Ack => None,
+            Reply::Ack | Reply::Fetched(_) => None,
             Reply::Data(data) => Some(data),
         }
     }
@@ -449,8 +454,9 @@ pub struct ReliableChannel {
     failed: bool,
     /// Program-timer token the channel arms its deadline under.
     timer_token: u64,
-    /// The armed retransmission deadline, if any.
-    timer: Option<TimerHandle>,
+    /// The armed retransmission timer, if any, and the deadline it was
+    /// armed for.
+    timer: Option<(TimerHandle, Time)>,
     stats: ChannelStats,
 }
 
@@ -554,23 +560,34 @@ impl ReliableChannel {
     }
 
     /// Reconcile the armed timer with the channel state: arm when an
-    /// answered op goes outstanding, cancel when the last one retires. A
-    /// deadline that moved *later* (head retired, successor is younger) is
-    /// left alone — the timer fires early once and re-arms for the exact
-    /// remainder, which is cheaper than re-arming on every ACK.
+    /// answered op goes outstanding, cancel when the last one retires, and
+    /// pull the timer in when the deadline moved *earlier* (progress reset
+    /// the backoff). A deadline that moved *later* (head retired, successor
+    /// is younger) is left alone — the timer fires early once and re-arms
+    /// for the exact remainder, which is cheaper than re-arming on every
+    /// ACK.
     fn maintain_timer(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>) {
         let deadline = if self.failed { None } else { self.deadline() };
         match (deadline, self.timer) {
-            (None, Some(h)) => {
+            (None, Some((h, _))) => {
                 ctx.cancel_timer(h);
                 self.timer = None;
             }
-            (Some(deadline), None) => {
-                let delay = deadline.saturating_since(ctx.now());
-                self.timer = Some(ctx.schedule_cancellable(delay, self.timer_token));
+            (Some(deadline), Some((h, armed))) if deadline < armed => {
+                ctx.cancel_timer(h);
+                self.arm(ctx, deadline);
             }
+            (Some(deadline), None) => self.arm(ctx, deadline),
             _ => {}
         }
+    }
+
+    /// Arm the retransmission timer for `deadline` (at once, if it has
+    /// passed).
+    fn arm(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, deadline: Time) {
+        let delay = deadline.saturating_since(ctx.now());
+        let handle = ctx.schedule_cancellable(delay, self.timer_token);
+        self.timer = Some((handle, deadline));
     }
 
     fn send(&self, ctx: &mut SwitchCtx<'_, '_, '_>, frame: Packet) {
@@ -650,8 +667,11 @@ impl ReliableChannel {
                 true
             }
             Opcode::AtomicAcknowledge => {
+                let RoceExt::AtomicAck(_, ack) = roce.ext else {
+                    return false;
+                };
                 self.stats.acks += 1;
-                self.on_response(psn, Reply::Ack, events);
+                self.on_response(psn, Reply::Fetched(ack.original_value), events);
                 true
             }
             Opcode::Acknowledge => {
@@ -719,7 +739,7 @@ impl ReliableChannel {
                 && matches!(
                     (&o.op, &reply),
                     (Op::Read { .. } | Op::Remote(_), Reply::Data(_))
-                        | (Op::FetchAdd { .. }, Reply::Ack)
+                        | (Op::FetchAdd { .. }, Reply::Fetched(_))
                 )
         });
         let Some(pos) = pos else {
@@ -835,8 +855,7 @@ impl ReliableChannel {
         if now < deadline {
             // The old head retired and its successor is younger: fire was
             // premature, re-arm for the real deadline.
-            let delay = deadline.saturating_since(now);
-            self.timer = Some(ctx.schedule_cancellable(delay, self.timer_token));
+            self.arm(ctx, deadline);
             return;
         }
         if self.config.reliable {
@@ -881,7 +900,7 @@ impl ReliableChannel {
         events.extend(queued.map(|(cookie, op)| ChannelEvent::OpFailed { cookie, op }));
         self.failed = true;
         self.stats.failed_over = true;
-        if let Some(h) = self.timer.take() {
+        if let Some((h, _)) = self.timer.take() {
             ctx.cancel_timer(h);
         }
         events.push(ChannelEvent::Failed);
@@ -1061,7 +1080,7 @@ pub(crate) mod tests {
             .collect();
         let want = [
             (0, Reply::Data(vec![7; 8].into())),
-            (1, Reply::Ack),
+            (1, Reply::Fetched(41)),
             (2, Reply::Data(vec![5; 32].into())),
         ];
         assert_eq!(replies, want);
@@ -1287,12 +1306,31 @@ pub(crate) mod tests {
         events: Vec<ChannelEvent>,
     }
 
+    /// The program token on which a [`Scripted`] program hands its channel
+    /// a NAK expecting PSN 0, as if the server had just come back.
+    const NAK_PSN_0: u64 = 1 << 20;
+
     impl extmem_switch::PipelineProgram for Scripted {
         fn ingress(&mut self, _: &mut SwitchCtx<'_, '_, '_>, _: PortId, _: Packet) {}
 
         fn on_timer(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, token: u64) {
+            use extmem_wire::aeth::{Aeth, NakCode};
+            use extmem_wire::bth::Bth;
             if token == self.channel.timer_token() {
                 return self.channel.on_timer_fired(ctx, &mut self.events);
+            }
+            if token == NAK_PSN_0 {
+                let qp = &self.channel.inner().qp;
+                let nak = RocePacket::new(
+                    qp.peer,
+                    qp.local,
+                    qp.udp_src_port,
+                    Bth::new(Opcode::Acknowledge, SWITCH_QPN, 0),
+                    RoceExt::Aeth(Aeth::nak(NakCode::PsnSequenceError, 0)),
+                    vec![],
+                );
+                assert!(self.channel.on_roce(ctx, &nak, &mut self.events));
+                return;
             }
             for (cookie, op) in self.script[token as usize].clone() {
                 assert!(self.channel.submit(ctx, op, cookie));
@@ -1423,6 +1461,37 @@ pub(crate) mod tests {
         let program = sim.node::<SwitchNode>(sw).program::<Scripted>();
         assert_eq!(failed(&program.events), [1, 2, 3, 4, 5]);
         assert_eq!(program.channel.stats().aged_out, 5);
+    }
+
+    /// A NAK is progress: it resets the backoff, and the timer armed at
+    /// the backed-off deadline is pulled in. A READ at 0 times out at 10 us
+    /// and, backed off, at 30 us, which arms the next round for 70 us; a
+    /// NAK at 35 us replays it, and the next timeout comes one RTO later,
+    /// at 45 us, not at 70 us.
+    #[test]
+    fn progress_pulls_a_backed_off_timer_in() {
+        use extmem_switch::switch::program_token;
+        use extmem_switch::SwitchNode;
+        use extmem_types::Time;
+
+        let (mut sim, sw, hole) = scripted(true, vec![vec![read(1)]]);
+        sim.schedule_timer(sw, TimeDelta::ZERO, program_token(0));
+        sim.schedule_timer(sw, TimeDelta::from_micros(35), program_token(NAK_PSN_0));
+        sim.run_until(Time::from_micros(44));
+        let program = sim.node::<SwitchNode>(sw).program::<Scripted>();
+        assert_eq!(program.channel.stats().timeouts, 2);
+        let armed = program.channel.timer.map(|(_, at)| at);
+        assert_eq!(armed, Some(Time::from_micros(45)));
+
+        sim.run_until(Time::from_micros(46));
+        let program = sim.node::<SwitchNode>(sw).program::<Scripted>();
+        let stats = program.channel.stats();
+        assert_eq!((stats.timeouts, stats.naks), (3, 1), "{stats:?}");
+        // Sent at 0, 10 and 30 us, replayed for the NAK at 35 us and for
+        // the timeout at 45 us.
+        assert_eq!(sim.node::<Blackhole>(hole).frames.len(), 5);
+        let armed = program.channel.timer.map(|(_, at)| at);
+        assert_eq!(armed, Some(Time::from_micros(65)), "45 us + 2 RTOs");
     }
 
     /// Owns one channel behind a server that never answers; submits one

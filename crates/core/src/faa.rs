@@ -85,7 +85,7 @@ pub struct FaaStats {
 
 /// The Fetch-and-Add issuing engine. One per pool (usually one server;
 /// a replicated engine's mirrors catch up through [`ReplicatedPool`]'s
-/// delta replay).
+/// replay of the counted words).
 #[derive(Debug)]
 pub struct FaaEngine {
     pool: ReplicatedPool,

@@ -848,9 +848,11 @@ impl LookupTableProgram {
         let mut events = std::mem::take(&mut self.front.events);
         for ev in events.drain(..) {
             match ev {
-                // A slot WRITE's acknowledgement: nothing waits on it.
+                // A slot WRITE's acknowledgement (the table sends no
+                // atomics): nothing waits on it.
                 ChannelEvent::Done {
-                    reply: Reply::Ack, ..
+                    reply: Reply::Ack | Reply::Fetched(_),
+                    ..
                 } => {}
                 ChannelEvent::Done {
                     cookie,

@@ -9,20 +9,26 @@
 //! caller Fetch-and-Adds and nothing else (any other caller op panics).
 //! The pool:
 //!
-//! * sends each Fetch-and-Add to the primary only, accumulating its delta
-//!   per mirror once it completes so a mirror's counters are reconciled by
-//!   replay (an anti-entropy flush, [`ReplicatedPool::sync_mirrors`],
-//!   keeps live mirrors converged between failovers);
+//! * sends each Fetch-and-Add to the primary only and, once it completes,
+//!   owes each mirror the word: the primary's new value (the atomic
+//!   acknowledgement's original value plus the add) when the op's own
+//!   acknowledgement completed it, else the add. One entry per word per
+//!   mirror; a value supersedes whatever was owed before it, an add lands
+//!   on it. An anti-entropy flush, [`ReplicatedPool::sync_mirrors`], sends
+//!   a value as an 8-byte WRITE and an add as a Fetch-and-Add, keeping live
+//!   mirrors converged between failovers. A duplicate WRITE is not
+//!   re-executed and a channel executes in order, so a mirror's word never
+//!   goes back to an older value;
 //! * watches each server with a [`HealthDetector`] (`Healthy → Suspect →
 //!   Down → Rejoining`) driven by the channel's timeout/ACK counters, and
 //!   aborts the primary's channel the moment the detector trips — failover
 //!   latency is the detector threshold, not the channel retry cap;
-//! * on primary failure promotes the best mirror, replays its outstanding
-//!   delta, and reissues the caller ops that were in flight (same cookies,
+//! * on primary failure promotes the best mirror, replays what it is owed,
+//!   and reissues the caller ops that were in flight (same cookies,
 //!   so the owning engine never notices) — the very [`Op`] values the
 //!   dying channel hands back in its `OpFailed` events, in its order. The
-//!   pool keeps no list of caller ops: a Fetch-and-Add's delta is read off
-//!   the event that completes it;
+//!   pool keeps no list of caller ops: what a Fetch-and-Add owes the
+//!   mirrors is read off the event that completes it;
 //! * probes Down servers with periodic 8-byte READs over a channel re-armed
 //!   at a fresh PSN ([`ReliableChannel::recover_at`]); an answered probe
 //!   moves the server to `Rejoining`, and the pool promotes it itself:
@@ -34,16 +40,23 @@
 //! passthrough with no tracking overhead, so the single-server primitives
 //! pay nothing and may submit any op.
 
-use crate::channel::{ChannelEvent, Op, ReliableChannel, Reply};
+use crate::channel::{ChannelEvent, Op, ReliableChannel, Reply, MAX_WINDOW};
+use extmem_rnic::WriteBody;
 use extmem_switch::SwitchCtx;
 use extmem_types::{IntMap, IntSet, PortId, Rkey, TimeDelta};
 use extmem_wire::bth::psn_add;
 use std::collections::BTreeSet;
 use std::fmt;
 
-/// Cookie-space split: the pool's internal ops (probes, delta replays,
-/// reseed copies) carry the top bit; caller cookies must leave it clear.
+/// Cookie-space split: the pool's internal ops (probes, replays, reseed
+/// copies) carry the top bit; caller cookies must leave it clear.
 const INTERNAL_BIT: u64 = 1 << 63;
+
+/// The longest run of value WRITEs in a replay volley that asks for no ACK:
+/// every this-many-th one asks, as does a volley's last op, so a volley
+/// longer than the channel's window keeps it turning instead of filling it
+/// with WRITEs nothing would ever confirm.
+const ACK_EVERY: usize = MAX_WINDOW / 4;
 
 /// How far `recover_at` jumps the PSN past the dead window. Far larger
 /// than any transmit window ([`crate::channel::MAX_WINDOW`]), so a straggler
@@ -59,7 +72,7 @@ pub enum Health {
     /// Missed at least one timeout round; not yet written off.
     Suspect,
     /// Past the consecutive-failure threshold (or its channel failed).
-    /// Owed deltas but sent none; probed for recovery.
+    /// Owed words but sent none; probed for recovery.
     Down,
     /// A probe answered: the server is back but its state is stale; it
     /// rejoins the mirror set once reconciliation completes.
@@ -201,19 +214,24 @@ pub struct PoolStats {
     pub probes: u64,
     /// Servers promoted back to mirror after a crash.
     pub rejoins: u64,
-    /// WRITE copies issued to mirrors: always 0, since a replicated pool
-    /// carries Fetch-and-Adds only and mirrors catch up by delta replay.
-    /// Kept because the benchmark harness (`crates/benchmark`) and A10's
-    /// "mirror wr" column read it.
+    /// Caller WRITEs fanned out to mirrors: always 0, since a replicated
+    /// pool carries Fetch-and-Adds only and mirrors catch up by replay
+    /// (counted in `delta_replayed`). Kept because the benchmark harness
+    /// (`crates/benchmark`) and A10's "mirror wr" column read it.
     pub mirror_writes: u64,
-    /// FaA deltas recorded for later mirror replay.
+    /// Completed caller Fetch-and-Adds recorded as owed to another server,
+    /// one per op per server.
     pub delta_accumulated: u64,
-    /// Delta FaAs replayed onto mirrors (anti-entropy + promotion).
+    /// Owed words replayed onto a server (anti-entropy + promotion), of
+    /// either kind: a value as an 8-byte WRITE, an add as a Fetch-and-Add.
     pub delta_replayed: u64,
     /// Reseed copy ops (READ from survivor + WRITE to rejoiner).
     pub reseed_ops: u64,
     /// In-flight caller ops transparently reissued on a new primary.
     pub reissued_ops: u64,
+    /// Internal ops answered with a reply of the wrong kind (a reseed READ
+    /// without data), handled as if they had failed.
+    pub bad_replies: u64,
 }
 
 impl PoolStats {
@@ -230,6 +248,7 @@ impl PoolStats {
         self.delta_replayed += other.delta_replayed;
         self.reseed_ops += other.reseed_ops;
         self.reissued_ops += other.reissued_ops;
+        self.bad_replies += other.bad_replies;
     }
 }
 
@@ -254,13 +273,35 @@ impl fmt::Display for PoolStats {
     }
 }
 
+/// What a server is owed at one word.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Owed {
+    /// The word's value on the primary after some Fetch-and-Add: replayed
+    /// as an 8-byte WRITE.
+    Value(u64),
+    /// Adds the server has not seen: replayed as a Fetch-and-Add.
+    Delta(u64),
+}
+
+impl Owed {
+    /// `self`, then `newer` on top of it: a value is the whole word, so it
+    /// supersedes what came before; an add lands on it.
+    fn then(self, newer: Owed) -> Owed {
+        match (self, newer) {
+            (_, Owed::Value(v)) => Owed::Value(v),
+            (Owed::Value(v), Owed::Delta(d)) => Owed::Value(v.wrapping_add(d)),
+            (Owed::Delta(a), Owed::Delta(d)) => Owed::Delta(a.wrapping_add(d)),
+        }
+    }
+}
+
 /// A pool-internal op (top cookie bit set).
 #[derive(Clone, Debug)]
 enum InternalOp {
     /// Recovery probe READ at a Down server.
     Probe { server: usize },
-    /// A FaA delta being replayed onto a mirror; re-accumulated on failure.
-    DeltaFaa { server: usize, va: u64, add: u64 },
+    /// An owed word being replayed onto a server; owed again on failure.
+    Replay { server: usize, va: u64, owed: Owed },
     /// Reseed: READ of a touched word from the current primary.
     ReseedRead { target: usize, va: u64 },
     /// Reseed: WRITE of that word into the rejoining server.
@@ -282,19 +323,31 @@ struct PoolServer {
     seen_timeouts: u64,
     seen_progress: u64,
     /// FaA updates applied to the primary but not yet to this server:
-    /// `(va, sum)` in ascending `va`, the order a flush replays them in.
+    /// `(va, owed)` in ascending `va`, the order a flush replays them in.
     /// Small (one entry per counter touched since the last flush), so a
     /// sorted vector that keeps its capacity across flushes.
-    delta: Vec<(u64, u64)>,
+    owed: Vec<(u64, Owed)>,
 }
 
 impl PoolServer {
-    /// Owe this server `add` more at `va`.
-    fn accumulate(&mut self, va: u64, add: u64) {
-        match self.delta.binary_search_by_key(&va, |&(at, _)| at) {
-            Ok(i) => self.delta[i].1 += add,
-            Err(i) => self.delta.insert(i, (va, add)),
+    /// Combine `f(entry)` into what this server is owed at `va`: `f` gets
+    /// the entry owed there, if any.
+    fn owe(&mut self, va: u64, f: impl FnOnce(Option<Owed>) -> Owed) {
+        match self.owed.binary_search_by_key(&va, |&(at, _)| at) {
+            Ok(i) => self.owed[i].1 = f(Some(self.owed[i].1)),
+            Err(i) => self.owed.insert(i, (va, f(None))),
         }
+    }
+
+    /// Owe this server `newer` at `va`, on top of what it is owed there.
+    fn owe_newer(&mut self, va: u64, newer: Owed) {
+        self.owe(va, |owed| owed.map_or(newer, |o| o.then(newer)));
+    }
+
+    /// Owe this server `older` at `va` again (its replay failed), under
+    /// what it has been owed there since.
+    fn owe_older(&mut self, va: u64, older: Owed) {
+        self.owe(va, |owed| owed.map_or(older, |o| older.then(o)));
     }
 }
 
@@ -323,7 +376,7 @@ pub struct ReplicatedPool {
     internal: IntMap<u64, InternalOp>,
     next_internal: u64,
     /// `(server, cookie)`: caller atomics already covered by that server's
-    /// in-progress reseed snapshot — their deltas must not double-apply.
+    /// in-progress reseed snapshot — they must not be owed to it again.
     delta_skip: IntSet<(usize, u64)>,
     /// Every word ever touched by a caller FaA (the reseed copy list).
     touched: BTreeSet<u64>,
@@ -399,7 +452,7 @@ impl ReplicatedPool {
                     health: HealthDetector::new(config.down_threshold),
                     seen_timeouts: 0,
                     seen_progress: 0,
-                    delta: Vec::new(),
+                    owed: Vec::new(),
                 })
                 .collect(),
             primary: 0,
@@ -502,14 +555,14 @@ impl ReplicatedPool {
         self.servers[self.primary].channel.outstanding_len()
     }
 
-    /// Whether the replicas have converged: no mirror holds an unreplayed
-    /// FaA delta and no pool-internal op (delta replay, probe, reseed
-    /// step) is in flight. Quiescence on the caller side plus this is the
-    /// "fully settled" condition replica-equality audits should wait for.
+    /// Whether the replicas have converged: no mirror is owed a word and no
+    /// pool-internal op (replay, probe, reseed step) is in flight.
+    /// Quiescence on the caller side plus this is the "fully settled"
+    /// condition replica-equality audits should wait for.
     pub fn is_synced(&self) -> bool {
         self.internal.is_empty()
             && self.reseed.is_none()
-            && self.servers.iter().all(|s| s.delta.is_empty())
+            && self.servers.iter().all(|s| s.owed.is_empty())
     }
 
     /// The caller's ops the primary's channel holds, in submit order (in
@@ -540,8 +593,8 @@ impl ReplicatedPool {
     /// through; a replicated one takes Fetch-and-Adds only and panics on
     /// anything else. The op runs on the primary, and the event that ends
     /// it — on this primary or, after a failover reissued it, the next —
-    /// carries it back under the same cookie; its delta is then owed to
-    /// the mirrors and reconciled by replay.
+    /// carries it back under the same cookie; the word is then owed to the
+    /// mirrors and reconciled by replay.
     ///
     /// Returns `false` — op dropped — once the pool has wholly degraded.
     pub fn submit(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, op: Op, cookie: u64) -> bool {
@@ -677,25 +730,31 @@ impl ReplicatedPool {
         raw: &mut Vec<ChannelEvent>,
         out: &mut Vec<ChannelEvent>,
     ) {
-        // Caller ops the dying primary handed back, in the order it did:
-        // held for the `Failed` that ends the same volley, which reissues
-        // them on a promoted mirror or passes them on.
+        // Ops the dying channel handed back, in the order it did: held
+        // for the `Failed` that ends the same volley. Internal ones are
+        // settled newest first, so a replay that failed goes under what
+        // was owed after it; caller ones are reissued on a promoted
+        // mirror or passed on.
         let mut orphans = Vec::new();
         for ev in raw.drain(..) {
             match ev {
                 ChannelEvent::Done { cookie, reply, .. } if cookie & INTERNAL_BIT != 0 => {
                     self.internal_done(ctx, cookie, reply);
                 }
-                ChannelEvent::OpFailed { cookie, .. } if cookie & INTERNAL_BIT != 0 => {
-                    self.internal_failed(cookie);
-                }
                 ChannelEvent::Done { cookie, op, reply } => {
                     if let Op::FetchAdd { va, add } = op {
+                        // The op's own acknowledgement carries the word as
+                        // it was just before the add: with the add, the
+                        // primary's value, which holds every earlier add.
+                        let owed = match reply {
+                            Reply::Fetched(old) => Owed::Value(old.wrapping_add(add)),
+                            _ => Owed::Delta(add),
+                        };
                         for j in 0..self.servers.len() {
                             if j == i || self.delta_skip.remove(&(j, cookie)) {
                                 continue;
                             }
-                            self.servers[j].accumulate(va, add);
+                            self.servers[j].owe_newer(va, owed);
                             self.stats.delta_accumulated += 1;
                         }
                     }
@@ -703,7 +762,14 @@ impl ReplicatedPool {
                 }
                 ChannelEvent::OpFailed { cookie, op } => orphans.push((cookie, op)),
                 ChannelEvent::Failed => {
-                    self.server_failed(ctx, i, std::mem::take(&mut orphans), out)
+                    let mut orphans = std::mem::take(&mut orphans);
+                    for &(cookie, _) in orphans.iter().rev() {
+                        if cookie & INTERNAL_BIT != 0 {
+                            self.internal_failed(cookie);
+                        }
+                    }
+                    orphans.retain(|(cookie, _)| cookie & INTERNAL_BIT == 0);
+                    self.server_failed(ctx, i, orphans, out)
                 }
             }
         }
@@ -715,14 +781,17 @@ impl ReplicatedPool {
             return;
         };
         match op {
-            InternalOp::DeltaFaa { .. } => {}
+            InternalOp::Replay { .. } => {}
             InternalOp::Probe { server } => {
                 self.servers[server].health.on_probe_success();
                 self.begin_rejoin(ctx, server);
             }
             InternalOp::ReseedRead { target, va } => {
                 let Reply::Data(data) = reply else {
-                    unreachable!("a READ is answered with data");
+                    // The channel completes a READ with its data only.
+                    self.stats.bad_replies += 1;
+                    self.reseed_failed(target);
+                    return;
                 };
                 let copy = Op::Write {
                     va,
@@ -755,16 +824,22 @@ impl ReplicatedPool {
         match op {
             // Probe unanswered: the server stays Down, the timer re-probes.
             InternalOp::Probe { .. } => {}
-            InternalOp::DeltaFaa { server, va, add } => {
-                // Replay didn't land; put the delta back for the next flush.
-                self.servers[server].accumulate(va, add);
+            InternalOp::Replay { server, va, owed } => {
+                // The replay didn't land; owe it again for the next flush.
+                self.servers[server].owe_older(va, owed);
             }
             InternalOp::ReseedRead { target, .. } | InternalOp::ReseedWrite { target } => {
-                if self.reseed.as_ref().is_some_and(|r| r.target == target) {
-                    self.reseed = None;
-                    self.servers[target].health.on_rejoin_aborted();
-                }
+                self.reseed_failed(target);
             }
+        }
+    }
+
+    /// A step of `target`'s reconciliation failed: abort it, if it is the
+    /// one under way, and send the server back to `Down`.
+    fn reseed_failed(&mut self, target: usize) {
+        if self.reseed.as_ref().is_some_and(|r| r.target == target) {
+            self.reseed = None;
+            self.servers[target].health.on_rejoin_aborted();
         }
     }
 
@@ -801,36 +876,59 @@ impl ReplicatedPool {
         };
         self.primary = new_primary;
         self.stats.failovers += 1;
-        // The new primary first catches up on the FaA deltas it missed,
-        // then the orphaned caller ops are replayed under their original
+        // The new primary first catches up on the words it is owed, then
+        // the orphaned caller ops are replayed under their original
         // cookies, in the order the old primary's channel held them.
         // Channel FIFO ordering makes the catch-up happen first. An op
         // carries no rkey, so it reissues verbatim under the new primary's
         // own region key.
-        self.replay_delta(ctx, new_primary);
+        self.replay_owed(ctx, new_primary);
         for (cookie, op) in orphans {
             self.servers[new_primary].channel.submit(ctx, op, cookie);
             self.stats.reissued_ops += 1;
         }
     }
 
-    /// Drain `server`'s accumulated FaA delta into replay ops on it, in
-    /// ascending `va`.
-    fn replay_delta(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, server: usize) {
-        // Issuing an op completes none, so nothing accumulates on `server`
+    /// Drain what `server` is owed into one volley of replay ops on it, in
+    /// ascending `va`: a value as an 8-byte WRITE, an add as a
+    /// Fetch-and-Add. A WRITE asks for an ACK when it is the volley's last
+    /// op or the [`ACK_EVERY`]-th WRITE in a row; every other one is
+    /// confirmed by the answer to an op behind it.
+    fn replay_owed(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, server: usize) {
+        // Issuing an op completes none, so nothing is owed to `server`
         // while its list is out; it goes back empty, capacity intact.
-        let mut delta = std::mem::take(&mut self.servers[server].delta);
-        for (va, add) in delta.drain(..) {
-            let what = InternalOp::DeltaFaa { server, va, add };
-            self.submit_internal(ctx, server, what, Op::FetchAdd { va, add });
+        let mut owed = std::mem::take(&mut self.servers[server].owed);
+        let last = owed.len().saturating_sub(1);
+        let mut unanswered = 0;
+        for (k, (va, entry)) in owed.drain(..).enumerate() {
+            let op = match entry {
+                Owed::Value(v) => {
+                    unanswered += 1;
+                    let ack_req = k == last || unanswered == ACK_EVERY;
+                    if ack_req {
+                        unanswered = 0;
+                    }
+                    let body = WriteBody::inline(&v.to_be_bytes());
+                    Op::Write { va, body, ack_req }
+                }
+                Owed::Delta(add) => {
+                    unanswered = 0;
+                    Op::FetchAdd { va, add }
+                }
+            };
+            let what = InternalOp::Replay {
+                server,
+                va,
+                owed: entry,
+            };
+            self.submit_internal(ctx, server, what, op);
             self.stats.delta_replayed += 1;
         }
-        debug_assert!(self.servers[server].delta.is_empty());
-        self.servers[server].delta = delta;
+        debug_assert!(self.servers[server].owed.is_empty());
+        self.servers[server].owed = owed;
     }
 
-    /// Anti-entropy flush: replay pending FaA deltas onto every live
-    /// mirror so replicas converge between failovers, and start the
+    /// Anti-entropy flush: replay what every live mirror is owed so replicas converge between failovers, and start the
     /// reconciliation of a rejoiner that queued behind one cut short. The
     /// FaA engine calls this from its periodic tick; cheap when nothing is
     /// pending.
@@ -841,7 +939,7 @@ impl ReplicatedPool {
         self.next_rejoin(ctx);
         for j in 0..self.servers.len() {
             if j == self.primary
-                || self.servers[j].delta.is_empty()
+                || self.servers[j].owed.is_empty()
                 || !matches!(
                     self.servers[j].health.state(),
                     Health::Healthy | Health::Suspect
@@ -849,7 +947,7 @@ impl ReplicatedPool {
             {
                 continue;
             }
-            self.replay_delta(ctx, j);
+            self.replay_owed(ctx, j);
         }
     }
 
@@ -869,13 +967,13 @@ impl ReplicatedPool {
         }
         // Caller atomics currently in flight on the primary will be
         // captured by the snapshot READs behind them (FIFO channel), so
-        // their deltas must not be applied to the rejoiner again.
+        // they must not be owed to the rejoiner again.
         for (cookie, op) in self.servers[self.primary].channel.ops() {
             if cookie & INTERNAL_BIT == 0 && matches!(op, Op::FetchAdd { .. }) {
                 self.delta_skip.insert((server, cookie));
             }
         }
-        self.servers[server].delta.clear();
+        self.servers[server].owed.clear();
         let vas: Vec<u64> = self.touched.iter().copied().collect();
         self.reseed = Some(Reseed {
             target: server,
@@ -891,9 +989,9 @@ impl ReplicatedPool {
     fn finish_rejoin(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, server: usize) {
         self.servers[server].health.on_rejoin_complete();
         self.stats.rejoins += 1;
-        // Deltas that accumulated while reseeding (post-snapshot atomics)
-        // flush now; afterwards the server is a mirror like any other.
-        self.replay_delta(ctx, server);
+        // Words owed while reseeding (post-snapshot atomics) flush now;
+        // afterwards the server is a mirror like any other.
+        self.replay_owed(ctx, server);
         // Chain any rejoiner that was queued behind this reconciliation.
         self.next_rejoin(ctx);
     }
@@ -956,13 +1054,15 @@ impl ReplicatedPool {
 mod tests {
     use super::*;
     use crate::channel::tests::{behind_blackhole, impatient, Blackhole};
-    use crate::channel::{RdmaChannel, ReliableConfig, MAX_WINDOW};
-    use extmem_rnic::{RnicConfig, RnicNode, WriteBody};
+    use crate::channel::{RdmaChannel, ReliableConfig};
+    use extmem_rnic::{RnicConfig, RnicNode};
     use extmem_sim::{LinkSpec, Node, NodeCtx};
     use extmem_switch::switch::program_token;
     use extmem_switch::{PipelineProgram, SwitchNode};
+    use extmem_types::NodeId;
     use extmem_types::{ByteSize, Time};
-    use extmem_wire::roce::{RoceEndpoint, RocePacket};
+    use extmem_wire::bth::Opcode;
+    use extmem_wire::roce::{RoceEndpoint, RoceExt, RocePacket};
     use extmem_wire::{MacAddr, Packet};
 
     /// A memory server that also records every frame the switch sends it.
@@ -1124,12 +1224,13 @@ mod tests {
             assert!(reissued.contains(frame), "a frame no op lowers to");
         }
 
-        // Every op came back once, under its cookie.
+        // Every op came back once, under its cookie, with the value its
+        // counter held before it: zero, on the promoted mirror.
         let want: Vec<ChannelEvent> = (ops.iter().enumerate())
             .map(|(i, op)| ChannelEvent::Done {
                 cookie: 10 + i as u64,
                 op: op.clone(),
-                reply: Reply::Ack,
+                reply: Reply::Fetched(0),
             })
             .collect();
         assert_eq!(program.events, want);
@@ -1149,8 +1250,8 @@ mod tests {
         assert_eq!(stats.delta_accumulated, 2 * ops.len() as u64);
     }
 
-    /// A replicated pool keeps its mirrors by Fetch-and-Add delta replay
-    /// alone, so any other caller op is refused.
+    /// A replicated pool keeps its mirrors by replaying the words its
+    /// Fetch-and-Adds count, so any other caller op is refused.
     #[test]
     #[should_panic(expected = "carries Fetch-and-Adds only")]
     fn replicated_pool_carries_fetch_and_add_only() {
@@ -1212,6 +1313,289 @@ mod tests {
                 .unwrap();
             assert_eq!(counter, 5u64.to_be_bytes());
         }
+    }
+
+    /// One step of a [`Driven`] program: what it does to the pool when its
+    /// program timer fires.
+    type Step = Box<dyn FnMut(&mut ReplicatedPool, &mut SwitchCtx<'_, '_, '_>) + Send>;
+
+    /// Owns a pool; program timer `t` runs `steps[t]` on it. Feeds every
+    /// response to the pool, except the atomic acknowledgement `eat` names
+    /// by its PSN, which it loses once.
+    struct Driven {
+        pool: ReplicatedPool,
+        steps: Vec<Step>,
+        eat: Option<u32>,
+        events: Vec<ChannelEvent>,
+    }
+
+    impl PipelineProgram for Driven {
+        fn ingress(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, port: PortId, pkt: Packet) {
+            let roce = RocePacket::parse(&pkt).unwrap().unwrap();
+            let atomic_ack = roce.bth.opcode == Opcode::AtomicAcknowledge;
+            if atomic_ack && self.eat == Some(roce.bth.psn) {
+                self.eat = None;
+                return;
+            }
+            assert!(self.pool.on_roce(ctx, port, &roce, &mut self.events));
+        }
+
+        fn on_timer(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, token: u64) {
+            match self.steps.get_mut(token as usize) {
+                Some(step) => step(&mut self.pool, ctx),
+                None => assert!(self.pool.on_timer(ctx, token, &mut self.events)),
+            }
+        }
+    }
+
+    /// A step that submits `ops` as caller ops, under cookies from 10.
+    fn submit(ops: Vec<Op>) -> Step {
+        Box::new(move |pool, ctx| {
+            for (i, op) in ops.iter().enumerate() {
+                assert!(pool.submit(ctx, op.clone(), 10 + i as u64));
+            }
+        })
+    }
+
+    /// A step that runs the anti-entropy flush.
+    fn flush() -> Step {
+        Box::new(|pool, ctx| pool.sync_mirrors(ctx))
+    }
+
+    /// A primary on switch port 1 and a recorded mirror on port 2 (port 0
+    /// leads to a black hole) under `steps`, each run at its time in us;
+    /// the primary's word at `va` starts as `preset`. Runs to `until` us
+    /// and returns the simulation, the switch, the two servers and the
+    /// region key.
+    fn primary_and_mirror(
+        steps: Vec<(u64, Step)>,
+        eat: Option<u32>,
+        preset: (u64, u64),
+        until: u64,
+    ) -> (extmem_sim::Simulator, NodeId, [NodeId; 2], Rkey) {
+        let (mut nics, [_, primary, mirror]) = servers::<3>();
+        let rkey = primary.rkey;
+        let (va, value) = preset;
+        nics[1]
+            .region_mut(rkey)
+            .write(va, &value.to_be_bytes())
+            .unwrap();
+        let rc = ReliableConfig::default();
+        let channels = [primary, mirror].map(|ch| ReliableChannel::new(ch, rc));
+        let (times, steps): (Vec<u64>, Vec<Step>) = steps.into_iter().unzip();
+        let program = Driven {
+            pool: ReplicatedPool::new(channels.into(), PoolConfig::default()),
+            steps,
+            eat,
+            events: Vec::new(),
+        };
+        let mut servers = Vec::new();
+        let (mut sim, sw, _) = behind_blackhole(program, |b, sw| {
+            let [_unplugged, primary, nic] = nics;
+            servers.push(b.add_node(Box::new(primary)));
+            let frames = Vec::new();
+            servers.push(b.add_node(Box::new(Tap { nic, frames })));
+            for (i, &server) in servers.iter().enumerate() {
+                let port = PortId(1 + i as u16);
+                b.connect(sw, port, server, PortId(0), LinkSpec::testbed_40g());
+            }
+        });
+        for (t, at) in times.into_iter().enumerate() {
+            sim.schedule_timer(sw, TimeDelta::from_micros(at), program_token(t as u64));
+        }
+        sim.run_until(Time::from_micros(until));
+        (sim, sw, [servers[0], servers[1]], rkey)
+    }
+
+    /// The first `words` counters of the primary's and the mirror's
+    /// regions, as [`primary_and_mirror`] built them.
+    fn both_regions(
+        sim: &extmem_sim::Simulator,
+        [primary, mirror]: [NodeId; 2],
+        rkey: Rkey,
+        words: u64,
+    ) -> [Vec<u8>; 2] {
+        let regions = [
+            sim.node::<RnicNode>(primary).region(rkey),
+            sim.node::<Tap>(mirror).nic.region(rkey),
+        ];
+        regions.map(|r| r.read(r.base_va(), 8 * words).unwrap().to_vec())
+    }
+
+    /// Every request the mirror received, parsed.
+    fn mirror_requests(sim: &extmem_sim::Simulator, mirror: NodeId) -> Vec<RocePacket> {
+        let frames = &sim.node::<Tap>(mirror).frames;
+        frames
+            .iter()
+            .map(|f| RocePacket::parse(f).unwrap().unwrap())
+            .collect()
+    }
+
+    /// Counts at the primary, completed with their own acknowledgements,
+    /// reach the mirror as the primary's values: one 8-byte WRITE per
+    /// dirty word, in ascending address, the last alone asking for an ACK.
+    /// The primary's first word started at 100 and the mirror's at 0, so
+    /// only a value, not a replayed add, makes the two regions equal.
+    #[test]
+    fn a_flush_writes_each_dirty_word_the_primary_value_with_one_ack() {
+        let (_, [ch, ..]) = servers::<1>();
+        let base = ch.base_va;
+        let count = |slot: u64, add: u64| Op::FetchAdd {
+            va: base + 8 * slot,
+            add,
+        };
+        let ops = vec![count(0, 1), count(2, 2), count(0, 3), count(3, 4)];
+        let steps = vec![(0, submit(ops)), (20, flush())];
+        let (sim, sw, servers, rkey) = primary_and_mirror(steps, None, (base, 100), 60);
+
+        let pool = &sim.node::<SwitchNode>(sw).program::<Driven>().pool;
+        assert!(pool.is_synced());
+        assert_eq!(pool.stats().delta_replayed, 3);
+        let sent = mirror_requests(&sim, servers[1]);
+        let seen: Vec<(Opcode, u64, bool, Vec<u8>)> = sent
+            .iter()
+            .map(|p| {
+                let RoceExt::Reth(reth) = p.ext else {
+                    panic!("not a WRITE: {p:?}");
+                };
+                let value = p.payload.to_vec();
+                (p.bth.opcode, reth.va - base, p.bth.ack_req, value)
+            })
+            .collect();
+        let write = |slot: u64, value: u64, ack| {
+            let bytes = value.to_be_bytes().to_vec();
+            (Opcode::WriteOnly, 8 * slot, ack, bytes)
+        };
+        let want = [write(0, 104, false), write(2, 2, false), write(3, 4, true)];
+        assert_eq!(seen, want);
+        let [primary, mirror] = both_regions(&sim, servers, rkey, 4);
+        assert_eq!(mirror, primary);
+    }
+
+    /// The atomic acknowledgement of the first count is lost: the second
+    /// count's acknowledgement retires it, bare. Its word is owed as an add
+    /// and goes to the mirror as a Fetch-and-Add; the other word, whose
+    /// count came back with the primary's value, as a WRITE. The mirror
+    /// ends equal to the primary.
+    #[test]
+    fn a_count_retired_without_its_acknowledgement_is_replayed_as_an_add() {
+        let (_, [ch, ..]) = servers::<1>();
+        let base = ch.base_va;
+        let ops = vec![
+            Op::FetchAdd { va: base, add: 5 },
+            Op::FetchAdd {
+                va: base + 8,
+                add: 7,
+            },
+        ];
+        let steps = vec![(0, submit(ops)), (20, flush())];
+        let (sim, sw, servers, rkey) = primary_and_mirror(steps, Some(0), (base, 0), 60);
+
+        let program = sim.node::<SwitchNode>(sw).program::<Driven>();
+        assert_eq!(program.eat, None, "the acknowledgement was lost");
+        let replies: Vec<&Reply> = (program.events.iter())
+            .map(|ev| match ev {
+                ChannelEvent::Done { reply, .. } => reply,
+                other => panic!("unexpected {other:?}"),
+            })
+            .collect();
+        assert_eq!(replies, [&Reply::Ack, &Reply::Fetched(0)]);
+        assert!(program.pool.is_synced());
+        let sent = mirror_requests(&sim, servers[1]);
+        let seen: Vec<Opcode> = sent.iter().map(|p| p.bth.opcode).collect();
+        assert_eq!(seen, [Opcode::FetchAdd, Opcode::WriteOnly]);
+        assert!(sent[1].bth.ack_req);
+        let [primary, mirror] = both_regions(&sim, servers, rkey, 2);
+        assert_eq!(primary, [5u64, 7].map(u64::to_be_bytes).concat());
+        assert_eq!(mirror, primary);
+    }
+
+    /// A volley of 256 WRITEs, four channel windows' worth: every
+    /// sixteenth asks for an ACK, which lets the next sixteen out, so the
+    /// volley drains instead of filling the window with WRITEs nothing
+    /// confirms.
+    #[test]
+    fn a_volley_longer_than_the_window_settles() {
+        const WORDS: u64 = 256;
+        let (_, [ch, ..]) = servers::<1>();
+        let base = ch.base_va;
+        let ops = (0..WORDS)
+            .map(|slot| Op::FetchAdd {
+                va: base + 8 * slot,
+                add: slot + 1,
+            })
+            .collect();
+        let steps = vec![(0, submit(ops)), (1000, flush())];
+        let (sim, sw, servers, rkey) = primary_and_mirror(steps, None, (base, 0), 2000);
+
+        let pool = &sim.node::<SwitchNode>(sw).program::<Driven>().pool;
+        assert!(pool.is_synced());
+        assert_eq!(pool.stats().delta_replayed, WORDS);
+        let sent = mirror_requests(&sim, servers[1]);
+        assert!(sent.iter().all(|p| p.bth.opcode == Opcode::WriteOnly));
+        let asked = sent.iter().filter(|p| p.bth.ack_req).count();
+        assert_eq!(asked as u64, WORDS / ACK_EVERY as u64);
+        let [primary, mirror] = both_regions(&sim, servers, rkey, WORDS);
+        assert_eq!(mirror, primary);
+    }
+
+    /// Value WRITEs to a mirror that goes silent come back failed and are
+    /// owed again, under what was owed since: of two WRITEs to one word
+    /// the newer value stays; a newer value supersedes a failed one; a
+    /// newer add lands on it.
+    #[test]
+    fn a_failed_value_write_is_owed_again_under_what_came_since() {
+        // The mirror sits on port 0, behind the black hole.
+        let ([_, nic, _], [mirror, primary, _]) = servers::<3>();
+        let base = primary.base_va;
+        let count = |slot: u64, add: u64| Op::FetchAdd {
+            va: base + 8 * slot,
+            add,
+        };
+        let write_off: Step = Box::new(move |pool, ctx| {
+            // A count on word 1 retired without its own acknowledgement.
+            pool.servers[1].owe_newer(base + 8, Owed::Delta(4));
+            let mut raw = Vec::new();
+            pool.servers[1].channel.abort(ctx, &mut raw);
+            pool.after_channel_activity(ctx, 1, &mut raw, &mut Vec::new());
+        });
+        let steps = vec![
+            // WRITEs of 5, 7 and 2, then of 8 to word 0; a count on word
+            // 2 since owes it 3.
+            (0, submit(vec![count(0, 5), count(1, 7), count(2, 2)])),
+            (10, flush()),
+            (11, submit(vec![count(0, 3)])),
+            (20, flush()),
+            (21, submit(vec![count(2, 1)])),
+            (30, write_off),
+        ];
+        let (times, steps): (Vec<u64>, Vec<Step>) = steps.into_iter().unzip();
+        let rc = ReliableConfig::default();
+        let channels = [primary, mirror].map(|ch| ReliableChannel::new(ch, rc));
+        let program = Driven {
+            pool: ReplicatedPool::new(channels.into(), PoolConfig::default()),
+            steps,
+            eat: None,
+            events: Vec::new(),
+        };
+        let (mut sim, sw, hole) = behind_blackhole(program, |b, sw| {
+            let server = b.add_node(Box::new(nic));
+            b.connect(sw, PortId(1), server, PortId(0), LinkSpec::testbed_40g());
+        });
+        for (t, at) in times.into_iter().enumerate() {
+            sim.schedule_timer(sw, TimeDelta::from_micros(at), program_token(t as u64));
+        }
+        sim.run_until(Time::from_micros(31));
+
+        assert_eq!(sim.node::<Blackhole>(hole).frames.len(), 4);
+        let pool = &sim.node::<SwitchNode>(sw).program::<Driven>().pool;
+        assert_eq!(pool.health(1), Health::Down);
+        let want = [
+            (base, Owed::Value(8)),
+            (base + 8, Owed::Value(11)),
+            (base + 16, Owed::Value(3)),
+        ];
+        assert_eq!(pool.servers[1].owed, want);
     }
 
     /// A server's port names its channel's timer: two servers on one port

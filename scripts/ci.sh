@@ -47,25 +47,27 @@ if grep -rn 'pool::recycle\|recover_vec' crates tests examples; then
     exit 1
 fi
 
-echo "== no unwrap/expect in the wire codecs, the responder and the switch's channel and ring =="
+echo "== no unwrap/expect in the wire codecs, the responder and the switch's channel, ring and pool =="
 # A parser answers any bytes with a value or a WireError, and a writer any
 # buffer; the RNIC's responder answers any request with a response, a NAK or
-# a counted drop; the switch's reliable channel and the packet buffer's ring
-# answer any response frame and any READ's bytes with an event or a counted
-# skip. The non-test part of each wire file, of the responder's two files
-# and of core's channel.rs and packet_buffer.rs (up to its first column-0
+# a counted drop; the switch's reliable channel, the packet buffer's ring,
+# the replicated pool and the FaA engine answer any response frame and any
+# READ's bytes with an event or a counted skip. The non-test part of each
+# wire file, of the responder's two files and of core's channel.rs,
+# packet_buffer.rs, pool.rs and faa.rs (up to its first column-0
 # `#[cfg(test)]`, as scripts/loc.sh counts; doc-comment lines aside) holds
 # no `.unwrap()` or `.expect(`. wire's bytes.rs and packet.rs are exempt:
 # their three sites check invariants of buffers they own, not input.
 unwraps="$(for f in crates/wire/src/*.rs crates/rnic/src/responder.rs crates/rnic/src/mr.rs \
-    crates/core/src/channel.rs crates/core/src/packet_buffer.rs; do
+    crates/core/src/channel.rs crates/core/src/packet_buffer.rs crates/core/src/pool.rs \
+    crates/core/src/faa.rs; do
     case "$f" in */bytes.rs | */packet.rs) continue ;; esac
     awk -v f="$f" '/^#\[cfg\(test\)\]/ { exit }
         !/^[[:space:]]*\/\/[\/!]/ && /\.unwrap\(\)|\.expect\(/ { printf "%s:%d: %s\n", f, NR, $0 }' "$f"
 done)"
 if [ -n "$unwraps" ]; then
     echo "$unwraps" >&2
-    echo "FAIL: wire codecs, the responder, the channel and the ring return errors or count; no unwrap/expect outside tests" >&2
+    echo "FAIL: wire codecs, the responder, the channel, the ring and the pool return errors or count; no unwrap/expect outside tests" >&2
     exit 1
 fi
 
@@ -241,8 +243,8 @@ done <<'CEILINGS'
 lookup_verbs 3.01 125.2 1.0323 2486.329 2895.996
 lookup_ops 3.01 125.2 0.7429 2471.514 2881.181
 pktbuf_lossy 4.155 178.3 2.3007 22384235.157 44349376.318
-fabric_shard 2.74 114.8 0.5203 2968.032 3311.595
-fabric_shard_p2 2.74 115.3 0.5203 2968.032 3311.595
+fabric_shard 2.486 104.7 0.4460 2968.032 3311.595
+fabric_shard_p2 2.486 105.2 0.4460 2968.032 3311.595
 CEILINGS
 
 echo "== non-test lines per crate =="

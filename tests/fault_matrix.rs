@@ -1037,7 +1037,7 @@ fn crash_pool_config() -> PoolConfig {
 /// `crash_primary` the primary dies (FaA must fail over); otherwise the
 /// mirror dies (the primary keeps counting). With `rejoin` the dead server
 /// restarts at 500us with wiped DRAM and must be reconciled bit-for-bit
-/// (counters re-seeded from the survivor, then deltas replayed).
+/// (counters re-seeded from the survivor, then owed words replayed).
 fn run_state_store_crash_cell(crash_primary: bool, rejoin: bool, seed: u64) {
     const COUNT: u64 = 600;
     let counters = 256u64;
@@ -1153,7 +1153,7 @@ fn crash_state_store_rejoin_under_parallel_backend() {
     // 5-node topology splits as {switch | gen, sink, server_a, server_b}
     // and the crashed node lives in a *different* partition than the
     // switch driving it (the cell checks that): the crash and restart
-    // admin events, failover probes, reseed WRITEs, and delta replay all
+    // admin events, failover probes, reseed WRITEs, and mirror replay all
     // cross the partition boundary under lookahead bounds.
     extmem_sim::with_sched_backend(extmem_sim::SchedBackend::Parallel(2), || {
         run_state_store_crash_cell(true, true, 9802);
@@ -1336,7 +1336,7 @@ fn crash_fabric_shard_primary_mid_run_rejoins_exact() {
     }
     // Exactness: every shard's counters equal the routing oracle on both
     // replicas — the survivor through mirror fan-out, the rejoiner through
-    // the reseed + delta replay.
+    // the reseed + mirror replay.
     for shard in 0..SHARDS {
         let mut expected = vec![0u64; COUNTERS as usize];
         for (&(sh, slot), &v) in &prog.oracle {

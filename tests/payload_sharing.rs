@@ -348,16 +348,25 @@ fn cold_digests_per_frame_are_exact() {
     );
 
     // The frame (forwarded untouched), the Fetch-and-Add, its atomic ACK;
-    // the same pair again for each delta replayed to the mirror.
+    // then, for each word replayed to the mirror, the WRITE of its value
+    // (a Fetch-and-Add, for an add), and each answer the mirror sent: the
+    // ACK a volley's last WRITE asks for (an atomic ACK, for an add). The
+    // primary answers each of the FRAMES Fetch-and-Adds; every other
+    // acknowledgement is the mirror's.
     let (digests, t) = run(rigs::replicated_fetch_and_add(FRAMES));
     let sw: &SwitchNode = t.sim.node(t.switch);
     let faa = sw.program::<ShardedStateStoreProgram>().engine(0).stats();
     let replayed = faa.pool.delta_replayed;
+    let mirror_acks = faa.channel.acks - FRAMES;
     assert!(replayed > 0, "the mirror must be fed");
+    assert!(
+        mirror_acks < replayed / 2,
+        "a WRITE asks for an ACK only at the end of its volley"
+    );
     assert_eq!(
         digests,
-        3 * FRAMES + 2 * replayed,
-        "replicated fetch-and-add, {replayed} deltas replayed"
+        3 * FRAMES + replayed + mirror_acks,
+        "replicated fetch-and-add, {replayed} words replayed, {mirror_acks} mirror ACKs"
     );
 }
 

@@ -101,7 +101,7 @@ pub fn packet_buffer(frames: u64) -> Built {
 }
 
 /// 256 B frames, one Fetch-and-Add per frame on a two-replica pool (the
-/// primary executes it, the mirror catches up by delta replay). Built on
+/// primary executes it, the mirror catches up by value replay). Built on
 /// the ambient scheduler backend.
 pub fn replicated_fetch_and_add(frames: u64) -> Built {
     let counters = 256u64;
