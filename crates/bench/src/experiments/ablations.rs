@@ -774,16 +774,14 @@ pub fn a9_loss_sweep(out: &mut String) {
 ///
 /// The paper's primitives each talk to *one* memory server; a crash there
 /// is terminal. The replicated pool layer turns the state store's server
-/// into a pool: each counted word is owed to the mirror — as the primary's
-/// value when the count's atomic acknowledgement carried it, else as the
-/// add — and replayed onto it, and a health detector drives failover,
-/// probing, and rejoin reconciliation. This row prices that machinery:
-/// what replication costs when nothing fails (`mirror B/word`, the bytes on
-/// the mirror's link per replayed word, is checked below one Fetch-and-Add
-/// round trip, 86 + 70 B), and what a crash costs when it does — in
-/// failovers, probe/reseed traffic, and replayed words — while exactness
-/// (settled counters equal to ground truth on every live replica) holds at
-/// every point.
+/// into a pool: each Fetch-and-Add completes with the primary's value of
+/// its word, which is written to the mirror, and a health detector drives
+/// failover, probing and rejoin. This row prices that machinery: what
+/// replication costs when nothing fails (`mirror B/word`, the bytes on the
+/// mirror's link per written word, is checked below one Fetch-and-Add round
+/// trip, 86 + 70 B), and what a crash costs when it does — in failovers,
+/// probes and written words — while exactness (settled counters equal to
+/// ground truth on every live replica) holds at every point.
 pub fn a10_failover(out: &mut String) {
     const COUNT: u64 = 2_000;
     out.push_str("A10: replicated state store (primary + mirror) under server failure\n\n");
@@ -825,11 +823,11 @@ pub fn a10_failover(out: &mut String) {
             });
             vec![
                 name.to_string(),
-                stats.channel.ops_issued.to_string(),
+                stats.faa_sent.to_string(),
                 p.mirror_writes.to_string(),
                 p.failovers.to_string(),
                 p.probes.to_string(),
-                format!("{}+{}", p.delta_replayed, p.reseed_ops),
+                p.delta_replayed.to_string(),
                 per_word.map_or("-".into(), f1),
                 p.rejoins.to_string(),
                 format!("{delivered}/{COUNT}"),
@@ -843,11 +841,11 @@ pub fn a10_failover(out: &mut String) {
         "failover cost per fault case (2000 FaA updates, 2-server pool)",
         &[
             "fault",
-            "ops",
+            "faa sent",
             "mirror wr",
             "failovers",
             "probes",
-            "replay+reseed",
+            "value wr",
             "mirror B/word",
             "rejoins",
             "delivered",
@@ -857,17 +855,17 @@ pub fn a10_failover(out: &mut String) {
         &rows,
     );
     out.push_str(
-        "\nexpectation: an atomics primitive replicates by replaying each counted\n\
-         word, not by WRITE fan-out of its ops (mirror wr stays 0), so the\n\
-         no-fault overhead is only the background anti-entropy: one 8-byte WRITE\n\
-         of the primary's value per dirty word and one ACK per flush, below the\n\
-         156 B of a replayed Fetch-and-Add and its atomic ACK. A mirror crash\n\
+        "\nexpectation: an atomics primitive replicates by writing each counted\n\
+         word's value, not by WRITE fan-out of its ops (mirror wr stays 0), so\n\
+         the no-fault overhead is only the background anti-entropy: one 8-byte\n\
+         WRITE of the primary's value per dirty word and one ACK per flush,\n\
+         below the 156 B of a Fetch-and-Add and its atomic ACK. A mirror crash\n\
          costs nothing on the data path; a primary crash costs one failover plus\n\
-         replayed words, and the survivor still settles exactly. Without a\n\
+         written words, and the survivor still settles exactly. Without a\n\
          restart the pool keeps probing until its probe budget runs out; with\n\
-         one, a probe detects the returning server and reseed copies rebuild it\n\
-         bit-for-bit — failure is bandwidth and latency, never lost or diverged\n\
-         state.\n",
+         one, a probe detects the returning server and the same value WRITEs,\n\
+         one per counted word, rebuild it bit-for-bit — failure is bandwidth and\n\
+         latency, never lost or diverged state.\n",
     );
 }
 

@@ -177,7 +177,7 @@ pub fn faa_store(
 /// The replicated state store (primary + mirror): one Fetch-and-Add per
 /// 256 B frame at 2 G, ~1 us of traffic per update. Server `crash` (0 the
 /// primary, 1 the mirror) dies a quarter into the run and, with `rejoin`,
-/// restarts at the halfway mark so reseed and mirror replay overlap live
+/// restarts at the halfway mark so its catch-up and the mirror's overlap live
 /// load. Runs 10 ms past the last send; returns each replica's settled
 /// counters with the run.
 pub fn failover_store(

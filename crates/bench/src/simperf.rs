@@ -32,7 +32,7 @@
 //!   link at 0.1% and 1% drop: the reliability layer's timeout/retransmit/
 //!   dedup machinery, with exact recovery asserted,
 //! * `server_failover` — a replicated state store (primary + mirror)
-//!   through a primary crash, failover, restart, and reseeded rejoin under
+//!   through a primary crash, failover, restart, and rejoin under
 //!   live FaA load, with both replicas asserted bit-for-bit exact,
 //! * `fabric_fanout`, `fabric_shard` — the multi-switch scenarios (ring of
 //!   pods; sharded leaf–spine), built on `SimBuilder` / `FabricSpec`.
@@ -391,9 +391,9 @@ pub fn loss_sweep(count: u64) -> ScenarioResult {
 }
 
 /// Server failover: a replicated state store (primary + mirror) driven
-/// through a primary crash, failover, restart, and reseeded rejoin while
-/// the FaA workload keeps flowing: health detection, per-mirror delta
-/// accumulation, anti-entropy replay, probe/reseed traffic. The run
+/// through a primary crash, failover, restart, and rejoin while the FaA
+/// workload keeps flowing: health detection, dirty words per server,
+/// anti-entropy and catch-up WRITEs, probes. The run
 /// asserts exact settled counters on *both* replicas.
 pub fn server_failover(count: u64) -> ScenarioResult {
     let (t, [dump_a, dump_b]) = failover_store(71, 512, count, Some(0), true);

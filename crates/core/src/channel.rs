@@ -23,6 +23,7 @@
 //! arrival frame); the tail goes back to the frame pool when the last
 //! holder of the finished op's event drops it.
 
+use extmem_rnic::qp::ATOMIC_RESULTS;
 use extmem_rnic::requester::{RemoteOp, Request, RequesterQp, WriteBody};
 use extmem_rnic::RnicNode;
 use extmem_sim::TimerHandle;
@@ -180,6 +181,8 @@ impl ReliableConfig {
 pub struct ChannelStats {
     /// Ops issued (first transmission only).
     pub ops_issued: u64,
+    /// Fetch-and-Add requests put on the wire: first sends and re-sends.
+    pub faa_sent: u64,
     /// Acknowledgements consumed (plain + atomic).
     pub acks: u64,
     /// NAKs consumed.
@@ -213,6 +216,7 @@ impl ChannelStats {
     /// Aggregate counters across channels (multi-channel primitives).
     pub fn merge(&mut self, other: &ChannelStats) {
         self.ops_issued += other.ops_issued;
+        self.faa_sent += other.faa_sent;
         self.acks += other.acks;
         self.naks += other.naks;
         self.retransmits += other.retransmits;
@@ -308,10 +312,17 @@ impl Op {
         }
     }
 
-    /// Whether the op is answered with data of its own (a READ, a remote
-    /// op) rather than covered by any acknowledgement at or past its PSN.
-    fn bears_response(&self) -> bool {
-        matches!(self, Op::Read { .. } | Op::Remote(_))
+    /// Whether only an answer of its own completes the op, not any
+    /// acknowledgement at or past its PSN: a READ's or remote op's data, and
+    /// on a `reliable` channel a Fetch-and-Add's value. A best-effort channel
+    /// never re-sends a Fetch-and-Add, so a later answer is its only proof
+    /// that the op ran.
+    fn bears_response(&self, reliable: bool) -> bool {
+        match self {
+            Op::Read { .. } | Op::Remote(_) => true,
+            Op::FetchAdd { .. } => reliable,
+            Op::Write { .. } => false,
+        }
     }
 
     /// Whether the responder answers the op with a packet of its own: data,
@@ -327,8 +338,10 @@ impl Op {
 #[derive(Clone, Debug, PartialEq)]
 pub enum Reply {
     /// A WRITE was acknowledged, explicitly or by the answer to an op behind
-    /// it; or a Fetch-and-Add was, without its own atomic acknowledgement
-    /// (a later response or a duplicate's plain ACK retired it).
+    /// it; or, on a best-effort channel, a Fetch-and-Add whose own atomic
+    /// acknowledgement was lost was retired by the answer to an op behind
+    /// it. A reliable channel completes a Fetch-and-Add with
+    /// [`Reply::Fetched`] only.
     Ack,
     /// A Fetch-and-Add's own atomic acknowledgement: the word's value just
     /// before the add.
@@ -387,6 +400,9 @@ struct Outstanding {
     cookie: u64,
     sent_at: Time,
     op: Op,
+    /// A reliable Fetch-and-Add's value, when its answer overtook an older
+    /// one's: held until that one is answered.
+    fetched: Option<u64>,
 }
 
 impl Outstanding {
@@ -411,6 +427,11 @@ impl Outstanding {
 /// Wrap-aware `a <= b` on 24-bit PSNs.
 fn psn_at_or_before(a: u32, b: u32) -> bool {
     a == b || psn_before(a, b)
+}
+
+/// How many PSNs `to` lies past `from`, on the 24-bit circle.
+fn psn_distance(from: u32, to: u32) -> u32 {
+    to.wrapping_sub(from) & 0x00ff_ffff
 }
 
 /// The requester-side reliability layer every primitive shares: tracks
@@ -616,8 +637,7 @@ impl ReliableChannel {
             return false;
         }
         self.stats.ops_issued += 1;
-        if self.config.reliable && (self.outstanding.len() >= MAX_WINDOW || !self.queue.is_empty())
-        {
+        if self.config.reliable && (!self.has_room() || !self.queue.is_empty()) {
             self.queue.push_back((cookie, op));
         } else {
             self.launch(ctx, cookie, op);
@@ -626,24 +646,38 @@ impl ReliableChannel {
         true
     }
 
+    /// Whether a reliable channel may launch another op: its window has
+    /// room, and the op's PSN is fewer than [`ATOMIC_RESULTS`] past that of
+    /// every Fetch-and-Add still unanswered, so the responder still holds
+    /// the result a re-send of one would be answered with.
+    fn has_room(&self) -> bool {
+        let npsn = self.inner.qp.npsn;
+        let far = |o: &&Outstanding| psn_distance(o.psn, npsn) >= ATOMIC_RESULTS as u32;
+        self.outstanding.len() < MAX_WINDOW
+            && !(self.outstanding.iter().take_while(far))
+                .any(|o| matches!(o.op, Op::FetchAdd { .. }))
+    }
+
     /// First transmission of an op: assign its PSN, record it
     /// outstanding, and put the request on the wire.
     fn launch(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, cookie: u64, op: Op) {
         let (qp, rkey) = (&mut self.inner.qp, self.inner.rkey);
         let psn = qp.npsn;
         let frame = qp.issue(rkey, &op.request());
+        self.stats.faa_sent += matches!(op, Op::FetchAdd { .. }) as u64;
         self.outstanding.push_back(Outstanding {
             psn,
             cookie,
             sent_at: ctx.now(),
             op,
+            fetched: None,
         });
         self.send(ctx, frame);
     }
 
     /// Launch queued ops into whatever room the window now has.
     fn pump_queue(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>) {
-        while !self.failed && self.outstanding.len() < MAX_WINDOW {
+        while !self.failed && self.has_room() {
             let Some((cookie, op)) = self.queue.pop_front() else {
                 break;
             };
@@ -701,15 +735,18 @@ impl ReliableChannel {
         self.nak_epoch = None;
     }
 
-    /// Retire the WRITEs and atomics among the first `n` outstanding ops:
-    /// the in-order responder has executed them. The response-bearing ones
-    /// stay — the responder executed those too, but their data may still be
-    /// in flight (or lost, in which case the timer re-issues them). Returns
-    /// how many stayed.
+    /// Retire the WRITEs, and the best-effort atomics, among the first `n`
+    /// outstanding ops: the in-order responder has executed them. The
+    /// response-bearing ones stay — the responder executed those too, but
+    /// their answer may still be in flight (or lost, in which case the timer
+    /// re-issues them). Returns how many stayed.
     fn retire_executed(&mut self, n: usize, events: &mut Vec<ChannelEvent>) -> usize {
         let mut kept = 0;
         for _ in 0..n {
-            if self.outstanding[kept].op.bears_response() {
+            if self.outstanding[kept]
+                .op
+                .bears_response(self.config.reliable)
+            {
                 kept += 1;
             } else if let Some(op) = self.outstanding.remove(kept) {
                 events.push(op.retire(Reply::Ack));
@@ -719,8 +756,8 @@ impl ReliableChannel {
     }
 
     /// Complete and remove the op at `idx`, answered with `reply`, plus
-    /// every *earlier* WRITE and atomic (for this response to exist, the
-    /// responder must have executed them).
+    /// every *earlier* op [`Self::retire_executed`] retires (for this
+    /// response to exist, the responder must have executed them).
     fn complete_at(&mut self, idx: usize, reply: Reply, events: &mut Vec<ChannelEvent>) {
         let at = self.retire_executed(idx, events);
         if let Some(op) = self.outstanding.remove(at) {
@@ -730,12 +767,20 @@ impl ReliableChannel {
 
     /// A response that answers one op: a READ's data, an atomic's
     /// acknowledgement or a remote op's result. It completes the op of its
-    /// kind sent under `psn` (and, as any response does, every earlier
-    /// WRITE and atomic): it proves execution and carries the answer in one
-    /// packet.
+    /// kind sent under `psn` (and, as any response does, every earlier op
+    /// that needs no answer of its own): it proves execution and carries the
+    /// answer in one packet.
+    ///
+    /// A reliable channel completes its Fetch-and-Adds in PSN order, so the
+    /// value each brings back holds the adds of every one completed before
+    /// it and of none still outstanding. An atomic's acknowledgement that
+    /// overtook an older one's lost answer is held on its op until the
+    /// timer's re-send of the older one is answered from the responder's
+    /// saved results.
     fn on_response(&mut self, psn: u32, reply: Reply, events: &mut Vec<ChannelEvent>) {
         let pos = self.outstanding.iter().position(|o| {
             o.psn == psn
+                && o.fetched.is_none()
                 && matches!(
                     (&o.op, &reply),
                     (Op::Read { .. } | Op::Remote(_), Reply::Data(_))
@@ -749,12 +794,25 @@ impl ReliableChannel {
             return;
         };
         self.progress();
-        self.complete_at(pos, reply, events);
+        match reply {
+            Reply::Fetched(original) if self.config.reliable => {
+                self.outstanding[pos].fetched = Some(original);
+                let is_faa = |o: &Outstanding| matches!(o.op, Op::FetchAdd { .. });
+                while let Some(oldest) = self.outstanding.iter().position(is_faa) {
+                    let Some(original) = self.outstanding[oldest].fetched else {
+                        break;
+                    };
+                    self.complete_at(oldest, Reply::Fetched(original), events);
+                }
+            }
+            reply => self.complete_at(pos, reply, events),
+        }
     }
 
-    /// A plain ACK of `psn` acknowledges every op through `psn`. WRITEs and
-    /// atomics covered by it complete; READs do not — an ACK proves the
-    /// responder *sent* their data, not that it arrived.
+    /// A plain ACK of `psn` acknowledges every op through `psn`. The WRITEs
+    /// (and best-effort atomics) covered by it complete; the ops that bear
+    /// a response do not — an ACK proves the responder *sent* their answer,
+    /// not that it arrived.
     fn on_ack(&mut self, psn: u32, events: &mut Vec<ChannelEvent>) {
         self.stats.acks += 1;
         if !self
@@ -787,7 +845,7 @@ impl ReliableChannel {
         self.stats.naks += 1;
         if self.config.reliable {
             // Ops fully before the responder's expected PSN were executed;
-            // complete the WRITEs/atomics among them (READ data may still
+            // complete the WRITEs among them (an answer of its own may still
             // be lost — the timer covers those).
             let executed = self
                 .outstanding
@@ -818,15 +876,22 @@ impl ReliableChannel {
         }
     }
 
-    /// Go-back-N: re-send every outstanding op under its original PSN. The
-    /// responder re-executes duplicate READs, replays duplicate atomics,
-    /// and plain-ACKs duplicate WRITEs, so replays are idempotent.
+    /// Go-back-N: re-send every outstanding op under its original PSN,
+    /// except a Fetch-and-Add whose answer is held. The responder
+    /// re-executes duplicate READs, answers duplicate atomics from its
+    /// saved results, and plain-ACKs duplicate WRITEs, so replays are
+    /// idempotent.
     fn retransmit_all(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>) {
         let now = ctx.now();
         let (qp, rkey) = (&self.inner.qp, self.inner.rkey);
         for i in 0..self.outstanding.len() {
             let sent = &self.outstanding[i];
+            if sent.fetched.is_some() {
+                // Answered already; only an older op's answer is awaited.
+                continue;
+            }
             let frame = qp.encode_at(sent.psn, rkey, &sent.op.request());
+            self.stats.faa_sent += matches!(sent.op, Op::FetchAdd { .. }) as u64;
             self.send(ctx, frame);
             self.stats.retransmits += 1;
             self.outstanding[i].sent_at = now;
@@ -1181,6 +1246,28 @@ pub(crate) mod tests {
         }
         fn name(&self) -> &str {
             "blackhole"
+        }
+    }
+
+    /// A memory server that also records every frame the switch sends it.
+    pub(crate) struct Tap {
+        pub(crate) nic: RnicNode,
+        pub(crate) frames: Vec<Packet>,
+    }
+
+    impl extmem_sim::Node for Tap {
+        fn on_packet(&mut self, ctx: &mut extmem_sim::NodeCtx<'_>, port: PortId, packet: Packet) {
+            self.frames.push(packet.clone());
+            self.nic.on_packet(ctx, port, packet);
+        }
+        fn on_timer(&mut self, ctx: &mut extmem_sim::NodeCtx<'_>, token: u64) {
+            self.nic.on_timer(ctx, token);
+        }
+        fn on_tx_done(&mut self, ctx: &mut extmem_sim::NodeCtx<'_>, port: PortId) {
+            self.nic.on_tx_done(ctx, port);
+        }
+        fn name(&self) -> &str {
+            "tap"
         }
     }
 
@@ -1688,6 +1775,172 @@ pub(crate) mod tests {
                 assert!(req.payload.is_empty() && !req.bth.ack_req);
             }
         }
+    }
+
+    /// Owns one channel to the [`Tap`]ped server on switch port 1; submits
+    /// `ops` under cookies 0, 1, … when poked, loses the atomic
+    /// acknowledgement of PSN `eat` once, and keeps every event.
+    struct Lossy {
+        channel: ReliableChannel,
+        ops: Vec<Op>,
+        eat: Option<u32>,
+        events: Vec<ChannelEvent>,
+    }
+
+    impl extmem_switch::PipelineProgram for Lossy {
+        fn ingress(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, _: PortId, pkt: Packet) {
+            let roce = RocePacket::parse(&pkt).unwrap().unwrap();
+            let atomic_ack = roce.bth.opcode == Opcode::AtomicAcknowledge;
+            if atomic_ack && self.eat == Some(roce.bth.psn) {
+                self.eat = None;
+                return;
+            }
+            assert!(self.channel.on_roce(ctx, &roce, &mut self.events));
+        }
+
+        fn on_timer(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, token: u64) {
+            if token == self.channel.timer_token() {
+                return self.channel.on_timer_fired(ctx, &mut self.events);
+            }
+            for (cookie, op) in self.ops.iter().enumerate() {
+                assert!(self.channel.submit(ctx, op.clone(), cookie as u64));
+            }
+        }
+    }
+
+    /// Runs `ops(base_va)` through a [`Lossy`] channel under `config` for
+    /// `us` microseconds; returns its events and counters, the server's
+    /// counters, and the PSN of every request the server received.
+    fn lossy(
+        config: ReliableConfig,
+        ops: impl FnOnce(u64) -> Vec<Op>,
+        us: u64,
+    ) -> (
+        Vec<ChannelEvent>,
+        ChannelStats,
+        extmem_rnic::RnicStats,
+        Vec<u32>,
+    ) {
+        use extmem_switch::switch::program_token;
+        use extmem_switch::SwitchNode;
+        use extmem_types::Time;
+
+        let server = RoceEndpoint {
+            mac: MacAddr::local(9),
+            ip: 0x0a000009,
+        };
+        let mut nic = RnicNode::new("mem", RnicConfig::at(server));
+        let size = ByteSize::from_bytes(4096);
+        let channel = RdmaChannel::setup(local(), PortId(1), &mut nic, size);
+        let program = Lossy {
+            ops: ops(channel.base_va),
+            channel: ReliableChannel::new(channel, config),
+            eat: Some(0),
+            events: Vec::new(),
+        };
+        let mut tap = None;
+        let (mut sim, sw, _) = behind_blackhole(program, |b, sw| {
+            let frames = Vec::new();
+            let node = b.add_node(Box::new(Tap { nic, frames }));
+            b.connect(
+                sw,
+                PortId(1),
+                node,
+                PortId(0),
+                extmem_sim::LinkSpec::testbed_40g(),
+            );
+            tap = Some(node);
+        });
+        sim.schedule_timer(sw, TimeDelta::ZERO, program_token(0));
+        sim.run_until(Time::from_micros(us));
+        let program = sim.node_mut::<SwitchNode>(sw).program_mut::<Lossy>();
+        assert_eq!(program.eat, None, "the acknowledgement was lost");
+        let (events, stats) = (std::mem::take(&mut program.events), program.channel.stats());
+        let tap = sim.node::<Tap>(tap.unwrap());
+        let psns = (tap.frames.iter())
+            .map(|f| RocePacket::parse(f).unwrap().unwrap().bth.psn)
+            .collect();
+        (events, stats, tap.nic.stats(), psns)
+    }
+
+    /// A reliable Fetch-and-Add at PSN 0 loses its acknowledgement. Behind
+    /// it, past [`ATOMIC_RESULTS`] PSNs, every eighth op is another
+    /// Fetch-and-Add on its word and the rest are READs (few enough atomics
+    /// that the server's atomic window never overflows). The READs
+    /// complete; the answers of the Fetch-and-Adds, which overtook PSN 0's,
+    /// are held; and no op launches at PSN 64 or later, which
+    /// would push PSN 0's result out of the server's ring, until PSN 0 is
+    /// answered. The timer re-sends PSN 0 alone, and every
+    /// Fetch-and-Add completes, in order, with the value its own execution
+    /// saw: never a bare ACK, never a NAK.
+    #[test]
+    fn a_lost_atomic_ack_is_answered_again_with_its_value() {
+        const OPS: u64 = 81;
+        let ops = |base: u64| -> Vec<Op> {
+            (0..OPS)
+                .map(|psn| match psn % 8 {
+                    0 => Op::FetchAdd { va: base, add: 1 },
+                    _ => Op::Read {
+                        va: base + 8,
+                        len: 8,
+                    },
+                })
+                .collect()
+        };
+        let (events, stats, nic, psns) = lossy(ReliableConfig::default(), ops, 400);
+
+        assert_eq!(events.len(), OPS as usize);
+        let mut want_faa = 0;
+        for ev in &events {
+            match ev {
+                ChannelEvent::Done {
+                    op: Op::FetchAdd { .. },
+                    reply,
+                    ..
+                } => {
+                    assert_eq!(*reply, Reply::Fetched(want_faa), "{ev:?}");
+                    want_faa += 1;
+                }
+                ChannelEvent::Done {
+                    op: Op::Read { .. },
+                    reply: Reply::Data(_),
+                    ..
+                } => {}
+                other => panic!("unexpected {other:?}"),
+            }
+        }
+        assert_eq!(want_faa, OPS.div_ceil(8));
+        assert_eq!((stats.timeouts, stats.naks), (1, 0), "{stats}");
+        assert_eq!(nic.naks, 0);
+        let resent = 1 + psns[1..].iter().position(|&p| p == 0).unwrap();
+        let first_past_ring = psns.iter().position(|&p| p == ATOMIC_RESULTS as u32);
+        assert_eq!(resent, ATOMIC_RESULTS, "the ring's worth went out first");
+        assert!(first_past_ring.unwrap() > resent, "{psns:?}");
+    }
+
+    /// Best effort, a Fetch-and-Add is never re-sent: the answer to the op
+    /// behind it is its only proof it ran, and retires it, bare.
+    #[test]
+    fn a_best_effort_fetch_and_add_is_retired_by_a_later_answer() {
+        let ops = |base: u64| {
+            vec![
+                Op::FetchAdd { va: base, add: 5 },
+                Op::FetchAdd {
+                    va: base + 8,
+                    add: 7,
+                },
+            ]
+        };
+        let config = ReliableConfig::best_effort(TimeDelta::from_micros(100));
+        let (events, stats, _, _) = lossy(config, ops, 50);
+        let replies: Vec<(u64, Reply)> = (events.into_iter())
+            .map(|ev| match ev {
+                ChannelEvent::Done { cookie, reply, .. } => (cookie, reply),
+                other => panic!("unexpected {other:?}"),
+            })
+            .collect();
+        assert_eq!(replies, [(0, Reply::Ack), (1, Reply::Fetched(0))]);
+        assert_eq!((stats.timeouts, stats.aged_out, stats.faa_sent), (0, 0, 2));
     }
 
     #[test]

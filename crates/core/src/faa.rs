@@ -67,7 +67,9 @@ impl Default for FaaConfig {
 pub struct FaaStats {
     /// Logical updates requested by the program.
     pub updates: u64,
-    /// Fetch-and-Add packets sent (including retransmits).
+    /// Fetch-and-Add requests put on the wire: first sends, re-sends and
+    /// reissues on a promoted mirror. A replicated pool's catch-up WRITEs
+    /// and probe READs are not among them.
     pub faa_sent: u64,
     /// Updates merged into a pending accumulator instead of sent
     /// immediately.
@@ -85,7 +87,7 @@ pub struct FaaStats {
 
 /// The Fetch-and-Add issuing engine. One per pool (usually one server;
 /// a replicated engine's mirrors catch up through [`ReplicatedPool`]'s
-/// replay of the counted words).
+/// WRITEs of the counted words' values).
 #[derive(Debug)]
 pub struct FaaEngine {
     pool: ReplicatedPool,
@@ -137,7 +139,7 @@ impl FaaEngine {
         assert!(
             config.reliable,
             "replicated engines require reliable mode (mirrors are \
-             reconciled by replay, which needs completions)"
+             written the value each Fetch-and-Add completes with)"
         );
         let rc = ReliableConfig {
             rto: config.rto,
@@ -170,7 +172,7 @@ impl FaaEngine {
     pub fn stats(&self) -> FaaStats {
         let ch = self.pool.channel_stats();
         FaaStats {
-            faa_sent: ch.ops_issued + ch.retransmits,
+            faa_sent: ch.faa_sent,
             channel: ch,
             pool: self.pool.stats(),
             ..self.stats
@@ -272,9 +274,9 @@ impl FaaEngine {
     }
 
     /// Periodic maintenance: re-issue anything the window now has room for
-    /// and flush pending mirror deltas (anti-entropy, replicated pools). The
-    /// channel's retransmission/age-out deadline runs on its own cancellable
-    /// timer (see [`FaaEngine::on_timer`]).
+    /// and write the mirrors their dirty words (anti-entropy, replicated
+    /// pools). The channel's retransmission/age-out deadline runs on its
+    /// own cancellable timer (see [`FaaEngine::on_timer`]).
     pub fn tick(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>) {
         self.pump(ctx);
         self.pool.sync_mirrors(ctx);

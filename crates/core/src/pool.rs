@@ -9,32 +9,31 @@
 //! caller Fetch-and-Adds and nothing else (any other caller op panics).
 //! The pool:
 //!
-//! * sends each Fetch-and-Add to the primary only and, once it completes,
-//!   owes each mirror the word: the primary's new value (the atomic
-//!   acknowledgement's original value plus the add) when the op's own
-//!   acknowledgement completed it, else the add. One entry per word per
-//!   mirror; a value supersedes whatever was owed before it, an add lands
-//!   on it. An anti-entropy flush, [`ReplicatedPool::sync_mirrors`], sends
-//!   a value as an 8-byte WRITE and an add as a Fetch-and-Add, keeping live
-//!   mirrors converged between failovers. A duplicate WRITE is not
-//!   re-executed and a channel executes in order, so a mirror's word never
-//!   goes back to an older value;
+//! * sends each Fetch-and-Add to the primary only. Its own atomic
+//!   acknowledgement completes it, in PSN order, with the word's value just
+//!   before the add: with the add, the primary's value. The pool keeps that
+//!   value for every word a completed Fetch-and-Add counted, and marks the
+//!   word dirty on every other server;
+//! * brings a server up to date one way: an 8-byte WRITE of the kept value
+//!   per dirty word, in ascending address. That is the anti-entropy flush
+//!   ([`ReplicatedPool::sync_mirrors`]), the catch-up of a promoted mirror
+//!   and a rejoin, for which every kept word is dirty. A WRITE that fails
+//!   leaves its word dirty. A duplicate WRITE is not re-executed and a
+//!   channel executes in order, so a replica's word never goes back to an
+//!   older value;
 //! * watches each server with a [`HealthDetector`] (`Healthy → Suspect →
-//!   Down → Rejoining`) driven by the channel's timeout/ACK counters, and
-//!   aborts the primary's channel the moment the detector trips — failover
-//!   latency is the detector threshold, not the channel retry cap;
-//! * on primary failure promotes the best mirror, replays what it is owed,
-//!   and reissues the caller ops that were in flight (same cookies,
-//!   so the owning engine never notices) — the very [`Op`] values the
-//!   dying channel hands back in its `OpFailed` events, in its order. The
-//!   pool keeps no list of caller ops: what a Fetch-and-Add owes the
-//!   mirrors is read off the event that completes it;
+//!   Down`) driven by the channel's timeout/ACK counters, and aborts the
+//!   primary's channel the moment the detector trips — failover latency is
+//!   the detector threshold, not the channel retry cap;
+//! * on primary failure promotes the best mirror, catches it up, and
+//!   reissues the caller ops that were in flight (same cookies, so the
+//!   owning engine never notices) — the very [`Op`] values the dying
+//!   channel hands back in its `OpFailed` events, in its order. None of
+//!   them has completed, so none is in a kept value;
 //! * probes Down servers with periodic 8-byte READs over a channel re-armed
-//!   at a fresh PSN ([`ReliableChannel::recover_at`]); an answered probe
-//!   moves the server to `Rejoining`, and the pool promotes it itself:
-//!   after re-seeding every counter a Fetch-and-Add has touched from the
-//!   current primary, or at once if none has (every replica still holds
-//!   zeros).
+//!   at a fresh PSN ([`ReliableChannel::recover_at`]). An answered probe
+//!   makes the server a mirror again at once: its catch-up rides its own
+//!   FIFO channel, ahead of anything it is sent later.
 //!
 //! A single-server pool ([`ReplicatedPool::single`]) is a strict
 //! passthrough with no tracking overhead, so the single-server primitives
@@ -43,19 +42,19 @@
 use crate::channel::{ChannelEvent, Op, ReliableChannel, Reply, MAX_WINDOW};
 use extmem_rnic::WriteBody;
 use extmem_switch::SwitchCtx;
-use extmem_types::{IntMap, IntSet, PortId, Rkey, TimeDelta};
+use extmem_types::{IntMap, PortId, Rkey, TimeDelta};
 use extmem_wire::bth::psn_add;
-use std::collections::BTreeSet;
+use std::collections::BTreeMap;
 use std::fmt;
 
-/// Cookie-space split: the pool's internal ops (probes, replays, reseed
-/// copies) carry the top bit; caller cookies must leave it clear.
+/// Cookie-space split: the pool's internal ops (probes, catch-up WRITEs)
+/// carry the top bit; caller cookies must leave it clear.
 const INTERNAL_BIT: u64 = 1 << 63;
 
-/// The longest run of value WRITEs in a replay volley that asks for no ACK:
-/// every this-many-th one asks, as does a volley's last op, so a volley
-/// longer than the channel's window keeps it turning instead of filling it
-/// with WRITEs nothing would ever confirm.
+/// The longest run of catch-up WRITEs that asks for no ACK: every
+/// this-many-th one asks, as does a volley's last, so a volley longer than
+/// the channel's window keeps it turning instead of filling it with WRITEs
+/// nothing would ever confirm.
 const ACK_EVERY: usize = MAX_WINDOW / 4;
 
 /// How far `recover_at` jumps the PSN past the dead window. Far larger
@@ -72,11 +71,8 @@ pub enum Health {
     /// Missed at least one timeout round; not yet written off.
     Suspect,
     /// Past the consecutive-failure threshold (or its channel failed).
-    /// Owed words but sent none; probed for recovery.
+    /// Words turn dirty on it, but it is sent nothing except probes.
     Down,
-    /// A probe answered: the server is back but its state is stale; it
-    /// rejoins the mirror set once reconciliation completes.
-    Rejoining,
 }
 
 /// Per-server failure detector: a pure state machine over timeout/ACK/probe
@@ -90,9 +86,7 @@ pub enum Health {
 /// * `on_ack`: resets the consecutive count; `Suspect → Healthy`.
 /// * `on_channel_failed`: forced `Down` from any state (the reliability
 ///   layer exhausted its retries or was aborted).
-/// * `on_probe_success`: `Down → Rejoining` — the only way in.
-/// * `on_rejoin_complete`: `Rejoining → Healthy`.
-/// * `on_rejoin_aborted`: `Rejoining → Down` (reconciliation failed).
+/// * `on_probe_success`: `Down → Healthy` — the only way out of `Down`.
 #[derive(Clone, Copy, Debug)]
 pub struct HealthDetector {
     state: Health,
@@ -131,9 +125,8 @@ impl HealthDetector {
                     self.state = Health::Down;
                 }
             }
-            // Down stays Down (probes decide recovery); a Rejoining server's
-            // fate is decided by its reconciliation traffic, not raw timeouts.
-            Health::Down | Health::Rejoining => {}
+            // Down stays Down: probes decide recovery.
+            Health::Down => {}
         }
     }
 
@@ -151,25 +144,12 @@ impl HealthDetector {
         self.state = Health::Down;
     }
 
-    /// A probe READ completed against the restarted server.
+    /// A probe READ completed against the restarted server: it is live
+    /// again, and its catch-up goes out ahead of anything sent to it later.
     pub fn on_probe_success(&mut self) {
         if self.state == Health::Down {
-            self.state = Health::Rejoining;
-        }
-    }
-
-    /// Reconciliation finished; the server is a live mirror again.
-    pub fn on_rejoin_complete(&mut self) {
-        if self.state == Health::Rejoining {
             self.state = Health::Healthy;
             self.consecutive_failures = 0;
-        }
-    }
-
-    /// Reconciliation was cut short (e.g. the reseed source died).
-    pub fn on_rejoin_aborted(&mut self) {
-        if self.state == Health::Rejoining {
-            self.state = Health::Down;
         }
     }
 }
@@ -206,32 +186,28 @@ const MAX_PROBES: u64 = 64;
 pub struct PoolStats {
     /// Servers in the pool.
     pub servers: u32,
-    /// Servers currently `Down` or `Rejoining`.
+    /// Servers currently `Down`.
     pub unavailable: u32,
     /// Primary promotions (a mirror took over).
     pub failovers: u64,
     /// Probe READs issued at Down servers.
     pub probes: u64,
-    /// Servers promoted back to mirror after a crash.
+    /// Servers made mirrors again after a crash (answered probes).
     pub rejoins: u64,
     /// Caller WRITEs fanned out to mirrors: always 0, since a replicated
-    /// pool carries Fetch-and-Adds only and mirrors catch up by replay
-    /// (counted in `delta_replayed`). Kept because the benchmark harness
-    /// (`crates/benchmark`) and A10's "mirror wr" column read it.
+    /// pool carries Fetch-and-Adds only and servers catch up by value
+    /// WRITEs (counted in `delta_replayed`). Kept because the benchmark
+    /// harness (`crates/benchmark`) and A10's "mirror wr" column read it.
     pub mirror_writes: u64,
-    /// Completed caller Fetch-and-Adds recorded as owed to another server,
-    /// one per op per server.
+    /// Words marked dirty on another server by a completed caller
+    /// Fetch-and-Add, one per op per server.
     pub delta_accumulated: u64,
-    /// Owed words replayed onto a server (anti-entropy + promotion), of
-    /// either kind: a value as an 8-byte WRITE, an add as a Fetch-and-Add.
+    /// Catch-up WRITEs sent (anti-entropy, promotion and rejoin): one
+    /// 8-byte WRITE of the primary's value per dirty word. The name is the
+    /// one the benchmark harness reads.
     pub delta_replayed: u64,
-    /// Reseed copy ops (READ from survivor + WRITE to rejoiner).
-    pub reseed_ops: u64,
     /// In-flight caller ops transparently reissued on a new primary.
     pub reissued_ops: u64,
-    /// Internal ops answered with a reply of the wrong kind (a reseed READ
-    /// without data), handled as if they had failed.
-    pub bad_replies: u64,
 }
 
 impl PoolStats {
@@ -246,9 +222,7 @@ impl PoolStats {
         self.mirror_writes += other.mirror_writes;
         self.delta_accumulated += other.delta_accumulated;
         self.delta_replayed += other.delta_replayed;
-        self.reseed_ops += other.reseed_ops;
         self.reissued_ops += other.reissued_ops;
-        self.bad_replies += other.bad_replies;
     }
 }
 
@@ -258,7 +232,7 @@ impl fmt::Display for PoolStats {
         write!(
             f,
             "servers={}/{} failovers={} probes={} rejoins={} mirror_wr={} \
-             delta={}+{} reseed={} reissued={}",
+             delta={}+{} reissued={}",
             self.servers - self.unavailable,
             self.servers,
             self.failovers,
@@ -267,31 +241,8 @@ impl fmt::Display for PoolStats {
             self.mirror_writes,
             self.delta_accumulated,
             self.delta_replayed,
-            self.reseed_ops,
             self.reissued_ops,
         )
-    }
-}
-
-/// What a server is owed at one word.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Owed {
-    /// The word's value on the primary after some Fetch-and-Add: replayed
-    /// as an 8-byte WRITE.
-    Value(u64),
-    /// Adds the server has not seen: replayed as a Fetch-and-Add.
-    Delta(u64),
-}
-
-impl Owed {
-    /// `self`, then `newer` on top of it: a value is the whole word, so it
-    /// supersedes what came before; an add lands on it.
-    fn then(self, newer: Owed) -> Owed {
-        match (self, newer) {
-            (_, Owed::Value(v)) => Owed::Value(v),
-            (Owed::Value(v), Owed::Delta(d)) => Owed::Value(v.wrapping_add(d)),
-            (Owed::Delta(a), Owed::Delta(d)) => Owed::Delta(a.wrapping_add(d)),
-        }
     }
 }
 
@@ -300,20 +251,9 @@ impl Owed {
 enum InternalOp {
     /// Recovery probe READ at a Down server.
     Probe { server: usize },
-    /// An owed word being replayed onto a server; owed again on failure.
-    Replay { server: usize, va: u64, owed: Owed },
-    /// Reseed: READ of a touched word from the current primary.
-    ReseedRead { target: usize, va: u64 },
-    /// Reseed: WRITE of that word into the rejoining server.
-    ReseedWrite { target: usize },
-}
-
-/// Reconciliation of one rejoining server (at most one at a time).
-#[derive(Debug)]
-struct Reseed {
-    target: usize,
-    /// Words whose copy (READ→WRITE round trip) hasn't landed yet.
-    pending: usize,
+    /// A catch-up WRITE of the word at `va`; the word is dirty again if it
+    /// fails.
+    CatchUp { server: usize, va: u64 },
 }
 
 struct PoolServer {
@@ -322,32 +262,19 @@ struct PoolServer {
     /// Channel-stat watermarks for deriving detector inputs.
     seen_timeouts: u64,
     seen_progress: u64,
-    /// FaA updates applied to the primary but not yet to this server:
-    /// `(va, owed)` in ascending `va`, the order a flush replays them in.
+    /// Words whose kept value this server has not been sent since it
+    /// changed, in ascending `va`, the order a catch-up writes them in.
     /// Small (one entry per counter touched since the last flush), so a
     /// sorted vector that keeps its capacity across flushes.
-    owed: Vec<(u64, Owed)>,
+    dirty: Vec<u64>,
 }
 
 impl PoolServer {
-    /// Combine `f(entry)` into what this server is owed at `va`: `f` gets
-    /// the entry owed there, if any.
-    fn owe(&mut self, va: u64, f: impl FnOnce(Option<Owed>) -> Owed) {
-        match self.owed.binary_search_by_key(&va, |&(at, _)| at) {
-            Ok(i) => self.owed[i].1 = f(Some(self.owed[i].1)),
-            Err(i) => self.owed.insert(i, (va, f(None))),
+    /// Mark the word at `va` dirty on this server.
+    fn mark_dirty(&mut self, va: u64) {
+        if let Err(i) = self.dirty.binary_search(&va) {
+            self.dirty.insert(i, va);
         }
-    }
-
-    /// Owe this server `newer` at `va`, on top of what it is owed there.
-    fn owe_newer(&mut self, va: u64, newer: Owed) {
-        self.owe(va, |owed| owed.map_or(newer, |o| o.then(newer)));
-    }
-
-    /// Owe this server `older` at `va` again (its replay failed), under
-    /// what it has been owed there since.
-    fn owe_older(&mut self, va: u64, older: Owed) {
-        self.owe(va, |owed| owed.map_or(older, |o| older.then(o)));
     }
 }
 
@@ -375,12 +302,9 @@ pub struct ReplicatedPool {
     /// Pool-internal ops in flight anywhere.
     internal: IntMap<u64, InternalOp>,
     next_internal: u64,
-    /// `(server, cookie)`: caller atomics already covered by that server's
-    /// in-progress reseed snapshot — they must not be owed to it again.
-    delta_skip: IntSet<(usize, u64)>,
-    /// Every word ever touched by a caller FaA (the reseed copy list).
-    touched: BTreeSet<u64>,
-    reseed: Option<Reseed>,
+    /// The primary's value of every word a completed caller Fetch-and-Add
+    /// counted, as of the last one to complete: what a catch-up writes.
+    known: BTreeMap<u64, u64>,
     probe_armed: bool,
     failed: bool,
     stats: PoolStats,
@@ -452,7 +376,7 @@ impl ReplicatedPool {
                     health: HealthDetector::new(config.down_threshold),
                     seen_timeouts: 0,
                     seen_progress: 0,
-                    owed: Vec::new(),
+                    dirty: Vec::new(),
                 })
                 .collect(),
             primary: 0,
@@ -460,9 +384,7 @@ impl ReplicatedPool {
             raw: Vec::new(),
             internal: IntMap::default(),
             next_internal: 0,
-            delta_skip: IntSet::default(),
-            touched: BTreeSet::new(),
-            reseed: None,
+            known: BTreeMap::new(),
             probe_armed: false,
             failed: false,
             stats: PoolStats {
@@ -507,8 +429,8 @@ impl ReplicatedPool {
     }
 
     /// Override the reliability policy on every server's channel (before
-    /// traffic flows). Replicated pools must stay reliable — mirror
-    /// reconciliation replays completions.
+    /// traffic flows). Replicated pools must stay reliable — only a
+    /// reliable channel completes a Fetch-and-Add with its own value.
     pub fn set_config(&mut self, rc: crate::channel::ReliableConfig) {
         assert!(
             rc.reliable || self.servers.len() == 1,
@@ -544,7 +466,7 @@ impl ReplicatedPool {
         s.unavailable = self
             .servers
             .iter()
-            .filter(|sv| matches!(sv.health.state(), Health::Down | Health::Rejoining))
+            .filter(|sv| sv.health.state() == Health::Down)
             .count() as u32;
         s
     }
@@ -555,14 +477,12 @@ impl ReplicatedPool {
         self.servers[self.primary].channel.outstanding_len()
     }
 
-    /// Whether the replicas have converged: no mirror is owed a word and no
-    /// pool-internal op (replay, probe, reseed step) is in flight.
+    /// Whether the replicas have converged: no server has a dirty word and
+    /// no pool-internal op (catch-up WRITE, probe) is in flight.
     /// Quiescence on the caller side plus this is the "fully settled"
     /// condition replica-equality audits should wait for.
     pub fn is_synced(&self) -> bool {
-        self.internal.is_empty()
-            && self.reseed.is_none()
-            && self.servers.iter().all(|s| s.owed.is_empty())
+        self.internal.is_empty() && self.servers.iter().all(|s| s.dirty.is_empty())
     }
 
     /// The caller's ops the primary's channel holds, in submit order (in
@@ -593,8 +513,8 @@ impl ReplicatedPool {
     /// through; a replicated one takes Fetch-and-Adds only and panics on
     /// anything else. The op runs on the primary, and the event that ends
     /// it — on this primary or, after a failover reissued it, the next —
-    /// carries it back under the same cookie; the word is then owed to the
-    /// mirrors and reconciled by replay.
+    /// carries it back under the same cookie; the word's new value is then
+    /// kept, and the word marked dirty on the other servers.
     ///
     /// Returns `false` — op dropped — once the pool has wholly degraded.
     pub fn submit(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, op: Op, cookie: u64) -> bool {
@@ -602,13 +522,13 @@ impl ReplicatedPool {
         if self.servers.len() == 1 {
             return self.servers[0].channel.submit(ctx, op, cookie);
         }
-        let Op::FetchAdd { va, .. } = op else {
-            panic!("a replicated pool carries Fetch-and-Adds only, not {op:?}");
-        };
+        assert!(
+            matches!(op, Op::FetchAdd { .. }),
+            "a replicated pool carries Fetch-and-Adds only, not {op:?}"
+        );
         if self.failed {
             return false;
         }
-        self.touched.insert(va);
         self.servers[self.primary].channel.submit(ctx, op, cookie)
     }
 
@@ -730,117 +650,47 @@ impl ReplicatedPool {
         raw: &mut Vec<ChannelEvent>,
         out: &mut Vec<ChannelEvent>,
     ) {
-        // Ops the dying channel handed back, in the order it did: held
-        // for the `Failed` that ends the same volley. Internal ones are
-        // settled newest first, so a replay that failed goes under what
-        // was owed after it; caller ones are reissued on a promoted
-        // mirror or passed on.
+        // Caller ops the dying channel handed back, in the order it did:
+        // held for the `Failed` that ends the same volley, then reissued
+        // on a promoted mirror or passed on.
         let mut orphans = Vec::new();
         for ev in raw.drain(..) {
             match ev {
-                ChannelEvent::Done { cookie, reply, .. } if cookie & INTERNAL_BIT != 0 => {
-                    self.internal_done(ctx, cookie, reply);
+                ChannelEvent::Done { cookie, .. } if cookie & INTERNAL_BIT != 0 => {
+                    if let Some(InternalOp::Probe { server }) = self.internal.remove(&cookie) {
+                        self.rejoin(ctx, server);
+                    }
                 }
                 ChannelEvent::Done { cookie, op, reply } => {
-                    if let Op::FetchAdd { va, add } = op {
-                        // The op's own acknowledgement carries the word as
-                        // it was just before the add: with the add, the
-                        // primary's value, which holds every earlier add.
-                        let owed = match reply {
-                            Reply::Fetched(old) => Owed::Value(old.wrapping_add(add)),
-                            _ => Owed::Delta(add),
-                        };
-                        for j in 0..self.servers.len() {
-                            if j == i || self.delta_skip.remove(&(j, cookie)) {
-                                continue;
-                            }
-                            self.servers[j].owe_newer(va, owed);
+                    // A reliable channel completes a Fetch-and-Add with its
+                    // own value, in PSN order: the word as it was just
+                    // before the add, which holds every add completed
+                    // before it and none still in flight.
+                    if let (Op::FetchAdd { va, add }, Reply::Fetched(old)) = (&op, &reply) {
+                        self.known.insert(*va, old.wrapping_add(*add));
+                        for j in (0..self.servers.len()).filter(|&j| j != i) {
+                            self.servers[j].mark_dirty(*va);
                             self.stats.delta_accumulated += 1;
                         }
                     }
                     out.push(ChannelEvent::Done { cookie, op, reply });
                 }
+                ChannelEvent::OpFailed { cookie, .. } if cookie & INTERNAL_BIT != 0 => {
+                    // An unanswered probe leaves its server Down, and the
+                    // timer probes again; a catch-up WRITE that did not
+                    // land leaves its word dirty.
+                    if let Some(InternalOp::CatchUp { server, va }) = self.internal.remove(&cookie)
+                    {
+                        self.servers[server].mark_dirty(va);
+                    }
+                }
                 ChannelEvent::OpFailed { cookie, op } => orphans.push((cookie, op)),
                 ChannelEvent::Failed => {
-                    let mut orphans = std::mem::take(&mut orphans);
-                    for &(cookie, _) in orphans.iter().rev() {
-                        if cookie & INTERNAL_BIT != 0 {
-                            self.internal_failed(cookie);
-                        }
-                    }
-                    orphans.retain(|(cookie, _)| cookie & INTERNAL_BIT == 0);
-                    self.server_failed(ctx, i, orphans, out)
+                    self.server_failed(ctx, i, std::mem::take(&mut orphans), out)
                 }
             }
         }
         debug_assert!(orphans.is_empty(), "orphans outlived their batch");
-    }
-
-    fn internal_done(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, cookie: u64, reply: Reply) {
-        let Some(op) = self.internal.remove(&cookie) else {
-            return;
-        };
-        match op {
-            InternalOp::Replay { .. } => {}
-            InternalOp::Probe { server } => {
-                self.servers[server].health.on_probe_success();
-                self.begin_rejoin(ctx, server);
-            }
-            InternalOp::ReseedRead { target, va } => {
-                let Reply::Data(data) = reply else {
-                    // The channel completes a READ with its data only.
-                    self.stats.bad_replies += 1;
-                    self.reseed_failed(target);
-                    return;
-                };
-                let copy = Op::Write {
-                    va,
-                    body: data.into(),
-                    ack_req: true,
-                };
-                self.submit_internal(ctx, target, InternalOp::ReseedWrite { target }, copy);
-                self.stats.reseed_ops += 1;
-            }
-            InternalOp::ReseedWrite { target } => {
-                let done = match &mut self.reseed {
-                    Some(rs) if rs.target == target => {
-                        rs.pending -= 1;
-                        rs.pending == 0
-                    }
-                    _ => false,
-                };
-                if done {
-                    self.reseed = None;
-                    self.finish_rejoin(ctx, target);
-                }
-            }
-        }
-    }
-
-    fn internal_failed(&mut self, cookie: u64) {
-        let Some(op) = self.internal.remove(&cookie) else {
-            return;
-        };
-        match op {
-            // Probe unanswered: the server stays Down, the timer re-probes.
-            InternalOp::Probe { .. } => {}
-            InternalOp::Replay { server, va, owed } => {
-                // The replay didn't land; owe it again for the next flush.
-                self.servers[server].owe_older(va, owed);
-            }
-            InternalOp::ReseedRead { target, .. } | InternalOp::ReseedWrite { target } => {
-                self.reseed_failed(target);
-            }
-        }
-    }
-
-    /// A step of `target`'s reconciliation failed: abort it, if it is the
-    /// one under way, and send the server back to `Down`.
-    fn reseed_failed(&mut self, target: usize) {
-        if self.reseed.as_ref().is_some_and(|r| r.target == target) {
-            self.reseed = None;
-            self.servers[target].health.on_rejoin_aborted();
-        }
     }
 
     fn server_failed(
@@ -851,9 +701,6 @@ impl ReplicatedPool {
         out: &mut Vec<ChannelEvent>,
     ) {
         self.servers[i].health.on_channel_failed();
-        if self.reseed.as_ref().is_some_and(|r| r.target == i) {
-            self.reseed = None;
-        }
         if i != self.primary {
             debug_assert!(orphans.is_empty(), "caller ops never run on mirrors");
             return;
@@ -876,134 +723,68 @@ impl ReplicatedPool {
         };
         self.primary = new_primary;
         self.stats.failovers += 1;
-        // The new primary first catches up on the words it is owed, then
-        // the orphaned caller ops are replayed under their original
-        // cookies, in the order the old primary's channel held them.
-        // Channel FIFO ordering makes the catch-up happen first. An op
-        // carries no rkey, so it reissues verbatim under the new primary's
-        // own region key.
-        self.replay_owed(ctx, new_primary);
+        // The new primary first catches up on its dirty words, then the
+        // orphaned caller ops are replayed under their original cookies,
+        // in the order the old primary's channel held them. Channel FIFO
+        // ordering makes the catch-up happen first. An op carries no rkey,
+        // so it reissues verbatim under the new primary's own region key.
+        self.catch_up(ctx, new_primary);
         for (cookie, op) in orphans {
             self.servers[new_primary].channel.submit(ctx, op, cookie);
             self.stats.reissued_ops += 1;
         }
     }
 
-    /// Drain what `server` is owed into one volley of replay ops on it, in
-    /// ascending `va`: a value as an 8-byte WRITE, an add as a
-    /// Fetch-and-Add. A WRITE asks for an ACK when it is the volley's last
-    /// op or the [`ACK_EVERY`]-th WRITE in a row; every other one is
-    /// confirmed by the answer to an op behind it.
-    fn replay_owed(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, server: usize) {
-        // Issuing an op completes none, so nothing is owed to `server`
+    /// Write `server` the kept value of each of its dirty words, in
+    /// ascending `va`: one 8-byte WRITE each. A WRITE asks for an ACK when
+    /// it is the volley's last or the [`ACK_EVERY`]-th in a row; every other
+    /// one is confirmed by the answer to an op behind it.
+    fn catch_up(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, server: usize) {
+        // Issuing an op completes none, so no word turns dirty on `server`
         // while its list is out; it goes back empty, capacity intact.
-        let mut owed = std::mem::take(&mut self.servers[server].owed);
-        let last = owed.len().saturating_sub(1);
-        let mut unanswered = 0;
-        for (k, (va, entry)) in owed.drain(..).enumerate() {
-            let op = match entry {
-                Owed::Value(v) => {
-                    unanswered += 1;
-                    let ack_req = k == last || unanswered == ACK_EVERY;
-                    if ack_req {
-                        unanswered = 0;
-                    }
-                    let body = WriteBody::inline(&v.to_be_bytes());
-                    Op::Write { va, body, ack_req }
-                }
-                Owed::Delta(add) => {
-                    unanswered = 0;
-                    Op::FetchAdd { va, add }
-                }
+        let mut dirty = std::mem::take(&mut self.servers[server].dirty);
+        let last = dirty.len().saturating_sub(1);
+        for (k, va) in dirty.drain(..).enumerate() {
+            // Every dirty word is a kept one.
+            let Some(value) = self.known.get(&va) else {
+                continue;
             };
-            let what = InternalOp::Replay {
-                server,
-                va,
-                owed: entry,
-            };
-            self.submit_internal(ctx, server, what, op);
+            let body = WriteBody::inline(&value.to_be_bytes());
+            let ack_req = k == last || (k + 1) % ACK_EVERY == 0;
+            let write = Op::Write { va, body, ack_req };
+            self.submit_internal(ctx, server, InternalOp::CatchUp { server, va }, write);
             self.stats.delta_replayed += 1;
         }
-        debug_assert!(self.servers[server].owed.is_empty());
-        self.servers[server].owed = owed;
+        debug_assert!(self.servers[server].dirty.is_empty());
+        self.servers[server].dirty = dirty;
     }
 
-    /// Anti-entropy flush: replay what every live mirror is owed so replicas converge between failovers, and start the
-    /// reconciliation of a rejoiner that queued behind one cut short. The
-    /// FaA engine calls this from its periodic tick; cheap when nothing is
-    /// pending.
+    /// Anti-entropy flush: catch every live mirror up on its dirty words,
+    /// so replicas converge between failovers. The FaA engine calls this
+    /// from its periodic tick; cheap when nothing is dirty.
     pub fn sync_mirrors(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>) {
         if self.servers.len() == 1 || self.failed {
             return;
         }
-        self.next_rejoin(ctx);
         for j in 0..self.servers.len() {
-            if j == self.primary
-                || self.servers[j].owed.is_empty()
-                || !matches!(
-                    self.servers[j].health.state(),
-                    Health::Healthy | Health::Suspect
-                )
-            {
-                continue;
+            let live = self.servers[j].health.state() != Health::Down;
+            if j != self.primary && live && !self.servers[j].dirty.is_empty() {
+                self.catch_up(ctx, j);
             }
-            self.replay_owed(ctx, j);
         }
     }
 
-    /// Re-seed a probe-answered `server` from the primary — every word a
-    /// caller Fetch-and-Add has touched is copied, then the server is
-    /// promoted. A pool that never carried one has nothing to copy: every
-    /// replica still holds zeros, so the server is promoted at once.
-    fn begin_rejoin(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, server: usize) {
-        if self.reseed.is_some() {
-            // One reconciliation at a time: a second rejoiner stays
-            // `Rejoining` and is picked up when the current one ends.
-            return;
-        }
-        if self.touched.is_empty() {
-            self.finish_rejoin(ctx, server);
-            return;
-        }
-        // Caller atomics currently in flight on the primary will be
-        // captured by the snapshot READs behind them (FIFO channel), so
-        // they must not be owed to the rejoiner again.
-        for (cookie, op) in self.servers[self.primary].channel.ops() {
-            if cookie & INTERNAL_BIT == 0 && matches!(op, Op::FetchAdd { .. }) {
-                self.delta_skip.insert((server, cookie));
-            }
-        }
-        self.servers[server].owed.clear();
-        let vas: Vec<u64> = self.touched.iter().copied().collect();
-        self.reseed = Some(Reseed {
-            target: server,
-            pending: vas.len(),
-        });
-        for va in vas {
-            let what = InternalOp::ReseedRead { target: server, va };
-            self.submit_internal(ctx, self.primary, what, Op::Read { va, len: 8 });
-            self.stats.reseed_ops += 1;
-        }
-    }
-
-    fn finish_rejoin(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, server: usize) {
-        self.servers[server].health.on_rejoin_complete();
+    /// A probe of Down `server` was answered: it is a mirror again, every
+    /// kept word is dirty on it, and its catch-up goes out now, on its own
+    /// channel, ahead of anything it is sent later. A pool that never
+    /// counted has nothing to write: every replica still holds zeros.
+    fn rejoin(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, server: usize) {
+        self.servers[server].health.on_probe_success();
         self.stats.rejoins += 1;
-        // Words owed while reseeding (post-snapshot atomics) flush now;
-        // afterwards the server is a mirror like any other.
-        self.replay_owed(ctx, server);
-        // Chain any rejoiner that was queued behind this reconciliation.
-        self.next_rejoin(ctx);
-    }
-
-    /// Start reconciling the first `Rejoining` server, if there is one and
-    /// no reconciliation is under way.
-    fn next_rejoin(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>) {
-        let next =
-            (0..self.servers.len()).find(|&j| self.servers[j].health.state() == Health::Rejoining);
-        if let Some(j) = next {
-            self.begin_rejoin(ctx, j);
-        }
+        let dirty = &mut self.servers[server].dirty;
+        dirty.clear();
+        dirty.extend(self.known.keys());
+        self.catch_up(ctx, server);
     }
 
     fn ensure_probe_timer(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>) {
@@ -1053,10 +834,10 @@ impl ReplicatedPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::channel::tests::{behind_blackhole, impatient, Blackhole};
+    use crate::channel::tests::{behind_blackhole, impatient, Blackhole, Tap};
     use crate::channel::{RdmaChannel, ReliableConfig};
     use extmem_rnic::{RnicConfig, RnicNode};
-    use extmem_sim::{LinkSpec, Node, NodeCtx};
+    use extmem_sim::LinkSpec;
     use extmem_switch::switch::program_token;
     use extmem_switch::{PipelineProgram, SwitchNode};
     use extmem_types::NodeId;
@@ -1064,28 +845,6 @@ mod tests {
     use extmem_wire::bth::Opcode;
     use extmem_wire::roce::{RoceEndpoint, RoceExt, RocePacket};
     use extmem_wire::{MacAddr, Packet};
-
-    /// A memory server that also records every frame the switch sends it.
-    struct Tap {
-        nic: RnicNode,
-        frames: Vec<Packet>,
-    }
-
-    impl Node for Tap {
-        fn on_packet(&mut self, ctx: &mut NodeCtx<'_>, port: PortId, packet: Packet) {
-            self.frames.push(packet.clone());
-            self.nic.on_packet(ctx, port, packet);
-        }
-        fn on_timer(&mut self, ctx: &mut NodeCtx<'_>, token: u64) {
-            self.nic.on_timer(ctx, token);
-        }
-        fn on_tx_done(&mut self, ctx: &mut NodeCtx<'_>, port: PortId) {
-            self.nic.on_tx_done(ctx, port);
-        }
-        fn name(&self) -> &str {
-            "tap"
-        }
-    }
 
     /// Owns a pool; submits `ops` under cookies 10, 11, … when poked and
     /// keeps every event the pool hands up.
@@ -1235,10 +994,10 @@ mod tests {
             .collect();
         assert_eq!(program.events, want);
 
-        // No Fetch-and-Add completed on the old primary, so none is owed
-        // to anybody as a delta: the new primary applied each once, as the
-        // reissued op, and nothing was replayed onto it. The two servers
-        // it did not run on are owed it.
+        // No Fetch-and-Add completed on the old primary, so no word was
+        // dirty on the new one: it applied each op once, as the reissued
+        // op, and was written nothing. The word of each is dirty on the
+        // two servers it did not run on.
         for (i, op) in ops.iter().enumerate() {
             let Op::FetchAdd { va, add } = *op else {
                 unreachable!()
@@ -1269,8 +1028,9 @@ mod tests {
 
     /// The mirror of a two-server pool crashes and is written off before
     /// anything is counted, then restarts. Its probe is answered, and with
-    /// no counter to copy the pool promotes it at once; nobody else is
-    /// asked. The first Fetch-and-Add after that reaches both replicas.
+    /// no counter to write the pool makes it a mirror again at once; nobody
+    /// else is asked. The first Fetch-and-Add after that reaches both
+    /// replicas.
     #[test]
     fn mirror_rejoining_before_the_first_count_is_promoted_by_the_pool() {
         // Port 0 leads to the black hole; the servers sit on ports 1 and 2.
@@ -1297,7 +1057,10 @@ mod tests {
         let pool = &sim.node::<SwitchNode>(sw).program::<Submitter>().pool;
         assert_eq!([pool.health(0), pool.health(1)], [Health::Healthy; 2]);
         let stats = pool.stats();
-        assert_eq!((stats.probes, stats.rejoins, stats.reseed_ops), (1, 1, 0));
+        assert_eq!(
+            (stats.probes, stats.rejoins, stats.delta_replayed),
+            (1, 1, 0)
+        );
 
         sim.schedule_timer(sw, TimeDelta::ZERO, program_token(SUBMIT));
         sim.schedule_timer(sw, TimeDelta::from_micros(20), program_token(SYNC));
@@ -1472,41 +1235,51 @@ mod tests {
         assert_eq!(mirror, primary);
     }
 
-    /// The atomic acknowledgement of the first count is lost: the second
-    /// count's acknowledgement retires it, bare. Its word is owed as an add
-    /// and goes to the mirror as a Fetch-and-Add; the other word, whose
-    /// count came back with the primary's value, as a WRITE. The mirror
-    /// ends equal to the primary.
+    /// The atomic acknowledgement of the first of three counts is lost; the
+    /// second, on the same word, and the third overtake it and are held:
+    /// the re-send of the first completes all three, in order, each with
+    /// its own value. Completed the other way round, the first count's
+    /// value, 5, would overwrite the second's, 12, as the word's newest.
+    /// The mirror is written the values alone, and ends equal to the
+    /// primary.
     #[test]
-    fn a_count_retired_without_its_acknowledgement_is_replayed_as_an_add() {
+    fn a_count_whose_acknowledgement_is_lost_completes_with_its_own_value() {
         let (_, [ch, ..]) = servers::<1>();
         let base = ch.base_va;
-        let ops = vec![
-            Op::FetchAdd { va: base, add: 5 },
-            Op::FetchAdd {
-                va: base + 8,
-                add: 7,
-            },
-        ];
-        let steps = vec![(0, submit(ops)), (20, flush())];
-        let (sim, sw, servers, rkey) = primary_and_mirror(steps, Some(0), (base, 0), 60);
+        let count = |slot: u64, add: u64| Op::FetchAdd {
+            va: base + 8 * slot,
+            add,
+        };
+        let ops = vec![count(0, 5), count(0, 7), count(1, 9)];
+        // One RTO (100 us) after the counts, the re-send is answered.
+        let steps = vec![(0, submit(ops)), (150, flush())];
+        let (sim, sw, servers, rkey) = primary_and_mirror(steps, Some(0), (base, 0), 200);
 
         let program = sim.node::<SwitchNode>(sw).program::<Driven>();
         assert_eq!(program.eat, None, "the acknowledgement was lost");
-        let replies: Vec<&Reply> = (program.events.iter())
+        let fetched: Vec<(u64, u64)> = (program.events.iter())
             .map(|ev| match ev {
-                ChannelEvent::Done { reply, .. } => reply,
+                ChannelEvent::Done {
+                    cookie,
+                    reply: Reply::Fetched(old),
+                    ..
+                } => (*cookie, *old),
                 other => panic!("unexpected {other:?}"),
             })
             .collect();
-        assert_eq!(replies, [&Reply::Ack, &Reply::Fetched(0)]);
+        assert_eq!(fetched, [(10, 0), (11, 5), (12, 0)]);
+        let st = program.pool.channel_stats();
+        assert_eq!((st.timeouts, st.retransmits, st.naks), (1, 1, 0), "{st}");
         assert!(program.pool.is_synced());
         let sent = mirror_requests(&sim, servers[1]);
-        let seen: Vec<Opcode> = sent.iter().map(|p| p.bth.opcode).collect();
-        assert_eq!(seen, [Opcode::FetchAdd, Opcode::WriteOnly]);
-        assert!(sent[1].bth.ack_req);
+        let seen: Vec<(Opcode, bool)> =
+            sent.iter().map(|p| (p.bth.opcode, p.bth.ack_req)).collect();
+        assert_eq!(
+            seen,
+            [(Opcode::WriteOnly, false), (Opcode::WriteOnly, true)]
+        );
         let [primary, mirror] = both_regions(&sim, servers, rkey, 2);
-        assert_eq!(primary, [5u64, 7].map(u64::to_be_bytes).concat());
+        assert_eq!(primary, [12u64, 9].map(u64::to_be_bytes).concat());
         assert_eq!(mirror, primary);
     }
 
@@ -1539,10 +1312,9 @@ mod tests {
         assert_eq!(mirror, primary);
     }
 
-    /// Value WRITEs to a mirror that goes silent come back failed and are
-    /// owed again, under what was owed since: of two WRITEs to one word
-    /// the newer value stays; a newer value supersedes a failed one; a
-    /// newer add lands on it.
+    /// Value WRITEs to a mirror that goes silent come back failed and
+    /// leave their words dirty, next to the words counted since: the next
+    /// catch-up writes each once, with the newest value kept for it.
     #[test]
     fn a_failed_value_write_is_owed_again_under_what_came_since() {
         // The mirror sits on port 0, behind the black hole.
@@ -1552,16 +1324,14 @@ mod tests {
             va: base + 8 * slot,
             add,
         };
-        let write_off: Step = Box::new(move |pool, ctx| {
-            // A count on word 1 retired without its own acknowledgement.
-            pool.servers[1].owe_newer(base + 8, Owed::Delta(4));
+        let write_off: Step = Box::new(|pool, ctx| {
             let mut raw = Vec::new();
             pool.servers[1].channel.abort(ctx, &mut raw);
             pool.after_channel_activity(ctx, 1, &mut raw, &mut Vec::new());
         });
         let steps = vec![
             // WRITEs of 5, 7 and 2, then of 8 to word 0; a count on word
-            // 2 since owes it 3.
+            // 2 since makes it 3.
             (0, submit(vec![count(0, 5), count(1, 7), count(2, 2)])),
             (10, flush()),
             (11, submit(vec![count(0, 3)])),
@@ -1590,12 +1360,11 @@ mod tests {
         assert_eq!(sim.node::<Blackhole>(hole).frames.len(), 4);
         let pool = &sim.node::<SwitchNode>(sw).program::<Driven>().pool;
         assert_eq!(pool.health(1), Health::Down);
-        let want = [
-            (base, Owed::Value(8)),
-            (base + 8, Owed::Value(11)),
-            (base + 16, Owed::Value(3)),
-        ];
-        assert_eq!(pool.servers[1].owed, want);
+        let words = [base, base + 8, base + 16];
+        assert_eq!(pool.servers[1].dirty, words);
+        let known: Vec<(u64, u64)> = pool.known.iter().map(|(&va, &v)| (va, v)).collect();
+        assert_eq!(known, [(base, 8), (base + 8, 7), (base + 16, 3)]);
+        assert!(!pool.is_synced());
     }
 
     /// A server's port names its channel's timer: two servers on one port
@@ -1638,33 +1407,25 @@ mod tests {
     #[test]
     fn rejoin_only_from_down() {
         let mut d = HealthDetector::new(2);
-        d.on_probe_success();
-        assert_eq!(
-            d.state(),
-            Health::Healthy,
-            "probe success is not a promotion"
-        );
-        d.on_channel_failed();
-        assert_eq!(d.state(), Health::Down);
-        d.on_probe_success();
-        assert_eq!(d.state(), Health::Rejoining);
         d.on_timeout();
-        assert_eq!(
-            d.state(),
-            Health::Rejoining,
-            "raw timeouts don't demote a rejoiner"
-        );
-        d.on_rejoin_complete();
+        d.on_probe_success();
+        assert_eq!(d.state(), Health::Suspect, "a probe is no promotion");
+        d.on_channel_failed();
+        d.on_timeout();
+        assert_eq!(d.state(), Health::Down, "raw timeouts don't revive");
+        d.on_probe_success();
         assert_eq!(d.state(), Health::Healthy);
         assert_eq!(d.consecutive_failures(), 0);
     }
 
+    /// A rejoiner whose catch-up fails goes back to `Down`, like any
+    /// server whose channel gives up.
     #[test]
     fn rejoin_abort_returns_to_down() {
         let mut d = HealthDetector::new(1);
         d.on_channel_failed();
         d.on_probe_success();
-        d.on_rejoin_aborted();
+        d.on_channel_failed();
         assert_eq!(d.state(), Health::Down);
     }
 

@@ -319,8 +319,8 @@ impl ShardedStateStoreProgram {
         self.shards.iter().any(|s| s.engine.is_degraded())
     }
 
-    /// Quiescent *and* every shard's replicas have converged (no mirror
-    /// delta awaiting replay, no pool-internal op in flight) — the
+    /// Quiescent *and* every shard's replicas have converged (no dirty
+    /// word on any server, no pool-internal op in flight) — the
     /// condition under which replica dumps may be compared to the oracle.
     pub fn is_settled(&self) -> bool {
         self.is_quiescent() && self.shards.iter().all(|s| s.engine.pool().is_synced())

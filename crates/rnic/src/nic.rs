@@ -413,7 +413,7 @@ impl Node for RnicNode {
         self.tx.clear();
         self.mrs.wipe();
         for qp in self.qps.values_mut() {
-            qp.last_atomic = None;
+            qp.atomic_results.fill(None);
             qp.nak_outstanding = false;
         }
         self.stats.crashes += 1;

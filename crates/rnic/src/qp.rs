@@ -3,6 +3,11 @@
 use extmem_types::QpNum;
 use extmem_wire::roce::RoceEndpoint;
 
+/// Atomic results a responder QP keeps for duplicate replay, in a ring
+/// indexed by PSN. A reliable requester launches nothing this many PSNs past
+/// its oldest unanswered Fetch-and-Add, so every re-send finds its result.
+pub const ATOMIC_RESULTS: usize = 64;
+
 /// Responder-side state for one RC queue pair.
 ///
 /// The paper's channel controller creates one QP per switch↔server channel
@@ -22,8 +27,9 @@ pub struct QueuePair {
     pub epsn: u32,
     /// Message sequence number: completed request messages.
     pub msn: u32,
-    /// The last executed atomic, for duplicate replay.
-    pub last_atomic: Option<(u32, u64)>,
+    /// `(psn, original)` of the last [`ATOMIC_RESULTS`] executed atomics,
+    /// at `psn % ATOMIC_RESULTS`, for duplicate replay.
+    pub atomic_results: Box<[Option<(u32, u64)>; ATOMIC_RESULTS]>,
     /// Whether a sequence-error NAK has been sent and not yet cleared by an
     /// in-order packet (NAKs are sent once per gap, per IB spec).
     pub nak_outstanding: bool,
@@ -52,7 +58,7 @@ impl QueuePair {
             udp_src_port: 0xc000 + (qpn.raw() & 0xfff) as u16,
             epsn: start_psn,
             msn: 0,
-            last_atomic: None,
+            atomic_results: Box::new([None; ATOMIC_RESULTS]),
             nak_outstanding: false,
             relaxed_psn: false,
             resync_next: false,
@@ -85,7 +91,7 @@ mod tests {
         let qp = QueuePair::new(QpNum(0x100), peer, QpNum(0x200), 77);
         assert_eq!(qp.epsn, 77);
         assert_eq!(qp.msn, 0);
-        assert!(qp.last_atomic.is_none());
+        assert!(qp.atomic_results.iter().all(Option::is_none));
         assert!(!qp.nak_outstanding);
         assert_eq!(qp.peer_qpn, QpNum(0x200));
     }

@@ -14,7 +14,7 @@
 //! itself. The NIC only queues what it is handed.
 
 use crate::mr::{AccessError, MrTable};
-use crate::qp::QueuePair;
+use crate::qp::{QueuePair, ATOMIC_RESULTS};
 use extmem_wire::aeth::{Aeth, NakCode};
 use extmem_wire::atomic::AtomicAckEth;
 use extmem_wire::bth::{psn_add, psn_before, Bth, Opcode};
@@ -150,7 +150,7 @@ pub fn process_request(
                 Ok(original) => {
                     qp.epsn = psn_add(qp.epsn, 1);
                     qp.msn = (qp.msn + 1) & 0xff_ffff;
-                    qp.last_atomic = Some((psn, original));
+                    qp.atomic_results[psn as usize % ATOMIC_RESULTS] = Some((psn, original));
                     answered(
                         atomic_ack(local, qp, psn, original),
                         Outcome::AtomicExecuted,
@@ -181,10 +181,11 @@ fn duplicate(
             }
             return r;
         }
-        // Duplicate atomics replay the saved original value when possible.
-        Opcode::FetchAdd => match qp.last_atomic {
+        // Duplicate atomics replay their saved original value; one whose
+        // result has left the ring is refused, and moves nothing.
+        Opcode::FetchAdd => match qp.atomic_results[req.bth.psn as usize % ATOMIC_RESULTS] {
             Some((psn, original)) if psn == req.bth.psn => atomic_ack(local, qp, psn, original),
-            _ => plain_ack(local, qp, req.bth.psn),
+            _ => return nak(local, qp, NakCode::InvalidRequest),
         },
         // Duplicate writes: acknowledge, do not re-execute.
         _ => plain_ack(local, qp, req.bth.psn),
@@ -700,6 +701,70 @@ mod tests {
         assert!(matches!(r.responses[0].ext, RoceExt::AtomicAck(_, a) if a.original_value == 0));
         let now = mrs.get(rkey).unwrap().read(base, 8).unwrap();
         assert_eq!(u64::from_be_bytes(now.try_into().unwrap()), 1);
+    }
+
+    /// A Fetch-and-Add of 1 at `base` under `psn`, from `qp`'s peer.
+    fn add_one(qp: &QueuePair, local: RoceEndpoint, rkey: Rkey, base: u64, psn: u32) -> RocePacket {
+        let atomic = extmem_wire::atomic::AtomicEth {
+            va: base,
+            rkey,
+            swap_add: 1,
+            compare: 0,
+        };
+        let bth = Bth::new(Opcode::FetchAdd, qp.qpn, psn);
+        RocePacket::new(qp.peer, local, 100, bth, RoceExt::AtomicEth(atomic), vec![])
+    }
+
+    /// The original value a response carries, if it is an atomic's
+    /// acknowledgement.
+    fn original(r: &Served) -> Option<u64> {
+        match r.responses[..] {
+            [RocePacket {
+                ext: RoceExt::AtomicAck(_, ack),
+                ..
+            }] => Some(ack.original_value),
+            _ => None,
+        }
+    }
+
+    #[test]
+    fn a_duplicate_of_an_older_atomic_replays_its_own_value() {
+        let (local, mut qp, mut mrs, rkey, base) = setup();
+        for psn in 0..3 {
+            let req = add_one(&qp, local, rkey, base, psn);
+            process_request(local, &mut qp, &mut mrs, &req, 2048);
+        }
+        // The second-newest atomic's re-send gets the value it saw, 1, and
+        // adds nothing.
+        let dup = add_one(&qp, local, rkey, base, 1);
+        let r = process_request(local, &mut qp, &mut mrs, &dup, 2048);
+        assert_eq!((r.outcome, original(&r)), (Outcome::Duplicate, Some(1)));
+        assert_eq!(r.responses[0].bth.psn, 1);
+        let now = mrs.get(rkey).unwrap().read(base, 8).unwrap();
+        assert_eq!(now, 3u64.to_be_bytes());
+    }
+
+    #[test]
+    fn a_duplicate_older_than_the_ring_is_refused_without_moving_the_sequence() {
+        let (local, mut qp, mut mrs, rkey, base) = setup();
+        let n = ATOMIC_RESULTS as u32 + 1;
+        for psn in 0..n {
+            let req = add_one(&qp, local, rkey, base, psn);
+            process_request(local, &mut qp, &mut mrs, &req, 2048);
+        }
+        // PSN 0's result was overwritten by PSN 64's; PSN 1's is still held.
+        let stale = add_one(&qp, local, rkey, base, 0);
+        let r = process_request(local, &mut qp, &mut mrs, &stale, 2048);
+        assert_eq!(r.outcome, Outcome::Nak(NakCode::InvalidRequest));
+        assert!(is_nak(&r.responses[0], NakCode::InvalidRequest));
+        assert_eq!(r.responses[0].bth.psn, n, "the NAK names the expected PSN");
+        assert_eq!((qp.epsn, qp.msn), (n, n));
+        let held = add_one(&qp, local, rkey, base, 1);
+        let r = process_request(local, &mut qp, &mut mrs, &held, 2048);
+        assert_eq!(original(&r), Some(1));
+        assert_eq!((qp.epsn, qp.msn), (n, n));
+        let now = mrs.get(rkey).unwrap().read(base, 8).unwrap();
+        assert_eq!(now, u64::from(n).to_be_bytes());
     }
 
     #[test]

@@ -98,7 +98,10 @@ echo "== crash/failover cells (release) =="
 # partition than the switch driving it
 # (crash_state_store_rejoin_under_parallel_backend), the cold-rejoin cell
 # (crash_state_store_cold_rejoin_*), where a pool built with nothing but
-# its detection knobs must reseed each restarted server on its own, and
+# its detection knobs must rebuild each restarted server on its own, the
+# lossy rejoin (crash_state_store_mirror_rejoins_by_value_writes_under_loss),
+# where atomic acknowledgements are lost and the mirror must still be
+# rebuilt by value WRITEs alone, and
 # the sharded store's cell (crash_fabric_shard_*), where one shard's
 # primary dies and rejoins while consistent-hash routing keeps the other
 # shards counting.

@@ -1037,7 +1037,7 @@ fn crash_pool_config() -> PoolConfig {
 /// `crash_primary` the primary dies (FaA must fail over); otherwise the
 /// mirror dies (the primary keeps counting). With `rejoin` the dead server
 /// restarts at 500us with wiped DRAM and must be reconciled bit-for-bit
-/// (counters re-seeded from the survivor, then owed words replayed).
+/// (every counted word written to it, then the words counted since).
 fn run_state_store_crash_cell(crash_primary: bool, rejoin: bool, seed: u64) {
     const COUNT: u64 = 600;
     let counters = 256u64;
@@ -1073,7 +1073,7 @@ fn run_state_store_crash_cell(crash_primary: bool, rejoin: bool, seed: u64) {
     let survivor = if crash_primary { server_b } else { server_a };
     // On a parallel backend the switch and the server it is about to lose
     // must not share a partition: crash and restart admin, failover
-    // probes, reseed WRITEs and go-back-N replay all cross the boundary.
+    // probes, catch-up WRITEs and go-back-N replay all cross the boundary.
     assert_eq!(
         sim.partition_of(switch) != sim.partition_of(victim),
         sim.par_stats().partitions > 1,
@@ -1153,7 +1153,7 @@ fn crash_state_store_rejoin_under_parallel_backend() {
     // 5-node topology splits as {switch | gen, sink, server_a, server_b}
     // and the crashed node lives in a *different* partition than the
     // switch driving it (the cell checks that): the crash and restart
-    // admin events, failover probes, reseed WRITEs, and mirror replay all
+    // admin events, failover probes, and catch-up WRITEs all
     // cross the partition boundary under lookahead bounds.
     extmem_sim::with_sched_backend(extmem_sim::SchedBackend::Parallel(2), || {
         run_state_store_crash_cell(true, true, 9802);
@@ -1162,7 +1162,7 @@ fn crash_state_store_rejoin_under_parallel_backend() {
 
 /// A replicated state store whose pool names only the detection knobs. A
 /// restarted server comes back with wiped DRAM while counting goes on, and
-/// the pool must re-seed it from the survivor without being told to: the
+/// the pool must rebuild it from the survivor without being told to: the
 /// mirror crashes and rejoins first, then the primary. Once settled, both
 /// replicas hold the oracle's counters exactly.
 #[test]
@@ -1236,11 +1236,86 @@ fn crash_state_store_cold_rejoin_reseeds_both_replicas() {
     assert_eq!(sim.node::<SinkNode>(hosts[1]).received, COUNT);
 }
 
+/// Two replicas under loss and a crash: the primary's link drops 1 % of its
+/// frames each way, atomic acknowledgements among them, and the mirror dies
+/// mid-run and restarts with wiped DRAM. Every Fetch-and-Add completes with
+/// its own value, so the mirror is only ever written values — while live,
+/// and all of them again when its probe is answered — and the primary is
+/// never read. Once settled, both replicas hold the oracle's counters and
+/// the pool is synced. (`scripts/ci.sh` re-runs this cell in release via
+/// the `crash_` glob.)
+#[test]
+fn crash_state_store_mirror_rejoins_by_value_writes_under_loss() {
+    const COUNT: u64 = 1500;
+    let counters = 256u64;
+    let region = ByteSize::from_bytes(counters * 8);
+    let link = LinkSpec::testbed_40g();
+    let mut tb = Testbed::new(9804);
+    tb.gen(probe_spec(256, 2, COUNT), link);
+    tb.sink(link);
+    let (_, ch_a) = tb.server(RnicConfig::default(), region, faulty(FaultSpec::drop(0.01)));
+    let (_, ch_b) = tb.server(RnicConfig::default(), region, link);
+    let (rkey, base) = (ch_a.rkey, ch_a.base_va);
+    let engine = FaaEngine::replicated(
+        vec![ch_a, ch_b],
+        FaaConfig {
+            reliable: true,
+            rto: TimeDelta::from_micros(30),
+            ..Default::default()
+        },
+        crash_pool_config(),
+    );
+    let shards = vec![(0, engine, true)];
+    let prog = ShardedStateStoreProgram::new(tb.fib(), shards, 1, TimeDelta::from_micros(30));
+    let Built {
+        mut sim,
+        switch,
+        hosts,
+        servers,
+        links,
+    } = tb.build(SwitchConfig::default(), Box::new(prog));
+    let (primary, mirror) = (servers[0], servers[1]);
+    sim.schedule_crash(mirror, TimeDelta::from_micros(200));
+    sim.schedule_restart(mirror, TimeDelta::from_micros(500));
+    sim.run_until(Time::from_millis(50));
+
+    let lost =
+        sim.link_stats(links[2], 0).dropped_packets + sim.link_stats(links[2], 1).dropped_packets;
+    assert!(
+        lost > 0 && sim.crash_drops(mirror) > 0,
+        "the faults never bit"
+    );
+    let sw: &SwitchNode = sim.node(switch);
+    let prog = sw.program::<ShardedStateStoreProgram>();
+    let s = prog.engine(0).stats();
+    assert!(prog.is_settled() && !prog.is_degraded(), "{s:?}");
+    assert!(prog.engine(0).pool().is_synced(), "{s:?}");
+    assert_eq!((s.pool.failovers, s.pool.rejoins), (0, 1), "{s:?}");
+    let mut oracle = vec![0u64; counters as usize];
+    for (&(_, slot), &v) in &prog.oracle {
+        oracle[slot as usize] += v;
+    }
+    for (name, node) in [("primary", primary), ("mirror", mirror)] {
+        let dump = read_remote_counters(sim.node::<RnicNode>(node), rkey, base, counters);
+        assert_eq!(dump, oracle, "{name} diverges from the oracle: {s:?}");
+    }
+    // The primary was never read, and answered re-sent Fetch-and-Adds
+    // from its saved results; the mirror was written, and read only by
+    // the probe that found it back.
+    let p = sim.node::<RnicNode>(primary).stats();
+    assert_eq!((p.reads, p.ext_ops), (0, 0), "{p:?}");
+    let m = sim.node::<RnicNode>(mirror).stats();
+    assert_eq!((m.atomics, m.ext_ops, m.reads), (0, 0, 1), "{m:?}");
+    assert!(m.writes > 0, "{m:?}");
+    assert!(p.duplicates > 0, "no Fetch-and-Add was re-sent: {p:?}");
+    assert_eq!(sim.node::<SinkNode>(hosts[1]).received, COUNT);
+}
+
 /// The sharded state store through a whole-node crash: shard 0's primary
 /// dies mid-workload and restarts with wiped DRAM. The blast radius must
 /// stay inside the shard — only shard 0's pool fails over, shard 1 never
 /// notices — while consistent-hash routing keeps counting on both shards.
-/// The restarted replica is reseeded from its survivor, and every shard's
+/// The restarted replica is rebuilt from its survivor, and every shard's
 /// settled counters equal the `(shard, slot)` routing oracle exactly on
 /// *both* replicas, rejoiner included. (`scripts/ci.sh` re-runs this cell
 /// in release via the `crash_` glob.)
@@ -1336,7 +1411,7 @@ fn crash_fabric_shard_primary_mid_run_rejoins_exact() {
     }
     // Exactness: every shard's counters equal the routing oracle on both
     // replicas — the survivor through mirror fan-out, the rejoiner through
-    // the reseed + mirror replay.
+    // the catch-up WRITEs of every counted word.
     for shard in 0..SHARDS {
         let mut expected = vec![0u64; COUNTERS as usize];
         for (&(sh, slot), &v) in &prog.oracle {

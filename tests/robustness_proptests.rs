@@ -403,20 +403,16 @@ enum Obs {
     Ack,
     ChannelFailed,
     ProbeSuccess,
-    RejoinComplete,
-    RejoinAborted,
 }
 
 fn obs_strategy() -> impl Strategy<Value = Obs> {
     // Weighted by bucket: timeouts and ACKs dominate real traces; the rare
     // events still get enough weight to compose full recovery cycles.
-    (0u8..14).prop_map(|n| match n {
+    (0u8..13).prop_map(|n| match n {
         0..=4 => Obs::Timeout,
         5..=9 => Obs::Ack,
         10 => Obs::ChannelFailed,
-        11 => Obs::ProbeSuccess,
-        12 => Obs::RejoinComplete,
-        _ => Obs::RejoinAborted,
+        _ => Obs::ProbeSuccess,
     })
 }
 
@@ -450,20 +446,18 @@ proptest! {
                     d.on_channel_failed();
                     forced = true;
                 }
-                Obs::ProbeSuccess => d.on_probe_success(),
-                Obs::RejoinComplete => {
-                    d.on_rejoin_complete();
-                    if d.state() == Health::Healthy {
+                Obs::ProbeSuccess => {
+                    d.on_probe_success();
+                    if before == Health::Down {
                         consecutive = 0;
                         forced = false;
                     }
                 }
-                Obs::RejoinAborted => d.on_rejoin_aborted(),
             }
             // A fresh transition into Down must be justified: either the
             // channel gave up explicitly, or `threshold` consecutive
             // timeouts accumulated with no ACK in between.
-            if d.state() == Health::Down && before != Health::Down && before != Health::Rejoining {
+            if d.state() == Health::Down && before != Health::Down {
                 prop_assert!(
                     forced || consecutive >= threshold,
                     "Down after {consecutive} consecutive timeouts (threshold {threshold})"
@@ -472,8 +466,9 @@ proptest! {
         }
     }
 
-    /// Safety: `Rejoining` is only ever entered from `Down` (a probe
-    /// answered), and only `on_probe_success` performs that transition.
+    /// Safety: a server rejoins — leaves `Down` — only when a probe is
+    /// answered, and an answered probe changes nothing for a server that
+    /// was not `Down`.
     #[test]
     fn detector_rejoining_only_from_down(
         threshold in 1u32..8,
@@ -488,12 +483,13 @@ proptest! {
                 Obs::Ack => d.on_ack(),
                 Obs::ChannelFailed => d.on_channel_failed(),
                 Obs::ProbeSuccess => d.on_probe_success(),
-                Obs::RejoinComplete => d.on_rejoin_complete(),
-                Obs::RejoinAborted => d.on_rejoin_aborted(),
             }
-            if d.state() == Health::Rejoining && before != Health::Rejoining {
-                prop_assert_eq!(before, Health::Down, "entered Rejoining from {:?}", before);
-                prop_assert!(matches!(ob, Obs::ProbeSuccess), "entered Rejoining via {ob:?}");
+            if before == Health::Down && d.state() != Health::Down {
+                prop_assert!(matches!(ob, Obs::ProbeSuccess), "left Down via {ob:?}");
+                prop_assert_eq!(d.state(), Health::Healthy);
+            }
+            if matches!(ob, Obs::ProbeSuccess) && before != Health::Down {
+                prop_assert_eq!(d.state(), before, "a probe promoted a {:?} server", before);
             }
         }
     }
