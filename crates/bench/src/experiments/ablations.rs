@@ -778,24 +778,30 @@ pub fn a9_loss_sweep(out: &mut String) {
 /// its word, which is written to the mirror, and a health detector drives
 /// failover, probing and rejoin. This row prices that machinery: what
 /// replication costs when nothing fails (`mirror B/word`, the bytes on the
-/// mirror's link per written word, is checked below one Fetch-and-Add round
-/// trip, 86 + 70 B), and what a crash costs when it does — in failovers,
-/// probes and written words — while exactness (settled counters equal to
-/// ground truth on every live replica) holds at every point.
+/// mirror's link per written word, is checked against its closed form, one
+/// WRITE per run of dirty words and one ACK per flush, and below one
+/// Fetch-and-Add round trip, 86 + 70 B; one flow counts on one word, the
+/// dense case's 16 flows on a 16-counter region), and what a crash costs
+/// when it does — in failovers, probes and written words — while exactness
+/// (settled counters equal to ground truth on every live replica) holds at
+/// every point.
 pub fn a10_failover(out: &mut String) {
     const COUNT: u64 = 2_000;
     out.push_str("A10: replicated state store (primary + mirror) under server failure\n\n");
-    // (case, server crashed mid-run, whether it restarts)
+    // (case, server crashed mid-run, whether it restarts, one flow per
+    // counter of a 16-counter region: the fabric's shard shape)
     let cases = [
-        ("no fault", None, false),
-        ("mirror crash", Some(1), false),
-        ("primary crash", Some(0), false),
-        ("crash + rejoin", Some(0), true),
+        ("no fault", None, false, false),
+        ("mirror crash", Some(1), false, false),
+        ("primary crash", Some(0), false, false),
+        ("crash + rejoin", Some(0), true, false),
+        ("dense no fault", None, false, true),
     ];
     let rows: Vec<Vec<String>> = cases
         .iter()
-        .map(|&(name, crash, rejoin)| {
-            let (t, [dump_a, dump_b]) = failover_store(191, 256, COUNT, crash, rejoin);
+        .map(|&(name, crash, rejoin, dense)| {
+            let counters = if dense { 16 } else { 256 };
+            let (t, [dump_a, dump_b]) = failover_store(191, counters, COUNT, crash, rejoin, dense);
             let prog = program::<ShardedStateStoreProgram>(&t);
             let stats = prog.engine(0).stats();
             let truth: u64 = prog.oracle.values().sum();
@@ -818,6 +824,16 @@ pub fn a10_failover(out: &mut String) {
                 assert!(
                     per_word < 156.0,
                     "{per_word} B per word: no cheaper than a FaA"
+                );
+                // Each flush is one WRITE of its n dirty words (74 B of
+                // headers, 8 B a word) and the ACK it asks for (62 B):
+                // (74 + 8n + 62) / n a word.
+                let writes = t.sim.node::<RnicNode>(t.servers[1]).stats().writes;
+                let closed = (74 + 62) * writes + 8 * p.delta_replayed;
+                assert_eq!(
+                    bytes, closed,
+                    "{writes} WRITEs of {} words",
+                    p.delta_replayed
                 );
                 per_word
             });
@@ -857,15 +873,18 @@ pub fn a10_failover(out: &mut String) {
     out.push_str(
         "\nexpectation: an atomics primitive replicates by writing each counted\n\
          word's value, not by WRITE fan-out of its ops (mirror wr stays 0), so\n\
-         the no-fault overhead is only the background anti-entropy: one 8-byte\n\
-         WRITE of the primary's value per dirty word and one ACK per flush,\n\
-         below the 156 B of a Fetch-and-Add and its atomic ACK. A mirror crash\n\
-         costs nothing on the data path; a primary crash costs one failover plus\n\
-         written words, and the survivor still settles exactly. Without a\n\
-         restart the pool keeps probing until its probe budget runs out; with\n\
-         one, a probe detects the returning server and the same value WRITEs,\n\
-         one per counted word, rebuild it bit-for-bit — failure is bandwidth and\n\
-         latency, never lost or diverged state.\n",
+         the no-fault overhead is only the background anti-entropy: one WRITE\n\
+         of the primary's values per run of dirty words at consecutive\n\
+         addresses and one ACK per flush, (74 + 8n + 62) / n B a word for a\n\
+         run of n (checked), below the 156 B of a Fetch-and-Add and its atomic\n\
+         ACK: 144 B for one flow's lone word, near 16.5 B when 16 flows keep a\n\
+         16-counter region dirty. A mirror crash costs nothing on the data\n\
+         path; a primary crash costs one failover plus written words, and the\n\
+         survivor still settles exactly. Without a restart the pool keeps\n\
+         probing until its probe budget runs out; with one, a probe detects the\n\
+         returning server and the same value WRITEs, one per run of counted\n\
+         words, rebuild it bit-for-bit — failure is bandwidth and latency,\n\
+         never lost or diverged state.\n",
     );
 }
 

@@ -19,6 +19,7 @@ use extmem_core::{
 };
 use extmem_rnic::{RnicConfig, RnicNode};
 use extmem_sim::{FaultSpec, LinkSpec};
+use extmem_switch::hash::flow_index;
 use extmem_switch::{PipelineProgram, SwitchConfig, SwitchNode};
 use extmem_types::{ByteSize, FiveTuple, PortId, Rate, Rkey, Time, TimeDelta};
 
@@ -178,18 +179,41 @@ pub fn faa_store(
 /// 256 B frame at 2 G, ~1 us of traffic per update. Server `crash` (0 the
 /// primary, 1 the mirror) dies a quarter into the run and, with `rejoin`,
 /// restarts at the halfway mark so its catch-up and the mirror's overlap live
-/// load. Runs 10 ms past the last send; returns each replica's settled
-/// counters with the run.
+/// load. One flow counts, or with `dense` one flow per counter, round robin,
+/// flow `i` on slot `i`. Runs 10 ms past the last send; returns each
+/// replica's settled counters with the run.
 pub fn failover_store(
     seed: u64,
     counters: u64,
     count: u64,
     crash: Option<usize>,
     rejoin: bool,
+    dense: bool,
 ) -> (Built, [Vec<u64>; 2]) {
     let region = ByteSize::from_bytes(counters * 8);
     let link = LinkSpec::testbed_40g();
-    let spec = one_flow(5000, 9000, 256, Rate::from_gbps(2), count);
+    let spec = if dense {
+        // The first source port from 5000 up that hashes onto each slot.
+        let mut by_slot = vec![None; counters as usize];
+        for sport in 5000.. {
+            let flow = FiveTuple::new(host_ip(0), host_ip(1), sport, 9000, 17);
+            by_slot[flow_index(&flow, counters) as usize].get_or_insert(flow);
+            if by_slot.iter().all(Option::is_some) {
+                break;
+            }
+        }
+        let flows: Vec<FiveTuple> = by_slot.into_iter().flatten().collect();
+        paced(
+            flows,
+            FlowPick::RoundRobin,
+            256,
+            Rate::from_gbps(2),
+            count,
+            5,
+        )
+    } else {
+        one_flow(5000, 9000, 256, Rate::from_gbps(2), count)
+    };
     let (mut tb, ch_a) = testbed_with_server(seed, spec, link, region, 0.0);
     let (_, ch_b) = tb.server(RnicConfig::default(), region, link);
     let at = (ch_a.rkey, ch_a.base_va);

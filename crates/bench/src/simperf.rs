@@ -396,7 +396,7 @@ pub fn loss_sweep(count: u64) -> ScenarioResult {
 /// anti-entropy and catch-up WRITEs, probes. The run
 /// asserts exact settled counters on *both* replicas.
 pub fn server_failover(count: u64) -> ScenarioResult {
-    let (t, [dump_a, dump_b]) = failover_store(71, 512, count, Some(0), true);
+    let (t, [dump_a, dump_b]) = failover_store(71, 512, count, Some(0), true, false);
     let prog = program::<ShardedStateStoreProgram>(&t);
     let stats = prog.engine(0).stats();
     assert!(prog.is_quiescent(), "stuck window: {stats:?}");

@@ -57,9 +57,9 @@ fn pins() -> [Pin; 14] {
         pin!(insert_churn(600), 0x65945893db23143b, 5818, 2804),
         pin!(faa_storm(1_500), 0x21839ba8f98c58c1, 8428, 4080),
         pin!(loss_sweep(2_000), 0x0cd6fba8bfbb200a, 54265, 21485),
-        pin!(server_failover(1_200), 0x1f43db3709b7f27f, 9866, 4724),
+        pin!(server_failover(1_200), 0x45c52448140fb897, 9866, 4724),
         pin!(fabric_fanout(150, 2), 0x6aa04480e46a2128, 18832, 7792),
-        pin!(fabric_shard(300, 2), 0x8aa9d558ba58a505, 24804, 10975),
+        pin!(fabric_shard(300, 2), 0xf5ca868846f41588, 24106, 10737),
         pin!(lookup_miss_storm_direct(500), 0x1c433c88e1fd224c, 5502, 2500),
         pin!(lookup_miss_storm(500), 0xb0e1d8e2bc67d629, 4002, 2000),
         pin!(remote_ops(500), 0x199b034cac4b0d4c, 4002, 2000),

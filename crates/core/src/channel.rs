@@ -29,6 +29,7 @@ use extmem_rnic::RnicNode;
 use extmem_sim::TimerHandle;
 use extmem_switch::SwitchCtx;
 use extmem_types::{ByteSize, PortId, QpNum, Rkey, Time, TimeDelta};
+use extmem_wire::aeth::{NakCode::PsnSequenceError, Syndrome};
 use extmem_wire::bth::{psn_before, Opcode};
 use extmem_wire::roce::{RoceEndpoint, RoceExt, RocePacket};
 use extmem_wire::{Packet, Payload};
@@ -712,10 +713,15 @@ impl ReliableChannel {
                 let RoceExt::Aeth(aeth) = roce.ext else {
                     return false;
                 };
-                if aeth.is_ack() {
-                    self.on_ack(roce.bth.psn, events);
-                } else {
-                    self.on_nak(ctx, roce.bth.psn, events);
+                match aeth.syndrome {
+                    Syndrome::Ack { .. } => self.on_ack(psn, events),
+                    // A refused request would be refused again: fail over,
+                    // as an RC QP enters its error state.
+                    Syndrome::Nak(code) if code != PsnSequenceError && self.config.reliable => {
+                        self.stats.naks += 1;
+                        self.fail(ctx, events);
+                    }
+                    _ => self.on_nak(ctx, psn, events),
                 }
                 true
             }
@@ -832,10 +838,10 @@ impl ReliableChannel {
         self.retire_executed(covered, events);
     }
 
-    /// The responder NAKed: its `epsn` (carried in the NAK's PSN field)
-    /// names the next request it expects. Reliable mode replays everything
-    /// still outstanding under the original PSNs; best-effort mode fails
-    /// the in-flight ops and resynchronizes the sequence instead.
+    /// The responder NAKed a PSN gap: its `epsn` (carried in the NAK's PSN
+    /// field) names the next request it expects. Reliable mode replays
+    /// everything still outstanding under the original PSNs; best-effort
+    /// mode fails the in-flight ops and resynchronizes the sequence instead.
     fn on_nak(
         &mut self,
         ctx: &mut SwitchCtx<'_, '_, '_>,
@@ -1809,11 +1815,13 @@ pub(crate) mod tests {
     }
 
     /// Runs `ops(base_va)` through a [`Lossy`] channel under `config` for
-    /// `us` microseconds; returns its events and counters, the server's
-    /// counters, and the PSN of every request the server received.
+    /// `us` microseconds, losing the atomic acknowledgement of PSN `eat`;
+    /// returns its events and counters, the server's counters, and the PSN
+    /// of every request the server received.
     fn lossy(
         config: ReliableConfig,
         ops: impl FnOnce(u64) -> Vec<Op>,
+        eat: Option<u32>,
         us: u64,
     ) -> (
         Vec<ChannelEvent>,
@@ -1835,7 +1843,7 @@ pub(crate) mod tests {
         let program = Lossy {
             ops: ops(channel.base_va),
             channel: ReliableChannel::new(channel, config),
-            eat: Some(0),
+            eat,
             events: Vec::new(),
         };
         let mut tap = None;
@@ -1887,7 +1895,7 @@ pub(crate) mod tests {
                 })
                 .collect()
         };
-        let (events, stats, nic, psns) = lossy(ReliableConfig::default(), ops, 400);
+        let (events, stats, nic, psns) = lossy(ReliableConfig::default(), ops, Some(0), 400);
 
         assert_eq!(events.len(), OPS as usize);
         let mut want_faa = 0;
@@ -1932,7 +1940,7 @@ pub(crate) mod tests {
             ]
         };
         let config = ReliableConfig::best_effort(TimeDelta::from_micros(100));
-        let (events, stats, _, _) = lossy(config, ops, 50);
+        let (events, stats, _, _) = lossy(config, ops, Some(0), 50);
         let replies: Vec<(u64, Reply)> = (events.into_iter())
             .map(|ev| match ev {
                 ChannelEvent::Done { cookie, reply, .. } => (cookie, reply),
@@ -1941,6 +1949,31 @@ pub(crate) mod tests {
             .collect();
         assert_eq!(replies, [(0, Reply::Ack), (1, Reply::Fetched(0))]);
         assert_eq!((stats.timeouts, stats.aged_out, stats.faa_sent), (0, 0, 2));
+    }
+
+    /// A READ past the region's end is refused, and a re-send of it would
+    /// be refused again: the reliable channel fails over at the NAK, inside
+    /// one RTO, instead of re-sending it for ever.
+    #[test]
+    fn a_refused_read_fails_the_channel_within_one_rto() {
+        let config = ReliableConfig::default();
+        let past_end = |base: u64| {
+            let va = base + 4096 - 4;
+            vec![Op::Read { va, len: 8 }]
+        };
+        let rto_us = config.rto.as_micros_f64() as u64;
+        let (events, stats, nic, psns) = lossy(config, past_end, None, rto_us);
+        let ended = match &events[..] {
+            [ChannelEvent::OpFailed { cookie, op }, ChannelEvent::Failed] => Some((*cookie, op)),
+            _ => None,
+        };
+        assert!(
+            matches!(ended, Some((0, Op::Read { len: 8, .. }))),
+            "{events:?}"
+        );
+        let st = (stats.naks, stats.retransmits, stats.timeouts);
+        assert_eq!(st, (1, 0, 0), "{stats}");
+        assert_eq!((nic.naks, psns), (1, vec![0]));
     }
 
     #[test]

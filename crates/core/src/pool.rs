@@ -14,13 +14,14 @@
 //!   before the add: with the add, the primary's value. The pool keeps that
 //!   value for every word a completed Fetch-and-Add counted, and marks the
 //!   word dirty on every other server;
-//! * brings a server up to date one way: an 8-byte WRITE of the kept value
-//!   per dirty word, in ascending address. That is the anti-entropy flush
+//! * brings a server up to date one way: one WRITE per run of dirty words
+//!   at consecutive addresses (at most an MTU of them), carrying their kept
+//!   values, in ascending address. That is the anti-entropy flush
 //!   ([`ReplicatedPool::sync_mirrors`]), the catch-up of a promoted mirror
 //!   and a rejoin, for which every kept word is dirty. A WRITE that fails
-//!   leaves its word dirty. A duplicate WRITE is not re-executed and a
-//!   channel executes in order, so a replica's word never goes back to an
-//!   older value;
+//!   leaves each of its words dirty. A duplicate WRITE is not re-executed
+//!   and a channel executes in order, so a replica's word never goes back
+//!   to an older value;
 //! * watches each server with a [`HealthDetector`] (`Healthy → Suspect →
 //!   Down`) driven by the channel's timeout/ACK counters, and aborts the
 //!   primary's channel the moment the detector trips — failover latency is
@@ -40,10 +41,12 @@
 //! pay nothing and may submit any op.
 
 use crate::channel::{ChannelEvent, Op, ReliableChannel, Reply, MAX_WINDOW};
-use extmem_rnic::WriteBody;
+use extmem_rnic::nic::MTU;
+use extmem_rnic::{Operand, WriteBody};
 use extmem_switch::SwitchCtx;
 use extmem_types::{IntMap, PortId, Rkey, TimeDelta};
 use extmem_wire::bth::psn_add;
+use extmem_wire::Payload;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -202,9 +205,9 @@ pub struct PoolStats {
     /// Words marked dirty on another server by a completed caller
     /// Fetch-and-Add, one per op per server.
     pub delta_accumulated: u64,
-    /// Catch-up WRITEs sent (anti-entropy, promotion and rejoin): one
-    /// 8-byte WRITE of the primary's value per dirty word. The name is the
-    /// one the benchmark harness reads.
+    /// Words written by catch-up WRITEs (anti-entropy, promotion and
+    /// rejoin), each with the primary's value; one WRITE carries a run of
+    /// them. The name is the one the benchmark harness reads.
     pub delta_replayed: u64,
     /// In-flight caller ops transparently reissued on a new primary.
     pub reissued_ops: u64,
@@ -251,9 +254,13 @@ impl fmt::Display for PoolStats {
 enum InternalOp {
     /// Recovery probe READ at a Down server.
     Probe { server: usize },
-    /// A catch-up WRITE of the word at `va`; the word is dirty again if it
-    /// fails.
-    CatchUp { server: usize, va: u64 },
+    /// A catch-up WRITE of the `words` words from `va`; each is dirty again
+    /// if it fails.
+    CatchUp {
+        server: usize,
+        va: u64,
+        words: usize,
+    },
 }
 
 struct PoolServer {
@@ -267,6 +274,9 @@ struct PoolServer {
     /// Small (one entry per counter touched since the last flush), so a
     /// sorted vector that keeps its capacity across flushes.
     dirty: Vec<u64>,
+    /// The PSN each probe since the server went Down is sent at; jumping on
+    /// every round would wrap behind a live responder's, into duplicates.
+    probe_psn: Option<u32>,
 }
 
 impl PoolServer {
@@ -377,6 +387,7 @@ impl ReplicatedPool {
                     seen_timeouts: 0,
                     seen_progress: 0,
                     dirty: Vec::new(),
+                    probe_psn: None,
                 })
                 .collect(),
             primary: 0,
@@ -679,9 +690,11 @@ impl ReplicatedPool {
                     // An unanswered probe leaves its server Down, and the
                     // timer probes again; a catch-up WRITE that did not
                     // land leaves its word dirty.
-                    if let Some(InternalOp::CatchUp { server, va }) = self.internal.remove(&cookie)
-                    {
-                        self.servers[server].mark_dirty(va);
+                    let what = self.internal.remove(&cookie);
+                    if let Some(InternalOp::CatchUp { server, va, words }) = what {
+                        for word in (0..words as u64).map(|w| va + 8 * w) {
+                            self.servers[server].mark_dirty(word);
+                        }
                     }
                 }
                 ChannelEvent::OpFailed { cookie, op } => orphans.push((cookie, op)),
@@ -735,26 +748,44 @@ impl ReplicatedPool {
         }
     }
 
-    /// Write `server` the kept value of each of its dirty words, in
-    /// ascending `va`: one 8-byte WRITE each. A WRITE asks for an ACK when
-    /// it is the volley's last or the [`ACK_EVERY`]-th in a row; every other
-    /// one is confirmed by the answer to an op behind it.
+    /// Write `server` the kept value of each of its dirty words: one WRITE
+    /// per run of words at consecutive addresses, at most an MTU of them,
+    /// its body their values in address order; runs go out in ascending
+    /// `va`. A WRITE asks for an ACK when it is the volley's last or the
+    /// [`ACK_EVERY`]-th in a row; every other one is confirmed by the answer
+    /// to an op behind it.
     fn catch_up(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, server: usize) {
         // Issuing an op completes none, so no word turns dirty on `server`
         // while its list is out; it goes back empty, capacity intact.
         let mut dirty = std::mem::take(&mut self.servers[server].dirty);
-        let last = dirty.len().saturating_sub(1);
-        for (k, va) in dirty.drain(..).enumerate() {
-            // Every dirty word is a kept one.
-            let Some(value) = self.known.get(&va) else {
-                continue;
-            };
-            let body = WriteBody::inline(&value.to_be_bytes());
-            let ack_req = k == last || (k + 1) % ACK_EVERY == 0;
+        let mut left = &dirty[..];
+        let mut bytes = [0u8; MTU];
+        for k in 1.. {
+            let Some(&va) = left.first() else { break };
+            let adjacent = left.windows(2).take(MTU / 8 - 1);
+            let words = 1 + adjacent.take_while(|w| w[1] == w[0] + 8).count();
+            left = &left[words..];
+            // Every dirty word is a kept one. The first values ride inline
+            // in the op, the rest in a pooled buffer.
+            let values = self.known.range(va..va + 8 * words as u64);
+            for (at, (_, value)) in bytes.chunks_exact_mut(8).zip(values) {
+                at.copy_from_slice(&value.to_be_bytes());
+            }
+            let (head, rest) = bytes[..8 * words].split_at((8 * words).min(Operand::MAX_LEN));
+            let mut tail = Payload::empty();
+            if !rest.is_empty() {
+                let mut buf = extmem_wire::pool::take();
+                buf.extend_from_slice(rest);
+                tail = Payload::from_vec(buf);
+            }
+            let body = WriteBody::framed(head, tail);
+            let ack_req = left.is_empty() || k % ACK_EVERY == 0;
             let write = Op::Write { va, body, ack_req };
-            self.submit_internal(ctx, server, InternalOp::CatchUp { server, va }, write);
-            self.stats.delta_replayed += 1;
+            let what = InternalOp::CatchUp { server, va, words };
+            self.submit_internal(ctx, server, what, write);
+            self.stats.delta_replayed += words as u64;
         }
+        dirty.clear();
         debug_assert!(self.servers[server].dirty.is_empty());
         self.servers[server].dirty = dirty;
     }
@@ -780,6 +811,7 @@ impl ReplicatedPool {
     /// counted has nothing to write: every replica still holds zeros.
     fn rejoin(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, server: usize) {
         self.servers[server].health.on_probe_success();
+        self.servers[server].probe_psn = None;
         self.stats.rejoins += 1;
         let dirty = &mut self.servers[server].dirty;
         dirty.clear();
@@ -820,8 +852,9 @@ impl ReplicatedPool {
             if !self.servers[i].channel.is_failed() {
                 continue;
             }
-            let fresh = psn_add(self.servers[i].channel.inner().qp.npsn, PSN_JUMP);
-            self.servers[i].channel.recover_at(fresh);
+            let s = &mut self.servers[i];
+            let jump = psn_add(s.channel.inner().qp.npsn, PSN_JUMP);
+            s.channel.recover_at(*s.probe_psn.get_or_insert(jump));
             let va = self.servers[i].channel.base_va();
             let probe = Op::Read { va, len: 8 };
             self.submit_internal(ctx, i, InternalOp::Probe { server: i }, probe);
@@ -1194,11 +1227,37 @@ mod tests {
             .collect()
     }
 
+    /// Every WRITE the mirror received, as (offset from `base`, ACK asked,
+    /// body).
+    fn mirror_writes(
+        sim: &extmem_sim::Simulator,
+        mirror: NodeId,
+        base: u64,
+    ) -> Vec<(u64, bool, Vec<u8>)> {
+        let sent = mirror_requests(sim, mirror);
+        (sent.iter())
+            .map(|p| {
+                let RoceExt::Reth(reth) = p.ext else {
+                    panic!("not a WRITE: {p:?}");
+                };
+                assert_eq!(p.bth.opcode, Opcode::WriteOnly);
+                (reth.va - base, p.bth.ack_req, p.payload.to_vec())
+            })
+            .collect()
+    }
+
+    /// The WRITE of `values` from slot `slot`, as [`mirror_writes`] reads it.
+    fn write_of(slot: u64, ack: bool, values: &[u64]) -> (u64, bool, Vec<u8>) {
+        let bytes = values.iter().flat_map(|v| v.to_be_bytes()).collect();
+        (8 * slot, ack, bytes)
+    }
+
     /// Counts at the primary, completed with their own acknowledgements,
-    /// reach the mirror as the primary's values: one 8-byte WRITE per
-    /// dirty word, in ascending address, the last alone asking for an ACK.
-    /// The primary's first word started at 100 and the mirror's at 0, so
-    /// only a value, not a replayed add, makes the two regions equal.
+    /// reach the mirror as the primary's values: one WRITE per dirty word
+    /// (no two of them are neighbours), in ascending address, the last
+    /// alone asking for an ACK. The primary's first word started at 100 and
+    /// the mirror's at 0, so only a value, not a replayed add, makes the two
+    /// regions equal.
     #[test]
     fn a_flush_writes_each_dirty_word_the_primary_value_with_one_ack() {
         let (_, [ch, ..]) = servers::<1>();
@@ -1207,31 +1266,86 @@ mod tests {
             va: base + 8 * slot,
             add,
         };
-        let ops = vec![count(0, 1), count(2, 2), count(0, 3), count(3, 4)];
+        let ops = vec![count(0, 1), count(2, 2), count(0, 3), count(4, 4)];
         let steps = vec![(0, submit(ops)), (20, flush())];
         let (sim, sw, servers, rkey) = primary_and_mirror(steps, None, (base, 100), 60);
 
         let pool = &sim.node::<SwitchNode>(sw).program::<Driven>().pool;
         assert!(pool.is_synced());
         assert_eq!(pool.stats().delta_replayed, 3);
-        let sent = mirror_requests(&sim, servers[1]);
-        let seen: Vec<(Opcode, u64, bool, Vec<u8>)> = sent
-            .iter()
-            .map(|p| {
-                let RoceExt::Reth(reth) = p.ext else {
-                    panic!("not a WRITE: {p:?}");
-                };
-                let value = p.payload.to_vec();
-                (p.bth.opcode, reth.va - base, p.bth.ack_req, value)
+        let want = [
+            write_of(0, false, &[104]),
+            write_of(2, false, &[2]),
+            write_of(4, true, &[4]),
+        ];
+        assert_eq!(mirror_writes(&sim, servers[1], base), want);
+        let [primary, mirror] = both_regions(&sim, servers, rkey, 5);
+        assert_eq!(mirror, primary);
+    }
+
+    /// Dirty words at consecutive addresses go out as one WRITE, their
+    /// values in address order, and a word that is kept but clean ends a
+    /// run: after a flush of slots 0..5, counts on every slot but 2 are
+    /// written as two runs, not one WRITE over the clean slot.
+    #[test]
+    fn a_run_never_spans_a_clean_word() {
+        let (_, [ch, ..]) = servers::<1>();
+        let base = ch.base_va;
+        let count = |slot: u64| Op::FetchAdd {
+            va: base + 8 * slot,
+            add: slot + 1,
+        };
+        let first = (0..5).map(count).collect();
+        let again = [0, 1, 3, 4].map(count).into();
+        let steps = vec![
+            (0, submit(first)),
+            (10, flush()),
+            (20, submit(again)),
+            (30, flush()),
+        ];
+        let (sim, sw, servers, rkey) = primary_and_mirror(steps, None, (base, 0), 60);
+
+        let pool = &sim.node::<SwitchNode>(sw).program::<Driven>().pool;
+        assert!(pool.is_synced());
+        assert_eq!(pool.stats().delta_replayed, 9);
+        let want = [
+            write_of(0, true, &[1, 2, 3, 4, 5]),
+            write_of(0, false, &[2, 4]),
+            write_of(3, true, &[8, 10]),
+        ];
+        assert_eq!(mirror_writes(&sim, servers[1], base), want);
+        let [primary, mirror] = both_regions(&sim, servers, rkey, 5);
+        assert_eq!(mirror, primary);
+    }
+
+    /// A run longer than the MTU holds splits at it: 300 consecutive dirty
+    /// words go out as a WRITE of 256 and one of the 44 after them.
+    #[test]
+    fn a_run_longer_than_the_mtu_splits() {
+        const WORDS: u64 = 300;
+        let (_, [ch, ..]) = servers::<1>();
+        let base = ch.base_va;
+        let ops = (0..WORDS)
+            .map(|slot| Op::FetchAdd {
+                va: base + 8 * slot,
+                add: slot + 1,
             })
             .collect();
-        let write = |slot: u64, value: u64, ack| {
-            let bytes = value.to_be_bytes().to_vec();
-            (Opcode::WriteOnly, 8 * slot, ack, bytes)
-        };
-        let want = [write(0, 104, false), write(2, 2, false), write(3, 4, true)];
-        assert_eq!(seen, want);
-        let [primary, mirror] = both_regions(&sim, servers, rkey, 4);
+        let steps = vec![(0, submit(ops)), (1000, flush())];
+        let (sim, sw, servers, rkey) = primary_and_mirror(steps, None, (base, 0), 2000);
+
+        let pool = &sim.node::<SwitchNode>(sw).program::<Driven>().pool;
+        assert!(pool.is_synced());
+        assert_eq!(pool.stats().delta_replayed, WORDS);
+        let values: Vec<u64> = (1..=WORDS).collect();
+        let run = MTU / 8;
+        let want = [
+            write_of(0, false, &values[..run]),
+            write_of(run as u64, true, &values[run..]),
+        ];
+        assert_eq!(mirror_writes(&sim, servers[1], base), want);
+        assert_eq!(want[0].2.len(), MTU);
+        let [primary, mirror] = both_regions(&sim, servers, rkey, WORDS);
         assert_eq!(mirror, primary);
     }
 
@@ -1250,7 +1364,7 @@ mod tests {
             va: base + 8 * slot,
             add,
         };
-        let ops = vec![count(0, 5), count(0, 7), count(1, 9)];
+        let ops = vec![count(0, 5), count(0, 7), count(2, 9)];
         // One RTO (100 us) after the counts, the re-send is answered.
         let steps = vec![(0, submit(ops)), (150, flush())];
         let (sim, sw, servers, rkey) = primary_and_mirror(steps, Some(0), (base, 0), 200);
@@ -1271,31 +1385,26 @@ mod tests {
         let st = program.pool.channel_stats();
         assert_eq!((st.timeouts, st.retransmits, st.naks), (1, 1, 0), "{st}");
         assert!(program.pool.is_synced());
-        let sent = mirror_requests(&sim, servers[1]);
-        let seen: Vec<(Opcode, bool)> =
-            sent.iter().map(|p| (p.bth.opcode, p.bth.ack_req)).collect();
-        assert_eq!(
-            seen,
-            [(Opcode::WriteOnly, false), (Opcode::WriteOnly, true)]
-        );
-        let [primary, mirror] = both_regions(&sim, servers, rkey, 2);
-        assert_eq!(primary, [12u64, 9].map(u64::to_be_bytes).concat());
+        let want = [write_of(0, false, &[12]), write_of(2, true, &[9])];
+        assert_eq!(mirror_writes(&sim, servers[1], base), want);
+        let [primary, mirror] = both_regions(&sim, servers, rkey, 3);
+        assert_eq!(primary, [12u64, 0, 9].map(u64::to_be_bytes).concat());
         assert_eq!(mirror, primary);
     }
 
-    /// A volley of 256 WRITEs, four channel windows' worth: every
-    /// sixteenth asks for an ACK, which lets the next sixteen out, so the
-    /// volley drains instead of filling the window with WRITEs nothing
-    /// confirms.
+    /// A volley of 256 WRITEs, four channel windows' worth (every other
+    /// word, so no two make a run): every sixteenth asks for an ACK, which
+    /// lets the next sixteen out, so the volley drains instead of filling
+    /// the window with WRITEs nothing confirms.
     #[test]
     fn a_volley_longer_than_the_window_settles() {
         const WORDS: u64 = 256;
         let (_, [ch, ..]) = servers::<1>();
         let base = ch.base_va;
         let ops = (0..WORDS)
-            .map(|slot| Op::FetchAdd {
-                va: base + 8 * slot,
-                add: slot + 1,
+            .map(|i| Op::FetchAdd {
+                va: base + 16 * i,
+                add: i + 1,
             })
             .collect();
         let steps = vec![(0, submit(ops)), (1000, flush())];
@@ -1304,41 +1413,29 @@ mod tests {
         let pool = &sim.node::<SwitchNode>(sw).program::<Driven>().pool;
         assert!(pool.is_synced());
         assert_eq!(pool.stats().delta_replayed, WORDS);
-        let sent = mirror_requests(&sim, servers[1]);
-        assert!(sent.iter().all(|p| p.bth.opcode == Opcode::WriteOnly));
-        let asked = sent.iter().filter(|p| p.bth.ack_req).count();
+        let sent = mirror_writes(&sim, servers[1], base);
+        assert_eq!(sent.len() as u64, WORDS);
+        let asked = sent.iter().filter(|(_, ack, _)| *ack).count();
         assert_eq!(asked as u64, WORDS / ACK_EVERY as u64);
-        let [primary, mirror] = both_regions(&sim, servers, rkey, WORDS);
+        let [primary, mirror] = both_regions(&sim, servers, rkey, 2 * WORDS);
         assert_eq!(mirror, primary);
     }
 
-    /// Value WRITEs to a mirror that goes silent come back failed and
-    /// leave their words dirty, next to the words counted since: the next
-    /// catch-up writes each once, with the newest value kept for it.
-    #[test]
-    fn a_failed_value_write_is_owed_again_under_what_came_since() {
-        // The mirror sits on port 0, behind the black hole.
+    /// A primary on switch port 1 and a mirror on port 0, behind the black
+    /// hole, under `steps`, each run at its time in us; the last step
+    /// writes the mirror off. Runs to `until` us and returns the simulation,
+    /// the switch and the black hole.
+    fn behind_a_silent_mirror(
+        mut steps: Vec<(u64, Step)>,
+        until: u64,
+    ) -> (extmem_sim::Simulator, NodeId, NodeId) {
         let ([_, nic, _], [mirror, primary, _]) = servers::<3>();
-        let base = primary.base_va;
-        let count = |slot: u64, add: u64| Op::FetchAdd {
-            va: base + 8 * slot,
-            add,
-        };
         let write_off: Step = Box::new(|pool, ctx| {
             let mut raw = Vec::new();
             pool.servers[1].channel.abort(ctx, &mut raw);
             pool.after_channel_activity(ctx, 1, &mut raw, &mut Vec::new());
         });
-        let steps = vec![
-            // WRITEs of 5, 7 and 2, then of 8 to word 0; a count on word
-            // 2 since makes it 3.
-            (0, submit(vec![count(0, 5), count(1, 7), count(2, 2)])),
-            (10, flush()),
-            (11, submit(vec![count(0, 3)])),
-            (20, flush()),
-            (21, submit(vec![count(2, 1)])),
-            (30, write_off),
-        ];
+        steps.push((until - 1, write_off));
         let (times, steps): (Vec<u64>, Vec<Step>) = steps.into_iter().unzip();
         let rc = ReliableConfig::default();
         let channels = [primary, mirror].map(|ch| ReliableChannel::new(ch, rc));
@@ -1355,16 +1452,105 @@ mod tests {
         for (t, at) in times.into_iter().enumerate() {
             sim.schedule_timer(sw, TimeDelta::from_micros(at), program_token(t as u64));
         }
-        sim.run_until(Time::from_micros(31));
+        sim.run_until(Time::from_micros(until));
+        (sim, sw, hole)
+    }
+
+    /// Value WRITEs to a mirror that goes silent come back failed and
+    /// leave their words dirty, next to the words counted since: the next
+    /// catch-up writes each once, with the newest value kept for it.
+    #[test]
+    fn a_failed_value_write_is_owed_again_under_what_came_since() {
+        let (_, [ch, ..]) = servers::<1>();
+        let base = ch.base_va;
+        let count = |slot: u64, add: u64| Op::FetchAdd {
+            va: base + 8 * slot,
+            add,
+        };
+        let steps = vec![
+            // WRITEs of 5, 7 and 2, then of 8 to word 0; a count on word
+            // 4 since makes it 3.
+            (0, submit(vec![count(0, 5), count(2, 7), count(4, 2)])),
+            (10, flush()),
+            (11, submit(vec![count(0, 3)])),
+            (20, flush()),
+            (21, submit(vec![count(4, 1)])),
+        ];
+        let (sim, sw, hole) = behind_a_silent_mirror(steps, 31);
 
         assert_eq!(sim.node::<Blackhole>(hole).frames.len(), 4);
         let pool = &sim.node::<SwitchNode>(sw).program::<Driven>().pool;
         assert_eq!(pool.health(1), Health::Down);
-        let words = [base, base + 8, base + 16];
+        let words = [base, base + 16, base + 32];
         assert_eq!(pool.servers[1].dirty, words);
         let known: Vec<(u64, u64)> = pool.known.iter().map(|(&va, &v)| (va, v)).collect();
-        assert_eq!(known, [(base, 8), (base + 8, 7), (base + 16, 3)]);
+        assert_eq!(known, [(base, 8), (base + 16, 7), (base + 32, 3)]);
         assert!(!pool.is_synced());
+    }
+
+    /// A run's WRITE that fails leaves every word it carried dirty: three
+    /// neighbours and a fourth word go out as two WRITEs into the silence,
+    /// and all four words are owed again.
+    #[test]
+    fn a_failed_run_makes_each_of_its_words_dirty_again() {
+        let (_, [ch, ..]) = servers::<1>();
+        let base = ch.base_va;
+        let count = |slot: u64| Op::FetchAdd {
+            va: base + 8 * slot,
+            add: slot + 1,
+        };
+        let ops = [0, 1, 2, 5].map(count).into();
+        let steps = vec![(0, submit(ops)), (10, flush())];
+        let (sim, sw, hole) = behind_a_silent_mirror(steps, 21);
+
+        assert_eq!(sim.node::<Blackhole>(hole).frames.len(), 2);
+        let pool = &sim.node::<SwitchNode>(sw).program::<Driven>().pool;
+        assert_eq!(pool.health(1), Health::Down);
+        let words = [0, 1, 2, 5].map(|slot| base + 8 * slot);
+        assert_eq!(pool.servers[1].dirty, words);
+        assert!(!pool.is_synced());
+    }
+
+    /// A mirror that is written off while it stays up keeps expecting the
+    /// PSN it was at, so every probe at the jumped PSN goes unanswered and
+    /// the mirror stays Down. Probes sent round after round at ever further
+    /// jumps would wrap behind that PSN by the eighth round; there a probe
+    /// is answered as a duplicate READ, and the catch-up WRITEs after it
+    /// are acknowledged as duplicates and never executed, leaving a Healthy
+    /// mirror with a stale count.
+    #[test]
+    fn a_mirror_written_off_while_up_is_never_taken_back_stale() {
+        let (_, [ch, ..]) = servers::<1>();
+        let base = ch.base_va;
+        let count = |add: u64| submit(vec![Op::FetchAdd { va: base, add }]);
+        let write_off: Step = Box::new(|pool, ctx| {
+            let mut raw = Vec::new();
+            pool.servers[1].channel.abort(ctx, &mut raw);
+            pool.after_channel_activity(ctx, 1, &mut raw, &mut Vec::new());
+        });
+        let steps = vec![
+            (0, count(5)),
+            (20, flush()),
+            (40, write_off),
+            (60, count(7)),
+            (80, flush()),
+        ];
+        let (sim, sw, servers, rkey) = primary_and_mirror(steps, None, (base, 0), 3000);
+
+        let pool = &sim.node::<SwitchNode>(sw).program::<Driven>().pool;
+        let stats = pool.stats();
+        assert_eq!(
+            (pool.health(1), stats.rejoins),
+            (Health::Down, 0),
+            "{stats}"
+        );
+        assert!(stats.probes >= 10, "{stats}");
+        assert!(!pool.is_synced());
+        let [primary, mirror] = both_regions(&sim, servers, rkey, 1);
+        assert_eq!(
+            [primary, mirror],
+            [12u64, 5].map(|v| v.to_be_bytes().to_vec())
+        );
     }
 
     /// A server's port names its channel's timer: two servers on one port

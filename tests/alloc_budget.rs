@@ -204,8 +204,8 @@ fn check_replicated_fetch_and_add(what: &str, t: &Built, per_frame: f64) {
     assert_eq!((s.lost_updates, s.channel.retransmits), (0, 0), "{s:?}");
     assert!(s.pool.delta_replayed > 0, "the mirror must be fed: {s:?}");
     // Data frame, FaA request to the primary, its atomic ACK; the mirror's
-    // share (a value WRITE per dirty word and one ACK per flush, not per
-    // frame) rides in the fourth.
+    // share (a value WRITE per run of dirty words and one ACK per flush,
+    // not per frame) rides in the fourth.
     check(what, per_frame, 4.0);
 }
 

@@ -513,3 +513,276 @@ proptest! {
         }
     }
 }
+
+/// Counters in the replicated pool schedules below: the fabric's shard
+/// shape, so catch-up runs form.
+const POOL_WORDS: u64 = 16;
+
+/// A memory server that checks its own counters after everything it does:
+/// while it stays up, no word may go back to an older value (counts only
+/// add, so older is smaller). It loses the WRITEs `lose` names by their
+/// order of arrival (bit `i`: the `i`-th), before its NIC sees them.
+struct Watched {
+    nic: extmem_rnic::RnicNode,
+    rkey: extmem_types::Rkey,
+    base: u64,
+    words: Vec<u64>,
+    writes: u32,
+    lose: u64,
+    went_back: Option<String>,
+}
+
+impl Watched {
+    fn check(&mut self, ctx: &extmem_sim::NodeCtx<'_>) {
+        use extmem_core::state_store::read_remote_counters;
+        let now = read_remote_counters(&self.nic, self.rkey, self.base, POOL_WORDS);
+        for (slot, (&was, &is)) in self.words.iter().zip(&now).enumerate() {
+            if is < was && self.went_back.is_none() {
+                self.went_back = Some(format!("slot {slot}: {was} -> {is} at {:?}", ctx.now()));
+            }
+        }
+        self.words = now;
+    }
+}
+
+impl extmem_sim::Node for Watched {
+    fn on_packet(
+        &mut self,
+        ctx: &mut extmem_sim::NodeCtx<'_>,
+        port: extmem_types::PortId,
+        packet: Packet,
+    ) {
+        use extmem_wire::bth::Opcode;
+        let roce = RocePacket::parse(&packet).ok().flatten();
+        if roce.is_some_and(|r| r.bth.opcode == Opcode::WriteOnly) {
+            self.writes += 1;
+            if self.writes <= 64 && self.lose >> (self.writes - 1) & 1 == 1 {
+                return;
+            }
+        }
+        self.nic.on_packet(ctx, port, packet);
+        self.check(ctx);
+    }
+    fn on_timer(&mut self, ctx: &mut extmem_sim::NodeCtx<'_>, token: u64) {
+        self.nic.on_timer(ctx, token);
+        self.check(ctx);
+    }
+    fn on_tx_done(&mut self, ctx: &mut extmem_sim::NodeCtx<'_>, port: extmem_types::PortId) {
+        self.nic.on_tx_done(ctx, port);
+        self.check(ctx);
+    }
+    fn on_crash(&mut self, ctx: &mut extmem_sim::NodeCtx<'_>) {
+        // The DRAM is gone: the words start over from zero.
+        self.nic.on_crash(ctx);
+        self.words.fill(0);
+    }
+    fn on_restart(&mut self, ctx: &mut extmem_sim::NodeCtx<'_>) {
+        self.nic.on_restart(ctx);
+    }
+    fn name(&self) -> &str {
+        "watched"
+    }
+}
+
+/// One step of a pool schedule, run by [`Counting`] when its timer fires.
+#[derive(Clone, Copy, Debug)]
+enum PoolStep {
+    /// Count `add` on `slot`.
+    Count { slot: u64, add: u64 },
+    /// The engine's tick: flush the accumulators, write the mirrors.
+    Flush,
+}
+
+/// A switch program that drives one replicated FaA engine through its
+/// steps (program timer `i` runs step `i`) and keeps the true counts.
+struct Counting {
+    engine: extmem_core::faa::FaaEngine,
+    steps: Vec<PoolStep>,
+    truth: Vec<u64>,
+}
+
+impl extmem_switch::PipelineProgram for Counting {
+    fn ingress(
+        &mut self,
+        ctx: &mut extmem_switch::SwitchCtx<'_, '_, '_>,
+        port: extmem_types::PortId,
+        pkt: Packet,
+    ) {
+        if let Ok(Some(roce)) = RocePacket::parse(&pkt) {
+            self.engine.on_roce(ctx, port, &roce);
+        }
+    }
+
+    fn on_timer(&mut self, ctx: &mut extmem_switch::SwitchCtx<'_, '_, '_>, token: u64) {
+        match self.steps.get(token as usize) {
+            Some(&PoolStep::Count { slot, add }) => {
+                self.truth[slot as usize] += add;
+                self.engine.add(ctx, slot, add);
+            }
+            Some(PoolStep::Flush) => {
+                self.engine.flush(ctx);
+                self.engine.tick(ctx);
+            }
+            None => {
+                self.engine.on_timer(ctx, token);
+            }
+        }
+    }
+}
+
+/// A replicated pool of 2-3 servers over a 16-word region under a random
+/// schedule: counts and flushes at random times, each mirror losing the
+/// catch-up WRITEs a random mask names, and maybe the primary crashing and
+/// coming back with its DRAM wiped. No replica word ever goes back to an
+/// older value, and once settled every Healthy server holds the true
+/// counts, so the mirrors equal the primary; with every server Healthy the
+/// pool is synced. A mirror its losses got written off while it stayed up
+/// is left Down: its QP still expects the PSN it was at, so no probe is
+/// answered (and none may be answered as a duplicate, which would take it
+/// back stale). The count of such cases is printed with the cases explored.
+#[test]
+fn replicated_pool_replicas_never_go_back_and_settle_equal() {
+    use extmem_core::channel::RdmaChannel;
+    use extmem_core::faa::{FaaConfig, FaaEngine};
+    use extmem_core::{Health, PoolConfig};
+    use extmem_rnic::{RnicConfig, RnicNode};
+    use extmem_sim::{LinkSpec, SimBuilder};
+    use extmem_switch::switch::program_token;
+    use extmem_switch::{SwitchConfig, SwitchNode};
+    use extmem_types::{ByteSize, NodeId, PortId};
+    use extmem_wire::roce::RoceEndpoint;
+    use extmem_wire::MacAddr;
+    use proptest::strategy::Strategy;
+    use proptest::test_runner::TestRng;
+
+    const CASES: u32 = 1000;
+    let endpoint = |i: u32| RoceEndpoint {
+        mac: MacAddr::local(i),
+        ip: 0x0a00_0000 + i,
+    };
+    let step = (0u64..10, 0u64..POOL_WORDS + 6, 1u64..1000);
+    let schedule = (
+        2usize..4,
+        proptest::collection::vec(step, 5..60),
+        any::<[u64; 6]>(),
+        any::<bool>(),
+        (0u64..1000, 200u64..400, 0u64..POOL_WORDS),
+    );
+    let mut rng = TestRng::for_test("replicated_pool_replicas_never_go_back_and_settle_equal");
+    let mut left_down = 0;
+    for case in 0..CASES {
+        let (n, steps, masks, crash, (crash_at, down_for, slot)) = schedule.new_value(&mut rng);
+        // A slot past the region is a flush; the rest count.
+        let mut at = 0;
+        let mut timed: Vec<(u64, PoolStep)> = (steps.iter())
+            .map(|&(gap, slot, add)| {
+                at += gap;
+                let step = match slot < POOL_WORDS {
+                    true => PoolStep::Count { slot, add },
+                    false => PoolStep::Flush,
+                };
+                (at, step)
+            })
+            .collect();
+        // A crash lands among the steps, and a count goes to the dead
+        // primary: the pool can only write off a server it sends to, and
+        // one that came back wiped before it did would be taken back as it
+        // is. The server stays down past the detector's two timeouts.
+        let crash_at = crash_at % (at + 1);
+        if crash {
+            timed.push((crash_at + 1, PoolStep::Count { slot, add: 1 }));
+        }
+        // Then the tick runs on, every 20 us, until everything settles.
+        let settle = at.max(crash_at + down_for) + 1000;
+        timed.extend((at..settle).step_by(20).map(|t| (t, PoolStep::Flush)));
+
+        let mut nics: Vec<RnicNode> = (0..n as u32)
+            .map(|i| RnicNode::new("mem", RnicConfig::at(endpoint(10 + i))))
+            .collect();
+        let region = ByteSize::from_bytes(8 * POOL_WORDS);
+        let channels: Vec<RdmaChannel> = (nics.iter_mut().enumerate())
+            .map(|(i, nic)| RdmaChannel::setup(endpoint(1), PortId(i as u16), nic, region))
+            .collect();
+        let (rkey, base) = (channels[0].rkey, channels[0].base_va);
+        let config = FaaConfig {
+            reliable: true,
+            rto: extmem_types::TimeDelta::from_micros(20),
+            ..FaaConfig::default()
+        };
+        let pool_config = PoolConfig {
+            down_threshold: 2,
+            probe_interval: extmem_types::TimeDelta::from_micros(100),
+        };
+        let program = Counting {
+            engine: FaaEngine::replicated(channels, config, pool_config),
+            steps: timed.iter().map(|&(_, s)| s).collect(),
+            truth: vec![0; POOL_WORDS as usize],
+        };
+        let mut b = SimBuilder::new(case as u64);
+        let sw = b.add_node(Box::new(SwitchNode::new(
+            "tor",
+            SwitchConfig::default(),
+            Box::new(program),
+        )));
+        let servers: Vec<NodeId> = (nics.into_iter().enumerate())
+            .map(|(i, nic)| {
+                let server = b.add_node(Box::new(Watched {
+                    nic,
+                    rkey,
+                    base,
+                    words: vec![0; POOL_WORDS as usize],
+                    writes: 0,
+                    // About one WRITE in eight is lost, never at the primary.
+                    lose: if i == 0 {
+                        0
+                    } else {
+                        masks[2 * i - 2] & masks[2 * i - 1] & masks[4]
+                    },
+                    went_back: None,
+                }));
+                b.connect(
+                    sw,
+                    PortId(i as u16),
+                    server,
+                    PortId(0),
+                    LinkSpec::testbed_40g(),
+                );
+                server
+            })
+            .collect();
+        let mut sim = b.build();
+        for (i, &(t, _)) in timed.iter().enumerate() {
+            let delay = extmem_types::TimeDelta::from_micros(t);
+            sim.schedule_timer(sw, delay, program_token(i as u64));
+        }
+        if crash {
+            sim.schedule_crash(servers[0], extmem_types::TimeDelta::from_micros(crash_at));
+            let back = extmem_types::TimeDelta::from_micros(crash_at + down_for);
+            sim.schedule_restart(servers[0], back);
+        }
+        sim.run_until(Time::from_micros(settle));
+
+        let what = format!(
+            "case {case}: {n} servers, crash {crash} at {crash_at} for {down_for}, {timed:?}"
+        );
+        let program = sim.node::<SwitchNode>(sw).program::<Counting>();
+        let pool = program.engine.pool();
+        let healthy: Vec<bool> = (0..n).map(|i| pool.health(i) == Health::Healthy).collect();
+        if healthy.iter().all(|&h| h) {
+            assert!(program.engine.is_quiescent() && pool.is_synced(), "{what}");
+        } else {
+            left_down += 1;
+        }
+        for (i, &server) in servers.iter().enumerate() {
+            let watched = sim.node::<Watched>(server);
+            assert_eq!(watched.went_back, None, "{what}: server {i}");
+            if healthy[i] {
+                assert_eq!(watched.words, program.truth, "{what}: server {i}");
+            }
+        }
+    }
+    println!(
+        "replicated_pool_replicas_never_go_back_and_settle_equal: {CASES} cases explored, \
+         {left_down} with a server left Down"
+    );
+}
