@@ -188,8 +188,11 @@ pub struct ChannelStats {
     pub acks: u64,
     /// NAKs consumed.
     pub naks: u64,
-    /// Request packets retransmitted (NAK- and timeout-triggered).
+    /// Request packets retransmitted (go-back-N volleys and implicit NAKs).
     pub retransmits: u64,
+    /// Ops re-sent alone because the answer to an op sent after them came
+    /// first (an implicit NAK).
+    pub implicit_resends: u64,
     /// Timeout rounds fired.
     pub timeouts: u64,
     /// Response packets that matched no outstanding op (duplicates of
@@ -221,6 +224,7 @@ impl ChannelStats {
         self.acks += other.acks;
         self.naks += other.naks;
         self.retransmits += other.retransmits;
+        self.implicit_resends += other.implicit_resends;
         self.timeouts += other.timeouts;
         self.duplicate_drops += other.duplicate_drops;
         self.aged_out += other.aged_out;
@@ -267,7 +271,7 @@ pub enum Op {
     /// acknowledges it explicitly, and the WRITE has a deadline of its own.
     /// Without, it is confirmed by the answer to a later op (an ACK covers
     /// the WRITEs at or before its PSN, a response the WRITEs before it),
-    /// and its loss shows as that op's NAK or timeout.
+    /// and its loss shows as that op's NAK (or, if the NAK is lost, timeout).
     Write {
         /// Where the bytes land.
         va: u64,
@@ -400,6 +404,9 @@ struct Outstanding {
     psn: u32,
     cookie: u64,
     sent_at: Time,
+    /// Its latest transmission's place in the channel's send order (serial
+    /// arithmetic: ops in flight are far fewer than `2^31` sends apart).
+    sent_nr: u32,
     op: Op,
     /// A reliable Fetch-and-Add's value, when its answer overtook an older
     /// one's: held until that one is answered.
@@ -436,7 +443,8 @@ fn psn_distance(from: u32, to: u32) -> u32 {
 }
 
 /// The requester-side reliability layer every primitive shares: tracks
-/// outstanding ops by PSN (24-bit wrap-aware), retransmits on NAK and on an
+/// outstanding ops by PSN (24-bit wrap-aware), retransmits on NAK, on an
+/// answer that overtook a lost one (an implicit NAK) and on an
 /// exponential-backoff timer, deduplicates replayed responses, and past the
 /// retry cap fails over so the primitive can degrade to local-only
 /// operation instead of stalling forever (§7).
@@ -479,6 +487,8 @@ pub struct ReliableChannel {
     /// The armed retransmission timer, if any, and the deadline it was
     /// armed for.
     timer: Option<(TimerHandle, Time)>,
+    /// Requests put on the wire so far: the send order's counter.
+    sends: u32,
     stats: ChannelStats,
 }
 
@@ -502,6 +512,7 @@ impl ReliableChannel {
             nak_epoch: None,
             failed: false,
             timer: None,
+            sends: 0,
             stats: ChannelStats::default(),
         }
     }
@@ -666,10 +677,12 @@ impl ReliableChannel {
         let psn = qp.npsn;
         let frame = qp.issue(rkey, &op.request());
         self.stats.faa_sent += matches!(op, Op::FetchAdd { .. }) as u64;
+        self.sends = self.sends.wrapping_add(1);
         self.outstanding.push_back(Outstanding {
             psn,
             cookie,
             sent_at: ctx.now(),
+            sent_nr: self.sends,
             op,
             fetched: None,
         });
@@ -698,7 +711,7 @@ impl ReliableChannel {
         let psn = roce.bth.psn;
         let consumed = match roce.bth.opcode {
             Opcode::ReadRespOnly => {
-                self.on_response(psn, Reply::Data(roce.payload.clone()), events);
+                self.on_response(ctx, psn, Reply::Data(roce.payload.clone()), events);
                 true
             }
             Opcode::AtomicAcknowledge => {
@@ -706,7 +719,7 @@ impl ReliableChannel {
                     return false;
                 };
                 self.stats.acks += 1;
-                self.on_response(psn, Reply::Fetched(ack.original_value), events);
+                self.on_response(ctx, psn, Reply::Fetched(ack.original_value), events);
                 true
             }
             Opcode::Acknowledge => {
@@ -714,7 +727,7 @@ impl ReliableChannel {
                     return false;
                 };
                 match aeth.syndrome {
-                    Syndrome::Ack { .. } => self.on_ack(psn, events),
+                    Syndrome::Ack { .. } => self.on_ack(ctx, psn, events),
                     // A refused request would be refused again: fail over,
                     // as an RC QP enters its error state.
                     Syndrome::Nak(code) if code != PsnSequenceError && self.config.reliable => {
@@ -744,8 +757,8 @@ impl ReliableChannel {
     /// Retire the WRITEs, and the best-effort atomics, among the first `n`
     /// outstanding ops: the in-order responder has executed them. The
     /// response-bearing ones stay — the responder executed those too, but
-    /// their answer may still be in flight (or lost, in which case the timer
-    /// re-issues them). Returns how many stayed.
+    /// their answer may still be in flight (or lost, in which case
+    /// [`Self::resend_overtaken`] re-sends them). Returns how many stayed.
     fn retire_executed(&mut self, n: usize, events: &mut Vec<ChannelEvent>) -> usize {
         let mut kept = 0;
         for _ in 0..n {
@@ -781,9 +794,15 @@ impl ReliableChannel {
     /// value each brings back holds the adds of every one completed before
     /// it and of none still outstanding. An atomic's acknowledgement that
     /// overtook an older one's lost answer is held on its op until the
-    /// timer's re-send of the older one is answered from the responder's
-    /// saved results.
-    fn on_response(&mut self, psn: u32, reply: Reply, events: &mut Vec<ChannelEvent>) {
+    /// re-send of the older one ([`Self::resend_overtaken`]) is answered
+    /// from the responder's saved results.
+    fn on_response(
+        &mut self,
+        ctx: &mut SwitchCtx<'_, '_, '_>,
+        psn: u32,
+        reply: Reply,
+        events: &mut Vec<ChannelEvent>,
+    ) {
         let pos = self.outstanding.iter().position(|o| {
             o.psn == psn
                 && o.fetched.is_none()
@@ -800,6 +819,7 @@ impl ReliableChannel {
             return;
         };
         self.progress();
+        self.resend_overtaken(ctx, pos);
         match reply {
             Reply::Fetched(original) if self.config.reliable => {
                 self.outstanding[pos].fetched = Some(original);
@@ -818,24 +838,45 @@ impl ReliableChannel {
     /// A plain ACK of `psn` acknowledges every op through `psn`. The WRITEs
     /// (and best-effort atomics) covered by it complete; the ops that bear
     /// a response do not — an ACK proves the responder *sent* their answer,
-    /// not that it arrived.
-    fn on_ack(&mut self, psn: u32, events: &mut Vec<ChannelEvent>) {
+    /// not that it arrived. As the answer to the op sent under `psn`, it
+    /// re-sends the ones whose answer it overtook.
+    fn on_ack(
+        &mut self,
+        ctx: &mut SwitchCtx<'_, '_, '_>,
+        psn: u32,
+        events: &mut Vec<ChannelEvent>,
+    ) {
         self.stats.acks += 1;
-        if !self
-            .outstanding
-            .iter()
-            .any(|op| psn_at_or_before(op.psn, psn))
-        {
-            self.stats.duplicate_drops += 1;
-            return;
-        }
-        self.progress();
         let covered = self
             .outstanding
             .iter()
             .take_while(|op| psn_at_or_before(op.psn, psn))
             .count();
+        if covered == 0 {
+            self.stats.duplicate_drops += 1;
+            return;
+        }
+        self.progress();
+        if self.outstanding[covered - 1].psn == psn {
+            self.resend_overtaken(ctx, covered - 1);
+        }
         self.retire_executed(covered, events);
+    }
+
+    /// Implicit NAK: the op at `idx` was just answered, and the in-order
+    /// responder's answers come back over FIFO links, so every unanswered
+    /// response-bearing op ahead of it that was last sent before it lost its
+    /// answer: re-send each alone. The timer is left to catch silence.
+    fn resend_overtaken(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, idx: usize) {
+        let answered_nr = self.outstanding[idx].sent_nr;
+        for i in 0..idx {
+            let o = &self.outstanding[i];
+            let earlier = (answered_nr.wrapping_sub(o.sent_nr) as i32) > 0;
+            if self.config.reliable && earlier && o.fetched.is_none() && o.op.bears_response(true) {
+                self.stats.implicit_resends += 1;
+                self.resend(ctx, i);
+            }
+        }
     }
 
     /// The responder NAKed a PSN gap: its `epsn` (carried in the NAK's PSN
@@ -852,7 +893,7 @@ impl ReliableChannel {
         if self.config.reliable {
             // Ops fully before the responder's expected PSN were executed;
             // complete the WRITEs among them (an answer of its own may still
-            // be lost — the timer covers those).
+            // be lost — the volley below re-sends those).
             let executed = self
                 .outstanding
                 .iter()
@@ -888,20 +929,25 @@ impl ReliableChannel {
     /// saved results, and plain-ACKs duplicate WRITEs, so replays are
     /// idempotent.
     fn retransmit_all(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>) {
-        let now = ctx.now();
-        let (qp, rkey) = (&self.inner.qp, self.inner.rkey);
         for i in 0..self.outstanding.len() {
-            let sent = &self.outstanding[i];
-            if sent.fetched.is_some() {
-                // Answered already; only an older op's answer is awaited.
-                continue;
+            // A held answer is in; only an older op's answer is awaited.
+            if self.outstanding[i].fetched.is_none() {
+                self.resend(ctx, i);
             }
-            let frame = qp.encode_at(sent.psn, rkey, &sent.op.request());
-            self.stats.faa_sent += matches!(sent.op, Op::FetchAdd { .. }) as u64;
-            self.send(ctx, frame);
-            self.stats.retransmits += 1;
-            self.outstanding[i].sent_at = now;
         }
+    }
+
+    /// Re-send the outstanding op at `idx` under its original PSN.
+    fn resend(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, idx: usize) {
+        let sent = &self.outstanding[idx];
+        let frame = (self.inner.qp).encode_at(sent.psn, self.inner.rkey, &sent.op.request());
+        self.stats.faa_sent += matches!(sent.op, Op::FetchAdd { .. }) as u64;
+        self.stats.retransmits += 1;
+        self.sends = self.sends.wrapping_add(1);
+        let sent = &mut self.outstanding[idx];
+        sent.sent_at = ctx.now();
+        sent.sent_nr = self.sends;
+        self.send(ctx, frame);
     }
 
     /// The channel's retransmission deadline fired: the owning program
@@ -1784,21 +1830,26 @@ pub(crate) mod tests {
     }
 
     /// Owns one channel to the [`Tap`]ped server on switch port 1; submits
-    /// `ops` under cookies 0, 1, … when poked, loses the atomic
-    /// acknowledgement of PSN `eat` once, and keeps every event.
+    /// `ops` under cookies 0, 1, … when poked, loses one answer (a READ's
+    /// data or an atomic acknowledgement) under each PSN in `eat`, in
+    /// order of arrival, and keeps every event.
     struct Lossy {
         channel: ReliableChannel,
         ops: Vec<Op>,
-        eat: Option<u32>,
+        eat: Vec<u32>,
         events: Vec<ChannelEvent>,
     }
 
     impl extmem_switch::PipelineProgram for Lossy {
         fn ingress(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, _: PortId, pkt: Packet) {
             let roce = RocePacket::parse(&pkt).unwrap().unwrap();
-            let atomic_ack = roce.bth.opcode == Opcode::AtomicAcknowledge;
-            if atomic_ack && self.eat == Some(roce.bth.psn) {
-                self.eat = None;
+            let answer = matches!(
+                roce.bth.opcode,
+                Opcode::AtomicAcknowledge | Opcode::ReadRespOnly
+            );
+            let eaten = self.eat.iter().position(|&psn| psn == roce.bth.psn);
+            if let (true, Some(i)) = (answer, eaten) {
+                self.eat.remove(i);
                 return;
             }
             assert!(self.channel.on_roce(ctx, &roce, &mut self.events));
@@ -1815,13 +1866,13 @@ pub(crate) mod tests {
     }
 
     /// Runs `ops(base_va)` through a [`Lossy`] channel under `config` for
-    /// `us` microseconds, losing the atomic acknowledgement of PSN `eat`;
+    /// `us` microseconds, losing one answer under each PSN in `eat`;
     /// returns its events and counters, the server's counters, and the PSN
     /// of every request the server received.
     fn lossy(
         config: ReliableConfig,
         ops: impl FnOnce(u64) -> Vec<Op>,
-        eat: Option<u32>,
+        eat: &[u32],
         us: u64,
     ) -> (
         Vec<ChannelEvent>,
@@ -1843,7 +1894,7 @@ pub(crate) mod tests {
         let program = Lossy {
             ops: ops(channel.base_va),
             channel: ReliableChannel::new(channel, config),
-            eat,
+            eat: eat.to_vec(),
             events: Vec::new(),
         };
         let mut tap = None;
@@ -1862,7 +1913,7 @@ pub(crate) mod tests {
         sim.schedule_timer(sw, TimeDelta::ZERO, program_token(0));
         sim.run_until(Time::from_micros(us));
         let program = sim.node_mut::<SwitchNode>(sw).program_mut::<Lossy>();
-        assert_eq!(program.eat, None, "the acknowledgement was lost");
+        assert_eq!(program.eat, [], "every answer named was lost");
         let (events, stats) = (std::mem::take(&mut program.events), program.channel.stats());
         let tap = sim.node::<Tap>(tap.unwrap());
         let psns = (tap.frames.iter())
@@ -1871,16 +1922,19 @@ pub(crate) mod tests {
         (events, stats, tap.nic.stats(), psns)
     }
 
-    /// A reliable Fetch-and-Add at PSN 0 loses its acknowledgement. Behind
-    /// it, past [`ATOMIC_RESULTS`] PSNs, every eighth op is another
-    /// Fetch-and-Add on its word and the rest are READs (few enough atomics
-    /// that the server's atomic window never overflows). The READs
-    /// complete; the answers of the Fetch-and-Adds, which overtook PSN 0's,
-    /// are held; and no op launches at PSN 64 or later, which
-    /// would push PSN 0's result out of the server's ring, until PSN 0 is
-    /// answered. The timer re-sends PSN 0 alone, and every
-    /// Fetch-and-Add completes, in order, with the value its own execution
-    /// saw: never a bare ACK, never a NAK.
+    /// A reliable Fetch-and-Add at PSN 0 loses its acknowledgement, and its
+    /// first re-send loses its own. Behind it, past [`ATOMIC_RESULTS`]
+    /// PSNs, every eighth op is another Fetch-and-Add on its word and the
+    /// rest are READs (few enough atomics that the server's atomic window
+    /// never overflows). PSN 1's answer re-sends PSN 0 at once; the answers
+    /// to PSNs 2 to 63, sent before that re-send, do not re-send it again.
+    /// The READs complete; the answers of the Fetch-and-Adds, which
+    /// overtook PSN 0's, are held; and no op launches at PSN 64 or later,
+    /// which would push PSN 0's result out of the server's ring, until PSN
+    /// 0 is answered. The timer, which now only has silence to catch,
+    /// re-sends PSN 0 alone once more, and every Fetch-and-Add completes,
+    /// in order, with the value its own execution saw: never a bare ACK,
+    /// never a NAK.
     #[test]
     fn a_lost_atomic_ack_is_answered_again_with_its_value() {
         const OPS: u64 = 81;
@@ -1895,7 +1949,7 @@ pub(crate) mod tests {
                 })
                 .collect()
         };
-        let (events, stats, nic, psns) = lossy(ReliableConfig::default(), ops, Some(0), 400);
+        let (events, stats, nic, psns) = lossy(ReliableConfig::default(), ops, &[0, 0], 400);
 
         assert_eq!(events.len(), OPS as usize);
         let mut want_faa = 0;
@@ -1919,11 +1973,72 @@ pub(crate) mod tests {
         }
         assert_eq!(want_faa, OPS.div_ceil(8));
         assert_eq!((stats.timeouts, stats.naks), (1, 0), "{stats}");
+        assert_eq!(stats.retransmits, 2, "{stats}");
         assert_eq!(nic.naks, 0);
-        let resent = 1 + psns[1..].iter().position(|&p| p == 0).unwrap();
-        let first_past_ring = psns.iter().position(|&p| p == ATOMIC_RESULTS as u32);
-        assert_eq!(resent, ATOMIC_RESULTS, "the ring's worth went out first");
-        assert!(first_past_ring.unwrap() > resent, "{psns:?}");
+        // The ring's worth, PSN 0's two re-sends, then the rest.
+        let ring = 0..ATOMIC_RESULTS as u32;
+        let rest = ATOMIC_RESULTS as u32..OPS as u32;
+        assert_eq!(psns, ring.chain([0, 0]).chain(rest).collect::<Vec<_>>());
+    }
+
+    /// Two READs; the first one's data is lost. The second's answer shows
+    /// it (the responder answers in order): the first is re-sent alone at
+    /// once, long before the RTO, and completes from the responder's
+    /// re-execution. One retransmission, no timeout, no NAK.
+    #[test]
+    fn a_lost_read_response_is_resent_alone_by_the_next_answer() {
+        let reads = |base: u64| {
+            (0..2)
+                .map(|i| Op::Read {
+                    va: base + 8 * i,
+                    len: 8,
+                })
+                .collect()
+        };
+        let (events, stats, nic, psns) = lossy(ReliableConfig::default(), reads, &[0], 400);
+        let done: Vec<u64> = (events.iter())
+            .map(|ev| match ev {
+                ChannelEvent::Done {
+                    cookie,
+                    reply: Reply::Data(_),
+                    ..
+                } => *cookie,
+                other => panic!("unexpected {other:?}"),
+            })
+            .collect();
+        assert_eq!(done, [1, 0]);
+        let st = (stats.retransmits, stats.timeouts, stats.naks);
+        assert_eq!(st, (1, 0, 0), "{stats}");
+        assert_eq!(stats.duplicate_drops, 0, "{stats}");
+        assert_eq!((psns, nic.duplicates), (vec![0, 1, 0], 1));
+    }
+
+    /// Four READs; the first one's data is lost. PSN 1's answer re-sends
+    /// it; the answers to PSNs 2 and 3, sent before that re-send, do not
+    /// re-send it again, for its answer is still on the way. When that
+    /// answer is lost too, nothing is answered behind the re-send: the
+    /// timer catches the silence and re-sends it once more.
+    #[test]
+    fn a_resend_in_flight_is_not_resent_by_answers_to_ops_sent_before_it() {
+        let reads = |base: u64| {
+            (0..4)
+                .map(|i| Op::Read {
+                    va: base + 8 * i,
+                    len: 8,
+                })
+                .collect()
+        };
+        for (eat, timeouts, want) in [
+            (&[0][..], 0, vec![0, 1, 2, 3, 0]),
+            (&[0, 0][..], 1, vec![0, 1, 2, 3, 0, 0]),
+        ] {
+            let config = ReliableConfig::default();
+            let (events, stats, _, psns) = lossy(config, reads, eat, 400);
+            assert_eq!(events.len(), 4);
+            let st = (stats.retransmits, stats.timeouts);
+            assert_eq!(st, (timeouts + 1, timeouts), "{eat:?}: {stats}");
+            assert_eq!(psns, want, "{eat:?}");
+        }
     }
 
     /// Best effort, a Fetch-and-Add is never re-sent: the answer to the op
@@ -1940,7 +2055,7 @@ pub(crate) mod tests {
             ]
         };
         let config = ReliableConfig::best_effort(TimeDelta::from_micros(100));
-        let (events, stats, _, _) = lossy(config, ops, Some(0), 50);
+        let (events, stats, _, _) = lossy(config, ops, &[0], 50);
         let replies: Vec<(u64, Reply)> = (events.into_iter())
             .map(|ev| match ev {
                 ChannelEvent::Done { cookie, reply, .. } => (cookie, reply),
@@ -1962,7 +2077,7 @@ pub(crate) mod tests {
             vec![Op::Read { va, len: 8 }]
         };
         let rto_us = config.rto.as_micros_f64() as u64;
-        let (events, stats, nic, psns) = lossy(config, past_end, None, rto_us);
+        let (events, stats, nic, psns) = lossy(config, past_end, &[], rto_us);
         let ended = match &events[..] {
             [ChannelEvent::OpFailed { cookie, op }, ChannelEvent::Failed] => Some((*cookie, op)),
             _ => None,

@@ -34,10 +34,10 @@
 //! confirm it: a later store's ACK or the READ that loads it retires it
 //! (the responder executes in order), and a lost one draws a NAK for the op
 //! behind it. A store asks for an ACK only when its stripe's channel holds
-//! no op the responder answers (so the store arms the deadline, and a dead
-//! server is detected as before) or when it is the sixteenth store in a row
-//! there, a quarter of the channel's window (so a detour with no READs yet
-//! keeps the window turning).
+//! nothing in flight (so the store arms the deadline, and a dead server is
+//! detected as before) or when it is the sixteenth unacknowledged WRITE in
+//! a row there, a quarter of the channel's window (so a detour with no
+//! READs yet keeps the window turning).
 //!
 //! Every WRITE and READ rides a per-server [`ReliableChannel`] with the
 //! ring index as its cookie: lost RDMA packets are retransmitted (§7's
@@ -65,9 +65,9 @@ use std::collections::BTreeMap;
 const ENTRY_HDR: usize = 6;
 
 /// A store asks for an ACK when it would be this many stores in a row on
-/// its stripe with no op the responder answers: a quarter of the channel's
-/// window, so a detour with no READs yet retires its WRITEs long before the
-/// window fills.
+/// its stripe with no op the responder answers (or when its stripe holds
+/// nothing in flight): a quarter of the channel's window, so a detour with
+/// no READs yet retires its WRITEs long before the window fills.
 const ACK_EVERY: usize = MAX_WINDOW / 4;
 
 /// Program timer token a scenario driver fires (via
@@ -335,13 +335,14 @@ impl PacketBufferProgram {
         hdr[4..].copy_from_slice(&(pkt.len() as u16).to_be_bytes());
         let body = WriteBody::framed(&hdr, pkt.view(0..pkt.len()));
         let (ch, va) = self.locate(idx);
-        // The stripe's newest ops: an answered one among the last
-        // `ACK_EVERY - 1` confirms this store in time.
-        let ack_req = !self.pools[ch]
-            .caller_ops()
-            .rev()
-            .take(ACK_EVERY - 1)
-            .any(|(_, op)| op.is_answered());
+        // Ask into an idle stripe (a dead server arms the deadline at once)
+        // and behind `ACK_EVERY - 1` unacknowledged WRITEs (the window keeps
+        // turning); any other store is confirmed by an op behind it.
+        let pool = &self.pools[ch];
+        let unacked = (pool.caller_ops().rev().take(ACK_EVERY - 1))
+            .take_while(|(_, op)| !op.is_answered())
+            .count();
+        let ack_req = unacked == ACK_EVERY - 1 || pool.caller_ops().next().is_none();
         if !self.pools[ch].submit(ctx, Op::Write { va, body, ack_req }, idx) {
             // Failed over between the detour decision and the write: the
             // packet takes the local queue instead.
@@ -635,19 +636,24 @@ mod tests {
 
     /// A wire between the switch (port 0) and a memory server (port 1)
     /// that eats one frame: the first WRITE under PSN `psn` that asked for
-    /// no ACK.
+    /// no ACK. It notes the PSN of every WRITE that asked for one.
     struct EatOnce {
         psn: u32,
         eaten: bool,
+        asked: Vec<u32>,
         tx: [TxQueue; 2],
     }
 
     impl Node for EatOnce {
         fn on_packet(&mut self, ctx: &mut NodeCtx<'_>, port: PortId, packet: Packet) {
-            if port == PortId(0) && !self.eaten {
+            if port == PortId(0) {
                 if let Ok(Some(req)) = RocePacket::parse(&packet) {
                     let bth = req.bth;
-                    if bth.opcode == Opcode::WriteOnly && bth.psn == self.psn && !bth.ack_req {
+                    let write = bth.opcode == Opcode::WriteOnly;
+                    if write && bth.ack_req {
+                        self.asked.push(bth.psn);
+                    }
+                    if write && bth.psn == self.psn && !bth.ack_req && !self.eaten {
                         self.eaten = true;
                         return;
                     }
@@ -793,6 +799,7 @@ mod tests {
                     let wire = b.add_node(Box::new(EatOnce {
                         psn,
                         eaten: false,
+                        asked: Vec::new(),
                         tx: [TxQueue::new(PortId(0)), TxQueue::new(PortId(1))],
                     }));
                     let testbed = LinkSpec::testbed_40g();
@@ -889,6 +896,41 @@ mod tests {
         assert_eq!((c.timeouts, c.retransmits, c.naks), (0, 0, 0), "{c:?}");
         let sink = r.sim.node::<Sink>(r.sink);
         assert_eq!(sink.seqs, (0..N).collect::<Vec<_>>(), "FIFO order");
+    }
+
+    /// A store asks for an ACK into an idle stripe, and as the sixteenth
+    /// unacknowledged WRITE in a row; not behind fewer, even once the ACK
+    /// ahead of them has retired everything before them. Stores 5 us apart
+    /// each find the stripe idle, since the round trip is shorter, and each
+    /// asks. Stores 200 ns apart ask at 0, 16 and 32 only: the ACK of store
+    /// 0 comes back a few stores later and leaves the stripe holding only
+    /// WRITEs nobody answers, and the stores behind them wait for the 16th.
+    /// The loads confirm the last few, with no timeout and no retransmission.
+    #[test]
+    fn a_store_asks_for_an_ack_into_an_idle_stripe_and_sixteenth_in_a_row() {
+        let no_psn = u32::MAX;
+        for (n, gap, want) in [(10, 5_000, (0..10).collect()), (40, 200, vec![0, 16, 32])] {
+            let (mode, region) = (Mode::Manual, ByteSize::from_mb(1));
+            let mut r = rig_through(mode, n, 128, gap, region, 40, 1, 0.0, 7, Some(no_psn));
+            r.sim.run_until(Time::from_micros(100));
+            let wire = r.sim.node::<EatOnce>(r.wires[0]);
+            assert_eq!(wire.asked, want, "{gap} ns apart");
+            r.sim.schedule_timer(
+                r.switch,
+                TimeDelta::ZERO,
+                program_token(TOKEN_START_LOADING),
+            );
+            r.sim.run_to_quiescence();
+            let s = prog_stats(&r);
+            assert_eq!((s.stored, s.loaded), (n as u64, n as u64), "{s:?}");
+            let c = s.channel;
+            assert_eq!(
+                (c.acks, c.timeouts, c.retransmits),
+                (want.len() as u64, 0, 0)
+            );
+            let sink = r.sim.node::<Sink>(r.sink);
+            assert_eq!(sink.seqs, (0..n).collect::<Vec<_>>());
+        }
     }
 
     /// One stored WRITE that asked for no ACK is lost: mid-burst, where the

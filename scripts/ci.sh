@@ -245,7 +245,7 @@ while read -r workload allocs bytes overhead p50 p99; do
 done <<'CEILINGS'
 lookup_verbs 3.01 125.2 1.0323 2486.329 2895.996
 lookup_ops 3.01 125.2 0.7429 2471.514 2881.181
-pktbuf_lossy 4.155 178.3 2.3007 22384235.157 44349376.318
+pktbuf_lossy 4.024 173.5 2.2835 22384235.157 44349376.318
 fabric_shard 2.252 94.9 0.3731 2968.032 3311.595
 fabric_shard_p2 2.251 95.4 0.3731 2968.032 3311.595
 CEILINGS

@@ -269,6 +269,15 @@ fn run_packet_buffer_cell(cell: &Cell, seed: u64) {
     if is_clean(cell) {
         assert_eq!(s.channel.retransmits, 0, "clean cell must not retransmit");
     }
+    if cell.reorder && cell.loss == 0.0 && !cell.outage {
+        // Nothing is lost, so every op re-sent because an answer overtook
+        // its own was re-sent spuriously: its own answer completes it, and
+        // the re-send's is dropped as a duplicate (the entries above came
+        // back once each).
+        let c = s.channel;
+        assert!(c.implicit_resends > 0, "{cell:?}: nothing overtaken: {c:?}");
+        assert!(c.duplicate_drops >= c.implicit_resends, "{cell:?}: {c:?}");
+    }
 }
 
 #[test]

@@ -786,3 +786,277 @@ fn replicated_pool_replicas_never_go_back_and_settle_equal() {
          {left_down} with a server left Down"
     );
 }
+
+/// What a [`FaultyWire`] does to one frame.
+#[derive(Clone, Copy, Debug)]
+enum Fault {
+    Drop,
+    Duplicate,
+    /// Held back a microsecond, so a frame sent just after it passes it.
+    Reorder,
+    /// Held back past the channel's RTO.
+    Delay,
+}
+
+/// The RTO of the channels in the schedules below.
+const CHANNEL_RTO_US: u64 = 10;
+
+/// A wire between a switch (port 0) and a memory server (port 1) that
+/// does each of `faults` to the frame it names — `(direction, k)`: the
+/// `k`-th frame from port `direction` — and logs the PSN of every request
+/// in the order the switch sent them.
+struct FaultyWire {
+    faults: Vec<(usize, usize, Fault)>,
+    seen: [usize; 2],
+    held: Vec<Option<(usize, Packet)>>,
+    requests: Vec<u32>,
+    tx: [extmem_sim::TxQueue; 2],
+}
+
+impl extmem_sim::Node for FaultyWire {
+    fn on_packet(
+        &mut self,
+        ctx: &mut extmem_sim::NodeCtx<'_>,
+        port: extmem_types::PortId,
+        packet: Packet,
+    ) {
+        let from = port.0 as usize;
+        let k = self.seen[from];
+        self.seen[from] += 1;
+        if from == 0 {
+            let roce = RocePacket::parse(&packet).ok().flatten();
+            self.requests.push(roce.map_or(u32::MAX, |r| r.bth.psn));
+        }
+        let to = 1 - from;
+        let fault = self.faults.iter().find(|f| (f.0, f.1) == (from, k));
+        let hold = match fault.map(|f| f.2) {
+            None => TimeDelta::ZERO,
+            Some(Fault::Drop) => return,
+            Some(Fault::Duplicate) => {
+                self.tx[to].send(ctx, packet.clone());
+                TimeDelta::ZERO
+            }
+            Some(Fault::Reorder) => TimeDelta::from_micros(1),
+            Some(Fault::Delay) => TimeDelta::from_micros(CHANNEL_RTO_US + 1),
+        };
+        if hold == TimeDelta::ZERO {
+            self.tx[to].send(ctx, packet);
+        } else {
+            ctx.schedule(hold, self.held.len() as u64);
+            self.held.push(Some((to, packet)));
+        }
+    }
+    fn on_timer(&mut self, ctx: &mut extmem_sim::NodeCtx<'_>, token: u64) {
+        if let Some((to, packet)) = self.held[token as usize].take() {
+            self.tx[to].send(ctx, packet);
+        }
+    }
+    fn on_tx_done(&mut self, ctx: &mut extmem_sim::NodeCtx<'_>, port: extmem_types::PortId) {
+        self.tx[port.0 as usize].on_tx_done(ctx);
+    }
+    fn name(&self) -> &str {
+        "faulty-wire"
+    }
+}
+
+/// A switch program that submits `ops[i]` under cookie `i` when its
+/// program timer `i` fires, and notes, for every answer after which its
+/// channel re-sent ops alone, the answer's PSN, how many requests the
+/// channel had sent before it, and how many it re-sent.
+struct ChannelRunner {
+    channel: extmem_core::ReliableChannel,
+    ops: Vec<extmem_core::Op>,
+    events: Vec<extmem_core::ChannelEvent>,
+    resends: Vec<(u32, usize, usize)>,
+}
+
+impl ChannelRunner {
+    /// Requests the channel has put on the wire: first sends and re-sends.
+    fn sent(&self) -> usize {
+        let s = self.channel.stats();
+        let queued = self.channel.ops().count() - self.channel.outstanding_len();
+        (s.ops_issued + s.retransmits) as usize - queued
+    }
+}
+
+impl extmem_switch::PipelineProgram for ChannelRunner {
+    fn ingress(
+        &mut self,
+        ctx: &mut extmem_switch::SwitchCtx<'_, '_, '_>,
+        _: extmem_types::PortId,
+        pkt: Packet,
+    ) {
+        let Ok(Some(roce)) = RocePacket::parse(&pkt) else {
+            panic!("not RoCE: {pkt:?}");
+        };
+        let (sent, before) = (self.sent(), self.channel.stats().implicit_resends);
+        assert!(self.channel.on_roce(ctx, &roce, &mut self.events));
+        let resent = (self.channel.stats().implicit_resends - before) as usize;
+        if resent > 0 {
+            self.resends.push((roce.bth.psn, sent, resent));
+        }
+    }
+
+    fn on_timer(&mut self, ctx: &mut extmem_switch::SwitchCtx<'_, '_, '_>, token: u64) {
+        if token == self.channel.timer_token() {
+            return self.channel.on_timer_fired(ctx, &mut self.events);
+        }
+        let op = self.ops[token as usize].clone();
+        assert!(self.channel.submit(ctx, op, token));
+    }
+}
+
+/// A reliable channel under random schedules: up to four ops (READs,
+/// WRITEs with and without an ACK, Fetch-and-Adds on one word) submitted
+/// within a few hundred nanoseconds from a PSN within four of the 2^24
+/// wrap, and up to two faults on the wire — a drop, a duplicate, a reorder
+/// or a delay past the RTO — each on a random frame in either direction.
+/// Every op completes exactly once; the Fetch-and-Adds complete in PSN
+/// order, each with the value the responder's single execution of it saw;
+/// and every op the channel re-sends alone on an answer was last sent
+/// before the op that answer is for (an implicit NAK never fires on an
+/// answer to an op sent earlier).
+#[test]
+fn channel_completes_every_op_once_and_resends_alone_only_behind_a_later_answer() {
+    use extmem_core::channel::RdmaChannel;
+    use extmem_core::{ChannelEvent, Op, ReliableChannel, ReliableConfig, Reply};
+    use extmem_rnic::{RnicConfig, RnicNode, WriteBody};
+    use extmem_sim::{LinkSpec, SimBuilder, TxQueue};
+    use extmem_switch::switch::program_token;
+    use extmem_switch::{SwitchConfig, SwitchNode};
+    use extmem_types::{ByteSize, PortId};
+    use extmem_wire::roce::RoceEndpoint;
+    use extmem_wire::MacAddr;
+    use proptest::strategy::Strategy;
+    use proptest::test_runner::TestRng;
+
+    const CASES: u32 = 10_000;
+    let endpoint = |i: u32| RoceEndpoint {
+        mac: MacAddr::local(i),
+        ip: 0x0a00_0000 + i,
+    };
+    let fault = (0usize..2, 0usize..5, 0u8..4);
+    let schedule = (
+        proptest::collection::vec((0u8..4, 0u64..4), 1..5),
+        proptest::collection::vec(fault, 0..3),
+        0u32..4,
+    );
+    let mut rng = TestRng::for_test("channel_completes_every_op_once");
+    let (mut implicit, mut timeouts) = (0, 0);
+    for case in 0..CASES {
+        let (kinds, faults, below_wrap) = schedule.new_value(&mut rng);
+        let mut nic = RnicNode::new("mem", RnicConfig::at(endpoint(9)));
+        let start = (1 << 24) - 1 - below_wrap;
+        let region = ByteSize::from_bytes(64);
+        let channel = RdmaChannel::setup_at_psn(endpoint(1), PortId(0), &mut nic, region, start);
+        let (rkey, base) = (channel.rkey, channel.base_va);
+        let ops: Vec<Op> = (kinds.iter().enumerate())
+            .map(|(i, &(kind, _))| match kind {
+                0 => Op::Read {
+                    va: base + 8,
+                    len: 8,
+                },
+                // A WRITE that asks for no ACK waits for an op behind it:
+                // the last op always has an answer.
+                1 | 2 => Op::Write {
+                    va: base + 16,
+                    body: WriteBody::inline(&[i as u8; 8]),
+                    ack_req: kind == 2 || i + 1 == kinds.len(),
+                },
+                _ => Op::FetchAdd {
+                    va: base,
+                    add: 1 << i,
+                },
+            })
+            .collect();
+        let faults: Vec<(usize, usize, Fault)> = (faults.iter())
+            .map(|&(from, k, kind)| {
+                let all = [Fault::Drop, Fault::Duplicate, Fault::Reorder, Fault::Delay];
+                (from, k, all[kind as usize])
+            })
+            .collect();
+        let config = ReliableConfig {
+            rto: TimeDelta::from_micros(CHANNEL_RTO_US),
+            ..ReliableConfig::default()
+        };
+        let program = ChannelRunner {
+            channel: ReliableChannel::new(channel, config),
+            ops: ops.clone(),
+            events: Vec::new(),
+            resends: Vec::new(),
+        };
+        let mut b = SimBuilder::new(case as u64);
+        let sw = b.add_node(Box::new(SwitchNode::new(
+            "tor",
+            SwitchConfig::default(),
+            Box::new(program),
+        )));
+        let wire = b.add_node(Box::new(FaultyWire {
+            faults: faults.clone(),
+            seen: [0; 2],
+            held: Vec::new(),
+            requests: Vec::new(),
+            tx: [TxQueue::new(PortId(0)), TxQueue::new(PortId(1))],
+        }));
+        let server = b.add_node(Box::new(nic));
+        b.connect(sw, PortId(0), wire, PortId(0), LinkSpec::testbed_40g());
+        b.connect(wire, PortId(1), server, PortId(0), LinkSpec::testbed_40g());
+        let mut sim = b.build();
+        let mut at = 0;
+        for (i, &(_, gap)) in kinds.iter().enumerate() {
+            at += 100 * gap;
+            let delay = TimeDelta::from_nanos(at);
+            sim.schedule_timer(sw, delay, program_token(i as u64));
+        }
+        sim.run_until(Time::from_millis(2));
+
+        let what = format!("case {case}: start {start:#x}, ops {ops:?}, faults {faults:?}");
+        let program = sim.node::<SwitchNode>(sw).program::<ChannelRunner>();
+        assert_eq!(program.channel.ops().count(), 0, "{what}: ops left");
+        let mut done: Vec<u64> = Vec::new();
+        let mut want_faa = 0;
+        for ev in &program.events {
+            let ChannelEvent::Done { cookie, op, reply } = ev else {
+                panic!("{what}: {ev:?}");
+            };
+            done.push(*cookie);
+            if let Op::FetchAdd { add, .. } = op {
+                assert_eq!(
+                    *reply,
+                    Reply::Fetched(want_faa),
+                    "{what}: {:?}",
+                    program.events
+                );
+                want_faa += add;
+            }
+        }
+        done.sort_unstable();
+        assert_eq!(done, (0..ops.len() as u64).collect::<Vec<_>>(), "{what}");
+        let word = sim
+            .node::<RnicNode>(server)
+            .region(rkey)
+            .read(base, 8)
+            .unwrap();
+        assert_eq!(word, want_faa.to_be_bytes(), "{what}: a count ran twice");
+        // The requests in the order the switch sent them; the last time
+        // before `sent` that `psn` went out.
+        let requests = &sim.node::<FaultyWire>(wire).requests;
+        assert_eq!(requests.len(), program.sent(), "{what}");
+        let last_sent = |psn: u32, sent: usize| requests[..sent].iter().rposition(|&p| p == psn);
+        for &(answered, sent, resent) in &program.resends {
+            for &psn in &requests[sent..sent + resent] {
+                let (p, q) = (last_sent(psn, sent), last_sent(answered, sent));
+                assert!(
+                    p < q,
+                    "{what}: {psn:#x} re-sent on the answer to {answered:#x}"
+                );
+            }
+        }
+        implicit += program.resends.iter().map(|r| r.2).sum::<usize>();
+        timeouts += program.channel.stats().timeouts;
+    }
+    println!(
+        "channel_completes_every_op_once_and_resends_alone_only_behind_a_later_answer: \
+         {CASES} cases explored, {implicit} ops re-sent alone, {timeouts} timeouts"
+    );
+}
