@@ -1039,7 +1039,7 @@ impl ReliableChannel {
     /// whatever PSN arrives first after its restart. The fresh base must be
     /// far from the dead window so a straggling response from the old
     /// incarnation cannot alias into the new one (callers jump by at least
-    /// the window size; [`crate::pool::ReplicatedPool`] jumps by `2^20`).
+    /// the window size; the FaA engine's pool jumps by `2^20`).
     ///
     /// This is the *only* place outside the best-effort NAK path allowed to
     /// move `npsn` off its issue sequence — the fault-matrix grep guard

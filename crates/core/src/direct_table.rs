@@ -30,9 +30,7 @@
 
 use crate::channel::{ChannelEvent, Op, RdmaChannel, ReliableConfig, Reply};
 use crate::fib::Fib;
-use crate::lookup::{
-    flow_of, single_server_pool, ActionEntry, LookupStats, TableFront, ACTION_LEN,
-};
+use crate::lookup::{flow_of, ActionEntry, LookupStats, TableFront, ACTION_LEN};
 use extmem_rnic::nic::MTU;
 use extmem_rnic::{RnicNode, WriteBody};
 use extmem_switch::hash::flow_index;
@@ -90,7 +88,7 @@ impl DirectTableProgram {
         let entries = channel.region_len / entry_size;
         assert!(entries > 0, "region smaller than one entry");
         DirectTableProgram {
-            front: TableFront::new(fib, single_server_pool(channel), cache_capacity),
+            front: TableFront::new(fib, channel, cache_capacity),
             entry_size,
             entries,
             recirc: None,
@@ -110,7 +108,7 @@ impl DirectTableProgram {
 
     /// Override the reliability policy (before traffic flows).
     pub fn with_reliability(mut self, rc: ReliableConfig) -> DirectTableProgram {
-        self.front.pool.set_config(rc);
+        self.front.channel.set_config(rc);
         self
     }
 
@@ -122,7 +120,7 @@ impl DirectTableProgram {
     /// Whether the reliability layer gave up and misses punt to the slow
     /// path.
     pub fn is_degraded(&self) -> bool {
-        self.front.degraded
+        self.front.degraded()
     }
 
     /// Cache hit-rate so far (0 when the cache is disabled).
@@ -152,12 +150,11 @@ impl DirectTableProgram {
             body: WriteBody::framed(&(pkt.len() as u16).to_be_bytes(), pkt.into_payload()),
             ack_req: false,
         };
-        self.front.pool.submit(ctx, bounce, slot);
+        self.front.channel.submit(ctx, bounce, slot);
 
         // (2) READ back exactly [action][len][packet].
-        self.front
-            .pool
-            .submit(ctx, Op::Read { va: entry_va, len }, slot);
+        let read = Op::Read { va: entry_va, len };
+        self.front.channel.submit(ctx, read, slot);
     }
 
     /// Resolve a miss through the flow's remote slot: bounce the packet, or
@@ -165,7 +162,7 @@ impl DirectTableProgram {
     /// the recirculation path until the response is in.
     fn remote_lookup(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, flow: FiveTuple, pkt: Packet) {
         let slot = self.slot_of(&flow);
-        let entry_va = self.front.pool.base_va() + slot * self.entry_size;
+        let entry_va = self.front.channel.base_va() + slot * self.entry_size;
         let Some(waiting) = &mut self.recirc else {
             return self.bounce(ctx, slot, entry_va, pkt);
         };
@@ -183,7 +180,7 @@ impl DirectTableProgram {
             self.front.stats.lookup_rtts += 1;
             let len = ACTION_LEN as u32;
             let read = Op::Read { va: entry_va, len };
-            self.front.pool.submit(ctx, read, slot);
+            self.front.channel.submit(ctx, read, slot);
         }
         let w = waiting.entry(slot).or_insert(Waiting {
             passes: 0,
@@ -261,7 +258,8 @@ impl DirectTableProgram {
                         }
                     }
                 }
-                ChannelEvent::Failed => self.front.degraded = true,
+                // The failed channel is the degraded flag itself.
+                ChannelEvent::Failed => {}
             }
         }
         self.front.events = events;
@@ -279,7 +277,7 @@ impl PipelineProgram for DirectTableProgram {
     }
 
     fn on_timer(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, token: u64) {
-        self.front.pool.on_timer(ctx, token, &mut self.front.events);
+        self.front.on_timer(ctx, token);
         self.consume_events(ctx);
     }
 

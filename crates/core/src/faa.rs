@@ -81,13 +81,14 @@ pub struct FaaStats {
     /// Reliability-layer counters for the underlying channel(s), merged
     /// across the pool.
     pub channel: ChannelStats,
-    /// Replication-layer counters (all zero for single-server engines).
+    /// Replication-layer counters (`servers = 1` for a single-server
+    /// engine, which never fails over, probes or rejoins).
     pub pool: PoolStats,
 }
 
-/// The Fetch-and-Add issuing engine. One per pool (usually one server;
-/// a replicated engine's mirrors catch up through [`ReplicatedPool`]'s
-/// WRITEs of the counted words' values).
+/// The Fetch-and-Add issuing engine, over a [`ReplicatedPool`] of one
+/// server or more (a replicated engine's mirrors catch up through the
+/// pool's WRITEs of the counted words' values).
 #[derive(Debug)]
 pub struct FaaEngine {
     pool: ReplicatedPool,
@@ -122,10 +123,14 @@ impl FaaEngine {
         } else {
             ReliableConfig::best_effort(config.rto)
         };
-        Self::over_pool(
-            ReplicatedPool::single(ReliableChannel::new(channel, rc)),
-            config,
-        )
+        // A lone server has no mirror to fail over to: only its channel's
+        // retry cap writes it off.
+        let lone = PoolConfig {
+            down_threshold: u32::MAX,
+            ..PoolConfig::default()
+        };
+        let pool = ReplicatedPool::new(vec![ReliableChannel::new(channel, rc)], lone);
+        Self::over_pool(pool, config)
     }
 
     /// Create an engine over a replicated pool of `channels` (one per

@@ -25,7 +25,6 @@ use crate::cuckoo::{
     SLOT_BYTES,
 };
 use crate::fib::Fib;
-use crate::pool::ReplicatedPool;
 use extmem_rnic::nic::MTU;
 use extmem_rnic::{Operand, RemoteOp, RnicNode, WriteBody};
 use extmem_switch::filter::ChoiceFilter;
@@ -40,16 +39,15 @@ use std::collections::VecDeque;
 use std::hash::Hash;
 
 /// Timer token that drains queued control-plane table ops. Every other
-/// token the program sees is its pool's.
+/// token the program sees is its channel's.
 pub const TOKEN_CONTROL: u64 = 0x3A0;
 
 /// Timer token that steps the scripted churn driver. The program re-arms
 /// it every [`ChurnScript::period`] until the script is exhausted.
 pub const TOKEN_CHURN: u64 = 0x3A1;
 
-/// Cookie bit marking control-plane (relocation/maintenance) ops. Bit 63 is
-/// the pool's internal bit; data-plane lookup cookies keep bits 62..64
-/// clear.
+/// Cookie bit marking control-plane (relocation/maintenance) ops;
+/// data-plane lookup cookies keep it clear.
 const CTRL_BIT: u64 = 1 << 62;
 
 /// Bytes of an encoded [`ActionEntry`].
@@ -366,37 +364,28 @@ impl LookupStats {
 /// What the three table programs — [`LookupTableProgram`],
 /// [`DirectTableProgram`](crate::direct_table::DirectTableProgram) and
 /// [`RemoteLpmProgram`](crate::lpm::RemoteLpmProgram) — are built on:
-/// forwarding, the pool of table servers, the optional SRAM cache keyed by
-/// `K` and the counters, with every pipeline step that does not depend on
-/// the remote data structure.
+/// forwarding, the channel to the table server, the optional SRAM cache
+/// keyed by `K` and the counters, with every pipeline step that does not
+/// depend on the remote data structure.
 pub(crate) struct TableFront<K = FiveTuple> {
     /// L2 forwarding (also the post-action forwarding step).
     fib: Fib,
-    pub(crate) pool: ReplicatedPool,
+    pub(crate) channel: ReliableChannel,
     pub(crate) cache: Option<ExactMatchTable<K, ActionEntry>>,
-    /// Channel failed over: misses punt to the slow path (forward
-    /// unmodified); the local cache keeps serving hits.
-    pub(crate) degraded: bool,
-    /// Completions the pool handed up, for the program to drain; the
+    /// Completions the channel handed up, for the program to drain; the
     /// vector is reused across calls.
     pub(crate) events: Vec<ChannelEvent>,
     pub(crate) stats: LookupStats,
 }
 
-/// The pool under a single-server table: one reliable channel.
-pub(crate) fn single_server_pool(channel: RdmaChannel) -> ReplicatedPool {
-    ReplicatedPool::single(ReliableChannel::new(channel, ReliableConfig::default()))
-}
-
 impl<K: Eq + Hash + Copy> TableFront<K> {
     /// `cache_capacity = Some(n)` enables an n-entry local LRU cache (§4:
     /// "the switch can (optionally) cache the table entry in local SRAM").
-    pub(crate) fn new(fib: Fib, pool: ReplicatedPool, cache_capacity: Option<usize>) -> Self {
+    pub(crate) fn new(fib: Fib, channel: RdmaChannel, cache_capacity: Option<usize>) -> Self {
         TableFront {
             fib,
-            pool,
+            channel: ReliableChannel::new(channel, ReliableConfig::default()),
             cache: cache_capacity.map(|c| ExactMatchTable::new(c, Replacement::Lru)),
-            degraded: false,
             events: Vec::new(),
             stats: LookupStats::default(),
         }
@@ -405,12 +394,18 @@ impl<K: Eq + Hash + Copy> TableFront<K> {
     /// The counters, with the channel's merged in.
     pub(crate) fn stats(&self) -> LookupStats {
         LookupStats {
-            channel: self.pool.channel_stats(),
+            channel: self.channel.stats(),
             ..self.stats
         }
     }
 
-    /// RoCE demux: a frame from a table server is the pool's, and its
+    /// Whether the channel failed over: misses punt to the slow path
+    /// (forward unmodified); the local cache keeps serving hits.
+    pub(crate) fn degraded(&self) -> bool {
+        self.channel.is_failed()
+    }
+
+    /// RoCE demux: a frame from the table server is the channel's, and its
     /// completions are left in `events`. `false`: not such a frame.
     pub(crate) fn on_roce(
         &mut self,
@@ -418,14 +413,22 @@ impl<K: Eq + Hash + Copy> TableFront<K> {
         in_port: PortId,
         pkt: &Packet,
     ) -> bool {
-        if !self.pool.owns_port(in_port) {
+        if self.channel.server_port() != in_port {
             return false;
         }
         let Ok(Some(roce)) = RocePacket::parse(pkt) else {
             return false;
         };
-        self.pool.on_roce(ctx, in_port, &roce, &mut self.events);
+        self.channel.on_roce(ctx, &roce, &mut self.events);
         true
+    }
+
+    /// A program timer fired: if `token` is the channel's retransmission
+    /// deadline, its completions are left in `events`.
+    pub(crate) fn on_timer(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, token: u64) {
+        if token == self.channel.timer_token() {
+            self.channel.on_timer_fired(ctx, &mut self.events);
+        }
     }
 
     /// Everything a workload packet can be answered with locally: plain L2
@@ -455,7 +458,7 @@ impl<K: Eq + Hash + Copy> TableFront<K> {
                 return None;
             }
         }
-        if self.degraded {
+        if self.degraded() {
             // §7 graceful degradation: the remote table is unreachable, so
             // misses punt to the software slow path (forward unmodified).
             self.stats.slow_path += 1;
@@ -544,13 +547,12 @@ impl LookupTableProgram {
         dir: CuckooDirectory,
         cache_capacity: Option<usize>,
     ) -> LookupTableProgram {
-        let pool = single_server_pool(channel);
         assert!(
-            pool.region_len() >= dir.region_bytes(),
+            channel.region_len >= dir.region_bytes(),
             "remote region smaller than the cuckoo table"
         );
         LookupTableProgram {
-            front: TableFront::new(fib, pool, cache_capacity),
+            front: TableFront::new(fib, channel, cache_capacity),
             live_filter: dir.filter().clone(),
             dir,
             pending: IntMap::default(),
@@ -585,7 +587,7 @@ impl LookupTableProgram {
 
     /// Override the reliability policy (before traffic flows).
     pub fn with_reliability(mut self, rc: ReliableConfig) -> LookupTableProgram {
-        self.front.pool.set_config(rc);
+        self.front.channel.set_config(rc);
         self
     }
 
@@ -594,15 +596,16 @@ impl LookupTableProgram {
         self.front.stats()
     }
 
-    /// The single-server pool underneath.
-    pub fn pool(&self) -> &ReplicatedPool {
-        &self.front.pool
+    /// The channel to the table server. Named `pool` for the benchmark
+    /// harness, which calls it.
+    pub fn pool(&self) -> &ReliableChannel {
+        &self.front.channel
     }
 
     /// Whether the reliability layer gave up and misses punt to the slow
     /// path.
     pub fn is_degraded(&self) -> bool {
-        self.front.degraded
+        self.front.degraded()
     }
 
     /// The control-plane cuckoo directory.
@@ -638,7 +641,7 @@ impl LookupTableProgram {
     /// sends a hash-probe-and-fetch naming it, which the responder scans in
     /// one access and answers with the matching slot.
     fn remote_lookup(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, flow: FiveTuple, pkt: Packet) {
-        let base = self.front.pool.base_va();
+        let base = self.front.channel.base_va();
         let (b1, b2) = self.dir.bucket_pair(&flow);
         let secondary = b1 != b2 && self.live_filter.contains(&flow);
         let bucket = if secondary { b2 } else { b1 };
@@ -666,7 +669,7 @@ impl LookupTableProgram {
             let len = BUCKET_BYTES as u32;
             Op::Read { va, len }
         };
-        self.front.pool.submit(ctx, op, cookie);
+        self.front.channel.submit(ctx, op, cookie);
     }
 
     /// The end of every lookup: find the parked flow's action in the answer,
@@ -707,10 +710,10 @@ impl LookupTableProgram {
     /// explicitly acknowledged.
     fn write_slot(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, at: SlotRef, image: &[u8]) {
         let cookie = self.next_ctrl_cookie();
-        let va = slot_va(self.front.pool.base_va(), at);
+        let va = slot_va(self.front.channel.base_va(), at);
         let (body, ack_req) = (WriteBody::inline(image), true);
         let write = Op::Write { va, body, ack_req };
-        self.front.pool.submit(ctx, write, cookie);
+        self.front.channel.submit(ctx, write, cookie);
     }
 
     /// Issue one plan step onto the wire. `Move`s first READ-verify their
@@ -719,12 +722,12 @@ impl LookupTableProgram {
     /// same instant their WRITE enters the FIFO channel — that atomicity is
     /// what keeps redirected probes and remote bytes consistent.
     fn issue_step(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, step: Step) {
-        let base = self.front.pool.base_va();
+        let base = self.front.channel.base_va();
         match step {
             Step::Move { from, .. } => {
                 let cookie = self.next_ctrl_cookie();
                 let (va, len) = (slot_va(base, from), SLOT_BYTES as u32);
-                self.front.pool.submit(ctx, Op::Read { va, len }, cookie);
+                self.front.channel.submit(ctx, Op::Read { va, len }, cookie);
                 self.verify = Some((step, cookie));
             }
             Step::Write {
@@ -826,7 +829,7 @@ impl LookupTableProgram {
     /// trip), then plan further control ops. Called after every event batch
     /// and control/churn timer.
     fn advance(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>) {
-        if self.front.degraded {
+        if self.front.degraded() {
             return;
         }
         loop {
@@ -868,20 +871,21 @@ impl LookupTableProgram {
                 ChannelEvent::OpFailed { cookie, .. } => {
                     self.front.stats.failed_ops += 1;
                     if cookie & CTRL_BIT != 0 {
-                        // A dying pool abandoned a control op; if it was
-                        // the verify READ, drop the step (the table is
+                        // A dying channel abandoned a control op; if it
+                        // was the verify READ, drop the step (the table is
                         // degrading anyway).
                         if self.verify.is_some_and(|(_, vc)| vc == cookie) {
                             self.verify = None;
                         }
                     } else if let Some((_, pkt)) = self.pending.remove(&cookie) {
-                        // The lookup is gone with the pool: punt the parked
-                        // packet to the slow path unmodified.
+                        // The lookup is gone with the channel: punt the
+                        // parked packet to the slow path unmodified.
                         self.front.stats.slow_path += 1;
                         self.front.forward_unmodified(ctx, pkt);
                     }
                 }
-                ChannelEvent::Failed => self.front.degraded = true,
+                // The failed channel is the degraded flag itself.
+                ChannelEvent::Failed => {}
             }
         }
         self.front.events = events;
@@ -907,7 +911,7 @@ impl PipelineProgram for LookupTableProgram {
             self.advance(ctx);
             return;
         }
-        self.front.pool.on_timer(ctx, token, &mut self.front.events);
+        self.front.on_timer(ctx, token);
         self.consume_events(ctx);
     }
 
@@ -1214,7 +1218,7 @@ pub(crate) mod tests {
                     prog.ingress(ctx, PortId(2), pkt);
                     let probes: Vec<_> = prog
                         .pool()
-                        .caller_ops()
+                        .ops()
                         .filter_map(|(_, op)| match op {
                             Op::Remote(RemoteOp::HashProbe { bucket, .. }) => Some(*bucket),
                             _ => None,

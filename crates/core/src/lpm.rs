@@ -32,10 +32,7 @@
 
 use crate::channel::{ChannelEvent, Op, RdmaChannel, ReliableConfig};
 use crate::fib::Fib;
-use crate::lookup::{
-    single_server_pool, ActionEntry, ActionKind, LookupStats, TableFront, ACTION_LEN,
-};
-use crate::pool::ReplicatedPool;
+use crate::lookup::{ActionEntry, ActionKind, LookupStats, TableFront, ACTION_LEN};
 use extmem_rnic::{RemoteOp, RnicNode};
 use extmem_switch::hash::hash_to_index;
 use extmem_switch::{PipelineProgram, SwitchCtx};
@@ -130,7 +127,7 @@ impl RemoteLpmProgram {
         let slots_per_level = channel.region_len / (levels.len() as u64 * ACTION_LEN as u64);
         assert!(slots_per_level > 0, "region smaller than one slot per rung");
         RemoteLpmProgram {
-            front: TableFront::new(fib, single_server_pool(channel), cache_capacity),
+            front: TableFront::new(fib, channel, cache_capacity),
             levels,
             slots_per_level,
             pending: IntMap::default(),
@@ -141,7 +138,7 @@ impl RemoteLpmProgram {
 
     /// Override the reliability policy (before traffic flows).
     pub fn with_reliability(mut self, rc: ReliableConfig) -> RemoteLpmProgram {
-        self.front.pool.set_config(rc);
+        self.front.channel.set_config(rc);
         self
     }
 
@@ -159,21 +156,16 @@ impl RemoteLpmProgram {
         self.front.stats()
     }
 
-    /// The single-server pool underneath.
-    pub fn pool(&self) -> &ReplicatedPool {
-        &self.front.pool
-    }
-
     /// Whether the reliability layer gave up and misses forward FIB-only.
     pub fn is_degraded(&self) -> bool {
-        self.front.degraded
+        self.front.degraded()
     }
 
     /// The VA of the slot for (`level_idx`, `dst`).
     fn slot_va(&self, level_idx: usize, dst: u32) -> u64 {
         let level = self.levels[level_idx];
         let slot = hash_to_index(&rung_key(level, dst), self.slots_per_level);
-        self.front.pool.base_va()
+        self.front.channel.base_va()
             + (level_idx as u64 * self.slots_per_level + slot) * ACTION_LEN as u64
     }
 
@@ -190,13 +182,13 @@ impl RemoteLpmProgram {
             let vas = (0..rungs).map(|i| self.slot_va(i, dst)).collect();
             let word_len = ACTION_LEN as u16;
             let ladder = Op::Remote(RemoteOp::Gather { word_len, vas });
-            self.front.pool.submit(ctx, ladder, id * rungs as u64);
+            self.front.channel.submit(ctx, ladder, id * rungs as u64);
             self.front.stats.lookup_rtts += 1;
         } else {
             for i in 0..rungs {
                 let (va, len) = (self.slot_va(i, dst), ACTION_LEN as u32);
                 let cookie = id * rungs as u64 + i as u64;
-                self.front.pool.submit(ctx, Op::Read { va, len }, cookie);
+                self.front.channel.submit(ctx, Op::Read { va, len }, cookie);
                 self.front.stats.lookup_rtts += 1;
             }
         }
@@ -269,7 +261,8 @@ impl RemoteLpmProgram {
                         self.front.stats.failed_ops += 1;
                     }
                 }
-                ChannelEvent::Failed => self.front.degraded = true,
+                // The failed channel is the degraded flag itself.
+                ChannelEvent::Failed => {}
             }
         }
         self.front.events = events;
@@ -286,7 +279,7 @@ impl PipelineProgram for RemoteLpmProgram {
     }
 
     fn on_timer(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, token: u64) {
-        self.front.pool.on_timer(ctx, token, &mut self.front.events);
+        self.front.on_timer(ctx, token);
         self.consume_events(ctx);
     }
 

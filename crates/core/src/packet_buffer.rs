@@ -27,7 +27,7 @@
 //! bytes move once, into the request frame; until the WRITE is
 //! confirmed the outstanding op is the arrival frame's owner (so a
 //! retransmission encodes the same bytes), and its retirement recycles the
-//! buffer. A WRITE the pool refuses leaves the packet with its caller, for
+//! buffer. A WRITE the channel refuses leaves the packet with its caller, for
 //! the local queue.
 //!
 //! A stored entry asks for no ACK of its own when an op behind it will
@@ -52,7 +52,7 @@ use crate::channel::{
     ChannelEvent, ChannelStats, Op, RdmaChannel, ReliableChannel, ReliableConfig, MAX_WINDOW,
 };
 use crate::fib::Fib;
-use crate::pool::{assert_distinct_ports, ReplicatedPool};
+use crate::pool::assert_distinct_ports;
 use extmem_rnic::nic::MTU;
 use extmem_rnic::WriteBody;
 use extmem_switch::{PipelineProgram, SwitchCtx};
@@ -127,8 +127,8 @@ pub struct PacketBufferStats {
 pub struct PacketBufferProgram {
     /// L2 forwarding for all traffic.
     pub fib: Fib,
-    /// One single-server pool per ring stripe.
-    pools: Vec<ReplicatedPool>,
+    /// One channel per ring stripe, each to its own memory server.
+    channels: Vec<ReliableChannel>,
     /// Entries each stripe's region holds.
     per_channel_entries: u64,
     protected_port: PortId,
@@ -196,20 +196,20 @@ impl PacketBufferProgram {
             rto,
             ..Default::default()
         };
-        let pools: Vec<ReplicatedPool> = channels
+        let channels: Vec<ReliableChannel> = channels
             .into_iter()
-            .map(|c| ReplicatedPool::single(ReliableChannel::new(c, rc)))
+            .map(|c| ReliableChannel::new(c, rc))
             .collect();
-        let per_channel_entries = pools
+        let per_channel_entries = channels
             .iter()
-            .map(|p| p.region_len() / entry_size)
+            .map(|c| c.region_len() / entry_size)
             .fold(u64::MAX, u64::min);
         assert!(per_channel_entries > 0, "region smaller than one entry");
-        assert_distinct_ports(&pools);
-        let k = pools.len() as u64;
+        assert_distinct_ports(channels.iter().map(|c| c.server_port()));
+        let k = channels.len() as u64;
         PacketBufferProgram {
             fib,
-            pools,
+            channels,
             per_channel_entries,
             protected_port,
             entry_size,
@@ -232,8 +232,8 @@ impl PacketBufferProgram {
     /// requests at strict-high TM priority, so they are not stuck behind
     /// (or dropped with) bulk data sharing the server-facing ports (§7).
     pub fn with_reliability(mut self, rc: ReliableConfig) -> PacketBufferProgram {
-        for pool in &mut self.pools {
-            pool.set_config(rc);
+        for channel in &mut self.channels {
+            channel.set_config(rc);
         }
         self
     }
@@ -242,8 +242,8 @@ impl PacketBufferProgram {
     pub fn stats(&self) -> PacketBufferStats {
         let mut s = self.stats;
         let mut agg = ChannelStats::default();
-        for pool in &self.pools {
-            agg.merge(&pool.channel_stats());
+        for channel in &self.channels {
+            agg.merge(&channel.stats());
         }
         s.channel = agg;
         s
@@ -251,12 +251,13 @@ impl PacketBufferProgram {
 
     /// Per-stripe reliability counters (index = stripe index).
     pub fn channel_stats(&self) -> Vec<ChannelStats> {
-        self.pools.iter().map(|p| p.channel_stats()).collect()
+        self.channels.iter().map(|c| c.stats()).collect()
     }
 
-    /// The single-server pool behind stripe `i`.
-    pub fn pool(&self, i: usize) -> &ReplicatedPool {
-        &self.pools[i]
+    /// The channel behind stripe `i`. Named `pool` for the benchmark
+    /// harness, which calls it.
+    pub fn pool(&self, i: usize) -> &ReliableChannel {
+        &self.channels[i]
     }
 
     /// Whether any channel failed over (new traffic no longer detours).
@@ -271,15 +272,15 @@ impl PacketBufferProgram {
 
     /// `(stripe index, VA)` of ring entry `idx`.
     fn locate(&self, idx: u64) -> (usize, u64) {
-        let k = self.pools.len() as u64;
+        let k = self.channels.len() as u64;
         let ch = (idx % k) as usize;
         let slot = (idx / k) % self.per_channel_entries;
-        (ch, self.pools[ch].base_va() + slot * self.entry_size)
+        (ch, self.channels[ch].base_va() + slot * self.entry_size)
     }
 
-    /// The stripe whose pool has a memory server attached to `port`.
-    fn pool_of_port(&self, port: PortId) -> Option<usize> {
-        self.pools.iter().position(|p| p.owns_port(port))
+    /// The stripe whose memory server is attached to `port`.
+    fn stripe_of_port(&self, port: PortId) -> Option<usize> {
+        self.channels.iter().position(|c| c.server_port() == port)
     }
 
     /// Whether a freshly arriving protected-port packet must detour.
@@ -338,12 +339,12 @@ impl PacketBufferProgram {
         // Ask into an idle stripe (a dead server arms the deadline at once)
         // and behind `ACK_EVERY - 1` unacknowledged WRITEs (the window keeps
         // turning); any other store is confirmed by an op behind it.
-        let pool = &self.pools[ch];
-        let unacked = (pool.caller_ops().rev().take(ACK_EVERY - 1))
+        let channel = &self.channels[ch];
+        let unacked = (channel.ops().rev().take(ACK_EVERY - 1))
             .take_while(|(_, op)| !op.is_answered())
             .count();
-        let ack_req = unacked == ACK_EVERY - 1 || pool.caller_ops().next().is_none();
-        if !self.pools[ch].submit(ctx, Op::Write { va, body, ack_req }, idx) {
+        let ack_req = unacked == ACK_EVERY - 1 || channel.ops().next().is_none();
+        if !self.channels[ch].submit(ctx, Op::Write { va, body, ack_req }, idx) {
             // Failed over between the detour decision and the write: the
             // packet takes the local queue instead.
             self.enqueue_protected(ctx, pkt);
@@ -376,7 +377,7 @@ impl PacketBufferProgram {
                 let idx = self.next_read_idx;
                 let (ch, va) = self.locate(idx);
                 let len = self.entry_size as u32;
-                if self.pools[ch].submit(ctx, Op::Read { va, len }, idx) {
+                if self.channels[ch].submit(ctx, Op::Read { va, len }, idx) {
                     self.stats.reads_issued += 1;
                 } else {
                     self.reorder.entry(idx).or_insert(None);
@@ -393,14 +394,13 @@ impl PacketBufferProgram {
         }
     }
 
-    /// One of the pools' timers fired (a channel's retransmission
-    /// deadline or a probe timer).
-    fn pool_timer(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, token: u64) {
+    /// A program timer other than the loading kick fired: if it is a
+    /// stripe's retransmission deadline, its channel handles it.
+    fn channel_timer(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, token: u64) {
         let mut events = std::mem::take(&mut self.events);
-        for pool in &mut self.pools {
-            if pool.on_timer(ctx, token, &mut events) {
-                break;
-            }
+        let channel = self.channels.iter_mut().find(|c| c.timer_token() == token);
+        if let Some(channel) = channel {
+            channel.on_timer_fired(ctx, &mut events);
         }
         self.consume_events(ctx, &mut events);
         self.events = events;
@@ -460,16 +460,10 @@ impl PacketBufferProgram {
         self.release_ready(ctx);
     }
 
-    /// Handle a RoCE packet arriving on `in_port` from stripe `ch`.
-    fn on_roce(
-        &mut self,
-        ctx: &mut SwitchCtx<'_, '_, '_>,
-        ch: usize,
-        in_port: PortId,
-        roce: &RocePacket,
-    ) {
+    /// Handle a RoCE packet from stripe `ch`'s memory server.
+    fn on_roce(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, ch: usize, roce: &RocePacket) {
         let mut events = std::mem::take(&mut self.events);
-        self.pools[ch].on_roce(ctx, in_port, roce, &mut events);
+        self.channels[ch].on_roce(ctx, roce, &mut events);
         self.consume_events(ctx, &mut events);
         self.events = events;
     }
@@ -501,9 +495,9 @@ impl PacketBufferProgram {
 
 impl PipelineProgram for PacketBufferProgram {
     fn ingress(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, in_port: PortId, pkt: Packet) {
-        if let Some(ch) = self.pool_of_port(in_port) {
+        if let Some(ch) = self.stripe_of_port(in_port) {
             if let Ok(Some(roce)) = RocePacket::parse(&pkt) {
-                self.on_roce(ctx, ch, in_port, &roce);
+                self.on_roce(ctx, ch, &roce);
                 return;
             }
         }
@@ -535,7 +529,7 @@ impl PipelineProgram for PacketBufferProgram {
                 self.loading_enabled = true;
                 self.try_issue_reads(ctx);
             }
-            _ => self.pool_timer(ctx, token),
+            _ => self.channel_timer(ctx, token),
         }
     }
 
@@ -1164,7 +1158,7 @@ mod tests {
         fn prog(r: &mut Rig) -> &mut PacketBufferProgram {
             r.sim.node_mut::<SwitchNode>(r.switch).program_mut()
         }
-        prog(&mut r).pools[0].set_config(ReliableConfig {
+        prog(&mut r).channels[0].set_config(ReliableConfig {
             rto: TimeDelta::from_nanos(400),
             ..Default::default()
         });

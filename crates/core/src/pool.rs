@@ -5,8 +5,8 @@
 //! module makes server death survivable for the one primitive whose remote
 //! state is a sum of its own updates: the state store's Fetch-and-Add
 //! engine binds to a *pool* of N symmetric servers (one primary, N−1
-//! mirrors) instead of one [`ReliableChannel`]. A replicated pool carries
-//! caller Fetch-and-Adds and nothing else (any other caller op panics).
+//! mirrors) instead of one [`ReliableChannel`]. A pool carries caller
+//! Fetch-and-Adds and nothing else (any other caller op panics).
 //! The pool:
 //!
 //! * sends each Fetch-and-Add to the primary only. Its own atomic
@@ -36,15 +36,24 @@
 //!   makes the server a mirror again at once: its catch-up rides its own
 //!   FIFO channel, ahead of anything it is sent later.
 //!
-//! A single-server pool ([`ReplicatedPool::single`]) is a strict
-//! passthrough with no tracking overhead, so the single-server primitives
-//! pay nothing and may submit any op.
+//! The single-server primitives hold their [`ReliableChannel`] directly;
+//! only the FaA engine builds a pool. A non-replicated engine's pool has one
+//! server and takes the same path, under two rules:
+//!
+//! * a best-effort give-up goes straight to the caller. Such a channel
+//!   ages out or NAKs ops without ever failing, so an `OpFailed` that no
+//!   `Failed` follows in the same batch is handed up as it is, not kept
+//!   for a failover that will not come;
+//! * a lone server is written off by its channel's retry cap, never by the
+//!   detector ([`crate::faa::FaaEngine::new`] sets `down_threshold` to
+//!   `u32::MAX`): with no mirror to promote, an early abort buys no
+//!   failover.
 
 use crate::channel::{ChannelEvent, Op, ReliableChannel, Reply, MAX_WINDOW};
 use extmem_rnic::nic::MTU;
 use extmem_rnic::{Operand, WriteBody};
 use extmem_switch::SwitchCtx;
-use extmem_types::{IntMap, PortId, Rkey, TimeDelta};
+use extmem_types::{IntMap, PortId, TimeDelta};
 use extmem_wire::bth::psn_add;
 use extmem_wire::Payload;
 use std::collections::BTreeMap;
@@ -325,15 +334,11 @@ pub struct ReplicatedPool {
 /// `CHANNEL_TIMER | p`).
 pub(crate) const PROBE_TIMER: u64 = 1 << 33;
 
-/// Panics unless no two servers of `pools` share a switch port. A server's
-/// port names its channel, for the frames it answers with and for the
-/// channel's and the pool's timers, so a program's servers must each have
-/// their own.
-pub(crate) fn assert_distinct_ports<'a>(pools: impl IntoIterator<Item = &'a ReplicatedPool>) {
-    let mut ports: Vec<PortId> = pools
-        .into_iter()
-        .flat_map(|p| p.servers.iter().map(|s| s.channel.server_port()))
-        .collect();
+/// Panics unless no two of `ports` are the same. A memory server's port
+/// names its channel, for the frames it answers with and for the channel's
+/// and the pool's timers, so a program's servers must each have their own.
+pub(crate) fn assert_distinct_ports(ports: impl IntoIterator<Item = PortId>) {
+    let mut ports: Vec<PortId> = ports.into_iter().collect();
     let n = ports.len();
     ports.sort_unstable();
     ports.dedup();
@@ -341,42 +346,28 @@ pub(crate) fn assert_distinct_ports<'a>(pools: impl IntoIterator<Item = &'a Repl
 }
 
 impl ReplicatedPool {
-    /// A single-server pool: a strict passthrough to `channel` with zero
-    /// tracking overhead. Every single-server constructor wraps its channel
-    /// this way.
-    pub(crate) fn single(channel: ReliableChannel) -> ReplicatedPool {
-        Self::build(vec![channel], PoolConfig::default())
-    }
-
-    /// A replicated pool over `channels` (index 0 starts as primary). All
-    /// servers must present the same region geometry — the controller
-    /// registers identical layouts on each. Only the FaA engine builds one
-    /// ([`crate::faa::FaaEngine::replicated`]).
+    /// A pool over `channels` (index 0 starts as primary). All servers must
+    /// present the same region geometry — the controller registers
+    /// identical layouts on each — and a mirror's channel must be reliable.
+    /// Only the FaA engine builds one ([`crate::faa::FaaEngine`]).
     pub(crate) fn new(channels: Vec<ReliableChannel>, config: PoolConfig) -> ReplicatedPool {
         assert!(!channels.is_empty(), "a pool needs at least one server");
-        if channels.len() > 1 {
-            let (rkey, va, len) = (
-                channels[0].rkey(),
-                channels[0].base_va(),
-                channels[0].region_len(),
+        let (rkey, va, len) = (
+            channels[0].rkey(),
+            channels[0].base_va(),
+            channels[0].region_len(),
+        );
+        for ch in &channels[1..] {
+            assert!(
+                ch.rkey() == rkey && ch.base_va() == va && ch.region_len() == len,
+                "pool servers must expose identical region triples"
             );
-            for ch in &channels[1..] {
-                assert!(
-                    ch.rkey() == rkey && ch.base_va() == va && ch.region_len() == len,
-                    "pool servers must expose identical region triples"
-                );
-                assert!(
-                    ch.config().reliable,
-                    "replicated pools require reliable channels"
-                );
-            }
+            assert!(
+                ch.config().reliable,
+                "replicated pools require reliable channels"
+            );
         }
-        let pool = Self::build(channels, config);
-        assert_distinct_ports([&pool]);
-        pool
-    }
-
-    fn build(channels: Vec<ReliableChannel>, config: PoolConfig) -> ReplicatedPool {
+        assert_distinct_ports(channels.iter().map(|c| c.server_port()));
         let n = channels.len() as u32;
         ReplicatedPool {
             servers: channels
@@ -414,19 +405,19 @@ impl ReplicatedPool {
         self.servers[i].health.state()
     }
 
+    /// The switch ports of this pool's servers, in server order.
+    pub(crate) fn ports(&self) -> impl Iterator<Item = PortId> + '_ {
+        self.servers.iter().map(|s| s.channel.server_port())
+    }
+
     /// Whether `port` belongs to any of this pool's servers.
     pub fn owns_port(&self, port: PortId) -> bool {
-        self.servers.iter().any(|s| s.channel.server_port() == port)
+        self.ports().any(|p| p == port)
     }
 
     /// The current primary's switch port.
     pub fn server_port(&self) -> PortId {
         self.servers[self.primary].channel.server_port()
-    }
-
-    /// Remote access key (identical across servers).
-    pub fn rkey(&self) -> Rkey {
-        self.servers[0].channel.rkey()
     }
 
     /// Base VA of the region (identical across servers).
@@ -439,26 +430,10 @@ impl ReplicatedPool {
         self.servers[0].channel.region_len()
     }
 
-    /// Override the reliability policy on every server's channel (before
-    /// traffic flows). Replicated pools must stay reliable — only a
-    /// reliable channel completes a Fetch-and-Add with its own value.
-    pub fn set_config(&mut self, rc: crate::channel::ReliableConfig) {
-        assert!(
-            rc.reliable || self.servers.len() == 1,
-            "replicated pools require reliable channels"
-        );
-        for s in &mut self.servers {
-            s.channel.set_config(rc);
-        }
-    }
-
-    /// Whether the pool as a whole has degraded: every server is gone (or
-    /// the lone server of a passthrough pool failed). Mirrors
-    /// [`ReliableChannel::is_failed`] for the primitives' fallback logic.
+    /// Whether the pool as a whole has degraded: every server is gone.
+    /// Mirrors [`ReliableChannel::is_failed`] for the FaA engine's
+    /// fallback logic.
     pub fn is_failed(&self) -> bool {
-        if self.servers.len() == 1 {
-            return self.servers[0].channel.is_failed();
-        }
         self.failed
     }
 
@@ -520,22 +495,18 @@ impl ReplicatedPool {
     }
 
     /// Submit `op` under `cookie`, which must leave the top bit clear (it
-    /// marks the pool's own ops). A single-server pool passes any op
-    /// through; a replicated one takes Fetch-and-Adds only and panics on
-    /// anything else. The op runs on the primary, and the event that ends
-    /// it — on this primary or, after a failover reissued it, the next —
-    /// carries it back under the same cookie; the word's new value is then
-    /// kept, and the word marked dirty on the other servers.
+    /// marks the pool's own ops). A pool takes Fetch-and-Adds only and
+    /// panics on anything else. The op runs on the primary, and the event
+    /// that ends it — on this primary or, after a failover reissued it, the
+    /// next — carries it back under the same cookie; the word's new value
+    /// is then kept, and the word marked dirty on the other servers.
     ///
     /// Returns `false` — op dropped — once the pool has wholly degraded.
     pub fn submit(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, op: Op, cookie: u64) -> bool {
         debug_assert!(cookie & INTERNAL_BIT == 0, "caller cookies use bits 0..63");
-        if self.servers.len() == 1 {
-            return self.servers[0].channel.submit(ctx, op, cookie);
-        }
         assert!(
             matches!(op, Op::FetchAdd { .. }),
-            "a replicated pool carries Fetch-and-Adds only, not {op:?}"
+            "a pool carries Fetch-and-Adds only, not {op:?}"
         );
         if self.failed {
             return false;
@@ -552,17 +523,7 @@ impl ReplicatedPool {
         roce: &extmem_wire::roce::RocePacket,
         events: &mut Vec<ChannelEvent>,
     ) -> bool {
-        if self.servers.len() == 1 {
-            if self.servers[0].channel.server_port() != in_port {
-                return false;
-            }
-            return self.servers[0].channel.on_roce(ctx, roce, events);
-        }
-        let Some(i) = self
-            .servers
-            .iter()
-            .position(|s| s.channel.server_port() == in_port)
-        else {
+        let Some(i) = self.ports().position(|p| p == in_port) else {
             return false;
         };
         let mut raw = std::mem::take(&mut self.raw);
@@ -580,13 +541,6 @@ impl ReplicatedPool {
         token: u64,
         events: &mut Vec<ChannelEvent>,
     ) -> bool {
-        if self.servers.len() == 1 {
-            if token != self.servers[0].channel.timer_token() {
-                return false;
-            }
-            self.servers[0].channel.on_timer_fired(ctx, events);
-            return true;
-        }
         if token == self.probe_token() {
             self.on_probe_timer(ctx);
             return true;
@@ -661,9 +615,9 @@ impl ReplicatedPool {
         raw: &mut Vec<ChannelEvent>,
         out: &mut Vec<ChannelEvent>,
     ) {
-        // Caller ops the dying channel handed back, in the order it did:
-        // held for the `Failed` that ends the same volley, then reissued
-        // on a promoted mirror or passed on.
+        // Caller ops the channel handed back, in the order it did: held
+        // for the `Failed` that ends a dying channel's volley, then
+        // reissued on a promoted mirror or passed on.
         let mut orphans = Vec::new();
         for ev in raw.drain(..) {
             match ev {
@@ -703,7 +657,10 @@ impl ReplicatedPool {
                 }
             }
         }
-        debug_assert!(orphans.is_empty(), "orphans outlived their batch");
+        // No `Failed` followed: a best-effort channel aged these out or had
+        // them NAKed. Its give-ups are the caller's.
+        let orphans = orphans.into_iter();
+        out.extend(orphans.map(|(cookie, op)| ChannelEvent::OpFailed { cookie, op }));
     }
 
     fn server_failed(
@@ -794,7 +751,7 @@ impl ReplicatedPool {
     /// so replicas converge between failovers. The FaA engine calls this
     /// from its periodic tick; cheap when nothing is dirty.
     pub fn sync_mirrors(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>) {
-        if self.servers.len() == 1 || self.failed {
+        if self.failed {
             return;
         }
         for j in 0..self.servers.len() {
@@ -820,11 +777,7 @@ impl ReplicatedPool {
     }
 
     fn ensure_probe_timer(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>) {
-        if self.probe_armed
-            || self.failed
-            || self.servers.len() == 1
-            || self.stats.probes >= MAX_PROBES
-        {
+        if self.probe_armed || self.failed || self.stats.probes >= MAX_PROBES {
             return;
         }
         if !self
@@ -874,7 +827,7 @@ mod tests {
     use extmem_switch::switch::program_token;
     use extmem_switch::{PipelineProgram, SwitchNode};
     use extmem_types::NodeId;
-    use extmem_types::{ByteSize, Time};
+    use extmem_types::{ByteSize, Rkey, Time};
     use extmem_wire::bth::Opcode;
     use extmem_wire::roce::{RoceEndpoint, RoceExt, RocePacket};
     use extmem_wire::{MacAddr, Packet};

@@ -220,7 +220,7 @@ impl ShardedStateStoreProgram {
                 .all(|(_, e, _)| e.slots() == counters_per_shard),
             "all shards must have the same region geometry"
         );
-        assert_distinct_ports(shards.iter().map(|(_, e, _)| e.pool()));
+        assert_distinct_ports(shards.iter().flat_map(|(_, e, _)| e.pool().ports()));
         let mut ring = ShardRing::new(vnodes);
         let mut built = Vec::with_capacity(shards.len());
         for (id, engine, active) in shards {

@@ -38,6 +38,23 @@ echo "== rustfmt (sim, wire, types, switch, apps, core, rnic, bench, root tests)
 cargo fmt -p extmem-sim -p extmem-wire -p extmem-types -p extmem-switch -p extmem-apps \
     -p extmem-core -p extmem-rnic -p extmem-bench -p extmem-integration -- --check
 
+echo "== the replicated pool is the FaA engine's alone =="
+# The packet buffer and the table programs hold their ReliableChannel; only
+# the FaA engine builds a pool (one server or several, one code path). A
+# single-server passthrough must not come back into pool.rs, and no other
+# core module may reach for the pool.
+if grep -n 'len() == 1' crates/core/src/pool.rs; then
+    echo "FAIL: pool.rs has no single-server branch; a lone server takes the general path" >&2
+    exit 1
+fi
+pool_users="$(grep -ln 'ReplicatedPool' crates/core/src/*.rs \
+    | grep -v -e '/pool\.rs$' -e '/faa\.rs$' -e '/shard\.rs$' -e '/lib\.rs$' || true)"
+if [ -n "$pool_users" ]; then
+    echo "$pool_users" >&2
+    echo "FAIL: only pool.rs, faa.rs, shard.rs and lib.rs may name ReplicatedPool" >&2
+    exit 1
+fi
+
 echo "== no hand-placed buffer returns =="
 # A frame buffer goes back to the pool when its payload's last owner drops
 # it (wire::bytes::Frame); the call that used to do it by hand, and the
