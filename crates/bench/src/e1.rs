@@ -16,7 +16,7 @@ use extmem_apps::scenario::{host_endpoint, Built, Testbed};
 use extmem_core::packet_buffer::{Mode, PacketBufferProgram, TOKEN_START_LOADING};
 use extmem_core::ReliableConfig;
 use extmem_rnic::requester::{setup_channel, ReadLooper, RequesterQp, WriteBlaster};
-use extmem_rnic::{RnicConfig, RnicNode};
+use extmem_rnic::{RnicConfig, RnicNode, RnicStats};
 use extmem_sim::{LinkSpec, Node, SimBuilder, Simulator};
 use extmem_switch::switch::program_token;
 use extmem_switch::SwitchConfig;
@@ -73,6 +73,12 @@ pub fn store_then_drain(t: &mut Built, count: u64) {
 /// best-effort mode — reliable mode would retransmit the over-ceiling
 /// drops and report every rate as lossless.
 pub fn probe_store(offered: Rate, count: u64) -> u64 {
+    count - probe_store_nic(offered, count).writes
+}
+
+/// [`probe_store`]'s run, returning the memory server NIC's counters: the
+/// WRITEs it executed and why it refused the rest.
+pub fn probe_store_nic(offered: Rate, count: u64) -> RnicStats {
     let (tb, prog) = rig(21, offered, count);
     let prog = prog.with_reliability(ReliableConfig {
         reliable: false,
@@ -80,7 +86,7 @@ pub fn probe_store(offered: Rate, count: u64) -> u64 {
     });
     let mut t = tb.build(SwitchConfig::default(), Box::new(prog));
     t.sim.run_to_quiescence();
-    count - t.sim.node::<RnicNode>(t.servers[0]).stats().writes
+    t.sim.node::<RnicNode>(t.servers[0]).stats()
 }
 
 /// Pre-load `count` frames into the ring at a safe rate, then drain and

@@ -1131,8 +1131,8 @@ fn a13_lpm(levels: &[u8], remote_ops: bool) -> (LookupStats, LatencySummary, Rni
 /// One cuckoo leg: 160 resident flows (62% load), round-robin traffic, no
 /// cache, filter sized by `filter_cells`. Also returns the FP-avoidance
 /// relocations the installs had to pay to keep the filter truthful, and the
-/// bytes on the memory server's link, both directions, per lookup.
-fn a13_cuckoo(filter_cells: usize, remote_ops: bool) -> (LookupStats, LatencySummary, u32, f64) {
+/// bytes on the memory server's link, both directions.
+fn a13_cuckoo(filter_cells: usize, remote_ops: bool) -> (LookupStats, LatencySummary, u32, u64) {
     let cfg = CuckooConfig {
         buckets: 64,
         filter_cells,
@@ -1146,8 +1146,7 @@ fn a13_cuckoo(filter_cells: usize, remote_ops: bool) -> (LookupStats, LatencySum
     let bytes: u64 = (0..2)
         .map(|end| t.sim.link_stats(server_link, end).delivered_bytes)
         .sum();
-    let per_miss = bytes as f64 / stats.remote_lookups as f64;
-    (stats, lat, fp_moves, per_miss)
+    (stats, lat, fp_moves, bytes)
 }
 
 /// A13 — remote-op ISA A/B: dependent-access chains in one RTT.
@@ -1170,12 +1169,13 @@ fn a13_cuckoo(filter_cells: usize, remote_ops: bool) -> (LookupStats, LatencySum
 ///   secondary bucket (`fp_moves`). Shrinking the filter makes that
 ///   maintenance bill explode and packs the table's secondary buckets. The
 ///   one filter steers both modes to the same bucket (`2nd-bkt` is equal):
-///   verb mode READs it, and the hash-probe-and-fetch op names it, so the
-///   responder scans it in one access. Both modes pay
-///   the same install-time fp-moves and hold 1.0 RTTs-per-miss with zero
-///   punts at any filter size; the probe moves fewer bytes on the memory
-///   link per miss (`B/miss`, both directions), since it answers with the
-///   one slot it matched where the verb READ brings the whole bucket back,
+///   verb mode READs it up to its last filled slot, and the
+///   hash-probe-and-fetch op names it, so the responder scans it in one
+///   access. Both modes pay the same install-time fp-moves and hold 1.0
+///   RTTs-per-miss with zero punts at any filter size. A verb miss moves
+///   exactly a READ request (74 B), its response's headers (62 B) and 32 B
+///   per slot READ on the memory link (`B/miss`, both directions, checked);
+///   the probe moves fewer, since it answers with the one slot it matched,
 ///   and its p99 is no worse.
 pub fn a13_remote_ops(out: &mut String) {
     out.push_str(&format!(
@@ -1250,8 +1250,18 @@ pub fn a13_remote_ops(out: &mut String) {
     let mut fp_by_cells = Vec::new();
     let mut bytes_saved = 0.0;
     for cells in [4096usize, 512, 96] {
-        let (vs, vlat, vfp, vbytes) = a13_cuckoo(cells, false);
-        let (rs, rlat, rfp, rbytes) = a13_cuckoo(cells, true);
+        let (vs, vlat, vfp, vtotal) = a13_cuckoo(cells, false);
+        let (rs, rlat, rfp, rtotal) = a13_cuckoo(cells, true);
+        // A verb miss is one READ request (74 B) and one response: 62 B of
+        // headers and the slots the live mask had it READ, 32 B each.
+        let slots: u64 = (1..).zip(vs.verb_read_slots).map(|(n, k)| n * k).sum();
+        assert_eq!(
+            vtotal,
+            (74 + 62) * vs.remote_lookups + 32 * slots,
+            "verb B/miss is the READ's headers plus its slots: {vs:?}"
+        );
+        let [vbytes, rbytes] =
+            [(vtotal, &vs), (rtotal, &rs)].map(|(bytes, s)| bytes as f64 / s.remote_lookups as f64);
         assert_eq!(vfp, rfp, "both legs install into the same directory");
         assert_eq!(
             vs.filter_secondary_probes, rs.filter_secondary_probes,
@@ -1259,8 +1269,8 @@ pub fn a13_remote_ops(out: &mut String) {
         );
         assert!(
             rlat.p99 <= vlat.p99,
-            "a one-bucket probe is priced as the bucket READ it replaces, so its \
-             p99 must be no worse: ops {:?} vs verb {:?}",
+            "a one-bucket probe answers with one slot, so its p99 must be no worse \
+             than the bucket READ's: ops {:?} vs verb {:?}",
             rlat.p99,
             vlat.p99
         );
@@ -1323,7 +1333,9 @@ pub fn a13_remote_ops(out: &mut String) {
         "\nboth modes' exactness is bought at install time: {} fp-avoidance\n\
              relocations at 96 filter cells vs {} at 4096. The filter steers the\n\
              hash probe to the same one bucket the verb READ fetches, so it is one\n\
-             access and moves {:.0} B less per miss.\n\
+             access; the verb READ stops at the bucket's last filled slot (verb\n\
+             B/miss = 74 + 62 + 32 per slot READ, checked), and the probe, which\n\
+             answers with the one slot it matched, moves {:.0} B less per miss.\n\
              \nexpectation: the ops legs hold 1.0 RTTs-per-miss at every depth and\n\
              every filter size, with zero punts, and the hash probe moves fewer\n\
              memory-link bytes per miss at no worse p99; verb p99 grows with\n\

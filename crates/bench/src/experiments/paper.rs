@@ -2,7 +2,7 @@
 
 use crate::e1::{
     max_lossless, measure_forward_rate, measure_native_read, probe_native_write, probe_store,
-    E1_COUNT,
+    probe_store_nic, E1_COUNT,
 };
 use crate::table::{f1, f2, f3, human, table};
 use extmem_apps::baremetal::{
@@ -78,12 +78,26 @@ pub fn e1_pktbuf_rates(out: &mut String) {
         f2(gap_store * 100.0)
     ));
 
-    // The drop behaviour above the ceiling, for the record.
-    let over = probe_store(Rate::from_gbps(40), E1_COUNT);
+    // The drop behaviour above the ceiling, by cause: the NIC's receive
+    // queue overflows, and each overflow leaves a PSN gap. The responder
+    // NAKs the first request behind it and drops the rest out of sequence
+    // until the NAK reaches the switch: a best-effort channel re-sends
+    // nothing and resumes at the PSN the NAK names.
+    let nic = probe_store_nic(Rate::from_gbps(40), E1_COUNT);
+    let lost = E1_COUNT - nic.writes;
+    let behind_gap = nic.out_of_sequence_drops + nic.naks;
+    assert_eq!(
+        lost,
+        nic.rx_overflow_drops + behind_gap,
+        "every frame not stored was refused by the NIC: {nic:?}"
+    );
     out.push_str(&format!(
-            "at 40.0 Gbps offered: {} of {} frames dropped at the NIC (paper: \"RDMA requests were occasionally dropped at the NIC\")\n",
-            over, E1_COUNT
-        ));
+        "at 40.0 Gbps offered: {lost} of {E1_COUNT} frames not stored; {} overflowed the \
+         NIC's receive queue (paper: \"RDMA requests were occasionally dropped at the \
+         NIC\"), and {behind_gap} arrived behind the PSN gaps those left ({} dropped out \
+         of sequence, {} NAKed) until a NAK resynchronized the channel\n",
+        nic.rx_overflow_drops, nic.out_of_sequence_drops, nic.naks
+    ));
 }
 
 /// E2 — Fig 3a: "Latency overhead of lookup table primitive".

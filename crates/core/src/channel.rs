@@ -926,8 +926,9 @@ impl ReliableChannel {
     /// Go-back-N: re-send every outstanding op under its original PSN,
     /// except a Fetch-and-Add whose answer is held. The responder
     /// re-executes duplicate READs, answers duplicate atomics from its
-    /// saved results, and plain-ACKs duplicate WRITEs, so replays are
-    /// idempotent.
+    /// saved results, and does not re-execute duplicate WRITEs (it ACKs
+    /// one only if it asks: the answer to an op behind it confirms the
+    /// rest), so replays are idempotent.
     fn retransmit_all(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>) {
         for i in 0..self.outstanding.len() {
             // A held answer is in; only an older op's answer is awaited.

@@ -23,6 +23,13 @@
 //! empty), so a bucket is one 128-byte "remote cacheline" and always fits a
 //! single RoCE response packet.
 //!
+//! A verb-path miss READs a bucket from slot 0 up to its last filled slot,
+//! at least one slot: 32, 64, 96 or 128 bytes. The switch knows that slot
+//! from a live mask of one byte per bucket ([`CuckooDirectory::occupancy`]
+//! is where it starts; bit `s` follows the last slot WRITE issued to slot
+//! `s`). A hash probe (remote-op mode) names the whole bucket and is
+//! answered with the one slot it matched.
+//!
 //! ## Invariants (checked by [`CuckooDirectory::check_invariants`])
 //!
 //! For every resident key `k` with distinct candidates `h1(k) != h2(k)`:
@@ -64,8 +71,12 @@ use std::collections::{BTreeMap, BTreeSet};
 pub const SLOTS_PER_BUCKET: usize = 4;
 /// Bytes per slot: `[tag:1][key:13][pad:2][action:16]`.
 pub const SLOT_BYTES: usize = 32;
-/// Bytes per bucket — the unit of every data-plane READ.
+/// Bytes per bucket: the longest data-plane READ, and the span a hash
+/// probe scans.
 pub const BUCKET_BYTES: usize = SLOTS_PER_BUCKET * SLOT_BYTES;
+
+/// A bucket's slots are the bits of one byte of the data plane's live mask.
+const _: () = assert!(SLOTS_PER_BUCKET <= u8::BITS as usize);
 
 const KEY_AT: usize = 1;
 const KEY_LEN: usize = 13;
@@ -270,7 +281,7 @@ impl PlanCtx {
 /// The control-plane cuckoo directory: authoritative table contents, the
 /// planned filter, and the relocation planner.
 ///
-/// The directory is the source of truth: [`CuckooDirectory::encode_writes`]
+/// The directory is the source of truth: [`CuckooDirectory::encode_region`]
 /// generates the exact byte image the remote region must hold.
 #[derive(Clone)]
 pub struct CuckooDirectory {
@@ -521,10 +532,10 @@ impl CuckooDirectory {
         key: FiveTuple,
         pc: &mut PlanCtx,
     ) -> Result<(), CuckooError> {
-        let from = self.index[&key];
-        let action = self.buckets[from.bucket as usize][from.slot]
-            .expect("indexed slot occupied")
-            .action;
+        // Only a resident key moves: every caller found it in a bucket.
+        let (Some(&from), Some(action)) = (self.index.get(&key), self.lookup(&key)) else {
+            return Err(CuckooError::TableFull);
+        };
         let (b1, b2) = self.bucket_pair(&key);
         debug_assert!(from.bucket == b1 && b1 != b2, "one-way move precondition");
         loop {
@@ -677,8 +688,8 @@ impl CuckooDirectory {
     }
 
     fn rollback_to(&mut self, pc: &mut PlanCtx, mark: Mark) {
-        while pc.log.len() > mark.log {
-            match pc.log.pop().expect("log entry") {
+        for undo in pc.log.drain(mark.log.min(pc.log.len())..).rev() {
+            match undo {
                 Mut::SlotSet { at, prev } => {
                     self.set_slot_raw(at, prev);
                 }
@@ -711,26 +722,16 @@ impl CuckooDirectory {
         out
     }
 
-    /// `(va, bytes)` writes for every occupied slot — the image
-    /// [`crate::lookup::install_cuckoo_image`] installs (empty slots are
-    /// implied by the server's zeroed region).
-    pub fn encode_writes(&self, base_va: u64) -> Vec<(u64, Vec<u8>)> {
-        let mut out = Vec::new();
-        for (b, bucket) in self.buckets.iter().enumerate() {
-            for (slot, occ) in bucket.iter().enumerate() {
-                if let Some(s) = occ {
-                    let at = SlotRef {
-                        bucket: b as u64,
-                        slot,
-                    };
-                    out.push((
-                        slot_va(base_va, at),
-                        encode_slot(&s.key, &s.action).to_vec(),
-                    ));
-                }
-            }
-        }
-        out
+    /// One byte per bucket, bit `s` set when slot `s` holds a key: the
+    /// occupancy of the image [`crate::lookup::install_cuckoo_image`]
+    /// installs, which the data plane's live mask starts from.
+    pub fn occupancy(&self) -> Vec<u8> {
+        let mask = |bucket: &[Option<Slot>; SLOTS_PER_BUCKET]| {
+            (bucket.iter().enumerate())
+                .filter(|(_, occ)| occ.is_some())
+                .fold(0u8, |m, (slot, _)| m | 1 << slot)
+        };
+        self.buckets.iter().map(mask).collect()
     }
 
     /// Panic unless every structural and filter invariant holds (see module

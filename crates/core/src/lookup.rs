@@ -9,20 +9,22 @@
 //! ([`crate::cuckoo`]) in remote memory plus a counting Bloom filter in
 //! switch SRAM ([`extmem_switch::filter`]): the filter tells the data plane
 //! *which* of the key's two buckets to READ (or, with remote ops, to
-//! hash-probe), so every miss costs exactly one bucket-sized round trip — no
-//! collisions, no second probe — while the packet waits on the switch.
+//! hash-probe), so every miss costs exactly one round trip to one bucket —
+//! no collisions, no second probe — while the packet waits on the switch.
+//! A bucket READ stops at the bucket's last filled slot, which a one-byte
+//! live mask per bucket tells the switch.
 //! Online inserts and deletes run through a relocation planner whose steps
 //! this program executes over the reliable channel (READ-verify then WRITE
-//! per displaced entry); the live filter flips at the instant each
-//! destination WRITE is issued, so any later probe observes the write and
-//! no resident key is ever transiently unfindable.
+//! per displaced entry); the live filter and the live mask flip at the
+//! instant each slot WRITE is issued, so any later probe observes the write
+//! and no resident key is ever transiently unfindable.
 
 use crate::channel::{
     ChannelEvent, ChannelStats, Op, RdmaChannel, ReliableChannel, ReliableConfig, Reply,
 };
 use crate::cuckoo::{
     decode_slot, encode_slot, slot_key, slot_va, CuckooDirectory, SlotRef, Step, BUCKET_BYTES,
-    SLOT_BYTES,
+    SLOTS_PER_BUCKET, SLOT_BYTES,
 };
 use crate::fib::Fib;
 use extmem_rnic::nic::MTU;
@@ -169,21 +171,9 @@ impl ActionEntry {
             } else {
                 Some(PortId(port))
             },
-            new_dst_ip: if kv {
-                0
-            } else {
-                u32::from_be_bytes(b[4..8].try_into().unwrap())
-            },
-            new_dst_mac: if kv {
-                MacAddr::ZERO
-            } else {
-                MacAddr(b[8..14].try_into().unwrap())
-            },
-            kv_value: if kv {
-                u64::from_be_bytes(b[4..12].try_into().unwrap())
-            } else {
-                0
-            },
+            new_dst_ip: if kv { 0 } else { u32::from_be_bytes(at(b, 4)) },
+            new_dst_mac: if kv { MacAddr::ZERO } else { MacAddr(at(b, 8)) },
+            kv_value: if kv { u64::from_be_bytes(at(b, 4)) } else { 0 },
         }
     }
 
@@ -226,6 +216,13 @@ impl ActionEntry {
             }
         }
     }
+}
+
+/// The `N` bytes of an encoded [`ActionEntry`] from offset `from`.
+fn at<const N: usize>(b: &[u8; ACTION_LEN], from: usize) -> [u8; N] {
+    let mut out = [0u8; N];
+    out.copy_from_slice(&b[from..from + N]);
+    out
 }
 
 /// Recompute the IPv4 header checksum of an Ethernet frame in place.
@@ -320,6 +317,9 @@ pub struct LookupStats {
     /// Probes the live filter steered to the secondary bucket, counted at
     /// issue (a bucket READ or a one-bucket hash probe alike).
     pub filter_secondary_probes: u64,
+    /// Verb-mode bucket READs by the slots they covered: entry `i` counts
+    /// the READs of slots `0 ..= i`.
+    pub verb_read_slots: [u64; SLOTS_PER_BUCKET],
     /// Request round trips issued by the data-plane miss path (bucket READs
     /// in verb mode, hash-probe-and-fetch ops in remote-op mode; WRITE+READ
     /// bounce pairs or action-only READs on the direct table; one READ per
@@ -513,6 +513,12 @@ pub struct LookupTableProgram {
     /// step: each flip is applied at the instant its paired WRITE is issued
     /// into the FIFO channel.
     live_filter: ChoiceFilter,
+    /// The data plane's live mask, one byte per bucket: bit `s` of byte `b`
+    /// says the last WRITE issued to slot `(b, s)` carried a key. It flips
+    /// when that WRITE enters the FIFO channel, as the live filter does, so
+    /// a bucket READ issued later covers every slot a key can sit in when
+    /// the READ executes.
+    live_slots: Vec<u8>,
     /// In-flight lookups: cookie → (flow, packet).
     pending: IntMap<u64, (FiveTuple, Packet)>,
     /// Next data-plane lookup cookie (bits 62/63 clear).
@@ -554,6 +560,7 @@ impl LookupTableProgram {
         LookupTableProgram {
             front: TableFront::new(fib, channel, cache_capacity),
             live_filter: dir.filter().clone(),
+            live_slots: dir.occupancy(),
             dir,
             pending: IntMap::default(),
             next_lookup: 0,
@@ -618,6 +625,12 @@ impl LookupTableProgram {
         &self.live_filter
     }
 
+    /// The data plane's live mask, one byte per bucket: bit `s` of byte `b`
+    /// is set when the last WRITE issued to slot `(b, s)` carried a key.
+    pub fn live_slots(&self) -> &[u8] {
+        &self.live_slots
+    }
+
     /// Whether no relocation step, verify READ or control op is
     /// outstanding.
     pub fn relocation_idle(&self) -> bool {
@@ -637,9 +650,10 @@ impl LookupTableProgram {
 
     /// The miss path: the live filter picks the one candidate bucket the
     /// flow can live in (h2 if the filter holds it, else h1), and the miss
-    /// costs one access to it. Verb mode READs that bucket; remote-op mode
-    /// sends a hash-probe-and-fetch naming it, which the responder scans in
-    /// one access and answers with the matching slot.
+    /// costs one access to it. Verb mode READs that bucket up to its last
+    /// filled slot by the live mask; remote-op mode sends a
+    /// hash-probe-and-fetch naming it, which the responder scans in one
+    /// access and answers with the matching slot.
     fn remote_lookup(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, flow: FiveTuple, pkt: Packet) {
         let base = self.front.channel.base_va();
         let (b1, b2) = self.dir.bucket_pair(&flow);
@@ -665,8 +679,10 @@ impl LookupTableProgram {
                 key: Operand::new(&slot_key(&flow)),
             })
         } else {
+            let slots = read_slots(self.live_slots[bucket as usize]);
+            stats.verb_read_slots[slots - 1] += 1;
             let va = base + bucket * BUCKET_BYTES as u64;
-            let len = BUCKET_BYTES as u32;
+            let len = (slots * SLOT_BYTES) as u32;
             Op::Read { va, len }
         };
         self.front.channel.submit(ctx, op, cookie);
@@ -676,9 +692,9 @@ impl LookupTableProgram {
     /// apply and cache it, or — an unknown flow, or a filter false positive
     /// steering a non-resident key to h2 — punt to the software slow path,
     /// forwarded unmodified. The answer is a run of slots, scanned here: a
-    /// bucket READ's four, or the one a hash probe (remote-op mode) matched
-    /// at the responder, whose key is checked against the parked flow all
-    /// the same (none on a miss). Resident keys never miss in either mode:
+    /// bucket READ's slots up to the last filled one, or the one a hash
+    /// probe (remote-op mode) matched at the responder, whose key is checked
+    /// against the parked flow all the same (none on a miss). Resident keys never miss in either mode:
     /// the filter names the bucket each one lives in (the no-transient-miss
     /// invariant).
     fn lookup_done(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, cookie: u64, slots: &[u8]) {
@@ -707,8 +723,16 @@ impl LookupTableProgram {
     }
 
     /// WRITE one slot's `image` at `at` as a control op of its own,
-    /// explicitly acknowledged.
+    /// explicitly acknowledged, and flip the slot's live bit to whether the
+    /// image carries a key (a non-zero tag byte) as the WRITE enters the
+    /// channel.
     fn write_slot(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, at: SlotRef, image: &[u8]) {
+        let live = &mut self.live_slots[at.bucket as usize];
+        if image[0] != 0 {
+            *live |= 1 << at.slot;
+        } else {
+            *live &= !(1 << at.slot);
+        }
         let cookie = self.next_ctrl_cookie();
         let va = slot_va(self.front.channel.base_va(), at);
         let (body, ack_req) = (WriteBody::inline(image), true);
@@ -924,15 +948,25 @@ impl PipelineProgram for LookupTableProgram {
 /// response packet, the "one memory access" of a miss.
 const _: () = assert!(BUCKET_BYTES <= MTU);
 
-/// Control plane: install the directory's byte image into the remote region
-/// backing `channel` on `nic` (host-side pre-population, the counterpart of
+/// The slots a verb-path miss READs from a bucket whose live mask is
+/// `live`: slots `0 ..=` the highest set bit, at least one.
+fn read_slots(live: u8) -> usize {
+    (u8::BITS - live.leading_zeros()).max(1) as usize
+}
+
+/// Control plane: install the directory's byte image, empty slots zeroed,
+/// into the remote region backing `channel` on `nic` (host-side
+/// pre-population, the counterpart of
 /// [`install_remote_action`](crate::direct_table::install_remote_action)).
+/// Panics when the region does not hold the table, a setup error as in
+/// [`LookupTableProgram::cuckoo`].
 pub fn install_cuckoo_image(nic: &mut RnicNode, channel: &RdmaChannel, dir: &CuckooDirectory) {
-    for (va, bytes) in dir.encode_writes(channel.base_va) {
-        nic.region_mut(channel.rkey)
-            .write(va, &bytes)
-            .expect("image in bounds");
-    }
+    let region = nic.region_mut(channel.rkey);
+    let installed = region.write(channel.base_va, &dir.encode_region());
+    assert!(
+        installed.is_ok(),
+        "remote region smaller than the cuckoo table"
+    );
 }
 
 #[cfg(test)]
@@ -1257,6 +1291,84 @@ pub(crate) mod tests {
         assert_eq!((stats.bucket_misses, stats.slow_path), (0, 0), "{stats:?}");
         let nic = sim.node::<RnicNode>(server.unwrap()).stats();
         assert_eq!((nic.ext_ops, nic.ext_op_steps), (2, 2), "{nic:?}");
+    }
+
+    /// A verb-mode miss READs its bucket from slot 0 up to the last slot
+    /// whose latest WRITE carried a key: two resident keys, 64 B; a third
+    /// inserted behind them, 96 B from the moment its WRITE is issued; that
+    /// key removed, 64 B again; an empty bucket, one slot.
+    #[test]
+    fn a_verb_miss_reads_its_bucket_up_to_the_last_filled_slot() {
+        use std::sync::{Arc, Mutex};
+        let mut dir = CuckooDirectory::new(crate::cuckoo::CuckooConfig {
+            buckets: 8,
+            filter_cells: 512,
+            filter_hashes: 2,
+            max_plan_steps: 64,
+        });
+        let flow = |i: u16| FiveTuple::new(0x0a000001, 0x0a000002, 1000 + i, 80, proto::UDP);
+        // Three flows whose first bucket is bucket `b`, and one whose first
+        // bucket is another one.
+        let primary = |i| dir.bucket_pair(&flow(i));
+        let b = primary(0).0;
+        let mut same = (0..).filter(|&i| {
+            let (b1, b2) = primary(i);
+            b1 == b && b1 != b2
+        });
+        let [k1, k2, k3] = [(); 3].map(|_| flow(same.next().unwrap()));
+        let elsewhere = flow((0..).find(|&i| primary(i).0 != b).unwrap());
+        for key in [k1, k2] {
+            dir.install(key, ActionEntry::set_dscp(7)).unwrap();
+        }
+        assert_eq!(dir.occupancy()[b as usize], 0b0011);
+
+        let (mut nic, channel) = table_server(dir.region_bytes());
+        install_cuckoo_image(&mut nic, &channel, &dir);
+        let prog = LookupTableProgram::cuckoo(fib(), channel, dir, None);
+        let lens = Arc::new(Mutex::new(Vec::new()));
+        let log = Arc::clone(&lens);
+        let poke = Box::new(
+            move |prog: &mut LookupTableProgram, ctx: &mut SwitchCtx<'_, '_, '_>| {
+                let look_up = |prog: &mut LookupTableProgram, ctx: &mut SwitchCtx, key| {
+                    let (src, dst) = (MacAddr::local(1), MacAddr::local(2));
+                    let pkt = build_data_packet(src, dst, key, 0, 0, Time::ZERO, 128).unwrap();
+                    prog.ingress(ctx, PortId(2), pkt);
+                    let mut reads = prog.pool().ops().filter_map(|(cookie, op)| match op {
+                        Op::Read { len, .. } if cookie & CTRL_BIT == 0 => Some(*len),
+                        _ => None,
+                    });
+                    log.lock().unwrap().push(reads.next_back().unwrap());
+                };
+                look_up(prog, ctx, k1);
+                prog.queue_insert(k3, ActionEntry::set_dscp(9));
+                prog.advance(ctx);
+                look_up(prog, ctx, k3);
+                prog.queue_remove(k3);
+                prog.advance(ctx);
+                look_up(prog, ctx, k2);
+                look_up(prog, ctx, elsewhere);
+            },
+        );
+        let (mut sim, sw, _) = behind_blackhole(Poked { prog, poke }, |b, sw| {
+            let server = b.add_node(Box::new(nic));
+            b.connect(sw, PortId(1), server, PortId(0), LinkSpec::testbed_40g());
+        });
+        sim.schedule_timer(sw, TimeDelta::ZERO, program_token(POKE));
+        sim.run_until(Time::from_micros(100));
+
+        assert_eq!(*lens.lock().unwrap(), [64, 96, 64, 32]);
+        let prog = &sim
+            .node::<SwitchNode>(sw)
+            .program::<Poked<LookupTableProgram>>()
+            .prog;
+        assert_eq!(prog.live_slots()[b as usize], 0b0011);
+        let stats = prog.stats();
+        assert_eq!(stats.verb_read_slots, [1, 2, 1, 0], "{stats:?}");
+        // The three resident keys are found in what was READ; the flow of
+        // the empty bucket is unknown.
+        assert_eq!(stats.actions_applied, 3, "{stats:?}");
+        assert_eq!(stats.bucket_misses, 1, "{stats:?}");
+        assert!(prog.relocation_idle());
     }
 
     /// The table server never answers: the channel gives the bucket READ

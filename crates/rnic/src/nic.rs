@@ -264,7 +264,7 @@ impl RnicNode {
             // request alone) charges `EXT_OP_STEP`, plus `READ_BW` on the
             // bytes the accesses read: the bucket a probe scans (though it
             // answers with one slot), every word a gather returns. A probe
-            // is one access, priced as the bucket READ it stands in for.
+            // is one access, priced as a READ of the whole bucket it scans.
             Opcode::HashProbe | Opcode::GatherWalk => {
                 let (steps, read_bytes) = match req.ext {
                     extmem_wire::roce::RoceExt::HashProbe(h) => (1, h.bucket_bytes as usize),

@@ -187,7 +187,15 @@ fn duplicate(
             Some((psn, original)) if psn == req.bth.psn => atomic_ack(local, qp, psn, original),
             _ => return nak(local, qp, NakCode::InvalidRequest),
         },
-        // Duplicate writes: acknowledge, do not re-execute.
+        // Duplicate writes are not re-executed, and are acknowledged only
+        // when they ask: in a go-back-N volley, the answer to an op behind
+        // them covers the rest, as an ACK of PSN n covers every earlier PSN.
+        _ if !req.bth.ack_req => {
+            return ResponderResult {
+                response: None,
+                outcome: Outcome::Duplicate,
+            }
+        }
         _ => plain_ack(local, qp, req.bth.psn),
     };
     answered(response, Outcome::Duplicate)
@@ -666,12 +674,49 @@ mod tests {
         let (local, mut qp, mut mrs, rkey, base) = setup();
         let req = write_req(&qp, 0, rkey, base, vec![1; 4]);
         process_request(local, &mut qp, &mut mrs, &req, 2048);
-        // Same PSN again with different payload: no effect, gets an ACK.
-        let dup = write_req(&qp, 0, rkey, base, vec![9; 4]);
+        // Same PSN again with different payload, asking for an ACK: no
+        // effect, gets one.
+        let mut dup = write_req(&qp, 0, rkey, base, vec![9; 4]);
+        dup.bth.ack_req = true;
         let r = process_request(local, &mut qp, &mut mrs, &dup, 2048);
         assert_eq!(r.outcome, Outcome::Duplicate);
         assert_eq!(r.responses.len(), 1);
         assert_eq!(mrs.get(rkey).unwrap().read(base, 4).unwrap(), &[1, 1, 1, 1]);
+    }
+
+    /// A go-back-N volley re-sends n WRITEs the responder already executed,
+    /// only the last asking for an ACK: that one ACK, of the last PSN,
+    /// confirms them all, so the others draw none, and none runs again.
+    #[test]
+    fn duplicate_writes_draw_one_ack_for_the_one_that_asked() {
+        let (local, mut qp, mut mrs, rkey, base) = setup();
+        const N: u32 = 5;
+        let write = |qp: &QueuePair, psn: u32, byte: u8| {
+            let mut req = write_req(qp, psn, rkey, base + 4 * psn as u64, vec![byte; 4]);
+            req.bth.ack_req = psn == N;
+            req
+        };
+        for psn in 0..=N {
+            let req = write(&qp, psn, 1);
+            process_request(local, &mut qp, &mut mrs, &req, 2048);
+        }
+        let acks: Vec<RocePacket> = (0..=N)
+            .flat_map(|psn| {
+                let dup = write(&qp, psn, 9);
+                let r = process_request(local, &mut qp, &mut mrs, &dup, 2048);
+                assert_eq!(r.outcome, Outcome::Duplicate);
+                r.responses
+            })
+            .collect();
+        assert_eq!(acks.len(), 1, "{acks:?}");
+        assert_eq!(acks[0].bth.opcode, Opcode::Acknowledge);
+        assert_eq!(acks[0].bth.psn, N);
+        let region = mrs
+            .get(rkey)
+            .unwrap()
+            .read(base, 4 * (N as u64 + 1))
+            .unwrap();
+        assert!(region.iter().all(|&b| b == 1), "a duplicate ran again");
     }
 
     #[test]

@@ -438,3 +438,353 @@ fn collision_cell_cuckoo_resolves_the_pair() {
     assert_eq!(s.slow_path, 0, "{s:?}");
     assert_eq!(s.reads_per_lookup(), Some(1.0), "{s:?}");
 }
+
+/// What the switch's lookup program shows the memory server in the
+/// checker below, refreshed after every event it handles: its live mask
+/// and the slots a WRITE it issued is still in the channel for.
+#[derive(Default)]
+struct LiveView {
+    slots: Vec<u8>,
+    writing: Vec<u64>,
+}
+
+type Shared = std::sync::Arc<std::sync::Mutex<LiveView>>;
+
+/// One step of a relocation storm, run when program timer `i` fires.
+#[derive(Clone, Copy, Debug)]
+enum StormStep {
+    /// A packet of a resident flow arrives: a verb-path miss.
+    Lookup(FiveTuple),
+    /// A control op is queued and the relocation pump runs.
+    Control(ControlOp),
+}
+
+/// The lookup program under a scripted storm: timer `i` runs step `i`, and
+/// every other timer and frame is the program's own.
+struct Storm {
+    prog: LookupTableProgram,
+    steps: Vec<StormStep>,
+    view: Shared,
+}
+
+impl Storm {
+    fn publish(&self) {
+        let mut view = self.view.lock().unwrap();
+        view.slots = self.prog.live_slots().to_vec();
+        view.writing = (self.prog.pool().ops())
+            .filter_map(|(_, op)| match op {
+                extmem_core::Op::Write { va, .. } => Some(*va),
+                _ => None,
+            })
+            .collect();
+    }
+}
+
+impl extmem_switch::PipelineProgram for Storm {
+    fn ingress(
+        &mut self,
+        ctx: &mut extmem_switch::SwitchCtx<'_, '_, '_>,
+        port: PortId,
+        pkt: extmem_wire::Packet,
+    ) {
+        self.prog.ingress(ctx, port, pkt);
+        self.publish();
+    }
+
+    fn on_timer(&mut self, ctx: &mut extmem_switch::SwitchCtx<'_, '_, '_>, token: u64) {
+        match self.steps.get(token as usize) {
+            Some(&StormStep::Lookup(flow)) => {
+                let (src, dst) = (host_mac(0), host_mac(1));
+                let pkt =
+                    extmem_wire::payload::build_data_packet(src, dst, flow, 0, 0, Time::ZERO, 128)
+                        .unwrap();
+                self.prog.ingress(ctx, PortId(2), pkt);
+            }
+            Some(&StormStep::Control(op)) => {
+                match op {
+                    ControlOp::Insert(key, action) => self.prog.queue_insert(key, action),
+                    ControlOp::Remove(key) => self.prog.queue_remove(key),
+                }
+                self.prog.on_timer(ctx, TOKEN_CONTROL);
+            }
+            None => self.prog.on_timer(ctx, token),
+        }
+        self.publish();
+    }
+}
+
+/// The table server, checking after everything it does that each slot of
+/// its region holding a key is under a set bit of the switch's live mask,
+/// or has a WRITE in the channel that clears it.
+struct Covered {
+    nic: RnicNode,
+    rkey: extmem_types::Rkey,
+    base: u64,
+    view: Shared,
+    uncovered: Option<String>,
+}
+
+impl Covered {
+    fn check(&mut self, ctx: &extmem_sim::NodeCtx<'_>) {
+        use extmem_core::cuckoo::{SlotRef, BUCKET_BYTES, SLOTS_PER_BUCKET, SLOT_BYTES};
+        let view = self.view.lock().unwrap();
+        let len = (view.slots.len() * BUCKET_BYTES) as u64;
+        let region = self.nic.region(self.rkey).read(self.base, len).unwrap();
+        for (bucket, bytes) in region.chunks_exact(BUCKET_BYTES).enumerate() {
+            for slot in 0..SLOTS_PER_BUCKET {
+                let at = SlotRef {
+                    bucket: bucket as u64,
+                    slot,
+                };
+                let va = extmem_core::cuckoo::slot_va(self.base, at);
+                let keyed = bytes[slot * SLOT_BYTES] != 0;
+                let live = view.slots[bucket] >> slot & 1 == 1;
+                if keyed && !live && !view.writing.contains(&va) && self.uncovered.is_none() {
+                    self.uncovered = Some(format!("{at:?} at {:?}", ctx.now()));
+                }
+            }
+        }
+    }
+}
+
+impl extmem_sim::Node for Covered {
+    fn on_packet(
+        &mut self,
+        ctx: &mut extmem_sim::NodeCtx<'_>,
+        port: PortId,
+        packet: extmem_wire::Packet,
+    ) {
+        self.nic.on_packet(ctx, port, packet);
+        self.check(ctx);
+    }
+    fn on_timer(&mut self, ctx: &mut extmem_sim::NodeCtx<'_>, token: u64) {
+        self.nic.on_timer(ctx, token);
+        self.check(ctx);
+    }
+    fn on_tx_done(&mut self, ctx: &mut extmem_sim::NodeCtx<'_>, port: PortId) {
+        self.nic.on_tx_done(ctx, port);
+        self.check(ctx);
+    }
+    fn name(&self) -> &str {
+        "covered"
+    }
+}
+
+/// A wire between the switch (port 0) and the table server (port 1) that
+/// drops, or holds back a microsecond so the frame behind it passes, the
+/// `k`-th frame from port `from`, if `fault` names one.
+struct OneFault {
+    fault: Option<(usize, usize, bool)>,
+    seen: [usize; 2],
+    held: Vec<(usize, extmem_wire::Packet)>,
+    tx: [extmem_sim::TxQueue; 2],
+}
+
+impl extmem_sim::Node for OneFault {
+    fn on_packet(
+        &mut self,
+        ctx: &mut extmem_sim::NodeCtx<'_>,
+        port: PortId,
+        packet: extmem_wire::Packet,
+    ) {
+        let from = port.0 as usize;
+        let k = self.seen[from];
+        self.seen[from] += 1;
+        match self.fault {
+            Some((f, n, drop)) if (f, n) == (from, k) => {
+                if !drop {
+                    ctx.schedule(TimeDelta::from_micros(1), self.held.len() as u64);
+                    self.held.push((1 - from, packet));
+                }
+            }
+            _ => {
+                self.tx[1 - from].send(ctx, packet);
+            }
+        }
+    }
+    fn on_timer(&mut self, ctx: &mut extmem_sim::NodeCtx<'_>, token: u64) {
+        let (to, packet) = self.held[token as usize].clone();
+        self.tx[to].send(ctx, packet);
+    }
+    fn on_tx_done(&mut self, ctx: &mut extmem_sim::NodeCtx<'_>, port: PortId) {
+        self.tx[port.0 as usize].on_tx_done(ctx);
+    }
+    fn name(&self) -> &str {
+        "one-fault"
+    }
+}
+
+/// Where the looked-up packets leave the switch.
+struct Drain;
+
+impl extmem_sim::Node for Drain {
+    fn on_packet(&mut self, _: &mut extmem_sim::NodeCtx<'_>, _: PortId, _: extmem_wire::Packet) {}
+    fn name(&self) -> &str {
+        "drain"
+    }
+}
+
+/// Seeded relocation storms over tables of 2-8 buckets in verb mode:
+/// resident flows looked up between inserts and removes of others that
+/// relocate them, and at most one frame lost or reordered on the table
+/// server's link. After everything the server does, every key in its
+/// region is under a set bit of the switch's live mask (or a WRITE
+/// clearing it is in the channel), so each bucket READ, which covers slots
+/// up to the highest set bit, covers every key the responder can hold
+/// there when it runs. A resident flow misses only behind a READ the
+/// responder re-executed (its answer was lost), and such cases are
+/// counted; once settled the region, the live mask and the live filter
+/// equal the directory's.
+#[test]
+fn live_mask_covers_every_key_through_relocation_storms() {
+    use extmem_core::ReliableConfig;
+    use extmem_sim::SimBuilder;
+    use extmem_wire::roce::RoceEndpoint;
+    use extmem_wire::MacAddr;
+    use proptest::strategy::Strategy;
+    use proptest::test_runner::TestRng;
+
+    const CASES: u32 = 2_000;
+    let endpoint = |i: u32| RoceEndpoint {
+        mac: MacAddr::local(i),
+        ip: 0x0a00_0000 + i,
+    };
+    let flow = |i: u16| FiveTuple::new(host_ip(0), host_ip(1), 40_000 + i, 80, 17);
+    let schedule = (
+        2u64..9,
+        8usize..65,
+        1usize..4,
+        proptest::collection::vec((0u8..3, 0u16..64, 0u64..4), 4..40),
+        (0u8..3, 0usize..2, 0usize..40),
+    );
+    let mut rng = TestRng::for_test("live_mask_covers_every_key_through_relocation_storms");
+    let (mut lookups, mut moves, mut faulted, mut stale) = (0, 0, 0, 0);
+    for case in 0..CASES {
+        let (buckets, filter_cells, per_bucket, script, (fault, from, k)) =
+            schedule.new_value(&mut rng);
+        // No fault, or the `k`-th frame from one end dropped or reordered.
+        let fault = (fault > 0).then_some((from, k, fault == 1));
+        let cfg = CuckooConfig {
+            buckets,
+            filter_cells,
+            filter_hashes: 2,
+            max_plan_steps: 16,
+        };
+        let mut dir = CuckooDirectory::new(cfg);
+        // Resident flows 0.., about `per_bucket` a bucket, never removed;
+        // the churn inserts and removes flows 1000.. around them.
+        let resident: Vec<FiveTuple> = (0..(buckets as usize * per_bucket) as u16)
+            .map(flow)
+            .filter(|&f| dir.install(f, ActionEntry::set_dscp(46)).is_ok())
+            .collect();
+        let mut at = 0;
+        let mut timed = Vec::new();
+        for &(kind, i, gap) in &script {
+            at += 100 * gap;
+            let step = match kind {
+                0 => StormStep::Lookup(resident[i as usize % resident.len()]),
+                1 => {
+                    StormStep::Control(ControlOp::Insert(flow(1000 + i), ActionEntry::set_dscp(12)))
+                }
+                _ => StormStep::Control(ControlOp::Remove(flow(1000 + i))),
+            };
+            timed.push((at, step));
+        }
+
+        let mut nic = RnicNode::new("table", RnicConfig::at(endpoint(9)));
+        let region = ByteSize::from_bytes(dir.region_bytes());
+        let channel = RdmaChannel::setup(endpoint(1), PortId(1), &mut nic, region);
+        let (rkey, base) = (channel.rkey, channel.base_va);
+        install_cuckoo_image(&mut nic, &channel, &dir);
+        let mut fib = extmem_core::Fib::new(8);
+        fib.install(host_mac(1), PortId(0));
+        let prog =
+            LookupTableProgram::cuckoo(fib, channel, dir, None).with_reliability(ReliableConfig {
+                rto: TimeDelta::from_micros(10),
+                ..ReliableConfig::default()
+            });
+        let view = Shared::default();
+        let storm = Storm {
+            prog,
+            steps: timed.iter().map(|&(_, s)| s).collect(),
+            view: view.clone(),
+        };
+        storm.publish();
+        let mut b = SimBuilder::new(case as u64);
+        let sw = b.add_node(Box::new(SwitchNode::new(
+            "tor",
+            SwitchConfig::default(),
+            Box::new(storm),
+        )));
+        let drain = b.add_node(Box::new(Drain));
+        let wire = b.add_node(Box::new(OneFault {
+            fault,
+            seen: [0; 2],
+            held: Vec::new(),
+            tx: [
+                extmem_sim::TxQueue::new(PortId(0)),
+                extmem_sim::TxQueue::new(PortId(1)),
+            ],
+        }));
+        let server = b.add_node(Box::new(Covered {
+            nic,
+            rkey,
+            base,
+            view,
+            uncovered: None,
+        }));
+        let link = LinkSpec::testbed_40g();
+        b.connect(sw, PortId(0), drain, PortId(0), link);
+        b.connect(sw, PortId(1), wire, PortId(0), link);
+        b.connect(wire, PortId(1), server, PortId(0), link);
+        let mut sim = b.build();
+        for (i, &(t, _)) in timed.iter().enumerate() {
+            let delay = TimeDelta::from_nanos(t);
+            sim.schedule_timer(sw, delay, program_token(i as u64));
+        }
+        sim.run_until(Time::from_millis(2));
+
+        let what = format!("case {case}: {cfg:?}, fault {fault:?}, {timed:?}");
+        let covered = sim.node::<Covered>(server);
+        assert_eq!(covered.uncovered, None, "{what}");
+        let storm = sim.node::<SwitchNode>(sw).program::<Storm>();
+        let prog = &storm.prog;
+        let s = prog.stats();
+        let issued = (timed.iter())
+            .filter(|(_, step)| matches!(step, StormStep::Lookup(_)))
+            .count() as u64;
+        assert_eq!(
+            (s.remote_lookups, s.responses),
+            (issued, issued),
+            "{what}: {s:?}"
+        );
+        assert_eq!(s.actions_applied + s.bucket_misses, issued, "{what}: {s:?}");
+        assert_eq!(s.slow_path, s.bucket_misses, "{what}: {s:?}");
+        if s.bucket_misses > 0 {
+            // A READ whose answer was lost is re-executed when re-sent, and
+            // a relocation issued in between may have moved its key away:
+            // the one way a resident flow misses here (DESIGN.md §4d).
+            let nic = covered.nic.stats();
+            assert!(nic.duplicates >= s.bucket_misses, "{what}: {s:?} {nic:?}");
+            stale += 1;
+        }
+        assert!(prog.relocation_idle() && !prog.is_degraded(), "{what}");
+        let image = prog.directory().encode_region();
+        let remote = covered.nic.region(rkey).read(base, image.len() as u64);
+        assert_eq!(remote.unwrap(), &image[..], "{what}");
+        assert_eq!(prog.live_slots(), prog.directory().occupancy(), "{what}");
+        assert_eq!(
+            prog.live_filter().raw_counts(),
+            prog.directory().filter().raw_counts(),
+            "{what}"
+        );
+        lookups += issued;
+        moves += s.relocation_moves;
+        faulted += (s.channel.retransmits > 0) as u32;
+    }
+    println!(
+        "live_mask_covers_every_key_through_relocation_storms: {CASES} cases explored, \
+         {lookups} lookups, {moves} relocation moves, {faulted} cases with a re-send, \
+         {stale} with a resident flow missed behind a re-executed READ"
+    );
+}

@@ -1419,15 +1419,16 @@ mod remote_op_oracle {
     /// Every kind of response the responder emits — a READ, WRITE with and
     /// without an ACK, Fetch-and-Add, each remote op, invalid-request NAKs
     /// (a READ over the MTU, a malformed op), an access NAK, the duplicate
-    /// of each, and a sequence-error NAK followed by silence — as wire
-    /// bytes, folded into one digest with each outcome. The frames were
+    /// of each (a duplicate WRITE is answered only when it asks for an
+    /// ACK), and a sequence-error NAK followed by silence — as wire bytes,
+    /// folded into one digest with each outcome. The frames were
     /// first pinned when the responder still returned unencoded packets
     /// whose payloads were copies out of the region; a change to how it
     /// builds its frames may not move a byte on the wire. A remote op is
     /// answered as a READ: a hash probe's hit with its matched slot.
     #[test]
     fn response_encodings_are_pinned() {
-        const PINNED: u64 = 0x68d9_e84d_4e27_5f5e;
+        const PINNED: u64 = 0xbd58_ae19_d695_aaae;
         let image: Vec<u8> = (0..REGION).map(|i| (i * 7 + 3) as u8).collect();
         // A small MTU so a 300-byte READ is over it.
         const MTU: usize = 128;
