@@ -295,7 +295,7 @@ pub fn insert_churn(count: u64) -> ScenarioResult {
         .sim
         .node::<RnicNode>(t.servers[0])
         .region(rkey)
-        .read(base_va, image.len() as u64)
+        .and_then(|region| region.read(base_va, image.len() as u64))
         .expect("region in bounds");
     assert_eq!(remote, &image[..], "remote region diverged from directory");
     ScenarioResult::of("insert_churn", &t.sim)

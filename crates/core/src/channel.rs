@@ -23,7 +23,7 @@
 //! arrival frame); the tail goes back to the frame pool when the last
 //! holder of the finished op's event drops it.
 
-use extmem_rnic::qp::ATOMIC_RESULTS;
+use extmem_rnic::qp::{Transport, ATOMIC_RESULTS};
 use extmem_rnic::requester::{RemoteOp, Request, RequesterQp, WriteBody};
 use extmem_rnic::RnicNode;
 use extmem_sim::TimerHandle;
@@ -32,7 +32,7 @@ use extmem_types::{ByteSize, PortId, QpNum, Rkey, Time, TimeDelta};
 use extmem_wire::aeth::{NakCode::PsnSequenceError, Syndrome};
 use extmem_wire::bth::{psn_before, Opcode};
 use extmem_wire::roce::{RoceEndpoint, RoceExt, RocePacket};
-use extmem_wire::{Packet, Payload};
+use extmem_wire::{Packet, Payload, WireError};
 use std::collections::VecDeque;
 use std::fmt;
 
@@ -51,6 +51,9 @@ pub struct RdmaChannel {
     pub region_len: u64,
     /// The switch port the memory server's RNIC is attached to.
     pub server_port: PortId,
+    /// The responder QP's transport, which only
+    /// [`ReliableChannel::set_config`] sets.
+    pub(crate) transport: Transport,
 }
 
 /// The QPN the switch data plane presents as its own. Responses arrive
@@ -100,7 +103,7 @@ impl RdmaChannel {
         start_psn: u32,
     ) -> RdmaChannel {
         let (rkey, base_va) = nic.register_region(region_size);
-        let qpn = nic.create_qp(switch_endpoint, SWITCH_QPN, start_psn);
+        let (qpn, transport) = nic.create_qp(switch_endpoint, SWITCH_QPN, start_psn);
         let mut qp = RequesterQp::new(switch_endpoint, nic.endpoint(), qpn);
         qp.npsn = start_psn;
         RdmaChannel {
@@ -109,6 +112,7 @@ impl RdmaChannel {
             base_va,
             region_len: region_size.bytes(),
             server_port,
+            transport,
         }
     }
 }
@@ -144,10 +148,10 @@ pub struct ReliableConfig {
     /// Base retransmission timeout; the effective timeout is
     /// `rto << backoff_level` (exponential backoff).
     pub rto: TimeDelta,
-    /// `true`: retransmit on NAK/timeout until [`MAX_RETRIES`], then fail
-    /// over. `false`: best-effort — ops age out past the RTO and NAKs fail
-    /// everything in flight (the caller absorbs the loss), but the channel
-    /// itself never fails over.
+    /// `true`: an RC responder QP; retransmit on NAK/timeout until
+    /// [`MAX_RETRIES`], then fail over. `false`: best effort — a UC one, so
+    /// a lost request costs only itself; ops age out past the RTO (the
+    /// caller absorbs the loss), and the channel never fails over.
     pub reliable: bool,
     /// Send requests through the high-priority queue (packet-buffer detour
     /// traffic uses this so RDMA is not stuck behind the very congestion it
@@ -209,11 +213,8 @@ pub struct ChannelStats {
     /// High-water mark of the backoff shift level.
     pub max_backoff_level: u32,
     /// Whether the channel gave up and degraded to local-only operation at
-    /// least once (historical flag — survives [`ReliableChannel::recover_at`]).
+    /// least once (historical flag — survives [`ReliableChannel::reconnect`]).
     pub failed_over: bool,
-    /// Times a failed channel was re-armed via
-    /// [`ReliableChannel::recover_at`] (server rejoin path).
-    pub recoveries: u64,
 }
 
 impl ChannelStats {
@@ -232,17 +233,16 @@ impl ChannelStats {
         self.backoff_level = self.backoff_level.max(other.backoff_level);
         self.max_backoff_level = self.max_backoff_level.max(other.max_backoff_level);
         self.failed_over |= other.failed_over;
-        self.recoveries += other.recoveries;
     }
 }
 
 impl fmt::Display for ChannelStats {
-    /// Compact one-line form: `ops=… acks=… … failed=… rec=…`.
+    /// Compact one-line form: `ops=… acks=… … failed=…`.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
             "ops={} acks={} naks={} retx={} timeouts={} dups={} aged={} \
-             sup={} backoff={}/{} failed={} rec={}",
+             sup={} backoff={}/{} failed={}",
             self.ops_issued,
             self.acks,
             self.naks,
@@ -254,7 +254,6 @@ impl fmt::Display for ChannelStats {
             self.backoff_level,
             self.max_backoff_level,
             self.failed_over,
-            self.recoveries,
         )
     }
 }
@@ -298,6 +297,9 @@ pub enum Op {
     /// dependent reads the responder NIC executes locally, answered like a
     /// READ, one RTT whatever its depth.
     Remote(RemoteOp),
+    /// Connect the responder QP at this op's PSN, answered by a plain ACK:
+    /// the first op after [`ReliableChannel::reconnect`].
+    Connect,
 }
 
 impl Op {
@@ -314,19 +316,18 @@ impl Op {
             Op::Read { va, len } => Request::Read { va: *va, len: *len },
             Op::FetchAdd { va, add } => Request::FetchAdd { va: *va, add: *add },
             Op::Remote(op) => Request::Op(op),
+            Op::Connect => Request::Connect,
         }
     }
 
     /// Whether only an answer of its own completes the op, not any
-    /// acknowledgement at or past its PSN: a READ's or remote op's data, and
-    /// on a `reliable` channel a Fetch-and-Add's value. A best-effort channel
-    /// never re-sends a Fetch-and-Add, so a later answer is its only proof
-    /// that the op ran.
-    fn bears_response(&self, reliable: bool) -> bool {
+    /// acknowledgement at or past its PSN: a READ's or remote op's data, or
+    /// a Fetch-and-Add's value. (A best-effort channel's UC responder jumps
+    /// gaps, so there a later answer does not even prove the op ran.)
+    fn bears_response(&self) -> bool {
         match self {
-            Op::Read { .. } | Op::Remote(_) => true,
-            Op::FetchAdd { .. } => reliable,
-            Op::Write { .. } => false,
+            Op::Read { .. } | Op::Remote(_) | Op::FetchAdd { .. } => true,
+            Op::Write { .. } | Op::Connect => false,
         }
     }
 
@@ -343,9 +344,7 @@ impl Op {
 #[derive(Clone, Debug, PartialEq)]
 pub enum Reply {
     /// A WRITE was acknowledged, explicitly or by the answer to an op behind
-    /// it; or, on a best-effort channel, a Fetch-and-Add whose own atomic
-    /// acknowledgement was lost was retired by the answer to an op behind
-    /// it. A reliable channel completes a Fetch-and-Add with
+    /// it, or a connect was. A Fetch-and-Add completes with
     /// [`Reply::Fetched`] only.
     Ack,
     /// A Fetch-and-Add's own atomic acknowledgement: the word's value just
@@ -383,8 +382,8 @@ pub enum ChannelEvent {
         /// The responder's answer.
         reply: Reply,
     },
-    /// The op was abandoned: aged out (best-effort), failed by a NAK
-    /// (best-effort), or in flight or queued when the channel failed over.
+    /// The op was abandoned: aged out (best-effort), or in flight or queued
+    /// when the channel failed over.
     /// A volley of these comes in submit order.
     OpFailed {
         /// The cookie of the abandoned op.
@@ -499,9 +498,10 @@ pub struct ReliableChannel {
 pub(crate) const CHANNEL_TIMER: u64 = 1 << 32;
 
 impl ReliableChannel {
-    /// Wrap `channel` in the reliability layer.
+    /// Wrap `channel` in the reliability layer, under `config`
+    /// ([`ReliableChannel::set_config`]).
     pub fn new(channel: RdmaChannel, config: ReliableConfig) -> ReliableChannel {
-        ReliableChannel {
+        let mut channel = ReliableChannel {
             timer_token: CHANNEL_TIMER | channel.server_port.0 as u64,
             inner: channel,
             config,
@@ -514,7 +514,9 @@ impl ReliableChannel {
             timer: None,
             sends: 0,
             stats: ChannelStats::default(),
-        }
+        };
+        channel.set_config(config);
+        channel
     }
 
     /// The program-timer token the channel arms its deadline under
@@ -534,13 +536,16 @@ impl ReliableChannel {
     }
 
     /// Replace the reliability policy. Only valid while nothing is in
-    /// flight (primitives expose this as a pre-traffic builder knob).
+    /// flight (primitives expose this as a pre-traffic builder knob). This
+    /// is the one place the responder QP's transport is set: RC when
+    /// `reliable`, UC otherwise.
     pub fn set_config(&mut self, config: ReliableConfig) {
         assert!(
             self.outstanding.is_empty() && self.queue.is_empty() && !self.failed,
             "reconfigure an idle channel"
         );
         self.config = config;
+        self.inner.transport.set_reliable(config.reliable);
     }
 
     /// Remote access key of the region.
@@ -623,7 +628,10 @@ impl ReliableChannel {
         self.timer = Some((handle, deadline));
     }
 
-    fn send(&self, ctx: &mut SwitchCtx<'_, '_, '_>, frame: Packet) {
+    /// Put a request on the wire; one that did not encode is lost, as on
+    /// the wire, and found the same way.
+    fn send(&self, ctx: &mut SwitchCtx<'_, '_, '_>, frame: Result<Packet, WireError>) {
+        let Ok(frame) = frame else { return };
         if self.config.high_priority {
             ctx.enqueue_high(self.inner.server_port, frame);
         } else {
@@ -728,11 +736,13 @@ impl ReliableChannel {
                 };
                 match aeth.syndrome {
                     Syndrome::Ack { .. } => self.on_ack(ctx, psn, events),
-                    // A refused request would be refused again: fail over,
-                    // as an RC QP enters its error state.
+                    // A refused request would be refused again, and a
+                    // restarted responder's QP is gone: fail over, as an RC
+                    // QP enters its error state. The restart NAK may find
+                    // the channel failed already.
                     Syndrome::Nak(code) if code != PsnSequenceError && self.config.reliable => {
                         self.stats.naks += 1;
-                        self.fail(ctx, events);
+                        self.abort(ctx, events);
                     }
                     _ => self.on_nak(ctx, psn, events),
                 }
@@ -754,18 +764,15 @@ impl ReliableChannel {
         self.nak_epoch = None;
     }
 
-    /// Retire the WRITEs, and the best-effort atomics, among the first `n`
-    /// outstanding ops: the in-order responder has executed them. The
+    /// Retire the WRITEs and connects among the first `n` outstanding ops:
+    /// the in-order responder has executed them (or, UC, jumped them). The
     /// response-bearing ones stay — the responder executed those too, but
     /// their answer may still be in flight (or lost, in which case
     /// [`Self::resend_overtaken`] re-sends them). Returns how many stayed.
     fn retire_executed(&mut self, n: usize, events: &mut Vec<ChannelEvent>) -> usize {
         let mut kept = 0;
         for _ in 0..n {
-            if self.outstanding[kept]
-                .op
-                .bears_response(self.config.reliable)
-            {
+            if self.outstanding[kept].op.bears_response() {
                 kept += 1;
             } else if let Some(op) = self.outstanding.remove(kept) {
                 events.push(op.retire(Reply::Ack));
@@ -836,7 +843,7 @@ impl ReliableChannel {
     }
 
     /// A plain ACK of `psn` acknowledges every op through `psn`. The WRITEs
-    /// (and best-effort atomics) covered by it complete; the ops that bear
+    /// (and connects) covered by it complete; the ops that bear
     /// a response do not — an ACK proves the responder *sent* their answer,
     /// not that it arrived. As the answer to the op sent under `psn`, it
     /// re-sends the ones whose answer it overtook.
@@ -872,7 +879,7 @@ impl ReliableChannel {
         for i in 0..idx {
             let o = &self.outstanding[i];
             let earlier = (answered_nr.wrapping_sub(o.sent_nr) as i32) > 0;
-            if self.config.reliable && earlier && o.fetched.is_none() && o.op.bears_response(true) {
+            if self.config.reliable && earlier && o.fetched.is_none() && o.op.bears_response() {
                 self.stats.implicit_resends += 1;
                 self.resend(ctx, i);
             }
@@ -880,9 +887,10 @@ impl ReliableChannel {
     }
 
     /// The responder NAKed a PSN gap: its `epsn` (carried in the NAK's PSN
-    /// field) names the next request it expects. Reliable mode replays
-    /// everything still outstanding under the original PSNs; best-effort
-    /// mode fails the in-flight ops and resynchronizes the sequence instead.
+    /// field) names the next request it expects. A reliable channel replays
+    /// everything still outstanding under the original PSNs. A best-effort
+    /// channel's UC responder jumps gaps and sends no such NAK; a refusal of
+    /// one of its ops comes here too, and the op ages out.
     fn on_nak(
         &mut self,
         ctx: &mut SwitchCtx<'_, '_, '_>,
@@ -890,37 +898,30 @@ impl ReliableChannel {
         events: &mut Vec<ChannelEvent>,
     ) {
         self.stats.naks += 1;
-        if self.config.reliable {
-            // Ops fully before the responder's expected PSN were executed;
-            // complete the WRITEs among them (an answer of its own may still
-            // be lost — the volley below re-sends those).
-            let executed = self
-                .outstanding
-                .iter()
-                .take_while(|op| psn_before(op.psn, epsn))
-                .count();
-            self.retire_executed(executed, events);
-            if self.nak_epoch == Some(epsn) {
-                // Every out-of-sequence packet behind the same loss draws
-                // its own NAK; the volley already in flight answers them
-                // all, and replying to each would multiply it into a storm.
-                self.stats.naks_suppressed += 1;
-                self.backoff_level = 0;
-                self.retries = 0;
-                return;
-            }
-            self.progress();
-            self.nak_epoch = Some(epsn);
-            self.retransmit_all(ctx);
-        } else {
-            // Best effort: everything in flight is lost. Fail the ops,
-            // resynchronize the requester's PSN to what the responder
-            // expects, and keep going — the caller absorbs the loss.
-            events.extend(self.outstanding.drain(..).map(Outstanding::abandon));
-            if self.inner.qp.npsn != epsn {
-                self.inner.qp.npsn = epsn;
-            }
+        if !self.config.reliable {
+            return;
         }
+        // Ops fully before the responder's expected PSN were executed;
+        // complete the WRITEs among them (an answer of its own may still be
+        // lost — the volley below re-sends those).
+        let executed = self
+            .outstanding
+            .iter()
+            .take_while(|op| psn_before(op.psn, epsn))
+            .count();
+        self.retire_executed(executed, events);
+        if self.nak_epoch == Some(epsn) {
+            // Every out-of-sequence packet behind the same loss draws its
+            // own NAK; the volley already in flight answers them all, and
+            // replying to each would multiply it into a storm.
+            self.stats.naks_suppressed += 1;
+            self.backoff_level = 0;
+            self.retries = 0;
+            return;
+        }
+        self.progress();
+        self.nak_epoch = Some(epsn);
+        self.retransmit_all(ctx);
     }
 
     /// Go-back-N: re-send every outstanding op under its original PSN,
@@ -1035,28 +1036,20 @@ impl ReliableChannel {
         }
     }
 
-    /// Re-arm a failed channel at a fresh PSN (server-rejoin path): the
-    /// control plane has re-established the responder QP, which will accept
-    /// whatever PSN arrives first after its restart. The fresh base must be
-    /// far from the dead window so a straggling response from the old
-    /// incarnation cannot alias into the new one (callers jump by at least
-    /// the window size; the FaA engine's pool jumps by `2^20`).
-    ///
-    /// This is the *only* place outside the best-effort NAK path allowed to
-    /// move `npsn` off its issue sequence — the fault-matrix grep guard
-    /// keeps ad-hoc resyncs out of the primitives.
+    /// Re-arm a failed channel to reconnect (server-rejoin path). Its first
+    /// op must be an [`Op::Connect`], at the channel's own next PSN, past
+    /// every PSN it used: an unconnected QP connects there, a live one
+    /// re-anchors there. Nothing else moves `npsn`.
     ///
     /// Panics unless the channel has actually failed over (`is_failed`);
     /// `fail` drained every op, so nothing is outstanding here.
-    pub fn recover_at(&mut self, start_psn: u32) {
-        assert!(self.failed, "recover_at on a live channel");
+    pub fn reconnect(&mut self) {
+        assert!(self.failed, "reconnect on a live channel");
         debug_assert!(self.outstanding.is_empty() && self.queue.is_empty());
-        self.inner.qp.npsn = start_psn & 0x00ff_ffff;
         self.failed = false;
         self.backoff_level = 0;
         self.retries = 0;
         self.nak_epoch = None;
-        self.stats.recoveries += 1;
     }
 }
 
@@ -1065,6 +1058,26 @@ pub(crate) mod tests {
     use super::*;
     use extmem_rnic::{Operand, RnicConfig};
     use extmem_wire::MacAddr;
+
+    /// A channel over `qp` to the region `(rkey, base_va, region_len)` behind
+    /// `server_port`, with no NIC set up behind it: its transport reaches no
+    /// responder QP.
+    pub(crate) fn unplugged(
+        qp: RequesterQp,
+        rkey: Rkey,
+        base_va: u64,
+        region_len: u64,
+        server_port: PortId,
+    ) -> RdmaChannel {
+        RdmaChannel {
+            qp,
+            rkey,
+            base_va,
+            region_len,
+            server_port,
+            transport: Transport::default(),
+        }
+    }
 
     #[test]
     fn setup_wires_the_triple() {
@@ -1083,12 +1096,20 @@ pub(crate) mod tests {
         assert_eq!(ch.qp.peer, server);
         assert_eq!(ch.qp.local, switch);
         // The responder knows the switch as its peer.
-        assert_eq!(nic.qp(ch.qp.peer_qpn).peer_qpn, SWITCH_QPN);
+        assert_eq!(nic.qp(ch.qp.peer_qpn).unwrap().peer_qpn, SWITCH_QPN);
         // The region is real and zeroed.
         assert_eq!(
-            nic.region(ch.rkey).read(ch.base_va, 8).unwrap(),
+            nic.region(ch.rkey).unwrap().read(ch.base_va, 8).unwrap(),
             &[0u8; 8][..]
         );
+        // The responder QP is RC until the channel's policy says best
+        // effort, which makes it UC.
+        let uc = |nic: &RnicNode| nic.qp(ch.qp.peer_qpn).unwrap().transport.is_uc();
+        assert!(!uc(&nic));
+        let mut channel = ReliableChannel::new(ch.clone(), ReliableConfig::default());
+        assert!(!uc(&nic));
+        channel.set_config(ReliableConfig::best_effort(TimeDelta::from_micros(10)));
+        assert!(uc(&nic));
     }
 
     /// Owns one channel; when poked, sends a READ, a Fetch-and-Add and a
@@ -1163,13 +1184,13 @@ pub(crate) mod tests {
             mac: MacAddr::local(9),
             ip: 0x0a000009,
         };
-        let channel = RdmaChannel {
-            qp: RequesterQp::new(local, peer, QpNum(0x100)),
-            rkey: Rkey(7),
-            base_va: 0x1000,
-            region_len: 1 << 16,
-            server_port: PortId(0),
-        };
+        let channel = unplugged(
+            RequesterQp::new(local, peer, QpNum(0x100)),
+            Rkey(7),
+            0x1000,
+            1 << 16,
+            PortId(0),
+        );
         let program = Replayer {
             channel: ReliableChannel::new(channel, ReliableConfig::default()),
             events: Vec::new(),
@@ -1232,7 +1253,6 @@ pub(crate) mod tests {
     const ISSUE: u64 = 1;
     const ANSWER_PROBE: u64 = 2;
     const REISSUE: u64 = 3;
-    const RECOVERED_PSN: u32 = 0x10_0000;
     /// The gather's cookie: the probes that fill the window take 1 to
     /// [`MAX_WINDOW`].
     const GATHER: u64 = MAX_WINDOW as u64 + 1;
@@ -1273,9 +1293,11 @@ pub(crate) mod tests {
                     assert_eq!(launched, (1, 1), "the gather launched");
                 }
                 REISSUE => {
-                    // What the pool does with an op orphaned by a failover.
+                    // A failed channel reconnects and sends the orphaned
+                    // op again, behind the connect.
                     assert!(self.channel.is_failed());
-                    self.channel.recover_at(RECOVERED_PSN);
+                    self.channel.reconnect();
+                    assert!(self.channel.submit(ctx, Op::Connect, 0));
                     let gather = Op::Remote(gather_op());
                     assert!(self.channel.submit(ctx, gather, GATHER));
                 }
@@ -1373,13 +1395,13 @@ pub(crate) mod tests {
             mac: MacAddr::local(9),
             ip: 0x0a000009,
         };
-        let channel = RdmaChannel {
-            qp: RequesterQp::new(local, peer, QpNum(0x100)),
-            rkey: Rkey(7),
-            base_va: 0x1000,
-            region_len: 1 << 16,
-            server_port: PortId(0),
-        };
+        let channel = unplugged(
+            RequesterQp::new(local, peer, QpNum(0x100)),
+            Rkey(7),
+            0x1000,
+            1 << 16,
+            PortId(0),
+        );
         let program = OpIssuer {
             channel: ReliableChannel::new(channel, impatient()),
             events: Vec::new(),
@@ -1420,13 +1442,15 @@ pub(crate) mod tests {
             .clone()
             .chain(probes)
             .chain(gathers)
-            .chain([(Opcode::GatherWalk, RECOVERED_PSN)])
+            .chain([(Opcode::Connect, MAX_WINDOW as u32 + 1)])
+            .chain([(Opcode::GatherWalk, MAX_WINDOW as u32 + 2)])
             .collect();
         assert_eq!(seen, want);
         // A retransmission is the same frame, byte for byte.
         let (probes, rest) = frames.split_at(2 * MAX_WINDOW);
         assert_eq!(probes[..MAX_WINDOW], probes[MAX_WINDOW..]);
-        let (reissue, gathers) = rest.split_last().unwrap();
+        let (reissue, rest) = rest.split_last().unwrap();
+        let (_connect, gathers) = rest.split_last().unwrap();
         assert!(gathers.iter().all(|f| *f == gathers[0]));
         // The reissue differs in its PSN and in nothing the op describes.
         let gather = &sent[2 * MAX_WINDOW];
@@ -1507,13 +1531,13 @@ pub(crate) mod tests {
     ) {
         use extmem_rnic::requester::RequesterQp;
         use extmem_types::QpNum;
-        let channel = RdmaChannel {
-            qp: RequesterQp::new(local(), peer(), QpNum(0x100)),
-            rkey: Rkey(7),
-            base_va: 0x1000,
-            region_len: 1 << 16,
-            server_port: PortId(0),
-        };
+        let channel = unplugged(
+            RequesterQp::new(local(), peer(), QpNum(0x100)),
+            Rkey(7),
+            0x1000,
+            1 << 16,
+            PortId(0),
+        );
         let config = ReliableConfig {
             reliable,
             ..impatient()
@@ -1660,7 +1684,8 @@ pub(crate) mod tests {
                 ISSUE => self.send(ctx),
                 REISSUE => {
                     assert!(self.channel.is_failed());
-                    self.channel.recover_at(RECOVERED_PSN);
+                    self.channel.reconnect();
+                    assert!(self.channel.submit(ctx, Op::Connect, 0));
                     self.send(ctx);
                 }
                 t if t == self.channel.timer_token() => {
@@ -1697,12 +1722,14 @@ pub(crate) mod tests {
     /// `op`'s life on a channel to [`region`] whose server never answers:
     /// sent at 0, retransmitted [`MAX_RETRIES`] times as the RTO passes in
     /// silence (at 10 us, then with backoff), given up on at 950 us (the
-    /// channel fails), reissued at 1 ms. Checks what every op has in common
+    /// channel fails), reissued at 1 ms behind a connect. Checks what every
+    /// op has in common
     /// — one payload per transmission, the frame, and none for the callback
     /// that only gave up, which hands the op back whole; a retransmission
     /// that is the same frame; a reissue that differs in its PSN and in
     /// nothing else — and returns the simulation, the switch and every
-    /// request as the blackhole parsed them, the reissue last.
+    /// request but the connect as the blackhole parsed them, the reissue
+    /// last.
     fn sent_and_reissued(op: Op) -> (extmem_sim::Simulator, extmem_types::NodeId, Vec<RocePacket>) {
         use extmem_rnic::requester::RequesterQp;
         use extmem_switch::switch::program_token;
@@ -1710,13 +1737,13 @@ pub(crate) mod tests {
         use extmem_types::{QpNum, Time};
 
         let (_, rkey, base_va) = region();
-        let channel = RdmaChannel {
-            qp: RequesterQp::new(local(), peer(), QpNum(0x100)),
+        let channel = unplugged(
+            RequesterQp::new(local(), peer(), QpNum(0x100)),
             rkey,
             base_va,
-            region_len: 4096,
-            server_port: PortId(0),
-        };
+            4096,
+            PortId(0),
+        );
         let program = Sender {
             channel: ReliableChannel::new(channel, impatient()),
             op,
@@ -1735,22 +1762,24 @@ pub(crate) mod tests {
             [ChannelEvent::OpFailed { cookie, op }, ChannelEvent::Failed]
         );
         let transmissions = 1 + MAX_RETRIES as usize;
-        let allocs = [vec![1; transmissions], vec![0, 1]].concat();
+        let allocs = [vec![1; transmissions], vec![0, 2]].concat();
         assert_eq!(program.allocs, allocs);
         let frames = &sim.node::<Blackhole>(hole).frames;
-        assert_eq!(frames.len(), transmissions + 1);
+        assert_eq!(frames.len(), transmissions + 2);
         for retransmission in &frames[1..transmissions] {
             assert_eq!(
                 frames[0], *retransmission,
                 "a retransmission is the same frame"
             );
         }
-        let sent: Vec<RocePacket> = frames
+        let mut sent: Vec<RocePacket> = frames
             .iter()
             .map(|f| RocePacket::parse(f).unwrap().unwrap())
             .collect();
+        let connect = sent.remove(transmissions);
+        assert_eq!((connect.bth.opcode, connect.bth.psn), (Opcode::Connect, 1));
         let reissued = &sent[transmissions];
-        assert_eq!((sent[0].bth.psn, reissued.bth.psn), (0, RECOVERED_PSN));
+        assert_eq!((sent[0].bth.psn, reissued.bth.psn), (0, 2));
         let mut renumbered = reissued.clone();
         renumbered.bth.psn = 0;
         assert_eq!(renumbered.build().unwrap(), frames[0]);
@@ -2042,10 +2071,11 @@ pub(crate) mod tests {
         }
     }
 
-    /// Best effort, a Fetch-and-Add is never re-sent: the answer to the op
-    /// behind it is its only proof it ran, and retires it, bare.
+    /// Best effort, a Fetch-and-Add completes only with its own answer: its
+    /// responder is UC, which jumps a gap, so the answer to the op behind it
+    /// is no proof that it ran. One whose answer is lost ages out.
     #[test]
-    fn a_best_effort_fetch_and_add_is_retired_by_a_later_answer() {
+    fn a_best_effort_fetch_and_add_completes_only_with_its_own_answer() {
         let ops = |base: u64| {
             vec![
                 Op::FetchAdd { va: base, add: 5 },
@@ -2056,15 +2086,16 @@ pub(crate) mod tests {
             ]
         };
         let config = ReliableConfig::best_effort(TimeDelta::from_micros(100));
-        let (events, stats, _, _) = lossy(config, ops, &[0], 50);
-        let replies: Vec<(u64, Reply)> = (events.into_iter())
+        let (events, stats, _, _) = lossy(config, ops, &[0], 150);
+        let ends: Vec<(u64, Option<Reply>)> = (events.into_iter())
             .map(|ev| match ev {
-                ChannelEvent::Done { cookie, reply, .. } => (cookie, reply),
+                ChannelEvent::Done { cookie, reply, .. } => (cookie, Some(reply)),
+                ChannelEvent::OpFailed { cookie, .. } => (cookie, None),
                 other => panic!("unexpected {other:?}"),
             })
             .collect();
-        assert_eq!(replies, [(0, Reply::Ack), (1, Reply::Fetched(0))]);
-        assert_eq!((stats.timeouts, stats.aged_out, stats.faa_sent), (0, 0, 2));
+        assert_eq!(ends, [(1, Some(Reply::Fetched(0))), (0, None)]);
+        assert_eq!((stats.timeouts, stats.aged_out, stats.faa_sent), (0, 1, 2));
     }
 
     /// A READ past the region's end is refused, and a re-send of it would

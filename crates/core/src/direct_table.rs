@@ -300,7 +300,7 @@ pub fn install_remote_action(
     let slot = flow_index(flow, entries);
     let va = channel.base_va + slot * entry_size;
     nic.region_mut(channel.rkey)
-        .write(va, &action.to_bytes())
+        .and_then(|region| region.write(va, &action.to_bytes()))
         .expect("install in bounds");
     slot
 }

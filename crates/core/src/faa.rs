@@ -69,12 +69,14 @@ pub struct FaaStats {
     pub updates: u64,
     /// Fetch-and-Add requests put on the wire: first sends, re-sends and
     /// reissues on a promoted mirror. A replicated pool's catch-up WRITEs
-    /// and probe READs are not among them.
+    /// and reconnects are not among them.
     pub faa_sent: u64,
     /// Updates merged into a pending accumulator instead of sent
     /// immediately.
     pub merged: u64,
-    /// Updates counted as lost (best-effort mode: aged out or NAKed).
+    /// Updates given up without their own answer (best-effort mode: aged
+    /// out). An upper bound on the remote counters' undercount: the UC
+    /// responder ran an add whose answer alone was lost.
     pub lost_updates: u64,
     /// High-water mark of slots with pending accumulation.
     pub max_pending_slots: u64,
@@ -82,7 +84,7 @@ pub struct FaaStats {
     /// across the pool.
     pub channel: ChannelStats,
     /// Replication-layer counters (`servers = 1` for a single-server
-    /// engine, which never fails over, probes or rejoins).
+    /// engine, which never fails over).
     pub pool: PoolStats,
 }
 
@@ -205,7 +207,8 @@ impl FaaEngine {
     }
 
     /// Whether every server is unreachable (single-server: retry cap
-    /// exhausted) and the engine is accumulating locally only.
+    /// exhausted) and the engine is accumulating locally only, until the
+    /// pool reconnects one.
     pub fn is_degraded(&self) -> bool {
         self.pool.is_failed()
     }
@@ -267,11 +270,12 @@ impl FaaEngine {
         self.pump(ctx);
     }
 
-    /// Force all sub-threshold accumulators to become eligible (the
-    /// batching extension's delay bound; call from a periodic timer).
+    /// Force every accumulator to become eligible: a sub-threshold one (the
+    /// batching extension's delay bound), or one a pool handed back with
+    /// every server gone. Call from a periodic timer.
     pub fn flush(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>) {
         for (&slot, &v) in self.pending.iter() {
-            if v > 0 && v < self.config.min_batch && self.ready_set.insert(slot) {
+            if v > 0 && self.ready_set.insert(slot) {
                 self.ready.push_back(slot);
             }
         }
@@ -335,8 +339,9 @@ impl FaaEngine {
                 continue;
             };
             if self.config.reliable {
-                // Failover: keep accumulating locally — the update is
-                // preserved in `pending`, never silently lost.
+                // Every server is gone: keep accumulating locally — the
+                // update is preserved in `pending`, never silently lost, and
+                // the next flush after a server is back issues it.
                 let slot = (va - self.pool.base_va()) / 8;
                 let e = self.pending.entry(slot).or_insert(0);
                 *e = e.wrapping_add(add);
@@ -374,6 +379,7 @@ mod tests {
     // state-store program tests and the integration suite; these unit tests
     // cover the accumulator logic that needs no simulator.
 
+    use crate::channel::tests::unplugged;
     use crate::channel::RdmaChannel;
     use extmem_rnic::requester::RequesterQp;
     use extmem_types::{PortId, QpNum, Rkey};
@@ -389,13 +395,13 @@ mod tests {
             mac: MacAddr::local(2),
             ip: 2,
         };
-        RdmaChannel {
-            qp: RequesterQp::new(a, b, QpNum(0x100)),
-            rkey: Rkey(1),
-            base_va: 0x1000,
-            region_len: slots * 8,
-            server_port: PortId(0),
-        }
+        unplugged(
+            RequesterQp::new(a, b, QpNum(0x100)),
+            Rkey(1),
+            0x1000,
+            slots * 8,
+            PortId(0),
+        )
     }
 
     /// Owns a replicated engine whose servers never answer; issues four

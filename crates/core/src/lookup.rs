@@ -962,7 +962,7 @@ fn read_slots(live: u8) -> usize {
 /// [`LookupTableProgram::cuckoo`].
 pub fn install_cuckoo_image(nic: &mut RnicNode, channel: &RdmaChannel, dir: &CuckooDirectory) {
     let region = nic.region_mut(channel.rkey);
-    let installed = region.write(channel.base_va, &dir.encode_region());
+    let installed = region.and_then(|r| r.write(channel.base_va, &dir.encode_region()));
     assert!(
         installed.is_ok(),
         "remote region smaller than the cuckoo table"

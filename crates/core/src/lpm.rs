@@ -312,7 +312,7 @@ pub fn install_remote_route(
     let slot = hash_to_index(&rung_key(len, masked), slots_per_level);
     let va = channel.base_va + (level_idx as u64 * slots_per_level + slot) * ACTION_LEN as u64;
     nic.region_mut(channel.rkey)
-        .write(va, &action.to_bytes())
+        .and_then(|region| region.write(va, &action.to_bytes()))
         .expect("route in bounds");
 }
 

@@ -1112,7 +1112,7 @@ mod tests {
         let sw = r.sim.node::<SwitchNode>(r.switch);
         let pool = sw.program::<PacketBufferProgram>().pool(0);
         let (rkey, base_va) = (pool.rkey(), pool.base_va());
-        let ring = r.sim.node::<RnicNode>(r.memsrvs[0]).region(rkey);
+        let ring = r.sim.node::<RnicNode>(r.memsrvs[0]).region(rkey).unwrap();
         for idx in 0..30u32 {
             let entry = ring.read(base_va + idx as u64 * 2048, 6 + 1000).unwrap();
             assert_eq!(entry[..4], idx.to_be_bytes(), "entry {idx}: ring index");

@@ -13,7 +13,8 @@
 //!   acknowledgement completes it, in PSN order, with the word's value just
 //!   before the add: with the add, the primary's value. The pool keeps that
 //!   value for every word a completed Fetch-and-Add counted, and marks the
-//!   word dirty on every other server;
+//!   word dirty on every other server. A word whose adds all came back
+//!   unanswered is kept as zero;
 //! * brings a server up to date one way: one WRITE per run of dirty words
 //!   at consecutive addresses (at most an MTU of them), carrying their kept
 //!   values, in ascending address. That is the anti-entropy flush
@@ -21,7 +22,7 @@
 //!   and a rejoin, for which every kept word is dirty. A WRITE that fails
 //!   leaves each of its words dirty. A duplicate WRITE is not re-executed
 //!   and a channel executes in order, so a replica's word never goes back
-//!   to an older value;
+//!   to an older value but at a rejoin;
 //! * watches each server with a [`HealthDetector`] (`Healthy → Suspect →
 //!   Down`) driven by the channel's timeout/ACK counters, and aborts the
 //!   primary's channel the moment the detector trips — failover latency is
@@ -31,19 +32,22 @@
 //!   owning engine never notices) — the very [`Op`] values the dying
 //!   channel hands back in its `OpFailed` events, in its order. None of
 //!   them has completed, so none is in a kept value;
-//! * probes Down servers with periodic 8-byte READs over a channel re-armed
-//!   at a fresh PSN ([`ReliableChannel::recover_at`]). An answered probe
-//!   makes the server a mirror again at once: its catch-up rides its own
-//!   FIFO channel, ahead of anything it is sent later.
+//! * probes Down servers by reconnecting them: an [`Op::Connect`] at the
+//!   failed channel's own next PSN ([`ReliableChannel::reconnect`]). An
+//!   answered connect makes the server a mirror again at once, with every
+//!   kept word dirty on it: its catch-up rides its own FIFO channel, ahead
+//!   of anything it is sent later. It rewrites what a wipe lost, and undoes
+//!   the adds the server ran without answering, which are sent again. A pool
+//!   that lost every server keeps reconnecting; the first back is primary.
 //!
 //! The single-server primitives hold their [`ReliableChannel`] directly;
 //! only the FaA engine builds a pool. A non-replicated engine's pool has one
 //! server and takes the same path, under two rules:
 //!
 //! * a best-effort give-up goes straight to the caller. Such a channel
-//!   ages out or NAKs ops without ever failing, so an `OpFailed` that no
-//!   `Failed` follows in the same batch is handed up as it is, not kept
-//!   for a failover that will not come;
+//!   ages ops out without ever failing, so an `OpFailed` that no `Failed`
+//!   follows in the same batch is handed up as it is, not kept for a
+//!   failover that will not come;
 //! * a lone server is written off by its channel's retry cap, never by the
 //!   detector ([`crate::faa::FaaEngine::new`] sets `down_threshold` to
 //!   `u32::MAX`): with no mirror to promote, an early abort buys no
@@ -54,7 +58,6 @@ use extmem_rnic::nic::MTU;
 use extmem_rnic::{Operand, WriteBody};
 use extmem_switch::SwitchCtx;
 use extmem_types::{IntMap, PortId, TimeDelta};
-use extmem_wire::bth::psn_add;
 use extmem_wire::Payload;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -69,12 +72,6 @@ const INTERNAL_BIT: u64 = 1 << 63;
 /// nothing would ever confirm.
 const ACK_EVERY: usize = MAX_WINDOW / 4;
 
-/// How far `recover_at` jumps the PSN past the dead window. Far larger
-/// than any transmit window ([`crate::channel::MAX_WINDOW`]), so a straggler
-/// response from the old incarnation can never alias into the recovered
-/// window's dedup horizon.
-const PSN_JUMP: u32 = 1 << 20;
-
 /// Health of one pool server, as judged by its [`HealthDetector`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Health {
@@ -83,7 +80,7 @@ pub enum Health {
     /// Missed at least one timeout round; not yet written off.
     Suspect,
     /// Past the consecutive-failure threshold (or its channel failed).
-    /// Words turn dirty on it, but it is sent nothing except probes.
+    /// Words turn dirty on it, but it is sent nothing except reconnects.
     Down,
 }
 
@@ -156,8 +153,8 @@ impl HealthDetector {
         self.state = Health::Down;
     }
 
-    /// A probe READ completed against the restarted server: it is live
-    /// again, and its catch-up goes out ahead of anything sent to it later.
+    /// A reconnect was answered: the server is live again, and its catch-up
+    /// goes out ahead of anything sent to it later.
     pub fn on_probe_success(&mut self) {
         if self.state == Health::Down {
             self.state = Health::Healthy;
@@ -187,9 +184,9 @@ impl Default for PoolConfig {
     }
 }
 
-/// Probes a pool sends before it gives up on its Down servers: a bound
-/// keeps a `run_to_quiescence` simulation terminating when a server never
-/// comes back.
+/// The reconnect budget: probes a pool sends before it gives up on its
+/// Down servers, so a `run_to_quiescence` simulation terminates when a
+/// server never comes back.
 const MAX_PROBES: u64 = 64;
 
 /// Pool-level counters, surfaced next to [`crate::channel::ChannelStats`]
@@ -202,9 +199,9 @@ pub struct PoolStats {
     pub unavailable: u32,
     /// Primary promotions (a mirror took over).
     pub failovers: u64,
-    /// Probe READs issued at Down servers.
+    /// Reconnects (probes) sent to Down servers.
     pub probes: u64,
-    /// Servers made mirrors again after a crash (answered probes).
+    /// Servers taken back after a write-off (answered reconnects).
     pub rejoins: u64,
     /// Caller WRITEs fanned out to mirrors: always 0, since a replicated
     /// pool carries Fetch-and-Adds only and servers catch up by value
@@ -261,7 +258,7 @@ impl fmt::Display for PoolStats {
 /// A pool-internal op (top cookie bit set).
 #[derive(Clone, Debug)]
 enum InternalOp {
-    /// Recovery probe READ at a Down server.
+    /// The connect that reconnects a Down server.
     Probe { server: usize },
     /// A catch-up WRITE of the `words` words from `va`; each is dirty again
     /// if it fails.
@@ -283,9 +280,6 @@ struct PoolServer {
     /// Small (one entry per counter touched since the last flush), so a
     /// sorted vector that keeps its capacity across flushes.
     dirty: Vec<u64>,
-    /// The PSN each probe since the server went Down is sent at; jumping on
-    /// every round would wrap behind a live responder's, into duplicates.
-    probe_psn: Option<u32>,
 }
 
 impl PoolServer {
@@ -322,7 +316,8 @@ pub struct ReplicatedPool {
     internal: IntMap<u64, InternalOp>,
     next_internal: u64,
     /// The primary's value of every word a completed caller Fetch-and-Add
-    /// counted, as of the last one to complete: what a catch-up writes.
+    /// counted, as of the last one to complete, and zero for a word whose
+    /// adds all came back unanswered: what a catch-up writes.
     known: BTreeMap<u64, u64>,
     probe_armed: bool,
     failed: bool,
@@ -378,7 +373,6 @@ impl ReplicatedPool {
                     seen_timeouts: 0,
                     seen_progress: 0,
                     dirty: Vec::new(),
-                    probe_psn: None,
                 })
                 .collect(),
             primary: 0,
@@ -430,9 +424,9 @@ impl ReplicatedPool {
         self.servers[0].channel.region_len()
     }
 
-    /// Whether the pool as a whole has degraded: every server is gone.
-    /// Mirrors [`ReliableChannel::is_failed`] for the FaA engine's
-    /// fallback logic.
+    /// Whether the pool as a whole has degraded: every server is gone, until
+    /// one is reconnected. Mirrors [`ReliableChannel::is_failed`] for the
+    /// FaA engine's fallback logic.
     pub fn is_failed(&self) -> bool {
         self.failed
     }
@@ -553,16 +547,7 @@ impl ReplicatedPool {
             return false;
         };
         let mut raw = std::mem::take(&mut self.raw);
-        if self.servers[i].health.state() == Health::Down && !self.servers[i].channel.is_failed() {
-            // An unanswered op (typically a probe) on a written-off server
-            // timed out. Abort instead of retransmitting: a stale
-            // retransmit arriving just after the server restarts would
-            // consume its one-shot PSN resync and poison the fresh PSN
-            // chain the next probe recovers at.
-            self.servers[i].channel.abort(ctx, &mut raw);
-        } else {
-            self.servers[i].channel.on_timer_fired(ctx, &mut raw);
-        }
+        self.servers[i].channel.on_timer_fired(ctx, &mut raw);
         self.after_channel_activity(ctx, i, &mut raw, events);
         self.raw = raw;
         true
@@ -599,8 +584,8 @@ impl ReplicatedPool {
         {
             // The detector tripped before the channel's retry cap: force
             // the failure path now so failover latency is the detector's.
-            // Gated on *fresh* timeouts so a channel recovered for probing
-            // (detector still Down until the probe completes) is not
+            // Gated on *fresh* timeouts so a channel re-armed to reconnect
+            // (detector still Down until its connect is answered) is not
             // re-aborted by unrelated activity.
             self.servers[i].channel.abort(ctx, raw);
         }
@@ -651,7 +636,14 @@ impl ReplicatedPool {
                         }
                     }
                 }
-                ChannelEvent::OpFailed { cookie, op } => orphans.push((cookie, op)),
+                ChannelEvent::OpFailed { cookie, op } => {
+                    // An add that came back unanswered may have run: a rejoin
+                    // rewrites its word (zero if never counted) first.
+                    if let Op::FetchAdd { va, .. } = op {
+                        self.known.entry(va).or_insert(0);
+                    }
+                    orphans.push((cookie, op));
+                }
                 ChannelEvent::Failed => {
                     self.server_failed(ctx, i, std::mem::take(&mut orphans), out)
                 }
@@ -671,7 +663,7 @@ impl ReplicatedPool {
         out: &mut Vec<ChannelEvent>,
     ) {
         self.servers[i].health.on_channel_failed();
-        if i != self.primary {
+        if i != self.primary || self.failed {
             debug_assert!(orphans.is_empty(), "caller ops never run on mirrors");
             return;
         }
@@ -762,22 +754,25 @@ impl ReplicatedPool {
         }
     }
 
-    /// A probe of Down `server` was answered: it is a mirror again, every
-    /// kept word is dirty on it, and its catch-up goes out now, on its own
-    /// channel, ahead of anything it is sent later. A pool that never
-    /// counted has nothing to write: every replica still holds zeros.
+    /// The reconnect of Down `server` was answered: it is a mirror again, or
+    /// the primary if every server was gone, and its catch-up of every kept
+    /// word goes out now on its own channel, ahead of anything sent later.
     fn rejoin(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, server: usize) {
         self.servers[server].health.on_probe_success();
-        self.servers[server].probe_psn = None;
         self.stats.rejoins += 1;
         let dirty = &mut self.servers[server].dirty;
         dirty.clear();
         dirty.extend(self.known.keys());
+        if self.failed {
+            // Every server was gone: the first one back is the primary.
+            self.failed = false;
+            self.primary = server;
+        }
         self.catch_up(ctx, server);
     }
 
     fn ensure_probe_timer(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>) {
-        if self.probe_armed || self.failed || self.stats.probes >= MAX_PROBES {
+        if self.probe_armed || self.stats.probes >= MAX_PROBES {
             return;
         }
         if !self
@@ -793,24 +788,17 @@ impl ReplicatedPool {
 
     fn on_probe_timer(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>) {
         self.probe_armed = false;
-        if self.failed {
-            return;
-        }
         for i in 0..self.servers.len() {
             if self.servers[i].health.state() != Health::Down || self.stats.probes >= MAX_PROBES {
                 continue;
             }
-            // A live (non-failed) channel here means the previous probe is
-            // still being timed out; let it conclude before re-arming.
+            // A live (non-failed) channel here means the previous connect is
+            // still being timed out; let it conclude before reconnecting.
             if !self.servers[i].channel.is_failed() {
                 continue;
             }
-            let s = &mut self.servers[i];
-            let jump = psn_add(s.channel.inner().qp.npsn, PSN_JUMP);
-            s.channel.recover_at(*s.probe_psn.get_or_insert(jump));
-            let va = self.servers[i].channel.base_va();
-            let probe = Op::Read { va, len: 8 };
-            self.submit_internal(ctx, i, InternalOp::Probe { server: i }, probe);
+            self.servers[i].channel.reconnect();
+            self.submit_internal(ctx, i, InternalOp::Probe { server: i }, Op::Connect);
             self.stats.probes += 1;
         }
         self.ensure_probe_timer(ctx);
@@ -820,7 +808,7 @@ impl ReplicatedPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::channel::tests::{behind_blackhole, impatient, Blackhole, Tap};
+    use crate::channel::tests::{behind_blackhole, impatient, unplugged, Blackhole, Tap};
     use crate::channel::{RdmaChannel, ReliableConfig};
     use extmem_rnic::{RnicConfig, RnicNode};
     use extmem_sim::LinkSpec;
@@ -961,7 +949,11 @@ mod tests {
         // NIC admits only so many atomics at once, so go-back-N resends
         // some, and the three that queued follow: each at its own PSN too.
         let reissued: Vec<Packet> = (ops.iter().enumerate())
-            .map(|(i, op)| promoted_qp.encode_at(i as u32, rkey, &op.request()))
+            .map(|(i, op)| {
+                promoted_qp
+                    .encode_at(i as u32, rkey, &op.request())
+                    .unwrap()
+            })
             .collect();
         let tap = sim.node::<Tap>(servers[0]);
         assert_eq!(tap.frames[..MAX_WINDOW], reissued[..MAX_WINDOW]);
@@ -988,7 +980,7 @@ mod tests {
             let Op::FetchAdd { va, add } = *op else {
                 unreachable!()
             };
-            let counter = tap.nic.region(rkey).read(va, 8).unwrap();
+            let counter = tap.nic.region(rkey).unwrap().read(va, 8).unwrap();
             assert_eq!(counter, add.to_be_bytes(), "counter {i}");
         }
         assert_eq!(stats.delta_replayed, 0);
@@ -1058,6 +1050,7 @@ mod tests {
             let counter = sim
                 .node::<RnicNode>(server)
                 .region(rkey)
+                .unwrap()
                 .read(base, 8)
                 .unwrap();
             assert_eq!(counter, 5u64.to_be_bytes());
@@ -1127,6 +1120,7 @@ mod tests {
         let (va, value) = preset;
         nics[1]
             .region_mut(rkey)
+            .unwrap()
             .write(va, &value.to_be_bytes())
             .unwrap();
         let rc = ReliableConfig::default();
@@ -1165,8 +1159,8 @@ mod tests {
         words: u64,
     ) -> [Vec<u8>; 2] {
         let regions = [
-            sim.node::<RnicNode>(primary).region(rkey),
-            sim.node::<Tap>(mirror).nic.region(rkey),
+            sim.node::<RnicNode>(primary).region(rkey).unwrap(),
+            sim.node::<Tap>(mirror).nic.region(rkey).unwrap(),
         ];
         regions.map(|r| r.read(r.base_va(), 8 * words).unwrap().to_vec())
     }
@@ -1466,13 +1460,12 @@ mod tests {
         assert!(!pool.is_synced());
     }
 
-    /// A mirror that is written off while it stays up keeps expecting the
-    /// PSN it was at, so every probe at the jumped PSN goes unanswered and
-    /// the mirror stays Down. Probes sent round after round at ever further
-    /// jumps would wrap behind that PSN by the eighth round; there a probe
-    /// is answered as a duplicate READ, and the catch-up WRITEs after it
-    /// are acknowledged as duplicates and never executed, leaving a Healthy
-    /// mirror with a stale count.
+    /// A mirror that is written off while it stays up still expects the
+    /// PSN it was at. The probe is a connect at the channel's own next PSN,
+    /// past every PSN the written-off channel used: the live QP re-anchors
+    /// there and acknowledges it, and the rejoin's catch-up WRITEs behind it
+    /// execute, so the mirror comes back Healthy with the true count, not
+    /// stale.
     #[test]
     fn a_mirror_written_off_while_up_is_never_taken_back_stale() {
         let (_, [ch, ..]) = servers::<1>();
@@ -1494,17 +1487,13 @@ mod tests {
 
         let pool = &sim.node::<SwitchNode>(sw).program::<Driven>().pool;
         let stats = pool.stats();
-        assert_eq!(
-            (pool.health(1), stats.rejoins),
-            (Health::Down, 0),
-            "{stats}"
-        );
-        assert!(stats.probes >= 10, "{stats}");
-        assert!(!pool.is_synced());
+        let back = (pool.health(1), stats.probes, stats.rejoins);
+        assert_eq!(back, (Health::Healthy, 1, 1), "{stats}");
+        assert!(pool.is_synced());
         let [primary, mirror] = both_regions(&sim, servers, rkey, 1);
         assert_eq!(
             [primary, mirror],
-            [12u64, 5].map(|v| v.to_be_bytes().to_vec())
+            [12u64, 12].map(|v| v.to_be_bytes().to_vec())
         );
     }
 
@@ -1515,12 +1504,14 @@ mod tests {
     fn servers_sharing_a_port_are_refused() {
         use extmem_rnic::requester::RequesterQp;
         use extmem_types::QpNum;
-        let channel = || RdmaChannel {
-            qp: RequesterQp::new(endpoint(1), endpoint(2), QpNum(0x100)),
-            rkey: Rkey(1),
-            base_va: 0x1000,
-            region_len: 64,
-            server_port: PortId(3),
+        let channel = || {
+            unplugged(
+                RequesterQp::new(endpoint(1), endpoint(2), QpNum(0x100)),
+                Rkey(1),
+                0x1000,
+                64,
+                PortId(3),
+            )
         };
         let rc = ReliableConfig::default();
         let channels = vec![

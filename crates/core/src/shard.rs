@@ -413,7 +413,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "distinct ports")]
     fn shards_sharing_a_port_are_refused() {
-        use crate::channel::RdmaChannel;
+        use crate::channel::tests::unplugged;
         use crate::faa::FaaConfig;
         use extmem_rnic::requester::RequesterQp;
         use extmem_types::{QpNum, Rkey};
@@ -424,13 +424,13 @@ mod tests {
             ip: i,
         };
         let engine = |server| {
-            let channel = RdmaChannel {
-                qp: RequesterQp::new(endpoint(1), endpoint(server), QpNum(0x100)),
-                rkey: Rkey(1),
-                base_va: 0x1000,
-                region_len: 64,
-                server_port: PortId(2),
-            };
+            let channel = unplugged(
+                RequesterQp::new(endpoint(1), endpoint(server), QpNum(0x100)),
+                Rkey(1),
+                0x1000,
+                64,
+                PortId(2),
+            );
             FaaEngine::new(channel, FaaConfig::default())
         };
         let shards = vec![(0, engine(2), true), (1, engine(3), true)];

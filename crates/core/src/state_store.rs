@@ -12,7 +12,7 @@ use extmem_types::Rkey;
 /// Control plane: read all remote counters from the memory server (the
 /// operator running estimation jobs over the state store, §2.3).
 pub fn read_remote_counters(nic: &RnicNode, rkey: Rkey, base_va: u64, counters: u64) -> Vec<u64> {
-    let region = nic.region(rkey);
+    let region = nic.region(rkey).expect("the counters' region");
     (0..counters)
         .map(|i| {
             let b = region.read(base_va + i * 8, 8).expect("counter in bounds");

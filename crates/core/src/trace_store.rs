@@ -155,8 +155,9 @@ impl TraceStoreProgram {
             body: [&payload, &[]],
             ack_req: false,
         };
-        let frame = self.channel.qp.issue(self.channel.rkey, &write);
-        ctx.enqueue(self.channel.server_port, frame);
+        if let Ok(frame) = self.channel.qp.issue(self.channel.rkey, &write) {
+            ctx.enqueue(self.channel.server_port, frame);
+        }
         self.stats.writes += 1;
     }
 
@@ -220,7 +221,7 @@ pub fn read_remote_trace(
     ring_records: u64,
     captured: u64,
 ) -> Vec<TraceRecord> {
-    let region = nic.region(rkey);
+    let region = nic.region(rkey).expect("the trace ring's region");
     let start = captured.saturating_sub(ring_records);
     (start..captured)
         .map(|seq| {

@@ -7,8 +7,8 @@
 //! node:
 //!
 //! * [`mr`] — registered memory regions with rkey-based access checks,
-//! * [`qp`] — reliable-connection queue pair state (expected PSN, MSN,
-//!   duplicate-replay buffers),
+//! * [`qp`] — queue pair state (RC or UC transport, connected or not,
+//!   expected PSN, MSN, duplicate-replay buffers),
 //! * [`responder`] — the RoCEv2 responder state machine: parse request,
 //!   validate, execute DMA, emit READ responses / ACKs / NAKs,
 //! * [`nic`] — the performance model: a service-time pipeline with

@@ -24,11 +24,12 @@
 //! shows up (it would be punted to the kernel on real hardware). Tests for
 //! every primitive assert that the counter stays zero.
 
-use crate::mr::MrTable;
-use crate::qp::QueuePair;
-use crate::responder::{process_request, Outcome};
+use crate::mr::{AccessError, MemoryRegion, MrTable};
+use crate::qp::{QueuePair, Transport};
+use crate::responder::{nak, process_request, Outcome};
 use extmem_sim::{Node, NodeCtx, TimerHandle, TxQueue};
 use extmem_types::{ByteSize, IntMap, PortId, QpNum, Rate, Rkey, TimeDelta};
+use extmem_wire::aeth::NakCode;
 use extmem_wire::bth::Opcode;
 use extmem_wire::roce::{RoceEndpoint, RocePacket};
 use extmem_wire::Packet;
@@ -145,10 +146,10 @@ pub struct RnicStats {
     /// Packets that would have been punted to the host CPU. The paper's
     /// zero-CPU-involvement claim is the invariant `cpu_packets == 0`.
     pub cpu_packets: u64,
-    /// Packets dropped because they arrived during a configured outage.
+    /// Packets dropped during a configured outage or at an unconnected QP.
     pub outage_drops: u64,
-    /// Timer firings with a token this NIC never armed. Ignored, counted,
-    /// and logged once rather than crashing the whole simulation.
+    /// Timer firings with a token this NIC never armed (logged once) or
+    /// with nothing in service: ignored and counted, not a crash.
     pub unknown_timer_tokens: u64,
     /// Whole-node crashes suffered (scheduled via `Simulator::schedule_crash`).
     pub crashes: u64,
@@ -210,26 +211,32 @@ impl RnicNode {
     }
 
     /// Control plane: create a responder QP for a peer. Returns the QPN the
-    /// peer must put in its request BTHs.
-    pub fn create_qp(&mut self, peer: RoceEndpoint, peer_qpn: QpNum, start_psn: u32) -> QpNum {
+    /// peer must put in its request BTHs, and the QP's [`Transport`].
+    pub fn create_qp(
+        &mut self,
+        peer: RoceEndpoint,
+        peer_qpn: QpNum,
+        start_psn: u32,
+    ) -> (QpNum, Transport) {
         let qpn = QpNum(self.next_qpn);
         self.next_qpn += 1;
-        self.qps
-            .insert(qpn, QueuePair::new(qpn, peer, peer_qpn, start_psn));
-        qpn
+        let qp = QueuePair::new(qpn, peer, peer_qpn, start_psn);
+        let transport = qp.transport.clone();
+        self.qps.insert(qpn, qp);
+        (qpn, transport)
     }
 
     /// Direct access to a registered region (tests and control-plane reads,
     /// e.g. the operator running heavy-hitter estimation over the remote
     /// counters in §2.3).
-    pub fn region(&self, rkey: Rkey) -> &crate::mr::MemoryRegion {
-        self.mrs.get(rkey).expect("unknown rkey")
+    pub fn region(&self, rkey: Rkey) -> Result<&MemoryRegion, AccessError> {
+        self.mrs.get(rkey)
     }
 
     /// Mutable region access (control plane populating a remote lookup
     /// table).
-    pub fn region_mut(&mut self, rkey: Rkey) -> &mut crate::mr::MemoryRegion {
-        self.mrs.get_mut(rkey).expect("unknown rkey")
+    pub fn region_mut(&mut self, rkey: Rkey) -> Result<&mut MemoryRegion, AccessError> {
+        self.mrs.get_mut(rkey)
     }
 
     /// Operation statistics.
@@ -237,9 +244,9 @@ impl RnicNode {
         self.stats
     }
 
-    /// Responder state for a QP (tests).
-    pub fn qp(&self, qpn: QpNum) -> &QueuePair {
-        self.qps.get(&qpn).expect("unknown QPN")
+    /// Responder state for a QP, if this NIC has one numbered `qpn`.
+    pub fn qp(&self, qpn: QpNum) -> Option<&QueuePair> {
+        self.qps.get(&qpn)
     }
 
     fn service_time(&self, req: &RocePacket) -> TimeDelta {
@@ -296,11 +303,11 @@ impl RnicNode {
 
     fn complete_service(&mut self, ctx: &mut NodeCtx<'_>) {
         self.service_timer = None;
-        let req = self
-            .rx_queue
-            .pop_front()
-            .expect("service completion without request");
         self.busy = false;
+        let Some(req) = self.rx_queue.pop_front() else {
+            self.stats.unknown_timer_tokens += 1;
+            return;
+        };
         if req.bth.opcode == Opcode::FetchAdd {
             self.atomics_in_flight -= 1;
         }
@@ -330,6 +337,8 @@ impl RnicNode {
             Outcome::Nak(_) => self.stats.naks += 1,
             Outcome::OutOfSequenceDropped => self.stats.out_of_sequence_drops += 1,
             Outcome::ResponseDropped => self.stats.response_drops += 1,
+            Outcome::Unconnected => self.stats.outage_drops += 1,
+            Outcome::Connected => {}
         }
         // The response arrives encoded, in a pooled buffer, and only needs
         // queueing.
@@ -412,19 +421,23 @@ impl Node for RnicNode {
         self.atomics_in_flight = 0;
         self.tx.clear();
         self.mrs.wipe();
+        // The QPs keep their numbers, the regions their rkeys and VAs. An RC
+        // QP is left unconnected; a UC one resyncs at the next request.
         for qp in self.qps.values_mut() {
-            qp.atomic_results.fill(None);
-            qp.nak_outstanding = false;
+            qp.connected = qp.transport.is_uc();
         }
         self.stats.crashes += 1;
     }
 
-    fn on_restart(&mut self, _ctx: &mut NodeCtx<'_>) {
-        // The controller re-creates the QPs with the same numbers and
-        // region layout (the rkey/VA triples the switch holds stay valid);
-        // each QP accepts whatever PSN its requester resumes at.
-        for qp in self.qps.values_mut() {
-            qp.mark_resync();
+    fn on_restart(&mut self, ctx: &mut NodeCtx<'_>) {
+        // Each unconnected QP tells its peer once that its connection is
+        // gone: a NAK an RC requester takes as its QP's error state.
+        for qp in self.qps.values().filter(|qp| !qp.connected) {
+            let notice = nak(self.config.endpoint, qp, NakCode::RemoteOperationalError);
+            if let Some(frame) = notice.response {
+                self.stats.naks += 1;
+                self.tx.send(ctx, frame);
+            }
         }
         self.stats.restarts += 1;
     }
@@ -500,7 +513,7 @@ mod tests {
     fn rig(pkts: impl FnOnce(QpNum, Rkey, u64) -> Vec<Packet>) -> (Simulator, NodeId, NodeId) {
         let mut nic = RnicNode::new("rnic", RnicConfig::at(server_endpoint()));
         let (rkey, base) = nic.register_region(ByteSize::from_kb(64));
-        let qpn = nic.create_qp(client_endpoint(), QpNum(0x55), 0);
+        let (qpn, _) = nic.create_qp(client_endpoint(), QpNum(0x55), 0);
         let packets = pkts(qpn, rkey, base);
 
         let mut b = SimBuilder::new(1);
@@ -595,8 +608,8 @@ mod tests {
         sim.run_to_quiescence();
         let nic = sim.node::<RnicNode>(rnic);
         assert_eq!(nic.stats().atomics, 5);
-        let (rkey, base) = (Rkey(1), nic.region(Rkey(1)).base_va());
-        let word = nic.region(rkey).read(base, 8).unwrap();
+        let (rkey, base) = (Rkey(1), nic.region(Rkey(1)).unwrap().base_va());
+        let word = nic.region(rkey).and_then(|r| r.read(base, 8)).unwrap();
         assert_eq!(u64::from_be_bytes(word.try_into().unwrap()), 50);
         let acks = &sim.node::<Driver>(driver).received;
         assert_eq!(acks.len(), 5);
@@ -604,6 +617,45 @@ mod tests {
         for (i, a) in acks.iter().enumerate() {
             assert!(matches!(a.ext, RoceExt::AtomicAck(_, v) if v.original_value == 10 * i as u64));
         }
+    }
+
+    /// A crash leaves the QP unconnected: on restart it tells its peer its
+    /// connection is gone, drops a request, and takes a connect at any PSN,
+    /// after which the request just past it runs.
+    #[test]
+    fn a_restarted_qp_notifies_its_peer_and_runs_only_behind_a_connect() {
+        let (mut sim, driver, rnic) = rig(|qpn, rkey, base| {
+            let connect = RocePacket::new(
+                client_endpoint(),
+                server_endpoint(),
+                0x9000,
+                Bth::new(Opcode::Connect, qpn, 3),
+                RoceExt::None,
+                vec![],
+            );
+            vec![
+                build_fadd(qpn, rkey, base, 0, 10),
+                connect.build().unwrap(),
+                build_fadd(qpn, rkey, base, 4, 10),
+            ]
+        });
+        sim.schedule_crash(rnic, TimeDelta::ZERO);
+        sim.schedule_restart(rnic, TimeDelta::from_nanos(100));
+        sim.run_to_quiescence();
+        let stats = sim.node::<RnicNode>(rnic).stats();
+        let seen = (stats.outage_drops, stats.atomics, stats.naks);
+        assert_eq!(seen, (1, 1, 1), "{stats:?}");
+        let recv = &sim.node::<Driver>(driver).received;
+        let answers: Vec<(Opcode, u32)> = recv.iter().map(|p| (p.bth.opcode, p.bth.psn)).collect();
+        let want = [
+            (Opcode::Acknowledge, 0),
+            (Opcode::Acknowledge, 3),
+            (Opcode::AtomicAcknowledge, 4),
+        ];
+        assert_eq!(answers, want);
+        let nak = Syndrome::Nak(NakCode::RemoteOperationalError);
+        assert!(matches!(recv[0].ext, RoceExt::Aeth(a) if a.syndrome == nak));
+        assert!(matches!(recv[1].ext, RoceExt::Aeth(a) if a.is_ack()));
     }
 
     #[test]

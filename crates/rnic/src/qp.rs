@@ -1,18 +1,40 @@
-//! Reliable-connection queue pair state (responder side).
+//! Queue pair state (responder side).
 
 use extmem_types::QpNum;
 use extmem_wire::roce::RoceEndpoint;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 /// Atomic results a responder QP keeps for duplicate replay, in a ring
 /// indexed by PSN. A reliable requester launches nothing this many PSNs past
 /// its oldest unanswered Fetch-and-Add, so every re-send finds its result.
 pub const ATOMIC_RESULTS: usize = 64;
 
-/// Responder-side state for one RC queue pair.
+/// A QP's transport: RC NAKs a PSN gap once and drops until the requester
+/// goes back; UC loses the gap (a message is one packet) and resyncs at the
+/// next. Clones share the setting, which only the requester's reliability
+/// policy picks, before traffic (`ReliableChannel::set_config`).
+#[derive(Clone, Debug, Default)]
+pub struct Transport(Arc<AtomicBool>);
+
+impl Transport {
+    /// Whether the QP is UC: a PSN gap is jumped, not NAKed.
+    pub fn is_uc(&self) -> bool {
+        self.0.load(Ordering::Relaxed)
+    }
+
+    /// Make the QP RC (`reliable`) or UC.
+    pub fn set_reliable(&self, reliable: bool) {
+        self.0.store(!reliable, Ordering::Relaxed);
+    }
+}
+
+/// Responder-side state for one queue pair.
 ///
 /// The paper's channel controller creates one QP per switch↔server channel
 /// at initialization and hands the switch the triple `(QPN, base address,
-/// rkey)`. After that the QP is driven entirely by the NIC.
+/// rkey)`. After that the QP is driven entirely by the NIC, until a crash
+/// leaves an RC QP unconnected ([`QueuePair::connected`]).
 #[derive(Debug)]
 pub struct QueuePair {
     /// This QP's number (what remote BTHs carry in `dest_qp`).
@@ -33,23 +55,15 @@ pub struct QueuePair {
     /// Whether a sequence-error NAK has been sent and not yet cleared by an
     /// in-order packet (NAKs are sent once per gap, per IB spec).
     pub nak_outstanding: bool,
-    /// Relaxed PSN checking: requests *ahead* of the expected PSN are
-    /// accepted (the expected PSN jumps forward) instead of NAK'd. This
-    /// models unreliable-connection-style best-effort semantics for
-    /// channels that tolerate loss (the paper's packet-buffer primitive,
-    /// §7 "Since Ethernet itself is best-effort, applications … should
-    /// tolerate the packet drops"). Strict RC behaviour is the default.
-    pub relaxed_psn: bool,
-    /// One-shot resynchronization: accept the *next* request at whatever
-    /// PSN it carries and continue strictly from there. The control plane
-    /// sets this after a server restart (the re-handshake of a real QP
-    /// teardown/re-create, collapsed to a flag) so a recovered requester
-    /// can resume at a fresh PSN without a NAK livelock.
-    pub resync_next: bool,
+    /// RC or UC.
+    pub transport: Transport,
+    /// Created connected; a crash clears it on an RC QP, and only a connect
+    /// request ([`extmem_wire::bth::Opcode::Connect`]) sets it again.
+    pub connected: bool,
 }
 
 impl QueuePair {
-    /// Create a QP expecting the first request at `start_psn`.
+    /// Create a connected RC QP expecting the first request at `start_psn`.
     pub fn new(qpn: QpNum, peer: RoceEndpoint, peer_qpn: QpNum, start_psn: u32) -> QueuePair {
         QueuePair {
             qpn,
@@ -60,19 +74,14 @@ impl QueuePair {
             msn: 0,
             atomic_results: Box::new([None; ATOMIC_RESULTS]),
             nak_outstanding: false,
-            relaxed_psn: false,
-            resync_next: false,
+            transport: Transport::default(),
+            connected: true,
         }
     }
 
-    /// Arm the one-shot PSN resync (see [`QueuePair::resync_next`]).
-    pub fn mark_resync(&mut self) {
-        self.resync_next = true;
-    }
-
-    /// Switch this QP to relaxed PSN checking (see [`QueuePair::relaxed_psn`]).
-    pub fn relaxed(mut self) -> QueuePair {
-        self.relaxed_psn = true;
+    /// This QP as UC (see [`Transport`]): a PSN gap is jumped, not NAKed.
+    pub fn relaxed(self) -> QueuePair {
+        self.transport.set_reliable(false);
         self
     }
 }
@@ -93,6 +102,7 @@ mod tests {
         assert_eq!(qp.msn, 0);
         assert!(qp.atomic_results.iter().all(Option::is_none));
         assert!(!qp.nak_outstanding);
+        assert!(qp.connected && !qp.transport.is_uc());
         assert_eq!(qp.peer_qpn, QpNum(0x200));
     }
 

@@ -21,7 +21,7 @@ use extmem_wire::bth::{psn_add, Bth, Opcode};
 use extmem_wire::extop::{GatherEth, HashProbeEth};
 use extmem_wire::reth::Reth;
 use extmem_wire::roce::{RoceEndpoint, RoceExt, RoceHeaders, RocePacket};
-use extmem_wire::{Packet, Payload};
+use extmem_wire::{Packet, Payload, WireError};
 
 /// A remote op's byte operand (a probe key), held
 /// inline in the op: up to [`Operand::MAX_LEN`] bytes, no heap buffer. The
@@ -201,6 +201,9 @@ pub enum Request<'a> {
     },
     /// A remote op: one PSN, one response packet, whatever the chain depth.
     Op(&'a RemoteOp),
+    /// A connect request, acknowledged: the responder QP expects the next
+    /// request just past its PSN.
+    Connect,
 }
 
 /// Requester-side queue pair state: where requests go and which PSN is next.
@@ -232,7 +235,7 @@ impl RequesterQp {
 
     /// Encode `req` at the next PSN and advance past it: a first
     /// transmission.
-    pub fn issue(&mut self, rkey: Rkey, req: &Request<'_>) -> Packet {
+    pub fn issue(&mut self, rkey: Rkey, req: &Request<'_>) -> Result<Packet, WireError> {
         let frame = self.encode_at(self.npsn, rkey, req);
         self.npsn = psn_add(self.npsn, 1);
         frame
@@ -244,14 +247,13 @@ impl RequesterQp {
     /// under the op's original PSN and a reissue to a failover replica
     /// under another rkey all come through here, so they cannot differ in
     /// anything but what they are given. The bytes go from where `req`
-    /// borrows them into the frame; no payload is built around them.
-    pub fn encode_at(&self, psn: u32, rkey: Rkey, req: &Request<'_>) -> Packet {
+    /// borrows them into the frame; no payload is built around them. A
+    /// request too long for a frame is an error, not a frame.
+    pub fn encode_at(&self, psn: u32, rkey: Rkey, req: &Request<'_>) -> Result<Packet, WireError> {
         let encode = |opcode, ack_req, ext, body: &[&[u8]]| {
             let mut bth = Bth::new(opcode, self.peer_qpn, psn);
             bth.ack_req = ack_req;
-            RoceHeaders::new(self.local, self.peer, self.udp_src_port, bth, ext)
-                .encode(body)
-                .expect("RDMA request encodes")
+            RoceHeaders::new(self.local, self.peer, self.udp_src_port, bth, ext).encode(body)
         };
         match *req {
             Request::Write { va, body, ack_req } => {
@@ -321,6 +323,7 @@ impl RequesterQp {
                 extmem_wire::pool::give(be);
                 frame
             }
+            Request::Connect => encode(Opcode::Connect, false, RoceExt::None, &[]),
         }
     }
 }
@@ -339,7 +342,7 @@ pub fn setup_channel(
     region_size: extmem_types::ByteSize,
 ) -> (RequesterQp, Rkey, u64) {
     let (rkey, base) = nic.register_region(region_size);
-    let qpn = nic.create_qp(requester, requester_qpn, 0);
+    let (qpn, _) = nic.create_qp(requester, requester_qpn, 0);
     let qp = RequesterQp::new(requester, nic.endpoint(), qpn);
     (qp, rkey, base)
 }
@@ -422,7 +425,9 @@ impl WriteBlaster {
         let frame = self.qp.issue(self.rkey, &write);
         extmem_wire::pool::give(message);
         self.cursor += self.msg_size as u64;
-        self.tx.send(ctx, frame);
+        if let Ok(frame) = frame {
+            self.tx.send(ctx, frame);
+        }
         self.sent += 1;
         if self.remaining > 0 {
             ctx.schedule(self.interval, TOKEN_SEND);
@@ -516,8 +521,9 @@ impl ReadLooper {
                 len: self.msg_size as u32,
             };
             self.cursor += self.msg_size as u64;
-            let frame = self.qp.issue(self.rkey, &read);
-            self.tx.send(ctx, frame);
+            if let Ok(frame) = self.qp.issue(self.rkey, &read) {
+                self.tx.send(ctx, frame);
+            }
         }
     }
 }
@@ -575,7 +581,7 @@ mod tests {
     fn requester_qp_psn_accounting() {
         let mut qp = RequesterQp::new(host(), server(), QpNum(7));
         let mut issue = |req: Request<'_>| {
-            let frame = qp.issue(Rkey(1), &req);
+            let frame = qp.issue(Rkey(1), &req).unwrap();
             (RocePacket::parse(&frame).unwrap().unwrap().bth.psn, qp.npsn)
         };
         let write = Request::Write {
@@ -608,7 +614,7 @@ mod tests {
         let mut qp = RequesterQp::new(host(), server(), QpNum(0x100));
         let mut responder = crate::qp::QueuePair::new(QpNum(0x100), host(), QpNum(7), 0);
         for (psn, len) in [(0, 128), (1, MTU as u32)] {
-            let frame = qp.issue(rkey, &Request::Read { va: base, len });
+            let frame = qp.issue(rkey, &Request::Read { va: base, len }).unwrap();
             assert_eq!(qp.npsn, psn + 1);
             let req = RocePacket::parse(&frame).unwrap().unwrap();
             let r =

@@ -59,6 +59,10 @@ pub enum Outcome {
     /// An out-of-sequence packet was dropped silently (NAK already
     /// outstanding for this gap).
     OutOfSequenceDropped,
+    /// A connect request connected (or re-anchored) the QP.
+    Connected,
+    /// A request reached an unconnected QP, and was dropped.
+    Unconnected,
 }
 
 /// The result of processing one request packet.
@@ -87,23 +91,24 @@ pub fn process_request(
     debug_assert!(req.bth.opcode.is_request(), "responder got a non-request");
     let psn = req.bth.psn;
 
-    if qp.resync_next {
-        // Post-restart re-handshake: adopt the first arriving PSN as the
-        // expected sequence and check strictly from there.
-        qp.resync_next = false;
-        qp.epsn = psn;
-        qp.nak_outstanding = false;
+    if req.bth.opcode == Opcode::Connect {
+        return connect(local, qp, psn);
+    }
+    if !qp.connected {
+        return ResponderResult {
+            response: None,
+            outcome: Outcome::Unconnected,
+        };
     }
     if psn_before(psn, qp.epsn) {
         return duplicate(local, qp, mrs, req, mtu);
     }
     if psn != qp.epsn {
-        if qp.relaxed_psn {
-            // Best-effort channel: jump forward over the gap (the lost
-            // requests are simply lost) and process this one in order.
+        if qp.transport.is_uc() {
+            // UC: the requests in the gap are lost; resync at this one.
             qp.epsn = psn;
         } else {
-            // Strict RC: NAK once, then drop until the requester resyncs.
+            // RC: NAK once, then drop until the requester goes back.
             if qp.nak_outstanding {
                 return ResponderResult {
                     response: None,
@@ -161,6 +166,20 @@ pub fn process_request(
         }
         _ => invalid(local, qp),
     }
+}
+
+/// A connect at `psn`, answered by a plain ACK: the QP expects the next
+/// request past it, with no NAK outstanding and no atomic result kept. A
+/// connect behind a connected QP's expected PSN (a re-send) is a duplicate.
+fn connect(local: RoceEndpoint, qp: &mut QueuePair, psn: u32) -> ResponderResult {
+    if qp.connected && psn_before(psn, qp.epsn) {
+        return answered(plain_ack(local, qp, psn), Outcome::Duplicate);
+    }
+    qp.connected = true;
+    qp.epsn = psn_add(psn, 1);
+    qp.nak_outstanding = false;
+    qp.atomic_results.fill(None);
+    answered(plain_ack(local, qp, psn), Outcome::Connected)
 }
 
 /// Handle a request whose PSN is in the past.
@@ -406,7 +425,7 @@ fn atomic_ack(
     )
 }
 
-fn nak(local: RoceEndpoint, qp: &QueuePair, code: NakCode) -> ResponderResult {
+pub(crate) fn nak(local: RoceEndpoint, qp: &QueuePair, code: NakCode) -> ResponderResult {
     let response = respond(
         local,
         qp,
@@ -667,6 +686,94 @@ mod tests {
         let r = process_request(local, &mut qp, &mut mrs, &req, 2048);
         assert_eq!(r.outcome, Outcome::WriteExecuted { bytes: 4 });
         assert!(!qp.nak_outstanding);
+    }
+
+    /// A connect request at `psn`, from `qp`'s peer.
+    fn connect_req(qp: &QueuePair, local: RoceEndpoint, psn: u32) -> RocePacket {
+        let bth = Bth::new(Opcode::Connect, qp.qpn, psn);
+        RocePacket::new(qp.peer, local, 100, bth, RoceExt::None, vec![])
+    }
+
+    #[test]
+    fn an_unconnected_qp_drops_every_request_but_a_connect() {
+        let (local, mut qp, mut mrs, rkey, base) = setup();
+        qp.connected = false;
+        let requests = [
+            write_req(&qp, 0, rkey, base, vec![1; 8]),
+            read_req(&qp, 0, rkey, base, 8),
+            add_one(&qp, local, rkey, base, 0),
+        ];
+        for req in &requests {
+            let r = process_request(local, &mut qp, &mut mrs, req, 2048);
+            assert_eq!(r.outcome, Outcome::Unconnected);
+            assert!(r.responses.is_empty());
+        }
+        assert_eq!(mrs.get(rkey).unwrap().read(base, 8).unwrap(), &[0; 8]);
+        // A connect at any PSN connects it, just past that PSN.
+        let connect = connect_req(&qp, local, 900);
+        let r = process_request(local, &mut qp, &mut mrs, &connect, 2048);
+        assert_eq!(r.outcome, Outcome::Connected);
+        assert_eq!(r.responses[0].bth.opcode, Opcode::Acknowledge);
+        assert_eq!(r.responses[0].bth.psn, 900);
+        assert!(matches!(r.responses[0].ext, RoceExt::Aeth(a) if a.is_ack()));
+        assert!(qp.connected && qp.epsn == 901);
+        let add = add_one(&qp, local, rkey, base, 901);
+        let r = process_request(local, &mut qp, &mut mrs, &add, 2048);
+        assert_eq!(
+            (r.outcome, original(&r)),
+            (Outcome::AtomicExecuted, Some(0))
+        );
+    }
+
+    #[test]
+    fn a_connect_re_anchors_a_live_qp_and_what_lies_behind_it_is_a_duplicate() {
+        let (local, mut qp, mut mrs, rkey, base) = setup();
+        for psn in 0..2 {
+            let req = add_one(&qp, local, rkey, base, psn);
+            process_request(local, &mut qp, &mut mrs, &req, 2048);
+        }
+        // The QP NAKed a gap at PSN 2 and expects it still.
+        let ahead = write_req(&qp, 5, rkey, base + 8, vec![1; 8]);
+        process_request(local, &mut qp, &mut mrs, &ahead, 2048);
+        assert!(qp.nak_outstanding);
+        let connect = connect_req(&qp, local, 7);
+        let r = process_request(local, &mut qp, &mut mrs, &connect, 2048);
+        assert_eq!(r.outcome, Outcome::Connected);
+        assert_eq!((qp.epsn, qp.nak_outstanding), (8, false));
+        assert!(qp.atomic_results.iter().all(Option::is_none));
+        // A straggler from behind the old expected PSN is a duplicate, not a
+        // gap to NAK: it moves nothing, and asks no ACK, so draws none.
+        let straggler = write_req(&qp, 3, rkey, base + 8, vec![2; 8]);
+        let r = process_request(local, &mut qp, &mut mrs, &straggler, 2048);
+        assert_eq!(r.outcome, Outcome::Duplicate);
+        assert!(r.responses.is_empty());
+        // So is a re-send of the connect itself, acknowledged again.
+        let r = process_request(local, &mut qp, &mut mrs, &connect, 2048);
+        assert_eq!((r.outcome, r.responses[0].bth.psn), (Outcome::Duplicate, 7));
+        assert_eq!(qp.epsn, 8);
+        let region = mrs.get(rkey).unwrap().read(base, 16).unwrap();
+        assert_eq!(region, [2u64.to_be_bytes(), [0; 8]].concat());
+        let next = write_req(&qp, 8, rkey, base + 8, vec![3; 8]);
+        let r = process_request(local, &mut qp, &mut mrs, &next, 2048);
+        assert_eq!(r.outcome, Outcome::WriteExecuted { bytes: 8 });
+    }
+
+    #[test]
+    fn a_uc_qp_executes_the_request_after_a_gap_without_a_nak() {
+        let (local, qp, mut mrs, rkey, base) = setup();
+        let mut qp = qp.relaxed();
+        let req = add_one(&qp, local, rkey, base, 0);
+        process_request(local, &mut qp, &mut mrs, &req, 2048);
+        // PSNs 1 and 2 were lost: PSN 3 runs, and so does everything after.
+        for psn in 3..5 {
+            let req = add_one(&qp, local, rkey, base, psn);
+            let r = process_request(local, &mut qp, &mut mrs, &req, 2048);
+            assert_eq!(r.outcome, Outcome::AtomicExecuted);
+            assert_eq!(r.responses[0].bth.opcode, Opcode::AtomicAcknowledge);
+        }
+        assert_eq!((qp.epsn, qp.nak_outstanding), (5, false));
+        let now = mrs.get(rkey).unwrap().read(base, 8).unwrap();
+        assert_eq!(now, 3u64.to_be_bytes());
     }
 
     #[test]

@@ -48,6 +48,10 @@ pub enum Opcode {
     /// Remote-op: bounded gather/walk READ request, answered by a
     /// [`Opcode::ReadRespOnly`].
     GatherWalk = 0xc3,
+    /// (Re)connect request, answered by a plain [`Opcode::Acknowledge`]: the
+    /// in-band stand-in for the connection manager's exchange (manufacturer
+    /// opcode space, no extended header).
+    Connect = 0xc5,
 }
 
 impl Opcode {
@@ -62,6 +66,7 @@ impl Opcode {
             0x14 => Opcode::FetchAdd,
             0xc1 => Opcode::HashProbe,
             0xc3 => Opcode::GatherWalk,
+            0xc5 => Opcode::Connect,
             other => return Err(WireError::UnsupportedOpcode(other)),
         })
     }
@@ -76,6 +81,7 @@ impl Opcode {
                 | Opcode::FetchAdd
                 | Opcode::HashProbe
                 | Opcode::GatherWalk
+                | Opcode::Connect
         )
     }
 }

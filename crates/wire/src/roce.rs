@@ -70,6 +70,8 @@ pub enum RoceExt {
     HashProbe(HashProbeEth),
     /// A GatherETH (remote-op bounded gather/walk request).
     Gather(GatherEth),
+    /// No extended header (a connect request).
+    None,
 }
 
 impl RoceExt {
@@ -82,41 +84,24 @@ impl RoceExt {
             RoceExt::AtomicAck(..) => Aeth::LEN + AtomicAckEth::LEN,
             RoceExt::HashProbe(_) => HashProbeEth::LEN,
             RoceExt::Gather(_) => GatherEth::LEN,
+            RoceExt::None => 0,
         }
     }
 
-    /// Which extended-header shape `opcode` requires.
-    fn expected_for(opcode: Opcode) -> ExtKind {
-        match opcode {
-            Opcode::WriteOnly | Opcode::ReadRequest => ExtKind::Reth,
-            Opcode::ReadRespOnly | Opcode::Acknowledge => ExtKind::Aeth,
-            Opcode::FetchAdd => ExtKind::AtomicEth,
-            Opcode::AtomicAcknowledge => ExtKind::AtomicAck,
-            Opcode::HashProbe => ExtKind::HashProbe,
-            Opcode::GatherWalk => ExtKind::Gather,
-        }
+    /// Whether this is the extended header `opcode` requires (the one
+    /// [`RocePacket::parse`] reads for it).
+    fn fits(&self, opcode: Opcode) -> bool {
+        matches!(
+            (opcode, self),
+            (Opcode::WriteOnly | Opcode::ReadRequest, RoceExt::Reth(_))
+                | (Opcode::ReadRespOnly | Opcode::Acknowledge, RoceExt::Aeth(_))
+                | (Opcode::FetchAdd, RoceExt::AtomicEth(_))
+                | (Opcode::AtomicAcknowledge, RoceExt::AtomicAck(..))
+                | (Opcode::HashProbe, RoceExt::HashProbe(_))
+                | (Opcode::GatherWalk, RoceExt::Gather(_))
+                | (Opcode::Connect, RoceExt::None)
+        )
     }
-
-    fn kind(&self) -> ExtKind {
-        match self {
-            RoceExt::Reth(_) => ExtKind::Reth,
-            RoceExt::Aeth(_) => ExtKind::Aeth,
-            RoceExt::AtomicEth(_) => ExtKind::AtomicEth,
-            RoceExt::AtomicAck(..) => ExtKind::AtomicAck,
-            RoceExt::HashProbe(_) => ExtKind::HashProbe,
-            RoceExt::Gather(_) => ExtKind::Gather,
-        }
-    }
-}
-
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum ExtKind {
-    Reth,
-    Aeth,
-    AtomicEth,
-    AtomicAck,
-    HashProbe,
-    Gather,
 }
 
 /// The headers of a RoCEv2 frame — everything a [`RocePacket`] holds but
@@ -215,8 +200,7 @@ impl RoceHeaders {
     /// Fails if the opcode/extended-header combination is inconsistent or a
     /// field exceeds its encoding range.
     pub fn encode_into(&self, body: &[&[u8]], out: &mut Vec<u8>) -> Result<()> {
-        let expected = RoceExt::expected_for(self.bth.opcode);
-        if self.ext.kind() != expected {
+        if !self.ext.fits(self.bth.opcode) {
             return Err(WireError::InvalidField {
                 field: "extended header for opcode",
                 value: self.bth.opcode as u8 as u64,
@@ -267,6 +251,7 @@ impl RoceHeaders {
             }
             RoceExt::HashProbe(h) => h.write(&mut head[ext_at..])?,
             RoceExt::Gather(h) => h.write(&mut head[ext_at..])?,
+            RoceExt::None => {}
         }
         out.extend_from_slice(&head[..body_at]);
         for part in body {
@@ -431,16 +416,17 @@ impl RocePacket {
         let frame = prefix(buf, ip_end, "RoCE frame (IPv4 total_len)")?;
         let bth = Bth::parse(tail(frame, BTH_AT))?;
         let ext_buf = tail(frame, EXT_AT);
-        let ext = match RoceExt::expected_for(bth.opcode) {
-            ExtKind::Reth => RoceExt::Reth(Reth::parse(ext_buf)?),
-            ExtKind::Aeth => RoceExt::Aeth(Aeth::parse(ext_buf)?),
-            ExtKind::AtomicEth => RoceExt::AtomicEth(AtomicEth::parse(ext_buf)?),
-            ExtKind::AtomicAck => RoceExt::AtomicAck(
+        let ext = match bth.opcode {
+            Opcode::WriteOnly | Opcode::ReadRequest => RoceExt::Reth(Reth::parse(ext_buf)?),
+            Opcode::ReadRespOnly | Opcode::Acknowledge => RoceExt::Aeth(Aeth::parse(ext_buf)?),
+            Opcode::FetchAdd => RoceExt::AtomicEth(AtomicEth::parse(ext_buf)?),
+            Opcode::AtomicAcknowledge => RoceExt::AtomicAck(
                 Aeth::parse(ext_buf)?,
                 AtomicAckEth::parse(tail(ext_buf, Aeth::LEN))?,
             ),
-            ExtKind::HashProbe => RoceExt::HashProbe(HashProbeEth::parse(ext_buf)?),
-            ExtKind::Gather => RoceExt::Gather(GatherEth::parse(ext_buf)?),
+            Opcode::HashProbe => RoceExt::HashProbe(HashProbeEth::parse(ext_buf)?),
+            Opcode::GatherWalk => RoceExt::Gather(GatherEth::parse(ext_buf)?),
+            Opcode::Connect => RoceExt::None,
         };
         let payload_at = EXT_AT + ext.encoded_len();
         let trailer = ICRC_LEN + bth.pad_count as usize;

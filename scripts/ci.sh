@@ -64,21 +64,24 @@ if grep -rn 'pool::recycle\|recover_vec' crates tests examples; then
     exit 1
 fi
 
-echo "== no unwrap/expect in the wire codecs, the responder and the switch's channel, ring, pool and cuckoo table =="
+echo "== no unwrap/expect in the wire codecs, the RNIC and the switch's channel, ring, pool and cuckoo table =="
 # A parser answers any bytes with a value or a WireError, and a writer any
 # buffer; the RNIC's responder answers any request with a response, a NAK or
-# a counted drop; the switch's reliable channel, the packet buffer's ring,
+# a counted drop, its node counts what it cannot serve and hands back an
+# unknown region or QP as an error or None, and its requester encodes a
+# request or returns the WireError; the switch's reliable channel, the packet buffer's ring,
 # the replicated pool, the FaA engine and the cuckoo lookup table (whose
 # ActionEntry::from_bytes decodes the slots a bucket READ brings back)
 # answer any response frame and any READ's bytes with an event, a decoded
 # value or a counted skip. The non-test part of each wire file, of the
-# responder's two files and of core's channel.rs, packet_buffer.rs,
+# RNIC's responder.rs, mr.rs, nic.rs and requester.rs and of core's
+# channel.rs, packet_buffer.rs,
 # pool.rs, faa.rs, lookup.rs and cuckoo.rs (up to its first column-0
 # `#[cfg(test)]`, as scripts/loc.sh counts; doc-comment lines aside) holds
 # no `.unwrap()` or `.expect(`. wire's bytes.rs and packet.rs are exempt:
 # their three sites check invariants of buffers they own, not input.
 unwraps="$(for f in crates/wire/src/*.rs crates/rnic/src/responder.rs crates/rnic/src/mr.rs \
-    crates/core/src/channel.rs crates/core/src/packet_buffer.rs crates/core/src/pool.rs \
+    crates/rnic/src/nic.rs crates/rnic/src/requester.rs crates/core/src/channel.rs crates/core/src/packet_buffer.rs crates/core/src/pool.rs \
     crates/core/src/faa.rs crates/core/src/lookup.rs crates/core/src/cuckoo.rs; do
     case "$f" in */bytes.rs | */packet.rs) continue ;; esac
     awk -v f="$f" '/^#\[cfg\(test\)\]/ { exit }
@@ -86,7 +89,7 @@ unwraps="$(for f in crates/wire/src/*.rs crates/rnic/src/responder.rs crates/rni
 done)"
 if [ -n "$unwraps" ]; then
     echo "$unwraps" >&2
-    echo "FAIL: wire codecs, the responder, the channel, the ring, the pool and the cuckoo table return errors or count; no unwrap/expect outside tests" >&2
+    echo "FAIL: wire codecs, the RNIC, the channel, the ring, the pool and the cuckoo table return errors or count; no unwrap/expect outside tests" >&2
     exit 1
 fi
 
@@ -110,7 +113,8 @@ release_cells smoke_
 echo "== crash/failover cells (release) =="
 # The replicated state store's crash, failover, and rejoin cells re-run
 # under the release profile: failure detection races on timer ordering and
-# PSN resync, which optimization can reshuffle. They are the primary and
+# on a restarted server's disconnect notice and in-band reconnect, which
+# optimization can reshuffle. They are the primary and
 # the mirror dying mid-count, with and without a restart that must
 # reconcile bit-for-bit (crash_state_store_*), the same replayed on the
 # parallel backend, where the crashed server lives in a different
@@ -123,7 +127,9 @@ echo "== crash/failover cells (release) =="
 # rebuilt by value WRITEs alone, and
 # the sharded store's cell (crash_fabric_shard_*), where one shard's
 # primary dies and rejoins while consistent-hash routing keeps the other
-# shards counting.
+# shards counting, and the packet buffer's cell
+# (crash_packet_buffer_server_back_leaves_it_degraded), where a
+# single-server primitive's channel fails at its server's restart.
 release_cells crash_
 
 echo "== retry-cap failover cells (release) =="

@@ -89,6 +89,7 @@ fn assert_region_matches_directory(t: &Built, rkey: extmem_types::Rkey, base_va:
         .sim
         .node::<RnicNode>(t.servers[0])
         .region(rkey)
+        .unwrap()
         .read(base_va, image.len() as u64)
         .unwrap();
     assert_eq!(remote, &image[..], "remote region diverged from directory");
@@ -375,7 +376,7 @@ fn direct_hash_bounce_round_trips_the_arrival_frame() {
     assert_eq!(s.channel.retransmits, 0, "{s:?}");
     // Each slot's scratch area: the length, then the last frame bounced
     // through it, as it arrived (the action is applied on the way out).
-    let region = t.sim.node::<RnicNode>(t.servers[0]).region(rkey);
+    let region = t.sim.node::<RnicNode>(t.servers[0]).region(rkey).unwrap();
     for flow in &flows {
         let va = base_va + prog.slot_of(flow) * 2048 + 16;
         let scratch = region.read(va, 2 + 256).unwrap();
@@ -529,7 +530,12 @@ impl Covered {
         use extmem_core::cuckoo::{SlotRef, BUCKET_BYTES, SLOTS_PER_BUCKET, SLOT_BYTES};
         let view = self.view.lock().unwrap();
         let len = (view.slots.len() * BUCKET_BYTES) as u64;
-        let region = self.nic.region(self.rkey).read(self.base, len).unwrap();
+        let region = self
+            .nic
+            .region(self.rkey)
+            .unwrap()
+            .read(self.base, len)
+            .unwrap();
         for (bucket, bytes) in region.chunks_exact(BUCKET_BYTES).enumerate() {
             for slot in 0..SLOTS_PER_BUCKET {
                 let at = SlotRef {
@@ -770,7 +776,11 @@ fn live_mask_covers_every_key_through_relocation_storms() {
         }
         assert!(prog.relocation_idle() && !prog.is_degraded(), "{what}");
         let image = prog.directory().encode_region();
-        let remote = covered.nic.region(rkey).read(base, image.len() as u64);
+        let remote = covered
+            .nic
+            .region(rkey)
+            .unwrap()
+            .read(base, image.len() as u64);
         assert_eq!(remote.unwrap(), &image[..], "{what}");
         assert_eq!(prog.live_slots(), prog.directory().occupancy(), "{what}");
         assert_eq!(

@@ -163,6 +163,36 @@ fn best_effort_statestore_undercounts_under_drops() {
     assert!(s.lost_updates > 0 || s.channel.naks > 0);
 }
 
+/// Best effort, `lost_updates` is every add given up without its own
+/// answer. The responder is UC, so an add whose answer alone was lost ran,
+/// and is in the remote count as well: `lost_updates` bounds the undercount
+/// from above, and here exceeds it by the adds whose answers were lost.
+#[test]
+fn best_effort_lost_updates_bound_the_undercount_from_above() {
+    let (mut rig, rkey, base) = lossy_counting_rig(
+        FaaConfig::default(),
+        FaultSpec {
+            drop_prob: 0.08,
+            corrupt_prob: 0.0,
+            ..FaultSpec::NONE
+        },
+        405,
+    );
+    rig.sim.run_until(Time::from_millis(30));
+    let sw: &SwitchNode = rig.sim.node(rig.switch);
+    let prog = sw.program::<ShardedStateStoreProgram>();
+    assert!(prog.is_quiescent());
+    let remote = remote_total(&rig, rkey, base, 256);
+    let truth: u64 = prog.oracle.values().sum();
+    let lost = prog.engine(0).stats().lost_updates;
+    assert!(
+        remote < truth && remote + lost > truth,
+        "{remote} + {lost} vs {truth}"
+    );
+    // 37 adds never ran; 4 more ran, but their answers were lost.
+    assert_eq!((truth - remote, remote + lost - truth), (37, 4));
+}
+
 #[test]
 fn best_effort_statestore_never_wedges_under_heavy_loss() {
     // Regression: lost AtomicAcks used to pin the outstanding window shut.

@@ -11,7 +11,9 @@
 //! * PSN wrap-around: reliability bookkeeping stays correct across the
 //!   24-bit wrap, including retransmissions spanning the wrap,
 //! * a source guard that the old copy-pasted `npsn = roce.bth.psn` resync
-//!   hack never reappears in `crates/core`.
+//!   hack never reappears in `crates/core`, and that no PSN hatch
+//!   (`resync_next`, `mark_resync`, `PSN_JUMP`, `probe_psn`) reappears in
+//!   `crates/core` or `crates/rnic`: a QP reconnects only in-band.
 
 use extmem_apps::scenario::{host_ip, host_mac, Built, Testbed};
 use extmem_apps::workload::{Arrival, FlowPick, FlowSet, SinkNode, WorkloadSpec};
@@ -611,6 +613,7 @@ fn run_cuckoo_probe_cell(cell: &Cell, seed: u64) {
     let remote = sim
         .node::<RnicNode>(servers[0])
         .region(rkey)
+        .unwrap()
         .read(base, image.len() as u64)
         .unwrap();
     assert_eq!(
@@ -779,6 +782,75 @@ fn packet_buffer_failover_stops_detouring_and_drains() {
     // Degraded mode keeps forwarding: the tail of the burst (sent after
     // failover) must have arrived.
     assert!(sink.received > 500, "post-failover traffic wedged: {s:?}");
+}
+
+/// A single-server primitive does not survive a restart of its memory
+/// server. The server crashes at 200 us and is back at 300 us; its
+/// restarted QP's disconnect NAK fails the packet buffer's channel, which
+/// nothing reconnects (only the FaA engine's pool does), so the buffer
+/// stops detouring for the rest of the run, though the server is up.
+#[test]
+fn crash_packet_buffer_server_back_leaves_it_degraded() {
+    const COUNT: u64 = 4000;
+    let mut tb = Testbed::new(4244);
+    tb.gen(probe_spec(800, 30, COUNT), LinkSpec::testbed_40g());
+    let drain = tb.sink(drain_10g());
+    let (_, channel) = tb.server(
+        RnicConfig::default(),
+        ByteSize::from_mb(2),
+        LinkSpec::testbed_40g(),
+    );
+    let prog = PacketBufferProgram::new(
+        tb.fib(),
+        vec![channel],
+        drain,
+        2048,
+        Mode::Auto {
+            start_store_qbytes: 4096,
+            resume_load_qbytes: 2048,
+        },
+        8,
+        TimeDelta::from_micros(30),
+    );
+    let Built {
+        mut sim,
+        switch,
+        hosts,
+        servers,
+        ..
+    } = tb.build(SwitchConfig::default(), Box::new(prog));
+    sim.schedule_crash(servers[0], TimeDelta::from_micros(200));
+    sim.schedule_restart(servers[0], TimeDelta::from_micros(300));
+    // A hundred microseconds after the restart, far inside the retry cap
+    // (95 RTOs of 100 us): the NAK failed the channel.
+    sim.run_until(Time::from_micros(400));
+    let stored = {
+        let prog = sim
+            .node::<SwitchNode>(switch)
+            .program::<PacketBufferProgram>();
+        let s = prog.stats();
+        assert!(prog.is_degraded() && s.channel.failed_over, "{s:?}");
+        s.stored
+    };
+    sim.run_until(Time::from_millis(10));
+
+    let nic = sim.node::<RnicNode>(servers[0]).stats();
+    assert_eq!((nic.crashes, nic.restarts), (1, 1), "{nic:?}");
+    let sw: &SwitchNode = sim.node(switch);
+    let prog = sw.program::<PacketBufferProgram>();
+    let s = prog.stats();
+    assert!(prog.is_degraded(), "{s:?}");
+    assert_eq!(
+        s.stored, stored,
+        "nothing is stored after the restart: {s:?}"
+    );
+    let sink = sim.node::<SinkNode>(hosts[1]);
+    assert_eq!(
+        sink.received + s.lost_entries + sw.tm().total_drops(),
+        COUNT,
+        "unaccounted packets: {s:?}"
+    );
+    assert!(sink.received > COUNT / 2, "{s:?}");
 }
 
 #[test]
@@ -1249,8 +1321,8 @@ fn crash_state_store_cold_rejoin_reseeds_both_replicas() {
 /// frames each way, atomic acknowledgements among them, and the mirror dies
 /// mid-run and restarts with wiped DRAM. Every Fetch-and-Add completes with
 /// its own value, so the mirror is only ever written values — while live,
-/// and all of them again when its probe is answered — and the primary is
-/// never read. Once settled, both replicas hold the oracle's counters and
+/// and all of them again when its reconnect is answered — and neither
+/// replica is ever read. Once settled, both replicas hold the oracle's counters and
 /// the pool is synced. (`scripts/ci.sh` re-runs this cell in release via
 /// the `crash_` glob.)
 #[test]
@@ -1309,12 +1381,12 @@ fn crash_state_store_mirror_rejoins_by_value_writes_under_loss() {
         assert_eq!(dump, oracle, "{name} diverges from the oracle: {s:?}");
     }
     // The primary was never read, and answered re-sent Fetch-and-Adds
-    // from its saved results; the mirror was written, and read only by
-    // the probe that found it back.
+    // from its saved results; the mirror was written and never read (the
+    // probe that found it back is a connect).
     let p = sim.node::<RnicNode>(primary).stats();
     assert_eq!((p.reads, p.ext_ops), (0, 0), "{p:?}");
     let m = sim.node::<RnicNode>(mirror).stats();
-    assert_eq!((m.atomics, m.ext_ops, m.reads), (0, 0, 1), "{m:?}");
+    assert_eq!((m.atomics, m.ext_ops, m.reads), (0, 0, 0), "{m:?}");
     assert!(m.writes > 0, "{m:?}");
     assert!(p.duplicates > 0, "no Fetch-and-Add was re-sent: {p:?}");
     assert_eq!(sim.node::<SinkNode>(hosts[1]).received, COUNT);
@@ -1504,38 +1576,52 @@ fn duplicate_storm_state_store_settles_exactly() {
 }
 
 // ---------------------------------------------------------------------------
-// Source guard: the copy-pasted resync hack must never reappear.
+// Source guard: neither the copy-pasted resync hack nor the QP hatches may
+// reappear.
 // ---------------------------------------------------------------------------
 
 #[test]
 fn no_ad_hoc_psn_resync_in_core() {
     // PR 3 replaced four copies of the same ad-hoc requester-side PSN
     // resync (and a save/restore dance around retransmits) with the shared
-    // ReliableChannel. This guard keeps the pattern from creeping back:
-    // primitives must never touch `qp.npsn` directly.
-    let core_src = concat!(env!("CARGO_MANIFEST_DIR"), "/../core/src");
-    let banned: &[&str] = &["npsn = roce.bth.psn", "saved_npsn"];
+    // ReliableChannel: primitives must never touch `qp.npsn` directly. And
+    // a QP is a contract, RC or UC, reconnected only by an in-band connect:
+    // no responder QP adopts whatever PSN comes first after a restart, and
+    // no requester jumps its PSN to recover, in core or in the RNIC.
+    let hatches: &[&str] = &["resync_next", "mark_resync", "PSN_JUMP", "probe_psn"];
     let mut scanned = 0;
-    for entry in std::fs::read_dir(core_src).expect("crates/core/src readable") {
-        let path = entry.expect("dir entry").path();
-        if path.extension().and_then(|e| e.to_str()) != Some("rs") {
-            continue;
+    for (crate_src, resync) in [("core", true), ("rnic", false)] {
+        let src = format!("{}/../{crate_src}/src", env!("CARGO_MANIFEST_DIR"));
+        for entry in std::fs::read_dir(&src).expect("crate sources readable") {
+            let path = entry.expect("dir entry").path();
+            if path.extension().and_then(|e| e.to_str()) != Some("rs") {
+                continue;
+            }
+            let text = std::fs::read_to_string(&path).expect("source readable");
+            for pat in hatches {
+                assert!(
+                    !text.contains(pat),
+                    "{} brings back the PSN hatch {pat:?}; a QP reconnects only \
+                     by an in-band connect",
+                    path.display()
+                );
+            }
+            // The reliability layer itself is the one legitimate owner of
+            // the requester QP's PSN state.
+            if !resync || path.file_name().and_then(|n| n.to_str()) == Some("channel.rs") {
+                scanned += 1;
+                continue;
+            }
+            for pat in ["npsn = roce.bth.psn", "saved_npsn"] {
+                assert!(
+                    !text.contains(pat),
+                    "{} reintroduces the ad-hoc PSN resync pattern {pat:?}; \
+                     route recovery through ReliableChannel instead",
+                    path.display()
+                );
+            }
+            scanned += 1;
         }
-        // The reliability layer itself is the one legitimate owner of the
-        // QP's PSN state.
-        if path.file_name().and_then(|n| n.to_str()) == Some("channel.rs") {
-            continue;
-        }
-        let text = std::fs::read_to_string(&path).expect("source readable");
-        for pat in banned {
-            assert!(
-                !text.contains(pat),
-                "{} reintroduces the ad-hoc PSN resync pattern {pat:?}; \
-                 route recovery through ReliableChannel instead",
-                path.display()
-            );
-        }
-        scanned += 1;
     }
-    assert!(scanned >= 5, "guard scanned too few files ({scanned})");
+    assert!(scanned >= 10, "guard scanned too few files ({scanned})");
 }

@@ -110,6 +110,7 @@ fn valid_roce_frame(opcode: extmem_wire::bth::Opcode, payload: Vec<u8>) -> Vec<u
             word_len: 8,
             count: 2,
         }),
+        Connect => RoceExt::None,
     };
     let src = RoceEndpoint {
         mac: MacAddr::local(1),
@@ -126,7 +127,7 @@ fn valid_roce_frame(opcode: extmem_wire::bth::Opcode, payload: Vec<u8>) -> Vec<u
 }
 
 /// Every BTH opcode the parser knows.
-const OPCODES: [extmem_wire::bth::Opcode; 8] = {
+const OPCODES: [extmem_wire::bth::Opcode; 9] = {
     use extmem_wire::bth::Opcode::*;
     [
         WriteOnly,
@@ -137,6 +138,7 @@ const OPCODES: [extmem_wire::bth::Opcode; 8] = {
         FetchAdd,
         HashProbe,
         GatherWalk,
+        Connect,
     ]
 };
 
@@ -493,25 +495,6 @@ proptest! {
             }
         }
     }
-
-    /// The recovery PSN jump clears any plausible outstanding window: for
-    /// any starting PSN and any window of up to 512 consecutive ops, the
-    /// recovered PSN (`npsn + 2^20` in 24-bit arithmetic) never lands
-    /// inside the span a straggler response from the old incarnation could
-    /// occupy, so late responses can never alias into the fresh window.
-    #[test]
-    fn recovery_psn_jump_clears_outstanding_window(
-        base in 0u32..(1 << 24),
-        window in 1u32..512,
-    ) {
-        use extmem_wire::bth::psn_add;
-        let fresh = psn_add(base, 1 << 20);
-        for off in 0..window {
-            // Old-incarnation PSNs run backwards from npsn-1 over the window.
-            let old = psn_add(base, (1 << 24) - 1 - off);
-            prop_assert_ne!(fresh, old, "jump aliases old window at offset {}", off);
-        }
-    }
 }
 
 /// Counters in the replicated pool schedules below: the fabric's shard
@@ -630,18 +613,64 @@ impl extmem_switch::PipelineProgram for Counting {
     }
 }
 
-/// A replicated pool of 2-3 servers over a 16-word region under a random
-/// schedule: counts and flushes at random times, each mirror losing the
-/// catch-up WRITEs a random mask names, and maybe the primary crashing and
-/// coming back with its DRAM wiped. No replica word ever goes back to an
-/// older value, and once settled every Healthy server holds the true
-/// counts, so the mirrors equal the primary; with every server Healthy the
-/// pool is synced. A mirror its losses got written off while it stayed up
-/// is left Down: its QP still expects the PSN it was at, so no probe is
-/// answered (and none may be answered as a duplicate, which would take it
-/// back stale). The count of such cases is printed with the cases explored.
-#[test]
-fn replicated_pool_replicas_never_go_back_and_settle_equal() {
+/// A wire between the switch (port 0) and a memory server (port 1) that
+/// loses every frame the server sends in `[from, until)` us: the server
+/// runs what it is sent, but its answers are lost.
+struct Muted {
+    from: u64,
+    until: u64,
+    tx: [extmem_sim::TxQueue; 2],
+}
+
+impl extmem_sim::Node for Muted {
+    fn on_packet(
+        &mut self,
+        ctx: &mut extmem_sim::NodeCtx<'_>,
+        port: extmem_types::PortId,
+        packet: Packet,
+    ) {
+        let now = ctx.now();
+        let muted = now >= Time::from_micros(self.from) && now < Time::from_micros(self.until);
+        if port.0 == 1 && muted {
+            return;
+        }
+        self.tx[1 - port.0 as usize].send(ctx, packet);
+    }
+    fn on_tx_done(&mut self, ctx: &mut extmem_sim::NodeCtx<'_>, port: extmem_types::PortId) {
+        self.tx[port.0 as usize].on_tx_done(ctx);
+    }
+    fn name(&self) -> &str {
+        "muted"
+    }
+}
+
+/// The faults [`pool_settles_equal`] runs a pool under.
+#[derive(Clone, Copy, Debug, Default)]
+struct PoolFaults {
+    /// Server `i` loses the catch-up WRITEs `lose[i]` names.
+    lose: [u64; 3],
+    /// `(server, at, down_for)`: the server crashes at `at` us and restarts
+    /// `down_for` us later with its DRAM wiped.
+    crash: Option<(usize, u64, u64)>,
+    /// `(from, until)`: server 0's answers are lost in that window, while it
+    /// stays up, behind a [`Muted`] wire.
+    mute: Option<(u64, u64)>,
+}
+
+/// Runs a FaA engine over `n` servers of a 16-word region through the
+/// `timed` steps, under `faults`: a replicated pool, or with `n == 1` a lone
+/// reliable engine. At `settle` every server must be Healthy and hold the
+/// true counts, the pool synced, and no replica word may ever have gone
+/// back to an older value, bar on a muted server: its rejoin rewrites the
+/// words its unanswered adds moved, and the adds are sent again.
+fn pool_settles_equal(
+    seed: u64,
+    n: usize,
+    timed: &[(u64, PoolStep)],
+    faults: PoolFaults,
+    settle: u64,
+    what: &str,
+) -> extmem_core::PoolStats {
     use extmem_core::channel::RdmaChannel;
     use extmem_core::faa::{FaaConfig, FaaEngine};
     use extmem_core::{Health, PoolConfig};
@@ -652,26 +681,123 @@ fn replicated_pool_replicas_never_go_back_and_settle_equal() {
     use extmem_types::{ByteSize, NodeId, PortId};
     use extmem_wire::roce::RoceEndpoint;
     use extmem_wire::MacAddr;
-    use proptest::strategy::Strategy;
-    use proptest::test_runner::TestRng;
 
-    const CASES: u32 = 1000;
     let endpoint = |i: u32| RoceEndpoint {
         mac: MacAddr::local(i),
         ip: 0x0a00_0000 + i,
     };
+    use extmem_sim::TxQueue;
+    let mut nics: Vec<RnicNode> = (0..n as u32)
+        .map(|i| RnicNode::new("mem", RnicConfig::at(endpoint(10 + i))))
+        .collect();
+    let region = ByteSize::from_bytes(8 * POOL_WORDS);
+    let mut channels: Vec<RdmaChannel> = (nics.iter_mut().enumerate())
+        .map(|(i, nic)| RdmaChannel::setup(endpoint(1), PortId(i as u16), nic, region))
+        .collect();
+    let (rkey, base) = (channels[0].rkey, channels[0].base_va);
+    let config = FaaConfig {
+        reliable: true,
+        rto: extmem_types::TimeDelta::from_micros(20),
+        ..FaaConfig::default()
+    };
+    let pool_config = PoolConfig {
+        down_threshold: 2,
+        probe_interval: extmem_types::TimeDelta::from_micros(100),
+    };
+    let engine = match n {
+        1 => FaaEngine::new(channels.remove(0), config),
+        _ => FaaEngine::replicated(channels, config, pool_config),
+    };
+    let program = Counting {
+        engine,
+        steps: timed.iter().map(|&(_, s)| s).collect(),
+        truth: vec![0; POOL_WORDS as usize],
+    };
+    let mut b = SimBuilder::new(seed);
+    let sw = b.add_node(Box::new(SwitchNode::new(
+        "tor",
+        SwitchConfig::default(),
+        Box::new(program),
+    )));
+    let servers: Vec<NodeId> = (nics.into_iter().enumerate())
+        .map(|(i, nic)| {
+            let server = b.add_node(Box::new(Watched {
+                nic,
+                rkey,
+                base,
+                words: vec![0; POOL_WORDS as usize],
+                writes: 0,
+                lose: faults.lose[i],
+                went_back: None,
+            }));
+            let mut at = (sw, PortId(i as u16));
+            if let (0, Some((from, until))) = (i, faults.mute) {
+                let tx = [TxQueue::new(PortId(0)), TxQueue::new(PortId(1))];
+                let wire = b.add_node(Box::new(Muted { from, until, tx }));
+                b.connect(sw, at.1, wire, PortId(0), LinkSpec::testbed_40g());
+                at = (wire, PortId(1));
+            }
+            b.connect(at.0, at.1, server, PortId(0), LinkSpec::testbed_40g());
+            server
+        })
+        .collect();
+    let mut sim = b.build();
+    for (i, &(t, _)) in timed.iter().enumerate() {
+        let delay = extmem_types::TimeDelta::from_micros(t);
+        sim.schedule_timer(sw, delay, program_token(i as u64));
+    }
+    if let Some((i, at, down_for)) = faults.crash {
+        sim.schedule_crash(servers[i], extmem_types::TimeDelta::from_micros(at));
+        let back = extmem_types::TimeDelta::from_micros(at + down_for);
+        sim.schedule_restart(servers[i], back);
+    }
+    sim.run_until(Time::from_micros(settle));
+
+    let program = sim.node::<SwitchNode>(sw).program::<Counting>();
+    let pool = program.engine.pool();
+    for i in 0..n {
+        assert_eq!(pool.health(i), Health::Healthy, "{what}: server {i}");
+    }
+    assert!(program.engine.is_quiescent() && pool.is_synced(), "{what}");
+    for (i, &server) in servers.iter().enumerate() {
+        let watched = sim.node::<Watched>(server);
+        if i > 0 || faults.mute.is_none() {
+            assert_eq!(watched.went_back, None, "{what}: server {i}");
+        }
+        assert_eq!(watched.words, program.truth, "{what}: server {i}");
+    }
+    pool.stats()
+}
+
+/// The tick every 20 us from `from` until `settle`.
+fn ticks(from: u64, settle: u64) -> impl Iterator<Item = (u64, PoolStep)> {
+    (from..settle).step_by(20).map(|t| (t, PoolStep::Flush))
+}
+
+/// A replicated pool of 2-3 servers under a random schedule: counts and
+/// flushes at random times, each mirror losing the catch-up WRITEs a random
+/// mask names, and maybe the primary crashing and coming back with its DRAM
+/// wiped, at once or up to 400 us later. It settles equal
+/// ([`pool_settles_equal`]): a server written off, whether it crashed or
+/// its losses got it written off while it stayed up, is reconnected and
+/// caught up.
+#[test]
+fn replicated_pool_replicas_never_go_back_and_settle_equal() {
+    use proptest::strategy::Strategy;
+    use proptest::test_runner::TestRng;
+
+    const CASES: u32 = 1000;
     let step = (0u64..10, 0u64..POOL_WORDS + 6, 1u64..1000);
     let schedule = (
         2usize..4,
         proptest::collection::vec(step, 5..60),
         any::<[u64; 6]>(),
         any::<bool>(),
-        (0u64..1000, 200u64..400, 0u64..POOL_WORDS),
+        (0u64..1000, 0u64..400),
     );
     let mut rng = TestRng::for_test("replicated_pool_replicas_never_go_back_and_settle_equal");
-    let mut left_down = 0;
     for case in 0..CASES {
-        let (n, steps, masks, crash, (crash_at, down_for, slot)) = schedule.new_value(&mut rng);
+        let (n, steps, masks, crash, (crash_at, down_for)) = schedule.new_value(&mut rng);
         // A slot past the region is a flush; the rest count.
         let mut at = 0;
         let mut timed: Vec<(u64, PoolStep)> = (steps.iter())
@@ -684,107 +810,130 @@ fn replicated_pool_replicas_never_go_back_and_settle_equal() {
                 (at, step)
             })
             .collect();
-        // A crash lands among the steps, and a count goes to the dead
-        // primary: the pool can only write off a server it sends to, and
-        // one that came back wiped before it did would be taken back as it
-        // is. The server stays down past the detector's two timeouts.
+        // A crash lands among the steps.
         let crash_at = crash_at % (at + 1);
-        if crash {
-            timed.push((crash_at + 1, PoolStep::Count { slot, add: 1 }));
-        }
-        // Then the tick runs on, every 20 us, until everything settles.
+        // Then the tick runs on until everything settles.
         let settle = at.max(crash_at + down_for) + 1000;
-        timed.extend((at..settle).step_by(20).map(|t| (t, PoolStep::Flush)));
-
-        let mut nics: Vec<RnicNode> = (0..n as u32)
-            .map(|i| RnicNode::new("mem", RnicConfig::at(endpoint(10 + i))))
-            .collect();
-        let region = ByteSize::from_bytes(8 * POOL_WORDS);
-        let channels: Vec<RdmaChannel> = (nics.iter_mut().enumerate())
-            .map(|(i, nic)| RdmaChannel::setup(endpoint(1), PortId(i as u16), nic, region))
-            .collect();
-        let (rkey, base) = (channels[0].rkey, channels[0].base_va);
-        let config = FaaConfig {
-            reliable: true,
-            rto: extmem_types::TimeDelta::from_micros(20),
-            ..FaaConfig::default()
+        timed.extend(ticks(at, settle));
+        // About one WRITE in eight is lost, never at the primary.
+        let lose = [
+            0,
+            masks[0] & masks[1] & masks[4],
+            masks[2] & masks[3] & masks[4],
+        ];
+        let crash = crash.then_some((0, crash_at, down_for));
+        let what = format!("case {case}: {n} servers, crash {crash:?}, {timed:?}");
+        let faults = PoolFaults {
+            lose,
+            crash,
+            mute: None,
         };
-        let pool_config = PoolConfig {
-            down_threshold: 2,
-            probe_interval: extmem_types::TimeDelta::from_micros(100),
-        };
-        let program = Counting {
-            engine: FaaEngine::replicated(channels, config, pool_config),
-            steps: timed.iter().map(|&(_, s)| s).collect(),
-            truth: vec![0; POOL_WORDS as usize],
-        };
-        let mut b = SimBuilder::new(case as u64);
-        let sw = b.add_node(Box::new(SwitchNode::new(
-            "tor",
-            SwitchConfig::default(),
-            Box::new(program),
-        )));
-        let servers: Vec<NodeId> = (nics.into_iter().enumerate())
-            .map(|(i, nic)| {
-                let server = b.add_node(Box::new(Watched {
-                    nic,
-                    rkey,
-                    base,
-                    words: vec![0; POOL_WORDS as usize],
-                    writes: 0,
-                    // About one WRITE in eight is lost, never at the primary.
-                    lose: if i == 0 {
-                        0
-                    } else {
-                        masks[2 * i - 2] & masks[2 * i - 1] & masks[4]
-                    },
-                    went_back: None,
-                }));
-                b.connect(
-                    sw,
-                    PortId(i as u16),
-                    server,
-                    PortId(0),
-                    LinkSpec::testbed_40g(),
-                );
-                server
-            })
-            .collect();
-        let mut sim = b.build();
-        for (i, &(t, _)) in timed.iter().enumerate() {
-            let delay = extmem_types::TimeDelta::from_micros(t);
-            sim.schedule_timer(sw, delay, program_token(i as u64));
-        }
-        if crash {
-            sim.schedule_crash(servers[0], extmem_types::TimeDelta::from_micros(crash_at));
-            let back = extmem_types::TimeDelta::from_micros(crash_at + down_for);
-            sim.schedule_restart(servers[0], back);
-        }
-        sim.run_until(Time::from_micros(settle));
-
-        let what = format!(
-            "case {case}: {n} servers, crash {crash} at {crash_at} for {down_for}, {timed:?}"
-        );
-        let program = sim.node::<SwitchNode>(sw).program::<Counting>();
-        let pool = program.engine.pool();
-        let healthy: Vec<bool> = (0..n).map(|i| pool.health(i) == Health::Healthy).collect();
-        if healthy.iter().all(|&h| h) {
-            assert!(program.engine.is_quiescent() && pool.is_synced(), "{what}");
-        } else {
-            left_down += 1;
-        }
-        for (i, &server) in servers.iter().enumerate() {
-            let watched = sim.node::<Watched>(server);
-            assert_eq!(watched.went_back, None, "{what}: server {i}");
-            if healthy[i] {
-                assert_eq!(watched.words, program.truth, "{what}: server {i}");
-            }
-        }
+        pool_settles_equal(case as u64, n, &timed, faults, settle, &what);
     }
-    println!(
-        "replicated_pool_replicas_never_go_back_and_settle_equal: {CASES} cases explored, \
-         {left_down} with a server left Down"
-    );
+    println!("replicated_pool_replicas_never_go_back_and_settle_equal: {CASES} cases explored");
+}
+
+/// Counts on every word, one every 3 us from `from` until `until`, adding
+/// 50.
+fn steady_counts(from: u64, until: u64) -> impl Iterator<Item = (u64, PoolStep)> {
+    (from..until).step_by(3).map(|t| {
+        let slot = t / 3 % POOL_WORDS;
+        (t, PoolStep::Count { slot, add: 50 })
+    })
+}
+
+/// Three servers; the primary crashes while nothing is in flight and is
+/// back 53 us later with its DRAM wiped, before counts come again. Its QP
+/// is unconnected: it tells the switch its connection is gone and drops
+/// the counts until the pool reconnects it and catches it up by value. The
+/// defect this guards against: a QP that takes whatever PSN comes first
+/// after a restart lets the wiped primary count on from zero, unnoticed.
+#[test]
+fn a_primary_back_wiped_before_the_next_count_is_caught_up() {
+    let timed: Vec<_> = (steady_counts(0, 100).chain(steady_counts(170, 300)))
+        .chain(ticks(300, 1300))
+        .collect();
+    let faults = PoolFaults {
+        crash: Some((0, 110, 53)),
+        ..PoolFaults::default()
+    };
+    pool_settles_equal(1, 3, &timed, faults, 1300, "primary down 53 us");
+}
+
+/// Two servers; the mirror loses the catch-up WRITEs of the first flushes
+/// and their re-sends, so the detector writes it off while it stays up and
+/// its QP still expects the PSN it was at. The reconnect goes out at the
+/// channel's own next PSN, past all of those, so the live QP re-anchors
+/// there and the mirror is caught up. The defect this guards against: a
+/// probe at a jumped PSN is NAKed once and then dropped as out of
+/// sequence, and the mirror stays Down.
+#[test]
+fn a_mirror_written_off_while_it_stays_up_is_caught_up() {
+    let mut timed: Vec<_> = steady_counts(0, 300).chain(ticks(0, 1300)).collect();
+    timed.sort_by_key(|&(t, _)| t);
+    let faults = PoolFaults {
+        lose: [0, 0x3ff, 0],
+        ..PoolFaults::default()
+    };
+    pool_settles_equal(7, 2, &timed, faults, 1300, "mirror written off while up");
+}
+
+/// Counts on slots 0-7 until 100 us; then, from 150 us to 250 us, counts
+/// on all sixteen slots (the tests below lose their answers: slots 8-15
+/// have never been counted before); the tick runs on until `settle`.
+fn counts_then_lost_answers(settle: u64) -> Vec<(u64, PoolStep)> {
+    let first = (0..100).step_by(6).map(|t| {
+        let slot = t / 6 % 8;
+        (t, PoolStep::Count { slot, add: 50 })
+    });
+    let mut timed: Vec<_> = (first.chain(steady_counts(150, 250)))
+        .chain(ticks(0, settle))
+        .collect();
+    timed.sort_by_key(|&(t, _)| t);
+    timed
+}
+
+/// A lone reliable engine whose server stays up while its answers are lost
+/// past the channel's retry cap: the pool is written off and hands its
+/// adds back to the engine, which keeps them. When the answers come back,
+/// the reconnect is answered, the server is primary again and is caught up
+/// before the adds are sent again: every word, counted before or never,
+/// holds the true count once. The defect this guards against: a rejoin
+/// that rewrote only the words an answered add had counted left the
+/// never-counted ones holding the adds that ran unanswered, and the re-sent
+/// adds counted them twice.
+#[test]
+fn a_lone_engine_whose_answers_were_lost_counts_each_add_once() {
+    let (until, settle) = (2_500, 6_000);
+    let timed = counts_then_lost_answers(settle);
+    let faults = PoolFaults {
+        mute: Some((150, until)),
+        ..PoolFaults::default()
+    };
+    let stats = pool_settles_equal(3, 1, &timed, faults, settle, "lone engine, answers lost");
+    assert_eq!((stats.failovers, stats.rejoins), (0, 1), "{stats}");
+}
+
+/// Two servers. The mirror crashes at 140 us, before anything is sent to
+/// it; from 150 us the primary's answers are lost while it stays up, so the
+/// detector writes it off, and the promoted mirror answers nothing either:
+/// the pool has lost every server, and its engine keeps the adds handed
+/// back. The primary's answers come back at 600 us, before the mirror
+/// restarts at 1,100 us: the former primary is reconnected first and is
+/// primary again, caught up before the adds are sent again, and the mirror
+/// is caught up after it. Every word holds the true count once.
+#[test]
+fn a_former_primary_written_off_while_up_and_back_first_counts_each_add_once() {
+    let (until, settle) = (600, 3_000);
+    let timed = counts_then_lost_answers(settle);
+    let faults = PoolFaults {
+        crash: Some((1, 140, 960)),
+        mute: Some((150, until)),
+        ..PoolFaults::default()
+    };
+    let what = "former primary back first";
+    let stats = pool_settles_equal(5, 2, &timed, faults, settle, what);
+    assert_eq!((stats.failovers, stats.rejoins), (1, 2), "{stats}");
 }
 
 /// What a [`FaultyWire`] does to one frame.
@@ -1035,7 +1184,7 @@ fn channel_completes_every_op_once_and_resends_alone_only_behind_a_later_answer(
         let word = sim
             .node::<RnicNode>(server)
             .region(rkey)
-            .read(base, 8)
+            .and_then(|region| region.read(base, 8))
             .unwrap();
         assert_eq!(word, want_faa.to_be_bytes(), "{what}: a count ran twice");
         // The requests in the order the switch sent them; the last time
@@ -1059,4 +1208,81 @@ fn channel_completes_every_op_once_and_resends_alone_only_behind_a_later_answer(
         "channel_completes_every_op_once_and_resends_alone_only_behind_a_later_answer: \
          {CASES} cases explored, {implicit} ops re-sent alone, {timeouts} timeouts"
     );
+}
+
+/// A best-effort channel sends eight Fetch-and-Adds back to back, and the
+/// first is lost before the responder. The responder's QP is UC, so it
+/// jumps the gap: it executes the seven behind the loss, NAKs nothing and
+/// drops nothing, and the lost one ages out. The defect this guards
+/// against: an RC QP NAKs the gap once and drops every request behind it
+/// as out of sequence.
+#[test]
+fn a_best_effort_loss_costs_only_the_request_lost() {
+    use extmem_core::channel::RdmaChannel;
+    use extmem_core::{ChannelEvent, Op, ReliableChannel, ReliableConfig};
+    use extmem_rnic::{RnicConfig, RnicNode};
+    use extmem_sim::{LinkSpec, SimBuilder, TxQueue};
+    use extmem_switch::switch::program_token;
+    use extmem_switch::{SwitchConfig, SwitchNode};
+    use extmem_types::{ByteSize, PortId};
+    use extmem_wire::roce::RoceEndpoint;
+    use extmem_wire::MacAddr;
+
+    let endpoint = |i: u32| RoceEndpoint {
+        mac: MacAddr::local(i),
+        ip: 0x0a00_0000 + i,
+    };
+    let mut nic = RnicNode::new("mem", RnicConfig::at(endpoint(9)));
+    let region = ByteSize::from_bytes(64);
+    let channel = RdmaChannel::setup(endpoint(1), PortId(0), &mut nic, region);
+    let base = channel.base_va;
+    let ops: Vec<Op> = (0..8)
+        .map(|i| Op::FetchAdd {
+            va: base + 8 * i,
+            add: 1,
+        })
+        .collect();
+    let config = ReliableConfig::best_effort(TimeDelta::from_micros(CHANNEL_RTO_US));
+    let program = ChannelRunner {
+        channel: ReliableChannel::new(channel, config),
+        ops,
+        events: Vec::new(),
+        resends: Vec::new(),
+    };
+    let mut b = SimBuilder::new(3);
+    let sw = b.add_node(Box::new(SwitchNode::new(
+        "tor",
+        SwitchConfig::default(),
+        Box::new(program),
+    )));
+    let wire = b.add_node(Box::new(FaultyWire {
+        faults: vec![(0, 0, Fault::Drop)],
+        seen: [0; 2],
+        held: Vec::new(),
+        requests: Vec::new(),
+        tx: [TxQueue::new(PortId(0)), TxQueue::new(PortId(1))],
+    }));
+    let server = b.add_node(Box::new(nic));
+    b.connect(sw, PortId(0), wire, PortId(0), LinkSpec::testbed_40g());
+    b.connect(wire, PortId(1), server, PortId(0), LinkSpec::testbed_40g());
+    let mut sim = b.build();
+    for i in 0..8 {
+        sim.schedule_timer(sw, TimeDelta::ZERO, program_token(i));
+    }
+    sim.run_until(Time::from_micros(100));
+
+    let nic = sim.node::<RnicNode>(server).stats();
+    let seen = (nic.atomics, nic.naks, nic.out_of_sequence_drops);
+    assert_eq!(seen, (7, 0, 0), "{nic:?}");
+    let program = sim.node::<SwitchNode>(sw).program::<ChannelRunner>();
+    let ends: Vec<(u64, bool)> = (program.events.iter())
+        .map(|ev| match ev {
+            ChannelEvent::Done { cookie, .. } => (*cookie, true),
+            ChannelEvent::OpFailed { cookie, .. } => (*cookie, false),
+            ChannelEvent::Failed => panic!("a best-effort channel never fails over"),
+        })
+        .collect();
+    let want: Vec<(u64, bool)> = (1..8).map(|c| (c, true)).chain([(0, false)]).collect();
+    assert_eq!(ends, want);
+    assert_eq!(program.channel.stats().aged_out, 1);
 }

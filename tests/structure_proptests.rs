@@ -175,7 +175,7 @@ mod lpm_model {
                     let slot = hash_to_index(&rung_key(l, addr), spl);
                     let va = channel.base_va
                         + (i as u64 * spl + slot) * ACTION_LEN as u64;
-                    let b = nic.region(channel.rkey).read(va, ACTION_LEN as u64).unwrap();
+                    let b = nic.region(channel.rkey).unwrap().read(va, ACTION_LEN as u64).unwrap();
                     let a = ActionEntry::from_bytes(b.try_into().unwrap());
                     (a.kind != ActionKind::None).then_some(a.dscp)
                 });
@@ -1324,7 +1324,7 @@ mod remote_op_oracle {
 
         /// The next request on the rig's QP, as the responder receives it.
         fn issue(&mut self, req: Request<'_>) -> extmem_wire::RocePacket {
-            parsed(&self.req.issue(self.rkey, &req))
+            parsed(&self.req.issue(self.rkey, &req).unwrap())
         }
 
         fn write(&mut self, va: u64, bytes: &[u8]) {

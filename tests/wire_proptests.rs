@@ -626,6 +626,7 @@ mod one_encoder {
             }
             RoceExt::HashProbe(h) => h.write(ext).unwrap(),
             RoceExt::Gather(h) => h.write(ext).unwrap(),
+            RoceExt::None => {}
         }
         let body_at = bth_at + Bth::LEN + pkt.ext.encoded_len();
         out[body_at..body_at + pkt.payload.len()].copy_from_slice(&pkt.payload);
@@ -902,13 +903,13 @@ mod one_encoder {
             fn write(va: u64, body: &WriteBody, ack_req: bool) -> Request<'_> {
                 Request::Write { va, body: body.parts(), ack_req }
             }
-            let frame = qp.issue(Rkey(rkey), &write(va, &framed, ack_req));
+            let frame = qp.issue(Rkey(rkey), &write(va, &framed, ack_req)).unwrap();
             prop_assert_eq!(frame.as_slice(), &want[..], "split at {}", cut);
             prop_assert_eq!(qp.npsn, (psn + 1) & 0x00ff_ffff);
             if body.len() <= Operand::MAX_LEN {
                 let inline = WriteBody::inline(&body);
                 prop_assert!(inline.tail.is_empty());
-                let frame = qp.encode_at(psn, Rkey(rkey), &write(va, &inline, ack_req));
+                let frame = qp.encode_at(psn, Rkey(rkey), &write(va, &inline, ack_req)).unwrap();
                 prop_assert_eq!(frame.as_slice(), &want[..]);
             }
         }
@@ -931,11 +932,11 @@ mod one_encoder {
             bth.ack_req = matches!(req, Request::Write { ack_req: true, .. });
             let want = reference_build(&RocePacket::new(src, dst, qp.udp_src_port, bth, ext, payload));
 
-            let frame = qp.encode_at(psn, rkey, &req);
+            let frame = qp.encode_at(psn, rkey, &req).unwrap();
             prop_assert_eq!(frame.as_slice(), &want[..]);
             prop_assert_eq!(qp.npsn, 0, "encode_at leaves the sequence alone");
             qp.npsn = psn;
-            let frame = qp.issue(rkey, &req);
+            let frame = qp.issue(rkey, &req).unwrap();
             prop_assert_eq!(frame.as_slice(), &want[..]);
             prop_assert_eq!(qp.npsn, (psn + 1) & 0x00ff_ffff);
         }
