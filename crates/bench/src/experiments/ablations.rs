@@ -1128,25 +1128,35 @@ fn a13_lpm(levels: &[u8], remote_ops: bool) -> (LookupStats, LatencySummary, Rni
     (stats, lat, t.sim.node::<RnicNode>(t.servers[0]).stats())
 }
 
+/// Buckets of A13's cuckoo table.
+const A13_BUCKETS: u64 = 64;
+
 /// One cuckoo leg: 160 resident flows (62% load), round-robin traffic, no
 /// cache, filter sized by `filter_cells`. Also returns the FP-avoidance
-/// relocations the installs had to pay to keep the filter truthful, and the
-/// bytes on the memory server's link, both directions.
-fn a13_cuckoo(filter_cells: usize, remote_ops: bool) -> (LookupStats, LatencySummary, u32, u64) {
+/// relocations the installs had to pay to keep the filter truthful, the
+/// bytes on the memory server's link, both directions, and the bytes of
+/// lookup state the switch holds: the live filter's counters and the live
+/// slot fingerprints.
+fn a13_cuckoo(
+    filter_cells: usize,
+    remote_ops: bool,
+) -> (LookupStats, LatencySummary, u32, u64, usize) {
     let cfg = CuckooConfig {
-        buckets: 64,
+        buckets: A13_BUCKETS,
         filter_cells,
         filter_hashes: 2,
         max_plan_steps: 64,
     };
     let (t, fp_moves) = cuckoo_storm(71, cfg, 160, Rate::from_gbps(2), A13_COUNT, remote_ops);
     let lat = sink(&t).latency.summarize().expect("traffic flowed");
-    let stats = program::<LookupTableProgram>(&t).stats();
+    let prog = program::<LookupTableProgram>(&t);
+    let switch_bytes =
+        std::mem::size_of_val(prog.live_filter().raw_counts()) + prog.live_fingerprints().len();
     let server_link = t.links[2];
     let bytes: u64 = (0..2)
         .map(|end| t.sim.link_stats(server_link, end).delivered_bytes)
         .sum();
-    (stats, lat, fp_moves, bytes)
+    (prog.stats(), lat, fp_moves, bytes, switch_bytes)
 }
 
 /// A13 — remote-op ISA A/B: dependent-access chains in one RTT.
@@ -1169,14 +1179,17 @@ fn a13_cuckoo(filter_cells: usize, remote_ops: bool) -> (LookupStats, LatencySum
 ///   secondary bucket (`fp_moves`). Shrinking the filter makes that
 ///   maintenance bill explode and packs the table's secondary buckets. The
 ///   one filter steers both modes to the same bucket (`2nd-bkt` is equal):
-///   verb mode READs it up to its last filled slot, and the
-///   hash-probe-and-fetch op names it, so the responder scans it in one
-///   access. Both modes pay the same install-time fp-moves and hold 1.0
-///   RTTs-per-miss with zero punts at any filter size. A verb miss moves
-///   exactly a READ request (74 B), its response's headers (62 B) and 32 B
-///   per slot READ on the memory link (`B/miss`, both directions, checked);
-///   the probe moves fewer, since it answers with the one slot it matched,
-///   and its p99 is no worse.
+///   verb mode READs the slots of it whose switch-side fingerprint matches
+///   the key's, and the hash-probe-and-fetch op names it, so the responder
+///   scans it in one access. Both modes pay the same install-time fp-moves
+///   and hold 1.0 RTTs-per-miss with zero punts at any filter size, and
+///   hold the same switch state (`switch B`, checked: two bytes per filter
+///   cell and one fingerprint byte per slot). A verb miss moves exactly a
+///   READ request (74 B), its response's headers (62 B) and 32 B per slot
+///   READ on the memory link (`B/miss`, both directions, checked). Both
+///   answers carry one slot, but the READ request is shorter than a probe
+///   carrying its key, so the READ moves fewer bytes, and its p99 is no
+///   worse.
 pub fn a13_remote_ops(out: &mut String) {
     out.push_str(&format!(
         "A13: remote-op ISA A/B — one RTT per dependent-access chain ({A13_COUNT} packets/leg)\n"
@@ -1250,10 +1263,15 @@ pub fn a13_remote_ops(out: &mut String) {
     let mut fp_by_cells = Vec::new();
     let mut bytes_saved = 0.0;
     for cells in [4096usize, 512, 96] {
-        let (vs, vlat, vfp, vtotal) = a13_cuckoo(cells, false);
-        let (rs, rlat, rfp, rtotal) = a13_cuckoo(cells, true);
+        let (vs, vlat, vfp, vtotal, vswitch) = a13_cuckoo(cells, false);
+        let (rs, rlat, rfp, rtotal, rswitch) = a13_cuckoo(cells, true);
+        assert_eq!(
+            [vswitch, rswitch],
+            [2 * cells + 4 * A13_BUCKETS as usize; 2],
+            "the switch holds a u16 per filter cell and a fingerprint byte per slot"
+        );
         // A verb miss is one READ request (74 B) and one response: 62 B of
-        // headers and the slots the live mask had it READ, 32 B each.
+        // headers and the slots whose live fingerprint matched, 32 B each.
         let slots: u64 = (1..).zip(vs.verb_read_slots).map(|(n, k)| n * k).sum();
         assert_eq!(
             vtotal,
@@ -1268,19 +1286,20 @@ pub fn a13_remote_ops(out: &mut String) {
             "one filter steers both legs to the same buckets"
         );
         assert!(
-            rlat.p99 <= vlat.p99,
-            "a one-bucket probe answers with one slot, so its p99 must be no worse \
-             than the bucket READ's: ops {:?} vs verb {:?}",
-            rlat.p99,
-            vlat.p99
+            vlat.p99 <= rlat.p99,
+            "a READ of the one slot whose fingerprint matches must be no slower at p99 \
+             than a probe the responder scans the bucket for: verb {:?} vs ops {:?}",
+            vlat.p99,
+            rlat.p99
         );
         assert!(
-            rbytes < vbytes,
-            "a hash probe returns one slot, so it must move fewer memory-link bytes \
-             per miss than a bucket READ: ops {rbytes} vs verb {vbytes}"
+            vbytes < rbytes,
+            "both answers carry one slot and a READ request is shorter than a probe \
+             carrying its key, so the READ must move fewer memory-link bytes per miss: \
+             verb {vbytes} vs ops {rbytes}"
         );
         fp_by_cells.push(vfp);
-        bytes_saved = vbytes - rbytes;
+        bytes_saved = rbytes - vbytes;
         assert_eq!(
             rs.rtts_per_miss(),
             Some(1.0),
@@ -1296,6 +1315,7 @@ pub fn a13_remote_ops(out: &mut String) {
         );
         rows.push(vec![
             cells.to_string(),
+            vswitch.to_string(),
             vfp.to_string(),
             format!("{:.2}", vs.rtts_per_miss().unwrap()),
             vs.filter_secondary_probes.to_string(),
@@ -1316,6 +1336,7 @@ pub fn a13_remote_ops(out: &mut String) {
         "cuckoo lookup: filter-steered READ vs hash-probe-and-fetch (punts 0 in both modes)",
         &[
             "filter cells",
+            "switch B",
             "install fp-moves",
             "verb RTT/miss",
             "verb 2nd-bkt",
@@ -1333,13 +1354,14 @@ pub fn a13_remote_ops(out: &mut String) {
         "\nboth modes' exactness is bought at install time: {} fp-avoidance\n\
              relocations at 96 filter cells vs {} at 4096. The filter steers the\n\
              hash probe to the same one bucket the verb READ fetches, so it is one\n\
-             access; the verb READ stops at the bucket's last filled slot (verb\n\
-             B/miss = 74 + 62 + 32 per slot READ, checked), and the probe, which\n\
-             answers with the one slot it matched, moves {:.0} B less per miss.\n\
+             access; the verb READ covers only the slots whose fingerprint, one\n\
+             byte per slot in the switch, matches the key's (verb B/miss = 74 +\n\
+             62 + 32 per slot READ, checked), and moves {:.0} B less per miss than\n\
+             the probe, whose request carries the key.\n\
              \nexpectation: the ops legs hold 1.0 RTTs-per-miss at every depth and\n\
-             every filter size, with zero punts, and the hash probe moves fewer\n\
-             memory-link bytes per miss at no worse p99; verb p99 grows with\n\
-             ladder depth.\n",
+             every filter size, with zero punts; the verb READ moves fewer\n\
+             memory-link bytes per miss than the hash probe at no worse p99; verb\n\
+             p99 grows with ladder depth.\n",
         fp_by_cells.last().unwrap(),
         fp_by_cells.first().unwrap(),
         bytes_saved

@@ -51,17 +51,17 @@ fn pins() -> [Pin; 14] {
     [
         pin!(e1_write_read_loop(400), 0x2da5a43f1cd26a1c, 4058, 2025),
         pin!(incast_scenario(), 0x971a0036b0876299, 33637, 13330),
-        pin!(lookup_miss_storm(250), 0x4d39194320a31eae, 2001, 1000),
+        pin!(lookup_miss_storm(250), 0x4b9af4b393105a16, 2001, 1000),
         pin!(lookup_miss_storm_direct(250), 0x7437e1c2ee0f4f47, 2751, 1250),
         pin!(remote_ops(250), 0x0c4b9b308def1b44, 2001, 1000),
-        pin!(insert_churn(600), 0xd2a10ad2b004c2de, 5818, 2804),
+        pin!(insert_churn(600), 0xb1540ba92576a67d, 5818, 2804),
         pin!(faa_storm(1_500), 0x21839ba8f98c58c1, 8428, 4080),
         pin!(loss_sweep(2_000), 0x07ec219219282a58, 54518, 21580),
         pin!(server_failover(1_200), 0xd7484415596f4660, 9868, 4726),
         pin!(fabric_fanout(150, 2), 0x6aa04480e46a2128, 18832, 7792),
         pin!(fabric_shard(300, 2), 0xf5ca868846f41588, 24106, 10737),
         pin!(lookup_miss_storm_direct(500), 0x1c433c88e1fd224c, 5502, 2500),
-        pin!(lookup_miss_storm(500), 0x8ab91713257c8ea4, 4002, 2000),
+        pin!(lookup_miss_storm(500), 0xff61a362d3ea4521, 4002, 2000),
         pin!(remote_ops(500), 0x199b034cac4b0d4c, 4002, 2000),
     ]
 }

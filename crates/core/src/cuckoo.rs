@@ -23,12 +23,14 @@
 //! empty), so a bucket is one 128-byte "remote cacheline" and always fits a
 //! single RoCE response packet.
 //!
-//! A verb-path miss READs a bucket from slot 0 up to its last filled slot,
-//! at least one slot: 32, 64, 96 or 128 bytes. The switch knows that slot
-//! from a live mask of one byte per bucket ([`CuckooDirectory::occupancy`]
-//! is where it starts; bit `s` follows the last slot WRITE issued to slot
-//! `s`). A hash probe (remote-op mode) names the whole bucket and is
-//! answered with the one slot it matched.
+//! The switch keeps one fingerprint byte per slot: 0 for an empty slot,
+//! else the key's [`slot_fingerprint`] in `1..=255`
+//! ([`CuckooDirectory::fingerprints`] is where it starts; byte `s` of a
+//! bucket follows the last slot WRITE issued to slot `s`). A verb-path miss
+//! READs its bucket from the first to the last slot whose fingerprint
+//! matches the key's, usually the one slot the key sits in, and slot 0
+//! alone when none does. A hash probe (remote-op mode) names the whole
+//! bucket and is answered with the one slot it matched.
 //!
 //! ## Invariants (checked by [`CuckooDirectory::check_invariants`])
 //!
@@ -63,7 +65,7 @@
 
 use crate::lookup::{ActionEntry, ACTION_LEN};
 use extmem_switch::filter::ChoiceFilter;
-use extmem_switch::hash::cuckoo_buckets;
+use extmem_switch::hash::{cuckoo_buckets, slot_fingerprint};
 use extmem_types::FiveTuple;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -74,9 +76,6 @@ pub const SLOT_BYTES: usize = 32;
 /// Bytes per bucket: the longest data-plane READ, and the span a hash
 /// probe scans.
 pub const BUCKET_BYTES: usize = SLOTS_PER_BUCKET * SLOT_BYTES;
-
-/// A bucket's slots are the bits of one byte of the data plane's live mask.
-const _: () = assert!(SLOTS_PER_BUCKET <= u8::BITS as usize);
 
 const KEY_AT: usize = 1;
 const KEY_LEN: usize = 13;
@@ -722,16 +721,13 @@ impl CuckooDirectory {
         out
     }
 
-    /// One byte per bucket, bit `s` set when slot `s` holds a key: the
-    /// occupancy of the image [`crate::lookup::install_cuckoo_image`]
-    /// installs, which the data plane's live mask starts from.
-    pub fn occupancy(&self) -> Vec<u8> {
-        let mask = |bucket: &[Option<Slot>; SLOTS_PER_BUCKET]| {
-            (bucket.iter().enumerate())
-                .filter(|(_, occ)| occ.is_some())
-                .fold(0u8, |m, (slot, _)| m | 1 << slot)
-        };
-        self.buckets.iter().map(mask).collect()
+    /// One byte per slot, bucket by bucket: 0 for an empty slot, else its
+    /// key's [`slot_fingerprint`]. The fingerprints of the image
+    /// [`crate::lookup::install_cuckoo_image`] installs, which the data
+    /// plane's live fingerprints start from.
+    pub fn fingerprints(&self) -> Vec<u8> {
+        let fingerprint = |occ: &Option<Slot>| occ.map_or(0, |s| slot_fingerprint(&s.key));
+        self.buckets.iter().flatten().map(fingerprint).collect()
     }
 
     /// Panic unless every structural and filter invariant holds (see module

@@ -11,13 +11,13 @@
 //! *which* of the key's two buckets to READ (or, with remote ops, to
 //! hash-probe), so every miss costs exactly one round trip to one bucket —
 //! no collisions, no second probe — while the packet waits on the switch.
-//! A bucket READ stops at the bucket's last filled slot, which a one-byte
-//! live mask per bucket tells the switch.
+//! A bucket READ covers only the slots whose one-byte live fingerprint
+//! matches the key's, usually the one slot it sits in.
 //! Online inserts and deletes run through a relocation planner whose steps
 //! this program executes over the reliable channel (READ-verify then WRITE
-//! per displaced entry); the live filter and the live mask flip at the
-//! instant each slot WRITE is issued, so any later probe observes the write
-//! and no resident key is ever transiently unfindable.
+//! per displaced entry); the live filter and the live fingerprints flip at
+//! the instant each slot WRITE is issued, so any later probe observes the
+//! write and no resident key is ever transiently unfindable.
 
 use crate::channel::{
     ChannelEvent, ChannelStats, Op, RdmaChannel, ReliableChannel, ReliableConfig, Reply,
@@ -30,6 +30,7 @@ use crate::fib::Fib;
 use extmem_rnic::nic::MTU;
 use extmem_rnic::{Operand, RemoteOp, RnicNode, WriteBody};
 use extmem_switch::filter::ChoiceFilter;
+use extmem_switch::hash::{cuckoo_buckets, slot_fingerprint};
 use extmem_switch::switch::RECIRC_PORT;
 use extmem_switch::table::{ExactMatchTable, Replacement};
 use extmem_switch::{PipelineProgram, SwitchCtx};
@@ -318,7 +319,8 @@ pub struct LookupStats {
     /// issue (a bucket READ or a one-bucket hash probe alike).
     pub filter_secondary_probes: u64,
     /// Verb-mode bucket READs by the slots they covered: entry `i` counts
-    /// the READs of slots `0 ..= i`.
+    /// the READs of `i + 1` slots, from the first to the last slot whose
+    /// live fingerprint matched the flow's (slot 0 alone when none did).
     pub verb_read_slots: [u64; SLOTS_PER_BUCKET],
     /// Request round trips issued by the data-plane miss path (bucket READs
     /// in verb mode, hash-probe-and-fetch ops in remote-op mode; WRITE+READ
@@ -513,12 +515,13 @@ pub struct LookupTableProgram {
     /// step: each flip is applied at the instant its paired WRITE is issued
     /// into the FIFO channel.
     live_filter: ChoiceFilter,
-    /// The data plane's live mask, one byte per bucket: bit `s` of byte `b`
-    /// says the last WRITE issued to slot `(b, s)` carried a key. It flips
-    /// when that WRITE enters the FIFO channel, as the live filter does, so
-    /// a bucket READ issued later covers every slot a key can sit in when
-    /// the READ executes.
-    live_slots: Vec<u8>,
+    /// The data plane's live fingerprints, one byte per slot, bucket by
+    /// bucket: the [`slot_fingerprint`] of the key the last WRITE issued to
+    /// that slot carried, 0 if it carried none. A byte changes when that
+    /// WRITE enters the FIFO channel, as the live filter does, so a bucket
+    /// READ issued later covers every slot its key can sit in when the READ
+    /// executes.
+    live_fingerprints: Vec<u8>,
     /// In-flight lookups: cookie → (flow, packet).
     pending: IntMap<u64, (FiveTuple, Packet)>,
     /// Next data-plane lookup cookie (bits 62/63 clear).
@@ -560,7 +563,7 @@ impl LookupTableProgram {
         LookupTableProgram {
             front: TableFront::new(fib, channel, cache_capacity),
             live_filter: dir.filter().clone(),
-            live_slots: dir.occupancy(),
+            live_fingerprints: dir.fingerprints(),
             dir,
             pending: IntMap::default(),
             next_lookup: 0,
@@ -625,10 +628,11 @@ impl LookupTableProgram {
         &self.live_filter
     }
 
-    /// The data plane's live mask, one byte per bucket: bit `s` of byte `b`
-    /// is set when the last WRITE issued to slot `(b, s)` carried a key.
-    pub fn live_slots(&self) -> &[u8] {
-        &self.live_slots
+    /// The data plane's live fingerprints, one byte per slot, bucket by
+    /// bucket: the [`slot_fingerprint`] of the key the last WRITE issued to
+    /// the slot carried, 0 if it carried none.
+    pub fn live_fingerprints(&self) -> &[u8] {
+        &self.live_fingerprints
     }
 
     /// Whether no relocation step, verify READ or control op is
@@ -648,15 +652,18 @@ impl LookupTableProgram {
         self.control.push_back(ControlOp::Remove(key));
     }
 
-    /// The miss path: the live filter picks the one candidate bucket the
-    /// flow can live in (h2 if the filter holds it, else h1), and the miss
-    /// costs one access to it. Verb mode READs that bucket up to its last
-    /// filled slot by the live mask; remote-op mode sends a
-    /// hash-probe-and-fetch naming it, which the responder scans in one
-    /// access and answers with the matching slot.
+    /// The miss path, on the data plane's live state alone: the live filter
+    /// picks the one candidate bucket the flow can live in (h2 if the filter
+    /// holds it, else h1), and the miss costs one access to it. Verb mode
+    /// READs that bucket from the first to the last slot whose live
+    /// fingerprint matches the flow's, usually one slot, and slot 0 alone
+    /// when none does; remote-op mode sends a hash-probe-and-fetch naming
+    /// the bucket, which the responder scans in one access and answers with
+    /// the matching slot.
     fn remote_lookup(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, flow: FiveTuple, pkt: Packet) {
         let base = self.front.channel.base_va();
-        let (b1, b2) = self.dir.bucket_pair(&flow);
+        let live = &self.live_fingerprints;
+        let (b1, b2) = cuckoo_buckets(&flow, (live.len() / SLOTS_PER_BUCKET) as u64);
         let secondary = b1 != b2 && self.live_filter.contains(&flow);
         let bucket = if secondary { b2 } else { b1 };
         let cookie = self.next_lookup;
@@ -679,10 +686,14 @@ impl LookupTableProgram {
                 key: Operand::new(&slot_key(&flow)),
             })
         } else {
-            let slots = read_slots(self.live_slots[bucket as usize]);
-            stats.verb_read_slots[slots - 1] += 1;
-            let va = base + bucket * BUCKET_BYTES as u64;
-            let len = (slots * SLOT_BYTES) as u32;
+            let fingerprint = slot_fingerprint(&flow);
+            let at = bucket as usize * SLOTS_PER_BUCKET;
+            let live = &live[at..at + SLOTS_PER_BUCKET];
+            let first = live.iter().position(|&f| f == fingerprint).unwrap_or(0);
+            let last = live.iter().rposition(|&f| f == fingerprint).unwrap_or(0);
+            stats.verb_read_slots[last - first] += 1;
+            let va = base + ((at + first) * SLOT_BYTES) as u64;
+            let len = ((last - first + 1) * SLOT_BYTES) as u32;
             Op::Read { va, len }
         };
         self.front.channel.submit(ctx, op, cookie);
@@ -691,12 +702,13 @@ impl LookupTableProgram {
     /// The end of every lookup: find the parked flow's action in the answer,
     /// apply and cache it, or — an unknown flow, or a filter false positive
     /// steering a non-resident key to h2 — punt to the software slow path,
-    /// forwarded unmodified. The answer is a run of slots, scanned here: a
-    /// bucket READ's slots up to the last filled one, or the one a hash
-    /// probe (remote-op mode) matched at the responder, whose key is checked
-    /// against the parked flow all the same (none on a miss). Resident keys never miss in either mode:
-    /// the filter names the bucket each one lives in (the no-transient-miss
-    /// invariant).
+    /// forwarded unmodified. The answer is a run of slots, each scanned for
+    /// the full key here: a bucket READ's slots from the first to the last
+    /// whose fingerprint matched (a fingerprint is one byte, so another key
+    /// may share it), or the one a hash probe (remote-op mode) matched at
+    /// the responder (none on a miss). Resident keys never miss in either
+    /// mode: the filter names the bucket each one lives in, and its slot's
+    /// fingerprint is its own (the no-transient-miss invariant).
     fn lookup_done(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, cookie: u64, slots: &[u8]) {
         let stats = &mut self.front.stats;
         stats.responses += 1;
@@ -723,16 +735,12 @@ impl LookupTableProgram {
     }
 
     /// WRITE one slot's `image` at `at` as a control op of its own,
-    /// explicitly acknowledged, and flip the slot's live bit to whether the
-    /// image carries a key (a non-zero tag byte) as the WRITE enters the
+    /// explicitly acknowledged, and set the slot's live fingerprint to that
+    /// of the key the image carries (0 for none) as the WRITE enters the
     /// channel.
     fn write_slot(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, at: SlotRef, image: &[u8]) {
-        let live = &mut self.live_slots[at.bucket as usize];
-        if image[0] != 0 {
-            *live |= 1 << at.slot;
-        } else {
-            *live &= !(1 << at.slot);
-        }
+        let fingerprint = decode_slot(image).map_or(0, |(key, _)| slot_fingerprint(&key));
+        self.live_fingerprints[at.bucket as usize * SLOTS_PER_BUCKET + at.slot] = fingerprint;
         let cookie = self.next_ctrl_cookie();
         let va = slot_va(self.front.channel.base_va(), at);
         let (body, ack_req) = (WriteBody::inline(image), true);
@@ -947,12 +955,6 @@ impl PipelineProgram for LookupTableProgram {
 /// The bucket-granularity READ geometry: a cuckoo bucket comes back as one
 /// response packet, the "one memory access" of a miss.
 const _: () = assert!(BUCKET_BYTES <= MTU);
-
-/// The slots a verb-path miss READs from a bucket whose live mask is
-/// `live`: slots `0 ..=` the highest set bit, at least one.
-fn read_slots(live: u8) -> usize {
-    (u8::BITS - live.leading_zeros()).max(1) as usize
-}
 
 /// Control plane: install the directory's byte image, empty slots zeroed,
 /// into the remote region backing `channel` on `nic` (host-side
@@ -1293,12 +1295,16 @@ pub(crate) mod tests {
         assert_eq!((nic.ext_ops, nic.ext_op_steps), (2, 2), "{nic:?}");
     }
 
-    /// A verb-mode miss READs its bucket from slot 0 up to the last slot
-    /// whose latest WRITE carried a key: two resident keys, 64 B; a third
-    /// inserted behind them, 96 B from the moment its WRITE is issued; that
-    /// key removed, 64 B again; an empty bucket, one slot.
+    /// A verb-mode miss READs its bucket from the first to the last slot
+    /// whose live fingerprint matches the flow's. One bucket holds `a`, `c`
+    /// and `b` in slots 0-2, where `a` and `b` share a fingerprint, and `d`
+    /// is inserted into slot 3; `c` and `d` have fingerprints of their own.
+    /// `c` gets a 1-slot READ at its slot, and so does `d` from the moment
+    /// its WRITE is issued; `b` gets one READ of slots 0-2 and its own
+    /// action; a flow that is not resident, whose fingerprint matches no
+    /// slot, a 1-slot READ of slot 0 and a counted bucket miss.
     #[test]
-    fn a_verb_miss_reads_its_bucket_up_to_the_last_filled_slot() {
+    fn a_verb_miss_reads_only_the_slots_whose_fingerprint_matches() {
         use std::sync::{Arc, Mutex};
         let mut dir = CuckooDirectory::new(crate::cuckoo::CuckooConfig {
             buckets: 8,
@@ -1307,67 +1313,77 @@ pub(crate) mod tests {
             max_plan_steps: 64,
         });
         let flow = |i: u16| FiveTuple::new(0x0a000001, 0x0a000002, 1000 + i, 80, proto::UDP);
-        // Three flows whose first bucket is bucket `b`, and one whose first
-        // bucket is another one.
-        let primary = |i| dir.bucket_pair(&flow(i));
-        let b = primary(0).0;
-        let mut same = (0..).filter(|&i| {
-            let (b1, b2) = primary(i);
-            b1 == b && b1 != b2
-        });
-        let [k1, k2, k3] = [(); 3].map(|_| flow(same.next().unwrap()));
-        let elsewhere = flow((0..).find(|&i| primary(i).0 != b).unwrap());
-        for key in [k1, k2] {
-            dir.install(key, ActionEntry::set_dscp(7)).unwrap();
+        // Flows whose first bucket is flow 0's, picked by their fingerprints.
+        let b = dir.bucket_pair(&flow(0)).0;
+        let same: Vec<_> = (0..2000)
+            .map(flow)
+            .filter(|key| dir.bucket_pair(key).0 == b)
+            .collect();
+        let fp = |key: &FiveTuple| slot_fingerprint(key);
+        let (a, b_twin) = (same.iter().enumerate())
+            .find_map(|(i, a)| Some((*a, *same[i + 1..].iter().find(|k| fp(k) == fp(a))?)))
+            .expect("two of ~250 flows share one of 255 fingerprints");
+        let mut others = same.iter().copied().filter(|k| fp(k) != fp(&a));
+        let c = others.next().unwrap();
+        let d = others.find(|k| fp(k) != fp(&c)).unwrap();
+        let unknown = others.find(|k| fp(k) != fp(&c) && fp(k) != fp(&d)).unwrap();
+        for (slot, key) in [a, c, b_twin].iter().enumerate() {
+            dir.install(*key, ActionEntry::set_dscp(10 + slot as u8))
+                .unwrap();
+            assert_eq!(dir.position(key), Some(SlotRef { bucket: b, slot }));
         }
-        assert_eq!(dir.occupancy()[b as usize], 0b0011);
 
         let (mut nic, channel) = table_server(dir.region_bytes());
         install_cuckoo_image(&mut nic, &channel, &dir);
         let prog = LookupTableProgram::cuckoo(fib(), channel, dir, None);
-        let lens = Arc::new(Mutex::new(Vec::new()));
-        let log = Arc::clone(&lens);
+        let reads = Arc::new(Mutex::new(Vec::new()));
+        let log = Arc::clone(&reads);
+        let flows = [c, d, b_twin, unknown];
         let poke = Box::new(
             move |prog: &mut LookupTableProgram, ctx: &mut SwitchCtx<'_, '_, '_>| {
-                let look_up = |prog: &mut LookupTableProgram, ctx: &mut SwitchCtx, key| {
+                for key in flows {
+                    if key == d {
+                        prog.queue_insert(d, ActionEntry::set_dscp(13));
+                        prog.advance(ctx);
+                    }
                     let (src, dst) = (MacAddr::local(1), MacAddr::local(2));
                     let pkt = build_data_packet(src, dst, key, 0, 0, Time::ZERO, 128).unwrap();
                     prog.ingress(ctx, PortId(2), pkt);
-                    let mut reads = prog.pool().ops().filter_map(|(cookie, op)| match op {
-                        Op::Read { len, .. } if cookie & CTRL_BIT == 0 => Some(*len),
+                    let base = prog.pool().base_va();
+                    let mut issued = prog.pool().ops().filter_map(|(cookie, op)| match op {
+                        Op::Read { va, len } if cookie & CTRL_BIT == 0 => Some((*va - base, *len)),
                         _ => None,
                     });
-                    log.lock().unwrap().push(reads.next_back().unwrap());
-                };
-                look_up(prog, ctx, k1);
-                prog.queue_insert(k3, ActionEntry::set_dscp(9));
-                prog.advance(ctx);
-                look_up(prog, ctx, k3);
-                prog.queue_remove(k3);
-                prog.advance(ctx);
-                look_up(prog, ctx, k2);
-                look_up(prog, ctx, elsewhere);
+                    log.lock().unwrap().push(issued.next_back().unwrap());
+                }
             },
         );
-        let (mut sim, sw, _) = behind_blackhole(Poked { prog, poke }, |b, sw| {
+        let (mut sim, sw, hole) = behind_blackhole(Poked { prog, poke }, |b, sw| {
             let server = b.add_node(Box::new(nic));
             b.connect(sw, PortId(1), server, PortId(0), LinkSpec::testbed_40g());
         });
         sim.schedule_timer(sw, TimeDelta::ZERO, program_token(POKE));
         sim.run_until(Time::from_micros(100));
 
-        assert_eq!(*lens.lock().unwrap(), [64, 96, 64, 32]);
+        let slot = |slot| slot_va(0, SlotRef { bucket: b, slot });
+        let expected = [(slot(1), 32), (slot(3), 32), (slot(0), 96), (slot(0), 32)];
+        assert_eq!(*reads.lock().unwrap(), expected);
+        let frames = &sim.node::<Blackhole>(hole).frames;
+        let dscp = flows.map(|flow| {
+            let frame = frames.iter().find(|f| flow_of(f) == Some(flow)).unwrap();
+            Ipv4Header::parse(&frame.as_slice()[14..]).unwrap().dscp
+        });
+        // Slots 1, 3 and 2's actions; the unknown flow leaves unmodified.
+        assert_eq!(dscp, [11, 13, 12, 0]);
         let prog = &sim
             .node::<SwitchNode>(sw)
             .program::<Poked<LookupTableProgram>>()
             .prog;
-        assert_eq!(prog.live_slots()[b as usize], 0b0011);
+        assert_eq!(prog.live_fingerprints(), prog.directory().fingerprints());
         let stats = prog.stats();
-        assert_eq!(stats.verb_read_slots, [1, 2, 1, 0], "{stats:?}");
-        // The three resident keys are found in what was READ; the flow of
-        // the empty bucket is unknown.
+        assert_eq!(stats.verb_read_slots, [3, 0, 1, 0], "{stats:?}");
         assert_eq!(stats.actions_applied, 3, "{stats:?}");
-        assert_eq!(stats.bucket_misses, 1, "{stats:?}");
+        assert_eq!((stats.bucket_misses, stats.slow_path), (1, 1), "{stats:?}");
         assert!(prog.relocation_idle());
     }
 

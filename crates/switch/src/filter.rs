@@ -11,15 +11,17 @@
 //! regardless of unrelated churn.
 //!
 //! Cell indices come from [`crate::hash::salted_flow_index`] with a salt
-//! space disjoint from the cuckoo bucket salts, so the filter hashes are
-//! independent of the bucket-choice hashes — in P4 both would be separate
-//! CRC polynomials on different hash units.
+//! space disjoint from the cuckoo bucket and slot-fingerprint salts, so the
+//! filter hashes are independent of the bucket-choice hashes and of the
+//! fingerprints — in P4 each would be a separate CRC polynomial on its own
+//! hash unit.
 
 use crate::hash::salted_flow_index;
 use extmem_types::FiveTuple;
 
 /// Base of the salt space used for filter cells (one salt per hash
-/// function). Disjoint from the cuckoo bucket salts in [`crate::hash`].
+/// function). Disjoint from the cuckoo bucket and fingerprint salts in
+/// [`crate::hash`].
 const FILTER_SALT_BASE: u32 = 0x50;
 
 /// Counters observed on a [`ChoiceFilter`] over its lifetime.

@@ -21,9 +21,9 @@ pub fn flow_index(flow: &FiveTuple, buckets: u64) -> u64 {
 }
 
 /// A keyed variant of [`flow_index`]: each salt is an independent hash
-/// function. The choice filter's cell hashes ([`crate::filter::ChoiceFilter`])
-/// and the cuckoo table's two bucket hashes ([`cuckoo_buckets`]) are salts of
-/// this one function.
+/// function. The choice filter's cell hashes ([`crate::filter::ChoiceFilter`]),
+/// the cuckoo table's two bucket hashes ([`cuckoo_buckets`]) and its slot
+/// fingerprints ([`slot_fingerprint`]) are salts of this one function.
 ///
 /// Note that simply prepending the salt to the CRC input does **not** work:
 /// CRC is linear, so a fixed-position prefix change XORs every hash by the
@@ -52,6 +52,17 @@ pub fn cuckoo_buckets(flow: &FiveTuple, buckets: u64) -> (u64, u64) {
         salted_flow_index(flow, CUCKOO_SALT_H1, buckets),
         salted_flow_index(flow, CUCKOO_SALT_H2, buckets),
     )
+}
+
+/// Salt of the lookup table's slot fingerprints ([`slot_fingerprint`]).
+const FINGERPRINT_SALT: u32 = 0xF1;
+
+/// A flow's one-byte slot fingerprint, in `1..=255`: another salt of
+/// [`salted_flow_index`], independent of the bucket and filter hashes, so
+/// keys sharing a bucket rarely share a fingerprint. 0 is left for an empty
+/// slot.
+pub fn slot_fingerprint(flow: &FiveTuple) -> u8 {
+    salted_flow_index(flow, FINGERPRINT_SALT, 255) as u8 + 1
 }
 
 /// The splitmix64 finalizer: a fast, well-mixed 64-bit permutation.
@@ -132,6 +143,18 @@ mod tests {
         }
         // h1 == h2 should happen at roughly the 1/buckets rate, not often.
         assert!(degenerate < 100, "too many degenerate keys: {degenerate}");
+    }
+
+    #[test]
+    fn slot_fingerprints_are_never_zero_and_spread_over_every_value() {
+        let mut seen = [0u32; 256];
+        for n in 0..25_500u32 {
+            seen[slot_fingerprint(&flow(n)) as usize] += 1;
+        }
+        assert_eq!(seen[0], 0, "fingerprint 0 marks an empty slot");
+        // 100 flows a value on average: each of 1..=255 within half of it.
+        let taken = &seen[1..];
+        assert!(taken.iter().all(|c| (50..150).contains(c)), "{taken:?}");
     }
 
     #[test]

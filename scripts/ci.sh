@@ -64,24 +64,26 @@ if grep -rn 'pool::recycle\|recover_vec' crates tests examples; then
     exit 1
 fi
 
-echo "== no unwrap/expect in the wire codecs, the RNIC and the switch's channel, ring, pool and cuckoo table =="
+echo "== no unwrap/expect in the wire codecs, the RNIC, the switch's hashes and filter and its channel, ring, pool and cuckoo table =="
 # A parser answers any bytes with a value or a WireError, and a writer any
 # buffer; the RNIC's responder answers any request with a response, a NAK or
 # a counted drop, its node counts what it cannot serve and hands back an
 # unknown region or QP as an error or None, and its requester encodes a
-# request or returns the WireError; the switch's reliable channel, the packet buffer's ring,
+# request or returns the WireError; the switch's hash units and counting
+# filter take any key; the switch's reliable channel, the packet buffer's ring,
 # the replicated pool, the FaA engine and the cuckoo lookup table (whose
 # ActionEntry::from_bytes decodes the slots a bucket READ brings back)
 # answer any response frame and any READ's bytes with an event, a decoded
 # value or a counted skip. The non-test part of each wire file, of the
-# RNIC's responder.rs, mr.rs, nic.rs and requester.rs and of core's
-# channel.rs, packet_buffer.rs,
+# RNIC's responder.rs, mr.rs, nic.rs and requester.rs, of the switch's
+# hash.rs and filter.rs and of core's channel.rs, packet_buffer.rs,
 # pool.rs, faa.rs, lookup.rs and cuckoo.rs (up to its first column-0
 # `#[cfg(test)]`, as scripts/loc.sh counts; doc-comment lines aside) holds
 # no `.unwrap()` or `.expect(`. wire's bytes.rs and packet.rs are exempt:
 # their three sites check invariants of buffers they own, not input.
 unwraps="$(for f in crates/wire/src/*.rs crates/rnic/src/responder.rs crates/rnic/src/mr.rs \
-    crates/rnic/src/nic.rs crates/rnic/src/requester.rs crates/core/src/channel.rs crates/core/src/packet_buffer.rs crates/core/src/pool.rs \
+    crates/rnic/src/nic.rs crates/rnic/src/requester.rs crates/switch/src/hash.rs crates/switch/src/filter.rs \
+    crates/core/src/channel.rs crates/core/src/packet_buffer.rs crates/core/src/pool.rs \
     crates/core/src/faa.rs crates/core/src/lookup.rs crates/core/src/cuckoo.rs; do
     case "$f" in */bytes.rs | */packet.rs) continue ;; esac
     awk -v f="$f" '/^#\[cfg\(test\)\]/ { exit }
@@ -89,7 +91,7 @@ unwraps="$(for f in crates/wire/src/*.rs crates/rnic/src/responder.rs crates/rni
 done)"
 if [ -n "$unwraps" ]; then
     echo "$unwraps" >&2
-    echo "FAIL: wire codecs, the RNIC, the channel, the ring, the pool and the cuckoo table return errors or count; no unwrap/expect outside tests" >&2
+    echo "FAIL: wire codecs, the RNIC, the switch's hashes and filter, the channel, the ring, the pool and the cuckoo table return errors or count; no unwrap/expect outside tests" >&2
     exit 1
 fi
 
@@ -268,7 +270,7 @@ while read -r workload allocs bytes overhead p50 p99; do
     under_ceiling "$workload" sim_lat_p50_ns "$p50"
     under_ceiling "$workload" sim_lat_p99_ns "$p99"
 done <<'CEILINGS'
-lookup_verbs 3.01 125.2 0.8919 2476.293 2841.520
+lookup_verbs 3.01 125.2 0.6597 2443.096 2755.215
 lookup_ops 3.01 125.2 0.7429 2471.514 2881.181
 pktbuf_lossy 4.024 173.5 2.2835 22384235.157 44349376.318
 fabric_shard 2.252 94.9 0.3731 2968.032 3311.595
