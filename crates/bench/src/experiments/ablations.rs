@@ -775,8 +775,8 @@ pub fn a9_loss_sweep(out: &mut String) {
 /// The paper's primitives each talk to *one* memory server; a crash there
 /// is terminal. The replicated pool layer turns the state store's server
 /// into a pool: each Fetch-and-Add completes with the primary's value of
-/// its word, which is written to the mirror, and a health detector drives
-/// failover, probing and rejoin. This row prices that machinery: what
+/// its word, which is written to the mirror, and each server's channel
+/// retry cap writes it off, which drives failover, probing and rejoin. This row prices that machinery: what
 /// replication costs when nothing fails (`mirror B/word`, the bytes on the
 /// mirror's link per written word, is checked against its closed form, one
 /// WRITE per run of dirty words and one ACK per flush, and below one

@@ -392,7 +392,7 @@ pub fn loss_sweep(count: u64) -> ScenarioResult {
 
 /// Server failover: a replicated state store (primary + mirror) driven
 /// through a primary crash, failover, restart, and rejoin while the FaA
-/// workload keeps flowing: health detection, dirty words per server,
+/// workload keeps flowing: the retry-cap write-off, dirty words per server,
 /// anti-entropy and catch-up WRITEs, probes. The run
 /// asserts exact settled counters on *both* replicas.
 pub fn server_failover(count: u64) -> ScenarioResult {

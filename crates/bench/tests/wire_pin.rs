@@ -57,7 +57,7 @@ fn pins() -> [Pin; 14] {
         pin!(insert_churn(600), 0xb1540ba92576a67d, 5818, 2804),
         pin!(faa_storm(1_500), 0x21839ba8f98c58c1, 8428, 4080),
         pin!(loss_sweep(2_000), 0x07ec219219282a58, 54518, 21580),
-        pin!(server_failover(1_200), 0xd7484415596f4660, 9868, 4726),
+        pin!(server_failover(1_200), 0xb2e9a589c35adf08, 9852, 4717),
         pin!(fabric_fanout(150, 2), 0x6aa04480e46a2128, 18832, 7792),
         pin!(fabric_shard(300, 2), 0xf5ca868846f41588, 24106, 10737),
         pin!(lookup_miss_storm_direct(500), 0x1c433c88e1fd224c, 5502, 2500),

@@ -122,9 +122,10 @@ impl RdmaChannel {
 // ---------------------------------------------------------------------------
 
 /// Timeout rounds before a reliable channel declares itself failed and
-/// degrades to local-only operation. With [`MAX_BACKOFF_LEVEL`], a channel
-/// facing a silent server gives up `1 + 2 + 4 + 8 + 5 × 16 = 95` RTOs after
-/// its last progress.
+/// degrades to local-only operation, unless a replicated pool gives it a
+/// cap of its own. With [`MAX_BACKOFF_LEVEL`], a channel facing a silent
+/// server gives up `1 + 2 + 4 + 8 + 5 × 16 = 95` RTOs after its last
+/// progress.
 pub const MAX_RETRIES: u32 = 8;
 
 /// Cap on the backoff shift, bounding the effective timeout at
@@ -148,10 +149,11 @@ pub struct ReliableConfig {
     /// Base retransmission timeout; the effective timeout is
     /// `rto << backoff_level` (exponential backoff).
     pub rto: TimeDelta,
-    /// `true`: an RC responder QP; retransmit on NAK/timeout until
-    /// [`MAX_RETRIES`], then fail over. `false`: best effort — a UC one, so
-    /// a lost request costs only itself; ops age out past the RTO (the
-    /// caller absorbs the loss), and the channel never fails over.
+    /// `true`: an RC responder QP; retransmit on NAK/timeout until the
+    /// channel's retry cap ([`MAX_RETRIES`]), then fail over. `false`: best
+    /// effort — a UC one, so a lost request costs only itself; ops age out
+    /// past the RTO (the caller absorbs the loss), and the channel never
+    /// fails over.
     pub reliable: bool,
     /// Send requests through the high-priority queue (packet-buffer detour
     /// traffic uses this so RDMA is not stuck behind the very congestion it
@@ -477,6 +479,9 @@ pub struct ReliableChannel {
     backoff_level: u32,
     /// Timeout rounds since the last progress.
     retries: u32,
+    /// Timeout rounds past which the next fire fails the channel: the one
+    /// rule that gives up on a server, as a verbs QP's `retry_cnt`.
+    retry_cap: u32,
     /// Expected PSN of the last NAK answered with a go-back-N volley;
     /// repeats of it are suppressed (one volley per loss epoch).
     nak_epoch: Option<u32>,
@@ -509,6 +514,7 @@ impl ReliableChannel {
             queue: VecDeque::new(),
             backoff_level: 0,
             retries: 0,
+            retry_cap: MAX_RETRIES,
             nak_epoch: None,
             failed: false,
             timer: None,
@@ -546,6 +552,12 @@ impl ReliableChannel {
         );
         self.config = config;
         self.inner.transport.set_reliable(config.reliable);
+    }
+
+    /// Fail on the fire after `cap` timeout rounds with no progress, in
+    /// place of [`MAX_RETRIES`]: a replicated pool's write-off rule.
+    pub(crate) fn set_retry_cap(&mut self, cap: u32) {
+        self.retry_cap = cap;
     }
 
     /// Remote access key of the region.
@@ -742,7 +754,7 @@ impl ReliableChannel {
                     // the channel failed already.
                     Syndrome::Nak(code) if code != PsnSequenceError && self.config.reliable => {
                         self.stats.naks += 1;
-                        self.abort(ctx, events);
+                        self.fail(ctx, events);
                     }
                     _ => self.on_nak(ctx, psn, events),
                 }
@@ -978,7 +990,7 @@ impl ReliableChannel {
             return;
         }
         if self.config.reliable {
-            if self.retries >= MAX_RETRIES {
+            if self.retries >= self.retry_cap {
                 self.fail(ctx, events);
                 return;
             }
@@ -1012,8 +1024,13 @@ impl ReliableChannel {
     }
 
     /// Give up: fail every outstanding op, mark the channel failed, drop
-    /// the armed deadline, and emit the degradation signal.
-    fn fail(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, events: &mut Vec<ChannelEvent>) {
+    /// the armed deadline, and emit the degradation signal. The retry cap
+    /// and a refusal NAK both end here; nothing happens on a channel that
+    /// has already failed.
+    pub(crate) fn fail(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, events: &mut Vec<ChannelEvent>) {
+        if self.failed {
+            return;
+        }
         events.extend(self.outstanding.drain(..).map(Outstanding::abandon));
         let queued = self.queue.drain(..);
         events.extend(queued.map(|(cookie, op)| ChannelEvent::OpFailed { cookie, op }));
@@ -1025,21 +1042,12 @@ impl ReliableChannel {
         events.push(ChannelEvent::Failed);
     }
 
-    /// Force the failure path immediately (drain every op as `OpFailed`,
-    /// emit `Failed`): the pool layer's health detector calls this when its
-    /// consecutive-failure threshold trips before the channel's own retry
-    /// cap does, so failover latency is governed by the detector, not by
-    /// [`MAX_RETRIES`]. No-op on an already-failed channel.
-    pub fn abort(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, events: &mut Vec<ChannelEvent>) {
-        if !self.failed {
-            self.fail(ctx, events);
-        }
-    }
-
     /// Re-arm a failed channel to reconnect (server-rejoin path). Its first
     /// op must be an [`Op::Connect`], at the channel's own next PSN, past
     /// every PSN it used: an unconnected QP connects there, a live one
-    /// re-anchors there. Nothing else moves `npsn`.
+    /// re-anchors there. Nothing else moves `npsn`. The channel comes back
+    /// with no retries left: a connect not answered within one RTO fails
+    /// it again on that fire, unsent a second time.
     ///
     /// Panics unless the channel has actually failed over (`is_failed`);
     /// `fail` drained every op, so nothing is outstanding here.
@@ -1048,7 +1056,7 @@ impl ReliableChannel {
         debug_assert!(self.outstanding.is_empty() && self.queue.is_empty());
         self.failed = false;
         self.backoff_level = 0;
-        self.retries = 0;
+        self.retries = self.retry_cap;
         self.nak_epoch = None;
     }
 }
@@ -2121,6 +2129,51 @@ pub(crate) mod tests {
         let st = (stats.naks, stats.retransmits, stats.timeouts);
         assert_eq!(st, (1, 0, 0), "{stats}");
         assert_eq!((nic.naks, psns), (1, vec![0]));
+    }
+
+    /// A reconnected channel comes back with no retries left: its connect,
+    /// unanswered for one RTO, fails it on that fire without being sent
+    /// again, and hands back the op queued behind it.
+    #[test]
+    fn an_unanswered_reconnect_fails_on_the_first_fire_unsent_again() {
+        use extmem_rnic::requester::RequesterQp;
+        use extmem_switch::switch::program_token;
+        use extmem_switch::SwitchNode;
+        use extmem_types::{QpNum, Time};
+
+        let (_, rkey, base_va) = region();
+        let qp = RequesterQp::new(local(), peer(), QpNum(0x100));
+        let channel = unplugged(qp, rkey, base_va, 4096, PortId(0));
+        let op = Op::Read {
+            va: base_va,
+            len: 8,
+        };
+        let program = Sender {
+            channel: ReliableChannel::new(channel, impatient()),
+            op: op.clone(),
+            events: Vec::new(),
+            allocs: Vec::new(),
+        };
+        let (mut sim, sw, hole) = behind_blackhole(program, |_, _| {});
+        // Given up on at 950 us; reconnected at 1,000 us, due at 1,010 us.
+        sim.schedule_timer(sw, TimeDelta::ZERO, program_token(ISSUE));
+        sim.schedule_timer(sw, TimeDelta::from_micros(1000), program_token(REISSUE));
+        sim.run_until(Time::from_micros(1100));
+
+        let program = sim.node::<SwitchNode>(sw).program::<Sender>();
+        assert!(program.channel.is_failed());
+        let failed = |cookie, op| ChannelEvent::OpFailed { cookie, op };
+        let want = [
+            failed(1, op.clone()),
+            ChannelEvent::Failed,
+            failed(0, Op::Connect),
+            failed(1, op),
+            ChannelEvent::Failed,
+        ];
+        assert_eq!(program.events, want);
+        let frames = sim.node::<Blackhole>(hole).frames.len();
+        assert_eq!(frames, 1 + MAX_RETRIES as usize + 2, "connect and op once");
+        assert_eq!(program.channel.stats().timeouts, MAX_RETRIES as u64);
     }
 
     #[test]

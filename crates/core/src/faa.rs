@@ -27,7 +27,7 @@
 //! to `pending`.
 
 use crate::channel::{
-    ChannelEvent, ChannelStats, Op, RdmaChannel, ReliableChannel, ReliableConfig,
+    ChannelEvent, ChannelStats, Op, RdmaChannel, ReliableChannel, ReliableConfig, MAX_RETRIES,
 };
 use crate::pool::{PoolConfig, PoolStats, ReplicatedPool};
 use extmem_switch::SwitchCtx;
@@ -125,10 +125,8 @@ impl FaaEngine {
         } else {
             ReliableConfig::best_effort(config.rto)
         };
-        // A lone server has no mirror to fail over to: only its channel's
-        // retry cap writes it off.
         let lone = PoolConfig {
-            down_threshold: u32::MAX,
+            down_threshold: MAX_RETRIES + 1,
             ..PoolConfig::default()
         };
         let pool = ReplicatedPool::new(vec![ReliableChannel::new(channel, rc)], lone);

@@ -68,5 +68,5 @@ pub use fib::Fib;
 pub use l2::L2Program;
 pub use lookup::{ActionEntry, ActionKind, LookupStats, LookupTableProgram};
 pub use packet_buffer::PacketBufferProgram;
-pub use pool::{Health, HealthDetector, PoolConfig, PoolStats, ReplicatedPool};
+pub use pool::{Health, PoolConfig, PoolStats, ReplicatedPool};
 pub use shard::{ShardRing, ShardStats, ShardedStateStoreProgram};

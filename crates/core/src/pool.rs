@@ -23,35 +23,33 @@
 //!   leaves each of its words dirty. A duplicate WRITE is not re-executed
 //!   and a channel executes in order, so a replica's word never goes back
 //!   to an older value but at a rejoin;
-//! * watches each server with a [`HealthDetector`] (`Healthy → Suspect →
-//!   Down`) driven by the channel's timeout/ACK counters, and aborts the
-//!   primary's channel the moment the detector trips — failover latency is
-//!   the detector threshold, not the channel retry cap;
+//! * writes a server off by one rule, its channel's retry cap: the pool
+//!   gives every server's channel a cap of `down_threshold − 1`, so the
+//!   channel fails on its `down_threshold`-th timeout round with no
+//!   progress (1 + 2 + 4 RTOs for the default of 3) and the server is
+//!   `Down` from that `Failed` until a reconnect is answered. A server whose
+//!   channel is backing off is `Suspect`; [`Health`] is that view, and no
+//!   more;
 //! * on primary failure promotes the best mirror, catches it up, and
 //!   reissues the caller ops that were in flight (same cookies, so the
 //!   owning engine never notices) — the very [`Op`] values the dying
 //!   channel hands back in its `OpFailed` events, in its order. None of
 //!   them has completed, so none is in a kept value;
 //! * probes Down servers by reconnecting them: an [`Op::Connect`] at the
-//!   failed channel's own next PSN ([`ReliableChannel::reconnect`]). An
-//!   answered connect makes the server a mirror again at once, with every
-//!   kept word dirty on it: its catch-up rides its own FIFO channel, ahead
-//!   of anything it is sent later. It rewrites what a wipe lost, and undoes
+//!   failed channel's own next PSN ([`ReliableChannel::reconnect`]), which
+//!   comes back with no retries left: a connect unanswered for one RTO
+//!   fails it again. An answered connect makes the server a mirror again at
+//!   once, with every kept word dirty on it: its catch-up rides its own
+//!   FIFO channel, ahead of anything it is sent later. It rewrites what a wipe lost, and undoes
 //!   the adds the server ran without answering, which are sent again. A pool
 //!   that lost every server keeps reconnecting; the first back is primary.
 //!
 //! The single-server primitives hold their [`ReliableChannel`] directly;
 //! only the FaA engine builds a pool. A non-replicated engine's pool has one
-//! server and takes the same path, under two rules:
-//!
-//! * a best-effort give-up goes straight to the caller. Such a channel
-//!   ages ops out without ever failing, so an `OpFailed` that no `Failed`
-//!   follows in the same batch is handed up as it is, not kept for a
-//!   failover that will not come;
-//! * a lone server is written off by its channel's retry cap, never by the
-//!   detector ([`crate::faa::FaaEngine::new`] sets `down_threshold` to
-//!   `u32::MAX`): with no mirror to promote, an early abort buys no
-//!   failover.
+//! server and takes the same path, under one rule: a best-effort give-up
+//! goes straight to the caller. Such a channel ages ops out without ever
+//! failing, so an `OpFailed` that no `Failed` follows in the same batch is
+//! handed up as it is, not kept for a failover that will not come.
 
 use crate::channel::{ChannelEvent, Op, ReliableChannel, Reply, MAX_WINDOW};
 use extmem_rnic::nic::MTU;
@@ -72,104 +70,26 @@ const INTERNAL_BIT: u64 = 1 << 63;
 /// nothing would ever confirm.
 const ACK_EVERY: usize = MAX_WINDOW / 4;
 
-/// Health of one pool server, as judged by its [`HealthDetector`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// Health of one pool server, as [`ReplicatedPool::health`] reads it off
+/// its channel. Ordered best first.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Health {
     /// Responding normally.
     Healthy,
-    /// Missed at least one timeout round; not yet written off.
+    /// Its channel is backing off: at least one timeout round since its
+    /// last progress.
     Suspect,
-    /// Past the consecutive-failure threshold (or its channel failed).
+    /// Its channel failed, and no reconnect has been answered since.
     /// Words turn dirty on it, but it is sent nothing except reconnects.
     Down,
-}
-
-/// Per-server failure detector: a pure state machine over timeout/ACK/probe
-/// observations, deliberately free of channel plumbing so it can be
-/// property-tested exhaustively (`tests/robustness_proptests.rs`).
-///
-/// Transitions:
-///
-/// * `on_timeout`: `Healthy → Suspect`; at `threshold` *consecutive*
-///   timeouts, `Suspect → Down`. Never reaches `Down` earlier.
-/// * `on_ack`: resets the consecutive count; `Suspect → Healthy`.
-/// * `on_channel_failed`: forced `Down` from any state (the reliability
-///   layer exhausted its retries or was aborted).
-/// * `on_probe_success`: `Down → Healthy` — the only way out of `Down`.
-#[derive(Clone, Copy, Debug)]
-pub struct HealthDetector {
-    state: Health,
-    consecutive_failures: u32,
-    threshold: u32,
-}
-
-impl HealthDetector {
-    /// A detector declaring `Down` after `threshold` consecutive timeouts.
-    pub fn new(threshold: u32) -> HealthDetector {
-        assert!(threshold > 0, "a zero threshold would start servers Down");
-        HealthDetector {
-            state: Health::Healthy,
-            consecutive_failures: 0,
-            threshold,
-        }
-    }
-
-    /// Current health state.
-    pub fn state(&self) -> Health {
-        self.state
-    }
-
-    /// Consecutive timeout rounds without progress.
-    pub fn consecutive_failures(&self) -> u32 {
-        self.consecutive_failures
-    }
-
-    /// A retransmission-timeout round fired with no response.
-    pub fn on_timeout(&mut self) {
-        self.consecutive_failures = self.consecutive_failures.saturating_add(1);
-        match self.state {
-            Health::Healthy => self.state = Health::Suspect,
-            Health::Suspect => {
-                if self.consecutive_failures >= self.threshold {
-                    self.state = Health::Down;
-                }
-            }
-            // Down stays Down: probes decide recovery.
-            Health::Down => {}
-        }
-    }
-
-    /// The server responded (ACK or NAK — either proves liveness).
-    pub fn on_ack(&mut self) {
-        self.consecutive_failures = 0;
-        if self.state == Health::Suspect {
-            self.state = Health::Healthy;
-        }
-    }
-
-    /// The reliability layer gave up on this server.
-    pub fn on_channel_failed(&mut self) {
-        self.consecutive_failures = self.consecutive_failures.max(self.threshold);
-        self.state = Health::Down;
-    }
-
-    /// A reconnect was answered: the server is live again, and its catch-up
-    /// goes out ahead of anything sent to it later.
-    pub fn on_probe_success(&mut self) {
-        if self.state == Health::Down {
-            self.state = Health::Healthy;
-            self.consecutive_failures = 0;
-        }
-    }
 }
 
 /// Policy knobs for a replicated pool.
 #[derive(Clone, Copy, Debug)]
 pub struct PoolConfig {
-    /// Consecutive timeout rounds before a server is declared `Down`. The
-    /// pool aborts the primary's channel when this trips, so failover
-    /// happens within `threshold` RTO rounds even if the channel's own
-    /// retry cap is higher.
+    /// The timeout round, counted from a server's last progress, on which
+    /// its channel fails and the server is `Down`: every channel's retry
+    /// cap is one less.
     pub down_threshold: u32,
     /// Period of the probe timer while any server is `Down`.
     pub probe_interval: TimeDelta,
@@ -271,10 +191,9 @@ enum InternalOp {
 
 struct PoolServer {
     channel: ReliableChannel,
-    health: HealthDetector,
-    /// Channel-stat watermarks for deriving detector inputs.
-    seen_timeouts: u64,
-    seen_progress: u64,
+    /// Written off: its channel failed, and no reconnect has been answered
+    /// since.
+    down: bool,
     /// Words whose kept value this server has not been sent since it
     /// changed, in ascending `va`, the order a catch-up writes them in.
     /// Small (one entry per counter touched since the last flush), so a
@@ -294,7 +213,7 @@ impl PoolServer {
 impl fmt::Debug for PoolServer {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("PoolServer")
-            .field("health", &self.health.state())
+            .field("down", &self.down)
             .field("port", &self.channel.server_port())
             .finish()
     }
@@ -363,16 +282,21 @@ impl ReplicatedPool {
             );
         }
         assert_distinct_ports(channels.iter().map(|c| c.server_port()));
+        assert!(
+            config.down_threshold > 0,
+            "a server is down only after a fire"
+        );
         let n = channels.len() as u32;
         ReplicatedPool {
             servers: channels
                 .into_iter()
-                .map(|channel| PoolServer {
-                    channel,
-                    health: HealthDetector::new(config.down_threshold),
-                    seen_timeouts: 0,
-                    seen_progress: 0,
-                    dirty: Vec::new(),
+                .map(|mut channel| {
+                    channel.set_retry_cap(config.down_threshold - 1);
+                    PoolServer {
+                        channel,
+                        down: false,
+                        dirty: Vec::new(),
+                    }
                 })
                 .collect(),
             primary: 0,
@@ -394,9 +318,17 @@ impl ReplicatedPool {
         PROBE_TIMER | self.servers[0].channel.server_port().0 as u64
     }
 
-    /// Health of server `i`.
+    /// Health of server `i`: `Down` from its channel's failure until a
+    /// reconnect is answered, `Suspect` while its channel backs off.
     pub fn health(&self, i: usize) -> Health {
-        self.servers[i].health.state()
+        let s = &self.servers[i];
+        if s.down {
+            Health::Down
+        } else if s.channel.stats().backoff_level > 0 {
+            Health::Suspect
+        } else {
+            Health::Healthy
+        }
     }
 
     /// The switch ports of this pool's servers, in server order.
@@ -443,11 +375,7 @@ impl ReplicatedPool {
     /// Pool-level counters.
     pub fn stats(&self) -> PoolStats {
         let mut s = self.stats;
-        s.unavailable = self
-            .servers
-            .iter()
-            .filter(|sv| sv.health.state() == Health::Down)
-            .count() as u32;
+        s.unavailable = self.servers.iter().filter(|sv| sv.down).count() as u32;
         s
     }
 
@@ -522,7 +450,7 @@ impl ReplicatedPool {
         };
         let mut raw = std::mem::take(&mut self.raw);
         let consumed = self.servers[i].channel.on_roce(ctx, roce, &mut raw);
-        self.after_channel_activity(ctx, i, &mut raw, events);
+        self.absorb(ctx, i, &mut raw, events);
         self.raw = raw;
         consumed
     }
@@ -548,51 +476,13 @@ impl ReplicatedPool {
         };
         let mut raw = std::mem::take(&mut self.raw);
         self.servers[i].channel.on_timer_fired(ctx, &mut raw);
-        self.after_channel_activity(ctx, i, &mut raw, events);
+        self.absorb(ctx, i, &mut raw, events);
         self.raw = raw;
         true
     }
 
-    /// Post-activity bookkeeping for server `i`: derive detector inputs
-    /// from the channel's counters, abort a primary the detector wrote
-    /// off, then absorb the channel's events.
-    fn after_channel_activity(
-        &mut self,
-        ctx: &mut SwitchCtx<'_, '_, '_>,
-        i: usize,
-        raw: &mut Vec<ChannelEvent>,
-        out: &mut Vec<ChannelEvent>,
-    ) {
-        let st = self.servers[i].channel.stats();
-        let progress = st.acks + st.naks;
-        let timeouts = st.timeouts;
-        let new_timeouts = timeouts > self.servers[i].seen_timeouts;
-        {
-            let s = &mut self.servers[i];
-            for _ in s.seen_timeouts..timeouts {
-                s.health.on_timeout();
-            }
-            s.seen_timeouts = timeouts;
-            if progress > s.seen_progress {
-                s.health.on_ack();
-                s.seen_progress = progress;
-            }
-        }
-        if new_timeouts
-            && self.servers[i].health.state() == Health::Down
-            && !self.servers[i].channel.is_failed()
-        {
-            // The detector tripped before the channel's retry cap: force
-            // the failure path now so failover latency is the detector's.
-            // Gated on *fresh* timeouts so a channel re-armed to reconnect
-            // (detector still Down until its connect is answered) is not
-            // re-aborted by unrelated activity.
-            self.servers[i].channel.abort(ctx, raw);
-        }
-        self.absorb(ctx, i, raw, out);
-        self.ensure_probe_timer(ctx);
-    }
-
+    /// Take in the events server `i`'s channel just emitted: caller
+    /// completions go to `out`, a `Failed` writes the server off.
     fn absorb(
         &mut self,
         ctx: &mut SwitchCtx<'_, '_, '_>,
@@ -653,6 +543,7 @@ impl ReplicatedPool {
         // them NAKed. Its give-ups are the caller's.
         let orphans = orphans.into_iter();
         out.extend(orphans.map(|(cookie, op)| ChannelEvent::OpFailed { cookie, op }));
+        self.ensure_probe_timer(ctx);
     }
 
     fn server_failed(
@@ -662,21 +553,17 @@ impl ReplicatedPool {
         orphans: Vec<(u64, Op)>,
         out: &mut Vec<ChannelEvent>,
     ) {
-        self.servers[i].health.on_channel_failed();
+        self.servers[i].down = true;
         if i != self.primary || self.failed {
             debug_assert!(orphans.is_empty(), "caller ops never run on mirrors");
             return;
         }
-        // Promote the healthiest mirror, preferring fully Healthy ones.
+        // Promote the healthiest live mirror, the first of its health.
         let candidate = (0..self.servers.len())
-            .filter(|&j| j != i)
-            .find(|&j| self.servers[j].health.state() == Health::Healthy)
-            .or_else(|| {
-                (0..self.servers.len())
-                    .filter(|&j| j != i)
-                    .find(|&j| self.servers[j].health.state() == Health::Suspect)
-            });
-        let Some(new_primary) = candidate else {
+            .map(|j| (self.health(j), j))
+            .filter(|&(health, _)| health != Health::Down)
+            .min();
+        let Some((_, new_primary)) = candidate else {
             self.failed = true;
             let orphans = orphans.into_iter();
             out.extend(orphans.map(|(cookie, op)| ChannelEvent::OpFailed { cookie, op }));
@@ -747,7 +634,7 @@ impl ReplicatedPool {
             return;
         }
         for j in 0..self.servers.len() {
-            let live = self.servers[j].health.state() != Health::Down;
+            let live = !self.servers[j].down;
             if j != self.primary && live && !self.servers[j].dirty.is_empty() {
                 self.catch_up(ctx, j);
             }
@@ -758,7 +645,7 @@ impl ReplicatedPool {
     /// the primary if every server was gone, and its catch-up of every kept
     /// word goes out now on its own channel, ahead of anything sent later.
     fn rejoin(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, server: usize) {
-        self.servers[server].health.on_probe_success();
+        self.servers[server].down = false;
         self.stats.rejoins += 1;
         let dirty = &mut self.servers[server].dirty;
         dirty.clear();
@@ -775,11 +662,7 @@ impl ReplicatedPool {
         if self.probe_armed || self.stats.probes >= MAX_PROBES {
             return;
         }
-        if !self
-            .servers
-            .iter()
-            .any(|s| s.health.state() == Health::Down)
-        {
+        if !self.servers.iter().any(|s| s.down) {
             return;
         }
         ctx.schedule(self.config.probe_interval, self.probe_token());
@@ -789,7 +672,7 @@ impl ReplicatedPool {
     fn on_probe_timer(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>) {
         self.probe_armed = false;
         for i in 0..self.servers.len() {
-            if self.servers[i].health.state() != Health::Down || self.stats.probes >= MAX_PROBES {
+            if !self.servers[i].down || self.stats.probes >= MAX_PROBES {
                 continue;
             }
             // A live (non-failed) channel here means the previous connect is
@@ -829,8 +712,8 @@ mod tests {
     }
 
     const SUBMIT: u64 = 1;
-    /// Write server 1 off as the detector does when its channel goes
-    /// silent: abort the channel and let the pool absorb the failure.
+    /// Write server 1 off as its retry cap does when its channel goes
+    /// silent: fail the channel and let the pool absorb the failure.
     const WRITE_OFF: u64 = 2;
     /// The FaA engine's tick: an anti-entropy flush.
     const SYNC: u64 = 3;
@@ -850,9 +733,8 @@ mod tests {
                 }
                 WRITE_OFF => {
                     let mut raw = Vec::new();
-                    self.pool.servers[1].channel.abort(ctx, &mut raw);
-                    self.pool
-                        .after_channel_activity(ctx, 1, &mut raw, &mut self.events);
+                    self.pool.servers[1].channel.fail(ctx, &mut raw);
+                    self.pool.absorb(ctx, 1, &mut raw, &mut self.events);
                 }
                 SYNC => self.pool.sync_mirrors(ctx),
                 _ => assert!(self.pool.on_timer(ctx, token, &mut self.events)),
@@ -879,7 +761,8 @@ mod tests {
         (nics, channels)
     }
 
-    /// A pool of `channels` under `rc`, detector threshold two rounds.
+    /// A pool of `channels` under `rc`, a server down on its second silent
+    /// round.
     fn submitter(
         channels: impl IntoIterator<Item = RdmaChannel>,
         rc: ReliableConfig,
@@ -899,7 +782,7 @@ mod tests {
 
     /// The primary of a three-server pool never answers. Fetch-and-Adds to
     /// distinct counters fill its window and three more queue behind it
-    /// when the detector writes it off; the pool has kept no copy of them.
+    /// when its retry cap writes it off; the pool has kept no copy of them.
     /// What reaches the promoted mirror is what the failed channel handed
     /// back: the same requests, in submit order, each answered once under
     /// its own cookie.
@@ -915,8 +798,7 @@ mod tests {
                 add: 1 + i,
             })
             .collect();
-        // The detector (two silent rounds) is to trip before the channel's
-        // own retry cap does.
+        // The pool's cap: the channel fails on its second silent round.
         let program = submitter(channels, impatient(), ops.clone());
         let mut servers = Vec::new();
         let (mut sim, sw, hole) = behind_blackhole(program, |b, sw| {
@@ -941,8 +823,8 @@ mod tests {
         );
         assert_eq!(stats.reissued_ops, ops.len() as u64);
         // Only the window ever reached the dead primary: sent, and sent
-        // again in each of the two silent rounds.
-        assert_eq!(sim.node::<Blackhole>(hole).frames.len(), MAX_WINDOW * 3);
+        // again at the first silent round; the second fails the channel.
+        assert_eq!(sim.node::<Blackhole>(hole).frames.len(), MAX_WINDOW * 2);
 
         // At the promoted mirror: a window of ops in submit order, each
         // exactly as `Op::request` lowers it under consecutive PSNs. The
@@ -1004,18 +886,15 @@ mod tests {
         sim.run_until(Time::from_micros(10));
     }
 
-    /// The mirror of a two-server pool crashes and is written off before
-    /// anything is counted, then restarts. Its probe is answered, and with
-    /// no counter to write the pool makes it a mirror again at once; nobody
-    /// else is asked. The first Fetch-and-Add after that reaches both
-    /// replicas.
-    #[test]
-    fn mirror_rejoining_before_the_first_count_is_promoted_by_the_pool() {
-        // Port 0 leads to the black hole; the servers sit on ports 1 and 2.
+    /// A primary on switch port 1 and a mirror on port 2 (port 0 leads to
+    /// the black hole) under [`impatient`] channels; the pool's one caller
+    /// op is `op`. The mirror crashes at once, is written off at 5 us and
+    /// restarts at 100 us; the first probe goes out 200 us after the
+    /// write-off. Runs to 300 us and returns the simulation, the switch and
+    /// the two servers.
+    fn a_mirror_back_from_a_crash(op: Op) -> (extmem_sim::Simulator, NodeId, [NodeId; 2]) {
         let (nics, [_, primary, mirror]) = servers::<3>();
-        let (rkey, base) = (primary.rkey, primary.base_va);
-        let count = Op::FetchAdd { va: base, add: 5 };
-        let program = submitter([primary, mirror], impatient(), vec![count]);
+        let program = submitter([primary, mirror], impatient(), vec![op]);
         let mut servers = Vec::new();
         let (mut sim, sw, _) = behind_blackhole(program, |b, sw| {
             let [_unplugged, nics @ ..] = nics;
@@ -1026,12 +905,23 @@ mod tests {
                 servers.push(server);
             }
         });
-        let mirror = servers[1];
-        sim.schedule_crash(mirror, TimeDelta::ZERO);
+        sim.schedule_crash(servers[1], TimeDelta::ZERO);
         sim.schedule_timer(sw, TimeDelta::from_micros(5), program_token(WRITE_OFF));
-        sim.schedule_restart(mirror, TimeDelta::from_micros(100));
-        // The first probe goes out 200 us after the write-off.
+        sim.schedule_restart(servers[1], TimeDelta::from_micros(100));
         sim.run_until(Time::from_micros(300));
+        (sim, sw, [servers[0], servers[1]])
+    }
+
+    /// The mirror of a two-server pool crashes and is written off before
+    /// anything is counted, then restarts. Its probe is answered, and with
+    /// no counter to write the pool makes it a mirror again at once; nobody
+    /// else is asked. The first Fetch-and-Add after that reaches both
+    /// replicas.
+    #[test]
+    fn mirror_rejoining_before_the_first_count_is_promoted_by_the_pool() {
+        let (_, [ch, ..]) = servers::<1>();
+        let (rkey, base) = (ch.rkey, ch.base_va);
+        let (mut sim, sw, servers) = a_mirror_back_from_a_crash(Op::FetchAdd { va: base, add: 5 });
         let pool = &sim.node::<SwitchNode>(sw).program::<Submitter>().pool;
         assert_eq!([pool.health(0), pool.health(1)], [Health::Healthy; 2]);
         let stats = pool.stats();
@@ -1055,6 +945,39 @@ mod tests {
                 .unwrap();
             assert_eq!(counter, 5u64.to_be_bytes());
         }
+    }
+
+    /// A server taken back is written off by the same rule as any other:
+    /// the mirror rejoins after its crash, crashes again, and leaves the
+    /// catch-up WRITE of the next count unanswered. Its channel fails on
+    /// its second silent round and the mirror is Down; the primary serves
+    /// on.
+    #[test]
+    fn a_rejoined_server_whose_channel_fails_again_is_down() {
+        let (_, [ch, ..]) = servers::<1>();
+        let count = Op::FetchAdd {
+            va: ch.base_va,
+            add: 5,
+        };
+        let (mut sim, sw, [_, mirror]) = a_mirror_back_from_a_crash(count);
+        let pool = &sim.node::<SwitchNode>(sw).program::<Submitter>().pool;
+        assert_eq!((pool.health(1), pool.stats().rejoins), (Health::Healthy, 1));
+
+        sim.schedule_crash(mirror, TimeDelta::ZERO);
+        sim.schedule_timer(sw, TimeDelta::ZERO, program_token(SUBMIT));
+        // The catch-up WRITE goes out at 320 us and times out at 330 us
+        // and 350 us; the next probe would be due 200 us later.
+        sim.schedule_timer(sw, TimeDelta::from_micros(20), program_token(SYNC));
+        sim.run_until(Time::from_micros(400));
+        let pool = &sim.node::<SwitchNode>(sw).program::<Submitter>().pool;
+        assert_eq!(
+            [pool.health(0), pool.health(1)],
+            [Health::Healthy, Health::Down]
+        );
+        let stats = pool.stats();
+        assert_eq!((stats.unavailable, stats.failovers), (1, 0), "{stats}");
+        assert_eq!(pool.channel_stats().timeouts, 1);
+        assert_eq!(pool.server_port(), PortId(1));
     }
 
     /// One step of a [`Driven`] program: what it does to the pool when its
@@ -1381,8 +1304,8 @@ mod tests {
         let ([_, nic, _], [mirror, primary, _]) = servers::<3>();
         let write_off: Step = Box::new(|pool, ctx| {
             let mut raw = Vec::new();
-            pool.servers[1].channel.abort(ctx, &mut raw);
-            pool.after_channel_activity(ctx, 1, &mut raw, &mut Vec::new());
+            pool.servers[1].channel.fail(ctx, &mut raw);
+            pool.absorb(ctx, 1, &mut raw, &mut Vec::new());
         });
         steps.push((until - 1, write_off));
         let (times, steps): (Vec<u64>, Vec<Step>) = steps.into_iter().unzip();
@@ -1473,8 +1396,8 @@ mod tests {
         let count = |add: u64| submit(vec![Op::FetchAdd { va: base, add }]);
         let write_off: Step = Box::new(|pool, ctx| {
             let mut raw = Vec::new();
-            pool.servers[1].channel.abort(ctx, &mut raw);
-            pool.after_channel_activity(ctx, 1, &mut raw, &mut Vec::new());
+            pool.servers[1].channel.fail(ctx, &mut raw);
+            pool.absorb(ctx, 1, &mut raw, &mut Vec::new());
         });
         let steps = vec![
             (0, count(5)),
@@ -1519,46 +1442,6 @@ mod tests {
             ReliableChannel::new(channel(), rc),
         ];
         ReplicatedPool::new(channels, PoolConfig::default());
-    }
-
-    #[test]
-    fn detector_needs_threshold_consecutive_timeouts() {
-        let mut d = HealthDetector::new(3);
-        assert_eq!(d.state(), Health::Healthy);
-        d.on_timeout();
-        assert_eq!(d.state(), Health::Suspect);
-        d.on_ack();
-        assert_eq!(d.state(), Health::Healthy);
-        d.on_timeout();
-        d.on_timeout();
-        assert_eq!(d.state(), Health::Suspect);
-        d.on_timeout();
-        assert_eq!(d.state(), Health::Down);
-    }
-
-    #[test]
-    fn rejoin_only_from_down() {
-        let mut d = HealthDetector::new(2);
-        d.on_timeout();
-        d.on_probe_success();
-        assert_eq!(d.state(), Health::Suspect, "a probe is no promotion");
-        d.on_channel_failed();
-        d.on_timeout();
-        assert_eq!(d.state(), Health::Down, "raw timeouts don't revive");
-        d.on_probe_success();
-        assert_eq!(d.state(), Health::Healthy);
-        assert_eq!(d.consecutive_failures(), 0);
-    }
-
-    /// A rejoiner whose catch-up fails goes back to `Down`, like any
-    /// server whose channel gives up.
-    #[test]
-    fn rejoin_abort_returns_to_down() {
-        let mut d = HealthDetector::new(1);
-        d.on_channel_failed();
-        d.on_probe_success();
-        d.on_channel_failed();
-        assert_eq!(d.state(), Health::Down);
     }
 
     #[test]

@@ -346,10 +346,9 @@ mod tests {
     fn best_effort_mode_undercounts_on_loss() {
         // Same loss, reliability off: the §7 observation that "an RDMA
         // packet drop would affect the accuracy of the state".
-        // Seed picked so the drop pattern undercounts without tripping the
-        // pool's failure detector — a burst of consecutive timeouts would
-        // declare the sole server down and freeze the remote counter, which
-        // is a different scenario than the one this test pins.
+        // Seed picked so the drop pattern undercounts. A best-effort
+        // channel ages its losses out and never fails, so the sole server
+        // is never written off.
         let r = lossy(FaaConfig::default(), 81, 0.05);
         let remote: u64 = r.remote().iter().sum();
         let oracle: u64 = r.prog().oracle.values().sum();

@@ -13,7 +13,7 @@
 //! — data, ACK or NAK — costs exactly one payload construction, the frame
 //! itself. The NIC only queues what it is handed.
 
-use crate::mr::{AccessError, MrTable};
+use crate::mr::MrTable;
 use crate::qp::{QueuePair, ATOMIC_RESULTS};
 use extmem_wire::aeth::{Aeth, NakCode};
 use extmem_wire::atomic::AtomicAckEth;
@@ -95,10 +95,7 @@ pub fn process_request(
         return connect(local, qp, psn);
     }
     if !qp.connected {
-        return ResponderResult {
-            response: None,
-            outcome: Outcome::Unconnected,
-        };
+        return silent(Outcome::Unconnected);
     }
     if psn_before(psn, qp.epsn) {
         return duplicate(local, qp, mrs, req, mtu);
@@ -110,10 +107,7 @@ pub fn process_request(
         } else {
             // RC: NAK once, then drop until the requester goes back.
             if qp.nak_outstanding {
-                return ResponderResult {
-                    response: None,
-                    outcome: Outcome::OutOfSequenceDropped,
-                };
+                return silent(Outcome::OutOfSequenceDropped);
             }
             qp.nak_outstanding = true;
             return nak(local, qp, NakCode::PsnSequenceError);
@@ -124,10 +118,10 @@ pub fn process_request(
     match req.bth.opcode {
         Opcode::WriteOnly => {
             let RoceExt::Reth(reth) = req.ext else {
-                return invalid(local, qp);
+                return refuse(local, qp, NakCode::InvalidRequest);
             };
             if reth.dma_len as usize != req.payload.len() || req.payload.len() > mtu {
-                return invalid(local, qp);
+                return refuse(local, qp, NakCode::InvalidRequest);
             }
             match mrs
                 .get_mut(reth.rkey)
@@ -138,7 +132,7 @@ pub fn process_request(
                     qp.msn = (qp.msn + 1) & 0xff_ffff;
                     write_ack(local, qp, req.bth.ack_req, req.payload.len() as u64, psn)
                 }
-                Err(e) => access_nak(local, qp, e),
+                Err(e) => refuse(local, qp, e.into()),
             }
         }
         Opcode::ReadRequest | Opcode::HashProbe | Opcode::GatherWalk => {
@@ -146,7 +140,7 @@ pub fn process_request(
         }
         Opcode::FetchAdd => {
             let RoceExt::AtomicEth(a) = req.ext else {
-                return invalid(local, qp);
+                return refuse(local, qp, NakCode::InvalidRequest);
             };
             match mrs
                 .get_mut(a.rkey)
@@ -161,10 +155,10 @@ pub fn process_request(
                         Outcome::AtomicExecuted,
                     )
                 }
-                Err(e) => access_nak(local, qp, e),
+                Err(e) => refuse(local, qp, e.into()),
             }
         }
-        _ => invalid(local, qp),
+        _ => refuse(local, qp, NakCode::InvalidRequest),
     }
 }
 
@@ -209,12 +203,7 @@ fn duplicate(
         // Duplicate writes are not re-executed, and are acknowledged only
         // when they ask: in a go-back-N volley, the answer to an op behind
         // them covers the rest, as an ACK of PSN n covers every earlier PSN.
-        _ if !req.bth.ack_req => {
-            return ResponderResult {
-                response: None,
-                outcome: Outcome::Duplicate,
-            }
-        }
+        _ if !req.bth.ack_req => return silent(Outcome::Duplicate),
         _ => plain_ack(local, qp, req.bth.psn),
     };
     answered(response, Outcome::Duplicate)
@@ -258,13 +247,9 @@ fn serve_read(
 ) -> ResponderResult {
     let read = match resolve_read(mrs, req, mtu) {
         Ok(read) => read,
-        Err(code) => {
-            // A bad duplicate must not perturb the live sequence state.
-            if !is_duplicate {
-                qp.epsn = psn_add(qp.epsn, 1);
-            }
-            return nak(local, qp, code);
-        }
+        // A bad duplicate must not perturb the live sequence state.
+        Err(code) if is_duplicate => return nak(local, qp, code),
+        Err(code) => return refuse(local, qp, code),
     };
     let bth = Bth::new(Opcode::ReadRespOnly, qp.peer_qpn, req.bth.psn);
     let ext = RoceExt::Aeth(Aeth::ack(qp.msn));
@@ -371,10 +356,15 @@ fn answered(response: Result<Packet, WireError>, outcome: Outcome) -> ResponderR
             response: Some(frame),
             outcome,
         },
-        Err(_) => ResponderResult {
-            response: None,
-            outcome: Outcome::ResponseDropped,
-        },
+        Err(_) => silent(Outcome::ResponseDropped),
+    }
+}
+
+/// A request's result when nothing goes back.
+fn silent(outcome: Outcome) -> ResponderResult {
+    ResponderResult {
+        response: None,
+        outcome,
     }
 }
 
@@ -387,10 +377,7 @@ fn write_ack(
 ) -> ResponderResult {
     let outcome = Outcome::WriteExecuted { bytes };
     if !ack_req {
-        return ResponderResult {
-            response: None,
-            outcome,
-        };
+        return silent(outcome);
     }
     answered(plain_ack(local, qp, psn), outcome)
 }
@@ -436,17 +423,12 @@ pub(crate) fn nak(local: RoceEndpoint, qp: &QueuePair, code: NakCode) -> Respond
     answered(response, Outcome::Nak(code))
 }
 
-fn invalid(local: RoceEndpoint, qp: &mut QueuePair) -> ResponderResult {
-    // Advance past the broken request so the channel keeps flowing (a real
-    // QP would enter the error state; see DESIGN.md for this divergence).
+/// Refuse a fresh request with `code`, past which the QP expects the next
+/// PSN (a real QP would enter the error state; see DESIGN.md for this
+/// divergence: the requester's channel fails over on the NAK anyway).
+fn refuse(local: RoceEndpoint, qp: &mut QueuePair, code: NakCode) -> ResponderResult {
     qp.epsn = psn_add(qp.epsn, 1);
-    nak(local, qp, NakCode::InvalidRequest)
-}
-
-fn access_nak(local: RoceEndpoint, qp: &mut QueuePair, err: AccessError) -> ResponderResult {
-    let _ = err;
-    qp.epsn = psn_add(qp.epsn, 1);
-    nak(local, qp, NakCode::RemoteAccessError)
+    nak(local, qp, code)
 }
 
 #[cfg(test)]

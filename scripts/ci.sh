@@ -55,6 +55,26 @@ if [ -n "$pool_users" ]; then
     exit 1
 fi
 
+echo "== a server is written off by its channel's retry cap alone =="
+# The pool runs no failure detector of its own and forces no give-up on a
+# channel: a server is Down from its channel's failure (at the retry cap
+# the pool sets, or at a refusal NAK) until a reconnect is answered, and a
+# lone FaA engine keeps the channel's default cap as a plain value. The
+# non-test part of pool.rs and faa.rs (up to the first column-0
+# `#[cfg(test)]`, as scripts/loc.sh counts) names no HealthDetector and no
+# seen_timeouts watermark and calls no `.abort(`, and faa.rs sets no
+# u32::MAX threshold.
+detector="$(for f in crates/core/src/pool.rs crates/core/src/faa.rs; do
+    awk -v f="$f" '/^#\[cfg\(test\)\]/ { exit }
+        /HealthDetector|seen_timeouts|\.abort\(/ || (f ~ /faa\.rs$/ && /u32::MAX/) {
+            printf "%s:%d: %s\n", f, NR, $0 }' "$f"
+done)"
+if [ -n "$detector" ]; then
+    echo "$detector" >&2
+    echo "FAIL: a pool server is written off by its channel's retry cap alone" >&2
+    exit 1
+fi
+
 echo "== no hand-placed buffer returns =="
 # A frame buffer goes back to the pool when its payload's last owner drops
 # it (wire::bytes::Frame); the call that used to do it by hand, and the
@@ -114,7 +134,7 @@ release_cells smoke_
 
 echo "== crash/failover cells (release) =="
 # The replicated state store's crash, failover, and rejoin cells re-run
-# under the release profile: failure detection races on timer ordering and
+# under the release profile: a write-off races on timer ordering and
 # on a restarted server's disconnect notice and in-band reconnect, which
 # optimization can reshuffle. They are the primary and
 # the mirror dying mid-count, with and without a restart that must
@@ -123,7 +143,8 @@ echo "== crash/failover cells (release) =="
 # partition than the switch driving it
 # (crash_state_store_rejoin_under_parallel_backend), the cold-rejoin cell
 # (crash_state_store_cold_rejoin_*), where a pool built with nothing but
-# its detection knobs must rebuild each restarted server on its own, the
+# its two knobs (down_threshold, probe_interval) must rebuild each
+# restarted server on its own, the
 # lossy rejoin (crash_state_store_mirror_rejoins_by_value_writes_under_loss),
 # where atomic acknowledgements are lost and the mirror must still be
 # rebuilt by value WRITEs alone, and

@@ -1104,9 +1104,9 @@ fn state_store_exact_across_psn_wrap_with_loss() {
 
 use extmem_core::{Health, PoolConfig};
 
-/// Aggressive detection knobs so failover and rejoin land inside short
-/// test runs: two consecutive timeouts mark a server down, probes fire
-/// every 100us.
+/// Aggressive pool knobs so failover and rejoin land inside short test
+/// runs: a server's channel fails on its second silent timeout round,
+/// probes fire every 100us.
 fn crash_pool_config() -> PoolConfig {
     PoolConfig {
         down_threshold: 2,
@@ -1241,7 +1241,7 @@ fn crash_state_store_rejoin_under_parallel_backend() {
     });
 }
 
-/// A replicated state store whose pool names only the detection knobs. A
+/// A replicated state store whose pool names only its two knobs. A
 /// restarted server comes back with wiped DRAM while counting goes on, and
 /// the pool must rebuild it from the survivor without being told to: the
 /// mirror crashes and rejoins first, then the primary. Once settled, both

@@ -392,109 +392,183 @@ fn event_queue_total_order() {
     assert!(q.pop().is_none());
 }
 
-// ---------------------------------------------------------------------------
-// Health detector (PR 5): the pool's failure detector is a pure state
-// machine, so its safety properties can be checked over arbitrary
-// observation sequences.
-// ---------------------------------------------------------------------------
-
-/// One observation fed to a [`extmem_core::HealthDetector`].
-#[derive(Clone, Copy, Debug)]
-enum Obs {
-    Timeout,
-    Ack,
-    ChannelFailed,
-    ProbeSuccess,
+/// A switch program that drives one replicated FaA engine, the primary's
+/// answers lost as a [`Muted`] wire says, and checks its retry cap at every
+/// event until the primary is first written off: each timer fire that is a
+/// timeout round adds one to the silent rounds, each answer that is
+/// progress (an acknowledgement or NAK that is not a duplicate) clears
+/// them, and the primary goes `Down` on a fire after exactly `cap` silent
+/// rounds, on no other fire and on no answer.
+struct CapChecked {
+    engine: extmem_core::faa::FaaEngine,
+    /// Program timer `i < counts` counts on slot `i % 16`.
+    counts: u64,
+    cap: u32,
+    silent: u32,
+    /// Silent rounds at the fire that wrote the primary off.
+    failed_after: Option<u32>,
+    /// Timeout rounds seen before the write-off.
+    rounds: u64,
 }
 
-fn obs_strategy() -> impl Strategy<Value = Obs> {
-    // Weighted by bucket: timeouts and ACKs dominate real traces; the rare
-    // events still get enough weight to compose full recovery cycles.
-    (0u8..13).prop_map(|n| match n {
-        0..=4 => Obs::Timeout,
-        5..=9 => Obs::Ack,
-        10 => Obs::ChannelFailed,
-        _ => Obs::ProbeSuccess,
-    })
+impl CapChecked {
+    /// The primary's progress so far: answers that were not duplicates.
+    fn progress(&self) -> u64 {
+        let s = self.engine.stats().channel;
+        s.acks + s.naks - s.duplicate_drops
+    }
+
+    fn down(&self) -> bool {
+        self.engine.pool().health(0) == extmem_core::Health::Down
+    }
+
+    /// Whether the primary has not yet been written off.
+    fn checking(&self) -> bool {
+        self.failed_after.is_none()
+    }
 }
 
-proptest! {
-    /// Safety: the detector never declares `Down` on timeouts alone unless
-    /// `threshold` *consecutive* timeouts occurred — a single ACK anywhere
-    /// in the window resets the count. (`ChannelFailed` is the explicit
-    /// exception: the reliability layer already exhausted its retries.)
-    #[test]
-    fn detector_never_down_below_threshold(
-        threshold in 1u32..8,
-        trace in proptest::collection::vec(obs_strategy(), 0..200),
+impl extmem_switch::PipelineProgram for CapChecked {
+    fn ingress(
+        &mut self,
+        ctx: &mut extmem_switch::SwitchCtx<'_, '_, '_>,
+        port: extmem_types::PortId,
+        pkt: Packet,
     ) {
-        use extmem_core::{Health, HealthDetector};
-        let mut d = HealthDetector::new(threshold);
-        let mut consecutive = 0u32;
-        let mut forced = false;
-        for ob in trace {
-            let before = d.state();
-            match ob {
-                Obs::Timeout => {
-                    d.on_timeout();
-                    consecutive += 1;
-                }
-                Obs::Ack => {
-                    d.on_ack();
-                    consecutive = 0;
-                    forced = false;
-                }
-                Obs::ChannelFailed => {
-                    d.on_channel_failed();
-                    forced = true;
-                }
-                Obs::ProbeSuccess => {
-                    d.on_probe_success();
-                    if before == Health::Down {
-                        consecutive = 0;
-                        forced = false;
-                    }
-                }
-            }
-            // A fresh transition into Down must be justified: either the
-            // channel gave up explicitly, or `threshold` consecutive
-            // timeouts accumulated with no ACK in between.
-            if d.state() == Health::Down && before != Health::Down {
-                prop_assert!(
-                    forced || consecutive >= threshold,
-                    "Down after {consecutive} consecutive timeouts (threshold {threshold})"
-                );
+        let Ok(Some(roce)) = RocePacket::parse(&pkt) else {
+            return;
+        };
+        let (checking, before) = (self.checking(), self.progress());
+        self.engine.on_roce(ctx, port, &roce);
+        if checking {
+            assert!(!self.down(), "written off on an answer");
+            if self.progress() > before {
+                self.silent = 0;
             }
         }
     }
 
-    /// Safety: a server rejoins — leaves `Down` — only when a probe is
-    /// answered, and an answered probe changes nothing for a server that
-    /// was not `Down`.
-    #[test]
-    fn detector_rejoining_only_from_down(
-        threshold in 1u32..8,
-        trace in proptest::collection::vec(obs_strategy(), 0..200),
-    ) {
-        use extmem_core::{Health, HealthDetector};
-        let mut d = HealthDetector::new(threshold);
-        for ob in trace {
-            let before = d.state();
-            match ob {
-                Obs::Timeout => d.on_timeout(),
-                Obs::Ack => d.on_ack(),
-                Obs::ChannelFailed => d.on_channel_failed(),
-                Obs::ProbeSuccess => d.on_probe_success(),
-            }
-            if before == Health::Down && d.state() != Health::Down {
-                prop_assert!(matches!(ob, Obs::ProbeSuccess), "left Down via {ob:?}");
-                prop_assert_eq!(d.state(), Health::Healthy);
-            }
-            if matches!(ob, Obs::ProbeSuccess) && before != Health::Down {
-                prop_assert_eq!(d.state(), before, "a probe promoted a {:?} server", before);
-            }
+    fn on_timer(&mut self, ctx: &mut extmem_switch::SwitchCtx<'_, '_, '_>, token: u64) {
+        if token < self.counts {
+            return self.engine.add(ctx, token % 16, 1);
+        }
+        let (checking, before) = (self.checking(), self.engine.stats().channel.timeouts);
+        self.engine.on_timer(ctx, token);
+        if !checking {
+            return;
+        }
+        if self.down() {
+            self.failed_after = Some(self.silent);
+        } else if self.engine.stats().channel.timeouts > before {
+            self.silent += 1;
+            self.rounds += 1;
+            assert!(self.silent <= self.cap, "{} silent rounds", self.silent);
         }
     }
+}
+
+/// A replicated pool's server is written off by its channel's retry cap
+/// alone. Random schedules: a cap `k` of 1 to [`extmem_core::channel::MAX_RETRIES`]
+/// (`down_threshold` `k + 1`), up to 48 counts in the first 400 us and one
+/// at 450 us, and the primary's answers lost at random until, from a
+/// random time before that last count, all are. Every schedule ends with
+/// the primary written off, on the fire after `k` timeout rounds with no
+/// progress in between, never earlier (checked at every event by
+/// [`CapChecked`]).
+#[test]
+fn a_channel_with_cap_k_fails_on_the_fire_after_k_silent_rounds() {
+    use extmem_core::channel::{RdmaChannel, MAX_RETRIES};
+    use extmem_core::faa::{FaaConfig, FaaEngine};
+    use extmem_core::PoolConfig;
+    use extmem_rnic::{RnicConfig, RnicNode};
+    use extmem_sim::{LinkSpec, SimBuilder, TxQueue};
+    use extmem_switch::switch::program_token;
+    use extmem_switch::{SwitchConfig, SwitchNode};
+    use extmem_types::{ByteSize, PortId};
+    use extmem_wire::roce::RoceEndpoint;
+    use extmem_wire::MacAddr;
+    use proptest::strategy::Strategy;
+    use proptest::test_runner::TestRng;
+
+    const CASES: u32 = 2_000;
+    // Long enough for the longest give-up, 1 + 2 + 4 + 8 + 5 × 16 RTOs
+    // after the last count.
+    const RUN_US: u64 = 5_000;
+    let endpoint = |i: u32| RoceEndpoint {
+        mac: MacAddr::local(i),
+        ip: 0x0a00_0000 + i,
+    };
+    let schedule = (
+        1..MAX_RETRIES + 1,
+        proptest::collection::vec(0u64..400, 0..48),
+        any::<u64>(),
+        0u64..450,
+    );
+    let mut rng = TestRng::for_test("a_channel_with_cap_k_fails");
+    let mut rounds = 0;
+    for case in 0..CASES {
+        let (cap, mut times, lose, mute_from) = schedule.new_value(&mut rng);
+        times.push(450);
+        let mut nics: Vec<RnicNode> = (0..2)
+            .map(|i| RnicNode::new("mem", RnicConfig::at(endpoint(10 + i))))
+            .collect();
+        let region = ByteSize::from_bytes(8 * 16);
+        let channels: Vec<RdmaChannel> = (nics.iter_mut().enumerate())
+            .map(|(i, nic)| RdmaChannel::setup(endpoint(1), PortId(i as u16), nic, region))
+            .collect();
+        let config = FaaConfig {
+            reliable: true,
+            rto: TimeDelta::from_micros(CHANNEL_RTO_US),
+            ..FaaConfig::default()
+        };
+        let pool_config = PoolConfig {
+            down_threshold: cap + 1,
+            ..PoolConfig::default()
+        };
+        let program = CapChecked {
+            engine: FaaEngine::replicated(channels, config, pool_config),
+            counts: times.len() as u64,
+            cap,
+            silent: 0,
+            failed_after: None,
+            rounds: 0,
+        };
+        let mut b = SimBuilder::new(case as u64);
+        let sw = b.add_node(Box::new(SwitchNode::new(
+            "tor",
+            SwitchConfig::default(),
+            Box::new(program),
+        )));
+        let wire = b.add_node(Box::new(Muted {
+            from: mute_from,
+            until: RUN_US,
+            lose,
+            seen: 0,
+            tx: [TxQueue::new(PortId(0)), TxQueue::new(PortId(1))],
+        }));
+        let [primary, mirror] = [0, 1].map(|_| nics.remove(0));
+        let primary = b.add_node(Box::new(primary));
+        let mirror = b.add_node(Box::new(mirror));
+        b.connect(sw, PortId(0), wire, PortId(0), LinkSpec::testbed_40g());
+        b.connect(wire, PortId(1), primary, PortId(0), LinkSpec::testbed_40g());
+        b.connect(sw, PortId(1), mirror, PortId(0), LinkSpec::testbed_40g());
+        let mut sim = b.build();
+        for (i, &at) in times.iter().enumerate() {
+            let delay = TimeDelta::from_micros(at);
+            sim.schedule_timer(sw, delay, program_token(i as u64));
+        }
+        sim.run_until(Time::from_micros(RUN_US));
+
+        let program = sim.node::<SwitchNode>(sw).program::<CapChecked>();
+        let what =
+            format!("case {case}: cap {cap}, counts {times:?}, lose {lose:#x}, {mute_from} us");
+        assert_eq!(program.failed_after, Some(cap), "{what}");
+        rounds += program.rounds;
+    }
+    println!(
+        "a_channel_with_cap_k_fails_on_the_fire_after_k_silent_rounds: \
+         {CASES} cases explored, {rounds} timeout rounds"
+    );
 }
 
 /// Counters in the replicated pool schedules below: the fabric's shard
@@ -614,11 +688,14 @@ impl extmem_switch::PipelineProgram for Counting {
 }
 
 /// A wire between the switch (port 0) and a memory server (port 1) that
-/// loses every frame the server sends in `[from, until)` us: the server
-/// runs what it is sent, but its answers are lost.
+/// loses every frame the server sends in `[from, until)` us, and its
+/// `k`-th frame when bit `k` of `lose` is set: the server runs what it is
+/// sent, but those answers are lost.
 struct Muted {
     from: u64,
     until: u64,
+    lose: u64,
+    seen: usize,
     tx: [extmem_sim::TxQueue; 2],
 }
 
@@ -629,10 +706,13 @@ impl extmem_sim::Node for Muted {
         port: extmem_types::PortId,
         packet: Packet,
     ) {
-        let now = ctx.now();
-        let muted = now >= Time::from_micros(self.from) && now < Time::from_micros(self.until);
-        if port.0 == 1 && muted {
-            return;
+        if port.0 == 1 {
+            let (now, k) = (ctx.now(), self.seen);
+            self.seen += 1;
+            let muted = now >= Time::from_micros(self.from) && now < Time::from_micros(self.until);
+            if muted || (k < 64 && self.lose >> k & 1 == 1) {
+                return;
+            }
         }
         self.tx[1 - port.0 as usize].send(ctx, packet);
     }
@@ -733,7 +813,13 @@ fn pool_settles_equal(
             let mut at = (sw, PortId(i as u16));
             if let (0, Some((from, until))) = (i, faults.mute) {
                 let tx = [TxQueue::new(PortId(0)), TxQueue::new(PortId(1))];
-                let wire = b.add_node(Box::new(Muted { from, until, tx }));
+                let wire = b.add_node(Box::new(Muted {
+                    from,
+                    until,
+                    lose: 0,
+                    seen: 0,
+                    tx,
+                }));
                 b.connect(sw, at.1, wire, PortId(0), LinkSpec::testbed_40g());
                 at = (wire, PortId(1));
             }
@@ -861,7 +947,7 @@ fn a_primary_back_wiped_before_the_next_count_is_caught_up() {
 }
 
 /// Two servers; the mirror loses the catch-up WRITEs of the first flushes
-/// and their re-sends, so the detector writes it off while it stays up and
+/// and their re-sends, so its retry cap writes it off while it stays up and
 /// its QP still expects the PSN it was at. The reconnect goes out at the
 /// channel's own next PSN, past all of those, so the live QP re-anchors
 /// there and the mirror is caught up. The defect this guards against: a
@@ -916,7 +1002,7 @@ fn a_lone_engine_whose_answers_were_lost_counts_each_add_once() {
 
 /// Two servers. The mirror crashes at 140 us, before anything is sent to
 /// it; from 150 us the primary's answers are lost while it stays up, so the
-/// detector writes it off, and the promoted mirror answers nothing either:
+/// retry cap writes it off, and the promoted mirror answers nothing either:
 /// the pool has lost every server, and its engine keeps the adds handed
 /// back. The primary's answers come back at 600 us, before the mirror
 /// restarts at 1,100 us: the former primary is reconnected first and is
