@@ -1178,18 +1178,19 @@ fn a13_cuckoo(
 ///   would-be false positive forcibly relocates its victim key to the
 ///   secondary bucket (`fp_moves`). Shrinking the filter makes that
 ///   maintenance bill explode and packs the table's secondary buckets. The
-///   one filter steers both modes to the same bucket (`2nd-bkt` is equal):
-///   verb mode READs the slots of it whose switch-side fingerprint matches
-///   the key's, and the hash-probe-and-fetch op names it, so the responder
-///   scans it in one access. Both modes pay the same install-time fp-moves
-///   and hold 1.0 RTTs-per-miss with zero punts at any filter size, and
-///   hold the same switch state (`switch B`, checked: two bytes per filter
-///   cell and one fingerprint byte per slot). A verb miss moves exactly a
-///   READ request (74 B), its response's headers (62 B) and 32 B per slot
-///   READ on the memory link (`B/miss`, both directions, checked). Both
-///   answers carry one slot, but the READ request is shorter than a probe
-///   carrying its key, so the READ moves fewer bytes, and its p99 is no
-///   worse.
+///   one filter steers both modes to the same bucket (`2nd-bkt` is equal),
+///   and both access the same span of it, the slots whose switch-side
+///   fingerprint matches the key's (`slots/miss` is equal, checked): verb
+///   mode READs that span, and the hash-probe-and-fetch op names it, so the
+///   responder scans it in one access that costs the server NIC what the
+///   READ does. Both modes pay the same install-time fp-moves and hold 1.0
+///   RTTs-per-miss with zero punts at any filter size, and hold the same
+///   switch state (`switch B`, checked: two bytes per filter cell and one
+///   fingerprint byte per slot). A verb miss moves exactly a READ request
+///   (74 B), its response's headers (62 B) and 32 B per slot READ on the
+///   memory link (`B/miss`, both directions, checked). Both answers carry
+///   one slot, but the READ request is shorter than a probe carrying its
+///   key, so the READ moves fewer bytes, and its p99 is no worse.
 pub fn a13_remote_ops(out: &mut String) {
     out.push_str(&format!(
         "A13: remote-op ISA A/B — one RTT per dependent-access chain ({A13_COUNT} packets/leg)\n"
@@ -1272,12 +1273,17 @@ pub fn a13_remote_ops(out: &mut String) {
         );
         // A verb miss is one READ request (74 B) and one response: 62 B of
         // headers and the slots whose live fingerprint matched, 32 B each.
-        let slots: u64 = (1..).zip(vs.verb_read_slots).map(|(n, k)| n * k).sum();
+        let slots = |s: &LookupStats| (1..).zip(s.miss_slots).map(|(n, k)| n * k).sum::<u64>();
         assert_eq!(
             vtotal,
-            (74 + 62) * vs.remote_lookups + 32 * slots,
+            (74 + 62) * vs.remote_lookups + 32 * slots(&vs),
             "verb B/miss is the READ's headers plus its slots: {vs:?}"
         );
+        assert_eq!(
+            vs.miss_slots, rs.miss_slots,
+            "a probe scans the span of slots a READ fetches: verb {vs:?} vs ops {rs:?}"
+        );
+        let [vslots, rslots] = [&vs, &rs].map(|s| slots(s) as f64 / s.remote_lookups as f64);
         let [vbytes, rbytes] =
             [(vtotal, &vs), (rtotal, &rs)].map(|(bytes, s)| bytes as f64 / s.remote_lookups as f64);
         assert_eq!(vfp, rfp, "both legs install into the same directory");
@@ -1287,8 +1293,8 @@ pub fn a13_remote_ops(out: &mut String) {
         );
         assert!(
             vlat.p99 <= rlat.p99,
-            "a READ of the one slot whose fingerprint matches must be no slower at p99 \
-             than a probe the responder scans the bucket for: verb {:?} vs ops {:?}",
+            "a READ of the span whose fingerprints match must be no slower at p99 \
+             than a probe of that span, whose request carries the key: verb {:?} vs ops {:?}",
             vlat.p99,
             rlat.p99
         );
@@ -1319,10 +1325,12 @@ pub fn a13_remote_ops(out: &mut String) {
             vfp.to_string(),
             format!("{:.2}", vs.rtts_per_miss().unwrap()),
             vs.filter_secondary_probes.to_string(),
+            format!("{vslots:.2}"),
             f2(vlat.p99.as_micros_f64()),
             format!("{vbytes:.0}"),
             format!("{:.2}", rs.rtts_per_miss().unwrap()),
             rs.filter_secondary_probes.to_string(),
+            format!("{rslots:.2}"),
             f2(rlat.p99.as_micros_f64()),
             format!("{rbytes:.0}"),
         ]);
@@ -1340,10 +1348,12 @@ pub fn a13_remote_ops(out: &mut String) {
             "install fp-moves",
             "verb RTT/miss",
             "verb 2nd-bkt",
+            "verb slots/miss",
             "verb p99 us",
             "verb B/miss",
             "ops RTT/miss",
             "ops 2nd-bkt",
+            "ops slots/miss",
             "ops p99 us",
             "ops B/miss",
         ],
@@ -1354,14 +1364,15 @@ pub fn a13_remote_ops(out: &mut String) {
         "\nboth modes' exactness is bought at install time: {} fp-avoidance\n\
              relocations at 96 filter cells vs {} at 4096. The filter steers the\n\
              hash probe to the same one bucket the verb READ fetches, so it is one\n\
-             access; the verb READ covers only the slots whose fingerprint, one\n\
-             byte per slot in the switch, matches the key's (verb B/miss = 74 +\n\
-             62 + 32 per slot READ, checked), and moves {:.0} B less per miss than\n\
-             the probe, whose request carries the key.\n\
+             access; both cover only the slots whose fingerprint, one byte per\n\
+             slot in the switch, matches the key's (slots/miss equal, checked),\n\
+             so the server NIC spends the same time on each. The READ (verb\n\
+             B/miss = 74 + 62 + 32 per slot READ, checked) moves {:.0} B less per\n\
+             miss than the probe, whose request carries the key.\n\
              \nexpectation: the ops legs hold 1.0 RTTs-per-miss at every depth and\n\
              every filter size, with zero punts; the verb READ moves fewer\n\
-             memory-link bytes per miss than the hash probe at no worse p99; verb\n\
-             p99 grows with ladder depth.\n",
+             memory-link bytes per miss than the hash probe, whose span is the\n\
+             same, at no worse p99; verb p99 grows with ladder depth.\n",
         fp_by_cells.last().unwrap(),
         fp_by_cells.first().unwrap(),
         bytes_saved

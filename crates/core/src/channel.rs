@@ -1242,9 +1242,8 @@ pub(crate) mod tests {
 
     fn probe_op() -> RemoteOp {
         RemoteOp::HashProbe {
-            base_va: 0x1000,
-            bucket: 3,
-            bucket_bytes: 128,
+            va: 0x1180,
+            len: 128,
             slot_bytes: 32,
             key_off: 0,
             key: Operand::new(b"thirteen-byte"),

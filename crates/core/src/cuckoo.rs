@@ -26,11 +26,11 @@
 //! The switch keeps one fingerprint byte per slot: 0 for an empty slot,
 //! else the key's [`slot_fingerprint`] in `1..=255`
 //! ([`CuckooDirectory::fingerprints`] is where it starts; byte `s` of a
-//! bucket follows the last slot WRITE issued to slot `s`). A verb-path miss
-//! READs its bucket from the first to the last slot whose fingerprint
-//! matches the key's, usually the one slot the key sits in, and slot 0
-//! alone when none does. A hash probe (remote-op mode) names the whole
-//! bucket and is answered with the one slot it matched.
+//! bucket follows the last slot WRITE issued to slot `s`). A miss spans
+//! its bucket from the first to the last slot whose fingerprint matches
+//! the key's, usually the one slot the key sits in, and slot 0 alone when
+//! none does: a verb-path miss READs that span, and a hash probe
+//! (remote-op mode) scans it and is answered with the one slot it matched.
 //!
 //! ## Invariants (checked by [`CuckooDirectory::check_invariants`])
 //!

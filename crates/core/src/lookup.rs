@@ -11,8 +11,8 @@
 //! *which* of the key's two buckets to READ (or, with remote ops, to
 //! hash-probe), so every miss costs exactly one round trip to one bucket —
 //! no collisions, no second probe — while the packet waits on the switch.
-//! A bucket READ covers only the slots whose one-byte live fingerprint
-//! matches the key's, usually the one slot it sits in.
+//! A bucket READ or probe covers only the slots whose one-byte live
+//! fingerprint matches the key's, usually the one slot it sits in.
 //! Online inserts and deletes run through a relocation planner whose steps
 //! this program executes over the reliable channel (READ-verify then WRITE
 //! per displaced entry); the live filter and the live fingerprints flip at
@@ -316,12 +316,13 @@ pub struct LookupStats {
     /// to h2).
     pub bucket_misses: u64,
     /// Probes the live filter steered to the secondary bucket, counted at
-    /// issue (a bucket READ or a one-bucket hash probe alike).
+    /// issue (a bucket READ or a hash probe alike).
     pub filter_secondary_probes: u64,
-    /// Verb-mode bucket READs by the slots they covered: entry `i` counts
-    /// the READs of `i + 1` slots, from the first to the last slot whose
-    /// live fingerprint matched the flow's (slot 0 alone when none did).
-    pub verb_read_slots: [u64; SLOTS_PER_BUCKET],
+    /// Misses by the slots their access spanned, a bucket READ or a hash
+    /// probe alike: entry `i` counts the misses of `i + 1` slots, from the
+    /// first to the last slot whose live fingerprint matched the flow's
+    /// (slot 0 alone when none did).
+    pub miss_slots: [u64; SLOTS_PER_BUCKET],
     /// Request round trips issued by the data-plane miss path (bucket READs
     /// in verb mode, hash-probe-and-fetch ops in remote-op mode; WRITE+READ
     /// bounce pairs or action-only READs on the direct table; one READ per
@@ -350,8 +351,8 @@ pub struct LookupStats {
 
 impl LookupStats {
     /// Round trips per remote miss, `None` before any miss. 1.0 on the
-    /// one-RTT table either way: a bucket READ or a hash probe of the one
-    /// bucket the filter names.
+    /// one-RTT table either way: a READ or a hash probe of the one bucket
+    /// the filter names.
     pub fn rtts_per_miss(&self) -> Option<f64> {
         (self.remote_lookups > 0).then(|| self.lookup_rtts as f64 / self.remote_lookups as f64)
     }
@@ -540,8 +541,8 @@ pub struct LookupTableProgram {
     /// Next unexecuted churn-script op.
     churn_next: usize,
     /// Use the RNIC remote-op engine: misses become hash-probe-and-fetch
-    /// ops on the one bucket the live filter names, one request round trip
-    /// each.
+    /// ops over their span of the one bucket the live filter names, one
+    /// request round trip each.
     remote_ops: bool,
 }
 
@@ -586,8 +587,8 @@ impl LookupTableProgram {
     }
 
     /// Run misses on the RNIC's remote-op engine: each miss issues one
-    /// hash-probe-and-fetch on the bucket the live filter names (the bucket
-    /// verb mode READs), answered with the matching slot alone.
+    /// hash-probe-and-fetch over the span of slots verb mode READs, answered
+    /// with the matching slot alone.
     /// Relocations are verbs in both modes. Off (the default) keeps the
     /// one-sided verb wire behavior as the ablation baseline.
     pub fn with_remote_ops(mut self, on: bool) -> LookupTableProgram {
@@ -654,12 +655,12 @@ impl LookupTableProgram {
 
     /// The miss path, on the data plane's live state alone: the live filter
     /// picks the one candidate bucket the flow can live in (h2 if the filter
-    /// holds it, else h1), and the miss costs one access to it. Verb mode
-    /// READs that bucket from the first to the last slot whose live
-    /// fingerprint matches the flow's, usually one slot, and slot 0 alone
-    /// when none does; remote-op mode sends a hash-probe-and-fetch naming
-    /// the bucket, which the responder scans in one access and answers with
-    /// the matching slot.
+    /// holds it, else h1), and the miss costs one access to it, spanning
+    /// that bucket from the first to the last slot whose live fingerprint
+    /// matches the flow's (usually one slot; slot 0 alone when none does).
+    /// Verb mode READs the span; remote-op mode sends a hash-probe-and-fetch
+    /// over it, which the responder scans in one access and answers with the
+    /// matching slot.
     fn remote_lookup(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, flow: FiveTuple, pkt: Packet) {
         let base = self.front.channel.base_va();
         let live = &self.live_fingerprints;
@@ -675,25 +676,23 @@ impl LookupTableProgram {
         if secondary {
             stats.filter_secondary_probes += 1;
         }
+        let fingerprint = slot_fingerprint(&flow);
+        let at = bucket as usize * SLOTS_PER_BUCKET;
+        let live = &live[at..at + SLOTS_PER_BUCKET];
+        let first = live.iter().position(|&f| f == fingerprint).unwrap_or(0);
+        let last = live.iter().rposition(|&f| f == fingerprint).unwrap_or(0);
+        stats.miss_slots[last - first] += 1;
+        let va = base + ((at + first) * SLOT_BYTES) as u64;
+        let len = ((last - first + 1) * SLOT_BYTES) as u32;
         let op = if self.remote_ops {
-            debug_assert!(bucket <= u32::MAX as u64, "bucket index fits the probe");
             Op::Remote(RemoteOp::HashProbe {
-                base_va: base,
-                bucket: bucket as u32,
-                bucket_bytes: BUCKET_BYTES as u16,
+                va,
+                len: len as u16,
                 slot_bytes: SLOT_BYTES as u16,
                 key_off: 0,
                 key: Operand::new(&slot_key(&flow)),
             })
         } else {
-            let fingerprint = slot_fingerprint(&flow);
-            let at = bucket as usize * SLOTS_PER_BUCKET;
-            let live = &live[at..at + SLOTS_PER_BUCKET];
-            let first = live.iter().position(|&f| f == fingerprint).unwrap_or(0);
-            let last = live.iter().rposition(|&f| f == fingerprint).unwrap_or(0);
-            stats.verb_read_slots[last - first] += 1;
-            let va = base + ((at + first) * SLOT_BYTES) as u64;
-            let len = ((last - first + 1) * SLOT_BYTES) as u32;
             Op::Read { va, len }
         };
         self.front.channel.submit(ctx, op, cookie);
@@ -952,8 +951,8 @@ impl PipelineProgram for LookupTableProgram {
     }
 }
 
-/// The bucket-granularity READ geometry: a cuckoo bucket comes back as one
-/// response packet, the "one memory access" of a miss.
+/// The miss geometry: a miss's span, at most a cuckoo bucket, fits a probe's
+/// `u16` length and comes back as one response packet, the one access.
 const _: () = assert!(BUCKET_BYTES <= MTU);
 
 /// Control plane: install the directory's byte image, empty slots zeroed,
@@ -1207,8 +1206,8 @@ pub(crate) mod tests {
 
     /// Remote-op mode probes the one bucket the live filter names, the
     /// bucket verb mode READs: an h1-resident and an h2-resident key each
-    /// send one hash probe naming that bucket, only the h2 probe counts as
-    /// a secondary probe, and both keys are found.
+    /// send one hash probe of their own slot in that bucket, only the h2
+    /// probe counts as a secondary probe, and both keys are found.
     #[test]
     fn remote_op_miss_probes_the_bucket_the_filter_names() {
         use std::sync::{Arc, Mutex};
@@ -1235,15 +1234,15 @@ pub(crate) mod tests {
             found.expect("a load of 3/4 fills both kinds of bucket")
         };
         let flows = [resident(false), resident(true)];
-        let buckets = flows.map(|key| dir.position(&key).unwrap().bucket);
-        assert_eq!(buckets, flows.map(|key| dir.probe(&key)));
+        let at = flows.map(|key| dir.position(&key).unwrap());
+        assert_eq!(at.map(|at| at.bucket), flows.map(|key| dir.probe(&key)));
         let dscp_in = flows.map(|key| dir.lookup(&key).unwrap().dscp);
 
         let (mut nic, channel) = table_server(dir.region_bytes());
         install_cuckoo_image(&mut nic, &channel, &dir);
         let prog = LookupTableProgram::cuckoo(fib(), channel, dir, None).with_remote_ops(true);
-        // Per flow: the bucket its probe named and the secondary-probe
-        // count right after it was issued.
+        // Per flow: the span its probe named and the secondary-probe count
+        // right after it was issued.
         let issued = Arc::new(Mutex::new(Vec::new()));
         let log = Arc::clone(&issued);
         let poke = Box::new(
@@ -1252,11 +1251,14 @@ pub(crate) mod tests {
                     let (src, dst) = (MacAddr::local(1), MacAddr::local(2));
                     let pkt = build_data_packet(src, dst, flow, 0, 0, Time::ZERO, 128).unwrap();
                     prog.ingress(ctx, PortId(2), pkt);
+                    let base = prog.pool().base_va();
                     let probes: Vec<_> = prog
                         .pool()
                         .ops()
                         .filter_map(|(_, op)| match op {
-                            Op::Remote(RemoteOp::HashProbe { bucket, .. }) => Some(*bucket),
+                            Op::Remote(RemoteOp::HashProbe { va, len, .. }) => {
+                                Some((*va - base, *len))
+                            }
                             _ => None,
                         })
                         .collect();
@@ -1276,7 +1278,7 @@ pub(crate) mod tests {
         sim.schedule_timer(sw, TimeDelta::ZERO, program_token(POKE));
         sim.run_until(Time::from_micros(100));
 
-        let [h1, h2] = buckets.map(|b| b as u32);
+        let [h1, h2] = at.map(|at| (slot_va(0, at), SLOT_BYTES as u16));
         let issued = issued.lock().unwrap().clone();
         assert_eq!(issued, [(h1, 1, 0), (h2, 2, 1)]);
         let frames = &sim.node::<Blackhole>(hole).frames;
@@ -1305,6 +1307,19 @@ pub(crate) mod tests {
     /// slot, a 1-slot READ of slot 0 and a counted bucket miss.
     #[test]
     fn a_verb_miss_reads_only_the_slots_whose_fingerprint_matches() {
+        miss_spans_only_the_slots_whose_fingerprint_matches(false);
+    }
+
+    /// A remote-op miss probes the span a verb miss READs, the same cases
+    /// as the verb test: a 1-slot probe at `c`'s and at `d`'s slot, a 96 B
+    /// probe of slots 0-2 for `b`, and a 1-slot probe of slot 0 that the
+    /// responder answers with nothing for the flow that is not resident.
+    #[test]
+    fn a_probe_scans_only_the_slots_whose_fingerprint_matches() {
+        miss_spans_only_the_slots_whose_fingerprint_matches(true);
+    }
+
+    fn miss_spans_only_the_slots_whose_fingerprint_matches(remote_ops: bool) {
         use std::sync::{Arc, Mutex};
         let mut dir = CuckooDirectory::new(crate::cuckoo::CuckooConfig {
             buckets: 8,
@@ -1335,9 +1350,10 @@ pub(crate) mod tests {
 
         let (mut nic, channel) = table_server(dir.region_bytes());
         install_cuckoo_image(&mut nic, &channel, &dir);
-        let prog = LookupTableProgram::cuckoo(fib(), channel, dir, None);
-        let reads = Arc::new(Mutex::new(Vec::new()));
-        let log = Arc::clone(&reads);
+        let prog =
+            LookupTableProgram::cuckoo(fib(), channel, dir, None).with_remote_ops(remote_ops);
+        let spans = Arc::new(Mutex::new(Vec::new()));
+        let log = Arc::clone(&spans);
         let flows = [c, d, b_twin, unknown];
         let poke = Box::new(
             move |prog: &mut LookupTableProgram, ctx: &mut SwitchCtx<'_, '_, '_>| {
@@ -1351,7 +1367,11 @@ pub(crate) mod tests {
                     prog.ingress(ctx, PortId(2), pkt);
                     let base = prog.pool().base_va();
                     let mut issued = prog.pool().ops().filter_map(|(cookie, op)| match op {
-                        Op::Read { va, len } if cookie & CTRL_BIT == 0 => Some((*va - base, *len)),
+                        _ if cookie & CTRL_BIT != 0 => None,
+                        Op::Read { va, len } if !remote_ops => Some((*va - base, *len)),
+                        Op::Remote(RemoteOp::HashProbe { va, len, .. }) if remote_ops => {
+                            Some((*va - base, *len as u32))
+                        }
                         _ => None,
                     });
                     log.lock().unwrap().push(issued.next_back().unwrap());
@@ -1367,7 +1387,7 @@ pub(crate) mod tests {
 
         let slot = |slot| slot_va(0, SlotRef { bucket: b, slot });
         let expected = [(slot(1), 32), (slot(3), 32), (slot(0), 96), (slot(0), 32)];
-        assert_eq!(*reads.lock().unwrap(), expected);
+        assert_eq!(*spans.lock().unwrap(), expected);
         let frames = &sim.node::<Blackhole>(hole).frames;
         let dscp = flows.map(|flow| {
             let frame = frames.iter().find(|f| flow_of(f) == Some(flow)).unwrap();
@@ -1381,7 +1401,7 @@ pub(crate) mod tests {
             .prog;
         assert_eq!(prog.live_fingerprints(), prog.directory().fingerprints());
         let stats = prog.stats();
-        assert_eq!(stats.verb_read_slots, [3, 0, 1, 0], "{stats:?}");
+        assert_eq!(stats.miss_slots, [3, 0, 1, 0], "{stats:?}");
         assert_eq!(stats.actions_applied, 3, "{stats:?}");
         assert_eq!((stats.bucket_misses, stats.slow_path), (1, 1), "{stats:?}");
         assert!(prog.relocation_idle());

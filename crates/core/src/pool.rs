@@ -38,8 +38,10 @@
 //! * probes Down servers by reconnecting them: an [`Op::Connect`] at the
 //!   failed channel's own next PSN ([`ReliableChannel::reconnect`]), which
 //!   comes back with no retries left: a connect unanswered for one RTO
-//!   fails it again. An answered connect makes the server a mirror again at
-//!   once, with every kept word dirty on it: its catch-up rides its own
+//!   fails it again, and the next probe is a `probe_interval` later. A
+//!   connect refused by a server that is up (a restart's NAK) is re-sent
+//!   at once, once per write-off. An answered connect makes the server a
+//!   mirror again at once, with every kept word dirty on it: its catch-up rides its own
 //!   FIFO channel, ahead of anything it is sent later. It rewrites what a wipe lost, and undoes
 //!   the adds the server ran without answering, which are sent again. A pool
 //!   that lost every server keeps reconnecting; the first back is primary.
@@ -194,6 +196,8 @@ struct PoolServer {
     /// Written off: its channel failed, and no reconnect has been answered
     /// since.
     down: bool,
+    /// A reconnect was refused since the write-off, and re-sent at once.
+    refused: bool,
     /// Words whose kept value this server has not been sent since it
     /// changed, in ascending `va`, the order a catch-up writes them in.
     /// Small (one entry per counter touched since the last flush), so a
@@ -295,6 +299,7 @@ impl ReplicatedPool {
                     PoolServer {
                         channel,
                         down: false,
+                        refused: false,
                         dirty: Vec::new(),
                     }
                 })
@@ -449,9 +454,18 @@ impl ReplicatedPool {
             return false;
         };
         let mut raw = std::mem::take(&mut self.raw);
-        let consumed = self.servers[i].channel.on_roce(ctx, roce, &mut raw);
+        let server = &mut self.servers[i];
+        let reconnecting = server.down && !server.channel.is_failed();
+        let consumed = server.channel.on_roce(ctx, roce, &mut raw);
+        // An answer that fails a reconnect is a refusal by a server that is
+        // up (a restart's NAK): reconnect at once, once per write-off.
+        let refused = reconnecting && server.channel.is_failed() && !server.refused;
         self.absorb(ctx, i, &mut raw, events);
         self.raw = raw;
+        if refused && self.stats.probes < MAX_PROBES {
+            self.servers[i].refused = true;
+            self.reconnect(ctx, i);
+        }
         consumed
     }
 
@@ -646,6 +660,7 @@ impl ReplicatedPool {
     /// word goes out now on its own channel, ahead of anything sent later.
     fn rejoin(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, server: usize) {
         self.servers[server].down = false;
+        self.servers[server].refused = false;
         self.stats.rejoins += 1;
         let dirty = &mut self.servers[server].dirty;
         dirty.clear();
@@ -677,14 +692,18 @@ impl ReplicatedPool {
             }
             // A live (non-failed) channel here means the previous connect is
             // still being timed out; let it conclude before reconnecting.
-            if !self.servers[i].channel.is_failed() {
-                continue;
+            if self.servers[i].channel.is_failed() {
+                self.reconnect(ctx, i);
             }
-            self.servers[i].channel.reconnect();
-            self.submit_internal(ctx, i, InternalOp::Probe { server: i }, Op::Connect);
-            self.stats.probes += 1;
         }
         self.ensure_probe_timer(ctx);
+    }
+
+    /// Probe Down server `i`: reconnect its failed channel.
+    fn reconnect(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, i: usize) {
+        self.servers[i].channel.reconnect();
+        self.submit_internal(ctx, i, InternalOp::Probe { server: i }, Op::Connect);
+        self.stats.probes += 1;
     }
 }
 
@@ -889,10 +908,13 @@ mod tests {
     /// A primary on switch port 1 and a mirror on port 2 (port 0 leads to
     /// the black hole) under [`impatient`] channels; the pool's one caller
     /// op is `op`. The mirror crashes at once, is written off at 5 us and
-    /// restarts at 100 us; the first probe goes out 200 us after the
+    /// restarts at `restart`; the first probe goes out 200 us after the
     /// write-off. Runs to 300 us and returns the simulation, the switch and
     /// the two servers.
-    fn a_mirror_back_from_a_crash(op: Op) -> (extmem_sim::Simulator, NodeId, [NodeId; 2]) {
+    fn a_mirror_back_from_a_crash(
+        op: Op,
+        restart: TimeDelta,
+    ) -> (extmem_sim::Simulator, NodeId, [NodeId; 2]) {
         let (nics, [_, primary, mirror]) = servers::<3>();
         let program = submitter([primary, mirror], impatient(), vec![op]);
         let mut servers = Vec::new();
@@ -907,7 +929,7 @@ mod tests {
         });
         sim.schedule_crash(servers[1], TimeDelta::ZERO);
         sim.schedule_timer(sw, TimeDelta::from_micros(5), program_token(WRITE_OFF));
-        sim.schedule_restart(servers[1], TimeDelta::from_micros(100));
+        sim.schedule_restart(servers[1], restart);
         sim.run_until(Time::from_micros(300));
         (sim, sw, [servers[0], servers[1]])
     }
@@ -921,7 +943,8 @@ mod tests {
     fn mirror_rejoining_before_the_first_count_is_promoted_by_the_pool() {
         let (_, [ch, ..]) = servers::<1>();
         let (rkey, base) = (ch.rkey, ch.base_va);
-        let (mut sim, sw, servers) = a_mirror_back_from_a_crash(Op::FetchAdd { va: base, add: 5 });
+        let count = Op::FetchAdd { va: base, add: 5 };
+        let (mut sim, sw, servers) = a_mirror_back_from_a_crash(count, TimeDelta::from_micros(100));
         let pool = &sim.node::<SwitchNode>(sw).program::<Submitter>().pool;
         assert_eq!([pool.health(0), pool.health(1)], [Health::Healthy; 2]);
         let stats = pool.stats();
@@ -947,6 +970,25 @@ mod tests {
         }
     }
 
+    /// The mirror restarts while the first probe's connect is out (it went
+    /// out at 205 us to a server still down). The restart's NAK refuses
+    /// that reconnect, which proves the server up: the pool reconnects at
+    /// once and takes it back, without waiting 200 us for the next probe.
+    #[test]
+    fn a_refused_reconnect_is_sent_again_at_once() {
+        let (_, [ch, ..]) = servers::<1>();
+        let count = Op::FetchAdd {
+            va: ch.base_va,
+            add: 5,
+        };
+        let restart = TimeDelta::from_micros(207);
+        let (sim, sw, _) = a_mirror_back_from_a_crash(count, restart);
+        let pool = &sim.node::<SwitchNode>(sw).program::<Submitter>().pool;
+        assert_eq!([pool.health(0), pool.health(1)], [Health::Healthy; 2]);
+        let stats = pool.stats();
+        assert_eq!((stats.probes, stats.rejoins), (2, 1), "{stats}");
+    }
+
     /// A server taken back is written off by the same rule as any other:
     /// the mirror rejoins after its crash, crashes again, and leaves the
     /// catch-up WRITE of the next count unanswered. Its channel fails on
@@ -959,7 +1001,8 @@ mod tests {
             va: ch.base_va,
             add: 5,
         };
-        let (mut sim, sw, [_, mirror]) = a_mirror_back_from_a_crash(count);
+        let (mut sim, sw, [_, mirror]) =
+            a_mirror_back_from_a_crash(count, TimeDelta::from_micros(100));
         let pool = &sim.node::<SwitchNode>(sw).program::<Submitter>().pool;
         assert_eq!((pool.health(1), pool.stats().rejoins), (Health::Healthy, 1));
 

@@ -269,9 +269,10 @@ impl RnicNode {
             // (exactly like a plain READ's single access); each *additional*
             // dependent access the engine will perform (derivable from the
             // request alone) charges `EXT_OP_STEP`, plus `READ_BW` on the
-            // bytes the accesses read: the bucket a probe scans (though it
+            // bytes the accesses read: the bytes a probe scans (though it
             // answers with one slot), every word a gather returns. A probe
-            // is one access, priced as a READ of the whole bucket it scans.
+            // is one access, priced as a READ of the bytes it scans, so a
+            // probe over a one-slot span costs what a one-slot READ does.
             Opcode::HashProbe | Opcode::GatherWalk => {
                 let (steps, read_bytes) = match req.ext {
                     extmem_wire::roce::RoceExt::HashProbe(h) => (1, h.bucket_bytes as usize),
@@ -879,10 +880,11 @@ mod tests {
     #[test]
     fn remote_op_service_times_are_pinned() {
         // The op engine prices the bytes its accesses read, not the bytes
-        // the response returns: a probe reads a whole bucket though it
-        // answers with one slot. What a response carries must not move
-        // these picoseconds. A probe is one access, priced as the bucket
-        // READ the verb path sends in its place.
+        // the response returns: a probe reads every slot it scans though
+        // it answers with one. What a response carries must not move
+        // these picoseconds. A probe is one access, priced as the READ of
+        // the same span the verb path sends in its place: a whole bucket,
+        // or the one slot the cuckoo lookup's probe usually names.
         use extmem_wire::extop::{GatherEth, HashProbeEth};
         let nic = RnicNode::new("rnic", RnicConfig::at(server_endpoint()));
         let op = |opcode, ext, payload: Vec<u8>| {
@@ -896,30 +898,36 @@ mod tests {
                 payload,
             )
         };
-        let probe = RoceExt::HashProbe(HashProbeEth {
-            base_va: 0x1000_0000,
-            rkey: Rkey(1),
-            bucket: 3,
-            bucket_bytes: 128,
-            slot_bytes: 32,
-            key_off: 0,
-            key_len: 13,
-        });
-        let probe = nic.service_time(&op(Opcode::HashProbe, probe, vec![7; 13]));
+        let probe = |bucket, bucket_bytes| {
+            let ext = RoceExt::HashProbe(HashProbeEth {
+                base_va: 0x1000_0000,
+                rkey: Rkey(1),
+                bucket,
+                bucket_bytes,
+                slot_bytes: 32,
+                key_off: 0,
+                key_len: 13,
+            });
+            nic.service_time(&op(Opcode::HashProbe, ext, vec![7; 13]))
+        };
+        let read = |va, dma_len| {
+            let ext = RoceExt::Reth(Reth {
+                va,
+                rkey: Rkey(1),
+                dma_len,
+            });
+            nic.service_time(&op(Opcode::ReadRequest, ext, vec![]))
+        };
         let gather = RoceExt::Gather(GatherEth {
             rkey: Rkey(1),
             word_len: 16,
             count: 4,
         });
         let gather = nic.service_time(&op(Opcode::GatherWalk, gather, vec![0; 32]));
-        let read = RoceExt::Reth(Reth {
-            va: 0x1000_0180,
-            rkey: Rkey(1),
-            dma_len: 128,
-        });
-        let read = nic.service_time(&op(Opcode::ReadRequest, read, vec![]));
-        let picos = [probe, gather].map(|t| t.picos());
-        assert_eq!(picos, [118_619, 289_310]);
-        assert_eq!(probe, read);
+        let (bucket, slot) = (probe(3, 128), probe(0, 32));
+        let picos = [bucket, slot, gather].map(|t| t.picos());
+        assert_eq!(picos, [118_619, 104_655, 289_310]);
+        assert_eq!(bucket, read(0x1000_0180, 128));
+        assert_eq!(slot, read(0x1000_0040, 32));
     }
 }

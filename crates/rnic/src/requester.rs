@@ -142,16 +142,15 @@ impl From<Vec<u8>> for WriteBody {
 /// reissued verbatim to a failover replica.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RemoteOp {
-    /// Hash-probe-and-fetch: scan bucket `bucket` for `key`. A hit returns
-    /// the one matching slot (`slot_bytes` bytes); a miss returns no bytes.
+    /// Hash-probe-and-fetch: scan the `len` bytes at `va`, slot by slot,
+    /// for `key`. A hit returns the one matching slot (`slot_bytes` bytes);
+    /// a miss returns no bytes.
     HashProbe {
-        /// Base virtual address of the bucket array.
-        base_va: u64,
-        /// The bucket to scan.
-        bucket: u32,
-        /// Bytes per bucket.
-        bucket_bytes: u16,
-        /// Bytes per slot within a bucket.
+        /// Address of the first slot scanned.
+        va: u64,
+        /// Bytes scanned, a whole number of slots.
+        len: u16,
+        /// Bytes per slot.
         slot_bytes: u16,
         /// Byte offset of the key field inside a slot.
         key_off: u8,
@@ -283,20 +282,20 @@ impl RequesterQp {
                 &[],
             ),
             Request::Op(RemoteOp::HashProbe {
-                base_va,
-                bucket,
-                bucket_bytes,
+                va,
+                len,
                 slot_bytes,
                 key_off,
                 key,
             }) => encode(
                 Opcode::HashProbe,
                 false,
+                // The span is bucket 0 of an array based at its first slot.
                 RoceExt::HashProbe(HashProbeEth {
-                    base_va: *base_va,
+                    base_va: *va,
                     rkey,
-                    bucket: *bucket,
-                    bucket_bytes: *bucket_bytes,
+                    bucket: 0,
+                    bucket_bytes: *len,
                     slot_bytes: *slot_bytes,
                     key_off: *key_off,
                     key_len: key.len() as u8,

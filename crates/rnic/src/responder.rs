@@ -1076,6 +1076,43 @@ mod tests {
         assert_eq!(probe(3, [0xcc; 14], 1), miss);
     }
 
+    /// A probe of one slot in the middle of a bucket (named, as the cuckoo
+    /// lookup names a span, as bucket 0 of an array based at that slot)
+    /// answers from that slot alone: a key one slot over is a miss.
+    #[test]
+    fn a_one_slot_probe_scans_that_slot_alone() {
+        let (local, mut qp, mut mrs, rkey, base) = setup();
+        let qpn = qp.qpn;
+        let (key_a, key_b) = ([0xaau8; 14], [0xbbu8; 14]);
+        let region = mrs.get_mut(rkey).unwrap();
+        let ramp: Vec<u8> = (0..128u32).map(|i| i as u8).collect();
+        region.write(base, &ramp).unwrap();
+        region.write(base + 2 * 32, &key_a).unwrap(); // slot 2
+        region.write(base + 3 * 32, &key_b).unwrap(); // slot 3
+        let mut probe = |psn, key: [u8; 14]| {
+            let ext = RoceExt::HashProbe(HashProbeEth {
+                base_va: base + 2 * 32,
+                rkey,
+                bucket: 0,
+                bucket_bytes: 32,
+                slot_bytes: 32,
+                key_off: 0,
+                key_len: key.len() as u8,
+            });
+            let req = remote_req(qpn, psn, ext, key.to_vec());
+            let r = process_request(local, &mut qp, &mut mrs, &req, 2048);
+            (r.outcome, r.responses[0].payload.to_vec())
+        };
+        let slot_a = [&key_a[..], &ramp[2 * 32 + 14..3 * 32]].concat();
+        let hit = Outcome::ExtOpExecuted {
+            steps: 1,
+            bytes: 32,
+        };
+        assert_eq!(probe(0, key_a), (hit, slot_a));
+        let miss = (Outcome::ExtOpExecuted { steps: 1, bytes: 0 }, vec![]);
+        assert_eq!(probe(1, key_b), miss);
+    }
+
     #[test]
     fn hash_probe_past_the_end_of_the_address_space_is_an_access_error() {
         // The bucket's address is computed from request fields: one that

@@ -20,9 +20,12 @@ header! {
     /// Extension header for the hash-probe-and-fetch op, 22 bytes.
     ///
     /// The requester (switch) computes the bucket index with its own hash
-    /// units; the responder scans bucket `bucket` for the key bytes in the
+    /// units; the responder scans the `bucket_bytes` at `base_va +
+    /// bucket * bucket_bytes`, slot by slot, for the key bytes in the
     /// request payload. On a hit the response carries the matching slot's
-    /// `slot_bytes` bytes; on a miss it carries none.
+    /// `slot_bytes` bytes; on a miss it carries none. The cuckoo lookup
+    /// names a span of slots this way, as bucket 0 of an array based at
+    /// the span's first slot.
     pub struct HashProbeEth as "HashProbeETH" {
         /// Base virtual address of the bucket array.
         pub base_va: u64,

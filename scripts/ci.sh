@@ -292,7 +292,7 @@ while read -r workload allocs bytes overhead p50 p99; do
     under_ceiling "$workload" sim_lat_p99_ns "$p99"
 done <<'CEILINGS'
 lookup_verbs 3.01 125.2 0.6597 2443.096 2755.215
-lookup_ops 3.01 125.2 0.7429 2471.514 2881.181
+lookup_ops 3.01 125.2 0.7429 2447.500 2759.460
 pktbuf_lossy 4.024 173.5 2.2835 22384235.157 44349376.318
 fabric_shard 2.252 94.9 0.3731 2968.032 3311.595
 fabric_shard_p2 2.251 95.4 0.3731 2968.032 3311.595

@@ -632,15 +632,16 @@ impl extmem_sim::Node for Drain {
     }
 }
 
-/// Seeded relocation storms over tables of 2-8 buckets in verb mode:
-/// resident flows looked up between inserts and removes of others that
-/// relocate them, and at most one frame lost or reordered on the table
-/// server's link. After everything the server does, every key in its
-/// region has its own fingerprint as the switch's live fingerprint for its
-/// slot (or a WRITE overwriting the slot is in the channel), so each bucket
-/// READ, which covers the slots whose fingerprint matches the flow's,
-/// covers the slot the responder holds the flow's key in when it runs. A
-/// resident flow misses only behind a READ the responder re-executed (its
+/// Seeded relocation storms over tables of 2-8 buckets, each run once in
+/// verb mode and once in remote-op mode: resident flows looked up between
+/// inserts and removes of others that relocate them, and at most one frame
+/// lost or reordered on the table server's link. After everything the
+/// server does, every key in its region has its own fingerprint as the
+/// switch's live fingerprint for its slot (or a WRITE overwriting the slot
+/// is in the channel), so each miss's span, a bucket READ or a hash probe
+/// covering the slots whose fingerprint matches the flow's, covers the slot
+/// the responder holds the flow's key in when it runs. A resident flow
+/// misses only behind a READ or probe the responder re-executed (its
 /// answer was lost), and such cases are counted; once settled the region,
 /// the live fingerprints and the live filter equal the directory's.
 #[test]
@@ -653,6 +654,7 @@ fn live_fingerprints_cover_every_key_through_relocation_storms() {
     use proptest::test_runner::TestRng;
 
     const CASES: u32 = 2_000;
+    const MODES: [&str; 2] = ["verb", "remote-op"];
     let endpoint = |i: u32| RoceEndpoint {
         mac: MacAddr::local(i),
         ip: 0x0a00_0000 + i,
@@ -668,7 +670,7 @@ fn live_fingerprints_cover_every_key_through_relocation_storms() {
     // The seed keeps the name the checker had when its storms were first
     // numbered, so a case number names the same storm as before.
     let mut rng = TestRng::for_test("live_mask_covers_every_key_through_relocation_storms");
-    let (mut lookups, mut moves, mut faulted, mut stale) = (0, 0, 0, 0);
+    let (mut lookups, mut moves, mut faulted, mut stale) = ([0; 2], [0; 2], [0; 2], [0; 2]);
     for case in 0..CASES {
         let (buckets, filter_cells, per_bucket, script, (fault, from, k)) =
             schedule.new_value(&mut rng);
@@ -701,108 +703,118 @@ fn live_fingerprints_cover_every_key_through_relocation_storms() {
             timed.push((at, step));
         }
 
-        let mut nic = RnicNode::new("table", RnicConfig::at(endpoint(9)));
-        let region = ByteSize::from_bytes(dir.region_bytes());
-        let channel = RdmaChannel::setup(endpoint(1), PortId(1), &mut nic, region);
-        let (rkey, base) = (channel.rkey, channel.base_va);
-        install_cuckoo_image(&mut nic, &channel, &dir);
-        let mut fib = extmem_core::Fib::new(8);
-        fib.install(host_mac(1), PortId(0));
-        let prog =
-            LookupTableProgram::cuckoo(fib, channel, dir, None).with_reliability(ReliableConfig {
-                rto: TimeDelta::from_micros(10),
-                ..ReliableConfig::default()
-            });
-        let view = Shared::default();
-        let storm = Storm {
-            prog,
-            steps: timed.iter().map(|&(_, s)| s).collect(),
-            view: view.clone(),
-        };
-        storm.publish();
-        let mut b = SimBuilder::new(case as u64);
-        let sw = b.add_node(Box::new(SwitchNode::new(
-            "tor",
-            SwitchConfig::default(),
-            Box::new(storm),
-        )));
-        let drain = b.add_node(Box::new(Drain));
-        let wire = b.add_node(Box::new(OneFault {
-            fault,
-            seen: [0; 2],
-            held: Vec::new(),
-            tx: [
-                extmem_sim::TxQueue::new(PortId(0)),
-                extmem_sim::TxQueue::new(PortId(1)),
-            ],
-        }));
-        let server = b.add_node(Box::new(Covered {
-            nic,
-            rkey,
-            base,
-            view,
-            uncovered: None,
-        }));
-        let link = LinkSpec::testbed_40g();
-        b.connect(sw, PortId(0), drain, PortId(0), link);
-        b.connect(sw, PortId(1), wire, PortId(0), link);
-        b.connect(wire, PortId(1), server, PortId(0), link);
-        let mut sim = b.build();
-        for (i, &(t, _)) in timed.iter().enumerate() {
-            let delay = TimeDelta::from_nanos(t);
-            sim.schedule_timer(sw, delay, program_token(i as u64));
-        }
-        sim.run_until(Time::from_millis(2));
+        for (m, remote_ops) in [false, true].into_iter().enumerate() {
+            let mut nic = RnicNode::new("table", RnicConfig::at(endpoint(9)));
+            let region = ByteSize::from_bytes(dir.region_bytes());
+            let channel = RdmaChannel::setup(endpoint(1), PortId(1), &mut nic, region);
+            let (rkey, base) = (channel.rkey, channel.base_va);
+            install_cuckoo_image(&mut nic, &channel, &dir);
+            let mut fib = extmem_core::Fib::new(8);
+            fib.install(host_mac(1), PortId(0));
+            let prog = LookupTableProgram::cuckoo(fib, channel, dir.clone(), None)
+                .with_remote_ops(remote_ops)
+                .with_reliability(ReliableConfig {
+                    rto: TimeDelta::from_micros(10),
+                    ..ReliableConfig::default()
+                });
+            let view = Shared::default();
+            let storm = Storm {
+                prog,
+                steps: timed.iter().map(|&(_, s)| s).collect(),
+                view: view.clone(),
+            };
+            storm.publish();
+            let mut b = SimBuilder::new(case as u64);
+            let sw = b.add_node(Box::new(SwitchNode::new(
+                "tor",
+                SwitchConfig::default(),
+                Box::new(storm),
+            )));
+            let drain = b.add_node(Box::new(Drain));
+            let wire = b.add_node(Box::new(OneFault {
+                fault,
+                seen: [0; 2],
+                held: Vec::new(),
+                tx: [
+                    extmem_sim::TxQueue::new(PortId(0)),
+                    extmem_sim::TxQueue::new(PortId(1)),
+                ],
+            }));
+            let server = b.add_node(Box::new(Covered {
+                nic,
+                rkey,
+                base,
+                view,
+                uncovered: None,
+            }));
+            let link = LinkSpec::testbed_40g();
+            b.connect(sw, PortId(0), drain, PortId(0), link);
+            b.connect(sw, PortId(1), wire, PortId(0), link);
+            b.connect(wire, PortId(1), server, PortId(0), link);
+            let mut sim = b.build();
+            for (i, &(t, _)) in timed.iter().enumerate() {
+                let delay = TimeDelta::from_nanos(t);
+                sim.schedule_timer(sw, delay, program_token(i as u64));
+            }
+            sim.run_until(Time::from_millis(2));
 
-        let what = format!("case {case}: {cfg:?}, fault {fault:?}, {timed:?}");
-        let covered = sim.node::<Covered>(server);
-        assert_eq!(covered.uncovered, None, "{what}");
-        let storm = sim.node::<SwitchNode>(sw).program::<Storm>();
-        let prog = &storm.prog;
-        let s = prog.stats();
-        let issued = (timed.iter())
-            .filter(|(_, step)| matches!(step, StormStep::Lookup(_)))
-            .count() as u64;
-        assert_eq!(
-            (s.remote_lookups, s.responses),
-            (issued, issued),
-            "{what}: {s:?}"
-        );
-        assert_eq!(s.actions_applied + s.bucket_misses, issued, "{what}: {s:?}");
-        assert_eq!(s.slow_path, s.bucket_misses, "{what}: {s:?}");
-        if s.bucket_misses > 0 {
-            // A READ whose answer was lost is re-executed when re-sent, and
-            // a relocation issued in between may have moved its key away:
-            // the one way a resident flow misses here (DESIGN.md §4d).
-            let nic = covered.nic.stats();
-            assert!(nic.duplicates >= s.bucket_misses, "{what}: {s:?} {nic:?}");
-            stale += 1;
+            let what = format!(
+                "case {case} ({}): {cfg:?}, fault {fault:?}, {timed:?}",
+                MODES[m]
+            );
+            let covered = sim.node::<Covered>(server);
+            assert_eq!(covered.uncovered, None, "{what}");
+            let storm = sim.node::<SwitchNode>(sw).program::<Storm>();
+            let prog = &storm.prog;
+            let s = prog.stats();
+            let issued = (timed.iter())
+                .filter(|(_, step)| matches!(step, StormStep::Lookup(_)))
+                .count() as u64;
+            assert_eq!(
+                (s.remote_lookups, s.responses),
+                (issued, issued),
+                "{what}: {s:?}"
+            );
+            assert_eq!(s.actions_applied + s.bucket_misses, issued, "{what}: {s:?}");
+            assert_eq!(s.slow_path, s.bucket_misses, "{what}: {s:?}");
+            if s.bucket_misses > 0 {
+                // A READ or probe whose answer was lost is re-executed when
+                // re-sent, and a relocation issued in between may have moved
+                // its key away: the one way a resident flow misses here
+                // (DESIGN.md §4d).
+                let nic = covered.nic.stats();
+                assert!(nic.duplicates >= s.bucket_misses, "{what}: {s:?} {nic:?}");
+                stale[m] += 1;
+            }
+            assert!(prog.relocation_idle() && !prog.is_degraded(), "{what}");
+            let image = prog.directory().encode_region();
+            let remote = covered
+                .nic
+                .region(rkey)
+                .unwrap()
+                .read(base, image.len() as u64);
+            assert_eq!(remote.unwrap(), &image[..], "{what}");
+            assert_eq!(
+                prog.live_fingerprints(),
+                prog.directory().fingerprints(),
+                "{what}"
+            );
+            assert_eq!(
+                prog.live_filter().raw_counts(),
+                prog.directory().filter().raw_counts(),
+                "{what}"
+            );
+            lookups[m] += issued;
+            moves[m] += s.relocation_moves;
+            faulted[m] += (s.channel.retransmits > 0) as u32;
         }
-        assert!(prog.relocation_idle() && !prog.is_degraded(), "{what}");
-        let image = prog.directory().encode_region();
-        let remote = covered
-            .nic
-            .region(rkey)
-            .unwrap()
-            .read(base, image.len() as u64);
-        assert_eq!(remote.unwrap(), &image[..], "{what}");
-        assert_eq!(
-            prog.live_fingerprints(),
-            prog.directory().fingerprints(),
-            "{what}"
-        );
-        assert_eq!(
-            prog.live_filter().raw_counts(),
-            prog.directory().filter().raw_counts(),
-            "{what}"
-        );
-        lookups += issued;
-        moves += s.relocation_moves;
-        faulted += (s.channel.retransmits > 0) as u32;
     }
-    println!(
-        "live_fingerprints_cover_every_key_through_relocation_storms: {CASES} cases explored, \
-         {lookups} lookups, {moves} relocation moves, {faulted} cases with a re-send, \
-         {stale} with a resident flow missed behind a re-executed READ"
-    );
+    for (m, mode) in MODES.iter().enumerate() {
+        println!(
+            "live_fingerprints_cover_every_key_through_relocation_storms ({mode}): {CASES} cases \
+             explored, {} lookups, {} relocation moves, {} cases with a re-send, {} with a \
+             resident flow missed behind a re-executed lookup",
+            lookups[m], moves[m], faulted[m], stale[m]
+        );
+    }
 }

@@ -1164,6 +1164,15 @@ fn run_state_store_crash_cell(crash_primary: bool, rejoin: bool, seed: u64) {
     sim.schedule_crash(victim, TimeDelta::from_micros(200));
     if rejoin {
         sim.schedule_restart(victim, TimeDelta::from_micros(500));
+        // The restart's NAK refuses the reconnect the pool has in flight,
+        // which proves the server up: the pool reconnects at once, and the
+        // server is back at 502.0us, not at the next probe (590.7us).
+        sim.run_until(Time::from_micros(503));
+        let prog = sim
+            .node::<SwitchNode>(switch)
+            .program::<ShardedStateStoreProgram>();
+        let pool = prog.engine(0).stats().pool;
+        assert_eq!(pool.rejoins, 1, "{pool:?}");
     }
     sim.run_until(Time::from_millis(50));
 

@@ -1225,22 +1225,17 @@ mod remote_op_oracle {
                     key,
                     plant,
                 } => {
-                    let bucket_bytes = slot_bytes * slots;
-                    let bucket = bucket % n_buckets;
+                    let len = slot_bytes * slots;
+                    let va = base + base_off + (bucket % n_buckets) as u64 * len as u64;
                     let plants = Vec::from_iter(plant.map(|slot| {
-                        let va = base
-                            + base_off
-                            + bucket as u64 * bucket_bytes as u64
-                            + (slot % slots) as u64 * *slot_bytes as u64
-                            + *key_off as u64;
-                        (va, key.clone())
+                        let at = (slot % slots) as u64 * *slot_bytes as u64 + *key_off as u64;
+                        (va + at, key.clone())
                     }));
                     (
                         plants,
                         RemoteOp::HashProbe {
-                            base_va: base + base_off,
-                            bucket,
-                            bucket_bytes,
+                            va,
+                            len,
                             slot_bytes: *slot_bytes,
                             key_off: *key_off,
                             key: Operand::new(key),
@@ -1377,7 +1372,7 @@ mod remote_op_oracle {
 
         /// The verb oracle: the same op decomposed into dependent plain
         /// READ verbs, reproducing the engine's decision logic. A probe's
-        /// answer is the matched slot cut from its bucket READ, or nothing.
+        /// answer is the matched slot cut from the READ of its span, or nothing.
         fn oracle(&mut self, op: &RemoteOp) -> Vec<u8> {
             match op {
                 RemoteOp::Gather { word_len, vas } => {
@@ -1388,15 +1383,13 @@ mod remote_op_oracle {
                     out
                 }
                 RemoteOp::HashProbe {
-                    base_va,
-                    bucket,
-                    bucket_bytes,
+                    va,
+                    len,
                     slot_bytes,
                     key_off,
                     key,
                 } => {
-                    let va = base_va + *bucket as u64 * *bucket_bytes as u64;
-                    let data = self.read(va, *bucket_bytes as u32);
+                    let data = self.read(*va, *len as u32);
                     let at = *key_off as usize;
                     let hit = data
                         .chunks_exact(*slot_bytes as usize)
@@ -1460,19 +1453,17 @@ mod remote_op_oracle {
                 vas: vec![base + 8, base + 1024, base + 40],
             })),
             rig.issue(Request::Op(&RemoteOp::HashProbe {
-                base_va: base + 256,
-                bucket: 0,
-                bucket_bytes: 32,
+                va: base + 256,
+                len: 32,
                 slot_bytes: 16,
                 key_off: 2,
                 key: Operand::new(&probe_key),
             })),
-            // A bucket that is no whole number of slots: an
+            // A span that is no whole number of slots: an
             // invalid-request NAK.
             rig.issue(Request::Op(&RemoteOp::HashProbe {
-                base_va: base + 256,
-                bucket: 3,
-                bucket_bytes: 24,
+                va: base + 256 + 3 * 24,
+                len: 24,
                 slot_bytes: 16,
                 key_off: 2,
                 key: Operand::new(&probe_key),

@@ -702,19 +702,18 @@ mod one_encoder {
                 Owned::Op(op) => {
                     let (opcode, ext, payload) = match op {
                         &RemoteOp::HashProbe {
-                            base_va,
-                            bucket,
-                            bucket_bytes,
+                            va,
+                            len,
                             slot_bytes,
                             key_off,
                             key,
                         } => (
                             Opcode::HashProbe,
                             RoceExt::HashProbe(HashProbeEth {
-                                base_va,
+                                base_va: va,
                                 rkey,
-                                bucket,
-                                bucket_bytes,
+                                bucket: 0,
+                                bucket_bytes: len,
                                 slot_bytes,
                                 key_off,
                                 key_len: key.len() as u8,
@@ -756,21 +755,18 @@ mod one_encoder {
             (any::<u64>(), any::<u32>()).prop_map(|(va, len)| Owned::Read { va, len }),
             (any::<u64>(), any::<u64>()).prop_map(|(va, add)| Owned::FetchAdd { va, add }),
             (
-                (any::<u64>(), any::<u32>()),
-                (any::<u16>(), any::<u16>(), any::<u8>(), operand(1..33)),
+                (any::<u64>(), any::<u16>()),
+                (any::<u16>(), any::<u8>(), operand(1..33)),
             )
-                .prop_map(
-                    |((base_va, bucket), (bucket_bytes, slot_bytes, key_off, key))| {
-                        Owned::Op(RemoteOp::HashProbe {
-                            base_va,
-                            bucket,
-                            bucket_bytes,
-                            slot_bytes,
-                            key_off,
-                            key,
-                        })
-                    }
-                ),
+                .prop_map(|((va, len), (slot_bytes, key_off, key))| {
+                    Owned::Op(RemoteOp::HashProbe {
+                        va,
+                        len,
+                        slot_bytes,
+                        key_off,
+                        key,
+                    })
+                }),
             (any::<u16>(), vec(any::<u64>(), 1..17))
                 .prop_map(|(word_len, vas)| Owned::Op(RemoteOp::Gather { word_len, vas })),
         ]
