@@ -53,7 +53,7 @@ fn pins() -> [Pin; 14] {
         pin!(incast_scenario(), 0x971a0036b0876299, 33637, 13330),
         pin!(lookup_miss_storm(250), 0x4b9af4b393105a16, 2001, 1000),
         pin!(lookup_miss_storm_direct(250), 0x7437e1c2ee0f4f47, 2751, 1250),
-        pin!(remote_ops(250), 0x04760a5b396c132c, 2001, 1000),
+        pin!(remote_ops(250), 0xd85559b9f717cdc7, 2001, 1000),
         pin!(insert_churn(600), 0xb1540ba92576a67d, 5818, 2804),
         pin!(faa_storm(1_500), 0x21839ba8f98c58c1, 8428, 4080),
         pin!(loss_sweep(2_000), 0x07ec219219282a58, 54518, 21580),
@@ -62,7 +62,7 @@ fn pins() -> [Pin; 14] {
         pin!(fabric_shard(300, 2), 0xf5ca868846f41588, 24106, 10737),
         pin!(lookup_miss_storm_direct(500), 0x1c433c88e1fd224c, 5502, 2500),
         pin!(lookup_miss_storm(500), 0xff61a362d3ea4521, 4002, 2000),
-        pin!(remote_ops(500), 0x59233fe52528baa3, 4002, 2000),
+        pin!(remote_ops(500), 0xc8e006392030c266, 4002, 2000),
     ]
 }
 

@@ -443,6 +443,40 @@ fn psn_distance(from: u32, to: u32) -> u32 {
     to.wrapping_sub(from) & 0x00ff_ffff
 }
 
+/// All [`ReliableChannel`] asks of the world it runs in: a clock, a way out
+/// to its server's port, and cancellable timers that come back under a
+/// token. A switch program's [`SwitchCtx`] is that world; a test can be
+/// another, and drive the channel with no simulator behind it.
+pub trait ChannelIo {
+    /// Current time.
+    fn now(&self) -> Time;
+    /// Put `frame` out on `port`, ahead of normal traffic if `high`.
+    fn send(&mut self, port: PortId, frame: Packet, high: bool);
+    /// Fire `token` back at the channel's owner after `delay`.
+    fn arm(&mut self, delay: TimeDelta, token: u64) -> TimerHandle;
+    /// Cancel an armed timer; a stale handle is a no-op.
+    fn cancel(&mut self, handle: TimerHandle);
+}
+
+impl ChannelIo for SwitchCtx<'_, '_, '_> {
+    fn now(&self) -> Time {
+        SwitchCtx::now(self)
+    }
+    fn send(&mut self, port: PortId, frame: Packet, high: bool) {
+        if high {
+            self.enqueue_high(port, frame);
+        } else {
+            self.enqueue(port, frame);
+        }
+    }
+    fn arm(&mut self, delay: TimeDelta, token: u64) -> TimerHandle {
+        self.schedule_cancellable(delay, token)
+    }
+    fn cancel(&mut self, handle: TimerHandle) {
+        self.cancel_timer(handle);
+    }
+}
+
 /// The requester-side reliability layer every primitive shares: tracks
 /// outstanding ops by PSN (24-bit wrap-aware), retransmits on NAK, on an
 /// answer that overtook a lost one (an implicit NAK) and on an
@@ -616,38 +650,35 @@ impl ReliableChannel {
     /// is younger) is left alone — the timer fires early once and re-arms
     /// for the exact remainder, which is cheaper than re-arming on every
     /// ACK.
-    fn maintain_timer(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>) {
+    fn maintain_timer(&mut self, io: &mut impl ChannelIo) {
         let deadline = if self.failed { None } else { self.deadline() };
         match (deadline, self.timer) {
             (None, Some((h, _))) => {
-                ctx.cancel_timer(h);
+                io.cancel(h);
                 self.timer = None;
             }
             (Some(deadline), Some((h, armed))) if deadline < armed => {
-                ctx.cancel_timer(h);
-                self.arm(ctx, deadline);
+                io.cancel(h);
+                self.arm(io, deadline);
             }
-            (Some(deadline), None) => self.arm(ctx, deadline),
+            (Some(deadline), None) => self.arm(io, deadline),
             _ => {}
         }
     }
 
     /// Arm the retransmission timer for `deadline` (at once, if it has
     /// passed).
-    fn arm(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, deadline: Time) {
-        let delay = deadline.saturating_since(ctx.now());
-        let handle = ctx.schedule_cancellable(delay, self.timer_token);
+    fn arm(&mut self, io: &mut impl ChannelIo, deadline: Time) {
+        let delay = deadline.saturating_since(io.now());
+        let handle = io.arm(delay, self.timer_token);
         self.timer = Some((handle, deadline));
     }
 
     /// Put a request on the wire; one that did not encode is lost, as on
     /// the wire, and found the same way.
-    fn send(&self, ctx: &mut SwitchCtx<'_, '_, '_>, frame: Result<Packet, WireError>) {
-        let Ok(frame) = frame else { return };
-        if self.config.high_priority {
-            ctx.enqueue_high(self.inner.server_port, frame);
-        } else {
-            ctx.enqueue(self.inner.server_port, frame);
+    fn send(&self, io: &mut impl ChannelIo, frame: Result<Packet, WireError>) {
+        if let Ok(frame) = frame {
+            io.send(self.inner.server_port, frame, self.config.high_priority);
         }
     }
 
@@ -664,7 +695,7 @@ impl ReliableChannel {
     /// window entirely. The op comes back in exactly one
     /// [`ChannelEvent::Done`] or [`ChannelEvent::OpFailed`]. Returns `false`
     /// — op not accepted, dropped — only once the channel has failed over.
-    pub fn submit(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, op: Op, cookie: u64) -> bool {
+    pub fn submit(&mut self, io: &mut impl ChannelIo, op: Op, cookie: u64) -> bool {
         if self.failed {
             return false;
         }
@@ -672,8 +703,8 @@ impl ReliableChannel {
         if self.config.reliable && (!self.has_room() || !self.queue.is_empty()) {
             self.queue.push_back((cookie, op));
         } else {
-            self.launch(ctx, cookie, op);
-            self.maintain_timer(ctx);
+            self.launch(io, cookie, op);
+            self.maintain_timer(io);
         }
         true
     }
@@ -692,7 +723,7 @@ impl ReliableChannel {
 
     /// First transmission of an op: assign its PSN, record it
     /// outstanding, and put the request on the wire.
-    fn launch(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, cookie: u64, op: Op) {
+    fn launch(&mut self, io: &mut impl ChannelIo, cookie: u64, op: Op) {
         let (qp, rkey) = (&mut self.inner.qp, self.inner.rkey);
         let psn = qp.npsn;
         let frame = qp.issue(rkey, &op.request());
@@ -701,21 +732,21 @@ impl ReliableChannel {
         self.outstanding.push_back(Outstanding {
             psn,
             cookie,
-            sent_at: ctx.now(),
+            sent_at: io.now(),
             sent_nr: self.sends,
             op,
             fetched: None,
         });
-        self.send(ctx, frame);
+        self.send(io, frame);
     }
 
     /// Launch queued ops into whatever room the window now has.
-    fn pump_queue(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>) {
+    fn pump_queue(&mut self, io: &mut impl ChannelIo) {
         while !self.failed && self.has_room() {
             let Some((cookie, op)) = self.queue.pop_front() else {
                 break;
             };
-            self.launch(ctx, cookie, op);
+            self.launch(io, cookie, op);
         }
     }
 
@@ -724,14 +755,14 @@ impl ReliableChannel {
     /// failures are appended to `events`).
     pub fn on_roce(
         &mut self,
-        ctx: &mut SwitchCtx<'_, '_, '_>,
+        io: &mut impl ChannelIo,
         roce: &RocePacket,
         events: &mut Vec<ChannelEvent>,
     ) -> bool {
         let psn = roce.bth.psn;
         let consumed = match roce.bth.opcode {
             Opcode::ReadRespOnly => {
-                self.on_response(ctx, psn, Reply::Data(roce.payload.clone()), events);
+                self.on_response(io, psn, Reply::Data(roce.payload.clone()), events);
                 true
             }
             Opcode::AtomicAcknowledge => {
@@ -739,7 +770,7 @@ impl ReliableChannel {
                     return false;
                 };
                 self.stats.acks += 1;
-                self.on_response(ctx, psn, Reply::Fetched(ack.original_value), events);
+                self.on_response(io, psn, Reply::Fetched(ack.original_value), events);
                 true
             }
             Opcode::Acknowledge => {
@@ -747,24 +778,24 @@ impl ReliableChannel {
                     return false;
                 };
                 match aeth.syndrome {
-                    Syndrome::Ack { .. } => self.on_ack(ctx, psn, events),
+                    Syndrome::Ack { .. } => self.on_ack(io, psn, events),
                     // A refused request would be refused again, and a
                     // restarted responder's QP is gone: fail over, as an RC
                     // QP enters its error state. The restart NAK may find
                     // the channel failed already.
                     Syndrome::Nak(code) if code != PsnSequenceError && self.config.reliable => {
                         self.stats.naks += 1;
-                        self.fail(ctx, events);
+                        self.fail(io, events);
                     }
-                    _ => self.on_nak(ctx, psn, events),
+                    _ => self.on_nak(io, psn, events),
                 }
                 true
             }
             _ => false,
         };
         if consumed {
-            self.pump_queue(ctx);
-            self.maintain_timer(ctx);
+            self.pump_queue(io);
+            self.maintain_timer(io);
         }
         consumed
     }
@@ -817,7 +848,7 @@ impl ReliableChannel {
     /// from the responder's saved results.
     fn on_response(
         &mut self,
-        ctx: &mut SwitchCtx<'_, '_, '_>,
+        io: &mut impl ChannelIo,
         psn: u32,
         reply: Reply,
         events: &mut Vec<ChannelEvent>,
@@ -838,7 +869,7 @@ impl ReliableChannel {
             return;
         };
         self.progress();
-        self.resend_overtaken(ctx, pos);
+        self.resend_overtaken(io, pos);
         match reply {
             Reply::Fetched(original) if self.config.reliable => {
                 self.outstanding[pos].fetched = Some(original);
@@ -859,12 +890,7 @@ impl ReliableChannel {
     /// a response do not — an ACK proves the responder *sent* their answer,
     /// not that it arrived. As the answer to the op sent under `psn`, it
     /// re-sends the ones whose answer it overtook.
-    fn on_ack(
-        &mut self,
-        ctx: &mut SwitchCtx<'_, '_, '_>,
-        psn: u32,
-        events: &mut Vec<ChannelEvent>,
-    ) {
+    fn on_ack(&mut self, io: &mut impl ChannelIo, psn: u32, events: &mut Vec<ChannelEvent>) {
         self.stats.acks += 1;
         let covered = self
             .outstanding
@@ -877,7 +903,7 @@ impl ReliableChannel {
         }
         self.progress();
         if self.outstanding[covered - 1].psn == psn {
-            self.resend_overtaken(ctx, covered - 1);
+            self.resend_overtaken(io, covered - 1);
         }
         self.retire_executed(covered, events);
     }
@@ -886,14 +912,14 @@ impl ReliableChannel {
     /// responder's answers come back over FIFO links, so every unanswered
     /// response-bearing op ahead of it that was last sent before it lost its
     /// answer: re-send each alone. The timer is left to catch silence.
-    fn resend_overtaken(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, idx: usize) {
+    fn resend_overtaken(&mut self, io: &mut impl ChannelIo, idx: usize) {
         let answered_nr = self.outstanding[idx].sent_nr;
         for i in 0..idx {
             let o = &self.outstanding[i];
             let earlier = (answered_nr.wrapping_sub(o.sent_nr) as i32) > 0;
             if self.config.reliable && earlier && o.fetched.is_none() && o.op.bears_response() {
                 self.stats.implicit_resends += 1;
-                self.resend(ctx, i);
+                self.resend(io, i);
             }
         }
     }
@@ -903,12 +929,7 @@ impl ReliableChannel {
     /// everything still outstanding under the original PSNs. A best-effort
     /// channel's UC responder jumps gaps and sends no such NAK; a refusal of
     /// one of its ops comes here too, and the op ages out.
-    fn on_nak(
-        &mut self,
-        ctx: &mut SwitchCtx<'_, '_, '_>,
-        epsn: u32,
-        events: &mut Vec<ChannelEvent>,
-    ) {
+    fn on_nak(&mut self, io: &mut impl ChannelIo, epsn: u32, events: &mut Vec<ChannelEvent>) {
         self.stats.naks += 1;
         if !self.config.reliable {
             return;
@@ -933,7 +954,7 @@ impl ReliableChannel {
         }
         self.progress();
         self.nak_epoch = Some(epsn);
-        self.retransmit_all(ctx);
+        self.retransmit_all(io);
     }
 
     /// Go-back-N: re-send every outstanding op under its original PSN,
@@ -942,26 +963,26 @@ impl ReliableChannel {
     /// saved results, and does not re-execute duplicate WRITEs (it ACKs
     /// one only if it asks: the answer to an op behind it confirms the
     /// rest), so replays are idempotent.
-    fn retransmit_all(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>) {
+    fn retransmit_all(&mut self, io: &mut impl ChannelIo) {
         for i in 0..self.outstanding.len() {
             // A held answer is in; only an older op's answer is awaited.
             if self.outstanding[i].fetched.is_none() {
-                self.resend(ctx, i);
+                self.resend(io, i);
             }
         }
     }
 
     /// Re-send the outstanding op at `idx` under its original PSN.
-    fn resend(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, idx: usize) {
+    fn resend(&mut self, io: &mut impl ChannelIo, idx: usize) {
         let sent = &self.outstanding[idx];
         let frame = (self.inner.qp).encode_at(sent.psn, self.inner.rkey, &sent.op.request());
         self.stats.faa_sent += matches!(sent.op, Op::FetchAdd { .. }) as u64;
         self.stats.retransmits += 1;
         self.sends = self.sends.wrapping_add(1);
         let sent = &mut self.outstanding[idx];
-        sent.sent_at = ctx.now();
+        sent.sent_at = io.now();
         sent.sent_nr = self.sends;
-        self.send(ctx, frame);
+        self.send(io, frame);
     }
 
     /// The channel's retransmission deadline fired: the owning program
@@ -970,11 +991,7 @@ impl ReliableChannel {
     /// this re-arms for the exact remaining time; otherwise it runs the
     /// timeout action (go-back-N replay with backoff, or best-effort
     /// age-out).
-    pub fn on_timer_fired(
-        &mut self,
-        ctx: &mut SwitchCtx<'_, '_, '_>,
-        events: &mut Vec<ChannelEvent>,
-    ) {
+    pub fn on_timer_fired(&mut self, io: &mut impl ChannelIo, events: &mut Vec<ChannelEvent>) {
         self.timer = None;
         if self.failed {
             return;
@@ -982,16 +999,16 @@ impl ReliableChannel {
         let Some(deadline) = self.deadline() else {
             return;
         };
-        let now = ctx.now();
+        let now = io.now();
         if now < deadline {
             // The old head retired and its successor is younger: fire was
             // premature, re-arm for the real deadline.
-            self.arm(ctx, deadline);
+            self.arm(io, deadline);
             return;
         }
         if self.config.reliable {
             if self.retries >= self.retry_cap {
-                self.fail(ctx, events);
+                self.fail(io, events);
                 return;
             }
             self.stats.timeouts += 1;
@@ -1001,7 +1018,7 @@ impl ReliableChannel {
                 .stats
                 .max_backoff_level
                 .max(self.backoff_level.min(MAX_BACKOFF_LEVEL));
-            self.retransmit_all(ctx);
+            self.retransmit_all(io);
         } else {
             // Best effort: age out every answered op past the base RTO, and
             // the unanswered WRITEs sent before the last of them.
@@ -1018,16 +1035,16 @@ impl ReliableChannel {
             }
             self.stats.aged_out += aged as u64;
             events.extend(self.outstanding.drain(..aged).map(Outstanding::abandon));
-            self.pump_queue(ctx);
+            self.pump_queue(io);
         }
-        self.maintain_timer(ctx);
+        self.maintain_timer(io);
     }
 
     /// Give up: fail every outstanding op, mark the channel failed, drop
     /// the armed deadline, and emit the degradation signal. The retry cap
     /// and a refusal NAK both end here; nothing happens on a channel that
     /// has already failed.
-    pub(crate) fn fail(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, events: &mut Vec<ChannelEvent>) {
+    pub(crate) fn fail(&mut self, io: &mut impl ChannelIo, events: &mut Vec<ChannelEvent>) {
         if self.failed {
             return;
         }
@@ -1037,7 +1054,7 @@ impl ReliableChannel {
         self.failed = true;
         self.stats.failed_over = true;
         if let Some((h, _)) = self.timer.take() {
-            ctx.cancel_timer(h);
+            io.cancel(h);
         }
         events.push(ChannelEvent::Failed);
     }
@@ -1064,8 +1081,15 @@ impl ReliableChannel {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use extmem_rnic::{Operand, RnicConfig};
-    use extmem_wire::MacAddr;
+    use extmem_rnic::nic::MTU;
+    use extmem_rnic::responder::{process_request, Outcome};
+    use extmem_rnic::{MrTable, Operand, QueuePair, RnicConfig};
+    use extmem_sim::event::{EventKind, EventQueue};
+    use extmem_types::{NodeId, QpNum};
+    use extmem_wire::aeth::{Aeth, NakCode};
+    use extmem_wire::atomic::AtomicAckEth;
+    use extmem_wire::bth::Bth;
+    use extmem_wire::{CounterSpan, MacAddr};
 
     /// A channel over `qp` to the region `(rkey, base_va, region_len)` behind
     /// `server_port`, with no NIC set up behind it: its transport reaches no
@@ -1084,235 +1108,6 @@ pub(crate) mod tests {
             region_len,
             server_port,
             transport: Transport::default(),
-        }
-    }
-
-    #[test]
-    fn setup_wires_the_triple() {
-        let server = RoceEndpoint {
-            mac: MacAddr::local(9),
-            ip: 0x0a000009,
-        };
-        let switch = RoceEndpoint {
-            mac: MacAddr::local(1),
-            ip: 0x0a000001,
-        };
-        let mut nic = RnicNode::new("mem", RnicConfig::at(server));
-        let ch = RdmaChannel::setup(switch, PortId(3), &mut nic, ByteSize::from_mb(1));
-        assert_eq!(ch.region_len, 1_000_000);
-        assert_eq!(ch.server_port, PortId(3));
-        assert_eq!(ch.qp.peer, server);
-        assert_eq!(ch.qp.local, switch);
-        // The responder knows the switch as its peer.
-        assert_eq!(nic.qp(ch.qp.peer_qpn).unwrap().peer_qpn, SWITCH_QPN);
-        // The region is real and zeroed.
-        assert_eq!(
-            nic.region(ch.rkey).unwrap().read(ch.base_va, 8).unwrap(),
-            &[0u8; 8][..]
-        );
-        // The responder QP is RC until the channel's policy says best
-        // effort, which makes it UC.
-        let uc = |nic: &RnicNode| nic.qp(ch.qp.peer_qpn).unwrap().transport.is_uc();
-        assert!(!uc(&nic));
-        let mut channel = ReliableChannel::new(ch.clone(), ReliableConfig::default());
-        assert!(!uc(&nic));
-        channel.set_config(ReliableConfig::best_effort(TimeDelta::from_micros(10)));
-        assert!(uc(&nic));
-    }
-
-    /// Owns one channel; when poked, sends a READ, a Fetch-and-Add and a
-    /// remote op (PSNs 0, 1 and 2) and plays the responder itself.
-    struct Replayer {
-        channel: ReliableChannel,
-        events: Vec<ChannelEvent>,
-    }
-
-    impl Replayer {
-        /// Answer `psn` with a READ response carrying `data`, or with an
-        /// atomic's acknowledgement if there is none.
-        fn answer(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, psn: u32, data: &[u8]) {
-            use extmem_wire::aeth::Aeth;
-            use extmem_wire::atomic::AtomicAckEth;
-            use extmem_wire::bth::Bth;
-            let (opcode, ext) = if data.is_empty() {
-                let ack = AtomicAckEth { original_value: 41 };
-                let ext = RoceExt::AtomicAck(Aeth::ack(0), ack);
-                (Opcode::AtomicAcknowledge, ext)
-            } else {
-                (Opcode::ReadRespOnly, RoceExt::Aeth(Aeth::ack(0)))
-            };
-            let payload = data.to_vec();
-            let qp = &self.channel.inner().qp;
-            let bth = Bth::new(opcode, SWITCH_QPN, psn);
-            let resp = RocePacket::new(qp.peer, qp.local, qp.udp_src_port, bth, ext, payload);
-            assert!(self.channel.on_roce(ctx, &resp, &mut self.events));
-        }
-    }
-
-    impl extmem_switch::PipelineProgram for Replayer {
-        fn ingress(&mut self, _: &mut SwitchCtx<'_, '_, '_>, _: PortId, _: Packet) {}
-
-        fn on_timer(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, _token: u64) {
-            let ops = [
-                Op::Read { va: 0x1000, len: 8 },
-                Op::FetchAdd { va: 0x2000, add: 1 },
-                Op::Remote(probe_op()),
-            ];
-            for (cookie, op) in ops.into_iter().enumerate() {
-                assert!(self.channel.submit(ctx, op, cookie as u64));
-            }
-            // An atomic's acknowledgement under the READ's PSN answers
-            // nothing, and READ bytes under the atomic's PSN nothing either.
-            self.answer(ctx, 0, &[]);
-            self.answer(ctx, 1, &[6; 8]);
-            assert!(self.events.is_empty());
-            let answers: [&[u8]; 3] = [&[7; 8], &[], &[5; 32]];
-            // Each answer completes its op; its replay is dropped.
-            for _ in 0..2 {
-                for (psn, data) in answers.into_iter().enumerate() {
-                    self.answer(ctx, psn as u32, data);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn replayed_responses_are_dropped_not_completed_twice() {
-        use extmem_rnic::requester::RequesterQp;
-        use extmem_sim::SimBuilder;
-        use extmem_switch::switch::program_token;
-        use extmem_switch::{SwitchConfig, SwitchNode};
-        use extmem_types::{QpNum, Time};
-
-        let local = RoceEndpoint {
-            mac: MacAddr::local(1),
-            ip: 0x0a000001,
-        };
-        let peer = RoceEndpoint {
-            mac: MacAddr::local(9),
-            ip: 0x0a000009,
-        };
-        let channel = unplugged(
-            RequesterQp::new(local, peer, QpNum(0x100)),
-            Rkey(7),
-            0x1000,
-            1 << 16,
-            PortId(0),
-        );
-        let program = Replayer {
-            channel: ReliableChannel::new(channel, ReliableConfig::default()),
-            events: Vec::new(),
-        };
-        let mut b = SimBuilder::new(1);
-        let sw = b.add_node(Box::new(SwitchNode::new(
-            "tor",
-            SwitchConfig::default(),
-            Box::new(program),
-        )));
-        let mut sim = b.build();
-        sim.schedule_timer(sw, TimeDelta::ZERO, program_token(1));
-        // Well inside the RTO: no retransmission interferes.
-        sim.run_until(Time::from_micros(10));
-
-        let program = sim.node::<SwitchNode>(sw).program::<Replayer>();
-        assert_eq!(program.channel.outstanding_len(), 0);
-        assert_eq!(program.channel.stats().duplicate_drops, 5);
-        let replies: Vec<(u64, Reply)> = program
-            .events
-            .iter()
-            .map(|ev| match ev {
-                ChannelEvent::Done { cookie, reply, .. } => (*cookie, reply.clone()),
-                other => panic!("unexpected {other:?}"),
-            })
-            .collect();
-        let want = [
-            (0, Reply::Data(vec![7; 8].into())),
-            (1, Reply::Fetched(41)),
-            (2, Reply::Data(vec![5; 32].into())),
-        ];
-        assert_eq!(replies, want);
-    }
-
-    /// Owns one channel behind a server that never answers; the test pokes
-    /// it through the stages of a remote op's life.
-    struct OpIssuer {
-        channel: ReliableChannel,
-        events: Vec<ChannelEvent>,
-    }
-
-    fn probe_op() -> RemoteOp {
-        RemoteOp::HashProbe {
-            va: 0x1180,
-            len: 128,
-            slot_bytes: 32,
-            key_off: 0,
-            key: Operand::new(b"thirteen-byte"),
-        }
-    }
-
-    fn gather_op() -> RemoteOp {
-        RemoteOp::Gather {
-            word_len: 16,
-            vas: vec![0x1040, 0x1080],
-        }
-    }
-
-    const ISSUE: u64 = 1;
-    const ANSWER_PROBE: u64 = 2;
-    const REISSUE: u64 = 3;
-    /// The gather's cookie: the probes that fill the window take 1 to
-    /// [`MAX_WINDOW`].
-    const GATHER: u64 = MAX_WINDOW as u64 + 1;
-
-    impl extmem_switch::PipelineProgram for OpIssuer {
-        fn ingress(&mut self, _: &mut SwitchCtx<'_, '_, '_>, _: PortId, _: Packet) {}
-
-        fn on_timer(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, token: u64) {
-            use extmem_wire::aeth::Aeth;
-            use extmem_wire::bth::Bth;
-            match token {
-                ISSUE => {
-                    // The probes take the window; the gather queues.
-                    for cookie in 1..=MAX_WINDOW as u64 {
-                        assert!(self.channel.submit(ctx, Op::Remote(probe_op()), cookie));
-                    }
-                    assert!(self.channel.submit(ctx, Op::Remote(gather_op()), GATHER));
-                    let held = self.channel.ops().count();
-                    let queued = (self.channel.outstanding_len(), held);
-                    assert_eq!(queued, (MAX_WINDOW, MAX_WINDOW + 1));
-                }
-                ANSWER_PROBE => {
-                    // Every probe misses: a READ response with no bytes.
-                    for psn in 0..MAX_WINDOW as u32 {
-                        let qp = &self.channel.inner().qp;
-                        let resp = RocePacket::new(
-                            qp.peer,
-                            qp.local,
-                            qp.udp_src_port,
-                            Bth::new(Opcode::ReadRespOnly, SWITCH_QPN, psn),
-                            RoceExt::Aeth(Aeth::ack(1)),
-                            vec![],
-                        );
-                        assert!(self.channel.on_roce(ctx, &resp, &mut self.events));
-                    }
-                    let held = self.channel.ops().count();
-                    let launched = (self.channel.outstanding_len(), held);
-                    assert_eq!(launched, (1, 1), "the gather launched");
-                }
-                REISSUE => {
-                    // A failed channel reconnects and sends the orphaned
-                    // op again, behind the connect.
-                    assert!(self.channel.is_failed());
-                    self.channel.reconnect();
-                    assert!(self.channel.submit(ctx, Op::Connect, 0));
-                    let gather = Op::Remote(gather_op());
-                    assert!(self.channel.submit(ctx, gather, GATHER));
-                }
-                t if t == self.channel.timer_token() => {
-                    self.channel.on_timer_fired(ctx, &mut self.events);
-                }
-                other => panic!("unexpected token {other}"),
-            }
         }
     }
 
@@ -1353,7 +1148,7 @@ pub(crate) mod tests {
         }
     }
 
-    /// The policy of a channel that is to give up on a [`Blackhole`] soon:
+    /// The policy of a channel that is to give up on a silent server soon:
     /// RTO 10 us, so [`MAX_RETRIES`] retransmissions and 950 us of silence.
     pub(crate) fn impatient() -> ReliableConfig {
         ReliableConfig {
@@ -1367,12 +1162,8 @@ pub(crate) mod tests {
     /// the simulation, the switch and the blackhole.
     pub(crate) fn behind_blackhole(
         program: impl extmem_switch::PipelineProgram + 'static,
-        more: impl FnOnce(&mut extmem_sim::SimBuilder, extmem_types::NodeId),
-    ) -> (
-        extmem_sim::Simulator,
-        extmem_types::NodeId,
-        extmem_types::NodeId,
-    ) {
+        more: impl FnOnce(&mut extmem_sim::SimBuilder, NodeId),
+    ) -> (extmem_sim::Simulator, NodeId, NodeId) {
         use extmem_sim::{LinkSpec, SimBuilder};
         use extmem_switch::{SwitchConfig, SwitchNode};
         let mut b = SimBuilder::new(1);
@@ -1387,59 +1178,334 @@ pub(crate) mod tests {
         (b.build(), sw, hole)
     }
 
+    /// Host `i`'s L2/L3 identity: the switch is 1, the memory server 9.
+    fn endpoint(i: u32) -> RoceEndpoint {
+        RoceEndpoint {
+            mac: MacAddr::local(i),
+            ip: 0x0a00_0000 + i,
+        }
+    }
+
+    #[test]
+    fn setup_wires_the_triple() {
+        let (server, switch) = (endpoint(9), endpoint(1));
+        let mut nic = RnicNode::new("mem", RnicConfig::at(server));
+        let ch = RdmaChannel::setup(switch, PortId(3), &mut nic, ByteSize::from_mb(1));
+        assert_eq!(ch.region_len, 1_000_000);
+        assert_eq!(ch.server_port, PortId(3));
+        assert_eq!(ch.qp.peer, server);
+        assert_eq!(ch.qp.local, switch);
+        // The responder knows the switch as its peer.
+        assert_eq!(nic.qp(ch.qp.peer_qpn).unwrap().peer_qpn, SWITCH_QPN);
+        // The region is real and zeroed.
+        assert_eq!(
+            nic.region(ch.rkey).unwrap().read(ch.base_va, 8).unwrap(),
+            &[0u8; 8][..]
+        );
+        // The responder QP is RC until the channel's policy says best
+        // effort, which makes it UC.
+        let uc = |nic: &RnicNode| nic.qp(ch.qp.peer_qpn).unwrap().transport.is_uc();
+        assert!(!uc(&nic));
+        let mut channel = ReliableChannel::new(ch.clone(), ReliableConfig::default());
+        assert!(!uc(&nic));
+        channel.set_config(ReliableConfig::best_effort(TimeDelta::from_micros(10)));
+        assert!(uc(&nic));
+    }
+
+    #[test]
+    fn two_channels_get_distinct_resources() {
+        let mut nic = RnicNode::new("mem", RnicConfig::at(endpoint(9)));
+        let a = RdmaChannel::setup(endpoint(1), PortId(3), &mut nic, ByteSize::from_kb(8));
+        let b = RdmaChannel::setup(endpoint(1), PortId(3), &mut nic, ByteSize::from_kb(8));
+        assert_ne!(a.rkey, b.rkey);
+        assert_ne!(a.base_va, b.base_va);
+        assert_ne!(a.qp.peer_qpn, b.qp.peer_qpn);
+    }
+
+    /// The channel's world in a test: a clock, every frame the channel sent,
+    /// in order, and its timers on a real event queue.
+    #[derive(Default)]
+    struct FakeIo {
+        now: Time,
+        sent: Vec<Packet>,
+        timers: EventQueue,
+    }
+
+    impl ChannelIo for FakeIo {
+        fn now(&self) -> Time {
+            self.now
+        }
+        fn send(&mut self, _: PortId, frame: Packet, _: bool) {
+            self.sent.push(frame);
+        }
+        fn arm(&mut self, delay: TimeDelta, token: u64) -> TimerHandle {
+            self.timers.push_timer(self.now + delay, NodeId(0), token)
+        }
+        fn cancel(&mut self, handle: TimerHandle) {
+            self.timers.cancel(handle);
+        }
+    }
+
+    /// A channel on a [`FakeIo`] and the responder at its far end: the NIC's
+    /// in-order RC/UC state machine ([`process_request`]) on a QP that
+    /// shares the channel's transport, without the NIC's service timing. A
+    /// test that serves no frame has a server that never answers.
+    struct Rig {
+        ch: ReliableChannel,
+        io: FakeIo,
+        qp: QueuePair,
+        mrs: MrTable,
+        /// The PSN of every request served, and what the responder did.
+        served: Vec<(u32, Outcome)>,
+        events: Vec<ChannelEvent>,
+    }
+
+    /// The region every [`Rig`] talks to: a fresh table hands out the same
+    /// key and address every time.
+    fn region() -> (MrTable, Rkey, u64) {
+        let mut mrs = MrTable::new();
+        let (rkey, base_va) = mrs.register(ByteSize::from_bytes(4096));
+        (mrs, rkey, base_va)
+    }
+
+    impl Rig {
+        /// A channel under `config` from PSN `start` to [`region`].
+        fn new(config: ReliableConfig, start: u32) -> Rig {
+            let (mrs, rkey, base_va) = region();
+            let qp = QueuePair::new(QpNum(0x100), endpoint(1), SWITCH_QPN, start);
+            let mut requester = RequesterQp::new(endpoint(1), endpoint(9), qp.qpn);
+            requester.npsn = start;
+            let transport = qp.transport.clone();
+            let channel = RdmaChannel {
+                transport,
+                ..unplugged(requester, rkey, base_va, 4096, PortId(0))
+            };
+            Rig {
+                ch: ReliableChannel::new(channel, config),
+                io: FakeIo::default(),
+                qp,
+                mrs,
+                served: Vec::new(),
+                events: Vec::new(),
+            }
+        }
+
+        /// Submit each `(cookie, op)`.
+        fn script(&mut self, ops: impl IntoIterator<Item = (u64, Op)>) {
+            for (cookie, op) in ops {
+                assert!(self.ch.submit(&mut self.io, op, cookie));
+            }
+        }
+
+        /// Reconnect the failed channel and submit `op` behind the connect.
+        fn reissue(&mut self, op: Op, cookie: u64) {
+            assert!(self.ch.is_failed());
+            self.ch.reconnect();
+            self.script([(0, Op::Connect), (cookie, op)]);
+        }
+
+        /// Run the clock to `t`, firing every timer due by then.
+        fn until(&mut self, t: Time) {
+            while let Some(fired) = self.io.timers.pop_if_at_or_before(t) {
+                let EventKind::Timer { token, .. } = fired.kind else {
+                    unreachable!("only timers are queued")
+                };
+                assert_eq!(token, self.ch.timer_token());
+                self.io.now = fired.at;
+                self.ch.on_timer_fired(&mut self.io, &mut self.events);
+            }
+            self.io.now = t;
+        }
+
+        fn feed(&mut self, resp: &RocePacket) {
+            assert!(self.ch.on_roce(&mut self.io, resp, &mut self.events));
+        }
+
+        /// A response under `psn`, made by hand.
+        fn crafted(&self, opcode: Opcode, psn: u32, ext: RoceExt, body: Vec<u8>) -> RocePacket {
+            let qp = &self.ch.inner().qp;
+            let bth = Bth::new(opcode, SWITCH_QPN, psn);
+            RocePacket::new(qp.peer, qp.local, qp.udp_src_port, bth, ext, body)
+        }
+
+        /// The responder's answer to the request `frame`, if any.
+        fn serve(&mut self, frame: &Packet) -> Option<Packet> {
+            let req = RocePacket::parse(frame).unwrap().unwrap();
+            let done = process_request(endpoint(9), &mut self.qp, &mut self.mrs, &req, MTU);
+            self.served.push((req.bth.psn, done.outcome));
+            done.response
+        }
+
+        /// The PSN of every request served, in order.
+        fn psns(&self) -> Vec<u32> {
+            self.served.iter().map(|s| s.0).collect()
+        }
+
+        /// How many requests the responder met with an outcome `f` picks.
+        fn count(&self, f: impl Fn(&Outcome) -> bool) -> usize {
+            self.served.iter().filter(|(_, o)| f(o)).count()
+        }
+
+        /// Every op's end, in order: its cookie, and its reply if done.
+        fn ends(&self) -> Vec<(u64, Option<Reply>)> {
+            let end = |ev: &ChannelEvent| match ev {
+                ChannelEvent::Done { cookie, reply, .. } => (*cookie, Some(reply.clone())),
+                ChannelEvent::OpFailed { cookie, .. } => (*cookie, None),
+                ChannelEvent::Failed => panic!("the channel failed"),
+            };
+            self.events.iter().map(end).collect()
+        }
+
+        /// Play the network until `t`. Requests reach the responder in the
+        /// order sent, each before any answer still in flight reaches the
+        /// channel, and answers come back in order; one answer (data or an
+        /// atomic's acknowledgement) under each PSN in `eat` is lost, in
+        /// order of arrival. With nothing in flight, the clock runs to the
+        /// next timer.
+        fn run(&mut self, eat: &[u32], t: Time) {
+            let (mut eat, mut next, mut answers) = (eat.to_vec(), 0, VecDeque::new());
+            loop {
+                if let Some(frame) = self.io.sent.get(next).cloned() {
+                    next += 1;
+                    answers.extend(self.serve(&frame));
+                } else if let Some(frame) = answers.pop_front() {
+                    let resp = RocePacket::parse(&frame).unwrap().unwrap();
+                    let answer = resp.bth.opcode != Opcode::Acknowledge;
+                    match eat.iter().position(|&psn| psn == resp.bth.psn) {
+                        Some(i) if answer => drop(eat.remove(i)),
+                        _ => self.feed(&resp),
+                    }
+                } else {
+                    match self.io.timers.peek_time() {
+                        Some(at) if at <= t => self.until(at),
+                        _ => break,
+                    }
+                }
+            }
+            self.until(t);
+            assert_eq!(eat, [], "every answer named was lost");
+        }
+    }
+
+    fn us(us: u64) -> Time {
+        Time::from_micros(us)
+    }
+
+    /// A READ, under `cookie`.
+    fn read(cookie: u64) -> (u64, Op) {
+        let va = region().2 + 8 * cookie;
+        (cookie, Op::Read { va, len: 8 })
+    }
+
+    /// A WRITE that asks for no ACK, under `cookie`.
+    fn unacked(cookie: u64) -> (u64, Op) {
+        let (va, body) = (
+            region().2 + 8 * cookie,
+            WriteBody::inline(&[cookie as u8; 8]),
+        );
+        let ack_req = false;
+        (cookie, Op::Write { va, body, ack_req })
+    }
+
+    /// A READ, a Fetch-and-Add and a remote op (PSNs 0, 1 and 2), answered
+    /// by hand.
+    #[test]
+    fn replayed_responses_are_dropped_not_completed_twice() {
+        let mut rig = Rig::new(ReliableConfig::default(), 0);
+        let faa = Op::FetchAdd { va: 0x2000, add: 1 };
+        rig.script([read(0), (1, faa), (2, Op::Remote(probe_op()))]);
+        // Answer `psn` with READ bytes `data`, or with an atomic's
+        // acknowledgement if there are none.
+        let answer = |rig: &mut Rig, psn: u32, data: &[u8]| {
+            let ack = RoceExt::AtomicAck(Aeth::ack(0), AtomicAckEth { original_value: 41 });
+            let (opcode, ext) = match data {
+                [] => (Opcode::AtomicAcknowledge, ack),
+                _ => (Opcode::ReadRespOnly, RoceExt::Aeth(Aeth::ack(0))),
+            };
+            let resp = rig.crafted(opcode, psn, ext, data.to_vec());
+            rig.feed(&resp);
+        };
+        // An atomic's acknowledgement under the READ's PSN answers nothing,
+        // and READ bytes under the atomic's PSN nothing either.
+        answer(&mut rig, 0, &[]);
+        answer(&mut rig, 1, &[6; 8]);
+        assert!(rig.events.is_empty());
+        let answers: [&[u8]; 3] = [&[7; 8], &[], &[5; 32]];
+        // Each answer completes its op; its replay is dropped.
+        for _ in 0..2 {
+            for (psn, data) in answers.into_iter().enumerate() {
+                answer(&mut rig, psn as u32, data);
+            }
+        }
+        assert_eq!(rig.ch.outstanding_len(), 0);
+        assert_eq!(rig.ch.stats().duplicate_drops, 5);
+        let want = [
+            (0, Some(Reply::Data(vec![7; 8].into()))),
+            (1, Some(Reply::Fetched(41))),
+            (2, Some(Reply::Data(vec![5; 32].into()))),
+        ];
+        assert_eq!(rig.ends(), want);
+    }
+
+    fn probe_op() -> RemoteOp {
+        RemoteOp::HashProbe {
+            va: 0x1180,
+            len: 128,
+            slot_bytes: 32,
+            key_off: 0,
+            key: Operand::new(b"thirteen-byte"),
+        }
+    }
+
+    fn gather_op() -> RemoteOp {
+        RemoteOp::Gather {
+            word_len: 16,
+            vas: vec![0x1040, 0x1080],
+        }
+    }
+
     #[test]
     fn remote_op_operands_are_encoded_the_same_every_time() {
-        use extmem_rnic::requester::RequesterQp;
-        use extmem_switch::switch::program_token;
-        use extmem_switch::SwitchNode;
-        use extmem_types::{QpNum, Time};
+        // The probes take cookies 1 to MAX_WINDOW and the window; the
+        // gather queues.
+        const GATHER: u64 = MAX_WINDOW as u64 + 1;
+        let mut rig = Rig::new(impatient(), 0);
+        let probes = (1..=MAX_WINDOW as u64).map(|cookie| (cookie, Op::Remote(probe_op())));
+        rig.script(probes.chain([(GATHER, Op::Remote(gather_op()))]));
+        let held = (rig.ch.outstanding_len(), rig.ch.ops().count());
+        assert_eq!(held, (MAX_WINDOW, MAX_WINDOW + 1));
+        // The probes go out at 0 and, unanswered, again at 10 us. At 15 us
+        // every one misses (a READ response with no bytes), which lets the
+        // gather out; it times out at 25 us and, retransmitted with
+        // backoff, at 965 us takes the channel down with it.
+        rig.until(us(15));
+        for psn in 0..MAX_WINDOW as u32 {
+            let ext = RoceExt::Aeth(Aeth::ack(1));
+            let miss = rig.crafted(Opcode::ReadRespOnly, psn, ext, vec![]);
+            rig.feed(&miss);
+        }
+        let held = (rig.ch.outstanding_len(), rig.ch.ops().count());
+        assert_eq!(held, (1, 1), "the gather launched");
+        rig.until(us(1000));
+        // A failed channel reconnects and sends the orphaned op again,
+        // behind the connect.
+        rig.reissue(Op::Remote(gather_op()), GATHER);
 
-        let local = RoceEndpoint {
-            mac: MacAddr::local(1),
-            ip: 0x0a000001,
-        };
-        let peer = RoceEndpoint {
-            mac: MacAddr::local(9),
-            ip: 0x0a000009,
-        };
-        let channel = unplugged(
-            RequesterQp::new(local, peer, QpNum(0x100)),
-            Rkey(7),
-            0x1000,
-            1 << 16,
-            PortId(0),
-        );
-        let program = OpIssuer {
-            channel: ReliableChannel::new(channel, impatient()),
-            events: Vec::new(),
-        };
-        let (mut sim, sw, hole) = behind_blackhole(program, |_, _| {});
-        // The probes go out at 0 and, unanswered, again at 10 us; their
-        // answers at 15 us let the gather out, which times out at 30 us
-        // and, retransmitted with backoff, at 970 us takes the channel down
-        // with it.
-        sim.schedule_timer(sw, TimeDelta::ZERO, program_token(ISSUE));
-        sim.schedule_timer(sw, TimeDelta::from_micros(15), program_token(ANSWER_PROBE));
-        sim.schedule_timer(sw, TimeDelta::from_micros(1000), program_token(REISSUE));
-        sim.run_until(Time::from_micros(1005));
-
-        let program = sim.node::<SwitchNode>(sw).program::<OpIssuer>();
         // The failed gather comes back whole, as it was submitted.
         let orphan = ChannelEvent::OpFailed {
             cookie: GATHER,
             op: Op::Remote(gather_op()),
         };
-        assert_eq!(program.events[MAX_WINDOW..], [orphan, ChannelEvent::Failed]);
-        for (i, done) in program.events[..MAX_WINDOW].iter().enumerate() {
+        assert_eq!(rig.events[MAX_WINDOW..], [orphan, ChannelEvent::Failed]);
+        for (i, done) in rig.events[..MAX_WINDOW].iter().enumerate() {
             assert!(matches!(
                 done,
                 ChannelEvent::Done { cookie, op, reply: Reply::Data(miss) }
                     if *cookie == 1 + i as u64 && *op == Op::Remote(probe_op()) && miss.is_empty()
             ));
         }
-        let frames = &sim.node::<Blackhole>(hole).frames;
-        let sent: Vec<RocePacket> = frames
-            .iter()
+        let frames = &rig.io.sent;
+        let sent: Vec<RocePacket> = (frames.iter())
             .map(|f| RocePacket::parse(f).unwrap().unwrap())
             .collect();
         let seen: Vec<(Opcode, u32)> = sent.iter().map(|p| (p.bth.opcode, p.bth.psn)).collect();
@@ -1469,103 +1535,6 @@ pub(crate) mod tests {
         assert_eq!(gather.payload, vas);
     }
 
-    /// Owns one channel behind a server that never answers; program timer
-    /// `t` submits `script[t]`, each op under its cookie.
-    struct Scripted {
-        channel: ReliableChannel,
-        script: Vec<Vec<(u64, Op)>>,
-        events: Vec<ChannelEvent>,
-    }
-
-    /// The program token on which a [`Scripted`] program hands its channel
-    /// a NAK expecting PSN 0, as if the server had just come back.
-    const NAK_PSN_0: u64 = 1 << 20;
-
-    impl extmem_switch::PipelineProgram for Scripted {
-        fn ingress(&mut self, _: &mut SwitchCtx<'_, '_, '_>, _: PortId, _: Packet) {}
-
-        fn on_timer(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, token: u64) {
-            use extmem_wire::aeth::{Aeth, NakCode};
-            use extmem_wire::bth::Bth;
-            if token == self.channel.timer_token() {
-                return self.channel.on_timer_fired(ctx, &mut self.events);
-            }
-            if token == NAK_PSN_0 {
-                let qp = &self.channel.inner().qp;
-                let nak = RocePacket::new(
-                    qp.peer,
-                    qp.local,
-                    qp.udp_src_port,
-                    Bth::new(Opcode::Acknowledge, SWITCH_QPN, 0),
-                    RoceExt::Aeth(Aeth::nak(NakCode::PsnSequenceError, 0)),
-                    vec![],
-                );
-                assert!(self.channel.on_roce(ctx, &nak, &mut self.events));
-                return;
-            }
-            for (cookie, op) in self.script[token as usize].clone() {
-                assert!(self.channel.submit(ctx, op, cookie));
-            }
-        }
-    }
-
-    /// A WRITE that asks for no ACK, under `cookie`.
-    fn unacked(cookie: u64) -> (u64, Op) {
-        let body = WriteBody::inline(&[cookie as u8; 8]);
-        let va = 0x1000 + 8 * cookie;
-        let write = Op::Write {
-            va,
-            body,
-            ack_req: false,
-        };
-        (cookie, write)
-    }
-
-    /// A READ, under `cookie`.
-    fn read(cookie: u64) -> (u64, Op) {
-        (cookie, Op::Read { va: 0x1000, len: 8 })
-    }
-
-    /// A switch running `script` over a channel under [`impatient`]
-    /// timing (RTO 10 us), reliable or not, behind a [`Blackhole`].
-    fn scripted(
-        reliable: bool,
-        script: Vec<Vec<(u64, Op)>>,
-    ) -> (
-        extmem_sim::Simulator,
-        extmem_types::NodeId,
-        extmem_types::NodeId,
-    ) {
-        use extmem_rnic::requester::RequesterQp;
-        use extmem_types::QpNum;
-        let channel = unplugged(
-            RequesterQp::new(local(), peer(), QpNum(0x100)),
-            Rkey(7),
-            0x1000,
-            1 << 16,
-            PortId(0),
-        );
-        let config = ReliableConfig {
-            reliable,
-            ..impatient()
-        };
-        let program = Scripted {
-            channel: ReliableChannel::new(channel, config),
-            script,
-            events: Vec::new(),
-        };
-        behind_blackhole(program, |_, _| {})
-    }
-
-    /// The cookies of the ops a [`Scripted`] program saw fail, in order.
-    fn failed(events: &[ChannelEvent]) -> Vec<u64> {
-        let cookie = |ev: &ChannelEvent| match ev {
-            ChannelEvent::OpFailed { cookie, .. } => *cookie,
-            other => panic!("unexpected {other:?}"),
-        };
-        events.iter().map(cookie).collect()
-    }
-
     /// WRITEs that asked for no ACK have no deadline of their own: a
     /// channel holding only them arms no timer, retransmits nothing and,
     /// best-effort, abandons nothing, however long the server stays
@@ -1574,38 +1543,33 @@ pub(crate) mod tests {
     /// best-effort, all four age out together, in submit order.
     #[test]
     fn writes_that_ask_no_ack_wait_for_the_op_behind_them() {
-        use extmem_switch::switch::program_token;
-        use extmem_switch::SwitchNode;
-        use extmem_types::Time;
-
         for reliable in [true, false] {
-            let script = vec![vec![unacked(1), unacked(2), unacked(3)], vec![read(4)]];
-            let (mut sim, sw, hole) = scripted(reliable, script);
-            sim.schedule_timer(sw, TimeDelta::ZERO, program_token(0));
+            let mut config = impatient();
+            config.reliable = reliable;
+            let mut rig = Rig::new(config, 0);
+            rig.script([unacked(1), unacked(2), unacked(3)]);
             // Fifty RTOs of silence.
-            sim.run_until(Time::from_micros(500));
-            let program = sim.node::<SwitchNode>(sw).program::<Scripted>();
-            let stats = program.channel.stats();
-            assert!(program.channel.timer.is_none(), "reliable {reliable}");
-            assert_eq!(program.channel.outstanding_len(), 3);
-            assert!(program.events.is_empty(), "{:?}", program.events);
+            rig.until(us(500));
+            let stats = rig.ch.stats();
+            assert!(rig.ch.timer.is_none(), "reliable {reliable}");
+            assert_eq!(rig.ch.outstanding_len(), 3);
+            assert!(rig.events.is_empty(), "{:?}", rig.events);
             assert_eq!((stats.timeouts, stats.aged_out), (0, 0), "{stats:?}");
-            assert_eq!(sim.node::<Blackhole>(hole).frames.len(), 3);
+            assert_eq!(rig.io.sent.len(), 3);
 
-            sim.schedule_timer(sw, TimeDelta::ZERO, program_token(1));
+            rig.script([read(4)]);
             // One RTO after the READ, and a little.
-            sim.run_until(Time::from_micros(515));
-            let program = sim.node::<SwitchNode>(sw).program::<Scripted>();
-            let stats = program.channel.stats();
-            let frames = sim.node::<Blackhole>(hole).frames.len();
+            rig.until(us(515));
+            let stats = rig.ch.stats();
+            let frames = rig.io.sent.len();
             if reliable {
                 assert_eq!((stats.timeouts, stats.retransmits), (1, 4), "{stats:?}");
                 assert_eq!(frames, 8, "the volley re-sends the WRITEs too");
-                assert!(program.events.is_empty());
+                assert!(rig.events.is_empty());
             } else {
                 assert_eq!((stats.aged_out, frames), (4, 4), "{stats:?}");
-                assert_eq!(failed(&program.events), [1, 2, 3, 4]);
-                assert!(program.channel.timer.is_none());
+                assert_eq!(rig.ends(), [1, 2, 3, 4].map(|c| (c, None)));
+                assert!(rig.ch.timer.is_none());
             }
         }
     }
@@ -1616,22 +1580,16 @@ pub(crate) mod tests {
     /// `[READ]` at 10 us, then the WRITEs and the second READ at 15 us.
     #[test]
     fn best_effort_ages_unacked_writes_out_with_the_op_behind_them() {
-        use extmem_switch::switch::program_token;
-        use extmem_switch::SwitchNode;
-        use extmem_types::Time;
-
-        let lead = vec![read(1), unacked(2), unacked(3), unacked(4)];
-        let (mut sim, sw, _) = scripted(false, vec![lead, vec![read(5)]]);
-        sim.schedule_timer(sw, TimeDelta::ZERO, program_token(0));
-        sim.schedule_timer(sw, TimeDelta::from_micros(5), program_token(1));
-        sim.run_until(Time::from_micros(12));
-        let program = sim.node::<SwitchNode>(sw).program::<Scripted>();
-        assert_eq!(failed(&program.events), [1]);
-        assert_eq!(program.channel.outstanding_len(), 4);
-        sim.run_until(Time::from_micros(17));
-        let program = sim.node::<SwitchNode>(sw).program::<Scripted>();
-        assert_eq!(failed(&program.events), [1, 2, 3, 4, 5]);
-        assert_eq!(program.channel.stats().aged_out, 5);
+        let mut rig = Rig::new(ReliableConfig::best_effort(impatient().rto), 0);
+        rig.script([read(1), unacked(2), unacked(3), unacked(4)]);
+        rig.until(us(5));
+        rig.script([read(5)]);
+        rig.until(us(12));
+        assert_eq!(rig.ends(), [(1, None)]);
+        assert_eq!(rig.ch.outstanding_len(), 4);
+        rig.until(us(17));
+        assert_eq!(rig.ends(), [1, 2, 3, 4, 5].map(|c| (c, None)));
+        assert_eq!(rig.ch.stats().aged_out, 5);
     }
 
     /// A NAK is progress: it resets the backoff, and the timer armed at
@@ -1641,146 +1599,102 @@ pub(crate) mod tests {
     /// at 45 us, not at 70 us.
     #[test]
     fn progress_pulls_a_backed_off_timer_in() {
-        use extmem_switch::switch::program_token;
-        use extmem_switch::SwitchNode;
-        use extmem_types::Time;
+        let mut rig = Rig::new(impatient(), 0);
+        rig.script([read(1)]);
+        rig.until(us(35));
+        let nak = RoceExt::Aeth(Aeth::nak(NakCode::PsnSequenceError, 0));
+        let nak = rig.crafted(Opcode::Acknowledge, 0, nak, vec![]);
+        rig.feed(&nak);
+        rig.until(us(44));
+        assert_eq!(rig.ch.stats().timeouts, 2);
+        assert_eq!(rig.ch.timer.map(|(_, at)| at), Some(us(45)));
 
-        let (mut sim, sw, hole) = scripted(true, vec![vec![read(1)]]);
-        sim.schedule_timer(sw, TimeDelta::ZERO, program_token(0));
-        sim.schedule_timer(sw, TimeDelta::from_micros(35), program_token(NAK_PSN_0));
-        sim.run_until(Time::from_micros(44));
-        let program = sim.node::<SwitchNode>(sw).program::<Scripted>();
-        assert_eq!(program.channel.stats().timeouts, 2);
-        let armed = program.channel.timer.map(|(_, at)| at);
-        assert_eq!(armed, Some(Time::from_micros(45)));
-
-        sim.run_until(Time::from_micros(46));
-        let program = sim.node::<SwitchNode>(sw).program::<Scripted>();
-        let stats = program.channel.stats();
+        rig.until(us(46));
+        let stats = rig.ch.stats();
         assert_eq!((stats.timeouts, stats.naks), (3, 1), "{stats:?}");
         // Sent at 0, 10 and 30 us, replayed for the NAK at 35 us and for
         // the timeout at 45 us.
-        assert_eq!(sim.node::<Blackhole>(hole).frames.len(), 5);
-        let armed = program.channel.timer.map(|(_, at)| at);
-        assert_eq!(armed, Some(Time::from_micros(65)), "45 us + 2 RTOs");
+        assert_eq!(rig.io.sent.len(), 5);
+        let armed = rig.ch.timer.map(|(_, at)| at);
+        assert_eq!(armed, Some(us(65)), "45 us + 2 RTOs");
     }
 
-    /// Owns one channel behind a server that never answers; submits one
-    /// op under cookie 1, lets it time out, be retransmitted and take the
-    /// channel down, then submits it again the way the pool does after a
-    /// failover. `allocs` is the payloads constructed per timer callback.
-    struct Sender {
-        channel: ReliableChannel,
-        op: Op,
-        events: Vec<ChannelEvent>,
-        allocs: Vec<u64>,
-    }
-
-    impl Sender {
-        fn send(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>) {
-            assert!(self.channel.submit(ctx, self.op.clone(), 1));
-        }
-    }
-
-    impl extmem_switch::PipelineProgram for Sender {
-        fn ingress(&mut self, _: &mut SwitchCtx<'_, '_, '_>, _: PortId, _: Packet) {}
-
-        fn on_timer(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, token: u64) {
-            let span = extmem_wire::CounterSpan::begin();
-            match token {
-                ISSUE => self.send(ctx),
-                REISSUE => {
-                    assert!(self.channel.is_failed());
-                    self.channel.reconnect();
-                    assert!(self.channel.submit(ctx, Op::Connect, 0));
-                    self.send(ctx);
-                }
-                t if t == self.channel.timer_token() => {
-                    self.channel.on_timer_fired(ctx, &mut self.events);
-                }
-                other => panic!("unexpected token {other}"),
-            }
-            self.allocs.push(span.allocs());
-        }
-    }
-
-    fn local() -> RoceEndpoint {
-        RoceEndpoint {
-            mac: MacAddr::local(1),
-            ip: 0x0a000001,
-        }
-    }
-
-    fn peer() -> RoceEndpoint {
-        RoceEndpoint {
-            mac: MacAddr::local(9),
-            ip: 0x0a000009,
-        }
-    }
-
-    /// A responder to replay captured frames at: registering on a fresh
-    /// table hands out the same key and address every time.
-    fn region() -> (extmem_rnic::MrTable, Rkey, u64) {
-        let mut mrs = extmem_rnic::MrTable::new();
-        let (rkey, base_va) = mrs.register(ByteSize::from_bytes(4096));
-        (mrs, rkey, base_va)
-    }
-
-    /// `op`'s life on a channel to [`region`] whose server never answers:
-    /// sent at 0, retransmitted [`MAX_RETRIES`] times as the RTO passes in
-    /// silence (at 10 us, then with backoff), given up on at 950 us (the
-    /// channel fails), reissued at 1 ms behind a connect. Checks what every
-    /// op has in common
-    /// — one payload per transmission, the frame, and none for the callback
-    /// that only gave up, which hands the op back whole; a retransmission
-    /// that is the same frame; a reissue that differs in its PSN and in
-    /// nothing else — and returns the simulation, the switch and every
-    /// request but the connect as the blackhole parsed them, the reissue
-    /// last.
-    fn sent_and_reissued(op: Op) -> (extmem_sim::Simulator, extmem_types::NodeId, Vec<RocePacket>) {
-        use extmem_rnic::requester::RequesterQp;
-        use extmem_switch::switch::program_token;
-        use extmem_switch::SwitchNode;
-        use extmem_types::{QpNum, Time};
-
-        let (_, rkey, base_va) = region();
-        let channel = unplugged(
-            RequesterQp::new(local(), peer(), QpNum(0x100)),
-            rkey,
-            base_va,
-            4096,
-            PortId(0),
-        );
-        let program = Sender {
-            channel: ReliableChannel::new(channel, impatient()),
-            op,
-            events: Vec::new(),
-            allocs: Vec::new(),
+    /// The channel's one timer, as its I/O sees it: a READ arms it once at
+    /// submit, and its answer cancels it; a WRITE that asks for no ACK arms
+    /// none; and a fire that comes early (the op it was armed for was
+    /// answered, a younger one now leads) re-arms for the exact remainder.
+    #[test]
+    fn a_deadline_arms_one_timer_and_an_early_fire_re_arms_for_the_rest() {
+        let mut rig = Rig::new(impatient(), 0);
+        // Timers armed so far, and armed still: every arm takes a slot.
+        let timers = |rig: &Rig| {
+            let s = rig.io.timers.stats();
+            (s.slab_hits + s.slab_misses, rig.io.timers.len())
         };
-        let (mut sim, sw, hole) = behind_blackhole(program, |_, _| {});
-        sim.schedule_timer(sw, TimeDelta::ZERO, program_token(ISSUE));
-        sim.schedule_timer(sw, TimeDelta::from_micros(1000), program_token(REISSUE));
-        sim.run_until(Time::from_micros(1005));
+        rig.script([read(0)]);
+        assert_eq!(timers(&rig), (1, 1));
+        let answer = rig.serve(&rig.io.sent[0].clone()).unwrap();
+        rig.feed(&RocePacket::parse(&answer).unwrap().unwrap());
+        assert_eq!(timers(&rig), (1, 0), "cancelled at the answer");
+        assert!(rig.ch.timer.is_none());
+        rig.script([unacked(1)]);
+        assert_eq!(timers(&rig), (1, 0), "no deadline");
 
-        let program = sim.node::<SwitchNode>(sw).program::<Sender>();
-        let (cookie, op) = (1, program.op.clone());
-        assert_eq!(
-            program.events,
-            [ChannelEvent::OpFailed { cookie, op }, ChannelEvent::Failed]
-        );
-        let transmissions = 1 + MAX_RETRIES as usize;
-        let allocs = [vec![1; transmissions], vec![0, 2]].concat();
-        assert_eq!(program.allocs, allocs);
-        let frames = &sim.node::<Blackhole>(hole).frames;
-        assert_eq!(frames.len(), transmissions + 2);
-        for retransmission in &frames[1..transmissions] {
-            assert_eq!(
-                frames[0], *retransmission,
-                "a retransmission is the same frame"
-            );
+        rig.script([read(2)]);
+        rig.until(us(5));
+        rig.script([read(3)]);
+        // The first READ is answered at 6 us: the timer armed for it, due
+        // at 10 us, stays, and fires early.
+        let frames = rig.io.sent.clone();
+        let answers: Vec<Packet> = frames[1..].iter().flat_map(|f| rig.serve(f)).collect();
+        rig.until(us(6));
+        rig.feed(&RocePacket::parse(&answers[0]).unwrap().unwrap());
+        assert_eq!(rig.ch.timer.map(|(_, at)| at), Some(us(10)));
+        rig.until(us(10));
+        assert_eq!(rig.ch.timer.map(|(_, at)| at), Some(us(15)), "5 us left");
+        assert_eq!(rig.io.timers.peek_time(), Some(us(15)));
+        assert_eq!(timers(&rig), (3, 1));
+        assert_eq!((rig.ch.stats().timeouts, rig.io.sent.len()), (0, 4));
+        rig.until(us(15));
+        assert_eq!(rig.ch.stats().timeouts, 1);
+    }
+
+    /// `op`'s life on a channel under [`impatient`] timing whose server
+    /// never answers: sent at 0, retransmitted [`MAX_RETRIES`] times as the
+    /// RTO passes in silence (at 10 us, then with backoff), given up on at
+    /// 950 us (the channel fails), reissued at 1 ms behind a connect.
+    /// Checks what every op has in common — one payload per transmission,
+    /// the frame, and none for the fire that only gave up, which hands the
+    /// op back whole; a retransmission that is the same frame; a reissue
+    /// that differs in its PSN and in nothing else — and returns the rig
+    /// and every request but the connect, parsed, the reissue last.
+    fn sent_and_reissued(op: &Op) -> (Rig, Vec<RocePacket>) {
+        let mut rig = Rig::new(impatient(), 0);
+        let span = CounterSpan::begin();
+        rig.script([(1, op.clone())]);
+        let mut allocs = vec![span.allocs()];
+        while let Some(at) = rig.io.timers.peek_time() {
+            let span = CounterSpan::begin();
+            rig.until(at);
+            allocs.push(span.allocs());
         }
-        let mut sent: Vec<RocePacket> = frames
-            .iter()
+        assert_eq!(rig.io.now, us(950));
+        rig.until(us(1000));
+        let span = CounterSpan::begin();
+        rig.reissue(op.clone(), 1);
+        allocs.push(span.allocs());
+
+        let (cookie, op) = (1, op.clone());
+        let failed = [ChannelEvent::OpFailed { cookie, op }, ChannelEvent::Failed];
+        assert_eq!(rig.events, failed);
+        let transmissions = 1 + MAX_RETRIES as usize;
+        assert_eq!(allocs, [vec![1; transmissions], vec![0, 2]].concat());
+        let frames = &rig.io.sent;
+        assert_eq!(frames.len(), transmissions + 2);
+        for f in &frames[1..transmissions] {
+            assert_eq!(frames[0], *f, "a retransmission is the same frame");
+        }
+        let mut sent: Vec<RocePacket> = (frames.iter())
             .map(|f| RocePacket::parse(f).unwrap().unwrap())
             .collect();
         let connect = sent.remove(transmissions);
@@ -1790,49 +1704,38 @@ pub(crate) mod tests {
         let mut renumbered = reissued.clone();
         renumbered.bth.psn = 0;
         assert_eq!(renumbered.build().unwrap(), frames[0]);
-        (sim, sw, sent)
+        (rig, sent)
     }
 
     #[test]
     fn framed_write_is_encoded_from_its_parts_every_time() {
-        use extmem_rnic::responder::process_request;
-        use extmem_rnic::QueuePair;
-        use extmem_switch::SwitchNode;
-        use extmem_types::QpNum;
-
         // The tail is a window of a larger buffer, as a stored frame that
         // was itself lifted out of another is.
         let frame = Payload::from_vec((0..200u8).collect());
         let body = WriteBody::framed(b"hdr[6]", frame.slice(20..180));
         let image = [&b"hdr[6]"[..], &frame[20..180]].concat();
-        let (_, _, base_va) = region();
-        let (sim, sw, sent) = sent_and_reissued(Op::Write {
-            va: base_va + 64,
-            body,
-            ack_req: true,
-        });
+        let (va, ack_req) = (region().2 + 64, true);
+        let op = Op::Write { va, body, ack_req };
+        let (_rig, sent) = sent_and_reissued(&op);
 
-        let Op::Write { body, .. } = &sim.node::<SwitchNode>(sw).program::<Sender>().op else {
+        let Op::Write { body, .. } = &op else {
             unreachable!()
         };
         assert_eq!(
             body.tail.ref_count(),
             4,
-            "the test, the program, the failed op in its event and the \
-             reissued op share one tail"
+            "the test, its op, the failed op in its event and the reissued \
+             op share one tail"
         );
         for req in &sent {
             let RoceExt::Reth(reth) = req.ext else {
                 panic!("a WRITE carries a RETH: {:?}", req.ext);
             };
             assert_eq!(reth.dma_len as usize, image.len());
-            let (mut mrs, rkey, base_va) = region();
-            let mut qp = QueuePair::new(QpNum(0x100), local(), SWITCH_QPN, req.bth.psn);
-            process_request(peer(), &mut qp, &mut mrs, req, 2048);
-            let landed = mrs
-                .get(rkey)
-                .unwrap()
-                .read(base_va + 64, image.len() as u64);
+            let (mut mrs, rkey, _) = region();
+            let mut qp = QueuePair::new(QpNum(0x100), endpoint(1), SWITCH_QPN, req.bth.psn);
+            process_request(endpoint(9), &mut qp, &mut mrs, req, MTU);
+            let landed = mrs.get(rkey).unwrap().read(va, image.len() as u64);
             assert_eq!(landed.unwrap(), &image[..], "the region holds head ‖ tail");
         }
     }
@@ -1858,105 +1761,12 @@ pub(crate) mod tests {
             (Op::Read { va, len: 5000 }, Opcode::ReadRequest, reth(5000)),
             (Op::FetchAdd { va, add: 41 }, Opcode::FetchAdd, atomic),
         ] {
-            let (_, _, sent) = sent_and_reissued(op);
+            let (_, sent) = sent_and_reissued(&op);
             for req in &sent {
                 assert_eq!((req.bth.opcode, req.ext), (opcode, ext));
                 assert!(req.payload.is_empty() && !req.bth.ack_req);
             }
         }
-    }
-
-    /// Owns one channel to the [`Tap`]ped server on switch port 1; submits
-    /// `ops` under cookies 0, 1, … when poked, loses one answer (a READ's
-    /// data or an atomic acknowledgement) under each PSN in `eat`, in
-    /// order of arrival, and keeps every event.
-    struct Lossy {
-        channel: ReliableChannel,
-        ops: Vec<Op>,
-        eat: Vec<u32>,
-        events: Vec<ChannelEvent>,
-    }
-
-    impl extmem_switch::PipelineProgram for Lossy {
-        fn ingress(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, _: PortId, pkt: Packet) {
-            let roce = RocePacket::parse(&pkt).unwrap().unwrap();
-            let answer = matches!(
-                roce.bth.opcode,
-                Opcode::AtomicAcknowledge | Opcode::ReadRespOnly
-            );
-            let eaten = self.eat.iter().position(|&psn| psn == roce.bth.psn);
-            if let (true, Some(i)) = (answer, eaten) {
-                self.eat.remove(i);
-                return;
-            }
-            assert!(self.channel.on_roce(ctx, &roce, &mut self.events));
-        }
-
-        fn on_timer(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, token: u64) {
-            if token == self.channel.timer_token() {
-                return self.channel.on_timer_fired(ctx, &mut self.events);
-            }
-            for (cookie, op) in self.ops.iter().enumerate() {
-                assert!(self.channel.submit(ctx, op.clone(), cookie as u64));
-            }
-        }
-    }
-
-    /// Runs `ops(base_va)` through a [`Lossy`] channel under `config` for
-    /// `us` microseconds, losing one answer under each PSN in `eat`;
-    /// returns its events and counters, the server's counters, and the PSN
-    /// of every request the server received.
-    fn lossy(
-        config: ReliableConfig,
-        ops: impl FnOnce(u64) -> Vec<Op>,
-        eat: &[u32],
-        us: u64,
-    ) -> (
-        Vec<ChannelEvent>,
-        ChannelStats,
-        extmem_rnic::RnicStats,
-        Vec<u32>,
-    ) {
-        use extmem_switch::switch::program_token;
-        use extmem_switch::SwitchNode;
-        use extmem_types::Time;
-
-        let server = RoceEndpoint {
-            mac: MacAddr::local(9),
-            ip: 0x0a000009,
-        };
-        let mut nic = RnicNode::new("mem", RnicConfig::at(server));
-        let size = ByteSize::from_bytes(4096);
-        let channel = RdmaChannel::setup(local(), PortId(1), &mut nic, size);
-        let program = Lossy {
-            ops: ops(channel.base_va),
-            channel: ReliableChannel::new(channel, config),
-            eat: eat.to_vec(),
-            events: Vec::new(),
-        };
-        let mut tap = None;
-        let (mut sim, sw, _) = behind_blackhole(program, |b, sw| {
-            let frames = Vec::new();
-            let node = b.add_node(Box::new(Tap { nic, frames }));
-            b.connect(
-                sw,
-                PortId(1),
-                node,
-                PortId(0),
-                extmem_sim::LinkSpec::testbed_40g(),
-            );
-            tap = Some(node);
-        });
-        sim.schedule_timer(sw, TimeDelta::ZERO, program_token(0));
-        sim.run_until(Time::from_micros(us));
-        let program = sim.node_mut::<SwitchNode>(sw).program_mut::<Lossy>();
-        assert_eq!(program.eat, [], "every answer named was lost");
-        let (events, stats) = (std::mem::take(&mut program.events), program.channel.stats());
-        let tap = sim.node::<Tap>(tap.unwrap());
-        let psns = (tap.frames.iter())
-            .map(|f| RocePacket::parse(f).unwrap().unwrap().bth.psn)
-            .collect();
-        (events, stats, tap.nic.stats(), psns)
     }
 
     /// A reliable Fetch-and-Add at PSN 0 loses its acknowledgement, and its
@@ -1975,47 +1785,40 @@ pub(crate) mod tests {
     #[test]
     fn a_lost_atomic_ack_is_answered_again_with_its_value() {
         const OPS: u64 = 81;
-        let ops = |base: u64| -> Vec<Op> {
-            (0..OPS)
-                .map(|psn| match psn % 8 {
-                    0 => Op::FetchAdd { va: base, add: 1 },
-                    _ => Op::Read {
-                        va: base + 8,
-                        len: 8,
-                    },
-                })
-                .collect()
+        let mut rig = Rig::new(ReliableConfig::default(), 0);
+        let va = rig.ch.base_va();
+        let op = |psn| match psn % 8 {
+            0 => (psn, Op::FetchAdd { va, add: 1 }),
+            _ => (psn, read(1).1),
         };
-        let (events, stats, nic, psns) = lossy(ReliableConfig::default(), ops, &[0, 0], 400);
+        rig.script((0..OPS).map(op));
+        rig.run(&[0, 0], us(400));
 
-        assert_eq!(events.len(), OPS as usize);
+        assert_eq!(rig.events.len(), OPS as usize);
         let mut want_faa = 0;
-        for ev in &events {
-            match ev {
-                ChannelEvent::Done {
-                    op: Op::FetchAdd { .. },
-                    reply,
-                    ..
-                } => {
-                    assert_eq!(*reply, Reply::Fetched(want_faa), "{ev:?}");
-                    want_faa += 1;
-                }
-                ChannelEvent::Done {
-                    op: Op::Read { .. },
-                    reply: Reply::Data(_),
-                    ..
-                } => {}
-                other => panic!("unexpected {other:?}"),
+        for ev in &rig.events {
+            let ChannelEvent::Done { op, reply, .. } = ev else {
+                panic!("unexpected {ev:?}");
+            };
+            if matches!(op, Op::FetchAdd { .. }) {
+                assert_eq!(*reply, Reply::Fetched(want_faa), "{ev:?}");
+                want_faa += 1;
+            } else {
+                assert!(matches!(reply, Reply::Data(_)), "{ev:?}");
             }
         }
         assert_eq!(want_faa, OPS.div_ceil(8));
+        let stats = rig.ch.stats();
         assert_eq!((stats.timeouts, stats.naks), (1, 0), "{stats}");
         assert_eq!(stats.retransmits, 2, "{stats}");
-        assert_eq!(nic.naks, 0);
+        assert_eq!(rig.count(|o| matches!(o, Outcome::Nak(_))), 0);
         // The ring's worth, PSN 0's two re-sends, then the rest.
         let ring = 0..ATOMIC_RESULTS as u32;
         let rest = ATOMIC_RESULTS as u32..OPS as u32;
-        assert_eq!(psns, ring.chain([0, 0]).chain(rest).collect::<Vec<_>>());
+        assert_eq!(
+            rig.psns(),
+            ring.chain([0, 0]).chain(rest).collect::<Vec<_>>()
+        );
     }
 
     /// Two READs; the first one's data is lost. The second's answer shows
@@ -2024,30 +1827,17 @@ pub(crate) mod tests {
     /// re-execution. One retransmission, no timeout, no NAK.
     #[test]
     fn a_lost_read_response_is_resent_alone_by_the_next_answer() {
-        let reads = |base: u64| {
-            (0..2)
-                .map(|i| Op::Read {
-                    va: base + 8 * i,
-                    len: 8,
-                })
-                .collect()
-        };
-        let (events, stats, nic, psns) = lossy(ReliableConfig::default(), reads, &[0], 400);
-        let done: Vec<u64> = (events.iter())
-            .map(|ev| match ev {
-                ChannelEvent::Done {
-                    cookie,
-                    reply: Reply::Data(_),
-                    ..
-                } => *cookie,
-                other => panic!("unexpected {other:?}"),
-            })
-            .collect();
-        assert_eq!(done, [1, 0]);
+        let mut rig = Rig::new(ReliableConfig::default(), 0);
+        rig.script((0..2).map(read));
+        rig.run(&[0], us(400));
+        let data = Some(Reply::Data(vec![0; 8].into()));
+        assert_eq!(rig.ends(), [(1, data.clone()), (0, data)]);
+        let stats = rig.ch.stats();
         let st = (stats.retransmits, stats.timeouts, stats.naks);
         assert_eq!(st, (1, 0, 0), "{stats}");
         assert_eq!(stats.duplicate_drops, 0, "{stats}");
-        assert_eq!((psns, nic.duplicates), (vec![0, 1, 0], 1));
+        let duplicates = rig.count(|o| *o == Outcome::Duplicate);
+        assert_eq!((rig.psns(), duplicates), (vec![0, 1, 0], 1));
     }
 
     /// Four READs; the first one's data is lost. PSN 1's answer re-sends
@@ -2057,24 +1847,18 @@ pub(crate) mod tests {
     /// timer catches the silence and re-sends it once more.
     #[test]
     fn a_resend_in_flight_is_not_resent_by_answers_to_ops_sent_before_it() {
-        let reads = |base: u64| {
-            (0..4)
-                .map(|i| Op::Read {
-                    va: base + 8 * i,
-                    len: 8,
-                })
-                .collect()
-        };
         for (eat, timeouts, want) in [
             (&[0][..], 0, vec![0, 1, 2, 3, 0]),
             (&[0, 0][..], 1, vec![0, 1, 2, 3, 0, 0]),
         ] {
-            let config = ReliableConfig::default();
-            let (events, stats, _, psns) = lossy(config, reads, eat, 400);
-            assert_eq!(events.len(), 4);
+            let mut rig = Rig::new(ReliableConfig::default(), 0);
+            rig.script((0..4).map(read));
+            rig.run(eat, us(400));
+            assert_eq!(rig.events.len(), 4);
+            let stats = rig.ch.stats();
             let st = (stats.retransmits, stats.timeouts);
             assert_eq!(st, (timeouts + 1, timeouts), "{eat:?}: {stats}");
-            assert_eq!(psns, want, "{eat:?}");
+            assert_eq!(rig.psns(), want, "{eat:?}");
         }
     }
 
@@ -2083,25 +1867,21 @@ pub(crate) mod tests {
     /// is no proof that it ran. One whose answer is lost ages out.
     #[test]
     fn a_best_effort_fetch_and_add_completes_only_with_its_own_answer() {
-        let ops = |base: u64| {
-            vec![
-                Op::FetchAdd { va: base, add: 5 },
+        let mut rig = Rig::new(ReliableConfig::best_effort(TimeDelta::from_micros(100)), 0);
+        let va = rig.ch.base_va();
+        let faa = |i: u64, add| {
+            (
+                i,
                 Op::FetchAdd {
-                    va: base + 8,
-                    add: 7,
+                    va: va + 8 * i,
+                    add,
                 },
-            ]
+            )
         };
-        let config = ReliableConfig::best_effort(TimeDelta::from_micros(100));
-        let (events, stats, _, _) = lossy(config, ops, &[0], 150);
-        let ends: Vec<(u64, Option<Reply>)> = (events.into_iter())
-            .map(|ev| match ev {
-                ChannelEvent::Done { cookie, reply, .. } => (cookie, Some(reply)),
-                ChannelEvent::OpFailed { cookie, .. } => (cookie, None),
-                other => panic!("unexpected {other:?}"),
-            })
-            .collect();
-        assert_eq!(ends, [(1, Some(Reply::Fetched(0))), (0, None)]);
+        rig.script([faa(0, 5), faa(1, 7)]);
+        rig.run(&[0], us(150));
+        assert_eq!(rig.ends(), [(1, Some(Reply::Fetched(0))), (0, None)]);
+        let stats = rig.ch.stats();
         assert_eq!((stats.timeouts, stats.aged_out, stats.faa_sent), (0, 1, 2));
     }
 
@@ -2111,23 +1891,18 @@ pub(crate) mod tests {
     #[test]
     fn a_refused_read_fails_the_channel_within_one_rto() {
         let config = ReliableConfig::default();
-        let past_end = |base: u64| {
-            let va = base + 4096 - 4;
-            vec![Op::Read { va, len: 8 }]
-        };
-        let rto_us = config.rto.as_micros_f64() as u64;
-        let (events, stats, nic, psns) = lossy(config, past_end, &[], rto_us);
-        let ended = match &events[..] {
-            [ChannelEvent::OpFailed { cookie, op }, ChannelEvent::Failed] => Some((*cookie, op)),
-            _ => None,
-        };
-        assert!(
-            matches!(ended, Some((0, Op::Read { len: 8, .. }))),
-            "{events:?}"
-        );
+        let mut rig = Rig::new(config, 0);
+        let va = rig.ch.base_va() + 4096 - 4;
+        let op = Op::Read { va, len: 8 };
+        rig.script([(0, op.clone())]);
+        rig.run(&[], us(config.rto.as_micros_f64() as u64));
+        let failed = ChannelEvent::OpFailed { cookie: 0, op };
+        assert_eq!(rig.events, [failed, ChannelEvent::Failed]);
+        let stats = rig.ch.stats();
         let st = (stats.naks, stats.retransmits, stats.timeouts);
         assert_eq!(st, (1, 0, 0), "{stats}");
-        assert_eq!((nic.naks, psns), (1, vec![0]));
+        let naks = rig.count(|o| matches!(o, Outcome::Nak(_)));
+        assert_eq!((naks, rig.psns()), (1, vec![0]));
     }
 
     /// A reconnected channel comes back with no retries left: its connect,
@@ -2135,32 +1910,11 @@ pub(crate) mod tests {
     /// again, and hands back the op queued behind it.
     #[test]
     fn an_unanswered_reconnect_fails_on_the_first_fire_unsent_again() {
-        use extmem_rnic::requester::RequesterQp;
-        use extmem_switch::switch::program_token;
-        use extmem_switch::SwitchNode;
-        use extmem_types::{QpNum, Time};
-
-        let (_, rkey, base_va) = region();
-        let qp = RequesterQp::new(local(), peer(), QpNum(0x100));
-        let channel = unplugged(qp, rkey, base_va, 4096, PortId(0));
-        let op = Op::Read {
-            va: base_va,
-            len: 8,
-        };
-        let program = Sender {
-            channel: ReliableChannel::new(channel, impatient()),
-            op: op.clone(),
-            events: Vec::new(),
-            allocs: Vec::new(),
-        };
-        let (mut sim, sw, hole) = behind_blackhole(program, |_, _| {});
+        let op = read(0).1;
         // Given up on at 950 us; reconnected at 1,000 us, due at 1,010 us.
-        sim.schedule_timer(sw, TimeDelta::ZERO, program_token(ISSUE));
-        sim.schedule_timer(sw, TimeDelta::from_micros(1000), program_token(REISSUE));
-        sim.run_until(Time::from_micros(1100));
-
-        let program = sim.node::<SwitchNode>(sw).program::<Sender>();
-        assert!(program.channel.is_failed());
+        let (mut rig, _) = sent_and_reissued(&op);
+        rig.until(us(1100));
+        assert!(rig.ch.is_failed());
         let failed = |cookie, op| ChannelEvent::OpFailed { cookie, op };
         let want = [
             failed(1, op.clone()),
@@ -2169,27 +1923,222 @@ pub(crate) mod tests {
             failed(1, op),
             ChannelEvent::Failed,
         ];
-        assert_eq!(program.events, want);
-        let frames = sim.node::<Blackhole>(hole).frames.len();
+        assert_eq!(rig.events, want);
+        let frames = rig.io.sent.len();
         assert_eq!(frames, 1 + MAX_RETRIES as usize + 2, "connect and op once");
-        assert_eq!(program.channel.stats().timeouts, MAX_RETRIES as u64);
+        assert_eq!(rig.ch.stats().timeouts, MAX_RETRIES as u64);
     }
 
+    /// What the enumerator's wire does to one frame.
+    #[derive(Clone, Copy, Debug)]
+    enum Fault {
+        Drop,
+        Duplicate,
+        /// Held back a microsecond, past the frames sent just after it.
+        Reorder,
+        /// Held back past the RTO.
+        Delay,
+    }
+
+    /// The enumerator's wire: one microsecond each way, doing `faults[i].1`
+    /// to the `faults[i].0`-th frame put on it, in either direction.
+    struct Wire<'a> {
+        faults: &'a [(usize, Fault)],
+        put: usize,
+        /// Frames in flight: arrival, whether to the responder, the frame.
+        flights: Vec<(Time, bool, Packet)>,
+    }
+
+    impl Wire<'_> {
+        fn put(&mut self, now: Time, to_server: bool, frame: Packet) {
+            let fault = self.faults.iter().find(|f| f.0 == self.put);
+            self.put += 1;
+            let at = now + TimeDelta::from_micros(1);
+            let at = match fault.map(|f| f.1) {
+                None => at,
+                Some(Fault::Drop) => return,
+                Some(Fault::Duplicate) => {
+                    self.flights.push((at, to_server, frame.clone()));
+                    at
+                }
+                Some(Fault::Reorder) => at + TimeDelta::from_micros(1),
+                Some(Fault::Delay) => at + impatient().rto + TimeDelta::from_micros(1),
+            };
+            self.flights.push((at, to_server, frame));
+        }
+
+        /// The next frame to arrive, if it arrives by `t`: the earliest,
+        /// and at a tie the first put.
+        fn next(&mut self, t: Option<Time>) -> Option<(Time, bool, Packet)> {
+            let i = (0..self.flights.len()).min_by_key(|&i| self.flights[i].0)?;
+            let due = t.is_none_or(|t| self.flights[i].0 <= t);
+            due.then(|| self.flights.remove(i))
+        }
+    }
+
+    /// Op `kind` of the enumerator, the `i`-th of its run: a READ, a WRITE
+    /// that asks for an ACK, one that does not, or a Fetch-and-Add of `2^i`
+    /// to the word at `base`.
+    fn nth_op(kind: u8, i: usize, base: u64) -> Op {
+        match kind {
+            0 => Op::Read {
+                va: base + 8,
+                len: 8,
+            },
+            1 | 2 => Op::Write {
+                va: base + 16,
+                body: WriteBody::inline(&[i as u8; 8]),
+                ack_req: kind == 1,
+            },
+            _ => Op::FetchAdd {
+                va: base,
+                add: 1 << i,
+            },
+        }
+    }
+
+    /// One schedule: `kinds` submitted at once, from PSN `2^24 - 2`, to a
+    /// channel under [`impatient`] timing, reliable or not, over a
+    /// [`Wire`] doing `faults`, run until nothing is in flight or armed.
+    /// Checks that every op ends exactly once, done or handed back as it
+    /// was submitted; that the responder executes each Fetch-and-Add at
+    /// most once and the op completes with the value that execution saw,
+    /// in PSN order when reliable; and that every op re-sent alone on an
+    /// answer was last sent before the op answered. Returns how many frames
+    /// went on the wire, and the channel's counters.
+    fn schedule(reliable: bool, kinds: &[u8], faults: &[(usize, Fault)]) -> (usize, ChannelStats) {
+        let mut config = impatient();
+        config.reliable = reliable;
+        let mut rig = Rig::new(config, (1 << 24) - 2);
+        let base = rig.ch.base_va();
+        let ops: Vec<Op> = (kinds.iter().enumerate())
+            .map(|(i, &kind)| nth_op(kind, i, base))
+            .collect();
+        rig.script((0..).zip(ops.iter().cloned()));
+        let what = || format!("reliable {reliable}, ops {ops:?}, faults {faults:?}");
+        let word = |rig: &Rig| {
+            let word = rig.mrs.get(rig.ch.rkey()).unwrap().read(base, 8).unwrap();
+            u64::from_be_bytes(word.try_into().unwrap())
+        };
+        let mut wire = Wire {
+            faults,
+            put: 0,
+            flights: Vec::new(),
+        };
+        // The PSN of every request, in the order sent; each Fetch-and-Add
+        // executed, as its addend and the word it found.
+        let (mut psns, mut executed) = (Vec::new(), Vec::new());
+        loop {
+            for frame in rig.io.sent[psns.len()..].iter().cloned() {
+                psns.push(RocePacket::parse(&frame).unwrap().unwrap().bth.psn);
+                wire.put(rig.io.now, true, frame);
+            }
+            let timer = rig.io.timers.peek_time();
+            let Some((at, to_server, frame)) = wire.next(timer) else {
+                match timer {
+                    Some(at) => rig.until(at),
+                    None => break,
+                }
+                continue;
+            };
+            rig.io.now = at;
+            if to_server {
+                let found = word(&rig);
+                if let Some(answer) = rig.serve(&frame) {
+                    wire.put(at, false, answer);
+                }
+                if rig.served.last().unwrap().1 == Outcome::AtomicExecuted {
+                    executed.push((word(&rig) - found, found));
+                }
+                continue;
+            }
+            let answer = RocePacket::parse(&frame).unwrap().unwrap();
+            let (sent, before) = (psns.len(), rig.ch.stats().implicit_resends);
+            rig.feed(&answer);
+            let resent = (rig.ch.stats().implicit_resends - before) as usize;
+            let last_sent = |psn: u32| psns.iter().rposition(|&p| p == psn);
+            for frame in &rig.io.sent[sent..sent + resent] {
+                let psn = RocePacket::parse(frame).unwrap().unwrap().bth.psn;
+                let (p, q) = (last_sent(psn), last_sent(answer.bth.psn));
+                assert!(p < q, "{}: {psn:#x} re-sent on {answer:?}", what());
+            }
+        }
+        assert_eq!(rig.ch.ops().count(), 0, "{}", what());
+        let (mut ends, mut faa_done) = (vec![0; ops.len()], Vec::new());
+        for ev in &rig.events {
+            let (cookie, op, reply) = match ev {
+                ChannelEvent::Done { cookie, op, reply } => (*cookie, op, Some(reply)),
+                ChannelEvent::OpFailed { cookie, op } if !reliable => (*cookie, op, None),
+                _ => panic!("{}: {ev:?}", what()),
+            };
+            assert_eq!(*op, ops[cookie as usize], "{}", what());
+            ends[cookie as usize] += 1;
+            if let (Op::FetchAdd { add, .. }, Some(reply)) = (op, reply) {
+                let ran = (executed.iter()).any(|&(a, v)| a == *add && *reply == Reply::Fetched(v));
+                assert!(ran, "{}: {ev:?} after {executed:?}", what());
+                faa_done.push(cookie);
+            }
+        }
+        assert!(ends.iter().all(|&n| n == 1), "{}: {:?}", what(), rig.events);
+        let mut adds: Vec<u64> = executed.iter().map(|e| e.0).collect();
+        adds.sort_unstable();
+        adds.dedup();
+        assert_eq!(adds.len(), executed.len(), "{}: {executed:?}", what());
+        if reliable {
+            assert!(faa_done.is_sorted(), "{}: {:?}", what(), rig.events);
+        }
+        (wire.put, rig.ch.stats())
+    }
+
+    /// Every schedule within these bounds: one to three ops (four in a
+    /// release build), each a READ, a WRITE with or without an ACK or a
+    /// Fetch-and-Add, the last answered;
+    /// up to two faults from drop, duplicate, reorder by a microsecond and
+    /// delay past the RTO, each on any frame in either direction; a
+    /// reliable or best-effort channel from PSN `2^24 - 2`. A fault at
+    /// frame `k` leaves the run before `k` as it was, so each schedule's
+    /// extensions are the faults on the frames its own run put on the
+    /// wire after its last fault.
     #[test]
-    fn two_channels_get_distinct_resources() {
-        let server = RoceEndpoint {
-            mac: MacAddr::local(9),
-            ip: 0x0a000009,
-        };
-        let switch = RoceEndpoint {
-            mac: MacAddr::local(1),
-            ip: 0x0a000001,
-        };
-        let mut nic = RnicNode::new("mem", RnicConfig::at(server));
-        let a = RdmaChannel::setup(switch, PortId(3), &mut nic, ByteSize::from_kb(8));
-        let b = RdmaChannel::setup(switch, PortId(3), &mut nic, ByteSize::from_kb(8));
-        assert_ne!(a.rkey, b.rkey);
-        assert_ne!(a.base_va, b.base_va);
-        assert_ne!(a.qp.peer_qpn, b.qp.peer_qpn);
+    fn every_small_schedule_ends_each_op_once_and_resends_alone_only_behind_a_later_answer() {
+        const MAX_OPS: usize = if cfg!(debug_assertions) { 3 } else { 4 };
+        const FAULTS: [Fault; 4] = [Fault::Drop, Fault::Duplicate, Fault::Reorder, Fault::Delay];
+        let mut runs: Vec<Vec<u8>> = vec![vec![]];
+        let mut sequences = Vec::new();
+        while let Some(kinds) = runs.pop() {
+            if kinds.len() < MAX_OPS {
+                runs.extend((0..4).map(|kind| [&kinds[..], &[kind]].concat()));
+            }
+            if kinds.last().is_some_and(|&kind| kind != 2) {
+                sequences.push(kinds);
+            }
+        }
+        let (mut explored, mut seen) = (0, ChannelStats::default());
+        for reliable in [true, false] {
+            for kinds in &sequences {
+                let mut schedules = vec![Vec::new()];
+                while let Some(faults) = schedules.pop() {
+                    let (frames, stats) = schedule(reliable, kinds, &faults);
+                    seen.merge(&stats);
+                    explored += 1;
+                    if faults.len() == 2 {
+                        continue;
+                    }
+                    let from = faults.last().map_or(0, |f: &(usize, Fault)| f.0 + 1);
+                    for f in (from..frames).flat_map(|k| FAULTS.map(|fault| (k, fault))) {
+                        schedules.push([&faults[..], &[f]].concat());
+                    }
+                }
+            }
+        }
+        println!(
+            "every_small_schedule: {} op sequences of 1 to {MAX_OPS} ops, up to 2 faults, \
+             reliable and best effort, from PSN 2^24 - 2: {explored} schedules explored \
+             ({} ops re-sent alone, {} timeouts, {} aged out)",
+            sequences.len(),
+            seen.implicit_resends,
+            seen.timeouts,
+            seen.aged_out,
+        );
     }
 }

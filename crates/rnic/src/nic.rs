@@ -275,7 +275,7 @@ impl RnicNode {
             // probe over a one-slot span costs what a one-slot READ does.
             Opcode::HashProbe | Opcode::GatherWalk => {
                 let (steps, read_bytes) = match req.ext {
-                    extmem_wire::roce::RoceExt::HashProbe(h) => (1, h.bucket_bytes as usize),
+                    extmem_wire::roce::RoceExt::HashProbe(h) => (1, h.len as usize),
                     extmem_wire::roce::RoceExt::Gather(h) => (
                         (h.count as usize).min(crate::responder::MAX_GATHER),
                         h.count as usize * h.word_len as usize,
@@ -898,12 +898,11 @@ mod tests {
                 payload,
             )
         };
-        let probe = |bucket, bucket_bytes| {
+        let probe = |va, len| {
             let ext = RoceExt::HashProbe(HashProbeEth {
-                base_va: 0x1000_0000,
+                va,
                 rkey: Rkey(1),
-                bucket,
-                bucket_bytes,
+                len,
                 slot_bytes: 32,
                 key_off: 0,
                 key_len: 13,
@@ -924,7 +923,7 @@ mod tests {
             count: 4,
         });
         let gather = nic.service_time(&op(Opcode::GatherWalk, gather, vec![0; 32]));
-        let (bucket, slot) = (probe(3, 128), probe(0, 32));
+        let (bucket, slot) = (probe(0x1000_0180, 128), probe(0x1000_0000, 32));
         let picos = [bucket, slot, gather].map(|t| t.picos());
         assert_eq!(picos, [118_619, 104_655, 289_310]);
         assert_eq!(bucket, read(0x1000_0180, 128));

@@ -290,12 +290,10 @@ impl RequesterQp {
             }) => encode(
                 Opcode::HashProbe,
                 false,
-                // The span is bucket 0 of an array based at its first slot.
                 RoceExt::HashProbe(HashProbeEth {
-                    base_va: *va,
+                    va: *va,
                     rkey,
-                    bucket: 0,
-                    bucket_bytes: *len,
+                    len: *len,
                     slot_bytes: *slot_bytes,
                     key_off: *key_off,
                     key_len: key.len() as u8,

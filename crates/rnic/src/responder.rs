@@ -287,26 +287,20 @@ fn resolve_read<'a>(mrs: &'a MrTable, req: &RocePacket, mtu: usize) -> Result<Re
             let key = &req.payload;
             let key_len = h.key_len as usize;
             let key_off = h.key_off as usize;
-            let bucket_bytes = h.bucket_bytes as usize;
+            let len = h.len as usize;
             let slot_bytes = h.slot_bytes as usize;
             if key.len() != key_len
                 || key_len == 0
                 || slot_bytes == 0
-                || bucket_bytes == 0
+                || len == 0
                 || key_off + key_len > slot_bytes
-                || !bucket_bytes.is_multiple_of(slot_bytes)
-                || bucket_bytes > mtu
+                || !len.is_multiple_of(slot_bytes)
+                || len > mtu
             {
                 return Err(NakCode::InvalidRequest);
             }
-            let region = mrs.get(h.rkey)?;
-            // An address past the end of the VA space names no region.
-            let va = h
-                .base_va
-                .checked_add(h.bucket as u64 * bucket_bytes as u64)
-                .ok_or(NakCode::RemoteAccessError)?;
-            let bucket = region.read(va, bucket_bytes as u64)?;
-            let hit = bucket
+            let span = mrs.get(h.rkey)?.read(h.va, len as u64)?;
+            let hit = span
                 .chunks_exact(slot_bytes)
                 .find(|slot| slot[key_off..key_off + key_len] == key[..]);
             Ok(Read::of(1, hit.as_slice()))
@@ -1040,12 +1034,11 @@ mod tests {
         region.write(base + 2 * 32, &key_a).unwrap(); // bucket 0, slot 2
         region.write(base + 128 + 32, &key_b).unwrap(); // bucket 1, slot 1
         let slot = |at: usize, key: [u8; 14]| [&key[..], &ramp[at + 14..at + 32]].concat();
-        let mut probe = |psn, key: [u8; 14], bucket| {
+        let mut probe = |psn, key: [u8; 14], bucket: u64| {
             let ext = RoceExt::HashProbe(HashProbeEth {
-                base_va: base,
+                va: base + bucket * 128,
                 rkey,
-                bucket,
-                bucket_bytes: 128,
+                len: 128,
                 slot_bytes: 32,
                 key_off: 0,
                 key_len: key.len() as u8,
@@ -1076,9 +1069,9 @@ mod tests {
         assert_eq!(probe(3, [0xcc; 14], 1), miss);
     }
 
-    /// A probe of one slot in the middle of a bucket (named, as the cuckoo
-    /// lookup names a span, as bucket 0 of an array based at that slot)
-    /// answers from that slot alone: a key one slot over is a miss.
+    /// A probe of one slot in the middle of a bucket (a span of one slot,
+    /// as the cuckoo lookup names it) answers from that slot alone: a key
+    /// one slot over is a miss.
     #[test]
     fn a_one_slot_probe_scans_that_slot_alone() {
         let (local, mut qp, mut mrs, rkey, base) = setup();
@@ -1091,10 +1084,9 @@ mod tests {
         region.write(base + 3 * 32, &key_b).unwrap(); // slot 3
         let mut probe = |psn, key: [u8; 14]| {
             let ext = RoceExt::HashProbe(HashProbeEth {
-                base_va: base + 2 * 32,
+                va: base + 2 * 32,
                 rkey,
-                bucket: 0,
-                bucket_bytes: 32,
+                len: 32,
                 slot_bytes: 32,
                 key_off: 0,
                 key_len: key.len() as u8,
@@ -1115,15 +1107,13 @@ mod tests {
 
     #[test]
     fn hash_probe_past_the_end_of_the_address_space_is_an_access_error() {
-        // The bucket's address is computed from request fields: one that
-        // would overflow names no region, and is NAKed like any other
-        // address outside one.
+        // A span whose end would overflow names no region, and is NAKed
+        // like any other address outside one.
         let (local, mut qp, mut mrs, rkey, _) = setup();
         let ext = RoceExt::HashProbe(HashProbeEth {
-            base_va: u64::MAX - 8,
+            va: u64::MAX - 8,
             rkey,
-            bucket: 1,
-            bucket_bytes: 128,
+            len: 128,
             slot_bytes: 32,
             key_off: 0,
             key_len: 13,
@@ -1265,10 +1255,9 @@ mod tests {
                 qpn,
                 psn,
                 RoceExt::HashProbe(HashProbeEth {
-                    base_va: base + 256,
+                    va: base + 352,
                     rkey,
-                    bucket: 3,
-                    bucket_bytes: 32,
+                    len: 32,
                     slot_bytes: 16,
                     key_off: 2,
                     key_len: key.len() as u8,

@@ -17,25 +17,21 @@ use crate::layout::header;
 use extmem_types::Rkey;
 
 header! {
-    /// Extension header for the hash-probe-and-fetch op, 22 bytes.
+    /// Extension header for the hash-probe-and-fetch op, 18 bytes.
     ///
-    /// The requester (switch) computes the bucket index with its own hash
-    /// units; the responder scans the `bucket_bytes` at `base_va +
-    /// bucket * bucket_bytes`, slot by slot, for the key bytes in the
-    /// request payload. On a hit the response carries the matching slot's
-    /// `slot_bytes` bytes; on a miss it carries none. The cuckoo lookup
-    /// names a span of slots this way, as bucket 0 of an array based at
-    /// the span's first slot.
+    /// The requester (switch) picks the slots to scan with its own hash
+    /// units and names them as one span; the responder scans the `len`
+    /// bytes at `va`, slot by slot, for the key bytes in the request
+    /// payload. On a hit the response carries the matching slot's
+    /// `slot_bytes` bytes; on a miss it carries none.
     pub struct HashProbeEth as "HashProbeETH" {
-        /// Base virtual address of the bucket array.
-        pub base_va: u64,
-        /// Remote access key of the bucket array.
+        /// Virtual address of the span's first slot.
+        pub va: u64,
+        /// Remote access key of the span.
         pub rkey: Rkey,
-        /// Index of the bucket to scan.
-        pub bucket: u32,
-        /// Bytes per bucket (stride of the array).
-        pub bucket_bytes: u16,
-        /// Bytes per slot within a bucket.
+        /// Bytes in the span, a whole number of slots.
+        pub len: u16,
+        /// Bytes per slot within the span.
         pub slot_bytes: u16,
         /// Byte offset of the key field inside a slot.
         pub key_off: u8,
@@ -67,10 +63,9 @@ mod tests {
     #[test]
     fn hash_probe_roundtrip() {
         let h = HashProbeEth {
-            base_va: 0x1000_0000,
+            va: 0x1000_0000,
             rkey: Rkey(7),
-            bucket: 13,
-            bucket_bytes: 128,
+            len: 128,
             slot_bytes: 32,
             key_off: 1,
             key_len: 13,
@@ -78,7 +73,7 @@ mod tests {
         let mut buf = [0u8; HashProbeEth::LEN];
         h.write(&mut buf).unwrap();
         assert_eq!(HashProbeEth::parse(&buf).unwrap(), h);
-        assert_eq!(HashProbeEth::LEN, 22);
+        assert_eq!(HashProbeEth::LEN, 18);
     }
 
     #[test]

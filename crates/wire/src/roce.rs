@@ -633,10 +633,9 @@ mod tests {
         let cases: Vec<(RoceExt, Vec<u8>)> = vec![
             (
                 RoceExt::HashProbe(HashProbeEth {
-                    base_va: 0x1000,
+                    va: 0x1100,
                     rkey: Rkey(5),
-                    bucket: 2,
-                    bucket_bytes: 128,
+                    len: 128,
                     slot_bytes: 32,
                     key_off: 1,
                     key_len: 13,

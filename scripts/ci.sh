@@ -161,6 +161,19 @@ echo "== retry-cap failover cells (release) =="
 # mid-burst is decided by timer order too.
 release_cells failover_
 
+echo "== channel schedule enumerator (release) =="
+# Every schedule of up to four ops and two faults on one channel, driven
+# through the test fake of its I/O seam (core's channel::tests; three ops
+# in the debug run above). `cargo test` passes when a filter matches
+# nothing, so a renamed test would silently empty the step: fail unless
+# it ran.
+enumerator=channel::tests::every_small_schedule_ends_each_op_once_and_resends_alone_only_behind_a_later_answer
+cargo test -q --release -p extmem-core --lib "$enumerator" -- --exact --nocapture 2>&1 | tee "$tmp/enumerator.log"
+if ! grep -Eq '^test result: ok\. 1 passed' "$tmp/enumerator.log"; then
+    echo "FAIL: the channel schedule enumerator ($enumerator) did not run" >&2
+    exit 1
+fi
+
 echo "== allocation budget (release) =="
 # Steady-state heap allocations per frame for the four primitives, under
 # the profile the repo benchmark measures (`allocs_per_pkt`).
@@ -292,7 +305,7 @@ while read -r workload allocs bytes overhead p50 p99; do
     under_ceiling "$workload" sim_lat_p99_ns "$p99"
 done <<'CEILINGS'
 lookup_verbs 3.01 125.2 0.6597 2443.096 2755.215
-lookup_ops 3.01 125.2 0.7429 2447.500 2759.460
+lookup_ops 3.01 125.2 0.7273 2447.500 2759.460
 pktbuf_lossy 4.024 173.5 2.2835 22384235.157 44349376.318
 fabric_shard 2.252 94.9 0.3731 2968.032 3311.595
 fabric_shard_p2 2.251 95.4 0.3731 2968.032 3311.595

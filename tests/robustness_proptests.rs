@@ -97,10 +97,9 @@ fn valid_roce_frame(opcode: extmem_wire::bth::Opcode, payload: Vec<u8>) -> Vec<u
         }),
         AtomicAcknowledge => RoceExt::AtomicAck(Aeth::ack(1), AtomicAckEth { original_value: 9 }),
         HashProbe => RoceExt::HashProbe(HashProbeEth {
-            base_va: 0x1000,
+            va: 0x1040,
             rkey,
-            bucket: 1,
-            bucket_bytes: 64,
+            len: 64,
             slot_bytes: 16,
             key_off: 0,
             key_len: 8,
@@ -227,7 +226,7 @@ proptest! {
 /// trusts drawn from near the edges: addresses by the region, past it and by
 /// the end of the address space, lengths and counts around their bounds.
 /// Half are consistent, and get as far as the memory accesses: a probe's key
-/// is `key_len` bytes inside a slot and its bucket whole slots, a gather
+/// is `key_len` bytes inside a slot and its span whole slots, a gather
 /// carries `count` addresses by the region.
 fn remote_op_request(
     rkey: extmem_types::Rkey,
@@ -245,30 +244,24 @@ fn remote_op_request(
     let small = || prop_oneof![0u16..300, any::<u16>()];
     let bytes = || proptest::collection::vec(any::<u8>(), 0..80);
     let probe = (
-        (va, rkeys(), prop_oneof![0u32..64, any::<u32>()]),
+        (va, rkeys()),
         (small(), small(), 0u16..9),
         (any::<u8>(), any::<u8>()),
         (any::<bool>(), bytes()),
     )
         .prop_map(
-            |(
-                (base_va, rkey, bucket),
-                (bucket_bytes, slot_bytes, slots),
-                (key_off, key_len),
-                (consistent, mut key),
-            )| {
+            |((va, rkey), (len, slot_bytes, slots), (key_off, key_len), (consistent, mut key))| {
                 let mut h = HashProbeEth {
-                    base_va,
+                    va,
                     rkey,
-                    bucket,
-                    bucket_bytes,
+                    len,
                     slot_bytes,
                     key_off,
                     key_len,
                 };
                 if consistent {
                     h.slot_bytes = 1 + slot_bytes % 64;
-                    h.bucket_bytes = h.slot_bytes * slots;
+                    h.len = h.slot_bytes * slots;
                     h.key_len = (1 + key_len as u16 % h.slot_bytes) as u8;
                     h.key_off = (key_off as u16 % (h.slot_bytes - h.key_len as u16 + 1)) as u8;
                     key.resize(h.key_len as usize, 0);

@@ -501,7 +501,7 @@ mod extop_roundtrips {
     pub fn arb_ext_op() -> impl Strategy<Value = (Opcode, RoceExt, Vec<u8>)> {
         prop_oneof![
             (
-                (any::<u64>(), any::<u32>(), any::<u32>()),
+                (any::<u64>(), any::<u32>()),
                 (
                     any::<u16>(),
                     any::<u16>(),
@@ -509,21 +509,18 @@ mod extop_roundtrips {
                     proptest::collection::vec(any::<u8>(), 1..33),
                 ),
             )
-                .prop_map(
-                    |((base_va, rkey, bucket), (bucket_bytes, slot_bytes, key_off, key))| (
-                        Opcode::HashProbe,
-                        RoceExt::HashProbe(HashProbeEth {
-                            base_va,
-                            rkey: Rkey(rkey),
-                            bucket,
-                            bucket_bytes,
-                            slot_bytes,
-                            key_off,
-                            key_len: key.len() as u8,
-                        }),
-                        key,
-                    )
-                ),
+                .prop_map(|((va, rkey), (len, slot_bytes, key_off, key))| (
+                    Opcode::HashProbe,
+                    RoceExt::HashProbe(HashProbeEth {
+                        va,
+                        rkey: Rkey(rkey),
+                        len,
+                        slot_bytes,
+                        key_off,
+                        key_len: key.len() as u8,
+                    }),
+                    key,
+                )),
             (
                 any::<u32>(),
                 any::<u16>(),
@@ -710,10 +707,9 @@ mod one_encoder {
                         } => (
                             Opcode::HashProbe,
                             RoceExt::HashProbe(HashProbeEth {
-                                base_va: va,
+                                va,
                                 rkey,
-                                bucket: 0,
-                                bucket_bytes: len,
+                                len,
                                 slot_bytes,
                                 key_off,
                                 key_len: key.len() as u8,
